@@ -8,22 +8,12 @@
 //	benchtab -figure 5            # one figure (4..6)
 //	benchtab -ablation partition  # or: sync
 //	benchtab -quick -all          # smaller circuit set for a fast pass
-//	benchtab -quick -json BENCH_PR4.json   # machine-readable perf snapshot
-//	benchtab -quick -tcpjson BENCH_PR9.json  # framed-vs-gob TCP wire comparison
-//	benchtab -checkjson BENCH_PR4.json     # validate a committed snapshot (either schema)
 //
-// -json measures the tree (serial wall-clock with per-phase split and
-// allocation counts, parallel speedup and scaled tracks on the simulated
-// SMP machine) and writes a bench.Report. When the output file already
-// exists, its baseline — or, for a first-generation file, its current
-// snapshot — is carried forward as the new report's baseline, so the
-// committed file always compares the tree against the pre-optimization
-// state it was first generated from.
+// The perf ledger is not here: `go run ./benchmark` (BENCHMARK.json) owns
+// every committed number.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,28 +25,18 @@ import (
 
 func main() {
 	var (
-		all       = flag.Bool("all", false, "run every table, figure and ablation")
-		table     = flag.Int("table", 0, "regenerate one table (1-5)")
-		figure    = flag.Int("figure", 0, "regenerate one figure (4-6)")
-		ablation  = flag.String("ablation", "", "run an ablation: partition | sync | platform")
-		quick     = flag.Bool("quick", false, "use only the two smallest circuits")
-		seed      = flag.Uint64("seed", 7, "seed for circuit synthesis and routing")
-		reps      = flag.Int("reps", 1, "timing repetitions (fastest kept)")
-		seeds     = flag.Int("seeds", 0, "for -table 2/3/4: report mean [min-max] over this many seeds")
-		circuits  = flag.String("circuits", "", "comma-separated circuit subset")
-		procs     = flag.String("procs", "1,2,4,8", "comma-separated worker counts")
-		workers   = flag.String("workers", "1", "comma-separated intra-rank route worker counts for the serial scale points")
-		jsonOut   = flag.String("json", "", "write a machine-readable perf report to this path")
-		tcpJSON   = flag.String("tcpjson", "", "write a framed-vs-gob TCP wire comparison to this path")
-		label     = flag.String("label", "", "label stored in the -json report")
-		checkJSON = flag.String("checkjson", "", "parse and validate a perf report, then exit")
+		all      = flag.Bool("all", false, "run every table, figure and ablation")
+		table    = flag.Int("table", 0, "regenerate one table (1-5)")
+		figure   = flag.Int("figure", 0, "regenerate one figure (4-6)")
+		ablation = flag.String("ablation", "", "run an ablation: partition | sync | platform")
+		quick    = flag.Bool("quick", false, "use only the two smallest circuits")
+		seed     = flag.Uint64("seed", 7, "seed for circuit synthesis and routing")
+		reps     = flag.Int("reps", 1, "timing repetitions (fastest kept)")
+		seeds    = flag.Int("seeds", 0, "for -table 2/3/4: report mean [min-max] over this many seeds")
+		circuits = flag.String("circuits", "", "comma-separated circuit subset")
+		procs    = flag.String("procs", "1,2,4,8", "comma-separated worker counts")
 	)
 	flag.Parse()
-
-	if *checkJSON != "" {
-		validateReport(*checkJSON)
-		return
-	}
 
 	cfg := bench.Config{Seed: *seed, Reps: *reps}
 	if *quick {
@@ -72,23 +52,7 @@ func main() {
 		}
 		cfg.Procs = append(cfg.Procs, p)
 	}
-	for _, tok := range strings.Split(*workers, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(tok))
-		if err != nil {
-			fatalf("bad -workers value %q: %v", tok, err)
-		}
-		cfg.Workers = append(cfg.Workers, w)
-	}
 	s := bench.NewSuite(cfg)
-
-	if *jsonOut != "" {
-		writeReport(cfg, *jsonOut, *label)
-		return
-	}
-	if *tcpJSON != "" {
-		writeTCPReport(cfg, *tcpJSON, *label)
-		return
-	}
 
 	ran := false
 	check := func(err error) {
@@ -149,95 +113,6 @@ func ablationCircuit(cfg bench.Config) string {
 		return "avq.large"
 	}
 	return cfg.Circuits[len(cfg.Circuits)-1]
-}
-
-// writeReport collects a perf snapshot and writes it to path, carrying the
-// baseline of any existing report at path forward.
-func writeReport(cfg bench.Config, path, label string) {
-	var prev *bench.Report
-	if f, err := os.Open(path); err == nil {
-		prev, err = bench.ReadReport(f)
-		f.Close()
-		if err != nil {
-			fatalf("existing report %s: %v", path, err)
-		}
-	}
-	snap, err := bench.CollectSnapshot(cfg)
-	if err != nil {
-		fatalf("collecting snapshot: %v", err)
-	}
-	report := bench.BuildReport(prev, *snap, label)
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	if err := bench.WriteReport(f, report); err != nil {
-		fatalf("writing report: %v", err)
-	}
-	if report.Baseline != nil {
-		fmt.Printf("wrote %s: serial speedup vs baseline %.2fx\n", path, report.SerialSpeedupVsBaseline)
-	} else {
-		fmt.Printf("wrote %s (no baseline yet; rerun after changes to compare)\n", path)
-	}
-}
-
-// writeTCPReport measures the framed-vs-gob wire comparison on the real
-// loopback-TCP engine and writes it to path.
-func writeTCPReport(cfg bench.Config, path, label string) {
-	rep, err := bench.CollectTCPReport(cfg, label)
-	if err != nil {
-		fatalf("collecting tcp report: %v", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	if err := bench.WriteTCPReport(f, rep); err != nil {
-		fatalf("writing tcp report: %v", err)
-	}
-	fmt.Printf("wrote %s: mean framed speedup %.2fx over gob (%d runs at %d procs)\n",
-		path, rep.MeanFramedSpeedup, len(rep.Runs), rep.Procs)
-}
-
-// validateReport parses a report file, failing the process on any error —
-// the CI smoke check that the committed BENCH_PR4.json / BENCH_PR9.json
-// stay readable. The schema field selects the reader.
-func validateReport(path string) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var head struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(raw, &head); err != nil {
-		fatalf("%s: %v", path, err)
-	}
-	switch head.Schema {
-	case bench.TCPReportSchema:
-		r, err := bench.ReadTCPReport(bytes.NewReader(raw))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if len(r.Runs) == 0 {
-			fatalf("%s: tcp report has no runs", path)
-		}
-		fmt.Printf("%s: schema %s, %d framed-vs-gob runs at %d procs, mean framed speedup %.2fx\n",
-			path, r.Schema, len(r.Runs), r.Procs, r.MeanFramedSpeedup)
-	default:
-		r, err := bench.ReadReport(bytes.NewReader(raw))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("%s: schema %s, %d serial + %d parallel runs", path, r.Schema,
-			len(r.Current.Serial), len(r.Current.Parallel))
-		if r.Baseline != nil {
-			fmt.Printf(", serial speedup vs baseline %.2fx", r.SerialSpeedupVsBaseline)
-		}
-		fmt.Println()
-	}
 }
 
 func fatalf(format string, args ...any) {

@@ -1,5 +1,5 @@
 // distributed runs the hybrid algorithm over the TCP engine: every worker
-// communicates exclusively through gob-encoded messages on loopback
+// communicates exclusively through framed parroute-mpwire/1 messages on loopback
 // sockets — the deployment shape of the paper's Intel Paragon runs, with
 // real serialization and kernel round trips on every message. It then
 // repeats the run on the simulated DMP machine (the Paragon cost model)

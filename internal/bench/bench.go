@@ -38,10 +38,6 @@ type Config struct {
 	// Reps repeats each timed run and keeps the fastest, smoothing
 	// measurement noise in the simulated times. Default 1.
 	Reps int
-	// Workers are the intra-rank route worker counts the serial rows of a
-	// snapshot sweep (routing output is byte-identical at every setting,
-	// so extra entries only add wall-clock scale points). Default {1}.
-	Workers []int
 }
 
 // Normalize fills defaults.
@@ -54,9 +50,6 @@ func (c *Config) Normalize() {
 	}
 	if c.Reps <= 0 {
 		c.Reps = 1
-	}
-	if len(c.Workers) == 0 {
-		c.Workers = []int{1}
 	}
 }
 

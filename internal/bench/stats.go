@@ -34,15 +34,6 @@ func MinMax(xs []float64) (min, max float64) {
 	return min, max
 }
 
-// SpeedupRatio returns baseline time over current time — the speedup of
-// current relative to baseline — or 0 when current is non-positive.
-func SpeedupRatio(baselineNS, currentNS int64) float64 {
-	if currentNS <= 0 {
-		return 0
-	}
-	return float64(baselineNS) / float64(currentNS)
-}
-
 // ScaledTracksStats prints a scaled-track table (2, 3 or 4) where every
 // cell is the mean over several seeds, with the min-max spread — the
 // multi-seed robustness check for the single-seed tables. Each seed draws
@@ -78,8 +69,8 @@ func ScaledTracksStats(w io.Writer, cfg Config, table int, seeds []uint64) error
 	for _, name := range cfg.Circuits {
 		row := []string{name}
 		for _, p := range procs {
-			var sum, min, max float64
-			for i, s := range suites {
+			scaled := make([]float64, 0, len(suites))
+			for _, s := range suites {
 				base, err := s.Baseline(name)
 				if err != nil {
 					return err
@@ -88,17 +79,10 @@ func ScaledTracksStats(w io.Writer, cfg Config, table int, seeds []uint64) error
 				if err != nil {
 					return err
 				}
-				scaled := r.ScaledTracks(base)
-				sum += scaled
-				if i == 0 || scaled < min {
-					min = scaled
-				}
-				if i == 0 || scaled > max {
-					max = scaled
-				}
+				scaled = append(scaled, r.ScaledTracks(base))
 			}
-			row = append(row, fmt.Sprintf("%.3f [%.3f-%.3f]",
-				sum/float64(len(seeds)), min, max))
+			min, max := MinMax(scaled)
+			row = append(row, fmt.Sprintf("%.3f [%.3f-%.3f]", Mean(scaled), min, max))
 		}
 		rows = append(rows, row)
 	}

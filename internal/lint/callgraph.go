@@ -39,7 +39,7 @@ type lifeSummary struct {
 	hasLoop bool
 	// blocks: the body (or a callee) performs a blocking operation —
 	// channel send/recv, select without default, mp op, WaitGroup.Wait,
-	// network or gob I/O. blockDesc names the first one found.
+	// network I/O. blockDesc names the first one found.
 	blocks    bool
 	blockDesc string
 	// recvObjs are the channel objects (locals, fields, package vars) the
@@ -360,8 +360,8 @@ func scanBlocking(info *types.Info, n ast.Node, report func(pos token.Pos, desc 
 }
 
 // blockingCall classifies call as a known blocking operation: an mp
-// protocol op, sync.WaitGroup.Wait, time.Sleep, blocking net methods and
-// dials, or gob stream codecs. sync.Cond.Wait is deliberately excluded —
+// protocol op, sync.WaitGroup.Wait, time.Sleep, or blocking net methods
+// and dials. sync.Cond.Wait is deliberately excluded —
 // it releases its associated mutex while parked, so holding that mutex
 // across it is the intended protocol, not a deadlock.
 func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
@@ -394,11 +394,6 @@ func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 			case "Dial", "DialTimeout", "DialIP", "DialTCP", "DialUDP":
 				return "net." + name, true
 			}
-		}
-	case "encoding/gob":
-		switch name {
-		case "Encode", "Decode", "EncodeValue", "DecodeValue":
-			return "gob " + name, true
 		}
 	}
 	return "", false

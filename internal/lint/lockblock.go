@@ -12,7 +12,7 @@ import (
 // stalls every other locker, and if any of them is the party that would
 // have unblocked the operation, the program wedges. Blocking operations
 // are the scanBlocking set (channel send/recv, select without default,
-// range over a channel, mp ops, WaitGroup.Wait, net/gob I/O, time.Sleep)
+// range over a channel, mp ops, WaitGroup.Wait, net I/O, time.Sleep)
 // plus calls to module functions whose lifecycle summary says they block.
 //
 // Held-ness is a forward dataflow over the CFG: Lock/RLock adds the mutex

@@ -121,13 +121,13 @@ func runManifestDrift(p *Pass) {
 	}
 }
 
-// checkWireCodecRegistrations verifies every RegisterWireCodec call
-// against the manifest's wire-id table: the registered prototype must be
-// a manifest type and the id must be its recorded wireId. The ids are on
-// the socket now — a frame's payload is decoded by looking the id up on
-// the receiving process — so an id the manifest does not record, or one
-// attached to a different type than the manifest says, is a protocol
-// fork between builds, not a style problem.
+// checkWireCodecRegistrations verifies every mp.Register[T](id) call
+// against the manifest's wire-id table: T must be a manifest type and
+// the id must be its recorded wireId. The ids are on the socket — a
+// frame's payload is decoded by looking the id up on the receiving
+// process — so an id the manifest does not record, or one attached to a
+// different type than the manifest says, is a protocol fork between
+// builds, not a style problem.
 func checkWireCodecRegistrations(p *Pass, man *mpproto.Manifest, f *ast.File) {
 	info := p.Pkg.Info
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -135,24 +135,25 @@ func checkWireCodecRegistrations(p *Pass, man *mpproto.Manifest, f *ast.File) {
 		if !ok {
 			return true
 		}
+		inst, ok := ast.Unparen(call.Fun).(*ast.IndexExpr)
 		fn := calleeFunc(info, call)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != mpPkgPath ||
-			fn.Name() != "RegisterWireCodec" || len(call.Args) < 2 {
+		if !ok || fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != mpPkgPath ||
+			fn.Name() != "Register" || len(call.Args) != 1 {
 			return true
 		}
 		id, ok := constUint32Of(info, call.Args[0])
 		if !ok {
 			p.Reportf(call.Args[0].Pos(),
-				"RegisterWireCodec id must be a constant so %s can record it", mpproto.ManifestName)
+				"Register id must be a constant so %s can record it", mpproto.ManifestName)
 			return true
 		}
-		typeName := staticPayloadName(info, call.Args[1])
+		typeName := staticPayloadName(info, inst.Index)
 		if typeName == "" {
 			return true
 		}
 		entry := manifestTypeByQualifiedName(man, typeName)
 		if entry == nil {
-			p.Reportf(call.Args[1].Pos(),
+			p.Reportf(inst.Index.Pos(),
 				"wire codec registered for %s, which %s does not record: run `go generate ./...` and commit the regenerated files",
 				typeName, mpproto.ManifestName)
 			return true
@@ -258,7 +259,7 @@ func checkStaleEntries(p *Pass, man *mpproto.Manifest, marked map[string]bool) {
 // checkSentPayloads verifies that every statically typed payload handed
 // to a sending mp operation is priced by the manifest — the enforcement
 // loop that catches a payload type sent without the //mp:payload marker
-// (and therefore without a codec, priced by gob fallback).
+// (and therefore without a codec: its Send fails on the TCP engines).
 func checkSentPayloads(p *Pass, man *mpproto.Manifest, f *ast.File) {
 	info := p.Pkg.Info
 	ast.Inspect(f, func(n ast.Node) bool {

@@ -20,7 +20,7 @@ func TestManifestDriftFixture(t *testing.T) {
 		{"manifest-drift", "payload BadMsg has no flat wire layout"},
 		{"manifest-drift", "mp_protocol.json entry GhostBatch has no //mp:payload type in this package"},
 		{"manifest-drift", "payload type parroute/internal/lint/testdata/src/manifestdrift.UnpricedMsg is sent over mp but not priced by mp_protocol.json"},
-		{"manifest-drift", "wire codec for parroute/internal/lint/testdata/src/manifestdrift.DriftBatch registered under id 5 but mp_protocol.json records wireId 4"},
+		{"manifest-drift", "wire codec for parroute/internal/lint/testdata/src/manifestdrift.DriftBatch registered under id 7 but mp_protocol.json records wireId 6"},
 		{"manifest-drift", "wire codec registered for parroute/internal/lint/testdata/src/manifestdrift.UnpricedMsg, which mp_protocol.json does not record"},
 		{"tag-discipline", "tag tagDrift = 11 but mp_protocol.json records 12"},
 		{"tag-discipline", "tag tagMissing is not in mp_protocol.json's tag table"},

@@ -14,7 +14,8 @@
 //     payload is not priced by any manifest entry.
 //   - RegisterCodecs registers DriftBatch under a wire id that disagrees
 //     with the manifest's record, and a codec for UnpricedMsg, which the
-//     manifest does not record at all.
+//     manifest does not record at all (both carry stub mp.Payload
+//     methods so the registrations type-check).
 //
 // Every tag is paired with a receive so only the manifest checks fire
 // under tag-discipline and send-recv-pairing.
@@ -42,18 +43,26 @@ type UnpricedMsg struct {
 	N int
 }
 
+func (UnpricedMsg) WireSize() int                        { return 0 }
+func (UnpricedMsg) AppendWire(b []byte) ([]byte, error)  { return b, nil }
+func (*UnpricedMsg) DecodeWire(d []byte) ([]byte, error) { return d, nil }
+
 // DriftBatch matches its manifest layout, but the registration below
 // uses a different wire id than the manifest records.
 //
 //mp:payload
 type DriftBatch []int32
 
+func (DriftBatch) WireSize() int                        { return 0 }
+func (DriftBatch) AppendWire(b []byte) ([]byte, error)  { return b, nil }
+func (*DriftBatch) DecodeWire(d []byte) ([]byte, error) { return d, nil }
+
 // RegisterCodecs stands in for a generated init: the first registration's
 // id drifted from the manifest's wireId record, the second registers a
 // codec for a type the manifest has never seen.
 func RegisterCodecs() {
-	mp.RegisterWireCodec(5, DriftBatch(nil), nil, nil)
-	mp.RegisterWireCodec(6, UnpricedMsg{}, nil, nil)
+	mp.Register[DriftBatch](7)
+	mp.Register[UnpricedMsg](8)
 }
 
 const (

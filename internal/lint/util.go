@@ -23,7 +23,11 @@ func pkgQualifier(info *types.Info, e ast.Expr) string {
 // statically known *types.Func (package function, method, or interface
 // method). Conversions and builtins return nil.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	if ix, ok := fun.(*ast.IndexExpr); ok {
+		fun = ast.Unparen(ix.X) // explicit instantiation: f[T](...)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		f, _ := info.Uses[fun].(*types.Func)
 		return f

@@ -59,8 +59,8 @@ func BenchmarkAllreduce(b *testing.B) {
 	}
 }
 
-// BenchmarkPayloadSize measures the virtual engine's per-message gob
-// sizing overhead.
+// BenchmarkPayloadSize measures the virtual engine's per-message
+// pricing overhead.
 func BenchmarkPayloadSize(b *testing.B) {
 	payload := make([]int32, 16384)
 	b.ReportAllocs()

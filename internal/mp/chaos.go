@@ -237,8 +237,8 @@ func (s FaultSnapshot) String() string {
 // chaosMsg is the wire wrapper carrying the per-(sender, tag) sequence
 // number that makes delivery idempotent. Its codec, flat pricing
 // (8-byte Seq plus the wrapped payload's own flat price — so chaos runs
-// cost what the application message costs, not a gob re-encode), and
-// registration are generated into mpwire_gen.go.
+// cost what the application message costs), and registration are
+// generated into mpwire_gen.go.
 //
 //mp:payload
 type chaosMsg struct {

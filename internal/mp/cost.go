@@ -1,9 +1,6 @@
 package mp
 
-import (
-	"encoding/gob"
-	"time"
-)
+import "time"
 
 // CostModel parameterizes the Virtual engine's communication timing. A
 // point-to-point message of s bytes sent at sender time t becomes available
@@ -58,39 +55,20 @@ func DMP() CostModel {
 	}
 }
 
-// Sizer lets a payload type report its simulated wire size directly, so
-// the Virtual engine prices a message without gob-encoding it. The size
-// only feeds the cost model's transfer time — it never alters program
-// behaviour — so a cheap flat-encoding estimate (fixed bytes per field,
-// see frameOverhead) is the right fidelity. Protocols that synchronize
-// every round should implement it on their batch payload types; the
-// per-message encoder setup plus reflective encode otherwise dominates
-// simulated communication.
-type Sizer interface {
-	// WireSize returns the payload's approximate encoded size in bytes,
-	// excluding the fixed message framing.
-	WireSize() int
-}
-
 // frameOverhead approximates the fixed per-message framing of the wire
-// format (type headers plus the wireEnv fields) for payloads priced
-// without encoding. It is charged exactly once per message.
+// format (length prefix, source, tag) for the Virtual engine's pricing.
+// It is charged exactly once per message.
 const frameOverhead = 16
 
 // elemHeader is the per-element framing of a value nested inside a
 // message — the flat codec's u32 type id plus u32 length prefix. The
-// flat batch encodings (mp.Sizer) price their elements with no header at
-// all, so []any, the one heterogeneous container the collectives relay,
-// is the only place it applies; see elemSize.
+// flat batch encodings (Payload.WireSize) price their elements with no
+// header at all, so []any, the one heterogeneous container the
+// collectives relay, is the only place it applies; see elemSize.
 const elemHeader = 8
 
-// countingWriter counts bytes written through it.
-type countingWriter struct{ n int }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
-}
+// unpricedSize is what a message whose payload has no flat price costs.
+const unpricedSize = 64
 
 // payloadSize measures the wire size of one message: the fixed message
 // framing plus the payload's body size.
@@ -98,19 +76,18 @@ func payloadSize(v any) int {
 	return frameOverhead + elemSize(v)
 }
 
-// elemSize measures a payload's body: directly for Sizer implementations
-// and the builtin payload shapes the collectives send (flat fixed-width
-// pricing), by gob-encoding into a counter otherwise. A []any — the
-// heterogeneous per-rank container the collectives relay (e.g.
-// Allgather's Bcast stage) — prices each element at its body size plus
-// the flat codec's per-element header, never at a full per-message frame:
-// the elements travel inside one message, consistent with the flat batch
-// encodings. Unencodable payloads (which would also fail on the TCP
-// engine) are priced at a fixed small size rather than failing — the
-// Virtual engine should never alter program behaviour.
+// elemSize prices a payload's body flat: Payload implementations by
+// their WireSize, the builtin shapes the collectives send at fixed
+// widths. A []any — the heterogeneous per-rank container the collectives
+// relay (e.g. Allgather's Bcast stage) — prices each element at its body
+// size plus the flat codec's per-element header, never at a full
+// per-message frame: the elements travel inside one message, consistent
+// with the flat batch encodings. Any other payload (which would fail to
+// encode on the TCP engine) is priced at a fixed small size rather than
+// failing — the Virtual engine should never alter program behaviour.
 func elemSize(v any) int {
 	switch p := v.(type) {
-	case Sizer:
+	case Payload:
 		return p.WireSize()
 	case []int32:
 		return 4 * len(p)
@@ -125,27 +102,5 @@ func elemSize(v any) int {
 		}
 		return n
 	}
-	var cw countingWriter
-	enc := gob.NewEncoder(&cw)
-	if err := enc.Encode(&wireEnv{V: v}); err != nil {
-		return 64 - frameOverhead
-	}
-	// The gob stream carries its own type headers; subtract the flat
-	// frame so payloadSize prices the whole message at the encoded size.
-	if cw.n <= frameOverhead {
-		return cw.n
-	}
-	return cw.n - frameOverhead
+	return unpricedSize - frameOverhead
 }
-
-// wireEnv is the gob frame shared by the TCP engine and the Virtual
-// engine's size measurement. Payload types must be registered with
-// RegisterPayload to cross the interface boundary.
-type wireEnv struct {
-	Src, Tag int
-	V        any
-}
-
-// RegisterPayload registers a concrete payload type with gob. Call it once
-// (e.g. from an init function) for every type sent through Comm.
-func RegisterPayload(v any) { gob.Register(v) }

@@ -1,20 +1,17 @@
 package mp
 
-import (
-	"bytes"
-	"encoding/gob"
-	"testing"
-)
+import "testing"
 
-// sizedPayload implements Sizer with a fixed answer so the fast path is
-// distinguishable from any plausible gob encoding.
+// sizedPayload is a Payload with a fixed price, distinguishable from the
+// unpriced default.
 type sizedPayload struct{ N int }
 
-func (p sizedPayload) WireSize() int { return 12345 }
+func (p sizedPayload) WireSize() int                         { return 12345 }
+func (p sizedPayload) AppendWire(buf []byte) ([]byte, error) { return buf, nil }
 
 func TestPayloadSizeSizerFastPath(t *testing.T) {
 	if got := payloadSize(sizedPayload{N: 7}); got != frameOverhead+12345 {
-		t.Fatalf("Sizer payload priced at %d, want %d", got, frameOverhead+12345)
+		t.Fatalf("Payload priced at %d, want %d", got, frameOverhead+12345)
 	}
 }
 
@@ -39,30 +36,18 @@ func TestPayloadSizeBuiltinShapes(t *testing.T) {
 	}
 }
 
-func TestPayloadSizeGobFallback(t *testing.T) {
-	// A registered type without WireSize falls back to a real gob encode:
-	// the price must match encoding the same wireEnv frame by hand.
-	type plain struct{ A, B int }
-	gob.Register(plain{})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&wireEnv{V: plain{A: 1, B: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := payloadSize(plain{A: 1, B: 2}); got != buf.Len() {
-		t.Fatalf("gob fallback priced at %d, want %d", got, buf.Len())
-	}
-}
-
 func TestPayloadSizeUnencodable(t *testing.T) {
-	// Unencodable payloads get a fixed price instead of failing: the
+	// Payloads with no codec get a fixed price instead of failing: the
 	// Virtual engine must never alter program behaviour.
-	if got := payloadSize(func() {}); got != 64 {
-		t.Fatalf("unencodable payload priced at %d, want 64", got)
+	for _, v := range []any{func() {}, uncodedPayload{A: 1, B: 2}, "text"} {
+		if got := payloadSize(v); got != unpricedSize {
+			t.Fatalf("%T priced at %d, want %d", v, got, unpricedSize)
+		}
 	}
 }
 
 func TestPayloadSizeSizerScalesWithLength(t *testing.T) {
-	// The batch pricing contract: a Sizer batch twice as long costs twice
+	// The batch pricing contract: a Payload batch twice as long costs twice
 	// the per-element bytes on top of the same frame overhead.
 	one := payloadSize(sizedBatch(1))
 	two := payloadSize(sizedBatch(2))
@@ -74,10 +59,11 @@ func TestPayloadSizeSizerScalesWithLength(t *testing.T) {
 
 type sizedBatch int
 
-func (b sizedBatch) WireSize() int { return int(b) * 25 }
+func (b sizedBatch) WireSize() int                         { return int(b) * 25 }
+func (b sizedBatch) AppendWire(buf []byte) ([]byte, error) { return buf, nil }
 
 // TestPayloadSizeAnySliceDifferential is the satellite audit of the
-// []any recursion against the Sizer fast path: relaying N flat batches
+// []any recursion against the Payload fast path: relaying N flat batches
 // through one []any message (the Alltoall shape) must price each batch
 // at exactly its WireSize plus the flat per-element header — the old
 // recursion charged a full per-message frame per element, overpricing
@@ -86,10 +72,10 @@ func TestPayloadSizeAnySliceDifferential(t *testing.T) {
 	batches := []any{sizedBatch(3), sizedBatch(0), sizedBatch(17)}
 	want := frameOverhead
 	for _, b := range batches {
-		want += elemHeader + b.(Sizer).WireSize()
+		want += elemHeader + b.(Payload).WireSize()
 	}
 	if got := payloadSize(batches); got != want {
-		t.Fatalf("[]any of Sizers priced at %d, want %d", got, want)
+		t.Fatalf("[]any of Payloads priced at %d, want %d", got, want)
 	}
 	// Consistency with the flat batch encodings: a []any wrapping one
 	// batch costs exactly one element header more than sending the batch

@@ -1,9 +1,7 @@
 package mp
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -18,11 +16,11 @@ import (
 //
 //	i64 src | i64 tag | AppendAny payload (u32 wire id | u32 len | bytes)
 //
-// so registered payload types cross the socket through their generated
-// parroute-mpwire/1 codecs and only unregistered types (wire id 0) fall
-// back to gob. The connection-setup hello and the rendezvous address
-// table reuse the same length-prefixed outer frame with their own magic
-// strings, so one bounded reader serves both setup and steady state.
+// so every payload crosses the socket through its parroute-mpwire/1
+// codec; a type without one fails the Send before a byte is written. The
+// connection-setup hello and the rendezvous address table reuse the same
+// length-prefixed outer frame with their own magic strings, so one
+// bounded reader serves both setup and steady state.
 
 const (
 	// frameHeaderLen is the length prefix: a little-endian u32.
@@ -33,20 +31,13 @@ const (
 	maxFrameLen = 1 << 28
 )
 
-// appendFrame appends one framed envelope to buf. With forceGob the
-// payload takes the gob fallback even when a flat codec is registered —
-// the benchmark baseline that isolates what the generated codecs buy.
-func appendFrame(buf []byte, src, tag int, v any, forceGob bool) ([]byte, error) {
+// appendFrame appends one framed envelope to buf.
+func appendFrame(buf []byte, src, tag int, v any) ([]byte, error) {
 	lenAt := len(buf)
 	buf = AppendUint32(buf, 0) // length, patched below
 	buf = AppendInt(buf, src)
 	buf = AppendInt(buf, tag)
-	var err error
-	if forceGob {
-		buf, err = appendAnyGob(buf, v)
-	} else {
-		buf, err = AppendAny(buf, v)
-	}
+	buf, err := AppendAny(buf, v)
 	if err != nil {
 		return nil, err
 	}
@@ -103,18 +94,6 @@ func readFrame(r io.Reader, scratch []byte) ([]byte, error) {
 		return nil, wireErr("truncated frame: %v", err)
 	}
 	return body, nil
-}
-
-// appendAnyGob is AppendAny with the gob fallback forced: the payload is
-// framed under wire id 0 regardless of registered codecs.
-func appendAnyGob(buf []byte, v any) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&wireEnv{V: v}); err != nil {
-		return nil, fmt.Errorf("mp: AppendAny: %w", err)
-	}
-	buf = AppendUint32(buf, gobWireID)
-	buf = AppendUint32(buf, uint32(body.Len()))
-	return append(buf, body.Bytes()...), nil
 }
 
 // ---- connection-setup frames ----
@@ -177,8 +156,11 @@ func decodeHello(body []byte) (hello, error) {
 	if h.Rank, rest, err = WireInt(rest); err != nil {
 		return h, err
 	}
-	if h.Addr, _, err = WireString(rest); err != nil {
+	if h.Addr, rest, err = WireString(rest); err != nil {
 		return h, err
+	}
+	if len(rest) != 0 {
+		return h, wireErr("hello left %d undecoded byte(s)", len(rest))
 	}
 	return h, nil
 }
@@ -231,6 +213,9 @@ func decodeTable(body []byte) (addrTable, error) {
 			return t, err
 		}
 		t.Addrs = append(t.Addrs, a)
+	}
+	if len(rest) != 0 {
+		return t, wireErr("table left %d undecoded byte(s)", len(rest))
 	}
 	return t, nil
 }

@@ -12,15 +12,14 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	RegisterPayload(gobOnlyPayload{})
-	msg := chaosMsg{Seq: 42, V: gobOnlyPayload{A: 1, B: 2}}
-	stream, err := appendFrame(nil, 3, 17, msg, false)
+	msg := chaosMsg{Seq: 42, V: []any{1, []int32{2}}}
+	stream, err := appendFrame(nil, 3, 17, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second frame on the same stream, through the gob fallback, on a
-	// reserved engine tag.
-	stream, err = appendFrame(stream, 1, tagBarrier, true, true)
+	// A second frame on the same stream: a barrier token on a reserved
+	// engine tag.
+	stream, err = appendFrame(stream, 1, tagBarrier, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +58,8 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameCanonicalReencode(t *testing.T) {
 	// A decoded frame must re-encode byte-identically: the outer chaosMsg
-	// takes its generated flat codec, and the nested gob fallback is
-	// deterministic too because every encode runs a fresh encoder.
-	RegisterPayload(gobOnlyPayload{})
-	frame, err := appendFrame(nil, 0, 5, chaosMsg{Seq: 7, V: gobOnlyPayload{A: 2, B: 3}}, false)
+	// takes its generated codec and the nested builtins their flat ones.
+	frame, err := appendFrame(nil, 0, 5, chaosMsg{Seq: 7, V: []any{2, true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +67,7 @@ func TestFrameCanonicalReencode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := appendFrame(nil, src, tag, v, false)
+	re, err := appendFrame(nil, src, tag, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +77,7 @@ func TestFrameCanonicalReencode(t *testing.T) {
 }
 
 func TestFrameTruncation(t *testing.T) {
-	frame, err := appendFrame(nil, 0, 1, 99, false)
+	frame, err := appendFrame(nil, 0, 1, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +99,17 @@ func TestFrameTruncation(t *testing.T) {
 	if _, err := readFrame(bytes.NewReader(nil), nil); err != io.EOF {
 		t.Errorf("empty stream = %v, want io.EOF", err)
 	}
-	// Trailing bytes inside a body mean a framing bug.
+	// Trailing bytes inside a body mean a framing bug — in an envelope
+	// and in the two setup frames alike.
 	body := append(append([]byte{}, frame[frameHeaderLen:]...), 0)
 	if _, _, _, err := decodeFrameBody(body); !errors.Is(err, ErrWire) {
 		t.Errorf("trailing body byte accepted: %v", err)
+	}
+	if _, err := decodeHello(append(appendHello(nil, hello{Rank: 1, Addr: "a:1"}), 0)); !errors.Is(err, ErrWire) {
+		t.Errorf("hello with trailing garbage accepted: %v", err)
+	}
+	if _, err := decodeTable(append(appendTable(nil, addrTable{Addrs: []string{"", "a:1"}}), 0)); !errors.Is(err, ErrWire) {
+		t.Errorf("table with trailing garbage accepted: %v", err)
 	}
 }
 
@@ -194,22 +198,20 @@ func TestRecvHelloSilentPeerBounded(t *testing.T) {
 }
 
 // FuzzFrame drives the socket framing with arbitrary bytes: any stream
-// readFrame+decodeFrameBody accept must re-encode byte-identically when
-// the payload went through a registered flat codec (canonical encoding);
-// gob-fallback accepts only need to round-trip by value.
+// readFrame+decodeFrameBody accept must re-encode byte-identically (the
+// encoding is canonical) and round-trip by value.
 func FuzzFrame(f *testing.F) {
-	RegisterPayload(gobOnlyPayload{})
-	seed, err := appendFrame(nil, 3, 7, chaosMsg{Seq: 12, V: gobOnlyPayload{A: 5, B: 6}}, false)
-	if err != nil {
-		f.Fatal(err)
+	for _, v := range wireSeeds() {
+		seed, err := appendFrame(nil, 3, 7, v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+		f.Add(seed[:5])
 	}
-	f.Add(seed)
-	gobSeed, err := appendFrame(nil, 0, tagBarrier, true, true)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(gobSeed)
-	f.Add(seed[:5])
+	past := AppendInt(AppendInt(nil, 3), 7)
+	past = append(past, rawAnyNest(maxAnyDepth+1)...)
+	f.Add(append(AppendUint32(nil, uint32(len(past))), past...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, err := readFrame(bytes.NewReader(data), nil)
 		if err != nil {
@@ -219,18 +221,11 @@ func FuzzFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Gob bodies are not canonical (decode not panicking is the
-		// property there); a registered codec wrapping a gob-fallback
-		// payload is canonical only outside the gob body.
-		canonical := codecByType(v) != nil
-		if m, ok := v.(chaosMsg); ok && codecByType(m.V) == nil {
-			canonical = false
-		}
-		re, err := appendFrame(nil, src, tag, v, false)
+		re, err := appendFrame(nil, src, tag, v)
 		if err != nil {
 			t.Fatalf("decoded frame failed to re-encode: %v", err)
 		}
-		if consumed := data[:frameHeaderLen+len(body)]; canonical && !bytes.Equal(consumed, re) {
+		if consumed := data[:frameHeaderLen+len(body)]; !bytes.Equal(consumed, re) {
 			t.Fatalf("decode/encode not canonical:\nconsumed %x\nre-enc   %x", consumed, re)
 		}
 		body2, err := readFrame(bytes.NewReader(re), nil)

@@ -15,10 +15,10 @@
 //   - Inproc: real concurrent goroutines with in-memory mailboxes, for
 //     hosts with real cores.
 //   - TCP: one goroutine per rank, all traffic framed over loopback TCP
-//     sockets with the generated parroute-mpwire/1 codecs (gob only as
-//     the unregistered-payload fallback) — the "distributed memory"
-//     deployment shape. With Config.Net set, the same transport spans
-//     OS processes: each process runs one rank and the mesh forms
+//     sockets with the parroute-mpwire/1 codecs (the one wire format: a
+//     payload type without a codec fails its Send) — the "distributed
+//     memory" deployment shape. With Config.Net set, the same transport
+//     spans OS processes: each process runs one rank and the mesh forms
 //     through a rank-zero rendezvous (see NetConfig).
 //
 // Ownership discipline: a sent value belongs to the receiver afterwards.
@@ -107,10 +107,6 @@ type Config struct {
 	// NetConfig). Requires Mode == TCP; Procs must equal Net.Ranks. The
 	// engine then runs the worker function exactly once, at Net.Rank.
 	Net *NetConfig
-	// GobWire forces every TCP frame payload through the gob fallback
-	// (wire id 0) instead of the generated flat codecs — the benchmark
-	// baseline that isolates what the codecs buy. Ignored off TCP.
-	GobWire bool
 }
 
 // Limits bounds single-message waits on the real-time engines.
@@ -190,14 +186,11 @@ func (e inprocEngine) Run(ctx context.Context, procs int, fn func(Comm) error) (
 	return time.Since(start), err //lint:allow nondeterminism elapsed-time measurement, never a routing decision
 }
 
-type tcpEngine struct {
-	lim     Limits
-	gobWire bool
-}
+type tcpEngine struct{ lim Limits }
 
 func (e tcpEngine) Run(ctx context.Context, procs int, fn func(Comm) error) (time.Duration, error) {
 	start := time.Now() //lint:allow nondeterminism elapsed-time measurement, never a routing decision
-	err := runTCP(ctx, procs, e.lim, e.gobWire, fn)
+	err := runTCP(ctx, procs, e.lim, fn)
 	return time.Since(start), err //lint:allow nondeterminism elapsed-time measurement, never a routing decision
 }
 
@@ -217,9 +210,9 @@ func (cfg Config) baseEngine() (Engine, error) {
 		return inprocEngine{lim: cfg.Limits}, nil
 	case TCP:
 		if cfg.Net != nil {
-			return netEngine{cfg: *cfg.Net, lim: cfg.Limits, gobWire: cfg.GobWire}, nil
+			return netEngine{cfg: *cfg.Net, lim: cfg.Limits}, nil
 		}
-		return tcpEngine{lim: cfg.Limits, gobWire: cfg.GobWire}, nil
+		return tcpEngine{lim: cfg.Limits}, nil
 	default:
 		return nil, fmt.Errorf("mp: unknown mode %v", cfg.Mode)
 	}

@@ -75,9 +75,8 @@ func (c NetConfig) rendezvousTimeout() time.Duration {
 // other engines it executes fn exactly once, at cfg.Rank; procs must
 // match cfg.Ranks so algorithm code sees the Comm size it asked for.
 type netEngine struct {
-	cfg     NetConfig
-	lim     Limits
-	gobWire bool
+	cfg NetConfig
+	lim Limits
 }
 
 func (e netEngine) Run(ctx context.Context, procs int, fn func(Comm) error) (time.Duration, error) {
@@ -85,16 +84,16 @@ func (e netEngine) Run(ctx context.Context, procs int, fn func(Comm) error) (tim
 		return 0, fmt.Errorf("mp: net: %d procs requested but the mesh has %d ranks", procs, e.cfg.Ranks)
 	}
 	start := time.Now() //lint:allow nondeterminism elapsed-time measurement, never a routing decision
-	err := runTCPNet(ctx, e.cfg, e.lim, e.gobWire, fn)
+	err := runTCPNet(ctx, e.cfg, e.lim, fn)
 	return time.Since(start), err //lint:allow nondeterminism elapsed-time measurement, never a routing decision
 }
 
-func runTCPNet(ctx context.Context, cfg NetConfig, lim Limits, gobWire bool, fn func(Comm) error) error {
+func runTCPNet(ctx context.Context, cfg NetConfig, lim Limits, fn func(Comm) error) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
 	n := cfg.Ranks
-	m := newTMachine(n, lim, gobWire, func(r int) bool { return r == cfg.Rank })
+	m := newTMachine(n, lim, func(r int) bool { return r == cfg.Rank })
 	stop := context.AfterFunc(ctx, func() { m.abort(cancelCause(ctx)) })
 	defer stop()
 

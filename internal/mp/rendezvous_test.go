@@ -116,16 +116,6 @@ func TestNetMeshRoutesTraffic(t *testing.T) {
 	}
 }
 
-func TestNetMeshGobWire(t *testing.T) {
-	// The same traffic with every payload forced through the gob fallback
-	// — the benchmark baseline must stay a correct transport.
-	for r, err := range runMesh(t, 3, Config{GobWire: true}, meshWorker) {
-		if err != nil {
-			t.Errorf("rank %d: %v", r, err)
-		}
-	}
-}
-
 func TestNetSingleRank(t *testing.T) {
 	// Ranks=1 needs no rendezvous address and no sockets at all.
 	cfg := Config{Procs: 1, Mode: TCP, Net: &NetConfig{Rank: 0, Ranks: 1}}

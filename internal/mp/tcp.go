@@ -12,11 +12,10 @@ import (
 // The TCP engine gives every rank a loopback listener and a full mesh of
 // framed connections — the "distributed memory machine" deployment shape,
 // with real serialization and kernel round trips on every message. Frames
-// carry the generated parroute-mpwire/1 codecs (see frame.go); gob only
-// appears as the wire-id-0 fallback for unregistered payloads. Barriers
-// are built from point-to-point messages (gather to rank 0, then release)
-// on the reserved tagBarrier, so the whole engine needs nothing beyond
-// sockets. The same machine also runs with a single local rank under the
+// carry the parroute-mpwire/1 codecs (see frame.go). Barriers are built
+// from point-to-point messages (gather to rank 0, then release) on the
+// reserved tagBarrier, so the whole engine needs nothing beyond sockets.
+// The same machine also runs with a single local rank under the
 // multi-process rendezvous engine (see rendezvous.go).
 
 type tComm struct {
@@ -25,11 +24,10 @@ type tComm struct {
 }
 
 type tMachine struct {
-	n       int
-	lim     Limits
-	gobWire bool       // force the gob fallback inside frames (benchmarks)
-	boxes   []*mailbox // nil for ranks that live in another process
-	peers   [][]*tPeer // [rank][peer]; only local ranks' rows are populated
+	n     int
+	lim   Limits
+	boxes []*mailbox // nil for ranks that live in another process
+	peers [][]*tPeer // [rank][peer]; only local ranks' rows are populated
 
 	mu      sync.Mutex
 	aborted error
@@ -40,8 +38,8 @@ type tMachine struct {
 // newTMachine builds the shared state for n ranks. locals marks which
 // ranks run in this process: the loopback engine owns all of them, the
 // rendezvous engine exactly one.
-func newTMachine(n int, lim Limits, gobWire bool, locals func(rank int) bool) *tMachine {
-	m := &tMachine{n: n, lim: lim, gobWire: gobWire, boxes: make([]*mailbox, n), peers: make([][]*tPeer, n), lost: make([]bool, n)}
+func newTMachine(n int, lim Limits, locals func(rank int) bool) *tMachine {
+	m := &tMachine{n: n, lim: lim, boxes: make([]*mailbox, n), peers: make([][]*tPeer, n), lost: make([]bool, n)}
 	for i := 0; i < n; i++ {
 		if locals(i) {
 			m.boxes[i] = newMailbox()
@@ -62,8 +60,8 @@ type tPeer struct {
 	dead bool
 }
 
-func runTCP(ctx context.Context, n int, lim Limits, gobWire bool, fn func(Comm) error) error {
-	m := newTMachine(n, lim, gobWire, func(int) bool { return true })
+func runTCP(ctx context.Context, n int, lim Limits, fn func(Comm) error) error {
+	m := newTMachine(n, lim, func(int) bool { return true })
 	// Cancellation rides the abort machinery: blocked mailbox waits are
 	// released with an error wrapping ctx.Err(); unblocked ranks fail at
 	// their next Send/Recv. A Send stalled inside a socket write is
@@ -367,7 +365,7 @@ func (c *tComm) Send(to, tag int, v any) error {
 		// garbage it misattributes. The peer was marked lost then.
 		return fmt.Errorf("mp: send %d->%d: connection already failed: %w", c.rank, to, ErrRankLost)
 	}
-	frame, err := appendFrame(p.buf[:0], c.rank, tag, v, c.m.gobWire) //lint:allow lock-across-blocking encodes into the peer's in-memory scratch buffer; per-peer serialization is the framing invariant
+	frame, err := appendFrame(p.buf[:0], c.rank, tag, v)
 	if err != nil {
 		// Encoding failed before any byte reached the socket; the stream
 		// is still clean and the connection stays usable.

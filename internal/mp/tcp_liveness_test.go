@@ -16,7 +16,7 @@ import (
 
 func pipeMachine(t *testing.T, lim Limits, conn net.Conn) (*tMachine, *tComm) {
 	t.Helper()
-	m := newTMachine(2, lim, false, func(int) bool { return true })
+	m := newTMachine(2, lim, func(int) bool { return true })
 	registerConn(m, 0, 1, conn)
 	return m, &tComm{m: m, rank: 0}
 }
@@ -108,7 +108,7 @@ func TestReadLoopDropsEnvelopesAfterAbort(t *testing.T) {
 	}()
 
 	m.abort(errors.New("boom"))
-	frame, err := appendFrame(nil, 1, 1, 42, false)
+	frame, err := appendFrame(nil, 1, 1, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ func (c *vComm) Send(to, tag int, v any) error {
 	if m.err != nil {
 		return m.err
 	}
-	size := payloadSize(v) //lint:allow lock-across-blocking payloadSize prices the message by gob-encoding into an in-memory buffer, never a socket
+	size := payloadSize(v)
 	w.vtime += m.model.SendOverhead
 	env := envelope{src: w.rank, tag: tag, v: v, avail: w.vtime + m.model.transfer(size)}
 	dst := m.workers[to]

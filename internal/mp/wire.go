@@ -3,28 +3,27 @@ package mp
 //go:generate go run parroute/cmd/mpgen
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
 	"sync"
 )
 
-// The parroute-mpwire/1 flat binary codec: the length-prefixed
-// little-endian encoding the mpgen-generated AppendWire/DecodeWire
-// methods implement. Integers travel as fixed-width little-endian
-// (8 bytes for int/int64/uint64, 1 byte for bool and byte-sized types),
-// strings and slices carry a u32 length/count prefix, and interface
-// values carry a u32 wire type id plus a u32 body length (id 0 falls
-// back to gob for unregistered payloads). The encoding is canonical —
-// one byte sequence per value — which is what lets FuzzCodec assert
-// encode→decode→re-encode byte-identity.
+// The parroute-mpwire/1 flat binary codec — the one wire format. Integers
+// travel as fixed-width little-endian (8 bytes for int/int64/uint64, 1
+// byte for bool and byte-sized types), strings and slices carry a u32
+// length/count prefix, and interface values carry a u32 wire type id plus
+// a u32 body length. Every id is recorded in mp_protocol.json; id 0 and
+// any id or type without a codec is an ErrWire, never a fallback. The
+// encoding is canonical — one byte sequence per value — which is what
+// lets the fuzz targets assert encode→decode→re-encode byte-identity for
+// every accepted input.
 //
-// This file is the hand-written substrate: append/consume primitives and
-// the wire-id registry generated init functions populate. The per-type
-// codecs themselves live in the mpwire_gen.go files (`go generate ./...`
+// This file is the hand-written substrate: append/consume primitives,
+// the codecs of the four builtin payload shapes the collectives relay,
+// and the wire-id registry generated init functions populate. The
+// per-type codecs live in the mpwire_gen.go files (`go generate ./...`
 // or `go run parroute/cmd/mpgen` regenerates them; `mpgen -check` is the
 // CI drift gate).
 
@@ -150,81 +149,149 @@ func WireCount(data []byte) (int, []byte, error) {
 	return int(n), rest, nil
 }
 
-// ---- interface (any) encoding ----
+// ---- payloads and the interface (any) encoding ----
 
-// anyCodec adapts one registered payload type to the interface encoding.
-type anyCodec struct {
+// Payload is what a type implements to cross a Comm: its flat price for
+// the Virtual engine's cost model (approximate encoded bytes, excluding
+// the message framing — the size only feeds transfer time, never program
+// behaviour) and its parroute-mpwire/1 body. The decoding half,
+// DecodeWire on the pointer type, is what Register's constraint adds.
+// mpgen derives all three from the //mp:payload struct layouts.
+type Payload interface {
+	WireSize() int
+	AppendWire(buf []byte) ([]byte, error)
+}
+
+// Reserved wire ids of the four builtin payload shapes the collectives
+// relay, as recorded in mp_protocol.json (mpproto.BuiltinTypes);
+// registered payload types start at firstPayloadWireID.
+const (
+	wireIDAnys         = 1 // []any
+	wireIDInt32s       = 2 // []int32
+	wireIDBool         = 3
+	wireIDInt          = 4
+	firstPayloadWireID = 5
+)
+
+// maxAnyDepth caps []any nesting, encoding and decoding alike, so a
+// hostile frame cannot drive the decoder's recursion arbitrarily deep.
+// The collectives nest two levels (Alltoall relaying Allgather results).
+const maxAnyDepth = 8
+
+// wireCodec is one registered payload type's entry in the id registry.
+type wireCodec struct {
 	id  uint32
-	app func(v any, buf []byte) ([]byte, error)
+	typ reflect.Type
 	dec func(data []byte) (any, []byte, error)
 }
 
-// gobWireID is the reserved id of the gob fallback encoding.
-const gobWireID = 0
-
 var wireRegistry = struct {
 	sync.RWMutex
-	byID   map[uint32]*anyCodec
-	byType map[reflect.Type]*anyCodec
+	byID   map[uint32]*wireCodec
+	byType map[reflect.Type]*wireCodec
 }{
-	byID:   map[uint32]*anyCodec{},
-	byType: map[reflect.Type]*anyCodec{},
+	byID:   map[uint32]*wireCodec{},
+	byType: map[reflect.Type]*wireCodec{},
 }
 
-// RegisterWireCodec registers a generated flat codec for the concrete
-// type of prototype under the manifest's wire id, making values of that
-// type cross AppendAny/WireAny without gob. Called from generated init
-// functions; a conflicting re-registration panics, matching gob.Register.
-func RegisterWireCodec(id uint32, prototype any,
-	app func(v any, buf []byte) ([]byte, error),
-	dec func(data []byte) (any, []byte, error)) {
-	if id == gobWireID {
-		panic("mp: RegisterWireCodec: id 0 is reserved for the gob fallback") //lint:allow panic-in-library registration-time programming error, like gob.Register
+// Register makes values of T cross AppendAny/WireAny under the
+// manifest's wire id: mp.Register[T](id), called from generated init
+// functions. A reserved id or a conflicting re-registration panics.
+func Register[T Payload, P interface {
+	*T
+	DecodeWire(data []byte) ([]byte, error)
+}](id uint32) {
+	typ := reflect.TypeFor[T]()
+	if id < firstPayloadWireID {
+		panic(fmt.Sprintf("mp: Register[%v]: id %d is reserved", typ, id)) //lint:allow panic-in-library registration-time programming error
 	}
-	t := reflect.TypeOf(prototype)
 	wireRegistry.Lock()
 	defer wireRegistry.Unlock()
-	if prev, ok := wireRegistry.byID[id]; ok && prev != wireRegistry.byType[t] {
-		panic(fmt.Sprintf("mp: RegisterWireCodec: id %d already registered", id)) //lint:allow panic-in-library registration-time programming error, like gob.Register
+	if prev, ok := wireRegistry.byID[id]; ok && prev.typ != typ {
+		panic(fmt.Sprintf("mp: Register[%v]: id %d already registered for %v", typ, id, prev.typ)) //lint:allow panic-in-library registration-time programming error
 	}
-	c := &anyCodec{id: id, app: app, dec: dec}
+	c := &wireCodec{id: id, typ: typ, dec: func(data []byte) (any, []byte, error) {
+		var x T
+		rest, err := P(&x).DecodeWire(data)
+		return x, rest, err
+	}}
 	wireRegistry.byID[id] = c
-	wireRegistry.byType[t] = c
+	wireRegistry.byType[typ] = c
 }
 
-func codecByType(v any) *anyCodec {
+func codecByType(v any) *wireCodec {
 	wireRegistry.RLock()
 	defer wireRegistry.RUnlock()
 	return wireRegistry.byType[reflect.TypeOf(v)]
 }
 
-func codecByID(id uint32) *anyCodec {
+func codecByID(id uint32) *wireCodec {
 	wireRegistry.RLock()
 	defer wireRegistry.RUnlock()
 	return wireRegistry.byID[id]
 }
 
 // AppendAny appends an interface value: u32 wire id, u32 body length,
-// body. Registered types use their generated flat codec; everything else
-// travels as gob under id 0 (payload types must then be registered with
-// RegisterPayload, exactly as on the TCP engine).
+// body. The value must be a builtin shape or a registered Payload; any
+// other type is an error wrapping ErrWire that names it.
 func AppendAny(buf []byte, v any) ([]byte, error) {
-	if c := codecByType(v); c != nil {
-		buf = AppendUint32(buf, c.id)
-		lenAt := len(buf)
-		buf = AppendUint32(buf, 0) // patched below
-		buf, err := c.app(v, buf)
-		if err != nil {
-			return nil, err
-		}
-		binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4))
-		return buf, nil
-	}
-	return appendAnyGob(buf, v)
+	return appendAny(buf, v, 0)
 }
 
-// WireAny consumes an interface value written by AppendAny.
+func appendAny(buf []byte, v any, depth int) ([]byte, error) {
+	idAt := len(buf)
+	buf = AppendUint32(buf, 0) // id and length, patched below
+	buf = AppendUint32(buf, 0)
+	var id uint32
+	var err error
+	switch p := v.(type) {
+	case []int32:
+		id = wireIDInt32s
+		buf = AppendUint32(buf, uint32(len(p)))
+		at := len(buf)
+		buf = append(buf, make([]byte, 4*len(p))...)
+		for i, x := range p {
+			binary.LittleEndian.PutUint32(buf[at+4*i:], uint32(x))
+		}
+	case int:
+		id = wireIDInt
+		buf = AppendInt(buf, p)
+	case bool:
+		id = wireIDBool
+		buf = AppendBool(buf, p)
+	case []any:
+		if depth >= maxAnyDepth {
+			return nil, wireErr("[]any nested deeper than %d", maxAnyDepth)
+		}
+		id = wireIDAnys
+		buf = AppendUint32(buf, uint32(len(p)))
+		for _, e := range p {
+			if buf, err = appendAny(buf, e, depth+1); err != nil {
+				return nil, err
+			}
+		}
+	default:
+		c := codecByType(v)
+		if c == nil {
+			return nil, wireErr("no wire codec registered for payload type %T", v)
+		}
+		id = c.id
+		if buf, err = v.(Payload).AppendWire(buf); err != nil {
+			return nil, err
+		}
+	}
+	binary.LittleEndian.PutUint32(buf[idAt:], id)
+	binary.LittleEndian.PutUint32(buf[idAt+4:], uint32(len(buf)-idAt-elemHeader))
+	return buf, nil
+}
+
+// WireAny consumes an interface value written by AppendAny. The body
+// must be consumed exactly; an unknown id (0 included) is an ErrWire.
 func WireAny(data []byte) (any, []byte, error) {
+	return wireAny(data, 0)
+}
+
+func wireAny(data []byte, depth int) (any, []byte, error) {
 	id, rest, err := WireUint32(data)
 	if err != nil {
 		return nil, nil, err
@@ -237,18 +304,24 @@ func WireAny(data []byte) (any, []byte, error) {
 		return nil, nil, wireErr("any body length %d exceeds %d remaining byte(s)", n, len(rest))
 	}
 	body, tail := rest[:n], rest[n:]
-	if id == gobWireID {
-		var env wireEnv
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-			return nil, nil, wireErr("gob payload: %v", err)
+	var v any
+	var after []byte
+	switch id {
+	case wireIDAnys:
+		v, after, err = wireAnys(body, depth)
+	case wireIDInt32s:
+		v, after, err = wireInt32s(body)
+	case wireIDBool:
+		v, after, err = WireBool(body)
+	case wireIDInt:
+		v, after, err = WireInt(body)
+	default:
+		c := codecByID(id)
+		if c == nil {
+			return nil, nil, wireErr("unknown wire type id %d", id)
 		}
-		return env.V, tail, nil
+		v, after, err = c.dec(body)
 	}
-	c := codecByID(id)
-	if c == nil {
-		return nil, nil, wireErr("unknown wire type id %d", id)
-	}
-	v, after, err := c.dec(body)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -256,6 +329,48 @@ func WireAny(data []byte) (any, []byte, error) {
 		return nil, nil, wireErr("wire type id %d left %d undecoded byte(s)", id, len(after))
 	}
 	return v, tail, nil
+}
+
+// wireInt32s consumes a []int32 body: u32 count, then 4-byte elements.
+// The count is checked against the remaining bytes before allocating.
+func wireInt32s(data []byte) ([]int32, []byte, error) {
+	n, rest, err := WireUint32(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if 4*uint64(n) > uint64(len(rest)) {
+		return nil, nil, wireErr("[]int32 count %d exceeds %d remaining byte(s)", n, len(rest))
+	}
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(rest[4*i:]))
+	}
+	return out, rest[4*n:], nil
+}
+
+// wireAnys consumes a []any body: u32 count, then nested interface
+// values. Every element occupies at least its header, which bounds the
+// count before allocating; depth is the []any nesting above this one.
+func wireAnys(data []byte, depth int) ([]any, []byte, error) {
+	if depth >= maxAnyDepth {
+		return nil, nil, wireErr("[]any nested deeper than %d", maxAnyDepth)
+	}
+	n, rest, err := WireUint32(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if elemHeader*uint64(n) > uint64(len(rest)) {
+		return nil, nil, wireErr("[]any count %d exceeds %d remaining byte(s)", n, len(rest))
+	}
+	out := make([]any, 0, n)
+	for i := uint32(0); i < n; i++ {
+		var e any
+		if e, rest, err = wireAny(rest, depth+1); err != nil {
+			return nil, nil, err
+		}
+		out = append(out, e)
+	}
+	return out, rest, nil
 }
 
 // anyWireSize prices an interface field the way the flat codec frames

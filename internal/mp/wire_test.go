@@ -3,8 +3,12 @@ package mp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+
+	"parroute/internal/mpproto"
 )
 
 func TestWirePrimitivesRoundTrip(t *testing.T) {
@@ -61,12 +65,28 @@ func TestWireDecodeErrors(t *testing.T) {
 		{"non-canonical bool", func() error { _, _, err := WireBool([]byte{2}); return err }()},
 		{"string overrun", func() error { _, _, err := WireString([]byte{5, 0, 0, 0, 'a'}); return err }()},
 		{"count overrun", func() error { _, _, err := WireCount([]byte{200, 0, 0, 0, 1}); return err }()},
+		{"wire id 0", wireAnyErr(0, nil)},
+		{"unknown wire id", wireAnyErr(1<<31, nil)},
+		{"any body overrun", func() error { _, _, err := WireAny(AppendUint32(AppendUint32(nil, wireIDInt), 9)); return err }()},
+		{"bool with a trailing byte", wireAnyErr(wireIDBool, []byte{1, 0})},
+		{"short int", wireAnyErr(wireIDInt, []byte{1, 2, 3})},
+		{"[]int32 count overrun", wireAnyErr(wireIDInt32s, AppendUint32(nil, 1<<30))},
+		{"[]int32 with trailing bytes", wireAnyErr(wireIDInt32s, append(AppendUint32(nil, 1), 1, 2, 3, 4, 5))},
+		{"[]any count overrun", wireAnyErr(wireIDAnys, AppendUint32(nil, 1<<30))},
+		{"[]any element truncated", wireAnyErr(wireIDAnys, append(AppendUint32(nil, 1), 4, 0, 0))},
+		{"[]any one past the depth cap", func() error { _, _, err := WireAny(rawAnyNest(maxAnyDepth + 1)); return err }()},
 	}
 	for _, tc := range cases {
 		if !errors.Is(tc.err, ErrWire) {
 			t.Errorf("%s: err = %v, want ErrWire", tc.name, tc.err)
 		}
 	}
+}
+
+// wireAnyErr decodes an interface value with the given id and body.
+func wireAnyErr(id uint32, body []byte) error {
+	_, _, err := WireAny(append(AppendUint32(AppendUint32(nil, id), uint32(len(body))), body...))
+	return err
 }
 
 func TestWireCountBoundsAllocation(t *testing.T) {
@@ -79,51 +99,112 @@ func TestWireCountBoundsAllocation(t *testing.T) {
 	}
 }
 
-// gobOnlyPayload has no registered wire codec, so AppendAny must fall
-// back to gob under id 0.
-type gobOnlyPayload struct{ A, B int }
+// uncodedPayload has no wire codec: encoding it is an attributed error.
+type uncodedPayload struct{ A, B int }
 
-func TestAppendAnyGobFallback(t *testing.T) {
-	RegisterPayload(gobOnlyPayload{})
-	enc, err := AppendAny(nil, gobOnlyPayload{A: 3, B: 9})
-	if err != nil {
-		t.Fatal(err)
+// TestSendUnregisteredPayloadIsAttributed: a type with no codec fails to
+// encode with an ErrWire naming it, on the loopback and the multi-process
+// TCP engines alike, and because no byte reached the socket the
+// connection carries the next Send.
+func TestSendUnregisteredPayloadIsAttributed(t *testing.T) {
+	if _, err := AppendAny(nil, uncodedPayload{A: 3, B: 9}); !errors.Is(err, ErrWire) || !strings.Contains(err.Error(), "mp.uncodedPayload") {
+		t.Fatalf("AppendAny(uncodedPayload) = %v, want ErrWire naming the type", err)
 	}
-	id, _, err := WireUint32(enc)
-	if err != nil || id != gobWireID {
-		t.Fatalf("wire id = %d, err %v; want gob fallback (0)", id, err)
+	if _, _, err := WireAny(AppendUint32(AppendUint32(nil, 0), 0)); !errors.Is(err, ErrWire) {
+		t.Fatalf("wire id 0 accepted: %v", err)
 	}
-	v, rest, err := WireAny(enc)
-	if err != nil {
-		t.Fatal(err)
+	worker := func(c Comm) error {
+		if c.Rank() == 0 {
+			err := c.Send(1, 1, uncodedPayload{A: 1})
+			if !errors.Is(err, ErrWire) || !strings.Contains(err.Error(), "mp.uncodedPayload") {
+				return fmt.Errorf("Send(uncodedPayload) = %v, want ErrWire naming the type", err)
+			}
+			return c.Send(1, 1, 42)
+		}
+		got, err := c.Recv(0, 1)
+		if err != nil || got != 42 {
+			return fmt.Errorf("after the failed Send: got %v, err %v", got, err)
+		}
+		return nil
 	}
-	if len(rest) != 0 {
-		t.Fatalf("%d byte(s) left", len(rest))
+	if _, err := (Config{Procs: 2, Mode: TCP}).Run(worker); err != nil {
+		t.Errorf("loopback TCP: %v", err)
 	}
-	if got, ok := v.(gobOnlyPayload); !ok || got != (gobOnlyPayload{A: 3, B: 9}) {
-		t.Fatalf("round trip = %#v", v)
+	for r, err := range runMesh(t, 2, Config{}, worker) {
+		if err != nil {
+			t.Errorf("mesh rank %d: %v", r, err)
+		}
 	}
 }
 
 func TestAppendAnyUnencodable(t *testing.T) {
-	if _, err := AppendAny(nil, func() {}); err == nil {
-		t.Fatal("encoding a func succeeded")
+	if _, err := AppendAny(nil, func() {}); !errors.Is(err, ErrWire) {
+		t.Fatalf("encoding a func = %v, want ErrWire", err)
+	}
+}
+
+// anyNest wraps v in n levels of single-element []any.
+func anyNest(n int, v any) any {
+	for ; n > 0; n-- {
+		v = []any{v}
+	}
+	return v
+}
+
+// rawAnyNest hand-encodes anyNest(n, 7): what AppendAny would write if
+// it did not refuse nesting past the cap.
+func rawAnyNest(n int) []byte {
+	enc, _ := AppendAny(nil, 7)
+	for ; n > 0; n-- {
+		wrapped := AppendUint32(AppendUint32(nil, wireIDAnys), uint32(4+len(enc)))
+		enc = append(AppendUint32(wrapped, 1), enc...)
+	}
+	return enc
+}
+
+func TestBuiltinCodecs(t *testing.T) {
+	// The four builtin shapes encode under the ids mp_protocol.json
+	// reserves for them (round trip and canonical re-encode ride the fuzz
+	// seeds below; malformed bodies are in TestWireDecodeErrors).
+	man, err := mpproto.Load("../../" + mpproto.ManifestName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]any{"[]int32": []int32{1}, "int": 1, "bool": true, "[]any": []any{1}} {
+		enc, err := AppendAny(nil, v)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		entry := man.TypeByName("", name)
+		if id, _, _ := WireUint32(enc); entry == nil || id != entry.WireID || id >= firstPayloadWireID {
+			t.Errorf("%s encodes under id %d, manifest records %+v", name, id, entry)
+		}
+	}
+	// nil and empty encode identically, so the decoder's choice of one
+	// cannot break decode→re-encode identity.
+	nilEnc, _ := AppendAny(nil, []int32(nil))
+	emptyEnc, _ := AppendAny(nil, []int32{})
+	if !bytes.Equal(nilEnc, emptyEnc) {
+		t.Errorf("[]int32(nil) encodes as %x, []int32{} as %x", nilEnc, emptyEnc)
+	}
+	// Nesting past the cap is refused when encoding too, so the sender
+	// gets the error rather than the peer.
+	if _, err := AppendAny(nil, anyNest(maxAnyDepth+1, 7)); !errors.Is(err, ErrWire) {
+		t.Errorf("encoding past the []any depth cap: %v", err)
 	}
 }
 
 func TestChaosMsgCodecRoundTrip(t *testing.T) {
-	// chaosMsg is the one registered codec in this package: its generated
-	// encoder must produce the flat id-1 framing (no gob), round-trip, and
-	// re-encode byte-identically.
-	RegisterPayload(gobOnlyPayload{})
-	msg := chaosMsg{Seq: 99, V: gobOnlyPayload{A: 1, B: 2}}
+	// chaosMsg is the one generated codec in this package: it must encode
+	// under its manifest id, round-trip, and re-encode byte-identically.
+	msg := chaosMsg{Seq: 99, V: []any{1, []int32{2, 3}}}
 	enc, err := AppendAny(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id, _, err := WireUint32(enc)
-	if err != nil || id != 1 {
-		t.Fatalf("wire id = %d, err %v; want chaosMsg (1)", id, err)
+	if err != nil || id != firstPayloadWireID {
+		t.Fatalf("wire id = %d, err %v; want chaosMsg (%d)", id, err, firstPayloadWireID)
 	}
 	v, rest, err := WireAny(enc)
 	if err != nil || len(rest) != 0 {
@@ -145,8 +226,7 @@ func TestChaosMsgCodecRoundTrip(t *testing.T) {
 func TestChaosMsgWireSizeFlat(t *testing.T) {
 	// The chaos wrapper must price flat — 8 bytes of sequence number plus
 	// the wrapped payload's own flat body behind one element header — so a
-	// chaos run costs what the application message costs, not a gob
-	// re-encode of the whole envelope.
+	// chaos run costs what the application message costs.
 	inner := sizedBatch(7)
 	msg := chaosMsg{Seq: 4, V: inner}
 	if got, want := msg.WireSize(), 8+elemHeader+inner.WireSize(); got != want {
@@ -159,39 +239,44 @@ func TestChaosMsgWireSizeFlat(t *testing.T) {
 	}
 }
 
-// FuzzAnyCodec drives WireAny with arbitrary bytes: inputs it accepts
-// under a registered flat codec must re-encode byte-identically
-// (canonical encoding); gob-fallback accepts only need to not panic. The
-// chaosMsg seed exercises the generated interface-field path.
-func FuzzAnyCodec(f *testing.F) {
-	RegisterPayload(gobOnlyPayload{})
-	seed, err := AppendAny(nil, chaosMsg{Seq: 12, V: gobOnlyPayload{A: 5, B: 6}})
-	if err != nil {
-		f.Fatal(err)
+// wireSeeds are the fuzz seeds FuzzAnyCodec and FuzzFrame share: each
+// builtin, the chaos wrapper around a []any, and []any nested at the
+// depth cap. rawAnyNest(maxAnyDepth+1), one past it, is seeded raw
+// because AppendAny refuses to produce it.
+func wireSeeds() []any {
+	return []any{
+		chaosMsg{Seq: 12, V: []any{5, true, []int32{6}}},
+		true,
+		-3,
+		[]int32{1, 2, 3},
+		[]any{1, false, []int32(nil)},
+		anyNest(maxAnyDepth, 7),
 	}
-	f.Add(seed)
-	f.Add(AppendUint32(AppendUint32(nil, 1), 0))
+}
+
+// FuzzAnyCodec drives WireAny with arbitrary bytes: every input it
+// accepts must re-encode byte-identically (the encoding is canonical) and
+// round-trip by value.
+func FuzzAnyCodec(f *testing.F) {
+	for _, v := range wireSeeds() {
+		seed, err := AppendAny(nil, v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Add(rawAnyNest(maxAnyDepth + 1))
+	f.Add(AppendUint32(AppendUint32(nil, firstPayloadWireID), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, rest, err := WireAny(data)
 		if err != nil {
 			return
 		}
-		id, _, _ := WireUint32(data)
-		if id == gobWireID {
-			return // gob streams are not canonical; decode not panicking is the property
-		}
-		// A registered codec wrapping a gob-fallback payload (chaosMsg with
-		// an unregistered V) is only canonical outside the gob body; fall
-		// back to the value round-trip property there.
-		canonical := true
-		if m, ok := v.(chaosMsg); ok && codecByType(m.V) == nil {
-			canonical = false
-		}
 		re, err := AppendAny(nil, v)
 		if err != nil {
 			t.Fatalf("decoded value failed to re-encode: %v", err)
 		}
-		if consumed := data[:len(data)-len(rest)]; canonical && !bytes.Equal(consumed, re) {
+		if consumed := data[:len(data)-len(rest)]; !bytes.Equal(consumed, re) {
 			t.Fatalf("decode/encode not canonical:\nconsumed %x\nre-enc   %x", consumed, re)
 		}
 		v2, _, err := WireAny(re)

@@ -263,7 +263,5 @@ func AppendUint64(buf []byte, v uint64) []byte { return binary.LittleEndian.Appe
 func WireUint32(data []byte) (uint32, []byte, error) { return binary.LittleEndian.Uint32(data), data[4:], nil }
 func WireUint64(data []byte) (uint64, []byte, error) { return binary.LittleEndian.Uint64(data), data[8:], nil }
 
-func RegisterPayload(v any) {}
-func RegisterWireCodec(id uint32, prototype any, app func(v any, buf []byte) ([]byte, error), dec func(data []byte) (any, []byte, error)) {
-}
+func Register[T any](id uint32) {}
 `

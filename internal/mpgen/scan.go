@@ -3,7 +3,7 @@
 // module with the same stdlib-only loader the lint suite uses
 // (internal/lint), discovers every type annotated with the //mp:payload
 // directive, and emits per-package mpwire_gen.go files (flat binary
-// codecs, WireSize pricing, registration glue) plus mp_protocol.json —
+// codecs, WireSize pricing, one-line registration) plus mp_protocol.json —
 // the machine-readable protocol contract internal/lint's manifest-aware
 // analyzers enforce. cmd/mpgen is the CLI; `mpgen -check` is the CI
 // drift gate.
@@ -47,18 +47,6 @@ type Model struct {
 	Module   string
 	Pkgs     []*GenPackage
 	Manifest *mpproto.Manifest
-}
-
-// builtinEntries are the payload shapes mp.payloadSize prices directly,
-// without a generated codec: they cross the interface encoding as gob
-// (wire id 0).
-func builtinEntries() []mpproto.TypeEntry {
-	return []mpproto.TypeEntry{
-		{Name: "[]any", Kind: mpproto.TypeBuiltin, Elem: "any"},
-		{Name: "[]int32", Kind: mpproto.TypeBuiltin, Elem: "int32", FlatWidth: 4},
-		{Name: "bool", Kind: mpproto.TypeBuiltin, FlatWidth: 1},
-		{Name: "int", Kind: mpproto.TypeBuiltin, FlatWidth: 8},
-	}
 }
 
 // collectivePayloadArg maps each mp collective helper to the index of its
@@ -173,9 +161,9 @@ func scanModule(mod *lint.Module) (*Model, error) {
 	}
 	sort.Slice(m.Pkgs, func(i, j int) bool { return m.Pkgs[i].Path < m.Pkgs[j].Path })
 
-	// Deterministic wire ids: 1..N over (package, name) order. Id 0 is
-	// the gob fallback.
-	id := uint32(1)
+	// Deterministic wire ids over (package, name) order, after the
+	// reserved builtin ids. Id 0 is never valid.
+	id := uint32(mpproto.FirstPayloadWireID)
 	for _, gp := range m.Pkgs {
 		sort.Slice(gp.Types, func(i, j int) bool { return gp.Types[i].Name < gp.Types[j].Name })
 		for i := range gp.Types {
@@ -307,7 +295,7 @@ func scanModule(mod *lint.Module) (*Model, error) {
 		man.Packages = append(man.Packages, p)
 	}
 	sort.Strings(man.Packages)
-	man.Types = builtinEntries()
+	man.Types = mpproto.BuiltinTypes()
 	for _, gp := range m.Pkgs {
 		for i := range gp.Types {
 			man.Types = append(man.Types, gp.Types[i].Entry)

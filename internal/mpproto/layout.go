@@ -33,6 +33,21 @@ const (
 	TypeBuiltin = "builtin"
 )
 
+// FirstPayloadWireID is the first wire id mpgen assigns to a //mp:payload
+// type; the ids below it are reserved for BuiltinTypes.
+const FirstPayloadWireID = 5
+
+// BuiltinTypes are the payload shapes internal/mp encodes and prices by
+// hand — what the collectives relay — under their reserved wire ids.
+func BuiltinTypes() []TypeEntry {
+	return []TypeEntry{
+		{Name: "[]any", Kind: TypeBuiltin, WireID: 1, Elem: "any"},
+		{Name: "[]int32", Kind: TypeBuiltin, WireID: 2, Elem: "int32", FlatWidth: 4},
+		{Name: "bool", Kind: TypeBuiltin, WireID: 3, FlatWidth: 1},
+		{Name: "int", Kind: TypeBuiltin, WireID: 4, FlatWidth: 8},
+	}
+}
+
 // PayloadMarker is the doc-comment directive that opts a type into
 // codec/manifest generation: a line reading exactly "//mp:payload".
 const PayloadMarker = "mp:payload"

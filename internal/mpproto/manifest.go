@@ -39,14 +39,14 @@ type Manifest struct {
 // TypeEntry describes one payload type's wire identity and flat layout.
 type TypeEntry struct {
 	// Name is the declared type name, or the builtin spelling ("[]int32")
-	// for the shapes priced directly by mp.payloadSize.
+	// for the shapes internal/mp encodes and prices by hand.
 	Name    string `json:"name"`
 	Package string `json:"package,omitempty"`
 	// Kind is "slice" (a named batch type), "struct", or "builtin".
 	Kind string `json:"kind"`
 	// WireID is the type's identifier in the length-prefixed binary
-	// codec's interface encoding; 0 means no generated codec (builtins
-	// fall back to gob there).
+	// codec's interface encoding. Every entry has one: the builtins hold
+	// the reserved ids below FirstPayloadWireID, and 0 is never valid.
 	WireID uint32 `json:"wireId,omitempty"`
 	// Elem is the element type of a slice kind, fully qualified.
 	Elem string `json:"elem,omitempty"`

@@ -18,10 +18,7 @@ import (
 
 // wirePayload is the common surface of every generated codec, used to
 // drive the round-trip and golden tests generically.
-type wirePayload interface {
-	mp.Sizer
-	AppendWire(buf []byte) ([]byte, error)
-}
+type wirePayload = mp.Payload
 
 // samplePayloads returns one representative value per generated codec,
 // paired with a fresh decoder target. The values exercise every field

@@ -128,22 +128,6 @@ func TestDistMeshMatchesGoldens(t *testing.T) {
 	}
 }
 
-// TestDistGobWireMatchesGolden repeats one golden cell with every
-// payload forced through the gob fallback: the wire encoding must never
-// influence routing output, only transfer time.
-func TestDistGobWireMatchesGolden(t *testing.T) {
-	c := gen.Small(42)
-	opt := Options{Algo: Hybrid, Route: route.Options{Seed: 7}, GobWire: true}
-	res := distResult(t, c, opt, 2)
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "small-hybrid-p2.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resultBytes(t, res); !bytes.Equal(want, got) {
-		t.Errorf("gob-wire mesh differs from golden (len %d vs %d)", len(want), len(got))
-	}
-}
-
 // TestDistChaosCrashDegradesAtRankZero kills one process of the mesh
 // mid-phase: rank 0 must come back degraded with the serial baseline
 // bytes, and the surviving workers must read the loss as ErrRankLost —

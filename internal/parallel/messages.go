@@ -27,8 +27,8 @@ const (
 )
 
 // The payload types below carry the //mp:payload directive: cmd/mpgen
-// derives their flat codecs, WireSize pricing (see mp.Sizer), and
-// registration glue into mpwire_gen.go, and records their field layout
+// derives their flat codecs, WireSize pricing and registration (see
+// mp.Payload) into mpwire_gen.go, and records their field layout
 // in mp_protocol.json for the manifest-drift lint gate. After changing
 // any of them, run `go generate ./...` and commit the regenerated files.
 
@@ -43,7 +43,7 @@ type FakePinSpec struct {
 }
 
 // FakePinBatch is the slice form FakePinSpecs travel in. The named type
-// carries the generated WireSize fast path (see mp.Sizer) so the Virtual
+// carries the generated WireSize fast path (see mp.Payload) so the Virtual
 // engine prices sync rounds without encoding each batch.
 //
 //mp:payload

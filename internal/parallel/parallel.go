@@ -98,10 +98,6 @@ type Options struct {
 	// rank: rank 0 gathers and returns the merged result, every other
 	// rank returns (nil, nil) once its worker finishes.
 	Dist *mp.NetConfig
-	// GobWire forces TCP frame payloads through the gob fallback instead
-	// of the generated flat codecs — the benchmark baseline that
-	// isolates what the codecs buy (see mp.Config.GobWire).
-	GobWire bool
 	// Limits bounds per-message waits on the real-time engines.
 	Limits mp.Limits
 	// Observers join every worker's pipeline session (and the serial
@@ -166,7 +162,7 @@ func Run(ctx context.Context, c *circuit.Circuit, opt Options) (*metrics.Result,
 		return nil, fmt.Errorf("parallel: Dist.Ranks %d must equal Procs %d", opt.Dist.Ranks, opt.Procs)
 	}
 	out := &runOutput{}
-	cfg := mp.Config{Procs: opt.Procs, Mode: opt.Mode, Model: opt.Model, Limits: opt.Limits, Chaos: opt.Chaos, Net: opt.Dist, GobWire: opt.GobWire}
+	cfg := mp.Config{Procs: opt.Procs, Mode: opt.Mode, Model: opt.Model, Limits: opt.Limits, Chaos: opt.Chaos, Net: opt.Dist}
 	var worker func(mp.Comm) error
 	switch opt.Algo {
 	case RowWise:

@@ -33,6 +33,15 @@ step "go vet ./..." go vet ./...
 # payload struct or tag constant changed without `go generate ./...`.
 step "mpgen -check (generated protocol current)" go run ./cmd/mpgen -check
 
+# One wire format: parroute-mpwire/1 is the only encoding on the mesh
+# (DESIGN.md §11), so encoding/gob must not come back as a dependency.
+no_gob() {
+  local deps
+  deps="$(go list -deps ./...)" || return 1
+  ! grep -qx encoding/gob <<<"$deps"
+}
+step "no encoding/gob dependency" no_gob
+
 # Lint gate with a runtime budget: the suite runs on every merge, so a
 # slow analyzer is a regression too. -timings prints the per-analyzer
 # split to the log so an overrun names its culprit; override the ceiling
@@ -116,15 +125,12 @@ scale_tier() {
 step "scale smoke (synth.100k budgets)" scale_tier
 
 # Bench smoke: the serial hot path still runs end to end under the
-# benchmark harness, and the committed perf baseline stays parseable
-# under the current report schema (see DESIGN.md §9).
+# benchmark harness (the perf ledger itself is `go run ./benchmark`; see
+# DESIGN.md §9).
 bench_smoke() {
   go test -run '^$' -bench 'BenchmarkSerialRoute/primary2' -benchtime 1x .
 }
 step "bench smoke (serial route)" bench_smoke
-step "perf baseline readable" go run ./cmd/benchtab -checkjson BENCH_PR4.json
-step "framed-wire baseline readable" go run ./cmd/benchtab -checkjson BENCH_PR9.json
-step "scale baseline readable" go run ./cmd/benchtab -checkjson BENCH_PR10.json
 
 # Trace smoke: `twgr -trace` emits a timeline that `-checktrace` accepts,
 # for both the live serial recorder and the merged parallel phases (see
