@@ -67,7 +67,7 @@ func main() {
 	defer stopPool()
 	srv.Start(poolCtx)
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stopSignals()
@@ -112,4 +112,26 @@ func main() {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "twgrd: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// Bounds on how long a client may take to deliver a request. A peer that
+// connects and stalls would otherwise hold its connection (and goroutine)
+// forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second // whole request: a circuit body can be megabytes
+	idleTimeout       = 2 * time.Minute  // keep-alive connections between requests
+)
+
+// newHTTPServer builds the daemon's listener-side server. There is
+// deliberately no WriteTimeout: it would cut SSE progress streams and the
+// replies of long routing jobs, whose duration the client chose.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

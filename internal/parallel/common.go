@@ -3,7 +3,7 @@ package parallel
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"parroute/internal/circuit"
@@ -44,6 +44,8 @@ func computeCrossings(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 	if len(blocks) == 1 {
 		return specs
 	}
+	var b steiner.Builder
+	var segBuf []steiner.Segment
 	for n := range c.Nets {
 		if owner[n] != rank {
 			continue
@@ -61,7 +63,8 @@ func computeCrossings(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 		if partition.BlockOf(blocks, minRow) == partition.BlockOf(blocks, maxRow) {
 			continue // entirely within one block: no splitting needed
 		}
-		for _, seg := range steiner.BuildNet(c, n) {
+		segBuf = b.AppendNet(segBuf[:0], c, n)
+		for _, seg := range segBuf {
 			ps := route.Place(c, seg)
 			kp := partition.BlockOf(blocks, c.Pins[ps.PinAtP].Row)
 			kq := partition.BlockOf(blocks, c.Pins[ps.PinAtQ].Row)
@@ -108,24 +111,60 @@ func computeCrossings(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 	return specs
 }
 
-// exchangeFakePins all-to-alls the fake-pin specs and returns this rank's,
-// concatenated in source-rank order (deterministic).
-func exchangeFakePins(comm mp.Comm, specs []FakePinBatch) ([]FakePinSpec, error) {
-	vs := make([]any, comm.Size())
-	for k := range vs {
-		vs[k] = specs[k]
+// badIndex attributes an out-of-range index inside a received batch to its
+// source: indices that crossed the mesh are data, so a drifted or corrupt
+// peer fails the run instead of panicking the rank.
+func badIndex(tag, src, elem int, field string, v, lo, hi int) error {
+	return fmt.Errorf("parallel: tag %d batch from rank %d: element %d has %s %d outside [%d, %d]",
+		tag, src, elem, field, v, lo, hi)
+}
+
+// anys boxes one typed payload per rank for mp.Alltoall.
+func anys[T any](xs []T) []any {
+	vs := make([]any, len(xs))
+	for k := range xs {
+		vs[k] = xs[k]
 	}
-	in, err := mp.Alltoall(comm, tagFakePins, vs)
+	return vs
+}
+
+// sizedBatches returns one empty batch per rank with room for counts[k]
+// elements, so the fill pass after a counting pass never regrows.
+func sizedBatches[B ~[]E, E any](counts []int) []B {
+	out := make([]B, len(counts))
+	for k := range out {
+		out[k] = slices.Grow(out[k], counts[k])
+	}
+	return out
+}
+
+// exchangeFakePins all-to-alls the fake-pin specs and returns this rank's,
+// concatenated in source-rank order (deterministic). Every received spec
+// must name a net of the circuit and a row of this rank's block.
+func exchangeFakePins(comm mp.Comm, specs []FakePinBatch, numNets int, block partition.RowBlock) ([]FakePinSpec, error) {
+	in, err := mp.Alltoall(comm, tagFakePins, anys(specs))
 	if err != nil {
 		return nil, err
 	}
-	var mine []FakePinSpec
+	total := 0
 	for r, raw := range in {
 		batch, ok := raw.(FakePinBatch)
 		if !ok {
 			return nil, fmt.Errorf("parallel: fake pins from rank %d arrived as %T", r, raw)
 		}
-		mine = append(mine, batch...)
+		for i, sp := range batch {
+			if sp.Net < 0 || sp.Net >= numNets {
+				return nil, badIndex(tagFakePins, r, i, "net", sp.Net, 0, numNets-1)
+			}
+			if !block.Contains(sp.Row) {
+				return nil, badIndex(tagFakePins, r, i, "row", sp.Row, block.Lo, block.Hi)
+			}
+		}
+		total += len(batch)
+	}
+	mine := slices.Grow([]FakePinSpec(nil), total)
+	for _, raw := range in {
+		mine = append(mine, raw.(FakePinBatch)...)
 	}
 	return mine, nil
 }
@@ -197,6 +236,9 @@ func buildTrimmedSubCircuit(base *circuit.Circuit, block partition.RowBlock, fak
 // no net pins, so the router never touches them.
 func buildSubCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []FakePinSpec) *circuit.Circuit {
 	sub := base.Clone()
+	// Clone sizes the pin table exactly; reserve the fake pins' slots so
+	// the first AddFakePin does not re-copy the whole table.
+	sub.Pins = slices.Grow(sub.Pins, len(fakes))
 	for n := range sub.Nets {
 		net := &sub.Nets[n]
 		kept := net.Pins[:0]
@@ -313,13 +355,12 @@ func gatherResults(comm mp.Comm, wires []metrics.Wire, sum Summary, out *runOutp
 // merge assembles the gathered batches into the final result.
 func (raw *rawGather) merge(base *circuit.Circuit, opt Options) (*metrics.Result, error) {
 	res := &metrics.Result{Circuit: base.Name}
+	var err error
+	if res.Wires, err = concatWires(raw.wireBatches, "wires"); err != nil {
+		return nil, err
+	}
 	coreW := 1
-	for r := range raw.wireBatches {
-		wb, ok := raw.wireBatches[r].(WireBatch)
-		if !ok {
-			return nil, fmt.Errorf("parallel: wires from rank %d arrived as %T", r, raw.wireBatches[r])
-		}
-		res.Wires = append(res.Wires, wb.Wires...)
+	for r := range raw.summaries {
 		s, ok := raw.summaries[r].(Summary)
 		if !ok {
 			return nil, fmt.Errorf("parallel: summary from rank %d arrived as %T", r, raw.summaries[r])
@@ -381,38 +422,124 @@ func mergePhases(summaries []any) []metrics.Phase {
 	return out
 }
 
-// collectNodes groups NodeMsg contributions (already filtered to nets this
-// rank owns) into per-net node lists, in arrival order.
-func collectNodes(in []any) (map[int][]route.Node, error) {
-	byNet := make(map[int][]route.Node)
+// concatWires concatenates the WireBatches of in (one per source rank) in
+// rank order into one exactly-sized slice.
+func concatWires(in []any, what string) ([]metrics.Wire, error) {
+	total := 0
 	for r, raw := range in {
-		batch, ok := raw.(NodeBatch)
+		wb, ok := raw.(WireBatch)
 		if !ok {
-			return nil, fmt.Errorf("parallel: nodes from rank %d arrived as %T", r, raw)
+			return nil, fmt.Errorf("parallel: %s from rank %d arrived as %T", what, r, raw)
 		}
-		for _, nm := range batch {
-			byNet[nm.Net] = append(byNet[nm.Net], route.Node{
-				X: nm.X, Row: nm.Row, Side: nm.Side, Pin: -1,
-			})
-		}
+		total += len(wb.Wires)
 	}
-	return byNet, nil
+	wires := slices.Grow([]metrics.Wire(nil), total)
+	for _, raw := range in {
+		wires = append(wires, raw.(WireBatch).Wires...)
+	}
+	return wires, nil
 }
 
-// connectOwnedNets runs step 4 for every net in byNet and returns the
-// wires plus the forced-edge count. Net IDs are visited in sorted order
-// for determinism. occ is the owner's (necessarily partial: it sees only
-// this rank's nets) live occupancy for switchable channel choices — the
-// interference the paper's §5 describes.
-func connectOwnedNets(byNet map[int][]route.Node, occ *route.Occupancy) (wires []metrics.Wire, forced int) {
-	nets := make([]int, 0, len(byNet))
-	for n := range byNet {
-		nets = append(nets, n)
+// ownPinNodes builds this rank's step-4 contributions: for every net, the
+// real pins in the rank's block (authoritative post-insertion coordinates;
+// fake pins are splitting artifacts and stay home), batched per net owner
+// and sized exactly by a counting pass.
+func ownPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, size int) []NodeBatch {
+	counts := make([]int, size)
+	for n := range sub.Nets {
+		for _, pid := range sub.Nets[n].Pins {
+			if p := &sub.Pins[pid]; !p.Fake && block.Contains(p.Row) {
+				counts[owner[n]]++
+			}
+		}
 	}
-	sort.Ints(nets)
-	for _, n := range nets {
-		nodes := byNet[n]
-		conns, f := route.ConnectNodes(n, nodes, occ)
+	out := sizedBatches[NodeBatch](counts)
+	for n := range sub.Nets {
+		dest := owner[n]
+		for _, pid := range sub.Nets[n].Pins {
+			if p := &sub.Pins[pid]; !p.Fake && block.Contains(p.Row) {
+				out[dest] = append(out[dest], NodeMsg{Net: n, X: p.X, Row: p.Row, Side: p.Side})
+			}
+		}
+	}
+	return out
+}
+
+// nodeSet is one Alltoall round of NodeBatches (one per source rank) and
+// the tag it arrived on.
+type nodeSet struct {
+	tag int
+	in  []any
+}
+
+// netNodes is step 4's node arena in CSR form: net n's nodes are
+// nodes[off[n]:off[n+1]].
+type netNodes struct {
+	off   []int
+	nodes []route.Node
+}
+
+// collectNodes groups NodeMsg contributions (already filtered to nets this
+// rank owns) into one per-net arena: a count pass, a prefix sum, and a fill
+// pass in set, rank, batch order — so every net's nodes sit in arrival
+// order. The count pass is also the trust boundary: a net or row outside
+// the circuit is an error naming the source rank and tag.
+func collectNodes(numNets, numRows int, sets ...nodeSet) (netNodes, error) {
+	off := make([]int, numNets+1)
+	for _, set := range sets {
+		for r, raw := range set.in {
+			batch, ok := raw.(NodeBatch)
+			if !ok {
+				return netNodes{}, fmt.Errorf("parallel: nodes from rank %d arrived as %T", r, raw)
+			}
+			for i, nm := range batch {
+				if nm.Net < 0 || nm.Net >= numNets {
+					return netNodes{}, badIndex(set.tag, r, i, "net", nm.Net, 0, numNets-1)
+				}
+				if nm.Row < 0 || nm.Row >= numRows {
+					return netNodes{}, badIndex(set.tag, r, i, "row", nm.Row, 0, numRows-1)
+				}
+				off[nm.Net+1]++
+			}
+		}
+	}
+	for n := 0; n < numNets; n++ {
+		off[n+1] += off[n]
+	}
+	nodes := make([]route.Node, off[numNets])
+	cursor := slices.Clone(off[:numNets])
+	for _, set := range sets {
+		for _, raw := range set.in {
+			for _, nm := range raw.(NodeBatch) {
+				nodes[cursor[nm.Net]] = route.Node{X: nm.X, Row: nm.Row, Side: nm.Side, Pin: -1}
+				cursor[nm.Net]++
+			}
+		}
+	}
+	return netNodes{off: off, nodes: nodes}, nil
+}
+
+// connectOwnedNets runs step 4 for every net of the arena, in net-ID order
+// for determinism, and returns the wires plus the forced-edge count. One
+// Connector serves all nets, and a k-node net yields exactly k-1 wires, so
+// the output is sized up front. occ is the owner's (necessarily partial: it
+// sees only this rank's nets) live occupancy for switchable channel choices
+// — the interference the paper's §5 describes.
+func connectOwnedNets(nn netNodes, occ *route.Occupancy) (wires []metrics.Wire, forced int) {
+	total := 0
+	for n := 0; n+1 < len(nn.off); n++ {
+		if k := nn.off[n+1] - nn.off[n]; k >= 2 {
+			total += k - 1
+		}
+	}
+	wires = slices.Grow(wires, total)
+	var cn route.Connector
+	for n := 0; n+1 < len(nn.off); n++ {
+		nodes := nn.nodes[nn.off[n]:nn.off[n+1]]
+		if len(nodes) < 2 {
+			continue
+		}
+		conns, f := cn.Connect(n, nodes, occ)
 		forced += f
 		for i := range conns {
 			wires = append(wires, conns[i].Wire(nodes))

@@ -1,0 +1,287 @@
+package parallel
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"parroute/internal/circuit"
+	"parroute/internal/gen"
+	"parroute/internal/grid"
+	"parroute/internal/metrics"
+	"parroute/internal/partition"
+	"parroute/internal/rng"
+	"parroute/internal/route"
+	"parroute/internal/steiner"
+)
+
+// The reference implementations below are the drivers' pre-arena forms,
+// kept verbatim as the oracle the production paths are held to.
+
+// refCollectNodes is the map-based collectNodes: per-net append chains in
+// arrival order.
+func refCollectNodes(in []any) map[int][]route.Node {
+	byNet := make(map[int][]route.Node)
+	for _, raw := range in {
+		for _, nm := range raw.(NodeBatch) {
+			byNet[nm.Net] = append(byNet[nm.Net], route.Node{
+				X: nm.X, Row: nm.Row, Side: nm.Side, Pin: -1,
+			})
+		}
+	}
+	return byNet
+}
+
+// refConnectOwnedNets is the map-based step 4: sorted net IDs, fresh
+// scratch per net through route.ConnectNodes, append-grown wires.
+func refConnectOwnedNets(byNet map[int][]route.Node, occ *route.Occupancy) (wires []metrics.Wire, forced int) {
+	nets := make([]int, 0, len(byNet))
+	for n := range byNet {
+		nets = append(nets, n)
+	}
+	sort.Ints(nets)
+	for _, n := range nets {
+		nodes := byNet[n]
+		conns, f := route.ConnectNodes(n, nodes, occ)
+		forced += f
+		for i := range conns {
+			wires = append(wires, conns[i].Wire(nodes))
+		}
+	}
+	return wires, forced
+}
+
+// refInsertBlockFeedthroughs is the eager net-wise insertion loop: every
+// inserted cell re-syncs its row's pins.
+func refInsertBlockFeedthroughs(sub *circuit.Circuit, g *grid.Grid, block partition.RowBlock) (ftByRow [][]int, inserted int) {
+	ftByRow = make([][]int, len(sub.Rows))
+	for row := block.Lo; row <= block.Hi; row++ {
+		for col := 0; col < g.Cols; col++ {
+			for i := 0; i < g.FtDemand(row, col); i++ {
+				pin := sub.InsertFeedthrough(row, g.ColCenter(col), circuit.NoNet)
+				ftByRow[row] = append(ftByRow[row], pin)
+				inserted++
+			}
+		}
+	}
+	return ftByRow, inserted
+}
+
+// randomCircuit draws a gen circuit whose shape (rows, cells, nets, a giant
+// net every third draw) varies with i — circuits nobody hand-picked.
+func randomCircuit(t *testing.T, i int) *circuit.Circuit {
+	t.Helper()
+	r := rng.New(uint64(1000 + i))
+	rows := 4 + r.Intn(9)
+	cells := rows * (12 + r.Intn(30))
+	nets := cells/2 + r.Intn(cells)
+	cfg := gen.Config{
+		Name: fmt.Sprintf("rand%d", i), Rows: rows, Cells: cells,
+		Nets: nets, TargetPins: nets * 7 / 2, Seed: uint64(i + 1),
+	}
+	if i%3 == 0 {
+		cfg.GiantNets = []int{steiner.LargeNetThreshold + 40}
+		cfg.TargetPins += cfg.GiantNets[0]
+	}
+	c, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// stepFourArrivals synthesizes what rank me receives in step 4: the pin
+// nodes of its nets from every row owner (the hybrid shape), and a second
+// round of feedthrough nodes — one side-Both node per row strictly inside
+// each net's row span, from that row's owner — as in the net-wise shape.
+// The feedthrough round also carries a lone node of a net me does not own,
+// so the arena sees nets with zero, one and many nodes.
+func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []int, me int) (pinIn, ftIn []any) {
+	p := len(blocks)
+	pinIn, ftIn = make([]any, p), make([]any, p)
+	ft := make([]NodeBatch, p)
+	stray := false
+	for n := range c.Nets {
+		pins := c.Nets[n].Pins
+		if len(pins) == 0 {
+			continue
+		}
+		first := &c.Pins[pins[0]]
+		if owner[n] != me {
+			if !stray {
+				k := partition.BlockOf(blocks, first.Row)
+				ft[k] = append(ft[k], NodeMsg{Net: n, X: first.X, Row: first.Row, Side: circuit.Both})
+				stray = true
+			}
+			continue
+		}
+		lo, hi := first.Row, first.Row
+		for _, pid := range pins {
+			lo, hi = min(lo, c.Pins[pid].Row), max(hi, c.Pins[pid].Row)
+		}
+		for row := lo + 1; row < hi; row++ {
+			k := partition.BlockOf(blocks, row)
+			ft[k] = append(ft[k], NodeMsg{Net: n, X: first.X + row, Row: row, Side: circuit.Both})
+		}
+	}
+	for r := range blocks {
+		pinIn[r] = ownPinNodes(c, blocks[r], owner, p)[me]
+		ftIn[r] = ft[r]
+	}
+	return pinIn, ftIn
+}
+
+// TestArenaStepFourMatchesMapForm: the CSR collectNodes + one-Connector
+// connectOwnedNets produce the map form's wires in the map form's order,
+// the same forced count and the same final occupancy, for both arrival
+// shapes at P in {2,3,4}.
+func TestArenaStepFourMatchesMapForm(t *testing.T) {
+	for i := 0; i < 6; i++ {
+		c := randomCircuit(t, i)
+		for _, p := range []int{2, 3, 4} {
+			blocks, err := partition.RowBlocks(c, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner, err := partition.Nets(c, blocks, p, partition.Config{Method: partition.PinWeight})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for me := 0; me < p; me++ {
+				pinIn, ftIn := stepFourArrivals(c, blocks, owner, me)
+				for _, twoSets := range []bool{false, true} {
+					name := fmt.Sprintf("%s/p%d/rank%d/twoSets=%v", c.Name, p, me, twoSets)
+					sets := []nodeSet{{tagNetNodes, pinIn}}
+					want := refCollectNodes(pinIn)
+					if twoSets {
+						sets = append(sets, nodeSet{tagFtNodes, ftIn})
+						for n, nodes := range refCollectNodes(ftIn) {
+							want[n] = append(want[n], nodes...)
+						}
+					}
+					nn, err := collectNodes(len(c.Nets), len(c.Rows), sets...)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					singles := 0
+					for n := range c.Nets {
+						got := nn.nodes[nn.off[n]:nn.off[n+1]]
+						if !slices.Equal(got, want[n]) {
+							t.Fatalf("%s: net %d has %d nodes, map form %d, or their order differs", name, n, len(got), len(want[n]))
+						}
+						if len(got) == 1 {
+							singles++
+						}
+					}
+					if twoSets && singles == 0 {
+						t.Fatalf("%s: no one-node net in the arrivals", name)
+					}
+					newOcc := func() *route.Occupancy {
+						return route.NewOccupancy(c.NumChannels(), c.CoreWidth()*2, 16)
+					}
+					gotOcc, wantOcc := newOcc(), newOcc()
+					gotWires, gotForced := connectOwnedNets(nn, gotOcc)
+					wantWires, wantForced := refConnectOwnedNets(want, wantOcc)
+					if len(wantWires) == 0 {
+						t.Fatalf("%s: reference produced no wires", name)
+					}
+					if !slices.Equal(gotWires, wantWires) {
+						t.Fatalf("%s: wires differ from the map form (%d vs %d)", name, len(gotWires), len(wantWires))
+					}
+					if gotForced != wantForced {
+						t.Fatalf("%s: forced %d, map form %d", name, gotForced, wantForced)
+					}
+					if !slices.Equal(gotOcc.Counts(), wantOcc.Counts()) {
+						t.Fatalf("%s: final occupancy differs from the map form", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDeferredBlockInsertionMatchesEager: net-wise feedthrough insertion
+// restricted to one row block, on a sub-circuit that carries fake pins
+// (which insertion shifts immediately in both forms), leaves the same
+// cells, rows, pin positions and per-row pin lists whether pin positions
+// are re-synced per inserted cell or once at the end.
+func TestDeferredBlockInsertionMatchesEager(t *testing.T) {
+	for i := 0; i < 6; i++ {
+		c := randomCircuit(t, i)
+		for _, p := range []int{2, 3} {
+			blocks, err := partition.RowBlocks(c, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner := make([]int, len(c.Nets)) // rank 0 computes every crossing
+			specs := computeCrossings(c, blocks, owner, 0)
+			// Demand: every segment's initial vertical run.
+			g := grid.New(len(c.Rows), c.CoreWidth(), 16)
+			for _, segs := range steiner.Build(c) {
+				for _, seg := range segs {
+					ps := route.Place(c, seg)
+					route.ApplyRuns(g, ps.CurrentRuns(), 1)
+				}
+			}
+			for k, block := range blocks {
+				if len(specs[k]) == 0 {
+					t.Fatalf("%s/p%d: block %d has no fake pins", c.Name, p, k)
+				}
+				eager := buildSubCircuit(c, block, specs[k])
+				deferred := buildSubCircuit(c, block, specs[k])
+				wantFts, wantN := refInsertBlockFeedthroughs(eager, g, block)
+				gotFts, gotN := insertBlockFeedthroughs(deferred, g, block)
+				name := fmt.Sprintf("%s/p%d/block%d", c.Name, p, k)
+				if wantN == 0 {
+					t.Fatalf("%s: no demand in the block", name)
+				}
+				if gotN != wantN {
+					t.Fatalf("%s: inserted %d, eager %d", name, gotN, wantN)
+				}
+				for row := range wantFts {
+					if !slices.Equal(gotFts[row], wantFts[row]) {
+						t.Fatalf("%s: row %d feedthrough pins %v, eager %v", name, row, gotFts[row], wantFts[row])
+					}
+				}
+				if !reflect.DeepEqual(deferred.Cells, eager.Cells) {
+					t.Fatalf("%s: cells differ from eager insertion", name)
+				}
+				if !reflect.DeepEqual(deferred.Rows, eager.Rows) {
+					t.Fatalf("%s: row orders differ from eager insertion", name)
+				}
+				if !slices.Equal(deferred.Pins, eager.Pins) {
+					t.Fatalf("%s: pins differ from eager insertion", name)
+				}
+				if err := deferred.Validate(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+	}
+}
+
+// TestCrossingSortMatchesStableSort: slices.SortFunc over compareCrossings
+// yields the byte sequence the stable reflective sort did — ties are
+// identical values, so stability cannot show.
+func TestCrossingSortMatchesStableSort(t *testing.T) {
+	r := rng.New(9)
+	for trial := 0; trial < 50; trial++ {
+		batch := make(CrossingBatch, 1+r.Intn(200))
+		for i := range batch {
+			batch[i] = CrossingMsg{Net: r.Intn(6), X: r.Intn(8), Row: 3}
+		}
+		want := slices.Clone(batch)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].X != want[j].X {
+				return want[i].X < want[j].X
+			}
+			return want[i].Net < want[j].Net
+		})
+		slices.SortFunc(batch, compareCrossings)
+		if !slices.Equal(batch, want) {
+			t.Fatalf("trial %d: order differs from the stable sort", trial)
+		}
+	}
+}

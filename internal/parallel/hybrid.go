@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"parroute/internal/circuit"
 	"parroute/internal/geom"
@@ -52,7 +53,7 @@ func hybridWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, bloc
 			// feedthrough bookkeeping purely local).
 			specs := computeCrossings(base, blocks, owner, rank)
 			var err error
-			myFakes, err = exchangeFakePins(comm, specs)
+			myFakes, err = exchangeFakePins(comm, specs, len(base.Nets), block)
 			if err != nil {
 				return fmt.Errorf("hybrid: fake-pin exchange: %w", err)
 			}
@@ -90,29 +91,14 @@ func hybridWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, bloc
 		}),
 		stage("connect", func(s *pipeline.Session) error {
 			// Ship every net's connection nodes (real pins and bound
-			// feedthroughs in this block, with authoritative post-insertion
-			// coordinates; fake pins are splitting artifacts and stay home)
-			// to the net's owner, which connects the whole net at once.
-			contrib := make([]NodeBatch, comm.Size())
-			for n := range sub.Nets {
-				dest := owner[n]
-				for _, pid := range sub.Nets[n].Pins {
-					p := &sub.Pins[pid]
-					if p.Fake || !block.Contains(p.Row) {
-						continue
-					}
-					contrib[dest] = append(contrib[dest], NodeMsg{Net: n, X: p.X, Row: p.Row, Side: p.Side})
-				}
-			}
-			vs := make([]any, comm.Size())
-			for k := range vs {
-				vs[k] = contrib[k]
-			}
-			in, err := mp.Alltoall(comm, tagNetNodes, vs)
+			// feedthroughs in this block) to the net's owner, which connects
+			// the whole net at once.
+			contrib := ownPinNodes(sub, block, owner, comm.Size())
+			in, err := mp.Alltoall(comm, tagNetNodes, anys(contrib))
 			if err != nil {
 				return fmt.Errorf("hybrid: net-node exchange: %w", err)
 			}
-			byNet, err := collectNodes(in)
+			byNet, err := collectNodes(len(sub.Nets), len(sub.Rows), nodeSet{tagNetNodes, in})
 			if err != nil {
 				return err
 			}
@@ -127,32 +113,31 @@ func hybridWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, bloc
 			// (switchable wires go to the owner of their row, whose two
 			// candidate channels they alternate between), then synchronize
 			// the shared boundary channels once with the neighbors.
-			outWires := make([][]metrics.Wire, comm.Size())
 			numRows := len(base.Rows)
-			for i := range connected {
-				w := connected[i]
-				var dest int
+			destOf := func(w *metrics.Wire) int {
 				if w.Switchable {
-					dest = partition.BlockOf(blocks, w.Row)
-				} else {
-					dest = partition.BlockOf(blocks, geom.Min(w.Channel, numRows-1))
+					return partition.BlockOf(blocks, w.Row)
 				}
-				outWires[dest] = append(outWires[dest], w)
+				return partition.BlockOf(blocks, geom.Min(w.Channel, numRows-1))
 			}
-			vs := make([]any, comm.Size())
-			for k := range vs {
-				vs[k] = WireBatch{Wires: outWires[k]}
+			counts := make([]int, comm.Size())
+			for i := range connected {
+				counts[destOf(&connected[i])]++
 			}
-			in, err := mp.Alltoall(comm, tagWiresRedist, vs)
+			out := make([]WireBatch, comm.Size())
+			for k := range out {
+				out[k].Wires = slices.Grow(out[k].Wires, counts[k])
+			}
+			for i := range connected {
+				dest := destOf(&connected[i])
+				out[dest].Wires = append(out[dest].Wires, connected[i])
+			}
+			in, err := mp.Alltoall(comm, tagWiresRedist, anys(out))
 			if err != nil {
 				return fmt.Errorf("hybrid: wire redistribution: %w", err)
 			}
-			for r, raw := range in {
-				wb, ok := raw.(WireBatch)
-				if !ok {
-					return fmt.Errorf("parallel: redistributed wires from rank %d arrived as %T", r, raw)
-				}
-				myWires = append(myWires, wb.Wires...)
+			if myWires, err = concatWires(in, "redistributed wires"); err != nil {
+				return err
 			}
 			coreW, err := globalCoreWidth(comm, sub, block)
 			if err != nil {

@@ -1,9 +1,10 @@
 package parallel
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"parroute/internal/circuit"
 	"parroute/internal/geom"
@@ -70,11 +71,23 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 	ses, rec := workerSession(opt)
 	stages := []pipeline.Stage{
 		stage("steiner", func(s *pipeline.Session) error {
+			// One Builder and segment buffer serve every owned net; a k-pin
+			// net yields exactly k-1 segments, so segs is sized up front.
+			total := 0
+			for n := range sub.Nets {
+				if k := len(sub.Nets[n].Pins); owner[n] == rank && k >= 2 {
+					total += k - 1
+				}
+			}
+			segs = make([]route.PlacedSeg, 0, total)
+			var b steiner.Builder
+			var segBuf []steiner.Segment
 			for n := range sub.Nets {
 				if owner[n] != rank {
 					continue
 				}
-				for _, seg := range steiner.BuildNet(sub, n) {
+				segBuf = b.AppendNet(segBuf[:0], sub, n)
+				for _, seg := range segBuf {
 					segs = append(segs, route.Place(sub, seg))
 				}
 			}
@@ -169,19 +182,9 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 			return nil
 		}),
 		stage("ft-insert", func(s *pipeline.Session) error {
-			// Realize feedthrough demand in this rank's rows. The final
-			// synchronized grid is identical everywhere, so row owners see
-			// the complete demand.
-			ftByRow = make([][]int, len(sub.Rows))
-			for row := block.Lo; row <= block.Hi; row++ {
-				for col := 0; col < shared.Cols; col++ {
-					for i := 0; i < shared.FtDemand(row, col); i++ {
-						pin := sub.InsertFeedthrough(row, shared.ColCenter(col), circuit.NoNet)
-						ftByRow[row] = append(ftByRow[row], pin)
-						inserted++
-					}
-				}
-			}
+			// The final synchronized grid is identical everywhere, so row
+			// owners see the complete demand.
+			ftByRow, inserted = insertBlockFeedthroughs(sub, shared, block)
 			// Refresh segment endpoints that sit in this rank's (now
 			// shifted) rows.
 			for i := range segs {
@@ -192,8 +195,17 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 			return nil
 		}),
 		stage("ft-assign", func(_ *pipeline.Session) error {
-			// Ship crossings to row owners for assignment.
-			cross := make([]CrossingBatch, size)
+			// Ship crossings to row owners for assignment, in batches sized
+			// by a counting pass.
+			counts := make([]int, size)
+			for i := range segs {
+				if runs := segs[i].CurrentRuns(); runs.HasVert() {
+					for row := runs.VLo; row <= runs.VHi; row++ {
+						counts[partition.BlockOf(blocks, row)]++
+					}
+				}
+			}
+			cross := sizedBatches[CrossingBatch](counts)
 			for i := range segs {
 				runs := segs[i].CurrentRuns()
 				if !runs.HasVert() {
@@ -204,47 +216,48 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 					cross[dest] = append(cross[dest], CrossingMsg{Net: segs[i].Seg.Net, X: runs.VCol, Row: row})
 				}
 			}
-			vs := make([]any, size)
-			for k := range vs {
-				vs[k] = cross[k]
-			}
-			in, err := mp.Alltoall(comm, tagCrossings, vs)
+			in, err := mp.Alltoall(comm, tagCrossings, anys(cross))
 			if err != nil {
 				return fmt.Errorf("netwise: crossing exchange: %w", err)
 			}
+			// Received crossings index this rank's rows and the net table, so
+			// both are checked here; the same pass sizes the replies.
 			byRow := make([]CrossingBatch, len(sub.Rows))
+			clear(counts)
 			for r, raw := range in {
 				batch, ok := raw.(CrossingBatch)
 				if !ok {
 					return fmt.Errorf("parallel: crossings from rank %d arrived as %T", r, raw)
 				}
-				for _, cr := range batch {
+				for i, cr := range batch {
+					if cr.Net < 0 || cr.Net >= len(sub.Nets) {
+						return badIndex(tagCrossings, r, i, "net", cr.Net, 0, len(sub.Nets)-1)
+					}
+					if !block.Contains(cr.Row) {
+						return badIndex(tagCrossings, r, i, "row", cr.Row, block.Lo, block.Hi)
+					}
 					byRow[cr.Row] = append(byRow[cr.Row], cr)
+					counts[owner[cr.Net]]++
 				}
 			}
 
 			// Assign per row (sorted matching, as in the serial step 3) and
 			// route each assigned feedthrough back to the net's owner as a
 			// step-4 node.
-			ftNodes = make([]NodeBatch, size)
+			ftNodes = sizedBatches[NodeBatch](counts)
 			for row := block.Lo; row <= block.Hi; row++ {
 				crossings := byRow[row]
-				sort.SliceStable(crossings, func(i, j int) bool {
-					if crossings[i].X != crossings[j].X {
-						return crossings[i].X < crossings[j].X
-					}
-					return crossings[i].Net < crossings[j].Net
-				})
+				slices.SortFunc(crossings, compareCrossings)
 				fts := ftByRow[row]
-				sort.Slice(fts, func(i, j int) bool {
-					if xi, xj := sub.Pins[fts[i]].X, sub.Pins[fts[j]].X; xi != xj {
-						return xi < xj
+				slices.SortFunc(fts, func(a, b int) int {
+					if ax, bx := sub.Pins[a].X, sub.Pins[b].X; ax != bx {
+						return cmp.Compare(ax, bx)
 					}
 					// Same-x feedthrough pins are interchangeable for
 					// routing, but break the tie by pin ID so the binding
 					// permutation is deterministic rather than
 					// sort-internal.
-					return fts[i] < fts[j]
+					return cmp.Compare(a, b)
 				})
 				for i, cr := range crossings {
 					var pinID int
@@ -266,43 +279,20 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 			// Pin nodes to net owners, then whole-net connection. Row
 			// owners ship authoritative (post-insertion) pin coordinates so
 			// all of a net's geometry lives in one coherent frame at its
-			// owner.
-			pinNodes := make([]NodeBatch, size)
-			for n := range sub.Nets {
-				dest := owner[n]
-				for _, pid := range sub.Nets[n].Pins {
-					p := &sub.Pins[pid]
-					if !block.Contains(p.Row) {
-						continue // the row owner contributes this pin
-					}
-					pinNodes[dest] = append(pinNodes[dest], NodeMsg{Net: n, X: p.X, Row: p.Row, Side: p.Side})
-				}
-			}
-			vs := make([]any, size)
-			for k := range vs {
-				vs[k] = pinNodes[k]
-			}
-			in, err := mp.Alltoall(comm, tagNetNodes, vs)
+			// owner. (A net-wise sub-circuit has no fake pins to skip.)
+			pinIn, err := mp.Alltoall(comm, tagNetNodes, anys(ownPinNodes(sub, block, owner, size)))
 			if err != nil {
 				return fmt.Errorf("netwise: pin-node exchange: %w", err)
 			}
-			byNet, err := collectNodes(in)
-			if err != nil {
-				return err
-			}
-			for k := range vs {
-				vs[k] = ftNodes[k]
-			}
-			in, err = mp.Alltoall(comm, tagFtNodes, vs)
+			ftIn, err := mp.Alltoall(comm, tagFtNodes, anys(ftNodes))
 			if err != nil {
 				return fmt.Errorf("netwise: feedthrough-node exchange: %w", err)
 			}
-			ftByNet, err := collectNodes(in)
+			// Per net: pin nodes first, then feedthrough nodes.
+			byNet, err := collectNodes(len(sub.Nets), len(sub.Rows),
+				nodeSet{tagNetNodes, pinIn}, nodeSet{tagFtNodes, ftIn})
 			if err != nil {
 				return err
-			}
-			for n, nodes := range ftByNet {
-				byNet[n] = append(byNet[n], nodes...)
 			}
 			connOcc := route.NewOccupancy(sub.NumChannels(), base.CoreWidth()*2, ropt.GridColWidth)
 			wires, forced = connectOwnedNets(byNet, connOcc)
@@ -385,6 +375,43 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 		}),
 	}
 	return pipeline.Run(ctx, ses, stages...)
+}
+
+// insertBlockFeedthroughs realizes the grid's feedthrough demand in one
+// block's rows and returns the new pin IDs per row plus their count. As in
+// the serial router, the tables are pre-sized for the total and
+// cell-attached pin positions are re-synced once at the end instead of per
+// insertion (the end state is the same: see InsertFeedthroughDeferred).
+func insertBlockFeedthroughs(sub *circuit.Circuit, g *grid.Grid, block partition.RowBlock) (ftByRow [][]int, inserted int) {
+	ftByRow = make([][]int, len(sub.Rows))
+	rowCounts := make([]int, len(sub.Rows))
+	for row := block.Lo; row <= block.Hi; row++ {
+		for col := 0; col < g.Cols; col++ {
+			rowCounts[row] += g.FtDemand(row, col)
+		}
+		inserted += rowCounts[row]
+	}
+	sub.GrowForFeedthroughs(inserted, rowCounts)
+	for row := block.Lo; row <= block.Hi; row++ {
+		ftByRow[row] = make([]int, 0, rowCounts[row])
+		for col := 0; col < g.Cols; col++ {
+			for i := g.FtDemand(row, col); i > 0; i-- {
+				ftByRow[row] = append(ftByRow[row],
+					sub.InsertFeedthroughDeferred(row, g.ColCenter(col), circuit.NoNet))
+			}
+		}
+	}
+	sub.SyncPinX()
+	return ftByRow, inserted
+}
+
+// compareCrossings orders a row's crossings by (x, net). Crossings equal in
+// both are identical values, so the order is total without a stable sort.
+func compareCrossings(a, b CrossingMsg) int {
+	if a.X != b.X {
+		return cmp.Compare(a.X, b.X)
+	}
+	return cmp.Compare(a.Net, b.Net)
 }
 
 // forEachChunk splits [0, n) into `chunks` contiguous pieces (at least

@@ -51,7 +51,7 @@ func rowWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 		stage("crossings", func(s *pipeline.Session) error {
 			specs := computeCrossings(base, blocks, owner, rank)
 			var err error
-			myFakes, err = exchangeFakePins(comm, specs)
+			myFakes, err = exchangeFakePins(comm, specs, len(base.Nets), block)
 			if err != nil {
 				return fmt.Errorf("rowwise: fake-pin exchange: %w", err)
 			}

@@ -1,0 +1,126 @@
+package parallel
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"parroute/internal/circuit"
+	"parroute/internal/mp"
+	"parroute/internal/partition"
+	"parroute/internal/route"
+)
+
+// forgingComm is rank 1's view of the mesh with one lie in it: the first
+// payload it sends on tag is replaced by forge's version. Collectives are
+// built on Send, so this reaches the Alltoall rounds too.
+type forgingComm struct {
+	mp.Comm
+	tag   int
+	forge func(v any) any
+	done  bool
+}
+
+func (f *forgingComm) Send(to, tag int, v any) error {
+	if tag == f.tag && !f.done {
+		v, f.done = f.forge(v), true
+	}
+	return f.Comm.Send(to, tag, v)
+}
+
+// appendTo returns a forgery that appends elem to a copy of the batch.
+func appendTo[B ~[]E, E any](elem E) func(any) any {
+	return func(v any) any { return append(slices.Clone(v.(B)), elem) }
+}
+
+// TestForgedBatchIndexIsAttributed: every index a rank takes off the mesh
+// and uses as a subscript — the net and row of a fake-pin spec, a crossing
+// and a step-4 node — is validated once per received batch. A peer that
+// sends one out-of-range element fails the run with an error naming the
+// source rank, the tag and the field; no rank panics and none is left
+// behind.
+func TestForgedBatchIndexIsAttributed(t *testing.T) {
+	c := testCircuit(t)
+	const p = 2
+	blocks, err := partition.RowBlocks(c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := partition.Nets(c, blocks, p, partition.Config{Method: partition.PinWeight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type worker func(context.Context, mp.Comm, *circuit.Circuit, []partition.RowBlock, []int, Options, *runOutput) error
+	badNet, badRow := len(c.Nets), len(c.Rows)
+	node := func(net, row int) func(any) any {
+		return appendTo[NodeBatch](NodeMsg{Net: net, X: 1, Row: row, Side: circuit.Both})
+	}
+	cases := []struct {
+		name  string
+		run   worker
+		tag   int
+		forge func(net, row int) func(any) any
+	}{
+		{"rowwise/fake-pins", rowWiseWorker, tagFakePins, func(net, row int) func(any) any {
+			return appendTo[FakePinBatch](FakePinSpec{Net: net, X: 1, Row: row, Side: circuit.Top})
+		}},
+		{"hybrid/net-nodes", hybridWorker, tagNetNodes, node},
+		{"netwise/crossings", netWiseWorker, tagCrossings, func(net, row int) func(any) any {
+			return appendTo[CrossingBatch](CrossingMsg{Net: net, X: 1, Row: row})
+		}},
+		{"netwise/net-nodes", netWiseWorker, tagNetNodes, node},
+		{"netwise/ft-nodes", netWiseWorker, tagFtNodes, node},
+	}
+	for _, tc := range cases {
+		// A row of rank 0's block keeps the net-only forgery's row valid
+		// everywhere (fake pins and crossings must land inside the block).
+		for _, bad := range []struct {
+			field    string
+			net, row int
+		}{
+			{"net", badNet, blocks[0].Lo},
+			{"net", -1, blocks[0].Lo},
+			{"row", 0, badRow},
+			{"row", 0, -1},
+		} {
+			t.Run(fmt.Sprintf("%s/bad-%s/net%d,row%d", tc.name, bad.field, bad.net, bad.row), func(t *testing.T) {
+				baseline := runtime.NumGoroutine()
+				ctx, cancel := context.WithTimeout(context.Background(), cancelWatchdog)
+				defer cancel()
+				opt := Options{Procs: p, Mode: mp.Inproc, Route: route.Options{Seed: 1}}
+				if err := opt.normalize(); err != nil {
+					t.Fatal(err)
+				}
+				done := make(chan error, 1)
+				go func() {
+					_, err := mp.Config{Procs: p, Mode: mp.Inproc}.RunContext(ctx, func(comm mp.Comm) error {
+						if comm.Rank() == 1 {
+							comm = &forgingComm{Comm: comm, tag: tc.tag, forge: tc.forge(bad.net, bad.row)}
+						}
+						return tc.run(ctx, comm, c, blocks, owner, opt, &runOutput{})
+					})
+					done <- err
+				}()
+				var err error
+				select {
+				case err = <-done:
+				case <-time.After(cancelWatchdog):
+					t.Fatal("run with a forged batch did not return")
+				}
+				if err == nil {
+					t.Fatal("forged batch was accepted")
+				}
+				for _, want := range []string{"from rank 1", fmt.Sprintf("tag %d", tc.tag), bad.field} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q does not name %q", err, want)
+					}
+				}
+				requireSettledGoroutines(t, baseline)
+			})
+		}
+	}
+}

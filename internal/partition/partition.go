@@ -6,10 +6,11 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"parroute/internal/circuit"
 	"parroute/internal/steiner"
@@ -165,16 +166,30 @@ func Nets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) ([]int, erro
 	}
 	entries := make([]entry, 0, n)
 	totalPins := 0
+	// PinWeight depends on the degree alone, so its math.Pow runs once per
+	// distinct degree, not once per net (zero marks an unfilled slot: only
+	// a pinless net weighs zero, and that case costs nothing to redo).
+	var byDegree []float64
 	for i := range c.Nets {
 		pins := len(c.Nets[i].Pins)
 		totalPins += pins
-		entries = append(entries, entry{net: i, weight: weight(c, i, blocks, cfg), pins: pins})
-	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].weight != entries[b].weight {
-			return entries[a].weight < entries[b].weight
+		if cfg.Method != PinWeight {
+			entries = append(entries, entry{net: i, weight: weight(c, i, blocks, cfg), pins: pins})
+			continue
 		}
-		return entries[a].net < entries[b].net
+		if pins >= len(byDegree) {
+			byDegree = append(byDegree, make([]float64, pins+1-len(byDegree))...)
+		}
+		if byDegree[pins] == 0 {
+			byDegree[pins] = weight(c, i, blocks, cfg)
+		}
+		entries = append(entries, entry{net: i, weight: byDegree[pins], pins: pins})
+	}
+	slices.SortFunc(entries, func(a, b entry) int {
+		if a.weight != b.weight {
+			return cmp.Compare(a.weight, b.weight)
+		}
+		return cmp.Compare(a.net, b.net)
 	})
 
 	loads := make([]int, p)

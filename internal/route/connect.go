@@ -97,8 +97,9 @@ func connSpan(a, b int) geom.Interval {
 // candidate channels against it, and every produced wire is added to it.
 // A nil occ places switchable connections in their lower channel.
 //
-// Callers connecting many nets should reuse a Connector instead; this
-// wrapper allocates fresh scratch per call.
+// Test/diagnostic convenience; drivers use Connector. This wrapper
+// allocates fresh scratch per call, and the root lint test rejects calls to
+// it from outside _test.go files.
 func ConnectNodes(netID int, nodes []Node, occ *Occupancy) (conns []Connection, forced int) {
 	var cn Connector
 	return cn.Connect(netID, nodes, occ)

@@ -90,9 +90,10 @@ func Build(c *circuit.Circuit) [][]Segment {
 // Only clock-class nets exceed it.
 const LargeNetThreshold = 192
 
-// BuildNet computes the Steiner segments of a single net. Callers building
-// many nets should reuse a Builder; this wrapper allocates fresh scratch
-// per call.
+// BuildNet computes the Steiner segments of a single net. Test/diagnostic
+// convenience; drivers use Builder. This wrapper allocates fresh scratch
+// per call, and the root lint test rejects calls to it from outside
+// _test.go files.
 func BuildNet(c *circuit.Circuit, netID int) []Segment {
 	var b Builder
 	return b.AppendNet(nil, c, netID)

@@ -1,6 +1,7 @@
 package parroute_test
 
 import (
+	"go/types"
 	"testing"
 
 	"parroute/internal/lint"
@@ -22,5 +23,21 @@ func TestParroutecheckClean(t *testing.T) {
 	}
 	if len(diags) > 0 {
 		t.Logf("fix the findings or annotate deliberate exceptions with //lint:allow <rule> <reason>")
+	}
+
+	// The per-call wrappers allocate fresh scratch on every net; they exist
+	// for tests and diagnostics. The loader skips _test.go files, so any
+	// use found here is production code that should drive a
+	// route.Connector / steiner.Builder instead.
+	slow := map[string]bool{
+		"parroute/internal/route.ConnectNodes": true,
+		"parroute/internal/steiner.BuildNet":   true,
+	}
+	for _, pkg := range mod.Pkgs {
+		for id, obj := range pkg.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok && slow[fn.FullName()] {
+				t.Errorf("%s: %s called outside a _test.go file", mod.Fset.Position(id.Pos()), fn.FullName())
+			}
+		}
 	}
 }

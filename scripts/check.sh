@@ -124,6 +124,15 @@ scale_tier() {
 }
 step "scale smoke (synth.100k budgets)" scale_tier
 
+# Allocation budget: one hybrid and one net-wise parallel.Run at P=2 on the
+# in-process engine must stay under a committed malloc count (DESIGN.md
+# §9) — an append-in-a-loop regression in a driver fails here, with no
+# wall clock involved.
+alloc_budget() {
+  go test -count=1 -run 'TestParallelDriverAllocBudget' .
+}
+step "parallel driver allocation budget" alloc_budget
+
 # Bench smoke: the serial hot path still runs end to end under the
 # benchmark harness (the perf ledger itself is `go run ./benchmark`; see
 # DESIGN.md §9).
