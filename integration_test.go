@@ -29,7 +29,7 @@ func checkResult(t *testing.T, name string, numChannels int, res *metrics.Result
 			name, len(res.ChannelDensity), numChannels)
 	}
 	// Densities recompute identically from the wires.
-	d := metrics.ChannelDensities(numChannels, res.Wires)
+	d := metrics.ChannelDensities(numChannels, res.Wires, 1)
 	for ch := range d {
 		if d[ch] != res.ChannelDensity[ch] {
 			t.Errorf("%s: channel %d density %d, recomputed %d",

@@ -4,11 +4,13 @@
 package metrics
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"time"
 
 	"parroute/internal/geom"
+	"parroute/internal/workpool"
 )
 
 // Wire is one horizontal run placed in a routing channel. Switchable wires
@@ -43,18 +45,22 @@ func (w *Wire) OtherChannel() int {
 	return w.Row
 }
 
+// MaxWireX is the largest x a non-empty wire span may reach; spans start at
+// 0. ChannelDensities panics on a wire outside that range, so code that
+// takes wires from outside the process checks against it first.
+const MaxWireX = 1<<39 - 1
+
 // ChannelDensities returns, per channel, the maximum number of wires
 // overlapping any x position — the track count a channel router would need
 // (without vertical-constraint conflicts), which is the quantity TWGR
 // minimizes.
-func ChannelDensities(numChannels int, wires []Wire) []int {
-	// One flat event slice sorted once replaces the per-channel buckets
-	// with their per-channel reflect-based sorts: consecutive same-channel
-	// runs of the sorted slice are exactly the old buckets. Events pack
-	// into a single int64 key — channel, then x, then open/close in the low
-	// bit (0 = close, so closes sort before opens at the same x) — which
-	// keeps the sort comparator-free.
-	evs := make([]int64, 0, 2*len(wires))
+//
+// Events are bucketed by channel (count, prefix sum, fill) and each
+// channel's bucket is sorted and swept on its own, on up to workers
+// goroutines: buckets are disjoint slices and each writes only its own
+// density, so the result is the same at every worker count.
+func ChannelDensities(numChannels int, wires []Wire, workers int) []int {
+	off := make([]int, numChannels+1)
 	for i := range wires {
 		w := &wires[i]
 		if w.Span.Empty() {
@@ -66,31 +72,46 @@ func ChannelDensities(numChannels int, wires []Wire) []int {
 			// channels.
 			panic(fmt.Sprintf("metrics: wire in channel %d of %d", w.Channel, numChannels)) //lint:allow panic-in-library router invariant: wires are produced in range
 		}
-		if w.Span.Lo < 0 || w.Span.Hi >= 1<<39 {
+		if w.Span.Lo < 0 || w.Span.Hi > MaxWireX {
 			// Same class of invariant as the channel check: wire spans live
-			// inside the non-negative core extent, which the key packing
-			// relies on.
+			// inside the non-negative core extent, which the event keys
+			// (x shifted over the open/close bit) rely on.
 			panic(fmt.Sprintf("metrics: wire span [%d,%d] outside packable range", w.Span.Lo, w.Span.Hi)) //lint:allow panic-in-library router invariant: spans are in-core
 		}
-		ch := int64(w.Channel) << 41
-		evs = append(evs, ch|int64(w.Span.Lo)<<1|1, ch|int64(w.Span.Hi+1)<<1)
+		off[w.Channel+1] += 2
 	}
-	slices.Sort(evs)
+	for ch := 0; ch < numChannels; ch++ {
+		off[ch+1] += off[ch]
+	}
+	// An event is x with open/close in the low bit (0 = close, so closes
+	// sort before opens at the same x), which keeps the sorts
+	// comparator-free.
+	evs := make([]int64, off[numChannels])
+	cursor := slices.Clone(off[:numChannels])
+	for i := range wires {
+		w := &wires[i]
+		if w.Span.Empty() {
+			continue
+		}
+		k := cursor[w.Channel]
+		evs[k], evs[k+1] = int64(w.Span.Lo)<<1|1, int64(w.Span.Hi+1)<<1
+		cursor[w.Channel] = k + 2
+	}
 	dens := make([]int, numChannels)
-	for lo := 0; lo < len(evs); {
-		hi := lo
-		ch := evs[lo] >> 41
+	// The sweep returns nil and the background context never ends.
+	_ = workpool.Do(context.Background(), workers, numChannels, func(_, ch int) error {
+		bucket := evs[off[ch]:off[ch+1]]
+		slices.Sort(bucket)
 		cur, max := 0, 0
-		for hi < len(evs) && evs[hi]>>41 == ch {
-			cur += int(evs[hi]&1)*2 - 1 // low bit: 1 = open (+1), 0 = close (-1)
+		for _, ev := range bucket {
+			cur += int(ev&1)*2 - 1 // low bit: 1 = open (+1), 0 = close (-1)
 			if cur > max {
 				max = cur
 			}
-			hi++
 		}
 		dens[ch] = max
-		lo = hi
-	}
+		return nil
+	})
 	return dens
 }
 
@@ -183,9 +204,9 @@ type Counter struct {
 
 // Finalize computes the derived quality numbers from Wires and the
 // geometry parameters, filling ChannelDensity, TotalTracks, Wirelength and
-// Area in place.
-func (r *Result) Finalize(numChannels, rows, cellHeight, trackPitch int) {
-	r.ChannelDensity = ChannelDensities(numChannels, r.Wires)
+// Area in place. The density sweep fans out on up to workers goroutines.
+func (r *Result) Finalize(numChannels, rows, cellHeight, trackPitch, workers int) {
+	r.ChannelDensity = ChannelDensities(numChannels, r.Wires, workers)
 	r.TotalTracks = TotalTracks(r.ChannelDensity)
 	r.Wirelength = Wirelength(r.Wires)
 	r.Area = Area(r.CoreWidth, rows, cellHeight, trackPitch, r.ChannelDensity)

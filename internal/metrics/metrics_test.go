@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +22,7 @@ func TestChannelDensitiesBasic(t *testing.T) {
 		wire(0, 20, 30), // disjoint
 		wire(1, 0, 100),
 	}
-	d := ChannelDensities(3, wires)
+	d := ChannelDensities(3, wires, 1)
 	if d[0] != 2 || d[1] != 1 || d[2] != 0 {
 		t.Fatalf("densities = %v", d)
 	}
@@ -31,12 +33,12 @@ func TestChannelDensitiesBasic(t *testing.T) {
 
 func TestChannelDensitiesTouchingSpans(t *testing.T) {
 	// Closed intervals: [0,10] and [10,20] share x=10 -> density 2 there.
-	d := ChannelDensities(1, []Wire{wire(0, 0, 10), wire(0, 10, 20)})
+	d := ChannelDensities(1, []Wire{wire(0, 0, 10), wire(0, 10, 20)}, 1)
 	if d[0] != 2 {
 		t.Fatalf("touching spans density = %d, want 2", d[0])
 	}
 	// [0,10] and [11,20] are disjoint.
-	d = ChannelDensities(1, []Wire{wire(0, 0, 10), wire(0, 11, 20)})
+	d = ChannelDensities(1, []Wire{wire(0, 0, 10), wire(0, 11, 20)}, 1)
 	if d[0] != 1 {
 		t.Fatalf("adjacent spans density = %d, want 1", d[0])
 	}
@@ -44,7 +46,7 @@ func TestChannelDensitiesTouchingSpans(t *testing.T) {
 
 func TestChannelDensitiesIgnoresEmpty(t *testing.T) {
 	empty := Wire{Channel: 0, Span: geom.Interval{Lo: 1, Hi: 0}}
-	d := ChannelDensities(1, []Wire{empty})
+	d := ChannelDensities(1, []Wire{empty}, 1)
 	if d[0] != 0 {
 		t.Fatalf("empty wire counted: %v", d)
 	}
@@ -56,7 +58,7 @@ func TestChannelDensitiesPanicsOnBadChannel(t *testing.T) {
 			t.Fatal("out-of-range channel should panic")
 		}
 	}()
-	ChannelDensities(1, []Wire{wire(5, 0, 1)})
+	ChannelDensities(1, []Wire{wire(5, 0, 1)}, 1)
 }
 
 func TestDensityMatchesBruteForce(t *testing.T) {
@@ -67,7 +69,7 @@ func TestDensityMatchesBruteForce(t *testing.T) {
 		for i := range wires {
 			wires[i] = wire(r.Intn(3), r.Intn(50), r.Intn(50))
 		}
-		d := ChannelDensities(3, wires)
+		d := ChannelDensities(3, wires, 1)
 		for ch := 0; ch < 3; ch++ {
 			max := 0
 			for x := 0; x < 50; x++ {
@@ -89,6 +91,94 @@ func TestDensityMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refChannelDensities is the form ChannelDensities replaced: every event
+// packed with its channel into one key, one global sort, one sweep over
+// the runs of equal channel. Kept as the differential reference.
+func refChannelDensities(numChannels int, wires []Wire) []int {
+	evs := make([]int64, 0, 2*len(wires))
+	for i := range wires {
+		w := &wires[i]
+		if w.Span.Empty() {
+			continue
+		}
+		ch := int64(w.Channel) << 41
+		evs = append(evs, ch|int64(w.Span.Lo)<<1|1, ch|int64(w.Span.Hi+1)<<1)
+	}
+	slices.Sort(evs)
+	dens := make([]int, numChannels)
+	for lo := 0; lo < len(evs); {
+		hi := lo
+		ch := evs[lo] >> 41
+		cur, max := 0, 0
+		for hi < len(evs) && evs[hi]>>41 == ch {
+			cur += int(evs[hi]&1)*2 - 1
+			if cur > max {
+				max = cur
+			}
+			hi++
+		}
+		dens[ch] = max
+		lo = hi
+	}
+	return dens
+}
+
+// TestChannelDensitiesMatchesGlobalSort: the bucketed, fanned-out sweep
+// returns the densities of the global-sort form on wire sets built to hit
+// its edges — touching spans, opens and closes at one x, empty spans,
+// empty channels, one channel holding everything — at every worker count.
+func TestChannelDensitiesMatchesGlobalSort(t *testing.T) {
+	r := rng.New(15)
+	for trial := 0; trial < 60; trial++ {
+		numChannels := 1 + r.Intn(40)
+		xs := 2 + r.Intn(30) // few distinct x: equal-x opens and closes are the norm
+		hot := -1            // every wire in one channel
+		if trial%5 == 0 {
+			hot = r.Intn(numChannels)
+		}
+		wires := make([]Wire, r.Intn(400))
+		for i := range wires {
+			ch := hot
+			if ch < 0 {
+				ch = r.Intn(numChannels) / 2 * 2 % numChannels // odd channels stay empty
+			}
+			lo := r.Intn(xs)
+			switch r.Intn(4) {
+			case 0:
+				wires[i] = Wire{Channel: ch, Span: geom.Interval{Lo: lo + 1, Hi: lo}} // empty
+			case 1:
+				wires[i] = wire(ch, lo, lo) // single point: opens where others close
+			default:
+				wires[i] = wire(ch, lo, lo+r.Intn(xs))
+			}
+		}
+		want := refChannelDensities(numChannels, wires)
+		for _, workers := range []int{1, 2, 8} {
+			if got := ChannelDensities(numChannels, wires, workers); !slices.Equal(got, want) {
+				t.Fatalf("trial %d workers %d: densities %v, global sort %v", trial, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestChannelDensitiesPanicsOnBadWire: a wire outside the channel range or
+// the packable x range is a router bug and panics before any fan-out, at
+// every worker count.
+func TestChannelDensitiesPanicsOnBadWire(t *testing.T) {
+	for _, bad := range []Wire{wire(-1, 0, 1), wire(3, 0, 1), wire(0, -1, 1), wire(0, 0, 1<<39)} {
+		for _, workers := range []int{1, 8} {
+			t.Run(fmt.Sprintf("ch%d/%v/w%d", bad.Channel, bad.Span, workers), func(t *testing.T) {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("out-of-range wire should panic")
+					}
+				}()
+				ChannelDensities(3, []Wire{wire(1, 0, 5), bad}, workers)
+			})
+		}
 	}
 }
 
@@ -134,7 +224,7 @@ func TestResultFinalizeAndScaling(t *testing.T) {
 		CoreWidth: 100,
 		Wires:     []Wire{wire(0, 0, 10), wire(1, 0, 50), wire(1, 20, 60)},
 	}
-	res.Finalize(3, 2, 10, 2)
+	res.Finalize(3, 2, 10, 2, 1)
 	if res.TotalTracks != 3 {
 		t.Fatalf("tracks = %d", res.TotalTracks)
 	}

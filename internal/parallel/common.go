@@ -169,87 +169,86 @@ func exchangeFakePins(comm mp.Comm, specs []FakePinBatch, numNets int, block par
 	return mine, nil
 }
 
-// buildTrimmedSubCircuit constructs the same sub-circuit as
-// buildSubCircuit but holds only this block's cells and pins: foreign
-// rows stay as empty placeholders (so channel and row indices remain
-// global) and IDs are re-issued locally. Per-worker memory then scales
-// with the block instead of the whole design — the paper's motivation for
-// the row partition. Net IDs (the only identifiers that cross workers)
-// are preserved, and per-net pin order matches buildSubCircuit's, so
-// routing results are identical.
-func buildTrimmedSubCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []FakePinSpec) *circuit.Circuit {
+// buildBlockCircuit constructs this block's row-wise sub-circuit from base,
+// which it only reads: the block's cells and their pins under re-issued
+// IDs, every net restricted to its pins inside the block, plus the fake
+// pins assigned to this block. Foreign rows stay as empty placeholders, so
+// row and channel indices remain global while per-rank memory scales with
+// the block — the paper's motivation for the row partition. Net IDs are
+// the only identifiers that cross ranks and are preserved; a net's pins
+// keep the base's per-net order with the fake pins after them, so routing
+// output does not depend on the re-issued cell and pin IDs.
+//
+// Tables are sized by a count pass (the pin table with the fake pins'
+// slots), and every row, cell and net list is carved from one backing
+// array, capped at its own length — a net's at its length plus its fake
+// pins — so a later append copies out instead of writing into a neighbor.
+func buildBlockCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []FakePinSpec) *circuit.Circuit {
+	numCells, numPins, netPins := 0, 0, 0
+	for r := block.Lo; r <= block.Hi; r++ {
+		numCells += len(base.Rows[r].Cells)
+		for _, cid := range base.Rows[r].Cells {
+			for _, pid := range base.Cells[cid].Pins {
+				numPins++
+				if base.Pins[pid].Net != circuit.NoNet {
+					netPins++
+				}
+			}
+		}
+	}
 	sub := &circuit.Circuit{
 		Name:       base.Name,
 		CellHeight: base.CellHeight,
 		FeedWidth:  base.FeedWidth,
+		Rows:       make([]circuit.Row, len(base.Rows)),
+		Cells:      make([]circuit.Cell, 0, numCells),
+		Pins:       make([]circuit.Pin, 0, numPins+len(fakes)),
+		Nets:       make([]circuit.Net, len(base.Nets)),
 	}
-	for range base.Rows {
-		sub.AddRow()
+	backing := make([]int, 0, numCells+numPins+netPins+len(fakes))
+	// newPin[old] is the re-issued pin ID plus one; zero marks a pin
+	// outside the block.
+	newPin := make([]int32, len(base.Pins))
+	for r := range sub.Rows {
+		sub.Rows[r].ID = r
 	}
-	for n := range base.Nets {
-		sub.AddNet(base.Nets[n].Name)
-	}
-	// Copy the block's cells row-major, preserving in-row order and
-	// absolute positions; remember the pin ID mapping.
-	pinMap := make(map[int]int)
 	for r := block.Lo; r <= block.Hi; r++ {
-		for _, cid := range base.Rows[r].Cells {
-			cell := &base.Cells[cid]
-			newCell := len(sub.Cells)
-			sub.Cells = append(sub.Cells, circuit.Cell{
-				ID: newCell, Row: r, X: cell.X, Width: cell.Width, Feed: cell.Feed,
-			})
-			sub.Rows[r].Cells = append(sub.Rows[r].Cells, newCell)
-			for _, pid := range cell.Pins {
-				p := base.Pins[pid]
-				newPin := len(sub.Pins)
-				// Net membership is attached below in base order.
-				sub.Pins = append(sub.Pins, circuit.Pin{
-					ID: newPin, Net: circuit.NoNet, Cell: newCell, Offset: p.Offset,
-					X: p.X, Row: p.Row, Side: p.Side,
-				})
-				sub.Cells[newCell].Pins = append(sub.Cells[newCell].Pins, newPin)
-				pinMap[pid] = newPin
+		cells := base.Rows[r].Cells
+		lo := len(backing)
+		for _, cid := range cells {
+			cell := base.Cells[cid]
+			cell.ID, cell.Pins = len(sub.Cells), nil
+			backing = append(backing, cell.ID)
+			sub.Cells = append(sub.Cells, cell)
+		}
+		sub.Rows[r].Cells = backing[lo:len(backing):len(backing)]
+		for i, cid := range cells {
+			cell := &sub.Cells[sub.Rows[r].Cells[i]]
+			lo := len(backing)
+			for _, pid := range base.Cells[cid].Pins {
+				pin := base.Pins[pid]
+				pin.ID, pin.Cell = len(sub.Pins), cell.ID
+				backing = append(backing, pin.ID)
+				sub.Pins = append(sub.Pins, pin)
+				newPin[pid] = int32(pin.ID) + 1
 			}
+			cell.Pins = backing[lo:len(backing):len(backing)]
 		}
 	}
-	// Rebuild net pin lists in the base's per-net order (the same order
-	// buildSubCircuit's filter preserves).
-	for n := range base.Nets {
-		for _, pid := range base.Nets[n].Pins {
-			if newPin, ok := pinMap[pid]; ok {
-				sub.Pins[newPin].Net = n
-				sub.Nets[n].Pins = append(sub.Nets[n].Pins, newPin)
-			}
-		}
-	}
+	fakesOf := make([]int32, len(base.Nets))
 	for _, spec := range fakes {
-		sub.AddFakePin(spec.Net, spec.X, spec.Row, spec.Side)
+		fakesOf[spec.Net]++
 	}
-	return sub
-}
-
-// buildSubCircuit constructs this block's row-wise sub-circuit: a clone of
-// the base where every net is restricted to its pins inside the block,
-// plus the fake pins assigned to this block. Cells of foreign rows remain
-// placed (their geometry is needed for global channel indices) but carry
-// no net pins, so the router never touches them.
-func buildSubCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []FakePinSpec) *circuit.Circuit {
-	sub := base.Clone()
-	// Clone sizes the pin table exactly; reserve the fake pins' slots so
-	// the first AddFakePin does not re-copy the whole table.
-	sub.Pins = slices.Grow(sub.Pins, len(fakes))
-	for n := range sub.Nets {
-		net := &sub.Nets[n]
-		kept := net.Pins[:0]
-		for _, pid := range net.Pins {
-			if block.Contains(sub.Pins[pid].Row) {
-				kept = append(kept, pid)
-			} else {
-				sub.Pins[pid].Net = circuit.NoNet
+	for n := range base.Nets {
+		lo := len(backing)
+		for _, pid := range base.Nets[n].Pins {
+			if id := newPin[pid]; id != 0 {
+				backing = append(backing, int(id)-1)
 			}
 		}
-		net.Pins = kept
+		hi := len(backing)
+		backing = backing[:hi+int(fakesOf[n])]
+		sub.Nets[n] = circuit.Net{ID: n, Name: base.Nets[n].Name, Pins: backing[lo:hi:len(backing)]}
 	}
 	for _, spec := range fakes {
 		sub.AddFakePin(spec.Net, spec.X, spec.Row, spec.Side)
@@ -356,7 +355,7 @@ func gatherResults(comm mp.Comm, wires []metrics.Wire, sum Summary, out *runOutp
 func (raw *rawGather) merge(base *circuit.Circuit, opt Options) (*metrics.Result, error) {
 	res := &metrics.Result{Circuit: base.Name}
 	var err error
-	if res.Wires, err = concatWires(raw.wireBatches, "wires"); err != nil {
+	if res.Wires, err = concatWires(raw.wireBatches, tagWires, base.NumChannels()); err != nil {
 		return nil, err
 	}
 	coreW := 1
@@ -376,7 +375,8 @@ func (raw *rawGather) merge(base *circuit.Circuit, opt Options) (*metrics.Result
 	}
 	res.CoreWidth = coreW
 	res.Phases = mergePhases(raw.summaries)
-	res.Finalize(base.NumChannels(), len(base.Rows), base.CellHeight, opt.Route.TrackPitch)
+	// The ranks have finished, so the cores the run was given are idle.
+	res.Finalize(base.NumChannels(), len(base.Rows), base.CellHeight, opt.Route.TrackPitch, opt.Procs)
 	return res, nil
 }
 
@@ -422,14 +422,33 @@ func mergePhases(summaries []any) []metrics.Phase {
 	return out
 }
 
-// concatWires concatenates the WireBatches of in (one per source rank) in
-// rank order into one exactly-sized slice.
-func concatWires(in []any, what string) ([]metrics.Wire, error) {
+// concatWires concatenates the WireBatches that arrived on tag (one per
+// source rank) in rank order into one exactly-sized slice. Every wire must
+// lie in a channel of the circuit, span only x the density sweep accepts
+// and, when switchable, name a row of the circuit.
+func concatWires(in []any, tag, numChannels int) ([]metrics.Wire, error) {
 	total := 0
 	for r, raw := range in {
 		wb, ok := raw.(WireBatch)
 		if !ok {
-			return nil, fmt.Errorf("parallel: %s from rank %d arrived as %T", what, r, raw)
+			return nil, fmt.Errorf("parallel: tag %d batch from rank %d arrived as %T", tag, r, raw)
+		}
+		for i := range wb.Wires {
+			w := &wb.Wires[i]
+			if w.Channel < 0 || w.Channel >= numChannels {
+				return nil, badIndex(tag, r, i, "channel", w.Channel, 0, numChannels-1)
+			}
+			if s := w.Span; !s.Empty() {
+				if s.Lo < 0 {
+					return nil, badIndex(tag, r, i, "span lo", s.Lo, 0, metrics.MaxWireX)
+				}
+				if s.Hi > metrics.MaxWireX {
+					return nil, badIndex(tag, r, i, "span hi", s.Hi, 0, metrics.MaxWireX)
+				}
+			}
+			if w.Switchable && (w.Row < 0 || w.Row >= numChannels-1) {
+				return nil, badIndex(tag, r, i, "row", w.Row, 0, numChannels-2)
+			}
 		}
 		total += len(wb.Wires)
 	}

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -67,6 +68,29 @@ func refInsertBlockFeedthroughs(sub *circuit.Circuit, g *grid.Grid, block partit
 		}
 	}
 	return ftByRow, inserted
+}
+
+// refBuildSubCircuit is the full-clone sub-circuit builder the drivers
+// used: every cell and pin of the design under its base ID, nets filtered
+// to the block, foreign pins detached.
+func refBuildSubCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []FakePinSpec) *circuit.Circuit {
+	sub := base.Clone()
+	for n := range sub.Nets {
+		net := &sub.Nets[n]
+		kept := net.Pins[:0]
+		for _, pid := range net.Pins {
+			if block.Contains(sub.Pins[pid].Row) {
+				kept = append(kept, pid)
+			} else {
+				sub.Pins[pid].Net = circuit.NoNet
+			}
+		}
+		net.Pins = kept
+	}
+	for _, spec := range fakes {
+		sub.AddFakePin(spec.Net, spec.X, spec.Row, spec.Side)
+	}
+	return sub
 }
 
 // randomCircuit draws a gen circuit whose shape (rows, cells, nets, a giant
@@ -229,8 +253,8 @@ func TestDeferredBlockInsertionMatchesEager(t *testing.T) {
 				if len(specs[k]) == 0 {
 					t.Fatalf("%s/p%d: block %d has no fake pins", c.Name, p, k)
 				}
-				eager := buildSubCircuit(c, block, specs[k])
-				deferred := buildSubCircuit(c, block, specs[k])
+				eager := refBuildSubCircuit(c, block, specs[k])
+				deferred := refBuildSubCircuit(c, block, specs[k])
 				wantFts, wantN := refInsertBlockFeedthroughs(eager, g, block)
 				gotFts, gotN := insertBlockFeedthroughs(deferred, g, block)
 				name := fmt.Sprintf("%s/p%d/block%d", c.Name, p, k)
@@ -284,4 +308,204 @@ func TestCrossingSortMatchesStableSort(t *testing.T) {
 			t.Fatalf("trial %d: order differs from the stable sort", trial)
 		}
 	}
+}
+
+// blockFakeVariants returns the fake-pin sets a block is built with: none,
+// the block's real crossings (both boundaries for an interior block), and
+// those plus two more on one net.
+func blockFakeVariants(c *circuit.Circuit, block partition.RowBlock, crossings []FakePinSpec) [][]FakePinSpec {
+	twice := slices.Clone(crossings)
+	for n := range c.Nets {
+		if len(c.Nets[n].Pins) > 0 {
+			twice = append(twice,
+				FakePinSpec{Net: n, X: 3, Row: block.Lo, Side: circuit.Bottom},
+				FakePinSpec{Net: n, X: 9, Row: block.Hi, Side: circuit.Top})
+			break
+		}
+	}
+	return [][]FakePinSpec{nil, crossings, twice}
+}
+
+// forEachBlockBuild calls fn for gen-random circuits × P ∈ {2, 3, 8} ×
+// every block × every fake-pin variant, and checks afterwards that nothing
+// fn ran wrote to the base circuit.
+func forEachBlockBuild(t *testing.T, fn func(name string, c *circuit.Circuit, block partition.RowBlock, fakes []FakePinSpec)) {
+	t.Helper()
+	ran := map[int]int{}
+	for i := 0; i < 6; i++ {
+		c := randomCircuit(t, i)
+		pristine := c.Clone()
+		for _, p := range []int{2, 3, 8} {
+			if len(c.Rows) < p {
+				continue
+			}
+			ran[p]++
+			blocks, err := partition.RowBlocks(c, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs := computeCrossings(c, blocks, make([]int, len(c.Nets)), 0) // rank 0 owns every net
+			for k, block := range blocks {
+				for v, fakes := range blockFakeVariants(c, block, specs[k]) {
+					fn(fmt.Sprintf("%s/p%d/block%d/fakes%d", c.Name, p, k, v), c, block, fakes)
+				}
+			}
+		}
+		// Clone to clone: Clone turns nil lists into empty ones.
+		if !reflect.DeepEqual(c.Clone(), pristine) {
+			t.Fatalf("%s: building sub-circuits modified the base circuit", c.Name)
+		}
+	}
+	if ran[2] == 0 || ran[3] == 0 || ran[8] == 0 {
+		t.Fatalf("circuits per P: %v — some P never ran", ran)
+	}
+}
+
+// TestBlockCircuitMatchesFullClone: the block-sized sub-circuit is the
+// full-clone one with the foreign rows' cells and pins left out and IDs
+// re-issued — same cells per row, same pins per cell, same per-net pin
+// order, every kept pin equal through the ID map — and its shared backing
+// array gives each list exactly the room it needs: a fake pin or a
+// feedthrough added afterwards never writes into another list.
+func TestBlockCircuitMatchesFullClone(t *testing.T) {
+	forEachBlockBuild(t, func(name string, c *circuit.Circuit, block partition.RowBlock, fakes []FakePinSpec) {
+		full := refBuildSubCircuit(c, block, fakes)
+		sub := buildBlockCircuit(c, block, fakes)
+		if err := sub.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(sub.Rows) != len(full.Rows) || len(sub.Nets) != len(full.Nets) {
+			t.Fatalf("%s: %d rows %d nets, full clone %d %d", name, len(sub.Rows), len(sub.Nets), len(full.Rows), len(full.Nets))
+		}
+		// The ID map, from the cells: row by row, cell by cell, pin by pin.
+		toSub := map[int]int{}
+		cells, pins := 0, 0
+		for r := range full.Rows {
+			if !block.Contains(r) {
+				if len(sub.Rows[r].Cells) != 0 {
+					t.Fatalf("%s: foreign row %d holds %d cells", name, r, len(sub.Rows[r].Cells))
+				}
+				continue
+			}
+			if len(sub.Rows[r].Cells) != len(full.Rows[r].Cells) {
+				t.Fatalf("%s: row %d has %d cells, full clone %d", name, r, len(sub.Rows[r].Cells), len(full.Rows[r].Cells))
+			}
+			for i, fid := range full.Rows[r].Cells {
+				fc, sc := full.Cells[fid], sub.Cells[sub.Rows[r].Cells[i]]
+				if sc.Row != fc.Row || sc.X != fc.X || sc.Width != fc.Width || sc.Feed != fc.Feed || len(sc.Pins) != len(fc.Pins) {
+					t.Fatalf("%s: row %d cell %d is %+v, full clone %+v", name, r, i, sc, fc)
+				}
+				for j, fp := range fc.Pins {
+					toSub[fp] = sc.Pins[j]
+				}
+				cells++
+				pins += len(fc.Pins)
+			}
+		}
+		if len(sub.Cells) != cells || len(sub.Pins) != pins+len(fakes) {
+			t.Fatalf("%s: %d cells %d pins, block holds %d cells %d pins + %d fakes", name, len(sub.Cells), len(sub.Pins), cells, pins, len(fakes))
+		}
+		// Fake pins follow the real ones in both tables, in spec order.
+		for i := range fakes {
+			toSub[len(full.Pins)-len(fakes)+i] = len(sub.Pins) - len(fakes) + i
+		}
+		for fid, sid := range toSub {
+			fp, sp := full.Pins[fid], sub.Pins[sid]
+			if sp.X != fp.X || sp.Row != fp.Row || sp.Side != fp.Side || sp.Offset != fp.Offset || sp.Net != fp.Net || sp.Fake != fp.Fake {
+				t.Fatalf("%s: pin %d is %+v, full clone's pin %d %+v", name, sid, sp, fid, fp)
+			}
+		}
+		for n := range full.Nets {
+			want := make([]int, len(full.Nets[n].Pins))
+			for i, fid := range full.Nets[n].Pins {
+				want[i] = toSub[fid]
+			}
+			if !slices.Equal(sub.Nets[n].Pins, want) {
+				t.Fatalf("%s: net %d pins %v, full clone's through the ID map %v", name, n, sub.Nets[n].Pins, want)
+			}
+		}
+		// Every list is capped at its own end, so growing one copies out.
+		for r := range sub.Rows {
+			if l := sub.Rows[r].Cells; cap(l) != len(l) {
+				t.Fatalf("%s: row %d cell list has cap %d over len %d", name, r, cap(l), len(l))
+			}
+		}
+		for i := range sub.Cells {
+			if l := sub.Cells[i].Pins; cap(l) != len(l) {
+				t.Fatalf("%s: cell %d pin list has cap %d over len %d", name, i, cap(l), len(l))
+			}
+		}
+		for n := range sub.Nets {
+			if l := sub.Nets[n].Pins; cap(l) != len(l) {
+				t.Fatalf("%s: net %d pin list has cap %d over len %d", name, n, cap(l), len(l))
+			}
+		}
+		before := buildBlockCircuit(c, block, fakes)
+		grown := -1
+		for n := range sub.Nets {
+			if len(sub.Nets[n].Pins) > 0 {
+				grown = n
+				break
+			}
+		}
+		sub.AddFakePin(grown, 5, block.Lo, circuit.Bottom)
+		sub.InsertFeedthrough(block.Hi, 40, grown)
+		for n := range sub.Nets {
+			if n != grown && !slices.Equal(sub.Nets[n].Pins, before.Nets[n].Pins) {
+				t.Fatalf("%s: growing net %d rewrote net %d", name, grown, n)
+			}
+		}
+		for r := range sub.Rows {
+			if r != block.Hi && !slices.Equal(sub.Rows[r].Cells, before.Rows[r].Cells) {
+				t.Fatalf("%s: inserting into row %d rewrote row %d", name, block.Hi, r)
+			}
+		}
+		for i := range before.Cells {
+			if !slices.Equal(sub.Cells[i].Pins, before.Cells[i].Pins) {
+				t.Fatalf("%s: growing the tables rewrote cell %d's pins", name, i)
+			}
+		}
+		if err := sub.Validate(); err != nil {
+			t.Fatalf("%s: after growth: %v", name, err)
+		}
+	})
+}
+
+// TestBlockCircuitRoutesLikeFullClone: the serial pipeline through step 4,
+// run the way a row-wise rank runs it, produces the same segments, counts
+// and wires on the block-sized sub-circuit as on the full clone — nothing
+// in the router depends on the cell and pin IDs the builder re-issues.
+func TestBlockCircuitRoutesLikeFullClone(t *testing.T) {
+	forEachBlockBuild(t, func(name string, c *circuit.Circuit, block partition.RowBlock, fakes []FakePinSpec) {
+		run := func(sub *circuit.Circuit) *route.Router {
+			rt := route.NewRouter(sub, route.Options{Seed: 5, GridWidth: c.CoreWidth()})
+			if err := rt.BuildTrees(context.Background()); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			rt.CoarseRoute()
+			rt.InsertFeedthroughs()
+			if err := rt.AssignFeedthroughs(context.Background()); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := rt.ConnectNets(context.Background()); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return rt
+		}
+		want, got := run(refBuildSubCircuit(c, block, fakes)), run(buildBlockCircuit(c, block, fakes))
+		if len(got.Segs) != len(want.Segs) || got.CoarseFlips != want.CoarseFlips ||
+			got.InsertedFts != want.InsertedFts || got.ForcedEdges != want.ForcedEdges {
+			t.Fatalf("%s: segs/flips/fts/forced %d/%d/%d/%d, full clone %d/%d/%d/%d", name,
+				len(got.Segs), got.CoarseFlips, got.InsertedFts, got.ForcedEdges,
+				len(want.Segs), want.CoarseFlips, want.InsertedFts, want.ForcedEdges)
+		}
+		if !slices.Equal(got.Wires, want.Wires) {
+			t.Fatalf("%s: wires differ from the full clone's", name)
+		}
+		for r := block.Lo; r <= block.Hi; r++ {
+			if got.C.RowWidth(r) != want.C.RowWidth(r) {
+				t.Fatalf("%s: row %d width %d, full clone %d", name, r, got.C.RowWidth(r), want.C.RowWidth(r))
+			}
+		}
+	})
 }

@@ -61,11 +61,7 @@ func hybridWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, bloc
 			return nil
 		}),
 		stage("subcircuit", func(_ *pipeline.Session) error {
-			if opt.TrimSubcircuits {
-				sub = buildTrimmedSubCircuit(base, block, myFakes)
-			} else {
-				sub = buildSubCircuit(base, block, myFakes)
-			}
+			sub = buildBlockCircuit(base, block, myFakes)
 			rt = route.NewRouter(sub, ropt)
 			return nil
 		}),
@@ -136,7 +132,7 @@ func hybridWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, bloc
 			if err != nil {
 				return fmt.Errorf("hybrid: wire redistribution: %w", err)
 			}
-			if myWires, err = concatWires(in, "redistributed wires"); err != nil {
+			if myWires, err = concatWires(in, tagWiresRedist, sub.NumChannels()); err != nil {
 				return err
 			}
 			coreW, err := globalCoreWidth(comm, sub, block)

@@ -72,13 +72,6 @@ type Options struct {
 	// Net selects the net-partition heuristic (paper §5). Default
 	// PinWeight, the paper's recommendation.
 	Net partition.Config
-	// TrimSubcircuits makes the row-wise and hybrid workers build compact
-	// sub-circuits holding only their own rows' cells and pins (plus fake
-	// pins) instead of a full clone — the paper's memory-scalability
-	// motivation for the row partition ("to solve large routing problems
-	// which require considerable amount of memory"). Routing results are
-	// identical with or without trimming; only per-worker memory changes.
-	TrimSubcircuits bool
 	// NetwiseSyncPerPass is how many grid/occupancy synchronizations the
 	// net-wise algorithm performs per improvement pass. More syncs mean
 	// fresher shared state (better quality) and more communication (worse

@@ -255,7 +255,7 @@ func TestBuildSubCircuit(t *testing.T) {
 	c := testCircuit(t)
 	blocks, _ := partition.RowBlocks(c, 2)
 	fakes := []FakePinSpec{{Net: 0, X: 10, Row: blocks[0].Hi, Side: circuit.Top}}
-	sub := buildSubCircuit(c, blocks[0], fakes)
+	sub := buildBlockCircuit(c, blocks[0], fakes)
 	if err := sub.Validate(); err != nil {
 		t.Fatalf("sub-circuit invalid: %v", err)
 	}
@@ -268,11 +268,10 @@ func TestBuildSubCircuit(t *testing.T) {
 			}
 		}
 	}
-	// Detached pins are marked NoNet.
-	for i := range c.Pins {
-		p := &sub.Pins[i]
-		if !blocks[0].Contains(p.Row) && p.Net != circuit.NoNet {
-			t.Fatalf("foreign pin %d still attached to net %d", i, p.Net)
+	// Foreign rows are empty placeholders.
+	for r := blocks[1].Lo; r <= blocks[1].Hi; r++ {
+		if len(sub.Rows[r].Cells) != 0 {
+			t.Fatalf("foreign row %d holds %d cells", r, len(sub.Rows[r].Cells))
 		}
 	}
 	// The fake pin exists and is attached.
@@ -281,9 +280,6 @@ func TestBuildSubCircuit(t *testing.T) {
 		t.Fatalf("fake pin missing: %+v", last)
 	}
 	// The base circuit is untouched.
-	if len(c.Pins) == len(sub.Pins) {
-		t.Fatal("fake pin not added")
-	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("base circuit corrupted: %v", err)
 	}
@@ -489,67 +485,4 @@ func TestChannelDensitySumStableAcrossBlockCounts(t *testing.T) {
 		}
 	}
 	sort.Ints(res.ChannelDensity) // exercise no panic; densities well-formed
-}
-
-func TestTrimmedSubcircuitsIdenticalResults(t *testing.T) {
-	// Trimming is a memory optimization, never a behavioral one: results
-	// must be bit-identical with and without it.
-	c := testCircuit(t)
-	for _, algo := range []Algorithm{RowWise, Hybrid} {
-		for _, p := range []int{1, 3, 8} {
-			full, err := Run(context.Background(), c, Options{Algo: algo, Procs: p, Route: route.Options{Seed: 5}})
-			if err != nil {
-				t.Fatalf("%v p=%d: %v", algo, p, err)
-			}
-			trim, err := Run(context.Background(), c, Options{Algo: algo, Procs: p, Route: route.Options{Seed: 5},
-				TrimSubcircuits: true})
-			if err != nil {
-				t.Fatalf("%v p=%d trimmed: %v", algo, p, err)
-			}
-			if full.TotalTracks != trim.TotalTracks || full.Wirelength != trim.Wirelength ||
-				full.Feedthroughs != trim.Feedthroughs || len(full.Wires) != len(trim.Wires) {
-				t.Fatalf("%v p=%d: trimmed differs: %d/%d tracks, %d/%d WL",
-					algo, p, trim.TotalTracks, full.TotalTracks, trim.Wirelength, full.Wirelength)
-			}
-			for i := range full.Wires {
-				if full.Wires[i] != trim.Wires[i] {
-					t.Fatalf("%v p=%d: wire %d differs", algo, p, i)
-				}
-			}
-		}
-	}
-}
-
-func TestTrimmedSubcircuitsSaveMemory(t *testing.T) {
-	c, err := gen.Benchmark("primary2", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, _ := partition.RowBlocks(c, 8)
-	full := buildSubCircuit(c, blocks[0], nil)
-	trim := buildTrimmedSubCircuit(c, blocks[0], nil)
-	if err := trim.Validate(); err != nil {
-		t.Fatalf("trimmed sub-circuit invalid: %v", err)
-	}
-	// The trimmed copy must hold roughly 1/8 of the cells and pins.
-	if len(trim.Cells)*4 > len(full.Cells) {
-		t.Fatalf("trimmed holds %d cells vs full %d — not trimmed", len(trim.Cells), len(full.Cells))
-	}
-	if len(trim.Pins)*4 > len(full.Pins) {
-		t.Fatalf("trimmed holds %d pins vs full %d", len(trim.Pins), len(full.Pins))
-	}
-	// Same per-net local pin multiset.
-	for n := range c.Nets {
-		if len(trim.Nets[n].Pins) != len(full.Nets[n].Pins) {
-			t.Fatalf("net %d: %d vs %d local pins", n, len(trim.Nets[n].Pins), len(full.Nets[n].Pins))
-		}
-		for i := range trim.Nets[n].Pins {
-			tp := trim.Pins[trim.Nets[n].Pins[i]]
-			fp := full.Pins[full.Nets[n].Pins[i]]
-			if tp.X != fp.X || tp.Row != fp.Row || tp.Side != fp.Side {
-				t.Fatalf("net %d pin %d: (%d,%d,%v) vs (%d,%d,%v)",
-					n, i, tp.X, tp.Row, tp.Side, fp.X, fp.Row, fp.Side)
-			}
-		}
-	}
 }

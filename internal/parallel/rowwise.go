@@ -59,11 +59,7 @@ func rowWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 			return nil
 		}),
 		stage("subcircuit", func(_ *pipeline.Session) error {
-			if opt.TrimSubcircuits {
-				sub = buildTrimmedSubCircuit(base, block, myFakes)
-			} else {
-				sub = buildSubCircuit(base, block, myFakes)
-			}
+			sub = buildBlockCircuit(base, block, myFakes)
 			rt = route.NewRouter(sub, ropt)
 			return nil
 		}),

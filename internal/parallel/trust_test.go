@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"parroute/internal/circuit"
+	"parroute/internal/geom"
+	"parroute/internal/metrics"
 	"parroute/internal/mp"
 	"parroute/internal/partition"
 	"parroute/internal/route"
@@ -37,12 +39,19 @@ func appendTo[B ~[]E, E any](elem E) func(any) any {
 	return func(v any) any { return append(slices.Clone(v.(B)), elem) }
 }
 
+// forgery is one lie a peer can tell: the batch transform, the field the
+// error must name, and the subtest's name for it.
+type forgery struct {
+	name, field string
+	forge       func(any) any
+}
+
 // TestForgedBatchIndexIsAttributed: every index a rank takes off the mesh
 // and uses as a subscript — the net and row of a fake-pin spec, a crossing
-// and a step-4 node — is validated once per received batch. A peer that
-// sends one out-of-range element fails the run with an error naming the
-// source rank, the tag and the field; no rank panics and none is left
-// behind.
+// and a step-4 node, and the channel, span and row of a redistributed or
+// gathered wire — is validated once per received batch. A peer that sends
+// one out-of-range element fails the run with an error naming the source
+// rank, the tag and the field; no rank panics and none is left behind.
 func TestForgedBatchIndexIsAttributed(t *testing.T) {
 	c := testCircuit(t)
 	const p = 2
@@ -55,39 +64,66 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	type worker func(context.Context, mp.Comm, *circuit.Circuit, []partition.RowBlock, []int, Options, *runOutput) error
-	badNet, badRow := len(c.Nets), len(c.Rows)
-	node := func(net, row int) func(any) any {
-		return appendTo[NodeBatch](NodeMsg{Net: net, X: 1, Row: row, Side: circuit.Both})
-	}
-	cases := []struct {
-		name  string
-		run   worker
-		tag   int
-		forge func(net, row int) func(any) any
-	}{
-		{"rowwise/fake-pins", rowWiseWorker, tagFakePins, func(net, row int) func(any) any {
-			return appendTo[FakePinBatch](FakePinSpec{Net: net, X: 1, Row: row, Side: circuit.Top})
-		}},
-		{"hybrid/net-nodes", hybridWorker, tagNetNodes, node},
-		{"netwise/crossings", netWiseWorker, tagCrossings, func(net, row int) func(any) any {
-			return appendTo[CrossingBatch](CrossingMsg{Net: net, X: 1, Row: row})
-		}},
-		{"netwise/net-nodes", netWiseWorker, tagNetNodes, node},
-		{"netwise/ft-nodes", netWiseWorker, tagFtNodes, node},
-	}
-	for _, tc := range cases {
-		// A row of rank 0's block keeps the net-only forgery's row valid
-		// everywhere (fake pins and crossings must land inside the block).
+	// A row of rank 0's block keeps the net-only forgery's row valid
+	// everywhere (fake pins and crossings must land inside the block).
+	indexed := func(mk func(net, row int) func(any) any) []forgery {
+		var out []forgery
 		for _, bad := range []struct {
 			field    string
 			net, row int
 		}{
-			{"net", badNet, blocks[0].Lo},
+			{"net", len(c.Nets), blocks[0].Lo},
 			{"net", -1, blocks[0].Lo},
-			{"row", 0, badRow},
+			{"row", 0, len(c.Rows)},
 			{"row", 0, -1},
 		} {
-			t.Run(fmt.Sprintf("%s/bad-%s/net%d,row%d", tc.name, bad.field, bad.net, bad.row), func(t *testing.T) {
+			out = append(out, forgery{fmt.Sprintf("bad-%s/net%d,row%d", bad.field, bad.net, bad.row), bad.field, mk(bad.net, bad.row)})
+		}
+		return out
+	}
+	nodes := indexed(func(net, row int) func(any) any {
+		return appendTo[NodeBatch](NodeMsg{Net: net, X: 1, Row: row, Side: circuit.Both})
+	})
+	var wires []forgery
+	for _, bad := range []struct {
+		name, field string
+		w           metrics.Wire
+	}{
+		{"channel-1", "channel", metrics.Wire{Channel: -1, Span: geom.NewInterval(0, 4)}},
+		{"channel-past-end", "channel", metrics.Wire{Channel: c.NumChannels(), Span: geom.NewInterval(0, 4)}},
+		{"span-negative", "span lo", metrics.Wire{Span: geom.NewInterval(-1, 4)}},
+		{"span-unpackable", "span hi", metrics.Wire{Span: geom.NewInterval(0, 1<<39)}},
+		{"row-1", "row", metrics.Wire{Span: geom.NewInterval(0, 4), Switchable: true, Row: -1}},
+		{"row-past-end", "row", metrics.Wire{Span: geom.NewInterval(0, 4), Switchable: true, Row: len(c.Rows)}},
+	} {
+		wires = append(wires, forgery{"bad-" + bad.name, bad.field, func(v any) any {
+			wb := v.(WireBatch)
+			wb.Wires = append(slices.Clone(wb.Wires), bad.w)
+			return wb
+		}})
+	}
+	cases := []struct {
+		name      string
+		run       worker
+		tag       int
+		forgeries []forgery
+	}{
+		{"rowwise/fake-pins", rowWiseWorker, tagFakePins, indexed(func(net, row int) func(any) any {
+			return appendTo[FakePinBatch](FakePinSpec{Net: net, X: 1, Row: row, Side: circuit.Top})
+		})},
+		{"hybrid/net-nodes", hybridWorker, tagNetNodes, nodes},
+		{"netwise/crossings", netWiseWorker, tagCrossings, indexed(func(net, row int) func(any) any {
+			return appendTo[CrossingBatch](CrossingMsg{Net: net, X: 1, Row: row})
+		})},
+		{"netwise/net-nodes", netWiseWorker, tagNetNodes, nodes},
+		{"netwise/ft-nodes", netWiseWorker, tagFtNodes, nodes},
+		{"hybrid/wires-redist", hybridWorker, tagWiresRedist, wires},
+		{"hybrid/wires", hybridWorker, tagWires, wires},
+		{"netwise/wires", netWiseWorker, tagWires, wires},
+	}
+	for _, tc := range cases {
+		for _, bad := range tc.forgeries {
+			t.Run(tc.name+"/"+bad.name, func(t *testing.T) {
 				baseline := runtime.NumGoroutine()
 				ctx, cancel := context.WithTimeout(context.Background(), cancelWatchdog)
 				defer cancel()
@@ -95,13 +131,14 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 				if err := opt.normalize(); err != nil {
 					t.Fatal(err)
 				}
+				out := &runOutput{} // only rank 0 writes it, as under Run
 				done := make(chan error, 1)
 				go func() {
 					_, err := mp.Config{Procs: p, Mode: mp.Inproc}.RunContext(ctx, func(comm mp.Comm) error {
 						if comm.Rank() == 1 {
-							comm = &forgingComm{Comm: comm, tag: tc.tag, forge: tc.forge(bad.net, bad.row)}
+							comm = &forgingComm{Comm: comm, tag: tc.tag, forge: bad.forge}
 						}
-						return tc.run(ctx, comm, c, blocks, owner, opt, &runOutput{})
+						return tc.run(ctx, comm, c, blocks, owner, opt, out)
 					})
 					done <- err
 				}()
@@ -110,6 +147,10 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 				case err = <-done:
 				case <-time.After(cancelWatchdog):
 					t.Fatal("run with a forged batch did not return")
+				}
+				if err == nil && out.raw != nil {
+					// Gathered wires are checked where Run uses them: the merge.
+					_, err = out.raw.merge(c, opt)
 				}
 				if err == nil {
 					t.Fatal("forged batch was accepted")

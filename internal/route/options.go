@@ -15,11 +15,11 @@ type Options struct {
 	Seed uint64
 	// GridColWidth is the coarse-grid column width in x units. Default 16.
 	GridColWidth int
-	// GridWidth fixes the coarse grid's horizontal extent in x units; 0
-	// means the routed circuit's own core width. The parallel algorithms
-	// set it to the full design's width so a worker holding a trimmed
-	// sub-circuit (whose foreign rows are empty) still builds the same
-	// grid as an untrimmed one.
+	// GridWidth fixes the coarse grid's horizontal extent in x units (and
+	// is the least extent of step 4's occupancy); 0 means the routed
+	// circuit's own core width. The row-partitioned parallel algorithms
+	// set it to the full design's width, because a rank's sub-circuit
+	// holds only its block's rows and is narrower than the design.
 	GridWidth int
 	// CoarsePasses is how many random full sweeps of L-flip improvement
 	// step 2 performs. Default 3.

@@ -465,7 +465,9 @@ func (rt *Router) bindFt(pinID, netID int) {
 // order, is what the switchable-channel choices depend on, so the output
 // is byte-identical at every worker count.
 func (rt *Router) ConnectNets(ctx context.Context) error {
-	occ := NewOccupancy(rt.C.NumChannels(), rt.C.CoreWidth(), rt.Opt.GridColWidth)
+	// Never narrower than the fixed grid extent: a block-sized sub-circuit
+	// has no foreign rows to widen it, and its fake pins sit at full-design x.
+	occ := NewOccupancy(rt.C.NumChannels(), geom.Max(rt.C.CoreWidth(), rt.Opt.GridWidth), rt.Opt.GridColWidth)
 	rt.NetNodes = make([][]Node, len(rt.C.Nets))
 	// A k-node net yields exactly k-1 connections, so the output size
 	// is known up front; per-net node lists carve out of one arena.
@@ -611,6 +613,6 @@ func (rt *Router) Result(algo string, procs int, elapsed time.Duration) *metrics
 		Elapsed:         elapsed,
 		Phases:          rt.phases,
 	}
-	res.Finalize(rt.C.NumChannels(), len(rt.C.Rows), rt.C.CellHeight, rt.Opt.TrackPitch)
+	res.Finalize(rt.C.NumChannels(), len(rt.C.Rows), rt.C.CellHeight, rt.Opt.TrackPitch, rt.Opt.Workers)
 	return res
 }

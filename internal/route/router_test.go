@@ -199,7 +199,7 @@ func TestWireChannelsConsistentWithEndpoints(t *testing.T) {
 
 func TestResultMetricsConsistent(t *testing.T) {
 	_, rt, res := routeSmall(t, 19)
-	d := metrics.ChannelDensities(rt.C.NumChannels(), res.Wires)
+	d := metrics.ChannelDensities(rt.C.NumChannels(), res.Wires, 1)
 	if metrics.TotalTracks(d) != res.TotalTracks {
 		t.Fatal("TotalTracks does not match recomputation")
 	}

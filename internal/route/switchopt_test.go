@@ -230,7 +230,7 @@ func TestOptimizeSwitchableBalances(t *testing.T) {
 	if in2 != 5 || in3 != 5 {
 		t.Fatalf("split %d/%d, want 5/5", in2, in3)
 	}
-	d := metrics.ChannelDensities(4, wires)
+	d := metrics.ChannelDensities(4, wires, 1)
 	if d[2] != 5 || d[3] != 5 {
 		t.Fatalf("densities %v", d)
 	}
@@ -270,11 +270,11 @@ func TestOptimizeSwitchableNeverWorsensCost(t *testing.T) {
 				Span: geom.NewInterval(r.Intn(300), r.Intn(300)),
 			})
 		}
-		before := metrics.TotalTracks(metrics.ChannelDensities(nch, wires))
+		before := metrics.TotalTracks(metrics.ChannelDensities(nch, wires, 1))
 		occ := NewOccupancy(nch, 300, 16)
 		occ.AddWires(wires)
 		OptimizeSwitchable(wires, occ, r.Split(), 3)
-		after := metrics.TotalTracks(metrics.ChannelDensities(nch, wires))
+		after := metrics.TotalTracks(metrics.ChannelDensities(nch, wires, 1))
 		if after > before {
 			t.Fatalf("trial %d: optimization worsened tracks %d -> %d", trial, before, after)
 		}

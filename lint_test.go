@@ -2,6 +2,9 @@ package parroute_test
 
 import (
 	"go/types"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"parroute/internal/lint"
@@ -33,10 +36,27 @@ func TestParroutecheckClean(t *testing.T) {
 		"parroute/internal/route.ConnectNodes": true,
 		"parroute/internal/steiner.BuildNet":   true,
 	}
+	// The row-partitioned drivers (and the sub-circuit builder they share)
+	// read base and build a block-sized sub-circuit from it; a Clone there
+	// is each rank paying for rows it does not own again. Net-wise is the
+	// exception — a rank routes nets through every row, so netwise.go
+	// keeps its clone — as is RunBaseline in parallel.go.
+	const clone = "(*parroute/internal/circuit.Circuit).Clone"
+	blockSized := []string{"internal/parallel/rowwise.go", "internal/parallel/hybrid.go", "internal/parallel/common.go"}
 	for _, pkg := range mod.Pkgs {
 		for id, obj := range pkg.Info.Uses {
-			if fn, ok := obj.(*types.Func); ok && slow[fn.FullName()] {
-				t.Errorf("%s: %s called outside a _test.go file", mod.Fset.Position(id.Pos()), fn.FullName())
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			pos := mod.Fset.Position(id.Pos())
+			if slow[fn.FullName()] {
+				t.Errorf("%s: %s called outside a _test.go file", pos, fn.FullName())
+			}
+			if fn.FullName() == clone && slices.ContainsFunc(blockSized, func(f string) bool {
+				return strings.HasSuffix(filepath.ToSlash(pos.Filename), f)
+			}) {
+				t.Errorf("%s: circuit.Clone in a row-partitioned driver: build from base with buildBlockCircuit", pos)
 			}
 		}
 	}
