@@ -6,64 +6,84 @@ import (
 	"testing"
 
 	"parroute/internal/gen"
+	"parroute/internal/metrics"
 	"parroute/internal/mp"
 	"parroute/internal/parallel"
 	"parroute/internal/route"
 )
 
-// TestParallelDriverAllocBudget holds the two whole-net drivers to a
-// committed heap-allocation count: one parallel.Run at P=2 on mp.Inproc
-// over primary2, Mallocs and TotalAlloc read around the call. Neither
-// depends on the clock or on GC timing (the count moves by a handful with
-// goroutine scheduling), so an append-in-a-loop regression in a driver
-// fails here without a wall-clock measurement.
+// TestParallelDriverAllocBudget holds the two whole-net drivers and the
+// serial router to a committed heap-allocation count: one parallel.Run at
+// P=2 on mp.Inproc, or one route.Route at one and two workers, over
+// primary2, Mallocs and TotalAlloc read around the call. Neither depends on
+// the clock or on GC timing (the count moves by a handful with goroutine
+// scheduling), so an append-in-a-loop regression fails here without a
+// wall-clock measurement.
 //
-// Malloc budgets are the measured counts + 25 %: 3450 (hybrid) and 3062
-// (net-wise) in a plain build, 4650 and 3085 under -race, which is how the
-// full gate runs every test — so the -race counts set the budgets. On
-// record: before the drivers moved to the serial router's arena and
-// scratch-reuse forms the same runs made 56941 (hybrid) and 77220
-// (net-wise) allocations.
+// Malloc budgets are the measured counts + 25 %, one for plain builds (the
+// step of its own in scripts/check.sh) and one for -race builds, where the
+// counts are higher and which is how the full gate runs every test: hybrid
+// 1832 plain / 3041 -race, net-wise 1490 / 1507, route.Route 1362 / 2538
+// at one worker and 1442 / 2648 at two. On record: 3450, 3062 and 2985
+// (hybrid, net-wise, route.Route at one worker; plain builds) while every
+// feedthrough cell still allocated its own one-pin list, and 56941 and
+// 77220 before the drivers moved to the serial router's arena and
+// scratch-reuse forms.
 //
 // The hybrid byte budget keeps the ranks on block-sized sub-circuits: the
-// run allocates 8.82 MB, and 12.13 MB when each rank cloned the whole
+// run allocates 8.88 MB, and 12.13 MB when each rank cloned the whole
 // circuit and filtered it. It is checked in plain builds only (the step of
-// its own in scripts/check.sh): the race runtime adds 4.7 MB to both
+// its own in scripts/check.sh): the race runtime adds 3.9 MB to both
 // figures, which puts the full clone inside measured + 25 %.
 func TestParallelDriverAllocBudget(t *testing.T) {
 	c, err := gen.Benchmark("primary2", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	par := func(algo parallel.Algorithm) func() (*metrics.Result, error) {
+		opt := parallel.Options{Algo: algo, Procs: 2, Mode: mp.Inproc, Route: route.Options{Seed: 7}}
+		return func() (*metrics.Result, error) { return parallel.Run(context.Background(), c, opt) }
+	}
+	serial := func(workers int) func() (*metrics.Result, error) {
+		opt := route.Options{Seed: 7, Workers: workers}
+		return func() (*metrics.Result, error) { return route.Route(context.Background(), c, opt) }
+	}
 	for _, tc := range []struct {
-		algo   parallel.Algorithm
-		budget uint64 // mallocs
-		bytes  uint64 // TotalAlloc; 0 = not budgeted
+		name  string
+		run   func() (*metrics.Result, error)
+		plain uint64 // mallocs, plain build
+		race  uint64 // mallocs, -race build
+		bytes uint64 // TotalAlloc; 0 = not budgeted
 	}{
-		{parallel.Hybrid, 5800, 11_000_000},
-		{parallel.NetWise, 3850, 0},
+		{"hybrid P=2 inproc", par(parallel.Hybrid), 2290, 3800, 11_000_000},
+		{"net-wise P=2 inproc", par(parallel.NetWise), 1860, 1880, 0},
+		{"route.Route workers=1", serial(1), 1700, 3170, 0},
+		{"route.Route workers=2", serial(2), 1800, 3310, 0},
 	} {
-		opt := parallel.Options{Algo: tc.algo, Procs: 2, Mode: mp.Inproc, Route: route.Options{Seed: 7}}
+		budget := tc.plain
+		if raceBuild {
+			budget = tc.race
+		}
 		// Warm-up run: one-time runtime and package initialisation stay
 		// out of the count.
-		if _, err := parallel.Run(context.Background(), c, opt); err != nil {
+		if _, err := tc.run(); err != nil {
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := parallel.Run(context.Background(), c, opt)
+		res, err := tc.run()
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-		t.Logf("%v P=2 inproc primary2: %d mallocs (budget %d), %d bytes (budget %d), %d tracks",
-			tc.algo, mallocs, tc.budget, bytes, tc.bytes, res.TotalTracks)
-		if mallocs > tc.budget {
-			t.Errorf("%v: %d mallocs per run, budget %d", tc.algo, mallocs, tc.budget)
+		t.Logf("%s primary2: %d mallocs (budget %d), %d bytes (budget %d), %d tracks",
+			tc.name, mallocs, budget, bytes, tc.bytes, res.TotalTracks)
+		if mallocs > budget {
+			t.Errorf("%s: %d mallocs per run, budget %d", tc.name, mallocs, budget)
 		}
 		if tc.bytes > 0 && !raceBuild && bytes > tc.bytes {
-			t.Errorf("%v: %d bytes allocated per run, budget %d", tc.algo, bytes, tc.bytes)
+			t.Errorf("%s: %d bytes allocated per run, budget %d", tc.name, bytes, tc.bytes)
 		}
 	}
 }

@@ -12,6 +12,7 @@ package circuit
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"parroute/internal/geom"
@@ -215,26 +216,11 @@ func (c *Circuit) AddFakePin(netID, x, row int, side Side) int {
 // possible to x, shifting every cell at or right of the insertion point
 // (and the pins on them) by the feedthrough width. It returns the ID of the
 // feedthrough's pin, which is attached to net netID.
+//
+// This is the one-at-a-time form (O(row length) per call) for the rare
+// late insertion; bulk insertion goes through InsertFeedthroughRows, whose
+// result is defined as what a sequence of these calls produces.
 func (c *Circuit) InsertFeedthrough(r, x, netID int) int {
-	pin := c.InsertFeedthroughDeferred(r, x, netID)
-	// Re-sync only this row's pins; callers inserting in bulk use the
-	// deferred form plus one SyncPinX instead.
-	for _, cid := range c.Rows[r].Cells {
-		cell := &c.Cells[cid]
-		for _, pid := range cell.Pins {
-			c.Pins[pid].X = cell.X + c.Pins[pid].Offset
-		}
-	}
-	return pin
-}
-
-// InsertFeedthroughDeferred is InsertFeedthrough without the pin-position
-// maintenance: cells (and fake pins) shift immediately, but the X of pins
-// attached to cells goes stale until the caller runs SyncPinX. Bulk
-// insertion uses it to replace the per-insertion O(row pins) shift with a
-// single final sweep; the end state is identical because an attached
-// pin's position is always its cell's X plus its offset.
-func (c *Circuit) InsertFeedthroughDeferred(r, x, netID int) int {
 	row := &c.Rows[r]
 	// Find the first cell whose left edge is >= x; insert before it.
 	idx := sort.Search(len(row.Cells), func(i int) bool {
@@ -262,14 +248,16 @@ func (c *Circuit) InsertFeedthroughDeferred(r, x, netID int) int {
 	copy(row.Cells[idx+1:], row.Cells[idx:])
 	row.Cells[idx] = cellID
 
-	// Shift everything to the right of the insertion point — cells and the
-	// fake pins registered on this row, so boundary hand-off points drift
-	// with the layout around them instead of stretching every boundary
-	// wire by the accumulated insertion width. Attached pins are NOT
-	// shifted here (see the doc comment); fake pins have no cell, so they
-	// must move immediately — later insertions position against them.
+	// Shift everything to the right of the insertion point — cells, the
+	// pins on them, and the fake pins registered on this row, so boundary
+	// hand-off points drift with the layout around them instead of
+	// stretching every boundary wire by the accumulated insertion width.
 	for _, cid := range row.Cells[idx+1:] {
-		c.Cells[cid].X += c.FeedWidth
+		cell := &c.Cells[cid]
+		cell.X += c.FeedWidth
+		for _, pid := range cell.Pins {
+			c.Pins[pid].X = cell.X + c.Pins[pid].Offset
+		}
 	}
 	if r < len(c.fakeByRow) {
 		for _, pid := range c.fakeByRow[r] {
@@ -278,37 +266,153 @@ func (c *Circuit) InsertFeedthroughDeferred(r, x, netID int) int {
 			}
 		}
 	}
-
-	pinID := c.AddPin(cellID, netID, c.FeedWidth/2, Both)
-	return pinID
+	return c.AddPin(cellID, netID, c.FeedWidth/2, Both)
 }
 
-// SyncPinX recomputes the absolute X of every cell-attached pin from its
-// cell position and offset, closing a batch of InsertFeedthroughDeferred
-// calls. Fake pins (no cell) are untouched: insertion maintains them
-// directly.
-func (c *Circuit) SyncPinX() {
-	for i := range c.Pins {
-		p := &c.Pins[i]
-		if p.Cell != NoCell {
-			p.X = c.Cells[p.Cell].X + p.Offset
+// InsertFeedthroughRows inserts len(xs) net-less feedthrough cells at once:
+// row r receives one at each x of xs[off[r]:off[r+1]] (off is a prefix sum
+// over the rows), and the result — row order, every cell, every pin — is
+// exactly what calling InsertFeedthrough(r, x, NoNet) for each entry in
+// order would leave. The feedthrough for xs[i] gets cell ID first cell + i
+// and pin ID firstPin + i, so callers address the new pins by position.
+//
+// Within a row the xs must be non-decreasing. That is what makes one walk
+// per row enough: an insertion only shifts cells that are not left of it,
+// so the insertion cursor never moves left, the shift of the cells behind
+// it is applied once when the cursor passes them, and the only reordering
+// is among feedthroughs of one gap (a later one can land in front of
+// earlier ones), which a stack resolves. Rows share no state — IDs and
+// scratch come from off — so the walks may run concurrently: forRows is
+// handed the row count and the walk, and must have called walk(r) once for
+// every row r when it returns, on as many goroutines as it likes.
+//
+// The arguments are checked before anything is written: an error leaves c
+// untouched.
+func (c *Circuit) InsertFeedthroughRows(off, xs []int, forRows func(rows int, walk func(r int))) (firstPin int, err error) {
+	rows := len(c.Rows)
+	if len(off) != rows+1 || off[0] != 0 || off[rows] != len(xs) {
+		return 0, fmt.Errorf("circuit: feedthrough offsets do not cover %d rows and %d positions", rows, len(xs))
+	}
+	// listOff[r] is where row r's regrown cell list starts in one shared
+	// backing array; rows that receive nothing keep their list.
+	listOff := make([]int, rows+1)
+	for r := 0; r < rows; r++ {
+		lo, hi := off[r], off[r+1]
+		if hi < lo || hi > len(xs) {
+			return 0, fmt.Errorf("circuit: feedthrough offsets decrease at row %d", r)
+		}
+		for i := lo + 1; i < hi; i++ {
+			if xs[i] < xs[i-1] {
+				return 0, fmt.Errorf("circuit: feedthrough positions of row %d not sorted: %d after %d", r, xs[i], xs[i-1])
+			}
+		}
+		listOff[r+1] = listOff[r]
+		if hi > lo {
+			listOff[r+1] += len(c.Rows[r].Cells) + hi - lo
 		}
 	}
+	firstCell, firstPin := len(c.Cells), len(c.Pins)
+	if len(xs) == 0 {
+		return firstPin, nil
+	}
+	c.Cells = append(make([]Cell, 0, firstCell+len(xs)), c.Cells...)[:firstCell+len(xs)]
+	c.Pins = append(make([]Pin, 0, firstPin+len(xs)), c.Pins...)[:firstPin+len(xs)]
+	lists := make([]int, listOff[rows])
+	// Per request: the feedthrough's one-pin list, and the walk's two
+	// scratch slots.
+	perFeed := make([]int, 3*len(xs))
+	cellPins, scratch := perFeed[:len(xs)], perFeed[len(xs):]
+	forRows(rows, func(r int) {
+		lo, hi := off[r], off[r+1]
+		if hi > lo {
+			// Capped at its own end, so a later append copies out instead
+			// of running into the next row's list.
+			out := lists[listOff[r]:listOff[r+1]:listOff[r+1]]
+			c.walkRow(r, xs[lo:hi], firstCell+lo, firstPin+lo, out, cellPins[lo:hi], scratch[2*lo:2*hi])
+		}
+	})
+	return firstPin, nil
 }
 
-// GrowForFeedthroughs pre-sizes the cell and pin tables (and each row's
-// cell list, per rowCounts) for n upcoming feedthrough insertions, so bulk
-// insertion does not repeatedly regrow the circuit's backing arrays. A nil
-// rowCounts grows only the flat tables.
-func (c *Circuit) GrowForFeedthroughs(n int, rowCounts []int) {
-	c.Cells = append(make([]Cell, 0, len(c.Cells)+n), c.Cells...)
-	c.Pins = append(make([]Pin, 0, len(c.Pins)+n), c.Pins...)
-	for r := range rowCounts {
-		if rowCounts[r] == 0 {
-			continue
+// walkRow is the one-row walk of InsertFeedthroughRows: the row's cells and
+// the new feedthroughs (cell IDs cell0.., pin IDs pin0..) are written to out
+// left to right with their final positions. scratch has two slots per x.
+func (c *Circuit) walkRow(r int, xs []int, cell0, pin0 int, out, cellPins, scratch []int) {
+	old := c.Rows[r].Cells
+	fw := c.FeedWidth
+	// pending holds the feedthroughs of the current gap that a later one may
+	// still land in front of, rightmost first — the top is the leftmost.
+	pending := scratch[:0:len(xs)]
+	// reach[j] is the largest at_i - i*FeedWidth over insertions i <= j
+	// (at_i being where insertion i went in): a fake pin that started at x0
+	// is still at or right of insertions 0..j exactly when reach[j] <= x0.
+	reach := scratch[len(xs):len(xs)]
+	// Feedthroughs of the gap under the cursor sit at base, base+fw, ...;
+	// placed counts the leading ones no later insertion can displace.
+	p, n, base, placed := 0, 0, 0, 0
+	// settle writes out the pending feedthroughs, leftmost first, that sit
+	// left of x: nothing inserted at or right of x can displace them.
+	settle := func(x int) {
+		for ; len(pending) > 0 && base+placed*fw < x; placed++ {
+			cid := pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
+			c.Cells[cid].X = base + placed*fw
+			out[n] = cid
+			n++
 		}
-		row := &c.Rows[r]
-		row.Cells = append(make([]int, 0, len(row.Cells)+rowCounts[r]), row.Cells...)
+	}
+	firstMoved := -1 // index in out of the first cell whose position changed
+	for j, x := range xs {
+		shift := j * fw // every earlier feedthrough is left of old[p]
+		if p < len(old) && c.Cells[old[p]].X+shift < x {
+			// The cursor leaves its gap: whatever is pending there is final.
+			settle(math.MaxInt)
+			for ; p < len(old) && c.Cells[old[p]].X+shift < x; p++ {
+				c.Cells[old[p]].X += shift
+				out[n] = old[p]
+				n++
+			}
+			prev := &c.Cells[old[p-1]]
+			base, placed = prev.X+prev.Width, 0
+		} else if j == 0 && len(old) > 0 {
+			// In front of the first cell: at x itself, within [0, its edge].
+			base = geom.Max(0, geom.Min(x, c.Cells[old[0]].X))
+		}
+		settle(x)
+		if firstMoved < 0 {
+			firstMoved = n
+		}
+		cid, pid := cell0+j, pin0+j
+		cellPins[j] = pid
+		c.Cells[cid] = Cell{ID: cid, Row: r, Width: fw, Pins: cellPins[j : j+1 : j+1], Feed: true}
+		c.Pins[pid] = Pin{ID: pid, Net: NoNet, Cell: cid, Offset: fw / 2, Row: r, Side: Both}
+		pending = append(pending, cid)
+		far := base + placed*fw - shift // where this one goes in, less the shifts so far
+		if j > 0 {
+			far = max(far, reach[j-1])
+		}
+		reach = append(reach, far)
+	}
+	settle(math.MaxInt)
+	for ; p < len(old); p++ {
+		c.Cells[old[p]].X += len(xs) * fw
+		out[n] = old[p]
+		n++
+	}
+	c.Rows[r].Cells = out
+	for _, cid := range out[firstMoved:] {
+		cell := &c.Cells[cid]
+		for _, pid := range cell.Pins {
+			c.Pins[pid].X = cell.X + c.Pins[pid].Offset
+		}
+	}
+	// Fake pins have no cell; each moves once per insertion it was at or
+	// right of, and those are always a prefix of the row's insertions.
+	if r < len(c.fakeByRow) {
+		for _, pid := range c.fakeByRow[r] {
+			x0 := c.Pins[pid].X
+			c.Pins[pid].X += fw * sort.Search(len(reach), func(j int) bool { return reach[j] > x0 })
+		}
 	}
 }
 

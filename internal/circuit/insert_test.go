@@ -1,0 +1,174 @@
+package circuit
+
+import (
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	"parroute/internal/rng"
+)
+
+// randomRows builds a circuit for the insertion differential: rows with
+// gaps between cells, cells sharing an x (zero-width ones in between), an
+// empty row, pins on most cells and fake pins scattered over the rows.
+func randomRows(r *rng.RNG) *Circuit {
+	c := &Circuit{Name: "ins", CellHeight: 10, FeedWidth: r.Intn(4)} // 0 included
+	n := c.AddNet("n")
+	rows := 1 + r.Intn(4)
+	for row := 0; row < rows; row++ {
+		c.AddRow()
+		if r.Intn(5) == 0 {
+			continue // empty row
+		}
+		x := r.Intn(6)
+		for i, cells := 0, 1+r.Intn(8); i < cells; i++ {
+			w := r.Intn(7)
+			if r.Intn(3) == 0 {
+				w = 0
+			}
+			id := len(c.Cells)
+			c.Cells = append(c.Cells, Cell{ID: id, Row: row, X: x, Width: w})
+			c.Rows[row].Cells = append(c.Rows[row].Cells, id)
+			for k := r.Intn(3); k > 0; k-- {
+				c.AddPin(id, n, r.Intn(w+1), Side(r.Intn(3)))
+			}
+			x += w
+			if r.Intn(2) == 0 {
+				x += r.Intn(5) // a gap the feedthroughs can sit in
+			}
+		}
+	}
+	for k := r.Intn(6); k > 0; k-- {
+		c.AddFakePin(n, r.Intn(40)-2, r.Intn(rows), Side(r.Intn(2)))
+	}
+	return c
+}
+
+// randomRequests draws sorted per-row positions: repeats (several
+// feedthroughs of one column), values left of the first cell and negative,
+// values far right of the row, and rows with no request.
+func randomRequests(r *rng.RNG, c *Circuit) (off, xs []int) {
+	off = make([]int, len(c.Rows)+1)
+	for row := range c.Rows {
+		var rowXs []int
+		if r.Intn(4) > 0 {
+			for k := r.Intn(12); k > 0; k-- {
+				x := r.Intn(c.RowWidth(row)+12) - 4
+				rowXs = append(rowXs, x)
+				for r.Intn(3) == 0 {
+					rowXs = append(rowXs, x)
+				}
+			}
+		}
+		slices.Sort(rowXs)
+		xs = append(xs, rowXs...)
+		off[row+1] = len(xs)
+	}
+	return off, xs
+}
+
+// TestInsertFeedthroughRowsMatchesSequential is the definition of the bulk
+// form: on random rows and requests it must leave the circuit exactly as
+// one InsertFeedthrough call per request does — row order, every cell and
+// every pin (fake pins included) — whether the rows are walked in order or
+// all at once.
+func TestInsertFeedthroughRowsMatchesSequential(t *testing.T) {
+	inOrder := func(rows int, walk func(r int)) {
+		for r := 0; r < rows; r++ {
+			walk(r)
+		}
+	}
+	atOnce := func(rows int, walk func(r int)) {
+		var wg sync.WaitGroup
+		for r := rows - 1; r >= 0; r-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				walk(r)
+			}()
+		}
+		wg.Wait()
+	}
+	for seed := uint64(1); seed <= 400; seed++ {
+		r := rng.New(seed)
+		base := randomRows(r)
+		off, xs := randomRequests(r, base)
+
+		for mode, forRows := range []func(int, func(int)){inOrder, atOnce} {
+			want := base.Clone()
+			for row := range want.Rows {
+				for _, x := range xs[off[row]:off[row+1]] {
+					want.InsertFeedthrough(row, x, NoNet)
+				}
+			}
+			got := base.Clone()
+			first, err := got.InsertFeedthroughRows(off, xs, forRows)
+			if err != nil {
+				t.Fatalf("seed %d mode %d: %v", seed, mode, err)
+			}
+			if first != len(base.Pins) {
+				t.Fatalf("seed %d: first pin %d, want %d", seed, first, len(base.Pins))
+			}
+			for row := range want.Rows {
+				if !slices.Equal(got.Rows[row].Cells, want.Rows[row].Cells) {
+					t.Fatalf("seed %d mode %d row %d (feed width %d, xs %v):\n got %v\nwant %v",
+						seed, mode, row, base.FeedWidth, xs[off[row]:off[row+1]],
+						got.Rows[row].Cells, want.Rows[row].Cells)
+				}
+			}
+			if !reflect.DeepEqual(got.Cells, want.Cells) {
+				for i := range want.Cells {
+					if !reflect.DeepEqual(got.Cells[i], want.Cells[i]) {
+						t.Fatalf("seed %d mode %d cell %d: got %+v want %+v", seed, mode, i, got.Cells[i], want.Cells[i])
+					}
+				}
+			}
+			for i := range want.Pins {
+				if got.Pins[i] != want.Pins[i] {
+					t.Fatalf("seed %d mode %d pin %d: got %+v want %+v", seed, mode, i, got.Pins[i], want.Pins[i])
+				}
+			}
+			if len(got.Pins) != len(want.Pins) || len(got.Cells) != len(want.Cells) {
+				t.Fatalf("seed %d: %d pins %d cells, want %d and %d", seed, len(got.Pins), len(got.Cells), len(want.Pins), len(want.Cells))
+			}
+			// A late single insertion must not write into the next row's
+			// list: the regrown lists share one backing array.
+			for row := range got.Rows {
+				got.InsertFeedthrough(row, 0, NoNet)
+				want.InsertFeedthrough(row, 0, NoNet)
+			}
+			for row := range want.Rows {
+				if !slices.Equal(got.Rows[row].Cells, want.Rows[row].Cells) {
+					t.Fatalf("seed %d row %d after a late insertion: got %v want %v",
+						seed, row, got.Rows[row].Cells, want.Rows[row].Cells)
+				}
+			}
+		}
+	}
+}
+
+// TestInsertFeedthroughRowsRejectsBadRequests: malformed offsets and
+// unsorted positions are errors that leave the circuit as it was.
+func TestInsertFeedthroughRowsRejectsBadRequests(t *testing.T) {
+	c := randomRows(rng.New(3))
+	before := c.Clone()
+	rows := len(c.Rows)
+	sorted := make([]int, rows+1)
+	for r := 1; r <= rows; r++ {
+		sorted[r] = 2
+	}
+	for name, tc := range map[string]struct{ off, xs []int }{
+		"short offsets":   {make([]int, rows), nil},
+		"offsets past xs": {sorted, []int{1}},
+		"unsorted":        {sorted, []int{5, 4}},
+	} {
+		forRows := func(int, func(int)) { t.Errorf("%s: rows walked", name) }
+		if _, err := c.InsertFeedthroughRows(tc.off, tc.xs, forRows); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+		if !reflect.DeepEqual(c.Clone(), before) { // clones: nil and empty lists compare equal
+			t.Fatalf("%s: circuit changed by a rejected request", name)
+		}
+	}
+}

@@ -6,6 +6,7 @@ package metrics
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -58,9 +59,14 @@ const MaxWireX = 1<<39 - 1
 // Events are bucketed by channel (count, prefix sum, fill) and each
 // channel's bucket is sorted and swept on its own, on up to workers
 // goroutines: buckets are disjoint slices and each writes only its own
-// density, so the result is the same at every worker count.
+// density, so the result is the same at every worker count. The sort is an
+// LSD radix sort over as many bytes as the largest event has — the keys
+// are small non-negative integers, which a comparison sort cannot exploit,
+// while a dense per-column count could not hold the x range wires may
+// legally span.
 func ChannelDensities(numChannels int, wires []Wire, workers int) []int {
 	off := make([]int, numChannels+1)
+	var maxEv int64
 	for i := range wires {
 		w := &wires[i]
 		if w.Span.Empty() {
@@ -96,23 +102,66 @@ func ChannelDensities(numChannels int, wires []Wire, workers int) []int {
 		k := cursor[w.Channel]
 		evs[k], evs[k+1] = int64(w.Span.Lo)<<1|1, int64(w.Span.Hi+1)<<1
 		cursor[w.Channel] = k + 2
+		maxEv = max(maxEv, evs[k+1])
 	}
 	dens := make([]int, numChannels)
+	largest := 0
+	for ch := 0; ch < numChannels; ch++ {
+		largest = max(largest, off[ch+1]-off[ch])
+	}
+	passes := (bits.Len64(uint64(maxEv)) + 7) / 8
+	tmps := make([][]int64, max(workers, 1)) // per-worker scatter buffers, sized on first use
 	// The sweep returns nil and the background context never ends.
-	_ = workpool.Do(context.Background(), workers, numChannels, func(_, ch int) error {
+	_ = workpool.Do(context.Background(), workers, numChannels, func(w, ch int) error {
 		bucket := evs[off[ch]:off[ch+1]]
-		slices.Sort(bucket)
-		cur, max := 0, 0
+		if tmps[w] == nil {
+			tmps[w] = make([]int64, largest)
+		}
+		radixSort(bucket, tmps[w], passes)
+		cur, peak := 0, 0
 		for _, ev := range bucket {
 			cur += int(ev&1)*2 - 1 // low bit: 1 = open (+1), 0 = close (-1)
-			if cur > max {
-				max = cur
+			if cur > peak {
+				peak = cur
 			}
 		}
-		dens[ch] = max
+		dens[ch] = peak
 		return nil
 	})
 	return dens
+}
+
+// radixSort sorts non-negative keys that fit in passes bytes, ascending,
+// least significant byte first; tmp is scratch at least as long as keys.
+// A byte position on which all keys agree costs only its counting pass.
+func radixSort(keys, tmp []int64, passes int) {
+	if len(keys) < 2 {
+		return
+	}
+	src, dst := keys, tmp[:len(keys)]
+	for shift := 0; shift < passes*8; shift += 8 {
+		var count [256]int
+		for _, k := range src {
+			count[k>>shift&0xff]++
+		}
+		if count[src[0]>>shift&0xff] == len(src) {
+			continue
+		}
+		pos := 0
+		for d, n := range count {
+			count[d] = pos
+			pos += n
+		}
+		for _, k := range src {
+			d := k >> shift & 0xff
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
 }
 
 // TotalTracks sums channel densities — the paper's "track number".

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -310,4 +311,97 @@ func TestReadResultJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadResultJSON(bytes.NewBufferString("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
+}
+
+// TestRadixSortMatchesSlicesSort: the density sweep's sort against the
+// comparison sort it replaced, on buckets of every small length and key
+// ranges from one repeated value through a few columns to the largest
+// event a wire may produce (x = MaxWireX, shifted over the open/close bit).
+func TestRadixSortMatchesSlicesSort(t *testing.T) {
+	const maxKey = int64(MaxWireX+1) << 1
+	r := rng.New(77)
+	for trial := 0; trial < 400; trial++ {
+		n := trial % 70
+		if trial%9 == 0 {
+			n = 500 + r.Intn(3000)
+		}
+		var base, spread int64
+		switch trial % 4 {
+		case 0:
+			spread = 1 // all equal
+		case 1:
+			spread = 64 // a few columns
+		case 2:
+			base, spread = maxKey-4096, 4097 // the top of the legal range
+		default:
+			spread = maxKey + 1 // everything
+		}
+		base += int64(r.Intn(2)) * 300
+		keys := make([]int64, n)
+		largest := int64(0)
+		for i := range keys {
+			keys[i] = min(base+int64(r.Uint64()%uint64(spread)), maxKey)
+			largest = max(largest, keys[i])
+		}
+		want := slices.Clone(keys)
+		slices.Sort(want)
+		passes := (bits.Len64(uint64(largest)) + 7) / 8
+		passes += trial % 3 / 2 // sometimes one byte more than the keys need
+		tmp := make([]int64, n+trial%2)
+		radixSort(keys, tmp, passes)
+		if !slices.Equal(keys, want) {
+			t.Fatalf("trial %d: n=%d base=%d spread=%d passes=%d: not sorted like slices.Sort", trial, n, base, spread, passes)
+		}
+	}
+}
+
+// FuzzChannelDensities decodes arbitrary bytes into in-range wires — 12
+// bytes each: channel, 5 bytes of lo, 5 bytes of length, a shape byte —
+// and holds the bucketed radix sweep to the global-sort reference at two
+// worker counts. The seeds cover one column, the far end of the x range
+// and a dense pile of touching spans.
+func FuzzChannelDensities(f *testing.F) {
+	rec := func(ch byte, lo, length uint64, shape byte) []byte {
+		b := []byte{ch}
+		for i := 0; i < 5; i++ {
+			b = append(b, byte(lo>>(8*i)))
+		}
+		for i := 0; i < 5; i++ {
+			b = append(b, byte(length>>(8*i)))
+		}
+		return append(b, shape)
+	}
+	f.Add([]byte{})
+	f.Add(rec(0, 0, 0, 0))
+	f.Add(append(rec(1, MaxWireX-1, 9, 0), rec(1, MaxWireX, 0, 0)...))
+	f.Add(append(rec(2, 5, 3, 1), rec(2, 1<<20, 1<<30, 0)...))
+	var pile []byte
+	for i := uint64(0); i < 40; i++ {
+		pile = append(pile, rec(byte(i%3), i%7, i%5, byte(i%4))...)
+	}
+	f.Add(pile)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const numChannels = 5
+		var wires []Wire
+		for ; len(data) >= 12; data = data[12:] {
+			var lo, length int
+			for i := 0; i < 5; i++ {
+				lo |= int(data[1+i]) << (8 * i)
+				length |= int(data[6+i]) << (8 * i)
+			}
+			lo = min(lo, MaxWireX)
+			w := wire(int(data[0])%numChannels, lo, min(lo+length, MaxWireX))
+			if data[11]%4 == 3 {
+				w.Span = geom.Interval{Lo: lo + 1, Hi: lo} // empty
+			}
+			wires = append(wires, w)
+		}
+		want := refChannelDensities(numChannels, wires)
+		for _, workers := range []int{1, 3} {
+			if got := ChannelDensities(numChannels, wires, workers); !slices.Equal(got, want) {
+				t.Fatalf("workers %d: densities %v, global sort %v", workers, got, want)
+			}
+		}
+	})
 }

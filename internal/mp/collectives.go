@@ -52,60 +52,56 @@ func Gather(c Comm, root, tag int, v any) ([]any, error) {
 	return out, nil
 }
 
-// Allgather collects one value per rank at every rank.
+// Allgather collects one value per rank at every rank, indexed by rank.
+//
+// One hop: every rank sends v to every peer, so no rank waits for a root
+// (gather-to-0 then broadcast took two hops, and twice the messages at
+// P=2). Peers receive v itself on the in-memory engines: do not write to
+// it afterwards.
 func Allgather(c Comm, tag int, v any) ([]any, error) {
-	vs, err := Gather(c, 0, tag, v)
-	if err != nil {
-		return nil, err
+	vs := make([]any, c.Size())
+	for r := range vs {
+		vs[r] = v
 	}
-	got, err := Bcast(c, 0, tag, vs)
+	out, err := Alltoall(c, tag, vs)
 	if err != nil {
-		return nil, err
-	}
-	out, ok := got.([]any)
-	if !ok {
-		return nil, fmt.Errorf("mp: allgather received %T, want []any", got)
+		return nil, fmt.Errorf("mp: allgather: %w", err)
 	}
 	return out, nil
 }
 
 // AllreduceInt32s element-wise combines equal-length int32 slices from all
 // ranks with op and returns the combined slice on every rank. The input
-// slice is not modified.
+// slice is not modified, and the result is the caller's own.
+//
+// Every rank folds the Allgather of the vectors itself, in rank order, so
+// all ranks compute the same value.
 func AllreduceInt32s(c Comm, tag int, v []int32, op func(a, b int32) int32) ([]int32, error) {
-	vs, err := Gather(c, 0, tag, v)
+	// Peers read what they are sent while this rank has already returned
+	// and may be writing v again, so they get a copy.
+	vs, err := Allgather(c, tag, append([]int32(nil), v...))
 	if err != nil {
 		return nil, err
 	}
 	var acc []int32
-	if c.Rank() == 0 {
-		acc = append([]int32(nil), v...)
-		for r := 1; r < c.Size(); r++ {
-			other, ok := vs[r].([]int32)
-			if !ok {
-				return nil, fmt.Errorf("mp: allreduce received %T from rank %d, want []int32", vs[r], r)
-			}
-			if len(other) != len(acc) {
-				return nil, fmt.Errorf("mp: allreduce length mismatch: rank %d sent %d, want %d",
-					r, len(other), len(acc))
-			}
-			for i := range acc {
-				acc[i] = op(acc[i], other[i])
-			}
+	for r, raw := range vs {
+		other, ok := raw.([]int32)
+		if !ok {
+			return nil, fmt.Errorf("mp: allreduce received %T from rank %d, want []int32", raw, r)
+		}
+		if len(other) != len(v) {
+			return nil, fmt.Errorf("mp: allreduce length mismatch: rank %d sent %d, want %d",
+				r, len(other), len(v))
+		}
+		if r == 0 {
+			acc = append(make([]int32, 0, len(v)), other...)
+			continue
+		}
+		for i := range acc {
+			acc[i] = op(acc[i], other[i])
 		}
 	}
-	got, err := Bcast(c, 0, tag, acc)
-	if err != nil {
-		return nil, err
-	}
-	out, ok := got.([]int32)
-	if !ok {
-		return nil, fmt.Errorf("mp: allreduce received %T, want []int32", got)
-	}
-	// Each rank gets a private copy: on the in-memory engines Bcast
-	// delivers the same slice object to every rank, and callers are free
-	// to mutate their reduction result.
-	return append([]int32(nil), out...), nil
+	return acc, nil
 }
 
 // SumInt32s is the addition operator for AllreduceInt32s.
@@ -141,22 +137,24 @@ func Alltoall(c Comm, tag int, vs []any) ([]any, error) {
 	return out, nil
 }
 
-// AllreduceInt combines one int per rank with op on every rank.
+// AllreduceInt combines one int per rank with op on every rank, in rank
+// order; see AllreduceInt32s.
 func AllreduceInt(c Comm, tag int, v int, op func(a, b int) int) (int, error) {
 	vs, err := Allgather(c, tag, v)
 	if err != nil {
 		return 0, err
 	}
-	acc, ok := vs[0].(int)
-	if !ok {
-		return 0, fmt.Errorf("mp: allreduce received %T, want int", vs[0])
-	}
-	for _, raw := range vs[1:] {
+	acc := 0
+	for r, raw := range vs {
 		x, ok := raw.(int)
 		if !ok {
-			return 0, fmt.Errorf("mp: allreduce received %T, want int", raw)
+			return 0, fmt.Errorf("mp: allreduce received %T from rank %d, want int", raw, r)
 		}
-		acc = op(acc, x)
+		if r == 0 {
+			acc = x
+		} else {
+			acc = op(acc, x)
+		}
 	}
 	return acc, nil
 }

@@ -216,16 +216,13 @@ func TestRecvDeadlineNotHitWhenTrafficFlows(t *testing.T) {
 
 // TestCrashEventLogIncludesNote pins the crash to the event log on the
 // deterministic engine: re-running the same crash plan reproduces the
-// crash record and everything the crashed rank did before it. Those are
-// the lines the plan determines — the rank runs its program undisturbed
-// up to the fatal send. What the survivors log depends on how far each got
-// before the loss reached it, so their lines are not compared (EventLog
-// groups lines by link, crash notes last: there is no "before the crash"
-// prefix to cut at).
+// whole log byte for byte — the crash record, everything the crashed rank
+// did before it, and how far every survivor got (the virtual machine lets
+// survivors run until none can move before it reports the loss).
 func TestCrashEventLogIncludesNote(t *testing.T) {
 	const crashRank, crashAt = 1, 4
 	note := fmt.Sprintf("crash rank=%d at-send=%d", crashRank, crashAt)
-	run := func() string {
+	run := func() []string {
 		plan := Plan{Seed: 21, Crash: map[int]int{crashRank: crashAt}}
 		cfg := Config{Procs: 3, Mode: Virtual, Chaos: &plan}
 		eng, err := cfg.Engine()
@@ -240,20 +237,20 @@ func TestCrashEventLogIncludesNote(t *testing.T) {
 		if !slices.Contains(log, note) {
 			t.Fatalf("crash note missing from event log (%d lines)", len(log))
 		}
-		sent, received := fmt.Sprintf("send %d->", crashRank), fmt.Sprintf("recv %d<-", crashRank)
-		out := ""
-		for _, l := range log {
-			if l == note || strings.HasPrefix(l, sent) || strings.HasPrefix(l, received) {
-				out += l + "\n"
-			}
-		}
-		return out
+		return log
 	}
 	first, second := run(), run()
-	if first != second {
-		t.Fatalf("crashed rank's event log not reproducible on the virtual engine:\n%s---\n%s", first, second)
+	if !slices.Equal(first, second) {
+		t.Fatalf("crash event log not reproducible on the virtual engine:\n%s\n---\n%s",
+			strings.Join(first, "\n"), strings.Join(second, "\n"))
 	}
-	if strings.Count(first, "\n") < crashAt+1 {
-		t.Fatalf("crashed rank logged fewer than its %d sends and the note:\n%s", crashAt, first)
+	sent, n := fmt.Sprintf("send %d->", crashRank), 0
+	for _, l := range first {
+		if strings.HasPrefix(l, sent) {
+			n++
+		}
+	}
+	if n != crashAt-1 {
+		t.Fatalf("crashed rank logged %d sends before dying at send %d", n, crashAt)
 	}
 }

@@ -33,6 +33,16 @@ func newMailbox() *mailbox {
 	return b
 }
 
+// wakeForAbort wakes every receiver so it re-reads the abort flag, which
+// the caller has already set. Taking the lock first matters: a receiver
+// that found the flag clear still holds it until it sleeps, and a
+// broadcast sent in that gap would wake nobody and strand it.
+func (b *mailbox) wakeForAbort() {
+	b.mu.Lock()
+	b.cond.Broadcast()
+	b.mu.Unlock()
+}
+
 // recvMatch blocks until an envelope from (from, tag) is queued, the run
 // aborts, or — when timeout > 0 — the deadline expires, in which case it
 // counts a miss against the limits' counter sink and fails with an
@@ -120,7 +130,7 @@ func (m *iMachine) abort(err error) {
 	}
 	m.mu.Unlock()
 	for _, b := range m.boxes {
-		b.cond.Broadcast()
+		b.wakeForAbort()
 	}
 	m.barrier.abort()
 }

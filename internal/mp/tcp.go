@@ -311,7 +311,7 @@ func (m *tMachine) abort(err error) {
 	m.mu.Unlock()
 	for _, b := range m.boxes {
 		if b != nil {
-			b.cond.Broadcast()
+			b.wakeForAbort()
 		}
 	}
 }

@@ -25,6 +25,13 @@ import (
 // The simulated elapsed time of the run is the maximum virtual clock at
 // completion. Program results never depend on the clock — only reported
 // times do — so routing output is identical across engines.
+//
+// A rank that fails (a chaos crash included) does not stop the machine at
+// once: the others keep being scheduled until none of them can move, and
+// only then see the failure. Which worker holds the token when a rank dies
+// depends on the measured clocks, but where each survivor ends up blocked
+// does not — every Recv names its sender and Send never blocks — so what a
+// run did before it failed is the same on every run.
 
 type vState uint8
 
@@ -54,6 +61,7 @@ type vMachine struct {
 	workers   []*vWorker
 	inBarrier int
 	done      int
+	failed    error // first rank failure; becomes err once no survivor can move
 	err       error
 }
 
@@ -132,8 +140,9 @@ func (m *vMachine) resumeLocked(w *vWorker) {
 
 // scheduleLocked hands the token to the ready worker with the smallest
 // virtual clock (ties broken by rank). If nobody is ready and the machine
-// is not finished, every remaining worker is blocked forever: record a
-// deadlock and wake them so they can return the error.
+// is not finished, every remaining worker is blocked forever: record the
+// failure that stranded them, or a deadlock, and wake them so they can
+// return the error.
 func (m *vMachine) scheduleLocked() {
 	var next *vWorker
 	for _, w := range m.workers {
@@ -153,9 +162,18 @@ func (m *vMachine) scheduleLocked() {
 		return
 	}
 	if m.err == nil {
-		m.err = ErrDeadlock
+		m.err = m.stuckErrLocked(ErrDeadlock)
 	}
 	m.wakeAllLocked()
+}
+
+// stuckErrLocked is the error for workers that can no longer move: the
+// failure of the rank they wait for if there was one, else deadlock.
+func (m *vMachine) stuckErrLocked(deadlock error) error {
+	if m.failed != nil {
+		return m.failed
+	}
+	return deadlock
 }
 
 // wakeAllLocked releases every blocked worker after an abort so they can
@@ -175,9 +193,8 @@ func (m *vMachine) finish(w *vWorker, err error) {
 	m.accrueLocked(w)
 	w.state = vDone
 	m.done++
-	if err != nil && m.err == nil {
-		m.err = fmt.Errorf("mp: rank %d failed: %w", w.rank, err)
-		m.wakeAllLocked() //lint:allow lock-across-blocking grant has capacity 1 and the scheduler keeps at most one token outstanding per worker, so this send cannot block
+	if err != nil && m.failed == nil {
+		m.failed = fmt.Errorf("mp: rank %d failed: %w", w.rank, err)
 	}
 	m.scheduleLocked() //lint:allow lock-across-blocking grant has capacity 1 and the scheduler keeps at most one token outstanding per worker, so this send cannot block
 }
@@ -269,8 +286,8 @@ func (c *vComm) Barrier() error {
 	if m.inBarrier+m.done == m.n {
 		// The remaining workers already finished and can never enter the
 		// barrier: protocol error.
-		m.err = fmt.Errorf("mp: rank %d waits at a barrier %d ranks already exited: %w",
-			w.rank, m.done, ErrDeadlock)
+		m.err = m.stuckErrLocked(fmt.Errorf("mp: rank %d waits at a barrier %d ranks already exited: %w",
+			w.rank, m.done, ErrDeadlock))
 		m.inBarrier--
 		m.wakeAllLocked() //lint:allow lock-across-blocking grant has capacity 1 and the scheduler keeps at most one token outstanding per worker, so this send cannot block
 		return m.err

@@ -179,7 +179,8 @@ func TestChaosCrashDegradesToSerial(t *testing.T) {
 
 // TestChaosEventLogReproducibleEndToEnd re-runs the acceptance plan and a
 // crash plan through the full rowwise pipeline with the same seed and
-// requires identical chaos event logs.
+// requires identical chaos event logs. Under the crash plan the run must
+// also really lose the rank.
 func TestChaosEventLogReproducibleEndToEnd(t *testing.T) {
 	seed := chaosSeed(t)
 	c := gen.Small(42)
@@ -201,13 +202,17 @@ func TestChaosEventLogReproducibleEndToEnd(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		plan mp.Plan
+		note string // the crash record the log must carry, if the plan crashes a rank
 	}{
-		{"drop5-delay10", fastTimes(mp.Plan{Drop: 0.05, Delay: 0.10})},
-		{"crash", mp.Plan{Crash: map[int]int{2: 9}}},
+		{"drop5-delay10", fastTimes(mp.Plan{Drop: 0.05, Delay: 0.10}), ""},
+		{"crash", mp.Plan{Crash: map[int]int{2: 9}}, "crash rank=2 at-send=9"},
 	} {
 		first := runLog(tc.plan)
 		if first == "" {
 			t.Fatalf("%s: empty event log", tc.name)
+		}
+		if !strings.Contains(first, tc.note) {
+			t.Fatalf("%s: event log lacks %q, so nothing crashed", tc.name, tc.note)
 		}
 		if again := runLog(tc.plan); again != first {
 			t.Errorf("%s: same seed produced a different event log", tc.name)

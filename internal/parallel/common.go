@@ -538,31 +538,31 @@ func collectNodes(numNets, numRows int, sets ...nodeSet) (netNodes, error) {
 	return netNodes{off: off, nodes: nodes}, nil
 }
 
-// connectOwnedNets runs step 4 for every net of the arena, in net-ID order
-// for determinism, and returns the wires plus the forced-edge count. One
-// Connector serves all nets, and a k-node net yields exactly k-1 wires, so
-// the output is sized up front. occ is the owner's (necessarily partial: it
-// sees only this rank's nets) live occupancy for switchable channel choices
-// — the interference the paper's §5 describes.
-func connectOwnedNets(nn netNodes, occ *route.Occupancy) (wires []metrics.Wire, forced int) {
-	total := 0
-	for n := 0; n+1 < len(nn.off); n++ {
+// connectOwnedNets runs step 4 for every net of the arena — the serial
+// router's two halves: every net's tree built on up to workers goroutines
+// straight into its k-1 wire slots, then the wires placed in net-ID order
+// against occ — and returns the wires plus the forced-edge count. occ is the
+// owner's (necessarily partial: it sees only this rank's nets) live
+// occupancy for switchable channel choices — the interference the paper's
+// §5 describes.
+func connectOwnedNets(ctx context.Context, nn netNodes, occ *route.Occupancy, workers int) (wires []metrics.Wire, forced int, err error) {
+	nets := len(nn.off) - 1
+	wireOff := make([]int, nets+1)
+	for n := 0; n < nets; n++ {
+		wireOff[n+1] = wireOff[n]
 		if k := nn.off[n+1] - nn.off[n]; k >= 2 {
-			total += k - 1
+			wireOff[n+1] += k - 1
 		}
 	}
-	wires = slices.Grow(wires, total)
-	var cn route.Connector
-	for n := 0; n+1 < len(nn.off); n++ {
-		nodes := nn.nodes[nn.off[n]:nn.off[n+1]]
-		if len(nodes) < 2 {
-			continue
-		}
-		conns, f := cn.Connect(n, nodes, occ)
-		forced += f
-		for i := range conns {
-			wires = append(wires, conns[i].Wire(nodes))
-		}
+	wires = make([]metrics.Wire, wireOff[nets])
+	forced, err = route.ConnectTrees(ctx, workers, wireOff, func(n int) []route.Node {
+		return nn.nodes[nn.off[n]:nn.off[n+1]]
+	}, nil, wires)
+	if err == nil {
+		err = occ.PlaceWires(ctx, wires, nil)
 	}
-	return wires, forced
+	if err != nil {
+		return nil, 0, fmt.Errorf("parallel: connect: %w", err)
+	}
+	return wires, forced, nil
 }

@@ -157,10 +157,10 @@ func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 	return pinIn, ftIn
 }
 
-// TestArenaStepFourMatchesMapForm: the CSR collectNodes + one-Connector
-// connectOwnedNets produce the map form's wires in the map form's order,
-// the same forced count and the same final occupancy, for both arrival
-// shapes at P in {2,3,4}.
+// TestArenaStepFourMatchesMapForm: the CSR collectNodes + slot-addressed
+// connectOwnedNets (at more than one worker count) produce the map form's
+// wires in the map form's order, the same forced count and the same final
+// occupancy, for both arrival shapes at P in {2,3,4}.
 func TestArenaStepFourMatchesMapForm(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		c := randomCircuit(t, i)
@@ -206,7 +206,10 @@ func TestArenaStepFourMatchesMapForm(t *testing.T) {
 						return route.NewOccupancy(c.NumChannels(), c.CoreWidth()*2, 16)
 					}
 					gotOcc, wantOcc := newOcc(), newOcc()
-					gotWires, gotForced := connectOwnedNets(nn, gotOcc)
+					gotWires, gotForced, err := connectOwnedNets(context.Background(), nn, gotOcc, 1+me)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
 					wantWires, wantForced := refConnectOwnedNets(want, wantOcc)
 					if len(wantWires) == 0 {
 						t.Fatalf("%s: reference produced no wires", name)
@@ -228,9 +231,9 @@ func TestArenaStepFourMatchesMapForm(t *testing.T) {
 
 // TestDeferredBlockInsertionMatchesEager: net-wise feedthrough insertion
 // restricted to one row block, on a sub-circuit that carries fake pins
-// (which insertion shifts immediately in both forms), leaves the same
-// cells, rows, pin positions and per-row pin lists whether pin positions
-// are re-synced per inserted cell or once at the end.
+// (which every insertion to their left shifts), leaves the same cells,
+// rows, pin positions and per-row pin lists whether the cells go in one at
+// a time or in one walk per row, at more than one worker count.
 func TestDeferredBlockInsertionMatchesEager(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		c := randomCircuit(t, i)
@@ -256,8 +259,11 @@ func TestDeferredBlockInsertionMatchesEager(t *testing.T) {
 				eager := refBuildSubCircuit(c, block, specs[k])
 				deferred := refBuildSubCircuit(c, block, specs[k])
 				wantFts, wantN := refInsertBlockFeedthroughs(eager, g, block)
-				gotFts, gotN := insertBlockFeedthroughs(deferred, g, block)
 				name := fmt.Sprintf("%s/p%d/block%d", c.Name, p, k)
+				gotFts, gotN, err := route.InsertGridFeedthroughs(deferred, g, block.Lo, block.Hi, 1+k)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
 				if wantN == 0 {
 					t.Fatalf("%s: no demand in the block", name)
 				}
@@ -483,7 +489,9 @@ func TestBlockCircuitRoutesLikeFullClone(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			rt.CoarseRoute()
-			rt.InsertFeedthroughs()
+			if err := rt.InsertFeedthroughs(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 			if err := rt.AssignFeedthroughs(context.Background()); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -78,14 +78,16 @@ func hybridWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, bloc
 			return nil
 		}),
 		stage("ft-insert", func(s *pipeline.Session) error {
-			rt.InsertFeedthroughs()
+			if err := rt.InsertFeedthroughs(); err != nil {
+				return err
+			}
 			s.Count("inserted-fts", int64(rt.InsertedFts))
 			return nil
 		}),
 		pipeline.Func("ft-assign", func(ctx context.Context, _ *pipeline.Session) error {
 			return rt.AssignFeedthroughs(ctx)
 		}),
-		stage("connect", func(s *pipeline.Session) error {
+		pipeline.Func("connect", func(ctx context.Context, s *pipeline.Session) error {
 			// Ship every net's connection nodes (real pins and bound
 			// feedthroughs in this block) to the net's owner, which connects
 			// the whole net at once.
@@ -99,7 +101,9 @@ func hybridWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, bloc
 				return err
 			}
 			connOcc := route.NewOccupancy(sub.NumChannels(), base.CoreWidth()*2, ropt.GridColWidth)
-			connected, forced = connectOwnedNets(byNet, connOcc)
+			if connected, forced, err = connectOwnedNets(ctx, byNet, connOcc, ropt.Workers); err != nil {
+				return err
+			}
 			s.Count("wires", int64(len(connected)))
 			s.Count("forced-edges", int64(forced))
 			return nil

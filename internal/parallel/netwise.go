@@ -184,7 +184,11 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 		stage("ft-insert", func(s *pipeline.Session) error {
 			// The final synchronized grid is identical everywhere, so row
 			// owners see the complete demand.
-			ftByRow, inserted = insertBlockFeedthroughs(sub, shared, block)
+			var err error
+			ftByRow, inserted, err = route.InsertGridFeedthroughs(sub, shared, block.Lo, block.Hi, ropt.Workers)
+			if err != nil {
+				return err
+			}
 			// Refresh segment endpoints that sit in this rank's (now
 			// shifted) rows.
 			for i := range segs {
@@ -275,7 +279,7 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 			}
 			return nil
 		}),
-		stage("connect", func(s *pipeline.Session) error {
+		pipeline.Func("connect", func(ctx context.Context, s *pipeline.Session) error {
 			// Pin nodes to net owners, then whole-net connection. Row
 			// owners ship authoritative (post-insertion) pin coordinates so
 			// all of a net's geometry lives in one coherent frame at its
@@ -295,7 +299,9 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 				return err
 			}
 			connOcc := route.NewOccupancy(sub.NumChannels(), base.CoreWidth()*2, ropt.GridColWidth)
-			wires, forced = connectOwnedNets(byNet, connOcc)
+			if wires, forced, err = connectOwnedNets(ctx, byNet, connOcc, ropt.Workers); err != nil {
+				return err
+			}
 			s.Count("wires", int64(len(wires)))
 			s.Count("forced-edges", int64(forced))
 			return nil
@@ -377,34 +383,6 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 	return pipeline.Run(ctx, ses, stages...)
 }
 
-// insertBlockFeedthroughs realizes the grid's feedthrough demand in one
-// block's rows and returns the new pin IDs per row plus their count. As in
-// the serial router, the tables are pre-sized for the total and
-// cell-attached pin positions are re-synced once at the end instead of per
-// insertion (the end state is the same: see InsertFeedthroughDeferred).
-func insertBlockFeedthroughs(sub *circuit.Circuit, g *grid.Grid, block partition.RowBlock) (ftByRow [][]int, inserted int) {
-	ftByRow = make([][]int, len(sub.Rows))
-	rowCounts := make([]int, len(sub.Rows))
-	for row := block.Lo; row <= block.Hi; row++ {
-		for col := 0; col < g.Cols; col++ {
-			rowCounts[row] += g.FtDemand(row, col)
-		}
-		inserted += rowCounts[row]
-	}
-	sub.GrowForFeedthroughs(inserted, rowCounts)
-	for row := block.Lo; row <= block.Hi; row++ {
-		ftByRow[row] = make([]int, 0, rowCounts[row])
-		for col := 0; col < g.Cols; col++ {
-			for i := g.FtDemand(row, col); i > 0; i-- {
-				ftByRow[row] = append(ftByRow[row],
-					sub.InsertFeedthroughDeferred(row, g.ColCenter(col), circuit.NoNet))
-			}
-		}
-	}
-	sub.SyncPinX()
-	return ftByRow, inserted
-}
-
 // compareCrossings orders a row's crossings by (x, net). Crossings equal in
 // both are identical values, so the order is total without a stable sort.
 func compareCrossings(a, b CrossingMsg) int {
@@ -440,20 +418,17 @@ func forEachChunk(n, chunks int, f func(lo, hi int) error) error {
 }
 
 // allreduceGrid sums every rank's own-contribution grid into a fresh
-// global grid (returned on every rank).
+// global grid (returned on every rank). Density and feedthrough counters
+// travel as one vector — one collective per sync, not two.
 func allreduceGrid(comm mp.Comm, own *grid.Grid) (*grid.Grid, error) {
-	// DensCounts/FtCounts return fresh copies, which the transport needs:
-	// the sender keeps mutating its own grid, and mp payloads belong to the
-	// receiver after Send.
-	dens, err := mp.AllreduceInt32s(comm, tagGridSync, own.DensCounts(), mp.SumInt32s)
+	dens := own.DensCounts()
+	sum, err := mp.AllreduceInt32s(comm, tagGridSync, append(dens, own.FtCounts()...), mp.SumInt32s)
 	if err != nil {
 		return nil, err
 	}
-	ft, err := mp.AllreduceInt32s(comm, tagGridSync, own.FtCounts(), mp.SumInt32s)
-	if err != nil {
-		return nil, err
-	}
-	return grid.FromCounts(own.Rows, own.Cols, own.ColWidth, dens, ft)
+	// The result has the length of what was sent; FromCounts checks both
+	// halves against the grid's dimensions.
+	return grid.FromCounts(own.Rows, own.Cols, own.ColWidth, sum[:len(dens)], sum[len(dens):])
 }
 
 // allreduceOcc sums every rank's own-wire occupancy into shared.

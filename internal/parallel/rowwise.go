@@ -76,7 +76,9 @@ func rowWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 			return nil
 		}),
 		stage("ft-insert", func(s *pipeline.Session) error {
-			rt.InsertFeedthroughs()
+			if err := rt.InsertFeedthroughs(); err != nil {
+				return err
+			}
 			s.Count("inserted-fts", int64(rt.InsertedFts))
 			return nil
 		}),

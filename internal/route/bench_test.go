@@ -68,7 +68,9 @@ func BenchmarkSwitchOpt(b *testing.B) {
 		b.Fatal(err)
 	}
 	rt.CoarseRoute()
-	rt.InsertFeedthroughs()
+	if err := rt.InsertFeedthroughs(); err != nil {
+		b.Fatal(err)
+	}
 	if err := rt.AssignFeedthroughs(ctx); err != nil {
 		b.Fatal(err)
 	}

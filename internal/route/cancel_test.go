@@ -30,7 +30,9 @@ func TestPooledStagesCancelMidRoute(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt.CoarseRoute()
-		rt.InsertFeedthroughs()
+		if err := rt.InsertFeedthroughs(); err != nil {
+			t.Fatal(err)
+		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		if err := rt.AssignFeedthroughs(ctx); !errors.Is(err, context.Canceled) {
@@ -44,7 +46,9 @@ func TestPooledStagesCancelMidRoute(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt.CoarseRoute()
-		rt.InsertFeedthroughs()
+		if err := rt.InsertFeedthroughs(); err != nil {
+			t.Fatal(err)
+		}
 		if err := rt.AssignFeedthroughs(context.Background()); err != nil {
 			t.Fatal(err)
 		}

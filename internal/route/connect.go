@@ -2,11 +2,13 @@ package route
 
 import (
 	"cmp"
+	"context"
 	"slices"
 
 	"parroute/internal/circuit"
 	"parroute/internal/geom"
 	"parroute/internal/metrics"
+	"parroute/internal/workpool"
 )
 
 // Node is a connection point of a net during step 4: a regular pin, an
@@ -97,23 +99,32 @@ func connSpan(a, b int) geom.Interval {
 // candidate channels against it, and every produced wire is added to it.
 // A nil occ places switchable connections in their lower channel.
 //
-// Test/diagnostic convenience; drivers use Connector. This wrapper
-// allocates fresh scratch per call, and the root lint test rejects calls to
-// it from outside _test.go files.
+// Test/diagnostic convenience; drivers use ConnectTrees and PlaceWires
+// over all their nets at once. This wrapper allocates per call, and the
+// root lint test rejects calls to it from outside _test.go files.
 func ConnectNodes(netID int, nodes []Node, occ *Occupancy) (conns []Connection, forced int) {
+	if len(nodes) < 2 {
+		return nil, 0
+	}
 	var cn Connector
-	return cn.Connect(netID, nodes, occ)
+	conns = make([]Connection, len(nodes)-1)
+	wires := make([]metrics.Wire, len(nodes)-1)
+	forced = cn.Tree(netID, nodes, conns, wires)
+	if occ != nil {
+		// The background context never ends, so placement cannot fail.
+		_ = occ.PlaceWires(context.Background(), wires, conns)
+	}
+	return conns, forced
 }
 
-// Connector carries the reusable scratch of ConnectNodes so step 4 runs
-// allocation-free per net. The zero value is ready to use; a Connector is
-// not safe for concurrent use.
+// Connector carries the reusable scratch of the step-4 tree build so it
+// runs allocation-free per net. The zero value is ready to use; a
+// Connector is not safe for concurrent use.
 type Connector struct {
 	entries []chEntry
-	cands   []ConnCand
+	cands   []connCand
 	keys    []int64
 	uf      unionFind
-	conns   []Connection
 }
 
 // chEntry is one (channel, node) incidence; nodes touching two channels
@@ -122,10 +133,9 @@ type chEntry struct {
 	ch, x, idx int
 }
 
-// ConnCand is one candidate MST edge produced by Prepare and consumed by
-// Commit. The fields are unexported: workers only ever move prepared
-// candidates around as opaque values.
-type ConnCand struct {
+// connCand is one candidate MST edge: a consecutive-by-x pair of one
+// channel, at cost w = |dx|.
+type connCand struct {
 	w    int64
 	u, v int
 }
@@ -139,9 +149,16 @@ const (
 	packXBits   = 31
 )
 
-// Connect computes the step-4 tree of one net; see ConnectNodes. The
-// returned slice is the Connector's scratch and is valid only until the
-// next Connect call — callers that retain connections must copy them.
+// Tree computes the step-4 tree of one net (see ConnectNodes) and writes
+// its len(nodes)-1 edges into conns and wires, which must both have exactly
+// that length — callers carve them out of arrays sized by a prefix sum over
+// net degrees. It returns the number of forced edges. A net of fewer than
+// two nodes has no tree.
+//
+// The tree depends on nothing but nodes — never on the channel occupancy —
+// so calls for different nets are independent and safe to fan out, each
+// worker with its own Connector. Switchable edges are left in their lower
+// channel; PlaceWires makes the occupancy-dependent choice afterwards.
 //
 // The MST is computed exactly without materializing the complete graph:
 // within one channel the |dx| metric is one-dimensional, so some MST uses
@@ -150,28 +167,122 @@ const (
 // nets. Disconnected adjacency components (which a correct feedthrough
 // assignment never produces) are chained with Forced edges so every net
 // stays electrically complete.
-func (cn *Connector) Connect(netID int, nodes []Node, occ *Occupancy) (conns []Connection, forced int) {
+func (cn *Connector) Tree(netID int, nodes []Node, conns []Connection, wires []metrics.Wire) (forced int) {
 	if len(nodes) < 2 {
-		return nil, 0
+		return 0
 	}
-	return cn.Commit(netID, nodes, cn.Prepare(nodes), occ)
+	uf := &cn.uf
+	uf.reset(len(nodes))
+	k := 0
+	for _, e := range cn.candidates(nodes) {
+		if !uf.union(e.u, e.v) {
+			continue
+		}
+		conn := Connection{Net: netID, U: e.u, V: e.v}
+		ch, both, _ := adjacent(nodes[e.u], nodes[e.v])
+		conn.Channel = ch
+		if both {
+			conn.Switchable = true
+			conn.Row = ch // candidate channels ch and ch+1
+		}
+		conns[k] = conn
+		wires[k] = conn.Wire(nodes)
+		k++
+		if k == len(wires) {
+			return 0 // spanning: every remaining candidate closes a cycle
+		}
+	}
+	// Chain the remaining components (deterministically, lowest indices
+	// first) with forced edges.
+	prev := -1
+	for i := range nodes {
+		if uf.find(i) != i {
+			continue
+		}
+		if prev >= 0 {
+			uf.union(prev, i)
+			conn := Connection{
+				Net: netID, U: prev, V: i, Forced: true,
+				Channel: geom.Min(nodes[prev].Row, nodes[i].Row) + 1,
+			}
+			conns[k] = conn
+			wires[k] = conn.Wire(nodes)
+			k++
+			forced++
+		}
+		prev = i
+	}
+	return forced
 }
 
-// Prepare computes the sorted candidate-edge list of one net — everything
-// in Connect up to (but excluding) the Kruskal/occupancy commit. The
-// candidates depend only on the net's own nodes, never on the shared
-// occupancy, so Prepare calls for different nets are independent and safe
-// to fan out across workers; Commit then replays them serially in net
-// order, which is what keeps the occupancy-streamed switchable-channel
-// choices byte-identical to the fully serial router.
-//
-// The returned slice is the Connector's scratch, valid only until the next
-// Prepare call — callers that retain candidates must copy them.
-func (cn *Connector) Prepare(nodes []Node) []ConnCand {
-	if len(nodes) < 2 {
+// ConnectTrees builds the trees of nets 0..len(off)-2 on up to workers
+// goroutines, each worker with its own Connector: net n's nodes are
+// nodesOf(n) — called once, from the worker that builds the net — and its
+// edges go to conns and wires [off[n]:off[n+1]], so off is the prefix sum
+// of max(degree-1, 0) and a net with an empty slot is skipped. A caller that
+// keeps only the wires passes nil conns and the connections stay in the
+// worker's scratch. It returns the total number of forced edges.
+func ConnectTrees(ctx context.Context, workers int, off []int, nodesOf func(net int) []Node, conns []Connection, wires []metrics.Wire) (forced int, err error) {
+	nets := len(off) - 1
+	builders := make([]struct {
+		cn     Connector
+		conns  []Connection // the current net's, when the caller keeps none
+		forced int
+		_      workpool.Pad
+	}, geom.Max(workers, 1))
+	err = workpool.DoChunks(ctx, workers, nets, workpool.Grain(nets, workers), func(w, lo, hi int) error {
+		b := &builders[w]
+		for n := lo; n < hi; n++ {
+			if off[n+1] == off[n] {
+				continue
+			}
+			cs := b.conns
+			if conns != nil {
+				cs = conns[off[n]:off[n+1]]
+			} else if k := off[n+1] - off[n]; k > len(cs) {
+				cs = make([]Connection, k)
+				b.conns = cs
+			}
+			b.forced += b.cn.Tree(n, nodesOf(n), cs[:off[n+1]-off[n]], wires[off[n]:off[n+1]])
+		}
 		return nil
+	})
+	for i := range builders {
+		forced += builders[i].forced
 	}
+	return forced, err
+}
 
+// PlaceWires streams wires, in order, into the occupancy: a switchable
+// wire moves to its upper channel when adding it there is cheaper than in
+// the lower one at that moment, and every wire is then added where it
+// sits. This is the one part of step 4 that reads shared state, so it is
+// serial and its order — net order, tree order within a net — is part of
+// the routing result. conns, when the caller kept them (conns[i] belongs
+// to wires[i]), follow their wire's channel.
+func (o *Occupancy) PlaceWires(ctx context.Context, wires []metrics.Wire, conns []Connection) error {
+	for i := range wires {
+		if i&4095 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		w := &wires[i]
+		if w.Switchable && o.AddCost(w.Row+1, w.Span) < o.AddCost(w.Row, w.Span) {
+			w.Channel = w.Row + 1
+			if conns != nil {
+				conns[i].Channel = w.Channel
+			}
+		}
+		o.Add(w.Channel, w.Span, 1)
+	}
+	return nil
+}
+
+// candidates computes the sorted candidate-edge list of one net. The
+// returned slice is the Connector's scratch, valid only until the next
+// call.
+func (cn *Connector) candidates(nodes []Node) []connCand {
 	// One sorted pass over (channel, x, index) incidences replaces the
 	// per-channel bucket maps: consecutive entries of the same channel are
 	// exactly the consecutive-by-x pairs of that channel's bucket. When the
@@ -228,7 +339,7 @@ func (cn *Connector) Prepare(nodes []Node) []ConnCand {
 		if w >= 1<<(63-2*packIdxBits) {
 			packCands = false
 		}
-		cands = append(cands, ConnCand{w: w, u: entries[i-1].idx, v: entries[i].idx})
+		cands = append(cands, connCand{w: w, u: entries[i-1].idx, v: entries[i].idx})
 	}
 	if packCands {
 		keys := cn.keys[:0]
@@ -237,7 +348,7 @@ func (cn *Connector) Prepare(nodes []Node) []ConnCand {
 		}
 		slices.Sort(keys)
 		for i, k := range keys {
-			cands[i] = ConnCand{
+			cands[i] = connCand{
 				w: k >> (2 * packIdxBits),
 				u: int(k >> packIdxBits & (1<<packIdxBits - 1)),
 				v: int(k & (1<<packIdxBits - 1)),
@@ -245,7 +356,7 @@ func (cn *Connector) Prepare(nodes []Node) []ConnCand {
 		}
 		cn.keys = keys
 	} else {
-		slices.SortFunc(cands, func(a, b ConnCand) int {
+		slices.SortFunc(cands, func(a, b connCand) int {
 			if a.w != b.w {
 				return cmp.Compare(a.w, b.w)
 			}
@@ -257,70 +368,6 @@ func (cn *Connector) Prepare(nodes []Node) []ConnCand {
 	}
 	cn.cands = cands
 	return cands
-}
-
-// Commit is the serial tail of Connect: Kruskal over the prepared
-// candidates, streaming switchable-channel choices and the produced wires
-// through occ. Callers replaying prepared nets must commit them in net
-// order — the occupancy state at each commit is what the channel choices
-// depend on. The returned slice is the Connector's scratch; see Connect.
-func (cn *Connector) Commit(netID int, nodes []Node, cands []ConnCand, occ *Occupancy) (conns []Connection, forced int) {
-	if len(nodes) < 2 {
-		return nil, 0
-	}
-	uf := &cn.uf
-	uf.reset(len(nodes))
-	conns = cn.conns[:0]
-	for _, e := range cands {
-		if !uf.union(e.u, e.v) {
-			continue
-		}
-		u, v := nodes[e.u], nodes[e.v]
-		conn := Connection{Net: netID, U: e.u, V: e.v}
-		ch, both, _ := adjacent(u, v)
-		conn.Channel = ch
-		if both {
-			conn.Switchable = true
-			conn.Row = ch // candidate channels ch and ch+1
-			if occ != nil {
-				span := connSpan(u.X, v.X)
-				if occ.AddCost(ch+1, span) < occ.AddCost(ch, span) {
-					conn.Channel = ch + 1
-				}
-			}
-		}
-		if occ != nil {
-			occ.Add(conn.Channel, connSpan(u.X, v.X), 1)
-		}
-		conns = append(conns, conn)
-	}
-
-	// Chain any remaining components (deterministically, lowest indices
-	// first) with forced edges.
-	if len(conns) < len(nodes)-1 {
-		prev := -1
-		for i := range nodes {
-			if uf.find(i) != i {
-				continue
-			}
-			if prev >= 0 {
-				uf.union(prev, i)
-				u, v := nodes[prev], nodes[i]
-				conn := Connection{
-					Net: netID, U: prev, V: i, Forced: true,
-					Channel: geom.Min(u.Row, v.Row) + 1,
-				}
-				if occ != nil {
-					occ.Add(conn.Channel, connSpan(u.X, v.X), 1)
-				}
-				conns = append(conns, conn)
-				forced++
-			}
-			prev = i
-		}
-	}
-	cn.conns = conns
-	return conns, forced
 }
 
 // unionFind is a plain disjoint-set structure with path halving.

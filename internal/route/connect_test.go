@@ -1,10 +1,13 @@
 package route
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"parroute/internal/circuit"
 	"parroute/internal/geom"
+	"parroute/internal/metrics"
 	"parroute/internal/mst"
 	"parroute/internal/rng"
 )
@@ -253,5 +256,158 @@ func TestUnionFind(t *testing.T) {
 	}
 	if uf.find(4) == uf.find(0) {
 		t.Fatal("node 4 should be separate")
+	}
+}
+
+// refConnectStreamed is step 4 as it ran before the tree build was split
+// from the occupancy stream: one Kruskal pass per net that prices each
+// switchable edge against the live occupancy and adds every edge to it as
+// it is accepted. It survives here as the differential reference.
+func refConnectStreamed(cn *Connector, netID int, nodes []Node, occ *Occupancy) (conns []Connection, forced int) {
+	if len(nodes) < 2 {
+		return nil, 0
+	}
+	uf := newUnionFind(len(nodes))
+	for _, e := range cn.candidates(nodes) {
+		if !uf.union(e.u, e.v) {
+			continue
+		}
+		u, v := nodes[e.u], nodes[e.v]
+		conn := Connection{Net: netID, U: e.u, V: e.v}
+		ch, both, _ := adjacent(u, v)
+		conn.Channel = ch
+		if both {
+			conn.Switchable = true
+			conn.Row = ch
+			span := connSpan(u.X, v.X)
+			if occ.AddCost(ch+1, span) < occ.AddCost(ch, span) {
+				conn.Channel = ch + 1
+			}
+		}
+		occ.Add(conn.Channel, connSpan(u.X, v.X), 1)
+		conns = append(conns, conn)
+	}
+	if len(conns) < len(nodes)-1 {
+		prev := -1
+		for i := range nodes {
+			if uf.find(i) != i {
+				continue
+			}
+			if prev >= 0 {
+				uf.union(prev, i)
+				u, v := nodes[prev], nodes[i]
+				conn := Connection{
+					Net: netID, U: prev, V: i, Forced: true,
+					Channel: geom.Min(u.Row, v.Row) + 1,
+				}
+				occ.Add(conn.Channel, connSpan(u.X, v.X), 1)
+				conns = append(conns, conn)
+				forced++
+			}
+			prev = i
+		}
+	}
+	return conns, forced
+}
+
+// TestTreeThenPlaceMatchesStreamedKruskal: building every net's tree first
+// (into prefix-sum slots, lower channels) and then placing the whole wire
+// array against the occupancy gives the connections, wires, forced counts
+// and final occupancy of the net-by-net streamed form — on nets with
+// forced edges, zero-length edges, congested channels and one 5000-pin net.
+func TestTreeThenPlaceMatchesStreamedKruskal(t *testing.T) {
+	r := rng.New(41)
+	sides := []circuit.Side{circuit.Bottom, circuit.Top, circuit.Both, circuit.Both}
+	const rows, width = 9, 4000
+	var nets [][]Node
+	for n := 0; n < 300; n++ {
+		k := r.Intn(12) // 0- and 1-node nets included
+		if n == 17 {
+			k = 5000
+		}
+		nodes := make([]Node, k)
+		for i := range nodes {
+			nodes[i] = Node{X: r.Intn(width), Row: r.Intn(rows), Side: sides[r.Intn(4)], Pin: -1}
+			if i > 0 && r.Intn(6) == 0 {
+				nodes[i].X = nodes[i-1].X // zero-length edges
+			}
+		}
+		if n%7 == 0 && k >= 2 {
+			// Rows two apart with single-channel sides: no shared channel,
+			// so the tree needs forced edges.
+			nodes[0].Row, nodes[0].Side = 0, circuit.Bottom
+			nodes[1].Row, nodes[1].Side = rows-1, circuit.Top
+		}
+		nets = append(nets, nodes)
+	}
+	newOcc := func() *Occupancy {
+		occ := NewOccupancy(rows+1, width, 16)
+		occ.Add(3, geom.NewInterval(0, width/2), 4) // congestion the choices react to
+		return occ
+	}
+
+	var wantConns []Connection
+	var wantWires []metrics.Wire
+	wantForced, wantOcc := 0, newOcc()
+	var cn Connector
+	for n, nodes := range nets {
+		conns, f := refConnectStreamed(&cn, n, nodes, wantOcc)
+		wantForced += f
+		for i := range conns {
+			wantConns = append(wantConns, conns[i])
+			wantWires = append(wantWires, conns[i].Wire(nodes))
+		}
+	}
+	if wantForced == 0 {
+		t.Fatal("no forced edge in the reference")
+	}
+	switched := 0
+	for _, c := range wantConns {
+		if c.Switchable && c.Channel == c.Row+1 {
+			switched++
+		}
+	}
+	if switched == 0 {
+		t.Fatal("no switchable connection chose its upper channel in the reference")
+	}
+
+	off := make([]int, len(nets)+1)
+	for n, nodes := range nets {
+		off[n+1] = off[n] + geom.Max(len(nodes)-1, 0)
+	}
+	gotConns := make([]Connection, off[len(nets)])
+	gotWires := make([]metrics.Wire, off[len(nets)])
+	gotForced, gotOcc := 0, newOcc()
+	for n, nodes := range nets {
+		gotForced += cn.Tree(n, nodes, gotConns[off[n]:off[n+1]], gotWires[off[n]:off[n+1]])
+	}
+	if err := gotOcc.PlaceWires(context.Background(), gotWires, gotConns); err != nil {
+		t.Fatal(err)
+	}
+	if gotForced != wantForced {
+		t.Fatalf("forced %d, streamed form %d", gotForced, wantForced)
+	}
+	if !slices.Equal(gotConns, wantConns) {
+		t.Fatalf("connections differ from the streamed form (%d vs %d)", len(gotConns), len(wantConns))
+	}
+	if !slices.Equal(gotWires, wantWires) {
+		t.Fatal("wires differ from the streamed form")
+	}
+	if !slices.Equal(gotOcc.Counts(), wantOcc.Counts()) {
+		t.Fatal("final occupancy differs from the streamed form")
+	}
+
+	// ConnectNodes, net by net against one occupancy, is the same stream.
+	perNetOcc := newOcc()
+	at := 0
+	for n, nodes := range nets {
+		conns, _ := ConnectNodes(n, nodes, perNetOcc)
+		if !slices.Equal(conns, wantConns[at:at+len(conns)]) {
+			t.Fatalf("net %d: ConnectNodes differs from the streamed form", n)
+		}
+		at += len(conns)
+	}
+	if at != len(wantConns) || !slices.Equal(perNetOcc.Counts(), wantOcc.Counts()) {
+		t.Fatal("ConnectNodes stream: connection count or occupancy differs")
 	}
 }

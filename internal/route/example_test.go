@@ -39,7 +39,9 @@ func ExampleRouter_Verify() {
 		panic(err)
 	}
 	rt.CoarseRoute()
-	rt.InsertFeedthroughs()
+	if err := rt.InsertFeedthroughs(); err != nil {
+		panic(err)
+	}
 	if err := rt.AssignFeedthroughs(ctx); err != nil {
 		panic(err)
 	}

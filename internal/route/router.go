@@ -81,7 +81,9 @@ func (rt *Router) Stages() []pipeline.Stage {
 			return nil
 		}),
 		pipeline.Func("ft-insert", func(_ context.Context, s *pipeline.Session) error {
-			rt.InsertFeedthroughs()
+			if err := rt.InsertFeedthroughs(); err != nil {
+				return err
+			}
 			s.Count("inserted-fts", int64(rt.InsertedFts))
 			return nil
 		}),
@@ -173,6 +175,7 @@ func (rt *Router) BuildTrees(ctx context.Context) error {
 type treeBuilder struct {
 	b      steiner.Builder
 	segBuf []steiner.Segment
+	_      workpool.Pad
 }
 
 // UseSegments installs externally built segments (the parallel algorithms
@@ -267,33 +270,63 @@ func improveBends(g *grid.Grid, segs []PlacedSeg, r *rng.RNG, passes int, ftBase
 // InsertFeedthroughs is the tail of step 2: realize the grid's feedthrough
 // demand as physical feedthrough cells, then refresh segment geometry
 // (insertion shifts cells and the pins on them).
-func (rt *Router) InsertFeedthroughs() {
-	rt.FtPinsByRow = make([][]int, len(rt.C.Rows))
-	// Pre-size the circuit tables for the total demand, then insert in
-	// deferred mode: cell-attached pin positions are re-synced once at
-	// the end instead of per insertion.
-	rowCounts := make([]int, rt.Grid.Rows)
-	total := 0
-	for row := 0; row < rt.Grid.Rows; row++ {
-		for col := 0; col < rt.Grid.Cols; col++ {
-			rowCounts[row] += rt.Grid.FtDemand(row, col)
-		}
-		total += rowCounts[row]
+func (rt *Router) InsertFeedthroughs() error {
+	fts, inserted, err := InsertGridFeedthroughs(rt.C, rt.Grid, 0, rt.Grid.Rows-1, rt.Opt.Workers)
+	if err != nil {
+		return err
 	}
-	rt.C.GrowForFeedthroughs(total, rowCounts)
-	for row := 0; row < rt.Grid.Rows; row++ {
-		rt.FtPinsByRow[row] = make([]int, 0, rowCounts[row])
-		for col := 0; col < rt.Grid.Cols; col++ {
-			demand := rt.Grid.FtDemand(row, col)
-			for i := 0; i < demand; i++ {
-				pin := rt.C.InsertFeedthroughDeferred(row, rt.Grid.ColCenter(col), circuit.NoNet)
-				rt.FtPinsByRow[row] = append(rt.FtPinsByRow[row], pin)
-				rt.InsertedFts++
+	rt.FtPinsByRow = fts
+	rt.InsertedFts += inserted
+	rt.refreshSegs()
+	return nil
+}
+
+// InsertGridFeedthroughs inserts the feedthrough cells g demands in rows
+// lo..hi of c — per row and column, demand-many at the column's center,
+// left to right — and returns the new pin IDs per row (indexed by row over
+// the whole circuit) plus their count. Rows are independent, so the
+// insertion fans out on up to workers goroutines; pin and cell IDs are the
+// ones inserting one by one in (row, column) order would assign.
+func InsertGridFeedthroughs(c *circuit.Circuit, g *grid.Grid, lo, hi, workers int) (ftByRow [][]int, inserted int, err error) {
+	off := make([]int, len(c.Rows)+1)
+	for row := range c.Rows {
+		off[row+1] = off[row]
+		if row >= lo && row <= hi {
+			for col := 0; col < g.Cols; col++ {
+				off[row+1] += g.FtDemand(row, col)
 			}
 		}
 	}
-	rt.C.SyncPinX()
-	rt.refreshSegs()
+	inserted = off[len(c.Rows)]
+	xs := make([]int, 0, inserted)
+	for row := lo; row <= hi; row++ {
+		for col := 0; col < g.Cols; col++ {
+			for d := g.FtDemand(row, col); d > 0; d-- {
+				xs = append(xs, g.ColCenter(col))
+			}
+		}
+	}
+	first, err := c.InsertFeedthroughRows(off, xs, func(rows int, walk func(r int)) {
+		// An insertion is all or nothing, so it is not cancellable: the
+		// walk cannot fail and the background context never ends.
+		_ = workpool.Do(context.Background(), workers, rows, func(_, r int) error {
+			walk(r)
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("route: ft-insert: %w", err)
+	}
+	// Request i produced pin first+i, so the request array, once consumed,
+	// is the backing array of the per-row pin lists.
+	for i := range xs {
+		xs[i] = first + i
+	}
+	ftByRow = make([][]int, len(c.Rows))
+	for row := lo; row <= hi; row++ {
+		ftByRow[row] = xs[off[row]:off[row+1]:off[row+1]]
+	}
+	return ftByRow, inserted, nil
 }
 
 // refreshSegs re-reads endpoint positions from the circuit after cell
@@ -452,129 +485,59 @@ func (rt *Router) bindFt(pinID, netID int) {
 }
 
 // ConnectNets is step 4: per net, the adjacency-restricted MST over its
-// pins and bound feedthroughs produces the final channel wires. Nets are
-// streamed through a live occupancy so each switchable connection starts
-// in the channel that is cheaper at the moment it is placed; step 5 then
-// iterates on those choices.
+// pins and bound feedthroughs produces the final channel wires, each
+// switchable connection starting in the channel that is cheaper at the
+// moment it is placed; step 5 then iterates on those choices.
 //
-// With Opt.Workers > 1 the phase splits: candidate preparation (node
-// gathering plus Connector.Prepare — the sort-dominated bulk of step 4,
-// independent of the occupancy) fans out over per-net slots carved from
-// one arena, and the occupancy-streaming Commit then replays the prepared
-// nets serially in net order. The commit order, not the preparation
-// order, is what the switchable-channel choices depend on, so the output
-// is byte-identical at every worker count.
+// The phase splits on what reads shared state. A net's tree — which nodes
+// are joined, the connections, the wire geometry — depends only on the
+// net's own nodes, so the whole tree build fans out over Opt.Workers and
+// writes each net's k-1 connections and wires straight into their final
+// slots (a prefix sum over degrees, as in BuildTrees), switchable ones
+// provisionally in their lower channel. Only the channel of a switchable
+// connection reads the live occupancy: PlaceWires then streams the wire
+// array through it serially in net order. The output is byte-identical at
+// every worker count because nothing the workers compute depends on order.
 func (rt *Router) ConnectNets(ctx context.Context) error {
-	// Never narrower than the fixed grid extent: a block-sized sub-circuit
-	// has no foreign rows to widen it, and its fake pins sit at full-design x.
-	occ := NewOccupancy(rt.C.NumChannels(), geom.Max(rt.C.CoreWidth(), rt.Opt.GridWidth), rt.Opt.GridColWidth)
-	rt.NetNodes = make([][]Node, len(rt.C.Nets))
-	// A k-node net yields exactly k-1 connections, so the output size
-	// is known up front; per-net node lists carve out of one arena.
 	nets := rt.C.Nets
+	// Net n's nodes are arena[nodeOff[n]:nodeOff[n+1]]; a k-node net yields
+	// exactly k-1 connections, Conns and Wires [connOff[n]:connOff[n+1]].
 	nodeOff := make([]int, len(nets)+1)
-	total := 0
+	connOff := make([]int, len(nets)+1)
 	for n := range nets {
-		nodeOff[n+1] = nodeOff[n]
+		nodeOff[n+1], connOff[n+1] = nodeOff[n], connOff[n]
 		if k := len(nets[n].Pins); k >= 2 {
 			nodeOff[n+1] += k
-			total += k - 1
+			connOff[n+1] += k - 1
 		}
 	}
-	rt.Conns = slices.Grow(rt.Conns, total)
-	rt.Wires = slices.Grow(rt.Wires, total)
+	total := connOff[len(nets)]
+	rt.NetNodes = make([][]Node, len(nets))
+	rt.Conns = slices.Grow(rt.Conns[:0], total)[:total]
+	rt.Wires = slices.Grow(rt.Wires[:0], total)[:total]
 	arena := make([]Node, nodeOff[len(nets)])
 
-	workers := rt.Opt.Workers
-	if workers <= 1 {
-		// Inline fast path: prepare and commit each net in one pass, with
-		// no candidate retention. Identical output to the split form.
-		var cn Connector
-		for n := range nets {
-			if nodeOff[n+1] == nodeOff[n] {
-				continue
-			}
-			if n&1023 == 0 {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("route: connect: %w", err)
-				}
-			}
-			nodes := rt.netNodesInto(arena, nodeOff, n)
-			conns, forced := cn.Connect(n, nodes, occ)
-			rt.takeConns(conns, nodes, forced)
+	forced, err := ConnectTrees(ctx, rt.Opt.Workers, connOff, func(n int) []Node {
+		nodes := arena[nodeOff[n]:nodeOff[n+1]:nodeOff[n+1]]
+		for i, pid := range nets[n].Pins {
+			p := &rt.C.Pins[pid]
+			nodes[i] = Node{X: p.X, Row: p.Row, Side: p.Side, Pin: pid}
 		}
-		return nil
-	}
-
-	// Parallel prepare: per-worker Connectors and candidate arenas; the
-	// per-net candidate lists are retained as sub-slices for the commit.
-	candLists := make([][]ConnCand, len(nets))
-	prep := make([]connPrep, workers)
-	err := workpool.DoChunks(ctx, workers, len(nets), workpool.Grain(len(nets), workers),
-		func(w, lo, hi int) error {
-			p := &prep[w]
-			for n := lo; n < hi; n++ {
-				if nodeOff[n+1] == nodeOff[n] {
-					continue
-				}
-				nodes := rt.netNodesInto(arena, nodeOff, n)
-				cands := p.cn.Prepare(nodes)
-				at := len(p.arena)
-				p.arena = append(p.arena, cands...)
-				candLists[n] = p.arena[at:len(p.arena):len(p.arena)]
-			}
-			return nil
-		})
+		rt.NetNodes[n] = nodes
+		return nodes
+	}, rt.Conns, rt.Wires)
 	if err != nil {
 		return fmt.Errorf("route: connect: %w", err)
 	}
+	rt.ForcedEdges = forced
 
-	// Serial commit in net order against the live occupancy.
-	var cn Connector
-	for n := range nets {
-		if nodeOff[n+1] == nodeOff[n] {
-			continue
-		}
-		if n&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("route: connect: %w", err)
-			}
-		}
-		nodes := rt.NetNodes[n]
-		conns, forced := cn.Commit(n, nodes, candLists[n], occ)
-		rt.takeConns(conns, nodes, forced)
+	// Never narrower than the fixed grid extent: a block-sized sub-circuit
+	// has no foreign rows to widen it, and its fake pins sit at full-design x.
+	occ := NewOccupancy(rt.C.NumChannels(), geom.Max(rt.C.CoreWidth(), rt.Opt.GridWidth), rt.Opt.GridColWidth)
+	if err := occ.PlaceWires(ctx, rt.Wires, rt.Conns); err != nil {
+		return fmt.Errorf("route: connect: %w", err)
 	}
 	return nil
-}
-
-// connPrep is one worker's step-4 preparation state: its Connector
-// scratch and the growing arena its nets' retained candidate lists carve
-// sub-slices from.
-type connPrep struct {
-	cn    Connector
-	arena []ConnCand
-}
-
-// netNodesInto fills net n's node list into its arena slot and records it
-// in NetNodes.
-func (rt *Router) netNodesInto(arena []Node, nodeOff []int, n int) []Node {
-	pins := rt.C.Nets[n].Pins
-	nodes := arena[nodeOff[n]:nodeOff[n+1]:nodeOff[n+1]]
-	for i, pid := range pins {
-		p := &rt.C.Pins[pid]
-		nodes[i] = Node{X: p.X, Row: p.Row, Side: p.Side, Pin: pid}
-	}
-	rt.NetNodes[n] = nodes
-	return nodes
-}
-
-// takeConns appends one committed net's connections and wires.
-func (rt *Router) takeConns(conns []Connection, nodes []Node, forced int) {
-	rt.ForcedEdges += forced
-	for i := range conns {
-		rt.Conns = append(rt.Conns, conns[i])
-		rt.Wires = append(rt.Wires, conns[i].Wire(nodes))
-	}
 }
 
 // OptimizeSwitchable is step 5 over the wires produced by ConnectNets.

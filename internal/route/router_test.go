@@ -2,6 +2,7 @@ package route
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,7 +77,7 @@ func TestRouterCircuitStaysValidThroughPhases(t *testing.T) {
 	}{
 		{"trees", func() error { return rt.BuildTrees(ctx) }},
 		{"coarse", func() error { rt.CoarseRoute(); return nil }},
-		{"insert", func() error { rt.InsertFeedthroughs(); return nil }},
+		{"insert", rt.InsertFeedthroughs},
 		{"assign", func() error { return rt.AssignFeedthroughs(ctx) }},
 		{"connect", func() error { return rt.ConnectNets(ctx) }},
 		{"switch", func() error { rt.OptimizeSwitchable(); return nil }},
@@ -173,6 +174,42 @@ func TestWiresMatchConnections(t *testing.T) {
 			t.Fatalf("switchable wire %d in channel %d, candidates %d/%d",
 				i, w.Channel, c.Row, c.Row+1)
 		}
+	}
+}
+
+// TestConnectNetsTwiceReplacesResult: step 4 is slot-addressed from length
+// zero, so running it again on the same router yields the same wires — it
+// used to append a second copy behind the first.
+func TestConnectNetsTwiceReplacesResult(t *testing.T) {
+	c := gen.Small(9)
+	rt := NewRouter(c.Clone(), Options{Seed: 9, Workers: 2})
+	ctx := context.Background()
+	if err := rt.BuildTrees(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rt.CoarseRoute()
+	if err := rt.InsertFeedthroughs(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.AssignFeedthroughs(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.ConnectNets(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wires, conns, forced := slices.Clone(rt.Wires), slices.Clone(rt.Conns), rt.ForcedEdges
+	if len(wires) == 0 {
+		t.Fatal("no wires")
+	}
+	if err := rt.ConnectNets(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rt.Wires, wires) || !slices.Equal(rt.Conns, conns) || rt.ForcedEdges != forced {
+		t.Fatalf("second ConnectNets: %d wires, %d conns, %d forced; first %d, %d, %d",
+			len(rt.Wires), len(rt.Conns), rt.ForcedEdges, len(wires), len(conns), forced)
+	}
+	if err := rt.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -28,21 +28,36 @@ func TestParroutecheckClean(t *testing.T) {
 		t.Logf("fix the findings or annotate deliberate exceptions with //lint:allow <rule> <reason>")
 	}
 
-	// The per-call wrappers allocate fresh scratch on every net; they exist
-	// for tests and diagnostics. The loader skips _test.go files, so any
-	// use found here is production code that should drive a
-	// route.Connector / steiner.Builder instead.
-	slow := map[string]bool{
-		"parroute/internal/route.ConnectNodes": true,
-		"parroute/internal/steiner.BuildNet":   true,
+	// Calls the routing packages must not make outside _test.go files (the
+	// loader skips those), each with the files it is banned in — every
+	// non-test file when in is nil — and how many uses are exempt there.
+	const insert = "(*parroute/internal/circuit.Circuit).InsertFeedthrough"
+	forbidden := []struct {
+		fn      string
+		in      []string // slash-path fragments
+		allowed int
+		why     string
+	}{
+		// The per-call wrappers allocate fresh scratch on every net; they
+		// exist for tests and diagnostics.
+		{"parroute/internal/route.ConnectNodes", nil, 0, "build all nets with route.ConnectTrees"},
+		{"parroute/internal/steiner.BuildNet", nil, 0, "drive a steiner.Builder"},
+		// The row-partitioned drivers (and the sub-circuit builder they
+		// share) read base and build a block-sized sub-circuit from it; a
+		// Clone there is each rank paying for rows it does not own again.
+		// Net-wise is the exception — a rank routes nets through every
+		// row, so netwise.go keeps its clone — as is RunBaseline in
+		// parallel.go.
+		{"(*parroute/internal/circuit.Circuit).Clone",
+			[]string{"internal/parallel/rowwise.go", "internal/parallel/hybrid.go", "internal/parallel/common.go"},
+			0, "build from base with buildBlockCircuit"},
+		// One-at-a-time insertion is O(row length) per feedthrough; the
+		// routers insert through circuit.InsertFeedthroughRows. The two
+		// exempt uses are the step-3 overflow paths (serial and net-wise),
+		// which place a feedthrough the demand estimate missed.
+		{insert, []string{"internal/route/", "internal/parallel/"}, 2, "insert in bulk with InsertFeedthroughRows"},
 	}
-	// The row-partitioned drivers (and the sub-circuit builder they share)
-	// read base and build a block-sized sub-circuit from it; a Clone there
-	// is each rank paying for rows it does not own again. Net-wise is the
-	// exception — a rank routes nets through every row, so netwise.go
-	// keeps its clone — as is RunBaseline in parallel.go.
-	const clone = "(*parroute/internal/circuit.Circuit).Clone"
-	blockSized := []string{"internal/parallel/rowwise.go", "internal/parallel/hybrid.go", "internal/parallel/common.go"}
+	sites := make([][]string, len(forbidden))
 	for _, pkg := range mod.Pkgs {
 		for id, obj := range pkg.Info.Uses {
 			fn, ok := obj.(*types.Func)
@@ -50,14 +65,20 @@ func TestParroutecheckClean(t *testing.T) {
 				continue
 			}
 			pos := mod.Fset.Position(id.Pos())
-			if slow[fn.FullName()] {
-				t.Errorf("%s: %s called outside a _test.go file", pos, fn.FullName())
+			file := filepath.ToSlash(pos.Filename)
+			for i, f := range forbidden {
+				if fn.FullName() == f.fn && (f.in == nil ||
+					slices.ContainsFunc(f.in, func(frag string) bool { return strings.Contains(file, frag) })) {
+					sites[i] = append(sites[i], pos.String())
+				}
 			}
-			if fn.FullName() == clone && slices.ContainsFunc(blockSized, func(f string) bool {
-				return strings.HasSuffix(filepath.ToSlash(pos.Filename), f)
-			}) {
-				t.Errorf("%s: circuit.Clone in a row-partitioned driver: build from base with buildBlockCircuit", pos)
-			}
+		}
+	}
+	for i, f := range forbidden {
+		if len(sites[i]) > f.allowed {
+			slices.Sort(sites[i])
+			t.Errorf("%s called at %d sites outside _test.go files, %d allowed: %s\n\t%s",
+				f.fn, len(sites[i]), f.allowed, f.why, strings.Join(sites[i], "\n\t"))
 		}
 	}
 }

@@ -125,15 +125,16 @@ scale_tier() {
 step "scale smoke (synth.100k budgets)" scale_tier
 
 # Allocation budget: one hybrid and one net-wise parallel.Run at P=2 on the
-# in-process engine must stay under a committed malloc count, and the
-# hybrid run under a committed byte count (DESIGN.md §9) — an
-# append-in-a-loop regression in a driver, or a rank cloning the whole
+# in-process engine, and one serial route.Route at one and at two workers,
+# must stay under a committed malloc count, and the hybrid run under a
+# committed byte count (DESIGN.md §9) — an append-in-a-loop regression, a
+# per-feedthrough allocation coming back, or a rank cloning the whole
 # circuit again, fails here, with no wall clock involved. Run without
 # -race: the byte budget only discriminates in a plain build.
 alloc_budget() {
   go test -count=1 -run 'TestParallelDriverAllocBudget' .
 }
-step "parallel driver allocation budget" alloc_budget
+step "allocation budget (parallel drivers + serial route)" alloc_budget
 
 # Bench smoke: the serial hot path still runs end to end under the
 # benchmark harness (the perf ledger itself is `go run ./benchmark`; see
