@@ -53,21 +53,6 @@ func (m *Module) manifestFor(pkg *Package) *mpproto.Manifest {
 	return nil
 }
 
-// mpPayloadArgIdx maps each sending protocol operation of internal/mp to
-// the index of its payload argument, mirroring mpgen's scanner.
-var mpPayloadArgIdx = map[string]int{
-	"Send":            2,
-	"Bcast":           3,
-	"Gather":          3,
-	"Allgather":       2,
-	"AllreduceInt32s": 2,
-	"AllreduceInt":    2,
-	"Alltoall":        2,
-	"Reduce":          3,
-	"Scatter":         3,
-	"Scan":            2,
-}
-
 // staticPayloadName returns the manifest name of a send-site payload
 // expression's static type ("pkg/path.Name" for named types, "[]int32"
 // and friends for builtins), or "" when the static type is an interface
@@ -271,8 +256,8 @@ func checkSentPayloads(p *Pass, man *mpproto.Manifest, f *ast.File) {
 		if op == nil || op.sides&sideSend == 0 {
 			return true
 		}
-		idx, ok := mpPayloadArgIdx[op.name]
-		if !ok || idx >= len(call.Args) {
+		idx := op.payloadIdx
+		if idx < 0 || idx >= len(call.Args) {
 			return true
 		}
 		name := staticPayloadName(info, call.Args[idx])
@@ -350,8 +335,8 @@ func checkManifestTagSites(p *Pass, f *ast.File) {
 		if tag == nil || tag.Pkg() == nil || !man.Covers(tag.Pkg().Path()) {
 			return true
 		}
-		idx, ok := mpPayloadArgIdx[op.name]
-		if !ok || idx >= len(call.Args) {
+		idx := op.payloadIdx
+		if idx < 0 || idx >= len(call.Args) {
 			return true
 		}
 		name := staticPayloadName(info, call.Args[idx])

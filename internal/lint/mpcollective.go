@@ -10,7 +10,7 @@ import (
 
 // analyzerCollectiveCongruence enforces the first mpproto rule: every rank
 // of a communicator must execute the same sequence of collective
-// operations (mp.Bcast/Gather/…/Comm.Barrier). A collective that is
+// operations (mp.Gather/Alltoall/…/Comm.Barrier). A collective that is
 // control-dependent on a rank-derived condition — `if c.Rank() == 0 {
 // Barrier() }`, or an early return on one rank before a barrier the
 // others reach — deadlocks the whole machine, as the virtual engine's
@@ -25,7 +25,7 @@ import (
 // call to a helper that gathers (the rawGather path) is still caught.
 var analyzerCollectiveCongruence = &Analyzer{
 	Name: "collective-congruence",
-	Doc:  "forbid collectives (Bcast/Gather/Barrier/…) control-dependent on rank-derived conditions",
+	Doc:  "forbid collectives (Gather/Alltoall/Barrier/…) control-dependent on rank-derived conditions",
 	Run:  runCollectiveCongruence,
 }
 

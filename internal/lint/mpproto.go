@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
+
+	"parroute/internal/mpproto"
 )
 
 // Shared machinery for the mpproto analyzer family (collective-congruence,
@@ -31,25 +33,12 @@ type mpOp struct {
 	// events.
 	event bool
 	sides side
-	// tagIdx / peerIdx are argument indices into the call, -1 when the
-	// operation has no tag (Barrier) or no peer (collectives).
-	tagIdx  int
-	peerIdx int
-}
-
-// mpCollectiveOps are the exported collective helpers of internal/mp, by
-// name. Every one of them both sends and receives under its tag on some
-// rank, so each call site counts for both directions.
-var mpCollectiveOps = map[string]mpOp{
-	"Bcast":           {name: "Bcast", event: true, sides: sideSend | sideRecv, tagIdx: 2, peerIdx: -1},
-	"Gather":          {name: "Gather", event: true, sides: sideSend | sideRecv, tagIdx: 2, peerIdx: -1},
-	"Allgather":       {name: "Allgather", event: true, sides: sideSend | sideRecv, tagIdx: 1, peerIdx: -1},
-	"AllreduceInt32s": {name: "AllreduceInt32s", event: true, sides: sideSend | sideRecv, tagIdx: 1, peerIdx: -1},
-	"AllreduceInt":    {name: "AllreduceInt", event: true, sides: sideSend | sideRecv, tagIdx: 1, peerIdx: -1},
-	"Alltoall":        {name: "Alltoall", event: true, sides: sideSend | sideRecv, tagIdx: 1, peerIdx: -1},
-	"Reduce":          {name: "Reduce", event: true, sides: sideSend | sideRecv, tagIdx: 2, peerIdx: -1},
-	"Scatter":         {name: "Scatter", event: true, sides: sideSend | sideRecv, tagIdx: 2, peerIdx: -1},
-	"Scan":            {name: "Scan", event: true, sides: sideSend | sideRecv, tagIdx: 1, peerIdx: -1},
+	// tagIdx / peerIdx / payloadIdx are argument indices into the call, -1
+	// when the operation has no tag (Barrier), no peer (collectives) or
+	// sends no payload (Recv, Barrier).
+	tagIdx     int
+	peerIdx    int
+	payloadIdx int
 }
 
 // resolveMPOp classifies call as a protocol operation of internal/mp:
@@ -63,16 +52,20 @@ func resolveMPOp(info *types.Info, call *ast.CallExpr) *mpOp {
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		switch fn.Name() {
 		case "Send":
-			return &mpOp{name: "Send", sides: sideSend, tagIdx: 1, peerIdx: 0}
+			return &mpOp{name: "Send", sides: sideSend, tagIdx: 1, peerIdx: 0, payloadIdx: 2}
 		case "Recv":
-			return &mpOp{name: "Recv", sides: sideRecv, tagIdx: 1, peerIdx: 0}
+			return &mpOp{name: "Recv", sides: sideRecv, tagIdx: 1, peerIdx: 0, payloadIdx: -1}
 		case "Barrier":
-			return &mpOp{name: "Barrier", event: true, tagIdx: -1, peerIdx: -1}
+			return &mpOp{name: "Barrier", event: true, tagIdx: -1, peerIdx: -1, payloadIdx: -1}
 		}
 		return nil
 	}
-	if op, ok := mpCollectiveOps[fn.Name()]; ok {
-		return &op
+	// The collectives (signatures in mpproto.Collectives): every one of them
+	// both sends and receives under its tag on some rank, so each call site
+	// counts for both directions.
+	if sig, ok := mpproto.Collectives[fn.Name()]; ok {
+		return &mpOp{name: fn.Name(), event: true, sides: sideSend | sideRecv,
+			tagIdx: sig.TagArg, peerIdx: -1, payloadIdx: sig.PayloadArg}
 	}
 	return nil
 }
@@ -241,7 +234,7 @@ func inspectSkippingFuncLits(node ast.Node, visit func(ast.Node)) {
 }
 
 // funcOrigin strips a generic instantiation back to its declared origin,
-// so instantiated calls (mp.Reduce[int]) match the summary key.
+// so instantiated calls (mp.Register[T]) match the summary key.
 func funcOrigin(fn *types.Func) *types.Func {
 	if o := fn.Origin(); o != nil {
 		return o

@@ -7,27 +7,6 @@ import "fmt"
 // All ranks of a communicator must call a collective together, with the
 // same root and tag; tags keep concurrent protocol phases apart.
 
-// Bcast distributes root's value v to every rank and returns it; the value
-// passed by non-root ranks is ignored.
-func Bcast(c Comm, root, tag int, v any) (any, error) {
-	if c.Rank() == root {
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			if err := c.Send(r, tag, v); err != nil {
-				return nil, fmt.Errorf("mp: bcast to rank %d: %w", r, err)
-			}
-		}
-		return v, nil
-	}
-	got, err := c.Recv(root, tag)
-	if err != nil {
-		return nil, fmt.Errorf("mp: bcast from root %d: %w", root, err)
-	}
-	return got, nil
-}
-
 // Gather collects one value per rank at root. On root it returns a slice
 // indexed by rank (root's own contribution included); elsewhere nil.
 func Gather(c Comm, root, tag int, v any) ([]any, error) {
@@ -169,77 +148,3 @@ func MaxInt(a, b int) int {
 
 // SumInt adds two ints; see AllreduceInt.
 func SumInt(a, b int) int { return a + b }
-
-// Reduce combines one value per rank at root with op (left-to-right in
-// rank order). Non-root ranks receive the zero value of the result.
-func Reduce[T any](c Comm, root, tag int, v T, op func(a, b T) T) (T, error) {
-	var zero T
-	vs, err := Gather(c, root, tag, v)
-	if err != nil {
-		return zero, err
-	}
-	if c.Rank() != root {
-		return zero, nil
-	}
-	acc, ok := vs[0].(T)
-	if !ok {
-		return zero, fmt.Errorf("mp: reduce received %T", vs[0])
-	}
-	for _, raw := range vs[1:] {
-		x, ok := raw.(T)
-		if !ok {
-			return zero, fmt.Errorf("mp: reduce received %T", raw)
-		}
-		acc = op(acc, x)
-	}
-	return acc, nil
-}
-
-// Scatter distributes vs[r] from root to each rank r and returns the
-// caller's element. len(vs) must equal Size on the root; it is ignored
-// elsewhere.
-func Scatter(c Comm, root, tag int, vs []any) (any, error) {
-	if c.Rank() == root {
-		if len(vs) != c.Size() {
-			return nil, fmt.Errorf("mp: scatter with %d values for %d ranks", len(vs), c.Size())
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			if err := c.Send(r, tag, vs[r]); err != nil {
-				return nil, fmt.Errorf("mp: scatter to rank %d: %w", r, err)
-			}
-		}
-		return vs[root], nil
-	}
-	got, err := c.Recv(root, tag)
-	if err != nil {
-		return nil, fmt.Errorf("mp: scatter from root %d: %w", root, err)
-	}
-	return got, nil
-}
-
-// Scan computes the inclusive prefix combination in rank order: rank r
-// receives op(v_0, ..., v_r). Linear chain, O(P) latency.
-func Scan[T any](c Comm, tag int, v T, op func(a, b T) T) (T, error) {
-	var zero T
-	acc := v
-	if c.Rank() > 0 {
-		raw, err := c.Recv(c.Rank()-1, tag)
-		if err != nil {
-			return zero, fmt.Errorf("mp: scan from rank %d: %w", c.Rank()-1, err)
-		}
-		prev, ok := raw.(T)
-		if !ok {
-			return zero, fmt.Errorf("mp: scan received %T", raw)
-		}
-		acc = op(prev, v)
-	}
-	if c.Rank()+1 < c.Size() {
-		if err := c.Send(c.Rank()+1, tag, acc); err != nil {
-			return zero, fmt.Errorf("mp: scan to rank %d: %w", c.Rank()+1, err)
-		}
-	}
-	return acc, nil
-}

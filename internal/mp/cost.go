@@ -63,8 +63,8 @@ const frameOverhead = 16
 // elemHeader is the per-element framing of a value nested inside a
 // message — the flat codec's u32 type id plus u32 length prefix. The
 // flat batch encodings (Payload.WireSize) price their elements with no
-// header at all, so []any, the one heterogeneous container the
-// collectives relay, is the only place it applies; see elemSize.
+// header at all, so []any, the one heterogeneous container, is the only
+// place it applies; see elemSize.
 const elemHeader = 8
 
 // unpricedSize is what a message whose payload has no flat price costs.
@@ -78,13 +78,14 @@ func payloadSize(v any) int {
 
 // elemSize prices a payload's body flat: Payload implementations by
 // their WireSize, the builtin shapes the collectives send at fixed
-// widths. A []any — the heterogeneous per-rank container the collectives
-// relay (e.g. Allgather's Bcast stage) — prices each element at its body
-// size plus the flat codec's per-element header, never at a full
-// per-message frame: the elements travel inside one message, consistent
-// with the flat batch encodings. Any other payload (which would fail to
-// encode on the TCP engine) is priced at a fixed small size rather than
-// failing — the Virtual engine should never alter program behaviour.
+// widths. A []any — the one heterogeneous container with a codec; no
+// collective relays one since Allgather went one-hop, but a caller may
+// send it — prices each element at its body size plus the flat codec's
+// per-element header, never at a full per-message frame: the elements
+// travel inside one message, consistent with the flat batch encodings.
+// Any other payload (which would fail to encode on the TCP engine) is
+// priced at a fixed small size rather than failing — the Virtual engine
+// should never alter program behaviour.
 func elemSize(v any) int {
 	switch p := v.(type) {
 	case Payload:

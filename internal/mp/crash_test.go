@@ -194,6 +194,34 @@ func TestRecvDeadline(t *testing.T) {
 	}
 }
 
+// TestBarrierDeadline: a barrier is message traffic on every real-time
+// engine, so a rank that returned without entering it trips the others'
+// RecvTimeout instead of parking them forever (the in-process barrier used
+// to be a condition variable with no deadline).
+func TestBarrierDeadline(t *testing.T) {
+	for _, mode := range []Mode{Inproc, TCP} {
+		t.Run(mode.String(), func(t *testing.T) {
+			var counters FaultCounters
+			cfg := Config{
+				Procs: 2, Mode: mode,
+				Limits: Limits{RecvTimeout: 50 * time.Millisecond, Counters: &counters},
+			}
+			err := runWithWatchdog(t, cfg, func(c Comm) error {
+				if c.Rank() == 0 {
+					return nil // never enters the barrier
+				}
+				return c.Barrier()
+			})
+			if !errors.Is(err, ErrDeadline) {
+				t.Fatalf("want ErrDeadline, got %v", err)
+			}
+			if got := counters.DeadlineMisses.Load(); got != 1 {
+				t.Fatalf("deadline misses = %d, want 1", got)
+			}
+		})
+	}
+}
+
 // TestRecvDeadlineNotHitWhenTrafficFlows guards against false positives:
 // a generous deadline must not interfere with a normal exchange.
 func TestRecvDeadlineNotHitWhenTrafficFlows(t *testing.T) {

@@ -222,7 +222,7 @@ func decodeTable(body []byte) (addrTable, error) {
 
 // writeConnFrame writes body as one frame, bounding the write by timeout
 // when positive. Used only during connection setup (steady-state sends go
-// through tComm.Send, which owns its peer's write serialization).
+// through comm.Send, which owns its link's write serialization).
 func writeConnFrame(conn net.Conn, body []byte, timeout time.Duration) error {
 	buf := make([]byte, 0, frameHeaderLen+len(body))
 	buf = AppendUint32(buf, uint32(len(body)))
@@ -275,5 +275,27 @@ func recvHello(conn net.Conn, timeout time.Duration) (hello, error) {
 		return hello{}, fmt.Errorf("mp: protocol checksum mismatch: peer rank %d built against %#016x, this build has %#016x (regenerate with mpgen and rebuild every rank)",
 			h.Rank, h.Checksum, WireProtocolChecksum)
 	}
+	return h, nil
+}
+
+// admitHello reads the hello a freshly accepted connection must open with
+// and installs conn as the link to the rank it names — every accept loop's
+// one way in. That rank is data straight off a socket: it has to lie in
+// [lo, hi), the ranks this listener expects, and must not hold a slot of
+// conns already. Anything else closes conn and names the offender.
+func admitHello(conn net.Conn, timeout time.Duration, conns []net.Conn, lo, hi int) (hello, error) {
+	h, err := recvHello(conn, timeout)
+	switch {
+	case err != nil:
+	case h.Rank < lo || h.Rank >= hi:
+		err = fmt.Errorf("mp: hello from rank %d, want a rank in [%d, %d)", h.Rank, lo, hi)
+	case conns[h.Rank] != nil:
+		err = fmt.Errorf("mp: rank %d introduced itself twice", h.Rank)
+	}
+	if err != nil {
+		conn.Close()
+		return hello{}, err
+	}
+	conns[h.Rank] = conn
 	return h, nil
 }

@@ -1,7 +1,7 @@
 // Package mp is the message-passing substrate that replaces MPI in this
 // reproduction. The parallel routing algorithms are written once against
 // the Comm interface (rank/size, tagged point-to-point messages, barrier,
-// plus the collectives in collectives.go) and run on three interchangeable
+// plus the collectives in collectives.go) and run on four interchangeable
 // engines:
 //
 //   - Virtual: a deterministic discrete-event simulation of a P-processor
@@ -17,9 +17,15 @@
 //   - TCP: one goroutine per rank, all traffic framed over loopback TCP
 //     sockets with the parroute-mpwire/1 codecs (the one wire format: a
 //     payload type without a codec fails its Send) — the "distributed
-//     memory" deployment shape. With Config.Net set, the same transport
-//     spans OS processes: each process runs one rank and the mesh forms
-//     through a rank-zero rendezvous (see NetConfig).
+//     memory" deployment shape.
+//   - TCP with Config.Net set: the same transport across OS processes,
+//     each running one rank of a mesh that forms through a rank-zero
+//     rendezvous (see NetConfig).
+//
+// The last three are one real-time machine (machine.go) that differs only
+// in which ranks live in this process and which rank pairs have a socket;
+// Virtual is a scheduler of its own, because there blocking is the
+// hand-off of the one execution token.
 //
 // Ownership discipline: a sent value belongs to the receiver afterwards.
 // Senders must not retain or mutate payloads after Send; the in-memory
@@ -30,6 +36,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -54,10 +61,11 @@ type Comm interface {
 // user code must send and receive on tags >= 0, and the tag-discipline
 // analyzer reports user tag constants that stray into the reserved range.
 const (
-	// tagBarrier carries the TCP engine's barrier gather/release tokens.
+	// tagBarrier carries the gather/release tokens of Comm.Barrier on every
+	// real-time engine (Virtual's barrier is a scheduler state, not traffic).
 	tagBarrier = -2
-	// tagShutdown carries the multi-process TCP engine's two-phase
-	// termination tokens (see rendezvous.go), kept off tagBarrier so
+	// tagShutdown carries the two-phase termination tokens of a machine
+	// that spans processes (see machine.go), kept off tagBarrier so
 	// shutdown traffic can never interleave with a user-level barrier.
 	tagShutdown = -3
 )
@@ -112,8 +120,8 @@ type Config struct {
 // Limits bounds single-message waits on the real-time engines.
 type Limits struct {
 	// RecvTimeout is the longest a Recv (including the engine-internal
-	// barrier traffic of the TCP engine) waits for a matching message
-	// before failing with ErrDeadline. Zero means wait forever.
+	// barrier traffic) waits for a matching message before failing with
+	// ErrDeadline. Zero means wait forever.
 	RecvTimeout time.Duration
 	// SendTimeout is the longest a TCP Send may spend writing to the
 	// socket before failing with ErrDeadline. Zero means no limit. The
@@ -151,9 +159,11 @@ var ErrDeadline = errors.New("mp: deadline exceeded")
 // caller can detect the loss with errors.Is and degrade gracefully.
 var ErrRankLost = errors.New("mp: rank lost")
 
-// Engine runs a worker function on P ranks. The three built-in engines
-// are selected by Config.Mode; Chaos wraps any of them with deterministic
-// fault injection.
+// Engine runs a worker function on P ranks. The four built-in engines —
+// Virtual's scheduler, and the one real-time machine as Inproc, loopback
+// TCP or one rank of a multi-process mesh — are selected by Config.Mode
+// and Config.Net; Chaos wraps any of them with deterministic fault
+// injection.
 type Engine interface {
 	// Run executes fn on procs workers and returns the elapsed parallel
 	// time: simulated time under Virtual, wall-clock time otherwise. The
@@ -178,19 +188,17 @@ func (e virtualEngine) Run(ctx context.Context, procs int, fn func(Comm) error) 
 	return runVirtual(ctx, procs, e.model, fn)
 }
 
-type inprocEngine struct{ lim Limits }
+// realTime is the engine of the three real-time modes: the function builds
+// the machine — which ranks are local, which pairs have sockets — and the
+// machine runs fn (machine.go). Mesh set-up counts toward the elapsed time.
+type realTime func(ctx context.Context, procs int) (*machine, error)
 
-func (e inprocEngine) Run(ctx context.Context, procs int, fn func(Comm) error) (time.Duration, error) {
+func (build realTime) Run(ctx context.Context, procs int, fn func(Comm) error) (time.Duration, error) {
 	start := time.Now() //lint:allow nondeterminism elapsed-time measurement, never a routing decision
-	err := runInproc(ctx, procs, e.lim, fn)
-	return time.Since(start), err //lint:allow nondeterminism elapsed-time measurement, never a routing decision
-}
-
-type tcpEngine struct{ lim Limits }
-
-func (e tcpEngine) Run(ctx context.Context, procs int, fn func(Comm) error) (time.Duration, error) {
-	start := time.Now() //lint:allow nondeterminism elapsed-time measurement, never a routing decision
-	err := runTCP(ctx, procs, e.lim, fn)
+	m, err := build(ctx, procs)
+	if err == nil {
+		err = m.run(ctx, fn)
+	}
 	return time.Since(start), err //lint:allow nondeterminism elapsed-time measurement, never a routing decision
 }
 
@@ -207,12 +215,18 @@ func (cfg Config) baseEngine() (Engine, error) {
 		}
 		return virtualEngine{model: model}, nil
 	case Inproc:
-		return inprocEngine{lim: cfg.Limits}, nil
+		return realTime(func(_ context.Context, n int) (*machine, error) {
+			return newMachine(n, cfg.Limits, everyRank), nil
+		}), nil
 	case TCP:
-		if cfg.Net != nil {
-			return netEngine{cfg: *cfg.Net, lim: cfg.Limits}, nil
+		if nc := cfg.Net; nc != nil {
+			return realTime(func(ctx context.Context, n int) (*machine, error) {
+				return rendezvousMesh(ctx, n, *nc, cfg.Limits)
+			}), nil
 		}
-		return tcpEngine{lim: cfg.Limits}, nil
+		return realTime(func(_ context.Context, n int) (*machine, error) {
+			return loopbackMesh(n, cfg.Limits)
+		}), nil
 	default:
 		return nil, fmt.Errorf("mp: unknown mode %v", cfg.Mode)
 	}
@@ -267,6 +281,18 @@ type envelope struct {
 	// avail is the virtual time at which the message is available to the
 	// receiver (Virtual engine only).
 	avail time.Duration
+}
+
+// takeEnv removes and returns the first queued envelope from (src, tag).
+// First-match preserves per-sender-per-tag FIFO order.
+func takeEnv(queue *[]envelope, src, tag int) (envelope, bool) {
+	for i, env := range *queue {
+		if env.src == src && env.tag == tag {
+			*queue = slices.Delete(*queue, i, i+1)
+			return env, true
+		}
+	}
+	return envelope{}, false
 }
 
 // firstErr keeps the first of a set of errors, preferring earlier ranks

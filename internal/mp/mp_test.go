@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// allModes runs a subtest under each engine.
+// allModes runs a subtest under each engine a single Config selects.
 func allModes(t *testing.T, name string, f func(t *testing.T, cfg Config)) {
 	t.Helper()
 	for _, mode := range []Mode{Virtual, Inproc, TCP} {
@@ -18,10 +18,33 @@ func allModes(t *testing.T, name string, f func(t *testing.T, cfg Config)) {
 	}
 }
 
+// runner executes fn on procs ranks of one engine and returns the first
+// error in rank order.
+type runner func(procs int, fn func(Comm) error) error
+
+// allEngines is allModes plus a net row, for the contract tests whose
+// semantics every engine shares: the multi-process mesh runs as procs
+// goroutines, one NetConfig each, standing in for procs OS processes (see
+// runMesh).
+func allEngines(t *testing.T, name string, f func(t *testing.T, run runner)) {
+	t.Helper()
+	allModes(t, name, func(t *testing.T, cfg Config) {
+		f(t, func(procs int, fn func(Comm) error) error {
+			cfg.Procs = procs
+			_, err := cfg.Run(fn)
+			return err
+		})
+	})
+	t.Run(name+"/net", func(t *testing.T) {
+		f(t, func(procs int, fn func(Comm) error) error {
+			return firstErr(runMesh(t, procs, Config{}, fn))
+		})
+	})
+}
+
 func TestRingPassing(t *testing.T) {
-	allModes(t, "ring", func(t *testing.T, cfg Config) {
-		cfg.Procs = 4
-		_, err := cfg.Run(func(c Comm) error {
+	allEngines(t, "ring", func(t *testing.T, run runner) {
+		err := run(4, func(c Comm) error {
 			// Pass an accumulating token around the ring twice.
 			next := (c.Rank() + 1) % c.Size()
 			prev := (c.Rank() + c.Size() - 1) % c.Size()
@@ -55,9 +78,8 @@ func TestRingPassing(t *testing.T) {
 }
 
 func TestSendRecvOrdering(t *testing.T) {
-	allModes(t, "order", func(t *testing.T, cfg Config) {
-		cfg.Procs = 2
-		_, err := cfg.Run(func(c Comm) error {
+	allEngines(t, "order", func(t *testing.T, run runner) {
+		err := run(2, func(c Comm) error {
 			const n = 50
 			if c.Rank() == 0 {
 				for i := 0; i < n; i++ {
@@ -85,9 +107,8 @@ func TestSendRecvOrdering(t *testing.T) {
 }
 
 func TestTagsKeepStreamsApart(t *testing.T) {
-	allModes(t, "tags", func(t *testing.T, cfg Config) {
-		cfg.Procs = 2
-		_, err := cfg.Run(func(c Comm) error {
+	allEngines(t, "tags", func(t *testing.T, run runner) {
+		err := run(2, func(c Comm) error {
 			if c.Rank() == 0 {
 				if err := c.Send(1, 10, 10); err != nil {
 					return err
@@ -115,12 +136,11 @@ func TestTagsKeepStreamsApart(t *testing.T) {
 }
 
 func TestBarrierSeparatesPhases(t *testing.T) {
-	allModes(t, "barrier", func(t *testing.T, cfg Config) {
-		cfg.Procs = 5
+	allEngines(t, "barrier", func(t *testing.T, run runner) {
 		// Every rank contributes to a gather, barriers, then gathers
 		// again; mismatched phases would deliver phase-2 values to the
 		// phase-1 gather on some engine if barriers were broken.
-		_, err := cfg.Run(func(c Comm) error {
+		err := run(5, func(c Comm) error {
 			for phase := 0; phase < 3; phase++ {
 				vs, err := Allgather(c, 30+phase, c.Rank()*10+phase)
 				if err != nil {
@@ -144,19 +164,18 @@ func TestBarrierSeparatesPhases(t *testing.T) {
 }
 
 func TestCollectives(t *testing.T) {
-	allModes(t, "collectives", func(t *testing.T, cfg Config) {
-		cfg.Procs = 4
-		_, err := cfg.Run(func(c Comm) error {
-			// Bcast.
-			got, err := Bcast(c, 2, 1, 77)
+	allEngines(t, "collectives", func(t *testing.T, run runner) {
+		err := run(4, func(c Comm) error {
+			// Allgather of a value only one rank knows: what Bcast was for.
+			vs, err := Allgather(c, 1, c.Rank()*77)
 			if err != nil {
 				return err
 			}
-			if got.(int) != 77 {
-				return fmt.Errorf("bcast got %v", got)
+			if got := vs[2].(int); got != 2*77 {
+				return fmt.Errorf("allgather[2] = %v", got)
 			}
 			// Gather.
-			vs, err := Gather(c, 1, 2, c.Rank()*c.Rank())
+			vs, err = Gather(c, 1, 2, c.Rank()*c.Rank())
 			if err != nil {
 				return err
 			}
@@ -511,70 +530,6 @@ func TestVirtualSelfSendOrdering(t *testing.T) {
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduceScatterScan(t *testing.T) {
-	allModes(t, "rss", func(t *testing.T, cfg Config) {
-		cfg.Procs = 4
-		_, err := cfg.Run(func(c Comm) error {
-			// Reduce (sum of rank squares at root 2).
-			got, err := Reduce(c, 2, 1, c.Rank()*c.Rank(), func(a, b int) int { return a + b })
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 2 && got != 0+1+4+9 {
-				return fmt.Errorf("reduce = %d", got)
-			}
-			if c.Rank() != 2 && got != 0 {
-				return fmt.Errorf("non-root reduce = %d", got)
-			}
-			// Scatter.
-			var vs []any
-			if c.Rank() == 1 {
-				vs = []any{100, 101, 102, 103}
-			}
-			elem, err := Scatter(c, 1, 2, vs)
-			if err != nil {
-				return err
-			}
-			want := 100 + c.Rank()
-			if elem.(int) != want {
-				return fmt.Errorf("scatter got %v, want %v", elem, want)
-			}
-			// Scan (inclusive prefix sum of ranks+1).
-			pre, err := Scan(c, 3, c.Rank()+1, func(a, b int) int { return a + b })
-			if err != nil {
-				return err
-			}
-			wantSum := (c.Rank() + 1) * (c.Rank() + 2) / 2
-			if pre != wantSum {
-				return fmt.Errorf("scan = %d, want %d", pre, wantSum)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestScatterValidation(t *testing.T) {
-	cfg := Config{Procs: 2, Mode: Virtual}
-	_, err := cfg.Run(func(c Comm) error {
-		if c.Rank() == 0 {
-			_, err := Scatter(c, 0, 1, []any{1}) // wrong length
-			if err == nil {
-				return fmt.Errorf("short scatter accepted")
-			}
-			// Unblock rank 1.
-			return c.Send(1, 1, 0)
-		}
-		_, err := Scatter(c, 0, 1, nil)
-		return err
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func runWithWatchdog(t *testing.T, cfg Config, body func(Comm) error) error {
 	case err := <-done:
 		return err
 	case <-time.After(protocolWatchdog):
-		t.Fatalf("watchdog: virtual engine did not resolve the protocol within %v", protocolWatchdog)
+		t.Fatalf("watchdog: %v engine did not resolve the protocol within %v", cfg.Mode, protocolWatchdog)
 		return nil
 	}
 }

@@ -8,7 +8,7 @@ import (
 // TestInprocCollectivesStress hammers the in-proc transport with N truly
 // concurrent ranks exchanging every collective repeatedly. Its job is to
 // give `go test -race ./internal/mp` real cross-goroutine traffic to
-// inspect: mailbox delivery, the reusable barrier, and slice payload
+// inspect: mailbox delivery, the message barrier, and slice payload
 // hand-off all run hot here. Every result is also verified, so it doubles
 // as a correctness stress.
 func TestInprocCollectivesStress(t *testing.T) {
@@ -54,23 +54,27 @@ func TestInprocCollectivesStress(t *testing.T) {
 				}
 			}
 
-			// Bcast from a rotating root.
+			// Allgather: the rotating root's word reaches every rank in one
+			// hop (the job Bcast had), and a prefix sum over the gathered
+			// ranks (the job Scan had) checks every slot.
 			root := it % procs
-			word, err := Bcast(c, root, 3, fmt.Sprintf("it%d-root%d", it, root))
+			words, err := Allgather(c, 3, fmt.Sprintf("it%d-rank%d", it, me))
 			if err != nil {
 				return err
 			}
-			if want := fmt.Sprintf("it%d-root%d", it, root); word != want {
-				return fmt.Errorf("rank %d iter %d: bcast = %v, want %q", me, it, word, want)
+			if want := fmt.Sprintf("it%d-rank%d", it, root); words[root] != want {
+				return fmt.Errorf("rank %d iter %d: allgather[%d] = %v, want %q", me, it, root, words[root], want)
 			}
-
-			// Scan: inclusive prefix sum of the ranks.
-			prefix, err := Scan(c, 4, me, func(a, b int) int { return a + b })
+			ranks, err := Allgather(c, 4, me)
 			if err != nil {
 				return err
+			}
+			prefix := 0
+			for _, raw := range ranks[:me+1] {
+				prefix += raw.(int)
 			}
 			if want := me * (me + 1) / 2; prefix != want {
-				return fmt.Errorf("rank %d iter %d: scan = %d, want %d", me, it, prefix, want)
+				return fmt.Errorf("rank %d iter %d: prefix sum = %d, want %d", me, it, prefix, want)
 			}
 
 			// Gather at a rotating root, then a barrier before the next

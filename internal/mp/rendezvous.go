@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 )
 
@@ -21,16 +20,8 @@ import (
 // remaining links form the loopback engine's way (rank i dials every
 // j > i at the table address, introducing itself with a hello).
 //
-// Teardown is the part that differs from the loopback engine, where a
-// global WaitGroup separates "all ranks done" from "close the sockets".
-// Across processes there is no such join, so a successful run ends with
-// a two-phase shutdown on the reserved tagShutdown: barrier #1 proves
-// every rank's worker returned without error; each rank then marks
-// itself closing (so arriving EOFs read as teardown, not rank loss) and
-// enters barrier #2, which proves every rank is marked; only then are
-// connections closed. A rank whose worker failed skips the barriers and
-// tears down immediately — its peers' readLoops are not yet closing, so
-// they correctly attribute the dropped connections to a lost rank.
+// The result is the machine with one local rank (machine.go); because the
+// other ranks live elsewhere, its run ends with the two-phase shutdown.
 
 // NetConfig places one process at a rank of a multi-process TCP mesh.
 // Every cooperating process must run the same binary build (the
@@ -71,94 +62,24 @@ func (c NetConfig) rendezvousTimeout() time.Duration {
 	return 60 * time.Second
 }
 
-// netEngine runs the local rank of a multi-process mesh. Unlike the
-// other engines it executes fn exactly once, at cfg.Rank; procs must
+// rendezvousMesh builds the machine for the local rank of a multi-process
+// mesh: fn will run exactly once in this process, at cfg.Rank. procs must
 // match cfg.Ranks so algorithm code sees the Comm size it asked for.
-type netEngine struct {
-	cfg NetConfig
-	lim Limits
-}
-
-func (e netEngine) Run(ctx context.Context, procs int, fn func(Comm) error) (time.Duration, error) {
-	if procs != e.cfg.Ranks {
-		return 0, fmt.Errorf("mp: net: %d procs requested but the mesh has %d ranks", procs, e.cfg.Ranks)
+func rendezvousMesh(ctx context.Context, procs int, cfg NetConfig, lim Limits) (*machine, error) {
+	if procs != cfg.Ranks {
+		return nil, fmt.Errorf("mp: net: %d procs requested but the mesh has %d ranks", procs, cfg.Ranks)
 	}
-	start := time.Now() //lint:allow nondeterminism elapsed-time measurement, never a routing decision
-	err := runTCPNet(ctx, e.cfg, e.lim, fn)
-	return time.Since(start), err //lint:allow nondeterminism elapsed-time measurement, never a routing decision
-}
-
-func runTCPNet(ctx context.Context, cfg NetConfig, lim Limits, fn func(Comm) error) error {
 	if err := cfg.validate(); err != nil {
-		return err
+		return nil, err
 	}
-	n := cfg.Ranks
-	m := newTMachine(n, lim, func(r int) bool { return r == cfg.Rank })
-	stop := context.AfterFunc(ctx, func() { m.abort(cancelCause(ctx)) })
-	defer stop()
-
 	conns, err := formMesh(ctx, cfg, lim)
 	if err != nil {
 		closeConns(conns)
-		return err
+		return nil, err
 	}
-	for peer, conn := range conns {
-		if conn != nil {
-			registerConn(m, cfg.Rank, peer, conn)
-		}
-	}
-	var wgRead sync.WaitGroup
-	for peer := 0; peer < n; peer++ {
-		p := m.peers[cfg.Rank][peer]
-		if p == nil {
-			continue
-		}
-		wgRead.Add(1)
-		go func(peer int, conn net.Conn) {
-			defer wgRead.Done()
-			m.readLoop(cfg.Rank, peer, conn)
-		}(peer, p.conn)
-	}
-
-	c := &tComm{m: m, rank: cfg.Rank}
-	err = fn(c)
-	if err == nil {
-		err = shutdown(c, m)
-	}
-	if err != nil {
-		m.abort(fmt.Errorf("mp: rank %d failed: %w", cfg.Rank, err))
-	}
-	m.closeAll()
-	wgRead.Wait()
-	if err != nil {
-		return err
-	}
-	if ctx.Err() != nil {
-		return cancelCause(ctx)
-	}
-	return nil
-}
-
-// shutdown is the two-phase termination protocol described at the top of
-// this file. When barrier #2 returns, every rank has set closing, so the
-// caller's closeAll drops connections that every peer reads as teardown.
-func shutdown(c *tComm, m *tMachine) error {
-	if err := c.barrierOn(tagShutdown); err != nil {
-		return fmt.Errorf("mp: shutdown barrier: %w", err)
-	}
-	m.setClosing()
-	if err := c.barrierOn(tagShutdown); err != nil {
-		return fmt.Errorf("mp: shutdown release: %w", err)
-	}
-	return nil
-}
-
-func closeConns(conns []net.Conn) {
-	for _, c := range conns {
-		if c != nil {
-			c.Close()
-		}
-	}
+	m := newMachine(cfg.Ranks, lim, func(r int) bool { return r == cfg.Rank })
+	m.connect(cfg.Rank, conns)
+	return m, nil
 }
 
 // formMesh returns this rank's connection to every peer (nil for self).
@@ -240,16 +161,9 @@ func formMesh(ctx context.Context, cfg NetConfig, lim Limits) ([]net.Conn, error
 		if err != nil {
 			return conns, fmt.Errorf("mp: rendezvous: accept on rank %d: %w", cfg.Rank, err)
 		}
-		h, err := recvHello(conn, hs)
-		if err != nil {
-			conn.Close()
+		if _, err := admitHello(conn, hs, conns, 1, cfg.Rank); err != nil {
 			return conns, fmt.Errorf("mp: rendezvous: handshake on rank %d: %w", cfg.Rank, err)
 		}
-		if h.Rank < 1 || h.Rank >= cfg.Rank || conns[h.Rank] != nil {
-			conn.Close()
-			return conns, fmt.Errorf("mp: rendezvous: unexpected hello from rank %d on rank %d", h.Rank, cfg.Rank)
-		}
-		conns[h.Rank] = conn
 	}
 	d := net.Dialer{Deadline: deadline}
 	for j := cfg.Rank + 1; j < n; j++ {
@@ -268,8 +182,8 @@ func formMesh(ctx context.Context, cfg NetConfig, lim Limits) ([]net.Conn, error
 // collectHellos accepts and verifies the n-1 check-ins at rank 0,
 // recording each rank's mesh listen address and keeping the connection
 // as the 0<->rank mesh link. Every read is deadline-bounded: a dialer
-// that connects and never writes, a duplicate rank, or a checksum
-// mismatch fails the rendezvous rather than parking it forever.
+// that connects and never writes, a duplicate or out-of-range rank, or a
+// checksum mismatch fails the rendezvous rather than parking it forever.
 func collectHellos(l net.Listener, conns []net.Conn, deadline time.Time, hs time.Duration) ([]string, error) {
 	n := len(conns)
 	addrs := make([]string, n)
@@ -281,24 +195,13 @@ func collectHellos(l net.Listener, conns []net.Conn, deadline time.Time, hs time
 		if err != nil {
 			return nil, fmt.Errorf("mp: rendezvous: waiting for %d more rank(s): %w", n-1-got, err)
 		}
-		h, err := recvHello(conn, hs)
+		h, err := admitHello(conn, hs, conns, 1, n)
 		if err != nil {
-			conn.Close()
 			return nil, fmt.Errorf("mp: rendezvous: handshake: %w", err)
 		}
-		if h.Rank < 1 || h.Rank >= n {
-			conn.Close()
-			return nil, fmt.Errorf("mp: rendezvous: hello from rank %d of %d", h.Rank, n)
-		}
-		if conns[h.Rank] != nil {
-			conn.Close()
-			return nil, fmt.Errorf("mp: rendezvous: rank %d checked in twice", h.Rank)
-		}
 		if h.Addr == "" {
-			conn.Close()
 			return nil, fmt.Errorf("mp: rendezvous: rank %d advertised no mesh address", h.Rank)
 		}
-		conns[h.Rank] = conn
 		addrs[h.Rank] = h.Addr
 	}
 	return addrs, nil
@@ -307,10 +210,10 @@ func collectHellos(l net.Listener, conns []net.Conn, deadline time.Time, hs time
 func setListenerDeadline(l net.Listener, deadline time.Time) error {
 	tl, ok := l.(*net.TCPListener)
 	if !ok {
-		return fmt.Errorf("mp: rendezvous: listener %T cannot set a deadline", l)
+		return fmt.Errorf("mp: listener %T cannot set a deadline", l)
 	}
 	if err := tl.SetDeadline(deadline); err != nil {
-		return fmt.Errorf("mp: rendezvous: arm accept deadline: %w", err)
+		return fmt.Errorf("mp: arm accept deadline: %w", err)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package mp
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -14,11 +15,11 @@ import (
 // stalled past its deadline, a socket that cannot arm a deadline, frames
 // arriving after an abort) can be staged deterministically.
 
-func pipeMachine(t *testing.T, lim Limits, conn net.Conn) (*tMachine, *tComm) {
+func pipeMachine(t *testing.T, lim Limits, conn net.Conn) (*machine, *comm) {
 	t.Helper()
-	m := newTMachine(2, lim, func(int) bool { return true })
-	registerConn(m, 0, 1, conn)
-	return m, &tComm{m: m, rank: 0}
+	m := newMachine(2, lim, everyRank)
+	m.connect(0, []net.Conn{1: conn})
+	return m, &comm{m: m, rank: 0}
 }
 
 // TestSendDeadlineMarksConnectionDead: a send that timed out mid-write
@@ -157,5 +158,90 @@ func TestReadLoopCorruptFrameMarksPeerLost(t *testing.T) {
 	}
 	if err := m.abortErr(); !errors.Is(err, ErrRankLost) {
 		t.Fatalf("abort error = %v, want ErrRankLost", err)
+	}
+}
+
+// TestReadLoopForeignSourceMarksPeerLost: the source rank inside a frame
+// is the sender's claim. A well-formed frame claiming any rank but the
+// connection's peer used to be queued as claimed — feeding another rank's
+// stream, or parked under a source nothing receives from; it is stream
+// corruption, attributed to the peer like any other.
+func TestReadLoopForeignSourceMarksPeerLost(t *testing.T) {
+	for _, claimed := range []int{0, 2, -1} {
+		a, b := net.Pipe()
+		m := newMachine(3, Limits{}, everyRank)
+		m.connect(0, []net.Conn{1: a})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			m.readLoop(0, 1, a)
+		}()
+		frame, err := appendFrame(nil, claimed, 1, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		a.Close()
+		b.Close()
+		if !m.isLost(1) {
+			t.Fatalf("claimed source %d: the connection's peer was not marked lost", claimed)
+		}
+		err = m.abortErr()
+		if !errors.Is(err, ErrRankLost) {
+			t.Fatalf("claimed source %d: abort error = %v, want ErrRankLost", claimed, err)
+		}
+		for _, want := range []string{"from rank 1", fmt.Sprintf("source rank %d", claimed)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("claimed source %d: error %q does not name %q", claimed, err, want)
+			}
+		}
+		for rank, box := range m.boxes {
+			if len(box.queue) != 0 {
+				t.Fatalf("claimed source %d: the frame was queued at rank %d", claimed, rank)
+			}
+		}
+	}
+}
+
+// TestAdmitHello drives the one hello-accepting helper over in-memory
+// pipes: a rank outside the range the listener expects (negative and past
+// the end included) or one already admitted is refused with an error
+// naming it, the connection closed and the table untouched. The loopback
+// accept loop used to index its peer table with this value unchecked.
+func TestAdmitHello(t *testing.T) {
+	admit := func(conns []net.Conn, rank, lo, hi int) (net.Conn, error) {
+		a, b := net.Pipe()
+		defer b.Close()
+		go sendHello(b, rank, "", time.Second) // error unchecked: a refused hello is closed under the writer
+		_, err := admitHello(a, time.Second, conns, lo, hi)
+		return a, err
+	}
+	conns := make([]net.Conn, 4)
+	first, err := admit(conns, 2, 1, 4)
+	if err != nil || conns[2] != first {
+		t.Fatalf("valid hello: err %v, slot %v", err, conns[2])
+	}
+	defer first.Close()
+	for _, tc := range []struct {
+		rank int
+		want string
+	}{
+		{4, "rank 4"}, {99, "rank 99"}, {-1, "rank -1"},
+		{0, "rank 0"}, // in the table, outside what this listener expects
+		{2, "rank 2 introduced itself twice"},
+	} {
+		conn, err := admit(conns, tc.rank, 1, 4)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("hello from rank %d: error %v, want one naming %q", tc.rank, err, tc.want)
+		}
+		if _, werr := conn.Write([]byte{0}); werr == nil {
+			t.Errorf("hello from rank %d: refused connection left open", tc.rank)
+		}
+		if conns[2] != first || conns[0] != nil || conns[1] != nil || conns[3] != nil {
+			t.Fatalf("hello from rank %d: table changed: %v", tc.rank, conns)
+		}
 	}
 }

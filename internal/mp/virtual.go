@@ -237,9 +237,7 @@ func (c *vComm) Recv(from, tag int) (any, error) {
 		if m.err != nil {
 			return nil, m.err
 		}
-		if i := matchEnv(w.queue, from, tag); i >= 0 {
-			env := w.queue[i]
-			w.queue = append(w.queue[:i], w.queue[i+1:]...)
+		if env, ok := takeEnv(&w.queue, from, tag); ok {
 			if env.avail > w.vtime {
 				w.vtime = env.avail
 			}
@@ -302,15 +300,4 @@ func (c *vComm) Barrier() error {
 	}
 	m.resumeLocked(w)
 	return nil
-}
-
-// matchEnv returns the index of the first queued envelope from (src, tag),
-// or -1. First-match preserves per-sender-per-tag FIFO order.
-func matchEnv(queue []envelope, src, tag int) int {
-	for i := range queue {
-		if queue[i].src == src && queue[i].tag == tag {
-			return i
-		}
-	}
-	return -1
 }

@@ -49,35 +49,6 @@ type Model struct {
 	Manifest *mpproto.Manifest
 }
 
-// collectivePayloadArg maps each mp collective helper to the index of its
-// payload argument (-1 when the payload is not a single value worth
-// recording). Barrier is tracked for the manifest's collective census
-// even though it carries no tag or payload.
-var collectivePayloadArg = map[string]int{
-	"Bcast":           3,
-	"Gather":          3,
-	"Allgather":       2,
-	"AllreduceInt32s": 2,
-	"AllreduceInt":    2,
-	"Alltoall":        2,
-	"Reduce":          3,
-	"Scatter":         3,
-	"Scan":            2,
-}
-
-// collectiveTagArg mirrors the tag argument indices of the collectives.
-var collectiveTagArg = map[string]int{
-	"Bcast":           2,
-	"Gather":          2,
-	"Allgather":       1,
-	"AllreduceInt32s": 1,
-	"AllreduceInt":    1,
-	"Alltoall":        1,
-	"Reduce":          2,
-	"Scatter":         2,
-	"Scan":            1,
-}
-
 // isTagName matches the repository's protocol tag naming convention.
 func isTagName(name string) bool {
 	return strings.HasPrefix(name, "tag") && len(name) > len("tag")
@@ -243,10 +214,11 @@ func scanModule(mod *lint.Module) (*Model, error) {
 				case isMethod && fn.Name() == "Barrier":
 					collectives["Barrier"]++
 				case !isMethod:
-					if ti, ok := collectiveTagArg[fn.Name()]; ok {
+					// Barrier above is counted for the census even though it
+					// carries no tag or payload.
+					if sig, ok := mpproto.Collectives[fn.Name()]; ok {
 						collectives[fn.Name()]++
-						tagIdx = ti
-						payloadIdx = collectivePayloadArg[fn.Name()]
+						tagIdx, payloadIdx = sig.TagArg, sig.PayloadArg
 					}
 				}
 				if tagIdx < 0 || tagIdx >= len(call.Args) {

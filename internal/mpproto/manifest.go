@@ -98,6 +98,22 @@ type CollectiveEntry struct {
 	Sites int `json:"sites"`
 }
 
+// Collective is the call signature of one package-level collective of
+// internal/mp: where its tag and its payload sit in the argument list.
+type Collective struct{ TagArg, PayloadArg int }
+
+// Collectives is the signature table of internal/mp's collectives, by
+// function name — the one copy mpgen's scanner and the lint analyzers both
+// read. Comm's methods are not in it: Send is (to, tag, payload), Recv
+// (from, tag), and Barrier takes nothing.
+var Collectives = map[string]Collective{
+	"Gather":          {TagArg: 2, PayloadArg: 3},
+	"Allgather":       {TagArg: 1, PayloadArg: 2},
+	"AllreduceInt32s": {TagArg: 1, PayloadArg: 2},
+	"AllreduceInt":    {TagArg: 1, PayloadArg: 2},
+	"Alltoall":        {TagArg: 1, PayloadArg: 2},
+}
+
 // Encode renders the manifest in its canonical byte form: two-space
 // indented JSON with a trailing newline. Equal manifests encode to equal
 // bytes; the drift gate compares these bytes directly.

@@ -11,28 +11,9 @@ import (
 	"parroute/internal/metrics"
 	"parroute/internal/mp"
 	"parroute/internal/partition"
-	"parroute/internal/pipeline"
 	"parroute/internal/route"
 	"parroute/internal/steiner"
 )
-
-// workerSession builds one rank's pipeline session: a private phase
-// recorder (whose records travel home in the Summary) plus the caller's
-// shared observers.
-func workerSession(opt Options) (*pipeline.Session, *pipeline.PhaseRecorder) {
-	rec := pipeline.NewPhaseRecorder()
-	s := pipeline.NewSession(append([]pipeline.Observer{rec}, opt.Observers...)...)
-	return s, rec
-}
-
-// stage adapts a plain worker step to a pipeline stage; communication and
-// compute both count toward the stage's wall time (the paper charges the
-// sync cost to the phase that needs it).
-func stage(name string, fn func(s *pipeline.Session) error) pipeline.Stage {
-	return pipeline.Func(name, func(_ context.Context, s *pipeline.Session) error {
-		return fn(s)
-	})
-}
 
 // computeCrossings implements the fake-pin placement of §4: for every net
 // this rank owns whose pins span more than one row block, build the net's
@@ -254,16 +235,6 @@ func buildBlockCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []
 		sub.AddFakePin(spec.Net, spec.X, spec.Row, spec.Side)
 	}
 	return sub
-}
-
-// globalCoreWidth agrees on the post-insertion core width: the maximum
-// over every worker's owned rows.
-func globalCoreWidth(comm mp.Comm, sub *circuit.Circuit, block partition.RowBlock) (int, error) {
-	w := 1
-	for r := block.Lo; r <= block.Hi; r++ {
-		w = geom.Max(w, sub.RowWidth(r))
-	}
-	return mp.AllreduceInt(comm, tagWidths, w, mp.MaxInt)
 }
 
 // syncBoundaryOccupancy exchanges the column counts of each shared

@@ -9,18 +9,16 @@ import (
 	"parroute/internal/circuit"
 	"parroute/internal/geom"
 	"parroute/internal/grid"
-	"parroute/internal/metrics"
 	"parroute/internal/mp"
 	"parroute/internal/partition"
 	"parroute/internal/pipeline"
-	"parroute/internal/rng"
 	"parroute/internal/route"
 	"parroute/internal/steiner"
 )
 
-// netWiseWorker is one rank of the net-wise pin-partition algorithm (§5).
-// Nets (and their pins) are partitioned by the configured heuristic; rows
-// remain block-partitioned for feedthrough bookkeeping.
+// netWiseStages is the net-wise pin-partition algorithm (§5). Nets (and
+// their pins) are partitioned by the configured heuristic; rows remain
+// block-partitioned for feedthrough bookkeeping.
 //
 //  1. Each rank builds the Steiner trees of its nets.
 //  2. Coarse routing optimizes the rank's own segments against a
@@ -31,45 +29,37 @@ import (
 //  3. Feedthrough demand is realized by row owners; crossings are shipped
 //     to row owners for assignment and the assigned feedthroughs return
 //     to net owners.
-//  4. Row owners contribute every net's pin nodes (authoritative
-//     post-insertion coordinates); net owners connect their whole nets.
+//  4. Row owners contribute every net's pin nodes; net owners connect
+//     their whole nets, as under hybrid.
 //  5. Switchable optimization runs per net owner against a replicated
 //     channel occupancy with the same periodic synchronization — ranks
 //     flip segments into the same channels between syncs ("the blindness
 //     of each processor", §7.2).
 //
-// Each step is a pipeline stage over the rank's session; stage names
-// shared with the serial router are the serial router's own, "stitch" is
-// the replicated-occupancy synchronization before step 5.
-func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blocks []partition.RowBlock,
-	owner []int, opt Options, out *runOutput) error {
-
-	rank := comm.Rank()
-	size := comm.Size()
-	block := blocks[rank]
+// Stage names shared with the serial router are the serial router's own,
+// but only connect and gather share a body with another driver: a rank
+// routes its nets through every row, so it works on a clone of the whole
+// circuit, and "stitch" is the replicated-occupancy synchronization before
+// step 5.
+func netWiseStages(r *rank) []pipeline.Stage {
+	comm, base, blocks, block, owner := r.comm, r.base, r.blocks, r.block, r.owner
+	opt, ropt := r.opt, r.ropt
+	rank, size := comm.Rank(), comm.Size()
 	sub := base.Clone()
-	ropt := opt.Route
-	ropt.Seed = workerSeed(opt.Route.Seed, rank)
-	rnd := rng.New(ropt.Seed)
+	r.sub = sub
+	rnd := r.rt.Rand
 
 	// State flowing between stages.
 	var (
 		segs        []route.PlacedSeg
 		own, shared *grid.Grid
-		inserted    int
 		ftByRow     [][]int
 		ftNodes     []NodeBatch
-		wires       []metrics.Wire
-		forced      int
 		ownOcc      *route.Occupancy
 		sharedOcc   *route.Occupancy
-		switchIdx   []int
-		coarseFlips int
-		switchFlips int
 	)
 
-	ses, rec := workerSession(opt)
-	stages := []pipeline.Stage{
+	return []pipeline.Stage{
 		stage("steiner", func(s *pipeline.Session) error {
 			// One Builder and segment buffer serve every owned net; a k-pin
 			// net yields exactly k-1 segments, so segs is sized up front.
@@ -160,7 +150,7 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 				if err != nil {
 					return err
 				}
-				coarseFlips += passFlips
+				r.sum.CoarseFlips += passFlips
 				globalFlips, err := mp.AllreduceInt(comm, tagCoarseVote, passFlips, mp.SumInt)
 				if err != nil {
 					return fmt.Errorf("netwise: coarse convergence vote: %w", err)
@@ -178,14 +168,14 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 			if err != nil {
 				return fmt.Errorf("netwise: final grid sync: %w", err)
 			}
-			s.Count("coarse-flips", int64(coarseFlips))
+			s.Count("coarse-flips", int64(r.sum.CoarseFlips))
 			return nil
 		}),
 		stage("ft-insert", func(s *pipeline.Session) error {
 			// The final synchronized grid is identical everywhere, so row
 			// owners see the complete demand.
 			var err error
-			ftByRow, inserted, err = route.InsertGridFeedthroughs(sub, shared, block.Lo, block.Hi, ropt.Workers)
+			ftByRow, r.sum.InsertedFts, err = route.InsertGridFeedthroughs(sub, shared, block.Lo, block.Hi, ropt.Workers)
 			if err != nil {
 				return err
 			}
@@ -195,7 +185,7 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 				segs[i].XP = sub.Pins[segs[i].PinAtP].X
 				segs[i].XQ = sub.Pins[segs[i].PinAtQ].X
 			}
-			s.Count("inserted-fts", int64(inserted))
+			s.Count("inserted-fts", int64(r.sum.InsertedFts))
 			return nil
 		}),
 		stage("ft-assign", func(_ *pipeline.Session) error {
@@ -269,7 +259,7 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 						pinID = fts[i]
 					} else {
 						pinID = sub.InsertFeedthrough(row, cr.X, circuit.NoNet)
-						inserted++
+						r.sum.InsertedFts++
 					}
 					dest := owner[cr.Net]
 					ftNodes[dest] = append(ftNodes[dest], NodeMsg{
@@ -280,40 +270,22 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 			return nil
 		}),
 		pipeline.Func("connect", func(ctx context.Context, s *pipeline.Session) error {
-			// Pin nodes to net owners, then whole-net connection. Row
-			// owners ship authoritative (post-insertion) pin coordinates so
-			// all of a net's geometry lives in one coherent frame at its
-			// owner. (A net-wise sub-circuit has no fake pins to skip.)
-			pinIn, err := mp.Alltoall(comm, tagNetNodes, anys(ownPinNodes(sub, block, owner, size)))
-			if err != nil {
-				return fmt.Errorf("netwise: pin-node exchange: %w", err)
-			}
+			// Per net: pin nodes first, then the feedthrough nodes step 3
+			// assigned. (A net-wise sub-circuit has no fake pins to skip.)
 			ftIn, err := mp.Alltoall(comm, tagFtNodes, anys(ftNodes))
 			if err != nil {
 				return fmt.Errorf("netwise: feedthrough-node exchange: %w", err)
 			}
-			// Per net: pin nodes first, then feedthrough nodes.
-			byNet, err := collectNodes(len(sub.Nets), len(sub.Rows),
-				nodeSet{tagNetNodes, pinIn}, nodeSet{tagFtNodes, ftIn})
-			if err != nil {
-				return err
-			}
-			connOcc := route.NewOccupancy(sub.NumChannels(), base.CoreWidth()*2, ropt.GridColWidth)
-			if wires, forced, err = connectOwnedNets(ctx, byNet, connOcc, ropt.Workers); err != nil {
-				return err
-			}
-			s.Count("wires", int64(len(wires)))
-			s.Count("forced-edges", int64(forced))
-			return nil
+			return r.connectWhole(ctx, s, nodeSet{tagFtNodes, ftIn})
 		}),
-		stage("stitch", func(_ *pipeline.Session) error {
+		stage("stitch", func(*pipeline.Session) error {
 			// Replicate the channel occupancy for step 5.
-			coreW, err := globalCoreWidth(comm, sub, block)
+			coreW, err := r.coreWidth()
 			if err != nil {
-				return fmt.Errorf("netwise: core-width sync: %w", err)
+				return err
 			}
 			ownOcc = route.NewOccupancy(sub.NumChannels(), coreW, ropt.GridColWidth)
-			ownOcc.AddWires(wires)
+			ownOcc.AddWires(r.wires)
 			sharedOcc = route.NewOccupancy(sub.NumChannels(), coreW, ropt.GridColWidth)
 			if err := allreduceOcc(comm, ownOcc, sharedOcc); err != nil {
 				return fmt.Errorf("netwise: occupancy sync: %w", err)
@@ -321,7 +293,8 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 			return nil
 		}),
 		stage("switch-opt", func(s *pipeline.Session) error {
-			switchIdx = make([]int, 0, len(wires))
+			wires := r.wires
+			switchIdx := make([]int, 0, len(wires))
 			for i := range wires {
 				if wires[i].Switchable && !wires[i].Span.Empty() {
 					switchIdx = append(switchIdx, i)
@@ -351,7 +324,7 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 				if err != nil {
 					return err
 				}
-				switchFlips += passFlips
+				r.sum.SwitchFlips += passFlips
 				globalFlips, err := mp.AllreduceInt(comm, tagSwitchVote, passFlips, mp.SumInt)
 				if err != nil {
 					return fmt.Errorf("netwise: switch convergence vote: %w", err)
@@ -360,27 +333,11 @@ func netWiseWorker(ctx context.Context, comm mp.Comm, base *circuit.Circuit, blo
 					break
 				}
 			}
-			s.Count("switch-flips", int64(switchFlips))
+			s.Count("switch-flips", int64(r.sum.SwitchFlips))
 			return nil
 		}),
-		stage("gather", func(_ *pipeline.Session) error {
-			sum := Summary{
-				Rank:         rank,
-				InsertedFts:  inserted,
-				ForcedEdges:  forced,
-				SwitchableWs: len(switchIdx),
-				SwitchFlips:  switchFlips,
-				CoarseFlips:  coarseFlips,
-				RowWidths:    ownRowWidths(sub, block),
-				Phases:       rec.Phases(),
-			}
-			if err := gatherResults(comm, wires, sum, out); err != nil {
-				return fmt.Errorf("netwise: result gather: %w", err)
-			}
-			return nil
-		}),
+		stage("gather", r.gather),
 	}
-	return pipeline.Run(ctx, ses, stages...)
 }
 
 // compareCrossings orders a row's crossings by (x, net). Crossings equal in

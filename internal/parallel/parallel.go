@@ -156,17 +156,18 @@ func Run(ctx context.Context, c *circuit.Circuit, opt Options) (*metrics.Result,
 	}
 	out := &runOutput{}
 	cfg := mp.Config{Procs: opt.Procs, Mode: opt.Mode, Model: opt.Model, Limits: opt.Limits, Chaos: opt.Chaos, Net: opt.Dist}
-	var worker func(mp.Comm) error
+	var stages func(*rank) []pipeline.Stage
 	switch opt.Algo {
 	case RowWise:
-		worker = func(comm mp.Comm) error { return rowWiseWorker(ctx, comm, c, blocks, owner, opt, out) }
+		stages = rowWiseStages
 	case NetWise:
-		worker = func(comm mp.Comm) error { return netWiseWorker(ctx, comm, c, blocks, owner, opt, out) }
+		stages = netWiseStages
 	case Hybrid:
-		worker = func(comm mp.Comm) error { return hybridWorker(ctx, comm, c, blocks, owner, opt, out) }
+		stages = hybridStages
 	default:
 		return nil, fmt.Errorf("parallel: unknown algorithm %v", opt.Algo)
 	}
+	worker := func(comm mp.Comm) error { return runRank(ctx, comm, c, blocks, owner, opt, out, stages) }
 	eng, err := cfg.Engine()
 	if err != nil {
 		return nil, err

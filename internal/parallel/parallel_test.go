@@ -2,7 +2,10 @@ package parallel
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"parroute/internal/circuit"
@@ -10,6 +13,7 @@ import (
 	"parroute/internal/metrics"
 	"parroute/internal/mp"
 	"parroute/internal/partition"
+	"parroute/internal/pipeline"
 	"parroute/internal/route"
 )
 
@@ -485,4 +489,85 @@ func TestChannelDensitySumStableAcrossBlockCounts(t *testing.T) {
 		}
 	}
 	sort.Ints(res.ChannelDensity) // exercise no panic; densities well-formed
+}
+
+// stageLog records, across every rank of a run, the stage names in the
+// order first seen and each stage's counter names in the order first
+// counted. Every rank walks the same list in order, so first-seen order is
+// the list's order however the ranks interleave.
+type stageLog struct {
+	mu       sync.Mutex
+	stages   []string
+	counters map[string][]string
+}
+
+func (l *stageLog) StageStart(stage string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !slices.Contains(l.stages, stage) {
+		l.stages = append(l.stages, stage)
+	}
+}
+
+func (l *stageLog) StageEnd(stage string, m pipeline.StageMetrics) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range m.Counters {
+		if !slices.Contains(l.counters[stage], c.Name) {
+			l.counters[stage] = append(l.counters[stage], c.Name)
+		}
+	}
+}
+
+// TestDriverStageLists pins what a driver's stage list looks like from
+// outside: the stage names, in order, and the counters each reports. The
+// benchmark (benchmark/spec.go parallelStages, routeCounterStages) and
+// `twgr -trace` consumers key on these strings.
+func TestDriverStageLists(t *testing.T) {
+	type st struct {
+		name     string
+		counters []string
+	}
+	blockHead := []st{
+		{"crossings", []string{"fake-pins"}},
+		{"subcircuit", nil},
+		{"steiner", []string{"segments"}},
+		{"coarse", []string{"coarse-flips"}},
+		{"ft-insert", []string{"inserted-fts"}},
+		{"ft-assign", []string{"extra-fts"}}, // the serial router's own stage, counter included
+	}
+	tail := []st{
+		{"connect", []string{"wires", "forced-edges"}},
+		{"stitch", nil},
+		{"switch-opt", []string{"switch-flips"}},
+		{"gather", nil},
+	}
+	want := map[Algorithm][]st{
+		RowWise: slices.Concat(blockHead, tail),
+		Hybrid:  slices.Concat(blockHead, tail),
+		NetWise: slices.Concat([]st{
+			{"steiner", []string{"segments"}},
+			{"coarse", []string{"coarse-flips"}},
+			{"ft-insert", []string{"inserted-fts"}},
+			{"ft-assign", nil},
+		}, tail),
+	}
+	c := testCircuit(t)
+	for _, algo := range Algorithms() {
+		log := &stageLog{counters: map[string][]string{}}
+		_, err := Run(context.Background(), c, Options{
+			Algo: algo, Procs: 2, Mode: mp.Inproc, Route: route.Options{Seed: 1},
+			Observers: []pipeline.Observer{log},
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		var got []st
+		for _, name := range log.stages {
+			got = append(got, st{name, log.counters[name]})
+		}
+		if !reflect.DeepEqual(got, want[algo]) {
+			t.Errorf("%v stage list:\n got %v\nwant %v", algo, got, want[algo])
+		}
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"parroute/internal/metrics"
 	"parroute/internal/mp"
 	"parroute/internal/partition"
+	"parroute/internal/pipeline"
 	"parroute/internal/route"
 )
 
@@ -63,7 +64,7 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type worker func(context.Context, mp.Comm, *circuit.Circuit, []partition.RowBlock, []int, Options, *runOutput) error
+	type worker = func(*rank) []pipeline.Stage
 	// A row of rank 0's block keeps the net-only forgery's row valid
 	// everywhere (fake pins and crossings must land inside the block).
 	indexed := func(mk func(net, row int) func(any) any) []forgery {
@@ -108,18 +109,18 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 		tag       int
 		forgeries []forgery
 	}{
-		{"rowwise/fake-pins", rowWiseWorker, tagFakePins, indexed(func(net, row int) func(any) any {
+		{"rowwise/fake-pins", rowWiseStages, tagFakePins, indexed(func(net, row int) func(any) any {
 			return appendTo[FakePinBatch](FakePinSpec{Net: net, X: 1, Row: row, Side: circuit.Top})
 		})},
-		{"hybrid/net-nodes", hybridWorker, tagNetNodes, nodes},
-		{"netwise/crossings", netWiseWorker, tagCrossings, indexed(func(net, row int) func(any) any {
+		{"hybrid/net-nodes", hybridStages, tagNetNodes, nodes},
+		{"netwise/crossings", netWiseStages, tagCrossings, indexed(func(net, row int) func(any) any {
 			return appendTo[CrossingBatch](CrossingMsg{Net: net, X: 1, Row: row})
 		})},
-		{"netwise/net-nodes", netWiseWorker, tagNetNodes, nodes},
-		{"netwise/ft-nodes", netWiseWorker, tagFtNodes, nodes},
-		{"hybrid/wires-redist", hybridWorker, tagWiresRedist, wires},
-		{"hybrid/wires", hybridWorker, tagWires, wires},
-		{"netwise/wires", netWiseWorker, tagWires, wires},
+		{"netwise/net-nodes", netWiseStages, tagNetNodes, nodes},
+		{"netwise/ft-nodes", netWiseStages, tagFtNodes, nodes},
+		{"hybrid/wires-redist", hybridStages, tagWiresRedist, wires},
+		{"hybrid/wires", hybridStages, tagWires, wires},
+		{"netwise/wires", netWiseStages, tagWires, wires},
 	}
 	for _, tc := range cases {
 		for _, bad := range tc.forgeries {
@@ -138,7 +139,7 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 						if comm.Rank() == 1 {
 							comm = &forgingComm{Comm: comm, tag: tc.tag, forge: bad.forge}
 						}
-						return tc.run(ctx, comm, c, blocks, owner, opt, out)
+						return runRank(ctx, comm, c, blocks, owner, opt, out, tc.run)
 					})
 					done <- err
 				}()

@@ -42,14 +42,14 @@ func TestParroutecheckClean(t *testing.T) {
 		// exist for tests and diagnostics.
 		{"parroute/internal/route.ConnectNodes", nil, 0, "build all nets with route.ConnectTrees"},
 		{"parroute/internal/steiner.BuildNet", nil, 0, "drive a steiner.Builder"},
-		// The row-partitioned drivers (and the sub-circuit builder they
-		// share) read base and build a block-sized sub-circuit from it; a
+		// The row-partitioned drivers (and the steps and sub-circuit builder
+		// they share) read base and build a block-sized sub-circuit from it; a
 		// Clone there is each rank paying for rows it does not own again.
 		// Net-wise is the exception — a rank routes nets through every
 		// row, so netwise.go keeps its clone — as is RunBaseline in
 		// parallel.go.
 		{"(*parroute/internal/circuit.Circuit).Clone",
-			[]string{"internal/parallel/rowwise.go", "internal/parallel/hybrid.go", "internal/parallel/common.go"},
+			[]string{"internal/parallel/rowwise.go", "internal/parallel/hybrid.go", "internal/parallel/rank.go", "internal/parallel/common.go"},
 			0, "build from base with buildBlockCircuit"},
 		// One-at-a-time insertion is O(row length) per feedthrough; the
 		// routers insert through circuit.InsertFeedthroughRows. The two

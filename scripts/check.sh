@@ -61,7 +61,12 @@ lint_gate() {
 }
 step "parroutecheck ./... (within budget)" lint_gate
 # The service soak is excluded here and run as its own step below, so it
-# executes exactly once per gate with an explicit, tunable volume.
+# executes exactly once per gate with an explicit, tunable volume. This
+# step is also the cancellation tier (DESIGN.md §10, §15): the RunContext,
+# RunBackground, Cancel, SerialDeadline and ParallelTimeout tests of mp,
+# parallel, route and workpool — cancelling mid-stage unwinds every
+# algorithm on every engine with an error wrapping context.Canceled and no
+# leaked goroutine — run here, under this -race, once.
 step "go test -race ./..." go test -race -skip 'TestServiceSoak' ./...
 
 # Codec fuzz smoke: the generated wire codecs must decode whatever they
@@ -89,16 +94,6 @@ chaos_soak() {
 }
 step "chaos soak (seed 1)" chaos_soak 1
 step "chaos soak (seed 2)" chaos_soak 2
-
-# Cancellation tier: cancelling mid-stage must unwind every algorithm on
-# every engine with an error wrapping context.Canceled and zero leaked
-# goroutines (see DESIGN.md §10). Since PR-10 this includes the intra-rank
-# worker pool and the pooled routing stages (see DESIGN.md §15).
-cancel_tier() {
-  go test -race -count=1 -run 'RunContext|RunBackground|Cancel|SerialDeadline|ParallelTimeout' \
-    ./internal/mp ./internal/parallel ./internal/route ./internal/workpool
-}
-step "cancellation tier" cancel_tier
 
 # Service soak tier: the twgrd core under a mixed concurrent load —
 # cache-hit storms, mid-flight disconnects, SSE consumers, priorities —
