@@ -31,6 +31,11 @@ import (
 // have aligned bands, letting AddFrom/SubFrom merge slab-wise.
 const bandShift = 3
 
+// BandRows is the number of channels (or rows) per slab. Goroutines that
+// split a grid by channel cut it at multiples of BandRows, so that no two
+// of them create the same slab.
+const BandRows = 1 << bandShift
+
 // Grid holds channel-density and feedthrough-demand counters.
 type Grid struct {
 	Rows     int // cell rows
@@ -152,6 +157,18 @@ func (g *Grid) ftRowMut(row int) []int32 {
 	}
 	off := (row & (1<<bandShift - 1)) * g.Cols
 	return s[off : off+g.Cols : off+g.Cols]
+}
+
+// Reserve allocates the slabs of channels lo..hi and of the rows among
+// them. A slab is otherwise created by its first writer, which two
+// goroutines writing different channels of one slab would race to be.
+func (g *Grid) Reserve(lo, hi int) {
+	for ch := lo; ch <= hi; ch++ {
+		g.densRowMut(ch)
+		if ch < g.Rows {
+			g.ftRowMut(ch)
+		}
+	}
 }
 
 // ColOf maps an x coordinate to its column, clamping out-of-core values.

@@ -253,3 +253,29 @@ func TestAddRemoveInverseProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReserveAllocatesCoveredSlabsOnly: Reserve creates the slabs of the
+// channels and rows it names — so goroutines that then write different
+// channels of one slab find it there — and leaves the rest of the grid as
+// lazy as a write does.
+func TestReserveAllocatesCoveredSlabsOnly(t *testing.T) {
+	g := New(40, 320, 16) // 41 channels: dens slabs 0..5, ft slabs 0..4
+	g.Reserve(10, 17)     // channels 10..17 and rows 10..17 lie in slabs 1 and 2
+	for b := range g.dens {
+		if want := b == 1 || b == 2; (g.dens[b] != nil) != want {
+			t.Fatalf("dens slab %d allocated: %v, want %v", b, g.dens[b] != nil, want)
+		}
+	}
+	for b := range g.ft {
+		if want := b == 1 || b == 2; (g.ft[b] != nil) != want {
+			t.Fatalf("ft slab %d allocated: %v, want %v", b, g.ft[b] != nil, want)
+		}
+	}
+	g.Reserve(40, 40) // the last channel has no row beside it
+	if g.dens[5] == nil || g.ft[4] != nil {
+		t.Fatal("reserving the top channel must allocate its density slab and no feedthrough slab")
+	}
+	if g.TotalFt() != 0 || g.MaxChannelDensity(12) != 0 {
+		t.Fatal("reserved slabs are not zero")
+	}
+}

@@ -530,7 +530,7 @@ func connectOwnedNets(ctx context.Context, nn netNodes, occ *route.Occupancy, wo
 		return nn.nodes[nn.off[n]:nn.off[n+1]]
 	}, nil, wires)
 	if err == nil {
-		err = occ.PlaceWires(ctx, wires, nil)
+		err = occ.PlaceWires(ctx, workers, wires, nil)
 	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("parallel: connect: %w", err)

@@ -488,7 +488,9 @@ func TestBlockCircuitRoutesLikeFullClone(t *testing.T) {
 			if err := rt.BuildTrees(context.Background()); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			rt.CoarseRoute()
+			if err := rt.CoarseRoute(context.Background()); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 			if err := rt.InsertFeedthroughs(); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -31,7 +31,7 @@ func hybridStages(r *rank) []pipeline.Stage {
 			}
 			return r.boundaryStitch()
 		}),
-		stage("switch-opt", r.switchOpt),
+		pipeline.Func("switch-opt", r.switchOpt),
 		stage("gather", r.gather))
 }
 

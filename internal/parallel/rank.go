@@ -163,11 +163,11 @@ func (r *rank) boundaryStitch() error {
 	return nil
 }
 
-// switchOpt is the serial step 5 over r.wires against r.occ.
-func (r *rank) switchOpt(s *pipeline.Session) error {
-	r.sum.SwitchFlips = route.OptimizeSwitchable(r.wires, r.occ, r.rt.Rand, r.ropt.SwitchPasses)
+// switchOpt is the serial router's step 5 over r.wires against r.occ.
+func (r *rank) switchOpt(ctx context.Context, s *pipeline.Session) (err error) {
+	r.sum.SwitchFlips, err = route.OptimizeSwitchable(ctx, r.ropt.Workers, r.wires, r.occ, r.rt.Rand, r.ropt.SwitchPasses)
 	s.Count("switch-flips", int64(r.sum.SwitchFlips))
-	return nil
+	return err
 }
 
 // gather sends the rank's wires and counters — its own bodies' plus those

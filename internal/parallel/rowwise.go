@@ -22,6 +22,6 @@ func rowWiseStages(r *rank) []pipeline.Stage {
 			r.wires = r.rt.Wires
 			return r.boundaryStitch()
 		}),
-		stage("switch-opt", r.switchOpt),
+		pipeline.Func("switch-opt", r.switchOpt),
 		stage("gather", r.gather))
 }

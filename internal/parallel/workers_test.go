@@ -5,11 +5,16 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
+	"parroute/internal/circuit"
 	"parroute/internal/gen"
+	"parroute/internal/metrics"
 	"parroute/internal/mp"
 	"parroute/internal/route"
+	"parroute/internal/workpool"
 )
 
 // TestWorkersByteIdentical pins the deterministic-reduction contract of the
@@ -85,6 +90,58 @@ func TestWorkersByteIdenticalParallelDrivers(t *testing.T) {
 			if !bytes.Equal(ref, got) {
 				t.Fatalf("%v: workers=%d metrics differ from workers=1", algo, w)
 			}
+		}
+	}
+}
+
+// TestWorkersByteIdenticalAtSeams routes at eight workers with the cut
+// threshold of the ordered band sweeps (coarse flips, wire placement, switch
+// flips) lowered until even gen.Small is cut into eight bands, on all the
+// box's processors and on one: the serial router and the hybrid driver must
+// still produce the committed goldens, and — a wait that only ends when the
+// peer owns a core hangs on one P and nowhere else — inside the watchdog.
+func TestWorkersByteIdenticalAtSeams(t *testing.T) {
+	defer workpool.SetMinBandOpsForTest(8)()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	primary2, err := gen.Benchmark("primary2", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits := map[string]*circuit.Circuit{"small": gen.Small(42), "primary2": primary2}
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+		runtime.GOMAXPROCS(procs)
+		type routed struct {
+			golden string
+			res    *metrics.Result
+			err    error
+		}
+		out := make(chan routed, 2*len(circuits)) // every send, so a failed check strands nobody
+		go func() {
+			defer close(out)
+			for name, c := range circuits {
+				opt := Options{Procs: 1, Route: route.Options{Seed: 7, Workers: 8}}
+				res, err := RunBaseline(context.Background(), c, opt)
+				out <- routed{name + "-serial.json", res, err}
+				opt.Algo, opt.Procs, opt.Mode = Hybrid, 2, mp.Inproc
+				res, err = Run(context.Background(), c, opt)
+				out <- routed{name + "-hybrid-p2.json", res, err}
+			}
+		}()
+		for watchdog := time.After(2 * time.Minute); ; {
+			var r routed
+			var ok bool
+			select {
+			case r, ok = <-out:
+			case <-watchdog:
+				t.Fatalf("routing at eight workers on %d P did not finish", procs)
+			}
+			if !ok {
+				break
+			}
+			if r.err != nil {
+				t.Fatalf("%s on %d P: %v", r.golden, procs, r.err)
+			}
+			checkGolden(t, r.golden, resultBytes(t, r.res), false)
 		}
 	}
 }

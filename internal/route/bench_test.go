@@ -30,7 +30,9 @@ func BenchmarkPhases(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			rt.CoarseRoute()
+			if err := rt.CoarseRoute(context.Background()); err != nil {
+				b.Fatal(err)
+			}
 			b.StopTimer()
 		}
 	})
@@ -67,7 +69,9 @@ func BenchmarkSwitchOpt(b *testing.B) {
 	if err := rt.BuildTrees(ctx); err != nil {
 		b.Fatal(err)
 	}
-	rt.CoarseRoute()
+	if err := rt.CoarseRoute(ctx); err != nil {
+		b.Fatal(err)
+	}
 	if err := rt.InsertFeedthroughs(); err != nil {
 		b.Fatal(err)
 	}
@@ -82,6 +86,8 @@ func BenchmarkSwitchOpt(b *testing.B) {
 		cp := append(rt.Wires[:0:0], rt.Wires...)
 		occ := NewOccupancy(rt.C.NumChannels(), rt.C.CoreWidth(), 16)
 		occ.AddWires(cp)
-		OptimizeSwitchable(cp, occ, rng.New(uint64(i)), 3)
+		if _, err := OptimizeSwitchable(ctx, 1, cp, occ, rng.New(uint64(i)), 3); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,15 +3,36 @@ package route
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"parroute/internal/gen"
+	"parroute/internal/workpool"
 )
 
+// countdownCtx reports context.Canceled from its left-th Err call on: a
+// cancellation that lands at a chosen depth inside a stage, on any machine.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestPooledStagesCancelMidRoute drives the worker-pooled stages with a
-// context that dies between pipeline steps: each pooled stage (steiner,
-// ft-assign, connect) must unwind with an error wrapping context.Canceled
-// and leave no goroutines behind (the -race cancellation tier runs this).
+// context that dies between pipeline steps, and the three ordered sweeps
+// with one that dies inside them: each must unwind with an error wrapping
+// context.Canceled and leave no goroutines behind (the -race cancellation
+// tier runs this).
 func TestPooledStagesCancelMidRoute(t *testing.T) {
 	c := gen.Small(11)
 
@@ -29,7 +50,9 @@ func TestPooledStagesCancelMidRoute(t *testing.T) {
 		if err := rt.BuildTrees(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		rt.CoarseRoute()
+		if err := rt.CoarseRoute(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		if err := rt.InsertFeedthroughs(); err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +68,9 @@ func TestPooledStagesCancelMidRoute(t *testing.T) {
 		if err := rt.BuildTrees(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		rt.CoarseRoute()
+		if err := rt.CoarseRoute(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		if err := rt.InsertFeedthroughs(); err != nil {
 			t.Fatal(err)
 		}
@@ -59,6 +84,106 @@ func TestPooledStagesCancelMidRoute(t *testing.T) {
 		}
 	})
 
+	// The three ordered sweeps, cancelled ever deeper inside — at one band
+	// and at several (the cut threshold is lowered so primary2 has eight):
+	// each must come back inside the watchdog with an error wrapping
+	// context.Canceled and every goroutine gone, never one left waiting at a
+	// seam; and at least one cut per sweep must land mid-sweep, with part of
+	// the work done.
+	t.Run("sweeps", func(t *testing.T) {
+		defer workpool.SetMinBandOpsForTest(64)()
+		p2, err := gen.Benchmark("primary2", 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bg := context.Background()
+		for _, workers := range []int{1, 2, 8} {
+			rt := NewRouter(p2.Clone(), Options{Seed: 7, Workers: workers})
+			if err := rt.BuildTrees(bg); err != nil {
+				t.Fatal(err)
+			}
+			segs, rnd := slices.Clone(rt.Segs), *rt.Rand
+			if err := errors.Join(rt.CoarseRoute(bg), rt.InsertFeedthroughs(), rt.AssignFeedthroughs(bg), rt.ConnectNets(bg)); err != nil {
+				t.Fatal(err)
+			}
+			placed, occ, rndSwitch := slices.Clone(rt.Wires), rt.occ, *rt.Rand
+			if err := rt.OptimizeSwitchable(bg); err != nil {
+				t.Fatal(err)
+			}
+			total := func(o *Occupancy) (n int64) {
+				for _, v := range o.Counts() {
+					n += int64(v)
+				}
+				return n
+			}
+			// Each sweep runs under ctx on fresh copies of its input and
+			// returns how much it got done and how much there is to do.
+			sweeps := []struct {
+				name string
+				run  func(ctx context.Context) (done, all int64, err error)
+			}{
+				{"coarse", func(ctx context.Context) (int64, int64, error) {
+					r := NewRouter(rt.C, rt.Opt)
+					r.Segs, *r.Rand = slices.Clone(segs), rnd
+					err := r.CoarseRoute(ctx)
+					return int64(r.CoarseFlips), int64(rt.CoarseFlips), err
+				}},
+				{"connect", func(ctx context.Context) (int64, int64, error) {
+					wires := slices.Clone(placed)
+					o := NewOccupancy(occ.Channels, rt.C.CoreWidth(), rt.Opt.GridColWidth)
+					err := o.PlaceWires(ctx, workers, wires, nil)
+					return total(o), total(occ), err
+				}},
+				{"switch-opt", func(ctx context.Context) (int64, int64, error) {
+					wires := slices.Clone(placed)
+					o := NewOccupancy(occ.Channels, rt.C.CoreWidth(), rt.Opt.GridColWidth)
+					o.AddWires(wires)
+					r := rndSwitch
+					flips, err := OptimizeSwitchable(ctx, workers, wires, o, &r, rt.Opt.SwitchPasses)
+					return int64(flips), int64(rt.SwitchFlips), err
+				}},
+			}
+			for _, sw := range sweeps {
+				before, midSweep := runtime.NumGoroutine(), false
+				for cut := int64(1); ; cut += cut/2 + 1 {
+					ctx := &countdownCtx{Context: bg}
+					ctx.left.Store(cut)
+					type outcome struct {
+						done, all int64
+						err       error
+					}
+					ch := make(chan outcome, 1)
+					go func() {
+						done, all, err := sw.run(ctx)
+						ch <- outcome{done, all, err}
+					}()
+					var got outcome
+					select {
+					case got = <-ch:
+					case <-time.After(time.Minute):
+						t.Fatalf("%s workers=%d cut=%d: did not return", sw.name, workers, cut)
+					}
+					if got.err == nil {
+						if got.done != got.all {
+							t.Fatalf("%s workers=%d cut=%d: no error, but %d of %d done", sw.name, workers, cut, got.done, got.all)
+						}
+						break // the cut lies beyond the stage's last look at ctx
+					}
+					if !errors.Is(got.err, context.Canceled) {
+						t.Fatalf("%s workers=%d cut=%d: err = %v, want context.Canceled", sw.name, workers, cut, got.err)
+					}
+					midSweep = midSweep || got.done > 0 && got.done < got.all
+				}
+				if !midSweep {
+					t.Errorf("%s workers=%d: no cancellation landed inside the sweep", sw.name, workers)
+				}
+				if err := settle(before); err != nil {
+					t.Errorf("%s workers=%d: %v", sw.name, workers, err)
+				}
+			}
+		}
+	})
+
 	// A cancelled pooled run must not poison the router: the same circuit
 	// routes cleanly afterwards with a fresh router at the same settings.
 	t.Run("recover", func(t *testing.T) {
@@ -67,4 +192,14 @@ func TestPooledStagesCancelMidRoute(t *testing.T) {
 			t.Fatalf("clean run after cancelled runs: %v", err)
 		}
 	})
+}
+
+// settle waits for the goroutine count to come back down to before.
+func settle(before int) error {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if runtime.NumGoroutine() <= before {
+			return nil
+		}
+	}
+	return fmt.Errorf("goroutines did not settle: %d now, %d before", runtime.NumGoroutine(), before)
 }

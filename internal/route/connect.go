@@ -112,7 +112,7 @@ func ConnectNodes(netID int, nodes []Node, occ *Occupancy) (conns []Connection, 
 	forced = cn.Tree(netID, nodes, conns, wires)
 	if occ != nil {
 		// The background context never ends, so placement cannot fail.
-		_ = occ.PlaceWires(context.Background(), wires, conns)
+		_ = occ.PlaceWires(context.Background(), 1, wires, conns)
 	}
 	return conns, forced
 }
@@ -256,17 +256,25 @@ func ConnectTrees(ctx context.Context, workers int, off []int, nodesOf func(net 
 // PlaceWires streams wires, in order, into the occupancy: a switchable
 // wire moves to its upper channel when adding it there is cheaper than in
 // the lower one at that moment, and every wire is then added where it
-// sits. This is the one part of step 4 that reads shared state, so it is
-// serial and its order — net order, tree order within a net — is part of
-// the routing result. conns, when the caller kept them (conns[i] belongs
-// to wires[i]), follow their wire's channel.
-func (o *Occupancy) PlaceWires(ctx context.Context, wires []metrics.Wire, conns []Connection) error {
-	for i := range wires {
-		if i&4095 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+// sits. This is the one part of step 4 that reads shared state, so its
+// order — net order, tree order within a net — is part of the routing
+// result; it runs as an ordered band sweep (workpool.Sweep) on up to workers
+// goroutines, a switchable wire confined to channels Row and Row+1 and any
+// other to its own, which places wires of different row bands side by side
+// with the serial outcome. conns, when the caller kept them (conns[i]
+// belongs to wires[i]), follow their wire's channel.
+func (o *Occupancy) PlaceWires(ctx context.Context, workers int, wires []metrics.Wire, conns []Connection) error {
+	sw, err := workpool.NewSweep(ctx, workers, len(wires), o.Channels, func(i int) workpool.Hull {
+		w := &wires[i]
+		if w.Switchable {
+			return workpool.Hull{Lo: int32(w.Row), Hi: int32(w.Row + 1)}
 		}
+		return workpool.Hull{Lo: int32(w.Channel), Hi: int32(w.Channel)}
+	}, o.reserve)
+	if err != nil {
+		return err
+	}
+	return sw.Run(ctx, nil, func(_, i int) error {
 		w := &wires[i]
 		if w.Switchable && o.AddCost(w.Row+1, w.Span) < o.AddCost(w.Row, w.Span) {
 			w.Channel = w.Row + 1
@@ -275,8 +283,8 @@ func (o *Occupancy) PlaceWires(ctx context.Context, wires []metrics.Wire, conns 
 			}
 		}
 		o.Add(w.Channel, w.Span, 1)
-	}
-	return nil
+		return nil
+	})
 }
 
 // candidates computes the sorted candidate-edge list of one net. The

@@ -381,7 +381,7 @@ func TestTreeThenPlaceMatchesStreamedKruskal(t *testing.T) {
 	for n, nodes := range nets {
 		gotForced += cn.Tree(n, nodes, gotConns[off[n]:off[n+1]], gotWires[off[n]:off[n+1]])
 	}
-	if err := gotOcc.PlaceWires(context.Background(), gotWires, gotConns); err != nil {
+	if err := gotOcc.PlaceWires(context.Background(), 1, gotWires, gotConns); err != nil {
 		t.Fatal(err)
 	}
 	if gotForced != wantForced {

@@ -38,7 +38,9 @@ func ExampleRouter_Verify() {
 	if err := rt.BuildTrees(ctx); err != nil {
 		panic(err)
 	}
-	rt.CoarseRoute()
+	if err := rt.CoarseRoute(ctx); err != nil {
+		panic(err)
+	}
 	if err := rt.InsertFeedthroughs(); err != nil {
 		panic(err)
 	}
@@ -48,7 +50,9 @@ func ExampleRouter_Verify() {
 	if err := rt.ConnectNets(ctx); err != nil {
 		panic(err)
 	}
-	rt.OptimizeSwitchable()
+	if err := rt.OptimizeSwitchable(ctx); err != nil {
+		panic(err)
+	}
 	fmt.Println("verified:", rt.Verify() == nil)
 	// Output:
 	// verified: true

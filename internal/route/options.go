@@ -33,11 +33,15 @@ type Options struct {
 	// TrackPitch is the channel height contributed by one track, in the
 	// same units as cell height, used by the area model. Default 2.
 	TrackPitch int
-	// Workers bounds the intra-rank worker goroutines the per-net phases
-	// (steiner build, feedthrough sorting, net-connection preparation) fan
-	// out on. Routing output is byte-identical at every setting — the
-	// phases reduce in deterministic net/row order — so Workers is purely
-	// a wall-clock knob. Default 1 (run the phases inline).
+	// Workers bounds the goroutines a stage runs on. The order-free work —
+	// steiner trees, the coarse grid load, feedthrough insertion and
+	// sorting, net-connection trees, the density sweep — writes disjoint
+	// slots; the three sweeps whose visit order is part of the result —
+	// coarse flips, wire placement, switch flips — run as row bands that
+	// keep that order wherever two visits can touch the same channel
+	// (workpool.Sweep). Routing output is therefore byte-identical at every
+	// setting and Workers is purely a wall-clock knob. Default 1 (every
+	// stage inline on the calling goroutine).
 	Workers int
 }
 

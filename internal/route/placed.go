@@ -85,18 +85,23 @@ func (ps *PlacedSeg) CurrentRuns() Runs { return ps.RunsFor(ps.BendAtP) }
 func Place(c *circuit.Circuit, seg steiner.Segment) PlacedSeg { return place(c, seg) }
 
 // ApplyRuns applies a segment geometry to the grid with the given sign.
-func ApplyRuns(g *grid.Grid, r Runs, delta int32) { addRuns(g, r, delta) }
+func ApplyRuns(g *grid.Grid, r Runs, delta int32) { addRuns(g, r, delta, 0, g.Channels) }
 
 // RunsCost evaluates the congestion cost of adding a segment geometry to
 // the grid (the segment must not currently be counted in it).
 func RunsCost(g *grid.Grid, r Runs, ftBase int64) int64 { return runsCost(g, r, ftBase) }
 
-// addRuns applies a segment geometry to the grid with the given sign.
-func addRuns(g *grid.Grid, r Runs, delta int32) {
-	g.AddHoriz(r.HLoCh, r.HLo, delta)
-	g.AddHoriz(r.HHiCh, r.HHi, delta)
+// addRuns applies the part of a segment geometry that lands in channels
+// and rows [lo, hi) to the grid with the given sign.
+func addRuns(g *grid.Grid, r Runs, delta int32, lo, hi int) {
+	if lo <= r.HLoCh && r.HLoCh < hi {
+		g.AddHoriz(r.HLoCh, r.HLo, delta)
+	}
+	if lo <= r.HHiCh && r.HHiCh < hi {
+		g.AddHoriz(r.HHiCh, r.HHi, delta)
+	}
 	if r.HasVert() {
-		g.AddVert(r.VLo, r.VHi, g.ColOf(r.VCol), delta)
+		g.AddVert(geom.Max(r.VLo, lo), geom.Min(r.VHi, hi-1), g.ColOf(r.VCol), delta)
 	}
 }
 

@@ -137,8 +137,8 @@ func TestRunsGridRoundTrip(t *testing.T) {
 	g := grid.New(6, 2000, 16)
 	for _, bend := range []bool{true, false} {
 		runs := ps.RunsFor(bend)
-		addRuns(g, runs, 1)
-		addRuns(g, runs, -1)
+		ApplyRuns(g, runs, 1)
+		ApplyRuns(g, runs, -1)
 	}
 	for _, v := range g.DensCounts() {
 		if v != 0 {

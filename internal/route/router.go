@@ -44,6 +44,7 @@ type Router struct {
 	UnboundFts   int // inserted feedthroughs never bound to a net (should stay 0)
 	phases       []metrics.Phase
 	switchableWs int
+	occ          *Occupancy // step 4's finished occupancy, kept for step 5
 }
 
 // NewRouter prepares a router over the given circuit. The circuit is
@@ -75,8 +76,10 @@ func (rt *Router) Stages() []pipeline.Stage {
 			s.Count("segments", int64(len(rt.Segs)))
 			return nil
 		}),
-		pipeline.Func("coarse", func(_ context.Context, s *pipeline.Session) error {
-			rt.CoarseRoute()
+		pipeline.Func("coarse", func(ctx context.Context, s *pipeline.Session) error {
+			if err := rt.CoarseRoute(ctx); err != nil {
+				return err
+			}
 			s.Count("coarse-flips", int64(rt.CoarseFlips))
 			return nil
 		}),
@@ -102,8 +105,10 @@ func (rt *Router) Stages() []pipeline.Stage {
 			s.Count("forced-edges", int64(rt.ForcedEdges))
 			return nil
 		}),
-		pipeline.Func("switch-opt", func(_ context.Context, s *pipeline.Session) error {
-			rt.OptimizeSwitchable()
+		pipeline.Func("switch-opt", func(ctx context.Context, s *pipeline.Session) error {
+			if err := rt.OptimizeSwitchable(ctx); err != nil {
+				return err
+			}
 			s.Count("switch-flips", int64(rt.SwitchFlips))
 			return nil
 		}),
@@ -190,16 +195,38 @@ func (rt *Router) UseSegments(segs []steiner.Segment) {
 // CoarseRoute is step 2: load every segment into the coarse grid at its
 // initial bend, then sweep the segments in random order flipping L
 // orientations whenever that lowers congestion + feedthrough cost.
-func (rt *Router) CoarseRoute() {
+//
+// The load's adds commute, so it is cut by channel: each of up to
+// Opt.Workers goroutines walks the segments and applies the runs that land
+// in its range, and the ranges meet at slab boundaries, so no two of them
+// create the same slab.
+func (rt *Router) CoarseRoute(ctx context.Context) error {
 	width := rt.Opt.GridWidth
 	if width <= 0 {
 		width = rt.C.CoreWidth()
 	}
-	rt.Grid = grid.New(len(rt.C.Rows), width, rt.Opt.GridColWidth)
-	for i := range rt.Segs {
-		addRuns(rt.Grid, rt.Segs[i].CurrentRuns(), 1)
+	g := grid.New(len(rt.C.Rows), width, rt.Opt.GridColWidth)
+	rt.Grid = g
+	slabs := (g.Channels + grid.BandRows - 1) / grid.BandRows
+	per := (slabs + rt.Opt.Workers - 1) / rt.Opt.Workers
+	err := workpool.DoChunks(ctx, rt.Opt.Workers, slabs, per, func(_, lo, hi int) error {
+		lo, hi = lo*grid.BandRows, hi*grid.BandRows
+		for i := range rt.Segs {
+			if ps := &rt.Segs[i]; ps.CP < hi && ps.CQ >= lo { // every run lies in channels CP..CQ
+				addRuns(g, ps.CurrentRuns(), 1, lo, hi)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("route: coarse: %w", err)
 	}
-	rt.CoarseFlips += improveBends(rt.Grid, rt.Segs, rt.Rand, rt.Opt.CoarsePasses, rt.Opt.FtBase)
+	flips, err := improveBends(ctx, rt.Opt.Workers, g, rt.Segs, rt.Rand, rt.Opt.CoarsePasses)
+	rt.CoarseFlips += flips
+	if err != nil {
+		return fmt.Errorf("route: coarse: %w", err)
+	}
+	return nil
 }
 
 // flipCand caches the static geometry of one flippable segment so the
@@ -209,6 +236,37 @@ type flipCand struct {
 	seg        int
 	span       geom.Interval
 	colP, colQ int
+}
+
+// sweepFlips is the loop steps 2 and 5 share: up to passes sweeps of sw over
+// its n flip candidates, each in a fresh random order — one PermInto per
+// pass, on the calling goroutine — until a pass flips nothing. flip decides
+// candidate i and reports whether it flipped. It returns the flips taken.
+func sweepFlips(ctx context.Context, sw *workpool.Sweep, n int, r *rng.RNG, passes int, flip func(i int) bool) (int, error) {
+	flips := make([]struct {
+		n int
+		_ workpool.Pad
+	}, sw.Bands())
+	perm := make([]int, n)
+	done := 0
+	for pass := 0; pass < passes; pass++ {
+		r.PermInto(perm)
+		err := sw.Run(ctx, perm, func(band, i int) error {
+			if flip(i) {
+				flips[band].n++
+			}
+			return nil
+		})
+		before := done
+		done = 0
+		for b := range flips {
+			done += flips[b].n
+		}
+		if err != nil || done == before {
+			return done, err
+		}
+	}
+	return done, nil
 }
 
 // improveBends runs random improvement sweeps over the segments with a
@@ -222,8 +280,13 @@ type flipCand struct {
 // grid — the same value the remove/price-both/re-add evaluation produced,
 // so flip decisions (and the rng stream) are unchanged. The ftBase term
 // cancels: both orientations cross the same rows.
-func improveBends(g *grid.Grid, segs []PlacedSeg, r *rng.RNG, passes int, ftBase int64) int {
-	_ = ftBase // cancels out of the incremental delta; kept for signature stability
+//
+// The visit order is part of the result, so each pass is an ordered band
+// sweep (workpool.Sweep): a flip reads and writes density channels CP and CQ
+// and feedthrough rows CP..CQ-1 and nothing else, which makes [CP, CQ] its
+// hull, and flips in different row bands run side by side with the serial
+// outcome.
+func improveBends(ctx context.Context, workers int, g *grid.Grid, segs []PlacedSeg, r *rng.RNG, passes int) (int, error) {
 	cands := make([]flipCand, 0, len(segs))
 	for i := range segs {
 		ps := &segs[i]
@@ -236,35 +299,32 @@ func improveBends(g *grid.Grid, segs []PlacedSeg, r *rng.RNG, passes int, ftBase
 			})
 		}
 	}
-	flips := 0
-	perm := make([]int, len(cands))
-	for pass := 0; pass < passes; pass++ {
-		r.PermInto(perm)
-		improved := false
-		for _, pi := range perm {
-			fc := &cands[pi]
-			ps := &segs[fc.seg]
-			chFrom, chTo := ps.CP, ps.CQ
-			fromCol, toCol := fc.colQ, fc.colP
-			if ps.BendAtP {
-				chFrom, chTo = ps.CQ, ps.CP
-				fromCol, toCol = fc.colP, fc.colQ
-			}
-			delta := g.SpanCost(chFrom, chTo, fc.span) +
-				g.VertMoveCost(ps.CP, ps.CQ-1, fromCol, toCol)
-			if delta < 0 {
-				g.MoveWire(chFrom, chTo, fc.span)
-				g.MoveVert(ps.CP, ps.CQ-1, fromCol, toCol)
-				ps.BendAtP = !ps.BendAtP
-				flips++
-				improved = true
-			}
-		}
-		if !improved {
-			break
-		}
+	sw, err := workpool.NewSweep(ctx, workers, len(cands), g.Channels, func(i int) workpool.Hull {
+		ps := &segs[cands[i].seg]
+		return workpool.Hull{Lo: int32(ps.CP), Hi: int32(ps.CQ)}
+	}, g.Reserve)
+	if err != nil {
+		return 0, err
 	}
-	return flips
+	return sweepFlips(ctx, sw, len(cands), r, passes, func(pi int) bool {
+		fc := &cands[pi]
+		ps := &segs[fc.seg]
+		chFrom, chTo := ps.CP, ps.CQ
+		fromCol, toCol := fc.colQ, fc.colP
+		if ps.BendAtP {
+			chFrom, chTo = ps.CQ, ps.CP
+			fromCol, toCol = fc.colP, fc.colQ
+		}
+		delta := g.SpanCost(chFrom, chTo, fc.span) +
+			g.VertMoveCost(ps.CP, ps.CQ-1, fromCol, toCol)
+		if delta >= 0 {
+			return false
+		}
+		g.MoveWire(chFrom, chTo, fc.span)
+		g.MoveVert(ps.CP, ps.CQ-1, fromCol, toCol)
+		ps.BendAtP = !ps.BendAtP
+		return true
+	})
 }
 
 // InsertFeedthroughs is the tail of step 2: realize the grid's feedthrough
@@ -496,9 +556,14 @@ func (rt *Router) bindFt(pinID, netID int) {
 // slots (a prefix sum over degrees, as in BuildTrees), switchable ones
 // provisionally in their lower channel. Only the channel of a switchable
 // connection reads the live occupancy: PlaceWires then streams the wire
-// array through it serially in net order. The output is byte-identical at
-// every worker count because nothing the workers compute depends on order.
+// array through it in net order, as an ordered band sweep. The output is
+// byte-identical at every worker count because nothing the workers compute
+// depends on order, and the sweep keeps the order wherever it matters.
+//
+// The serial router (Opt.GridWidth 0) keeps the finished occupancy for
+// OptimizeSwitchable: it is, cell for cell, the table step 5 starts from.
 func (rt *Router) ConnectNets(ctx context.Context) error {
+	rt.occ = nil
 	nets := rt.C.Nets
 	// Net n's nodes are arena[nodeOff[n]:nodeOff[n+1]]; a k-node net yields
 	// exactly k-1 connections, Conns and Wires [connOff[n]:connOff[n+1]].
@@ -534,22 +599,35 @@ func (rt *Router) ConnectNets(ctx context.Context) error {
 	// Never narrower than the fixed grid extent: a block-sized sub-circuit
 	// has no foreign rows to widen it, and its fake pins sit at full-design x.
 	occ := NewOccupancy(rt.C.NumChannels(), geom.Max(rt.C.CoreWidth(), rt.Opt.GridWidth), rt.Opt.GridColWidth)
-	if err := occ.PlaceWires(ctx, rt.Wires, rt.Conns); err != nil {
+	if err := occ.PlaceWires(ctx, rt.Opt.Workers, rt.Wires, rt.Conns); err != nil {
 		return fmt.Errorf("route: connect: %w", err)
+	}
+	if rt.Opt.GridWidth == 0 {
+		rt.occ = occ
 	}
 	return nil
 }
 
-// OptimizeSwitchable is step 5 over the wires produced by ConnectNets.
-func (rt *Router) OptimizeSwitchable() {
-	occ := NewOccupancy(rt.C.NumChannels(), rt.C.CoreWidth(), rt.Opt.GridColWidth)
-	occ.AddWires(rt.Wires)
+// OptimizeSwitchable is step 5 over the wires produced by ConnectNets,
+// against the occupancy ConnectNets kept, or one built from the wires.
+func (rt *Router) OptimizeSwitchable(ctx context.Context) error {
+	occ := rt.occ
+	rt.occ = nil
+	if occ == nil {
+		occ = NewOccupancy(rt.C.NumChannels(), rt.C.CoreWidth(), rt.Opt.GridColWidth)
+		occ.AddWires(rt.Wires)
+	}
 	for i := range rt.Wires {
 		if rt.Wires[i].Switchable && !rt.Wires[i].Span.Empty() {
 			rt.switchableWs++
 		}
 	}
-	rt.SwitchFlips += OptimizeSwitchable(rt.Wires, occ, rt.Rand, rt.Opt.SwitchPasses)
+	flips, err := OptimizeSwitchable(ctx, rt.Opt.Workers, rt.Wires, occ, rt.Rand, rt.Opt.SwitchPasses)
+	rt.SwitchFlips += flips
+	if err != nil {
+		return fmt.Errorf("route: switch-opt: %w", err)
+	}
+	return nil
 }
 
 // Phases returns the per-stage records of the last Run (nil when the

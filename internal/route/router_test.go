@@ -2,6 +2,7 @@ package route
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -76,11 +77,11 @@ func TestRouterCircuitStaysValidThroughPhases(t *testing.T) {
 		f    func() error
 	}{
 		{"trees", func() error { return rt.BuildTrees(ctx) }},
-		{"coarse", func() error { rt.CoarseRoute(); return nil }},
+		{"coarse", func() error { return rt.CoarseRoute(ctx) }},
 		{"insert", rt.InsertFeedthroughs},
 		{"assign", func() error { return rt.AssignFeedthroughs(ctx) }},
 		{"connect", func() error { return rt.ConnectNets(ctx) }},
-		{"switch", func() error { rt.OptimizeSwitchable(); return nil }},
+		{"switch", func() error { return rt.OptimizeSwitchable(ctx) }},
 	}
 	for _, s := range steps {
 		if err := s.f(); err != nil {
@@ -187,7 +188,9 @@ func TestConnectNetsTwiceReplacesResult(t *testing.T) {
 	if err := rt.BuildTrees(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rt.CoarseRoute()
+	if err := rt.CoarseRoute(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if err := rt.InsertFeedthroughs(); err != nil {
 		t.Fatal(err)
 	}
@@ -301,8 +304,9 @@ func TestUseSegmentsMatchesBuildTrees(t *testing.T) {
 		}
 	}
 	// And the rest of the pipeline yields identical results.
-	rtA.CoarseRoute()
-	rtB.CoarseRoute()
+	if err := errors.Join(rtA.CoarseRoute(context.Background()), rtB.CoarseRoute(context.Background())); err != nil {
+		t.Fatal(err)
+	}
 	if rtA.CoarseFlips != rtB.CoarseFlips {
 		t.Fatalf("coarse flips differ: %d vs %d", rtA.CoarseFlips, rtB.CoarseFlips)
 	}

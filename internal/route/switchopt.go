@@ -1,11 +1,13 @@
 package route
 
 import (
+	"context"
 	"fmt"
 
 	"parroute/internal/geom"
 	"parroute/internal/metrics"
 	"parroute/internal/rng"
+	"parroute/internal/workpool"
 )
 
 // Occupancy tracks per-channel column occupation during step 5. It is the
@@ -98,6 +100,14 @@ func (o *Occupancy) rowMut(ch int) []int32 {
 	}
 	off := (ch & (1<<o.bandShift - 1)) * o.Cols
 	return s[off : off+o.Cols : off+o.Cols]
+}
+
+// reserve allocates the slabs of channels lo..hi, which two goroutines
+// writing different channels of one slab would otherwise race to create.
+func (o *Occupancy) reserve(lo, hi int) {
+	for ch := lo; ch <= hi; ch++ {
+		o.rowMut(ch)
+	}
 }
 
 // channelMax returns the peak column count of channel ch, recomputing the
@@ -315,32 +325,33 @@ func (o *Occupancy) MoveCost(from, to int, span geom.Interval) int64 {
 // lowers the congestion cost. wires is mutated in place (Channel fields);
 // occ must already contain every wire (and any background). It returns the
 // number of flips taken.
-func OptimizeSwitchable(wires []metrics.Wire, occ *Occupancy, r *rng.RNG, passes int) int {
+//
+// The visit order is part of the result, so each pass is an ordered band
+// sweep (workpool.Sweep) on up to workers goroutines: a flip reads and writes
+// channels Row and Row+1 — counts and peak caches — and nothing else.
+func OptimizeSwitchable(ctx context.Context, workers int, wires []metrics.Wire, occ *Occupancy, r *rng.RNG, passes int) (int, error) {
 	switchable := make([]int, 0, len(wires))
 	for i := range wires {
 		if wires[i].Switchable && !wires[i].Span.Empty() {
 			switchable = append(switchable, i)
 		}
 	}
-	flips := 0
-	perm := make([]int, len(switchable))
-	for pass := 0; pass < passes; pass++ {
-		r.PermInto(perm)
-		improved := false
-		for _, pi := range perm {
-			w := &wires[switchable[pi]]
-			other := w.OtherChannel()
-			if occ.MoveCost(w.Channel, other, w.Span) < 0 {
-				occ.Add(w.Channel, w.Span, -1)
-				occ.Add(other, w.Span, 1)
-				w.Channel = other
-				flips++
-				improved = true
-			}
-		}
-		if !improved {
-			break
-		}
+	sw, err := workpool.NewSweep(ctx, workers, len(switchable), occ.Channels, func(i int) workpool.Hull {
+		row := int32(wires[switchable[i]].Row)
+		return workpool.Hull{Lo: row, Hi: row + 1}
+	}, occ.reserve)
+	if err != nil {
+		return 0, err
 	}
-	return flips
+	return sweepFlips(ctx, sw, len(switchable), r, passes, func(pi int) bool {
+		w := &wires[switchable[pi]]
+		other := w.OtherChannel()
+		if occ.MoveCost(w.Channel, other, w.Span) >= 0 {
+			return false
+		}
+		occ.Add(w.Channel, w.Span, -1)
+		occ.Add(other, w.Span, 1)
+		w.Channel = other
+		return true
+	})
 }

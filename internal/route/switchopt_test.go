@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -212,7 +213,10 @@ func TestOptimizeSwitchableBalances(t *testing.T) {
 	}
 	occ := NewOccupancy(4, 200, 16)
 	occ.AddWires(wires)
-	flips := OptimizeSwitchable(wires, occ, rng.New(5), 4)
+	flips, err := OptimizeSwitchable(context.Background(), 1, wires, occ, rng.New(5), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if flips == 0 {
 		t.Fatal("no flips taken on an obviously unbalanced instance")
 	}
@@ -243,7 +247,9 @@ func TestOptimizeSwitchableRespectsFixedWires(t *testing.T) {
 	}
 	occ := NewOccupancy(3, 100, 16)
 	occ.AddWires(wires)
-	OptimizeSwitchable(wires, occ, rng.New(1), 3)
+	if _, err := OptimizeSwitchable(context.Background(), 1, wires, occ, rng.New(1), 3); err != nil {
+		t.Fatal(err)
+	}
 	if wires[0].Channel != 1 {
 		t.Fatal("fixed wire moved")
 	}
@@ -273,7 +279,9 @@ func TestOptimizeSwitchableNeverWorsensCost(t *testing.T) {
 		before := metrics.TotalTracks(metrics.ChannelDensities(nch, wires, 1))
 		occ := NewOccupancy(nch, 300, 16)
 		occ.AddWires(wires)
-		OptimizeSwitchable(wires, occ, r.Split(), 3)
+		if _, err := OptimizeSwitchable(context.Background(), 1, wires, occ, r.Split(), 3); err != nil {
+			t.Fatal(err)
+		}
 		after := metrics.TotalTracks(metrics.ChannelDensities(nch, wires, 1))
 		if after > before {
 			t.Fatalf("trial %d: optimization worsened tracks %d -> %d", trial, before, after)

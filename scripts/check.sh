@@ -69,6 +69,19 @@ step "parroutecheck ./... (within budget)" lint_gate
 # leaked goroutine — run here, under this -race, once.
 step "go test -race ./..." go test -race -skip 'TestServiceSoak' ./...
 
+# Workers determinism on one P: the ordered band sweeps (coarse flips, wire
+# placement, switch flips; DESIGN.md §9) hand work across goroutines at the
+# seams, and a hand-off that only completes when the peer owns a core hangs
+# on one P and nowhere else. The byte-identity tests — goldens at workers
+# {1, 2, 8}, and at eight bands on gen.Small — and the executor's property
+# test already ran at the box's P count in the step above; here they run
+# again with one.
+one_p() {
+  GOMAXPROCS=1 go test -race -count=1 -run 'TestWorkersByteIdentical' ./internal/parallel &&
+    GOMAXPROCS=1 go test -race -count=1 -run 'TestSweep' ./internal/workpool
+}
+step "workers determinism on one P" one_p
+
 # Codec fuzz smoke: the generated wire codecs must decode whatever they
 # encode and re-encode it byte-identically (the canonical-encoding
 # invariant the manifest prices depend on), under the race detector.
