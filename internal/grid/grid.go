@@ -76,43 +76,7 @@ func New(rows, coreWidth, colWidth int) *Grid {
 	}
 }
 
-// FromCounts builds a grid from flat channel-major density and row-major
-// feedthrough counters, the payload shape DensCounts and FtCounts produce
-// and the net-wise allreduce ships between ranks. The counters cross the
-// transport, so a length mismatch is a data error, not a panic. All-zero
-// bands stay unallocated.
-func FromCounts(rows, cols, colWidth int, dens, ft []int32) (*Grid, error) {
-	g := New(rows, cols*colWidth, colWidth)
-	if g.Cols != cols {
-		return nil, fmt.Errorf("grid: %d columns of width %d do not round-trip", cols, colWidth)
-	}
-	if len(dens) != (rows+1)*cols || len(ft) != rows*cols {
-		return nil, fmt.Errorf("grid: counter lengths %d/%d, want %d/%d",
-			len(dens), len(ft), (rows+1)*cols, rows*cols)
-	}
-	for ch := 0; ch < g.Channels; ch++ {
-		if seg := dens[ch*cols : (ch+1)*cols]; !allZero(seg) {
-			copy(g.densRowMut(ch), seg)
-		}
-	}
-	for row := 0; row < rows; row++ {
-		if seg := ft[row*cols : (row+1)*cols]; !allZero(seg) {
-			copy(g.ftRowMut(row), seg)
-		}
-	}
-	return g, nil
-}
-
 func bandsFor(n int) int { return (n + 1<<bandShift - 1) >> bandShift }
-
-func allZero(s []int32) bool {
-	for _, v := range s {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // densRow returns channel ch's column counts for reading; untouched bands
 // resolve to the shared zero row. Callers must not write through it.
@@ -312,21 +276,11 @@ func (g *Grid) FtDemand(row, col int) int { return int(g.ftRow(row)[col]) }
 // Density returns the horizontal-run count of channel ch at col.
 func (g *Grid) Density(ch, col int) int { return int(g.densRow(ch)[col]) }
 
-// DensCounts returns a flat channel-major copy of the density counters,
-// the payload the net-wise allreduce ships; see FromCounts.
+// DensCounts returns a flat channel-major copy of the density counters.
 func (g *Grid) DensCounts() []int32 {
 	out := make([]int32, g.Channels*g.Cols)
 	for ch := 0; ch < g.Channels; ch++ {
 		copy(out[ch*g.Cols:], g.densRow(ch))
-	}
-	return out
-}
-
-// FtCounts returns a flat row-major copy of the feedthrough counters.
-func (g *Grid) FtCounts() []int32 {
-	out := make([]int32, g.Rows*g.Cols)
-	for row := 0; row < g.Rows; row++ {
-		copy(out[row*g.Cols:], g.ftRow(row))
 	}
 	return out
 }

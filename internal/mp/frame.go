@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"time"
 )
 
@@ -31,8 +32,14 @@ const (
 	maxFrameLen = 1 << 28
 )
 
-// appendFrame appends one framed envelope to buf.
+// appendFrame appends one framed envelope to buf. Every payload prices its
+// body (elemSize), so room for the frame is reserved once up front instead
+// of by append-doubling under the codec; the price is a hint, not a bound —
+// a payload that under-prices itself still encodes, it only grows buf again.
 func appendFrame(buf []byte, src, tag int, v any) ([]byte, error) {
+	// Length prefix, src and tag, the payload's id and length, and the
+	// element count the flat batch prices leave out.
+	buf = slices.Grow(buf, frameHeaderLen+8+8+elemHeader+4+elemSize(v))
 	lenAt := len(buf)
 	buf = AppendUint32(buf, 0) // length, patched below
 	buf = AppendInt(buf, src)

@@ -56,6 +56,48 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameReserveIsAHint: appendFrame reserves the payload's price before
+// encoding. A payload that prices itself exactly costs one allocation however
+// many appends its codec makes (three under the race detector, as for a
+// one-int frame; growing by doubling, this one took twenty-three); one that
+// under-prices (every nested slice's element count goes unpriced) encodes to
+// the same bytes as into a buffer with room to spare.
+func TestFrameReserveIsAHint(t *testing.T) {
+	ints := make([]any, 5000)
+	for i := range ints {
+		ints[i] = i
+	}
+	var boxed any = chaosMsg{Seq: 1, V: ints} // boxing allocates: keep it out of the count
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := appendFrame(nil, 0, 1, boxed); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Fatalf("framing %d elements took %v allocations, want one", len(ints), n)
+	}
+	nested := make([]any, 300)
+	for i := range nested {
+		nested[i] = []int32{int32(i), 2, 3}
+	}
+	if priced := elemSize(nested); priced >= 300*(elemHeader+4+12) {
+		t.Fatalf("nested payload priced at %d: not an under-priced input", priced)
+	}
+	got, err := appendFrame(nil, 2, 9, nested)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := appendFrame(make([]byte, 0, 1<<16), 2, 9, nested)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("an under-priced payload encodes differently into a tight buffer")
+	}
+	if _, _, v, err := decodeFrameBody(got[frameHeaderLen:]); err != nil || !reflect.DeepEqual(v, nested) {
+		t.Fatalf("under-priced frame decodes to %v, %v", v, err)
+	}
+}
+
 func TestFrameCanonicalReencode(t *testing.T) {
 	// A decoded frame must re-encode byte-identically: the outer chaosMsg
 	// takes its generated codec and the nested builtins their flat ones.

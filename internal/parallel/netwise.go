@@ -49,15 +49,39 @@ func netWiseStages(r *rank) []pipeline.Stage {
 	r.sub = sub
 	rnd := r.rt.Rand
 
-	// State flowing between stages.
+	// State flowing between stages. The grid and the occupancy are each
+	// replicated: own holds this rank's contributions, shared the sum of
+	// every rank's as of the last sync plus this rank's moves since, and the
+	// snapshot own's counters as of that sync (see addDeltas). pairs is the
+	// scratch every delta is diffed into, with room for a whole table; what
+	// a sync sends is a copy, since peers keep the slice they are handed.
 	var (
-		segs        []route.PlacedSeg
-		own, shared *grid.Grid
-		ftByRow     [][]int
-		ftNodes     []NodeBatch
-		ownOcc      *route.Occupancy
-		sharedOcc   *route.Occupancy
+		segs              []route.PlacedSeg
+		own, shared       *grid.Grid
+		gridSnap, occSnap []int32
+		pairs             []int32
+		ftByRow           [][]int
+		ftNodes           []NodeBatch
+		ownOcc, sharedOcc *route.Occupancy
 	)
+	// The collectives are spelled out per table so that each tag keeps its
+	// static payload type in mp_protocol.json.
+	syncGrid := func() error {
+		pairs = own.AppendDelta(pairs[:0], gridSnap)
+		in, err := mp.Allgather(comm, tagGridSync, slices.Clone(pairs))
+		if err != nil {
+			return err
+		}
+		return r.addDeltas(tagGridSync, in, own, shared)
+	}
+	syncOcc := func() error {
+		pairs = ownOcc.AppendDelta(pairs[:0], occSnap)
+		in, err := mp.Allgather(comm, tagOccSync, slices.Clone(pairs))
+		if err != nil {
+			return err
+		}
+		return r.addDeltas(tagOccSync, in, ownOcc, sharedOcc)
+	}
 
 	return []pipeline.Stage{
 		stage("steiner", func(s *pipeline.Session) error {
@@ -90,9 +114,9 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			for i := range segs {
 				route.ApplyRuns(own, segs[i].CurrentRuns(), 1)
 			}
-			var err error
-			shared, err = allreduceGrid(comm, own)
-			if err != nil {
+			shared, gridSnap = own.Clone(), make([]int32, own.TableLen())
+			pairs = make([]int32, 0, 2*own.TableLen())
+			if err := syncGrid(); err != nil {
 				return fmt.Errorf("netwise: grid sync: %w", err)
 			}
 			// Flip candidates with their static geometry cached, as in the
@@ -142,8 +166,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 						}
 					}
 					if opt.NetwiseSyncPerPass > 0 {
-						shared, err = allreduceGrid(comm, own)
-						return err
+						return syncGrid()
 					}
 					return nil
 				})
@@ -161,11 +184,9 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			}
 
 			// The feedthrough demand realized next must be identical on
-			// every rank regardless of the sync policy, so one final exact
-			// allreduce closes the coarse phase (its cost is charged like
-			// any other sync).
-			shared, err = allreduceGrid(comm, own)
-			if err != nil {
+			// every rank regardless of the sync policy, so one final sync
+			// closes the coarse phase (its cost is charged like any other).
+			if err := syncGrid(); err != nil {
 				return fmt.Errorf("netwise: final grid sync: %w", err)
 			}
 			s.Count("coarse-flips", int64(r.sum.CoarseFlips))
@@ -286,8 +307,8 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			}
 			ownOcc = route.NewOccupancy(sub.NumChannels(), coreW, ropt.GridColWidth)
 			ownOcc.AddWires(r.wires)
-			sharedOcc = route.NewOccupancy(sub.NumChannels(), coreW, ropt.GridColWidth)
-			if err := allreduceOcc(comm, ownOcc, sharedOcc); err != nil {
+			sharedOcc, occSnap = ownOcc.Clone(), make([]int32, ownOcc.TableLen())
+			if err := syncOcc(); err != nil {
 				return fmt.Errorf("netwise: occupancy sync: %w", err)
 			}
 			return nil
@@ -300,8 +321,9 @@ func netWiseStages(r *rank) []pipeline.Stage {
 					switchIdx = append(switchIdx, i)
 				}
 			}
+			perm := make([]int, len(switchIdx))
 			for pass := 0; pass < ropt.SwitchPasses; pass++ {
-				perm := rnd.Perm(len(switchIdx))
+				rnd.PermInto(perm)
 				passFlips := 0
 				err := forEachChunk(len(perm), opt.NetwiseSyncPerPass, func(lo, hi int) error {
 					for _, pi := range perm[lo:hi] {
@@ -317,7 +339,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 						}
 					}
 					if opt.NetwiseSyncPerPass > 0 {
-						return allreduceOcc(comm, ownOcc, sharedOcc)
+						return syncOcc()
 					}
 					return nil
 				})
@@ -374,25 +396,35 @@ func forEachChunk(n, chunks int, f func(lo, hi int) error) error {
 	return nil
 }
 
-// allreduceGrid sums every rank's own-contribution grid into a fresh
-// global grid (returned on every rank). Density and feedthrough counters
-// travel as one vector — one collective per sync, not two.
-func allreduceGrid(comm mp.Comm, own *grid.Grid) (*grid.Grid, error) {
-	dens := own.DensCounts()
-	sum, err := mp.AllreduceInt32s(comm, tagGridSync, append(dens, own.FtCounts()...), mp.SumInt32s)
-	if err != nil {
-		return nil, err
-	}
-	// The result has the length of what was sent; FromCounts checks both
-	// halves against the grid's dimensions.
-	return grid.FromCounts(own.Rows, own.Cols, own.ColWidth, sum[:len(dens)], sum[len(dens):])
+// deltaTable is what a net-wise sync needs of a replicated counter table;
+// grid.Grid and route.Occupancy are the two.
+type deltaTable interface {
+	ApplyDelta(pairs []int32) error
 }
 
-// allreduceOcc sums every rank's own-wire occupancy into shared.
-func allreduceOcc(comm mp.Comm, own, shared *route.Occupancy) error {
-	counts, err := mp.AllreduceInt32s(comm, tagOccSync, own.Counts(), mp.SumInt32s)
-	if err != nil {
-		return err
+// addDeltas finishes a sync of a replicated table: in holds, by rank, what
+// changed in each rank's own table since its previous sync, as (index,
+// change) pairs, and every peer's pairs are added into shared in place —
+// this rank's moves are in shared already. Integer sums commute, so shared
+// is then the sum of every rank's own table, as an Allreduce of the whole
+// tables would leave it, at any number of ranks and syncs. A phase's first
+// sync is the same exchange from an all-zero snapshot, with shared started
+// as a copy of own. The pairs crossed the mesh: ApplyDelta checks them.
+func (r *rank) addDeltas(tag int, in []any, own, shared deltaTable) error {
+	for src, raw := range in {
+		if src == r.comm.Rank() {
+			continue
+		}
+		pairs, ok := raw.([]int32)
+		if !ok {
+			return fmt.Errorf("parallel: tag %d delta from rank %d arrived as %T", tag, src, raw)
+		}
+		if err := shared.ApplyDelta(pairs); err != nil {
+			return fmt.Errorf("parallel: tag %d batch from rank %d: %w", tag, src, err)
+		}
 	}
-	return shared.SetCounts(counts)
+	if r.afterSync != nil {
+		return r.afterSync(tag, own, shared)
+	}
+	return nil
 }

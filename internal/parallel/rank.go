@@ -41,6 +41,10 @@ type rank struct {
 	wires []metrics.Wire   // what this rank optimizes in step 5 and reports
 	occ   *route.Occupancy // step 5's occupancy
 	sum   Summary          // counters of the driver's own bodies; gather adds the router's
+
+	// afterSync, when set (tests only), sees both halves of a net-wise
+	// replicated table after every sync.
+	afterSync func(tag int, own, shared deltaTable) error
 }
 
 // runRank executes one rank of a parallel run: the driver's stage list over

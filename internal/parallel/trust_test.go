@@ -50,7 +50,8 @@ type forgery struct {
 // TestForgedBatchIndexIsAttributed: every index a rank takes off the mesh
 // and uses as a subscript — the net and row of a fake-pin spec, a crossing
 // and a step-4 node, and the channel, span and row of a redistributed or
-// gathered wire — is validated once per received batch. A peer that sends
+// gathered wire, and the counter indices and changes of a net-wise grid or
+// occupancy delta — is validated once per received batch. A peer that sends
 // one out-of-range element fails the run with an error naming the source
 // rank, the tag and the field; no rank panics and none is left behind.
 func TestForgedBatchIndexIsAttributed(t *testing.T) {
@@ -103,6 +104,36 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 			return wb
 		}})
 	}
+	// Table sizes for the delta forgeries, read off a clean run: the
+	// occupancy's depends on the core width after feedthrough insertion.
+	tableLen := map[int]int{}
+	for _, end := range runNetWiseRanks(t, c, p, 0, 1, func(comm mp.Comm, tag int, own, _ deltaTable) error {
+		if comm.Rank() == 0 {
+			tableLen[tag] = own.(interface{ TableLen() int }).TableLen()
+		}
+		return nil
+	}) {
+		if end.syncs == 0 {
+			t.Fatal("clean net-wise run made no sync")
+		}
+	}
+	deltas := func(tag int) []forgery {
+		edit := func(f func(pairs []int32) []int32) func(any) any {
+			return func(v any) any { return f(slices.Clone(v.([]int32))) }
+		}
+		return []forgery{
+			{"odd-length", "length", edit(func(pairs []int32) []int32 { return append(pairs, 0) })},
+			{"index-1", "index -1", edit(func(pairs []int32) []int32 { return append([]int32{-1, 1}, pairs...) })},
+			{"index-past-end", fmt.Sprintf("index %d", tableLen[tag]), edit(func(pairs []int32) []int32 {
+				return append(pairs, int32(tableLen[tag]), 1)
+			})},
+			{"negative-cell", "change", edit(func(pairs []int32) []int32 {
+				pairs[1] = -1 << 20
+				return pairs
+			})},
+			{"not-int32s", "arrived as int", func(any) any { return 7 }},
+		}
+	}
 	cases := []struct {
 		name      string
 		run       worker
@@ -116,6 +147,8 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 		{"netwise/crossings", netWiseStages, tagCrossings, indexed(func(net, row int) func(any) any {
 			return appendTo[CrossingBatch](CrossingMsg{Net: net, X: 1, Row: row})
 		})},
+		{"netwise/grid-delta", netWiseStages, tagGridSync, deltas(tagGridSync)},
+		{"netwise/occ-delta", netWiseStages, tagOccSync, deltas(tagOccSync)},
 		{"netwise/net-nodes", netWiseStages, tagNetNodes, nodes},
 		{"netwise/ft-nodes", netWiseStages, tagFtNodes, nodes},
 		{"hybrid/wires-redist", hybridStages, tagWiresRedist, wires},

@@ -1,13 +1,16 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
 
 	"parroute/internal/circuit"
 	"parroute/internal/gen"
+	"parroute/internal/rng"
 )
 
 // refNets is Nets as it stood with the reflective sort.Slice over every
@@ -62,21 +65,48 @@ func refNets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) []int {
 }
 
 // TestNetsMatchesReflectiveSortForm: all four heuristics assign the owner
-// vector the sort.Slice form did, on circuits where most weights tie (a
-// few distinct degrees for PinWeight, one weight per row block for Density,
-// whole-row centroids for Center) so the (weight, net) tiebreak carries the
-// order.
+// vector the sort.Slice form did. Nets now orders by a radix sort over the
+// weights' uint64 image that leans on entries arriving in net order, so the
+// inputs press on exactly that: circuits where most weights tie (a few
+// distinct degrees for PinWeight, one weight per row block for Density,
+// whole-row centroids for Center) and the net tiebreak carries the order;
+// pinless nets, whose weight 0 sorts between PinWeight's negatives and the
+// other methods' positives; one 5000-pin net; and a circuit whose Center
+// keys differ in every one of the eight bytes, so no radix pass is skipped.
 func TestNetsMatchesReflectiveSortForm(t *testing.T) {
+	type input struct {
+		name     string
+		cfg      gen.Config
+		pinless  int  // nets without pins appended to the generated ones
+		tieHeavy bool // at most a quarter of the nets weigh differently
+		allBytes bool // Center keys must differ in every byte
+	}
+	var inputs []input
 	for seed := uint64(1); seed <= 4; seed++ {
 		// MaxDegree 3 leaves two regular degrees beside the two giants.
-		c, err := gen.Generate(gen.Config{
-			Name: "ties", Rows: 6 + int(seed), Cells: 400, Nets: 500, TargetPins: 1300,
+		inputs = append(inputs, input{name: fmt.Sprintf("ties%d", seed), tieHeavy: true, cfg: gen.Config{
+			Rows: 7 + int(seed), Cells: 400, Nets: 500, TargetPins: 1300,
 			MaxDegree: 3, GiantNets: []int{60, 60}, Seed: seed,
-		})
+		}})
+	}
+	inputs = append(inputs,
+		input{name: "pinless", pinless: 40, tieHeavy: true, cfg: gen.Config{
+			Rows: 9, Cells: 400, Nets: 500, TargetPins: 1300, MaxDegree: 3, GiantNets: []int{60}, Seed: 5}},
+		input{name: "giant5000", pinless: 3, cfg: gen.Config{
+			Rows: 12, Cells: 3000, Nets: 1500, TargetPins: 10000, GiantNets: []int{5000}, Seed: 6}},
+		input{name: "allbytes", pinless: 1, allBytes: true, cfg: gen.Config{
+			Rows: 24, Cells: 6000, Nets: 5000, TargetPins: 19000, LocalityRows: 3, Seed: 7}},
+	)
+	for _, in := range inputs {
+		in.cfg.Name = in.name
+		c, err := gen.Generate(in.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []int{2, 3, 4, 5} {
+		for i := 0; i < in.pinless; i++ {
+			c.AddNet("")
+		}
+		for _, p := range []int{2, 3, 4, 5, 8} {
 			blocks, err := RowBlocks(c, p)
 			if err != nil {
 				t.Fatal(err)
@@ -87,18 +117,68 @@ func TestNetsMatchesReflectiveSortForm(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				name := fmt.Sprintf("seed%d/p%d/%v", seed, p, m)
+				name := fmt.Sprintf("%s/p%d/%v", in.name, p, m)
 				distinct := map[float64]bool{}
+				var differ uint64
 				for n := range c.Nets {
-					distinct[weight(c, n, blocks, Config{Method: m, Alpha: 1.5})] = true
+					w := weight(c, n, blocks, Config{Method: m, Alpha: 1.5})
+					distinct[w] = true
+					differ |= sortKey(w) ^ sortKey(weight(c, 0, blocks, Config{Method: m, Alpha: 1.5}))
 				}
-				if m != Locus && len(distinct)*4 > len(c.Nets) {
+				if in.tieHeavy && m != Locus && len(distinct)*4 > len(c.Nets) {
 					t.Fatalf("%s: %d distinct weights over %d nets: not a tie-heavy input", name, len(distinct), len(c.Nets))
+				}
+				for b := 0; in.allBytes && m == Center && b < 8; b++ {
+					if differ>>(8*b)&0xff == 0 {
+						t.Fatalf("%s: every key agrees on byte %d: a radix pass goes unused", name, b)
+					}
 				}
 				if want := refNets(c, blocks, p, cfg); !slices.Equal(got, want) {
 					t.Fatalf("%s: owner vector differs from the sort.Slice form", name)
 				}
 			}
 		}
+	}
+}
+
+// TestSortByKeyOrdersAsCompare: over weights drawn to collide and to span
+// the float64 line — both zeros, both infinities, subnormals, huge and tiny
+// magnitudes of either sign, repeats — sortByKey leaves the entries in the
+// order a stable sort by cmp.Compare on the weights does, and a NaN Alpha
+// falls back to the default instead of producing a NaN weight.
+func TestSortByKeyOrdersAsCompare(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1, -1}
+	if sortKey(special[0]) != sortKey(special[1]) {
+		t.Fatal("-0 and +0 compare equal but map to different keys")
+	}
+	r := rng.New(11)
+	for _, n := range []int{0, 1, 2, 257, 5000} {
+		weights := make([]float64, n)
+		entries := make([]entry, n)
+		for i := range weights {
+			switch r.Intn(4) {
+			case 0:
+				weights[i] = special[r.Intn(len(special))]
+			case 1:
+				weights[i] = float64(r.Intn(7)) - 3 // heavy ties
+			default:
+				weights[i] = math.Float64frombits(uint64(r.Intn(1<<31))<<33 ^ uint64(r.Intn(1<<31))<<2 ^ uint64(r.Intn(4)))
+				if weights[i] != weights[i] {
+					weights[i] = 0.5
+				}
+			}
+			entries[i] = entry{key: sortKey(weights[i]), net: int32(i), pins: int32(i % 5)}
+		}
+		want := slices.Clone(entries)
+		slices.SortStableFunc(want, func(a, b entry) int { return cmp.Compare(weights[a.net], weights[b.net]) })
+		if got := sortByKey(entries); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: radix order differs from the stable comparator sort", n)
+		}
+	}
+	cfg := Config{Method: PinWeight, Alpha: math.NaN()}
+	cfg.normalize()
+	if cfg.Alpha != 1.5 {
+		t.Fatalf("NaN Alpha normalized to %v, want the default 1.5", cfg.Alpha)
 	}
 }

@@ -6,11 +6,9 @@
 package partition
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"parroute/internal/circuit"
 	"parroute/internal/steiner"
@@ -132,7 +130,7 @@ type Config struct {
 }
 
 func (cfg *Config) normalize() {
-	if cfg.Alpha <= 0 {
+	if !(cfg.Alpha > 0) { // zero, negative or NaN
 		cfg.Alpha = 1.5
 	}
 	if cfg.LargeFactor <= 0 {
@@ -159,11 +157,6 @@ func Nets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) ([]int, erro
 		return nil, fmt.Errorf("partition: density method needs %d row blocks, got %d", p, len(blocks))
 	}
 
-	type entry struct {
-		net    int
-		weight float64
-		pins   int
-	}
 	entries := make([]entry, 0, n)
 	totalPins := 0
 	// PinWeight depends on the degree alone, so its math.Pow runs once per
@@ -174,7 +167,7 @@ func Nets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) ([]int, erro
 		pins := len(c.Nets[i].Pins)
 		totalPins += pins
 		if cfg.Method != PinWeight {
-			entries = append(entries, entry{net: i, weight: weight(c, i, blocks, cfg), pins: pins})
+			entries = append(entries, entry{key: sortKey(weight(c, i, blocks, cfg)), net: int32(i), pins: int32(pins)})
 			continue
 		}
 		if pins >= len(byDegree) {
@@ -183,14 +176,9 @@ func Nets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) ([]int, erro
 		if byDegree[pins] == 0 {
 			byDegree[pins] = weight(c, i, blocks, cfg)
 		}
-		entries = append(entries, entry{net: i, weight: byDegree[pins], pins: pins})
+		entries = append(entries, entry{key: sortKey(byDegree[pins]), net: int32(i), pins: int32(pins)})
 	}
-	slices.SortFunc(entries, func(a, b entry) int {
-		if a.weight != b.weight {
-			return cmp.Compare(a.weight, b.weight)
-		}
-		return cmp.Compare(a.net, b.net)
-	})
+	entries = sortByKey(entries)
 
 	loads := make([]int, p)
 	target := float64(totalPins) / float64(p)
@@ -203,7 +191,7 @@ func Nets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) ([]int, erro
 		rr := 0
 		for start < len(entries) && float64(entries[start].pins) > cfg.LargeFactor*avg {
 			owner[entries[start].net] = rr % p
-			loads[rr%p] += entries[start].pins
+			loads[rr%p] += int(entries[start].pins)
 			rr++
 			start++
 		}
@@ -217,9 +205,69 @@ func Nets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) ([]int, erro
 			k++
 		}
 		owner[e.net] = k
-		loads[k] += e.pins
+		loads[k] += int(e.pins)
 	}
 	return owner, nil
+}
+
+// entry is one net in Nets' weight order: its weight as a sort key, its
+// index and its pin count.
+type entry struct {
+	key       uint64
+	net, pins int32
+}
+
+// sortKey maps a weight to a uint64 that orders as the weight does: the
+// IEEE bits with the sign bit set on non-negative values and every bit
+// flipped on negative ones. -0 is folded into +0 first, since the two
+// compare equal. A weight is never NaN — every heuristic is finite
+// arithmetic on pin counts and coordinates, and normalize replaces the one
+// input that could bring one in, a NaN Alpha — so the image orders exactly
+// as cmp.Compare on the weights.
+func sortKey(w float64) uint64 {
+	if w == 0 {
+		w = 0
+	}
+	b := math.Float64bits(w)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// sortByKey sorts entries by key, ascending and stable, and returns the
+// sorted slice (entries or a scratch of equal length). Nets appends entries
+// in net order, so this is the (weight, net) order of the paper's scheme: an
+// LSD radix sort, one histogram sweep for all eight bytes, skipping every
+// byte on which all keys agree.
+func sortByKey(entries []entry) []entry {
+	if len(entries) < 2 {
+		return entries
+	}
+	var count [8][256]int32
+	for i := range entries {
+		for b := range count {
+			count[b][entries[i].key>>(8*b)&0xff]++
+		}
+	}
+	src, dst := entries, make([]entry, len(entries))
+	for b := range count {
+		if int(count[b][src[0].key>>(8*b)&0xff]) == len(src) {
+			continue
+		}
+		pos := int32(0)
+		for d, n := range count[b] {
+			count[b][d] = pos
+			pos += n
+		}
+		for i := range src {
+			d := src[i].key >> (8 * b) & 0xff
+			dst[count[b][d]] = src[i]
+			count[b][d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 func weight(c *circuit.Circuit, net int, blocks []RowBlock, cfg Config) float64 {

@@ -3,8 +3,10 @@ package route
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"parroute/internal/geom"
+	"parroute/internal/grid"
 	"parroute/internal/metrics"
 	"parroute/internal/rng"
 	"parroute/internal/workpool"
@@ -194,44 +196,35 @@ func (o *Occupancy) AddChannelCounts(ch int, counts []int32) error {
 	return nil
 }
 
-// Counts returns a copy of all column counts (channel-major), the payload
-// the net-wise algorithm synchronizes between workers.
-func (o *Occupancy) Counts() []int32 {
-	out := make([]int32, o.Channels*o.Cols)
-	for ch := 0; ch < o.Channels; ch++ {
-		copy(out[ch*o.Cols:], o.row(ch))
-	}
-	return out
-}
-
-// SetCounts replaces all column counts. Like AddChannelCounts, the
-// payload crosses the transport, so a length mismatch is a returned
-// error. Bands that are zero in the payload and were never touched stay
+// Clone returns a deep copy, peak caches included. Unallocated bands stay
 // unallocated.
-func (o *Occupancy) SetCounts(counts []int32) error {
-	if len(counts) != o.Channels*o.Cols {
-		return fmt.Errorf("route: occupancy counts length %d, want %d", len(counts), o.Channels*o.Cols)
+func (o *Occupancy) Clone() *Occupancy {
+	out := *o
+	out.bands = make([][]int32, len(o.bands))
+	for b, slab := range o.bands {
+		out.bands[b] = slices.Clone(slab)
 	}
-	for ch := 0; ch < o.Channels; ch++ {
-		seg := counts[ch*o.Cols : (ch+1)*o.Cols]
-		if o.bands[ch>>o.bandShift] == nil && allZero32(seg) {
-			continue
-		}
-		copy(o.rowMut(ch), seg)
-	}
-	for ch := range o.chMaxOK {
-		o.chMaxOK[ch] = false
-	}
-	return nil
+	out.chMax = slices.Clone(o.chMax)
+	out.chPeakCnt = slices.Clone(o.chPeakCnt)
+	out.chMaxOK = slices.Clone(o.chMaxOK)
+	return &out
 }
 
-func allZero32(s []int32) bool {
-	for _, v := range s {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
+// TableLen, AppendDelta and ApplyDelta keep an occupancy replicated across
+// the net-wise ranks in sync by (index, change) pairs over the channel-major
+// counts; see grid.AppendTableDelta. Applying a delta creates slabs on
+// demand and invalidates the peak cache of the channels it touches only.
+func (o *Occupancy) TableLen() int { return o.Channels * o.Cols }
+
+func (o *Occupancy) AppendDelta(dst, snap []int32) []int32 {
+	return grid.AppendTableDelta(dst, snap, o.Channels, o.Cols, o.row)
+}
+
+func (o *Occupancy) ApplyDelta(pairs []int32) error {
+	return grid.ApplyTableDelta(pairs, o.Channels, o.Cols, o.row, func(ch int) []int32 {
+		o.chMaxOK[ch] = false // transported changes may lower counts
+		return o.rowMut(ch)
+	})
 }
 
 // maxWeight scales the peak-density component of MoveCost above any

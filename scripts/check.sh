@@ -87,11 +87,14 @@ step "workers determinism on one P" one_p
 # invariant the manifest prices depend on), under the race detector.
 # FuzzFrame drives the socket framing the multi-process TCP engine puts
 # those codecs on: arbitrary byte streams must decode-or-reject, never
-# panic, and accepted frames must re-encode canonically.
+# panic, and accepted frames must re-encode canonically. FuzzGridDelta is
+# the same bargain one layer up, for the (index, change) pairs a net-wise
+# sync takes off the mesh: applied or refused whole, never a panic.
 fuzz_smoke() {
   go test -race -run '^$' -fuzz '^FuzzCodec$' -fuzztime 3s ./internal/parallel &&
     go test -race -run '^$' -fuzz '^FuzzAnyCodec$' -fuzztime 3s ./internal/mp &&
-    go test -race -run '^$' -fuzz '^FuzzFrame$' -fuzztime 3s ./internal/mp
+    go test -race -run '^$' -fuzz '^FuzzFrame$' -fuzztime 3s ./internal/mp &&
+    go test -race -run '^$' -fuzz '^FuzzGridDelta$' -fuzztime 3s ./internal/route
 }
 step "codec fuzz smoke" fuzz_smoke
 
