@@ -30,7 +30,9 @@ import (
 // (+49 and +84 in a plain build); the same scratch puts hybrid at 1960 /
 // 3165 and net-wise at 1494 / 1517, inside the budgets they had. The
 // net-wise row was re-set when its syncs went from whole tables to deltas
-// into a shared table kept in place: 1329 plain / 1347 -race. On
+// into a shared table kept in place (1329 plain / 1347 -race), and again
+// when a rank went from an own and a shared copy of each table to the one
+// replica: 974 / 994. On
 // record: 3450, 3062 and 2985 (hybrid, net-wise, route.Route at one worker;
 // plain builds) while every feedthrough cell still allocated its own
 // one-pin list, and 56941 and 77220 before the drivers moved to the serial
@@ -41,7 +43,7 @@ import (
 // circuit and filtered it. It is checked in plain builds only (the step of
 // its own in scripts/check.sh): the race runtime adds 3.9 MB to both
 // figures, which puts the full clone inside measured + 25 %. The net-wise
-// byte budget does the same for its syncs: the run allocates 9.37 MB, and
+// byte budget does the same for its syncs: the run allocates 9.15 MB, and
 // 11.62 MB when every sync flattened, summed and rebuilt the whole grid or
 // occupancy.
 func TestParallelDriverAllocBudget(t *testing.T) {
@@ -65,7 +67,7 @@ func TestParallelDriverAllocBudget(t *testing.T) {
 		bytes uint64 // TotalAlloc; 0 = not budgeted
 	}{
 		{"hybrid P=2 inproc", par(parallel.Hybrid), 2290, 3800, 11_000_000},
-		{"net-wise P=2 inproc", par(parallel.NetWise), 1660, 1680, 11_000_000},
+		{"net-wise P=2 inproc", par(parallel.NetWise), 1220, 1245, 11_000_000},
 		{"route.Route workers=1", serial(1), 1750, 3220, 0},
 		{"route.Route workers=2", serial(2), 1910, 3410, 0},
 	} {

@@ -416,16 +416,6 @@ func (c *Circuit) walkRow(r int, xs []int, cell0, pin0 int, out, cellPins, scrat
 	}
 }
 
-// NetPins returns the pins of net n in ID order.
-func (c *Circuit) NetPins(n int) []*Pin {
-	net := &c.Nets[n]
-	out := make([]*Pin, len(net.Pins))
-	for i, pid := range net.Pins {
-		out[i] = &c.Pins[pid]
-	}
-	return out
-}
-
 // NetBBox returns the bounding box of net n's pins (x by row index). It
 // panics for a pinless net.
 func (c *Circuit) NetBBox(n int) geom.Rect {

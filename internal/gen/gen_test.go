@@ -209,7 +209,7 @@ func TestCircuitNamesOrder(t *testing.T) {
 			t.Fatalf("CircuitNames = %v, want %v", got, want)
 		}
 	}
-	for _, s := range ScaleNames() {
+	for _, s := range scaleNames {
 		for _, n := range got {
 			if n == s {
 				t.Fatalf("scale preset %q leaked into CircuitNames", s)
@@ -221,11 +221,14 @@ func TestCircuitNamesOrder(t *testing.T) {
 	}
 }
 
+// scaleNames are the synthetic scale presets, smallest first.
+var scaleNames = []string{"synth.100k", "synth.1m"}
+
 // TestScalePresetsGenerateValidCircuits mirrors the MCNC stats test for
 // the synthetic scale presets. synth.100k runs except under -short;
 // synth.1m generates a million cells and is opt-in via SCALE_1M=1.
 func TestScalePresetsGenerateValidCircuits(t *testing.T) {
-	for _, name := range ScaleNames() {
+	for _, name := range scaleNames {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			if testing.Short() {

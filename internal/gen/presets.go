@@ -56,14 +56,9 @@ var presets = map[string]Config{
 // The synthetic scale presets are excluded on purpose: everything that
 // defaults to "the benchmark circuits" (bench sweeps, examples) routes
 // the paper's six, and million-cell runs are always an explicit opt-in
-// via ScaleNames or a preset name.
+// by preset name.
 func CircuitNames() []string {
 	return []string{"primary2", "biomed", "industry2", "industry3", "avq.small", "avq.large"}
-}
-
-// ScaleNames returns the synthetic scale presets, smallest first.
-func ScaleNames() []string {
-	return []string{"synth.100k", "synth.1m"}
 }
 
 // AllNames returns every preset name, sorted.

@@ -152,10 +152,6 @@ func (r Rect) Center() Point {
 	return Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
 }
 
-// HalfPerimeter is the half-perimeter wirelength bound of the rectangle, the
-// classical lower bound for the wirelength of a net with this bounding box.
-func (r Rect) HalfPerimeter() int { return r.Width() + r.Height() }
-
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d]x[%d,%d]", r.MinX, r.MaxX, r.MinY, r.MaxY)
 }

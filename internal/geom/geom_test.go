@@ -147,8 +147,8 @@ func TestRect(t *testing.T) {
 			t.Fatalf("bbox must contain its defining point %v", p)
 		}
 	}
-	if r.Width() != 7 || r.Height() != 4 || r.HalfPerimeter() != 11 {
-		t.Fatalf("width/height/hpwl = %d/%d/%d", r.Width(), r.Height(), r.HalfPerimeter())
+	if r.Width() != 7 || r.Height() != 4 {
+		t.Fatalf("width/height = %d/%d", r.Width(), r.Height())
 	}
 	if c := r.Center(); c.X != 3 || c.Y != 3 {
 		t.Fatalf("center = %v", c)

@@ -16,8 +16,8 @@ func dense(g *Grid) []int32 { return append(g.DensCounts(), g.FtCounts()...) }
 // TestDeltaSyncReproducesSum plays the net-wise protocol on two ranks: each
 // adds and moves runs in its own grid and in its replica of the sum, and at
 // every sync ships only its AppendDelta pairs, which the other applies. After
-// every sync both replicas must hold own0+own1 cell for cell, as the dense
-// merge (Clone, AddFrom) computes it; a second AppendDelta straight after a
+// every sync both replicas must hold own0+own1 cell for cell, as adding the
+// dense tables computes it; a second AppendDelta straight after a
 // sync, when the snapshot equals the table, must yield no pair.
 func TestDeltaSyncReproducesSum(t *testing.T) {
 	const rows, width, colW = 21, 400, 16
@@ -70,15 +70,15 @@ func TestDeltaSyncReproducesSum(t *testing.T) {
 				t.Fatalf("step %d: rank %d: %d pairs against a snapshot equal to the table", step, k, len(again)/2)
 			}
 		}
-		sum := own[0].Clone()
-		if err := sum.AddFrom(own[1]); err != nil {
-			t.Fatal(err)
+		sum := dense(own[0])
+		for i, v := range dense(own[1]) {
+			sum[i] += v
 		}
 		for k := range shared {
 			if err := shared[k].ApplyDelta(pairs[1-k]); err != nil {
 				t.Fatalf("step %d: rank %d: %v", step, k, err)
 			}
-			if !slices.Equal(dense(shared[k]), dense(sum)) {
+			if !slices.Equal(dense(shared[k]), sum) {
 				t.Fatalf("step %d: rank %d: replica differs from own0+own1", step, k)
 			}
 		}
@@ -102,12 +102,12 @@ func TestApplyDeltaKeepsUntouchedSlabsNil(t *testing.T) {
 	if !slices.Equal(dense(dst), dense(src)) {
 		t.Fatal("applied delta does not reproduce the source")
 	}
-	for b, slab := range dst.dens {
+	for b, slab := range dst.dens.slabs {
 		if (slab != nil) != (b == 2) {
 			t.Fatalf("density band %d allocated: %v", b, slab != nil)
 		}
 	}
-	for b, slab := range dst.ft {
+	for b, slab := range dst.ft.slabs {
 		if (slab != nil) != (b == 5) {
 			t.Fatalf("feedthrough band %d allocated: %v", b, slab != nil)
 		}
@@ -132,16 +132,17 @@ func TestApplyDeltaRejectsBeforeWriting(t *testing.T) {
 		"below zero":       {at, 1, at + 1, -4},
 		"past MaxInt32":    {at, 1, at + 1, math.MaxInt32 - 2},
 		"empty slab below": {at, 1, n - 1, -1},
+		"bad half second":  {int32(9 * g.Cols), 1, n - 1, -1},
 	} {
-		before, slabs := dense(g), slices.Clone(g.ft)
+		before, slabs := dense(g), append(slices.Clone(g.dens.slabs), g.ft.slabs...)
 		if err := g.ApplyDelta(pairs); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 		if !slices.Equal(dense(g), before) {
 			t.Fatalf("%s: a rejected delta wrote to the table", name)
 		}
-		for b := range slabs {
-			if (slabs[b] == nil) != (g.ft[b] == nil) {
+		for b, now := range append(slices.Clone(g.dens.slabs), g.ft.slabs...) {
+			if (slabs[b] == nil) != (now == nil) {
 				t.Fatalf("%s: a rejected delta allocated a slab", name)
 			}
 		}

@@ -5,7 +5,7 @@ package grid
 func (g *Grid) FtCounts() []int32 {
 	out := make([]int32, g.Rows*g.Cols)
 	for row := 0; row < g.Rows; row++ {
-		copy(out[row*g.Cols:], g.ftRow(row))
+		copy(out[row*g.Cols:], g.ft.Row(row))
 	}
 	return out
 }

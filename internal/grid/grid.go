@@ -7,17 +7,16 @@
 // plain counters, so grids from different workers can be summed — that is
 // exactly the synchronization the net-wise parallel algorithm performs.
 //
-// The counters are sharded into row-band slabs (bandSize channels or rows
-// per slab) that are allocated lazily on first write. A parallel rank whose
-// sub-circuit only populates its own row block therefore pays for its band
-// of the grid, not the whole design — the difference between O(rows) and
-// O(rows/p) peak grid memory at million-cell scale.
+// Each counter family is a Table: slabs of BandRows channels (or rows)
+// created on first write, so a parallel rank whose sub-circuit only populates
+// its own row block pays for its band of the grid, not the whole design.
 //
 // Cost queries use the standard incremental sum-of-squares congestion
 // proxy: adding a wire to a column of density d costs 2d+1 (the increase of
 // d^2), so minimizing total cost approximately minimizes peak density.
-// Feedthrough demand uses the same form scaled by FtBase, making clustered
-// feedthroughs (which stretch a row) progressively more expensive.
+// Feedthrough demand uses the same form on top of a per-crossing base cost,
+// making clustered feedthroughs (which stretch a row) progressively more
+// expensive.
 package grid
 
 import (
@@ -26,16 +25,6 @@ import (
 	"parroute/internal/geom"
 )
 
-// bandShift sets the slab granularity: 1<<bandShift channels (or rows) per
-// lazily allocated band. A package constant so grids of equal shape always
-// have aligned bands, letting AddFrom/SubFrom merge slab-wise.
-const bandShift = 3
-
-// BandRows is the number of channels (or rows) per slab. Goroutines that
-// split a grid by channel cut it at multiples of BandRows, so that no two
-// of them create the same slab.
-const BandRows = 1 << bandShift
-
 // Grid holds channel-density and feedthrough-demand counters.
 type Grid struct {
 	Rows     int // cell rows
@@ -43,14 +32,9 @@ type Grid struct {
 	Cols     int
 	ColWidth int
 
-	// dens[b] holds, channel-major, the per-column horizontal-run counts
-	// of channels [b<<bandShift, (b+1)<<bandShift); ft[b] holds the
-	// per-column vertical-run counts of the corresponding rows. A nil slab
-	// means no counter in the band was ever written; reads resolve to the
-	// shared zero row.
-	dens [][]int32
-	ft   [][]int32
-	zero []int32
+	// dens holds the per-column horizontal-run counts by channel, ft the
+	// per-column vertical-run counts by row.
+	dens, ft Table
 }
 
 // New returns an empty grid for a core of the given width and row count.
@@ -70,69 +54,16 @@ func New(rows, coreWidth, colWidth int) *Grid {
 	}
 	return &Grid{
 		Rows: rows, Channels: rows + 1, Cols: cols, ColWidth: colWidth,
-		dens: make([][]int32, bandsFor(rows+1)),
-		ft:   make([][]int32, bandsFor(rows)),
-		zero: make([]int32, cols),
+		dens: NewTable(rows+1, cols), ft: NewTable(rows, cols),
 	}
 }
 
-func bandsFor(n int) int { return (n + 1<<bandShift - 1) >> bandShift }
-
-// densRow returns channel ch's column counts for reading; untouched bands
-// resolve to the shared zero row. Callers must not write through it.
-func (g *Grid) densRow(ch int) []int32 {
-	if s := g.dens[ch>>bandShift]; s != nil {
-		off := (ch & (1<<bandShift - 1)) * g.Cols
-		return s[off : off+g.Cols : off+g.Cols]
-	}
-	return g.zero
-}
-
-// densRowMut returns channel ch's column counts for writing, allocating
-// the band slab on first touch.
-func (g *Grid) densRowMut(ch int) []int32 {
-	b := ch >> bandShift
-	s := g.dens[b]
-	if s == nil {
-		n := geom.Min(g.Channels-b<<bandShift, 1<<bandShift)
-		s = make([]int32, n*g.Cols)
-		g.dens[b] = s
-	}
-	off := (ch & (1<<bandShift - 1)) * g.Cols
-	return s[off : off+g.Cols : off+g.Cols]
-}
-
-// ftRow and ftRowMut are densRow/densRowMut for the feedthrough counters.
-func (g *Grid) ftRow(row int) []int32 {
-	if s := g.ft[row>>bandShift]; s != nil {
-		off := (row & (1<<bandShift - 1)) * g.Cols
-		return s[off : off+g.Cols : off+g.Cols]
-	}
-	return g.zero
-}
-
-func (g *Grid) ftRowMut(row int) []int32 {
-	b := row >> bandShift
-	s := g.ft[b]
-	if s == nil {
-		n := geom.Min(g.Rows-b<<bandShift, 1<<bandShift)
-		s = make([]int32, n*g.Cols)
-		g.ft[b] = s
-	}
-	off := (row & (1<<bandShift - 1)) * g.Cols
-	return s[off : off+g.Cols : off+g.Cols]
-}
-
-// Reserve allocates the slabs of channels lo..hi and of the rows among
-// them. A slab is otherwise created by its first writer, which two
-// goroutines writing different channels of one slab would race to be.
+// Reserve creates the slabs of channels lo..hi and of the rows among them,
+// so that goroutines writing different channels of one slab do not race to
+// create it.
 func (g *Grid) Reserve(lo, hi int) {
-	for ch := lo; ch <= hi; ch++ {
-		g.densRowMut(ch)
-		if ch < g.Rows {
-			g.ftRowMut(ch)
-		}
-	}
+	g.dens.Reserve(lo, hi)
+	g.ft.Reserve(lo, hi)
 }
 
 // ColOf maps an x coordinate to its column, clamping out-of-core values.
@@ -163,7 +94,7 @@ func (g *Grid) AddHoriz(ch int, iv geom.Interval, delta int32) {
 		return
 	}
 	lo, hi := g.ColOf(iv.Lo), g.ColOf(iv.Hi)
-	row := g.densRowMut(ch)
+	row := g.dens.RowMut(ch)
 	for col := lo; col <= hi; col++ {
 		row[col] += delta
 	}
@@ -174,7 +105,7 @@ func (g *Grid) AddHoriz(ch int, iv geom.Interval, delta int32) {
 func (g *Grid) AddVert(rowLo, rowHi, col int, delta int32) {
 	col = g.clampCol(col)
 	for row := rowLo; row <= rowHi; row++ {
-		g.ftRowMut(row)[col] += delta
+		g.ft.RowMut(row)[col] += delta
 	}
 }
 
@@ -185,7 +116,7 @@ func (g *Grid) HorizAddCost(ch int, iv geom.Interval) int64 {
 		return 0
 	}
 	lo, hi := g.ColOf(iv.Lo), g.ColOf(iv.Hi)
-	row := g.densRow(ch)
+	row := g.dens.Row(ch)
 	var cost int64
 	for col := lo; col <= hi; col++ {
 		cost += 2*int64(row[col]) + 1
@@ -200,7 +131,7 @@ func (g *Grid) VertAddCost(rowLo, rowHi, col int, ftBase int64) int64 {
 	col = g.clampCol(col)
 	var cost int64
 	for row := rowLo; row <= rowHi; row++ {
-		cost += ftBase + 2*int64(g.ftRow(row)[col])
+		cost += ftBase + 2*int64(g.ft.Row(row)[col])
 	}
 	return cost
 }
@@ -216,7 +147,7 @@ func (g *Grid) SpanCost(from, to int, iv geom.Interval) int64 {
 		return 0
 	}
 	lo, hi := g.ColOf(iv.Lo), g.ColOf(iv.Hi)
-	fromRow, toRow := g.densRow(from), g.densRow(to)
+	fromRow, toRow := g.dens.Row(from), g.dens.Row(to)
 	var cost int64
 	for col := lo; col <= hi; col++ {
 		cost += 2 * (int64(toRow[col]) - int64(fromRow[col]) + 1)
@@ -231,7 +162,7 @@ func (g *Grid) MoveWire(from, to int, iv geom.Interval) {
 		return
 	}
 	lo, hi := g.ColOf(iv.Lo), g.ColOf(iv.Hi)
-	fromRow, toRow := g.densRowMut(from), g.densRowMut(to)
+	fromRow, toRow := g.dens.RowMut(from), g.dens.RowMut(to)
 	for col := lo; col <= hi; col++ {
 		fromRow[col]--
 		toRow[col]++
@@ -250,7 +181,7 @@ func (g *Grid) VertMoveCost(rowLo, rowHi, fromCol, toCol int) int64 {
 	}
 	var cost int64
 	for row := rowLo; row <= rowHi; row++ {
-		r := g.ftRow(row)
+		r := g.ft.Row(row)
 		cost += 2 * (int64(r[toCol]) - int64(r[fromCol]) + 1)
 	}
 	return cost
@@ -264,147 +195,64 @@ func (g *Grid) MoveVert(rowLo, rowHi, fromCol, toCol int) {
 		return
 	}
 	for row := rowLo; row <= rowHi; row++ {
-		r := g.ftRowMut(row)
+		r := g.ft.RowMut(row)
 		r[fromCol]--
 		r[toCol]++
 	}
 }
 
 // FtDemand returns the feedthrough demand at (row, col).
-func (g *Grid) FtDemand(row, col int) int { return int(g.ftRow(row)[col]) }
+func (g *Grid) FtDemand(row, col int) int { return int(g.ft.Row(row)[col]) }
 
 // Density returns the horizontal-run count of channel ch at col.
-func (g *Grid) Density(ch, col int) int { return int(g.densRow(ch)[col]) }
+func (g *Grid) Density(ch, col int) int { return int(g.dens.Row(ch)[col]) }
 
 // DensCounts returns a flat channel-major copy of the density counters.
 func (g *Grid) DensCounts() []int32 {
 	out := make([]int32, g.Channels*g.Cols)
 	for ch := 0; ch < g.Channels; ch++ {
-		copy(out[ch*g.Cols:], g.densRow(ch))
+		copy(out[ch*g.Cols:], g.dens.Row(ch))
 	}
 	return out
 }
 
-// TotalFt returns the total feedthrough demand.
-func (g *Grid) TotalFt() int {
-	var n int32
-	for _, slab := range g.ft {
-		for _, v := range slab {
-			n += v
-		}
-	}
-	return int(n)
-}
-
-// MaxChannelDensity returns the peak column density of channel ch.
-func (g *Grid) MaxChannelDensity(ch int) int {
-	var m int32
-	for _, d := range g.densRow(ch) {
-		if d > m {
-			m = d
-		}
-	}
-	return int(m)
-}
-
-// Clone returns a deep copy. Unallocated bands stay unallocated.
+// Clone returns a deep copy. Slabs never written stay uncreated.
 func (g *Grid) Clone() *Grid {
-	out := &Grid{Rows: g.Rows, Channels: g.Channels, Cols: g.Cols, ColWidth: g.ColWidth,
-		dens: make([][]int32, len(g.dens)),
-		ft:   make([][]int32, len(g.ft)),
-		zero: make([]int32, g.Cols)}
-	for b, slab := range g.dens {
-		if slab != nil {
-			out.dens[b] = append([]int32(nil), slab...)
-		}
-	}
-	for b, slab := range g.ft {
-		if slab != nil {
-			out.ft[b] = append([]int32(nil), slab...)
-		}
-	}
-	return out
+	out := *g
+	out.dens, out.ft = g.dens.Clone(), g.ft.Clone()
+	return &out
 }
 
-// Zero resets all counters in place, keeping allocated bands allocated
-// (the caller is about to refill them).
-func (g *Grid) Zero() {
-	for _, slab := range g.dens {
-		for i := range slab {
-			slab[i] = 0
-		}
-	}
-	for _, slab := range g.ft {
-		for i := range slab {
-			slab[i] = 0
-		}
-	}
+// TableLen is the number of counters in the grid's delta index space:
+// densities channel-major, then feedthrough demand row-major.
+func (g *Grid) TableLen() int { return g.dens.Len() + g.ft.Len() }
+
+// AppendDelta is Table.AppendDelta over both tables in that index space;
+// snap has TableLen entries.
+func (g *Grid) AppendDelta(dst, snap []int32) []int32 {
+	n := g.dens.Len()
+	return g.ft.AppendDelta(g.dens.AppendDelta(dst, snap[:n], 0), snap[n:], n)
 }
 
-// AddFrom adds other's counters into g. The grids must have identical
-// shape; this is the merge step of the net-wise synchronization, and the
-// merged grid may have crossed the transport, so a shape mismatch is a
-// data error reported to the caller. Bands unallocated on both sides stay
-// unallocated — bands align because bandShift is a package constant.
-func (g *Grid) AddFrom(other *Grid) error {
-	if err := g.matchErr(other); err != nil {
+// ApplyDelta adds a delta that crossed the transport into the grid. The
+// ascending pairs are cut where the feedthrough indices start, and both
+// halves are checked before either is applied: a rejected delta leaves the
+// grid and its slabs as they were.
+func (g *Grid) ApplyDelta(pairs []int32) error {
+	if len(pairs)%2 != 0 {
+		return fmt.Errorf("delta length %d is odd", len(pairs))
+	}
+	n, cut := g.dens.Len(), 0
+	for cut < len(pairs) && int(pairs[cut]) < n {
+		cut += 2
+	}
+	if err := g.dens.CheckDelta(pairs[:cut], 0); err != nil {
 		return err
 	}
-	mergeSlabs(g, g.dens, other.dens, true, func(dst, src []int32) {
-		for i, v := range src {
-			dst[i] += v
-		}
-	})
-	mergeSlabs(g, g.ft, other.ft, false, func(dst, src []int32) {
-		for i, v := range src {
-			dst[i] += v
-		}
-	})
-	return nil
-}
-
-// SubFrom subtracts other's counters from g; see AddFrom for the shape
-// contract.
-func (g *Grid) SubFrom(other *Grid) error {
-	if err := g.matchErr(other); err != nil {
+	if err := g.ft.CheckDelta(pairs[cut:], n); err != nil {
 		return err
 	}
-	mergeSlabs(g, g.dens, other.dens, true, func(dst, src []int32) {
-		for i, v := range src {
-			dst[i] -= v
-		}
-	})
-	mergeSlabs(g, g.ft, other.ft, false, func(dst, src []int32) {
-		for i, v := range src {
-			dst[i] -= v
-		}
-	})
-	return nil
-}
-
-// mergeSlabs applies combine to every band other has allocated, allocating
-// the matching band of g on demand. isDens selects which counter family
-// the band indices address.
-func mergeSlabs(g *Grid, dst, src [][]int32, isDens bool, combine func(dst, src []int32)) {
-	for b, slab := range src {
-		if slab == nil {
-			continue
-		}
-		if dst[b] == nil {
-			if isDens {
-				g.densRowMut(b << bandShift)
-			} else {
-				g.ftRowMut(b << bandShift)
-			}
-		}
-		combine(dst[b], slab)
-	}
-}
-
-func (g *Grid) matchErr(other *Grid) error {
-	if g.Rows != other.Rows || g.Cols != other.Cols {
-		return fmt.Errorf("grid: shape mismatch %dx%d vs %dx%d",
-			g.Rows, g.Cols, other.Rows, other.Cols)
-	}
+	g.dens.ApplyDelta(pairs[:cut], 0, nil)
+	g.ft.ApplyDelta(pairs[cut:], n, nil)
 	return nil
 }

@@ -112,12 +112,12 @@ func TestAddHorizAndDensity(t *testing.T) {
 		t.Fatal("density bled into wrong cells")
 	}
 	g.AddHoriz(1, geom.NewInterval(0, 47), -1)
-	if g.MaxChannelDensity(1) != 0 {
+	if !allZero(g.DensCounts()) {
 		t.Fatal("remove did not cancel add")
 	}
 	// Empty interval is a no-op.
 	g.AddHoriz(1, geom.Interval{Lo: 1, Hi: 0}, 1)
-	if g.MaxChannelDensity(1) != 0 {
+	if !allZero(g.DensCounts()) {
 		t.Fatal("empty interval changed the grid")
 	}
 }
@@ -133,8 +133,12 @@ func TestAddVertAndDemand(t *testing.T) {
 	if g.FtDemand(0, 2) != 0 || g.FtDemand(4, 2) != 0 || g.FtDemand(2, 1) != 0 {
 		t.Fatal("demand bled")
 	}
-	if g.TotalFt() != 3 {
-		t.Fatalf("total ft = %d", g.TotalFt())
+	total := int32(0)
+	for _, v := range g.FtCounts() {
+		total += v
+	}
+	if total != 3 {
+		t.Fatalf("total ft = %d", total)
 	}
 }
 
@@ -173,7 +177,8 @@ func TestCloneAndMerge(t *testing.T) {
 	if a.Density(0, 0) != 1 {
 		t.Fatal("clone shares storage with original")
 	}
-	if err := a.AddFrom(b); err != nil {
+	// Grids merge by delta: b's whole table, in sparse form, added into a.
+	if err := a.ApplyDelta(b.AppendDelta(nil, make([]int32, b.TableLen()))); err != nil {
 		t.Fatal(err)
 	}
 	if a.Density(0, 0) != 3 { // 1 + (1+1)
@@ -182,25 +187,33 @@ func TestCloneAndMerge(t *testing.T) {
 	if a.FtDemand(0, 3) != 2 {
 		t.Fatalf("merged demand = %d", a.FtDemand(0, 3))
 	}
-	if err := a.SubFrom(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Density(0, 0) != 1 || a.FtDemand(0, 3) != 1 {
-		t.Fatal("SubFrom did not invert AddFrom")
-	}
-	a.Zero()
-	if a.TotalFt() != 0 || a.MaxChannelDensity(0) != 0 {
-		t.Fatal("Zero left residue")
+	if b.Density(0, 0) != 2 || b.FtDemand(0, 3) != 1 {
+		t.Fatal("merging changed the merged-in grid")
 	}
 }
 
+// TestMergeShapeMismatch: the delta of a grid with more rows names counters
+// past the end of a smaller grid's table, and the merge is refused whole.
 func TestMergeShapeMismatch(t *testing.T) {
-	if err := New(3, 160, 16).AddFrom(New(4, 160, 16)); err == nil {
+	big := New(4, 160, 16)
+	big.AddHoriz(0, geom.NewInterval(0, 31), 1)
+	big.AddVert(3, 3, 2, 1)
+	small := New(3, 160, 16)
+	if err := small.ApplyDelta(big.AppendDelta(nil, make([]int32, big.TableLen()))); err == nil {
 		t.Fatal("shape mismatch should be reported")
 	}
-	if err := New(3, 160, 16).SubFrom(New(4, 160, 16)); err == nil {
-		t.Fatal("shape mismatch should be reported")
+	if !allZero(small.DensCounts()) || !allZero(small.FtCounts()) {
+		t.Fatal("a refused merge wrote to the grid")
 	}
+}
+
+func allZero(counts []int32) bool {
+	for _, v := range counts {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func TestAddRemoveInverseProperty(t *testing.T) {
@@ -237,17 +250,7 @@ func TestAddRemoveInverseProperty(t *testing.T) {
 				g.AddVert(o.vr0, o.vr1, o.vcol, -1)
 			}
 		}
-		for _, v := range g.DensCounts() {
-			if v != 0 {
-				return false
-			}
-		}
-		for _, v := range g.FtCounts() {
-			if v != 0 {
-				return false
-			}
-		}
-		return true
+		return allZero(g.DensCounts()) && allZero(g.FtCounts())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -261,21 +264,21 @@ func TestAddRemoveInverseProperty(t *testing.T) {
 func TestReserveAllocatesCoveredSlabsOnly(t *testing.T) {
 	g := New(40, 320, 16) // 41 channels: dens slabs 0..5, ft slabs 0..4
 	g.Reserve(10, 17)     // channels 10..17 and rows 10..17 lie in slabs 1 and 2
-	for b := range g.dens {
-		if want := b == 1 || b == 2; (g.dens[b] != nil) != want {
-			t.Fatalf("dens slab %d allocated: %v, want %v", b, g.dens[b] != nil, want)
+	for b := range g.dens.slabs {
+		if want := b == 1 || b == 2; (g.dens.slabs[b] != nil) != want {
+			t.Fatalf("dens slab %d allocated: %v, want %v", b, g.dens.slabs[b] != nil, want)
 		}
 	}
-	for b := range g.ft {
-		if want := b == 1 || b == 2; (g.ft[b] != nil) != want {
-			t.Fatalf("ft slab %d allocated: %v, want %v", b, g.ft[b] != nil, want)
+	for b := range g.ft.slabs {
+		if want := b == 1 || b == 2; (g.ft.slabs[b] != nil) != want {
+			t.Fatalf("ft slab %d allocated: %v, want %v", b, g.ft.slabs[b] != nil, want)
 		}
 	}
 	g.Reserve(40, 40) // the last channel has no row beside it
-	if g.dens[5] == nil || g.ft[4] != nil {
+	if g.dens.slabs[5] == nil || g.ft.slabs[4] != nil {
 		t.Fatal("reserving the top channel must allocate its density slab and no feedthrough slab")
 	}
-	if g.TotalFt() != 0 || g.MaxChannelDensity(12) != 0 {
+	if !allZero(g.DensCounts()) || !allZero(g.FtCounts()) {
 		t.Fatal("reserved slabs are not zero")
 	}
 }

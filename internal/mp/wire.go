@@ -54,11 +54,6 @@ func AppendInt(buf []byte, v int) []byte {
 	return AppendUint64(buf, uint64(int64(v)))
 }
 
-// AppendInt64 appends v in little-endian order.
-func AppendInt64(buf []byte, v int64) []byte {
-	return AppendUint64(buf, uint64(v))
-}
-
 // AppendBool appends v as one byte (0 or 1).
 func AppendBool(buf []byte, v bool) []byte {
 	if v {
@@ -93,12 +88,6 @@ func WireUint64(data []byte) (uint64, []byte, error) {
 func WireInt(data []byte) (int, []byte, error) {
 	v, rest, err := WireUint64(data)
 	return int(int64(v)), rest, err
-}
-
-// WireInt64 consumes a little-endian int64.
-func WireInt64(data []byte) (int64, []byte, error) {
-	v, rest, err := WireUint64(data)
-	return int64(v), rest, err
 }
 
 // WireByte consumes one byte.

@@ -81,16 +81,6 @@ func Scan(root string) (*Model, error) {
 	return scanModule(mod)
 }
 
-// ScanDirs is Scan over an explicit package set (lint fixture layout);
-// used by tests.
-func ScanDirs(root string, dirs []string) (*Model, error) {
-	mod, err := lint.LoadDirs(root, dirs)
-	if err != nil {
-		return nil, fmt.Errorf("mpgen: %w", err)
-	}
-	return scanModule(mod)
-}
-
 func scanModule(mod *lint.Module) (*Model, error) {
 	m := &Model{Root: mod.Root, Module: mod.Path}
 

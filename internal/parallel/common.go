@@ -262,11 +262,7 @@ func syncBoundaryOccupancy(comm mp.Comm, blocks []partition.RowBlock, occ *route
 		if err != nil {
 			return err
 		}
-		counts, ok := raw.([]int32)
-		if !ok {
-			return fmt.Errorf("parallel: boundary counts from rank %d arrived as %T", rank-1, raw)
-		}
-		if err := occ.AddChannelCounts(blocks[rank].Lo, counts); err != nil {
+		if err := addBoundaryCounts(occ, blocks[rank].Lo, tagBoundaryHi, rank-1, raw); err != nil {
 			return err
 		}
 	}
@@ -275,13 +271,23 @@ func syncBoundaryOccupancy(comm mp.Comm, blocks []partition.RowBlock, occ *route
 		if err != nil {
 			return err
 		}
-		counts, ok := raw.([]int32)
-		if !ok {
-			return fmt.Errorf("parallel: boundary counts from rank %d arrived as %T", rank+1, raw)
-		}
-		if err := occ.AddChannelCounts(blocks[rank+1].Lo, counts); err != nil {
+		if err := addBoundaryCounts(occ, blocks[rank+1].Lo, tagBoundaryLo, rank+1, raw); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// addBoundaryCounts adds a neighbour's counts of shared channel ch into occ.
+// They crossed the mesh: a payload of the wrong type, length or sign fails
+// the run with its tag and source rank, and leaves occ as it was.
+func addBoundaryCounts(occ *route.Occupancy, ch, tag, src int, raw any) error {
+	counts, ok := raw.([]int32)
+	if !ok {
+		return fmt.Errorf("parallel: tag %d counts from rank %d arrived as %T", tag, src, raw)
+	}
+	if err := occ.AddChannelCounts(ch, counts); err != nil {
+		return fmt.Errorf("parallel: tag %d batch from rank %d: %w", tag, src, err)
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"parroute/internal/circuit"
-	"parroute/internal/geom"
 	"parroute/internal/grid"
 	"parroute/internal/mp"
 	"parroute/internal/partition"
@@ -40,47 +39,45 @@ import (
 // but only connect and gather share a body with another driver: a rank
 // routes its nets through every row, so it works on a clone of the whole
 // circuit, and "stitch" is the replicated-occupancy synchronization before
-// step 5.
+// step 5. What a step-2 or step-5 flip is, though, is the serial router's
+// (route.BendFlips, route.SwitchFlips); net-wise differs in how a pass
+// visits the flips and when it synchronizes (syncedPasses), as in the paper.
 func netWiseStages(r *rank) []pipeline.Stage {
 	comm, base, blocks, block, owner := r.comm, r.base, r.blocks, r.block, r.owner
-	opt, ropt := r.opt, r.ropt
+	ropt := r.ropt
 	rank, size := comm.Rank(), comm.Size()
 	sub := base.Clone()
 	r.sub = sub
-	rnd := r.rt.Rand
 
-	// State flowing between stages. The grid and the occupancy are each
-	// replicated: own holds this rank's contributions, shared the sum of
-	// every rank's as of the last sync plus this rank's moves since, and the
-	// snapshot own's counters as of that sync (see addDeltas). pairs is the
-	// scratch every delta is diffed into, with room for a whole table; what
-	// a sync sends is a copy, since peers keep the slice they are handed.
+	// State flowing between stages. The grid (r.rt.Grid) and then the
+	// occupancy (r.occ) are each one table replicated on every rank: the sum
+	// of every rank's contributions as of the last sync plus this rank's
+	// moves since. snap is the table as of that sync, so table − snap is
+	// exactly this rank's moves (see addDeltas). pairs is the scratch every
+	// delta is diffed into, with room for a whole table; what a sync sends is
+	// a copy, since peers keep the slice they are handed.
 	var (
-		segs              []route.PlacedSeg
-		own, shared       *grid.Grid
-		gridSnap, occSnap []int32
-		pairs             []int32
-		ftByRow           [][]int
-		ftNodes           []NodeBatch
-		ownOcc, sharedOcc *route.Occupancy
+		snap, pairs []int32
+		ftByRow     [][]int
+		ftNodes     []NodeBatch
 	)
 	// The collectives are spelled out per table so that each tag keeps its
 	// static payload type in mp_protocol.json.
 	syncGrid := func() error {
-		pairs = own.AppendDelta(pairs[:0], gridSnap)
+		pairs = r.rt.Grid.AppendDelta(pairs[:0], snap)
 		in, err := mp.Allgather(comm, tagGridSync, slices.Clone(pairs))
 		if err != nil {
 			return err
 		}
-		return r.addDeltas(tagGridSync, in, own, shared)
+		return r.addDeltas(tagGridSync, in, r.rt.Grid, snap)
 	}
 	syncOcc := func() error {
-		pairs = ownOcc.AppendDelta(pairs[:0], occSnap)
+		pairs = r.occ.AppendDelta(pairs[:0], snap)
 		in, err := mp.Allgather(comm, tagOccSync, slices.Clone(pairs))
 		if err != nil {
 			return err
 		}
-		return r.addDeltas(tagOccSync, in, ownOcc, sharedOcc)
+		return r.addDeltas(tagOccSync, in, r.occ, snap)
 	}
 
 	return []pipeline.Stage{
@@ -93,7 +90,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 					total += k - 1
 				}
 			}
-			segs = make([]route.PlacedSeg, 0, total)
+			segs := make([]route.PlacedSeg, 0, total)
 			var b steiner.Builder
 			var segBuf []steiner.Segment
 			for n := range sub.Nets {
@@ -105,82 +102,33 @@ func netWiseStages(r *rank) []pipeline.Stage {
 					segs = append(segs, route.Place(sub, seg))
 				}
 			}
+			r.rt.Segs = segs
 			s.Count("segments", int64(len(segs)))
 			return nil
 		}),
 		stage("coarse", func(s *pipeline.Session) error {
-			// Coarse routing against the replicated grid.
-			own = grid.New(len(sub.Rows), base.CoreWidth(), ropt.GridColWidth)
-			for i := range segs {
-				route.ApplyRuns(own, segs[i].CurrentRuns(), 1)
+			// Coarse routing against the replicated grid: the first sync, from
+			// an all-zero snapshot, turns this rank's runs into the sum.
+			g := grid.New(len(sub.Rows), base.CoreWidth(), ropt.GridColWidth)
+			for i := range r.rt.Segs {
+				route.ApplyRuns(g, r.rt.Segs[i].CurrentRuns(), 1)
 			}
-			shared, gridSnap = own.Clone(), make([]int32, own.TableLen())
-			pairs = make([]int32, 0, 2*own.TableLen())
+			r.rt.Grid, snap = g, make([]int32, g.TableLen())
+			pairs = make([]int32, 0, 2*g.TableLen())
 			if err := syncGrid(); err != nil {
 				return fmt.Errorf("netwise: grid sync: %w", err)
 			}
-			// Flip candidates with their static geometry cached, as in the
-			// serial step 2: the span and endpoint columns never change
-			// before insertion, so the sweep evaluates each flip as one
-			// incremental grid walk.
-			type flipCand struct {
-				seg        int
-				span       geom.Interval
-				colP, colQ int
-			}
-			cands := make([]flipCand, 0, len(segs))
-			for i := range segs {
-				ps := &segs[i]
-				if ps.HasBend() && ps.XP != ps.XQ {
-					cands = append(cands, flipCand{
-						seg:  i,
-						span: geom.NewInterval(ps.XP, ps.XQ),
-						colP: shared.ColOf(ps.XP),
-						colQ: shared.ColOf(ps.XQ),
-					})
-				}
-			}
-			perm := make([]int, len(cands))
-			for pass := 0; pass < ropt.CoarsePasses; pass++ {
-				rnd.PermInto(perm)
-				passFlips := 0
-				err := forEachChunk(len(perm), opt.NetwiseSyncPerPass, func(lo, hi int) error {
-					for _, pi := range perm[lo:hi] {
-						fc := &cands[pi]
-						ps := &segs[fc.seg]
-						chFrom, chTo := ps.CP, ps.CQ
-						fromCol, toCol := fc.colQ, fc.colP
-						if ps.BendAtP {
-							chFrom, chTo = ps.CQ, ps.CP
-							fromCol, toCol = fc.colP, fc.colQ
-						}
-						delta := shared.SpanCost(chFrom, chTo, fc.span) +
-							shared.VertMoveCost(ps.CP, ps.CQ-1, fromCol, toCol)
-						if delta < 0 {
-							ps.BendAtP = !ps.BendAtP
-							shared.MoveWire(chFrom, chTo, fc.span)
-							shared.MoveVert(ps.CP, ps.CQ-1, fromCol, toCol)
-							own.MoveWire(chFrom, chTo, fc.span)
-							own.MoveVert(ps.CP, ps.CQ-1, fromCol, toCol)
-							passFlips++
-						}
-					}
-					if opt.NetwiseSyncPerPass > 0 {
-						return syncGrid()
-					}
-					return nil
-				})
+			n, _, flip := route.BendFlips(g, r.rt.Segs)
+			var err error
+			r.sum.CoarseFlips, err = r.syncedPasses(n, ropt.CoarsePasses, flip, syncGrid, func(flips int) (int, error) {
+				global, err := mp.AllreduceInt(comm, tagCoarseVote, flips, mp.SumInt)
 				if err != nil {
-					return err
+					return 0, fmt.Errorf("netwise: coarse convergence vote: %w", err)
 				}
-				r.sum.CoarseFlips += passFlips
-				globalFlips, err := mp.AllreduceInt(comm, tagCoarseVote, passFlips, mp.SumInt)
-				if err != nil {
-					return fmt.Errorf("netwise: coarse convergence vote: %w", err)
-				}
-				if globalFlips == 0 {
-					break
-				}
+				return global, nil
+			})
+			if err != nil {
+				return err
 			}
 
 			// The feedthrough demand realized next must be identical on
@@ -196,12 +144,13 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			// The final synchronized grid is identical everywhere, so row
 			// owners see the complete demand.
 			var err error
-			ftByRow, r.sum.InsertedFts, err = route.InsertGridFeedthroughs(sub, shared, block.Lo, block.Hi, ropt.Workers)
+			ftByRow, r.sum.InsertedFts, err = route.InsertGridFeedthroughs(sub, r.rt.Grid, block.Lo, block.Hi, ropt.Workers)
 			if err != nil {
 				return err
 			}
 			// Refresh segment endpoints that sit in this rank's (now
 			// shifted) rows.
+			segs := r.rt.Segs
 			for i := range segs {
 				segs[i].XP = sub.Pins[segs[i].PinAtP].X
 				segs[i].XQ = sub.Pins[segs[i].PinAtQ].X
@@ -212,6 +161,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 		stage("ft-assign", func(_ *pipeline.Session) error {
 			// Ship crossings to row owners for assignment, in batches sized
 			// by a counting pass.
+			segs := r.rt.Segs
 			counts := make([]int, size)
 			for i := range segs {
 				if runs := segs[i].CurrentRuns(); runs.HasVert() {
@@ -305,58 +255,26 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			if err != nil {
 				return err
 			}
-			ownOcc = route.NewOccupancy(sub.NumChannels(), coreW, ropt.GridColWidth)
-			ownOcc.AddWires(r.wires)
-			sharedOcc, occSnap = ownOcc.Clone(), make([]int32, ownOcc.TableLen())
+			r.occ = route.NewOccupancy(sub.NumChannels(), coreW, ropt.GridColWidth)
+			r.occ.AddWires(r.wires)
+			snap = make([]int32, r.occ.TableLen())
 			if err := syncOcc(); err != nil {
 				return fmt.Errorf("netwise: occupancy sync: %w", err)
 			}
 			return nil
 		}),
 		stage("switch-opt", func(s *pipeline.Session) error {
-			wires := r.wires
-			switchIdx := make([]int, 0, len(wires))
-			for i := range wires {
-				if wires[i].Switchable && !wires[i].Span.Empty() {
-					switchIdx = append(switchIdx, i)
-				}
-			}
-			perm := make([]int, len(switchIdx))
-			for pass := 0; pass < ropt.SwitchPasses; pass++ {
-				rnd.PermInto(perm)
-				passFlips := 0
-				err := forEachChunk(len(perm), opt.NetwiseSyncPerPass, func(lo, hi int) error {
-					for _, pi := range perm[lo:hi] {
-						w := &wires[switchIdx[pi]]
-						other := w.OtherChannel()
-						if sharedOcc.MoveCost(w.Channel, other, w.Span) < 0 {
-							sharedOcc.Add(w.Channel, w.Span, -1)
-							sharedOcc.Add(other, w.Span, 1)
-							ownOcc.Add(w.Channel, w.Span, -1)
-							ownOcc.Add(other, w.Span, 1)
-							w.Channel = other
-							passFlips++
-						}
-					}
-					if opt.NetwiseSyncPerPass > 0 {
-						return syncOcc()
-					}
-					return nil
-				})
+			n, _, flip := route.SwitchFlips(r.occ, r.wires)
+			var err error
+			r.sum.SwitchFlips, err = r.syncedPasses(n, ropt.SwitchPasses, flip, syncOcc, func(flips int) (int, error) {
+				global, err := mp.AllreduceInt(comm, tagSwitchVote, flips, mp.SumInt)
 				if err != nil {
-					return err
+					return 0, fmt.Errorf("netwise: switch convergence vote: %w", err)
 				}
-				r.sum.SwitchFlips += passFlips
-				globalFlips, err := mp.AllreduceInt(comm, tagSwitchVote, passFlips, mp.SumInt)
-				if err != nil {
-					return fmt.Errorf("netwise: switch convergence vote: %w", err)
-				}
-				if globalFlips == 0 {
-					break
-				}
-			}
+				return global, nil
+			})
 			s.Count("switch-flips", int64(r.sum.SwitchFlips))
-			return nil
+			return err
 		}),
 		stage("gather", r.gather),
 	}
@@ -396,6 +314,41 @@ func forEachChunk(n, chunks int, f func(lo, hi int) error) error {
 	return nil
 }
 
+// syncedPasses is how net-wise visits a phase's n flip candidates: up to
+// passes sweeps, each in a fresh random order and cut into NetwiseSyncPerPass
+// chunks with a sync after each — between syncs the other ranks' moves are
+// unseen — until the ranks vote that a whole pass flipped nothing anywhere.
+// flip is the serial router's own (route.BendFlips, route.SwitchFlips); vote
+// turns this rank's flips of a pass into every rank's. It returns this rank's
+// flips.
+func (r *rank) syncedPasses(n, passes int, flip func(i int) bool, sync func() error, vote func(flips int) (int, error)) (int, error) {
+	perm := make([]int, n)
+	total := 0
+	for pass := 0; pass < passes; pass++ {
+		r.rt.Rand.PermInto(perm)
+		flips := 0
+		err := forEachChunk(n, r.opt.NetwiseSyncPerPass, func(lo, hi int) error {
+			for _, i := range perm[lo:hi] {
+				if flip(i) {
+					flips++
+				}
+			}
+			if r.opt.NetwiseSyncPerPass > 0 {
+				return sync()
+			}
+			return nil
+		})
+		total += flips
+		if err != nil {
+			return total, err
+		}
+		if global, err := vote(flips); err != nil || global == 0 {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
 // deltaTable is what a net-wise sync needs of a replicated counter table;
 // grid.Grid and route.Occupancy are the two.
 type deltaTable interface {
@@ -403,14 +356,16 @@ type deltaTable interface {
 }
 
 // addDeltas finishes a sync of a replicated table: in holds, by rank, what
-// changed in each rank's own table since its previous sync, as (index,
-// change) pairs, and every peer's pairs are added into shared in place —
-// this rank's moves are in shared already. Integer sums commute, so shared
-// is then the sum of every rank's own table, as an Allreduce of the whole
-// tables would leave it, at any number of ranks and syncs. A phase's first
-// sync is the same exchange from an all-zero snapshot, with shared started
-// as a copy of own. The pairs crossed the mesh: ApplyDelta checks them.
-func (r *rank) addDeltas(tag int, in []any, own, shared deltaTable) error {
+// each rank moved since its previous sync, as (index, change) pairs, and every
+// peer's pairs are added into table in place — this rank's moves are in it
+// already. Integer sums commute, so table is then the sum of every rank's
+// contributions, as an Allreduce of whole tables would leave it, at any
+// number of ranks and syncs. snap, which AppendDelta advanced to the table
+// as this rank's pairs were taken, absorbs the peers' pairs too and so
+// equals the table again: the next delta holds this rank's moves and does
+// not send back what it received. The pairs crossed the mesh: ApplyDelta
+// checks them, and snap takes them only once they passed.
+func (r *rank) addDeltas(tag int, in []any, table deltaTable, snap []int32) error {
 	for src, raw := range in {
 		if src == r.comm.Rank() {
 			continue
@@ -419,12 +374,15 @@ func (r *rank) addDeltas(tag int, in []any, own, shared deltaTable) error {
 		if !ok {
 			return fmt.Errorf("parallel: tag %d delta from rank %d arrived as %T", tag, src, raw)
 		}
-		if err := shared.ApplyDelta(pairs); err != nil {
+		if err := table.ApplyDelta(pairs); err != nil {
 			return fmt.Errorf("parallel: tag %d batch from rank %d: %w", tag, src, err)
+		}
+		for i := 0; i < len(pairs); i += 2 {
+			snap[pairs[i]] += pairs[i+1]
 		}
 	}
 	if r.afterSync != nil {
-		return r.afterSync(tag, own, shared)
+		return r.afterSync(tag, table)
 	}
 	return nil
 }

@@ -34,7 +34,8 @@ type rank struct {
 	out    *runOutput
 
 	// rt is the rank's serial-router state: its RNG stream from the start,
-	// and from subcircuit on the router of the block's sub-circuit.
+	// and from subcircuit on the router of the block's sub-circuit. Net-wise
+	// keeps its segments and its replicated grid in rt.Segs and rt.Grid.
 	rt    *route.Router
 	sub   *circuit.Circuit // this rank's circuit: its block, or under net-wise a clone
 	fakes []FakePinSpec
@@ -42,9 +43,9 @@ type rank struct {
 	occ   *route.Occupancy // step 5's occupancy
 	sum   Summary          // counters of the driver's own bodies; gather adds the router's
 
-	// afterSync, when set (tests only), sees both halves of a net-wise
-	// replicated table after every sync.
-	afterSync func(tag int, own, shared deltaTable) error
+	// afterSync, when set (tests only), sees a net-wise replicated table
+	// after every sync.
+	afterSync func(tag int, table deltaTable) error
 }
 
 // runRank executes one rank of a parallel run: the driver's stage list over

@@ -39,8 +39,9 @@ func denseOcc(o *route.Occupancy) []int32 {
 }
 
 // refAllreduceGrid is the net-wise grid sync as it stood before deltas:
-// every rank flattens its whole own grid, the vectors are summed by a full
-// Allreduce, and a fresh global grid is built from the sum.
+// every rank flattens the whole grid of its own contributions, the vectors
+// are summed by a full Allreduce, and a fresh global grid is built from the
+// sum.
 func refAllreduceGrid(comm mp.Comm, own *grid.Grid) (*grid.Grid, error) {
 	sum, err := mp.AllreduceInt32s(comm, tagGridSync, denseGrid(own), mp.SumInt32s)
 	if err != nil {
@@ -77,6 +78,27 @@ func refAllreduceOcc(comm mp.Comm, own *route.Occupancy) (*route.Occupancy, erro
 	return o, nil
 }
 
+// syncCircuits generates the six small circuits the sync tests route.
+func syncCircuits(t *testing.T) []*circuit.Circuit {
+	t.Helper()
+	var out []*circuit.Circuit
+	for i := 0; i < 6; i++ {
+		r := rng.New(uint64(2000 + i))
+		rows := 8 + r.Intn(8)
+		cells := rows * (12 + r.Intn(24))
+		nets := cells/2 + r.Intn(cells)
+		c, err := gen.Generate(gen.Config{
+			Name: fmt.Sprintf("sync%d", i), Rows: rows, Cells: cells,
+			Nets: nets, TargetPins: nets * 7 / 2, Seed: uint64(i + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
 // rankEnd is what one rank of a net-wise run holds when its stages finish.
 type rankEnd struct {
 	wires []metrics.Wire
@@ -86,9 +108,10 @@ type rankEnd struct {
 }
 
 // runNetWiseRanks runs the net-wise stage list at P ranks on mp.Inproc and
-// returns every rank's end state; hook, if not nil, is each rank's afterSync.
+// returns every rank's end state; hook, if not nil, sees the rank and its
+// replicated table after every sync.
 func runNetWiseRanks(t *testing.T, c *circuit.Circuit, p, syncPerPass int, seed uint64,
-	hook func(comm mp.Comm, tag int, own, shared deltaTable) error) []rankEnd {
+	hook func(r *rank, tag int, table deltaTable) error) []rankEnd {
 
 	t.Helper()
 	blocks, err := partition.RowBlocks(c, p)
@@ -109,12 +132,12 @@ func runNetWiseRanks(t *testing.T, c *circuit.Circuit, p, syncPerPass int, seed 
 	_, err = mp.Config{Procs: p, Mode: mp.Inproc}.RunContext(ctx, func(comm mp.Comm) error {
 		return runRank(ctx, comm, c, blocks, owner, opt, &runOutput{}, func(r *rank) []pipeline.Stage {
 			end := &ends[comm.Rank()]
-			r.afterSync = func(tag int, own, shared deltaTable) error {
+			r.afterSync = func(tag int, table deltaTable) error {
 				end.syncs++
 				if hook == nil {
 					return nil
 				}
-				return hook(comm, tag, own, shared)
+				return hook(r, tag, table)
 			}
 			return append(netWiseStages(r), stage("capture", func(*pipeline.Session) error {
 				end.wires, end.sum, end.rand = slices.Clone(r.wires), r.sum, *r.rt.Rand
@@ -130,51 +153,47 @@ func runNetWiseRanks(t *testing.T, c *circuit.Circuit, p, syncPerPass int, seed 
 
 // TestDeltaSyncMatchesFullAllreduce holds the delta sync to the form it
 // replaced. In the reference run every sync is followed, on every rank, by
-// the full Allreduce of the own tables: shared must equal its result cell
-// for cell, and every occupancy peak cache is then invalidated, as the full
-// form's install did — so the reference run's flips never lean on a cache
-// the delta path kept. The plain run must end where the reference run did:
-// same wires, same flip counts, same rng state, on every rank.
+// the full Allreduce of the ranks' own contributions, each rebuilt from what
+// the rank routes — its segments' runs, its wires — and not from the table
+// under test: the replicated table must equal the result cell for cell, and
+// every occupancy peak cache is then invalidated, as the full form's install
+// did — so the reference run's flips never lean on a cache the delta path
+// kept. The plain run must end where the reference run did: same wires, same
+// flip counts, same rng state, on every rank.
 func TestDeltaSyncMatchesFullAllreduce(t *testing.T) {
-	for i := 0; i < 6; i++ {
-		r := rng.New(uint64(2000 + i))
-		rows := 8 + r.Intn(8)
-		cells := rows * (12 + r.Intn(24))
-		nets := cells/2 + r.Intn(cells)
-		c, err := gen.Generate(gen.Config{
-			Name: fmt.Sprintf("sync%d", i), Rows: rows, Cells: cells,
-			Nets: nets, TargetPins: nets * 7 / 2, Seed: uint64(i + 1),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range syncCircuits(t) {
 		for _, p := range []int{2, 3, 4, 8} {
 			for _, syncPerPass := range []int{-1, 1, 4, 7} {
 				name := fmt.Sprintf("%s/p%d/sync%d", c.Name, p, syncPerPass)
-				ref := runNetWiseRanks(t, c, p, syncPerPass, 3, func(comm mp.Comm, tag int, own, shared deltaTable) error {
+				ref := runNetWiseRanks(t, c, p, syncPerPass, 3, func(r *rank, tag int, table deltaTable) error {
 					var got, want []int32
-					switch own := own.(type) {
+					switch table := table.(type) {
 					case *grid.Grid:
-						ref, err := refAllreduceGrid(comm, own)
+						own := grid.New(table.Rows, table.Cols*table.ColWidth, table.ColWidth)
+						for i := range r.rt.Segs {
+							route.ApplyRuns(own, r.rt.Segs[i].CurrentRuns(), 1)
+						}
+						ref, err := refAllreduceGrid(r.comm, own)
 						if err != nil {
 							return err
 						}
-						got, want = denseGrid(shared.(*grid.Grid)), denseGrid(ref)
+						got, want = denseGrid(table), denseGrid(ref)
 					case *route.Occupancy:
-						ref, err := refAllreduceOcc(comm, own)
+						own := route.NewOccupancy(table.Channels, table.Cols*table.ColWidth, table.ColWidth)
+						own.AddWires(r.wires)
+						ref, err := refAllreduceOcc(r.comm, own)
 						if err != nil {
 							return err
 						}
-						so := shared.(*route.Occupancy)
-						got, want = denseOcc(so), denseOcc(ref)
-						for ch := 0; ch < so.Channels; ch++ {
-							if err := so.AddChannelCounts(ch, make([]int32, so.Cols)); err != nil {
+						got, want = denseOcc(table), denseOcc(ref)
+						for ch := 0; ch < table.Channels; ch++ {
+							if err := table.AddChannelCounts(ch, make([]int32, table.Cols)); err != nil {
 								return err
 							}
 						}
 					}
 					if !slices.Equal(got, want) || len(want) == 0 {
-						return fmt.Errorf("%s: rank %d: shared table differs from the full Allreduce after a tag %d sync", name, comm.Rank(), tag)
+						return fmt.Errorf("%s: rank %d: replicated table differs from the full Allreduce after a tag %d sync", name, r.comm.Rank(), tag)
 					}
 					return nil
 				})
@@ -205,6 +224,83 @@ func TestDeltaSyncMatchesFullAllreduce(t *testing.T) {
 					t.Fatalf("%s: no flip taken: nothing moved between syncs", name)
 				}
 			}
+		}
+	}
+}
+
+// TestNetWiseFlipsAreSerialFlips pins that there is one flip. With the sync a
+// no-op, the vote the rank's own count and every pass one chunk, the net-wise
+// visit (syncedPasses over route.BendFlips, then route.SwitchFlips) must end
+// exactly where the serial router's one-band sweeps over the same candidates
+// end — CoarseRoute and OptimizeSwitchable at one worker: every bend, both
+// grid tables, every wire channel, the occupancy, the flip counts and where
+// the rng stands. The visit order is part of all of these.
+func TestNetWiseFlipsAreSerialFlips(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range syncCircuits(t) {
+		ropt := route.Options{Seed: 11}
+		rt := route.NewRouter(c.Clone(), ropt)
+		if err := rt.BuildTrees(ctx); err != nil {
+			t.Fatal(err)
+		}
+		r := &rank{opt: Options{NetwiseSyncPerPass: 1}, rt: route.NewRouter(nil, ropt)}
+		syncs := 0
+		sync := func() error { syncs++; return nil }
+		own := func(flips int) (int, error) { return flips, nil }
+
+		segs := slices.Clone(rt.Segs)
+		g := grid.New(len(c.Rows), c.CoreWidth(), rt.Opt.GridColWidth)
+		for i := range segs {
+			route.ApplyRuns(g, segs[i].CurrentRuns(), 1)
+		}
+		n, _, flip := route.BendFlips(g, segs)
+		bends, err := r.syncedPasses(n, rt.Opt.CoarsePasses, flip, sync, own)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.CoarseRoute(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if bends != rt.CoarseFlips || bends == 0 || syncs == 0 {
+			t.Fatalf("%s: %d bend flips over %d syncs, serial sweep %d", c.Name, bends, syncs, rt.CoarseFlips)
+		}
+		if !slices.Equal(segs, rt.Segs) || !slices.Equal(denseGrid(g), denseGrid(rt.Grid)) {
+			t.Fatalf("%s: bends or grid differ from the serial sweep", c.Name)
+		}
+		if *r.rt.Rand != *rt.Rand {
+			t.Fatalf("%s: rng stands elsewhere after the bend flips", c.Name)
+		}
+
+		if err := rt.InsertFeedthroughs(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.AssignFeedthroughs(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.ConnectNets(ctx); err != nil {
+			t.Fatal(err)
+		}
+		wires, refWires := slices.Clone(rt.Wires), slices.Clone(rt.Wires)
+		occ := route.NewOccupancy(c.NumChannels(), rt.C.CoreWidth(), rt.Opt.GridColWidth)
+		occ.AddWires(wires)
+		refOcc := occ.Clone()
+		n, _, flip = route.SwitchFlips(occ, wires)
+		switches, err := r.syncedPasses(n, rt.Opt.SwitchPasses, flip, sync, own)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refSwitches, err := route.OptimizeSwitchable(ctx, 1, refWires, refOcc, rt.Rand, rt.Opt.SwitchPasses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if switches != refSwitches || switches == 0 {
+			t.Fatalf("%s: %d switch flips, serial sweep %d", c.Name, switches, refSwitches)
+		}
+		if !slices.Equal(wires, refWires) || !slices.Equal(denseOcc(occ), denseOcc(refOcc)) {
+			t.Fatalf("%s: wires or occupancy differ from the serial sweep", c.Name)
+		}
+		if *r.rt.Rand != *rt.Rand {
+			t.Fatalf("%s: rng stands elsewhere after the switch flips", c.Name)
 		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 	"parroute/internal/route"
 )
 
-// forgingComm is rank 1's view of the mesh with one lie in it: the first
-// payload it sends on tag is replaced by forge's version. Collectives are
+// forgingComm is the forging rank's view of the mesh with one lie in it: the
+// first payload it sends on tag is replaced by forge's version. Collectives are
 // built on Send, so this reaches the Alltoall rounds too.
 type forgingComm struct {
 	mp.Comm
@@ -51,9 +51,10 @@ type forgery struct {
 // and uses as a subscript — the net and row of a fake-pin spec, a crossing
 // and a step-4 node, and the channel, span and row of a redistributed or
 // gathered wire, and the counter indices and changes of a net-wise grid or
-// occupancy delta — is validated once per received batch. A peer that sends
-// one out-of-range element fails the run with an error naming the source
-// rank, the tag and the field; no rank panics and none is left behind.
+// occupancy delta — is validated once per received batch, and so are the
+// boundary-channel counts a row block adds into its occupancy. A peer that
+// sends one out-of-range element fails the run with an error naming the
+// source rank, the tag and the field; no rank panics and none is left behind.
 func TestForgedBatchIndexIsAttributed(t *testing.T) {
 	c := testCircuit(t)
 	const p = 2
@@ -107,9 +108,9 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 	// Table sizes for the delta forgeries, read off a clean run: the
 	// occupancy's depends on the core width after feedthrough insertion.
 	tableLen := map[int]int{}
-	for _, end := range runNetWiseRanks(t, c, p, 0, 1, func(comm mp.Comm, tag int, own, _ deltaTable) error {
-		if comm.Rank() == 0 {
-			tableLen[tag] = own.(interface{ TableLen() int }).TableLen()
+	for _, end := range runNetWiseRanks(t, c, p, 0, 1, func(r *rank, tag int, table deltaTable) error {
+		if r.comm.Rank() == 0 {
+			tableLen[tag] = table.(interface{ TableLen() int }).TableLen()
 		}
 		return nil
 	}) {
@@ -117,10 +118,20 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 			t.Fatal("clean net-wise run made no sync")
 		}
 	}
+	edit := func(f func(vs []int32) []int32) func(any) any {
+		return func(v any) any { return f(slices.Clone(v.([]int32))) }
+	}
+	// Rank 1 only has a lower neighbour, rank 0 only an upper one, so the
+	// upper-boundary counts are forged by rank 0.
+	boundary := []forgery{
+		{"negative-count", "channel count -1", edit(func(counts []int32) []int32 {
+			counts[len(counts)/2] = -1
+			return counts
+		})},
+		{"wrong-length", "length", edit(func(counts []int32) []int32 { return append(counts, 0) })},
+		{"not-int32s", "arrived as int", func(any) any { return 7 }},
+	}
 	deltas := func(tag int) []forgery {
-		edit := func(f func(pairs []int32) []int32) func(any) any {
-			return func(v any) any { return f(slices.Clone(v.([]int32))) }
-		}
 		return []forgery{
 			{"odd-length", "length", edit(func(pairs []int32) []int32 { return append(pairs, 0) })},
 			{"index-1", "index -1", edit(func(pairs []int32) []int32 { return append([]int32{-1, 1}, pairs...) })},
@@ -138,22 +149,25 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 		name      string
 		run       worker
 		tag       int
+		forger    int // the rank that lies
 		forgeries []forgery
 	}{
-		{"rowwise/fake-pins", rowWiseStages, tagFakePins, indexed(func(net, row int) func(any) any {
+		{"rowwise/fake-pins", rowWiseStages, tagFakePins, 1, indexed(func(net, row int) func(any) any {
 			return appendTo[FakePinBatch](FakePinSpec{Net: net, X: 1, Row: row, Side: circuit.Top})
 		})},
-		{"hybrid/net-nodes", hybridStages, tagNetNodes, nodes},
-		{"netwise/crossings", netWiseStages, tagCrossings, indexed(func(net, row int) func(any) any {
+		{"hybrid/net-nodes", hybridStages, tagNetNodes, 1, nodes},
+		{"netwise/crossings", netWiseStages, tagCrossings, 1, indexed(func(net, row int) func(any) any {
 			return appendTo[CrossingBatch](CrossingMsg{Net: net, X: 1, Row: row})
 		})},
-		{"netwise/grid-delta", netWiseStages, tagGridSync, deltas(tagGridSync)},
-		{"netwise/occ-delta", netWiseStages, tagOccSync, deltas(tagOccSync)},
-		{"netwise/net-nodes", netWiseStages, tagNetNodes, nodes},
-		{"netwise/ft-nodes", netWiseStages, tagFtNodes, nodes},
-		{"hybrid/wires-redist", hybridStages, tagWiresRedist, wires},
-		{"hybrid/wires", hybridStages, tagWires, wires},
-		{"netwise/wires", netWiseStages, tagWires, wires},
+		{"netwise/grid-delta", netWiseStages, tagGridSync, 1, deltas(tagGridSync)},
+		{"netwise/occ-delta", netWiseStages, tagOccSync, 1, deltas(tagOccSync)},
+		{"netwise/net-nodes", netWiseStages, tagNetNodes, 1, nodes},
+		{"netwise/ft-nodes", netWiseStages, tagFtNodes, 1, nodes},
+		{"rowwise/boundary-lo", rowWiseStages, tagBoundaryLo, 1, boundary},
+		{"hybrid/boundary-hi", hybridStages, tagBoundaryHi, 0, boundary},
+		{"hybrid/wires-redist", hybridStages, tagWiresRedist, 1, wires},
+		{"hybrid/wires", hybridStages, tagWires, 1, wires},
+		{"netwise/wires", netWiseStages, tagWires, 1, wires},
 	}
 	for _, tc := range cases {
 		for _, bad := range tc.forgeries {
@@ -169,7 +183,7 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 				done := make(chan error, 1)
 				go func() {
 					_, err := mp.Config{Procs: p, Mode: mp.Inproc}.RunContext(ctx, func(comm mp.Comm) error {
-						if comm.Rank() == 1 {
+						if comm.Rank() == tc.forger {
 							comm = &forgingComm{Comm: comm, tag: tc.tag, forge: bad.forge}
 						}
 						return runRank(ctx, comm, c, blocks, owner, opt, out, tc.run)
@@ -189,7 +203,7 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 				if err == nil {
 					t.Fatal("forged batch was accepted")
 				}
-				for _, want := range []string{"from rank 1", fmt.Sprintf("tag %d", tc.tag), bad.field} {
+				for _, want := range []string{fmt.Sprintf("from rank %d", tc.forger), fmt.Sprintf("tag %d", tc.tag), bad.field} {
 					if !strings.Contains(err.Error(), want) {
 						t.Errorf("error %q does not name %q", err, want)
 					}

@@ -108,11 +108,6 @@ func NewSession(obs ...Observer) *Session {
 	return &Session{observers: obs, index: map[string]int{}}
 }
 
-// Attach appends more observers to the chain.
-func (s *Session) Attach(obs ...Observer) {
-	s.observers = append(s.observers, obs...)
-}
-
 // Count adds delta to the named counter of the currently running stage.
 // Counters reset at every stage boundary; they surface in StageMetrics in
 // first-report order.

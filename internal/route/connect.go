@@ -270,7 +270,7 @@ func (o *Occupancy) PlaceWires(ctx context.Context, workers int, wires []metrics
 			return workpool.Hull{Lo: int32(w.Row), Hi: int32(w.Row + 1)}
 		}
 		return workpool.Hull{Lo: int32(w.Channel), Hi: int32(w.Channel)}
-	}, o.reserve)
+	}, o.counts.Reserve)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,7 @@ import (
 // cache invalid — the full-walk recompute.
 func requireFreshPeaks(t *testing.T, occ *Occupancy, r *rng.RNG, when string) {
 	t.Helper()
-	fresh := NewOccupancyBands(occ.Channels, occ.Cols*occ.ColWidth, occ.ColWidth, 1<<occ.bandShift)
+	fresh := NewOccupancy(occ.Channels, occ.Cols*occ.ColWidth, occ.ColWidth)
 	if err := fresh.SetCounts(occ.Counts()); err != nil {
 		t.Fatal(err)
 	}
@@ -104,22 +104,26 @@ func TestOccupancyDeltaSyncReproducesSum(t *testing.T) {
 	}
 }
 
-// TestOccupancyDeltaBandsStayLazy is TestOccupancyBandsStayLazy for the
-// delta path: a clone shares no slab and keeps nil ones nil, and applying a
-// delta that names one band's channels allocates that band only.
+// TestOccupancyDeltaBandsStayLazy: what a delta owes the occupancy beyond
+// grid.Table's own laziness. A clone keeps counts and caches apart from its
+// source, and applying a delta that names one band's channels creates that
+// band only and drops the peak caches of the channels it touched, no other.
 func TestOccupancyDeltaBandsStayLazy(t *testing.T) {
-	src := NewOccupancyBands(64, 320, 16, 8)
+	src := NewOccupancy(64, 320, 16)
 	src.Add(19, geom.NewInterval(0, 100), 1) // band 2 only
 	pairs := src.AppendDelta(nil, make([]int32, src.TableLen()))
-	dst := NewOccupancyBands(64, 320, 16, 8)
+	dst := NewOccupancy(64, 320, 16)
 	dst.Add(3, geom.NewInterval(0, 50), 1) // band 0
 	dst = dst.Clone()
 	if err := dst.ApplyDelta(pairs); err != nil {
 		t.Fatal(err)
 	}
-	for b, slab := range dst.bands {
-		if (slab != nil) != (b == 0 || b == 2) {
-			t.Fatalf("band %d allocated: %v", b, slab != nil)
+	for ch := 0; ch < dst.Channels; ch++ {
+		if b := ch / grid.BandRows; dst.counts.HasSlab(ch) != (b == 0 || b == 2) {
+			t.Fatalf("band %d allocated: %v", b, dst.counts.HasSlab(ch))
+		}
+		if dst.chMaxOK[ch] != (ch != 19) {
+			t.Fatalf("channel %d peak cache valid: %v", ch, dst.chMaxOK[ch])
 		}
 	}
 	if dst.At(19, 2) != 1 || dst.At(3, 1) != 1 || dst.channelMax(19) != 1 {
@@ -157,7 +161,7 @@ func FuzzGridDelta(f *testing.F) {
 		g := grid.New(5, 96, 16)
 		g.AddHoriz(1, geom.NewInterval(0, 60), 2)
 		g.AddVert(2, 3, 4, 1)
-		occ := NewOccupancyBands(6, 96, 16, 2)
+		occ := NewOccupancy(6, 96, 16)
 		occ.Add(1, geom.NewInterval(0, 60), 2)
 		occ.Add(4, geom.NewInterval(30, 90), 1)
 		occ.channelMax(1)

@@ -14,24 +14,24 @@ import (
 func (o *Occupancy) Counts() []int32 {
 	out := make([]int32, o.Channels*o.Cols)
 	for ch := 0; ch < o.Channels; ch++ {
-		copy(out[ch*o.Cols:], o.row(ch))
+		copy(out[ch*o.Cols:], o.counts.Row(ch))
 	}
 	return out
 }
 
 // SetCounts replaces all column counts and invalidates every peak cache.
-// Bands that are zero in the payload and were never touched stay
-// unallocated.
+// Slabs that are zero in the payload and were never touched stay
+// uncreated.
 func (o *Occupancy) SetCounts(counts []int32) error {
 	if len(counts) != o.Channels*o.Cols {
 		return fmt.Errorf("route: occupancy counts length %d, want %d", len(counts), o.Channels*o.Cols)
 	}
 	for ch := 0; ch < o.Channels; ch++ {
 		seg := counts[ch*o.Cols : (ch+1)*o.Cols]
-		if o.bands[ch>>o.bandShift] == nil && allZero32(seg) {
+		if !o.counts.HasSlab(ch) && allZero32(seg) {
 			continue
 		}
-		copy(o.rowMut(ch), seg)
+		copy(o.counts.RowMut(ch), seg)
 	}
 	for ch := range o.chMaxOK {
 		o.chMaxOK[ch] = false

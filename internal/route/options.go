@@ -27,9 +27,6 @@ type Options struct {
 	// SwitchPasses is how many random full sweeps step 5 performs over the
 	// switchable segments. Default 3.
 	SwitchPasses int
-	// FtBase is the cost of one feedthrough in channel-congestion units
-	// (one unit = one wire crossing one grid column). Default 12.
-	FtBase int64
 	// TrackPitch is the channel height contributed by one track, in the
 	// same units as cell height, used by the area model. Default 2.
 	TrackPitch int
@@ -55,9 +52,6 @@ func (o *Options) Normalize() {
 	}
 	if o.SwitchPasses <= 0 {
 		o.SwitchPasses = 3
-	}
-	if o.FtBase <= 0 {
-		o.FtBase = 12
 	}
 	if o.TrackPitch <= 0 {
 		o.TrackPitch = 2

@@ -183,15 +183,6 @@ type treeBuilder struct {
 	_      workpool.Pad
 }
 
-// UseSegments installs externally built segments (the parallel algorithms
-// build trees once and ship the pieces) instead of calling BuildTrees.
-func (rt *Router) UseSegments(segs []steiner.Segment) {
-	rt.Segs = make([]PlacedSeg, 0, len(segs))
-	for _, seg := range segs {
-		rt.Segs = append(rt.Segs, place(rt.C, seg))
-	}
-}
-
 // CoarseRoute is step 2: load every segment into the coarse grid at its
 // initial bend, then sweep the segments in random order flipping L
 // orientations whenever that lowers congestion + feedthrough cost.
@@ -221,7 +212,8 @@ func (rt *Router) CoarseRoute(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("route: coarse: %w", err)
 	}
-	flips, err := improveBends(ctx, rt.Opt.Workers, g, rt.Segs, rt.Rand, rt.Opt.CoarsePasses)
+	n, hull, flip := BendFlips(g, rt.Segs)
+	flips, err := sweepFlips(ctx, rt.Opt.Workers, g.Channels, g.Reserve, rt.Rand, rt.Opt.CoarsePasses, n, hull, flip)
 	rt.CoarseFlips += flips
 	if err != nil {
 		return fmt.Errorf("route: coarse: %w", err)
@@ -229,20 +221,19 @@ func (rt *Router) CoarseRoute(ctx context.Context) error {
 	return nil
 }
 
-// flipCand caches the static geometry of one flippable segment so the
-// sweep's inner loop touches no segment geometry beyond the bend bit: the
-// full horizontal span and the grid columns of the two endpoints.
-type flipCand struct {
-	seg        int
-	span       geom.Interval
-	colP, colQ int
-}
+// sweepFlips is how steps 2 and 5 visit their n flip candidates: up to passes
+// ordered band sweeps (workpool.Sweep over the flips' hulls on a rows-row
+// axis, on up to workers goroutines), each in a fresh random order — one
+// PermInto per pass, on the calling goroutine — until a pass flips nothing.
+// flip decides candidate i and reports whether it flipped. It returns the
+// flips taken.
+func sweepFlips(ctx context.Context, workers, rows int, reserve func(lo, hi int), r *rng.RNG, passes int,
+	n int, hull func(i int) workpool.Hull, flip func(i int) bool) (int, error) {
 
-// sweepFlips is the loop steps 2 and 5 share: up to passes sweeps of sw over
-// its n flip candidates, each in a fresh random order — one PermInto per
-// pass, on the calling goroutine — until a pass flips nothing. flip decides
-// candidate i and reports whether it flipped. It returns the flips taken.
-func sweepFlips(ctx context.Context, sw *workpool.Sweep, n int, r *rng.RNG, passes int, flip func(i int) bool) (int, error) {
+	sw, err := workpool.NewSweep(ctx, workers, n, rows, hull, reserve)
+	if err != nil {
+		return 0, err
+	}
 	flips := make([]struct {
 		n int
 		_ workpool.Pad
@@ -269,24 +260,33 @@ func sweepFlips(ctx context.Context, sw *workpool.Sweep, n int, r *rng.RNG, pass
 	return done, nil
 }
 
-// improveBends runs random improvement sweeps over the segments with a
-// bend choice; grid must already contain all segments. Returns flip count.
+// flipCand caches the static geometry of one flippable segment so a flip
+// touches no segment geometry beyond the bend bit: the full horizontal span
+// and the grid columns of the two endpoints.
+type flipCand struct {
+	seg        int
+	span       geom.Interval
+	colP, colQ int
+}
+
+// BendFlips is what a step-2 flip is: the n segments of segs with a bend
+// choice, the hull of flip i, and flip, which turns candidate i's L when that
+// lowers congestion + feedthrough cost and reports whether it did. g must
+// already contain all segments. How a pass visits them is the caller's:
+// CoarseRoute and the net-wise driver both execute this one body.
 //
 // Flip deltas are evaluated incrementally: with the bend at one endpoint
 // the horizontal span always lies whole in the far endpoint's channel
 // (RunsFor leaves the near run empty), so a flip moves the full span
 // between CP and CQ and the vertical run between the two endpoint columns.
 // Grid.SpanCost/VertMoveCost price that in one walk without mutating the
-// grid — the same value the remove/price-both/re-add evaluation produced,
-// so flip decisions (and the rng stream) are unchanged. The ftBase term
-// cancels: both orientations cross the same rows.
+// grid — the same value a remove/price-both/re-add evaluation produces. The
+// per-feedthrough base cost cancels: both orientations cross the same rows.
 //
-// The visit order is part of the result, so each pass is an ordered band
-// sweep (workpool.Sweep): a flip reads and writes density channels CP and CQ
-// and feedthrough rows CP..CQ-1 and nothing else, which makes [CP, CQ] its
-// hull, and flips in different row bands run side by side with the serial
-// outcome.
-func improveBends(ctx context.Context, workers int, g *grid.Grid, segs []PlacedSeg, r *rng.RNG, passes int) (int, error) {
+// A flip reads and writes density channels CP and CQ and feedthrough rows
+// CP..CQ-1 and nothing else, which makes [CP, CQ] its hull: flips in
+// different row bands can run side by side with the serial outcome.
+func BendFlips(g *grid.Grid, segs []PlacedSeg) (n int, hull func(i int) workpool.Hull, flip func(i int) bool) {
 	cands := make([]flipCand, 0, len(segs))
 	for i := range segs {
 		ps := &segs[i]
@@ -299,15 +299,12 @@ func improveBends(ctx context.Context, workers int, g *grid.Grid, segs []PlacedS
 			})
 		}
 	}
-	sw, err := workpool.NewSweep(ctx, workers, len(cands), g.Channels, func(i int) workpool.Hull {
+	hull = func(i int) workpool.Hull {
 		ps := &segs[cands[i].seg]
 		return workpool.Hull{Lo: int32(ps.CP), Hi: int32(ps.CQ)}
-	}, g.Reserve)
-	if err != nil {
-		return 0, err
 	}
-	return sweepFlips(ctx, sw, len(cands), r, passes, func(pi int) bool {
-		fc := &cands[pi]
+	flip = func(i int) bool {
+		fc := &cands[i]
 		ps := &segs[fc.seg]
 		chFrom, chTo := ps.CP, ps.CQ
 		fromCol, toCol := fc.colQ, fc.colP
@@ -324,7 +321,8 @@ func improveBends(ctx context.Context, workers int, g *grid.Grid, segs []PlacedS
 		g.MoveVert(ps.CP, ps.CQ-1, fromCol, toCol)
 		ps.BendAtP = !ps.BendAtP
 		return true
-	})
+	}
+	return len(cands), hull, flip
 }
 
 // InsertFeedthroughs is the tail of step 2: realize the grid's feedthrough
@@ -633,10 +631,6 @@ func (rt *Router) OptimizeSwitchable(ctx context.Context) error {
 // Phases returns the per-stage records of the last Run (nil when the
 // step methods were driven directly).
 func (rt *Router) Phases() []metrics.Phase { return rt.phases }
-
-// SetPhases installs externally recorded per-stage records (the parallel
-// drivers run their own pipeline sessions) so Result carries them.
-func (rt *Router) SetPhases(ph []metrics.Phase) { rt.phases = ph }
 
 // Result assembles and finalizes the metrics for a completed run.
 func (rt *Router) Result(algo string, procs int, elapsed time.Duration) *metrics.Result {

@@ -2,7 +2,6 @@ package route
 
 import (
 	"context"
-	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"parroute/internal/circuit"
 	"parroute/internal/gen"
 	"parroute/internal/metrics"
-	"parroute/internal/steiner"
 )
 
 func routeSmall(t *testing.T, seed uint64) (*circuit.Circuit, *Router, *metrics.Result) {
@@ -269,46 +267,13 @@ func TestOptionsNormalize(t *testing.T) {
 	var o Options
 	o.Normalize()
 	if o.GridColWidth <= 0 || o.CoarsePasses <= 0 || o.SwitchPasses <= 0 ||
-		o.FtBase <= 0 || o.TrackPitch <= 0 {
+		o.TrackPitch <= 0 || o.Workers <= 0 {
 		t.Fatalf("defaults missing: %+v", o)
 	}
 	o2 := Options{GridColWidth: 5, CoarsePasses: 9}
 	o2.Normalize()
 	if o2.GridColWidth != 5 || o2.CoarsePasses != 9 {
 		t.Fatal("Normalize clobbered explicit settings")
-	}
-}
-
-func TestUseSegmentsMatchesBuildTrees(t *testing.T) {
-	// Installing externally built segments must behave like BuildTrees.
-	c := gen.Tiny(29)
-	rtA := NewRouter(c.Clone(), Options{Seed: 2})
-	if err := rtA.BuildTrees(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	var raw []steiner.Segment
-	for n := range c.Nets {
-		raw = append(raw, steiner.BuildNet(c, n)...)
-	}
-	rtB := NewRouter(c.Clone(), Options{Seed: 2})
-	rtB.UseSegments(raw)
-
-	if len(rtA.Segs) != len(rtB.Segs) {
-		t.Fatalf("segment counts differ: %d vs %d", len(rtA.Segs), len(rtB.Segs))
-	}
-	for i := range rtA.Segs {
-		if rtA.Segs[i].Seg != rtB.Segs[i].Seg || rtA.Segs[i].CP != rtB.Segs[i].CP ||
-			rtA.Segs[i].CQ != rtB.Segs[i].CQ || rtA.Segs[i].BendAtP != rtB.Segs[i].BendAtP {
-			t.Fatalf("segment %d differs: %+v vs %+v", i, rtA.Segs[i], rtB.Segs[i])
-		}
-	}
-	// And the rest of the pipeline yields identical results.
-	if err := errors.Join(rtA.CoarseRoute(context.Background()), rtB.CoarseRoute(context.Background())); err != nil {
-		t.Fatal(err)
-	}
-	if rtA.CoarseFlips != rtB.CoarseFlips {
-		t.Fatalf("coarse flips differ: %d vs %d", rtA.CoarseFlips, rtB.CoarseFlips)
 	}
 }
 

@@ -3,6 +3,7 @@ package route
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"parroute/internal/geom"
@@ -18,21 +19,15 @@ import (
 // parallel algorithms preload it with neighbor wires ("background") so a
 // worker evaluates flips against everything known to occupy its channels.
 //
-// Counts are sharded into row-band slabs of occBandDefault channels each,
-// allocated lazily on first write. A rank of the parallel algorithms only
-// ever writes the channels of its own row block, so at million-cell scale
-// its peak occupancy footprint is O(its band of rows), not O(the whole
-// design); reads of untouched bands resolve to a shared zero row.
+// The counts are a grid.Table: slabs created on first write. A rank of the
+// parallel algorithms only ever writes the channels of its own row block, so
+// at million-cell scale its peak occupancy footprint is O(its band of rows),
+// not O(the whole design).
 type Occupancy struct {
 	Channels int
 	Cols     int
 	ColWidth int
-	// bands[b] holds the column counts of channels [b<<bandShift,
-	// (b+1)<<bandShift) channel-major; nil until one of them is written.
-	// zero is the shared all-zero row nil-band reads resolve to.
-	bands     [][]int32
-	bandShift uint
-	zero      []int32
+	counts   grid.Table // channel-major column counts
 	// chMax caches each channel's peak column count, and chPeakCnt how many
 	// columns attain it, so AddCost and MoveCost only walk the affected
 	// span. A cache entry is maintained through non-negative Adds (the peak
@@ -43,35 +38,17 @@ type Occupancy struct {
 	chMaxOK   []bool
 }
 
-// occBandDefault is the default band granularity: channels per lazily
-// allocated slab. Power of two so the band of a channel is a shift.
-const occBandDefault = 8
-
 // NewOccupancy returns an empty occupancy table.
 func NewOccupancy(channels, coreWidth, colWidth int) *Occupancy {
-	return NewOccupancyBands(channels, coreWidth, colWidth, occBandDefault)
-}
-
-// NewOccupancyBands is NewOccupancy with an explicit band granularity
-// (channels per slab, rounded up to a power of two). The granularity only
-// moves the laziness/footprint trade-off; counts, costs and peaks are
-// identical at every setting — the differential tests sweep it.
-func NewOccupancyBands(channels, coreWidth, colWidth, band int) *Occupancy {
 	if colWidth <= 0 {
 		// Constructor contract: a non-positive quantum is a caller bug,
 		// never a data condition (Options.Normalize enforces it upstream).
 		panic(fmt.Sprintf("route: occupancy colWidth %d must be positive", colWidth)) //lint:allow panic-in-library documented constructor invariant
 	}
-	var shift uint
-	for 1<<shift < band {
-		shift++
-	}
 	cols := (geom.Max(coreWidth, 1) + colWidth - 1) / colWidth
 	o := &Occupancy{Channels: channels, Cols: cols, ColWidth: colWidth,
-		bands:     make([][]int32, (channels+1<<shift-1)>>shift),
-		bandShift: shift,
-		zero:      make([]int32, cols),
-		chMax:     make([]int32, channels), chPeakCnt: make([]int32, channels),
+		counts: grid.NewTable(channels, cols),
+		chMax:  make([]int32, channels), chPeakCnt: make([]int32, channels),
 		chMaxOK: make([]bool, channels)}
 	for ch := range o.chMaxOK {
 		o.chMaxOK[ch] = true // empty channels peak at 0, on every column
@@ -80,43 +57,11 @@ func NewOccupancyBands(channels, coreWidth, colWidth, band int) *Occupancy {
 	return o
 }
 
-// row returns channel ch's column counts for reading; untouched bands
-// resolve to the shared zero row. Callers must not write through it.
-func (o *Occupancy) row(ch int) []int32 {
-	if s := o.bands[ch>>o.bandShift]; s != nil {
-		off := (ch & (1<<o.bandShift - 1)) * o.Cols
-		return s[off : off+o.Cols : off+o.Cols]
-	}
-	return o.zero
-}
-
-// rowMut returns channel ch's column counts for writing, allocating the
-// band slab on first touch.
-func (o *Occupancy) rowMut(ch int) []int32 {
-	b := ch >> o.bandShift
-	s := o.bands[b]
-	if s == nil {
-		n := geom.Min(o.Channels-b<<o.bandShift, 1<<o.bandShift)
-		s = make([]int32, n*o.Cols)
-		o.bands[b] = s
-	}
-	off := (ch & (1<<o.bandShift - 1)) * o.Cols
-	return s[off : off+o.Cols : off+o.Cols]
-}
-
-// reserve allocates the slabs of channels lo..hi, which two goroutines
-// writing different channels of one slab would otherwise race to create.
-func (o *Occupancy) reserve(lo, hi int) {
-	for ch := lo; ch <= hi; ch++ {
-		o.rowMut(ch)
-	}
-}
-
 // channelMax returns the peak column count of channel ch, recomputing the
 // cache (peak and peak-column count) if it was invalidated.
 func (o *Occupancy) channelMax(ch int) int32 {
 	if !o.chMaxOK[ch] {
-		row := o.row(ch)
+		row := o.counts.Row(ch)
 		var m, cnt int32
 		for _, v := range row {
 			switch {
@@ -141,7 +86,7 @@ func (o *Occupancy) Add(ch int, span geom.Interval, delta int32) {
 		return
 	}
 	lo, hi := o.colOf(span.Lo), o.colOf(span.Hi)
-	row := o.rowMut(ch)
+	row := o.counts.RowMut(ch)
 	if delta < 0 {
 		o.chMaxOK[ch] = false // the peak may shrink; recompute on demand
 		for col := lo; col <= hi; col++ {
@@ -173,37 +118,41 @@ func (o *Occupancy) AddWires(wires []metrics.Wire) {
 }
 
 // At returns the occupation of channel ch at column col.
-func (o *Occupancy) At(ch, col int) int { return int(o.row(ch)[col]) }
+func (o *Occupancy) At(ch, col int) int { return int(o.counts.Row(ch)[col]) }
 
 // ChannelCounts returns a copy of one channel's column counts; the
 // parallel algorithms exchange these slices for shared boundary channels.
 func (o *Occupancy) ChannelCounts(ch int) []int32 {
-	return append([]int32(nil), o.row(ch)...)
+	return append([]int32(nil), o.counts.Row(ch)...)
 }
 
 // AddChannelCounts adds externally supplied column counts into channel
-// ch. The counts arrive from other workers over the transport, so a
-// length mismatch is a data error reported to the caller, not a panic.
+// ch. The counts arrive from other workers over the transport, so they are
+// checked in full before the first write: the channel's length, no negative
+// count and no sum past MaxInt32 (MoveCost and AddCost rely on counts never
+// being negative). A refused slice leaves the table as it was.
 func (o *Occupancy) AddChannelCounts(ch int, counts []int32) error {
 	if len(counts) != o.Cols {
 		return fmt.Errorf("route: channel counts length %d, want %d", len(counts), o.Cols)
 	}
-	o.chMaxOK[ch] = false // transported counts may be negative deltas
-	row := o.rowMut(ch)
+	cur := o.counts.Row(ch)
+	for col, v := range counts {
+		if v < 0 || int64(cur[col])+int64(v) > math.MaxInt32 {
+			return fmt.Errorf("route: channel count %d at column %d on a counter at %d", v, col, cur[col])
+		}
+	}
+	o.chMaxOK[ch] = false // the peak moved; recompute on demand
+	row := o.counts.RowMut(ch)
 	for col, v := range counts {
 		row[col] += v
 	}
 	return nil
 }
 
-// Clone returns a deep copy, peak caches included. Unallocated bands stay
-// unallocated.
+// Clone returns a deep copy, peak caches included.
 func (o *Occupancy) Clone() *Occupancy {
 	out := *o
-	out.bands = make([][]int32, len(o.bands))
-	for b, slab := range o.bands {
-		out.bands[b] = slices.Clone(slab)
-	}
+	out.counts = o.counts.Clone()
 	out.chMax = slices.Clone(o.chMax)
 	out.chPeakCnt = slices.Clone(o.chPeakCnt)
 	out.chMaxOK = slices.Clone(o.chMaxOK)
@@ -212,19 +161,21 @@ func (o *Occupancy) Clone() *Occupancy {
 
 // TableLen, AppendDelta and ApplyDelta keep an occupancy replicated across
 // the net-wise ranks in sync by (index, change) pairs over the channel-major
-// counts; see grid.AppendTableDelta. Applying a delta creates slabs on
-// demand and invalidates the peak cache of the channels it touches only.
-func (o *Occupancy) TableLen() int { return o.Channels * o.Cols }
+// counts; see grid.Table. A delta crossed the transport: it is checked whole
+// before the first write, and applying it invalidates the peak cache of the
+// channels it touches only.
+func (o *Occupancy) TableLen() int { return o.counts.Len() }
 
 func (o *Occupancy) AppendDelta(dst, snap []int32) []int32 {
-	return grid.AppendTableDelta(dst, snap, o.Channels, o.Cols, o.row)
+	return o.counts.AppendDelta(dst, snap, 0)
 }
 
 func (o *Occupancy) ApplyDelta(pairs []int32) error {
-	return grid.ApplyTableDelta(pairs, o.Channels, o.Cols, o.row, func(ch int) []int32 {
-		o.chMaxOK[ch] = false // transported changes may lower counts
-		return o.rowMut(ch)
-	})
+	if err := o.counts.CheckDelta(pairs, 0); err != nil {
+		return err
+	}
+	o.counts.ApplyDelta(pairs, 0, func(ch int) { o.chMaxOK[ch] = false })
+	return nil
 }
 
 // maxWeight scales the peak-density component of MoveCost above any
@@ -246,7 +197,7 @@ func (o *Occupancy) AddCost(ch int, span geom.Interval) int64 {
 	}
 	lo, hi := o.colOf(span.Lo), o.colOf(span.Hi)
 	max := int64(o.channelMax(ch))
-	row := o.row(ch)
+	row := o.counts.Row(ch)
 	var spanMax, squares int64
 	for col := lo; col <= hi; col++ {
 		v := int64(row[col])
@@ -285,7 +236,7 @@ func (o *Occupancy) MoveCost(from, to int, span geom.Interval) int64 {
 	lo, hi := o.colOf(span.Lo), o.colOf(span.Hi)
 	maxFrom := int64(o.channelMax(from))
 	maxTo := int64(o.channelMax(to))
-	fromRow, toRow := o.row(from), o.row(to)
+	fromRow, toRow := o.counts.Row(from), o.counts.Row(to)
 
 	var spanMaxTo, squares int64
 	var fromPeakInSpan int32
@@ -313,31 +264,25 @@ func (o *Occupancy) MoveCost(from, to int, span geom.Interval) int64 {
 	return deltaMax*maxWeight + squares
 }
 
-// OptimizeSwitchable performs TWGR step 5: random sweeps over the
-// switchable wires, flipping each to the opposite channel whenever that
-// lowers the congestion cost. wires is mutated in place (Channel fields);
-// occ must already contain every wire (and any background). It returns the
-// number of flips taken.
-//
-// The visit order is part of the result, so each pass is an ordered band
-// sweep (workpool.Sweep) on up to workers goroutines: a flip reads and writes
-// channels Row and Row+1 — counts and peak caches — and nothing else.
-func OptimizeSwitchable(ctx context.Context, workers int, wires []metrics.Wire, occ *Occupancy, r *rng.RNG, passes int) (int, error) {
+// SwitchFlips is what a step-5 flip is: the n switchable wires with an
+// extent, the hull of flip i — it reads and writes channels Row and Row+1,
+// counts and peak caches, and nothing else — and flip, which moves wire i to
+// its opposite channel when that lowers the congestion cost and reports
+// whether it did. How a pass visits them is the caller's: OptimizeSwitchable
+// and the net-wise driver both execute this one body.
+func SwitchFlips(occ *Occupancy, wires []metrics.Wire) (n int, hull func(i int) workpool.Hull, flip func(i int) bool) {
 	switchable := make([]int, 0, len(wires))
 	for i := range wires {
 		if wires[i].Switchable && !wires[i].Span.Empty() {
 			switchable = append(switchable, i)
 		}
 	}
-	sw, err := workpool.NewSweep(ctx, workers, len(switchable), occ.Channels, func(i int) workpool.Hull {
+	hull = func(i int) workpool.Hull {
 		row := int32(wires[switchable[i]].Row)
 		return workpool.Hull{Lo: row, Hi: row + 1}
-	}, occ.reserve)
-	if err != nil {
-		return 0, err
 	}
-	return sweepFlips(ctx, sw, len(switchable), r, passes, func(pi int) bool {
-		w := &wires[switchable[pi]]
+	flip = func(i int) bool {
+		w := &wires[switchable[i]]
 		other := w.OtherChannel()
 		if occ.MoveCost(w.Channel, other, w.Span) >= 0 {
 			return false
@@ -346,5 +291,19 @@ func OptimizeSwitchable(ctx context.Context, workers int, wires []metrics.Wire, 
 		occ.Add(other, w.Span, 1)
 		w.Channel = other
 		return true
-	})
+	}
+	return len(switchable), hull, flip
+}
+
+// OptimizeSwitchable performs TWGR step 5: random sweeps over the
+// switchable wires, flipping each to the opposite channel whenever that
+// lowers the congestion cost. wires is mutated in place (Channel fields);
+// occ must already contain every wire (and any background). It returns the
+// number of flips taken.
+//
+// The visit order is part of the result, so each pass is an ordered band
+// sweep (workpool.Sweep) on up to workers goroutines over the flips' hulls.
+func OptimizeSwitchable(ctx context.Context, workers int, wires []metrics.Wire, occ *Occupancy, r *rng.RNG, passes int) (int, error) {
+	n, hull, flip := SwitchFlips(occ, wires)
+	return sweepFlips(ctx, workers, occ.Channels, occ.counts.Reserve, r, passes, n, hull, flip)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"parroute/internal/geom"
+	"parroute/internal/grid"
 	"parroute/internal/metrics"
 	"parroute/internal/rng"
 )
@@ -289,166 +290,164 @@ func TestOptimizeSwitchableNeverWorsensCost(t *testing.T) {
 	}
 }
 
-// TestOccupancyBandShardingDifferential checks the lazily allocated
-// row-band slabs against a naive flat-array reference: every band
-// granularity must produce byte-identical counts, peaks and costs over
-// randomized op sequences (adds, removals, transported channel counts,
-// full SetCounts), with spans deliberately straddling band boundaries.
+// TestOccupancyBandShardingDifferential checks the lazily created row-band
+// slabs against a naive flat-array reference: counts, peaks and costs must
+// be byte-identical over randomized op sequences (adds, removals,
+// transported channel counts, full SetCounts), with wires deliberately
+// moved across band boundaries. The granularity is grid.BandRows, the one
+// there is.
 func TestOccupancyBandShardingDifferential(t *testing.T) {
 	const channels, coreWidth, colWidth = 19, 480, 16
 	cols := coreWidth / colWidth
 
-	for _, band := range []int{1, 2, 4, 8, 16, 32, 64} {
-		band := band
-		t.Run(fmt.Sprintf("band=%d", band), func(t *testing.T) {
-			r := rng.New(uint64(1000 + band))
-			occ := NewOccupancyBands(channels, coreWidth, colWidth, band)
-			ref := make([]int32, channels*cols) // naive full-walk reference
+	t.Run(fmt.Sprintf("band=%d", grid.BandRows), func(t *testing.T) {
+		r := rng.New(1000 + grid.BandRows)
+		occ := NewOccupancy(channels, coreWidth, colWidth)
+		ref := make([]int32, channels*cols) // naive full-walk reference
 
-			refPeak := func(ch int) int64 {
-				var m int64
-				for col := 0; col < cols; col++ {
-					if v := int64(ref[ch*cols+col]); v > m {
-						m = v
-					}
+		refPeak := func(ch int) int64 {
+			var m int64
+			for col := 0; col < cols; col++ {
+				if v := int64(ref[ch*cols+col]); v > m {
+					m = v
 				}
-				return m
 			}
-			refAddCost := func(ch int, span geom.Interval) int64 {
-				if span.Empty() {
-					return 0
+			return m
+		}
+		refAddCost := func(ch int, span geom.Interval) int64 {
+			if span.Empty() {
+				return 0
+			}
+			lo, hi := occ.colOf(span.Lo), occ.colOf(span.Hi)
+			before := refPeak(ch)
+			var spanMax, squares int64
+			for col := lo; col <= hi; col++ {
+				v := int64(ref[ch*cols+col])
+				squares += 2*v + 1
+				if v > spanMax {
+					spanMax = v
 				}
-				lo, hi := occ.colOf(span.Lo), occ.colOf(span.Hi)
-				before := refPeak(ch)
-				var spanMax, squares int64
+			}
+			after := before
+			if spanMax+1 > after {
+				after = spanMax + 1
+			}
+			return (after-before)*maxWeight + squares
+		}
+
+		type placed struct {
+			ch   int
+			span geom.Interval
+		}
+		var wires []placed
+		for step := 0; step < 500; step++ {
+			switch {
+			case len(wires) > 0 && r.Intn(5) == 0:
+				i := r.Intn(len(wires))
+				occ.Add(wires[i].ch, wires[i].span, -1)
+				lo, hi := occ.colOf(wires[i].span.Lo), occ.colOf(wires[i].span.Hi)
 				for col := lo; col <= hi; col++ {
-					v := int64(ref[ch*cols+col])
-					squares += 2*v + 1
-					if v > spanMax {
-						spanMax = v
-					}
+					ref[wires[i].ch*cols+col]--
 				}
-				after := before
-				if spanMax+1 > after {
-					after = spanMax + 1
+				wires[i] = wires[len(wires)-1]
+				wires = wires[:len(wires)-1]
+			case r.Intn(20) == 0:
+				// Transported channel counts (the parallel boundary sync).
+				ch := r.Intn(channels)
+				counts := make([]int32, cols)
+				for i := range counts {
+					counts[i] = int32(r.Intn(3))
 				}
-				return (after-before)*maxWeight + squares
+				if err := occ.AddChannelCounts(ch, counts); err != nil {
+					t.Fatal(err)
+				}
+				for col, v := range counts {
+					ref[ch*cols+col] += v
+				}
+				// These counts are background, not removable wires; add
+				// the inverse later via another AddChannelCounts? No —
+				// leave them in, removals only target tracked wires.
+			case r.Intn(50) == 0:
+				// Full-table replacement through a fresh table round-trip.
+				if err := occ.SetCounts(append([]int32(nil), ref...)); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				w := placed{ch: r.Intn(channels),
+					span: geom.NewInterval(r.Intn(coreWidth), r.Intn(coreWidth))}
+				occ.Add(w.ch, w.span, 1)
+				lo, hi := occ.colOf(w.span.Lo), occ.colOf(w.span.Hi)
+				for col := lo; col <= hi; col++ {
+					ref[w.ch*cols+col]++
+				}
+				wires = append(wires, w)
 			}
 
-			type placed struct {
-				ch   int
-				span geom.Interval
-			}
-			var wires []placed
-			for step := 0; step < 500; step++ {
-				switch {
-				case len(wires) > 0 && r.Intn(5) == 0:
-					i := r.Intn(len(wires))
-					occ.Add(wires[i].ch, wires[i].span, -1)
-					lo, hi := occ.colOf(wires[i].span.Lo), occ.colOf(wires[i].span.Hi)
-					for col := lo; col <= hi; col++ {
-						ref[wires[i].ch*cols+col]--
-					}
-					wires[i] = wires[len(wires)-1]
-					wires = wires[:len(wires)-1]
-				case r.Intn(20) == 0:
-					// Transported channel counts (the parallel boundary sync).
-					ch := r.Intn(channels)
-					counts := make([]int32, cols)
-					for i := range counts {
-						counts[i] = int32(r.Intn(3))
-					}
-					if err := occ.AddChannelCounts(ch, counts); err != nil {
-						t.Fatal(err)
-					}
-					for col, v := range counts {
-						ref[ch*cols+col] += v
-					}
-					// These counts are background, not removable wires; add
-					// the inverse later via another AddChannelCounts? No —
-					// leave them in, removals only target tracked wires.
-				case r.Intn(50) == 0:
-					// Full-table replacement through a fresh table round-trip.
-					if err := occ.SetCounts(append([]int32(nil), ref...)); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					w := placed{ch: r.Intn(channels),
-						span: geom.NewInterval(r.Intn(coreWidth), r.Intn(coreWidth))}
-					occ.Add(w.ch, w.span, 1)
-					lo, hi := occ.colOf(w.span.Lo), occ.colOf(w.span.Hi)
-					for col := lo; col <= hi; col++ {
-						ref[w.ch*cols+col]++
-					}
-					wires = append(wires, w)
-				}
-
-				// Counts must round-trip byte-identically at every band size.
-				got := occ.Counts()
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Fatalf("step %d: counts[%d] = %d, reference %d", step, i, got[i], ref[i])
-					}
-				}
-				// Random point and cost probes.
-				ch, col := r.Intn(channels), r.Intn(cols)
-				if got, want := occ.At(ch, col), int(ref[ch*cols+col]); got != want {
-					t.Fatalf("step %d: At(%d,%d) = %d, reference %d", step, ch, col, got, want)
-				}
-				span := geom.NewInterval(r.Intn(coreWidth), r.Intn(coreWidth))
-				ch = r.Intn(channels)
-				if got, want := occ.AddCost(ch, span), refAddCost(ch, span); got != want {
-					t.Fatalf("step %d: AddCost(%d, %v) = %d, reference %d", step, ch, span, got, want)
-				}
-				if len(wires) > 0 {
-					w := wires[r.Intn(len(wires))]
-					to := (w.ch + 1 + r.Intn(channels-1)) % channels
-					lo, hi := occ.colOf(w.span.Lo), occ.colOf(w.span.Hi)
-					fromBefore, toBefore := refPeak(w.ch), refPeak(to)
-					var squares int64
-					for col := lo; col <= hi; col++ {
-						f, tv := int64(ref[w.ch*cols+col]), int64(ref[to*cols+col])
-						squares += 2*tv + 1 - (2*f - 1)
-					}
-					for col := lo; col <= hi; col++ {
-						ref[w.ch*cols+col]--
-						ref[to*cols+col]++
-					}
-					want := (refPeak(w.ch)+refPeak(to)-fromBefore-toBefore)*maxWeight + squares
-					for col := lo; col <= hi; col++ { // undo the probe
-						ref[w.ch*cols+col]++
-						ref[to*cols+col]--
-					}
-					if got := occ.MoveCost(w.ch, to, w.span); got != want {
-						t.Fatalf("step %d: MoveCost(%d->%d, %v) = %d, reference %d", step, w.ch, to, w.span, got, want)
-					}
+			// Counts must round-trip byte-identically at every band size.
+			got := occ.Counts()
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("step %d: counts[%d] = %d, reference %d", step, i, got[i], ref[i])
 				}
 			}
-		})
-	}
+			// Random point and cost probes.
+			ch, col := r.Intn(channels), r.Intn(cols)
+			if got, want := occ.At(ch, col), int(ref[ch*cols+col]); got != want {
+				t.Fatalf("step %d: At(%d,%d) = %d, reference %d", step, ch, col, got, want)
+			}
+			span := geom.NewInterval(r.Intn(coreWidth), r.Intn(coreWidth))
+			ch = r.Intn(channels)
+			if got, want := occ.AddCost(ch, span), refAddCost(ch, span); got != want {
+				t.Fatalf("step %d: AddCost(%d, %v) = %d, reference %d", step, ch, span, got, want)
+			}
+			if len(wires) > 0 {
+				w := wires[r.Intn(len(wires))]
+				to := (w.ch + 1 + r.Intn(channels-1)) % channels
+				lo, hi := occ.colOf(w.span.Lo), occ.colOf(w.span.Hi)
+				fromBefore, toBefore := refPeak(w.ch), refPeak(to)
+				var squares int64
+				for col := lo; col <= hi; col++ {
+					f, tv := int64(ref[w.ch*cols+col]), int64(ref[to*cols+col])
+					squares += 2*tv + 1 - (2*f - 1)
+				}
+				for col := lo; col <= hi; col++ {
+					ref[w.ch*cols+col]--
+					ref[to*cols+col]++
+				}
+				want := (refPeak(w.ch)+refPeak(to)-fromBefore-toBefore)*maxWeight + squares
+				for col := lo; col <= hi; col++ { // undo the probe
+					ref[w.ch*cols+col]++
+					ref[to*cols+col]--
+				}
+				if got := occ.MoveCost(w.ch, to, w.span); got != want {
+					t.Fatalf("step %d: MoveCost(%d->%d, %v) = %d, reference %d", step, w.ch, to, w.span, got, want)
+				}
+			}
+		}
+	})
 }
 
 // TestOccupancyBandsStayLazy pins the sharding's reason to exist: writes
 // confined to one row band must leave every other band unallocated.
 func TestOccupancyBandsStayLazy(t *testing.T) {
-	occ := NewOccupancyBands(64, 320, 16, 8)
+	occ := NewOccupancy(64, 320, 16)
 	occ.Add(3, geom.NewInterval(0, 100), 1) // band 0 only
-	allocated := 0
-	for _, slab := range occ.bands {
-		if slab != nil {
-			allocated++
+	untouched := func() bool {
+		for ch := grid.BandRows; ch < occ.Channels; ch++ {
+			if occ.counts.HasSlab(ch) {
+				return false
+			}
 		}
+		return true
 	}
-	if allocated != 1 {
-		t.Fatalf("one-band write allocated %d bands", allocated)
+	if !occ.counts.HasSlab(3) || !untouched() {
+		t.Fatal("a one-band write did not allocate exactly its band")
 	}
 	// Reads of untouched bands see zeros without allocating.
 	if occ.At(63, 0) != 0 || occ.AddCost(40, geom.NewInterval(0, 50)) == 0 {
 		t.Fatal("untouched-band reads wrong")
 	}
-	for i, slab := range occ.bands {
-		if i != 0 && slab != nil {
-			t.Fatal("a read allocated a band")
-		}
+	if !untouched() {
+		t.Fatal("a read allocated a band")
 	}
 }

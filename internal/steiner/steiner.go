@@ -62,11 +62,6 @@ func VerticalSpan(cLo, cHi int) (firstRow, lastRow int, ok bool) {
 	return cLo, cHi - 1, true
 }
 
-// HorizontalSpan returns the x interval of the horizontal run.
-func (s *Segment) HorizontalSpan() geom.Interval {
-	return geom.NewInterval(s.P.X, s.Q.X)
-}
-
 // Build computes the Steiner segments of every net in the circuit. Segments
 // are grouped per net: Build returns a slice indexed by net ID. Single-pin
 // and empty nets yield no segments.
@@ -252,13 +247,4 @@ func NewSegment(netID, pinA int, a geom.Point, pinB int, b geom.Point) Segment {
 		a, b = b, a
 	}
 	return Segment{Net: netID, PinP: pinA, PinQ: pinB, P: a, Q: b, BendX: a.X}
-}
-
-// CountSegments returns the total segment count across all nets.
-func CountSegments(segs [][]Segment) int {
-	n := 0
-	for _, s := range segs {
-		n += len(s)
-	}
-	return n
 }

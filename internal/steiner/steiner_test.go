@@ -207,8 +207,10 @@ func TestBuildAllNets(t *testing.T) {
 	if len(all) != len(c.Nets) {
 		t.Fatalf("Build returned %d nets", len(all))
 	}
-	total := CountSegments(all)
-	want := 0
+	total, want := 0, 0
+	for _, segs := range all {
+		total += len(segs)
+	}
 	for n := range c.Nets {
 		if d := len(c.Nets[n].Pins); d >= 2 {
 			want += d - 1

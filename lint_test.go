@@ -5,18 +5,25 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"parroute/internal/lint"
 )
+
+// loadModule type-checks the module once for both tests below.
+var loadModule = sync.OnceValues(func() (*lint.Module, error) { return lint.LoadModule(".") })
 
 // TestParroutecheckClean is the tier-1 lint gate: every package of the
 // module must pass the parroutecheck suite (the same rules `go run
 // ./cmd/parroutecheck ./...` enforces). A failure here means either a
 // real determinism/concurrency hazard or a missing //lint:allow
 // annotation; see DESIGN.md's "Static analysis" section for the policy.
+// scripts/check.sh skips it in its -race step: the parroutecheck step
+// before it has run the same suite, and most of either test's time is the
+// module load, which -race slows sixfold and makes no more telling.
 func TestParroutecheckClean(t *testing.T) {
-	mod, err := lint.LoadModule(".")
+	mod, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,10 +34,19 @@ func TestParroutecheckClean(t *testing.T) {
 	if len(diags) > 0 {
 		t.Logf("fix the findings or annotate deliberate exceptions with //lint:allow <rule> <reason>")
 	}
+}
 
-	// Calls the routing packages must not make outside _test.go files (the
-	// loader skips those), each with the files it is banned in — every
-	// non-test file when in is nil — and how many uses are exempt there.
+// TestForbiddenCalls holds the routing packages to the calls they must not
+// make outside _test.go files; parroutecheck has no rule for these.
+// scripts/check.sh runs it as a plain-build step of its own.
+func TestForbiddenCalls(t *testing.T) {
+	mod, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each call (the loader skips _test.go files) with the files it is banned
+	// in — every non-test file when in is nil — and how many uses are exempt
+	// there.
 	const insert = "(*parroute/internal/circuit.Circuit).InsertFeedthrough"
 	forbidden := []struct {
 		fn      string

@@ -27,6 +27,25 @@ step() {
 step "go build ./..." go build ./...
 step "go vet ./..." go vet ./...
 
+# Line budget: non-test, non-generated Go lines outside benchmark/ (the last
+# line of scripts/loc.sh) must not exceed the figure committed in
+# scripts/loc.budget, so a PR that grows the module says so in its diff —
+# by raising the budget — instead of in a missed criterion. A PR that
+# shrinks it lowers the budget to its own figure.
+line_budget() {
+  local table lines budget
+  table="$(scripts/loc.sh)" || return 1
+  lines="$(tail -n 1 <<<"$table" | awk '{print $1}')"
+  budget="$(cat scripts/loc.budget)" || return 1
+  echo "non-test lines outside benchmark/: $lines (budget $budget)"
+  if [ "$lines" -gt "$budget" ]; then
+    echo "$table"
+    echo "line budget exceeded by $((lines - budget)): delete as much as was added, or raise scripts/loc.budget in this diff and say why"
+    return 1
+  fi
+}
+step "line budget (scripts/loc.sh vs scripts/loc.budget)" line_budget
+
 # Protocol drift gate: the committed mpwire_gen.go codecs and the
 # mp_protocol.json manifest must match what mpgen would emit from the
 # current //mp:payload types (see DESIGN.md §11). A failure here means a
@@ -60,14 +79,23 @@ lint_gate() {
   fi
 }
 step "parroutecheck ./... (within budget)" lint_gate
+
+# The calls the routing packages must not make (root lint_test.go's table;
+# parroutecheck has no rule for them). Both root lint tests are static
+# analysis over a type-checked load of the module, which a -race build makes
+# 12 s of (of 14 for the whole suite) and makes no more telling: the table
+# runs here in a plain build, and the -race step below skips both.
+step "forbidden calls (plain build)" go test -count=1 -run 'TestForbiddenCalls' .
 # The service soak is excluded here and run as its own step below, so it
 # executes exactly once per gate with an explicit, tunable volume. This
 # step is also the cancellation tier (DESIGN.md §10, §15): the RunContext,
 # RunBackground, Cancel, SerialDeadline and ParallelTimeout tests of mp,
 # parallel, route and workpool — cancelling mid-stage unwinds every
 # algorithm on every engine with an error wrapping context.Canceled and no
-# leaked goroutine — run here, under this -race, once.
-step "go test -race ./..." go test -race -skip 'TestServiceSoak' ./...
+# leaked goroutine — run here, under this -race, once. The root package's
+# TestParroutecheckClean (the lint suite the parroutecheck step just ran)
+# and TestForbiddenCalls (the step above) are skipped too.
+step "go test -race ./..." go test -race -skip 'TestServiceSoak|TestParroutecheckClean|TestForbiddenCalls' ./...
 
 # Workers determinism on one P: the ordered band sweeps (coarse flips, wire
 # placement, switch flips; DESIGN.md §9) hand work across goroutines at the
