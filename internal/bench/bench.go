@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"text/tabwriter"
 
 	"parroute/internal/circuit"
@@ -509,11 +508,4 @@ func (s *Suite) MaxProcs() (int, error) {
 		}
 	}
 	return min, nil
-}
-
-// SortedProcs returns the configured proc counts, ascending.
-func (s *Suite) SortedProcs() []int {
-	out := append([]int(nil), s.cfg.Procs...)
-	sort.Ints(out)
-	return out
 }

@@ -152,10 +152,6 @@ func TestMaxProcsAndSortedProcs(t *testing.T) {
 	if mx != 28 { // primary2 has 28 rows
 		t.Fatalf("MaxProcs = %d", mx)
 	}
-	sp := s.SortedProcs()
-	if sp[0] != 1 || sp[1] != 4 || sp[2] != 8 {
-		t.Fatalf("SortedProcs = %v", sp)
-	}
 }
 
 func TestAblationPlatform(t *testing.T) {

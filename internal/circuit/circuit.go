@@ -13,6 +13,7 @@ package circuit
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"parroute/internal/geom"
@@ -315,8 +316,11 @@ func (c *Circuit) InsertFeedthroughRows(off, xs []int, forRows func(rows int, wa
 	if len(xs) == 0 {
 		return firstPin, nil
 	}
-	c.Cells = append(make([]Cell, 0, firstCell+len(xs)), c.Cells...)[:firstCell+len(xs)]
-	c.Pins = append(make([]Pin, 0, firstPin+len(xs)), c.Pins...)[:firstPin+len(xs)]
+	// Grown from length-capped slices: always into fresh arrays (a circuit
+	// value copied before this call keeps its own), and without first
+	// zeroing the pointer-free pins that the copy overwrites.
+	c.Cells = slices.Grow(c.Cells[:firstCell:firstCell], len(xs))[:firstCell+len(xs)]
+	c.Pins = slices.Grow(c.Pins[:firstPin:firstPin], len(xs))[:firstPin+len(xs)]
 	lists := make([]int, listOff[rows])
 	// Per request: the feedthrough's one-pin list, and the walk's two
 	// scratch slots.
@@ -476,26 +480,22 @@ func (c *Circuit) ComputeStats() Stats {
 }
 
 // Clone returns a deep copy of the circuit. Parallel workers clone the parts
-// of a circuit they own so they can insert feedthroughs independently.
+// of a circuit they own so they can insert feedthroughs independently. It
+// runs on the calling goroutine: the copies are bound by memory bandwidth and
+// page faults, and spreading them over a pool measured no faster (DESIGN §9).
 func (c *Circuit) Clone() *Circuit {
 	out := &Circuit{
 		Name:       c.Name,
 		CellHeight: c.CellHeight,
 		FeedWidth:  c.FeedWidth,
 		Rows:       make([]Row, len(c.Rows)),
-		Cells:      make([]Cell, len(c.Cells)),
-		Pins:       make([]Pin, len(c.Pins)),
+		Cells:      slices.Clone(c.Cells),
+		Pins:       slices.Clone(c.Pins), // pointer-free: copied into unzeroed memory
 		Nets:       make([]Net, len(c.Nets)),
 	}
-	copy(out.Cells, c.Cells)
-	copy(out.Pins, c.Pins)
-	if c.fakeByRow != nil {
-		out.fakeByRow = make([][]int, len(c.fakeByRow))
-		for row, ids := range c.fakeByRow {
-			if ids != nil {
-				out.fakeByRow[row] = append([]int(nil), ids...)
-			}
-		}
+	out.fakeByRow = slices.Clone(c.fakeByRow)
+	for row, ids := range out.fakeByRow {
+		out.fakeByRow[row] = slices.Clone(ids)
 	}
 	// Shared backing arrays keep the clone at a handful of allocations —
 	// the parallel workers clone per rank, so this is on their hot path.

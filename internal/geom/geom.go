@@ -13,11 +13,6 @@ type Point struct {
 	X, Y int
 }
 
-// Manhattan returns the rectilinear (L1) distance between p and q.
-func (p Point) Manhattan(q Point) int {
-	return Abs(p.X-q.X) + Abs(p.Y-q.Y)
-}
-
 func (p Point) String() string { return fmt.Sprintf("(%d,%d)", p.X, p.Y) }
 
 // Abs returns the absolute value of x.
@@ -101,11 +96,6 @@ func (iv Interval) Union(other Interval) Interval {
 		return iv
 	}
 	return Interval{Lo: Min(iv.Lo, other.Lo), Hi: Max(iv.Hi, other.Hi)}
-}
-
-// Intersect returns the overlap of iv and other (possibly empty).
-func (iv Interval) Intersect(other Interval) Interval {
-	return Interval{Lo: Max(iv.Lo, other.Lo), Hi: Min(iv.Hi, other.Hi)}
 }
 
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d]", iv.Lo, iv.Hi) }

@@ -285,13 +285,3 @@ func (r *Result) Speedup(baseline *Result) float64 {
 	}
 	return float64(baseline.Elapsed) / float64(r.Elapsed)
 }
-
-// PhaseTime returns the recorded wall time of a named phase (0 if absent).
-func (r *Result) PhaseTime(name string) time.Duration {
-	for _, p := range r.Phases {
-		if p.Name == name {
-			return p.Elapsed
-		}
-	}
-	return 0
-}

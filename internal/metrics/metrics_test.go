@@ -253,16 +253,6 @@ func TestResultFinalizeAndScaling(t *testing.T) {
 	}
 }
 
-func TestPhaseTime(t *testing.T) {
-	res := &Result{Phases: []Phase{{Name: "a", Elapsed: 5}, {Name: "b", Elapsed: 7}}}
-	if res.PhaseTime("b") != 7 {
-		t.Fatal("phase lookup failed")
-	}
-	if res.PhaseTime("zzz") != 0 {
-		t.Fatal("missing phase should be 0")
-	}
-}
-
 func TestResultJSONRoundTrip(t *testing.T) {
 	r := &Result{
 		Circuit: "x", Algo: "hybrid", Procs: 4,

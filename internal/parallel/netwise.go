@@ -106,7 +106,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			s.Count("segments", int64(len(segs)))
 			return nil
 		}),
-		stage("coarse", func(s *pipeline.Session) error {
+		pipeline.Func("coarse", func(ctx context.Context, s *pipeline.Session) error {
 			// Coarse routing against the replicated grid: the first sync, from
 			// an all-zero snapshot, turns this rank's runs into the sum.
 			g := grid.New(len(sub.Rows), base.CoreWidth(), ropt.GridColWidth)
@@ -118,8 +118,10 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			if err := syncGrid(); err != nil {
 				return fmt.Errorf("netwise: grid sync: %w", err)
 			}
-			n, _, flip := route.BendFlips(g, r.rt.Segs)
-			var err error
+			n, _, flip, err := route.BendFlips(ctx, ropt.Workers, g, r.rt.Segs)
+			if err != nil {
+				return fmt.Errorf("netwise: coarse: %w", err)
+			}
 			r.sum.CoarseFlips, err = r.syncedPasses(n, ropt.CoarsePasses, flip, syncGrid, func(flips int) (int, error) {
 				global, err := mp.AllreduceInt(comm, tagCoarseVote, flips, mp.SumInt)
 				if err != nil {
@@ -148,13 +150,8 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			if err != nil {
 				return err
 			}
-			// Refresh segment endpoints that sit in this rank's (now
-			// shifted) rows.
-			segs := r.rt.Segs
-			for i := range segs {
-				segs[i].XP = sub.Pins[segs[i].PinAtP].X
-				segs[i].XQ = sub.Pins[segs[i].PinAtQ].X
-			}
+			// Segment endpoints in this rank's rows have shifted.
+			route.RefreshSegs(sub, r.rt.Segs, ropt.Workers)
 			s.Count("inserted-fts", int64(r.sum.InsertedFts))
 			return nil
 		}),
@@ -178,7 +175,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 				}
 				for row := runs.VLo; row <= runs.VHi; row++ {
 					dest := partition.BlockOf(blocks, row)
-					cross[dest] = append(cross[dest], CrossingMsg{Net: segs[i].Seg.Net, X: runs.VCol, Row: row})
+					cross[dest] = append(cross[dest], CrossingMsg{Net: segs[i].Net, X: runs.VCol, Row: row})
 				}
 			}
 			in, err := mp.Alltoall(comm, tagCrossings, anys(cross))
@@ -214,16 +211,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 				crossings := byRow[row]
 				slices.SortFunc(crossings, compareCrossings)
 				fts := ftByRow[row]
-				slices.SortFunc(fts, func(a, b int) int {
-					if ax, bx := sub.Pins[a].X, sub.Pins[b].X; ax != bx {
-						return cmp.Compare(ax, bx)
-					}
-					// Same-x feedthrough pins are interchangeable for
-					// routing, but break the tie by pin ID so the binding
-					// permutation is deterministic rather than
-					// sort-internal.
-					return cmp.Compare(a, b)
-				})
+				route.SortFts(sub, fts)
 				for i, cr := range crossings {
 					var pinID int
 					if i < len(fts) {
@@ -263,9 +251,12 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			}
 			return nil
 		}),
-		stage("switch-opt", func(s *pipeline.Session) error {
-			n, _, flip := route.SwitchFlips(r.occ, r.wires)
-			var err error
+		pipeline.Func("switch-opt", func(ctx context.Context, s *pipeline.Session) error {
+			n, _, flip, err := route.SwitchFlips(ctx, ropt.Workers, r.occ, r.wires)
+			if err != nil {
+				return fmt.Errorf("netwise: switch-opt: %w", err)
+			}
+			r.sum.SwitchableWs = n
 			r.sum.SwitchFlips, err = r.syncedPasses(n, ropt.SwitchPasses, flip, syncOcc, func(flips int) (int, error) {
 				global, err := mp.AllreduceInt(comm, tagSwitchVote, flips, mp.SumInt)
 				if err != nil {

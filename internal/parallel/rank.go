@@ -170,7 +170,7 @@ func (r *rank) boundaryStitch() error {
 
 // switchOpt is the serial router's step 5 over r.wires against r.occ.
 func (r *rank) switchOpt(ctx context.Context, s *pipeline.Session) (err error) {
-	r.sum.SwitchFlips, err = route.OptimizeSwitchable(ctx, r.ropt.Workers, r.wires, r.occ, r.rt.Rand, r.ropt.SwitchPasses)
+	r.sum.SwitchFlips, r.sum.SwitchableWs, err = route.OptimizeSwitchable(ctx, r.ropt.Workers, r.wires, r.occ, r.rt.Rand, r.ropt.SwitchPasses)
 	s.Count("switch-flips", int64(r.sum.SwitchFlips))
 	return err
 }
@@ -182,11 +182,6 @@ func (r *rank) gather(*pipeline.Session) error {
 	sum.InsertedFts += r.rt.InsertedFts
 	sum.ForcedEdges += r.rt.ForcedEdges
 	sum.CoarseFlips += r.rt.CoarseFlips
-	for i := range r.wires {
-		if r.wires[i].Switchable && !r.wires[i].Span.Empty() {
-			sum.SwitchableWs++
-		}
-	}
 	sum.RowWidths = ownRowWidths(r.sub, r.block)
 	sum.Phases = r.rec.Phases()
 	if err := gatherResults(r.comm, r.wires, sum, r.out); err != nil {

@@ -253,7 +253,10 @@ func TestNetWiseFlipsAreSerialFlips(t *testing.T) {
 		for i := range segs {
 			route.ApplyRuns(g, segs[i].CurrentRuns(), 1)
 		}
-		n, _, flip := route.BendFlips(g, segs)
+		n, _, flip, err := route.BendFlips(ctx, 1, g, segs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		bends, err := r.syncedPasses(n, rt.Opt.CoarsePasses, flip, sync, own)
 		if err != nil {
 			t.Fatal(err)
@@ -284,12 +287,15 @@ func TestNetWiseFlipsAreSerialFlips(t *testing.T) {
 		occ := route.NewOccupancy(c.NumChannels(), rt.C.CoreWidth(), rt.Opt.GridColWidth)
 		occ.AddWires(wires)
 		refOcc := occ.Clone()
-		n, _, flip = route.SwitchFlips(occ, wires)
+		n, _, flip, err = route.SwitchFlips(ctx, 1, occ, wires)
+		if err != nil {
+			t.Fatal(err)
+		}
 		switches, err := r.syncedPasses(n, rt.Opt.SwitchPasses, flip, sync, own)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refSwitches, err := route.OptimizeSwitchable(ctx, 1, refWires, refOcc, rt.Rand, rt.Opt.SwitchPasses)
+		refSwitches, _, err := route.OptimizeSwitchable(ctx, 1, refWires, refOcc, rt.Rand, rt.Opt.SwitchPasses)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"parroute/internal/circuit"
 	"parroute/internal/gen"
@@ -59,6 +60,16 @@ func TestWorkersByteIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPlacedSegStaysSmall pins the size of the array every stage streams,
+// once per worker in the grid load: 72 bytes a segment (128 while it still
+// embedded its Steiner segment, of which only the net was ever read). A new
+// field is a cost to every pass, so it has to be put here on purpose.
+func TestPlacedSegStaysSmall(t *testing.T) {
+	if size := unsafe.Sizeof(route.PlacedSeg{}); size > 72 {
+		t.Fatalf("route.PlacedSeg is %d bytes, at most 72 expected", size)
 	}
 }
 

@@ -1,0 +1,126 @@
+package route
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"testing"
+
+	"parroute/internal/gen"
+)
+
+// refAssignArena is the head of step 3 as it was before it went on the pool:
+// one goroutine counts the crossings per row, prefix-sums, fills, and grows
+// every gaining net's pin list with a slices.Grow of its own. It is the
+// definition TestCrossingArenaMatchesSerialFill holds crossingArena to.
+func refAssignArena(rt *Router) (arena []crossing, rowOff []int) {
+	rowOff = make([]int, len(rt.C.Rows)+1)
+	for i := range rt.Segs {
+		if runs := rt.Segs[i].CurrentRuns(); runs.HasVert() {
+			for row := runs.VLo; row <= runs.VHi; row++ {
+				rowOff[row+1]++
+			}
+		}
+	}
+	for r := range rt.C.Rows {
+		rowOff[r+1] += rowOff[r]
+	}
+	arena = make([]crossing, rowOff[len(rt.C.Rows)])
+	cursor := slices.Clone(rowOff)
+	for i := range rt.Segs {
+		if runs := rt.Segs[i].CurrentRuns(); runs.HasVert() {
+			for row := runs.VLo; row <= runs.VHi; row++ {
+				arena[cursor[row]] = crossing{net: rt.Segs[i].Net, x: runs.VCol, seg: i}
+				cursor[row]++
+			}
+		}
+	}
+	netExtra := make([]int, len(rt.C.Nets))
+	for i := range arena {
+		netExtra[arena[i].net]++
+	}
+	for n, extra := range netExtra {
+		if extra > 0 {
+			rt.C.Nets[n].Pins = slices.Grow(rt.C.Nets[n].Pins, extra)
+		}
+	}
+	return arena, rowOff
+}
+
+// TestCrossingArenaMatchesSerialFill routes six circuits up to feedthrough
+// insertion and builds the step-3 arena at one, two, three and eight chunks
+// and at more chunks than there are segments: the arena, the row offsets and
+// every net's pin list equal the serial form's on a copy of the same state;
+// every list has room for exactly the pins its net is about to gain; and
+// filling every list to its capacity overwrites no other list.
+func TestCrossingArenaMatchesSerialFill(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range bandCircuits(t) {
+		rt := NewRouter(c.Clone(), Options{Seed: 5, Workers: 2})
+		if err := errors.Join(rt.BuildTrees(ctx), rt.CoarseRoute(ctx), rt.InsertFeedthroughs()); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3, 8, len(rt.Segs) + 5} {
+			name := fmt.Sprintf("%s workers=%d", c.Name, workers)
+			ref, got := *rt, *rt
+			ref.C, got.C = rt.C.Clone(), rt.C.Clone()
+			got.Opt.Workers = workers
+			refArena, refOff := refAssignArena(&ref)
+			arena, rowOff, err := got.crossingArena(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(arena) == 0 || !slices.Equal(arena, refArena) || !slices.Equal(rowOff, refOff) {
+				t.Fatalf("%s: arena of %d crossings differs from the serial fill's %d", name, len(arena), len(refArena))
+			}
+			gain := make([]int, len(got.C.Nets))
+			for _, cr := range arena {
+				gain[cr.net]++
+			}
+			for n := range got.C.Nets {
+				pins := got.C.Nets[n].Pins
+				if !slices.Equal(pins, ref.C.Nets[n].Pins) {
+					t.Fatalf("%s: net %d lists other pins than the serial form", name, n)
+				}
+				if gain[n] > 0 && cap(pins)-len(pins) != gain[n] {
+					t.Fatalf("%s: net %d gains %d pins, its list has room for %d", name, n, gain[n], cap(pins)-len(pins))
+				}
+				for k := 0; k < gain[n]; k++ {
+					got.C.Nets[n].Pins = append(got.C.Nets[n].Pins, -1-n)
+				}
+			}
+			for n := range got.C.Nets {
+				pins, old := got.C.Nets[n].Pins, ref.C.Nets[n].Pins
+				if !slices.Equal(pins[:len(old)], old) || slices.IndexFunc(pins[len(old):], func(p int) bool { return p != -1-n }) >= 0 {
+					t.Fatalf("%s: filling the lists to capacity overwrote net %d's", name, n)
+				}
+			}
+		}
+	}
+}
+
+// TestSwitchableCensusIsNotATally: the step methods are exported and may be
+// driven more than once on one router; the switchable-wire count of the
+// result is then still the number of switchable wires, not a running sum.
+func TestSwitchableCensusIsNotATally(t *testing.T) {
+	ctx := context.Background()
+	rt := NewRouter(gen.Small(9), Options{Seed: 9, Workers: 2})
+	if err := errors.Join(rt.BuildTrees(ctx), rt.CoarseRoute(ctx), rt.InsertFeedthroughs(),
+		rt.AssignFeedthroughs(ctx), rt.ConnectNets(ctx), rt.OptimizeSwitchable(ctx)); err != nil {
+		t.Fatal(err)
+	}
+	once := rt.Result("twgr-serial", 1, 0).SwitchableWires
+	if err := rt.OptimizeSwitchable(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, w := range rt.Wires {
+		if w.Switchable && !w.Span.Empty() {
+			want++
+		}
+	}
+	if twice := rt.Result("twgr-serial", 1, 0).SwitchableWires; once != want || twice != want || want == 0 {
+		t.Fatalf("%d switchable wires: the result says %d after one step 5 and %d after two", want, once, twice)
+	}
+}

@@ -19,6 +19,14 @@ import (
 // band sweeps: plain loops in visit order on one goroutine. They are the
 // definition TestBandSweepsMatchSerialForms holds the banded forms to.
 
+// flipCand is the per-candidate geometry cache step 2 used to carry: the
+// full horizontal span and the grid columns of the two endpoints.
+type flipCand struct {
+	seg        int
+	span       geom.Interval
+	colP, colQ int
+}
+
 func refImproveBends(g *grid.Grid, segs []PlacedSeg, r *rng.RNG, passes int) int {
 	var cands []flipCand
 	for i := range segs {

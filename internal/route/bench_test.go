@@ -86,7 +86,7 @@ func BenchmarkSwitchOpt(b *testing.B) {
 		cp := append(rt.Wires[:0:0], rt.Wires...)
 		occ := NewOccupancy(rt.C.NumChannels(), rt.C.CoreWidth(), 16)
 		occ.AddWires(cp)
-		if _, err := OptimizeSwitchable(ctx, 1, cp, occ, rng.New(uint64(i)), 3); err != nil {
+		if _, _, err := OptimizeSwitchable(ctx, 1, cp, occ, rng.New(uint64(i)), 3); err != nil {
 			b.Fatal(err)
 		}
 	}

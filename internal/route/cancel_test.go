@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -139,7 +140,7 @@ func TestPooledStagesCancelMidRoute(t *testing.T) {
 					o := NewOccupancy(occ.Channels, rt.C.CoreWidth(), rt.Opt.GridColWidth)
 					o.AddWires(wires)
 					r := rndSwitch
-					flips, err := OptimizeSwitchable(ctx, workers, wires, o, &r, rt.Opt.SwitchPasses)
+					flips, _, err := OptimizeSwitchable(ctx, workers, wires, o, &r, rt.Opt.SwitchPasses)
 					return int64(flips), int64(rt.SwitchFlips), err
 				}},
 			}
@@ -179,6 +180,98 @@ func TestPooledStagesCancelMidRoute(t *testing.T) {
 				}
 				if err := settle(before); err != nil {
 					t.Errorf("%s workers=%d: %v", sw.name, workers, err)
+				}
+			}
+		}
+	})
+
+	// The whole-array passes that run on the pool ahead of a sort or a sweep
+	// — step 3's crossing arena, the step-2 and step-5 candidate lists — cut
+	// at every look they take at ctx, on their own and through their stage:
+	// each cut comes back as context.Canceled (under the stage's prefix) with
+	// every goroutine gone, at least one of them past the first look, inside
+	// the build; the first cut a build outlives leaves the full list.
+	t.Run("lists", func(t *testing.T) {
+		p2, err := gen.Benchmark("primary2", 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bg := context.Background()
+		for _, workers := range []int{1, 2, 8} {
+			// fresh is a router over its own copy of the circuit, in the state
+			// the first upTo steps leave.
+			fresh := func(upTo int) *Router {
+				rt := NewRouter(p2.Clone(), Options{Seed: 7, Workers: workers})
+				steps := []func() error{
+					func() error { return rt.BuildTrees(bg) },
+					func() error { return rt.CoarseRoute(bg) },
+					rt.InsertFeedthroughs,
+					func() error { return rt.AssignFeedthroughs(bg) },
+					func() error { return rt.ConnectNets(bg) },
+				}
+				for _, step := range steps[:upTo] {
+					if err := step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return rt
+			}
+			trees, inserted, connected := fresh(1), fresh(3), fresh(5)
+			for _, build := range []struct {
+				name, prefix string
+				run          func(ctx context.Context) (listed int, err error)
+			}{
+				{"arena", "", func(ctx context.Context) (int, error) {
+					arena, _, err := inserted.crossingArena(ctx)
+					return len(arena), err
+				}},
+				{"bend list", "", func(ctx context.Context) (int, error) {
+					n, _, _, err := BendFlips(ctx, workers, inserted.Grid, inserted.Segs)
+					return n, err
+				}},
+				{"switch list", "", func(ctx context.Context) (int, error) {
+					n, _, _, err := SwitchFlips(ctx, workers, connected.occ, connected.Wires)
+					return n, err
+				}},
+				{"coarse", "route: coarse: ", func(ctx context.Context) (int, error) {
+					r := NewRouter(trees.C, trees.Opt)
+					r.Segs = slices.Clone(trees.Segs)
+					return 1, r.CoarseRoute(ctx)
+				}},
+				{"ft-assign", "route: ft-assign: ", func(ctx context.Context) (int, error) {
+					return 1, fresh(3).AssignFeedthroughs(ctx)
+				}},
+				{"switch-opt", "route: switch-opt: ", func(ctx context.Context) (int, error) {
+					r := NewRouter(connected.C, connected.Opt)
+					r.Wires = slices.Clone(connected.Wires)
+					return 1, r.OptimizeSwitchable(ctx)
+				}},
+			} {
+				all, err := build.run(bg)
+				if err != nil || all == 0 {
+					t.Fatalf("%s workers=%d undisturbed: %d listed, err = %v", build.name, workers, all, err)
+				}
+				before, cancelled := runtime.NumGoroutine(), 0
+				for cut := int64(0); ; cut++ { // the first cut looks pass
+					ctx := &countdownCtx{Context: bg}
+					ctx.left.Store(cut)
+					n, err := build.run(ctx)
+					if err == nil {
+						if n != all {
+							t.Fatalf("%s workers=%d cut=%d: no error, but %d of %d listed", build.name, workers, cut, n, all)
+						}
+						break
+					}
+					if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), build.prefix) {
+						t.Fatalf("%s workers=%d cut=%d: err = %v, want %scontext canceled", build.name, workers, cut, err, build.prefix)
+					}
+					cancelled++
+				}
+				if cancelled < 2 {
+					t.Errorf("%s workers=%d: no cancellation landed inside the build", build.name, workers)
+				}
+				if err := settle(before); err != nil {
+					t.Errorf("%s workers=%d: %v", build.name, workers, err)
 				}
 			}
 		}

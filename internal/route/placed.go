@@ -10,14 +10,16 @@ import (
 // PlacedSeg is a Steiner segment with its channel access resolved: CP and
 // CQ are the channels through which the two endpoints enter the routing
 // fabric. A segment with CP != CQ has a vertical run and therefore a bend
-// choice — the single degree of freedom coarse routing optimizes.
+// choice — the single degree of freedom coarse routing optimizes. Of the
+// Steiner segment itself only the net survives placement: every stage
+// streams the segment array, so it carries nothing no stage reads.
 type PlacedSeg struct {
-	Seg steiner.Segment
+	Net int
 	// CP and CQ are the access channels of the P and Q endpoints. They
-	// satisfy CP <= CQ after normalization in place().
+	// satisfy CP <= CQ after normalization in Place.
 	CP, CQ int
 	// XP and XQ are the endpoint x positions matching CP and CQ (the
-	// endpoints may have been swapped relative to Seg.P/Seg.Q when
+	// endpoints may have been swapped relative to the Steiner segment's when
 	// normalizing channel order for flat segments). PinAtP and PinAtQ are
 	// the pin IDs backing XP and XQ, used to refresh positions after
 	// feedthrough insertion shifts cells.
@@ -79,11 +81,6 @@ func (ps *PlacedSeg) RunsFor(bendAtP bool) Runs {
 // CurrentRuns returns the geometry under the segment's current bend.
 func (ps *PlacedSeg) CurrentRuns() Runs { return ps.RunsFor(ps.BendAtP) }
 
-// Place resolves a Steiner segment's channel access for callers outside
-// the package (the parallel algorithms place segments when computing
-// boundary crossings and when running distributed coarse routing).
-func Place(c *circuit.Circuit, seg steiner.Segment) PlacedSeg { return place(c, seg) }
-
 // ApplyRuns applies a segment geometry to the grid with the given sign.
 func ApplyRuns(g *grid.Grid, r Runs, delta int32) { addRuns(g, r, delta, 0, g.Channels) }
 
@@ -115,16 +112,16 @@ func runsCost(g *grid.Grid, r Runs, ftBase int64) int64 {
 	return cost
 }
 
-// place resolves a Steiner segment's channel access. For cross-row
+// Place resolves a Steiner segment's channel access. For cross-row
 // segments each endpoint enters through the channel facing the other
 // endpoint when it has a choice (an equivalent pin, side Both, always
 // saves one row crossing that way). Flat segments resolve to a shared
 // channel when one exists; a Bottom/Top flat pair needs a one-row vertical
 // run. Flat segments between two side-Both endpoints are switchable.
-func place(c *circuit.Circuit, seg steiner.Segment) PlacedSeg {
+func Place(c *circuit.Circuit, seg steiner.Segment) PlacedSeg {
 	sp := c.Pins[seg.PinP].Side
 	sq := c.Pins[seg.PinQ].Side
-	ps := PlacedSeg{Seg: seg, BendAtP: seg.BendX == seg.P.X, SwitchRow: -1}
+	ps := PlacedSeg{Net: seg.Net, BendAtP: seg.BendX == seg.P.X, SwitchRow: -1}
 
 	if seg.Flat() {
 		r := seg.P.Y

@@ -27,7 +27,7 @@ func pinCircuit(t *testing.T, rows int) (*circuit.Circuit, func(x, row int, side
 // seg builds a placed segment between two existing pins.
 func placedBetween(c *circuit.Circuit, netID, pinA, pinB int) PlacedSeg {
 	s := steiner.NewSegment(netID, pinA, c.Pins[pinA].Point(), pinB, c.Pins[pinB].Point())
-	return place(c, s)
+	return Place(c, s)
 }
 
 func TestPlaceCrossRowAccessChannels(t *testing.T) {

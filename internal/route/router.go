@@ -164,7 +164,7 @@ func (rt *Router) BuildTrees(ctx context.Context) error {
 						n, len(b.segBuf), len(out))
 				}
 				for i := range b.segBuf {
-					out[i] = place(rt.C, b.segBuf[i])
+					out[i] = Place(rt.C, b.segBuf[i])
 				}
 			}
 			return nil
@@ -212,9 +212,12 @@ func (rt *Router) CoarseRoute(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("route: coarse: %w", err)
 	}
-	n, hull, flip := BendFlips(g, rt.Segs)
-	flips, err := sweepFlips(ctx, rt.Opt.Workers, g.Channels, g.Reserve, rt.Rand, rt.Opt.CoarsePasses, n, hull, flip)
-	rt.CoarseFlips += flips
+	n, hull, flip, err := BendFlips(ctx, rt.Opt.Workers, g, rt.Segs)
+	if err == nil {
+		var flips int
+		flips, err = sweepFlips(ctx, rt.Opt.Workers, g.Channels, g.Reserve, rt.Rand, rt.Opt.CoarsePasses, n, hull, flip)
+		rt.CoarseFlips += flips
+	}
 	if err != nil {
 		return fmt.Errorf("route: coarse: %w", err)
 	}
@@ -260,20 +263,15 @@ func sweepFlips(ctx context.Context, workers, rows int, reserve func(lo, hi int)
 	return done, nil
 }
 
-// flipCand caches the static geometry of one flippable segment so a flip
-// touches no segment geometry beyond the bend bit: the full horizontal span
-// and the grid columns of the two endpoints.
-type flipCand struct {
-	seg        int
-	span       geom.Interval
-	colP, colQ int
-}
-
 // BendFlips is what a step-2 flip is: the n segments of segs with a bend
 // choice, the hull of flip i, and flip, which turns candidate i's L when that
 // lowers congestion + feedthrough cost and reports whether it did. g must
 // already contain all segments. How a pass visits them is the caller's:
-// CoarseRoute and the net-wise driver both execute this one body.
+// CoarseRoute and the net-wise driver both execute this one body. Listing the
+// candidates is a pass over every segment and runs on up to workers
+// goroutines (workpool.Collect); the only error is ctx's. A flip reads its
+// span and columns off the segment: a per-candidate copy of them measured no
+// faster and was one more array to build and to miss in.
 //
 // Flip deltas are evaluated incrementally: with the bend at one endpoint
 // the horizontal span always lies whole in the far endpoint's channel
@@ -286,43 +284,34 @@ type flipCand struct {
 // A flip reads and writes density channels CP and CQ and feedthrough rows
 // CP..CQ-1 and nothing else, which makes [CP, CQ] its hull: flips in
 // different row bands can run side by side with the serial outcome.
-func BendFlips(g *grid.Grid, segs []PlacedSeg) (n int, hull func(i int) workpool.Hull, flip func(i int) bool) {
-	cands := make([]flipCand, 0, len(segs))
-	for i := range segs {
-		ps := &segs[i]
-		if ps.HasBend() && ps.XP != ps.XQ {
-			cands = append(cands, flipCand{
-				seg:  i,
-				span: geom.NewInterval(ps.XP, ps.XQ),
-				colP: g.ColOf(ps.XP),
-				colQ: g.ColOf(ps.XQ),
-			})
-		}
-	}
+func BendFlips(ctx context.Context, workers int, g *grid.Grid, segs []PlacedSeg) (n int, hull func(i int) workpool.Hull, flip func(i int) bool, err error) {
+	bent, err := workpool.Collect(ctx, workers, len(segs), func(i int) bool {
+		return segs[i].HasBend() && segs[i].XP != segs[i].XQ
+	})
 	hull = func(i int) workpool.Hull {
-		ps := &segs[cands[i].seg]
+		ps := &segs[bent[i]]
 		return workpool.Hull{Lo: int32(ps.CP), Hi: int32(ps.CQ)}
 	}
 	flip = func(i int) bool {
-		fc := &cands[i]
-		ps := &segs[fc.seg]
+		ps := &segs[bent[i]]
+		span := geom.NewInterval(ps.XP, ps.XQ)
 		chFrom, chTo := ps.CP, ps.CQ
-		fromCol, toCol := fc.colQ, fc.colP
+		fromCol, toCol := g.ColOf(ps.XQ), g.ColOf(ps.XP)
 		if ps.BendAtP {
 			chFrom, chTo = ps.CQ, ps.CP
-			fromCol, toCol = fc.colP, fc.colQ
+			fromCol, toCol = toCol, fromCol
 		}
-		delta := g.SpanCost(chFrom, chTo, fc.span) +
+		delta := g.SpanCost(chFrom, chTo, span) +
 			g.VertMoveCost(ps.CP, ps.CQ-1, fromCol, toCol)
 		if delta >= 0 {
 			return false
 		}
-		g.MoveWire(chFrom, chTo, fc.span)
+		g.MoveWire(chFrom, chTo, span)
 		g.MoveVert(ps.CP, ps.CQ-1, fromCol, toCol)
 		ps.BendAtP = !ps.BendAtP
 		return true
 	}
-	return len(cands), hull, flip
+	return len(bent), hull, flip, err
 }
 
 // InsertFeedthroughs is the tail of step 2: realize the grid's feedthrough
@@ -335,7 +324,9 @@ func (rt *Router) InsertFeedthroughs() error {
 	}
 	rt.FtPinsByRow = fts
 	rt.InsertedFts += inserted
-	rt.refreshSegs()
+	if inserted > 0 { // otherwise no cell moved
+		RefreshSegs(rt.C, rt.Segs, rt.Opt.Workers)
+	}
 	return nil
 }
 
@@ -387,14 +378,18 @@ func InsertGridFeedthroughs(c *circuit.Circuit, g *grid.Grid, lo, hi, workers in
 	return ftByRow, inserted, nil
 }
 
-// refreshSegs re-reads endpoint positions from the circuit after cell
-// shifts. Fake pins have no cell and never move.
-func (rt *Router) refreshSegs() {
-	for i := range rt.Segs {
-		ps := &rt.Segs[i]
-		ps.XP = rt.C.Pins[ps.PinAtP].X
-		ps.XQ = rt.C.Pins[ps.PinAtQ].X
-	}
+// RefreshSegs re-reads the segments' endpoint positions from c after an
+// insertion shifted cells, on up to workers goroutines. It belongs to the
+// insertion it follows and is as little cancellable (see
+// InsertGridFeedthroughs): the body cannot fail and the background context
+// never ends.
+func RefreshSegs(c *circuit.Circuit, segs []PlacedSeg, workers int) {
+	_ = workpool.DoChunks(context.Background(), workers, len(segs), workpool.Grain(len(segs), workers), func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			segs[i].XP, segs[i].XQ = c.Pins[segs[i].PinAtP].X, c.Pins[segs[i].PinAtQ].X
+		}
+		return nil
+	})
 }
 
 // crossing is one (segment, row) feedthrough need during assignment.
@@ -409,51 +404,17 @@ type crossing struct {
 // order-preserving matching minimizes total displacement). Binding a pin
 // attaches it to the segment's net, which makes it a step-4 node.
 //
-// The crossings live in one CSR arena (count pass, prefix sum, fill pass
-// — no per-row append chains), and the per-row sorts fan out over
-// Opt.Workers: each row's slices are disjoint, every comparator carries a
-// full tiebreak, and the binding itself replays serially in row order, so
-// the pin permutation is byte-identical at every worker count.
+// The crossings live in one CSR arena (crossingArena), and the per-row
+// sorts fan out over Opt.Workers: each row's slices are disjoint, every
+// comparator carries a full tiebreak, and the binding itself replays
+// serially in row order, so the pin permutation is byte-identical at every
+// worker count.
 func (rt *Router) AssignFeedthroughs(ctx context.Context) error {
-	rowCnt := make([]int, len(rt.C.Rows)+1)
-	for i := range rt.Segs {
-		runs := rt.Segs[i].CurrentRuns()
-		if !runs.HasVert() {
-			continue
-		}
-		for row := runs.VLo; row <= runs.VHi; row++ {
-			rowCnt[row+1]++
-		}
+	arena, rowOff, err := rt.crossingArena(ctx)
+	if err != nil {
+		return fmt.Errorf("route: ft-assign: %w", err)
 	}
-	for r := 0; r < len(rt.C.Rows); r++ {
-		rowCnt[r+1] += rowCnt[r]
-	}
-	rowOff := rowCnt // rowOff[r]..rowOff[r+1] is row r's arena range
-	arena := make([]crossing, rowOff[len(rt.C.Rows)])
-	cursor := make([]int, len(rt.C.Rows))
-	copy(cursor, rowOff[:len(rt.C.Rows)])
-	for i := range rt.Segs {
-		runs := rt.Segs[i].CurrentRuns()
-		if !runs.HasVert() {
-			continue
-		}
-		for row := runs.VLo; row <= runs.VHi; row++ {
-			arena[cursor[row]] = crossing{net: rt.Segs[i].Seg.Net, x: runs.VCol, seg: i}
-			cursor[row]++
-		}
-	}
-	// Every crossing binds one feedthrough pin to its net; growing the
-	// nets' pin lists up front keeps the binding loop append-free.
-	netExtra := make([]int32, len(rt.C.Nets))
-	for i := range arena {
-		netExtra[arena[i].net]++
-	}
-	for n, extra := range netExtra {
-		if extra > 0 {
-			rt.C.Nets[n].Pins = slices.Grow(rt.C.Nets[n].Pins, int(extra))
-		}
-	}
-	err := workpool.DoChunks(ctx, rt.Opt.Workers, len(rt.C.Rows), 1, func(_, lo, hi int) error {
+	err = workpool.DoChunks(ctx, rt.Opt.Workers, len(rt.C.Rows), 1, func(_, lo, hi int) error {
 		for row := lo; row < hi; row++ {
 			crossings := arena[rowOff[row]:rowOff[row+1]]
 			slices.SortFunc(crossings, func(a, b crossing) int {
@@ -468,7 +429,7 @@ func (rt *Router) AssignFeedthroughs(ctx context.Context) error {
 				// independent of sort internals.
 				return cmp.Compare(a.seg, b.seg)
 			})
-			rt.sortRowFts(rt.FtPinsByRow[row])
+			SortFts(rt.C, rt.FtPinsByRow[row])
 		}
 		return nil
 	})
@@ -497,26 +458,92 @@ func (rt *Router) AssignFeedthroughs(ctx context.Context) error {
 		rt.FtPinsByRow[row] = nil
 	}
 	if rt.ExtraFts > 0 {
-		rt.refreshSegs()
+		RefreshSegs(rt.C, rt.Segs, rt.Opt.Workers)
 	}
 	return nil
 }
 
-// sortRowFts orders one row's unbound feedthrough pins by (x, pin ID).
+// crossingArena lists every (segment, row) crossing, row r's at
+// arena[rowOff[r]:rowOff[r+1]] in segment order, and makes room in the nets'
+// pin lists for the feedthrough pins the crossings will bind.
+//
+// The segments are cut into one contiguous chunk per worker: the chunks
+// count their crossings per row side by side, a prefix sum over (row, chunk)
+// turns every count into the chunk's cursor in that row, and the same loop
+// then fills. Chunks are ascending segment ranges, so row by row the arena
+// is what one serial fill leaves, at every worker count.
+func (rt *Router) crossingArena(ctx context.Context) (arena []crossing, rowOff []int, err error) {
+	segs, nets, rows := rt.Segs, rt.C.Nets, len(rt.C.Rows)
+	per := geom.Max(1, (len(segs)+rt.Opt.Workers-1)/rt.Opt.Workers)
+	chunks := (len(segs) + per - 1) / per
+	cur := make([]int, chunks*rows) // chunk c's row r: count, then cursor
+	pass := func(_, lo, hi int) error {
+		cur := cur[lo/per*rows:][:rows]
+		for i := lo; i < hi; i++ {
+			runs := segs[i].CurrentRuns()
+			for row := runs.VLo; runs.HasVert() && row <= runs.VHi; row++ {
+				if arena != nil {
+					arena[cur[row]] = crossing{net: segs[i].Net, x: runs.VCol, seg: i}
+				}
+				cur[row]++
+			}
+		}
+		return nil
+	}
+	if err := workpool.DoChunks(ctx, rt.Opt.Workers, len(segs), per, pass); err != nil {
+		return nil, nil, err
+	}
+	rowOff = make([]int, rows+1)
+	for r := 0; r < rows; r++ {
+		rowOff[r+1] = rowOff[r]
+		for c := 0; c < chunks; c++ {
+			k := &cur[c*rows+r]
+			*k, rowOff[r+1] = rowOff[r+1], rowOff[r+1]+*k
+		}
+	}
+	arena = make([]crossing, rowOff[rows]) // not nil, even when empty: the second pass fills
+	if err := workpool.DoChunks(ctx, rt.Opt.Workers, len(segs), per, pass); err != nil {
+		return nil, nil, err
+	}
+	// Every crossing binds one feedthrough pin to its net. The lists of the
+	// nets that gain pins move into one backing array, each with room for
+	// exactly its gain and capped there: the binding loop appends in place,
+	// and any later append copies out instead of running into the next list.
+	gain := make([]int32, len(nets))
+	total := 0
+	for i := range arena {
+		n := arena[i].net
+		if gain[n] == 0 {
+			total += len(nets[n].Pins)
+		}
+		gain[n]++
+	}
+	backing := make([]int, 0, total+len(arena))
+	for n, extra := range gain {
+		if extra > 0 {
+			lo, hi := len(backing), len(backing)+len(nets[n].Pins)
+			backing = append(backing, nets[n].Pins...)[:hi+int(extra)]
+			nets[n].Pins = backing[lo : hi : hi+int(extra)]
+		}
+	}
+	return arena, rowOff, nil
+}
+
+// SortFts orders one row's unbound feedthrough pins of c by (x, pin ID).
 // When both values fit the packed bit budget — always, for realistic
 // circuits — the sort runs comparator-free over packed int64 keys; the
 // comparator fallback preserves the identical order otherwise.
-func (rt *Router) sortRowFts(fts []int) {
+func SortFts(c *circuit.Circuit, fts []int) {
 	pack := true
 	for _, pid := range fts {
-		if x := rt.C.Pins[pid].X; x < 0 || x >= 1<<packXBits || pid >= 1<<(62-packXBits) {
+		if x := c.Pins[pid].X; x < 0 || x >= 1<<packXBits || pid >= 1<<(62-packXBits) {
 			pack = false
 			break
 		}
 	}
 	if pack {
 		for i, pid := range fts {
-			fts[i] = rt.C.Pins[pid].X<<(62-packXBits) | pid
+			fts[i] = c.Pins[pid].X<<(62-packXBits) | pid
 		}
 		slices.Sort(fts)
 		for i, k := range fts {
@@ -525,7 +552,7 @@ func (rt *Router) sortRowFts(fts []int) {
 		return
 	}
 	slices.SortFunc(fts, func(a, b int) int {
-		if ax, bx := rt.C.Pins[a].X, rt.C.Pins[b].X; ax != bx {
+		if ax, bx := c.Pins[a].X, c.Pins[b].X; ax != bx {
 			return cmp.Compare(ax, bx)
 		}
 		// Same-x feedthrough pins are interchangeable for routing,
@@ -615,13 +642,9 @@ func (rt *Router) OptimizeSwitchable(ctx context.Context) error {
 		occ = NewOccupancy(rt.C.NumChannels(), rt.C.CoreWidth(), rt.Opt.GridColWidth)
 		occ.AddWires(rt.Wires)
 	}
-	for i := range rt.Wires {
-		if rt.Wires[i].Switchable && !rt.Wires[i].Span.Empty() {
-			rt.switchableWs++
-		}
-	}
-	flips, err := OptimizeSwitchable(ctx, rt.Opt.Workers, rt.Wires, occ, rt.Rand, rt.Opt.SwitchPasses)
-	rt.SwitchFlips += flips
+	// The switchable count is a census, not a tally: step 5 may be driven again.
+	flips, n, err := OptimizeSwitchable(ctx, rt.Opt.Workers, rt.Wires, occ, rt.Rand, rt.Opt.SwitchPasses)
+	rt.SwitchFlips, rt.switchableWs = rt.SwitchFlips+flips, n
 	if err != nil {
 		return fmt.Errorf("route: switch-opt: %w", err)
 	}

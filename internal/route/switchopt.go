@@ -269,14 +269,13 @@ func (o *Occupancy) MoveCost(from, to int, span geom.Interval) int64 {
 // counts and peak caches, and nothing else — and flip, which moves wire i to
 // its opposite channel when that lowers the congestion cost and reports
 // whether it did. How a pass visits them is the caller's: OptimizeSwitchable
-// and the net-wise driver both execute this one body.
-func SwitchFlips(occ *Occupancy, wires []metrics.Wire) (n int, hull func(i int) workpool.Hull, flip func(i int) bool) {
-	switchable := make([]int, 0, len(wires))
-	for i := range wires {
-		if wires[i].Switchable && !wires[i].Span.Empty() {
-			switchable = append(switchable, i)
-		}
-	}
+// and the net-wise driver both execute this one body. Listing the wires is a
+// pass over all of them and runs on up to workers goroutines
+// (workpool.Collect); the only error is ctx's.
+func SwitchFlips(ctx context.Context, workers int, occ *Occupancy, wires []metrics.Wire) (n int, hull func(i int) workpool.Hull, flip func(i int) bool, err error) {
+	switchable, err := workpool.Collect(ctx, workers, len(wires), func(i int) bool {
+		return wires[i].Switchable && !wires[i].Span.Empty()
+	})
 	hull = func(i int) workpool.Hull {
 		row := int32(wires[switchable[i]].Row)
 		return workpool.Hull{Lo: row, Hi: row + 1}
@@ -292,18 +291,21 @@ func SwitchFlips(occ *Occupancy, wires []metrics.Wire) (n int, hull func(i int) 
 		w.Channel = other
 		return true
 	}
-	return len(switchable), hull, flip
+	return len(switchable), hull, flip, err
 }
 
 // OptimizeSwitchable performs TWGR step 5: random sweeps over the
 // switchable wires, flipping each to the opposite channel whenever that
 // lowers the congestion cost. wires is mutated in place (Channel fields);
 // occ must already contain every wire (and any background). It returns the
-// number of flips taken.
+// number of flips taken and of switchable wires there were to flip.
 //
 // The visit order is part of the result, so each pass is an ordered band
 // sweep (workpool.Sweep) on up to workers goroutines over the flips' hulls.
-func OptimizeSwitchable(ctx context.Context, workers int, wires []metrics.Wire, occ *Occupancy, r *rng.RNG, passes int) (int, error) {
-	n, hull, flip := SwitchFlips(occ, wires)
-	return sweepFlips(ctx, workers, occ.Channels, occ.counts.Reserve, r, passes, n, hull, flip)
+func OptimizeSwitchable(ctx context.Context, workers int, wires []metrics.Wire, occ *Occupancy, r *rng.RNG, passes int) (flips, switchable int, err error) {
+	n, hull, flip, err := SwitchFlips(ctx, workers, occ, wires)
+	if err == nil {
+		flips, err = sweepFlips(ctx, workers, occ.Channels, occ.counts.Reserve, r, passes, n, hull, flip)
+	}
+	return flips, n, err
 }

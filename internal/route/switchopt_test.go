@@ -214,7 +214,7 @@ func TestOptimizeSwitchableBalances(t *testing.T) {
 	}
 	occ := NewOccupancy(4, 200, 16)
 	occ.AddWires(wires)
-	flips, err := OptimizeSwitchable(context.Background(), 1, wires, occ, rng.New(5), 4)
+	flips, _, err := OptimizeSwitchable(context.Background(), 1, wires, occ, rng.New(5), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestOptimizeSwitchableRespectsFixedWires(t *testing.T) {
 	}
 	occ := NewOccupancy(3, 100, 16)
 	occ.AddWires(wires)
-	if _, err := OptimizeSwitchable(context.Background(), 1, wires, occ, rng.New(1), 3); err != nil {
+	if _, _, err := OptimizeSwitchable(context.Background(), 1, wires, occ, rng.New(1), 3); err != nil {
 		t.Fatal(err)
 	}
 	if wires[0].Channel != 1 {
@@ -280,7 +280,7 @@ func TestOptimizeSwitchableNeverWorsensCost(t *testing.T) {
 		before := metrics.TotalTracks(metrics.ChannelDensities(nch, wires, 1))
 		occ := NewOccupancy(nch, 300, 16)
 		occ.AddWires(wires)
-		if _, err := OptimizeSwitchable(context.Background(), 1, wires, occ, r.Split(), 3); err != nil {
+		if _, _, err := OptimizeSwitchable(context.Background(), 1, wires, occ, r.Split(), 3); err != nil {
 			t.Fatal(err)
 		}
 		after := metrics.TotalTracks(metrics.ChannelDensities(nch, wires, 1))

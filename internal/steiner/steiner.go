@@ -51,17 +51,6 @@ type Segment struct {
 // Flat reports whether the segment stays within one row (no vertical run).
 func (s *Segment) Flat() bool { return s.P.Y == s.Q.Y }
 
-// VerticalSpan returns the rows the vertical run passes through, i.e. the
-// rows that need a feedthrough for this segment under the current bend,
-// given the channels the run connects. The run goes from channel cLo to
-// channel cHi (cLo <= cHi): it crosses rows cLo..cHi-1.
-func VerticalSpan(cLo, cHi int) (firstRow, lastRow int, ok bool) {
-	if cHi <= cLo {
-		return 0, 0, false
-	}
-	return cLo, cHi - 1, true
-}
-
 // Build computes the Steiner segments of every net in the circuit. Segments
 // are grouped per net: Build returns a slice indexed by net ID. Single-pin
 // and empty nets yield no segments.

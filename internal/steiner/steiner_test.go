@@ -220,13 +220,3 @@ func TestBuildAllNets(t *testing.T) {
 		t.Fatalf("segment count %d, want %d", total, want)
 	}
 }
-
-func TestVerticalSpan(t *testing.T) {
-	if _, _, ok := VerticalSpan(3, 3); ok {
-		t.Fatal("equal channels have no vertical span")
-	}
-	lo, hi, ok := VerticalSpan(2, 5)
-	if !ok || lo != 2 || hi != 4 {
-		t.Fatalf("span(2,5) = %d..%d ok=%v", lo, hi, ok)
-	}
-}

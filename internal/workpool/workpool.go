@@ -113,6 +113,35 @@ func DoChunks(ctx context.Context, workers, n, grain int, fn func(worker, lo, hi
 	return nil
 }
 
+// Collect returns, ascending, the indices i in [0, n) for which keep(i)
+// holds — what `for i { if keep(i) { out = append(out, i) } }` builds — with
+// keep called exactly once per index, on up to workers goroutines. Each
+// chunk appends to its own stretch of one n-sized buffer and the stretches
+// are then closed up front to back, so one chunk's stretch is the result as
+// it stands and a one-worker caller pays what the loop did.
+func Collect(ctx context.Context, workers, n int, keep func(i int) bool) ([]int, error) {
+	grain := Grain(n, workers)
+	buf, kept := make([]int, n), make([]int, (n+grain-1)/grain)
+	err := DoChunks(ctx, workers, n, grain, func(_, lo, hi int) error {
+		out := buf[lo:lo]
+		for i := lo; i < hi; i++ {
+			if keep(i) {
+				out = append(out, i)
+			}
+		}
+		kept[lo/grain] = len(out)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	at := 0
+	for c, k := range kept {
+		at += copy(buf[at:], buf[c*grain:c*grain+k])
+	}
+	return buf[:at], nil
+}
+
 // Pad is the last field of a per-worker scratch struct that lives in a
 // slice indexed by worker. Workers rewrite their scratch (slice headers,
 // counters) once per item; without the pad the last fields of one worker's

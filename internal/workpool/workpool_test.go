@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"parroute/internal/rng"
 )
 
 // TestDoChunksCoversEveryItemOnce pins the core contract: every item is
@@ -146,6 +149,57 @@ func TestDoChunksErrorCancelsPeers(t *testing.T) {
 	}
 	if n := ran.Load(); n >= 100000 {
 		t.Fatalf("error did not stop the fan-out (%d chunks ran)", n)
+	}
+	waitForGoroutines(t, before)
+}
+
+// TestCollectMatchesLoop holds the parallel filter to the loop it replaces:
+// over random predicates of every density, the indices come back ascending
+// and complete, and the predicate ran exactly once per index, at worker
+// counts below, at and above n. A cancelled context yields no list.
+func TestCollectMatchesLoop(t *testing.T) {
+	r := rng.New(22)
+	for _, workers := range []int{1, 2, 3, 8, 64} {
+		for _, n := range []int{0, 1, workers - 1, 100_000} {
+			for _, density := range []int{0, 1, 50, 99, 100} {
+				keep := make([]bool, n)
+				var want []int
+				for i := range keep {
+					if keep[i] = r.Intn(100) < density; keep[i] {
+						want = append(want, i)
+					}
+				}
+				calls := make([]atomic.Int32, n)
+				got, err := Collect(context.Background(), workers, n, func(i int) bool {
+					calls[i].Add(1)
+					return keep[i]
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("workers=%d n=%d density=%d: %d indices, the loop keeps %d", workers, n, density, len(got), len(want))
+				}
+				for i := range calls {
+					if c := calls[i].Load(); c != 1 {
+						t.Fatalf("workers=%d n=%d: predicate called %d times on index %d", workers, n, c, i)
+					}
+				}
+			}
+		}
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	var seen atomic.Int32
+	got, err := Collect(ctx, 4, 1_000_000, func(int) bool {
+		if seen.Add(1) == 100 {
+			cancel()
+		}
+		return true
+	})
+	cancel()
+	if !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("cancelled Collect returned %d indices and err = %v", len(got), err)
 	}
 	waitForGoroutines(t, before)
 }

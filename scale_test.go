@@ -1,8 +1,9 @@
 // Scale smoke: the million-cell growth path of DESIGN.md §15. These tests
 // route the synthetic scale presets end to end through the serial router
 // with intra-rank workers and check wall-clock and peak-RSS budgets, so a
-// memory-layout regression (a band shard going eager, an arena reverting
-// to per-net allocation) fails the gate rather than an operator's laptop.
+// memory-layout regression (a band shard going eager: RSS; an arena
+// reverting to per-net allocation: the malloc ceiling) fails the gate
+// rather than an operator's laptop.
 package parroute_test
 
 import (
@@ -31,14 +32,17 @@ func scaleBudget(env string, def int64) int64 {
 }
 
 // routeScalePreset generates and routes one scale preset, returning the
-// routing wall time and the post-route heap in bytes.
-func routeScalePreset(t *testing.T, name string, workers int) (time.Duration, uint64) {
+// routing wall time, the post-route heap in bytes and the heap allocations
+// the route made.
+func routeScalePreset(t *testing.T, name string, workers int) (time.Duration, uint64, uint64) {
 	t.Helper()
 	c, err := gen.Benchmark(name, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	res, err := parallel.RunBaseline(context.Background(), c, parallel.Options{
 		Procs: 1,
@@ -53,15 +57,19 @@ func routeScalePreset(t *testing.T, name string, workers int) (time.Duration, ui
 	if res.TotalTracks <= 0 {
 		t.Fatalf("%s: routed to %d tracks", name, res.TotalTracks)
 	}
-	t.Logf("%s workers=%d: %v, %d tracks, heap %d MiB (peak sys %d MiB)",
+	t.Logf("%s workers=%d: %v, %d tracks, heap %d MiB (peak sys %d MiB), %d mallocs",
 		name, workers, elapsed.Round(time.Millisecond), res.TotalTracks,
-		ms.HeapAlloc>>20, ms.Sys>>20)
-	return elapsed, ms.Sys
+		ms.HeapAlloc>>20, ms.Sys>>20, ms.Mallocs-before.Mallocs)
+	return elapsed, ms.Sys, ms.Mallocs - before.Mallocs
 }
 
 // TestScaleSmoke100k routes synth.100k (100k cells, ~333k pins) within a
-// wall-clock budget (SCALE_100K_WALL_S, default 120s) and a memory budget
-// (SCALE_100K_RSS_MB, default 2048). Skipped under -short.
+// wall-clock budget (SCALE_100K_WALL_S, default 120s), a memory budget
+// (SCALE_100K_RSS_MB, default 2048) and a malloc ceiling of 5 000, which
+// needs no override: the count does not depend on the machine, and one
+// figure holds at any worker count (a few hundred measured at one worker and
+// at two; ≈ 37 000 while step 3 grew one pin list per net, which wall and
+// RSS both sailed under). Skipped under -short.
 func TestScaleSmoke100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping scale smoke in -short mode")
@@ -69,7 +77,10 @@ func TestScaleSmoke100k(t *testing.T) {
 	wallBudget := time.Duration(scaleBudget("SCALE_100K_WALL_S", 120)) * time.Second
 	rssBudget := uint64(scaleBudget("SCALE_100K_RSS_MB", 2048)) << 20
 
-	elapsed, sys := routeScalePreset(t, "synth.100k", runtime.GOMAXPROCS(0))
+	elapsed, sys, mallocs := routeScalePreset(t, "synth.100k", runtime.GOMAXPROCS(0))
+	if mallocs > 5000 {
+		t.Errorf("synth.100k route made %d heap allocations, ceiling 5000: an arena has gone back to allocating per net", mallocs)
+	}
 	if elapsed > wallBudget {
 		t.Errorf("synth.100k took %v, budget %v (override SCALE_100K_WALL_S)", elapsed, wallBudget)
 	}
@@ -87,7 +98,7 @@ func TestScale1M(t *testing.T) {
 		t.Skip("set SCALE_1M=1 to route the million-cell preset")
 	}
 	rssBudget := uint64(scaleBudget("SCALE_1M_RSS_MB", 4096)) << 20
-	_, sys := routeScalePreset(t, "synth.1m", runtime.GOMAXPROCS(0))
+	_, sys, _ := routeScalePreset(t, "synth.1m", runtime.GOMAXPROCS(0))
 	if sys > rssBudget {
 		t.Errorf("synth.1m used %d MiB, budget %d MiB (override SCALE_1M_RSS_MB)",
 			sys>>20, rssBudget>>20)

@@ -151,10 +151,12 @@ soak_tier() {
 }
 step "service soak (twgrd load + byte parity)" soak_tier
 
-# Scale smoke tier: route synth.100k end to end within wall/RSS budgets
-# (DESIGN.md §15) — catches memory-layout regressions (eager band shards,
-# arena reverting to per-net allocation) at a size where they hurt. The
-# million-cell preset is opt-in: SCALE_1M=1 extends the tier to synth.1m.
+# Scale smoke tier: route synth.100k end to end within wall/RSS budgets and
+# a malloc ceiling (DESIGN.md §15) — catches memory-layout regressions at a
+# size where they hurt: eager band shards show in RSS, an arena reverting to
+# per-net allocation in the malloc count (one slices.Grow per net is 36 600
+# mallocs there and ≈ 1 000 on primary2, under the allocation budget below).
+# The million-cell preset is opt-in: SCALE_1M=1 extends the tier to synth.1m.
 scale_tier() {
   go test -count=1 -run 'TestScaleSmoke100k' . &&
     if [ -n "${SCALE_1M:-}" ]; then
