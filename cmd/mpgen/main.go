@@ -1,10 +1,10 @@
 // Command mpgen regenerates the mp message set's derived artifacts: the
-// per-package mpwire_gen.go codec files and the mp_protocol.json manifest
-// that internal/lint's manifest-aware analyzers enforce. Run it via
-// `go generate ./...` (internal/parallel and internal/mp carry the
-// directives) or directly; `mpgen -check` verifies the checked-in output
-// is current without writing, and is wired into scripts/check.sh and CI
-// as the drift gate.
+// per-package mpwire_gen.go codec files and the mp_protocol.json manifest.
+// Run it via `go generate ./...` (internal/parallel and internal/mp carry
+// the directives) or directly; `mpgen -check` verifies the checked-in
+// output is current without writing, naming the first stale line of each
+// file, and is wired into scripts/check.sh as the one drift gate (tier-1
+// runs the same check as internal/mpgen's TestGeneratedOutputCurrent).
 package main
 
 import (
@@ -28,7 +28,7 @@ func main() {
 		}
 		if len(stale) > 0 {
 			for _, f := range stale {
-				fmt.Fprintf(os.Stderr, "mpgen: stale generated file: %s\n", f)
+				fmt.Fprintf(os.Stderr, "mpgen: stale: %s\n", f)
 			}
 			fmt.Fprintln(os.Stderr, "mpgen: run `go generate ./...` (or `go run parroute/cmd/mpgen`) and commit the result")
 			os.Exit(1)

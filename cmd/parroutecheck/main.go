@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	parroutecheck [-json] [-list] [-analyzer name[,name]] [-timings] [packages]
+//	parroutecheck [-list] [packages]
 //
 // With no arguments or "./..." it checks every package of the module
 // containing the working directory. Explicit package directories (for
@@ -12,86 +12,44 @@
 // live under testdata, which the module walk skips.
 //
 // -list prints the registered rules with their one-line docs and exits.
-// -json emits diagnostics as a JSON array on stdout (empty array when
-// clean) for CI and editor integration; -list also honors it.
-// -analyzer restricts the run to a comma-separated subset of rules, for
-// bisecting a slow or noisy analyzer; filtered runs skip the
-// stale-suppression audit. -timings prints per-analyzer wall time to
-// stderr, slowest first, which scripts/check.sh uses for the lint-gate
-// runtime budget. The driver-level rules lint-directive and stale-allow
-// are not listed: they run with every full suite.
+// The driver-level rules lint-directive and stale-allow are not listed:
+// they run with every suite.
 //
 // Exit status: 0 when clean, 1 when diagnostics were reported, 2 when the
 // module could not be loaded or type-checked.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
-	"strings"
-	"time"
 
 	"parroute/internal/lint"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	listRules := flag.Bool("list", false, "print the registered rules and exit")
-	analyzerFlag := flag.String("analyzer", "", "run only the named analyzers (comma separated)")
-	timings := flag.Bool("timings", false, "print per-analyzer wall time to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: parroutecheck [-json] [-list] [-analyzer name[,name]] [-timings] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: parroutecheck [-list] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Checks the module (./...) or explicit package directories.\nRules:\n")
-		for _, a := range lint.Analyzers() {
-			fmt.Fprintf(os.Stderr, "  %-22s %s\n", a.Name, a.Doc)
-		}
+		list(os.Stderr, "  ")
 	}
 	flag.Parse()
 	if *listRules {
-		os.Exit(list(*jsonOut))
+		list(os.Stdout, "")
+		return
 	}
-	os.Exit(run(flag.Args(), *jsonOut, splitAnalyzers(*analyzerFlag), *timings))
+	os.Exit(run(flag.Args()))
 }
 
-// ruleInfo is the -list -json record for one analyzer.
-type ruleInfo struct {
-	Name string `json:"name"`
-	Doc  string `json:"doc"`
+func list(w io.Writer, indent string) {
+	for _, a := range lint.Analyzers() {
+		fmt.Fprintf(w, "%s%-22s %s\n", indent, a.Name, a.Doc)
+	}
 }
 
-func list(jsonOut bool) int {
-	analyzers := lint.Analyzers()
-	if jsonOut {
-		rules := make([]ruleInfo, 0, len(analyzers))
-		for _, a := range analyzers {
-			rules = append(rules, ruleInfo{Name: a.Name, Doc: a.Doc})
-		}
-		return emitJSON(rules)
-	}
-	for _, a := range analyzers {
-		fmt.Printf("%-22s %s\n", a.Name, a.Doc)
-	}
-	return 0
-}
-
-// splitAnalyzers parses the -analyzer value into names.
-func splitAnalyzers(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-func run(args []string, jsonOut bool, analyzers []string, timings bool) int {
+func run(args []string) int {
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "parroutecheck: %v\n", err)
@@ -108,30 +66,13 @@ func run(args []string, jsonOut bool, analyzers []string, timings bool) int {
 	}
 
 	var diags []lint.Diagnostic
-	elapsed := map[string]time.Duration{}
-	cfg := lint.DefaultConfig()
-	opts := lint.RunOptions{Analyzers: analyzers}
-	check := func(mod *lint.Module) int {
-		got, times, err := lint.RunSuite(mod, cfg, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parroutecheck: %v\n", err)
-			return 2
-		}
-		diags = append(diags, got...)
-		for _, tm := range times {
-			elapsed[tm.Name] += tm.Elapsed
-		}
-		return 0
-	}
 	if wholeModule {
 		mod, err := lint.LoadModule(cwd)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "parroutecheck: %v\n", err)
 			return 2
 		}
-		if rc := check(mod); rc != 0 {
-			return rc
-		}
+		diags = append(diags, lint.Run(mod)...)
 	}
 	if len(dirs) > 0 {
 		mod, err := lint.LoadDirs(cwd, dirs)
@@ -139,58 +80,14 @@ func run(args []string, jsonOut bool, analyzers []string, timings bool) int {
 			fmt.Fprintf(os.Stderr, "parroutecheck: %v\n", err)
 			return 2
 		}
-		if rc := check(mod); rc != 0 {
-			return rc
-		}
+		diags = append(diags, lint.Run(mod)...)
 	}
-	if timings {
-		printTimings(elapsed)
-	}
-	if jsonOut {
-		if diags == nil {
-			diags = []lint.Diagnostic{}
-		}
-		if rc := emitJSON(diags); rc != 0 {
-			return rc
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "parroutecheck: %d diagnostic(s)\n", len(diags))
 		return 1
-	}
-	return 0
-}
-
-// printTimings reports per-analyzer wall time to stderr, slowest first,
-// summed across the module and explicit-directory runs.
-func printTimings(elapsed map[string]time.Duration) {
-	names := make([]string, 0, len(elapsed))
-	for name := range elapsed {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if elapsed[names[i]] != elapsed[names[j]] {
-			return elapsed[names[i]] > elapsed[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	fmt.Fprintf(os.Stderr, "parroutecheck: analyzer timings:\n")
-	for _, name := range names {
-		fmt.Fprintf(os.Stderr, "  %-22s %v\n", name, elapsed[name].Round(time.Microsecond))
-	}
-}
-
-// emitJSON writes v indented to stdout.
-func emitJSON(v any) int {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fmt.Fprintf(os.Stderr, "parroutecheck: %v\n", err)
-		return 2
 	}
 	return 0
 }

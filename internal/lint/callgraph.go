@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"parroute/internal/mpproto"
 )
 
 // This file builds the interprocedural summary layer behind the
@@ -167,7 +169,7 @@ func (lf *lifeFunc) collectEdges(body *ast.BlockStmt) {
 			case *ast.SelectorExpr:
 				callIdents[fun.Sel] = true
 			}
-			if fn := calleeFunc(lf.info, call); fn != nil {
+			if fn := mpproto.Callee(lf.info, call); fn != nil {
 				lf.sites = append(lf.sites, lifeCallSite{callee: funcOrigin(fn), args: call.Args})
 			}
 		}
@@ -295,7 +297,7 @@ func summarizeLifecycle(info *types.Info, body *ast.BlockStmt, params map[types.
 				recordRecv(n.X)
 			}
 		case *ast.CallExpr:
-			fn := calleeFunc(info, n)
+			fn := mpproto.Callee(info, n)
 			if fn == nil || fn.Pkg() == nil {
 				return
 			}
@@ -365,10 +367,10 @@ func scanBlocking(info *types.Info, n ast.Node, report func(pos token.Pos, desc 
 // it releases its associated mutex while parked, so holding that mutex
 // across it is the intended protocol, not a deadlock.
 func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	if op := resolveMPOp(info, call); op != nil {
-		return "mp " + op.name, true
+	if op := mpproto.Classify(info, call); op != nil {
+		return "mp " + op.Name, true
 	}
-	fn := calleeFunc(info, call)
+	fn := mpproto.Callee(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return "", false
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 
 	"go/types"
+
+	"parroute/internal/mpproto"
 )
 
 // analyzerErrorWrap requires fmt.Errorf to wrap error operands with %w.
@@ -26,7 +28,7 @@ func runErrorWrap(p *Pass) {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(info, call)
+			fn := mpproto.Callee(info, call)
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" {
 				return true
 			}

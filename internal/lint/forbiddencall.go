@@ -1,0 +1,65 @@
+package lint
+
+import (
+	"go/types"
+	"slices"
+	"strings"
+)
+
+// analyzerForbiddenCall holds the routing packages to the calls they must
+// not make outside _test.go files (which the loader never sees). Any use of
+// the function counts, a method value as much as a call.
+var analyzerForbiddenCall = &Analyzer{
+	Name: "forbidden-call",
+	Doc:  "forbid the per-call wrappers, whole-circuit clones and one-at-a-time insertions the routing packages have bulk forms for",
+	Run:  runForbiddenCall,
+}
+
+// forbiddenCalls lists each banned function with the files it is banned in
+// (slash-path fragments of the module-relative name; every file when in is
+// nil) and what to do instead.
+var forbiddenCalls = []struct {
+	fn  string
+	in  []string
+	why string
+}{
+	// The per-call wrappers allocate fresh scratch on every net; they exist
+	// for tests and diagnostics.
+	{"parroute/internal/route.ConnectNodes", nil, "build all nets with route.ConnectTrees"},
+	{"parroute/internal/steiner.BuildNet", nil, "drive a steiner.Builder"},
+	// The row-partitioned drivers (and the steps and sub-circuit builder
+	// they share) read base and build a block-sized sub-circuit from it; a
+	// Clone there is each rank paying for rows it does not own again.
+	// Net-wise is the exception — a rank routes nets through every row, so
+	// netwise.go keeps its clone — as is RunBaseline in parallel.go.
+	{"(*parroute/internal/circuit.Circuit).Clone",
+		[]string{"internal/parallel/rowwise.go", "internal/parallel/hybrid.go", "internal/parallel/rank.go", "internal/parallel/common.go"},
+		"build from base with buildBlockCircuit"},
+	// One-at-a-time insertion is O(row length) per feedthrough; the routers
+	// insert through circuit.InsertFeedthroughRows. The step-3 overflow
+	// paths (serial and net-wise), which place a feedthrough the demand
+	// estimate missed, carry the two //lint:allow.
+	{"(*parroute/internal/circuit.Circuit).InsertFeedthrough",
+		[]string{"internal/route/", "internal/parallel/"},
+		"insert in bulk with InsertFeedthroughRows"},
+}
+
+func runForbiddenCall(p *Pass) {
+	for id, obj := range p.Pkg.Info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		name := fn.FullName()
+		for _, f := range forbiddenCalls {
+			if name != f.fn {
+				continue
+			}
+			file := p.Mod.relFile(p.Mod.Fset.Position(id.Pos()))
+			if f.in == nil || underTestdata(file) ||
+				slices.ContainsFunc(f.in, func(frag string) bool { return strings.Contains(file, frag) }) {
+				p.Reportf(id.Pos(), "%s must not be used here: %s", f.fn, f.why)
+			}
+		}
+	}
+}

@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"strings"
+
+	"parroute/internal/mpproto"
 )
 
 // The goroutine-lifecycle analyzer: every `go` statement in library code
@@ -55,13 +57,13 @@ func checkSpawn(p *Pass, ix *lifeIndex, gs *ast.GoStmt) {
 	call := gs.Call
 	// Engine-owned shutdown: mp ops are released by the machine's abort
 	// path, which the cancellation tier tests end to end.
-	if resolveMPOp(p.Pkg.Info, call) != nil {
+	if mpproto.Classify(p.Pkg.Info, call) != nil {
 		return
 	}
 	var sum *lifeSummary
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		sum = ix.summarizeGoBody(p.Pkg.Info, lit)
-	} else if fn := calleeFunc(p.Pkg.Info, call); fn != nil {
+	} else if fn := mpproto.Callee(p.Pkg.Info, call); fn != nil {
 		lf := ix.declOf(fn)
 		if lf == nil {
 			// Out-of-module function: assumed to terminate, same trust the

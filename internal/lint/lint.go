@@ -7,8 +7,8 @@
 //
 // The driver is built entirely on the standard library (go/parser,
 // go/types); see load.go. Analyzers report file:line diagnostics; a
-// deliberate exception is suppressed by annotating the offending line (or
-// the line directly above it) with
+// deliberate exception is suppressed by annotating the offending line (or,
+// with a directive alone on its line, the line directly above it) with
 //
 //	//lint:allow <rule> <reason>
 //
@@ -19,20 +19,21 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 )
 
 // Diagnostic is one finding at one source position. File is relative to
 // the module root, with forward slashes.
 type Diagnostic struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-	Rule string `json:"rule"`
-	Msg  string `json:"msg"`
+	File string
+	Line int
+	Col  int
+	Rule string
+	Msg  string
 }
 
 func (d Diagnostic) String() string {
@@ -48,22 +49,26 @@ type Analyzer struct {
 
 // Pass hands one package to one analyzer.
 type Pass struct {
-	Cfg  *Config
 	Mod  *Module
 	Pkg  *Package
 	rule string
 	out  *[]Diagnostic
 }
 
+// relFile returns the file holding pos, relative to the module root with
+// forward slashes.
+func (m *Module) relFile(pos token.Position) string {
+	if rel, err := filepath.Rel(m.Root, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(rel)
+	}
+	return pos.Filename
+}
+
 // Reportf records a diagnostic at pos under the running analyzer's rule.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Mod.Fset.Position(pos)
-	file := position.Filename
-	if rel, err := filepath.Rel(p.Mod.Root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = filepath.ToSlash(rel)
-	}
 	*p.out = append(*p.out, Diagnostic{
-		File: file,
+		File: p.Mod.relFile(position),
 		Line: position.Line,
 		Col:  position.Column,
 		Rule: p.rule,
@@ -71,74 +76,32 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Config scopes the rules to the right parts of the module.
-type Config struct {
-	// DeterministicPkgs are the import paths whose routing results must
-	// not depend on Go map iteration order; the map-ordering checks of the
-	// nondeterminism analyzer run only there (and in testdata fixture
-	// packages, where every rule applies).
-	DeterministicPkgs []string
-	// TimeAllowedPkgs and TimeAllowedFiles exempt measurement
-	// infrastructure from the time.Now/time.Since ban. Files are module
-	// root relative, slash separated.
-	TimeAllowedPkgs  []string
-	TimeAllowedFiles []string
+// deterministicPkgs are the import paths whose routing results must not
+// depend on Go map iteration order or on an unstable sort; the map-ordering
+// checks of the nondeterminism analyzer and the sort-order analyzer run
+// only there. The policy is documented in DESIGN.md's "Static analysis"
+// section.
+var deterministicPkgs = []string{
+	"parroute/internal/route",
+	"parroute/internal/parallel",
+	"parroute/internal/steiner",
+	"parroute/internal/partition",
+	"parroute/internal/channel",
 }
 
-// DefaultConfig is the policy for this repository, documented in
-// DESIGN.md's "Static analysis" section.
-func DefaultConfig() *Config {
-	return &Config{
-		DeterministicPkgs: []string{
-			"parroute/internal/route",
-			"parroute/internal/parallel",
-			"parroute/internal/steiner",
-			"parroute/internal/partition",
-			"parroute/internal/channel",
-		},
-		TimeAllowedPkgs: []string{
-			"parroute/internal/metrics",
-			// The observer clock: every phase/stage timing in the module is
-			// read here, and observers cannot affect routing output.
-			"parroute/internal/pipeline",
-		},
-		TimeAllowedFiles: []string{
-			// The suite's own -timings stopwatch; analyzer wall time is
-			// operator telemetry, never a routing input.
-			"internal/lint/run.go",
-		},
-	}
-}
+// clockPkg is the one package allowed to read the wall clock — the
+// observer clock: every phase and stage timing in the module is read there,
+// and observers cannot affect routing output.
+const clockPkg = "parroute/internal/pipeline"
 
-// timeAllowed reports whether wall-clock reads are permitted at the given
-// position.
-func (c *Config) timeAllowed(pkgPath, relFile string) bool {
-	for _, p := range c.TimeAllowedPkgs {
-		if pkgPath == p {
-			return true
-		}
-	}
-	for _, f := range c.TimeAllowedFiles {
-		if relFile == f {
-			return true
-		}
-	}
-	return false
-}
+// underTestdata reports whether a package path or file name lies in a
+// testdata fixture tree. Fixtures opt into every scoped rule so the golden
+// tests can exercise them.
+func underTestdata(path string) bool { return strings.Contains(path, "/testdata/") }
 
 // deterministicScope reports whether the map-ordering rules apply to pkg.
-// Fixture packages under testdata opt into every rule so the golden tests
-// can exercise them.
-func (c *Config) deterministicScope(pkgPath string) bool {
-	if strings.Contains(pkgPath, "/testdata/") {
-		return true
-	}
-	for _, p := range c.DeterministicPkgs {
-		if pkgPath == p {
-			return true
-		}
-	}
-	return false
+func deterministicScope(pkgPath string) bool {
+	return underTestdata(pkgPath) || slices.Contains(deterministicPkgs, pkgPath)
 }
 
 // Analyzers returns the full registry, in reporting order.
@@ -146,14 +109,13 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		analyzerNondeterminism,
 		analyzerRNGSharing,
-		analyzerSyncByValue,
 		analyzerUncheckedError,
 		analyzerErrorWrap,
 		analyzerPanicInLibrary,
 		analyzerCollectiveCongruence,
 		analyzerTagDiscipline,
 		analyzerSendRecvPairing,
-		analyzerManifestDrift,
+		analyzerForbiddenCall,
 		analyzerSortOrder,
 		analyzerCtxRule,
 		analyzerGoroutineLifecycle,
@@ -162,11 +124,30 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// relFile returns f's filename relative to the module root.
-func (p *Pass) relFile(f *ast.File) string {
-	name := p.Mod.Fset.Position(f.Package).Filename
-	if rel, err := filepath.Rel(p.Mod.Root, name); err == nil && !strings.HasPrefix(rel, "..") {
-		return filepath.ToSlash(rel)
+// Run executes every analyzer over every package of mod, applies
+// //lint:allow suppressions (including the stale-suppression audit), and
+// returns the surviving diagnostics sorted by position.
+func Run(mod *Module) []Diagnostic {
+	var raw []Diagnostic
+	analyzers := Analyzers()
+	for _, pkg := range mod.Pkgs {
+		for _, a := range analyzers {
+			a.Run(&Pass{Mod: mod, Pkg: pkg, rule: a.Name, out: &raw})
+		}
 	}
-	return name
+	diags := applyAllows(mod, raw)
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Col != b.Col {
+			return a.Col < b.Col
+		}
+		return a.Rule < b.Rule
+	})
+	return diags
 }

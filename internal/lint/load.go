@@ -34,9 +34,6 @@ type Module struct {
 	// shared by the goroutine/lock/spawn analyzers; see lifecycleIndex in
 	// callgraph.go.
 	life *lifeIndex
-	// manifests caches protocol-manifest lookups by file path; see
-	// manifestFor in manifest.go.
-	manifests map[string]*manifestEntry
 }
 
 // Package is one type-checked package of the module.

@@ -5,6 +5,8 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+
+	"parroute/internal/mpproto"
 )
 
 // The lock-across-blocking analyzer: a sync.Mutex/RWMutex provably held
@@ -103,7 +105,7 @@ func (lf *lockFlow) step(s ast.Stmt, mutate func() lockFacts) {
 // lockOp classifies call as a mutex acquire (Lock/RLock) or release
 // (Unlock/RUnlock), returning the mutex object and a display name.
 func (lf *lockFlow) lockOp(call *ast.CallExpr) (types.Object, string, bool) {
-	fn := calleeFunc(lf.info, call)
+	fn := mpproto.Callee(lf.info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return nil, "", false
 	}
@@ -162,7 +164,7 @@ func checkLockBlocking(p *Pass, ix *lifeIndex, body *ast.BlockStmt) {
 	locksAny := false
 	inspectSkippingFuncLits(body, func(n ast.Node) {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if fn := calleeFunc(p.Pkg.Info, call); fn != nil && fn.Pkg() != nil &&
+			if fn := mpproto.Callee(p.Pkg.Info, call); fn != nil && fn.Pkg() != nil &&
 				fn.Pkg().Path() == "sync" && (fn.Name() == "Lock" || fn.Name() == "RLock") {
 				locksAny = true
 			}
@@ -225,7 +227,7 @@ func reportBlockingUnder(p *Pass, ix *lifeIndex, s ast.Stmt, held lockFacts) {
 			if _, direct := blockingCall(p.Pkg.Info, n); direct {
 				return true
 			}
-			if lf := ix.declOf(calleeFunc(p.Pkg.Info, n)); lf != nil && lf.summary.blocks {
+			if lf := ix.declOf(mpproto.Callee(p.Pkg.Info, n)); lf != nil && lf.summary.blocks {
 				reportLockHeld(p, n.Pos(), held, "a call to "+lf.fn.Name()+", which blocks on "+lf.summary.blockDesc)
 			}
 		}

@@ -6,6 +6,8 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+
+	"parroute/internal/mpproto"
 )
 
 // analyzerCollectiveCongruence enforces the first mpproto rule: every rank
@@ -114,13 +116,13 @@ func blockEvents(p *Pass, idx *protoIndex, b *Block) []string {
 			if !ok {
 				return
 			}
-			if op := resolveMPOp(p.Pkg.Info, call); op != nil {
-				if op.event {
-					out = append(out, op.name)
+			if op := mpproto.Classify(p.Pkg.Info, call); op != nil {
+				if op.Collective {
+					out = append(out, op.Name)
 				}
 				return
 			}
-			fn := calleeFunc(p.Pkg.Info, call)
+			fn := mpproto.Callee(p.Pkg.Info, call)
 			if fn == nil {
 				return
 			}
@@ -158,10 +160,10 @@ func endsInErrorAbort(p *Pass, idx *protoIndex, b *Block) bool {
 		return false // includes `return nil`: untyped nil is not error-typed
 	}
 	if call, ok := last.(*ast.CallExpr); ok {
-		if resolveMPOp(info, call) != nil {
+		if mpproto.Classify(info, call) != nil {
 			return false
 		}
-		if fn := calleeFunc(info, call); fn != nil {
+		if fn := mpproto.Callee(info, call); fn != nil {
 			if fp := idx.funcs[funcOrigin(fn)]; fp != nil && len(fp.events) > 0 {
 				return false
 			}

@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+
+	"parroute/internal/mpproto"
 )
 
 // analyzerSendRecvPairing enforces the third mpproto rule: point-to-point
@@ -36,10 +38,6 @@ func runSendRecvPairing(p *Pass) {
 			checkSelfPeers(p, fd)
 			checkSizeLoops(p, fd)
 		}
-		// The manifest cross-check: sending sites must carry payloads the
-		// manifest's tag table recorded at the last regeneration (see
-		// manifest.go).
-		checkManifestTagSites(p, f)
 	}
 }
 
@@ -47,7 +45,7 @@ func runSendRecvPairing(p *Pass) {
 // that program point.
 type peerUse struct {
 	call  *ast.CallExpr
-	op    *mpOp
+	op    *mpproto.Op
 	taint uint8
 	tag   string // canonical tag expression text, "" when absent
 }
@@ -76,14 +74,13 @@ func checkSelfPeers(p *Pass, fd *ast.FuncDecl) {
 				if !ok {
 					return
 				}
-				op := resolveMPOp(info, call)
-				if op == nil || op.peerIdx < 0 || op.peerIdx >= len(call.Args) {
+				op := mpproto.Classify(info, call)
+				if op == nil || op.Peer(call) == nil {
 					return
 				}
-				peer := call.Args[op.peerIdx]
-				u := peerUse{call: call, op: op, taint: rf.valueTaint(peer, facts)}
-				if op.tagIdx >= 0 && op.tagIdx < len(call.Args) {
-					u.tag = types.ExprString(call.Args[op.tagIdx])
+				u := peerUse{call: call, op: op, taint: rf.valueTaint(op.Peer(call), facts)}
+				if tag := op.Tag(call); tag != nil {
+					u.tag = types.ExprString(tag)
 				}
 				uses = append(uses, u)
 			})
@@ -91,9 +88,9 @@ func checkSelfPeers(p *Pass, fd *ast.FuncDecl) {
 		}
 	}
 
-	selfOn := func(s side, tag string) bool {
+	selfOn := func(s mpproto.Side, tag string) bool {
 		for _, u := range uses {
-			if u.op.sides&s != 0 && u.taint&taintExact != 0 && u.tag == tag {
+			if u.op.Sides&s != 0 && u.taint&taintExact != 0 && u.tag == tag {
 				return true
 			}
 		}
@@ -104,10 +101,10 @@ func checkSelfPeers(p *Pass, fd *ast.FuncDecl) {
 			continue
 		}
 		switch {
-		case u.op.sides&sideSend != 0 && !selfOn(sideRecv, u.tag):
+		case u.op.Sides&mpproto.SideSend != 0 && !selfOn(mpproto.SideRecv, u.tag):
 			p.Reportf(u.call.Pos(),
 				"Send destination may equal the sender's own rank with no matching self-Recv on tag %s: the message is never drained", u.tag)
-		case u.op.sides&sideRecv != 0 && !selfOn(sideSend, u.tag):
+		case u.op.Sides&mpproto.SideRecv != 0 && !selfOn(mpproto.SideSend, u.tag):
 			p.Reportf(u.call.Pos(),
 				"Recv from the caller's own rank with no matching self-Send on tag %s: blocks forever", u.tag)
 		}
@@ -153,14 +150,14 @@ func checkSizeLoops(p *Pass, fd *ast.FuncDecl) {
 			if !ok {
 				return true
 			}
-			op := resolveMPOp(info, call)
-			if op == nil || op.peerIdx < 0 || op.peerIdx >= len(call.Args) {
+			op := mpproto.Classify(info, call)
+			if op == nil {
 				return true
 			}
-			if id, ok := ast.Unparen(call.Args[op.peerIdx]).(*ast.Ident); ok &&
+			if id, ok := ast.Unparen(op.Peer(call)).(*ast.Ident); ok &&
 				objOf(info, id) == loopVar && !guarded {
 				p.Reportf(call.Pos(),
-					"%s loop over c.Size() does not skip the caller's own rank: add the `if r == c.Rank() { continue }` guard", op.name)
+					"%s loop over c.Size() does not skip the caller's own rank: add the `if r == c.Rank() { continue }` guard", op.Name)
 			}
 			return true
 		})
@@ -189,18 +186,7 @@ func sizeLoopVar(info *types.Info, s *ast.ForStmt) types.Object {
 // trailing arithmetic like Size()-1 stripped off the caller's side).
 func isSizeCall(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if fn.Pkg().Path() != mpPkgPath || fn.Name() != "Size" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil
+	return ok && mpproto.IsMethodCall(info, call, "Size")
 }
 
 // loopVarCompared reports whether body contains any ==/!= comparison

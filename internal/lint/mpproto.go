@@ -3,72 +3,16 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"parroute/internal/mpproto"
 )
 
 // Shared machinery for the mpproto analyzer family (collective-congruence,
-// tag-discipline, send-recv-pairing): recognition of internal/mp protocol
-// calls, a module-wide protocol index (per-function collective summaries
-// and per-tag send/receive site sets, with call edges followed one level
-// deep), and the rank-taint dataflow that decides whether a branch
-// condition is derived from the caller's own rank.
-
-const mpPkgPath = "parroute/internal/mp"
-
-// side is a bitmask of message directions a tag flows into.
-type side uint8
-
-const (
-	sideSend side = 1 << iota
-	sideRecv
-)
-
-// mpOp describes one recognized protocol operation of internal/mp.
-type mpOp struct {
-	name string
-	// event marks operations every rank must execute congruently (the
-	// collectives and Barrier); Send/Recv are point-to-point and are not
-	// events.
-	event bool
-	sides side
-	// tagIdx / peerIdx / payloadIdx are argument indices into the call, -1
-	// when the operation has no tag (Barrier), no peer (collectives) or
-	// sends no payload (Recv, Barrier).
-	tagIdx     int
-	peerIdx    int
-	payloadIdx int
-}
-
-// resolveMPOp classifies call as a protocol operation of internal/mp:
-// either a Comm method (Send/Recv/Barrier) or one of the package-level
-// collectives. Returns nil for everything else.
-func resolveMPOp(info *types.Info, call *ast.CallExpr) *mpOp {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != mpPkgPath {
-		return nil
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		switch fn.Name() {
-		case "Send":
-			return &mpOp{name: "Send", sides: sideSend, tagIdx: 1, peerIdx: 0, payloadIdx: 2}
-		case "Recv":
-			return &mpOp{name: "Recv", sides: sideRecv, tagIdx: 1, peerIdx: 0, payloadIdx: -1}
-		case "Barrier":
-			return &mpOp{name: "Barrier", event: true, tagIdx: -1, peerIdx: -1, payloadIdx: -1}
-		}
-		return nil
-	}
-	// The collectives (signatures in mpproto.Collectives): every one of them
-	// both sends and receives under its tag on some rank, so each call site
-	// counts for both directions.
-	if sig, ok := mpproto.Collectives[fn.Name()]; ok {
-		return &mpOp{name: fn.Name(), event: true, sides: sideSend | sideRecv,
-			tagIdx: sig.TagArg, peerIdx: -1, payloadIdx: sig.PayloadArg}
-	}
-	return nil
-}
+// tag-discipline, send-recv-pairing): a module-wide protocol index
+// (per-function collective summaries and per-tag send/receive site sets,
+// with call edges followed one level deep) and the rank-taint dataflow that
+// decides whether a branch condition is derived from the caller's own rank.
+// What counts as an internal/mp operation is mpproto.Classify's to say.
 
 // funcProto is the one-level-deep summary of a module function: the
 // collective events its body performs directly (in source order, function
@@ -77,7 +21,7 @@ func resolveMPOp(info *types.Info, call *ast.CallExpr) *mpOp {
 // direct protocol calls.
 type funcProto struct {
 	events    []string
-	tagParams map[int]side
+	tagParams map[int]mpproto.Side
 }
 
 // tagSites counts the static send-side and recv-side call sites of one
@@ -90,7 +34,7 @@ type tagSites struct {
 // Module and shared by the mpproto analyzers.
 type protoIndex struct {
 	funcs map[*types.Func]*funcProto
-	tags  map[types.Object]*tagSites
+	tags  map[*types.Const]*tagSites
 }
 
 // protocolIndex builds (memoized) the protocol index for mod.
@@ -100,7 +44,7 @@ func (m *Module) protocolIndex() *protoIndex {
 	}
 	idx := &protoIndex{
 		funcs: map[*types.Func]*funcProto{},
-		tags:  map[types.Object]*tagSites{},
+		tags:  map[*types.Const]*tagSites{},
 	}
 	// Pass 1: per-function summaries.
 	for _, pkg := range m.Pkgs {
@@ -128,13 +72,11 @@ func (m *Module) protocolIndex() *protoIndex {
 				if !ok {
 					return true
 				}
-				if op := resolveMPOp(pkg.Info, call); op != nil {
-					if op.tagIdx >= 0 && op.tagIdx < len(call.Args) {
-						idx.recordTag(pkg.Info, call.Args[op.tagIdx], op.sides)
-					}
+				if op := mpproto.Classify(pkg.Info, call); op != nil {
+					idx.recordTag(pkg.Info, op.Tag(call), op.Sides)
 					return true
 				}
-				fn := calleeFunc(pkg.Info, call)
+				fn := mpproto.Callee(pkg.Info, call)
 				if fn == nil {
 					return true
 				}
@@ -155,8 +97,8 @@ func (m *Module) protocolIndex() *protoIndex {
 
 // recordTag attributes a tag argument site to its named constant, if the
 // expression is one.
-func (idx *protoIndex) recordTag(info *types.Info, e ast.Expr, s side) {
-	obj := namedConstOf(info, e)
+func (idx *protoIndex) recordTag(info *types.Info, e ast.Expr, s mpproto.Side) {
+	obj := mpproto.NamedConst(info, e)
 	if obj == nil {
 		return
 	}
@@ -165,35 +107,33 @@ func (idx *protoIndex) recordTag(info *types.Info, e ast.Expr, s side) {
 		ts = &tagSites{}
 		idx.tags[obj] = ts
 	}
-	if s&sideSend != 0 {
+	if s&mpproto.SideSend != 0 {
 		ts.sends++
 	}
-	if s&sideRecv != 0 {
+	if s&mpproto.SideRecv != 0 {
 		ts.recvs++
 	}
 }
 
 // summarizeFunc computes fd's direct protocol summary.
 func summarizeFunc(info *types.Info, fd *ast.FuncDecl) *funcProto {
-	fp := &funcProto{tagParams: map[int]side{}}
+	fp := &funcProto{tagParams: map[int]mpproto.Side{}}
 	params := paramObjects(info, fd)
 	inspectSkippingFuncLits(fd.Body, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
 		}
-		op := resolveMPOp(info, call)
+		op := mpproto.Classify(info, call)
 		if op == nil {
 			return
 		}
-		if op.event {
-			fp.events = append(fp.events, op.name)
+		if op.Collective {
+			fp.events = append(fp.events, op.Name)
 		}
-		if op.tagIdx >= 0 && op.tagIdx < len(call.Args) {
-			if id, ok := ast.Unparen(call.Args[op.tagIdx]).(*ast.Ident); ok {
-				if i, isParam := params[objOf(info, id)]; isParam {
-					fp.tagParams[i] |= op.sides
-				}
+		if id, ok := ast.Unparen(op.Tag(call)).(*ast.Ident); ok {
+			if i, isParam := params[objOf(info, id)]; isParam {
+				fp.tagParams[i] |= op.Sides
 			}
 		}
 	})
@@ -240,22 +180,6 @@ func funcOrigin(fn *types.Func) *types.Func {
 		return o
 	}
 	return fn
-}
-
-// namedConstOf resolves e to a declared constant object (Ident or
-// pkg.Selector), or nil.
-func namedConstOf(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if c, ok := objOf(info, e).(*types.Const); ok {
-			return c
-		}
-	case *ast.SelectorExpr:
-		if c, ok := objOf(info, e.Sel).(*types.Const); ok {
-			return c
-		}
-	}
-	return nil
 }
 
 // ---- rank taint ----
@@ -431,18 +355,7 @@ func (rf *rankFlow) mentionsRank(e ast.Expr, facts taintFacts) bool {
 // internal/mp (on the interface or any engine implementation).
 func isRankCall(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if fn.Pkg().Path() != mpPkgPath || fn.Name() != "Rank" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil
+	return ok && mpproto.IsMethodCall(info, call, "Rank")
 }
 
 // solveRankTaint builds the CFG of fd and runs the rank-taint flow,
@@ -451,10 +364,4 @@ func solveRankTaint(info *types.Info, fd *ast.FuncDecl) (*CFG, *FlowResult[taint
 	g := BuildCFG(fd.Body)
 	rf := &rankFlow{info: info}
 	return g, SolveForward[taintFacts](g, rf), rf
-}
-
-// isTagName reports whether a constant follows the repository's protocol
-// tag naming convention (the tagFakePins… family).
-func isTagName(name string) bool {
-	return strings.HasPrefix(name, "tag") && len(name) > len("tag")
 }

@@ -2,14 +2,10 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
-)
 
-// mpPackagePath is the one package allowed to declare negative tag
-// constants: the engines own the reserved range (barrier rounds, chaos
-// bookkeeping) and reject user traffic on it at runtime.
-const mpPackagePath = "parroute/internal/mp"
+	"parroute/internal/mpproto"
+)
 
 // analyzerTagDiscipline enforces the second mpproto rule, in three parts:
 //
@@ -27,8 +23,9 @@ const mpPackagePath = "parroute/internal/mp"
 //     parameters flow into tag positions.
 //   - Reserved range: user tag constants must be non-negative. The
 //     negative tag space belongs to the mp engines (tagBarrier and
-//     friends); a user constant straying into it collides with engine
-//     traffic, and the transport rejects it at runtime anyway.
+//     friends), so internal/mp is the one package allowed to declare
+//     negative tags; a user constant straying into the range collides
+//     with engine traffic, and the transport rejects it at runtime anyway.
 //
 // Orphans and reserved-range collisions are reported at the constant's
 // declaration, by the package that declares it, so each fires exactly
@@ -41,16 +38,9 @@ var analyzerTagDiscipline = &Analyzer{
 
 func runTagDiscipline(p *Pass) {
 	idx := p.Mod.protocolIndex()
-	man := p.Mod.manifestFor(p.Pkg)
 	for _, f := range p.Pkg.Files {
 		checkTagSites(p, f)
 		checkOrphanTags(p, idx, f)
-		// The manifest cross-check: in packages covered by a protocol
-		// manifest, every declared tag constant must appear in its tag
-		// table with the same value (see manifest.go).
-		if man != nil && man.Covers(p.Pkg.Path) {
-			checkManifestTags(p, man, f)
-		}
 	}
 }
 
@@ -62,18 +52,18 @@ func checkTagSites(p *Pass, f *ast.File) {
 		if !ok {
 			return true
 		}
-		op := resolveMPOp(info, call)
-		if op == nil || op.tagIdx < 0 || op.tagIdx >= len(call.Args) {
+		op := mpproto.Classify(info, call)
+		if op == nil {
 			return true
 		}
-		arg := call.Args[op.tagIdx]
-		if namedConstOf(info, arg) != nil {
-			return true // a declared tag constant
+		arg := op.Tag(call)
+		if arg == nil || mpproto.NamedConst(info, arg) != nil {
+			return true // no tag, or a declared tag constant
 		}
 		if tv, ok := info.Types[arg]; ok && tv.Value != nil {
 			p.Reportf(arg.Pos(),
 				"tag of %s is a raw constant expression: use a named tag constant so the protocol stream is auditable",
-				op.name)
+				op.Name)
 		}
 		return true
 	})
@@ -98,16 +88,16 @@ func checkOrphanTags(p *Pass, idx *protoIndex, f *ast.File) {
 				if !ok {
 					continue
 				}
-				if isTagName(name.Name) && isIntegerConst(obj) &&
-					constant.Sign(obj.Val()) < 0 && p.Pkg.Path != mpPackagePath {
+				v, isTag := mpproto.TagValue(obj)
+				if isTag && v < 0 && !mpproto.IsMP(p.Pkg.Path) {
 					p.Reportf(name.Pos(),
-						"tag %s = %s collides with the engine-reserved negative tag range: user tags must be >= 0",
-						name.Name, obj.Val())
+						"tag %s = %d collides with the engine-reserved negative tag range: user tags must be >= 0",
+						name.Name, v)
 				}
 				sites := idx.tags[obj]
 				switch {
 				case sites == nil:
-					if isTagName(name.Name) && isIntegerConst(obj) {
+					if isTag {
 						p.Reportf(name.Pos(),
 							"tag %s is declared but never used in any send or receive", name.Name)
 					}
@@ -121,10 +111,4 @@ func checkOrphanTags(p *Pass, idx *protoIndex, f *ast.File) {
 			}
 		}
 	}
-}
-
-// isIntegerConst reports whether obj has (possibly untyped) integer type.
-func isIntegerConst(obj *types.Const) bool {
-	basic, ok := obj.Type().Underlying().(*types.Basic)
-	return ok && basic.Info()&types.IsInteger != 0
 }

@@ -10,10 +10,9 @@ import (
 //
 //   - math/rand (and v2) must never be imported — all randomness flows
 //     through internal/rng so streams are seeded and splittable.
-//   - time.Now, time.Since, and time.Until are reserved for measurement
-//     infrastructure (Config.TimeAllowed*); a wall-clock read anywhere
-//     else can leak into
-//     a routing decision and break run-to-run reproducibility.
+//   - time.Now, time.Since, and time.Until are reserved for the observer
+//     clock (clockPkg); a wall-clock read anywhere else can leak into a
+//     routing decision and break run-to-run reproducibility.
 //   - inside the deterministic packages, iterating a map while appending
 //     to an outer slice publishes Go's randomized map order into routing
 //     state, unless the slice is sorted afterwards in the same statement
@@ -27,10 +26,11 @@ var analyzerNondeterminism = &Analyzer{
 
 func runNondeterminism(p *Pass) {
 	for _, f := range p.Pkg.Files {
-		rel := p.relFile(f)
 		checkForbiddenImports(p, f)
-		checkWallClock(p, f, rel)
-		if p.Cfg.deterministicScope(p.Pkg.Path) {
+		if p.Pkg.Path != clockPkg {
+			checkWallClock(p, f)
+		}
+		if deterministicScope(p.Pkg.Path) {
 			checkMapOrder(p, f)
 		}
 	}
@@ -48,10 +48,7 @@ func checkForbiddenImports(p *Pass, f *ast.File) {
 	}
 }
 
-func checkWallClock(p *Pass, f *ast.File, rel string) {
-	if p.Cfg.timeAllowed(p.Pkg.Path, rel) {
-		return
-	}
+func checkWallClock(p *Pass, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {

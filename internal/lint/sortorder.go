@@ -24,7 +24,7 @@ var analyzerSortOrder = &Analyzer{
 }
 
 func runSortOrder(p *Pass) {
-	if !p.Cfg.deterministicScope(p.Pkg.Path) {
+	if !deterministicScope(p.Pkg.Path) {
 		return
 	}
 	for _, f := range p.Pkg.Files {

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"parroute/internal/mpproto"
 )
 
 // The unbounded-spawn analyzer: a `go` statement inside a loop with no
@@ -141,7 +143,7 @@ func spawnHasSemaphore(p *Pass, ix *lifeIndex, loopBody *ast.BlockStmt, gs *ast.
 	bodyRecvs := map[types.Object]bool{}
 	if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
 		chanOps(p, lit.Body, nil, bodySends, bodyRecvs)
-	} else if lf := ix.declOf(calleeFunc(p.Pkg.Info, gs.Call)); lf != nil && lf.decl != nil {
+	} else if lf := ix.declOf(mpproto.Callee(p.Pkg.Info, gs.Call)); lf != nil && lf.decl != nil {
 		chanOps(p, lf.decl.Body, nil, bodySends, bodyRecvs)
 	}
 

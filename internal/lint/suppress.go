@@ -2,7 +2,8 @@ package lint
 
 import (
 	"fmt"
-	"path/filepath"
+	"go/ast"
+	"go/token"
 	"strings"
 )
 
@@ -13,6 +14,9 @@ type allowDirective struct {
 	rule   string
 	reason string
 	valid  bool
+	// alone marks a directive with no code on its line; only such a
+	// directive reaches the line below.
+	alone bool
 }
 
 // parseAllows extracts every //lint:allow directive from the module's
@@ -21,6 +25,7 @@ func parseAllows(mod *Module) []allowDirective {
 	var out []allowDirective
 	for _, pkg := range mod.Pkgs {
 		for _, f := range pkg.Files {
+			var code map[int]bool // built for files that carry a directive
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					text, ok := strings.CutPrefix(c.Text, "//")
@@ -33,17 +38,17 @@ func parseAllows(mod *Module) []allowDirective {
 						continue
 					}
 					pos := mod.Fset.Position(c.Pos())
-					file := pos.Filename
-					if rel, err := filepath.Rel(mod.Root, file); err == nil && !strings.HasPrefix(rel, "..") {
-						file = filepath.ToSlash(rel)
-					}
-					d := allowDirective{file: file, line: pos.Line}
+					d := allowDirective{file: mod.relFile(pos), line: pos.Line}
 					fields := strings.Fields(rest)
 					if len(fields) >= 2 {
 						d.rule = fields[0]
 						d.reason = strings.Join(fields[1:], " ")
 						d.valid = true
 					}
+					if code == nil {
+						code = codeLines(mod.Fset.File(f.Pos()), f)
+					}
+					d.alone = !code[d.line]
 					out = append(out, d)
 				}
 			}
@@ -52,18 +57,36 @@ func parseAllows(mod *Module) []allowDirective {
 	return out
 }
 
+// codeLines returns the lines of f on which a syntax node starts or ends:
+// the lines that hold code.
+func codeLines(tf *token.File, f *ast.File) map[int]bool {
+	lines := map[int]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.Comment, *ast.CommentGroup:
+			return false
+		case *ast.File:
+			return true
+		}
+		lines[tf.Line(n.Pos())] = true
+		lines[tf.Line(n.End()-1)] = true
+		return true
+	})
+	return lines
+}
+
 // applyAllows drops diagnostics covered by a valid //lint:allow on the
-// same line or the line directly above, and reports malformed directives
-// under the "lint-directive" rule.
+// same line, or alone on the line directly above (a directive that trails
+// code covers that line only), and reports malformed directives under the
+// "lint-directive" rule.
 //
-// When audit is true (a full-suite run; filtered runs would make every
-// unexercised rule's directives look dead), valid directives that
-// suppressed nothing are themselves reported under "stale-allow", so the
-// suppression inventory cannot rot as analyzers rename or code heals. The
-// audit has its own escape hatch — `//lint:allow stale-allow <reason>` on
-// or above a deliberately kept directive — and a stale-allow directive
-// that excuses nothing is stale in turn.
-func applyAllows(mod *Module, diags []Diagnostic, audit bool) []Diagnostic {
+// Valid directives that suppressed nothing are themselves reported under
+// "stale-allow", so the suppression inventory cannot rot as analyzers
+// rename or code heals. The audit has its own escape hatch —
+// `//lint:allow stale-allow <reason>` on the line above a deliberately kept
+// directive — and a stale-allow directive that excuses nothing is stale in
+// turn.
+func applyAllows(mod *Module, diags []Diagnostic) []Diagnostic {
 	type key struct {
 		file string
 		line int
@@ -83,7 +106,9 @@ func applyAllows(mod *Module, diags []Diagnostic, audit bool) []Diagnostic {
 			continue
 		}
 		allowed[key{d.file, d.line, d.rule}] = d
-		allowed[key{d.file, d.line + 1, d.rule}] = d
+		if d.alone {
+			allowed[key{d.file, d.line + 1, d.rule}] = d
+		}
 	}
 	for _, d := range diags {
 		if a := allowed[key{d.File, d.Line, d.Rule}]; a != nil {
@@ -91,9 +116,6 @@ func applyAllows(mod *Module, diags []Diagnostic, audit bool) []Diagnostic {
 			continue
 		}
 		out = append(out, d)
-	}
-	if !audit {
-		return out
 	}
 	known := map[string]bool{"lint-directive": true, "stale-allow": true}
 	for _, a := range Analyzers() {

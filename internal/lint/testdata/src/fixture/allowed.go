@@ -9,6 +9,7 @@ import (
 
 	_ "math/rand" //lint:allow nondeterminism fixture: suppressed forbidden import
 
+	"parroute/internal/circuit"
 	"parroute/internal/mp"
 	"parroute/internal/rng"
 )
@@ -37,17 +38,8 @@ func ShareAllowed(ctx context.Context, r *rng.RNG, out chan<- uint64) {
 	}()
 }
 
-type plainCounter struct {
-	mu sync.Mutex
-	n  int
-}
-
-//lint:allow sync-by-value fixture: suppressed mutex copy
-func (c plainCounter) BumpAllowed() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.n++
-	return c.n
+func RebuildAllowed(c *circuit.Circuit) *circuit.Circuit {
+	return c.Clone() //lint:allow forbidden-call fixture: suppressed whole-circuit clone
 }
 
 func SyncAllowed(c mp.Comm) {
@@ -101,18 +93,6 @@ type sessionAllowed struct {
 
 // RankAllowedSession keeps sessionAllowed used.
 func (s *sessionAllowed) RankAllowedSession() int { return s.rank }
-
-// allowedSpec mirrors driftSpec for the suppressed manifest-drift twin.
-type allowedSpec struct {
-	Net int
-	X   int
-}
-
-//mp:payload
-type allowedBatch []allowedSpec //lint:allow manifest-drift fixture: suppressed payload layout drift
-
-// CarryAllowed keeps allowedBatch used.
-func CarryAllowed(b allowedBatch) int { return len(b) }
 
 func SpinAllowed() {
 	go func() { //lint:allow goroutine-lifecycle fixture: suppressed leaked spinner

@@ -11,8 +11,11 @@ import (
 	"sync"
 	"time"
 
+	"parroute/internal/circuit"
 	"parroute/internal/mp"
 	"parroute/internal/rng"
+	"parroute/internal/route"
+	"parroute/internal/steiner"
 )
 
 // Stamp violates nondeterminism: a wall-clock read outside the timing
@@ -34,18 +37,13 @@ func Share(ctx context.Context, r *rng.RNG, out chan<- uint64) {
 	}()
 }
 
-// lockedCounter's value receiver violates sync-by-value: every Bump call
-// copies mu, so callers never contend on the same lock.
-type lockedCounter struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (c lockedCounter) Bump() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.n++
-	return c.n
+// Rebuild violates forbidden-call once per row of the analyzer's table: the
+// two per-call wrappers, a whole-circuit Clone and a one-at-a-time
+// InsertFeedthrough (fixture files count as inside every row's scope).
+func Rebuild(c *circuit.Circuit) int {
+	route.ConnectNodes(0, nil, nil)
+	steiner.BuildNet(c, 0)
+	return c.Clone().InsertFeedthrough(0, 0, circuit.NoNet)
 }
 
 // Sync violates unchecked-error: a dropped transport error turns a failed
@@ -152,23 +150,6 @@ type session struct {
 
 // Rank returns the stored rank (keeps session used).
 func (s *session) Rank() int { return s.rank }
-
-// driftSpec is the element type of driftedBatch. The package-local
-// mp_protocol.json still records the layout before X was added.
-type driftSpec struct {
-	Net int
-	X   int
-}
-
-// driftedBatch violates manifest-drift: the //mp:payload layout gained a
-// field after the last regeneration, so the committed manifest prices
-// each element 8 bytes short.
-//
-//mp:payload
-type driftedBatch []driftSpec
-
-// Carry keeps driftedBatch used.
-func Carry(b driftedBatch) int { return len(b) }
 
 // Spin violates goroutine-lifecycle: the spawned body loops forever and
 // observes no ctx, receives from no closable channel, and joins no

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
+
+	"parroute/internal/mpproto"
 )
 
 // analyzerUncheckedError flags transport and serialization calls whose
@@ -19,12 +21,11 @@ var analyzerUncheckedError = &Analyzer{
 	Run:  runUncheckedError,
 }
 
-// uncheckedErrorPkgs are the packages whose error results must always be
-// consumed.
+// uncheckedErrorPkgs are the packages, besides internal/mp, whose error
+// results must always be consumed.
 var uncheckedErrorPkgs = map[string]bool{
-	"parroute/internal/mp": true,
-	"encoding/json":        true,
-	"io":                   true,
+	"encoding/json": true,
+	"io":            true,
 }
 
 // uncheckedErrorNames extends the scope to the module's serializers
@@ -44,7 +45,7 @@ func runUncheckedError(p *Pass) {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(p.Pkg.Info, call)
+			fn := mpproto.Callee(p.Pkg.Info, call)
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
@@ -53,7 +54,7 @@ func runUncheckedError(p *Pass) {
 				return true
 			}
 			path := fn.Pkg().Path()
-			inScope := uncheckedErrorPkgs[path] ||
+			inScope := mpproto.IsMP(path) || uncheckedErrorPkgs[path] ||
 				(strings.HasPrefix(path, "parroute") && uncheckedErrorNames[fn.Name()])
 			if !inScope {
 				return true

@@ -19,25 +19,6 @@ func pkgQualifier(info *types.Info, e ast.Expr) string {
 	return pn.Imported().Path()
 }
 
-// calleeFunc resolves the called function or method of call, if it is a
-// statically known *types.Func (package function, method, or interface
-// method). Conversions and builtins return nil.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	fun := ast.Unparen(call.Fun)
-	if ix, ok := fun.(*ast.IndexExpr); ok {
-		fun = ast.Unparen(ix.X) // explicit instantiation: f[T](...)
-	}
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		f, _ := info.Uses[fun].(*types.Func)
-		return f
-	case *ast.SelectorExpr:
-		f, _ := info.Uses[fun.Sel].(*types.Func)
-		return f
-	}
-	return nil
-}
-
 // isRNGPtr reports whether t is *rng.RNG from this module.
 func isRNGPtr(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)

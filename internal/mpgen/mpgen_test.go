@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -31,26 +33,15 @@ func scanRepo(t *testing.T) *Model {
 // TestGeneratedOutputCurrent is the regenerate-and-diff golden for the
 // whole generated surface: re-running the generator over the checked-in
 // tree must reproduce every mpwire_gen.go and mp_protocol.json byte for
-// byte. This is the same check `mpgen -check` runs in CI; regenerate
-// with `go generate ./...` after changing a payload type.
+// byte. It calls what `mpgen -check` calls, so tier-1 and CI hold one
+// gate; regenerate with `go generate ./...` after changing a payload type.
 func TestGeneratedOutputCurrent(t *testing.T) {
-	m := scanRepo(t)
-	files, err := m.Generate()
+	stale, err := Check(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for rel, want := range files {
-		got, err := os.ReadFile(filepath.Join(m.Root, filepath.FromSlash(rel)))
-		if err != nil {
-			t.Errorf("generated file missing on disk: %s (%v)", rel, err)
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s is stale: checked-in content differs from regeneration; run `go generate ./...`", rel)
-		}
-	}
-	if len(files) < 3 {
-		t.Fatalf("generator produced %d file(s), expected at least mp, parallel, and the manifest", len(files))
+	for _, line := range stale {
+		t.Errorf("stale: %s; run `go generate ./...`", line)
 	}
 }
 
@@ -71,6 +62,9 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(fa) < 3 {
+		t.Fatalf("generator produced %d file(s), expected at least mp, parallel, and the manifest", len(fa))
+	}
 	if len(fa) != len(fb) {
 		t.Fatalf("file sets differ: %d vs %d", len(fa), len(fb))
 	}
@@ -81,19 +75,32 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestScanManifestShape asserts the protocol facts the rest of the PR
+// TestScanManifestShape asserts the protocol facts the rest of the module
 // depends on: the payload set, the PR-4 flat prices now derived from
-// layout, the reserved engine tag, and the tag→payload associations the
-// lint analyzers cross-check.
+// layout, the reserved engine tag, and the tag→payload associations.
 func TestScanManifestShape(t *testing.T) {
 	man := scanRepo(t).Manifest
 	if man.Schema != mpproto.SchemaVersion {
 		t.Fatalf("schema = %q", man.Schema)
 	}
-	for _, pkg := range []string{"parroute/internal/mp", "parroute/internal/parallel"} {
-		if !man.Covers(pkg) {
-			t.Errorf("manifest does not cover %s", pkg)
+	typeOf := func(pkg, name string) mpproto.TypeEntry {
+		i := slices.IndexFunc(man.Types, func(e mpproto.TypeEntry) bool { return e.Package == pkg && e.Name == name })
+		if i < 0 {
+			t.Errorf("type %s.%s missing from manifest", pkg, name)
+			return mpproto.TypeEntry{}
 		}
+		return man.Types[i]
+	}
+	tagOf := func(pkg, name string) mpproto.TagEntry {
+		i := slices.IndexFunc(man.Tags, func(e mpproto.TagEntry) bool { return e.Package == pkg && e.Name == name })
+		if i < 0 {
+			t.Errorf("tag %s.%s missing from manifest", pkg, name)
+			return mpproto.TagEntry{}
+		}
+		return man.Tags[i]
+	}
+	if want := []string{"parroute/internal/mp", "parroute/internal/parallel"}; !slices.Equal(man.Packages, want) {
+		t.Errorf("manifest covers %v, want %v", man.Packages, want)
 	}
 	widths := map[string]int{
 		"FakePinBatch":  25,
@@ -101,22 +108,15 @@ func TestScanManifestShape(t *testing.T) {
 		"NodeBatch":     25,
 	}
 	for name, want := range widths {
-		e := man.TypeByName("parroute/internal/parallel", name)
-		if e == nil {
-			t.Errorf("type %s missing from manifest", name)
-			continue
-		}
-		if e.FlatWidth != want || e.Kind != mpproto.TypeSlice {
-			t.Errorf("%s: flatWidth %d kind %s, want %d slice", name, e.FlatWidth, e.Kind, want)
-		}
-		if e.WireID == 0 {
-			t.Errorf("%s has no wire id", name)
+		e := typeOf("parroute/internal/parallel", name)
+		if e.FlatWidth != want || e.Kind != mpproto.TypeSlice || e.WireID == 0 {
+			t.Errorf("%s: flatWidth %d kind %s wire id %d, want %d slice with an id", name, e.FlatWidth, e.Kind, e.WireID, want)
 		}
 	}
-	if e := man.TypeByName("parroute/internal/mp", "chaosMsg"); e == nil || e.WireID == 0 {
-		t.Errorf("chaosMsg missing or unregistered: %+v", e)
+	if e := typeOf("parroute/internal/mp", "chaosMsg"); e.WireID == 0 {
+		t.Errorf("chaosMsg unregistered: %+v", e)
 	}
-	if tag := man.TagByName("parroute/internal/mp", "tagBarrier"); tag == nil || !tag.Reserved || tag.Value != -2 {
+	if tag := tagOf("parroute/internal/mp", "tagBarrier"); !tag.Reserved || tag.Value != -2 {
 		t.Errorf("tagBarrier: %+v", tag)
 	}
 	tagPayloads := map[string]string{
@@ -124,18 +124,7 @@ func TestScanManifestShape(t *testing.T) {
 		"tagSummary": "parroute/internal/parallel.Summary",
 	}
 	for tagName, want := range tagPayloads {
-		tag := man.TagByName("parroute/internal/parallel", tagName)
-		if tag == nil {
-			t.Errorf("tag %s missing", tagName)
-			continue
-		}
-		found := false
-		for _, p := range tag.Payloads {
-			if p == want {
-				found = true
-			}
-		}
-		if !found {
+		if tag := tagOf("parroute/internal/parallel", tagName); !slices.Contains(tag.Payloads, want) {
 			t.Errorf("%s payloads = %v, want %s", tagName, tag.Payloads, want)
 		}
 	}
@@ -144,34 +133,13 @@ func TestScanManifestShape(t *testing.T) {
 	}
 }
 
-// TestManifestOnDiskMatchesScan loads the committed mp_protocol.json and
-// diffs each scanned type entry against it with the same layout diff the
-// manifest-drift analyzer uses — a field-level drift message, not just a
-// byte diff.
-func TestManifestOnDiskMatchesScan(t *testing.T) {
-	m := scanRepo(t)
-	disk, err := mpproto.Load(filepath.Join(m.Root, mpproto.ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, gp := range m.Pkgs {
-		for i := range gp.Types {
-			want := &gp.Types[i].Entry
-			got := disk.TypeByName(gp.Path, gp.Types[i].Name)
-			if got == nil {
-				t.Errorf("%s.%s missing from committed manifest", gp.Path, gp.Types[i].Name)
-				continue
-			}
-			if diff := mpproto.DiffLayout(want, got); diff != "" {
-				t.Errorf("%s.%s drifted: %s", gp.Path, gp.Types[i].Name, diff)
-			}
-		}
-	}
-}
-
-// TestCheckReportsDrift exercises the CI gate end to end in a scratch
-// module: a payload edit without regeneration must surface as stale
-// files, and Write must converge to a clean Check.
+// TestCheckReportsDrift exercises the drift gate end to end in a scratch
+// module: Write must converge to a clean Check, and then every kind of
+// protocol edit made without regenerating — a payload field, a tag value,
+// a new tag, a new payload under an existing tag, a new type that shifts
+// the wire ids — must come back from Check as stale files with the first
+// differing line named, and a type sent without its //mp:payload marker as
+// an error naming the send site.
 func TestCheckReportsDrift(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, src string) {
@@ -184,78 +152,94 @@ func TestCheckReportsDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// msgs renders the scratch protocol file: PingMsg's fields, tagPing's
+	// value, and whatever else the case declares.
+	msgs := func(fields, tagValue, extra string) string {
+		return "package mp\n\n// PingMsg is a scratch payload.\n//\n//mp:payload\ntype PingMsg struct {\n" + fields +
+			"}\n\nconst tagPing = " + tagValue + "\n\nfunc ping(c Comm) error { return c.Send(1, tagPing, PingMsg{}) }\n\n" + extra
+	}
+	const baseFields = "\tSeq int\n\tHop int\n"
 	write("go.mod", "module scratch\n\ngo 1.22\n")
-	// A miniature mp so generated code (which imports the real helper
-	// surface via the mp package path only when foreign) stays loadable:
-	// payloads in the scratch module's own "internal/mp" get unqualified
-	// helpers, so mirror the ones the codec emits.
 	write("internal/mp/mp.go", scratchMP)
-	write("internal/mp/msgs.go", `package mp
-
-// PingMsg is a scratch payload.
-//
-//mp:payload
-type PingMsg struct {
-	Seq int
-	Hop int
-}
-
-const tagPing = 7
-`)
+	write("internal/mp/msgs.go", msgs(baseFields, "7", ""))
 
 	stale, err := Check(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stale) == 0 {
-		t.Fatal("Check found nothing stale in a tree with no generated files")
+	if len(stale) != 2 || !strings.HasSuffix(stale[0], ": missing") {
+		t.Fatalf("Check on a tree with no generated files = %q, want both reported missing", stale)
 	}
 	if _, err := Write(root); err != nil {
 		t.Fatal(err)
 	}
-	stale, err = Check(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stale) != 0 {
-		t.Fatalf("Check still stale after Write: %v", stale)
+	if stale, err = Check(root); err != nil || len(stale) != 0 {
+		t.Fatalf("Check after Write: stale %q, err %v", stale, err)
 	}
 
-	// The acceptance scenario: delete a field, regenerate nothing — the
-	// drift gate must fire on both the codec file and the manifest.
-	write("internal/mp/msgs.go", `package mp
+	const codec, manifest = "internal/mp/mpwire_gen.go:", "mp_protocol.json:"
+	cases := []struct {
+		name string
+		src  string
+		want []string // one substring per stale line, in order
+	}{
+		{"field deleted", msgs("\tSeq int\n", "7", ""),
+			[]string{codec, manifest + `39: - "flatWidth": 16, / + "flatWidth": 8,`}},
+		{"field retyped", msgs("\tSeq int\n\tHop int32\n", "7", ""),
+			[]string{codec, manifest + `39: - "flatWidth": 16, / + "flatWidth": 12,`}},
+		{"tag value edited", msgs(baseFields, "8", ""),
+			[]string{codec, manifest + ` - "value": 7, / + "value": 8,`}},
+		{"tag added", msgs(baseFields, "7", "const tagPong = 9\n\nfunc pong(c Comm) (any, error) { c.Send(1, tagPong, 1); return c.Recv(1, tagPong) }\n"),
+			[]string{codec, manifest}},
+		{"payload added under an existing tag", msgs(baseFields, "7", "func count(c Comm) error { return c.Send(1, tagPing, 3) }\n"),
+			[]string{codec, manifest + ` - "scratch/internal/mp.PingMsg" / + "int",`}},
+		{"wire ids shifted", msgs(baseFields, "7", "// AckMsg sorts before PingMsg and takes its id.\n//\n//mp:payload\ntype AckMsg struct{ Seq int }\n"),
+			[]string{codec, manifest}},
+	}
+	for _, tc := range cases {
+		write("internal/mp/msgs.go", tc.src)
+		stale, err := Check(root)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if len(stale) != len(tc.want) {
+			t.Errorf("%s: stale = %q, want %d lines", tc.name, stale, len(tc.want))
+			continue
+		}
+		for i, want := range tc.want {
+			file, rest, _ := strings.Cut(want, ":")
+			if !strings.HasPrefix(stale[i], file+":") || !strings.Contains(stale[i], strings.TrimSpace(rest)) {
+				t.Errorf("%s: stale[%d] = %q, want %s with %q", tc.name, i, stale[i], file, rest)
+			}
+		}
+	}
 
-// PingMsg is a scratch payload.
-//
-//mp:payload
-type PingMsg struct {
-	Seq int
+	// The one drift no byte compare can see: the manifest would be current
+	// and still wrong.
+	write("internal/mp/msgs.go", msgs(baseFields, "7", "type Raw struct{ N int }\n\nfunc raw(c Comm) error { return c.Send(1, tagPing, Raw{}) }\n"))
+	_, err = Check(root)
+	if err == nil {
+		t.Fatal("Check accepted a type sent over mp with no //mp:payload marker")
+	}
+	for _, want := range []string{"msgs.go:17:", "Send sends scratch/internal/mp.Raw", "//mp:payload"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("unmarked-type error %q does not mention %q", err, want)
+		}
+	}
 }
 
-const tagPing = 7
-`)
-	stale, err = Check(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStale := map[string]bool{
-		"internal/mp/mpwire_gen.go": true,
-		"mp_protocol.json":          true,
-	}
-	for _, rel := range stale {
-		delete(wantStale, rel)
-	}
-	if len(wantStale) != 0 {
-		t.Fatalf("field deletion not caught: stale=%v, missing=%v", stale, wantStale)
-	}
-}
-
-// scratchMP is the minimal helper surface the generated code references
-// when the target package path ends in internal/mp (helpers are emitted
-// unqualified there).
+// scratchMP is the minimal surface the scratch module needs from its own
+// internal/mp: the Comm methods Scan classifies, and the helpers generated
+// code references (emitted unqualified inside internal/mp).
 const scratchMP = `package mp
 
 import "encoding/binary"
+
+type Comm interface {
+	Send(to, tag int, v any) error
+	Recv(from, tag int) (any, error)
+}
 
 func AppendUint32(buf []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(buf, v) }
 func AppendUint64(buf []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(buf, v) }
@@ -264,4 +248,6 @@ func WireUint32(data []byte) (uint32, []byte, error) { return binary.LittleEndia
 func WireUint64(data []byte) (uint64, []byte, error) { return binary.LittleEndian.Uint64(data), data[8:], nil }
 
 func Register[T any](id uint32) {}
+
+var WireProtocolChecksum uint64
 `

@@ -4,8 +4,8 @@
 // (internal/lint), discovers every type annotated with the //mp:payload
 // directive, and emits per-package mpwire_gen.go files (flat binary
 // codecs, WireSize pricing, one-line registration) plus mp_protocol.json —
-// the machine-readable protocol contract internal/lint's manifest-aware
-// analyzers enforce. cmd/mpgen is the CLI; `mpgen -check` is the CI
+// the machine-readable protocol contract. cmd/mpgen is the CLI;
+// `mpgen -check`, a byte compare of both against the tree, is the one
 // drift gate.
 package mpgen
 
@@ -14,7 +14,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 
 	"parroute/internal/lint"
 	"parroute/internal/mpproto"
@@ -49,27 +48,12 @@ type Model struct {
 	Manifest *mpproto.Manifest
 }
 
-// isTagName matches the repository's protocol tag naming convention.
-func isTagName(name string) bool {
-	return strings.HasPrefix(name, "tag") && len(name) > len("tag")
-}
-
-// calleeFunc resolves the statically known called function of call.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		f, _ := info.Uses[fun].(*types.Func)
-		return f
-	case *ast.SelectorExpr:
-		f, _ := info.Uses[fun.Sel].(*types.Func)
-		return f
-	}
-	return nil
-}
-
 // Scan loads the module containing root and builds the generation model:
 // marked payload types with deterministic wire ids, the tag table with
-// statically visible payload associations, and the collective census.
+// statically visible payload associations, and the collective census. A
+// type sent over mp without the //mp:payload marker is an error naming the
+// send site: no byte compare can see it (the manifest would be current and
+// still wrong), and its Send fails on the TCP engines for want of a codec.
 // The generated files themselves are excluded from the load, so a stale
 // mpwire_gen.go — even one that no longer type-checks after a payload
 // edit — never blocks regeneration.
@@ -155,14 +139,10 @@ func scanModule(mod *lint.Module) (*Model, error) {
 					}
 					for _, name := range vs.Names {
 						c, ok := pkg.Info.Defs[name].(*types.Const)
-						if !ok || !isTagName(name.Name) {
+						if !ok {
 							continue
 						}
-						basic, ok := c.Type().Underlying().(*types.Basic)
-						if !ok || basic.Info()&types.IsInteger == 0 {
-							continue
-						}
-						v, ok := constValInt(c)
+						v, ok := mpproto.TagValue(c)
 						if !ok {
 							continue
 						}
@@ -178,9 +158,18 @@ func scanModule(mod *lint.Module) (*Model, error) {
 
 	// Pass 3: send/collective sites — tag→payload associations and the
 	// collective census, over the covered packages.
-	mpPath := mod.Path + "/internal/mp"
+	priced := map[string]bool{}
+	for _, e := range mpproto.BuiltinTypes() {
+		priced[e.Name] = true
+	}
+	for _, gp := range m.Pkgs {
+		for i := range gp.Types {
+			priced[gp.Path+"."+gp.Types[i].Name] = true
+		}
+	}
 	payloads := map[string]map[string]bool{} // "pkg\x00tag" -> type set
 	collectives := map[string]int{}
+	var unmarked error
 	for _, pkg := range mod.Pkgs {
 		if !covered[pkg.Path] {
 			continue
@@ -191,48 +180,42 @@ func scanModule(mod *lint.Module) (*Model, error) {
 				if !ok {
 					return true
 				}
-				fn := calleeFunc(pkg.Info, call)
-				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != mpPath {
+				op := mpproto.Classify(pkg.Info, call)
+				if op == nil {
 					return true
 				}
-				sig, _ := fn.Type().(*types.Signature)
-				isMethod := sig != nil && sig.Recv() != nil
-				tagIdx, payloadIdx := -1, -1
-				switch {
-				case isMethod && fn.Name() == "Send":
-					tagIdx, payloadIdx = 1, 2
-				case isMethod && fn.Name() == "Barrier":
-					collectives["Barrier"]++
-				case !isMethod:
-					// Barrier above is counted for the census even though it
-					// carries no tag or payload.
-					if sig, ok := mpproto.Collectives[fn.Name()]; ok {
-						collectives[fn.Name()]++
-						tagIdx, payloadIdx = sig.TagArg, sig.PayloadArg
-					}
+				if op.Collective {
+					collectives[op.Name]++
 				}
-				if tagIdx < 0 || tagIdx >= len(call.Args) {
+				payload := op.Payload(call)
+				if payload == nil {
 					return true
 				}
-				tag := namedConst(pkg.Info, call.Args[tagIdx])
-				if tag == nil || payloadIdx < 0 || payloadIdx >= len(call.Args) {
-					return true
-				}
-				tv, ok := pkg.Info.Types[call.Args[payloadIdx]]
+				tv, ok := pkg.Info.Types[payload]
 				if !ok || tv.Type == nil {
 					return true
 				}
 				if _, isIface := tv.Type.Underlying().(*types.Interface); isIface {
 					return true // a relayed any — no static payload identity
 				}
-				key := tag.Pkg().Path() + "\x00" + tag.Name()
-				if payloads[key] == nil {
-					payloads[key] = map[string]bool{}
+				name := types.TypeString(types.Default(tv.Type), nil)
+				if !priced[name] && unmarked == nil {
+					unmarked = fmt.Errorf("mpgen: %s: %s sends %s, which has no //mp:payload marker: mark the type and run `go generate ./...`",
+						mod.Fset.Position(payload.Pos()), op.Name, name)
 				}
-				payloads[key][types.TypeString(types.Default(tv.Type), nil)] = true
+				if tag := mpproto.NamedConst(pkg.Info, op.Tag(call)); tag != nil {
+					key := tag.Pkg().Path() + "\x00" + tag.Name()
+					if payloads[key] == nil {
+						payloads[key] = map[string]bool{}
+					}
+					payloads[key][name] = true
+				}
 				return true
 			})
 		}
+	}
+	if unmarked != nil {
+		return nil, unmarked
 	}
 	for i := range tags {
 		set := payloads[tags[i].Package+"\x00"+tags[i].Name]
@@ -277,36 +260,4 @@ func scanModule(mod *lint.Module) (*Model, error) {
 	sort.Slice(man.Collectives, func(i, j int) bool { return man.Collectives[i].Name < man.Collectives[j].Name })
 	m.Manifest = man
 	return m, nil
-}
-
-// constValInt extracts a constant's integer value.
-func constValInt(c *types.Const) (int, bool) {
-	v := c.Val()
-	if v == nil {
-		return 0, false
-	}
-	i, ok := constantInt64(v)
-	return int(i), ok
-}
-
-// namedConst resolves e to a declared constant object, or nil.
-func namedConst(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if c, ok := objOf(info, e).(*types.Const); ok {
-			return c
-		}
-	case *ast.SelectorExpr:
-		if c, ok := objOf(info, e.Sel).(*types.Const); ok {
-			return c
-		}
-	}
-	return nil
-}
-
-func objOf(info *types.Info, id *ast.Ident) types.Object {
-	if o := info.Uses[id]; o != nil {
-		return o
-	}
-	return info.Defs[id]
 }

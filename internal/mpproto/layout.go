@@ -71,9 +71,9 @@ func qualify(t types.Type) string {
 	return types.TypeString(t, nil)
 }
 
-// basicWidth returns the encoded width of a basic (or basic-underlying)
+// BasicWidth returns the encoded width of a basic (or basic-underlying)
 // type, or 0 if the kind is not a fixed-width scalar.
-func basicWidth(b *types.Basic) int {
+func BasicWidth(b *types.Basic) int {
 	switch b.Kind() {
 	case types.Bool, types.Int8, types.Uint8:
 		return 1
@@ -95,7 +95,7 @@ func FlatWidth(t types.Type) (int, error) {
 		if u.Kind() == types.String {
 			return FlatEstimate, nil
 		}
-		if w := basicWidth(u); w > 0 {
+		if w := BasicWidth(u); w > 0 {
 			return w, nil
 		}
 		return 0, fmt.Errorf("mpproto: unsupported basic type %s", qualify(t))
@@ -139,7 +139,7 @@ func fieldOf(name string, t types.Type) (FieldEntry, error) {
 			fe.Kind, fe.Width = KindString, FlatEstimate
 			return fe, nil
 		}
-		if w := basicWidth(u); w > 0 {
+		if w := BasicWidth(u); w > 0 {
 			fe.Kind, fe.Width = KindFixed, w
 			return fe, nil
 		}
@@ -217,47 +217,4 @@ func TypeEntryFor(name, pkgPath string, t types.Type) (TypeEntry, error) {
 		return te, nil
 	}
 	return te, fmt.Errorf("mpproto: %s: payload types must be structs or slices, not %s", name, qualify(t))
-}
-
-// DiffLayout compares a type's current layout (want, derived from source)
-// against its manifest entry (got) and returns a description of the first
-// difference, or "" when the layouts match. WireID is excluded: id
-// assignment is mpgen's concern, layout drift is the analyzers'.
-func DiffLayout(want, got *TypeEntry) string {
-	if want.Kind != got.Kind {
-		return fmt.Sprintf("kind is %s in code but %s in manifest", want.Kind, got.Kind)
-	}
-	if want.Elem != got.Elem {
-		return fmt.Sprintf("element type is %s in code but %s in manifest", want.Elem, got.Elem)
-	}
-	if want.FlatWidth != got.FlatWidth {
-		return fmt.Sprintf("flat width is %d in code but %d in manifest", want.FlatWidth, got.FlatWidth)
-	}
-	return diffFields(want.Fields, got.Fields, "")
-}
-
-func diffFields(want, got []FieldEntry, prefix string) string {
-	for i := range want {
-		if i >= len(got) {
-			return fmt.Sprintf("field %s%s is missing from the manifest", prefix, want[i].Name)
-		}
-		w, g := &want[i], &got[i]
-		path := prefix + w.Name
-		switch {
-		case w.Name != g.Name:
-			return fmt.Sprintf("field %d is %s in code but %s in manifest", i, path, prefix+g.Name)
-		case w.Type != g.Type:
-			return fmt.Sprintf("field %s has type %s in code but %s in manifest", path, w.Type, g.Type)
-		case w.Kind != g.Kind || w.Width != g.Width || w.Elem != g.Elem || w.ElemWidth != g.ElemWidth:
-			return fmt.Sprintf("field %s has layout %s/%d (elem %s/%d) in code but %s/%d (elem %s/%d) in manifest",
-				path, w.Kind, w.Width, w.Elem, w.ElemWidth, g.Kind, g.Width, g.Elem, g.ElemWidth)
-		}
-		if d := diffFields(w.Fields, g.Fields, path+"."); d != "" {
-			return d
-		}
-	}
-	if len(got) > len(want) {
-		return fmt.Sprintf("field %s%s is in the manifest but not in code", prefix, got[len(want)].Name)
-	}
-	return ""
 }

@@ -1,12 +1,13 @@
-// Package mpproto defines the machine-readable protocol manifest shared
-// by cmd/mpgen (which derives it from the payload structs) and
-// internal/lint's manifest-aware analyzers (which enforce that code and
-// manifest never drift apart). The manifest is the single source of truth
-// for the mp message set: every payload type with its flat wire layout,
-// every named protocol tag with its value and statically visible payload
-// types, and the collective operations the protocols use. A future
-// multi-host DMP negotiates exactly this document at handshake, so the
-// encoding is canonical: one byte sequence per manifest value.
+// Package mpproto defines the machine-readable protocol manifest cmd/mpgen
+// derives from the payload structs, and the one reading of internal/mp's
+// surface (ops.go) that mpgen's scanner and internal/lint's protocol
+// analyzers share. The manifest is the single source of truth for the mp
+// message set: every payload type with its flat wire layout, every named
+// protocol tag with its value and statically visible payload types, and
+// the collective operations the protocols use. `mpgen -check` holds the
+// committed copy to the source byte for byte. A future multi-host DMP
+// negotiates exactly this document at handshake, so the encoding is
+// canonical: one byte sequence per manifest value.
 package mpproto
 
 import (
@@ -20,16 +21,16 @@ import (
 // migration note in DESIGN.md §11.
 const SchemaVersion = "parroute-mpproto/1"
 
-// ManifestName is the file name the manifest is stored under, both at the
-// module root (the real protocol) and inside lint fixture packages.
+// ManifestName is the file name the manifest is stored under at the module
+// root.
 const ManifestName = "mp_protocol.json"
 
 // Manifest is the protocol contract: types × fields × tags × collectives.
 type Manifest struct {
 	Schema string `json:"schema"`
 	Module string `json:"module"`
-	// Packages lists the import paths the manifest covers; the lint
-	// analyzers apply manifest checks only to these packages.
+	// Packages lists the import paths the manifest covers: every package
+	// that declares a payload type or a protocol tag.
 	Packages    []string          `json:"packages"`
 	Types       []TypeEntry       `json:"types"`
 	Tags        []TagEntry        `json:"tags"`
@@ -98,22 +99,6 @@ type CollectiveEntry struct {
 	Sites int `json:"sites"`
 }
 
-// Collective is the call signature of one package-level collective of
-// internal/mp: where its tag and its payload sit in the argument list.
-type Collective struct{ TagArg, PayloadArg int }
-
-// Collectives is the signature table of internal/mp's collectives, by
-// function name — the one copy mpgen's scanner and the lint analyzers both
-// read. Comm's methods are not in it: Send is (to, tag, payload), Recv
-// (from, tag), and Barrier takes nothing.
-var Collectives = map[string]Collective{
-	"Gather":          {TagArg: 2, PayloadArg: 3},
-	"Allgather":       {TagArg: 1, PayloadArg: 2},
-	"AllreduceInt32s": {TagArg: 1, PayloadArg: 2},
-	"AllreduceInt":    {TagArg: 1, PayloadArg: 2},
-	"Alltoall":        {TagArg: 1, PayloadArg: 2},
-}
-
 // Encode renders the manifest in its canonical byte form: two-space
 // indented JSON with a trailing newline. Equal manifests encode to equal
 // bytes; the drift gate compares these bytes directly.
@@ -146,34 +131,4 @@ func Load(path string) (*Manifest, error) {
 		return nil, fmt.Errorf("mpproto: %w", err)
 	}
 	return Decode(data)
-}
-
-// TypeByName returns the entry for a (package, name) pair, or nil.
-func (m *Manifest) TypeByName(pkg, name string) *TypeEntry {
-	for i := range m.Types {
-		if m.Types[i].Name == name && m.Types[i].Package == pkg {
-			return &m.Types[i]
-		}
-	}
-	return nil
-}
-
-// TagByName returns the entry for a (package, name) pair, or nil.
-func (m *Manifest) TagByName(pkg, name string) *TagEntry {
-	for i := range m.Tags {
-		if m.Tags[i].Name == name && m.Tags[i].Package == pkg {
-			return &m.Tags[i]
-		}
-	}
-	return nil
-}
-
-// Covers reports whether the manifest's checks apply to the package.
-func (m *Manifest) Covers(pkgPath string) bool {
-	for _, p := range m.Packages {
-		if p == pkgPath {
-			return true
-		}
-	}
-	return false
 }

@@ -6,24 +6,32 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"strings"
 	"testing"
 )
 
 // checkSrc type-checks a single-file package and returns its scope.
 func checkSrc(t *testing.T, src string) *types.Package {
 	t.Helper()
+	pkg, _, _ := checkSrcAt(t, "p", src)
+	return pkg
+}
+
+// checkSrcAt is checkSrc under a chosen import path, with the syntax tree
+// and the type information kept.
+func checkSrcAt(t *testing.T, path, src string) (*types.Package, *ast.File, *types.Info) {
+	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	pkg, err := conf.Check("p", fset, []*ast.File{f}, nil)
+	pkg, err := conf.Check(path, fset, []*ast.File{f}, info)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkg
+	return pkg, f, info
 }
 
 const layoutSrc = `package p
@@ -138,35 +146,6 @@ func TestTypeEntryFor(t *testing.T) {
 	}
 }
 
-// TestDiffLayoutFindsDrift exercises the drift comparisons the
-// manifest-drift analyzer reports: a deleted field, a changed width, and
-// a clean match.
-func TestDiffLayoutFindsDrift(t *testing.T) {
-	pkg := checkSrc(t, layoutSrc)
-	want, err := TypeEntryFor("Batch", "p", lookup(t, pkg, "Batch"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	same := want
-	if d := DiffLayout(&want, &same); d != "" {
-		t.Errorf("identical layouts diff: %s", d)
-	}
-
-	dropped := want
-	dropped.Fields = append([]FieldEntry(nil), want.Fields[:3]...)
-	if d := DiffLayout(&want, &dropped); !strings.Contains(d, "Side") || !strings.Contains(d, "missing") {
-		t.Errorf("dropped-field diff = %q, want mention of missing Side", d)
-	}
-
-	widened := want
-	widened.Fields = append([]FieldEntry(nil), want.Fields...)
-	widened.Fields[0].Width = 4
-	if d := DiffLayout(&want, &widened); !strings.Contains(d, "Net") {
-		t.Errorf("width diff = %q, want mention of Net", d)
-	}
-}
-
 // TestManifestRoundTrip pins the canonical encoding: decode(encode(m))
 // re-encodes to identical bytes, and the schema version is enforced.
 func TestManifestRoundTrip(t *testing.T) {
@@ -197,16 +176,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	if string(data) != string(again) {
 		t.Errorf("canonical encoding not stable:\n%s\nvs\n%s", data, again)
 	}
-	if back.TypeByName("parroute/internal/parallel", "Batch") == nil {
-		t.Error("TypeByName missed the Batch entry")
-	}
-	if back.TagByName("parroute/internal/parallel", "tagWires") == nil {
-		t.Error("TagByName missed tagWires")
-	}
-	if !back.Covers("parroute/internal/parallel") || back.Covers("parroute/internal/route") {
-		t.Error("Covers wrong about package scope")
-	}
-
 	if _, err := Decode([]byte(`{"schema":"parroute-mpproto/999"}`)); err == nil {
 		t.Error("Decode accepted a wrong schema version")
 	}

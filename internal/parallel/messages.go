@@ -29,7 +29,7 @@ const (
 // The payload types below carry the //mp:payload directive: cmd/mpgen
 // derives their flat codecs, WireSize pricing and registration (see
 // mp.Payload) into mpwire_gen.go, and records their field layout
-// in mp_protocol.json for the manifest-drift lint gate. After changing
+// in mp_protocol.json for the `mpgen -check` drift gate. After changing
 // any of them, run `go generate ./...` and commit the regenerated files.
 
 // FakePinSpec asks a block worker to add a fake pin for a net at a

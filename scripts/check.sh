@@ -48,8 +48,9 @@ step "line budget (scripts/loc.sh vs scripts/loc.budget)" line_budget
 
 # Protocol drift gate: the committed mpwire_gen.go codecs and the
 # mp_protocol.json manifest must match what mpgen would emit from the
-# current //mp:payload types (see DESIGN.md §11). A failure here means a
-# payload struct or tag constant changed without `go generate ./...`.
+# current //mp:payload types (see DESIGN.md §11) — the one drift gate. A
+# failure names the first stale line of each file and means a payload
+# struct, tag constant or send site changed without `go generate ./...`.
 step "mpgen -check (generated protocol current)" go run ./cmd/mpgen -check
 
 # One wire format: parroute-mpwire/1 is the only encoding on the mesh
@@ -61,41 +62,21 @@ no_gob() {
 }
 step "no encoding/gob dependency" no_gob
 
-# Lint gate with a runtime budget: the suite runs on every merge, so a
-# slow analyzer is a regression too. -timings prints the per-analyzer
-# split to the log so an overrun names its culprit; override the ceiling
-# with PARROUTECHECK_BUDGET (seconds) on slow machines.
-lint_gate() {
-  local start end took budget
-  budget="${PARROUTECHECK_BUDGET:-180}"
-  start="$(date +%s)"
-  go run ./cmd/parroutecheck -timings ./... || return 1
-  end="$(date +%s)"
-  took=$((end - start))
-  echo "parroutecheck took ${took}s (budget ${budget}s)"
-  if [ "$took" -gt "$budget" ]; then
-    echo "parroutecheck exceeded its runtime budget"
-    return 1
-  fi
-}
-step "parroutecheck ./... (within budget)" lint_gate
+# Lint gate: the whole suite over the whole module, once. internal/lint's
+# TestModuleIsClean is the same run for tier-1.
+step "parroutecheck ./..." go run ./cmd/parroutecheck ./...
 
-# The calls the routing packages must not make (root lint_test.go's table;
-# parroutecheck has no rule for them). Both root lint tests are static
-# analysis over a type-checked load of the module, which a -race build makes
-# 12 s of (of 14 for the whole suite) and makes no more telling: the table
-# runs here in a plain build, and the -race step below skips both.
-step "forbidden calls (plain build)" go test -count=1 -run 'TestForbiddenCalls' .
 # The service soak is excluded here and run as its own step below, so it
 # executes exactly once per gate with an explicit, tunable volume. This
 # step is also the cancellation tier (DESIGN.md §10, §15): the RunContext,
 # RunBackground, Cancel, SerialDeadline and ParallelTimeout tests of mp,
 # parallel, route and workpool — cancelling mid-stage unwinds every
 # algorithm on every engine with an error wrapping context.Canceled and no
-# leaked goroutine — run here, under this -race, once. The root package's
-# TestParroutecheckClean (the lint suite the parroutecheck step just ran)
-# and TestForbiddenCalls (the step above) are skipped too.
-step "go test -race ./..." go test -race -skip 'TestServiceSoak|TestParroutecheckClean|TestForbiddenCalls' ./...
+# leaked goroutine — run here, under this -race, once. internal/lint's
+# TestModuleIsClean (the suite the parroutecheck step just ran) is skipped
+# too: it is static analysis over a type-checked load of the module, which
+# a -race build makes 12 s of and makes no more telling.
+step "go test -race ./..." go test -race -skip 'TestServiceSoak|TestModuleIsClean' ./...
 
 # Workers determinism on one P: the ordered band sweeps (coarse flips, wire
 # placement, switch flips; DESIGN.md §9) hand work across goroutines at the
