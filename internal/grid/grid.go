@@ -25,6 +25,10 @@ import (
 	"parroute/internal/geom"
 )
 
+// ColWidth is the column width, in x units, the router cuts the core into:
+// the quantum of its coarse grid and of its channel occupancy.
+const ColWidth = 16
+
 // Grid holds channel-density and feedthrough-demand counters.
 type Grid struct {
 	Rows     int // cell rows
@@ -41,8 +45,8 @@ type Grid struct {
 // colWidth must be positive; width is rounded up to a whole column.
 func New(rows, coreWidth, colWidth int) *Grid {
 	if colWidth <= 0 {
-		// Constructor contract: callers pass a validated Options quantum,
-		// so this is a programmer error rather than a data condition.
+		// Constructor contract: the router passes ColWidth and tests their
+		// own quanta, so this is a programmer error, not a data condition.
 		panic(fmt.Sprintf("grid: colWidth %d must be positive", colWidth)) //lint:allow panic-in-library documented constructor invariant
 	}
 	if coreWidth < 1 {

@@ -25,7 +25,7 @@ var forbiddenCalls = []struct {
 }{
 	// The per-call wrappers allocate fresh scratch on every net; they exist
 	// for tests and diagnostics.
-	{"parroute/internal/route.ConnectNodes", nil, "build all nets with route.ConnectTrees"},
+	{"parroute/internal/route.ConnectNodes", nil, "build all nets with route.ConnectNets"},
 	{"parroute/internal/steiner.BuildNet", nil, "drive a steiner.Builder"},
 	// The row-partitioned drivers (and the steps and sub-circuit builder
 	// they share) read base and build a block-sized sub-circuit from it; a

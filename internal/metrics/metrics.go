@@ -182,6 +182,10 @@ func Wirelength(wires []Wire) int64 {
 	return wl
 }
 
+// TrackPitch is the channel height one track contributes to the area model,
+// in the same units as cell height.
+const TrackPitch = 2
+
 // Area models the chip area the way the paper's quality metric does: core
 // width (the widest row, which grows with inserted feedthroughs) times
 // total height, where each channel contributes its density in track

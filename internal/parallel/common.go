@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"time"
@@ -353,7 +352,7 @@ func (raw *rawGather) merge(base *circuit.Circuit, opt Options) (*metrics.Result
 	res.CoreWidth = coreW
 	res.Phases = mergePhases(raw.summaries)
 	// The ranks have finished, so the cores the run was given are idle.
-	res.Finalize(base.NumChannels(), len(base.Rows), base.CellHeight, opt.Route.TrackPitch, opt.Procs)
+	res.Finalize(base.NumChannels(), len(base.Rows), base.CellHeight, metrics.TrackPitch, opt.Procs)
 	return res, nil
 }
 
@@ -475,6 +474,12 @@ type netNodes struct {
 	nodes []route.Node
 }
 
+// degree and of are what route.ConnectNets asks of a net: how many nodes, and
+// which — the arena holds them, so the worker's scratch stays unused.
+func (nn netNodes) degree(n int) int { return nn.off[n+1] - nn.off[n] }
+
+func (nn netNodes) of(n int, _ []route.Node) []route.Node { return nn.nodes[nn.off[n]:nn.off[n+1]] }
+
 // collectNodes groups NodeMsg contributions (already filtered to nets this
 // rank owns) into one per-net arena: a count pass, a prefix sum, and a fill
 // pass in set, rank, batch order — so every net's nodes sit in arrival
@@ -507,39 +512,10 @@ func collectNodes(numNets, numRows int, sets ...nodeSet) (netNodes, error) {
 	for _, set := range sets {
 		for _, raw := range set.in {
 			for _, nm := range raw.(NodeBatch) {
-				nodes[cursor[nm.Net]] = route.Node{X: nm.X, Row: nm.Row, Side: nm.Side, Pin: -1}
+				nodes[cursor[nm.Net]] = route.Node{X: nm.X, Row: nm.Row, Side: nm.Side}
 				cursor[nm.Net]++
 			}
 		}
 	}
 	return netNodes{off: off, nodes: nodes}, nil
-}
-
-// connectOwnedNets runs step 4 for every net of the arena — the serial
-// router's two halves: every net's tree built on up to workers goroutines
-// straight into its k-1 wire slots, then the wires placed in net-ID order
-// against occ — and returns the wires plus the forced-edge count. occ is the
-// owner's (necessarily partial: it sees only this rank's nets) live
-// occupancy for switchable channel choices — the interference the paper's
-// §5 describes.
-func connectOwnedNets(ctx context.Context, nn netNodes, occ *route.Occupancy, workers int) (wires []metrics.Wire, forced int, err error) {
-	nets := len(nn.off) - 1
-	wireOff := make([]int, nets+1)
-	for n := 0; n < nets; n++ {
-		wireOff[n+1] = wireOff[n]
-		if k := nn.off[n+1] - nn.off[n]; k >= 2 {
-			wireOff[n+1] += k - 1
-		}
-	}
-	wires = make([]metrics.Wire, wireOff[nets])
-	forced, err = route.ConnectTrees(ctx, workers, wireOff, func(n int) []route.Node {
-		return nn.nodes[nn.off[n]:nn.off[n+1]]
-	}, nil, wires)
-	if err == nil {
-		err = occ.PlaceWires(ctx, workers, wires, nil)
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("parallel: connect: %w", err)
-	}
-	return wires, forced, nil
 }

@@ -27,9 +27,7 @@ func refCollectNodes(in []any) map[int][]route.Node {
 	byNet := make(map[int][]route.Node)
 	for _, raw := range in {
 		for _, nm := range raw.(NodeBatch) {
-			byNet[nm.Net] = append(byNet[nm.Net], route.Node{
-				X: nm.X, Row: nm.Row, Side: nm.Side, Pin: -1,
-			})
+			byNet[nm.Net] = append(byNet[nm.Net], route.Node{X: nm.X, Row: nm.Row, Side: nm.Side})
 		}
 	}
 	return byNet
@@ -44,12 +42,9 @@ func refConnectOwnedNets(byNet map[int][]route.Node, occ *route.Occupancy) (wire
 	}
 	sort.Ints(nets)
 	for _, n := range nets {
-		nodes := byNet[n]
-		conns, f := route.ConnectNodes(n, nodes, occ)
+		ws, f := route.ConnectNodes(n, byNet[n], occ)
 		forced += f
-		for i := range conns {
-			wires = append(wires, conns[i].Wire(nodes))
-		}
+		wires = append(wires, ws...)
 	}
 	return wires, forced
 }
@@ -158,7 +153,7 @@ func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 }
 
 // TestArenaStepFourMatchesMapForm: the CSR collectNodes + slot-addressed
-// connectOwnedNets (at more than one worker count) produce the map form's
+// route.ConnectNets (at more than one worker count) produce the map form's
 // wires in the map form's order, the same forced count and the same final
 // occupancy, for both arrival shapes at P in {2,3,4}.
 func TestArenaStepFourMatchesMapForm(t *testing.T) {
@@ -206,7 +201,7 @@ func TestArenaStepFourMatchesMapForm(t *testing.T) {
 						return route.NewOccupancy(c.NumChannels(), c.CoreWidth()*2, 16)
 					}
 					gotOcc, wantOcc := newOcc(), newOcc()
-					gotWires, gotForced, err := connectOwnedNets(context.Background(), nn, gotOcc, 1+me)
+					gotWires, gotForced, err := route.ConnectNets(context.Background(), 1+me, len(c.Nets), nn.degree, nn.of, gotOcc)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}

@@ -109,7 +109,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 		pipeline.Func("coarse", func(ctx context.Context, s *pipeline.Session) error {
 			// Coarse routing against the replicated grid: the first sync, from
 			// an all-zero snapshot, turns this rank's runs into the sum.
-			g := grid.New(len(sub.Rows), base.CoreWidth(), ropt.GridColWidth)
+			g := grid.New(len(sub.Rows), base.CoreWidth(), grid.ColWidth)
 			for i := range r.rt.Segs {
 				route.ApplyRuns(g, r.rt.Segs[i].CurrentRuns(), 1)
 			}
@@ -243,7 +243,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			if err != nil {
 				return err
 			}
-			r.occ = route.NewOccupancy(sub.NumChannels(), coreW, ropt.GridColWidth)
+			r.occ = route.NewOccupancy(sub.NumChannels(), coreW, grid.ColWidth)
 			r.occ.AddWires(r.wires)
 			snap = make([]int32, r.occ.TableLen())
 			if err := syncOcc(); err != nil {

@@ -69,8 +69,8 @@ type Options struct {
 	// Route carries the serial router's knobs; Route.Seed also seeds the
 	// per-worker streams.
 	Route route.Options
-	// Net selects the net-partition heuristic (paper §5). Default
-	// PinWeight, the paper's recommendation.
+	// Net selects the net-partition heuristic (paper §5). The zero value
+	// is PinWeight, the paper's recommendation.
 	Net partition.Config
 	// NetwiseSyncPerPass is how many grid/occupancy synchronizations the
 	// net-wise algorithm performs per improvement pass. More syncs mean
@@ -114,10 +114,6 @@ func (o *Options) normalize() error {
 	}
 	if o.NetwiseSyncPerPass < 0 {
 		o.NetwiseSyncPerPass = 0 // explicit "never sync mid-phase"
-	}
-	if o.Net.Method == partition.Center && o.Net.Alpha == 0 && o.Net.LargeFactor == 0 {
-		// Untouched zero config: use the paper's recommended default.
-		o.Net.Method = partition.PinWeight
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"parroute/internal/circuit"
 	"parroute/internal/geom"
+	"parroute/internal/grid"
 	"parroute/internal/metrics"
 	"parroute/internal/mp"
 	"parroute/internal/partition"
@@ -129,8 +130,11 @@ func (r *rank) connectWhole(ctx context.Context, s *pipeline.Session, extra ...n
 	if err != nil {
 		return err
 	}
-	connOcc := route.NewOccupancy(r.sub.NumChannels(), r.base.CoreWidth()*2, r.ropt.GridColWidth)
-	if r.wires, r.sum.ForcedEdges, err = connectOwnedNets(ctx, byNet, connOcc, r.ropt.Workers); err != nil {
+	// The owner's occupancy is necessarily partial — it sees only this rank's
+	// nets — which is the interference the paper's §5 describes.
+	connOcc := route.NewOccupancy(r.sub.NumChannels(), r.base.CoreWidth()*2, grid.ColWidth)
+	r.wires, r.sum.ForcedEdges, err = route.ConnectNets(ctx, r.ropt.Workers, len(r.sub.Nets), byNet.degree, byNet.of, connOcc)
+	if err != nil {
 		return err
 	}
 	s.Count("wires", int64(len(r.wires)))
@@ -160,7 +164,7 @@ func (r *rank) boundaryStitch() error {
 	if err != nil {
 		return err
 	}
-	r.occ = route.NewOccupancy(r.sub.NumChannels(), coreW, r.ropt.GridColWidth)
+	r.occ = route.NewOccupancy(r.sub.NumChannels(), coreW, grid.ColWidth)
 	r.occ.AddWires(r.wires)
 	if err := syncBoundaryOccupancy(r.comm, r.blocks, r.occ); err != nil {
 		return fmt.Errorf("%v: boundary-occupancy sync: %w", r.opt.Algo, err)

@@ -249,7 +249,7 @@ func TestNetWiseFlipsAreSerialFlips(t *testing.T) {
 		own := func(flips int) (int, error) { return flips, nil }
 
 		segs := slices.Clone(rt.Segs)
-		g := grid.New(len(c.Rows), c.CoreWidth(), rt.Opt.GridColWidth)
+		g := grid.New(len(c.Rows), c.CoreWidth(), grid.ColWidth)
 		for i := range segs {
 			route.ApplyRuns(g, segs[i].CurrentRuns(), 1)
 		}
@@ -284,7 +284,7 @@ func TestNetWiseFlipsAreSerialFlips(t *testing.T) {
 			t.Fatal(err)
 		}
 		wires, refWires := slices.Clone(rt.Wires), slices.Clone(rt.Wires)
-		occ := route.NewOccupancy(c.NumChannels(), rt.C.CoreWidth(), rt.Opt.GridColWidth)
+		occ := route.NewOccupancy(c.NumChannels(), rt.C.CoreWidth(), grid.ColWidth)
 		occ.AddWires(wires)
 		refOcc := occ.Clone()
 		n, _, flip, err = route.SwitchFlips(ctx, 1, occ, wires)

@@ -16,7 +16,6 @@ import (
 // refNets is Nets as it stood with the reflective sort.Slice over every
 // net, kept verbatim as the oracle for the slices.SortFunc form.
 func refNets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) []int {
-	cfg.normalize()
 	n := len(c.Nets)
 	owner := make([]int, n)
 	if p == 1 || n == 0 {
@@ -32,7 +31,7 @@ func refNets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) []int {
 	for i := range c.Nets {
 		pins := len(c.Nets[i].Pins)
 		totalPins += pins
-		entries = append(entries, entry{net: i, weight: weight(c, i, blocks, cfg), pins: pins})
+		entries = append(entries, entry{net: i, weight: weight(c, i, blocks, cfg.Method), pins: pins})
 	}
 	sort.Slice(entries, func(a, b int) bool {
 		if entries[a].weight != entries[b].weight {
@@ -46,7 +45,7 @@ func refNets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) []int {
 	if cfg.Method == PinWeight {
 		avg := float64(totalPins) / float64(n)
 		rr := 0
-		for start < len(entries) && float64(entries[start].pins) > cfg.LargeFactor*avg {
+		for start < len(entries) && float64(entries[start].pins) > largeFactor*avg {
 			owner[entries[start].net] = rr % p
 			loads[rr%p] += entries[start].pins
 			rr++
@@ -121,9 +120,9 @@ func TestNetsMatchesReflectiveSortForm(t *testing.T) {
 				distinct := map[float64]bool{}
 				var differ uint64
 				for n := range c.Nets {
-					w := weight(c, n, blocks, Config{Method: m, Alpha: 1.5})
+					w := weight(c, n, blocks, m)
 					distinct[w] = true
-					differ |= sortKey(w) ^ sortKey(weight(c, 0, blocks, Config{Method: m, Alpha: 1.5}))
+					differ |= sortKey(w) ^ sortKey(weight(c, 0, blocks, m))
 				}
 				if in.tieHeavy && m != Locus && len(distinct)*4 > len(c.Nets) {
 					t.Fatalf("%s: %d distinct weights over %d nets: not a tie-heavy input", name, len(distinct), len(c.Nets))
@@ -144,8 +143,7 @@ func TestNetsMatchesReflectiveSortForm(t *testing.T) {
 // TestSortByKeyOrdersAsCompare: over weights drawn to collide and to span
 // the float64 line — both zeros, both infinities, subnormals, huge and tiny
 // magnitudes of either sign, repeats — sortByKey leaves the entries in the
-// order a stable sort by cmp.Compare on the weights does, and a NaN Alpha
-// falls back to the default instead of producing a NaN weight.
+// order a stable sort by cmp.Compare on the weights does.
 func TestSortByKeyOrdersAsCompare(t *testing.T) {
 	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1, -1}
@@ -175,10 +173,5 @@ func TestSortByKeyOrdersAsCompare(t *testing.T) {
 		if got := sortByKey(entries); !slices.Equal(got, want) {
 			t.Fatalf("n=%d: radix order differs from the stable comparator sort", n)
 		}
-	}
-	cfg := Config{Method: PinWeight, Alpha: math.NaN()}
-	cfg.normalize()
-	if cfg.Alpha != 1.5 {
-		t.Fatalf("NaN Alpha normalized to %v, want the default 1.5", cfg.Alpha)
 	}
 }

@@ -84,21 +84,29 @@ func BlockOf(blocks []RowBlock, r int) int {
 type Method int
 
 const (
+	// PinWeight weights a net by -(pins^1.5): the large nets are scheduled
+	// first (Steiner-tree construction is the dominant cost and superlinear
+	// in pin count) and round-robined across processors so no single
+	// processor gets all the clock nets. It is the paper's recommendation
+	// and the zero value: a Config nobody filled in selects it.
+	PinWeight Method = iota
 	// Center weights a net by the y coordinate of its pin centroid, so
 	// vertically close nets — which compete for the same channels — land
 	// on the same processor.
-	Center Method = iota
+	Center
 	// Locus clusters geometrically related nets by the lower-left corner
 	// of their bounding box (y major, x as tie-break), after LocusRoute.
 	Locus
 	// Density weights a net by the row block holding most of its pins, so
 	// nets land with the processor that owns their rows.
 	Density
-	// PinWeight weights a net by -(pins^alpha): the large nets are
-	// scheduled first (Steiner-tree construction is the dominant cost and
-	// superlinear in pin count) and round-robined across processors so no
-	// single processor gets all the clock nets.
-	PinWeight
+)
+
+// PinWeight's two constants: the pin-count exponent of its weight, and how
+// many times the average pin count makes a net "large" for its round-robin.
+const (
+	pinWeightAlpha = 1.5
+	largeFactor    = 8
 )
 
 func (m Method) String() string {
@@ -115,27 +123,13 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// Methods lists all heuristics, for sweeps and ablations.
+// Methods lists all heuristics in the paper's order, for sweeps and
+// ablations.
 func Methods() []Method { return []Method{Center, Locus, Density, PinWeight} }
 
-// Config tunes a net partition.
+// Config selects a net partition.
 type Config struct {
 	Method Method
-	// Alpha is the pin-count exponent of PinWeight. Default 1.5.
-	Alpha float64
-	// LargeFactor defines "large" nets for PinWeight's round-robin: a net
-	// is large if its pin count exceeds LargeFactor times the average.
-	// Default 8.
-	LargeFactor float64
-}
-
-func (cfg *Config) normalize() {
-	if !(cfg.Alpha > 0) { // zero, negative or NaN
-		cfg.Alpha = 1.5
-	}
-	if cfg.LargeFactor <= 0 {
-		cfg.LargeFactor = 8
-	}
 }
 
 // Nets assigns every net an owner in [0, p) using the configured
@@ -147,7 +141,6 @@ func Nets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) ([]int, erro
 	if p <= 0 {
 		return nil, fmt.Errorf("partition: p must be positive, got %d", p)
 	}
-	cfg.normalize()
 	n := len(c.Nets)
 	owner := make([]int, n)
 	if p == 1 || n == 0 {
@@ -167,14 +160,14 @@ func Nets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) ([]int, erro
 		pins := len(c.Nets[i].Pins)
 		totalPins += pins
 		if cfg.Method != PinWeight {
-			entries = append(entries, entry{key: sortKey(weight(c, i, blocks, cfg)), net: int32(i), pins: int32(pins)})
+			entries = append(entries, entry{key: sortKey(weight(c, i, blocks, cfg.Method)), net: int32(i), pins: int32(pins)})
 			continue
 		}
 		if pins >= len(byDegree) {
 			byDegree = append(byDegree, make([]float64, pins+1-len(byDegree))...)
 		}
 		if byDegree[pins] == 0 {
-			byDegree[pins] = weight(c, i, blocks, cfg)
+			byDegree[pins] = weight(c, i, blocks, cfg.Method)
 		}
 		entries = append(entries, entry{key: sortKey(byDegree[pins]), net: int32(i), pins: int32(pins)})
 	}
@@ -189,7 +182,7 @@ func Nets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) ([]int, erro
 		// round-robin so each processor gets its share of the giants.
 		avg := float64(totalPins) / float64(n)
 		rr := 0
-		for start < len(entries) && float64(entries[start].pins) > cfg.LargeFactor*avg {
+		for start < len(entries) && float64(entries[start].pins) > largeFactor*avg {
 			owner[entries[start].net] = rr % p
 			loads[rr%p] += int(entries[start].pins)
 			rr++
@@ -221,9 +214,8 @@ type entry struct {
 // IEEE bits with the sign bit set on non-negative values and every bit
 // flipped on negative ones. -0 is folded into +0 first, since the two
 // compare equal. A weight is never NaN — every heuristic is finite
-// arithmetic on pin counts and coordinates, and normalize replaces the one
-// input that could bring one in, a NaN Alpha — so the image orders exactly
-// as cmp.Compare on the weights.
+// arithmetic on pin counts and coordinates — so the image orders exactly as
+// cmp.Compare on the weights.
 func sortKey(w float64) uint64 {
 	if w == 0 {
 		w = 0
@@ -270,12 +262,12 @@ func sortByKey(entries []entry) []entry {
 	return src
 }
 
-func weight(c *circuit.Circuit, net int, blocks []RowBlock, cfg Config) float64 {
+func weight(c *circuit.Circuit, net int, blocks []RowBlock, m Method) float64 {
 	pins := c.Nets[net].Pins
 	if len(pins) == 0 {
 		return 0
 	}
-	switch cfg.Method {
+	switch m {
 	case Center:
 		sum := 0
 		for _, pid := range pins {
@@ -300,7 +292,7 @@ func weight(c *circuit.Circuit, net int, blocks []RowBlock, cfg Config) float64 
 		}
 		return float64(best)
 	case PinWeight:
-		return -math.Pow(float64(len(pins)), cfg.Alpha)
+		return -math.Pow(float64(len(pins)), pinWeightAlpha)
 	}
 	return 0
 }

@@ -67,12 +67,11 @@ func refImproveBends(g *grid.Grid, segs []PlacedSeg, r *rng.RNG, passes int) int
 	return flips
 }
 
-func refPlaceWires(o *Occupancy, wires []metrics.Wire, conns []Connection) {
+func refPlaceWires(o *Occupancy, wires []metrics.Wire) {
 	for i := range wires {
 		w := &wires[i]
 		if w.Switchable && o.AddCost(w.Row+1, w.Span) < o.AddCost(w.Row, w.Span) {
 			w.Channel = w.Row + 1
-			conns[i].Channel = w.Channel
 		}
 		o.Add(w.Channel, w.Span, 1)
 	}
@@ -132,9 +131,8 @@ func bandCircuits(t *testing.T) []*circuit.Circuit {
 // TestBandSweepsMatchSerialForms routes six circuits at one, two, three and
 // eight workers — with the cut threshold lowered so that even these have
 // that many bands — and holds each banded sweep to its serial form run on a
-// copy of the same input: every bend, both grid tables, every wire and
-// connection channel, the occupancy, the flip counts, and where the rng
-// stands afterwards.
+// copy of the same input: every bend, both grid tables, every wire, the
+// occupancy, the flip counts, and where the rng stands afterwards.
 func TestBandSweepsMatchSerialForms(t *testing.T) {
 	defer workpool.SetMinBandOpsForTest(16)()
 	ctx := context.Background()
@@ -147,7 +145,7 @@ func TestBandSweepsMatchSerialForms(t *testing.T) {
 			}
 
 			refSegs, refRand := slices.Clone(rt.Segs), *rt.Rand
-			refGrid := grid.New(len(rt.C.Rows), rt.C.CoreWidth(), rt.Opt.GridColWidth)
+			refGrid := grid.New(len(rt.C.Rows), rt.C.CoreWidth(), grid.ColWidth)
 			for i := range refSegs {
 				ApplyRuns(refGrid, refSegs[i].CurrentRuns(), 1)
 			}
@@ -181,15 +179,15 @@ func TestBandSweepsMatchSerialForms(t *testing.T) {
 			}
 			// The trees do not depend on placement: put every switchable wire
 			// back in its lower channel and place the copy serially.
-			refWires, refConns := slices.Clone(rt.Wires), slices.Clone(rt.Conns)
+			refWires := slices.Clone(rt.Wires)
 			for i := range refWires {
 				if refWires[i].Switchable {
-					refWires[i].Channel, refConns[i].Channel = refWires[i].Row, refWires[i].Row
+					refWires[i].Channel = refWires[i].Row
 				}
 			}
-			refOcc := NewOccupancy(rt.occ.Channels, rt.C.CoreWidth(), rt.Opt.GridColWidth)
-			refPlaceWires(refOcc, refWires, refConns)
-			if !slices.Equal(rt.Wires, refWires) || !slices.Equal(rt.Conns, refConns) {
+			refOcc := NewOccupancy(rt.occ.Channels, rt.C.CoreWidth(), grid.ColWidth)
+			refPlaceWires(refOcc, refWires)
+			if !slices.Equal(rt.Wires, refWires) {
 				t.Fatalf("%s: placed wires differ from the serial form", name)
 			}
 			if !slices.Equal(rt.occ.Counts(), refOcc.Counts()) {
@@ -227,7 +225,7 @@ func TestBandsWriteOneSlab(t *testing.T) {
 		wires = append(wires, metrics.Wire{Net: i, Channel: 2 + 3*(i%2), Span: geom.NewInterval(x, x+40)})
 	}
 	occ := NewOccupancy(16, 400, 16)
-	if err := occ.PlaceWires(context.Background(), 2, wires, nil); err != nil {
+	if err := occ.PlaceWires(context.Background(), 2, wires); err != nil {
 		t.Fatal(err)
 	}
 	ref := NewOccupancy(16, 400, 16)
@@ -263,7 +261,7 @@ func TestKeptOccupancyMatchesRebuilt(t *testing.T) {
 		if rt.occ == nil {
 			t.Fatal("the serial router kept no occupancy")
 		}
-		rebuilt := NewOccupancy(rt.C.NumChannels(), rt.C.CoreWidth(), rt.Opt.GridColWidth)
+		rebuilt := NewOccupancy(rt.C.NumChannels(), rt.C.CoreWidth(), grid.ColWidth)
 		rebuilt.AddWires(rt.Wires)
 		if !slices.Equal(rt.occ.Counts(), rebuilt.Counts()) || !slices.Equal(rt.occ.chMax, rebuilt.chMax) ||
 			!slices.Equal(rt.occ.chPeakCnt, rebuilt.chPeakCnt) || !slices.Equal(rt.occ.chMaxOK, rebuilt.chMaxOK) {

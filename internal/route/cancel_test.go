@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"parroute/internal/gen"
+	"parroute/internal/grid"
 	"parroute/internal/workpool"
 )
 
@@ -131,13 +132,13 @@ func TestPooledStagesCancelMidRoute(t *testing.T) {
 				}},
 				{"connect", func(ctx context.Context) (int64, int64, error) {
 					wires := slices.Clone(placed)
-					o := NewOccupancy(occ.Channels, rt.C.CoreWidth(), rt.Opt.GridColWidth)
-					err := o.PlaceWires(ctx, workers, wires, nil)
+					o := NewOccupancy(occ.Channels, rt.C.CoreWidth(), grid.ColWidth)
+					err := o.PlaceWires(ctx, workers, wires)
 					return total(o), total(occ), err
 				}},
 				{"switch-opt", func(ctx context.Context) (int64, int64, error) {
 					wires := slices.Clone(placed)
-					o := NewOccupancy(occ.Channels, rt.C.CoreWidth(), rt.Opt.GridColWidth)
+					o := NewOccupancy(occ.Channels, rt.C.CoreWidth(), grid.ColWidth)
 					o.AddWires(wires)
 					r := rndSwitch
 					flips, _, err := OptimizeSwitchable(ctx, workers, wires, o, &r, rt.Opt.SwitchPasses)

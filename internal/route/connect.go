@@ -3,6 +3,7 @@ package route
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"slices"
 
 	"parroute/internal/circuit"
@@ -19,7 +20,6 @@ type Node struct {
 	X    int
 	Row  int
 	Side circuit.Side
-	Pin  int // originating pin ID, for diagnostics; -1 when remote
 }
 
 // Channels returns the routing channels the node touches.
@@ -51,30 +51,15 @@ func adjacent(a, b Node) (ch int, both bool, ok bool) {
 	return lo, false, true
 }
 
-// Connection is one step-4 tree edge between two nodes of a net.
-type Connection struct {
-	Net  int
-	U, V int // indices into the net's node list
-	// Channel is the channel the connection currently occupies. For
-	// switchable connections Row records the cell row between the two
-	// candidate channels Row and Row+1.
-	Channel    int
-	Switchable bool
-	Row        int
-	Forced     bool // true when no shared channel existed (fallback edge)
-}
-
-// Wire converts the connection to its metrics representation, including
-// the endpoint anchors the detailed channel router needs.
-func (c *Connection) Wire(nodes []Node) metrics.Wire {
-	u, v := nodes[c.U], nodes[c.V]
+// edgeWire is the wire of a step-4 tree edge of net between nodes u and v
+// in channel ch, including the endpoint anchors the detailed channel router
+// needs.
+func edgeWire(net int, u, v Node, ch int) metrics.Wire {
 	return metrics.Wire{
-		Net:        c.Net,
-		Channel:    c.Channel,
-		Span:       connSpan(u.X, v.X),
-		Switchable: c.Switchable,
-		Row:        c.Row,
-		AX:         u.X, ARow: u.Row,
+		Net:     net,
+		Channel: ch,
+		Span:    connSpan(u.X, v.X),
+		AX:      u.X, ARow: u.Row,
 		BX: v.X, BRow: v.Row,
 	}
 }
@@ -91,30 +76,30 @@ func connSpan(a, b int) geom.Interval {
 // ConnectNodes performs TWGR step 4 for one net: a minimum spanning tree
 // over the complete graph of the net's nodes, where only nodes in adjacent
 // rows (sharing a channel) are connectable at cost |dx|. It returns the
-// tree edges and the number of forced (non-adjacent) edges, which is zero
-// whenever feedthrough assignment covered every row gap.
+// tree edges as wires — an edge's endpoints are its wire's anchors — and the
+// number of forced (non-adjacent) edges, which is zero whenever feedthrough
+// assignment covered every row gap.
 //
 // occ, when non-nil, is the live channel occupancy the caller streams its
-// nets through: switchable connections pick the cheaper of their two
-// candidate channels against it, and every produced wire is added to it.
-// A nil occ places switchable connections in their lower channel.
+// nets through: switchable wires pick the cheaper of their two candidate
+// channels against it, and every produced wire is added to it. A nil occ
+// leaves switchable wires in their lower channel.
 //
-// Test/diagnostic convenience; drivers use ConnectTrees and PlaceWires
-// over all their nets at once. This wrapper allocates per call, and the
-// root lint test rejects calls to it from outside _test.go files.
-func ConnectNodes(netID int, nodes []Node, occ *Occupancy) (conns []Connection, forced int) {
+// Test/diagnostic convenience; drivers run ConnectNets over all their nets
+// at once. This wrapper allocates per call, and the forbidden-call lint
+// rule rejects calls to it from outside _test.go files.
+func ConnectNodes(netID int, nodes []Node, occ *Occupancy) (wires []metrics.Wire, forced int) {
 	if len(nodes) < 2 {
 		return nil, 0
 	}
 	var cn Connector
-	conns = make([]Connection, len(nodes)-1)
-	wires := make([]metrics.Wire, len(nodes)-1)
-	forced = cn.Tree(netID, nodes, conns, wires)
+	wires = make([]metrics.Wire, len(nodes)-1)
+	forced = cn.Tree(netID, nodes, wires)
 	if occ != nil {
 		// The background context never ends, so placement cannot fail.
-		_ = occ.PlaceWires(context.Background(), 1, wires, conns)
+		_ = occ.PlaceWires(context.Background(), 1, wires)
 	}
-	return conns, forced
+	return wires, forced
 }
 
 // Connector carries the reusable scratch of the step-4 tree build so it
@@ -150,10 +135,10 @@ const (
 )
 
 // Tree computes the step-4 tree of one net (see ConnectNodes) and writes
-// its len(nodes)-1 edges into conns and wires, which must both have exactly
-// that length — callers carve them out of arrays sized by a prefix sum over
-// net degrees. It returns the number of forced edges. A net of fewer than
-// two nodes has no tree.
+// its len(nodes)-1 edges into wires, which must have exactly that length —
+// callers carve it out of an array sized by a prefix sum over net degrees.
+// It returns the number of forced edges. A net of fewer than two nodes has
+// no tree.
 //
 // The tree depends on nothing but nodes — never on the channel occupancy —
 // so calls for different nets are independent and safe to fan out, each
@@ -165,9 +150,10 @@ const (
 // only consecutive-by-x pairs; Kruskal over those candidates (O(n log n))
 // replaces the O(n^2) Prim, which matters for multi-thousand-pin clock
 // nets. Disconnected adjacency components (which a correct feedthrough
-// assignment never produces) are chained with Forced edges so every net
-// stays electrically complete.
-func (cn *Connector) Tree(netID int, nodes []Node, conns []Connection, wires []metrics.Wire) (forced int) {
+// assignment never produces) are chained with forced edges, each in the
+// channel above its lower endpoint's row, so every net stays electrically
+// complete.
+func (cn *Connector) Tree(netID int, nodes []Node, wires []metrics.Wire) (forced int) {
 	if len(nodes) < 2 {
 		return 0
 	}
@@ -178,15 +164,13 @@ func (cn *Connector) Tree(netID int, nodes []Node, conns []Connection, wires []m
 		if !uf.union(e.u, e.v) {
 			continue
 		}
-		conn := Connection{Net: netID, U: e.u, V: e.v}
 		ch, both, _ := adjacent(nodes[e.u], nodes[e.v])
-		conn.Channel = ch
+		w := edgeWire(netID, nodes[e.u], nodes[e.v], ch)
 		if both {
-			conn.Switchable = true
-			conn.Row = ch // candidate channels ch and ch+1
+			w.Switchable = true
+			w.Row = ch // candidate channels ch and ch+1
 		}
-		conns[k] = conn
-		wires[k] = conn.Wire(nodes)
+		wires[k] = w
 		k++
 		if k == len(wires) {
 			return 0 // spanning: every remaining candidate closes a cycle
@@ -201,12 +185,7 @@ func (cn *Connector) Tree(netID int, nodes []Node, conns []Connection, wires []m
 		}
 		if prev >= 0 {
 			uf.union(prev, i)
-			conn := Connection{
-				Net: netID, U: prev, V: i, Forced: true,
-				Channel: geom.Min(nodes[prev].Row, nodes[i].Row) + 1,
-			}
-			conns[k] = conn
-			wires[k] = conn.Wire(nodes)
+			wires[k] = edgeWire(netID, nodes[prev], nodes[i], geom.Min(nodes[prev].Row, nodes[i].Row)+1)
 			k++
 			forced++
 		}
@@ -215,18 +194,31 @@ func (cn *Connector) Tree(netID int, nodes []Node, conns []Connection, wires []m
 	return forced
 }
 
-// ConnectTrees builds the trees of nets 0..len(off)-2 on up to workers
-// goroutines, each worker with its own Connector: net n's nodes are
-// nodesOf(n) — called once, from the worker that builds the net — and its
-// edges go to conns and wires [off[n]:off[n+1]], so off is the prefix sum
-// of max(degree-1, 0) and a net with an empty slot is skipped. A caller that
-// keeps only the wires passes nil conns and the connections stay in the
-// worker's scratch. It returns the total number of forced edges.
-func ConnectTrees(ctx context.Context, workers int, off []int, nodesOf func(net int) []Node, conns []Connection, wires []metrics.Wire) (forced int, err error) {
-	nets := len(off) - 1
+// ConnectNets is step 4 over nets 0..nets-1, split on what reads shared
+// state. A net's tree depends only on the net's own nodes, so a prefix sum
+// over degree gives net n, of k = degree(n) >= 2 nodes, its k-1 slots in one
+// wire array, and the trees are built straight into their slots on up to
+// workers goroutines, each with its own Connector. Only the channel of a
+// switchable wire reads the occupancy: PlaceWires then streams the array
+// through occ in net order. Nothing the workers compute depends on order and
+// the sweep keeps it wherever it matters, so the wires — returned with the
+// number of forced edges — are byte-identical at every worker count.
+//
+// nodesOf returns net n's degree(n) nodes and is called once per net of two
+// or more, from the worker that builds it. buf has that length and is the
+// worker's own scratch, for a caller that has to make the nodes: fill and
+// return it. A caller that holds them already returns its own slice.
+func ConnectNets(ctx context.Context, workers, nets int, degree func(n int) int,
+	nodesOf func(n int, buf []Node) []Node, occ *Occupancy) (wires []metrics.Wire, forced int, err error) {
+
+	off := make([]int, nets+1)
+	for n := 0; n < nets; n++ {
+		off[n+1] = off[n] + geom.Max(degree(n)-1, 0)
+	}
+	wires = make([]metrics.Wire, off[nets])
 	builders := make([]struct {
 		cn     Connector
-		conns  []Connection // the current net's, when the caller keeps none
+		nodes  []Node
 		forced int
 		_      workpool.Pad
 	}, geom.Max(workers, 1))
@@ -236,21 +228,22 @@ func ConnectTrees(ctx context.Context, workers int, off []int, nodesOf func(net 
 			if off[n+1] == off[n] {
 				continue
 			}
-			cs := b.conns
-			if conns != nil {
-				cs = conns[off[n]:off[n+1]]
-			} else if k := off[n+1] - off[n]; k > len(cs) {
-				cs = make([]Connection, k)
-				b.conns = cs
-			}
-			b.forced += b.cn.Tree(n, nodesOf(n), cs[:off[n+1]-off[n]], wires[off[n]:off[n+1]])
+			k := off[n+1] - off[n] + 1
+			b.nodes = slices.Grow(b.nodes[:0], k)
+			b.forced += b.cn.Tree(n, nodesOf(n, b.nodes[:k]), wires[off[n]:off[n+1]])
 		}
 		return nil
 	})
+	if err == nil {
+		err = occ.PlaceWires(ctx, workers, wires)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("route: connect: %w", err)
+	}
 	for i := range builders {
 		forced += builders[i].forced
 	}
-	return forced, err
+	return wires, forced, nil
 }
 
 // PlaceWires streams wires, in order, into the occupancy: a switchable
@@ -261,9 +254,8 @@ func ConnectTrees(ctx context.Context, workers int, off []int, nodesOf func(net 
 // result; it runs as an ordered band sweep (workpool.Sweep) on up to workers
 // goroutines, a switchable wire confined to channels Row and Row+1 and any
 // other to its own, which places wires of different row bands side by side
-// with the serial outcome. conns, when the caller kept them (conns[i]
-// belongs to wires[i]), follow their wire's channel.
-func (o *Occupancy) PlaceWires(ctx context.Context, workers int, wires []metrics.Wire, conns []Connection) error {
+// with the serial outcome.
+func (o *Occupancy) PlaceWires(ctx context.Context, workers int, wires []metrics.Wire) error {
 	sw, err := workpool.NewSweep(ctx, workers, len(wires), o.Channels, func(i int) workpool.Hull {
 		w := &wires[i]
 		if w.Switchable {
@@ -278,9 +270,6 @@ func (o *Occupancy) PlaceWires(ctx context.Context, workers int, wires []metrics
 		w := &wires[i]
 		if w.Switchable && o.AddCost(w.Row+1, w.Span) < o.AddCost(w.Row, w.Span) {
 			w.Channel = w.Row + 1
-			if conns != nil {
-				conns[i].Channel = w.Channel
-			}
 		}
 		o.Add(w.Channel, w.Span, 1)
 		return nil
@@ -381,12 +370,6 @@ func (cn *Connector) candidates(nodes []Node) []connCand {
 // unionFind is a plain disjoint-set structure with path halving.
 type unionFind struct {
 	parent []int
-}
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{}
-	uf.reset(n)
-	return uf
 }
 
 // reset re-initializes the structure for n singleton sets, reusing the

@@ -44,12 +44,12 @@ func TestAdjacent(t *testing.T) {
 }
 
 func TestConnectNodesTrivial(t *testing.T) {
-	if conns, forced := ConnectNodes(0, nil, nil); conns != nil || forced != 0 {
+	if wires, forced := ConnectNodes(0, nil, nil); wires != nil || forced != 0 {
 		t.Fatal("empty node list")
 	}
 	one := []Node{{X: 5, Row: 1, Side: circuit.Bottom}}
-	if conns, _ := ConnectNodes(0, one, nil); conns != nil {
-		t.Fatal("single node should produce no connections")
+	if wires, _ := ConnectNodes(0, one, nil); wires != nil {
+		t.Fatal("single node should produce no wires")
 	}
 }
 
@@ -61,16 +61,16 @@ func TestConnectNodesChain(t *testing.T) {
 		{X: 0, Row: 2, Side: circuit.Bottom},
 		{X: 10, Row: 2, Side: circuit.Bottom},
 	}
-	conns, forced := ConnectNodes(7, nodes, nil)
-	if forced != 0 || len(conns) != 2 {
-		t.Fatalf("conns=%d forced=%d", len(conns), forced)
+	wires, forced := ConnectNodes(7, nodes, nil)
+	if forced != 0 || len(wires) != 2 {
+		t.Fatalf("wires=%d forced=%d", len(wires), forced)
 	}
 	var total int64
-	for _, c := range conns {
-		if c.Net != 7 {
-			t.Fatalf("net = %d", c.Net)
+	for _, w := range wires {
+		if w.Net != 7 {
+			t.Fatalf("net = %d", w.Net)
 		}
-		total += int64(geom.Abs(nodes[c.U].X - nodes[c.V].X))
+		total += int64(geom.Abs(w.AX - w.BX))
 	}
 	if total != 30 {
 		t.Fatalf("total span = %d, want 30", total)
@@ -87,17 +87,16 @@ func TestConnectNodesFeedthroughChain(t *testing.T) {
 		{X: 100, Row: 3, Side: circuit.Both},   // ft row 3: {3,4}
 		{X: 250, Row: 4, Side: circuit.Bottom}, // channel 4
 	}
-	conns, forced := ConnectNodes(0, nodes, nil)
+	wires, forced := ConnectNodes(0, nodes, nil)
 	if forced != 0 {
 		t.Fatalf("forced = %d", forced)
 	}
-	if len(conns) != 4 {
-		t.Fatalf("%d connections", len(conns))
+	if len(wires) != 4 {
+		t.Fatalf("%d wires", len(wires))
 	}
 	// Exactly one wire should have nonzero extent (the 150-unit hop).
 	long := 0
-	for _, c := range conns {
-		w := c.Wire(nodes)
+	for _, w := range wires {
 		if w.Span.Len() > 1 {
 			long++
 			if w.Span != geom.NewInterval(100, 250) {
@@ -117,9 +116,11 @@ func TestConnectNodesForcedFallback(t *testing.T) {
 		{X: 0, Row: 0, Side: circuit.Bottom},
 		{X: 0, Row: 5, Side: circuit.Bottom},
 	}
-	conns, forced := ConnectNodes(0, nodes, nil)
-	if forced != 1 || len(conns) != 1 || !conns[0].Forced {
-		t.Fatalf("conns=%+v forced=%d", conns, forced)
+	// The forced wire sits in the channel above the lower endpoint's row,
+	// which the other endpoint cannot reach.
+	wires, forced := ConnectNodes(0, nodes, nil)
+	if forced != 1 || len(wires) != 1 || wires[0].Switchable || wires[0].Channel != 1 {
+		t.Fatalf("wires=%+v forced=%d", wires, forced)
 	}
 }
 
@@ -129,18 +130,18 @@ func TestConnectNodesSwitchableDetection(t *testing.T) {
 		{X: 40, Row: 2, Side: circuit.Both},
 		{X: 80, Row: 2, Side: circuit.Bottom},
 	}
-	conns, _ := ConnectNodes(0, nodes, nil)
+	wires, _ := ConnectNodes(0, nodes, nil)
 	sw, fixed := 0, 0
-	for _, c := range conns {
-		if c.Switchable {
+	for _, w := range wires {
+		if w.Switchable {
 			sw++
-			if c.Row != 2 {
-				t.Fatalf("switchable row = %d", c.Row)
+			if w.Row != 2 {
+				t.Fatalf("switchable row = %d", w.Row)
 			}
 		} else {
 			fixed++
-			if c.Channel != 2 {
-				t.Fatalf("fixed connection in channel %d", c.Channel)
+			if w.Channel != 2 {
+				t.Fatalf("fixed wire in channel %d", w.Channel)
 			}
 		}
 	}
@@ -158,12 +159,12 @@ func TestConnectNodesGreedyChannelChoice(t *testing.T) {
 		{X: 0, Row: 2, Side: circuit.Both},
 		{X: 100, Row: 2, Side: circuit.Both},
 	}
-	conns, _ := ConnectNodes(0, nodes, occ)
-	if len(conns) != 1 || !conns[0].Switchable {
-		t.Fatalf("conns = %+v", conns)
+	wires, _ := ConnectNodes(0, nodes, occ)
+	if len(wires) != 1 || !wires[0].Switchable {
+		t.Fatalf("wires = %+v", wires)
 	}
-	if conns[0].Channel != 3 {
-		t.Fatalf("picked channel %d, want the empty 3", conns[0].Channel)
+	if wires[0].Channel != 3 {
+		t.Fatalf("picked channel %d, want the empty 3", wires[0].Channel)
 	}
 	// And the wire was recorded in the occupancy.
 	if occ.At(3, 0) != 1 {
@@ -189,7 +190,7 @@ func TestConnectNodesMatchesPrimCost(t *testing.T) {
 			return mst.Infinite
 		}
 		edges, primForced := mst.Prim(n, cost)
-		conns, kruskalForced := ConnectNodes(0, nodes, nil)
+		wires, kruskalForced := ConnectNodes(0, nodes, nil)
 		if (primForced > 0) != (kruskalForced > 0) {
 			t.Fatalf("trial %d: forced disagreement (prim %d, kruskal %d)",
 				trial, primForced, kruskalForced)
@@ -201,8 +202,8 @@ func TestConnectNodesMatchesPrimCost(t *testing.T) {
 		for _, e := range edges {
 			primCost += cost(e.U, e.V)
 		}
-		for _, c := range conns {
-			kruskalCost += int64(geom.Abs(nodes[c.U].X - nodes[c.V].X))
+		for _, w := range wires {
+			kruskalCost += int64(geom.Abs(w.AX - w.BX))
 		}
 		if primCost != kruskalCost {
 			t.Fatalf("trial %d: kruskal cost %d != prim cost %d", trial, kruskalCost, primCost)
@@ -215,17 +216,24 @@ func TestConnectNodesSpansEverything(t *testing.T) {
 	sides := []circuit.Side{circuit.Bottom, circuit.Top, circuit.Both}
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + r.Intn(50)
+		// Distinct x per node, so a wire's anchors name its two nodes.
 		nodes := make([]Node, n)
-		for i := range nodes {
-			nodes[i] = Node{X: r.Intn(500), Row: r.Intn(8), Side: sides[r.Intn(3)]}
+		byX := map[int]int{}
+		for i, x := range r.Perm(500)[:n] {
+			nodes[i] = Node{X: x, Row: r.Intn(8), Side: sides[r.Intn(3)]}
+			byX[x] = i
 		}
-		conns, _ := ConnectNodes(0, nodes, nil)
-		if len(conns) != n-1 {
-			t.Fatalf("trial %d: %d conns for %d nodes", trial, len(conns), n)
+		wires, _ := ConnectNodes(0, nodes, nil)
+		if len(wires) != n-1 {
+			t.Fatalf("trial %d: %d wires for %d nodes", trial, len(wires), n)
 		}
 		uf := newUnionFind(n)
-		for _, c := range conns {
-			uf.union(c.U, c.V)
+		for _, w := range wires {
+			u, v := byX[w.AX], byX[w.BX]
+			if nodes[u].Row != w.ARow || nodes[v].Row != w.BRow {
+				t.Fatalf("trial %d: wire %+v is anchored off its nodes", trial, w)
+			}
+			uf.union(u, v)
 		}
 		root := uf.find(0)
 		for i := 1; i < n; i++ {
@@ -234,6 +242,12 @@ func TestConnectNodesSpansEverything(t *testing.T) {
 			}
 		}
 	}
+}
+
+func newUnionFind(n int) *unionFind {
+	uf := &unionFind{}
+	uf.reset(n)
+	return uf
 }
 
 func TestUnionFind(t *testing.T) {
@@ -263,9 +277,12 @@ func TestUnionFind(t *testing.T) {
 // from the occupancy stream: one Kruskal pass per net that prices each
 // switchable edge against the live occupancy and adds every edge to it as
 // it is accepted. It survives here as the differential reference.
-func refConnectStreamed(cn *Connector, netID int, nodes []Node, occ *Occupancy) (conns []Connection, forced int) {
+func refConnectStreamed(cn *Connector, netID int, nodes []Node, occ *Occupancy) (wires []metrics.Wire, forced int) {
 	if len(nodes) < 2 {
 		return nil, 0
+	}
+	wire := func(u, v Node, ch int) metrics.Wire {
+		return metrics.Wire{Net: netID, Channel: ch, Span: connSpan(u.X, v.X), AX: u.X, ARow: u.Row, BX: v.X, BRow: v.Row}
 	}
 	uf := newUnionFind(len(nodes))
 	for _, e := range cn.candidates(nodes) {
@@ -273,21 +290,18 @@ func refConnectStreamed(cn *Connector, netID int, nodes []Node, occ *Occupancy) 
 			continue
 		}
 		u, v := nodes[e.u], nodes[e.v]
-		conn := Connection{Net: netID, U: e.u, V: e.v}
 		ch, both, _ := adjacent(u, v)
-		conn.Channel = ch
+		w := wire(u, v, ch)
 		if both {
-			conn.Switchable = true
-			conn.Row = ch
-			span := connSpan(u.X, v.X)
-			if occ.AddCost(ch+1, span) < occ.AddCost(ch, span) {
-				conn.Channel = ch + 1
+			w.Switchable, w.Row = true, ch
+			if occ.AddCost(ch+1, w.Span) < occ.AddCost(ch, w.Span) {
+				w.Channel = ch + 1
 			}
 		}
-		occ.Add(conn.Channel, connSpan(u.X, v.X), 1)
-		conns = append(conns, conn)
+		occ.Add(w.Channel, w.Span, 1)
+		wires = append(wires, w)
 	}
-	if len(conns) < len(nodes)-1 {
+	if len(wires) < len(nodes)-1 {
 		prev := -1
 		for i := range nodes {
 			if uf.find(i) != i {
@@ -295,26 +309,23 @@ func refConnectStreamed(cn *Connector, netID int, nodes []Node, occ *Occupancy) 
 			}
 			if prev >= 0 {
 				uf.union(prev, i)
-				u, v := nodes[prev], nodes[i]
-				conn := Connection{
-					Net: netID, U: prev, V: i, Forced: true,
-					Channel: geom.Min(u.Row, v.Row) + 1,
-				}
-				occ.Add(conn.Channel, connSpan(u.X, v.X), 1)
-				conns = append(conns, conn)
+				w := wire(nodes[prev], nodes[i], geom.Min(nodes[prev].Row, nodes[i].Row)+1)
+				occ.Add(w.Channel, w.Span, 1)
+				wires = append(wires, w)
 				forced++
 			}
 			prev = i
 		}
 	}
-	return conns, forced
+	return wires, forced
 }
 
 // TestTreeThenPlaceMatchesStreamedKruskal: building every net's tree first
 // (into prefix-sum slots, lower channels) and then placing the whole wire
-// array against the occupancy gives the connections, wires, forced counts
-// and final occupancy of the net-by-net streamed form — on nets with
-// forced edges, zero-length edges, congested channels and one 5000-pin net.
+// array against the occupancy gives the wires, forced counts and final
+// occupancy of the net-by-net streamed form — on nets with forced edges,
+// zero-length edges, congested channels and one 5000-pin net — through
+// ConnectNets at one and three workers, and through ConnectNodes net by net.
 func TestTreeThenPlaceMatchesStreamedKruskal(t *testing.T) {
 	r := rng.New(41)
 	sides := []circuit.Side{circuit.Bottom, circuit.Top, circuit.Both, circuit.Both}
@@ -327,7 +338,7 @@ func TestTreeThenPlaceMatchesStreamedKruskal(t *testing.T) {
 		}
 		nodes := make([]Node, k)
 		for i := range nodes {
-			nodes[i] = Node{X: r.Intn(width), Row: r.Intn(rows), Side: sides[r.Intn(4)], Pin: -1}
+			nodes[i] = Node{X: r.Intn(width), Row: r.Intn(rows), Side: sides[r.Intn(4)]}
 			if i > 0 && r.Intn(6) == 0 {
 				nodes[i].X = nodes[i-1].X // zero-length edges
 			}
@@ -346,68 +357,57 @@ func TestTreeThenPlaceMatchesStreamedKruskal(t *testing.T) {
 		return occ
 	}
 
-	var wantConns []Connection
 	var wantWires []metrics.Wire
 	wantForced, wantOcc := 0, newOcc()
 	var cn Connector
 	for n, nodes := range nets {
-		conns, f := refConnectStreamed(&cn, n, nodes, wantOcc)
+		wires, f := refConnectStreamed(&cn, n, nodes, wantOcc)
 		wantForced += f
-		for i := range conns {
-			wantConns = append(wantConns, conns[i])
-			wantWires = append(wantWires, conns[i].Wire(nodes))
-		}
+		wantWires = append(wantWires, wires...)
 	}
 	if wantForced == 0 {
 		t.Fatal("no forced edge in the reference")
 	}
-	switched := 0
-	for _, c := range wantConns {
-		if c.Switchable && c.Channel == c.Row+1 {
-			switched++
-		}
-	}
-	if switched == 0 {
-		t.Fatal("no switchable connection chose its upper channel in the reference")
+	if !slices.ContainsFunc(wantWires, func(w metrics.Wire) bool { return w.Switchable && w.Channel == w.Row+1 }) {
+		t.Fatal("no switchable wire chose its upper channel in the reference")
 	}
 
-	off := make([]int, len(nets)+1)
-	for n, nodes := range nets {
-		off[n+1] = off[n] + geom.Max(len(nodes)-1, 0)
-	}
-	gotConns := make([]Connection, off[len(nets)])
-	gotWires := make([]metrics.Wire, off[len(nets)])
-	gotForced, gotOcc := 0, newOcc()
-	for n, nodes := range nets {
-		gotForced += cn.Tree(n, nodes, gotConns[off[n]:off[n+1]], gotWires[off[n]:off[n+1]])
-	}
-	if err := gotOcc.PlaceWires(context.Background(), 1, gotWires, gotConns); err != nil {
-		t.Fatal(err)
-	}
-	if gotForced != wantForced {
-		t.Fatalf("forced %d, streamed form %d", gotForced, wantForced)
-	}
-	if !slices.Equal(gotConns, wantConns) {
-		t.Fatalf("connections differ from the streamed form (%d vs %d)", len(gotConns), len(wantConns))
-	}
-	if !slices.Equal(gotWires, wantWires) {
-		t.Fatal("wires differ from the streamed form")
-	}
-	if !slices.Equal(gotOcc.Counts(), wantOcc.Counts()) {
-		t.Fatal("final occupancy differs from the streamed form")
+	for _, workers := range []int{1, 3} {
+		gotOcc := newOcc()
+		gotWires, gotForced, err := ConnectNets(context.Background(), workers, len(nets),
+			func(n int) int { return len(nets[n]) },
+			func(n int, buf []Node) []Node {
+				if n%2 == 0 {
+					return nets[n] // a caller that holds the nodes
+				}
+				copy(buf, nets[n]) // and one that makes them in the worker's scratch
+				return buf
+			}, gotOcc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotForced != wantForced {
+			t.Fatalf("workers=%d: forced %d, streamed form %d", workers, gotForced, wantForced)
+		}
+		if !slices.Equal(gotWires, wantWires) {
+			t.Fatalf("workers=%d: wires differ from the streamed form (%d vs %d)", workers, len(gotWires), len(wantWires))
+		}
+		if !slices.Equal(gotOcc.Counts(), wantOcc.Counts()) {
+			t.Fatalf("workers=%d: final occupancy differs from the streamed form", workers)
+		}
 	}
 
 	// ConnectNodes, net by net against one occupancy, is the same stream.
 	perNetOcc := newOcc()
 	at := 0
 	for n, nodes := range nets {
-		conns, _ := ConnectNodes(n, nodes, perNetOcc)
-		if !slices.Equal(conns, wantConns[at:at+len(conns)]) {
+		wires, _ := ConnectNodes(n, nodes, perNetOcc)
+		if !slices.Equal(wires, wantWires[at:at+len(wires)]) {
 			t.Fatalf("net %d: ConnectNodes differs from the streamed form", n)
 		}
-		at += len(conns)
+		at += len(wires)
 	}
-	if at != len(wantConns) || !slices.Equal(perNetOcc.Counts(), wantOcc.Counts()) {
-		t.Fatal("ConnectNodes stream: connection count or occupancy differs")
+	if at != len(wantWires) || !slices.Equal(perNetOcc.Counts(), wantOcc.Counts()) {
+		t.Fatal("ConnectNodes stream: wire count or occupancy differs")
 	}
 }

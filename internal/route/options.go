@@ -5,6 +5,8 @@
 //
 // The phases are exposed individually so the parallel algorithms in
 // internal/parallel can orchestrate them per worker; Route runs them all.
+// Step 4 emits channel wires ([]metrics.Wire) and nothing else: the density
+// sweep, step 5, the parallel drivers and Router.Verify all read those.
 package route
 
 // Options are the router's tuning knobs. The zero value is not usable;
@@ -13,8 +15,6 @@ type Options struct {
 	// Seed drives every randomized decision (segment visit order in steps
 	// 2 and 5). Two runs with equal options and circuit are identical.
 	Seed uint64
-	// GridColWidth is the coarse-grid column width in x units. Default 16.
-	GridColWidth int
 	// GridWidth fixes the coarse grid's horizontal extent in x units (and
 	// is the least extent of step 4's occupancy); 0 means the routed
 	// circuit's own core width. The row-partitioned parallel algorithms
@@ -27,9 +27,6 @@ type Options struct {
 	// SwitchPasses is how many random full sweeps step 5 performs over the
 	// switchable segments. Default 3.
 	SwitchPasses int
-	// TrackPitch is the channel height contributed by one track, in the
-	// same units as cell height, used by the area model. Default 2.
-	TrackPitch int
 	// Workers bounds the goroutines a stage runs on. The order-free work —
 	// steiner trees, the coarse grid load, feedthrough insertion and
 	// sorting, net-connection trees, the density sweep — writes disjoint
@@ -44,17 +41,11 @@ type Options struct {
 
 // Normalize fills zero fields with defaults.
 func (o *Options) Normalize() {
-	if o.GridColWidth <= 0 {
-		o.GridColWidth = 16
-	}
 	if o.CoarsePasses <= 0 {
 		o.CoarsePasses = 3
 	}
 	if o.SwitchPasses <= 0 {
 		o.SwitchPasses = 3
-	}
-	if o.TrackPitch <= 0 {
-		o.TrackPitch = 2
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1

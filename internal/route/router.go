@@ -30,11 +30,9 @@ type Router struct {
 	// FtPinsByRow holds the not-yet-bound feedthrough pin IDs per row
 	// between insertion and assignment.
 	FtPinsByRow [][]int
-	// NetNodes and Conns are the step-4 connection structure; Wires is
-	// its flat channel-wire form used for density and step 5.
-	NetNodes [][]Node
-	Conns    []Connection
-	Wires    []metrics.Wire
+	// Wires is what step 4 emits: the channel wires density, step 5 and
+	// Verify read.
+	Wires []metrics.Wire
 
 	CoarseFlips  int
 	SwitchFlips  int
@@ -196,7 +194,7 @@ func (rt *Router) CoarseRoute(ctx context.Context) error {
 	if width <= 0 {
 		width = rt.C.CoreWidth()
 	}
-	g := grid.New(len(rt.C.Rows), width, rt.Opt.GridColWidth)
+	g := grid.New(len(rt.C.Rows), width, grid.ColWidth)
 	rt.Grid = g
 	slabs := (g.Channels + grid.BandRows - 1) / grid.BandRows
 	per := (slabs + rt.Opt.Workers - 1) / rt.Opt.Workers
@@ -571,62 +569,33 @@ func (rt *Router) bindFt(pinID, netID int) {
 
 // ConnectNets is step 4: per net, the adjacency-restricted MST over its
 // pins and bound feedthroughs produces the final channel wires, each
-// switchable connection starting in the channel that is cheaper at the
-// moment it is placed; step 5 then iterates on those choices.
-//
-// The phase splits on what reads shared state. A net's tree — which nodes
-// are joined, the connections, the wire geometry — depends only on the
-// net's own nodes, so the whole tree build fans out over Opt.Workers and
-// writes each net's k-1 connections and wires straight into their final
-// slots (a prefix sum over degrees, as in BuildTrees), switchable ones
-// provisionally in their lower channel. Only the channel of a switchable
-// connection reads the live occupancy: PlaceWires then streams the wire
-// array through it in net order, as an ordered band sweep. The output is
-// byte-identical at every worker count because nothing the workers compute
-// depends on order, and the sweep keeps the order wherever it matters.
+// switchable wire starting in the channel that is cheaper at the moment it
+// is placed; step 5 then iterates on those choices. The body is the free
+// function ConnectNets, which the whole-net parallel drivers run too; here
+// a net's nodes are read off its pins into the building worker's scratch
+// and live no longer than its tree.
 //
 // The serial router (Opt.GridWidth 0) keeps the finished occupancy for
 // OptimizeSwitchable: it is, cell for cell, the table step 5 starts from.
 func (rt *Router) ConnectNets(ctx context.Context) error {
 	rt.occ = nil
-	nets := rt.C.Nets
-	// Net n's nodes are arena[nodeOff[n]:nodeOff[n+1]]; a k-node net yields
-	// exactly k-1 connections, Conns and Wires [connOff[n]:connOff[n+1]].
-	nodeOff := make([]int, len(nets)+1)
-	connOff := make([]int, len(nets)+1)
-	for n := range nets {
-		nodeOff[n+1], connOff[n+1] = nodeOff[n], connOff[n]
-		if k := len(nets[n].Pins); k >= 2 {
-			nodeOff[n+1] += k
-			connOff[n+1] += k - 1
-		}
-	}
-	total := connOff[len(nets)]
-	rt.NetNodes = make([][]Node, len(nets))
-	rt.Conns = slices.Grow(rt.Conns[:0], total)[:total]
-	rt.Wires = slices.Grow(rt.Wires[:0], total)[:total]
-	arena := make([]Node, nodeOff[len(nets)])
-
-	forced, err := ConnectTrees(ctx, rt.Opt.Workers, connOff, func(n int) []Node {
-		nodes := arena[nodeOff[n]:nodeOff[n+1]:nodeOff[n+1]]
-		for i, pid := range nets[n].Pins {
-			p := &rt.C.Pins[pid]
-			nodes[i] = Node{X: p.X, Row: p.Row, Side: p.Side, Pin: pid}
-		}
-		rt.NetNodes[n] = nodes
-		return nodes
-	}, rt.Conns, rt.Wires)
-	if err != nil {
-		return fmt.Errorf("route: connect: %w", err)
-	}
-	rt.ForcedEdges = forced
-
+	nets, pins := rt.C.Nets, rt.C.Pins
 	// Never narrower than the fixed grid extent: a block-sized sub-circuit
 	// has no foreign rows to widen it, and its fake pins sit at full-design x.
-	occ := NewOccupancy(rt.C.NumChannels(), geom.Max(rt.C.CoreWidth(), rt.Opt.GridWidth), rt.Opt.GridColWidth)
-	if err := occ.PlaceWires(ctx, rt.Opt.Workers, rt.Wires, rt.Conns); err != nil {
-		return fmt.Errorf("route: connect: %w", err)
+	occ := NewOccupancy(rt.C.NumChannels(), geom.Max(rt.C.CoreWidth(), rt.Opt.GridWidth), grid.ColWidth)
+	wires, forced, err := ConnectNets(ctx, rt.Opt.Workers, len(nets),
+		func(n int) int { return len(nets[n].Pins) },
+		func(n int, nodes []Node) []Node {
+			for i, pid := range nets[n].Pins {
+				p := &pins[pid]
+				nodes[i] = Node{X: p.X, Row: p.Row, Side: p.Side}
+			}
+			return nodes
+		}, occ)
+	if err != nil {
+		return err
 	}
+	rt.Wires, rt.ForcedEdges = wires, forced
 	if rt.Opt.GridWidth == 0 {
 		rt.occ = occ
 	}
@@ -639,7 +608,7 @@ func (rt *Router) OptimizeSwitchable(ctx context.Context) error {
 	occ := rt.occ
 	rt.occ = nil
 	if occ == nil {
-		occ = NewOccupancy(rt.C.NumChannels(), rt.C.CoreWidth(), rt.Opt.GridColWidth)
+		occ = NewOccupancy(rt.C.NumChannels(), rt.C.CoreWidth(), grid.ColWidth)
 		occ.AddWires(rt.Wires)
 	}
 	// The switchable count is a census, not a tally: step 5 may be driven again.
@@ -671,6 +640,6 @@ func (rt *Router) Result(algo string, procs int, elapsed time.Duration) *metrics
 		Elapsed:         elapsed,
 		Phases:          rt.phases,
 	}
-	res.Finalize(rt.C.NumChannels(), len(rt.C.Rows), rt.C.CellHeight, rt.Opt.TrackPitch, rt.Opt.Workers)
+	res.Finalize(rt.C.NumChannels(), len(rt.C.Rows), rt.C.CellHeight, metrics.TrackPitch, rt.Opt.Workers)
 	return res
 }

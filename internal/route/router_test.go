@@ -124,54 +124,58 @@ func TestFeedthroughBookkeepingExact(t *testing.T) {
 	}
 }
 
+// pinsAt returns the pins of net at (x, row) in the routed circuit.
+func pinsAt(rt *Router, net, x, row int) []*circuit.Pin {
+	var out []*circuit.Pin
+	for _, pid := range rt.C.Nets[net].Pins {
+		if p := &rt.C.Pins[pid]; p.X == x && p.Row == row {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 func TestEveryMultiPinNetFullyConnected(t *testing.T) {
 	_, rt, res := routeSmall(t, 11)
 	if res.ForcedEdges != 0 {
 		t.Fatalf("%d forced edges: feedthrough coverage has gaps", res.ForcedEdges)
 	}
-	// Per net: the connections form a spanning tree over its nodes.
-	conns := map[int][]Connection{}
-	for _, c := range rt.Conns {
-		conns[c.Net] = append(conns[c.Net], c)
+	// Per net: k-1 wires, and they join every pin position of the net.
+	wires := map[int][]metrics.Wire{}
+	for _, w := range rt.Wires {
+		wires[w.Net] = append(wires[w.Net], w)
 	}
-	for n, nodes := range rt.NetNodes {
-		if len(nodes) < 2 {
+	for n := range rt.C.Nets {
+		pins := rt.C.Nets[n].Pins
+		if len(pins) < 2 {
+			if len(wires[n]) != 0 {
+				t.Fatalf("net %d: %d wires for %d pins", n, len(wires[n]), len(pins))
+			}
 			continue
 		}
-		cs := conns[n]
-		if len(cs) != len(nodes)-1 {
-			t.Fatalf("net %d: %d connections for %d nodes", n, len(cs), len(nodes))
+		if len(wires[n]) != len(pins)-1 {
+			t.Fatalf("net %d: %d wires for %d pins", n, len(wires[n]), len(pins))
 		}
-		uf := newUnionFind(len(nodes))
-		for _, c := range cs {
-			uf.union(c.U, c.V)
-		}
-		root := uf.find(0)
-		for i := range nodes {
-			if uf.find(i) != root {
-				t.Fatalf("net %d: node %d disconnected", n, i)
+		at := map[[2]int]int{} // position -> its index among the net's positions
+		for _, pid := range pins {
+			p := &rt.C.Pins[pid]
+			if _, ok := at[[2]int{p.X, p.Row}]; !ok {
+				at[[2]int{p.X, p.Row}] = len(at)
 			}
 		}
-	}
-}
-
-func TestWiresMatchConnections(t *testing.T) {
-	_, rt, _ := routeSmall(t, 13)
-	if len(rt.Wires) != len(rt.Conns) {
-		t.Fatalf("wires %d vs conns %d", len(rt.Wires), len(rt.Conns))
-	}
-	for i := range rt.Conns {
-		c := &rt.Conns[i]
-		w := &rt.Wires[i]
-		if w.Net != c.Net {
-			t.Fatalf("wire %d net mismatch", i)
+		uf := newUnionFind(len(at))
+		for _, w := range wires[n] {
+			a, aOK := at[[2]int{w.AX, w.ARow}]
+			b, bOK := at[[2]int{w.BX, w.BRow}]
+			if !aOK || !bOK {
+				t.Fatalf("net %d: wire %+v ends off the net's pins", n, w)
+			}
+			uf.union(a, b)
 		}
-		if !c.Switchable && w.Channel != c.Channel {
-			t.Fatalf("wire %d channel mismatch (fixed wire)", i)
-		}
-		if c.Switchable && w.Channel != c.Row && w.Channel != c.Row+1 {
-			t.Fatalf("switchable wire %d in channel %d, candidates %d/%d",
-				i, w.Channel, c.Row, c.Row+1)
+		for i := range at {
+			if uf.find(at[i]) != uf.find(0) {
+				t.Fatalf("net %d: pins at %v disconnected", n, i)
+			}
 		}
 	}
 }
@@ -198,16 +202,16 @@ func TestConnectNetsTwiceReplacesResult(t *testing.T) {
 	if err := rt.ConnectNets(ctx); err != nil {
 		t.Fatal(err)
 	}
-	wires, conns, forced := slices.Clone(rt.Wires), slices.Clone(rt.Conns), rt.ForcedEdges
+	wires, forced := slices.Clone(rt.Wires), rt.ForcedEdges
 	if len(wires) == 0 {
 		t.Fatal("no wires")
 	}
 	if err := rt.ConnectNets(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(rt.Wires, wires) || !slices.Equal(rt.Conns, conns) || rt.ForcedEdges != forced {
-		t.Fatalf("second ConnectNets: %d wires, %d conns, %d forced; first %d, %d, %d",
-			len(rt.Wires), len(rt.Conns), rt.ForcedEdges, len(wires), len(conns), forced)
+	if !slices.Equal(rt.Wires, wires) || rt.ForcedEdges != forced {
+		t.Fatalf("second ConnectNets: %d wires, %d forced; first %d, %d",
+			len(rt.Wires), rt.ForcedEdges, len(wires), forced)
 	}
 	if err := rt.Verify(); err != nil {
 		t.Fatal(err)
@@ -215,21 +219,22 @@ func TestConnectNetsTwiceReplacesResult(t *testing.T) {
 }
 
 func TestWireChannelsConsistentWithEndpoints(t *testing.T) {
-	// Every non-forced wire's channel must be reachable from both of its
-	// endpoint nodes.
-	_, rt, _ := routeSmall(t, 17)
-	for i := range rt.Conns {
-		c := &rt.Conns[i]
-		if c.Forced {
-			continue
-		}
-		nodes := rt.NetNodes[c.Net]
-		w := rt.Wires[i]
-		for _, end := range []Node{nodes[c.U], nodes[c.V]} {
-			lo, hi, _ := end.Channels()
-			if w.Channel < lo || w.Channel > hi {
-				t.Fatalf("wire %d in channel %d unreachable from node at row %d side %v",
-					i, w.Channel, end.Row, end.Side)
+	// Every wire's channel must be reachable from a pin of its net at each
+	// of its endpoints (the route has no forced wires).
+	_, rt, res := routeSmall(t, 17)
+	if res.ForcedEdges != 0 {
+		t.Fatalf("%d forced edges", res.ForcedEdges)
+	}
+	for i, w := range rt.Wires {
+		for _, end := range [][2]int{{w.AX, w.ARow}, {w.BX, w.BRow}} {
+			reached := false
+			for _, p := range pinsAt(rt, w.Net, end[0], end[1]) {
+				lo, hi, _ := Node{Row: p.Row, Side: p.Side}.Channels()
+				reached = reached || w.Channel >= lo && w.Channel <= hi
+			}
+			if !reached {
+				t.Fatalf("wire %d in channel %d unreachable from its endpoint at (%d, row %d)",
+					i, w.Channel, end[0], end[1])
 			}
 		}
 	}
@@ -266,29 +271,29 @@ func TestCoarsePassesConverge(t *testing.T) {
 func TestOptionsNormalize(t *testing.T) {
 	var o Options
 	o.Normalize()
-	if o.GridColWidth <= 0 || o.CoarsePasses <= 0 || o.SwitchPasses <= 0 ||
-		o.TrackPitch <= 0 || o.Workers <= 0 {
+	if o.CoarsePasses <= 0 || o.SwitchPasses <= 0 || o.Workers <= 0 {
 		t.Fatalf("defaults missing: %+v", o)
 	}
-	o2 := Options{GridColWidth: 5, CoarsePasses: 9}
+	o2 := Options{SwitchPasses: 5, CoarsePasses: 9}
 	o2.Normalize()
-	if o2.GridColWidth != 5 || o2.CoarsePasses != 9 {
+	if o2.SwitchPasses != 5 || o2.CoarsePasses != 9 {
 		t.Fatal("Normalize clobbered explicit settings")
 	}
 }
 
 func TestSwitchableWiresOnlyFromEquivalentEndpoints(t *testing.T) {
 	_, rt, _ := routeSmall(t, 31)
-	for i := range rt.Conns {
-		c := &rt.Conns[i]
-		if !c.Switchable {
+	for i, w := range rt.Wires {
+		if !w.Switchable {
 			continue
 		}
-		nodes := rt.NetNodes[c.Net]
-		u, v := nodes[c.U], nodes[c.V]
-		if u.Side != circuit.Both || v.Side != circuit.Both || u.Row != v.Row {
-			t.Fatalf("switchable connection between (%v row %d) and (%v row %d)",
-				u.Side, u.Row, v.Side, v.Row)
+		if w.ARow != w.Row || w.BRow != w.Row {
+			t.Fatalf("switchable wire %d of row %d between rows %d and %d", i, w.Row, w.ARow, w.BRow)
+		}
+		for _, x := range []int{w.AX, w.BX} {
+			if !slices.ContainsFunc(pinsAt(rt, w.Net, x, w.Row), func(p *circuit.Pin) bool { return p.Side == circuit.Both }) {
+				t.Fatalf("switchable wire %d ends at (%d, row %d), where net %d has no Both-sided pin", i, x, w.Row, w.Net)
+			}
 		}
 	}
 }
@@ -345,12 +350,11 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 			t.Errorf("%s: Verify accepted a corrupted route", name)
 		}
 	}
-	check("dropped-connection", func(rt *Router) {
-		rt.Conns = rt.Conns[:len(rt.Conns)-1]
+	check("dropped-wire", func(rt *Router) {
 		rt.Wires = rt.Wires[:len(rt.Wires)-1]
 	})
-	check("wire-count-mismatch", func(rt *Router) {
-		rt.Wires = rt.Wires[:len(rt.Wires)-1]
+	check("extra-wire", func(rt *Router) {
+		rt.Wires = append(rt.Wires, rt.Wires[0])
 	})
 	check("wire-bad-channel", func(rt *Router) {
 		rt.Wires[0].Channel = 9999

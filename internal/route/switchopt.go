@@ -42,7 +42,7 @@ type Occupancy struct {
 func NewOccupancy(channels, coreWidth, colWidth int) *Occupancy {
 	if colWidth <= 0 {
 		// Constructor contract: a non-positive quantum is a caller bug,
-		// never a data condition (Options.Normalize enforces it upstream).
+		// never a data condition (the router passes grid.ColWidth).
 		panic(fmt.Sprintf("route: occupancy colWidth %d must be positive", colWidth)) //lint:allow panic-in-library documented constructor invariant
 	}
 	cols := (geom.Max(coreWidth, 1) + colWidth - 1) / colWidth
