@@ -47,7 +47,7 @@ func main() {
 		out     = flag.String("out", "", "write the routing result (wires + quality numbers) as JSON")
 		verify  = flag.Bool("verify", false, "check routing invariants after the run (serial algorithm only)")
 		verbose = flag.Bool("v", false, "print per-phase timings")
-		trace   = flag.String("trace", "", "write the per-stage timeline (times, allocs, counters) as JSON")
+		trace   = flag.String("trace", "", "write the per-stage timeline (times, counters) as JSON")
 		checkTr = flag.String("checktrace", "", "validate a -trace file and print its summary instead of routing")
 		all     = false
 	)
@@ -65,6 +65,11 @@ func main() {
 	if run.Algo == "all" {
 		all = true
 		run.Algo = runcfg.AlgoSerial
+	}
+	// Only the serial router keeps a routed circuit to check or draw, so
+	// refuse before the circuit loads, not after the route.
+	if (*verify || *svg != "") && !run.Serial() {
+		fatalf("-verify and -svg require -algo serial (a parallel run keeps no routed circuit)")
 	}
 
 	c, err := sel.Load()
@@ -101,36 +106,21 @@ func main() {
 	}
 
 	var res *metrics.Result
-	var routed *circuit.Circuit // post-routing circuit, for -svg
-	var tracer *pipeline.TraceRecorder
+	var rt *route.Router // the serial router, for -verify and -svg
 	if run.Serial() {
-		rt := route.NewRouter(c.Clone(), opts.Route)
-		var obs []pipeline.Observer
-		if *trace != "" {
-			// The serial path records the trace live, so it carries the
-			// allocation deltas the merged parallel phases cannot.
-			tracer = pipeline.NewTraceRecorder()
-			obs = append(obs, tracer)
-		}
-		res, err = rt.Run(ctx, obs...)
-		if err != nil {
-			fatalf("routing: %v", timeoutHint(err, run.Timeout))
-		}
-		routed = rt.C
-		if *verify {
-			if err := rt.Verify(); err != nil {
-				fatalf("verification failed: %v", err)
-			}
-			fmt.Println("verification passed: every net electrically complete, all invariants hold")
-		}
+		rt = route.NewRouter(c.Clone(), opts.Route)
+		res, err = rt.Run(ctx)
 	} else {
 		res, err = parallel.Run(ctx, c, opts)
 	}
 	if err != nil {
 		fatalf("routing: %v", timeoutHint(err, run.Timeout))
 	}
-	if *verify && !run.Serial() {
-		fatalf("-verify requires -algo serial (parallel results are checked by the test suite)")
+	if *verify {
+		if err := rt.Verify(); err != nil {
+			fatalf("verification failed: %v", err)
+		}
+		fmt.Println("verification passed: every net electrically complete, all invariants hold")
 	}
 	if res == nil {
 		// A non-zero rank of a multi-process mesh: its worker ran to
@@ -148,14 +138,11 @@ func main() {
 			sum.AssignedTracks, sum.DensityTracks, sum.BrokenConstraints)
 	}
 	if *svg != "" {
-		if routed == nil {
-			fatalf("-svg requires -algo serial (the parallel results hold no merged layout)")
-		}
 		f, err := os.Create(*svg)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		if err := viz.WriteSVG(f, routed, res.Wires, viz.Options{}); err != nil {
+		if err := viz.WriteSVG(f, rt.C, res.Wires, viz.Options{}); err != nil {
 			f.Close()
 			fatalf("rendering: %v", err)
 		}
@@ -179,13 +166,7 @@ func main() {
 		fmt.Printf("result written to %s"+"\n", *out)
 	}
 	if *trace != "" {
-		var tr *pipeline.Trace
-		if tracer != nil {
-			tr = tracer.Trace(st.Name, res.Algo, res.Procs)
-		} else {
-			tr = pipeline.TraceFromPhases(st.Name, res.Algo, res.Procs, res.Phases)
-		}
-		if err := writeTrace(*trace, tr); err != nil {
+		if err := writeTrace(*trace, pipeline.NewTrace(res)); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("trace written to %s"+"\n", *trace)
@@ -280,17 +261,14 @@ func checkTrace(path string) error {
 		if st.Name == "" {
 			return fmt.Errorf("%s: trace has an unnamed stage", path)
 		}
-		total += time.Duration(st.WallNS)
+		total += st.Elapsed
 	}
 	fmt.Printf("trace ok: %s %s on %d proc(s), %d stages, %v total\n",
 		tr.Circuit, tr.Algo, tr.Procs, len(tr.Stages), total)
 	for _, st := range tr.Stages {
-		fmt.Printf("  stage %-16s %v", st.Name, time.Duration(st.WallNS))
+		fmt.Printf("  stage %-16s %v", st.Name, st.Elapsed)
 		for _, c := range st.Counters {
 			fmt.Printf("  %s=%d", c.Name, c.Value)
-		}
-		if st.Error != "" {
-			fmt.Printf("  ERROR: %s", st.Error)
 		}
 		fmt.Println()
 	}

@@ -16,19 +16,19 @@ type jsonResult struct {
 	Algo    string `json:"algo"`
 	Procs   int    `json:"procs"`
 
-	Wires           []jsonWire  `json:"wires"`
-	ChannelDensity  []int       `json:"channelDensity"`
-	TotalTracks     int         `json:"totalTracks"`
-	Area            int64       `json:"area"`
-	Wirelength      int64       `json:"wirelength"`
-	Feedthroughs    int         `json:"feedthroughs"`
-	ForcedEdges     int         `json:"forcedEdges"`
-	CoreWidth       int         `json:"coreWidth"`
-	SwitchableWires int         `json:"switchableWires"`
-	SwitchFlips     int         `json:"switchFlips"`
-	CoarseFlips     int         `json:"coarseFlips"`
-	ElapsedNS       int64       `json:"elapsedNs"`
-	Phases          []jsonPhase `json:"phases,omitempty"`
+	Wires           []jsonWire `json:"wires"`
+	ChannelDensity  []int      `json:"channelDensity"`
+	TotalTracks     int        `json:"totalTracks"`
+	Area            int64      `json:"area"`
+	Wirelength      int64      `json:"wirelength"`
+	Feedthroughs    int        `json:"feedthroughs"`
+	ForcedEdges     int        `json:"forcedEdges"`
+	CoreWidth       int        `json:"coreWidth"`
+	SwitchableWires int        `json:"switchableWires"`
+	SwitchFlips     int        `json:"switchFlips"`
+	CoarseFlips     int        `json:"coarseFlips"`
+	ElapsedNS       int64      `json:"elapsedNs"`
+	Phases          []Phase    `json:"phases,omitempty"`
 	// Degraded is omitted when false so fault-free and non-degraded chaos
 	// runs stay byte-identical. Faults (see Result.Faults) never
 	// serialize, for the same reason.
@@ -48,17 +48,6 @@ type jsonWire struct {
 	BRow       int  `json:"br"`
 }
 
-type jsonPhase struct {
-	Name      string        `json:"name"`
-	ElapsedNS int64         `json:"elapsedNs"`
-	Counters  []jsonCounter `json:"counters,omitempty"`
-}
-
-type jsonCounter struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-}
-
 // WriteJSON serializes the result.
 func (r *Result) WriteJSON(w io.Writer) error {
 	jr := jsonResult{
@@ -68,7 +57,7 @@ func (r *Result) WriteJSON(w io.Writer) error {
 		Feedthroughs: r.Feedthroughs, ForcedEdges: r.ForcedEdges,
 		CoreWidth: r.CoreWidth, SwitchableWires: r.SwitchableWires,
 		SwitchFlips: r.SwitchFlips, CoarseFlips: r.CoarseFlips,
-		ElapsedNS: r.Elapsed.Nanoseconds(), Degraded: r.Degraded,
+		ElapsedNS: r.Elapsed.Nanoseconds(), Phases: r.Phases, Degraded: r.Degraded,
 	}
 	jr.Wires = make([]jsonWire, len(r.Wires))
 	for i := range r.Wires {
@@ -78,13 +67,6 @@ func (r *Result) WriteJSON(w io.Writer) error {
 			Switchable: w.Switchable, Row: w.Row,
 			AX: w.AX, ARow: w.ARow, BX: w.BX, BRow: w.BRow,
 		}
-	}
-	for _, p := range r.Phases {
-		jp := jsonPhase{Name: p.Name, ElapsedNS: p.Elapsed.Nanoseconds()}
-		for _, c := range p.Counters {
-			jp.Counters = append(jp.Counters, jsonCounter{Name: c.Name, Value: c.Value})
-		}
-		jr.Phases = append(jr.Phases, jp)
 	}
 	return json.NewEncoder(w).Encode(&jr)
 }
@@ -102,7 +84,7 @@ func ReadResultJSON(rd io.Reader) (*Result, error) {
 		Feedthroughs: jr.Feedthroughs, ForcedEdges: jr.ForcedEdges,
 		CoreWidth: jr.CoreWidth, SwitchableWires: jr.SwitchableWires,
 		SwitchFlips: jr.SwitchFlips, CoarseFlips: jr.CoarseFlips,
-		Elapsed: time.Duration(jr.ElapsedNS), Degraded: jr.Degraded,
+		Elapsed: time.Duration(jr.ElapsedNS), Phases: jr.Phases, Degraded: jr.Degraded,
 	}
 	r.Wires = make([]Wire, len(jr.Wires))
 	for i, jw := range jr.Wires {
@@ -112,13 +94,6 @@ func ReadResultJSON(rd io.Reader) (*Result, error) {
 			Switchable: jw.Switchable, Row: jw.Row,
 			AX: jw.AX, ARow: jw.ARow, BX: jw.BX, BRow: jw.BRow,
 		}
-	}
-	for _, jp := range jr.Phases {
-		p := Phase{Name: jp.Name, Elapsed: time.Duration(jp.ElapsedNS)}
-		for _, jc := range jp.Counters {
-			p.Counters = append(p.Counters, Counter{Name: jc.Name, Value: jc.Value})
-		}
-		r.Phases = append(r.Phases, p)
 	}
 	return r, nil
 }

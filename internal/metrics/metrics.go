@@ -230,29 +230,31 @@ type Result struct {
 }
 
 // FaultReport summarizes transport faults observed during a run (chaos
-// injection plus real deadline misses).
+// injection plus real deadline misses): a plain copy of mp.FaultCounters.
 type FaultReport struct {
 	Sends, Drops, Delays, Dups, Reorders     int64
 	Retries, Dedups, DeadlineMisses, Crashes int64
 }
 
-func (f *FaultReport) String() string {
+func (f FaultReport) String() string {
 	return fmt.Sprintf("sends=%d drops=%d delays=%d dups=%d reorders=%d retries=%d dedups=%d deadline-misses=%d crashes=%d",
 		f.Sends, f.Drops, f.Delays, f.Dups, f.Reorders, f.Retries, f.Dedups, f.DeadlineMisses, f.Crashes)
 }
 
-// Phase records the wall time of one named routing phase, plus any
-// stage-scoped counters the pipeline observer collected during it.
+// Phase is the one per-stage record: the wall time of one named pipeline
+// stage plus the stage-scoped counters reported during it. Result.Phases,
+// the parallel Summary and `twgr -trace` all carry it as is; the JSON
+// tags are its on-disk form in both files.
 type Phase struct {
-	Name     string
-	Elapsed  time.Duration
-	Counters []Counter
+	Name     string        `json:"name"`
+	Elapsed  time.Duration `json:"elapsedNs"`
+	Counters []Counter     `json:"counters,omitempty"`
 }
 
 // Counter is one named stage-scoped tally attached to a Phase.
 type Counter struct {
-	Name  string
-	Value int64
+	Name  string `json:"name"`
+	Value int64  `json:"value"`
 }
 
 // Finalize computes the derived quality numbers from Wires and the

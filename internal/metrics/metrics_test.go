@@ -297,6 +297,24 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPhasesByteForm pins the on-disk form of Result.Phases, which the
+// JSON tags on Phase and Counter define: nanoseconds under elapsedNs, and
+// a phase without counters has no counters key.
+func TestPhasesByteForm(t *testing.T) {
+	r := &Result{Phases: []Phase{
+		{Name: "steiner", Elapsed: 1234567, Counters: []Counter{{Name: "segments", Value: 9}}},
+		{Name: "coarse", Elapsed: 5, Counters: []Counter{}},
+	}}
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `"phases":[{"name":"steiner","elapsedNs":1234567,"counters":[{"name":"segments","value":9}]},{"name":"coarse","elapsedNs":5}]`
+	if !bytes.Contains(buf.Bytes(), []byte(want)) {
+		t.Fatalf("WriteJSON output lacks %s:\n%s", want, buf.Bytes())
+	}
+}
+
 func TestReadResultJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadResultJSON(bytes.NewBufferString("not json")); err == nil {
 		t.Fatal("garbage accepted")

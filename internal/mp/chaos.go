@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"parroute/internal/metrics"
 	"parroute/internal/rng"
 )
 
@@ -204,8 +205,8 @@ type FaultCounters struct {
 }
 
 // Snapshot returns a plain-integer copy for reporting.
-func (c *FaultCounters) Snapshot() FaultSnapshot {
-	return FaultSnapshot{
+func (c *FaultCounters) Snapshot() metrics.FaultReport {
+	return metrics.FaultReport{
 		Sends:          c.Sends.Load(),
 		Drops:          c.Drops.Load(),
 		Delays:         c.Delays.Load(),
@@ -216,22 +217,6 @@ func (c *FaultCounters) Snapshot() FaultSnapshot {
 		DeadlineMisses: c.DeadlineMisses.Load(),
 		Crashes:        c.Crashes.Load(),
 	}
-}
-
-// FaultSnapshot is a point-in-time copy of FaultCounters.
-type FaultSnapshot struct {
-	Sends, Drops, Delays, Dups, Reorders     int64
-	Retries, Dedups, DeadlineMisses, Crashes int64
-}
-
-// Injected reports the number of faults the plan actually injected.
-func (s FaultSnapshot) Injected() int64 {
-	return s.Drops + s.Delays + s.Dups + s.Reorders + s.Crashes
-}
-
-func (s FaultSnapshot) String() string {
-	return fmt.Sprintf("sends=%d drops=%d delays=%d dups=%d reorders=%d retries=%d dedups=%d deadline-misses=%d crashes=%d",
-		s.Sends, s.Drops, s.Delays, s.Dups, s.Reorders, s.Retries, s.Dedups, s.DeadlineMisses, s.Crashes)
 }
 
 // chaosMsg is the wire wrapper carrying the per-(sender, tag) sequence
@@ -264,12 +249,8 @@ func Chaos(inner Engine, plan Plan) *ChaosEngine {
 	return &ChaosEngine{inner: inner, plan: plan}
 }
 
-// Counters exposes the live counter set (also the deadline-miss sink for
-// transports built by Config.Engine).
-func (e *ChaosEngine) Counters() *FaultCounters { return &e.counters }
-
 // Snapshot returns the current fault tallies.
-func (e *ChaosEngine) Snapshot() FaultSnapshot { return e.counters.Snapshot() }
+func (e *ChaosEngine) Snapshot() metrics.FaultReport { return e.counters.Snapshot() }
 
 // chaosLink is the injector state of one directed link. The rng, seq,
 // stash and sendLog fields are touched only by the source rank; recvLog

@@ -127,23 +127,16 @@ type Limits struct {
 	// socket before failing with ErrDeadline. Zero means no limit. The
 	// in-memory engines never block in Send.
 	SendTimeout time.Duration
-	// HandshakeTimeout bounds each connection-setup hello read or write
-	// on the TCP engines (loopback mesh and rendezvous), so a peer that
-	// connects and then goes silent fails the setup instead of parking
-	// an accept goroutine forever. Zero means 10s.
-	HandshakeTimeout time.Duration
 	// Counters, when non-nil, receives deadline-miss counts. Config.Run
 	// points it at the chaos counter set automatically when Chaos is on.
 	Counters *FaultCounters
 }
 
-// handshakeTimeout resolves the default.
-func (l Limits) handshakeTimeout() time.Duration {
-	if l.HandshakeTimeout > 0 {
-		return l.HandshakeTimeout
-	}
-	return 10 * time.Second
-}
+// handshakeTimeout bounds each connection-setup hello read or write on
+// the TCP engines (loopback mesh and rendezvous), so a peer that connects
+// and then goes silent fails the setup instead of parking an accept
+// goroutine forever.
+const handshakeTimeout = 10 * time.Second
 
 // ErrDeadlock is returned when every worker is blocked and no message can
 // ever arrive.

@@ -72,7 +72,7 @@ func rendezvousMesh(ctx context.Context, procs int, cfg NetConfig, lim Limits) (
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	conns, err := formMesh(ctx, cfg, lim)
+	conns, err := formMesh(ctx, cfg)
 	if err != nil {
 		closeConns(conns)
 		return nil, err
@@ -84,14 +84,13 @@ func rendezvousMesh(ctx context.Context, procs int, cfg NetConfig, lim Limits) (
 
 // formMesh returns this rank's connection to every peer (nil for self).
 // On error the caller closes whatever was returned.
-func formMesh(ctx context.Context, cfg NetConfig, lim Limits) ([]net.Conn, error) {
+func formMesh(ctx context.Context, cfg NetConfig) ([]net.Conn, error) {
 	n := cfg.Ranks
 	conns := make([]net.Conn, n)
 	if n == 1 {
 		return conns, nil
 	}
 	deadline := time.Now().Add(cfg.rendezvousTimeout()) //lint:allow nondeterminism transport deadline, never a routing decision
-	hs := lim.handshakeTimeout()
 
 	if cfg.Rank == 0 {
 		l, err := net.Listen("tcp", cfg.Addr)
@@ -99,13 +98,13 @@ func formMesh(ctx context.Context, cfg NetConfig, lim Limits) ([]net.Conn, error
 			return conns, fmt.Errorf("mp: rendezvous: listen %s: %w", cfg.Addr, err)
 		}
 		defer l.Close()
-		addrs, err := collectHellos(l, conns, deadline, hs)
+		addrs, err := collectHellos(l, conns, deadline, handshakeTimeout)
 		if err != nil {
 			return conns, err
 		}
 		table := appendTable(nil, addrTable{Checksum: WireProtocolChecksum, Addrs: addrs})
 		for r := 1; r < n; r++ {
-			if err := writeConnFrame(conns[r], table, hs); err != nil {
+			if err := writeConnFrame(conns[r], table, handshakeTimeout); err != nil {
 				return conns, fmt.Errorf("mp: rendezvous: send table to rank %d: %w", r, err)
 			}
 		}
@@ -129,7 +128,7 @@ func formMesh(ctx context.Context, cfg NetConfig, lim Limits) ([]net.Conn, error
 		return conns, fmt.Errorf("mp: rendezvous: mesh listener: %w", err)
 	}
 	defer l.Close()
-	if err := sendHello(rc, cfg.Rank, l.Addr().String(), hs); err != nil {
+	if err := sendHello(rc, cfg.Rank, l.Addr().String(), handshakeTimeout); err != nil {
 		return conns, fmt.Errorf("mp: rendezvous: hello to rank 0: %w", err)
 	}
 	// The table arrives only after every rank has checked in, so this
@@ -161,7 +160,7 @@ func formMesh(ctx context.Context, cfg NetConfig, lim Limits) ([]net.Conn, error
 		if err != nil {
 			return conns, fmt.Errorf("mp: rendezvous: accept on rank %d: %w", cfg.Rank, err)
 		}
-		if _, err := admitHello(conn, hs, conns, 1, cfg.Rank); err != nil {
+		if _, err := admitHello(conn, handshakeTimeout, conns, 1, cfg.Rank); err != nil {
 			return conns, fmt.Errorf("mp: rendezvous: handshake on rank %d: %w", cfg.Rank, err)
 		}
 	}
@@ -172,7 +171,7 @@ func formMesh(ctx context.Context, cfg NetConfig, lim Limits) ([]net.Conn, error
 			return conns, fmt.Errorf("mp: rendezvous: dial rank %d at %s: %w", j, table.Addrs[j], err)
 		}
 		conns[j] = conn
-		if err := sendHello(conn, cfg.Rank, "", hs); err != nil {
+		if err := sendHello(conn, cfg.Rank, "", handshakeTimeout); err != nil {
 			return conns, fmt.Errorf("mp: rendezvous: hello %d->%d: %w", cfg.Rank, j, err)
 		}
 	}

@@ -19,7 +19,6 @@ import (
 // there — nothing blocks on a peer that has yet to act, and a failure has
 // no parked accept to release, only sockets to close.
 func loopbackMesh(n int, lim Limits) (*machine, error) {
-	hs := lim.handshakeTimeout()
 	listeners := make([]net.Listener, n)
 	conns := make([][]net.Conn, n)
 	defer func() {
@@ -49,7 +48,7 @@ func loopbackMesh(n int, lim Limits) (*machine, error) {
 				return fail(fmt.Errorf("mp: dial %d->%d: %w", i, j, err))
 			}
 			conns[i][j] = conn
-			if err := sendHello(conn, i, "", hs); err != nil {
+			if err := sendHello(conn, i, "", handshakeTimeout); err != nil {
 				return fail(fmt.Errorf("mp: handshake %d->%d: %w", i, j, err))
 			}
 			peer, err := listeners[j].Accept()
@@ -59,7 +58,7 @@ func loopbackMesh(n int, lim Limits) (*machine, error) {
 			// The listener expects rank i and nobody else here: a stray
 			// local client that got into the backlog first is refused by
 			// its rank, or by the hello timeout if it stays silent.
-			if _, err := admitHello(peer, hs, conns[j], i, i+1); err != nil {
+			if _, err := admitHello(peer, handshakeTimeout, conns[j], i, i+1); err != nil {
 				return fail(fmt.Errorf("mp: handshake on rank %d: %w", j, err))
 			}
 		}

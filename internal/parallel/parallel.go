@@ -220,12 +220,8 @@ func attachFaults(res *metrics.Result, chaos *mp.ChaosEngine) {
 	if chaos == nil {
 		return
 	}
-	s := chaos.Snapshot()
-	res.Faults = &metrics.FaultReport{
-		Sends: s.Sends, Drops: s.Drops, Delays: s.Delays, Dups: s.Dups,
-		Reorders: s.Reorders, Retries: s.Retries, Dedups: s.Dedups,
-		DeadlineMisses: s.DeadlineMisses, Crashes: s.Crashes,
-	}
+	f := chaos.Snapshot()
+	res.Faults = &f
 }
 
 // runOutput carries rank 0's gathered raw output from the workers back to

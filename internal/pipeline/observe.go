@@ -20,11 +20,7 @@ func NewPhaseRecorder() *PhaseRecorder { return &PhaseRecorder{} }
 func (r *PhaseRecorder) StageStart(string) {}
 
 func (r *PhaseRecorder) StageEnd(stage string, m StageMetrics) {
-	ph := metrics.Phase{Name: stage, Elapsed: m.Wall}
-	for _, c := range m.Counters {
-		ph.Counters = append(ph.Counters, metrics.Counter{Name: c.Name, Value: c.Value})
-	}
-	r.phases = append(r.phases, ph)
+	r.phases = append(r.phases, metrics.Phase{Name: stage, Elapsed: m.Wall, Counters: m.Counters})
 }
 
 // Phases returns the recorded per-stage records, in execution order.

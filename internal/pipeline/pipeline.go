@@ -2,8 +2,8 @@
 // router and the three parallel drivers. A routing run is a sequence of
 // named Stages executed by a deterministic runner over a Session; the
 // runner checks context cancellation at every stage boundary and feeds an
-// Observer chain with per-stage measurements (wall time, heap-allocation
-// deltas, and stage-scoped counters).
+// Observer chain with per-stage measurements (wall time and stage-scoped
+// counters).
 //
 // Observers are guaranteed side-effect-free with respect to routing
 // output: a Session gives them no handle on circuit, grid, or RNG state,
@@ -20,8 +20,9 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
+
+	"parroute/internal/metrics"
 )
 
 // Stage is one named step of a routing pipeline.
@@ -52,27 +53,15 @@ func Func(name string, fn func(ctx context.Context, s *Session) error) Stage {
 	return funcStage{name: name, fn: fn}
 }
 
-// Counter is one named stage-scoped tally.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
 // StageMetrics is what observers receive at StageEnd.
 type StageMetrics struct {
 	// Wall is the stage's wall-clock duration as read by the observer
 	// clock.
 	Wall time.Duration
-	// Allocs and Bytes are the heap allocation deltas (mallocs and total
-	// bytes) across the stage. They are collected only when the Session
-	// has CollectAllocs set — runtime.ReadMemStats stops the world, so
-	// alloc accounting is opt-in (tracing, benchmarking) rather than a tax
-	// on every routing run.
-	Allocs int64
-	Bytes  int64
 	// Counters are the stage-scoped tallies reported through
-	// Session.Count, in first-report order (deterministic).
-	Counters []Counter
+	// Session.Count, in first-report order (deterministic). The slice is
+	// the stage's own: observers may keep it but must not modify it.
+	Counters []metrics.Counter
 	// Err is the stage's error, nil on success. Observers see StageEnd
 	// even for failed or cancelled stages so a timeline is never missing
 	// its last entry.
@@ -93,12 +82,8 @@ type Observer interface {
 // goroutine (each parallel rank builds its own); the observers it fans
 // out to may be shared.
 type Session struct {
-	// CollectAllocs enables per-stage heap-allocation deltas in
-	// StageMetrics (see StageMetrics.Allocs).
-	CollectAllocs bool
-
 	observers []Observer
-	counters  []Counter
+	counters  []metrics.Counter
 	index     map[string]int
 }
 
@@ -117,11 +102,11 @@ func (s *Session) Count(name string, delta int64) {
 		return
 	}
 	s.index[name] = len(s.counters)
-	s.counters = append(s.counters, Counter{Name: name, Value: delta})
+	s.counters = append(s.counters, metrics.Counter{Name: name, Value: delta})
 }
 
 // takeCounters returns the stage's counters and resets the accumulator.
-func (s *Session) takeCounters() []Counter {
+func (s *Session) takeCounters() []metrics.Counter {
 	if len(s.counters) == 0 {
 		return nil
 	}
@@ -154,22 +139,12 @@ func runStage(ctx context.Context, s *Session, st Stage) error {
 	for _, o := range s.observers {
 		o.StageStart(name)
 	}
-	var before runtime.MemStats
-	if s.CollectAllocs {
-		runtime.ReadMemStats(&before)
-	}
 	start := time.Now()
 	err := st.Run(ctx, s)
 	m := StageMetrics{
 		Wall:     time.Since(start),
 		Counters: s.takeCounters(),
 		Err:      err,
-	}
-	if s.CollectAllocs {
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		m.Allocs = int64(after.Mallocs - before.Mallocs)
-		m.Bytes = int64(after.TotalAlloc - before.TotalAlloc)
 	}
 	for _, o := range s.observers {
 		o.StageEnd(name, m)

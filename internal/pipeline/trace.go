@@ -10,80 +10,24 @@ import (
 
 // TraceSchema identifies the on-disk form of a per-stage timeline written
 // by `twgr -trace`. Readers reject unknown schemas.
-const TraceSchema = "parroute-trace/1"
+const TraceSchema = "parroute-trace/2"
 
-// Trace is the machine-readable per-stage timeline of one routing run:
-// stage names, wall times, allocation deltas, and stage-scoped counters,
-// exactly as the observer chain saw them.
+// Trace is the machine-readable per-stage timeline of one routing run: the
+// run's identity and its Result.Phases, stage names, wall times and
+// stage-scoped counters, in the same form Result.WriteJSON gives them.
 type Trace struct {
-	Schema  string       `json:"schema"`
-	Circuit string       `json:"circuit,omitempty"`
-	Algo    string       `json:"algo,omitempty"`
-	Procs   int          `json:"procs,omitempty"`
-	Stages  []TraceStage `json:"stages"`
+	Schema  string          `json:"schema"`
+	Circuit string          `json:"circuit,omitempty"`
+	Algo    string          `json:"algo,omitempty"`
+	Procs   int             `json:"procs,omitempty"`
+	Stages  []metrics.Phase `json:"stages"`
 }
 
-// TraceStage is one stage's record in a Trace.
-type TraceStage struct {
-	Name      string         `json:"name"`
-	WallNS    int64          `json:"wallNs"`
-	Allocs    int64          `json:"allocs,omitempty"`
-	Bytes     int64          `json:"bytes,omitempty"`
-	Counters  []TraceCounter `json:"counters,omitempty"`
-	Error     string         `json:"error,omitempty"`
-	Cancelled bool           `json:"cancelled,omitempty"`
-}
-
-// TraceCounter is one stage-scoped counter in a Trace.
-type TraceCounter struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-}
-
-// TraceRecorder is an observer that accumulates a Trace. Not safe for
-// concurrent use; attach one per pipeline run.
-type TraceRecorder struct {
-	trace Trace
-}
-
-// NewTraceRecorder returns an empty recorder.
-func NewTraceRecorder() *TraceRecorder {
-	return &TraceRecorder{trace: Trace{Schema: TraceSchema}}
-}
-
-func (r *TraceRecorder) StageStart(string) {}
-
-func (r *TraceRecorder) StageEnd(stage string, m StageMetrics) {
-	ts := TraceStage{Name: stage, WallNS: m.Wall.Nanoseconds(), Allocs: m.Allocs, Bytes: m.Bytes}
-	for _, c := range m.Counters {
-		ts.Counters = append(ts.Counters, TraceCounter{Name: c.Name, Value: c.Value})
-	}
-	if m.Err != nil {
-		ts.Error = m.Err.Error()
-	}
-	r.trace.Stages = append(r.trace.Stages, ts)
-}
-
-// Trace returns the recorded timeline, annotated with the run identity.
-func (r *TraceRecorder) Trace(circuit, algo string, procs int) *Trace {
-	t := r.trace
-	t.Circuit, t.Algo, t.Procs = circuit, algo, procs
-	return &t
-}
-
-// TraceFromPhases builds a Trace out of merged metrics.Phase records —
-// the parallel path, where per-rank observer timelines are aggregated
-// into Result.Phases before they reach the writer.
-func TraceFromPhases(circuit, algo string, procs int, phases []metrics.Phase) *Trace {
-	t := &Trace{Schema: TraceSchema, Circuit: circuit, Algo: algo, Procs: procs}
-	for _, p := range phases {
-		ts := TraceStage{Name: p.Name, WallNS: p.Elapsed.Nanoseconds()}
-		for _, c := range p.Counters {
-			ts.Counters = append(ts.Counters, TraceCounter{Name: c.Name, Value: c.Value})
-		}
-		t.Stages = append(t.Stages, ts)
-	}
-	return t
+// NewTrace is the trace view of a finished run. Serial and parallel runs
+// both go through it: a parallel run's phases are already merged across
+// ranks in res.
+func NewTrace(res *metrics.Result) *Trace {
+	return &Trace{Schema: TraceSchema, Circuit: res.Circuit, Algo: res.Algo, Procs: res.Procs, Stages: res.Phases}
 }
 
 // WriteTrace serializes the trace as indented JSON.

@@ -40,7 +40,6 @@ type Router struct {
 	InsertedFts  int
 	ExtraFts     int // feedthroughs inserted late during assignment (should stay 0)
 	UnboundFts   int // inserted feedthroughs never bound to a net (should stay 0)
-	phases       []metrics.Phase
 	switchableWs int
 	occ          *Occupancy // step 4's finished occupancy, kept for step 5
 }
@@ -122,8 +121,9 @@ func (rt *Router) Run(ctx context.Context, obs ...pipeline.Observer) (*metrics.R
 	if err := pipeline.Run(ctx, s, rt.Stages()...); err != nil {
 		return nil, err
 	}
-	rt.phases = rec.Phases()
-	return rt.Result("twgr-serial", 1, rec.Total()), nil
+	res := rt.Result("twgr-serial", 1, rec.Total())
+	res.Phases = rec.Phases()
+	return res, nil
 }
 
 // BuildTrees is step 1: the approximate Steiner tree of every net,
@@ -620,10 +620,6 @@ func (rt *Router) OptimizeSwitchable(ctx context.Context) error {
 	return nil
 }
 
-// Phases returns the per-stage records of the last Run (nil when the
-// step methods were driven directly).
-func (rt *Router) Phases() []metrics.Phase { return rt.phases }
-
 // Result assembles and finalizes the metrics for a completed run.
 func (rt *Router) Result(algo string, procs int, elapsed time.Duration) *metrics.Result {
 	res := &metrics.Result{
@@ -638,7 +634,6 @@ func (rt *Router) Result(algo string, procs int, elapsed time.Duration) *metrics
 		SwitchFlips:     rt.SwitchFlips,
 		CoarseFlips:     rt.CoarseFlips,
 		Elapsed:         elapsed,
-		Phases:          rt.phases,
 	}
 	res.Finalize(rt.C.NumChannels(), len(rt.C.Rows), rt.C.CellHeight, metrics.TrackPitch, rt.Opt.Workers)
 	return res

@@ -6,7 +6,7 @@ import (
 )
 
 // resultCache is a bounded LRU over canonical result bytes, keyed by the
-// job identity string (circuit|algo|procs|seed). Deterministic routing
+// job identity string (circuit|algo|procs|seed|netpart). Deterministic routing
 // is what makes it sound: the cached bytes for a key are byte-identical
 // to what recomputing the job would produce, so eviction only ever costs
 // time, never correctness.

@@ -1,11 +1,11 @@
 // Package service is the twgrd routing daemon: a long-running HTTP/JSON
 // front end over the parallel routing pipeline. It accepts routing jobs
-// (a circuit preset or inline spec plus algorithm, worker count and
-// seed), admits them through a bounded priority queue onto a fixed worker
-// pool, streams per-stage progress by adapting the pipeline Observer
-// chain onto server-sent events, and caches results keyed by (circuit,
-// algo, procs, seed) — deterministic routing makes a cache hit
-// byte-identical to a fresh computation, which the test tier asserts.
+// (a circuit preset or inline spec plus algorithm, worker count, seed and
+// net partition), admits them through a bounded priority queue onto a
+// fixed worker pool, streams per-stage progress by adapting the pipeline
+// Observer chain onto server-sent events, and caches results keyed by
+// circuit|algo|procs|seed|netpart — deterministic routing makes a cache
+// hit byte-identical to a fresh computation, which the test tier asserts.
 //
 // The wire format is a versioned envelope (proto "twgrd/1") carrying a
 // typed JSON body and a checksum; see Envelope. Overload surfaces as
@@ -147,7 +147,7 @@ type JobSpec struct {
 // except for the CacheHit flag.
 type JobResult struct {
 	// Key is the cache identity the job resolved to:
-	// circuit|algo|procs|seed.
+	// circuit|algo|procs|seed|netpart.
 	Key string `json:"key"`
 	// CacheHit marks a result served from the cache.
 	CacheHit bool `json:"cacheHit,omitempty"`

@@ -204,8 +204,8 @@ func (t *Ticket) Release() {
 	t.releaseOnce.Do(t.job.dropWaiter)
 }
 
-// Subscribe attaches a progress listener to the job (buffered with the
-// server's ProgressBuffer). The returned cancel func detaches it.
+// Subscribe attaches a progress listener to the job (buffered with
+// progressBuffer events). The returned cancel func detaches it.
 // Cache-hit tickets return an already-closed channel.
 func (t *Ticket) Subscribe() (<-chan Progress, func()) {
 	if t.hit != nil {
@@ -213,5 +213,5 @@ func (t *Ticket) Subscribe() (<-chan Progress, func()) {
 		close(ch)
 		return ch, func() {}
 	}
-	return t.job.subscribe(t.srv.cfg.ProgressBuffer)
+	return t.job.subscribe(progressBuffer)
 }

@@ -43,14 +43,17 @@ type Config struct {
 	// GenSeed is the preset generation seed jobs inherit when their spec
 	// leaves it zero. Default 7 (cmd/twgr's default).
 	GenSeed uint64
-	// ProgressBuffer is the per-subscriber progress-event buffer; a
-	// subscriber that falls further behind loses oldest-first (progress
-	// is advisory, results are not). Default 64.
-	ProgressBuffer int
-	// MaxProcs caps the per-job worker count (a job asking for more is
-	// rejected as invalid). Default 16.
-	MaxProcs int
 }
+
+const (
+	// progressBuffer is the per-subscriber progress-event buffer; a
+	// subscriber that falls further behind loses oldest-first (progress
+	// is advisory, results are not).
+	progressBuffer = 64
+	// maxProcs caps the per-job worker count (a job asking for more is
+	// rejected as invalid).
+	maxProcs = 16
+)
 
 func (c *Config) normalize() {
 	if c.Workers <= 0 {
@@ -67,12 +70,6 @@ func (c *Config) normalize() {
 	}
 	if c.GenSeed == 0 {
 		c.GenSeed = runcfg.DefaultCircuit().GenSeed
-	}
-	if c.ProgressBuffer <= 0 {
-		c.ProgressBuffer = 64
-	}
-	if c.MaxProcs <= 0 {
-		c.MaxProcs = 16
 	}
 }
 
@@ -226,8 +223,8 @@ func (s *Server) resolve(spec JobSpec) (resolved, error) {
 	if spec.TimeoutMS == 0 {
 		spec.TimeoutMS = d.Timeout.Milliseconds()
 	}
-	if spec.Procs > s.cfg.MaxProcs {
-		return resolved{}, fmt.Errorf("%w: procs %d exceeds the daemon cap %d", ErrInvalidJob, spec.Procs, s.cfg.MaxProcs)
+	if spec.Procs > maxProcs {
+		return resolved{}, fmt.Errorf("%w: procs %d exceeds the daemon cap %d", ErrInvalidJob, spec.Procs, maxProcs)
 	}
 
 	var circuitID string

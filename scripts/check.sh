@@ -166,9 +166,9 @@ bench_smoke() {
 }
 step "bench smoke (serial route)" bench_smoke
 
-# Trace smoke: `twgr -trace` emits a timeline that `-checktrace` accepts,
-# for both the live serial recorder and the merged parallel phases (see
-# DESIGN.md §10).
+# Trace smoke: `twgr -trace` emits a timeline that `-checktrace` accepts.
+# Both paths write the run's Result.Phases (merged across ranks on the
+# parallel one) through pipeline.NewTrace (see DESIGN.md §10).
 trace_smoke() {
   local tmp
   tmp="$(mktemp -d)"
