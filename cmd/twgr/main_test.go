@@ -12,6 +12,16 @@ import (
 	"parroute/internal/pipeline"
 )
 
+// buildTwgr compiles the command under test into dir.
+func buildTwgr(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "twgr")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // TestTraceIsTheRunsPhases: -trace is a view of the finished run on both
 // the serial and the parallel path, so its identity and stages equal the
 // Result.Phases the same run writes with -out, elapsed times included.

@@ -493,19 +493,3 @@ func bar(v float64, max int) string {
 	}
 	return string(out)
 }
-
-// MaxProcs returns the largest worker count valid for every configured
-// circuit (bounded by the smallest row count).
-func (s *Suite) MaxProcs() (int, error) {
-	min := 1 << 30
-	for _, name := range s.cfg.Circuits {
-		c, err := s.Circuit(name)
-		if err != nil {
-			return 0, err
-		}
-		if len(c.Rows) < min {
-			min = len(c.Rows)
-		}
-	}
-	return min, nil
-}

@@ -143,17 +143,6 @@ func TestSuiteUnknownCircuit(t *testing.T) {
 	}
 }
 
-func TestMaxProcsAndSortedProcs(t *testing.T) {
-	s := NewSuite(Config{Circuits: []string{"primary2"}, Procs: []int{8, 1, 4}})
-	mx, err := s.MaxProcs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mx != 28 { // primary2 has 28 rows
-		t.Fatalf("MaxProcs = %d", mx)
-	}
-}
-
 func TestAblationPlatform(t *testing.T) {
 	s := quickSuite()
 	var buf bytes.Buffer

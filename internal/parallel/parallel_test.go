@@ -31,69 +31,6 @@ func baseline(t *testing.T, c *circuit.Circuit) *metrics.Result {
 	return res
 }
 
-func TestSingleWorkerEqualsSerial(t *testing.T) {
-	c := testCircuit(t)
-	base := baseline(t, c)
-	for _, algo := range Algorithms() {
-		res, err := Run(context.Background(), c, Options{Algo: algo, Procs: 1, Route: route.Options{Seed: 1}})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if res.TotalTracks != base.TotalTracks {
-			t.Errorf("%v at P=1: %d tracks, serial %d", algo, res.TotalTracks, base.TotalTracks)
-		}
-		if res.Feedthroughs != base.Feedthroughs {
-			t.Errorf("%v at P=1: %d fts, serial %d", algo, res.Feedthroughs, base.Feedthroughs)
-		}
-		if res.Wirelength != base.Wirelength {
-			t.Errorf("%v at P=1: WL %d, serial %d", algo, res.Wirelength, base.Wirelength)
-		}
-	}
-}
-
-func TestParallelDeterministic(t *testing.T) {
-	c := testCircuit(t)
-	for _, algo := range Algorithms() {
-		a, err := Run(context.Background(), c, Options{Algo: algo, Procs: 4, Route: route.Options{Seed: 3}})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		b, err := Run(context.Background(), c, Options{Algo: algo, Procs: 4, Route: route.Options{Seed: 3}})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if a.TotalTracks != b.TotalTracks || a.Wirelength != b.Wirelength ||
-			a.Feedthroughs != b.Feedthroughs {
-			t.Errorf("%v: repeated run differs: %d/%d tracks", algo, a.TotalTracks, b.TotalTracks)
-		}
-	}
-}
-
-func TestEnginesProduceIdenticalRouting(t *testing.T) {
-	// The engine (virtual DES, concurrent goroutines, TCP sockets) must
-	// never change the routing result — only the timing.
-	c := testCircuit(t)
-	for _, algo := range Algorithms() {
-		var ref *metrics.Result
-		for _, mode := range []mp.Mode{mp.Virtual, mp.Inproc, mp.TCP} {
-			res, err := Run(context.Background(), c, Options{Algo: algo, Procs: 3, Mode: mode,
-				Route: route.Options{Seed: 5}})
-			if err != nil {
-				t.Fatalf("%v/%v: %v", algo, mode, err)
-			}
-			if ref == nil {
-				ref = res
-				continue
-			}
-			if res.TotalTracks != ref.TotalTracks || res.Wirelength != ref.Wirelength ||
-				res.Feedthroughs != ref.Feedthroughs || len(res.Wires) != len(ref.Wires) {
-				t.Errorf("%v/%v: differs from virtual engine (%d vs %d tracks)",
-					algo, mode, res.TotalTracks, ref.TotalTracks)
-			}
-		}
-	}
-}
-
 func TestAllNetsConnectedUnderPartitioning(t *testing.T) {
 	// Forced edges mean a net could not be connected through adjacent
 	// rows — the fake-pin/feedthrough machinery must prevent that at any
@@ -170,6 +107,21 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), c, Options{Algo: Algorithm(99), Procs: 2}); err == nil {
 		t.Fatal("unknown algorithm accepted")
+	}
+}
+
+// TestDistRanksMismatchRejected: Procs is what the algorithms partition
+// for; a mesh of a different width must be refused, not reconciled.
+func TestDistRanksMismatchRejected(t *testing.T) {
+	opt := Options{
+		Algo:  RowWise,
+		Procs: 4,
+		Mode:  mp.TCP,
+		Route: route.Options{Seed: 7},
+		Dist:  &mp.NetConfig{Rank: 0, Ranks: 2, Addr: "127.0.0.1:1"},
+	}
+	if _, err := Run(context.Background(), testCircuit(t), opt); err == nil {
+		t.Fatal("Dist.Ranks != Procs accepted")
 	}
 }
 

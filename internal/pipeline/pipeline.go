@@ -8,8 +8,8 @@
 // Observers are guaranteed side-effect-free with respect to routing
 // output: a Session gives them no handle on circuit, grid, or RNG state,
 // and the runner invokes them outside the stage bodies, so attaching or
-// removing observers can never change a routing decision. The golden
-// metrics oracle in internal/parallel pins this property.
+// removing observers can never change a routing decision. The root
+// conformance matrix (TestConformance) pins this property.
 //
 // Wall-clock reads are confined to this package (the "observer clock"):
 // routing code asks the Session for measurements instead of calling

@@ -97,15 +97,6 @@ func (r *RNG) Float64() float64 {
 // Bool returns a uniform random boolean.
 func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
 
-// Shuffle randomizes the order of n elements using the Fisher-Yates
-// algorithm; swap exchanges elements i and j.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -120,7 +111,10 @@ func (r *RNG) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	for i := len(p) - 1; i > 0; i-- { // Fisher-Yates
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
 }
 
 // NormInt returns an integer drawn from an approximately normal distribution

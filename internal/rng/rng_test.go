@@ -129,28 +129,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleFairness(t *testing.T) {
-	// Position of element 0 after shuffling [0,1,2] should be uniform.
-	r := New(11)
-	counts := [3]int{}
-	const draws = 30000
-	for i := 0; i < draws; i++ {
-		a := []int{0, 1, 2}
-		r.Shuffle(3, func(x, y int) { a[x], a[y] = a[y], a[x] })
-		for pos, v := range a {
-			if v == 0 {
-				counts[pos]++
-			}
-		}
-	}
-	want := float64(draws) / 3
-	for pos, c := range counts {
-		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
-			t.Fatalf("element 0 landed at position %d %d times, want about %.0f", pos, c, want)
-		}
-	}
-}
-
 func TestNormInt(t *testing.T) {
 	r := New(8)
 	var sum float64

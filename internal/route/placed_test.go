@@ -2,6 +2,7 @@ package route
 
 import (
 	"testing"
+	"unsafe"
 
 	"parroute/internal/circuit"
 	"parroute/internal/gen"
@@ -28,6 +29,16 @@ func pinCircuit(t *testing.T, rows int) (*circuit.Circuit, func(x, row int, side
 func placedBetween(c *circuit.Circuit, netID, pinA, pinB int) PlacedSeg {
 	s := steiner.NewSegment(netID, pinA, c.Pins[pinA].Point(), pinB, c.Pins[pinB].Point())
 	return Place(c, s)
+}
+
+// TestPlacedSegStaysSmall pins the size of the array every stage streams,
+// once per worker in the grid load: 72 bytes a segment (128 while it still
+// embedded its Steiner segment, of which only the net was ever read). A new
+// field is a cost to every pass, so it has to be put here on purpose.
+func TestPlacedSegStaysSmall(t *testing.T) {
+	if size := unsafe.Sizeof(PlacedSeg{}); size > 72 {
+		t.Fatalf("PlacedSeg is %d bytes, at most 72 expected", size)
+	}
 }
 
 func TestPlaceCrossRowAccessChannels(t *testing.T) {

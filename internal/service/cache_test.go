@@ -3,13 +3,11 @@ package service
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 
-	"parroute/internal/metrics"
-	"parroute/internal/parallel"
-	"parroute/internal/runcfg"
+	"parroute/internal/gen"
+	"parroute/internal/route"
 )
 
 // TestResultCacheLRU pins the cache's bounded-LRU mechanics: eviction
@@ -127,47 +125,20 @@ func TestSingleflightCollapse(t *testing.T) {
 	}
 }
 
-// freshOneShot routes the preset exactly the way cmd/twgr would — one
-// process, no daemon, no cache — and canonicalizes the result. The
-// reference side of the byte-parity assertions.
-func freshOneShot(t *testing.T, preset string, genSeed uint64, algo string, procs int, seed uint64, netpart string) []byte {
-	t.Helper()
-	c, err := runcfg.LoadPreset(preset, genSeed)
-	if err != nil {
-		t.Fatalf("LoadPreset(%s): %v", preset, err)
-	}
-	run := runcfg.Default()
-	run.Algo = algo
-	run.Procs = procs
-	run.Seed = seed
-	run.NetPart = netpart
-	opts, err := run.Options()
-	if err != nil {
-		t.Fatalf("Options(%s/%s): %v", preset, algo, err)
-	}
-	var res *metrics.Result
-	if run.Serial() {
-		res, err = parallel.RunBaseline(context.Background(), c, opts)
-	} else {
-		res, err = parallel.Run(context.Background(), c, opts)
-	}
-	if err != nil {
-		t.Fatalf("route %s/%s/p%d/s%d: %v", preset, algo, procs, seed, err)
-	}
-	b, err := CanonicalResult(res)
-	if err != nil {
-		t.Fatalf("CanonicalResult: %v", err)
-	}
-	return b
-}
-
 // TestCanonicalBytesSurviveEnvelope: canonical result bytes embedded in
 // a result envelope as a json.RawMessage come back byte-identical after
 // encode→decode. Embedding compacts whitespace, so the canonical form
 // must already be whitespace-free (a trailing newline here once broke
 // byte parity between the wire and one-shot runs).
 func TestCanonicalBytesSurviveEnvelope(t *testing.T) {
-	canon := freshOneShot(t, "tiny", 7, "serial", 1, 1, "pinweight")
+	routed, err := route.Route(context.Background(), gen.Tiny(7), route.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := CanonicalResult(routed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	data, err := Encode(KindResult, JobResult{Key: "k", Metrics: canon})
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
@@ -182,61 +153,5 @@ func TestCanonicalBytesSurviveEnvelope(t *testing.T) {
 	}
 	if !bytes.Equal(res.Metrics, canon) {
 		t.Fatalf("canonical bytes changed across the envelope:\n sent %q...\n got %q...", canon[:40], res.Metrics[:40])
-	}
-}
-
-// TestCachedBytesMatchOneShot is the determinism keystone of the cache:
-// for three presets across three algorithms, the daemon's first
-// computation, its cache hit, and a one-shot twgr-style run all produce
-// byte-identical canonical metrics.
-func TestCachedBytesMatchOneShot(t *testing.T) {
-	presets := []string{"tiny", "small", "primary2"}
-	algos := []struct {
-		algo  string
-		procs int
-	}{
-		{"serial", 1},
-		{"rowwise", 2},
-		{"hybrid", 4},
-	}
-	srv := startServer(t, Config{Workers: 2, QueueDepth: 32, CacheEntries: 32})
-
-	for _, preset := range presets {
-		for _, a := range algos {
-			t.Run(fmt.Sprintf("%s/%s", preset, a.algo), func(t *testing.T) {
-				spec := JobSpec{Preset: preset, Algo: a.algo, Procs: a.procs}
-				ticket, err := srv.Submit(context.Background(), spec)
-				if err != nil {
-					t.Fatalf("Submit: %v", err)
-				}
-				computed, err := waitTicket(t, ticket)
-				if err != nil {
-					t.Fatalf("Wait: %v", err)
-				}
-				if computed.CacheHit {
-					t.Fatal("first submission hit the cache")
-				}
-
-				again, err := srv.Submit(context.Background(), spec)
-				if err != nil {
-					t.Fatalf("resubmit: %v", err)
-				}
-				if !again.CacheHit() {
-					t.Fatal("second submission missed the cache")
-				}
-				cached, err := waitTicket(t, again)
-				if err != nil {
-					t.Fatalf("Wait on hit: %v", err)
-				}
-				if !bytes.Equal(computed.Metrics, cached.Metrics) {
-					t.Error("cache hit bytes differ from the fresh computation")
-				}
-
-				fresh := freshOneShot(t, preset, 7, a.algo, a.procs, 1, "pinweight")
-				if !bytes.Equal(computed.Metrics, fresh) {
-					t.Errorf("daemon bytes differ from a one-shot run:\n daemon %s\n oneshot %s", computed.Metrics, fresh)
-				}
-			})
-		}
 	}
 }

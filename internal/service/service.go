@@ -194,7 +194,7 @@ type resolved struct {
 // resolve applies the daemon defaults to a spec, validates the resulting
 // run configuration, and computes the job's cache identity. The key
 // deliberately excludes the engine and the cost-model platform: routing
-// output is byte-identical across engines (the determinism tier pins
+// output is byte-identical across engines (the conformance matrix pins
 // this), and the platform only shapes simulated time, which the
 // canonical result zeroes.
 func (s *Server) resolve(spec JobSpec) (resolved, error) {
@@ -225,6 +225,9 @@ func (s *Server) resolve(spec JobSpec) (resolved, error) {
 	}
 	if spec.Procs > maxProcs {
 		return resolved{}, fmt.Errorf("%w: procs %d exceeds the daemon cap %d", ErrInvalidJob, spec.Procs, maxProcs)
+	}
+	if spec.TimeoutMS < 0 {
+		return resolved{}, fmt.Errorf("%w: negative timeoutMs %d", ErrInvalidJob, spec.TimeoutMS)
 	}
 
 	var circuitID string
@@ -431,6 +434,9 @@ func (s *Server) compute(ctx context.Context, j *job) (*metrics.Result, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: loading circuit: %w", ErrInvalidJob, err)
+	}
+	if !j.res.run.Serial() && j.res.run.Procs > len(c.Rows) {
+		return nil, fmt.Errorf("%w: procs %d exceeds the circuit's %d rows", ErrInvalidJob, j.res.run.Procs, len(c.Rows))
 	}
 	opts, err := j.res.run.Options()
 	if err != nil {

@@ -79,6 +79,7 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 		{"bad-engine", JobSpec{Preset: "tiny", Engine: "carrier-pigeon"}},
 		{"bad-netpart", JobSpec{Preset: "tiny", NetPart: "vibes"}},
 		{"procs-over-cap", JobSpec{Preset: "tiny", Algo: "hybrid", Procs: 1 << 10}},
+		{"negative-timeout", JobSpec{Preset: "tiny", TimeoutMS: -1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -297,6 +298,27 @@ func TestHTTPEndpoints(t *testing.T) {
 		resp, _ := post(t, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status = %d, want 400", resp.StatusCode)
+		}
+	})
+
+	// More procs than the circuit has rows passes admission (the rows are
+	// only known once the circuit loads) and is still the client's error.
+	t.Run("procs-over-rows", func(t *testing.T) {
+		body, err := Encode(KindJob, JobSpec{Preset: "tiny", Algo: "rowwise", Procs: 8})
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		resp, data := post(t, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status = %d, body %s", resp.StatusCode, data)
+		}
+		env, err := Decode([]byte(strings.TrimSpace(string(data))))
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		var werr WireError
+		if err := env.DecodeBody(KindError, &werr); err != nil || werr.Code != CodeInvalid {
+			t.Fatalf("error body = %+v (decode err %v), want code %q", werr, err, CodeInvalid)
 		}
 	})
 

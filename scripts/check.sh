@@ -81,12 +81,14 @@ step "go test -race ./..." go test -race -skip 'TestServiceSoak|TestModuleIsClea
 # Workers determinism on one P: the ordered band sweeps (coarse flips, wire
 # placement, switch flips; DESIGN.md §9) hand work across goroutines at the
 # seams, and a hand-off that only completes when the peer owns a core hangs
-# on one P and nowhere else. The byte-identity tests — goldens at workers
-# {1, 2, 8}, and at eight bands on gen.Small — and the executor's property
-# test already ran at the box's P count in the step above; here they run
-# again with one.
+# on one P and nowhere else. The conformance matrix's workers-8 rows without
+# a fault plan (its serial rows come along at every worker count), the
+# eight-band seams test on gen.Small and the executor's property test
+# already ran at the box's P count in the step above; here they run again
+# with one.
 one_p() {
-  GOMAXPROCS=1 go test -race -count=1 -run 'TestWorkersByteIdentical' ./internal/parallel &&
+  GOMAXPROCS=1 go test -race -count=1 \
+    -run '^(TestConformance|TestWorkersByteIdenticalAtSeams)$/library/.*/.*/.*/.*/w8/chaos=none' . &&
     GOMAXPROCS=1 go test -race -count=1 -run 'TestSweep' ./internal/workpool
 }
 step "workers determinism on one P" one_p
@@ -108,14 +110,16 @@ fuzz_smoke() {
 step "codec fuzz smoke" fuzz_smoke
 
 # Chaos tier: the fault-injection soak (drop/delay/dup/reorder plans must
-# leave routing metrics byte-identical; crashes must degrade, not hang)
-# under the race detector, twice, with two fixed fault-schedule seeds.
-# The Chaos|Crash pattern also picks up the framed-TCP mesh tests
-# (TestNetChaosCrashSeenAcrossProcesses, TestDistChaosCrashDegradesAt-
-# RankZero), so each seed soaks crash attribution across real sockets.
+# leave routing output byte-identical; crashes must degrade, not hang)
+# under the race detector, twice, with two fixed fault-schedule seeds: the
+# conformance matrix's fault-plan rows on gen.Small, every engine including
+# the multi-process TCP mesh, plus the Chaos|Crash tests of mp and parallel
+# (event-log reproducibility, crash attribution across real sockets).
 chaos_soak() {
   CHAOS_SEED="$1" go test -race -count=2 -run 'Chaos|Crash' \
-    ./internal/mp ./internal/parallel
+    ./internal/mp ./internal/parallel &&
+    CHAOS_SEED="$1" go test -race -count=2 \
+      -run 'TestConformance/library/small/.*/.*/.*/.*/chaos=(drop|dup|every|crash)' .
 }
 step "chaos soak (seed 1)" chaos_soak 1
 step "chaos soak (seed 2)" chaos_soak 2
