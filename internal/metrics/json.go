@@ -4,13 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"parroute/internal/geom"
 )
 
-// jsonResult is the stable on-disk form of a Result. Wires are stored
-// flat; durations in nanoseconds.
+// jsonResult is the stable on-disk form of a Result, as ReadResultJSON reads
+// it and AppendJSON writes it. Wires are stored flat; durations in ns.
 type jsonResult struct {
 	Circuit string `json:"circuit"`
 	Algo    string `json:"algo"`
@@ -48,27 +49,70 @@ type jsonWire struct {
 	BRow       int  `json:"br"`
 }
 
-// WriteJSON serializes the result.
+// WriteJSON serializes the result: AppendJSON's bytes and a newline.
 func (r *Result) WriteJSON(w io.Writer) error {
-	jr := jsonResult{
-		Circuit: r.Circuit, Algo: r.Algo, Procs: r.Procs,
-		ChannelDensity: r.ChannelDensity, TotalTracks: r.TotalTracks,
-		Area: r.Area, Wirelength: r.Wirelength,
-		Feedthroughs: r.Feedthroughs, ForcedEdges: r.ForcedEdges,
-		CoreWidth: r.CoreWidth, SwitchableWires: r.SwitchableWires,
-		SwitchFlips: r.SwitchFlips, CoarseFlips: r.CoarseFlips,
-		ElapsedNS: r.Elapsed.Nanoseconds(), Phases: r.Phases, Degraded: r.Degraded,
-	}
-	jr.Wires = make([]jsonWire, len(r.Wires))
+	_, err := w.Write(append(r.AppendJSON(nil), '\n'))
+	return err
+}
+
+// AppendJSON appends the result's JSON form to dst in one pass: byte for
+// byte what encoding/json writes for jsonResult, without copying the wires
+// into jsonWire values or reflecting over them.
+func (r *Result) AppendJSON(dst []byte) []byte {
+	dst = appendMarshal(dst, `{"circuit":`, r.Circuit)
+	dst = appendMarshal(dst, `,"algo":`, r.Algo)
+	dst = appendInt(dst, `,"procs":`, r.Procs)
+	dst = append(dst, `,"wires":[`...) // never null, even for nil Wires
 	for i := range r.Wires {
 		w := &r.Wires[i]
-		jr.Wires[i] = jsonWire{
-			Net: w.Net, Channel: w.Channel, Lo: w.Span.Lo, Hi: w.Span.Hi,
-			Switchable: w.Switchable, Row: w.Row,
-			AX: w.AX, ARow: w.ARow, BX: w.BX, BRow: w.BRow,
+		if i > 0 {
+			dst = append(dst, ',')
 		}
+		dst = appendInt(dst, `{"net":`, w.Net)
+		dst = appendInt(dst, `,"ch":`, w.Channel)
+		dst = appendInt(dst, `,"lo":`, w.Span.Lo)
+		dst = appendInt(dst, `,"hi":`, w.Span.Hi)
+		if w.Switchable {
+			dst = append(dst, `,"sw":true`...)
+		}
+		if w.Row != 0 {
+			dst = appendInt(dst, `,"row":`, w.Row)
+		}
+		dst = appendInt(dst, `,"ax":`, w.AX)
+		dst = appendInt(dst, `,"ar":`, w.ARow)
+		dst = appendInt(dst, `,"bx":`, w.BX)
+		dst = append(appendInt(dst, `,"br":`, w.BRow), '}')
 	}
-	return json.NewEncoder(w).Encode(&jr)
+	dst = append(dst, ']')
+	dst = appendMarshal(dst, `,"channelDensity":`, r.ChannelDensity)
+	dst = appendInt(dst, `,"totalTracks":`, r.TotalTracks)
+	dst = appendInt(dst, `,"area":`, r.Area)
+	dst = appendInt(dst, `,"wirelength":`, r.Wirelength)
+	dst = appendInt(dst, `,"feedthroughs":`, r.Feedthroughs)
+	dst = appendInt(dst, `,"forcedEdges":`, r.ForcedEdges)
+	dst = appendInt(dst, `,"coreWidth":`, r.CoreWidth)
+	dst = appendInt(dst, `,"switchableWires":`, r.SwitchableWires)
+	dst = appendInt(dst, `,"switchFlips":`, r.SwitchFlips)
+	dst = appendInt(dst, `,"coarseFlips":`, r.CoarseFlips)
+	dst = appendInt(dst, `,"elapsedNs":`, r.Elapsed)
+	if len(r.Phases) > 0 {
+		dst = appendMarshal(dst, `,"phases":`, r.Phases)
+	}
+	if r.Degraded {
+		dst = append(dst, `,"degraded":true`...)
+	}
+	return append(dst, '}')
+}
+
+// appendInt appends key and v.
+func appendInt[T ~int | ~int64](dst []byte, key string, v T) []byte {
+	return strconv.AppendInt(append(dst, key...), int64(v), 10)
+}
+
+// appendMarshal appends key and encoding/json's bytes for a short part.
+func appendMarshal(dst []byte, key string, v any) []byte {
+	b, _ := json.Marshal(v) // strings, []int and []Phase always marshal
+	return append(append(dst, key...), b...)
 }
 
 // ReadResultJSON parses a result written by WriteJSON.

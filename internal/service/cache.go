@@ -5,12 +5,12 @@ import (
 	"sync"
 )
 
-// resultCache is a bounded LRU over canonical result bytes, keyed by the
-// job identity string (circuit|algo|procs|seed|netpart). Deterministic routing
-// is what makes it sound: the cached bytes for a key are byte-identical
-// to what recomputing the job would produce, so eviction only ever costs
-// time, never correctness.
-type resultCache struct {
+// lru is a bounded LRU map with hit/miss/eviction counters: the result
+// cache (canonical bytes by job key, circuit|algo|procs|seed|netpart) and
+// the circuit cache (loaded circuits by circuit identity). Determinism makes
+// both sound: a cached value is identical to what recomputing it would
+// produce, so eviction only ever costs time, never correctness.
+type lru[V any] struct {
 	mu      sync.Mutex
 	max     int
 	entries map[string]*list.Element
@@ -19,58 +19,56 @@ type resultCache struct {
 	hits, misses, evictions int64
 }
 
-type cacheEntry struct {
-	key   string
-	bytes []byte
+type lruEntry[V any] struct {
+	key string
+	val V
 }
 
-func newResultCache(max int) *resultCache {
-	if max <= 0 {
-		max = 256
-	}
-	return &resultCache{
+func newLRU[V any](max int) *lru[V] {
+	return &lru[V]{
 		max:     max,
 		entries: make(map[string]*list.Element),
 		order:   list.New(),
 	}
 }
 
-// get returns the cached bytes for key, counting a hit or miss.
-func (c *resultCache) get(key string) ([]byte, bool) {
+// get returns the cached value for key, counting a hit or miss.
+func (c *lru[V]) get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).bytes, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// put stores bytes under key, evicting the least recently used entry
-// when full. Storing an existing key refreshes its recency; the bytes
+// put stores val under key, evicting the least recently used entry
+// when full. Storing an existing key refreshes its recency; the values
 // are identical by determinism, so which copy survives is immaterial.
-func (c *resultCache) put(key string, bytes []byte) {
+func (c *lru[V]) put(key string, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		el.Value.(*cacheEntry).bytes = bytes
+		el.Value.(*lruEntry[V]).val = val
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, bytes: bytes})
+	c.entries[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
 	for c.order.Len() > c.max {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		delete(c.entries, oldest.Value.(*lruEntry[V]).key)
 		c.evictions++
 	}
 }
 
 // counters returns (hits, misses, entries, evictions).
-func (c *resultCache) counters() (int64, int64, int64, int64) {
+func (c *lru[V]) counters() (int64, int64, int64, int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, int64(c.order.Len()), c.evictions

@@ -3,17 +3,23 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"reflect"
 	"sync"
 	"testing"
 
 	"parroute/internal/gen"
+	"parroute/internal/metrics"
+	"parroute/internal/parallel"
 	"parroute/internal/route"
+	"parroute/internal/runcfg"
 )
 
-// TestResultCacheLRU pins the cache's bounded-LRU mechanics: eviction
+// TestResultCacheLRU pins lru's mechanics: eviction
 // order, hit/miss counters, and recency updates on get.
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
+	c := newLRU[[]byte](2)
 	c.put("a", []byte("A"))
 	c.put("b", []byte("B"))
 	if _, ok := c.get("a"); !ok { // refresh a: b is now the LRU entry
@@ -153,5 +159,131 @@ func TestCanonicalBytesSurviveEnvelope(t *testing.T) {
 	}
 	if !bytes.Equal(res.Metrics, canon) {
 		t.Fatalf("canonical bytes changed across the envelope:\n sent %q...\n got %q...", canon[:40], res.Metrics[:40])
+	}
+}
+
+// TestInlineCircuitKey pins the inline circuit identity: "inline:" and the
+// hex SHA-256 of the client's bytes, the key's first field. A weak hash
+// here would let one client be served another's circuit and result.
+func TestInlineCircuitKey(t *testing.T) {
+	body := []byte(`{"rows":2}`)
+	r, err := New(testConfig()).resolve(JobSpec{CircuitJSON: body, Algo: "serial", Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(body)
+	wantID := "inline:" + hex.EncodeToString(sum[:])
+	if r.circuitID != wantID || r.key != wantID+"|serial|p1|s3|pinweight" {
+		t.Fatalf("circuitID %q, key %q; want %q and its job key", r.circuitID, r.key, wantID)
+	}
+}
+
+// TestCanonicalResultExactCap: the result cache holds CanonicalResult's
+// slice for the daemon's life, so it must carry no spare capacity.
+func TestCanonicalResultExactCap(t *testing.T) {
+	routed, err := route.Route(context.Background(), gen.Small(7), route.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := CanonicalResult(routed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(b) != len(b) {
+		t.Fatalf("cap %d, len %d: the cached bytes carry spare capacity", cap(b), len(b))
+	}
+}
+
+// oneShot routes a job outside the daemon from a fresh load: the bytes
+// the daemon must return for it.
+func oneShot(t *testing.T, spec JobSpec) []byte {
+	t.Helper()
+	c, err := runcfg.LoadPreset(spec.Preset, runcfg.DefaultCircuit().GenSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := runcfg.Default()
+	run.Algo, run.Procs, run.Seed = spec.Algo, spec.Procs, spec.Seed
+	opts, err := run.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *metrics.Result
+	if run.Serial() {
+		res, err = parallel.RunBaseline(context.Background(), c, opts)
+	} else {
+		res, err = parallel.Run(context.Background(), c, opts)
+	}
+	if err != nil {
+		t.Fatalf("one-shot %+v: %v", spec, err)
+	}
+	b, err := CanonicalResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestSharedCircuitConcurrentJobs: every job on a circuit routes the one
+// cached copy, concurrently and read-only. Eight jobs on one preset run at
+// once, serial and every parallel algorithm at P 2; each returns its
+// one-shot route, all eight are circuit-cache hits, and afterwards the
+// cached circuit still equals a fresh load. A repeated inline circuit is
+// parsed once. scripts/check.sh runs this under -race.
+func TestSharedCircuitConcurrentJobs(t *testing.T) {
+	srv := startServer(t, Config{Workers: 4, QueueDepth: 16, CacheEntries: 16})
+	run := func(specs ...JobSpec) []*JobResult {
+		t.Helper()
+		out := make([]*JobResult, len(specs))
+		var wg sync.WaitGroup
+		for i, spec := range specs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ticket, err := srv.Submit(context.Background(), spec)
+				if err == nil {
+					out[i], err = waitTicket(t, ticket)
+				}
+				if err != nil {
+					t.Errorf("job %+v: %v", spec, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		return out
+	}
+
+	run(JobSpec{Preset: "small", Algo: "serial", Seed: 99}) // loads the circuit
+	var specs []JobSpec
+	for _, algo := range []string{"serial", "rowwise", "netwise", "hybrid"} {
+		for seed := uint64(1); seed <= 2; seed++ {
+			specs = append(specs, JobSpec{Preset: "small", Algo: algo, Procs: 2, Seed: seed})
+		}
+	}
+	for i, res := range run(specs...) {
+		if want := oneShot(t, specs[i]); !bytes.Equal(res.Metrics, want) {
+			t.Errorf("%+v: daemon bytes differ from the one-shot route", specs[i])
+		}
+	}
+	if hits, misses, _, _ := srv.circuits.counters(); hits != int64(len(specs)) || misses != 1 {
+		t.Fatalf("circuit cache: %d hits, %d misses; want %d hits on one load", hits, misses, len(specs))
+	}
+	cached, _ := srv.circuits.get("preset:small@7")
+	if fresh, _ := runcfg.LoadPreset("small", 7); !reflect.DeepEqual(cached, fresh) {
+		t.Fatal("routing jobs wrote to the shared cached circuit")
+	}
+
+	var inline bytes.Buffer
+	if err := gen.Tiny(7).WriteJSON(&inline); err != nil {
+		t.Fatal(err)
+	}
+	_, before, _, _ := srv.circuits.counters()
+	run(JobSpec{CircuitJSON: inline.Bytes(), Algo: "serial", Seed: 1})
+	run(JobSpec{CircuitJSON: bytes.Clone(inline.Bytes()), Algo: "hybrid", Procs: 2, Seed: 1})
+	if _, after, _, _ := srv.circuits.counters(); after-before != 1 {
+		t.Fatalf("two jobs on one inline circuit loaded it %d times, want 1", after-before)
 	}
 }

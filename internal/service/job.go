@@ -147,6 +147,12 @@ func (o *jobObserver) emit(ev Progress) {
 	o.srv.stats.progressDropped.Add(dropped)
 }
 
+// closedDone and closedProgress are what every cache-hit ticket hands out.
+var (
+	closedDone     = func() chan struct{} { ch := make(chan struct{}); close(ch); return ch }()
+	closedProgress = func() chan Progress { ch := make(chan Progress); close(ch); return ch }()
+)
+
 // Ticket is one submitter's handle on a job. Wait blocks for the
 // outcome; Release abandons interest early (client disconnect). A
 // cache-hit ticket carries its result immediately.
@@ -166,9 +172,7 @@ func (t *Ticket) CacheHit() bool { return t.hit != nil }
 // available. Cache hits return a closed channel.
 func (t *Ticket) Done() <-chan struct{} {
 	if t.hit != nil {
-		ch := make(chan struct{})
-		close(ch)
-		return ch
+		return closedDone
 	}
 	return t.job.done
 }
@@ -209,9 +213,7 @@ func (t *Ticket) Release() {
 // Cache-hit tickets return an already-closed channel.
 func (t *Ticket) Subscribe() (<-chan Progress, func()) {
 	if t.hit != nil {
-		ch := make(chan Progress)
-		close(ch)
-		return ch, func() {}
+		return closedProgress, func() {}
 	}
 	return t.job.subscribe(progressBuffer)
 }

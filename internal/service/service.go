@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"container/heap"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,6 +54,9 @@ const (
 	// maxProcs caps the per-job worker count (a job asking for more is
 	// rejected as invalid).
 	maxProcs = 16
+	// circuitCacheEntries bounds the loaded-circuit cache: jobs name few
+	// distinct circuits, and each entry is a whole circuit.
+	circuitCacheEntries = 4
 )
 
 func (c *Config) normalize() {
@@ -88,9 +92,10 @@ type counters struct {
 // submit with Submit (the HTTP layer in http.go does), and shut down
 // with Drain followed by cancelling Start's context.
 type Server struct {
-	cfg   Config
-	cache *resultCache
-	stats counters
+	cfg      Config
+	cache    *lru[[]byte]           // canonical result bytes by job key
+	circuits *lru[*circuit.Circuit] // loaded circuits by circuit identity; shared read-only
+	stats    counters
 
 	mu       sync.Mutex
 	queue    jobQueue
@@ -109,7 +114,8 @@ func New(cfg Config) *Server {
 	cfg.normalize()
 	return &Server{
 		cfg:      cfg,
-		cache:    newResultCache(cfg.CacheEntries),
+		cache:    newLRU[[]byte](cfg.CacheEntries),
+		circuits: newLRU[*circuit.Circuit](circuitCacheEntries),
 		inflight: make(map[string]*job),
 		kick:     make(chan struct{}, cfg.Workers),
 	}
@@ -184,9 +190,10 @@ func (s *Server) Stats() Stats {
 // resolved is a JobSpec with the daemon's defaults applied and its
 // routing configuration validated.
 type resolved struct {
-	spec JobSpec
-	run  runcfg.Run
-	key  string
+	spec      JobSpec
+	run       runcfg.Run
+	key       string
+	circuitID string // the key's first field: the circuit cache's key
 	// timeout bounds the routing computation (0 = none).
 	timeout time.Duration
 }
@@ -237,9 +244,9 @@ func (s *Server) resolve(spec JobSpec) (resolved, error) {
 	case spec.Preset != "":
 		circuitID = fmt.Sprintf("preset:%s@%d", spec.Preset, spec.GenSeed)
 	case len(spec.CircuitJSON) > 0:
-		h := fnv.New64a()
-		_, _ = h.Write(spec.CircuitJSON) // fnv's Write cannot fail
-		circuitID = fmt.Sprintf("inline:%016x", h.Sum64())
+		// Collision-resistant: clients choose these bytes (DESIGN §13).
+		sum := sha256.Sum256(spec.CircuitJSON)
+		circuitID = "inline:" + hex.EncodeToString(sum[:])
 	default:
 		return resolved{}, fmt.Errorf("%w: need a preset or an inline circuit", ErrInvalidJob)
 	}
@@ -265,10 +272,11 @@ func (s *Server) resolve(spec JobSpec) (resolved, error) {
 	}
 	key := fmt.Sprintf("%s|%s|p%d|s%d|%s", circuitID, run.Algo, run.Procs, run.Seed, run.NetPart)
 	return resolved{
-		spec:    spec,
-		run:     run,
-		key:     key,
-		timeout: time.Duration(spec.TimeoutMS) * time.Millisecond,
+		spec:      spec,
+		run:       run,
+		key:       key,
+		circuitID: circuitID,
+		timeout:   time.Duration(spec.TimeoutMS) * time.Millisecond,
 	}, nil
 }
 
@@ -423,17 +431,22 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 }
 
 // compute loads the job's circuit and routes it, forwarding pipeline
-// stage events to the job's subscribers.
+// stage events to the job's subscribers. The circuit comes from the
+// circuit cache, shared read-only by concurrent jobs (RunBaseline routes a
+// clone, parallel.Run only reads its input); a failed load is not cached.
 func (s *Server) compute(ctx context.Context, j *job) (*metrics.Result, error) {
-	var c *circuit.Circuit
-	var err error
-	if j.res.spec.Preset != "" {
-		c, err = runcfg.LoadPreset(j.res.spec.Preset, j.res.spec.GenSeed)
-	} else {
-		c, err = circuit.ReadJSON(bytes.NewReader(j.res.spec.CircuitJSON))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: loading circuit: %w", ErrInvalidJob, err)
+	c, ok := s.circuits.get(j.res.circuitID)
+	if !ok {
+		var err error
+		if j.res.spec.Preset != "" {
+			c, err = runcfg.LoadPreset(j.res.spec.Preset, j.res.spec.GenSeed)
+		} else {
+			c, err = circuit.ReadJSON(bytes.NewReader(j.res.spec.CircuitJSON))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: loading circuit: %w", ErrInvalidJob, err)
+		}
+		s.circuits.put(j.res.circuitID, c)
 	}
 	if !j.res.run.Serial() && j.res.run.Procs > len(c.Rows) {
 		return nil, fmt.Errorf("%w: procs %d exceeds the circuit's %d rows", ErrInvalidJob, j.res.run.Procs, len(c.Rows))
@@ -479,18 +492,16 @@ func (s *Server) finish(j *job, result *JobResult, err error) {
 // canonical bytes — the property the result cache and the soak tier's
 // one-shot-parity assertion are built on. The input is modified.
 //
-// The trailing newline WriteJSON emits is trimmed: canonical bytes are
-// embedded as a json.RawMessage inside result envelopes, and embedding
-// compacts surrounding whitespace away — the canonical form must be
-// exactly what a client receives, or the wire would break byte parity.
+// The bytes are AppendJSON's, without WriteJSON's newline: embedded as a
+// json.RawMessage in an envelope, whitespace would be compacted away and
+// break byte parity with what a client receives. The slice has no spare
+// capacity: the result cache holds it for the daemon's life.
 func CanonicalResult(res *metrics.Result) ([]byte, error) {
 	res.Elapsed = 0
 	res.Phases = nil
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		return nil, fmt.Errorf("service: serializing result: %w", err)
-	}
-	return bytes.TrimRight(buf.Bytes(), "\n"), nil
+	// A wire is 70–80 bytes on the presets; the scratch rarely grows.
+	b := res.AppendJSON(make([]byte, 0, 96*len(res.Wires)+16*len(res.ChannelDensity)+512))
+	return append(make([]byte, 0, len(b)), b...), nil
 }
 
 // jobQueue is a priority heap: higher Priority first, submission order

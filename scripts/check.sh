@@ -75,7 +75,10 @@ step "parroutecheck ./..." go run ./cmd/parroutecheck ./...
 # leaked goroutine — run here, under this -race, once. internal/lint's
 # TestModuleIsClean (the suite the parroutecheck step just ran) is skipped
 # too: it is static analysis over a type-checked load of the module, which
-# a -race build makes 12 s of and makes no more telling.
+# a -race build makes 12 s of and makes no more telling. This step is also
+# where internal/service's TestSharedCircuitConcurrentJobs runs under
+# -race: concurrent jobs of every algorithm sharing one cached circuit
+# must only read it (DESIGN.md §13).
 step "go test -race ./..." go test -race -skip 'TestServiceSoak|TestModuleIsClean' ./...
 
 # Workers determinism on one P: the ordered band sweeps (coarse flips, wire
