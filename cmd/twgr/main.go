@@ -108,7 +108,7 @@ func main() {
 	var res *metrics.Result
 	var rt *route.Router // the serial router, for -verify and -svg
 	if run.Serial() {
-		rt = route.NewRouter(c.Clone(), opts.Route)
+		rt = route.NewRouter(c.Fork(), opts.Route)
 		res, err = rt.Run(ctx)
 	} else {
 		res, err = parallel.Run(ctx, c, opts)

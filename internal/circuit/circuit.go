@@ -163,6 +163,7 @@ func (c *Circuit) AddRow() int {
 
 // AddCell appends a cell at the right end of row r and returns its ID.
 // The caller provides the width; the x position follows the previous cell.
+// It is construction-time only, like AddPin.
 func (c *Circuit) AddCell(r, width int) int {
 	id := len(c.Cells)
 	x := c.RowWidth(r)
@@ -180,6 +181,7 @@ func (c *Circuit) AddNet(name string) int {
 
 // AddPin creates a pin on cell cellID at the given offset and side and
 // attaches it to net netID (which may be NoNet). It returns the pin ID.
+// Construction-time only: it writes the cell in place, which a Fork shares.
 func (c *Circuit) AddPin(cellID, netID, offset int, side Side) int {
 	cell := &c.Cells[cellID]
 	id := len(c.Pins)
@@ -245,6 +247,8 @@ func (c *Circuit) InsertFeedthrough(r, x, netID int) int {
 	c.Cells = append(c.Cells, Cell{
 		ID: cellID, Row: r, X: at, Width: c.FeedWidth, Feed: true,
 	})
+	// Before the shifts: on a Fork, this append moves Pins out of the parent.
+	pinID := c.AddPin(cellID, netID, c.FeedWidth/2, Both)
 	row.Cells = append(row.Cells, 0)
 	copy(row.Cells[idx+1:], row.Cells[idx:])
 	row.Cells[idx] = cellID
@@ -267,7 +271,7 @@ func (c *Circuit) InsertFeedthrough(r, x, netID int) int {
 			}
 		}
 	}
-	return c.AddPin(cellID, netID, c.FeedWidth/2, Both)
+	return pinID
 }
 
 // InsertFeedthroughRows inserts len(xs) net-less feedthrough cells at once:
@@ -288,7 +292,8 @@ func (c *Circuit) InsertFeedthrough(r, x, netID int) int {
 // every row r when it returns, on as many goroutines as it likes.
 //
 // The arguments are checked before anything is written: an error leaves c
-// untouched.
+// untouched. Cells, Pins and the touched rows' lists are regrown into fresh
+// arrays: on a Fork, this is the copy at the first write.
 func (c *Circuit) InsertFeedthroughRows(off, xs []int, forRows func(rows int, walk func(r int))) (firstPin int, err error) {
 	rows := len(c.Rows)
 	if len(off) != rows+1 || off[0] != 0 || off[rows] != len(xs) {
@@ -479,10 +484,30 @@ func (c *Circuit) ComputeStats() Stats {
 	return s
 }
 
-// Clone returns a deep copy of the circuit. Parallel workers clone the parts
-// of a circuit they own so they can insert feedthroughs independently. It
-// runs on the calling goroutine: the copies are bound by memory bandwidth and
-// page faults, and spreading them over a pool measured no faster (DESIGN §9).
+// Fork returns a circuit that shares c's Cells, Pins and id lists and copies
+// only the Rows and Nets headers (and the fake-pin index's outer slice).
+// Every slice it hands out is capped at its length, so the first append
+// copies out: InsertFeedthroughRows, InsertFeedthrough, AddFakePin and
+// appending to a net's pin list are fork-safe and leave c as it was.
+func (c *Circuit) Fork() *Circuit {
+	out := *c
+	out.Cells, out.Pins = slices.Clip(c.Cells), slices.Clip(c.Pins)
+	out.Rows, out.Nets, out.fakeByRow = slices.Clone(c.Rows), slices.Clone(c.Nets), slices.Clone(c.fakeByRow)
+	for i := range out.Rows {
+		out.Rows[i].Cells = slices.Clip(out.Rows[i].Cells)
+	}
+	for i := range out.Nets {
+		out.Nets[i].Pins = slices.Clip(out.Nets[i].Pins)
+	}
+	for r := range out.fakeByRow {
+		out.fakeByRow[r] = slices.Clip(out.fakeByRow[r])
+	}
+	return &out
+}
+
+// Clone returns a deep copy of the circuit, for writes Fork does not cover.
+// It runs on the calling goroutine: the copies are bound by memory bandwidth
+// and page faults, and a pool measured no faster (DESIGN §9).
 func (c *Circuit) Clone() *Circuit {
 	out := &Circuit{
 		Name:       c.Name,
@@ -497,8 +522,7 @@ func (c *Circuit) Clone() *Circuit {
 	for row, ids := range out.fakeByRow {
 		out.fakeByRow[row] = slices.Clone(ids)
 	}
-	// Shared backing arrays keep the clone at a handful of allocations —
-	// the parallel workers clone per rank, so this is on their hot path.
+	// Shared backing arrays keep the clone at a handful of allocations.
 	total := 0
 	for i := range c.Rows {
 		total += len(c.Rows[i].Cells)

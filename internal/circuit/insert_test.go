@@ -148,6 +148,71 @@ func TestInsertFeedthroughRowsMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestForkMutatorsLeaveParent holds Fork to its contract on random circuits:
+// each of the router's mutators, applied to a fork, leaves the parent equal
+// to a clone taken before the fork, and leaves the fork equal to what the
+// same mutation leaves in a clone.
+func TestForkMutatorsLeaveParent(t *testing.T) {
+	widest := func(c *Circuit) int {
+		r := 0
+		for i := range c.Rows {
+			if len(c.Rows[i].Cells) > len(c.Rows[r].Cells) {
+				r = i
+			}
+		}
+		return r
+	}
+	insertRows := func(c *Circuit, per func(r int) []int) {
+		off, xs := make([]int, len(c.Rows)+1), []int(nil)
+		for r := range c.Rows {
+			xs = append(xs, per(r)...)
+			off[r+1] = len(xs)
+		}
+		if _, err := c.InsertFeedthroughRows(off, xs, func(rows int, walk func(r int)) {
+			for r := 0; r < rows; r++ {
+				walk(r)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(c *Circuit)
+	}{
+		{"InsertFeedthrough at a row's start", func(c *Circuit) { c.InsertFeedthrough(widest(c), -1, 0) }},
+		{"InsertFeedthrough mid-row", func(c *Circuit) {
+			r := widest(c)
+			c.InsertFeedthrough(r, c.RowWidth(r)/2, 0)
+		}},
+		{"InsertFeedthrough at a row's end", func(c *Circuit) {
+			r := widest(c)
+			c.InsertFeedthrough(r, c.RowWidth(r)+1, NoNet)
+		}},
+		{"InsertFeedthroughRows, no requests", func(c *Circuit) { insertRows(c, func(int) []int { return nil }) }},
+		{"InsertFeedthroughRows", func(c *Circuit) {
+			insertRows(c, func(r int) []int { return []int{0, c.RowWidth(r) / 2, c.RowWidth(r) / 2} })
+		}},
+		{"AddFakePin", func(c *Circuit) { c.AddFakePin(0, 3, len(c.Rows)-1, Top) }},
+	} {
+		for seed := uint64(1); seed <= 40; seed++ {
+			base := randomRows(rng.New(seed))
+			base.FeedWidth = max(base.FeedWidth, 2) // a shift that moves something
+			before := base.Clone()
+			fork := base.Fork()
+			tc.mutate(fork)
+			if !reflect.DeepEqual(base.Clone(), before) { // clones: nil and empty lists compare equal
+				t.Fatalf("%s, seed %d: the mutation reached the parent", tc.name, seed)
+			}
+			want := base.Clone()
+			tc.mutate(want)
+			if !reflect.DeepEqual(fork.Clone(), want.Clone()) {
+				t.Fatalf("%s, seed %d: the fork differs from the same mutation of a clone", tc.name, seed)
+			}
+		}
+	}
+}
+
 // TestInsertFeedthroughRowsRejectsBadRequests: malformed offsets and
 // unsorted positions are errors that leave the circuit as it was.
 func TestInsertFeedthroughRowsRejectsBadRequests(t *testing.T) {

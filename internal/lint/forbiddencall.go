@@ -27,14 +27,12 @@ var forbiddenCalls = []struct {
 	// for tests and diagnostics.
 	{"parroute/internal/route.ConnectNodes", nil, "build all nets with route.ConnectNets"},
 	{"parroute/internal/steiner.BuildNet", nil, "drive a steiner.Builder"},
-	// The row-partitioned drivers (and the steps and sub-circuit builder
-	// they share) read base and build a block-sized sub-circuit from it; a
-	// Clone there is each rank paying for rows it does not own again.
-	// Net-wise is the exception — a rank routes nets through every row, so
-	// netwise.go keeps its clone — as is RunBaseline in parallel.go.
+	// The routers write their circuit only through circuit.Fork's fork-safe
+	// mutators, so a whole-circuit Clone is a copy of what steps 1–2 only
+	// read.
 	{"(*parroute/internal/circuit.Circuit).Clone",
-		[]string{"internal/parallel/rowwise.go", "internal/parallel/hybrid.go", "internal/parallel/rank.go", "internal/parallel/common.go"},
-		"build from base with buildBlockCircuit"},
+		[]string{"internal/route/", "internal/parallel/", "internal/service/"},
+		"fork it"},
 	// One-at-a-time insertion is O(row length) per feedthrough; the routers
 	// insert through circuit.InsertFeedthroughRows. The step-3 overflow
 	// paths (serial and net-wise), which place a feedthrough the demand

@@ -364,12 +364,12 @@ func (c *comm) Send(to, tag int, v any) error {
 	return nil
 }
 
-// sendFailed attributes a failed send on a now-dead connection: a dead
-// peer beats a raw socket error, and a stalled write past its deadline is
-// a deadline miss. In every case the peer is marked lost — the stream to
-// it cannot carry another frame — unless this rank itself is the one
-// that crashed (then the peer is fine; blaming it would misdirect the
-// survivors' degradation).
+// sendFailed attributes a failed send on a now-dead connection: a stalled
+// write past its deadline is a deadline miss, and any other failure (a
+// crashed peer's EPIPE can beat its EOF) is ErrRankLost. In every case the
+// peer is marked lost — the stream to it cannot carry another frame —
+// unless this rank itself is the one that crashed (then the peer is fine;
+// blaming it would misdirect the survivors' degradation).
 func (c *comm) sendFailed(to int, err error) error {
 	if c.m.isLost(to) || c.m.isLost(c.rank) {
 		return fmt.Errorf("mp: send %d->%d: %w: %w", c.rank, to, err, ErrRankLost)
@@ -381,7 +381,7 @@ func (c *comm) sendFailed(to int, err error) error {
 		}
 		return fmt.Errorf("mp: send %d->%d: write stalled past %v: %w", c.rank, to, c.m.lim.SendTimeout, ErrDeadline)
 	}
-	return fmt.Errorf("mp: send %d->%d: %w", c.rank, to, err)
+	return fmt.Errorf("mp: send %d->%d: %w: %w", c.rank, to, err, ErrRankLost)
 }
 
 // Recv blocks until an envelope from (from, tag) is queued, the run

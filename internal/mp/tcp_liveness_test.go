@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -56,6 +58,23 @@ func TestSendDeadlineMarksConnectionDead(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("dead-connection send took %v; it must fail without touching the socket", elapsed)
+	}
+}
+
+// TestSendFailedWriteErrorIsRankLost: a crashed peer's broken pipe can reach
+// the writer before the read pump sees the EOF. sendFailed marked the peer
+// lost but returned the bare socket error, so a crash run failed on that
+// write instead of degrading. The error must wrap ErrRankLost and keep the
+// socket error.
+func TestSendFailedWriteErrorIsRankLost(t *testing.T) {
+	m := newMachine(2, Limits{}, everyRank)
+	c := &comm{m: m, rank: 0}
+	err := c.sendFailed(1, &net.OpError{Op: "write", Net: "tcp", Err: os.NewSyscallError("write", syscall.EPIPE)})
+	if !errors.Is(err, ErrRankLost) || !errors.Is(err, syscall.EPIPE) || errors.Is(err, ErrDeadline) {
+		t.Fatalf("send on a broken pipe = %v, want ErrRankLost wrapping EPIPE", err)
+	}
+	if !m.isLost(1) || m.isLost(0) {
+		t.Fatalf("lost = %v, want the peer marked and the writer not", m.lost)
 	}
 }
 

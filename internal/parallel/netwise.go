@@ -37,7 +37,7 @@ import (
 //
 // Stage names shared with the serial router are the serial router's own,
 // but only connect and gather share a body with another driver: a rank
-// routes its nets through every row, so it works on a clone of the whole
+// routes its nets through every row, so it works on a fork of the whole
 // circuit, and "stitch" is the replicated-occupancy synchronization before
 // step 5. What a step-2 or step-5 flip is, though, is the serial router's
 // (route.BendFlips, route.SwitchFlips); net-wise differs in how a pass
@@ -46,7 +46,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 	comm, base, blocks, block, owner := r.comm, r.base, r.blocks, r.block, r.owner
 	ropt := r.ropt
 	rank, size := comm.Rank(), comm.Size()
-	sub := base.Clone()
+	sub := base.Fork()
 	r.sub = sub
 
 	// State flowing between stages. The grid (r.rt.Grid) and then the

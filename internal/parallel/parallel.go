@@ -239,6 +239,6 @@ func RunBaseline(ctx context.Context, c *circuit.Circuit, opt Options) (*metrics
 	if err := opt.normalize(); err != nil {
 		return nil, err
 	}
-	rt := route.NewRouter(c.Clone(), opt.Route)
+	rt := route.NewRouter(c.Fork(), opt.Route)
 	return rt.Run(ctx, opt.Observers...)
 }

@@ -38,7 +38,7 @@ type rank struct {
 	// and from subcircuit on the router of the block's sub-circuit. Net-wise
 	// keeps its segments and its replicated grid in rt.Segs and rt.Grid.
 	rt    *route.Router
-	sub   *circuit.Circuit // this rank's circuit: its block, or under net-wise a clone
+	sub   *circuit.Circuit // this rank's circuit: its block, or under net-wise a fork
 	fakes []FakePinSpec
 	wires []metrics.Wire   // what this rank optimizes in step 5 and reports
 	occ   *route.Occupancy // step 5's occupancy

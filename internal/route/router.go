@@ -18,8 +18,8 @@ import (
 )
 
 // Router carries the state of one TWGR run. The phases mutate the attached
-// circuit (feedthrough cells are physically inserted), so callers who need
-// the original untouched should pass a clone — Route does this for you.
+// circuit (feedthrough cells are physically inserted) through Fork's
+// fork-safe mutators only: pass a Fork to keep the original, as Route does.
 type Router struct {
 	C    *circuit.Circuit
 	Opt  Options
@@ -45,17 +45,17 @@ type Router struct {
 }
 
 // NewRouter prepares a router over the given circuit. The circuit is
-// mutated by the routing phases.
+// mutated by the routing phases; a Fork keeps its parent as it was.
 func NewRouter(c *circuit.Circuit, opt Options) *Router {
 	opt.Normalize()
 	return &Router{C: c, Opt: opt, Rand: rng.New(opt.Seed)}
 }
 
-// Route runs the full five-step pipeline on a clone of c and returns the
-// result. The input circuit is left untouched. Cancelling ctx stops the
-// run at the next stage boundary with an error wrapping ctx.Err().
+// Route runs the full five-step pipeline on a Fork of c and returns the
+// result; c is left untouched. Cancelling ctx stops the run at the next
+// stage boundary with an error wrapping ctx.Err().
 func Route(ctx context.Context, c *circuit.Circuit, opt Options) (*metrics.Result, error) {
-	rt := NewRouter(c.Clone(), opt)
+	rt := NewRouter(c.Fork(), opt)
 	return rt.Run(ctx)
 }
 

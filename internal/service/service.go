@@ -432,8 +432,8 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 
 // compute loads the job's circuit and routes it, forwarding pipeline
 // stage events to the job's subscribers. The circuit comes from the
-// circuit cache, shared read-only by concurrent jobs (RunBaseline routes a
-// clone, parallel.Run only reads its input); a failed load is not cached.
+// circuit cache, shared read-only by concurrent jobs (serial and net-wise
+// route a Fork, the others block sub-circuits); a failed load is not cached.
 func (s *Server) compute(ctx context.Context, j *job) (*metrics.Result, error) {
 	c, ok := s.circuits.get(j.res.circuitID)
 	if !ok {

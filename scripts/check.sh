@@ -117,12 +117,17 @@ step "codec fuzz smoke" fuzz_smoke
 # under the race detector, twice, with two fixed fault-schedule seeds: the
 # conformance matrix's fault-plan rows on gen.Small, every engine including
 # the multi-process TCP mesh, plus the Chaos|Crash tests of mp and parallel
-# (event-log reproducibility, crash attribution across real sockets).
+# (event-log reproducibility, crash attribution across real sockets). The
+# multi-process mesh's crash rows then run twenty times more: a crashed
+# peer's broken pipe can reach a writer before its read pump sees the EOF,
+# and that write must degrade the run like any other rank loss.
 chaos_soak() {
   CHAOS_SEED="$1" go test -race -count=2 -run 'Chaos|Crash' \
     ./internal/mp ./internal/parallel &&
     CHAOS_SEED="$1" go test -race -count=2 \
-      -run 'TestConformance/library/small/.*/.*/.*/.*/chaos=(drop|dup|every|crash)' .
+      -run 'TestConformance/library/small/.*/.*/.*/.*/chaos=(drop|dup|every|crash)' . &&
+    CHAOS_SEED="$1" go test -race -count=20 \
+      -run 'TestConformance/library/small/tcp-mesh/.*/.*/w1/chaos=crash1@5' .
 }
 step "chaos soak (seed 1)" chaos_soak 1
 step "chaos soak (seed 2)" chaos_soak 2
