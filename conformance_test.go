@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -226,7 +228,10 @@ func TestConformance(t *testing.T) {
 
 	// One daemon per (engine, workers): the cache key leaves the engine
 	// out, so a shared daemon would serve every later engine from its
-	// cache. Each job is submitted twice, computed and then a cache hit.
+	// cache. Each job is posted twice through the HTTP handler, computed
+	// and then a cache hit, and what a client would receive is checked:
+	// the whole body Content-Length says, an envelope that verifies, and
+	// its metrics equal to the golden.
 	for _, engine := range []string{"virtual", "inproc", "tcp"} {
 		for _, w := range []int{1, 8} {
 			defaults := runcfg.Default()
@@ -238,6 +243,7 @@ func TestConformance(t *testing.T) {
 				stop()
 				srv.Wait()
 			})
+			handler := srv.Handler()
 			for _, gc := range goldenCircuits {
 				for _, algo := range []string{"serial", "rowwise", "netwise", "hybrid"} {
 					for _, procs := range []int{1, 2, 4} {
@@ -245,16 +251,28 @@ func TestConformance(t *testing.T) {
 							continue
 						}
 						t.Run(fmt.Sprintf("twgrd/%s/%s/%s/p%d/w%d", gc.name, engine, algo, procs, w), func(t *testing.T) {
-							spec := service.JobSpec{Preset: gc.name, GenSeed: gc.genSeed, Algo: algo, Procs: procs, Seed: routeSeed}
+							body, err := service.Encode(service.KindJob, service.JobSpec{Preset: gc.name, GenSeed: gc.genSeed, Algo: algo, Procs: procs, Seed: routeSeed})
+							if err != nil {
+								t.Fatal(err)
+							}
 							for _, hit := range []bool{false, true} {
-								ticket, err := srv.Submit(ctx, spec)
+								reqCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
+								rec := httptest.NewRecorder()
+								handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)).WithContext(reqCtx))
+								cancel()
+								data := rec.Body.Bytes()
+								if rec.Code != http.StatusOK {
+									t.Fatalf("HTTP %d: %.300s", rec.Code, data)
+								}
+								if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(data)) {
+									t.Errorf("Content-Length %s, body %d bytes", cl, len(data))
+								}
+								env, err := service.Decode(data)
 								if err != nil {
 									t.Fatal(err)
 								}
-								waitCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
-								res, err := ticket.Wait(waitCtx)
-								cancel()
-								if err != nil {
+								var res service.JobResult
+								if err := env.DecodeBody(service.KindResult, &res); err != nil {
 									t.Fatal(err)
 								}
 								if res.CacheHit != hit {

@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"net/http"
 	"testing"
 
+	"parroute/internal/metrics"
 	"parroute/internal/parallel"
 	"parroute/internal/runcfg"
 )
@@ -11,6 +13,41 @@ import (
 // BenchmarkCanonicalResult: serializing one primary2 serial route into the
 // canonical bytes a cache entry holds.
 func BenchmarkCanonicalResult(b *testing.B) {
+	res := primary2Route(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := CanonicalResult(res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteResult: writing one primary2 job.result response, a miss
+// and a hit, to a writer that keeps nothing: the frame and its checksum,
+// with no copy of the metrics.
+func BenchmarkWriteResult(b *testing.B) {
+	canon, err := CanonicalResult(primary2Route(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		hit  bool
+	}{{"miss", false}, {"hit", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			res := &JobResult{Key: "preset:primary2@7|serial|p1|s1|pinweight", CacheHit: tc.hit, Metrics: canon}
+			w := &nopResponse{header: http.Header{}}
+			b.SetBytes(int64(len(canon)))
+			b.ReportAllocs()
+			for b.Loop() {
+				writeEnvelope(w, http.StatusOK, KindResult, res)
+			}
+		})
+	}
+}
+
+// primary2Route is one serial route of primary2 at the default options.
+func primary2Route(b *testing.B) *metrics.Result {
 	c, err := runcfg.LoadPreset("primary2", 7)
 	if err != nil {
 		b.Fatal(err)
@@ -24,12 +61,7 @@ func BenchmarkCanonicalResult(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := CanonicalResult(res); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return res
 }
 
 // BenchmarkComputeMiss: one daemon cache miss on primary2, as the

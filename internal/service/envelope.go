@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 )
 
 // Proto is the wire-format version every envelope carries. A reader
@@ -43,30 +44,59 @@ type Envelope struct {
 	Sum   string          `json:"sum"`
 }
 
-// checksum is the envelope integrity hash: FNV-1a over proto, kind and
-// body with NUL separators (so "a"+"bc" and "ab"+"c" differ).
-func checksum(proto, kind string, body []byte) string {
+// checksum is the envelope integrity hash: FNV-1a over proto, kind and the
+// body's pieces, with NUL separators (so "a"+"bc" and "ab"+"c" differ).
+func checksum(proto, kind string, body ...[]byte) string {
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(proto)) // fnv's Write cannot fail
-	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte(kind))
-	_, _ = h.Write([]byte{0})
-	_, _ = h.Write(body)
+	_, _ = h.Write([]byte(proto + "\x00" + kind + "\x00")) // fnv's Write cannot fail
+	for _, b := range body {
+		_, _ = h.Write(b)
+	}
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// frame returns the envelope bytes before and after a body made of the
+// given pieces, {"proto":…,"kind":…,"body": and ,"sum":"…"} and a newline.
+// The pieces must join into compact JSON as json.Marshal writes it.
+func frame(kind string, body ...[]byte) (head, tail []byte) {
+	k, _ := json.Marshal(kind) // a string always marshals
+	head = append(append([]byte(`{"proto":"`+Proto+`","kind":`), k...), `,"body":`...)
+	return head, []byte(`,"sum":"` + checksum(Proto, kind, body...) + "\"}\n")
+}
+
+// pieces returns kind's envelope of body as head, body and tail, the tail
+// ending in a newline. Any body is marshalled once, except a JobResult:
+// its own bytes are framed around Metrics by hand, in json.Marshal's field
+// order and form, so the metrics are neither marshalled nor copied.
+func pieces(kind string, body any) (head, mid, tail []byte, err error) {
+	if v, ok := body.(JobResult); ok {
+		body = &v
+	}
+	res, ok := body.(*JobResult)
+	if !ok {
+		if mid, err = json.Marshal(body); err != nil {
+			return nil, nil, nil, fmt.Errorf("service: encoding %s body: %w", kind, err)
+		}
+		head, tail = frame(kind, mid)
+		return head, mid, tail, nil
+	}
+	key, _ := json.Marshal(res.Key) // a string always marshals
+	open := append([]byte(`{"key":`), key...)
+	if res.CacheHit {
+		open = append(open, `,"cacheHit":true`...)
+	}
+	open = append(open, `,"metrics":`...)
+	head, tail = frame(kind, open, res.Metrics, []byte("}"))
+	return append(head, open...), res.Metrics, append([]byte("}"), tail...), nil
 }
 
 // Encode wraps a typed body in a checksummed envelope and serializes it.
 func Encode(kind string, body any) ([]byte, error) {
-	raw, err := json.Marshal(body)
+	head, mid, tail, err := pieces(kind, body)
 	if err != nil {
-		return nil, fmt.Errorf("service: encoding %s body: %w", kind, err)
+		return nil, err
 	}
-	env := Envelope{Proto: Proto, Kind: kind, Body: raw, Sum: checksum(Proto, kind, raw)}
-	out, err := json.Marshal(&env)
-	if err != nil {
-		return nil, fmt.Errorf("service: encoding %s envelope: %w", kind, err)
-	}
-	return out, nil
+	return slices.Concat(head, mid, tail[:len(tail)-1]), nil
 }
 
 // Decode parses and verifies an envelope. It rejects malformed JSON,
@@ -151,7 +181,9 @@ type JobResult struct {
 	Key string `json:"key"`
 	// CacheHit marks a result served from the cache.
 	CacheHit bool `json:"cacheHit,omitempty"`
-	// Metrics is the canonical metrics.Result JSON.
+	// Metrics is the canonical metrics.Result JSON. It must be compact
+	// JSON as CanonicalResult writes it: the daemon frames these bytes
+	// onto the wire as they are, without re-validating them.
 	Metrics json.RawMessage `json:"metrics"`
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 )
 
@@ -188,16 +189,20 @@ func outcomeCode(err error) string {
 	}
 }
 
+// writeEnvelope writes one envelope and a newline, Content-Length set, as
+// the whole response: a cached result's metrics go out of the cache's slice.
 func writeEnvelope(w http.ResponseWriter, status int, kind string, body any) {
-	data, err := Encode(kind, body)
+	head, mid, tail, err := pieces(kind, body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(mid)+len(tail)))
 	w.WriteHeader(status)
-	w.Write(data)
-	w.Write([]byte("\n"))
+	w.Write(head)
+	w.Write(mid)
+	w.Write(tail)
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
@@ -205,11 +210,13 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 }
 
 // writeSSE writes one envelope as an SSE event named by its kind.
-func writeSSE(w io.Writer, fl http.Flusher, kind string, body any) {
-	data, err := Encode(kind, body)
+func writeSSE(w http.ResponseWriter, fl http.Flusher, kind string, body any) {
+	head, mid, tail, err := pieces(kind, body)
 	if err != nil {
 		return
 	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", kind, data)
+	fmt.Fprintf(w, "event: %s\ndata: %s", kind, head)
+	w.Write(mid)
+	w.Write(append(tail, '\n'))
 	fl.Flush()
 }

@@ -492,9 +492,9 @@ func (s *Server) finish(j *job, result *JobResult, err error) {
 // canonical bytes — the property the result cache and the soak tier's
 // one-shot-parity assertion are built on. The input is modified.
 //
-// The bytes are AppendJSON's, without WriteJSON's newline: embedded as a
-// json.RawMessage in an envelope, whitespace would be compacted away and
-// break byte parity with what a client receives. The slice has no spare
+// The bytes are AppendJSON's, without WriteJSON's newline: the envelope
+// frame writes them onto the wire as they are, so they must be compact
+// JSON, as json.Marshal would have left them. The slice has no spare
 // capacity: the result cache holds it for the daemon's life.
 func CanonicalResult(res *metrics.Result) ([]byte, error) {
 	res.Elapsed = 0

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"container/heap"
 	"context"
 	"errors"
@@ -253,25 +254,35 @@ func TestHTTPEndpoints(t *testing.T) {
 		return resp, data
 	}
 
+	// The same job twice, computed and then a cache hit: each body must be
+	// the reference encoder's bytes and a newline, all of Content-Length.
 	t.Run("submit-and-result", func(t *testing.T) {
 		body, err := Encode(KindJob, JobSpec{Preset: "tiny", Algo: "netwise", Procs: 2})
 		if err != nil {
 			t.Fatalf("Encode: %v", err)
 		}
-		resp, data := post(t, body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d, body %s", resp.StatusCode, data)
-		}
-		env, err := Decode([]byte(strings.TrimSpace(string(data))))
-		if err != nil {
-			t.Fatalf("Decode: %v", err)
-		}
-		var res JobResult
-		if err := env.DecodeBody(KindResult, &res); err != nil {
-			t.Fatalf("DecodeBody: %v", err)
-		}
-		if len(res.Metrics) == 0 {
-			t.Fatal("empty metrics over HTTP")
+		for _, hit := range []bool{false, true} {
+			resp, data := post(t, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d, body %s", resp.StatusCode, data)
+			}
+			if resp.ContentLength != int64(len(data)) {
+				t.Fatalf("Content-Length %d, body %d bytes", resp.ContentLength, len(data))
+			}
+			env, err := Decode(data)
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			var res JobResult
+			if err := env.DecodeBody(KindResult, &res); err != nil {
+				t.Fatalf("DecodeBody: %v", err)
+			}
+			if len(res.Metrics) == 0 || res.CacheHit != hit {
+				t.Fatalf("%d metrics bytes, cacheHit %v; want some, %v", len(res.Metrics), res.CacheHit, hit)
+			}
+			if want := append(referenceEncode(t, KindResult, res), '\n'); !bytes.Equal(data, want) {
+				t.Fatalf("body differs from the reference encoder:\n got %.300s\nwant %.300s", data, want)
+			}
 		}
 	})
 

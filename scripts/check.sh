@@ -104,11 +104,18 @@ step "workers determinism on one P" one_p
 # panic, and accepted frames must re-encode canonically. FuzzGridDelta is
 # the same bargain one layer up, for the (index, change) pairs a net-wise
 # sync takes off the mesh: applied or refused whole, never a panic.
+# FuzzAppendJSON and FuzzEnvelope guard the daemon's wire: twgrd frames
+# AppendJSON's bytes into a job.result envelope by hand, unvalidated, so
+# those bytes must equal the reflective encoder's, the frame must equal
+# the envelope encoding/json would write, and Decode must refuse or read
+# any input without a panic.
 fuzz_smoke() {
   go test -race -run '^$' -fuzz '^FuzzCodec$' -fuzztime 3s ./internal/parallel &&
     go test -race -run '^$' -fuzz '^FuzzAnyCodec$' -fuzztime 3s ./internal/mp &&
     go test -race -run '^$' -fuzz '^FuzzFrame$' -fuzztime 3s ./internal/mp &&
-    go test -race -run '^$' -fuzz '^FuzzGridDelta$' -fuzztime 3s ./internal/route
+    go test -race -run '^$' -fuzz '^FuzzGridDelta$' -fuzztime 3s ./internal/route &&
+    go test -race -run '^$' -fuzz '^FuzzAppendJSON$' -fuzztime 3s ./internal/metrics &&
+    go test -race -run '^$' -fuzz '^FuzzEnvelope$' -fuzztime 3s ./internal/service
 }
 step "codec fuzz smoke" fuzz_smoke
 
@@ -163,10 +170,13 @@ step "scale smoke (synth.100k budgets)" scale_tier
 # must stay under a committed malloc count, and the hybrid run under a
 # committed byte count (DESIGN.md §9) — an append-in-a-loop regression, a
 # per-feedthrough allocation coming back, or a rank cloning the whole
-# circuit again, fails here, with no wall clock involved. Run without
-# -race: the byte budget only discriminates in a plain build.
+# circuit again, fails here, with no wall clock involved. A primary2
+# cache hit through the twgrd handler must stay under a committed byte
+# count too: a copy of its 716 KB metrics or a re-marshal fails it. Run
+# without -race: the byte budgets only discriminate in a plain build.
 alloc_budget() {
-  go test -count=1 -run 'TestParallelDriverAllocBudget' .
+  go test -count=1 -run 'TestParallelDriverAllocBudget' . &&
+    go test -count=1 -run 'TestHitAllocBudget' ./internal/service
 }
 step "allocation budget (parallel drivers + serial route)" alloc_budget
 
