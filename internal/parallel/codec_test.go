@@ -63,8 +63,7 @@ func samplePayloads() []struct {
 		}}, dec(new(WireBatch))},
 		{"Summary", Summary{
 			Rank: 3, InsertedFts: 14, ForcedEdges: 2, SwitchableWs: 9,
-			SwitchFlips: 1, CoarseFlips: 4,
-			RowWidths: []RowWidthMsg{{Row: 0, Width: 480}, {Row: 1, Width: 512}},
+			SwitchFlips: 1, CoarseFlips: 4, CoreWidth: 512,
 			Phases: []metrics.Phase{
 				{Name: "fake-pins", Elapsed: 120 * time.Microsecond,
 					Counters: []metrics.Counter{{Name: "specs", Value: 12}}},
@@ -92,11 +91,8 @@ func TestWireSizeDifferential(t *testing.T) {
 		if got, want := (WireBatch{Wires: make([]metrics.Wire, n)}).WireSize(), n*73; got != want {
 			t.Errorf("WireBatch(%d wires).WireSize() = %d, want %d", n, got, want)
 		}
-		for _, m := range []int{0, 3} {
-			s := Summary{RowWidths: make([]RowWidthMsg, n), Phases: make([]metrics.Phase, m)}
-			if got, want := s.WireSize(), 6*8+n*16+m*24; got != want {
-				t.Errorf("Summary(%d rows, %d phases).WireSize() = %d, want %d", n, m, got, want)
-			}
+		if got, want := (Summary{Phases: make([]metrics.Phase, n)}).WireSize(), 7*8+n*24; got != want {
+			t.Errorf("Summary(%d phases).WireSize() = %d, want %d", n, got, want)
 		}
 	}
 }
@@ -143,9 +139,6 @@ func TestCodecRoundTrip(t *testing.T) {
 func normalize(v wirePayload) any {
 	switch p := v.(type) {
 	case Summary:
-		if p.RowWidths == nil {
-			p.RowWidths = []RowWidthMsg{}
-		}
 		if p.Phases == nil {
 			p.Phases = []metrics.Phase{}
 		}

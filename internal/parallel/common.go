@@ -150,30 +150,27 @@ func exchangeFakePins(comm mp.Comm, specs []FakePinBatch, numNets int, block par
 }
 
 // buildBlockCircuit constructs this block's row-wise sub-circuit from base,
-// which it only reads: the block's cells and their pins under re-issued
-// IDs, every net restricted to its pins inside the block, plus the fake
-// pins assigned to this block. Foreign rows stay as empty placeholders, so
-// row and channel indices remain global while per-rank memory scales with
-// the block — the paper's motivation for the row partition. Net IDs are
-// the only identifiers that cross ranks and are preserved; a net's pins
-// keep the base's per-net order with the fake pins after them, so routing
-// output does not depend on the re-issued cell and pin IDs.
+// which it only reads: the block's cells (row by row) and their pins (in the
+// base's order, which gen and ReadJSON lay out net by net, so per-net walks
+// read the pin table in order) under re-issued IDs, every net restricted to
+// its pins inside the block and nameless, plus the fake pins assigned to
+// this block. Foreign rows stay as empty placeholders, so row and channel
+// indices remain global while per-rank memory scales with the block — the
+// paper's motivation for the row partition. Net IDs are the only
+// identifiers that cross ranks and are preserved; a net's pins keep the
+// base's per-net order with the fake pins after them, so routing output
+// does not depend on the re-issued cell and pin IDs.
 //
 // Tables are sized by a count pass (the pin table with the fake pins'
 // slots), and every row, cell and net list is carved from one backing
 // array, capped at its own length — a net's at its length plus its fake
 // pins — so a later append copies out instead of writing into a neighbor.
 func buildBlockCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []FakePinSpec) *circuit.Circuit {
-	numCells, numPins, netPins := 0, 0, 0
+	numCells, numPins := 0, 0
 	for r := block.Lo; r <= block.Hi; r++ {
 		numCells += len(base.Rows[r].Cells)
 		for _, cid := range base.Rows[r].Cells {
-			for _, pid := range base.Cells[cid].Pins {
-				numPins++
-				if base.Pins[pid].Net != circuit.NoNet {
-					netPins++
-				}
-			}
+			numPins += len(base.Cells[cid].Pins)
 		}
 	}
 	sub := &circuit.Circuit{
@@ -185,10 +182,16 @@ func buildBlockCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []
 		Pins:       make([]circuit.Pin, 0, numPins+len(fakes)),
 		Nets:       make([]circuit.Net, len(base.Nets)),
 	}
-	backing := make([]int, 0, numCells+numPins+netPins+len(fakes))
+	backing := make([]int, 0, numCells+2*numPins+len(fakes)) // row, cell and net lists (≤ numPins+fakes)
 	// newPin[old] is the re-issued pin ID plus one; zero marks a pin
 	// outside the block.
 	newPin := make([]int32, len(base.Pins))
+	for pid := range base.Pins {
+		if p := &base.Pins[pid]; p.Cell != circuit.NoCell && block.Contains(p.Row) { // a pin's row is its cell's
+			sub.Pins = append(sub.Pins, *p) // ID and Cell are set with the cell's list
+			newPin[pid] = int32(len(sub.Pins))
+		}
+	}
 	for r := range sub.Rows {
 		sub.Rows[r].ID = r
 	}
@@ -206,11 +209,9 @@ func buildBlockCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []
 			cell := &sub.Cells[sub.Rows[r].Cells[i]]
 			lo := len(backing)
 			for _, pid := range base.Cells[cid].Pins {
-				pin := base.Pins[pid]
-				pin.ID, pin.Cell = len(sub.Pins), cell.ID
-				backing = append(backing, pin.ID)
-				sub.Pins = append(sub.Pins, pin)
-				newPin[pid] = int32(pin.ID) + 1
+				id := int(newPin[pid]) - 1
+				sub.Pins[id].ID, sub.Pins[id].Cell = id, cell.ID
+				backing = append(backing, id)
 			}
 			cell.Pins = backing[lo:len(backing):len(backing)]
 		}
@@ -228,7 +229,7 @@ func buildBlockCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []
 		}
 		hi := len(backing)
 		backing = backing[:hi+int(fakesOf[n])]
-		sub.Nets[n] = circuit.Net{ID: n, Name: base.Nets[n].Name, Pins: backing[lo:hi:len(backing)]}
+		sub.Nets[n] = circuit.Net{ID: n, Pins: backing[lo:hi:len(backing)]}
 	}
 	for _, spec := range fakes {
 		sub.AddFakePin(spec.Net, spec.X, spec.Row, spec.Side)
@@ -291,15 +292,6 @@ func addBoundaryCounts(occ *route.Occupancy, ch, tag, src int, raw any) error {
 	return nil
 }
 
-// ownRowWidths reports the post-insertion widths of this block's rows.
-func ownRowWidths(sub *circuit.Circuit, block partition.RowBlock) []RowWidthMsg {
-	out := make([]RowWidthMsg, 0, block.Rows())
-	for r := block.Lo; r <= block.Hi; r++ {
-		out = append(out, RowWidthMsg{Row: r, Width: sub.RowWidth(r)})
-	}
-	return out
-}
-
 // rawGather is rank 0's collected run output, merged into a Result after
 // the simulated run completes (quality evaluation is not routing work, so
 // it stays outside the timed region — the serial baseline excludes its
@@ -334,7 +326,6 @@ func (raw *rawGather) merge(base *circuit.Circuit, opt Options) (*metrics.Result
 	if res.Wires, err = concatWires(raw.wireBatches, tagWires, base.NumChannels()); err != nil {
 		return nil, err
 	}
-	coreW := 1
 	for r := range raw.summaries {
 		s, ok := raw.summaries[r].(Summary)
 		if !ok {
@@ -345,11 +336,8 @@ func (raw *rawGather) merge(base *circuit.Circuit, opt Options) (*metrics.Result
 		res.SwitchableWires += s.SwitchableWs
 		res.SwitchFlips += s.SwitchFlips
 		res.CoarseFlips += s.CoarseFlips
-		for _, rw := range s.RowWidths {
-			coreW = geom.Max(coreW, rw.Width)
-		}
+		res.CoreWidth = geom.Max(res.CoreWidth, s.CoreWidth)
 	}
-	res.CoreWidth = coreW
 	res.Phases = mergePhases(raw.summaries)
 	// The ranks have finished, so the cores the run was given are idle.
 	res.Finalize(base.NumChannels(), len(base.Rows), base.CellHeight, metrics.TrackPitch, opt.Procs)
@@ -438,27 +426,31 @@ func concatWires(in []any, tag, numChannels int) ([]metrics.Wire, error) {
 // ownPinNodes builds this rank's step-4 contributions: for every net, the
 // real pins in the rank's block (authoritative post-insertion coordinates;
 // fake pins are splitting artifacts and stay home), batched per net owner
-// and sized exactly by a counting pass.
-func ownPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, size int) []NodeBatch {
+// and sized exactly by a counting pass — but for the rank's own nets, which
+// the returned selfNodes write straight into collectNodes' arena.
+func ownPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, self, size int) ([]NodeBatch, selfNodes) {
+	pins := func(own bool, emit func(NodeMsg)) {
+		for n := range sub.Nets {
+			if (owner[n] == self) != own {
+				continue
+			}
+			for _, pid := range sub.Nets[n].Pins {
+				if p := &sub.Pins[pid]; !p.Fake && block.Contains(p.Row) {
+					emit(NodeMsg{Net: n, X: p.X, Row: p.Row, Side: p.Side})
+				}
+			}
+		}
+	}
 	counts := make([]int, size)
-	for n := range sub.Nets {
-		for _, pid := range sub.Nets[n].Pins {
-			if p := &sub.Pins[pid]; !p.Fake && block.Contains(p.Row) {
-				counts[owner[n]]++
-			}
-		}
-	}
+	pins(false, func(nm NodeMsg) { counts[owner[nm.Net]]++ })
 	out := sizedBatches[NodeBatch](counts)
-	for n := range sub.Nets {
-		dest := owner[n]
-		for _, pid := range sub.Nets[n].Pins {
-			if p := &sub.Pins[pid]; !p.Fake && block.Contains(p.Row) {
-				out[dest] = append(out[dest], NodeMsg{Net: n, X: p.X, Row: p.Row, Side: p.Side})
-			}
-		}
-	}
-	return out
+	pins(false, func(nm NodeMsg) { out[owner[nm.Net]] = append(out[owner[nm.Net]], nm) })
+	return out, func(emit func(NodeMsg)) { pins(true, emit) }
 }
+
+// selfNodes stands in a nodeSet where a rank's NodeBatch to itself would be
+// and emits, in batch order, the nodes that batch would hold.
+type selfNodes func(emit func(NodeMsg))
 
 // nodeSet is one Alltoall round of NodeBatches (one per source rank) and
 // the tag it arrived on.
@@ -483,12 +475,18 @@ func (nn netNodes) of(n int, _ []route.Node) []route.Node { return nn.nodes[nn.o
 // collectNodes groups NodeMsg contributions (already filtered to nets this
 // rank owns) into one per-net arena: a count pass, a prefix sum, and a fill
 // pass in set, rank, batch order — so every net's nodes sit in arrival
-// order. The count pass is also the trust boundary: a net or row outside
-// the circuit is an error naming the source rank and tag.
+// order. A set's entries are NodeBatches, or the receiving rank's selfNodes
+// at its own position. The count pass is also the trust boundary: a net or
+// row of a batch outside the circuit is an error naming the source rank and
+// tag.
 func collectNodes(numNets, numRows int, sets ...nodeSet) (netNodes, error) {
 	off := make([]int, numNets+1)
 	for _, set := range sets {
 		for r, raw := range set.in {
+			if own, ok := raw.(selfNodes); ok {
+				own(func(nm NodeMsg) { off[nm.Net+1]++ })
+				continue
+			}
 			batch, ok := raw.(NodeBatch)
 			if !ok {
 				return netNodes{}, fmt.Errorf("parallel: nodes from rank %d arrived as %T", r, raw)
@@ -509,11 +507,18 @@ func collectNodes(numNets, numRows int, sets ...nodeSet) (netNodes, error) {
 	}
 	nodes := make([]route.Node, off[numNets])
 	cursor := slices.Clone(off[:numNets])
+	put := func(nm NodeMsg) {
+		nodes[cursor[nm.Net]] = route.Node{X: nm.X, Row: nm.Row, Side: nm.Side}
+		cursor[nm.Net]++
+	}
 	for _, set := range sets {
 		for _, raw := range set.in {
+			if own, ok := raw.(selfNodes); ok {
+				own(put)
+				continue
+			}
 			for _, nm := range raw.(NodeBatch) {
-				nodes[cursor[nm.Net]] = route.Node{X: nm.X, Row: nm.Row, Side: nm.Side}
-				cursor[nm.Net]++
+				put(nm)
 			}
 		}
 	}

@@ -10,9 +10,12 @@ import (
 
 	"parroute/internal/circuit"
 	"parroute/internal/gen"
+	"parroute/internal/geom"
 	"parroute/internal/grid"
 	"parroute/internal/metrics"
+	"parroute/internal/mp"
 	"parroute/internal/partition"
+	"parroute/internal/pipeline"
 	"parroute/internal/rng"
 	"parroute/internal/route"
 	"parroute/internal/steiner"
@@ -31,6 +34,52 @@ func refCollectNodes(in []any) map[int][]route.Node {
 		}
 	}
 	return byNet
+}
+
+// refPinNodes is the all-batches ownPinNodes: every net's real pins in the
+// block, the rank's own nets' included, batched per net owner.
+func refPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, size int) []NodeBatch {
+	counts := make([]int, size)
+	for n := range sub.Nets {
+		for _, pid := range sub.Nets[n].Pins {
+			if p := &sub.Pins[pid]; !p.Fake && block.Contains(p.Row) {
+				counts[owner[n]]++
+			}
+		}
+	}
+	out := sizedBatches[NodeBatch](counts)
+	for n := range sub.Nets {
+		dest := owner[n]
+		for _, pid := range sub.Nets[n].Pins {
+			if p := &sub.Pins[pid]; !p.Fake && block.Contains(p.Row) {
+				out[dest] = append(out[dest], NodeMsg{Net: n, X: p.X, Row: p.Row, Side: p.Side})
+			}
+		}
+	}
+	return out
+}
+
+// refRedistribute is hybrid's two-copy redistribute: every wire, the kept
+// ones included, is batched per destination, and the batches are
+// concatenated in rank order.
+func (r *rank) refRedistribute(wires []metrics.Wire) ([]metrics.Wire, error) {
+	numRows := len(r.base.Rows)
+	destOf := func(w *metrics.Wire) int {
+		if w.Switchable {
+			return partition.BlockOf(r.blocks, w.Row)
+		}
+		return partition.BlockOf(r.blocks, geom.Min(w.Channel, numRows-1))
+	}
+	out := make([]WireBatch, r.comm.Size())
+	for i := range wires {
+		dest := destOf(&wires[i])
+		out[dest].Wires = append(out[dest].Wires, wires[i])
+	}
+	in, err := mp.Alltoall(r.comm, tagWiresRedist, anys(out))
+	if err != nil {
+		return nil, err
+	}
+	return concatWires(in, tagWiresRedist, r.sub.NumChannels())
 }
 
 // refConnectOwnedNets is the map-based step 4: sorted net IDs, fresh
@@ -112,14 +161,16 @@ func randomCircuit(t *testing.T, i int) *circuit.Circuit {
 }
 
 // stepFourArrivals synthesizes what rank me receives in step 4: the pin
-// nodes of its nets from every row owner (the hybrid shape), and a second
+// nodes of its nets from every row owner (the hybrid shape) — as the
+// reference's full batches (pinIn), and as connectWhole has them, with the
+// rank's own contribution as selfNodes at its position (selfIn) — and a second
 // round of feedthrough nodes — one side-Both node per row strictly inside
 // each net's row span, from that row's owner — as in the net-wise shape.
 // The feedthrough round also carries a lone node of a net me does not own,
 // so the arena sees nets with zero, one and many nodes.
-func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []int, me int) (pinIn, ftIn []any) {
+func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []int, me int) (pinIn, selfIn, ftIn []any) {
 	p := len(blocks)
-	pinIn, ftIn = make([]any, p), make([]any, p)
+	pinIn, selfIn, ftIn = make([]any, p), make([]any, p), make([]any, p)
 	ft := make([]NodeBatch, p)
 	stray := false
 	for n := range c.Nets {
@@ -146,20 +197,31 @@ func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 		}
 	}
 	for r := range blocks {
-		pinIn[r] = ownPinNodes(c, blocks[r], owner, p)[me]
+		pinIn[r] = refPinNodes(c, blocks[r], owner, p)[me]
+		batches, own := ownPinNodes(c, blocks[r], owner, r, p)
+		if selfIn[r] = batches[me]; r == me {
+			selfIn[r] = own
+		}
 		ftIn[r] = ft[r]
 	}
-	return pinIn, ftIn
+	return pinIn, selfIn, ftIn
 }
 
 // TestArenaStepFourMatchesMapForm: the CSR collectNodes + slot-addressed
 // route.ConnectNets (at more than one worker count) produce the map form's
 // wires in the map form's order, the same forced count and the same final
-// occupancy, for both arrival shapes at P in {2,3,4}.
+// occupancy, for both arrival shapes (hybrid's pin set, net-wise's pin and
+// feedthrough sets) at P in {2,3,4,8} and every rank — the arena fed each
+// rank's own pin nodes through selfNodes, the map form fed full batches.
 func TestArenaStepFourMatchesMapForm(t *testing.T) {
+	ran := map[int]int{}
 	for i := 0; i < 6; i++ {
 		c := randomCircuit(t, i)
-		for _, p := range []int{2, 3, 4} {
+		for _, p := range []int{2, 3, 4, 8} {
+			if len(c.Rows) < p {
+				continue
+			}
+			ran[p]++
 			blocks, err := partition.RowBlocks(c, p)
 			if err != nil {
 				t.Fatal(err)
@@ -168,11 +230,13 @@ func TestArenaStepFourMatchesMapForm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// At P=8 a rank can own no multi-pin net: the ranks together must wire.
+			wired := 0
 			for me := 0; me < p; me++ {
-				pinIn, ftIn := stepFourArrivals(c, blocks, owner, me)
+				pinIn, selfIn, ftIn := stepFourArrivals(c, blocks, owner, me)
 				for _, twoSets := range []bool{false, true} {
 					name := fmt.Sprintf("%s/p%d/rank%d/twoSets=%v", c.Name, p, me, twoSets)
-					sets := []nodeSet{{tagNetNodes, pinIn}}
+					sets := []nodeSet{{tagNetNodes, selfIn}}
 					want := refCollectNodes(pinIn)
 					if twoSets {
 						sets = append(sets, nodeSet{tagFtNodes, ftIn})
@@ -206,9 +270,7 @@ func TestArenaStepFourMatchesMapForm(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					wantWires, wantForced := refConnectOwnedNets(want, wantOcc)
-					if len(wantWires) == 0 {
-						t.Fatalf("%s: reference produced no wires", name)
-					}
+					wired += len(wantWires)
 					if !slices.Equal(gotWires, wantWires) {
 						t.Fatalf("%s: wires differ from the map form (%d vs %d)", name, len(gotWires), len(wantWires))
 					}
@@ -220,7 +282,13 @@ func TestArenaStepFourMatchesMapForm(t *testing.T) {
 					}
 				}
 			}
+			if wired == 0 {
+				t.Fatalf("%s/p%d: reference produced no wires", c.Name, p)
+			}
 		}
+	}
+	if ran[2] == 0 || ran[3] == 0 || ran[4] == 0 || ran[8] == 0 {
+		t.Fatalf("circuits per P: %v — some P never ran", ran)
 	}
 }
 
@@ -406,6 +474,17 @@ func TestBlockCircuitMatchesFullClone(t *testing.T) {
 		if len(sub.Cells) != cells || len(sub.Pins) != pins+len(fakes) {
 			t.Fatalf("%s: %d cells %d pins, block holds %d cells %d pins + %d fakes", name, len(sub.Cells), len(sub.Pins), cells, pins, len(fakes))
 		}
+		// Kept pins keep the base's relative order: the block's pins, in base
+		// ID order, are the sub-circuit's first pins.
+		next := 0
+		for fid := range full.Pins[:len(full.Pins)-len(fakes)] {
+			if sid, ok := toSub[fid]; ok {
+				if sid != next {
+					t.Fatalf("%s: base pin %d is pin %d, want %d: kept pins out of the base's order", name, fid, sid, next)
+				}
+				next++
+			}
+		}
 		// Fake pins follow the real ones in both tables, in spec order.
 		for i := range fakes {
 			toSub[len(full.Pins)-len(fakes)+i] = len(sub.Pins) - len(fakes) + i
@@ -513,4 +592,64 @@ func TestBlockCircuitRoutesLikeFullClone(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRedistributeMatchesTwoCopy: hybrid's redistribute — the kept wires
+// compacted in place, only the others batched — leaves every rank the wires
+// the two-copy form leaves it, element for element, on gen-random circuits
+// at P in {2, 3, 4}.
+func TestRedistributeMatchesTwoCopy(t *testing.T) {
+	moved := 0
+	for i := 0; i < 6; i++ {
+		c := randomCircuit(t, i)
+		for _, p := range []int{2, 3, 4} {
+			blocks, err := partition.RowBlocks(c, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner, err := partition.Nets(c, blocks, p, partition.Config{Method: partition.PinWeight})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := Options{Algo: Hybrid, Procs: p, Mode: mp.Inproc, Route: route.Options{Seed: 3}}
+			if err := opt.normalize(); err != nil {
+				t.Fatal(err)
+			}
+			changed := make([]bool, p) // each rank writes its own slot
+			ctx, cancel := context.WithTimeout(context.Background(), cancelWatchdog)
+			_, err = mp.Config{Procs: p, Mode: mp.Inproc}.RunContext(ctx, func(comm mp.Comm) error {
+				return runRank(ctx, comm, c, blocks, owner, opt, &runOutput{}, func(r *rank) []pipeline.Stage {
+					stages := hybridStages(r)
+					at := slices.IndexFunc(stages, func(st pipeline.Stage) bool { return st.Name() == "stitch" })
+					return append(stages[:at], stage("redistribute", func(*pipeline.Session) error {
+						before := slices.Clone(r.wires)
+						want, err := r.refRedistribute(before)
+						if err != nil {
+							return err
+						}
+						if err := r.redistribute(); err != nil {
+							return err
+						}
+						if !slices.Equal(r.wires, want) {
+							return fmt.Errorf("rank %d holds %d wires, the two-copy form %d, or their order differs", r.comm.Rank(), len(r.wires), len(want))
+						}
+						changed[r.comm.Rank()] = !slices.Equal(r.wires, before)
+						return nil
+					}))
+				})
+			})
+			cancel()
+			if err != nil {
+				t.Fatalf("%s/p%d: %v", c.Name, p, err)
+			}
+			for _, ch := range changed {
+				if ch {
+					moved++
+				}
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no rank's wires moved: the runs never redistributed")
+	}
 }

@@ -23,6 +23,8 @@ func hybridStages(r *rank) []pipeline.Stage {
 	stages = append(stages, r.serial("steiner", "coarse", "ft-insert", "ft-assign")...)
 	return append(stages,
 		pipeline.Func("connect", func(ctx context.Context, s *pipeline.Session) error {
+			// Steps 1–3's state is read no more: drop it before connect and stitch.
+			r.rt.Segs, r.rt.Grid, r.rt.FtPinsByRow = nil, nil, nil
 			return r.connectWhole(ctx, s)
 		}),
 		stage("stitch", func(*pipeline.Session) error {
@@ -37,9 +39,11 @@ func hybridStages(r *rank) []pipeline.Stage {
 
 // redistribute moves the wires the net owners connected to the ranks owning
 // their channels; switchable wires go to the owner of their row, whose two
-// candidate channels they alternate between.
+// candidate channels they alternate between. The wires a rank keeps are its
+// batch to itself, compacted in place (the k-th is read from index k or
+// later), so only the others are copied before concatWires assembles r.wires.
 func (r *rank) redistribute() error {
-	numRows := len(r.base.Rows)
+	numRows, self := len(r.base.Rows), r.comm.Rank()
 	destOf := func(w *metrics.Wire) int {
 		if w.Switchable {
 			return partition.BlockOf(r.blocks, w.Row)
@@ -50,10 +54,12 @@ func (r *rank) redistribute() error {
 	for i := range r.wires {
 		counts[destOf(&r.wires[i])]++
 	}
+	counts[self] = 0
 	out := make([]WireBatch, r.comm.Size())
 	for k := range out {
 		out[k].Wires = slices.Grow(out[k].Wires, counts[k])
 	}
+	out[self].Wires = r.wires[:0]
 	for i := range r.wires {
 		dest := destOf(&r.wires[i])
 		out[dest].Wires = append(out[dest].Wires, r.wires[i])

@@ -85,12 +85,6 @@ type WireBatch struct {
 	Wires []metrics.Wire
 }
 
-// RowWidthMsg reports the post-insertion width of one owned row.
-type RowWidthMsg struct {
-	Row   int
-	Width int
-}
-
 // Summary carries a worker's counters to rank 0 for the merged result.
 //
 //mp:payload
@@ -101,7 +95,7 @@ type Summary struct {
 	SwitchableWs int
 	SwitchFlips  int
 	CoarseFlips  int
-	RowWidths    []RowWidthMsg
+	CoreWidth    int // the post-insertion core width every rank agreed on
 	// Phases records the worker's wall time per pipeline phase (compute
 	// only; communication waits excluded under the Virtual engine).
 	Phases []metrics.Phase

@@ -120,12 +120,15 @@ func (r *rank) subcircuit(*pipeline.Session) error {
 // post-insertion coordinates, so all of a net's geometry lives in one
 // coherent frame at its owner) to the net's owner, which connects the net
 // from those plus any extra node sets the driver already received — per
-// net, nodes sit in set order. The wires become r.wires.
+// net, nodes sit in set order; a rank's nodes to itself skip the batch. The
+// wires become r.wires.
 func (r *rank) connectWhole(ctx context.Context, s *pipeline.Session, extra ...nodeSet) error {
-	pinIn, err := mp.Alltoall(r.comm, tagNetNodes, anys(ownPinNodes(r.sub, r.block, r.owner, r.comm.Size())))
+	pins, own := ownPinNodes(r.sub, r.block, r.owner, r.comm.Rank(), r.comm.Size())
+	pinIn, err := mp.Alltoall(r.comm, tagNetNodes, anys(pins))
 	if err != nil {
 		return fmt.Errorf("%v: pin-node exchange: %w", r.opt.Algo, err)
 	}
+	pinIn[r.comm.Rank()] = own
 	byNet, err := collectNodes(len(r.sub.Nets), len(r.sub.Rows), append([]nodeSet{{tagNetNodes, pinIn}}, extra...)...)
 	if err != nil {
 		return err
@@ -153,6 +156,7 @@ func (r *rank) coreWidth() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%v: core-width sync: %w", r.opt.Algo, err)
 	}
+	r.sum.CoreWidth = w
 	return w, nil
 }
 
@@ -186,7 +190,6 @@ func (r *rank) gather(*pipeline.Session) error {
 	sum.InsertedFts += r.rt.InsertedFts
 	sum.ForcedEdges += r.rt.ForcedEdges
 	sum.CoarseFlips += r.rt.CoarseFlips
-	sum.RowWidths = ownRowWidths(r.sub, r.block)
 	sum.Phases = r.rec.Phases()
 	if err := gatherResults(r.comm, r.wires, sum, r.out); err != nil {
 		return fmt.Errorf("%v: result gather: %w", r.opt.Algo, err)
