@@ -209,7 +209,7 @@ func decodeTable(body []byte) (addrTable, error) {
 	if t.Checksum, rest, err = WireUint64(rest); err != nil {
 		return t, err
 	}
-	n, rest, err := WireCount(rest)
+	n, rest, err := WireCount(rest, 1)
 	if err != nil {
 		return t, err
 	}

@@ -102,13 +102,21 @@ func WireByte(data []byte) (byte, []byte, error) {
 // encoding stays canonical (decode→re-encode is byte-identical).
 func WireBool(data []byte) (bool, []byte, error) {
 	b, rest, err := WireByte(data)
+	if err == nil {
+		err = CheckBool(b)
+	}
 	if err != nil {
 		return false, nil, err
 	}
-	if b > 1 {
-		return false, nil, wireErr("bool byte %d is not 0 or 1", b)
-	}
 	return b == 1, rest, nil
+}
+
+// CheckBool rejects a bool byte other than 0 and 1.
+func CheckBool(b byte) error {
+	if b > 1 {
+		return wireErr("bool byte %d is not 0 or 1", b)
+	}
+	return nil
 }
 
 // WireString consumes a u32 length prefix and that many bytes.
@@ -123,17 +131,17 @@ func WireString(data []byte) (string, []byte, error) {
 	return string(rest[:n]), rest[n:], nil
 }
 
-// WireCount consumes a u32 element count, bounding it by the remaining
-// input (every generated element encoding consumes at least one byte, so
-// a count beyond len(rest) cannot be satisfied and would only serve to
-// force a huge allocation).
-func WireCount(data []byte) (int, []byte, error) {
+// WireCount consumes a u32 element count, bounding count×width by the
+// remaining input: width is the element's encoded width, or 1 for elements
+// of variable length (every generated element encoding consumes at least
+// one byte), so a count the input cannot hold never forces an allocation.
+func WireCount(data []byte, width int) (int, []byte, error) {
 	n, rest, err := WireUint32(data)
 	if err != nil {
 		return 0, nil, err
 	}
-	if uint64(n) > uint64(len(rest)) {
-		return 0, nil, wireErr("count %d exceeds %d remaining byte(s)", n, len(rest))
+	if uint64(n)*uint64(width) > uint64(len(rest)) {
+		return 0, nil, wireErr("count %d of %d-byte elements exceeds %d remaining byte(s)", n, width, len(rest))
 	}
 	return int(n), rest, nil
 }
@@ -323,12 +331,9 @@ func wireAny(data []byte, depth int) (any, []byte, error) {
 // wireInt32s consumes a []int32 body: u32 count, then 4-byte elements.
 // The count is checked against the remaining bytes before allocating.
 func wireInt32s(data []byte) ([]int32, []byte, error) {
-	n, rest, err := WireUint32(data)
+	n, rest, err := WireCount(data, 4)
 	if err != nil {
 		return nil, nil, err
-	}
-	if 4*uint64(n) > uint64(len(rest)) {
-		return nil, nil, wireErr("[]int32 count %d exceeds %d remaining byte(s)", n, len(rest))
 	}
 	out := make([]int32, n)
 	for i := range out {
@@ -344,15 +349,12 @@ func wireAnys(data []byte, depth int) ([]any, []byte, error) {
 	if depth >= maxAnyDepth {
 		return nil, nil, wireErr("[]any nested deeper than %d", maxAnyDepth)
 	}
-	n, rest, err := WireUint32(data)
+	n, rest, err := WireCount(data, elemHeader)
 	if err != nil {
 		return nil, nil, err
 	}
-	if elemHeader*uint64(n) > uint64(len(rest)) {
-		return nil, nil, wireErr("[]any count %d exceeds %d remaining byte(s)", n, len(rest))
-	}
 	out := make([]any, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var e any
 		if e, rest, err = wireAny(rest, depth+1); err != nil {
 			return nil, nil, err

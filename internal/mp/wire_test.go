@@ -60,7 +60,7 @@ func TestWireDecodeErrors(t *testing.T) {
 		{"truncated byte", func() error { _, _, err := WireByte(nil); return err }()},
 		{"non-canonical bool", func() error { _, _, err := WireBool([]byte{2}); return err }()},
 		{"string overrun", func() error { _, _, err := WireString([]byte{5, 0, 0, 0, 'a'}); return err }()},
-		{"count overrun", func() error { _, _, err := WireCount([]byte{200, 0, 0, 0, 1}); return err }()},
+		{"count overrun", func() error { _, _, err := WireCount([]byte{200, 0, 0, 0, 1}, 1); return err }()},
 		{"wire id 0", wireAnyErr(0, nil)},
 		{"unknown wire id", wireAnyErr(1<<31, nil)},
 		{"any body overrun", func() error { _, _, err := WireAny(AppendUint32(AppendUint32(nil, wireIDInt), 9)); return err }()},
@@ -90,7 +90,7 @@ func TestWireCountBoundsAllocation(t *testing.T) {
 	// front: every element consumes at least one byte, so the count could
 	// never be satisfied and would only force a huge allocation.
 	data := AppendUint32(nil, 1<<30)
-	if _, _, err := WireCount(data); !errors.Is(err, ErrWire) {
+	if _, _, err := WireCount(data, 1); !errors.Is(err, ErrWire) {
 		t.Fatalf("oversized count accepted: %v", err)
 	}
 }

@@ -386,12 +386,16 @@ func mergePhases(summaries []any) []metrics.Phase {
 	return out
 }
 
-// concatWires concatenates the WireBatches that arrived on tag (one per
-// source rank) in rank order into one exactly-sized slice. Every wire must
-// lie in a channel of the circuit, span only x the density sweep accepts
-// and, when switchable, name a row of the circuit.
+// concatWires copies the WireBatches that arrived on tag, in rank order, into
+// one exactly-sized slice, checking each wire as it copies it: it must lie in
+// a channel, span only x the density sweep accepts and, if switchable, name a row.
 func concatWires(in []any, tag, numChannels int) ([]metrics.Wire, error) {
 	total := 0
+	for _, raw := range in {
+		wb, _ := raw.(WireBatch) // a mistyped batch is reported in rank order below
+		total += len(wb.Wires)
+	}
+	wires := make([]metrics.Wire, 0, total)
 	for r, raw := range in {
 		wb, ok := raw.(WireBatch)
 		if !ok {
@@ -413,12 +417,8 @@ func concatWires(in []any, tag, numChannels int) ([]metrics.Wire, error) {
 			if w.Switchable && (w.Row < 0 || w.Row >= numChannels-1) {
 				return nil, badIndex(tag, r, i, "row", w.Row, 0, numChannels-2)
 			}
+			wires = append(wires, *w)
 		}
-		total += len(wb.Wires)
-	}
-	wires := slices.Grow([]metrics.Wire(nil), total)
-	for _, raw := range in {
-		wires = append(wires, raw.(WireBatch).Wires...)
 	}
 	return wires, nil
 }

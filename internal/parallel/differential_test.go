@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"parroute/internal/circuit"
@@ -79,7 +80,42 @@ func (r *rank) refRedistribute(wires []metrics.Wire) ([]metrics.Wire, error) {
 	if err != nil {
 		return nil, err
 	}
-	return concatWires(in, tagWiresRedist, r.sub.NumChannels())
+	return refConcatWires(in, tagWiresRedist, r.sub.NumChannels())
+}
+
+// refConcatWires is the two-pass concatWires: every batch is checked, then
+// all of them are copied.
+func refConcatWires(in []any, tag, numChannels int) ([]metrics.Wire, error) {
+	total := 0
+	for r, raw := range in {
+		wb, ok := raw.(WireBatch)
+		if !ok {
+			return nil, fmt.Errorf("parallel: tag %d batch from rank %d arrived as %T", tag, r, raw)
+		}
+		for i := range wb.Wires {
+			w := &wb.Wires[i]
+			if w.Channel < 0 || w.Channel >= numChannels {
+				return nil, badIndex(tag, r, i, "channel", w.Channel, 0, numChannels-1)
+			}
+			if s := w.Span; !s.Empty() {
+				if s.Lo < 0 {
+					return nil, badIndex(tag, r, i, "span lo", s.Lo, 0, metrics.MaxWireX)
+				}
+				if s.Hi > metrics.MaxWireX {
+					return nil, badIndex(tag, r, i, "span hi", s.Hi, 0, metrics.MaxWireX)
+				}
+			}
+			if w.Switchable && (w.Row < 0 || w.Row >= numChannels-1) {
+				return nil, badIndex(tag, r, i, "row", w.Row, 0, numChannels-2)
+			}
+		}
+		total += len(wb.Wires)
+	}
+	wires := slices.Grow([]metrics.Wire(nil), total)
+	for _, raw := range in {
+		wires = append(wires, raw.(WireBatch).Wires...)
+	}
+	return wires, nil
 }
 
 // refConnectOwnedNets is the map-based step 4: sorted net IDs, fresh
@@ -651,5 +687,75 @@ func TestRedistributeMatchesTwoCopy(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("no rank's wires moved: the runs never redistributed")
+	}
+}
+
+// TestConcatWiresMatchesTwoPass: the one-pass concatWires returns the
+// wires the two-pass form does, in an exactly sized slice, on routed gen
+// circuits cut into 1–4 rank batches, empty batches included. When one
+// wire of the second batch has a bad channel, span or row, or a later
+// batch is mistyped as well, both forms fail with the same error, and it
+// names rank 1, the tag and the wire's index.
+func TestConcatWiresMatchesTwoPass(t *testing.T) {
+	for i := 0; i < 4; i++ {
+		c := randomCircuit(t, i)
+		res, err := route.Route(context.Background(), c, route.Options{Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc := c.NumChannels()
+		for p := 1; p <= 4; p++ {
+			in := make([]any, p)
+			for r := range in {
+				in[r] = WireBatch{Wires: slices.Clone(res.Wires[len(res.Wires)*r/p : len(res.Wires)*(r+1)/p])}
+			}
+			if p == 4 {
+				in[0] = WireBatch{} // a rank with no wires
+			}
+			name := fmt.Sprintf("%s/p%d", c.Name, p)
+			got, err := concatWires(in, tagWires, nc)
+			want, werr := refConcatWires(in, tagWires, nc)
+			if err != nil || werr != nil {
+				t.Fatalf("%s: %v / %v", name, err, werr)
+			}
+			if !slices.Equal(got, want) || cap(got) != len(got) {
+				t.Fatalf("%s: %d wires (cap %d), two-pass form %d, or their order differs",
+					name, len(got), cap(got), len(want))
+			}
+			if p < 2 || len(in[1].(WireBatch).Wires) == 0 {
+				continue
+			}
+			second := in[1].(WireBatch).Wires
+			at := len(second) / 2
+			for _, bad := range []struct {
+				field string
+				edit  func(w *metrics.Wire)
+			}{
+				{"channel", func(w *metrics.Wire) { w.Channel = nc }},
+				{"channel", func(w *metrics.Wire) { w.Channel = -1 }},
+				{"span lo", func(w *metrics.Wire) { w.Span = geom.NewInterval(-2, 3) }},
+				{"span hi", func(w *metrics.Wire) { w.Span = geom.NewInterval(0, metrics.MaxWireX+1) }},
+				{"row", func(w *metrics.Wire) { w.Switchable, w.Row = true, nc-1 }},
+			} {
+				for _, mistyped := range []bool{false, true} {
+					forged := slices.Clone(in)
+					wires := slices.Clone(second)
+					bad.edit(&wires[at])
+					forged[1] = WireBatch{Wires: wires}
+					if mistyped && p > 2 {
+						forged[2] = NodeBatch{}
+					}
+					_, err := concatWires(forged, tagWires, nc)
+					_, werr := refConcatWires(forged, tagWires, nc)
+					if err == nil || werr == nil || err.Error() != werr.Error() {
+						t.Fatalf("%s/%s: error %v, two-pass form %v", name, bad.field, err, werr)
+					}
+					msg := fmt.Sprintf("tag %d batch from rank 1: element %d has %s ", tagWires, at, bad.field)
+					if !strings.Contains(err.Error(), msg) {
+						t.Fatalf("%s/%s: error %q does not name %q", name, bad.field, err, msg)
+					}
+				}
+			}
+		}
 	}
 }

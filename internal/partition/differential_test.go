@@ -13,8 +13,18 @@ import (
 	"parroute/internal/rng"
 )
 
+// refWeight is weight with PinWeight's float weight, -(pins^1.5), which
+// Nets no longer computes: it sorts PinWeight nets by degree instead.
+func refWeight(c *circuit.Circuit, net int, blocks []RowBlock, m Method) float64 {
+	if pins := len(c.Nets[net].Pins); m == PinWeight && pins > 0 {
+		return -math.Pow(float64(pins), 1.5)
+	}
+	return weight(c, net, blocks, m)
+}
+
 // refNets is Nets as it stood with the reflective sort.Slice over every
-// net, kept verbatim as the oracle for the slices.SortFunc form.
+// net and PinWeight's float weight, kept as the oracle for the radix and
+// counting sorts.
 func refNets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) []int {
 	n := len(c.Nets)
 	owner := make([]int, n)
@@ -31,7 +41,7 @@ func refNets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) []int {
 	for i := range c.Nets {
 		pins := len(c.Nets[i].Pins)
 		totalPins += pins
-		entries = append(entries, entry{net: i, weight: weight(c, i, blocks, cfg.Method), pins: pins})
+		entries = append(entries, entry{net: i, weight: refWeight(c, i, blocks, cfg.Method), pins: pins})
 	}
 	sort.Slice(entries, func(a, b int) bool {
 		if entries[a].weight != entries[b].weight {
@@ -64,14 +74,16 @@ func refNets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) []int {
 }
 
 // TestNetsMatchesReflectiveSortForm: all four heuristics assign the owner
-// vector the sort.Slice form did. Nets now orders by a radix sort over the
-// weights' uint64 image that leans on entries arriving in net order, so the
-// inputs press on exactly that: circuits where most weights tie (a few
-// distinct degrees for PinWeight, one weight per row block for Density,
-// whole-row centroids for Center) and the net tiebreak carries the order;
-// pinless nets, whose weight 0 sorts between PinWeight's negatives and the
-// other methods' positives; one 5000-pin net; and a circuit whose Center
-// keys differ in every one of the eight bytes, so no radix pass is skipped.
+// vector the sort.Slice form over float weights did. Nets now orders the
+// float-weighted methods by a radix sort over the weights' uint64 image and
+// PinWeight by a counting sort over degrees, both leaning on entries
+// arriving in net order, so the inputs press on exactly that: circuits
+// where most weights tie (a few distinct degrees for PinWeight, one weight
+// per row block for Density, whole-row centroids for Center) and the net
+// tiebreak carries the order; pinless nets, whose weight 0 sorts after
+// PinWeight's negatives and before the other methods' positives; one
+// 5000-pin net and one above 2^16 pins; and a circuit whose Center keys
+// differ in every one of the eight bytes, so no radix pass is skipped.
 func TestNetsMatchesReflectiveSortForm(t *testing.T) {
 	type input struct {
 		name     string
@@ -79,6 +91,7 @@ func TestNetsMatchesReflectiveSortForm(t *testing.T) {
 		pinless  int  // nets without pins appended to the generated ones
 		tieHeavy bool // at most a quarter of the nets weigh differently
 		allBytes bool // Center keys must differ in every byte
+		minGiant int  // some net must have more pins than this
 	}
 	var inputs []input
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -95,6 +108,11 @@ func TestNetsMatchesReflectiveSortForm(t *testing.T) {
 			Rows: 12, Cells: 3000, Nets: 1500, TargetPins: 10000, GiantNets: []int{5000}, Seed: 6}},
 		input{name: "allbytes", pinless: 1, allBytes: true, cfg: gen.Config{
 			Rows: 24, Cells: 6000, Nets: 5000, TargetPins: 19000, LocalityRows: 3, Seed: 7}},
+		// Degrees 2–3 beside two giants: nearly every PinWeight weight ties.
+		input{name: "equaldeg", pinless: 200, tieHeavy: true, cfg: gen.Config{
+			Rows: 8, Cells: 600, Nets: 2000, TargetPins: 5200, MaxDegree: 3, GiantNets: []int{90, 90}, Seed: 8}},
+		input{name: "giant70000", pinless: 5, minGiant: 1 << 16, cfg: gen.Config{
+			Rows: 16, Cells: 8000, Nets: 3000, TargetPins: 80000, GiantNets: []int{70000, 900, 900}, Seed: 9}},
 	)
 	for _, in := range inputs {
 		in.cfg.Name = in.name
@@ -104,6 +122,9 @@ func TestNetsMatchesReflectiveSortForm(t *testing.T) {
 		}
 		for i := 0; i < in.pinless; i++ {
 			c.AddNet("")
+		}
+		if in.minGiant > 0 && !slices.ContainsFunc(c.Nets, func(n circuit.Net) bool { return len(n.Pins) > in.minGiant }) {
+			t.Fatalf("%s: no net has more than %d pins", in.name, in.minGiant)
 		}
 		for _, p := range []int{2, 3, 4, 5, 8} {
 			blocks, err := RowBlocks(c, p)
@@ -119,10 +140,11 @@ func TestNetsMatchesReflectiveSortForm(t *testing.T) {
 				name := fmt.Sprintf("%s/p%d/%v", in.name, p, m)
 				distinct := map[float64]bool{}
 				var differ uint64
+				first := sortKey(refWeight(c, 0, blocks, m))
 				for n := range c.Nets {
-					w := weight(c, n, blocks, m)
+					w := refWeight(c, n, blocks, m)
 					distinct[w] = true
-					differ |= sortKey(w) ^ sortKey(weight(c, 0, blocks, m))
+					differ |= sortKey(w) ^ first
 				}
 				if in.tieHeavy && m != Locus && len(distinct)*4 > len(c.Nets) {
 					t.Fatalf("%s: %d distinct weights over %d nets: not a tie-heavy input", name, len(distinct), len(c.Nets))

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"parroute/internal/circuit"
 	"parroute/internal/steiner"
@@ -84,11 +85,11 @@ func BlockOf(blocks []RowBlock, r int) int {
 type Method int
 
 const (
-	// PinWeight weights a net by -(pins^1.5): the large nets are scheduled
-	// first (Steiner-tree construction is the dominant cost and superlinear
-	// in pin count) and round-robined across processors so no single
-	// processor gets all the clock nets. It is the paper's recommendation
-	// and the zero value: a Config nobody filled in selects it.
+	// PinWeight weights a net by -(pins^1.5), which orders nets by degree
+	// descending (net ascending among equals, pinless nets last) and needs no
+	// float key: large nets go first (Steiner cost is superlinear in pins) and
+	// round-robin across processors so none gets all the clock nets. It is the
+	// paper's recommendation and the zero value a Config nobody filled in has.
 	PinWeight Method = iota
 	// Center weights a net by the y coordinate of its pin centroid, so
 	// vertically close nets — which compete for the same channels — land
@@ -102,12 +103,7 @@ const (
 	Density
 )
 
-// PinWeight's two constants: the pin-count exponent of its weight, and how
-// many times the average pin count makes a net "large" for its round-robin.
-const (
-	pinWeightAlpha = 1.5
-	largeFactor    = 8
-)
+const largeFactor = 8 // how many times the average pin count makes a net "large" for PinWeight
 
 func (m Method) String() string {
 	switch m {
@@ -150,35 +146,25 @@ func Nets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) ([]int, erro
 		return nil, fmt.Errorf("partition: density method needs %d row blocks, got %d", p, len(blocks))
 	}
 
-	entries := make([]entry, 0, n)
+	var entries []entry
 	totalPins := 0
-	// PinWeight depends on the degree alone, so its math.Pow runs once per
-	// distinct degree, not once per net (zero marks an unfilled slot: only
-	// a pinless net weighs zero, and that case costs nothing to redo).
-	var byDegree []float64
-	for i := range c.Nets {
-		pins := len(c.Nets[i].Pins)
-		totalPins += pins
-		if cfg.Method != PinWeight {
-			entries = append(entries, entry{key: sortKey(weight(c, i, blocks, cfg.Method)), net: int32(i), pins: int32(pins)})
-			continue
+	if cfg.Method == PinWeight {
+		entries, totalPins = byDegree(c)
+	} else {
+		entries = make([]entry, n)
+		for i := range entries {
+			totalPins += len(c.Nets[i].Pins)
+			entries[i] = entry{key: sortKey(weight(c, i, blocks, cfg.Method)), net: int32(i), pins: int32(len(c.Nets[i].Pins))}
 		}
-		if pins >= len(byDegree) {
-			byDegree = append(byDegree, make([]float64, pins+1-len(byDegree))...)
-		}
-		if byDegree[pins] == 0 {
-			byDegree[pins] = weight(c, i, blocks, cfg.Method)
-		}
-		entries = append(entries, entry{key: sortKey(byDegree[pins]), net: int32(i), pins: int32(pins)})
+		entries = sortByKey(entries)
 	}
-	entries = sortByKey(entries)
 
 	loads := make([]int, p)
 	target := float64(totalPins) / float64(p)
 
 	start := 0
 	if cfg.Method == PinWeight {
-		// Large nets first (they sort first: most negative weight), in
+		// Large nets first (they sort first: highest degree), in
 		// round-robin so each processor gets its share of the giants.
 		avg := float64(totalPins) / float64(n)
 		rr := 0
@@ -203,11 +189,35 @@ func Nets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) ([]int, erro
 	return owner, nil
 }
 
-// entry is one net in Nets' weight order: its weight as a sort key, its
-// index and its pin count.
+// entry is one net in Nets' weight order: its weight as a sort key (unset
+// under PinWeight, which sorts by pins), its index and its pin count.
 type entry struct {
 	key       uint64
 	net, pins int32
+}
+
+// byDegree lists the nets in PinWeight's order, pins descending and net
+// ascending among equals, by one counting sort over the degrees, and
+// returns their total pin count.
+func byDegree(c *circuit.Circuit) ([]entry, int) {
+	maxDeg, total := 0, 0
+	for i := range c.Nets {
+		maxDeg, total = max(maxDeg, len(c.Nets[i].Pins)), total+len(c.Nets[i].Pins)
+	}
+	next := make([]int32, maxDeg+2) // next[maxDeg-d]: the next free slot of degree d
+	for i := range c.Nets {
+		next[maxDeg-len(c.Nets[i].Pins)+1]++
+	}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	out := make([]entry, len(c.Nets))
+	for i := range c.Nets {
+		k := maxDeg - len(c.Nets[i].Pins)
+		out[next[k]] = entry{net: int32(i), pins: int32(len(c.Nets[i].Pins))}
+		next[k]++
+	}
+	return out, total
 }
 
 // sortKey maps a weight to a uint64 that orders as the weight does: the
@@ -291,8 +301,6 @@ func weight(c *circuit.Circuit, net int, blocks []RowBlock, m Method) float64 {
 			}
 		}
 		return float64(best)
-	case PinWeight:
-		return -math.Pow(float64(len(pins)), pinWeightAlpha)
 	}
 	return 0
 }
@@ -306,24 +314,7 @@ type LoadStats struct {
 
 // Load computes LoadStats for an owner assignment.
 func Load(c *circuit.Circuit, owner []int, p int) LoadStats {
-	st := LoadStats{Pins: make([]int, p)}
-	total := 0
-	for net, o := range owner {
-		st.Pins[o] += len(c.Nets[net].Pins)
-		total += len(c.Nets[net].Pins)
-	}
-	if total == 0 {
-		st.Imbalance = 1
-		return st
-	}
-	max := 0
-	for _, v := range st.Pins {
-		if v > max {
-			max = v
-		}
-	}
-	st.Imbalance = float64(max) * float64(p) / float64(total)
-	return st
+	return loadBy(owner, p, func(net int) int { return len(c.Nets[net].Pins) })
 }
 
 // SteinerLoad computes the balance of the Steiner-tree construction cost,
@@ -331,27 +322,29 @@ func Load(c *circuit.Circuit, owner []int, p int) LoadStats {
 // the implementation: d^2 for the exact Prim MST, d*log2(d) for nets above
 // steiner.LargeNetThreshold (the row-chain fast path).
 func SteinerLoad(c *circuit.Circuit, owner []int, p int) LoadStats {
+	return loadBy(owner, p, func(net int) int {
+		d := len(c.Nets[net].Pins)
+		if d > steiner.LargeNetThreshold {
+			return d * bits.Len(uint(d))
+		}
+		return d * d
+	})
+}
+
+// loadBy adds each net's cost to its owner's and rates the largest share
+// against the average.
+func loadBy(owner []int, p int, cost func(net int) int) LoadStats {
 	st := LoadStats{Pins: make([]int, p)}
 	total := 0
 	for net, o := range owner {
-		d := len(c.Nets[net].Pins)
-		cost := d * d
-		if d > steiner.LargeNetThreshold {
-			cost = d * bits.Len(uint(d))
-		}
-		st.Pins[o] += cost
-		total += cost
+		c := cost(net)
+		st.Pins[o] += c
+		total += c
 	}
 	if total == 0 {
 		st.Imbalance = 1
 		return st
 	}
-	max := 0
-	for _, v := range st.Pins {
-		if v > max {
-			max = v
-		}
-	}
-	st.Imbalance = float64(max) * float64(p) / float64(total)
+	st.Imbalance = float64(slices.Max(st.Pins)) * float64(p) / float64(total)
 	return st
 }

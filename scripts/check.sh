@@ -180,14 +180,14 @@ alloc_budget() {
 }
 step "allocation budget (parallel drivers + serial route)" alloc_budget
 
-# Bench smoke: the serial hot path and the hybrid P=2 run still run end
-# to end under the benchmark harness (the perf ledger itself is
-# `go run ./benchmark`; see DESIGN.md §9).
+# Bench smoke: the serial hot path and the hybrid and net-wise (TCP) P=2
+# runs still run end to end under the benchmark harness (the perf ledger
+# itself is `go run ./benchmark`; see DESIGN.md §9).
 bench_smoke() {
   go test -run '^$' -bench 'BenchmarkSerialRoute/primary2' -benchtime 1x . &&
-    go test -run '^$' -bench 'BenchmarkHybridP2' -benchtime 1x ./internal/parallel
+    go test -run '^$' -bench 'BenchmarkHybridP2|BenchmarkNetwiseP2' -benchtime 1x ./internal/parallel
 }
-step "bench smoke (serial route, hybrid P=2)" bench_smoke
+step "bench smoke (serial route, hybrid and net-wise P=2)" bench_smoke
 
 # Trace smoke: `twgr -trace` emits a timeline that `-checktrace` accepts.
 # Both paths write the run's Result.Phases (merged across ranks on the
