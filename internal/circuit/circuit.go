@@ -53,35 +53,45 @@ const NoCell = -1
 // NoNet is the Net value of a pin not connected to any net.
 const NoNet = -1
 
+// MaxCoord is the largest value a Pin field holds: IDs, offsets and
+// coordinates are int32. Validate admits a circuit only if its routes stay
+// at or below it (checkRoom); a peer's coordinates are checked against it
+// where they are received.
+const MaxCoord = math.MaxInt32
+
 // Pin is a connection point. X and Row are absolute coordinates, kept in
-// sync with the owning cell (if any) when cells shift.
+// sync with the owning cell (if any) when cells shift. Every route copies
+// and streams the pin table, so its fields are int32: Validate admits only
+// circuits whose routes keep them in range (MaxCoord), and the int-typed
+// constructors narrow with a plain conversion on that promise.
 type Pin struct {
-	ID     int
-	Net    int  // net index, or NoNet
-	Cell   int  // cell index, or NoCell for fake pins
-	Offset int  // x offset from the owning cell's left edge (0 if no cell)
-	X      int  // absolute x coordinate
-	Row    int  // row index
-	Side   Side // cell edge(s) the pin is on
-	Fake   bool // true for boundary pins added by the parallel algorithms
+	ID     int32
+	Net    int32 // net index, or NoNet
+	Cell   int32 // cell index, or NoCell for fake pins
+	Offset int32 // x offset from the owning cell's left edge (0 if no cell)
+	X      int32 // absolute x coordinate
+	Row    int32 // row index
+	Side   Side  // cell edge(s) the pin is on
+	Fake   bool  // true for boundary pins added by the parallel algorithms
 }
 
 // Channels returns the routing channels from which the pin is reachable.
 // The second value is only meaningful when two channels are returned
 // (ok == true); for single-channel pins it equals the first.
 func (p *Pin) Channels() (lo, hi int, both bool) {
+	row := int(p.Row)
 	switch p.Side {
 	case Bottom:
-		return p.Row, p.Row, false
+		return row, row, false
 	case Top:
-		return p.Row + 1, p.Row + 1, false
+		return row + 1, row + 1, false
 	default:
-		return p.Row, p.Row + 1, true
+		return row, row + 1, true
 	}
 }
 
 // Point returns the pin position with the row index as y.
-func (p *Pin) Point() geom.Point { return geom.Point{X: p.X, Y: p.Row} }
+func (p *Pin) Point() geom.Point { return geom.Point{X: int(p.X), Y: int(p.Row)} }
 
 // Cell is a placed standard cell (or an inserted feedthrough cell).
 type Cell struct {
@@ -186,8 +196,8 @@ func (c *Circuit) AddPin(cellID, netID, offset int, side Side) int {
 	cell := &c.Cells[cellID]
 	id := len(c.Pins)
 	c.Pins = append(c.Pins, Pin{
-		ID: id, Net: netID, Cell: cellID, Offset: offset,
-		X: cell.X + offset, Row: cell.Row, Side: side,
+		ID: int32(id), Net: int32(netID), Cell: int32(cellID), Offset: int32(offset),
+		X: int32(cell.X + offset), Row: int32(cell.Row), Side: side,
 	})
 	cell.Pins = append(cell.Pins, id)
 	if netID != NoNet {
@@ -202,8 +212,8 @@ func (c *Circuit) AddPin(cellID, netID, offset int, side Side) int {
 func (c *Circuit) AddFakePin(netID, x, row int, side Side) int {
 	id := len(c.Pins)
 	c.Pins = append(c.Pins, Pin{
-		ID: id, Net: netID, Cell: NoCell,
-		X: x, Row: row, Side: side, Fake: true,
+		ID: int32(id), Net: int32(netID), Cell: NoCell,
+		X: int32(x), Row: int32(row), Side: side, Fake: true,
 	})
 	if netID != NoNet {
 		c.Nets[netID].Pins = append(c.Nets[netID].Pins, id)
@@ -261,13 +271,13 @@ func (c *Circuit) InsertFeedthrough(r, x, netID int) int {
 		cell := &c.Cells[cid]
 		cell.X += c.FeedWidth
 		for _, pid := range cell.Pins {
-			c.Pins[pid].X = cell.X + c.Pins[pid].Offset
+			c.Pins[pid].X = int32(cell.X) + c.Pins[pid].Offset
 		}
 	}
 	if r < len(c.fakeByRow) {
 		for _, pid := range c.fakeByRow[r] {
-			if c.Pins[pid].X >= at {
-				c.Pins[pid].X += c.FeedWidth
+			if int(c.Pins[pid].X) >= at {
+				c.Pins[pid].X += int32(c.FeedWidth)
 			}
 		}
 	}
@@ -394,7 +404,7 @@ func (c *Circuit) walkRow(r int, xs []int, cell0, pin0 int, out, cellPins, scrat
 		cid, pid := cell0+j, pin0+j
 		cellPins[j] = pid
 		c.Cells[cid] = Cell{ID: cid, Row: r, Width: fw, Pins: cellPins[j : j+1 : j+1], Feed: true}
-		c.Pins[pid] = Pin{ID: pid, Net: NoNet, Cell: cid, Offset: fw / 2, Row: r, Side: Both}
+		c.Pins[pid] = Pin{ID: int32(pid), Net: NoNet, Cell: int32(cid), Offset: int32(fw / 2), Row: int32(r), Side: Both}
 		pending = append(pending, cid)
 		far := base + placed*fw - shift // where this one goes in, less the shifts so far
 		if j > 0 {
@@ -412,15 +422,15 @@ func (c *Circuit) walkRow(r int, xs []int, cell0, pin0 int, out, cellPins, scrat
 	for _, cid := range out[firstMoved:] {
 		cell := &c.Cells[cid]
 		for _, pid := range cell.Pins {
-			c.Pins[pid].X = cell.X + c.Pins[pid].Offset
+			c.Pins[pid].X = int32(cell.X) + c.Pins[pid].Offset
 		}
 	}
 	// Fake pins have no cell; each moves once per insertion it was at or
 	// right of, and those are always a prefix of the row's insertions.
 	if r < len(c.fakeByRow) {
 		for _, pid := range c.fakeByRow[r] {
-			x0 := c.Pins[pid].X
-			c.Pins[pid].X += fw * sort.Search(len(reach), func(j int) bool { return reach[j] > x0 })
+			x0 := int(c.Pins[pid].X)
+			c.Pins[pid].X += int32(fw * sort.Search(len(reach), func(j int) bool { return reach[j] > x0 }))
 		}
 	}
 }
@@ -604,32 +614,32 @@ func (c *Circuit) Validate() error {
 			if pid < 0 || pid >= len(c.Pins) {
 				return fmt.Errorf("cell %d references pin %d out of range", i, pid)
 			}
-			if c.Pins[pid].Cell != i {
+			if int(c.Pins[pid].Cell) != i {
 				return fmt.Errorf("pin %d on cell %d claims cell %d", pid, i, c.Pins[pid].Cell)
 			}
 		}
 	}
 	for i := range c.Pins {
 		p := &c.Pins[i]
-		if p.ID != i {
+		if int(p.ID) != i {
 			return fmt.Errorf("pin %d has ID %d", i, p.ID)
 		}
-		if p.Row < 0 || p.Row >= len(c.Rows) {
+		if p.Row < 0 || int(p.Row) >= len(c.Rows) {
 			return fmt.Errorf("pin %d has row %d out of range", i, p.Row)
 		}
 		if p.Cell != NoCell {
 			cell := &c.Cells[p.Cell]
-			if p.X != cell.X+p.Offset {
+			if int(p.X) != cell.X+int(p.Offset) {
 				return fmt.Errorf("pin %d at x=%d but cell %d at x=%d with offset %d",
 					i, p.X, p.Cell, cell.X, p.Offset)
 			}
-			if p.Row != cell.Row {
+			if int(p.Row) != cell.Row {
 				return fmt.Errorf("pin %d row %d disagrees with cell %d row %d",
 					i, p.Row, p.Cell, cell.Row)
 			}
 		}
 		if p.Net != NoNet {
-			if p.Net < 0 || p.Net >= len(c.Nets) {
+			if p.Net < 0 || int(p.Net) >= len(c.Nets) {
 				return fmt.Errorf("pin %d has net %d out of range", i, p.Net)
 			}
 			found := false
@@ -653,9 +663,64 @@ func (c *Circuit) Validate() error {
 			if pid < 0 || pid >= len(c.Pins) {
 				return fmt.Errorf("net %d references pin %d out of range", i, pid)
 			}
-			if c.Pins[pid].Net != i {
+			if int(c.Pins[pid].Net) != i {
 				return fmt.Errorf("pin %d in net %d claims net %d", pid, i, c.Pins[pid].Net)
 			}
+		}
+	}
+	return c.checkRoom()
+}
+
+// feedRoom bounds the feedthroughs one route of c inserts, in all and so
+// into any one row: this is the one bound the int32 pin fields rest on. Each
+// feedthrough is a crossing of a row by a tree segment; a segment crosses
+// only rows of its net's span; and a net of k pins has k-1 segments in a
+// serial or net-wise route and at most 3(k-1) in one block of a row-wise or
+// hybrid route, which adds at most two boundary fake pins per segment of the
+// net's whole tree. Past MaxCoord it returns MaxCoord+1.
+func (c *Circuit) feedRoom() int {
+	room := 0
+	for n := range c.Nets {
+		if pins := c.Nets[n].Pins; len(pins) >= 2 {
+			lo, hi := c.Pins[pins[0]].Row, c.Pins[pins[0]].Row
+			for _, pid := range pins[1:] {
+				lo, hi = min(lo, c.Pins[pid].Row), max(hi, c.Pins[pid].Row)
+			}
+			if room += 3 * min((len(pins)-1)*(int(hi)-int(lo)+1), MaxCoord); room > MaxCoord {
+				return MaxCoord + 1
+			}
+		}
+	}
+	return room
+}
+
+// checkRoom is Validate's int32 check: with feedRoom's feedthroughs
+// inserted, a route's cell and pin tables (pins, at most two fake pins per
+// pin, and the feedthroughs') and every x, moved right by FeedWidth per
+// feedthrough, must stay at or below MaxCoord.
+func (c *Circuit) checkRoom() error {
+	if c.FeedWidth < 0 || c.FeedWidth > MaxCoord {
+		return fmt.Errorf("feedthrough width %d outside [0, %d]", c.FeedWidth, MaxCoord)
+	}
+	room := 0
+	if len(c.Pins) <= MaxCoord/3 {
+		room = c.feedRoom()
+	}
+	if len(c.Rows) > MaxCoord || len(c.Nets) > MaxCoord || 3*len(c.Pins)+room > MaxCoord || len(c.Cells)+room > MaxCoord {
+		return fmt.Errorf("%d rows, %d cells, %d nets and %d pins with room for %d feedthroughs overflow int32 pin fields",
+			len(c.Rows), len(c.Cells), len(c.Nets), len(c.Pins), room)
+	}
+	limit := MaxCoord - c.FeedWidth*room // the largest x a pin or cell edge may have
+	for i := range c.Cells {
+		if cell := &c.Cells[i]; cell.X < 0 || cell.X > limit-cell.Width {
+			return fmt.Errorf("cell %d spans x %d to %d outside [0, %d], the room for %d feedthroughs of width %d",
+				i, cell.X, cell.X+cell.Width, limit, room, c.FeedWidth)
+		}
+	}
+	for i := range c.Pins {
+		if p := &c.Pins[i]; p.X < 0 || int(p.X) > limit {
+			return fmt.Errorf("pin %d (cell %d) at x %d outside [0, %d], the room for %d feedthroughs of width %d",
+				i, p.Cell, p.X, limit, room, c.FeedWidth)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"testing"
+	"unsafe"
 )
 
 // buildTiny makes a 2-row circuit: two cells per row, one net across rows,
@@ -251,6 +252,18 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	check("pin-wrong-net", func(c *Circuit) { c.Pins[0].Net = 1 })
 	check("cell-wrong-row", func(c *Circuit) { c.Cells[0].Row = 1 })
 	check("pin-bad-row", func(c *Circuit) { c.Pins[0].Row = 7; c.Cells[0].Row = 7 })
+	// The int32 room: buildTiny's two nets each span both rows, so a route
+	// inserts at most 3·1·2 feedthroughs per net, 12 of width 2 in all.
+	const limit = MaxCoord - 12*2
+	check("cell-negative-x", func(c *Circuit) { c.Cells[0].X = -1; c.Pins[0].X = 1 })
+	check("cell-past-room", func(c *Circuit) { c.Cells[3].X = limit - 8 + 1; c.Pins[3].X = limit - 8 + 4 })
+	check("feed-width-negative", func(c *Circuit) { c.FeedWidth = -2 })
+	check("feed-width-past-room", func(c *Circuit) { c.FeedWidth = MaxCoord / 12 })
+	c := buildTiny(t)
+	c.Cells[3].X, c.Pins[3].X = limit-8, limit-8+3
+	if err := c.Validate(); err != nil {
+		t.Errorf("cell ending at the limit %d rejected: %v", limit, err)
+	}
 }
 
 func TestSideString(t *testing.T) {
@@ -259,5 +272,14 @@ func TestSideString(t *testing.T) {
 	}
 	if Side(9).String() == "" {
 		t.Fatal("unknown side should still format")
+	}
+}
+
+// TestPinStaysSmall pins the size of the pin table every route copies once
+// (Fork's copy-out at the first insertion) and every stage reads: 28 bytes a
+// pin, six int32 fields, the side and the fake flag (56 with int fields).
+func TestPinStaysSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Pin{}); size > 28 {
+		t.Fatalf("Pin is %d bytes, at most 28 expected", size)
 	}
 }

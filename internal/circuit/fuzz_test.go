@@ -27,6 +27,14 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"rows":[[0]],"cells":[{"row":0,"x":0,"width":1,"pins":[]}],"nets":[]}`)
 	f.Add(`{"rows":[[99]]}`)
 	f.Add(`[1,2,3]`)
+	// The int32 room: at the limit, one past it, past int32, and a
+	// feedthrough width whose insertions pass it (see limitJSON).
+	const limit = MaxCoord - 3*2
+	f.Add(limitJSON(2, limit-4, 4, 1))
+	f.Add(limitJSON(2, limit-3, 4, 1))
+	f.Add(limitJSON(2, 8, 4, limit-7))
+	f.Add(limitJSON(2, 8, 4, 1<<40))
+	f.Add(limitJSON((MaxCoord-9)/3, 8, 4, 1))
 
 	f.Fuzz(func(t *testing.T, input string) {
 		got, err := ReadJSON(strings.NewReader(input))

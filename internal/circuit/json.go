@@ -63,7 +63,7 @@ func (c *Circuit) WriteJSON(w io.Writer) error {
 		jcell := jsonCell{Row: cell.Row, X: cell.X, Width: cell.Width}
 		for _, pid := range cell.Pins {
 			p := &c.Pins[pid]
-			jcell.Pins = append(jcell.Pins, jsonPin{Net: p.Net, Offset: p.Offset, Side: p.Side})
+			jcell.Pins = append(jcell.Pins, jsonPin{Net: int(p.Net), Offset: int(p.Offset), Side: p.Side})
 		}
 		jc.Cells[i] = jcell
 	}
@@ -99,6 +99,9 @@ func ReadJSON(r io.Reader) (*Circuit, error) {
 		if jcell.Row < 0 || jcell.Row >= len(c.Rows) {
 			return nil, fmt.Errorf("circuit: cell %d has row %d out of range", i, jcell.Row)
 		}
+		if jcell.X < 0 || jcell.X > MaxCoord {
+			return nil, fmt.Errorf("circuit: cell %d has x %d outside [0, %d]", i, jcell.X, MaxCoord)
+		}
 		c.Cells[i] = Cell{ID: i, Row: jcell.Row, X: jcell.X, Width: jcell.Width}
 	}
 	for r, ids := range jc.Rows {
@@ -113,6 +116,11 @@ func ReadJSON(r io.Reader) (*Circuit, error) {
 		for _, jp := range jcell.Pins {
 			if jp.Net != NoNet && (jp.Net < 0 || jp.Net >= len(c.Nets)) {
 				return nil, fmt.Errorf("circuit: cell %d pin has net %d out of range", i, jp.Net)
+			}
+			// AddPin narrows to the int32 pin fields: Validate can only
+			// check the room a route needs on values that arrived whole.
+			if jp.Offset < -jcell.X || jp.Offset > MaxCoord-jcell.X {
+				return nil, fmt.Errorf("circuit: cell %d pin has offset %d outside [%d, %d]", i, jp.Offset, -jcell.X, MaxCoord-jcell.X)
 			}
 			c.AddPin(i, jp.Net, jp.Offset, jp.Side)
 		}

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -72,6 +73,56 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	for name, payload := range cases {
 		if _, err := ReadJSON(strings.NewReader(payload)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// limitJSON is a one-row circuit of two cells on one two-pin net: cell 1 at
+// x with width w and its pin at offset off. A route of it inserts at most
+// 3·(2-1)·1 = 3 feedthroughs of width feedWidth, so Validate's limit for a
+// cell edge or pin x is MaxCoord - 3·feedWidth.
+func limitJSON(feedWidth, x, w, off int) string {
+	return fmt.Sprintf(`{"name":"limit","cellHeight":10,"feedWidth":%d,"rows":[[0,1]],"cells":[`+
+		`{"row":0,"x":0,"width":4,"pins":[{"net":0,"offset":1,"side":0}]},`+
+		`{"row":0,"x":%d,"width":%d,"pins":[{"net":0,"offset":%d,"side":1}]}],"nets":[{"name":"n"}]}`,
+		feedWidth, x, w, off)
+}
+
+// TestReadJSONInt32Limits: a cell's right edge, its width or its pin's offset
+// exactly at the limit is accepted, one past it is rejected naming the cell,
+// and so is a feedthrough width whose insertions would carry a cell past
+// MaxCoord.
+func TestReadJSONInt32Limits(t *testing.T) {
+	const limit = MaxCoord - 3*2
+	cases := []struct {
+		name    string
+		payload string
+		ok      bool
+	}{
+		{"x-at-limit", limitJSON(2, limit-4, 4, 1), true},
+		{"x-past-limit", limitJSON(2, limit-3, 4, 1), false},
+		{"width-at-limit", limitJSON(2, 8, limit-8, 1), true},
+		{"width-past-limit", limitJSON(2, 8, limit-7, 1), false},
+		{"offset-at-limit", limitJSON(2, 8, 4, limit-8), true},
+		{"offset-past-limit", limitJSON(2, 8, 4, limit-7), false},
+		{"offset-past-int32", limitJSON(2, 8, 4, 1<<40), false},
+		{"x-past-int32", limitJSON(2, 1<<40, 4, 1), false},
+		{"x-negative", limitJSON(2, -8, 4, 1), false},
+		// Cell 1 ends at 12; three insertions of this width leave room to x 10.
+		{"insertion-past-limit", limitJSON((MaxCoord-9)/3, 8, 4, 1), false},
+	}
+	for _, tc := range cases {
+		_, err := ReadJSON(strings.NewReader(tc.payload))
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), "cell 1") {
+			t.Errorf("%s: error %q does not name cell 1", tc.name, err)
 		}
 	}
 }

@@ -62,7 +62,7 @@ func TestRandomFeedthroughInsertionInvariants(t *testing.T) {
 		}
 		c.AddFakePin(n, r.Intn(40), r.Intn(rows), Top)
 
-		prevX := make([]int, len(c.Pins))
+		prevX := make([]int32, len(c.Pins))
 		for i := range c.Pins {
 			prevX[i] = c.Pins[i].X
 		}

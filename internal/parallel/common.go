@@ -36,18 +36,16 @@ func computeCrossings(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 		}
 		minRow, maxRow := c.Pins[pins[0]].Row, c.Pins[pins[0]].Row
 		for _, pid := range pins[1:] {
-			r := c.Pins[pid].Row
-			minRow = geom.Min(minRow, r)
-			maxRow = geom.Max(maxRow, r)
+			minRow, maxRow = min(minRow, c.Pins[pid].Row), max(maxRow, c.Pins[pid].Row)
 		}
-		if partition.BlockOf(blocks, minRow) == partition.BlockOf(blocks, maxRow) {
+		if partition.BlockOf(blocks, int(minRow)) == partition.BlockOf(blocks, int(maxRow)) {
 			continue // entirely within one block: no splitting needed
 		}
 		segBuf = b.AppendNet(segBuf[:0], c, n)
 		for _, seg := range segBuf {
 			ps := route.Place(c, seg)
-			kp := partition.BlockOf(blocks, c.Pins[ps.PinAtP].Row)
-			kq := partition.BlockOf(blocks, c.Pins[ps.PinAtQ].Row)
+			kp := partition.BlockOf(blocks, int(c.Pins[ps.PinAtP].Row))
+			kq := partition.BlockOf(blocks, int(c.Pins[ps.PinAtQ].Row))
 			if kp > kq {
 				kp, kq = kq, kp
 			}
@@ -71,11 +69,11 @@ func computeCrossings(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 				var x int
 				switch {
 				case ps.CP == ps.CQ:
-					x = (ps.XP + ps.XQ) / 2 // flat hand-off inside the channel
-				case s >= ps.CQ:
-					x = ps.XQ
-				case s <= ps.CP:
-					x = ps.XP
+					x = (int(ps.XP) + int(ps.XQ)) / 2 // flat hand-off inside the channel
+				case s >= int(ps.CQ):
+					x = int(ps.XQ)
+				case s <= int(ps.CP):
+					x = int(ps.XP)
 				default:
 					x = runs.VCol
 				}
@@ -120,7 +118,8 @@ func sizedBatches[B ~[]E, E any](counts []int) []B {
 
 // exchangeFakePins all-to-alls the fake-pin specs and returns this rank's,
 // concatenated in source-rank order (deterministic). Every received spec
-// must name a net of the circuit and a row of this rank's block.
+// must name a net of the circuit, a row of this rank's block and an x an
+// int32 pin field holds.
 func exchangeFakePins(comm mp.Comm, specs []FakePinBatch, numNets int, block partition.RowBlock) ([]FakePinSpec, error) {
 	in, err := mp.Alltoall(comm, tagFakePins, anys(specs))
 	if err != nil {
@@ -138,6 +137,9 @@ func exchangeFakePins(comm mp.Comm, specs []FakePinBatch, numNets int, block par
 			}
 			if !block.Contains(sp.Row) {
 				return nil, badIndex(tagFakePins, r, i, "row", sp.Row, block.Lo, block.Hi)
+			}
+			if sp.X < 0 || sp.X > circuit.MaxCoord {
+				return nil, badIndex(tagFakePins, r, i, "x", sp.X, 0, circuit.MaxCoord)
 			}
 		}
 		total += len(batch)
@@ -187,7 +189,7 @@ func buildBlockCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []
 	// outside the block.
 	newPin := make([]int32, len(base.Pins))
 	for pid := range base.Pins {
-		if p := &base.Pins[pid]; p.Cell != circuit.NoCell && block.Contains(p.Row) { // a pin's row is its cell's
+		if p := &base.Pins[pid]; p.Cell != circuit.NoCell && block.Contains(int(p.Row)) { // a pin's row is its cell's
 			sub.Pins = append(sub.Pins, *p) // ID and Cell are set with the cell's list
 			newPin[pid] = int32(len(sub.Pins))
 		}
@@ -210,7 +212,7 @@ func buildBlockCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []
 			lo := len(backing)
 			for _, pid := range base.Cells[cid].Pins {
 				id := int(newPin[pid]) - 1
-				sub.Pins[id].ID, sub.Pins[id].Cell = id, cell.ID
+				sub.Pins[id].ID, sub.Pins[id].Cell = int32(id), int32(cell.ID)
 				backing = append(backing, id)
 			}
 			cell.Pins = backing[lo:len(backing):len(backing)]
@@ -435,8 +437,8 @@ func ownPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, se
 				continue
 			}
 			for _, pid := range sub.Nets[n].Pins {
-				if p := &sub.Pins[pid]; !p.Fake && block.Contains(p.Row) {
-					emit(NodeMsg{Net: n, X: p.X, Row: p.Row, Side: p.Side})
+				if p := &sub.Pins[pid]; !p.Fake && block.Contains(int(p.Row)) {
+					emit(NodeMsg{Net: n, X: int(p.X), Row: int(p.Row), Side: p.Side})
 				}
 			}
 		}
@@ -476,8 +478,8 @@ func (nn netNodes) of(n int, _ []route.Node) []route.Node { return nn.nodes[nn.o
 // rank owns) into one per-net arena: a count pass, a prefix sum, and a fill
 // pass in set, rank, batch order — so every net's nodes sit in arrival
 // order. A set's entries are NodeBatches, or the receiving rank's selfNodes
-// at its own position. The count pass is also the trust boundary: a net or
-// row of a batch outside the circuit is an error naming the source rank and
+// at its own position. The count pass is also the trust boundary: a net, row
+// or x of a batch outside the circuit is an error naming the source rank and
 // tag.
 func collectNodes(numNets, numRows int, sets ...nodeSet) (netNodes, error) {
 	off := make([]int, numNets+1)
@@ -497,6 +499,9 @@ func collectNodes(numNets, numRows int, sets ...nodeSet) (netNodes, error) {
 				}
 				if nm.Row < 0 || nm.Row >= numRows {
 					return netNodes{}, badIndex(set.tag, r, i, "row", nm.Row, 0, numRows-1)
+				}
+				if nm.X < 0 || nm.X > circuit.MaxCoord {
+					return netNodes{}, badIndex(set.tag, r, i, "x", nm.X, 0, circuit.MaxCoord)
 				}
 				off[nm.Net+1]++
 			}

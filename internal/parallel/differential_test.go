@@ -43,7 +43,7 @@ func refPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, si
 	counts := make([]int, size)
 	for n := range sub.Nets {
 		for _, pid := range sub.Nets[n].Pins {
-			if p := &sub.Pins[pid]; !p.Fake && block.Contains(p.Row) {
+			if p := &sub.Pins[pid]; !p.Fake && block.Contains(int(p.Row)) {
 				counts[owner[n]]++
 			}
 		}
@@ -52,8 +52,8 @@ func refPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, si
 	for n := range sub.Nets {
 		dest := owner[n]
 		for _, pid := range sub.Nets[n].Pins {
-			if p := &sub.Pins[pid]; !p.Fake && block.Contains(p.Row) {
-				out[dest] = append(out[dest], NodeMsg{Net: n, X: p.X, Row: p.Row, Side: p.Side})
+			if p := &sub.Pins[pid]; !p.Fake && block.Contains(int(p.Row)) {
+				out[dest] = append(out[dest], NodeMsg{Net: n, X: int(p.X), Row: int(p.Row), Side: p.Side})
 			}
 		}
 	}
@@ -159,7 +159,7 @@ func refBuildSubCircuit(base *circuit.Circuit, block partition.RowBlock, fakes [
 		net := &sub.Nets[n]
 		kept := net.Pins[:0]
 		for _, pid := range net.Pins {
-			if block.Contains(sub.Pins[pid].Row) {
+			if block.Contains(int(sub.Pins[pid].Row)) {
 				kept = append(kept, pid)
 			} else {
 				sub.Pins[pid].Net = circuit.NoNet
@@ -217,19 +217,19 @@ func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 		first := &c.Pins[pins[0]]
 		if owner[n] != me {
 			if !stray {
-				k := partition.BlockOf(blocks, first.Row)
-				ft[k] = append(ft[k], NodeMsg{Net: n, X: first.X, Row: first.Row, Side: circuit.Both})
+				k := partition.BlockOf(blocks, int(first.Row))
+				ft[k] = append(ft[k], NodeMsg{Net: n, X: int(first.X), Row: int(first.Row), Side: circuit.Both})
 				stray = true
 			}
 			continue
 		}
-		lo, hi := first.Row, first.Row
+		lo, hi := int(first.Row), int(first.Row)
 		for _, pid := range pins {
-			lo, hi = min(lo, c.Pins[pid].Row), max(hi, c.Pins[pid].Row)
+			lo, hi = min(lo, int(c.Pins[pid].Row)), max(hi, int(c.Pins[pid].Row))
 		}
 		for row := lo + 1; row < hi; row++ {
 			k := partition.BlockOf(blocks, row)
-			ft[k] = append(ft[k], NodeMsg{Net: n, X: first.X + row, Row: row, Side: circuit.Both})
+			ft[k] = append(ft[k], NodeMsg{Net: n, X: int(first.X) + row, Row: row, Side: circuit.Both})
 		}
 	}
 	for r := range blocks {

@@ -175,15 +175,16 @@ func netWiseStages(r *rank) []pipeline.Stage {
 				}
 				for row := runs.VLo; row <= runs.VHi; row++ {
 					dest := partition.BlockOf(blocks, row)
-					cross[dest] = append(cross[dest], CrossingMsg{Net: segs[i].Net, X: runs.VCol, Row: row})
+					cross[dest] = append(cross[dest], CrossingMsg{Net: int(segs[i].Net), X: runs.VCol, Row: row})
 				}
 			}
 			in, err := mp.Alltoall(comm, tagCrossings, anys(cross))
 			if err != nil {
 				return fmt.Errorf("netwise: crossing exchange: %w", err)
 			}
-			// Received crossings index this rank's rows and the net table, so
-			// both are checked here; the same pass sizes the replies.
+			// Received crossings index this rank's rows and the net table, and
+			// their x orders the row's matching and may place a feedthrough, so
+			// all three are checked here; the same pass sizes the replies.
 			byRow := make([]CrossingBatch, len(sub.Rows))
 			clear(counts)
 			for r, raw := range in {
@@ -197,6 +198,9 @@ func netWiseStages(r *rank) []pipeline.Stage {
 					}
 					if !block.Contains(cr.Row) {
 						return badIndex(tagCrossings, r, i, "row", cr.Row, block.Lo, block.Hi)
+					}
+					if cr.X < 0 || cr.X > circuit.MaxCoord {
+						return badIndex(tagCrossings, r, i, "x", cr.X, 0, circuit.MaxCoord)
 					}
 					byRow[cr.Row] = append(byRow[cr.Row], cr)
 					counts[owner[cr.Net]]++
@@ -222,7 +226,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 					}
 					dest := owner[cr.Net]
 					ftNodes[dest] = append(ftNodes[dest], NodeMsg{
-						Net: cr.Net, X: sub.Pins[pinID].X, Row: row, Side: circuit.Both,
+						Net: cr.Net, X: int(sub.Pins[pinID].X), Row: row, Side: circuit.Both,
 					})
 				}
 			}

@@ -219,7 +219,7 @@ func TestBuildSubCircuit(t *testing.T) {
 	for n := range sub.Nets {
 		for _, pid := range sub.Nets[n].Pins {
 			p := &sub.Pins[pid]
-			if !p.Fake && !blocks[0].Contains(p.Row) {
+			if !p.Fake && !blocks[0].Contains(int(p.Row)) {
 				t.Fatalf("net %d keeps foreign pin in row %d", n, p.Row)
 			}
 		}

@@ -48,11 +48,12 @@ type forgery struct {
 }
 
 // TestForgedBatchIndexIsAttributed: every index a rank takes off the mesh
-// and uses as a subscript — the net and row of a fake-pin spec, a crossing
-// and a step-4 node, and the channel, span and row of a redistributed or
-// gathered wire, and the counter indices and changes of a net-wise grid or
-// occupancy delta — is validated once per received batch, and so are the
-// boundary-channel counts a row block adds into its occupancy. A peer that
+// and uses as a subscript or an int32 pin field — the net, row and x of a
+// fake-pin spec, a crossing and a step-4 node, the channel, span and row of
+// a redistributed or gathered wire, and the counter indices and changes of a
+// net-wise grid or occupancy delta — is validated once per received batch,
+// and so are the boundary-channel counts a row block adds into its
+// occupancy. A peer that
 // sends one out-of-range element fails the run with an error naming the
 // source rank, the tag and the field; no rank panics and none is left behind.
 func TestForgedBatchIndexIsAttributed(t *testing.T) {
@@ -67,25 +68,36 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	type worker = func(*rank) []pipeline.Stage
-	// A row of rank 0's block keeps the net-only forgery's row valid
-	// everywhere (fake pins and crossings must land inside the block).
-	indexed := func(mk func(net, row int) func(any) any) []forgery {
+	// A row of rank 0's block keeps the net-only and x-only forgeries' row
+	// valid everywhere (fake pins and crossings must land inside the block).
+	// An x must fit an int32 pin field: one past MaxCoord would wrap.
+	indexed := func(mk func(net, row, x int) func(any) any) []forgery {
 		var out []forgery
 		for _, bad := range []struct {
-			field    string
-			net, row int
+			field       string
+			net, row, x int
 		}{
-			{"net", len(c.Nets), blocks[0].Lo},
-			{"net", -1, blocks[0].Lo},
-			{"row", 0, len(c.Rows)},
-			{"row", 0, -1},
+			{"net", len(c.Nets), blocks[0].Lo, 1},
+			{"net", -1, blocks[0].Lo, 1},
+			{"row", 0, len(c.Rows), 1},
+			{"row", 0, -1, 1},
+			{"x", 0, blocks[0].Lo, -1},
+			{"x", 0, blocks[0].Lo, circuit.MaxCoord + 1},
+			{"x", 0, blocks[0].Lo, 1 << 40},
 		} {
-			out = append(out, forgery{fmt.Sprintf("bad-%s/net%d,row%d", bad.field, bad.net, bad.row), bad.field, mk(bad.net, bad.row)})
+			name := fmt.Sprintf("bad-%s/net%d,row%d", bad.field, bad.net, bad.row)
+			if bad.field == "x" {
+				name = fmt.Sprintf("bad-x/%d", bad.x)
+			}
+			out = append(out, forgery{name, bad.field, mk(bad.net, bad.row, bad.x)})
 		}
 		return out
 	}
-	nodes := indexed(func(net, row int) func(any) any {
-		return appendTo[NodeBatch](NodeMsg{Net: net, X: 1, Row: row, Side: circuit.Both})
+	nodes := indexed(func(net, row, x int) func(any) any {
+		return appendTo[NodeBatch](NodeMsg{Net: net, X: x, Row: row, Side: circuit.Both})
+	})
+	fakePins := indexed(func(net, row, x int) func(any) any {
+		return appendTo[FakePinBatch](FakePinSpec{Net: net, X: x, Row: row, Side: circuit.Top})
 	})
 	var wires []forgery
 	for _, bad := range []struct {
@@ -152,12 +164,11 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 		forger    int // the rank that lies
 		forgeries []forgery
 	}{
-		{"rowwise/fake-pins", rowWiseStages, tagFakePins, 1, indexed(func(net, row int) func(any) any {
-			return appendTo[FakePinBatch](FakePinSpec{Net: net, X: 1, Row: row, Side: circuit.Top})
-		})},
+		{"rowwise/fake-pins", rowWiseStages, tagFakePins, 1, fakePins},
+		{"hybrid/fake-pins", hybridStages, tagFakePins, 1, fakePins},
 		{"hybrid/net-nodes", hybridStages, tagNetNodes, 1, nodes},
-		{"netwise/crossings", netWiseStages, tagCrossings, 1, indexed(func(net, row int) func(any) any {
-			return appendTo[CrossingBatch](CrossingMsg{Net: net, X: 1, Row: row})
+		{"netwise/crossings", netWiseStages, tagCrossings, 1, indexed(func(net, row, x int) func(any) any {
+			return appendTo[CrossingBatch](CrossingMsg{Net: net, X: x, Row: row})
 		})},
 		{"netwise/grid-delta", netWiseStages, tagGridSync, 1, deltas(tagGridSync)},
 		{"netwise/occ-delta", netWiseStages, tagOccSync, 1, deltas(tagOccSync)},

@@ -281,7 +281,7 @@ func weight(c *circuit.Circuit, net int, blocks []RowBlock, m Method) float64 {
 	case Center:
 		sum := 0
 		for _, pid := range pins {
-			sum += c.Pins[pid].Row
+			sum += int(c.Pins[pid].Row)
 		}
 		return float64(sum) / float64(len(pins))
 	case Locus:
@@ -290,7 +290,7 @@ func weight(c *circuit.Circuit, net int, blocks []RowBlock, m Method) float64 {
 	case Density:
 		counts := make([]int, len(blocks))
 		for _, pid := range pins {
-			if k := BlockOf(blocks, c.Pins[pid].Row); k >= 0 {
+			if k := BlockOf(blocks, int(c.Pins[pid].Row)); k >= 0 {
 				counts[k]++
 			}
 		}

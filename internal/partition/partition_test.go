@@ -264,7 +264,7 @@ func TestCenterKeepsVerticallyCloseNetsTogether(t *testing.T) {
 		}
 		y := 0
 		for _, pid := range pins {
-			y += c.Pins[pid].Row
+			y += int(c.Pins[pid].Row)
 		}
 		sums[owner[n]] += float64(y) / float64(len(pins))
 		counts[owner[n]]++

@@ -31,7 +31,7 @@ func refAssignArena(rt *Router) (arena []crossing, rowOff []int) {
 	for i := range rt.Segs {
 		if runs := rt.Segs[i].CurrentRuns(); runs.HasVert() {
 			for row := runs.VLo; row <= runs.VHi; row++ {
-				arena[cursor[row]] = crossing{net: rt.Segs[i].Net, x: runs.VCol, seg: i}
+				arena[cursor[row]] = crossing{net: rt.Segs[i].Net, x: int32(runs.VCol), seg: int32(i)}
 				cursor[row]++
 			}
 		}

@@ -32,8 +32,8 @@ func refImproveBends(g *grid.Grid, segs []PlacedSeg, r *rng.RNG, passes int) int
 	for i := range segs {
 		ps := &segs[i]
 		if ps.HasBend() && ps.XP != ps.XQ {
-			cands = append(cands, flipCand{seg: i, span: geom.NewInterval(ps.XP, ps.XQ),
-				colP: g.ColOf(ps.XP), colQ: g.ColOf(ps.XQ)})
+			cands = append(cands, flipCand{seg: i, span: geom.NewInterval(int(ps.XP), int(ps.XQ)),
+				colP: g.ColOf(int(ps.XP)), colQ: g.ColOf(int(ps.XQ))})
 		}
 	}
 	flips := 0
@@ -44,17 +44,18 @@ func refImproveBends(g *grid.Grid, segs []PlacedSeg, r *rng.RNG, passes int) int
 		for _, pi := range perm {
 			fc := &cands[pi]
 			ps := &segs[fc.seg]
-			chFrom, chTo := ps.CP, ps.CQ
+			cp, cq := int(ps.CP), int(ps.CQ)
+			chFrom, chTo := cp, cq
 			fromCol, toCol := fc.colQ, fc.colP
 			if ps.BendAtP {
-				chFrom, chTo = ps.CQ, ps.CP
+				chFrom, chTo = cq, cp
 				fromCol, toCol = fc.colP, fc.colQ
 			}
 			delta := g.SpanCost(chFrom, chTo, fc.span) +
-				g.VertMoveCost(ps.CP, ps.CQ-1, fromCol, toCol)
+				g.VertMoveCost(cp, cq-1, fromCol, toCol)
 			if delta < 0 {
 				g.MoveWire(chFrom, chTo, fc.span)
-				g.MoveVert(ps.CP, ps.CQ-1, fromCol, toCol)
+				g.MoveVert(cp, cq-1, fromCol, toCol)
 				ps.BendAtP = !ps.BendAtP
 				flips++
 				improved = true

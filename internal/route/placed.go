@@ -14,23 +14,23 @@ import (
 // Steiner segment itself only the net survives placement: every stage
 // streams the segment array, so it carries nothing no stage reads.
 type PlacedSeg struct {
-	Net int
+	Net int32
 	// CP and CQ are the access channels of the P and Q endpoints. They
 	// satisfy CP <= CQ after normalization in Place.
-	CP, CQ int
+	CP, CQ int32
 	// XP and XQ are the endpoint x positions matching CP and CQ (the
 	// endpoints may have been swapped relative to the Steiner segment's when
 	// normalizing channel order for flat segments). PinAtP and PinAtQ are
 	// the pin IDs backing XP and XQ, used to refresh positions after
 	// feedthrough insertion shifts cells.
-	XP, XQ         int
-	PinAtP, PinAtQ int
+	XP, XQ         int32
+	PinAtP, PinAtQ int32
 	// BendAtP selects the L orientation: true places the vertical run at
 	// XP (vertical first), false at XQ (horizontal first).
 	BendAtP bool
 	// SwitchRow >= 0 marks a flat segment between two equivalent-pin
 	// endpoints: it may run in channel SwitchRow or SwitchRow+1.
-	SwitchRow int
+	SwitchRow int32
 }
 
 // HasBend reports whether the segment has a vertical run and therefore two
@@ -64,17 +64,18 @@ func runSpan(a, b int) geom.Interval {
 
 // RunsFor returns the geometry of the segment under the given bend choice.
 func (ps *PlacedSeg) RunsFor(bendAtP bool) Runs {
-	if ps.CP == ps.CQ {
-		return Runs{HLoCh: ps.CP, HLo: runSpan(ps.XP, ps.XQ), HHiCh: ps.CQ, VCol: -1}
+	cp, cq, xp, xq := int(ps.CP), int(ps.CQ), int(ps.XP), int(ps.XQ)
+	if cp == cq {
+		return Runs{HLoCh: cp, HLo: runSpan(xp, xq), HHiCh: cq, VCol: -1}
 	}
-	bendX := ps.XQ
+	bendX := xq
 	if bendAtP {
-		bendX = ps.XP
+		bendX = xp
 	}
 	return Runs{
-		HLoCh: ps.CP, HLo: runSpan(ps.XP, bendX),
-		HHiCh: ps.CQ, HHi: runSpan(bendX, ps.XQ),
-		VCol: bendX, VLo: ps.CP, VHi: ps.CQ - 1,
+		HLoCh: cp, HLo: runSpan(xp, bendX),
+		HHiCh: cq, HHi: runSpan(bendX, xq),
+		VCol: bendX, VLo: cp, VHi: cq - 1,
 	}
 }
 
@@ -121,7 +122,9 @@ func runsCost(g *grid.Grid, r Runs, ftBase int64) int64 {
 func Place(c *circuit.Circuit, seg steiner.Segment) PlacedSeg {
 	sp := c.Pins[seg.PinP].Side
 	sq := c.Pins[seg.PinQ].Side
-	ps := PlacedSeg{Net: seg.Net, BendAtP: seg.BendX == seg.P.X, SwitchRow: -1}
+	ps := PlacedSeg{Net: int32(seg.Net), BendAtP: seg.BendX == seg.P.X, SwitchRow: -1}
+	ps.XP, ps.XQ = int32(seg.P.X), int32(seg.Q.X)
+	ps.PinAtP, ps.PinAtQ = int32(seg.PinP), int32(seg.PinQ)
 
 	if seg.Flat() {
 		r := seg.P.Y
@@ -129,7 +132,7 @@ func Place(c *circuit.Circuit, seg steiner.Segment) PlacedSeg {
 		switch {
 		case sp == circuit.Both && sq == circuit.Both:
 			cp, cq = r, r
-			ps.SwitchRow = r
+			ps.SwitchRow = int32(r)
 		case sp == circuit.Both:
 			cp = sideChannel(sq, r)
 			cq = cp
@@ -139,8 +142,7 @@ func Place(c *circuit.Circuit, seg steiner.Segment) PlacedSeg {
 		default:
 			cp, cq = sideChannel(sp, r), sideChannel(sq, r)
 		}
-		ps.CP, ps.CQ, ps.XP, ps.XQ = cp, cq, seg.P.X, seg.Q.X
-		ps.PinAtP, ps.PinAtQ = seg.PinP, seg.PinQ
+		ps.CP, ps.CQ = int32(cp), int32(cq)
 		if ps.CP > ps.CQ {
 			ps.swapEnds()
 		}
@@ -156,8 +158,7 @@ func Place(c *circuit.Circuit, seg steiner.Segment) PlacedSeg {
 	if sq != circuit.Top {
 		cq = seg.Q.Y // Bottom or Both: enter through the lower channel
 	}
-	ps.CP, ps.CQ, ps.XP, ps.XQ = cp, cq, seg.P.X, seg.Q.X
-	ps.PinAtP, ps.PinAtQ = seg.PinP, seg.PinQ
+	ps.CP, ps.CQ = int32(cp), int32(cq)
 	if ps.CP > ps.CQ {
 		// Defensive: cannot occur for cross-row segments (cp <= P.Y+1 <=
 		// Q.Y <= cq), but keep the normalization self-contained.

@@ -201,7 +201,7 @@ func (rt *Router) CoarseRoute(ctx context.Context) error {
 	err := workpool.DoChunks(ctx, rt.Opt.Workers, slabs, per, func(_, lo, hi int) error {
 		lo, hi = lo*grid.BandRows, hi*grid.BandRows
 		for i := range rt.Segs {
-			if ps := &rt.Segs[i]; ps.CP < hi && ps.CQ >= lo { // every run lies in channels CP..CQ
+			if ps := &rt.Segs[i]; int(ps.CP) < hi && int(ps.CQ) >= lo { // every run lies in channels CP..CQ
 				addRuns(g, ps.CurrentRuns(), 1, lo, hi)
 			}
 		}
@@ -288,24 +288,25 @@ func BendFlips(ctx context.Context, workers int, g *grid.Grid, segs []PlacedSeg)
 	})
 	hull = func(i int) workpool.Hull {
 		ps := &segs[bent[i]]
-		return workpool.Hull{Lo: int32(ps.CP), Hi: int32(ps.CQ)}
+		return workpool.Hull{Lo: ps.CP, Hi: ps.CQ}
 	}
 	flip = func(i int) bool {
 		ps := &segs[bent[i]]
-		span := geom.NewInterval(ps.XP, ps.XQ)
-		chFrom, chTo := ps.CP, ps.CQ
-		fromCol, toCol := g.ColOf(ps.XQ), g.ColOf(ps.XP)
+		cp, cq := int(ps.CP), int(ps.CQ)
+		span := geom.NewInterval(int(ps.XP), int(ps.XQ))
+		chFrom, chTo := cp, cq
+		fromCol, toCol := g.ColOf(int(ps.XQ)), g.ColOf(int(ps.XP))
 		if ps.BendAtP {
-			chFrom, chTo = ps.CQ, ps.CP
+			chFrom, chTo = cq, cp
 			fromCol, toCol = toCol, fromCol
 		}
 		delta := g.SpanCost(chFrom, chTo, span) +
-			g.VertMoveCost(ps.CP, ps.CQ-1, fromCol, toCol)
+			g.VertMoveCost(cp, cq-1, fromCol, toCol)
 		if delta >= 0 {
 			return false
 		}
 		g.MoveWire(chFrom, chTo, span)
-		g.MoveVert(ps.CP, ps.CQ-1, fromCol, toCol)
+		g.MoveVert(cp, cq-1, fromCol, toCol)
 		ps.BendAtP = !ps.BendAtP
 		return true
 	}
@@ -390,11 +391,12 @@ func RefreshSegs(c *circuit.Circuit, segs []PlacedSeg, workers int) {
 	})
 }
 
-// crossing is one (segment, row) feedthrough need during assignment.
+// crossing is one (segment, row) feedthrough need during assignment. Its
+// fields are a PlacedSeg's, so int32 holds them (circuit.MaxCoord).
 type crossing struct {
-	net int
-	x   int
-	seg int
+	net int32
+	x   int32
+	seg int32
 }
 
 // AssignFeedthroughs is step 3: per row, bind each segment crossing the
@@ -444,11 +446,11 @@ func (rt *Router) AssignFeedthroughs(ctx context.Context) error {
 			} else {
 				// Demand bookkeeping failed to cover this crossing;
 				// recover by inserting one more feedthrough here.
-				pinID = rt.C.InsertFeedthrough(row, cr.x, circuit.NoNet) //lint:allow forbidden-call step-3 overflow: one feedthrough the demand estimate missed
+				pinID = rt.C.InsertFeedthrough(row, int(cr.x), circuit.NoNet) //lint:allow forbidden-call step-3 overflow: one feedthrough the demand estimate missed
 				rt.ExtraFts++
 				rt.InsertedFts++
 			}
-			rt.bindFt(pinID, cr.net)
+			rt.bindFt(pinID, int(cr.net))
 		}
 		if len(fts) > len(crossings) {
 			rt.UnboundFts += len(fts) - len(crossings)
@@ -481,7 +483,7 @@ func (rt *Router) crossingArena(ctx context.Context) (arena []crossing, rowOff [
 			runs := segs[i].CurrentRuns()
 			for row := runs.VLo; runs.HasVert() && row <= runs.VHi; row++ {
 				if arena != nil {
-					arena[cur[row]] = crossing{net: segs[i].Net, x: runs.VCol, seg: i}
+					arena[cur[row]] = crossing{net: segs[i].Net, x: int32(runs.VCol), seg: int32(i)}
 				}
 				cur[row]++
 			}
@@ -528,42 +530,24 @@ func (rt *Router) crossingArena(ctx context.Context) (arena []crossing, rowOff [
 }
 
 // SortFts orders one row's unbound feedthrough pins of c by (x, pin ID).
-// When both values fit the packed bit budget — always, for realistic
-// circuits — the sort runs comparator-free over packed int64 keys; the
-// comparator fallback preserves the identical order otherwise.
+// Same-x feedthrough pins are interchangeable for routing, but the pin ID
+// breaks the tie so the binding permutation is deterministic rather than
+// sort-internal. A pin's x and ID are int32 and the ID is non-negative, so
+// x<<32 | ID is an int64 key in that order, and the sort is comparator-free.
 func SortFts(c *circuit.Circuit, fts []int) {
-	pack := true
-	for _, pid := range fts {
-		if x := c.Pins[pid].X; x < 0 || x >= 1<<packXBits || pid >= 1<<(62-packXBits) {
-			pack = false
-			break
-		}
+	for i, pid := range fts {
+		fts[i] = int(c.Pins[pid].X)<<32 | pid
 	}
-	if pack {
-		for i, pid := range fts {
-			fts[i] = c.Pins[pid].X<<(62-packXBits) | pid
-		}
-		slices.Sort(fts)
-		for i, k := range fts {
-			fts[i] = k & (1<<(62-packXBits) - 1)
-		}
-		return
+	slices.Sort(fts)
+	for i, k := range fts {
+		fts[i] = k & (1<<32 - 1)
 	}
-	slices.SortFunc(fts, func(a, b int) int {
-		if ax, bx := c.Pins[a].X, c.Pins[b].X; ax != bx {
-			return cmp.Compare(ax, bx)
-		}
-		// Same-x feedthrough pins are interchangeable for routing,
-		// but break the tie by pin ID so the binding permutation is
-		// deterministic rather than sort-internal.
-		return cmp.Compare(a, b)
-	})
 }
 
 // bindFt attaches an unbound feedthrough pin to a net.
 func (rt *Router) bindFt(pinID, netID int) {
 	pin := &rt.C.Pins[pinID]
-	pin.Net = netID
+	pin.Net = int32(netID)
 	rt.C.Nets[netID].Pins = append(rt.C.Nets[netID].Pins, pinID)
 }
 
@@ -588,7 +572,7 @@ func (rt *Router) ConnectNets(ctx context.Context) error {
 		func(n int, nodes []Node) []Node {
 			for i, pid := range nets[n].Pins {
 				p := &pins[pid]
-				nodes[i] = Node{X: p.X, Row: p.Row, Side: p.Side}
+				nodes[i] = Node{X: int(p.X), Row: int(p.Row), Side: p.Side}
 			}
 			return nodes
 		}, occ)

@@ -128,7 +128,7 @@ func TestFeedthroughBookkeepingExact(t *testing.T) {
 func pinsAt(rt *Router, net, x, row int) []*circuit.Pin {
 	var out []*circuit.Pin
 	for _, pid := range rt.C.Nets[net].Pins {
-		if p := &rt.C.Pins[pid]; p.X == x && p.Row == row {
+		if p := &rt.C.Pins[pid]; int(p.X) == x && int(p.Row) == row {
 			out = append(out, p)
 		}
 	}
@@ -159,8 +159,9 @@ func TestEveryMultiPinNetFullyConnected(t *testing.T) {
 		at := map[[2]int]int{} // position -> its index among the net's positions
 		for _, pid := range pins {
 			p := &rt.C.Pins[pid]
-			if _, ok := at[[2]int{p.X, p.Row}]; !ok {
-				at[[2]int{p.X, p.Row}] = len(at)
+			k := [2]int{int(p.X), int(p.Row)}
+			if _, ok := at[k]; !ok {
+				at[k] = len(at)
 			}
 		}
 		uf := newUnionFind(len(at))
@@ -229,7 +230,7 @@ func TestWireChannelsConsistentWithEndpoints(t *testing.T) {
 		for _, end := range [][2]int{{w.AX, w.ARow}, {w.BX, w.BRow}} {
 			reached := false
 			for _, p := range pinsAt(rt, w.Net, end[0], end[1]) {
-				lo, hi, _ := Node{Row: p.Row, Side: p.Side}.Channels()
+				lo, hi, _ := p.Channels()
 				reached = reached || w.Channel >= lo && w.Channel <= hi
 			}
 			if !reached {
@@ -305,7 +306,7 @@ func TestFeedthroughsBoundToCrossingNets(t *testing.T) {
 	_ = base
 	for n := range rt.C.Nets {
 		pins := rt.C.Nets[n].Pins
-		minRow, maxRow := 1<<30, -1
+		minRow, maxRow := int32(1<<30), int32(-1)
 		for _, pid := range pins {
 			p := &rt.C.Pins[pid]
 			if p.Cell != circuit.NoCell && rt.C.Cells[p.Cell].Feed {
@@ -442,7 +443,7 @@ func TestQualityIndependentOfNetOrder(t *testing.T) {
 	}
 	for i := range base.Pins {
 		p := &base.Pins[i]
-		shuffled.AddPin(p.Cell, perm[p.Net], p.Offset, p.Side)
+		shuffled.AddPin(int(p.Cell), perm[p.Net], int(p.Offset), p.Side)
 	}
 	if err := shuffled.Validate(); err != nil {
 		t.Fatal(err)

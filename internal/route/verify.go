@@ -106,7 +106,7 @@ func (rt *Router) Verify() error {
 		at = at[:0]
 		for _, pid := range c.Nets[n].Pins {
 			p := &c.Pins[pid]
-			at = append(at, pinAt{row: p.Row, x: p.X, id: pid, side: p.Side})
+			at = append(at, pinAt{row: int(p.Row), x: int(p.X), id: pid, side: p.Side})
 		}
 		slices.SortFunc(at, func(a, b pinAt) int {
 			return cmp.Or(cmp.Compare(a.row, b.row), cmp.Compare(a.x, b.x), cmp.Compare(a.id, b.id))

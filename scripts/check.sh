@@ -108,14 +108,17 @@ step "workers determinism on one P" one_p
 # AppendJSON's bytes into a job.result envelope by hand, unvalidated, so
 # those bytes must equal the reflective encoder's, the frame must equal
 # the envelope encoding/json would write, and Decode must refuse or read
-# any input without a panic.
+# any input without a panic. FuzzReadJSON guards the circuit file: pins
+# hold int32 fields, so whatever ReadJSON accepts must validate, fit them
+# with the room a route inserts, and round-trip.
 fuzz_smoke() {
   go test -race -run '^$' -fuzz '^FuzzCodec$' -fuzztime 3s ./internal/parallel &&
     go test -race -run '^$' -fuzz '^FuzzAnyCodec$' -fuzztime 3s ./internal/mp &&
     go test -race -run '^$' -fuzz '^FuzzFrame$' -fuzztime 3s ./internal/mp &&
     go test -race -run '^$' -fuzz '^FuzzGridDelta$' -fuzztime 3s ./internal/route &&
     go test -race -run '^$' -fuzz '^FuzzAppendJSON$' -fuzztime 3s ./internal/metrics &&
-    go test -race -run '^$' -fuzz '^FuzzEnvelope$' -fuzztime 3s ./internal/service
+    go test -race -run '^$' -fuzz '^FuzzEnvelope$' -fuzztime 3s ./internal/service &&
+    go test -race -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 3s ./internal/circuit
 }
 step "codec fuzz smoke" fuzz_smoke
 
