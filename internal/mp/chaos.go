@@ -231,9 +231,9 @@ type chaosMsg struct {
 	V   any
 }
 
-// ChaosEngine injects a Plan's faults into an inner engine. Build one
-// with Chaos (or Config.Engine with Config.Chaos set), run a workload,
-// then read Snapshot and EventLog.
+// ChaosEngine injects a Plan's faults into an inner engine. Config.Engine
+// builds one when Config.Chaos is set; run a workload, then read Snapshot
+// and EventLog.
 type ChaosEngine struct {
 	inner    Engine
 	plan     Plan
@@ -242,11 +242,6 @@ type ChaosEngine struct {
 	procs      int
 	links      []*chaosLink // [src*procs+dst]
 	crashNotes []string     // one slot per rank, written only by that rank
-}
-
-// Chaos wraps inner with the plan's deterministic fault schedule.
-func Chaos(inner Engine, plan Plan) *ChaosEngine {
-	return &ChaosEngine{inner: inner, plan: plan}
 }
 
 // Snapshot returns the current fault tallies.

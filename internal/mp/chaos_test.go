@@ -270,7 +270,7 @@ func TestChaosCollectivesSurviveFaults(t *testing.T) {
 			if sum != 10 {
 				return fmt.Errorf("allreduce sum %d, want 10", sum)
 			}
-			vs := make([]any, c.Size())
+			vs := make([]int, c.Size())
 			for i := range vs {
 				vs[i] = c.Rank()*10 + i
 			}
@@ -278,9 +278,9 @@ func TestChaosCollectivesSurviveFaults(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			for r, raw := range got {
-				if raw != r*10+c.Rank() {
-					return fmt.Errorf("alltoall from %d: got %v", r, raw)
+			for r, v := range got {
+				if v != r*10+c.Rank() {
+					return fmt.Errorf("alltoall from %d: got %v", r, v)
 				}
 			}
 			red, err := AllreduceInt32s(c, 5, []int32{int32(c.Rank()), 1}, SumInt32s)

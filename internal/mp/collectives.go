@@ -1,6 +1,9 @@
 package mp
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+)
 
 // Collective operations, built generically on Comm point-to-point
 // primitives so every engine (and its cost accounting) gets them for free.
@@ -9,24 +12,17 @@ import "fmt"
 
 // Gather collects one value per rank at root. On root it returns a slice
 // indexed by rank (root's own contribution included); elsewhere nil.
-func Gather(c Comm, root, tag int, v any) ([]any, error) {
+func Gather[T any](c Comm, root, tag int, v T) ([]T, error) {
 	if c.Rank() != root {
 		if err := c.Send(root, tag, v); err != nil {
 			return nil, fmt.Errorf("mp: gather to root %d: %w", root, err)
 		}
 		return nil, nil
 	}
-	out := make([]any, c.Size())
+	out := make([]T, c.Size())
 	out[root] = v
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		got, err := c.Recv(r, tag)
-		if err != nil {
-			return nil, fmt.Errorf("mp: gather from rank %d: %w", r, err)
-		}
-		out[r] = got
+	if err := recvPeers(c, tag, out); err != nil {
+		return nil, fmt.Errorf("mp: gather %w", err)
 	}
 	return out, nil
 }
@@ -37,8 +33,8 @@ func Gather(c Comm, root, tag int, v any) ([]any, error) {
 // (gather-to-0 then broadcast took two hops, and twice the messages at
 // P=2). Peers receive v itself on the in-memory engines: do not write to
 // it afterwards.
-func Allgather(c Comm, tag int, v any) ([]any, error) {
-	vs := make([]any, c.Size())
+func Allgather[T any](c Comm, tag int, v T) ([]T, error) {
+	vs := make([]T, c.Size())
 	for r := range vs {
 		vs[r] = v
 	}
@@ -63,11 +59,7 @@ func AllreduceInt32s(c Comm, tag int, v []int32, op func(a, b int32) int32) ([]i
 		return nil, err
 	}
 	var acc []int32
-	for r, raw := range vs {
-		other, ok := raw.([]int32)
-		if !ok {
-			return nil, fmt.Errorf("mp: allreduce received %T from rank %d, want []int32", raw, r)
-		}
+	for r, other := range vs {
 		if len(other) != len(v) {
 			return nil, fmt.Errorf("mp: allreduce length mismatch: rank %d sent %d, want %d",
 				r, len(other), len(v))
@@ -88,7 +80,7 @@ func SumInt32s(a, b int32) int32 { return a + b }
 
 // Alltoall sends vs[r] to each rank r and returns the values addressed to
 // the caller, indexed by source rank. len(vs) must equal Size.
-func Alltoall(c Comm, tag int, vs []any) ([]any, error) {
+func Alltoall[T any](c Comm, tag int, vs []T) ([]T, error) {
 	if len(vs) != c.Size() {
 		return nil, fmt.Errorf("mp: alltoall with %d values for %d ranks", len(vs), c.Size())
 	}
@@ -101,19 +93,32 @@ func Alltoall(c Comm, tag int, vs []any) ([]any, error) {
 			return nil, fmt.Errorf("mp: alltoall to rank %d: %w", r, err)
 		}
 	}
-	out := make([]any, c.Size())
+	out := make([]T, c.Size())
 	out[me] = vs[me]
-	for r := 0; r < c.Size(); r++ {
-		if r == me {
-			continue
-		}
-		got, err := c.Recv(r, tag)
-		if err != nil {
-			return nil, fmt.Errorf("mp: alltoall from rank %d: %w", r, err)
-		}
-		out[r] = got
+	if err := recvPeers(c, tag, out); err != nil {
+		return nil, fmt.Errorf("mp: alltoall %w", err)
 	}
 	return out, nil
+}
+
+// recvPeers sets out[r] to what each peer r sends on tag, which must be a
+// T: a value of any other type is an error naming the tag and the rank.
+func recvPeers[T any](c Comm, tag int, out []T) error {
+	for r := range out {
+		if r == c.Rank() {
+			continue
+		}
+		raw, err := c.Recv(r, tag)
+		if err != nil {
+			return fmt.Errorf("from rank %d: %w", r, err)
+		}
+		v, ok := raw.(T)
+		if !ok {
+			return fmt.Errorf("tag %d from rank %d arrived as %T, want %v", tag, r, raw, reflect.TypeFor[T]())
+		}
+		out[r] = v
+	}
+	return nil
 }
 
 // AllreduceInt combines one int per rank with op on every rank, in rank
@@ -123,17 +128,9 @@ func AllreduceInt(c Comm, tag int, v int, op func(a, b int) int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	acc := 0
-	for r, raw := range vs {
-		x, ok := raw.(int)
-		if !ok {
-			return 0, fmt.Errorf("mp: allreduce received %T from rank %d, want int", raw, r)
-		}
-		if r == 0 {
-			acc = x
-		} else {
-			acc = op(acc, x)
-		}
+	acc := vs[0]
+	for _, x := range vs[1:] {
+		acc = op(acc, x)
 	}
 	return acc, nil
 }

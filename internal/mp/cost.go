@@ -60,11 +60,9 @@ func DMP() CostModel {
 // It is charged exactly once per message.
 const frameOverhead = 16
 
-// elemHeader is the per-element framing of a value nested inside a
-// message — the flat codec's u32 type id plus u32 length prefix. The
-// flat batch encodings (Payload.WireSize) price their elements with no
-// header at all, so []any, the one heterogeneous container, is the only
-// place it applies; see elemSize.
+// elemHeader is the flat codec's u32 type id plus u32 length prefix of an
+// interface value. Inside a message only an interface field pays it
+// (anyWireSize): the flat batch encodings price their elements with none.
 const elemHeader = 8
 
 // unpricedSize is what a message whose payload has no flat price costs.
@@ -78,14 +76,9 @@ func payloadSize(v any) int {
 
 // elemSize prices a payload's body flat: Payload implementations by
 // their WireSize, the builtin shapes the collectives send at fixed
-// widths. A []any — the one heterogeneous container with a codec; no
-// collective relays one since Allgather went one-hop, but a caller may
-// send it — prices each element at its body size plus the flat codec's
-// per-element header, never at a full per-message frame: the elements
-// travel inside one message, consistent with the flat batch encodings.
-// Any other payload (which would fail to encode on the TCP engine) is
-// priced at a fixed small size rather than failing — the Virtual engine
-// should never alter program behaviour.
+// widths. Any other payload (which would fail to encode on the TCP
+// engine) is priced at a fixed small size rather than failing — the
+// Virtual engine should never alter program behaviour.
 func elemSize(v any) int {
 	switch p := v.(type) {
 	case Payload:
@@ -96,12 +89,6 @@ func elemSize(v any) int {
 		return 8
 	case bool:
 		return 1
-	case []any:
-		n := 0
-		for _, e := range p {
-			n += elemHeader + elemSize(e)
-		}
-		return n
 	}
 	return unpricedSize - frameOverhead
 }

@@ -12,7 +12,7 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	msg := chaosMsg{Seq: 42, V: []any{1, []int32{2}}}
+	msg := chaosMsg{Seq: 42, V: []int32{2}}
 	stream, err := appendFrame(nil, 3, 17, msg)
 	if err != nil {
 		t.Fatal(err)
@@ -56,44 +56,76 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// u32Run is a test payload whose codec appends each element on its own,
+// priced exactly; cheapRun is the same codec priced at nothing.
+type u32Run []uint32
+
+func (p u32Run) WireSize() int { return 4 * len(p) }
+
+func (p u32Run) AppendWire(buf []byte) ([]byte, error) {
+	buf = AppendUint32(buf, uint32(len(p)))
+	for _, x := range p {
+		buf = AppendUint32(buf, x)
+	}
+	return buf, nil
+}
+
+func (p *u32Run) DecodeWire(data []byte) ([]byte, error) {
+	n, rest, err := WireCount(data, 4)
+	if err != nil {
+		return nil, err
+	}
+	*p = make(u32Run, n)
+	for i := range *p {
+		(*p)[i], rest, _ = WireUint32(rest)
+	}
+	return rest, nil
+}
+
+type cheapRun struct{ u32Run }
+
+func (cheapRun) WireSize() int { return 0 }
+
+func init() {
+	Register[u32Run](1 << 20)
+	Register[cheapRun](1<<20 + 1)
+}
+
 // TestFrameReserveIsAHint: appendFrame reserves the payload's price before
 // encoding. A payload that prices itself exactly costs one allocation however
 // many appends its codec makes (three under the race detector, as for a
-// one-int frame; growing by doubling, this one took twenty-three); one that
-// under-prices (every nested slice's element count goes unpriced) encodes to
-// the same bytes as into a buffer with room to spare.
+// one-int frame; growing by doubling, this one would take more than a
+// dozen); one that under-prices encodes to the same bytes as into a buffer
+// with room to spare.
 func TestFrameReserveIsAHint(t *testing.T) {
-	ints := make([]any, 5000)
-	for i := range ints {
-		ints[i] = i
+	run := make(u32Run, 5000)
+	for i := range run {
+		run[i] = uint32(i)
 	}
-	var boxed any = chaosMsg{Seq: 1, V: ints} // boxing allocates: keep it out of the count
+	var boxed any = run // boxing allocates: keep it out of the count
 	if n := testing.AllocsPerRun(10, func() {
 		if _, err := appendFrame(nil, 0, 1, boxed); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 3 {
-		t.Fatalf("framing %d elements took %v allocations, want one", len(ints), n)
+		t.Fatalf("framing %d elements took %v allocations, want one", len(run), n)
 	}
-	nested := make([]any, 300)
-	for i := range nested {
-		nested[i] = []int32{int32(i), 2, 3}
+	cheap := cheapRun{run[:300]}
+	if priced := elemSize(cheap); priced >= 4*300 {
+		t.Fatalf("cheap payload priced at %d: not an under-priced input", priced)
 	}
-	if priced := elemSize(nested); priced >= 300*(elemHeader+4+12) {
-		t.Fatalf("nested payload priced at %d: not an under-priced input", priced)
-	}
-	got, err := appendFrame(nil, 2, 9, nested)
+	got, err := appendFrame(nil, 2, 9, cheap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := appendFrame(make([]byte, 0, 1<<16), 2, 9, nested)
+	want, err := appendFrame(make([]byte, 0, 1<<16), 2, 9, cheap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("an under-priced payload encodes differently into a tight buffer")
 	}
-	if _, _, v, err := decodeFrameBody(got[frameHeaderLen:]); err != nil || !reflect.DeepEqual(v, nested) {
+	if _, _, v, err := decodeFrameBody(got[frameHeaderLen:]); err != nil || !reflect.DeepEqual(v, cheap) {
 		t.Fatalf("under-priced frame decodes to %v, %v", v, err)
 	}
 }
@@ -101,7 +133,7 @@ func TestFrameReserveIsAHint(t *testing.T) {
 func TestFrameCanonicalReencode(t *testing.T) {
 	// A decoded frame must re-encode byte-identically: the outer chaosMsg
 	// takes its generated codec and the nested builtins their flat ones.
-	frame, err := appendFrame(nil, 0, 5, chaosMsg{Seq: 7, V: []any{2, true}})
+	frame, err := appendFrame(nil, 0, 5, chaosMsg{Seq: 7, V: []int32{2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +284,7 @@ func FuzzFrame(f *testing.F) {
 		f.Add(seed[:5])
 	}
 	past := AppendInt(AppendInt(nil, 3), 7)
-	past = append(past, rawAnyNest(maxAnyDepth+1)...)
+	past = append(past, rawChaosNest(2)...)
 	f.Add(append(AppendUint32(nil, uint32(len(past))), past...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, err := readFrame(bytes.NewReader(data), nil)

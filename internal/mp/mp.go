@@ -1,8 +1,9 @@
 // Package mp is the message-passing substrate that replaces MPI in this
 // reproduction. The parallel routing algorithms are written once against
 // the Comm interface (rank/size, tagged point-to-point messages, barrier,
-// plus the collectives in collectives.go) and run on four interchangeable
-// engines:
+// plus the typed collectives in collectives.go: Gather[T], Allgather[T] and
+// Alltoall[T] fail on a peer's value that is not a T, naming tag and rank)
+// and run on four interchangeable engines:
 //
 //   - Virtual: a deterministic discrete-event simulation of a P-processor
 //     message-passing machine. Worker goroutines run one at a time (token
@@ -155,8 +156,8 @@ var ErrRankLost = errors.New("mp: rank lost")
 // Engine runs a worker function on P ranks. The four built-in engines —
 // Virtual's scheduler, and the one real-time machine as Inproc, loopback
 // TCP or one rank of a multi-process mesh — are selected by Config.Mode
-// and Config.Net; Chaos wraps any of them with deterministic fault
-// injection.
+// and Config.Net; Config.Chaos wraps any of them in a ChaosEngine with
+// deterministic fault injection.
 type Engine interface {
 	// Run executes fn on procs workers and returns the elapsed parallel
 	// time: simulated time under Virtual, wall-clock time otherwise. The
@@ -226,7 +227,7 @@ func (cfg Config) baseEngine() (Engine, error) {
 }
 
 // Engine returns the engine the config selects: one of the built-in
-// transports, wrapped in a Chaos fault injector when cfg.Chaos is set.
+// transports, wrapped in a ChaosEngine fault injector when cfg.Chaos is set.
 // Returning the *ChaosEngine (rather than running it blindly) lets the
 // caller read fault counters and the event log after the run.
 func (cfg Config) Engine() (Engine, error) {

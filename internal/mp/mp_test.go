@@ -146,9 +146,9 @@ func TestBarrierSeparatesPhases(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				for r, raw := range vs {
-					if raw.(int) != r*10+phase {
-						return fmt.Errorf("phase %d: rank %d contributed %v", phase, r, raw)
+				for r, v := range vs {
+					if v != r*10+phase {
+						return fmt.Errorf("phase %d: rank %d contributed %v", phase, r, v)
 					}
 				}
 				if err := c.Barrier(); err != nil {
@@ -171,7 +171,7 @@ func TestCollectives(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if got := vs[2].(int); got != 2*77 {
+			if got := vs[2]; got != 2*77 {
 				return fmt.Errorf("allgather[2] = %v", got)
 			}
 			// Gather.
@@ -180,9 +180,9 @@ func TestCollectives(t *testing.T) {
 				return err
 			}
 			if c.Rank() == 1 {
-				for r, raw := range vs {
-					if raw.(int) != r*r {
-						return fmt.Errorf("gather[%d] = %v", r, raw)
+				for r, v := range vs {
+					if v != r*r {
+						return fmt.Errorf("gather[%d] = %v", r, v)
 					}
 				}
 			} else if vs != nil {
@@ -213,7 +213,7 @@ func TestCollectives(t *testing.T) {
 				return fmt.Errorf("allreduce max = %d", mx)
 			}
 			// Alltoall: rank r sends r*10+dest to dest.
-			out := make([]any, c.Size())
+			out := make([]int, c.Size())
 			for r := range out {
 				out[r] = c.Rank()*10 + r
 			}
@@ -221,9 +221,9 @@ func TestCollectives(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			for r, raw := range in {
-				if raw.(int) != r*10+c.Rank() {
-					return fmt.Errorf("alltoall from %d = %v", r, raw)
+			for r, v := range in {
+				if v != r*10+c.Rank() {
+					return fmt.Errorf("alltoall from %d = %v", r, v)
 				}
 			}
 			return nil

@@ -39,7 +39,7 @@ func TestInprocCollectivesStress(t *testing.T) {
 
 			// Alltoall: rank r sends r*1000+dst to dst. Fresh payloads per
 			// send: sent values belong to the receiver afterwards.
-			vs := make([]any, procs)
+			vs := make([]int, procs)
 			for dst := range vs {
 				vs[dst] = me*1000 + dst
 			}
@@ -47,10 +47,9 @@ func TestInprocCollectivesStress(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			for src, raw := range got {
-				v, ok := raw.(int)
-				if !ok || v != src*1000+me {
-					return fmt.Errorf("rank %d iter %d: alltoall from %d = %v, want %d", me, it, src, raw, src*1000+me)
+			for src, v := range got {
+				if v != src*1000+me {
+					return fmt.Errorf("rank %d iter %d: alltoall from %d = %v, want %d", me, it, src, v, src*1000+me)
 				}
 			}
 
@@ -70,8 +69,8 @@ func TestInprocCollectivesStress(t *testing.T) {
 				return err
 			}
 			prefix := 0
-			for _, raw := range ranks[:me+1] {
-				prefix += raw.(int)
+			for _, v := range ranks[:me+1] {
+				prefix += v
 			}
 			if want := me * (me + 1) / 2; prefix != want {
 				return fmt.Errorf("rank %d iter %d: prefix sum = %d, want %d", me, it, prefix, want)
@@ -84,9 +83,9 @@ func TestInprocCollectivesStress(t *testing.T) {
 				return err
 			}
 			if me == root {
-				for r, raw := range all {
-					if v, ok := raw.(int); !ok || v != r {
-						return fmt.Errorf("rank %d iter %d: gather[%d] = %v", me, it, r, raw)
+				for r, v := range all {
+					if v != r {
+						return fmt.Errorf("rank %d iter %d: gather[%d] = %v", me, it, r, v)
 					}
 				}
 			}

@@ -74,9 +74,9 @@ func meshWorker(c Comm) error {
 		if err != nil {
 			return err
 		}
-		for r, raw := range vs {
-			if raw.(int) != r*100+phase {
-				return fmt.Errorf("phase %d: rank %d contributed %v", phase, r, raw)
+		for r, v := range vs {
+			if v != r*100+phase {
+				return fmt.Errorf("phase %d: rank %d contributed %v", phase, r, v)
 			}
 		}
 		if err := c.Barrier(); err != nil {

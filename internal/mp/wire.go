@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 )
 
@@ -21,7 +22,7 @@ import (
 // every accepted input.
 //
 // This file is the hand-written substrate: append/consume primitives,
-// the codecs of the four builtin payload shapes the collectives relay,
+// the codecs of the three builtin payload shapes the collectives relay,
 // and the wire-id registry generated init functions populate. The
 // per-type codecs live in the mpwire_gen.go files (`go generate ./...`
 // or `go run parroute/cmd/mpgen` regenerates them; `mpgen -check` is the
@@ -159,27 +160,23 @@ type Payload interface {
 	AppendWire(buf []byte) ([]byte, error)
 }
 
-// Reserved wire ids of the four builtin payload shapes the collectives
-// relay, as recorded in mp_protocol.json (mpproto.BuiltinTypes);
-// registered payload types start at firstPayloadWireID.
+// Reserved wire ids of the three builtin payload shapes the collectives
+// relay, as recorded in mp_protocol.json (mpproto.BuiltinTypes); id 1
+// is retired, and registered payload types start at firstPayloadWireID.
 const (
-	wireIDAnys         = 1 // []any
 	wireIDInt32s       = 2 // []int32
 	wireIDBool         = 3
 	wireIDInt          = 4
 	firstPayloadWireID = 5
 )
 
-// maxAnyDepth caps []any nesting, encoding and decoding alike, so a
-// hostile frame cannot drive the decoder's recursion arbitrarily deep.
-// The collectives nest two levels (Alltoall relaying Allgather results).
-const maxAnyDepth = 8
-
 // wireCodec is one registered payload type's entry in the id registry.
+// nests marks a type with an interface field, which appendAnyField refuses.
 type wireCodec struct {
-	id  uint32
-	typ reflect.Type
-	dec func(data []byte) (any, []byte, error)
+	id    uint32
+	typ   reflect.Type
+	nests bool
+	dec   func(data []byte) (any, []byte, error)
 }
 
 var wireRegistry = struct {
@@ -207,13 +204,26 @@ func Register[T Payload, P interface {
 	if prev, ok := wireRegistry.byID[id]; ok && prev.typ != typ {
 		panic(fmt.Sprintf("mp: Register[%v]: id %d already registered for %v", typ, id, prev.typ)) //lint:allow panic-in-library registration-time programming error
 	}
-	c := &wireCodec{id: id, typ: typ, dec: func(data []byte) (any, []byte, error) {
+	c := &wireCodec{id: id, typ: typ, nests: hasInterfaceField(typ), dec: func(data []byte) (any, []byte, error) {
 		var x T
 		rest, err := P(&x).DecodeWire(data)
 		return x, rest, err
 	}}
 	wireRegistry.byID[id] = c
 	wireRegistry.byType[typ] = c
+}
+
+// hasInterfaceField reports whether t holds an interface value anywhere.
+func hasInterfaceField(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Interface:
+		return true
+	case reflect.Slice, reflect.Array:
+		return hasInterfaceField(t.Elem())
+	case reflect.Struct:
+		return slices.ContainsFunc(reflect.VisibleFields(t), func(f reflect.StructField) bool { return hasInterfaceField(f.Type) })
+	}
+	return false
 }
 
 func codecByType(v any) *wireCodec {
@@ -232,15 +242,10 @@ func codecByID(id uint32) *wireCodec {
 // body. The value must be a builtin shape or a registered Payload; any
 // other type is an error wrapping ErrWire that names it.
 func AppendAny(buf []byte, v any) ([]byte, error) {
-	return appendAny(buf, v, 0)
-}
-
-func appendAny(buf []byte, v any, depth int) ([]byte, error) {
 	idAt := len(buf)
 	buf = AppendUint32(buf, 0) // id and length, patched below
 	buf = AppendUint32(buf, 0)
 	var id uint32
-	var err error
 	switch p := v.(type) {
 	case []int32:
 		id = wireIDInt32s
@@ -256,23 +261,13 @@ func appendAny(buf []byte, v any, depth int) ([]byte, error) {
 	case bool:
 		id = wireIDBool
 		buf = AppendBool(buf, p)
-	case []any:
-		if depth >= maxAnyDepth {
-			return nil, wireErr("[]any nested deeper than %d", maxAnyDepth)
-		}
-		id = wireIDAnys
-		buf = AppendUint32(buf, uint32(len(p)))
-		for _, e := range p {
-			if buf, err = appendAny(buf, e, depth+1); err != nil {
-				return nil, err
-			}
-		}
 	default:
 		c := codecByType(v)
 		if c == nil {
 			return nil, wireErr("no wire codec registered for payload type %T", v)
 		}
 		id = c.id
+		var err error
 		if buf, err = v.(Payload).AppendWire(buf); err != nil {
 			return nil, err
 		}
@@ -285,10 +280,6 @@ func appendAny(buf []byte, v any, depth int) ([]byte, error) {
 // WireAny consumes an interface value written by AppendAny. The body
 // must be consumed exactly; an unknown id (0 included) is an ErrWire.
 func WireAny(data []byte) (any, []byte, error) {
-	return wireAny(data, 0)
-}
-
-func wireAny(data []byte, depth int) (any, []byte, error) {
 	id, rest, err := WireUint32(data)
 	if err != nil {
 		return nil, nil, err
@@ -304,8 +295,6 @@ func wireAny(data []byte, depth int) (any, []byte, error) {
 	var v any
 	var after []byte
 	switch id {
-	case wireIDAnys:
-		v, after, err = wireAnys(body, depth)
 	case wireIDInt32s:
 		v, after, err = wireInt32s(body)
 	case wireIDBool:
@@ -328,6 +317,26 @@ func wireAny(data []byte, depth int) (any, []byte, error) {
 	return v, tail, nil
 }
 
+// appendAnyField and wireAnyField, which mpgen's codecs call for an
+// interface field, are AppendAny and WireAny for a value with no interface
+// field of its own: values nest one level, and a deeper one is refused by
+// its wire id before its body is read, however deep the input goes.
+func appendAnyField(buf []byte, v any) ([]byte, error) {
+	if c := codecByType(v); c != nil && c.nests {
+		return nil, wireErr("interface field holds %v, which has an interface field itself", c.typ)
+	}
+	return AppendAny(buf, v)
+}
+
+func wireAnyField(data []byte) (any, []byte, error) {
+	if id, _, err := WireUint32(data); err == nil {
+		if c := codecByID(id); c != nil && c.nests {
+			return nil, nil, wireErr("interface field holds %v, which has an interface field itself", c.typ)
+		}
+	}
+	return WireAny(data)
+}
+
 // wireInt32s consumes a []int32 body: u32 count, then 4-byte elements.
 // The count is checked against the remaining bytes before allocating.
 func wireInt32s(data []byte) ([]int32, []byte, error) {
@@ -340,28 +349,6 @@ func wireInt32s(data []byte) ([]int32, []byte, error) {
 		out[i] = int32(binary.LittleEndian.Uint32(rest[4*i:]))
 	}
 	return out, rest[4*n:], nil
-}
-
-// wireAnys consumes a []any body: u32 count, then nested interface
-// values. Every element occupies at least its header, which bounds the
-// count before allocating; depth is the []any nesting above this one.
-func wireAnys(data []byte, depth int) ([]any, []byte, error) {
-	if depth >= maxAnyDepth {
-		return nil, nil, wireErr("[]any nested deeper than %d", maxAnyDepth)
-	}
-	n, rest, err := WireCount(data, elemHeader)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]any, 0, n)
-	for i := 0; i < n; i++ {
-		var e any
-		if e, rest, err = wireAny(rest, depth+1); err != nil {
-			return nil, nil, err
-		}
-		out = append(out, e)
-	}
-	return out, rest, nil
 }
 
 // anyWireSize prices an interface field the way the flat codec frames

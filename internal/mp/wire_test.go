@@ -68,9 +68,8 @@ func TestWireDecodeErrors(t *testing.T) {
 		{"short int", wireAnyErr(wireIDInt, []byte{1, 2, 3})},
 		{"[]int32 count overrun", wireAnyErr(wireIDInt32s, AppendUint32(nil, 1<<30))},
 		{"[]int32 with trailing bytes", wireAnyErr(wireIDInt32s, append(AppendUint32(nil, 1), 1, 2, 3, 4, 5))},
-		{"[]any count overrun", wireAnyErr(wireIDAnys, AppendUint32(nil, 1<<30))},
-		{"[]any element truncated", wireAnyErr(wireIDAnys, append(AppendUint32(nil, 1), 4, 0, 0))},
-		{"[]any one past the depth cap", func() error { _, _, err := WireAny(rawAnyNest(maxAnyDepth + 1)); return err }()},
+		{"retired wire id 1", wireAnyErr(1, AppendUint32(nil, 0))},
+		{"chaosMsg in a chaosMsg", func() error { _, _, err := WireAny(rawChaosNest(2)); return err }()},
 	}
 	for _, tc := range cases {
 		if !errors.Is(tc.err, ErrWire) {
@@ -139,34 +138,53 @@ func TestAppendAnyUnencodable(t *testing.T) {
 	}
 }
 
-// anyNest wraps v in n levels of single-element []any.
-func anyNest(n int, v any) any {
-	for ; n > 0; n-- {
-		v = []any{v}
+// rawChaosNest hand-encodes n chaosMsgs, each in the V of the one before,
+// around the int 7, outermost Seq n: what AppendAny would write if it did
+// not refuse a chaosMsg in an interface field. It writes front to back, so
+// a deep nest costs its bytes and no more.
+func rawChaosNest(n int) []byte {
+	leaf, _ := AppendAny(nil, 7)
+	buf := make([]byte, 0, 16*n+len(leaf))
+	for i := n; i > 0; i-- {
+		buf = AppendUint32(buf, firstPayloadWireID)
+		buf = AppendUint32(buf, uint32(16*i-8+len(leaf))) // Seq, then i-1 levels and the leaf
+		buf = AppendUint64(buf, uint64(i))
 	}
-	return v
+	return append(buf, leaf...)
 }
 
-// rawAnyNest hand-encodes anyNest(n, 7): what AppendAny would write if
-// it did not refuse nesting past the cap.
-func rawAnyNest(n int) []byte {
-	enc, _ := AppendAny(nil, 7)
-	for ; n > 0; n-- {
-		wrapped := AppendUint32(AppendUint32(nil, wireIDAnys), uint32(4+len(enc)))
-		enc = append(AppendUint32(wrapped, 1), enc...)
+// TestNestedChaosMsgRefused: an interface field holds no payload with an
+// interface field of its own, so a chaosMsg nests one level deep. One level
+// round-trips; 2^22 levels — 64 MB, a frame body under maxFrameLen — are an
+// ErrWire at the second level instead of a recursion as deep as the input,
+// which would overflow the goroutine stack and kill the rank; and AppendAny
+// refuses the two-level value, so the sender gets the error, not the peer.
+func TestNestedChaosMsgRefused(t *testing.T) {
+	v, rest, err := WireAny(rawChaosNest(1))
+	if err != nil || len(rest) != 0 || v != (chaosMsg{Seq: 1, V: 7}) {
+		t.Fatalf("one level = %#v, %d byte(s) left, %v", v, len(rest), err)
 	}
-	return enc
+	deep := rawChaosNest(1 << 22)
+	if len(deep) > maxFrameLen {
+		t.Fatalf("nest of %d bytes does not fit a frame", len(deep))
+	}
+	if _, _, err := WireAny(deep); !errors.Is(err, ErrWire) || !strings.Contains(err.Error(), "interface field") {
+		t.Fatalf("decoding 2^22 nested chaosMsgs = %v, want ErrWire at the second level", err)
+	}
+	if _, err := AppendAny(nil, chaosMsg{Seq: 1, V: chaosMsg{Seq: 2, V: 7}}); !errors.Is(err, ErrWire) {
+		t.Fatalf("encoding a chaosMsg in a chaosMsg = %v, want ErrWire", err)
+	}
 }
 
 func TestBuiltinCodecs(t *testing.T) {
-	// The four builtin shapes encode under the ids mp_protocol.json
+	// The three builtin shapes encode under the ids mp_protocol.json
 	// reserves for them (round trip and canonical re-encode ride the fuzz
 	// seeds below; malformed bodies are in TestWireDecodeErrors).
 	man, err := mpproto.Load("../../" + mpproto.ManifestName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, v := range map[string]any{"[]int32": []int32{1}, "int": 1, "bool": true, "[]any": []any{1}} {
+	for name, v := range map[string]any{"[]int32": []int32{1}, "int": 1, "bool": true} {
 		enc, err := AppendAny(nil, v)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -183,17 +201,12 @@ func TestBuiltinCodecs(t *testing.T) {
 	if !bytes.Equal(nilEnc, emptyEnc) {
 		t.Errorf("[]int32(nil) encodes as %x, []int32{} as %x", nilEnc, emptyEnc)
 	}
-	// Nesting past the cap is refused when encoding too, so the sender
-	// gets the error rather than the peer.
-	if _, err := AppendAny(nil, anyNest(maxAnyDepth+1, 7)); !errors.Is(err, ErrWire) {
-		t.Errorf("encoding past the []any depth cap: %v", err)
-	}
 }
 
 func TestChaosMsgCodecRoundTrip(t *testing.T) {
 	// chaosMsg is the one generated codec in this package: it must encode
 	// under its manifest id, round-trip, and re-encode byte-identically.
-	msg := chaosMsg{Seq: 99, V: []any{1, []int32{2, 3}}}
+	msg := chaosMsg{Seq: 99, V: []int32{2, 3}}
 	enc, err := AppendAny(nil, msg)
 	if err != nil {
 		t.Fatal(err)
@@ -236,17 +249,16 @@ func TestChaosMsgWireSizeFlat(t *testing.T) {
 }
 
 // wireSeeds are the fuzz seeds FuzzAnyCodec and FuzzFrame share: each
-// builtin, the chaos wrapper around a []any, and []any nested at the
-// depth cap. rawAnyNest(maxAnyDepth+1), one past it, is seeded raw
-// because AppendAny refuses to produce it.
+// builtin and the chaos wrapper around builtins. A chaosMsg in a chaosMsg
+// (rawChaosNest(2)) is seeded raw because AppendAny refuses to produce it.
 func wireSeeds() []any {
 	return []any{
-		chaosMsg{Seq: 12, V: []any{5, true, []int32{6}}},
+		chaosMsg{Seq: 12, V: []int32{6}},
 		true,
 		-3,
 		[]int32{1, 2, 3},
-		[]any{1, false, []int32(nil)},
-		anyNest(maxAnyDepth, 7),
+		chaosMsg{Seq: 1, V: false},
+		[]int32(nil),
 	}
 }
 
@@ -261,7 +273,7 @@ func FuzzAnyCodec(f *testing.F) {
 		}
 		f.Add(seed)
 	}
-	f.Add(rawAnyNest(maxAnyDepth + 1))
+	f.Add(rawChaosNest(2))
 	f.Add(AppendUint32(AppendUint32(nil, firstPayloadWireID), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, rest, err := WireAny(data)

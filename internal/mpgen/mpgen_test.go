@@ -119,9 +119,12 @@ func TestScanManifestShape(t *testing.T) {
 	if tag := tagOf("parroute/internal/mp", "tagBarrier"); !tag.Reserved || tag.Value != -2 {
 		t.Errorf("tagBarrier: %+v", tag)
 	}
+	// Alltoall carries one value per rank: its tags record the element type.
 	tagPayloads := map[string]string{
-		"tagWires":   "parroute/internal/parallel.WireBatch",
-		"tagSummary": "parroute/internal/parallel.Summary",
+		"tagWires":       "parroute/internal/parallel.WireBatch",
+		"tagSummary":     "parroute/internal/parallel.Summary",
+		"tagFakePins":    "parroute/internal/parallel.FakePinBatch",
+		"tagWiresRedist": "parroute/internal/parallel.WireBatch",
 	}
 	for tagName, want := range tagPayloads {
 		if tag := tagOf("parroute/internal/parallel", tagName); !slices.Contains(tag.Payloads, want) {
@@ -138,8 +141,8 @@ func TestScanManifestShape(t *testing.T) {
 // protocol edit made without regenerating — a payload field, a tag value,
 // a new tag, a new payload under an existing tag, a new type that shifts
 // the wire ids — must come back from Check as stale files with the first
-// differing line named, and a type sent without its //mp:payload marker as
-// an error naming the send site.
+// differing line named, and a type sent without its //mp:payload marker —
+// by Send or one per rank by Alltoall — as an error naming the send site.
 func TestCheckReportsDrift(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, src string) {
@@ -184,9 +187,9 @@ func TestCheckReportsDrift(t *testing.T) {
 		want []string // one substring per stale line, in order
 	}{
 		{"field deleted", msgs("\tSeq int\n", "7", ""),
-			[]string{codec, manifest + `39: - "flatWidth": 16, / + "flatWidth": 8,`}},
+			[]string{codec, manifest + `32: - "flatWidth": 16, / + "flatWidth": 8,`}},
 		{"field retyped", msgs("\tSeq int\n\tHop int32\n", "7", ""),
-			[]string{codec, manifest + `39: - "flatWidth": 16, / + "flatWidth": 12,`}},
+			[]string{codec, manifest + `32: - "flatWidth": 16, / + "flatWidth": 12,`}},
 		{"tag value edited", msgs(baseFields, "8", ""),
 			[]string{codec, manifest + ` - "value": 7, / + "value": 8,`}},
 		{"tag added", msgs(baseFields, "7", "const tagPong = 9\n\nfunc pong(c Comm) (any, error) { c.Send(1, tagPong, 1); return c.Recv(1, tagPong) }\n"),
@@ -217,14 +220,19 @@ func TestCheckReportsDrift(t *testing.T) {
 
 	// The one drift no byte compare can see: the manifest would be current
 	// and still wrong.
-	write("internal/mp/msgs.go", msgs(baseFields, "7", "type Raw struct{ N int }\n\nfunc raw(c Comm) error { return c.Send(1, tagPing, Raw{}) }\n"))
-	_, err = Check(root)
-	if err == nil {
-		t.Fatal("Check accepted a type sent over mp with no //mp:payload marker")
-	}
-	for _, want := range []string{"msgs.go:17:", "Send sends scratch/internal/mp.Raw", "//mp:payload"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("unmarked-type error %q does not mention %q", err, want)
+	for op, body := range map[string]string{
+		"Send":     "return c.Send(1, tagPing, Raw{})",
+		"Alltoall": "_, err := Alltoall(c, tagPing, []Raw{{}, {}}); return err",
+	} {
+		write("internal/mp/msgs.go", msgs(baseFields, "7", "type Raw struct{ N int }\n\nfunc raw(c Comm) error { "+body+" }\n"))
+		_, err = Check(root)
+		if err == nil {
+			t.Fatalf("Check accepted a type sent over mp by %s with no //mp:payload marker", op)
+		}
+		for _, want := range []string{"msgs.go:17:", op + " sends scratch/internal/mp.Raw", "//mp:payload"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("unmarked-type error %q does not mention %q", err, want)
+			}
 		}
 	}
 }
@@ -248,6 +256,8 @@ func WireUint32(data []byte) (uint32, []byte, error) { return binary.LittleEndia
 func WireUint64(data []byte) (uint64, []byte, error) { return binary.LittleEndian.Uint64(data), data[8:], nil }
 
 func Register[T any](id uint32) {}
+
+func Alltoall[T any](c Comm, tag int, vs []T) ([]T, error) { return vs, nil }
 
 var WireProtocolChecksum uint64
 `

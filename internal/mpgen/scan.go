@@ -195,10 +195,14 @@ func scanModule(mod *lint.Module) (*Model, error) {
 				if !ok || tv.Type == nil {
 					return true
 				}
-				if _, isIface := tv.Type.Underlying().(*types.Interface); isIface {
-					return true // a relayed any — no static payload identity
+				typ := types.Default(tv.Type)
+				if s, isSlice := typ.Underlying().(*types.Slice); op.PerRank && isSlice {
+					typ = s.Elem() // one value per rank: the element crosses the wire
 				}
-				name := types.TypeString(types.Default(tv.Type), nil)
+				if _, isIface := typ.Underlying().(*types.Interface); isIface {
+					return true // a relayed any or T — no static payload identity
+				}
+				name := types.TypeString(typ, nil)
 				if !priced[name] && unmarked == nil {
 					unmarked = fmt.Errorf("mpgen: %s: %s sends %s, which has no //mp:payload marker: mark the type and run `go generate ./...`",
 						mod.Fset.Position(payload.Pos()), op.Name, name)

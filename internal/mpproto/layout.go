@@ -41,7 +41,6 @@ const FirstPayloadWireID = 5
 // hand — what the collectives relay — under their reserved wire ids.
 func BuiltinTypes() []TypeEntry {
 	return []TypeEntry{
-		{Name: "[]any", Kind: TypeBuiltin, WireID: 1, Elem: "any"},
 		{Name: "[]int32", Kind: TypeBuiltin, WireID: 2, Elem: "int32", FlatWidth: 4},
 		{Name: "bool", Kind: TypeBuiltin, WireID: 3, FlatWidth: 1},
 		{Name: "int", Kind: TypeBuiltin, WireID: 4, FlatWidth: 8},

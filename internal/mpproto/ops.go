@@ -36,7 +36,10 @@ type Op struct {
 	// the package-level collectives and Barrier. Send and Recv are point to
 	// point.
 	Collective bool
-	Sides      Side
+	// PerRank marks a collective whose payload, a generic []T, holds one
+	// value per rank: what crosses the wire under its tag is the element.
+	PerRank bool
+	Sides   Side
 	// Argument indices, -1 when the operation has no tag (Barrier), no peer
 	// (the collectives) or sends no payload (Recv, Barrier).
 	tag, peer, payload int
@@ -96,7 +99,8 @@ func IsMethodCall(info *types.Info, call *ast.CallExpr, name string) bool {
 //
 // A collective is read off its signature, so a new one needs no table
 // entry: an exported function whose first parameter is Comm and which has
-// an int parameter named tag; the payload is the parameter after the tag.
+// an int parameter named tag; the payload is the parameter after the tag,
+// per rank when its type is []T for a type parameter T.
 // Every collective both sends and receives under its tag on some rank, so
 // a call site counts for both directions.
 func Classify(info *types.Info, call *ast.CallExpr) *Op {
@@ -124,6 +128,9 @@ func Classify(info *types.Info, call *ast.CallExpr) *Op {
 			op := &Op{Name: fn.Name(), Collective: true, Sides: SideSend | SideRecv, peer: -1, tag: i, payload: -1}
 			if i+1 < params.Len() {
 				op.payload = i + 1
+				if s, ok := params.At(i + 1).Type().(*types.Slice); ok {
+					_, op.PerRank = s.Elem().(*types.TypeParam)
+				}
 			}
 			return op
 		}

@@ -21,6 +21,7 @@ const tagA = 7
 
 func Gather(c Comm, root, tag int, v any) ([]any, error) { return nil, nil }
 func Scatter(c Comm, tag int, vs []any) (any, error)     { return nil, nil }
+func Exchange[T any](c Comm, tag int, vs []T) ([]T, error) { return nil, nil }
 func Poll(c Comm, tag int) bool                          { return false }
 func Helper(c Comm, n int) int                           { return n }
 func relay(c Comm, tag int, v any) error                 { return nil }
@@ -33,6 +34,8 @@ func use(c Comm) {
 	c.Rank()
 	Gather(c, 0, tagA, "g")
 	Scatter(c, tagA, nil)
+	vs := []int{1}
+	Exchange(c, tagA, vs)
 	Poll(c, tagA)
 	Helper(c, tagA)
 	relay(c, tagA, nil)
@@ -43,22 +46,24 @@ func use(c Comm) {
 // TestClassifyReadsSignatures pins the classifier: the three Comm methods
 // by name, and the collectives by signature — an exported function taking
 // Comm first and an int named tag, wherever the tag sits, with or without
-// a payload after it — so a collective added to internal/mp is recognised
-// with no table to extend, and a helper that only looks similar is not.
+// a payload after it, per rank when that is a []T of a type parameter T —
+// so a collective added to internal/mp is recognised with no table to
+// extend, and a helper that only looks similar is not.
 func TestClassifyReadsSignatures(t *testing.T) {
 	_, f, info := checkSrcAt(t, "m/internal/mp", opsSrc)
 	type shape struct {
-		collective         bool
-		sides              Side
-		tag, peer, payload string
+		collective, perRank bool
+		sides               Side
+		tag, peer, payload  string
 	}
 	want := map[string]shape{
-		"Send":    {false, SideSend, "tagA", "1", `"s"`},
-		"Recv":    {false, SideRecv, "tagA", "1", ""},
-		"Barrier": {true, 0, "", "", ""},
-		"Gather":  {true, SideSend | SideRecv, "tagA", "", `"g"`},
-		"Scatter": {true, SideSend | SideRecv, "tagA", "", "nil"},
-		"Poll":    {true, SideSend | SideRecv, "tagA", "", ""},
+		"Send":     {false, false, SideSend, "tagA", "1", `"s"`},
+		"Recv":     {false, false, SideRecv, "tagA", "1", ""},
+		"Barrier":  {true, false, 0, "", "", ""},
+		"Gather":   {true, false, SideSend | SideRecv, "tagA", "", `"g"`},
+		"Scatter":  {true, false, SideSend | SideRecv, "tagA", "", "nil"},
+		"Exchange": {true, true, SideSend | SideRecv, "tagA", "", "vs"},
+		"Poll":     {true, false, SideSend | SideRecv, "tagA", "", ""},
 	}
 	text := func(e ast.Expr) string {
 		switch e := e.(type) {
@@ -84,7 +89,7 @@ func TestClassifyReadsSignatures(t *testing.T) {
 			return true
 		}
 		got[op.Name] = true
-		s := shape{op.Collective, op.Sides, text(op.Tag(call)), text(op.Peer(call)), text(op.Payload(call))}
+		s := shape{op.Collective, op.PerRank, op.Sides, text(op.Tag(call)), text(op.Peer(call)), text(op.Payload(call))}
 		if s != want[op.Name] {
 			t.Errorf("%s classified as %+v, want %+v", op.Name, s, want[op.Name])
 		}

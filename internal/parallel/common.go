@@ -97,15 +97,6 @@ func badIndex(tag, src, elem int, field string, v, lo, hi int) error {
 		tag, src, elem, field, v, lo, hi)
 }
 
-// anys boxes one typed payload per rank for mp.Alltoall.
-func anys[T any](xs []T) []any {
-	vs := make([]any, len(xs))
-	for k := range xs {
-		vs[k] = xs[k]
-	}
-	return vs
-}
-
 // sizedBatches returns one empty batch per rank with room for counts[k]
 // elements, so the fill pass after a counting pass never regrows.
 func sizedBatches[B ~[]E, E any](counts []int) []B {
@@ -121,16 +112,11 @@ func sizedBatches[B ~[]E, E any](counts []int) []B {
 // must name a net of the circuit, a row of this rank's block and an x an
 // int32 pin field holds.
 func exchangeFakePins(comm mp.Comm, specs []FakePinBatch, numNets int, block partition.RowBlock) ([]FakePinSpec, error) {
-	in, err := mp.Alltoall(comm, tagFakePins, anys(specs))
+	in, err := mp.Alltoall(comm, tagFakePins, specs)
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for r, raw := range in {
-		batch, ok := raw.(FakePinBatch)
-		if !ok {
-			return nil, fmt.Errorf("parallel: fake pins from rank %d arrived as %T", r, raw)
-		}
+	for r, batch := range in {
 		for i, sp := range batch {
 			if sp.Net < 0 || sp.Net >= numNets {
 				return nil, badIndex(tagFakePins, r, i, "net", sp.Net, 0, numNets-1)
@@ -142,13 +128,8 @@ func exchangeFakePins(comm mp.Comm, specs []FakePinBatch, numNets int, block par
 				return nil, badIndex(tagFakePins, r, i, "x", sp.X, 0, circuit.MaxCoord)
 			}
 		}
-		total += len(batch)
 	}
-	mine := slices.Grow([]FakePinSpec(nil), total)
-	for _, raw := range in {
-		mine = append(mine, raw.(FakePinBatch)...)
-	}
-	return mine, nil
+	return slices.Concat(in...), nil
 }
 
 // buildBlockCircuit constructs this block's row-wise sub-circuit from base,
@@ -294,18 +275,18 @@ func addBoundaryCounts(occ *route.Occupancy, ch, tag, src int, raw any) error {
 	return nil
 }
 
-// rawGather is rank 0's collected run output, merged into a Result after
-// the simulated run completes (quality evaluation is not routing work, so
-// it stays outside the timed region — the serial baseline excludes its
+// runOutput is rank 0's collected run output, which Run merges into a
+// Result after the run completes (quality evaluation is not routing work,
+// so it stays outside the timed region — the serial baseline excludes its
 // finalize the same way; the gather's communication cost is still paid
-// inside the run).
-type rawGather struct {
-	wireBatches []any
-	summaries   []any
+// inside the run). Every rank holds it; only rank 0 writes it.
+type runOutput struct {
+	wireBatches []WireBatch
+	summaries   []Summary
 }
 
 // gatherResults collects every worker's wires and counters at rank 0 and
-// stores the raw batches in out.raw; other ranks just send.
+// stores the batches in out; other ranks just send.
 func gatherResults(comm mp.Comm, wires []metrics.Wire, sum Summary, out *runOutput) error {
 	wbs, err := mp.Gather(comm, 0, tagWires, WireBatch{Wires: wires})
 	if err != nil {
@@ -316,23 +297,19 @@ func gatherResults(comm mp.Comm, wires []metrics.Wire, sum Summary, out *runOutp
 		return err
 	}
 	if comm.Rank() == 0 {
-		out.raw = &rawGather{wireBatches: wbs, summaries: sums}
+		out.wireBatches, out.summaries = wbs, sums
 	}
 	return nil
 }
 
 // merge assembles the gathered batches into the final result.
-func (raw *rawGather) merge(base *circuit.Circuit, opt Options) (*metrics.Result, error) {
+func (out *runOutput) merge(base *circuit.Circuit, opt Options) (*metrics.Result, error) {
 	res := &metrics.Result{Circuit: base.Name}
 	var err error
-	if res.Wires, err = concatWires(raw.wireBatches, tagWires, base.NumChannels()); err != nil {
+	if res.Wires, err = concatWires(out.wireBatches, tagWires, base.NumChannels()); err != nil {
 		return nil, err
 	}
-	for r := range raw.summaries {
-		s, ok := raw.summaries[r].(Summary)
-		if !ok {
-			return nil, fmt.Errorf("parallel: summary from rank %d arrived as %T", r, raw.summaries[r])
-		}
+	for _, s := range out.summaries {
 		res.Feedthroughs += s.InsertedFts
 		res.ForcedEdges += s.ForcedEdges
 		res.SwitchableWires += s.SwitchableWs
@@ -340,7 +317,7 @@ func (raw *rawGather) merge(base *circuit.Circuit, opt Options) (*metrics.Result
 		res.CoarseFlips += s.CoarseFlips
 		res.CoreWidth = geom.Max(res.CoreWidth, s.CoreWidth)
 	}
-	res.Phases = mergePhases(raw.summaries)
+	res.Phases = mergePhases(out.summaries)
 	// The ranks have finished, so the cores the run was given are idle.
 	res.Finalize(base.NumChannels(), len(base.Rows), base.CellHeight, metrics.TrackPitch, opt.Procs)
 	return res, nil
@@ -351,16 +328,12 @@ func (raw *rawGather) merge(base *circuit.Circuit, opt Options) (*metrics.Result
 // skipped — or one absent on rank 0 — is never dropped), the maximum
 // elapsed across ranks per phase (a critical-path approximation), and the
 // sum of each stage-scoped counter across ranks.
-func mergePhases(summaries []any) []metrics.Phase {
+func mergePhases(summaries []Summary) []metrics.Phase {
 	var order []string
 	elapsed := map[string]time.Duration{}
 	counters := map[string]map[string]int64{}
 	counterOrder := map[string][]string{}
-	for _, raw := range summaries {
-		s, ok := raw.(Summary)
-		if !ok {
-			continue
-		}
+	for _, s := range summaries {
 		for _, ph := range s.Phases {
 			if _, seen := elapsed[ph.Name]; !seen {
 				order = append(order, ph.Name)
@@ -391,18 +364,13 @@ func mergePhases(summaries []any) []metrics.Phase {
 // concatWires copies the WireBatches that arrived on tag, in rank order, into
 // one exactly-sized slice, checking each wire as it copies it: it must lie in
 // a channel, span only x the density sweep accepts and, if switchable, name a row.
-func concatWires(in []any, tag, numChannels int) ([]metrics.Wire, error) {
+func concatWires(in []WireBatch, tag, numChannels int) ([]metrics.Wire, error) {
 	total := 0
-	for _, raw := range in {
-		wb, _ := raw.(WireBatch) // a mistyped batch is reported in rank order below
+	for _, wb := range in {
 		total += len(wb.Wires)
 	}
 	wires := make([]metrics.Wire, 0, total)
-	for r, raw := range in {
-		wb, ok := raw.(WireBatch)
-		if !ok {
-			return nil, fmt.Errorf("parallel: tag %d batch from rank %d arrived as %T", tag, r, raw)
-		}
+	for r, wb := range in {
 		for i := range wb.Wires {
 			w := &wb.Wires[i]
 			if w.Channel < 0 || w.Channel >= numChannels {
@@ -450,15 +418,17 @@ func ownPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, se
 	return out, func(emit func(NodeMsg)) { pins(true, emit) }
 }
 
-// selfNodes stands in a nodeSet where a rank's NodeBatch to itself would be
-// and emits, in batch order, the nodes that batch would hold.
+// selfNodes is a nodeSet's self: it emits, in batch order, the nodes a
+// rank's NodeBatch to itself would hold.
 type selfNodes func(emit func(NodeMsg))
 
 // nodeSet is one Alltoall round of NodeBatches (one per source rank) and
-// the tag it arrived on.
+// the tag it arrived on. self, when set, stands in for the receiving
+// rank's batch to itself.
 type nodeSet struct {
-	tag int
-	in  []any
+	tag  int
+	in   []NodeBatch
+	self selfNodes
 }
 
 // netNodes is step 4's node arena in CSR form: net n's nodes are
@@ -477,21 +447,16 @@ func (nn netNodes) of(n int, _ []route.Node) []route.Node { return nn.nodes[nn.o
 // collectNodes groups NodeMsg contributions (already filtered to nets this
 // rank owns) into one per-net arena: a count pass, a prefix sum, and a fill
 // pass in set, rank, batch order — so every net's nodes sit in arrival
-// order. A set's entries are NodeBatches, or the receiving rank's selfNodes
-// at its own position. The count pass is also the trust boundary: a net, row
-// or x of a batch outside the circuit is an error naming the source rank and
-// tag.
-func collectNodes(numNets, numRows int, sets ...nodeSet) (netNodes, error) {
+// order, a set's self at position me, the receiving rank's. The count pass
+// is also the trust boundary: a net, row or x of a batch outside the circuit
+// is an error naming the source rank and tag.
+func collectNodes(numNets, numRows, me int, sets ...nodeSet) (netNodes, error) {
 	off := make([]int, numNets+1)
 	for _, set := range sets {
-		for r, raw := range set.in {
-			if own, ok := raw.(selfNodes); ok {
-				own(func(nm NodeMsg) { off[nm.Net+1]++ })
+		for r, batch := range set.in {
+			if r == me && set.self != nil {
+				set.self(func(nm NodeMsg) { off[nm.Net+1]++ })
 				continue
-			}
-			batch, ok := raw.(NodeBatch)
-			if !ok {
-				return netNodes{}, fmt.Errorf("parallel: nodes from rank %d arrived as %T", r, raw)
 			}
 			for i, nm := range batch {
 				if nm.Net < 0 || nm.Net >= numNets {
@@ -517,12 +482,12 @@ func collectNodes(numNets, numRows int, sets ...nodeSet) (netNodes, error) {
 		cursor[nm.Net]++
 	}
 	for _, set := range sets {
-		for _, raw := range set.in {
-			if own, ok := raw.(selfNodes); ok {
-				own(put)
+		for r, batch := range set.in {
+			if r == me && set.self != nil {
+				set.self(put)
 				continue
 			}
-			for _, nm := range raw.(NodeBatch) {
+			for _, nm := range batch {
 				put(nm)
 			}
 		}

@@ -27,10 +27,10 @@ import (
 
 // refCollectNodes is the map-based collectNodes: per-net append chains in
 // arrival order.
-func refCollectNodes(in []any) map[int][]route.Node {
+func refCollectNodes(in []NodeBatch) map[int][]route.Node {
 	byNet := make(map[int][]route.Node)
-	for _, raw := range in {
-		for _, nm := range raw.(NodeBatch) {
+	for _, batch := range in {
+		for _, nm := range batch {
 			byNet[nm.Net] = append(byNet[nm.Net], route.Node{X: nm.X, Row: nm.Row, Side: nm.Side})
 		}
 	}
@@ -76,7 +76,7 @@ func (r *rank) refRedistribute(wires []metrics.Wire) ([]metrics.Wire, error) {
 		dest := destOf(&wires[i])
 		out[dest].Wires = append(out[dest].Wires, wires[i])
 	}
-	in, err := mp.Alltoall(r.comm, tagWiresRedist, anys(out))
+	in, err := mp.Alltoall(r.comm, tagWiresRedist, out)
 	if err != nil {
 		return nil, err
 	}
@@ -85,13 +85,9 @@ func (r *rank) refRedistribute(wires []metrics.Wire) ([]metrics.Wire, error) {
 
 // refConcatWires is the two-pass concatWires: every batch is checked, then
 // all of them are copied.
-func refConcatWires(in []any, tag, numChannels int) ([]metrics.Wire, error) {
+func refConcatWires(in []WireBatch, tag, numChannels int) ([]metrics.Wire, error) {
 	total := 0
-	for r, raw := range in {
-		wb, ok := raw.(WireBatch)
-		if !ok {
-			return nil, fmt.Errorf("parallel: tag %d batch from rank %d arrived as %T", tag, r, raw)
-		}
+	for r, wb := range in {
 		for i := range wb.Wires {
 			w := &wb.Wires[i]
 			if w.Channel < 0 || w.Channel >= numChannels {
@@ -112,8 +108,8 @@ func refConcatWires(in []any, tag, numChannels int) ([]metrics.Wire, error) {
 		total += len(wb.Wires)
 	}
 	wires := slices.Grow([]metrics.Wire(nil), total)
-	for _, raw := range in {
-		wires = append(wires, raw.(WireBatch).Wires...)
+	for _, wb := range in {
+		wires = append(wires, wb.Wires...)
 	}
 	return wires, nil
 }
@@ -198,16 +194,16 @@ func randomCircuit(t *testing.T, i int) *circuit.Circuit {
 
 // stepFourArrivals synthesizes what rank me receives in step 4: the pin
 // nodes of its nets from every row owner (the hybrid shape) — as the
-// reference's full batches (pinIn), and as connectWhole has them, with the
-// rank's own contribution as selfNodes at its position (selfIn) — and a second
+// reference's full batches (pinIn), and as connectWhole has them, the
+// rank's batch to itself empty (selfIn) and its own contribution as
+// selfNodes (own) — and a second
 // round of feedthrough nodes — one side-Both node per row strictly inside
 // each net's row span, from that row's owner — as in the net-wise shape.
 // The feedthrough round also carries a lone node of a net me does not own,
 // so the arena sees nets with zero, one and many nodes.
-func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []int, me int) (pinIn, selfIn, ftIn []any) {
+func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []int, me int) (pinIn, selfIn []NodeBatch, own selfNodes, ftIn []NodeBatch) {
 	p := len(blocks)
-	pinIn, selfIn, ftIn = make([]any, p), make([]any, p), make([]any, p)
-	ft := make([]NodeBatch, p)
+	pinIn, selfIn, ftIn = make([]NodeBatch, p), make([]NodeBatch, p), make([]NodeBatch, p)
 	stray := false
 	for n := range c.Nets {
 		pins := c.Nets[n].Pins
@@ -218,7 +214,7 @@ func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 		if owner[n] != me {
 			if !stray {
 				k := partition.BlockOf(blocks, int(first.Row))
-				ft[k] = append(ft[k], NodeMsg{Net: n, X: int(first.X), Row: int(first.Row), Side: circuit.Both})
+				ftIn[k] = append(ftIn[k], NodeMsg{Net: n, X: int(first.X), Row: int(first.Row), Side: circuit.Both})
 				stray = true
 			}
 			continue
@@ -229,18 +225,17 @@ func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 		}
 		for row := lo + 1; row < hi; row++ {
 			k := partition.BlockOf(blocks, row)
-			ft[k] = append(ft[k], NodeMsg{Net: n, X: int(first.X) + row, Row: row, Side: circuit.Both})
+			ftIn[k] = append(ftIn[k], NodeMsg{Net: n, X: int(first.X) + row, Row: row, Side: circuit.Both})
 		}
 	}
 	for r := range blocks {
 		pinIn[r] = refPinNodes(c, blocks[r], owner, p)[me]
-		batches, own := ownPinNodes(c, blocks[r], owner, r, p)
+		batches, self := ownPinNodes(c, blocks[r], owner, r, p)
 		if selfIn[r] = batches[me]; r == me {
-			selfIn[r] = own
+			own = self
 		}
-		ftIn[r] = ft[r]
 	}
-	return pinIn, selfIn, ftIn
+	return pinIn, selfIn, own, ftIn
 }
 
 // TestArenaStepFourMatchesMapForm: the CSR collectNodes + slot-addressed
@@ -269,18 +264,18 @@ func TestArenaStepFourMatchesMapForm(t *testing.T) {
 			// At P=8 a rank can own no multi-pin net: the ranks together must wire.
 			wired := 0
 			for me := 0; me < p; me++ {
-				pinIn, selfIn, ftIn := stepFourArrivals(c, blocks, owner, me)
+				pinIn, selfIn, own, ftIn := stepFourArrivals(c, blocks, owner, me)
 				for _, twoSets := range []bool{false, true} {
 					name := fmt.Sprintf("%s/p%d/rank%d/twoSets=%v", c.Name, p, me, twoSets)
-					sets := []nodeSet{{tagNetNodes, selfIn}}
+					sets := []nodeSet{{tag: tagNetNodes, in: selfIn, self: own}}
 					want := refCollectNodes(pinIn)
 					if twoSets {
-						sets = append(sets, nodeSet{tagFtNodes, ftIn})
+						sets = append(sets, nodeSet{tag: tagFtNodes, in: ftIn})
 						for n, nodes := range refCollectNodes(ftIn) {
 							want[n] = append(want[n], nodes...)
 						}
 					}
-					nn, err := collectNodes(len(c.Nets), len(c.Rows), sets...)
+					nn, err := collectNodes(len(c.Nets), len(c.Rows), me, sets...)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -693,9 +688,8 @@ func TestRedistributeMatchesTwoCopy(t *testing.T) {
 // TestConcatWiresMatchesTwoPass: the one-pass concatWires returns the
 // wires the two-pass form does, in an exactly sized slice, on routed gen
 // circuits cut into 1–4 rank batches, empty batches included. When one
-// wire of the second batch has a bad channel, span or row, or a later
-// batch is mistyped as well, both forms fail with the same error, and it
-// names rank 1, the tag and the wire's index.
+// wire of the second batch has a bad channel, span or row, both forms fail
+// with the same error, and it names rank 1, the tag and the wire's index.
 func TestConcatWiresMatchesTwoPass(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c := randomCircuit(t, i)
@@ -705,7 +699,7 @@ func TestConcatWiresMatchesTwoPass(t *testing.T) {
 		}
 		nc := c.NumChannels()
 		for p := 1; p <= 4; p++ {
-			in := make([]any, p)
+			in := make([]WireBatch, p)
 			for r := range in {
 				in[r] = WireBatch{Wires: slices.Clone(res.Wires[len(res.Wires)*r/p : len(res.Wires)*(r+1)/p])}
 			}
@@ -722,10 +716,10 @@ func TestConcatWiresMatchesTwoPass(t *testing.T) {
 				t.Fatalf("%s: %d wires (cap %d), two-pass form %d, or their order differs",
 					name, len(got), cap(got), len(want))
 			}
-			if p < 2 || len(in[1].(WireBatch).Wires) == 0 {
+			if p < 2 || len(in[1].Wires) == 0 {
 				continue
 			}
-			second := in[1].(WireBatch).Wires
+			second := in[1].Wires
 			at := len(second) / 2
 			for _, bad := range []struct {
 				field string
@@ -737,23 +731,18 @@ func TestConcatWiresMatchesTwoPass(t *testing.T) {
 				{"span hi", func(w *metrics.Wire) { w.Span = geom.NewInterval(0, metrics.MaxWireX+1) }},
 				{"row", func(w *metrics.Wire) { w.Switchable, w.Row = true, nc-1 }},
 			} {
-				for _, mistyped := range []bool{false, true} {
-					forged := slices.Clone(in)
-					wires := slices.Clone(second)
-					bad.edit(&wires[at])
-					forged[1] = WireBatch{Wires: wires}
-					if mistyped && p > 2 {
-						forged[2] = NodeBatch{}
-					}
-					_, err := concatWires(forged, tagWires, nc)
-					_, werr := refConcatWires(forged, tagWires, nc)
-					if err == nil || werr == nil || err.Error() != werr.Error() {
-						t.Fatalf("%s/%s: error %v, two-pass form %v", name, bad.field, err, werr)
-					}
-					msg := fmt.Sprintf("tag %d batch from rank 1: element %d has %s ", tagWires, at, bad.field)
-					if !strings.Contains(err.Error(), msg) {
-						t.Fatalf("%s/%s: error %q does not name %q", name, bad.field, err, msg)
-					}
+				forged := slices.Clone(in)
+				wires := slices.Clone(second)
+				bad.edit(&wires[at])
+				forged[1] = WireBatch{Wires: wires}
+				_, err := concatWires(forged, tagWires, nc)
+				_, werr := refConcatWires(forged, tagWires, nc)
+				if err == nil || werr == nil || err.Error() != werr.Error() {
+					t.Fatalf("%s/%s: error %v, two-pass form %v", name, bad.field, err, werr)
+				}
+				msg := fmt.Sprintf("tag %d batch from rank 1: element %d has %s ", tagWires, at, bad.field)
+				if !strings.Contains(err.Error(), msg) {
+					t.Fatalf("%s/%s: error %q does not name %q", name, bad.field, err, msg)
 				}
 			}
 		}

@@ -64,7 +64,7 @@ func (r *rank) redistribute() error {
 		dest := destOf(&r.wires[i])
 		out[dest].Wires = append(out[dest].Wires, r.wires[i])
 	}
-	in, err := mp.Alltoall(r.comm, tagWiresRedist, anys(out))
+	in, err := mp.Alltoall(r.comm, tagWiresRedist, out)
 	if err != nil {
 		return fmt.Errorf("hybrid: wire redistribution: %w", err)
 	}

@@ -178,7 +178,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 					cross[dest] = append(cross[dest], CrossingMsg{Net: int(segs[i].Net), X: runs.VCol, Row: row})
 				}
 			}
-			in, err := mp.Alltoall(comm, tagCrossings, anys(cross))
+			in, err := mp.Alltoall(comm, tagCrossings, cross)
 			if err != nil {
 				return fmt.Errorf("netwise: crossing exchange: %w", err)
 			}
@@ -187,11 +187,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			// all three are checked here; the same pass sizes the replies.
 			byRow := make([]CrossingBatch, len(sub.Rows))
 			clear(counts)
-			for r, raw := range in {
-				batch, ok := raw.(CrossingBatch)
-				if !ok {
-					return fmt.Errorf("parallel: crossings from rank %d arrived as %T", r, raw)
-				}
+			for r, batch := range in {
 				for i, cr := range batch {
 					if cr.Net < 0 || cr.Net >= len(sub.Nets) {
 						return badIndex(tagCrossings, r, i, "net", cr.Net, 0, len(sub.Nets)-1)
@@ -235,11 +231,11 @@ func netWiseStages(r *rank) []pipeline.Stage {
 		pipeline.Func("connect", func(ctx context.Context, s *pipeline.Session) error {
 			// Per net: pin nodes first, then the feedthrough nodes step 3
 			// assigned. (A net-wise sub-circuit has no fake pins to skip.)
-			ftIn, err := mp.Alltoall(comm, tagFtNodes, anys(ftNodes))
+			ftIn, err := mp.Alltoall(comm, tagFtNodes, ftNodes)
 			if err != nil {
 				return fmt.Errorf("netwise: feedthrough-node exchange: %w", err)
 			}
-			return r.connectWhole(ctx, s, nodeSet{tagFtNodes, ftIn})
+			return r.connectWhole(ctx, s, nodeSet{tag: tagFtNodes, in: ftIn})
 		}),
 		stage("stitch", func(*pipeline.Session) error {
 			// Replicate the channel occupancy for step 5.
@@ -360,14 +356,10 @@ type deltaTable interface {
 // equals the table again: the next delta holds this rank's moves and does
 // not send back what it received. The pairs crossed the mesh: ApplyDelta
 // checks them, and snap takes them only once they passed.
-func (r *rank) addDeltas(tag int, in []any, table deltaTable, snap []int32) error {
-	for src, raw := range in {
+func (r *rank) addDeltas(tag int, in [][]int32, table deltaTable, snap []int32) error {
+	for src, pairs := range in {
 		if src == r.comm.Rank() {
 			continue
-		}
-		pairs, ok := raw.([]int32)
-		if !ok {
-			return fmt.Errorf("parallel: tag %d delta from rank %d arrived as %T", tag, src, raw)
 		}
 		if err := table.ApplyDelta(pairs); err != nil {
 			return fmt.Errorf("parallel: tag %d batch from rank %d: %w", tag, src, err)

@@ -82,7 +82,7 @@ type Options struct {
 	// this reduces the runtime performance".
 	NetwiseSyncPerPass int
 	// Chaos, when non-nil, runs the workers under deterministic fault
-	// injection (see mp.Chaos). The result carries the fault tallies; if
+	// injection (see mp.Config.Chaos). The result carries the fault tallies; if
 	// the plan kills a rank, Run degrades to the serial algorithm.
 	Chaos *mp.Plan
 	// Dist, when non-nil, places this process at one rank of a
@@ -187,10 +187,10 @@ func Run(ctx context.Context, c *circuit.Circuit, opt Options) (*metrics.Result,
 	if workerRank {
 		return nil, nil // only rank 0 gathers; this process's work is done
 	}
-	if out.raw == nil {
+	if out.summaries == nil {
 		return nil, fmt.Errorf("parallel: run completed without a result")
 	}
-	res, err := out.raw.merge(c, opt)
+	res, err := out.merge(c, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -222,12 +222,6 @@ func attachFaults(res *metrics.Result, chaos *mp.ChaosEngine) {
 	}
 	f := chaos.Snapshot()
 	res.Faults = &f
-}
-
-// runOutput carries rank 0's gathered raw output from the workers back to
-// Run, which merges it outside the timed region.
-type runOutput struct {
-	raw *rawGather
 }
 
 // RunBaseline routes serially with the same route options, producing the

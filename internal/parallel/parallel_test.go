@@ -242,7 +242,7 @@ func TestBuildSubCircuit(t *testing.T) {
 }
 
 func TestMergePhasesAggregation(t *testing.T) {
-	sums := []any{
+	sums := []Summary{
 		Summary{Rank: 0, Phases: []metrics.Phase{{Name: "a", Elapsed: 5}, {Name: "b", Elapsed: 2}}},
 		Summary{Rank: 1, Phases: []metrics.Phase{{Name: "a", Elapsed: 3}, {Name: "b", Elapsed: 9}}},
 	}
@@ -257,7 +257,7 @@ func TestMergePhasesAggregation(t *testing.T) {
 // rank recorded (e.g. extra sync rounds, or rank 0 skipping an empty
 // stage) silently vanished from the merged result.
 func TestMergePhasesKeepsPhasesMissingOnRankZero(t *testing.T) {
-	sums := []any{
+	sums := []Summary{
 		Summary{Rank: 0, Phases: []metrics.Phase{{Name: "a", Elapsed: 5}}},
 		Summary{Rank: 1, Phases: []metrics.Phase{
 			{Name: "a", Elapsed: 3},
@@ -277,7 +277,7 @@ func TestMergePhasesKeepsPhasesMissingOnRankZero(t *testing.T) {
 // work, so they add across ranks (while elapsed takes the slowest rank,
 // the parallel critical path).
 func TestMergePhasesSumsCounters(t *testing.T) {
-	sums := []any{
+	sums := []Summary{
 		Summary{Rank: 0, Phases: []metrics.Phase{{Name: "connect", Elapsed: 4,
 			Counters: []metrics.Counter{{Name: "wires", Value: 10}}}}},
 		Summary{Rank: 1, Phases: []metrics.Phase{{Name: "connect", Elapsed: 6,

@@ -124,12 +124,12 @@ func (r *rank) subcircuit(*pipeline.Session) error {
 // wires become r.wires.
 func (r *rank) connectWhole(ctx context.Context, s *pipeline.Session, extra ...nodeSet) error {
 	pins, own := ownPinNodes(r.sub, r.block, r.owner, r.comm.Rank(), r.comm.Size())
-	pinIn, err := mp.Alltoall(r.comm, tagNetNodes, anys(pins))
+	pinIn, err := mp.Alltoall(r.comm, tagNetNodes, pins)
 	if err != nil {
 		return fmt.Errorf("%v: pin-node exchange: %w", r.opt.Algo, err)
 	}
-	pinIn[r.comm.Rank()] = own
-	byNet, err := collectNodes(len(r.sub.Nets), len(r.sub.Rows), append([]nodeSet{{tagNetNodes, pinIn}}, extra...)...)
+	sets := append([]nodeSet{{tag: tagNetNodes, in: pinIn, self: own}}, extra...)
+	byNet, err := collectNodes(len(r.sub.Nets), len(r.sub.Rows), r.comm.Rank(), sets...)
 	if err != nil {
 		return err
 	}

@@ -55,7 +55,9 @@ type forgery struct {
 // and so are the boundary-channel counts a row block adds into its
 // occupancy. A peer that
 // sends one out-of-range element fails the run with an error naming the
-// source rank, the tag and the field; no rank panics and none is left behind.
+// source rank, the tag and the field, and so does one whose payload on any
+// of these tags — or on the summary's — is not of the tag's type; no rank
+// panics and none is left behind.
 func TestForgedBatchIndexIsAttributed(t *testing.T) {
 	c := testCircuit(t)
 	const p = 2
@@ -68,6 +70,7 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	type worker = func(*rank) []pipeline.Stage
+	mistyped := forgery{"not-a-batch", "arrived as int", func(any) any { return 7 }}
 	// A row of rank 0's block keeps the net-only and x-only forgeries' row
 	// valid everywhere (fake pins and crossings must land inside the block).
 	// An x must fit an int32 pin field: one past MaxCoord would wrap.
@@ -91,7 +94,7 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 			}
 			out = append(out, forgery{name, bad.field, mk(bad.net, bad.row, bad.x)})
 		}
-		return out
+		return append(out, mistyped)
 	}
 	nodes := indexed(func(net, row, x int) func(any) any {
 		return appendTo[NodeBatch](NodeMsg{Net: net, X: x, Row: row, Side: circuit.Both})
@@ -99,7 +102,7 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 	fakePins := indexed(func(net, row, x int) func(any) any {
 		return appendTo[FakePinBatch](FakePinSpec{Net: net, X: x, Row: row, Side: circuit.Top})
 	})
-	var wires []forgery
+	wires := []forgery{mistyped}
 	for _, bad := range []struct {
 		name, field string
 		w           metrics.Wire
@@ -179,6 +182,7 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 		{"hybrid/wires-redist", hybridStages, tagWiresRedist, 1, wires},
 		{"hybrid/wires", hybridStages, tagWires, 1, wires},
 		{"netwise/wires", netWiseStages, tagWires, 1, wires},
+		{"hybrid/summary", hybridStages, tagSummary, 1, []forgery{mistyped}},
 	}
 	for _, tc := range cases {
 		for _, bad := range tc.forgeries {
@@ -207,9 +211,9 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 				case <-time.After(cancelWatchdog):
 					t.Fatal("run with a forged batch did not return")
 				}
-				if err == nil && out.raw != nil {
+				if err == nil && out.summaries != nil {
 					// Gathered wires are checked where Run uses them: the merge.
-					_, err = out.raw.merge(c, opt)
+					_, err = out.merge(c, opt)
 				}
 				if err == nil {
 					t.Fatal("forged batch was accepted")

@@ -99,7 +99,10 @@ step "workers determinism on one P" one_p
 # Codec fuzz smoke: the generated wire codecs must decode whatever they
 # encode and re-encode it byte-identically (the canonical-encoding
 # invariant the manifest prices depend on), under the race detector.
-# FuzzFrame drives the socket framing the multi-process TCP engine puts
+# FuzzAnyCodec and FuzzFrame are seeded with a chaosMsg nested in a
+# chaosMsg: an interface field refuses a payload with an interface field
+# of its own, decoding as AppendAny does, so values nest one level deep
+# and no frame recurses further. FuzzFrame drives the socket framing the multi-process TCP engine puts
 # those codecs on: arbitrary byte streams must decode-or-reject, never
 # panic, and accepted frames must re-encode canonically. FuzzGridDelta is
 # the same bargain one layer up, for the (index, change) pairs a net-wise
