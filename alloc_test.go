@@ -27,15 +27,17 @@ import (
 // slack stated in bytes:
 //
 //	row                     mallocs plain / race   bytes      budget     slack
-//	hybrid P=2              791 / 808              6 503 464  6 600 000   96 536
-//	net-wise P=2            970 / 988              5 180 232  5 280 000   99 768
-//	route.Route workers=1   239 / 246              2 600 472  2 700 000   99 528
-//	route.Route workers=2   441 / 450              2 726 400  2 830 000  103 600
+//	hybrid P=2              780 / 798              4 868 048  4 970 000  101 952
+//	net-wise P=2            955 / 975              4 061 904  4 160 000   98 096
+//	route.Route workers=1   239 / 244              2 206 808  2 310 000  103 192
+//	route.Route workers=2   446 / 456              2 337 408  2 440 000  102 592
 //
-// Every slack is below the smaller of the two savings the int32 pin and
-// segment fields make on primary2: a PlacedSeg back at 72 bytes adds
-// 288–304 KB to each row, a Pin back at 56 bytes 401–802 KB, and either
-// fails all four rows. The history of these figures is in CHANGES.md.
+// Every slack is below the smallest of the savings the int32 fields make
+// on primary2: a metrics.Wire back at 80 bytes adds 387–393 KB to the two
+// serial rows, 787 KB to net-wise and 1.38 MB to hybrid; a PlacedSeg back
+// at 72 bytes adds 288–304 KB to each row, a Pin back at 56 bytes
+// 401–802 KB; any one of them fails all four rows. The history of these
+// figures is in CHANGES.md.
 func TestParallelDriverAllocBudget(t *testing.T) {
 	c, err := gen.Benchmark("primary2", 7)
 	if err != nil {
@@ -56,10 +58,10 @@ func TestParallelDriverAllocBudget(t *testing.T) {
 		race  uint64 // mallocs, -race build
 		bytes uint64 // TotalAlloc, plain build
 	}{
-		{"hybrid P=2 inproc", par(parallel.Hybrid), 1000, 1020, 6_600_000},
-		{"net-wise P=2 inproc", par(parallel.NetWise), 1220, 1240, 5_280_000},
-		{"route.Route workers=1", serial(1), 315, 325, 2_700_000},
-		{"route.Route workers=2", serial(2), 560, 575, 2_830_000},
+		{"hybrid P=2 inproc", par(parallel.Hybrid), 1000, 1020, 4_970_000},
+		{"net-wise P=2 inproc", par(parallel.NetWise), 1220, 1240, 4_160_000},
+		{"route.Route workers=1", serial(1), 315, 325, 2_310_000},
+		{"route.Route workers=2", serial(2), 560, 575, 2_440_000},
 	} {
 		budget := tc.plain
 		if raceBuild {

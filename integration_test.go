@@ -39,10 +39,10 @@ func checkResult(t *testing.T, name string, numChannels int, res *metrics.Result
 	// Every wire lies within the core and in a valid channel.
 	for i := range res.Wires {
 		w := &res.Wires[i]
-		if w.Channel < 0 || w.Channel >= numChannels {
+		if w.Channel < 0 || int(w.Channel) >= numChannels {
 			t.Errorf("%s: wire %d in channel %d", name, i, w.Channel)
 		}
-		if !w.Span.Empty() && (w.Span.Lo < 0 || w.Span.Hi > res.CoreWidth) {
+		if !w.Span.Empty() && (w.Span.Lo < 0 || int(w.Span.Hi) > res.CoreWidth) {
 			t.Errorf("%s: wire %d span %v outside core width %d",
 				name, i, w.Span, res.CoreWidth)
 		}

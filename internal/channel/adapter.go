@@ -14,20 +14,21 @@ func FromWires(numChannels int, wires []metrics.Wire) [][]Wire {
 	out := make([][]Wire, numChannels)
 	for i := range wires {
 		mw := &wires[i]
-		if mw.Channel < 0 || mw.Channel >= numChannels {
+		ch := int(mw.Channel)
+		if ch < 0 || ch >= numChannels {
 			continue
 		}
-		cw := Wire{Net: mw.Net, Span: mw.Span}
-		for _, end := range [][2]int{{mw.AX, mw.ARow}, {mw.BX, mw.BRow}} {
-			x, row := end[0], end[1]
+		cw := Wire{Net: int(mw.Net), Span: mw.Span}
+		for _, end := range [][2]int32{{mw.AX, mw.ARow}, {mw.BX, mw.BRow}} {
+			x, row := int(end[0]), int(end[1])
 			switch row {
-			case mw.Channel:
+			case ch:
 				cw.Top = append(cw.Top, x)
-			case mw.Channel - 1:
+			case ch - 1:
 				cw.Bottom = append(cw.Bottom, x)
 			}
 		}
-		out[mw.Channel] = append(out[mw.Channel], cw)
+		out[ch] = append(out[ch], cw)
 	}
 	return out
 }

@@ -121,9 +121,9 @@ func Route(wires []Wire) Assignment {
 		lastHi := -1 << 60
 		placed := make([]int, 0, len(elig))
 		for _, i := range elig {
-			if wires[i].Span.Lo > lastHi {
+			if int(wires[i].Span.Lo) > lastHi {
 				asg.Track[i] = track
-				lastHi = wires[i].Span.Hi
+				lastHi = int(wires[i].Span.Hi)
 				placed = append(placed, i)
 			}
 		}
@@ -238,7 +238,7 @@ func Density(wires []Wire) int {
 		if wires[i].Span.Empty() {
 			continue
 		}
-		evs = append(evs, event{wires[i].Span.Lo, +1}, event{wires[i].Span.Hi + 1, -1})
+		evs = append(evs, event{int(wires[i].Span.Lo), +1}, event{int(wires[i].Span.Hi) + 1, -1})
 	}
 	sort.Slice(evs, func(a, b int) bool {
 		if evs[a].x != evs[b].x {

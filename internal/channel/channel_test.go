@@ -162,10 +162,10 @@ func TestRoutePropertyValidAndBounded(t *testing.T) {
 			a := r.Intn(200)
 			w := Wire{Net: i, Span: iv(a, a+r.Intn(60))}
 			if r.Bool() {
-				w.Top = []int{w.Span.Lo + r.Intn(w.Span.Len())}
+				w.Top = []int{int(w.Span.Lo) + r.Intn(w.Span.Len())}
 			}
 			if r.Bool() {
-				w.Bottom = []int{w.Span.Lo + r.Intn(w.Span.Len())}
+				w.Bottom = []int{int(w.Span.Lo) + r.Intn(w.Span.Len())}
 			}
 			wires[i] = w
 		}

@@ -50,10 +50,10 @@ func Clamp(v, lo, hi int) int {
 	return v
 }
 
-// Interval is a closed integer interval [Lo, Hi] on the x axis. An interval
-// with Hi < Lo is empty.
+// Interval is a closed integer interval [Lo, Hi] on the x axis, int32 like
+// every x the router holds. An interval with Hi < Lo is empty.
 type Interval struct {
-	Lo, Hi int
+	Lo, Hi int32
 }
 
 // NewInterval returns the interval covering both a and b regardless of order.
@@ -61,7 +61,7 @@ func NewInterval(a, b int) Interval {
 	if a > b {
 		a, b = b, a
 	}
-	return Interval{Lo: a, Hi: b}
+	return Interval{Lo: int32(a), Hi: int32(b)}
 }
 
 // Empty reports whether the interval contains no points.
@@ -72,11 +72,11 @@ func (iv Interval) Len() int {
 	if iv.Empty() {
 		return 0
 	}
-	return iv.Hi - iv.Lo + 1
+	return int(iv.Hi) - int(iv.Lo) + 1
 }
 
 // Contains reports whether x lies inside the interval.
-func (iv Interval) Contains(x int) bool { return x >= iv.Lo && x <= iv.Hi }
+func (iv Interval) Contains(x int) bool { return x >= int(iv.Lo) && x <= int(iv.Hi) }
 
 // Overlaps reports whether iv and other share at least one point.
 func (iv Interval) Overlaps(other Interval) bool {
@@ -95,7 +95,7 @@ func (iv Interval) Union(other Interval) Interval {
 	if other.Empty() {
 		return iv
 	}
-	return Interval{Lo: Min(iv.Lo, other.Lo), Hi: Max(iv.Hi, other.Hi)}
+	return Interval{Lo: min(iv.Lo, other.Lo), Hi: max(iv.Hi, other.Hi)}
 }
 
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d]", iv.Lo, iv.Hi) }

@@ -76,10 +76,10 @@ func TestIntervalProperties(t *testing.T) {
 		a := NewInterval(int(a1), int(a2))
 		b := NewInterval(int(b1), int(b2))
 		u := a.Union(b)
-		if !u.Contains(a.Lo) || !u.Contains(a.Hi) || !u.Contains(b.Lo) || !u.Contains(b.Hi) {
+		if !u.Contains(int(a.Lo)) || !u.Contains(int(a.Hi)) || !u.Contains(int(b.Lo)) || !u.Contains(int(b.Hi)) {
 			return false
 		}
-		lo, hi := Max(a.Lo, b.Lo), Min(a.Hi, b.Hi)
+		lo, hi := int(max(a.Lo, b.Lo)), int(min(a.Hi, b.Hi))
 		if lo <= hi && !(a.Contains(lo) && a.Contains(hi) && b.Contains(lo) && b.Contains(hi)) {
 			return false
 		}

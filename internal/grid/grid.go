@@ -97,7 +97,7 @@ func (g *Grid) AddHoriz(ch int, iv geom.Interval, delta int32) {
 	if iv.Empty() {
 		return
 	}
-	lo, hi := g.ColOf(iv.Lo), g.ColOf(iv.Hi)
+	lo, hi := g.ColOf(int(iv.Lo)), g.ColOf(int(iv.Hi))
 	row := g.dens.RowMut(ch)
 	for col := lo; col <= hi; col++ {
 		row[col] += delta
@@ -119,7 +119,7 @@ func (g *Grid) HorizAddCost(ch int, iv geom.Interval) int64 {
 	if iv.Empty() {
 		return 0
 	}
-	lo, hi := g.ColOf(iv.Lo), g.ColOf(iv.Hi)
+	lo, hi := g.ColOf(int(iv.Lo)), g.ColOf(int(iv.Hi))
 	row := g.dens.Row(ch)
 	var cost int64
 	for col := lo; col <= hi; col++ {
@@ -150,7 +150,7 @@ func (g *Grid) SpanCost(from, to int, iv geom.Interval) int64 {
 	if iv.Empty() || from == to {
 		return 0
 	}
-	lo, hi := g.ColOf(iv.Lo), g.ColOf(iv.Hi)
+	lo, hi := g.ColOf(int(iv.Lo)), g.ColOf(int(iv.Hi))
 	fromRow, toRow := g.dens.Row(from), g.dens.Row(to)
 	var cost int64
 	for col := lo; col <= hi; col++ {
@@ -165,7 +165,7 @@ func (g *Grid) MoveWire(from, to int, iv geom.Interval) {
 	if iv.Empty() || from == to {
 		return
 	}
-	lo, hi := g.ColOf(iv.Lo), g.ColOf(iv.Hi)
+	lo, hi := g.ColOf(int(iv.Lo)), g.ColOf(int(iv.Hi))
 	fromRow, toRow := g.dens.RowMut(from), g.dens.RowMut(to)
 	for col := lo; col <= hi; col++ {
 		fromRow[col]--

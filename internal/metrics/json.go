@@ -36,17 +36,18 @@ type jsonResult struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
+// jsonWire has Wire's int32 fields: decoding refuses a number past them.
 type jsonWire struct {
-	Net        int  `json:"net"`
-	Channel    int  `json:"ch"`
-	Lo         int  `json:"lo"`
-	Hi         int  `json:"hi"`
-	Switchable bool `json:"sw,omitempty"`
-	Row        int  `json:"row,omitempty"`
-	AX         int  `json:"ax"`
-	ARow       int  `json:"ar"`
-	BX         int  `json:"bx"`
-	BRow       int  `json:"br"`
+	Net        int32 `json:"net"`
+	Channel    int32 `json:"ch"`
+	Lo         int32 `json:"lo"`
+	Hi         int32 `json:"hi"`
+	Switchable bool  `json:"sw,omitempty"`
+	Row        int32 `json:"row,omitempty"`
+	AX         int32 `json:"ax"`
+	ARow       int32 `json:"ar"`
+	BX         int32 `json:"bx"`
+	BRow       int32 `json:"br"`
 }
 
 // WriteJSON serializes the result: AppendJSON's bytes and a newline.
@@ -105,7 +106,7 @@ func (r *Result) AppendJSON(dst []byte) []byte {
 }
 
 // appendInt appends key and v.
-func appendInt[T ~int | ~int64](dst []byte, key string, v T) []byte {
+func appendInt[T ~int | ~int32 | ~int64](dst []byte, key string, v T) []byte {
 	return strconv.AppendInt(append(dst, key...), int64(v), 10)
 }
 

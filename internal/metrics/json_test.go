@@ -52,14 +52,15 @@ func fuzzResult(ints []byte, flags uint8, circuit, algo, name string) *Result {
 		ints = ints[n:]
 		return int(int64(binary.LittleEndian.Uint64(b[:])))
 	}
+	next32 := func() int32 { return int32(next()) }
 	nwires := len(ints) / 80
 	r := &Result{Circuit: circuit, Algo: algo, Procs: next()}
 	if flags&1 != 0 || nwires > 0 {
 		r.Wires = make([]Wire, 0, nwires)
 	}
 	for i := 0; i < nwires; i++ {
-		w := Wire{Net: next(), Channel: next(), Span: geom.Interval{Lo: next(), Hi: next()}, Row: next(),
-			AX: next(), ARow: next(), BX: next(), BRow: next()}
+		w := Wire{Net: next32(), Channel: next32(), Span: geom.Interval{Lo: next32(), Hi: next32()}, Row: next32(),
+			AX: next32(), ARow: next32(), BX: next32(), BRow: next32()}
 		w.Switchable = next()&1 == 1
 		if w.Row%3 == 0 { // make the omitted row common
 			w.Row = 0

@@ -17,21 +17,22 @@ import (
 // Wire is one horizontal run placed in a routing channel. Switchable wires
 // (both endpoints electrically equivalent on the opposite cell edge, or
 // feedthrough pins) may sit in either channel adjacent to Row; Channel
-// records the current choice.
+// records the current choice. Every field is int32 (40 B): its values fit
+// circuit.MaxCoord, which is checked where they enter the process.
 type Wire struct {
-	Net     int
-	Channel int
+	Net     int32
+	Channel int32
 	Span    geom.Interval
 	// Switchable marks step-5 candidates; Row is the cell row whose two
 	// adjacent channels (Row and Row+1) the wire may occupy.
 	Switchable bool
-	Row        int
+	Row        int32
 	// Endpoint anchors: the (x, row) of the two connection points the
 	// wire joins. The detailed channel router derives its vertical
 	// constraints from them: an endpoint in the row above the channel is
 	// a top-edge contact, one in the row below a bottom-edge contact.
-	AX, ARow int
-	BX, BRow int
+	AX, ARow int32
+	BX, BRow int32
 }
 
 // OtherChannel returns the alternative channel of a switchable wire.
@@ -41,15 +42,10 @@ func (w *Wire) OtherChannel() int {
 		panic("metrics: OtherChannel on non-switchable wire") //lint:allow panic-in-library documented contract: callers filter on Switchable
 	}
 	if w.Channel == w.Row {
-		return w.Row + 1
+		return int(w.Row) + 1
 	}
-	return w.Row
+	return int(w.Row)
 }
-
-// MaxWireX is the largest x a non-empty wire span may reach; spans start at
-// 0. ChannelDensities panics on a wire outside that range, so code that
-// takes wires from outside the process checks against it first.
-const MaxWireX = 1<<39 - 1
 
 // ChannelDensities returns, per channel, the maximum number of wires
 // overlapping any x position — the track count a channel router would need
@@ -72,13 +68,13 @@ func ChannelDensities(numChannels int, wires []Wire, workers int) []int {
 		if w.Span.Empty() {
 			continue
 		}
-		if w.Channel < 0 || w.Channel >= numChannels {
+		if w.Channel < 0 || int(w.Channel) >= numChannels {
 			// A wire outside the channel range means a router bug, not bad
 			// input: every step that produces wires clamps to the circuit's
 			// channels.
 			panic(fmt.Sprintf("metrics: wire in channel %d of %d", w.Channel, numChannels)) //lint:allow panic-in-library router invariant: wires are produced in range
 		}
-		if w.Span.Lo < 0 || w.Span.Hi > MaxWireX {
+		if w.Span.Lo < 0 {
 			// Same class of invariant as the channel check: wire spans live
 			// inside the non-negative core extent, which the event keys
 			// (x shifted over the open/close bit) rely on.
@@ -100,7 +96,7 @@ func ChannelDensities(numChannels int, wires []Wire, workers int) []int {
 			continue
 		}
 		k := cursor[w.Channel]
-		evs[k], evs[k+1] = int64(w.Span.Lo)<<1|1, int64(w.Span.Hi+1)<<1
+		evs[k], evs[k+1] = int64(w.Span.Lo)<<1|1, (int64(w.Span.Hi)+1)<<1
 		cursor[w.Channel] = k + 2
 		maxEv = max(maxEv, evs[k+1])
 	}

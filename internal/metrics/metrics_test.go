@@ -3,17 +3,19 @@ package metrics
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"parroute/internal/geom"
 	"parroute/internal/rng"
 )
 
 func wire(ch, lo, hi int) Wire {
-	return Wire{Channel: ch, Span: geom.NewInterval(lo, hi)}
+	return Wire{Channel: int32(ch), Span: geom.NewInterval(lo, hi)}
 }
 
 func TestChannelDensitiesBasic(t *testing.T) {
@@ -76,7 +78,7 @@ func TestDensityMatchesBruteForce(t *testing.T) {
 			for x := 0; x < 50; x++ {
 				cnt := 0
 				for _, w := range wires {
-					if w.Channel == ch && w.Span.Contains(x) {
+					if int(w.Channel) == ch && w.Span.Contains(x) {
 						cnt++
 					}
 				}
@@ -106,7 +108,7 @@ func refChannelDensities(numChannels int, wires []Wire) []int {
 			continue
 		}
 		ch := int64(w.Channel) << 41
-		evs = append(evs, ch|int64(w.Span.Lo)<<1|1, ch|int64(w.Span.Hi+1)<<1)
+		evs = append(evs, ch|int64(w.Span.Lo)<<1|1, ch|(int64(w.Span.Hi)+1)<<1)
 	}
 	slices.Sort(evs)
 	dens := make([]int, numChannels)
@@ -149,7 +151,8 @@ func TestChannelDensitiesMatchesGlobalSort(t *testing.T) {
 			lo := r.Intn(xs)
 			switch r.Intn(4) {
 			case 0:
-				wires[i] = Wire{Channel: ch, Span: geom.Interval{Lo: lo + 1, Hi: lo}} // empty
+				wires[i] = wire(ch, lo, lo)
+				wires[i].Span.Lo++ // empty
 			case 1:
 				wires[i] = wire(ch, lo, lo) // single point: opens where others close
 			default:
@@ -166,10 +169,10 @@ func TestChannelDensitiesMatchesGlobalSort(t *testing.T) {
 }
 
 // TestChannelDensitiesPanicsOnBadWire: a wire outside the channel range or
-// the packable x range is a router bug and panics before any fan-out, at
-// every worker count.
+// at a negative x is a router bug and panics before any fan-out, at every
+// worker count.
 func TestChannelDensitiesPanicsOnBadWire(t *testing.T) {
-	for _, bad := range []Wire{wire(-1, 0, 1), wire(3, 0, 1), wire(0, -1, 1), wire(0, 0, 1<<39)} {
+	for _, bad := range []Wire{wire(-1, 0, 1), wire(3, 0, 1), wire(0, -1, 1), wire(0, math.MinInt32, 1)} {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("ch%d/%v/w%d", bad.Channel, bad.Span, workers), func(t *testing.T) {
 				defer func() {
@@ -180,6 +183,33 @@ func TestChannelDensitiesPanicsOnBadWire(t *testing.T) {
 				ChannelDensities(3, []Wire{wire(1, 0, 5), bad}, workers)
 			})
 		}
+	}
+}
+
+// TestChannelDensitiesAtMaxInt32: a span may end at the largest int32 x,
+// so its close event (Hi+1) must be computed after widening; computed in
+// int32 it would wrap negative and the two overlapping wires would count
+// as one.
+func TestChannelDensitiesAtMaxInt32(t *testing.T) {
+	const top = math.MaxInt32
+	wires := []Wire{wire(0, top-5, top), wire(0, top-3, top), wire(1, top, top), wire(1, 0, 1)}
+	for _, workers := range []int{1, 2} {
+		if got := ChannelDensities(2, wires, workers); !slices.Equal(got, []int{2, 1}) {
+			t.Fatalf("workers %d: densities %v, want [2 1]", workers, got)
+		}
+	}
+	if got := refChannelDensities(2, wires); !slices.Equal(got, []int{2, 1}) {
+		t.Fatalf("reference densities %v, want [2 1]", got)
+	}
+}
+
+// TestWireStaysSmall pins the size of the record step 4 writes once per tree
+// edge, step 5 streams and the drivers ship between ranks: 40 bytes a wire,
+// seven int32 fields, the interval's two and the switchable flag (80 with
+// int fields).
+func TestWireStaysSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Wire{}); size > 40 {
+		t.Fatalf("Wire is %d bytes, at most 40 expected", size)
 	}
 }
 
@@ -321,12 +351,30 @@ func TestReadResultJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadResultJSONRejectsOutOfRangeWire: wire fields are int32, so a
+// number past the int32 range is a decode error, not a wrapped value.
+func TestReadResultJSONRejectsOutOfRangeWire(t *testing.T) {
+	for _, field := range []string{"net", "ch", "lo", "hi", "row", "ax", "ar", "bx", "br"} {
+		for _, v := range []string{"2147483648", "-2147483649"} {
+			doc := `{"wires":[{"` + field + `":` + v + `}]}`
+			if _, err := ReadResultJSON(bytes.NewBufferString(doc)); err == nil {
+				t.Errorf("%s accepted", doc)
+			}
+		}
+	}
+	doc := `{"wires":[{"lo":2147483647,"hi":2147483647,"ax":-2147483648}]}`
+	if r, err := ReadResultJSON(bytes.NewBufferString(doc)); err != nil || r.Wires[0].Span.Hi != math.MaxInt32 {
+		t.Fatalf("%s: %v", doc, err)
+	}
+}
+
 // TestRadixSortMatchesSlicesSort: the density sweep's sort against the
 // comparison sort it replaced, on buckets of every small length and key
 // ranges from one repeated value through a few columns to the largest
-// event a wire may produce (x = MaxWireX, shifted over the open/close bit).
+// event a wire may produce (x = math.MaxInt32 + 1, shifted over the
+// open/close bit).
 func TestRadixSortMatchesSlicesSort(t *testing.T) {
-	const maxKey = int64(MaxWireX+1) << 1
+	const maxKey = (int64(math.MaxInt32) + 1) << 1
 	r := rng.New(77)
 	for trial := 0; trial < 400; trial++ {
 		n := trial % 70
@@ -366,8 +414,8 @@ func TestRadixSortMatchesSlicesSort(t *testing.T) {
 // FuzzChannelDensities decodes arbitrary bytes into in-range wires — 12
 // bytes each: channel, 5 bytes of lo, 5 bytes of length, a shape byte —
 // and holds the bucketed radix sweep to the global-sort reference at two
-// worker counts. The seeds cover one column, the far end of the x range
-// and a dense pile of touching spans.
+// worker counts. The seeds cover one column, spans ending at the largest
+// int32 x and a dense pile of touching spans.
 func FuzzChannelDensities(f *testing.F) {
 	rec := func(ch byte, lo, length uint64, shape byte) []byte {
 		b := []byte{ch}
@@ -381,7 +429,8 @@ func FuzzChannelDensities(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(rec(0, 0, 0, 0))
-	f.Add(append(rec(1, MaxWireX-1, 9, 0), rec(1, MaxWireX, 0, 0)...))
+	f.Add(append(rec(1, math.MaxInt32-1, 9, 0), rec(1, math.MaxInt32, 0, 0)...))
+	f.Add(append(rec(3, math.MaxInt32-7, 7, 0), append(rec(3, math.MaxInt32-2, 2, 1), rec(3, 0, math.MaxInt32, 2)...)...))
 	f.Add(append(rec(2, 5, 3, 1), rec(2, 1<<20, 1<<30, 0)...))
 	var pile []byte
 	for i := uint64(0); i < 40; i++ {
@@ -398,10 +447,10 @@ func FuzzChannelDensities(f *testing.F) {
 				lo |= int(data[1+i]) << (8 * i)
 				length |= int(data[6+i]) << (8 * i)
 			}
-			lo = min(lo, MaxWireX)
-			w := wire(int(data[0])%numChannels, lo, min(lo+length, MaxWireX))
+			lo = min(lo, math.MaxInt32)
+			w := wire(int(data[0])%numChannels, lo, min(lo+length, math.MaxInt32))
 			if data[11]%4 == 3 {
-				w.Span = geom.Interval{Lo: lo + 1, Hi: lo} // empty
+				w.Span.Hi = w.Span.Lo - 1 // empty
 			}
 			wires = append(wires, w)
 		}

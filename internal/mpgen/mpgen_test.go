@@ -103,9 +103,9 @@ func TestScanManifestShape(t *testing.T) {
 		t.Errorf("manifest covers %v, want %v", man.Packages, want)
 	}
 	widths := map[string]int{
-		"FakePinBatch":  25,
-		"CrossingBatch": 24,
-		"NodeBatch":     25,
+		"FakePinBatch":  13,
+		"CrossingBatch": 12,
+		"NodeBatch":     13,
 	}
 	for name, want := range widths {
 		e := typeOf("parroute/internal/parallel", name)

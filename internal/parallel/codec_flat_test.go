@@ -28,24 +28,24 @@ func refDecodeCrossingBatch(b *CrossingBatch, data []byte) ([]byte, error) {
 	sl2 := make(CrossingBatch, 0, n1)
 	for i3 := 0; i3 < n1; i3++ {
 		var el4 CrossingMsg
-		var v5 uint64
-		v5, data, err = mp.WireUint64(data)
+		var v5 uint32
+		v5, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.Net = int(v5)
-		var v6 uint64
-		v6, data, err = mp.WireUint64(data)
+		el4.Net = int32(v5)
+		var v6 uint32
+		v6, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.X = int(v6)
-		var v7 uint64
-		v7, data, err = mp.WireUint64(data)
+		el4.X = int32(v6)
+		var v7 uint32
+		v7, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.Row = int(v7)
+		el4.Row = int32(v7)
 		sl2 = append(sl2, el4)
 	}
 	(*b) = sl2
@@ -62,24 +62,24 @@ func refDecodeFakePinBatch(b *FakePinBatch, data []byte) ([]byte, error) {
 	sl2 := make(FakePinBatch, 0, n1)
 	for i3 := 0; i3 < n1; i3++ {
 		var el4 FakePinSpec
-		var v5 uint64
-		v5, data, err = mp.WireUint64(data)
+		var v5 uint32
+		v5, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.Net = int(v5)
-		var v6 uint64
-		v6, data, err = mp.WireUint64(data)
+		el4.Net = int32(v5)
+		var v6 uint32
+		v6, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.X = int(v6)
-		var v7 uint64
-		v7, data, err = mp.WireUint64(data)
+		el4.X = int32(v6)
+		var v7 uint32
+		v7, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.Row = int(v7)
+		el4.Row = int32(v7)
 		var v8 byte
 		v8, data, err = mp.WireByte(data)
 		if err != nil {
@@ -102,24 +102,24 @@ func refDecodeNodeBatch(b *NodeBatch, data []byte) ([]byte, error) {
 	sl2 := make(NodeBatch, 0, n1)
 	for i3 := 0; i3 < n1; i3++ {
 		var el4 NodeMsg
-		var v5 uint64
-		v5, data, err = mp.WireUint64(data)
+		var v5 uint32
+		v5, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.Net = int(v5)
-		var v6 uint64
-		v6, data, err = mp.WireUint64(data)
+		el4.Net = int32(v5)
+		var v6 uint32
+		v6, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.X = int(v6)
-		var v7 uint64
-		v7, data, err = mp.WireUint64(data)
+		el4.X = int32(v6)
+		var v7 uint32
+		v7, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.Row = int(v7)
+		el4.Row = int32(v7)
 		var v8 byte
 		v8, data, err = mp.WireByte(data)
 		if err != nil {
@@ -142,66 +142,66 @@ func refDecodeWireBatch(b *WireBatch, data []byte) ([]byte, error) {
 	sl2 := make([]metrics.Wire, 0, n1)
 	for i3 := 0; i3 < n1; i3++ {
 		var el4 metrics.Wire
-		var v5 uint64
-		v5, data, err = mp.WireUint64(data)
+		var v5 uint32
+		v5, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.Net = int(v5)
-		var v6 uint64
-		v6, data, err = mp.WireUint64(data)
+		el4.Net = int32(v5)
+		var v6 uint32
+		v6, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.Channel = int(v6)
-		var v7 uint64
-		v7, data, err = mp.WireUint64(data)
+		el4.Channel = int32(v6)
+		var v7 uint32
+		v7, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.Span.Lo = int(v7)
-		var v8 uint64
-		v8, data, err = mp.WireUint64(data)
+		el4.Span.Lo = int32(v7)
+		var v8 uint32
+		v8, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.Span.Hi = int(v8)
+		el4.Span.Hi = int32(v8)
 		var v9 bool
 		v9, data, err = mp.WireBool(data)
 		if err != nil {
 			return nil, err
 		}
 		el4.Switchable = v9
-		var v10 uint64
-		v10, data, err = mp.WireUint64(data)
+		var v10 uint32
+		v10, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.Row = int(v10)
-		var v11 uint64
-		v11, data, err = mp.WireUint64(data)
+		el4.Row = int32(v10)
+		var v11 uint32
+		v11, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.AX = int(v11)
-		var v12 uint64
-		v12, data, err = mp.WireUint64(data)
+		el4.AX = int32(v11)
+		var v12 uint32
+		v12, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.ARow = int(v12)
-		var v13 uint64
-		v13, data, err = mp.WireUint64(data)
+		el4.ARow = int32(v12)
+		var v13 uint32
+		v13, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.BX = int(v13)
-		var v14 uint64
-		v14, data, err = mp.WireUint64(data)
+		el4.BX = int32(v13)
+		var v14 uint32
+		v14, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.BRow = int(v14)
+		el4.BRow = int32(v14)
 		sl2 = append(sl2, el4)
 	}
 	b.Wires = sl2
@@ -218,7 +218,7 @@ type flatCase struct {
 }
 
 func flatCases() []flatCase {
-	anyInt := func(r *rng.RNG) int { return int(int64(r.Uint64())) >> r.Intn(64) }
+	anyInt := func(r *rng.RNG) int32 { return int32(r.Uint64()) >> r.Intn(32) }
 	return []flatCase{
 		{"CrossingBatch", func(r *rng.RNG, n int) mp.Payload {
 			b := make(CrossingBatch, n)
@@ -342,7 +342,7 @@ func TestFlatDecodeMatchesPerField(t *testing.T) {
 			}
 			for e := 0; e < n; e++ {
 				bad := bytes.Clone(enc)
-				bad[4+73*e+32] = 2 // Switchable: Net, Channel and Span precede it
+				bad[4+37*e+16] = 2 // Switchable: Net, Channel and Span precede it
 				if sameDecode(t, fmt.Sprintf("%s/bool%d", name, e), tc, bad) {
 					t.Fatalf("%s: bool byte 2 in element %d decoded", name, e)
 				}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"parroute/internal/circuit"
 	"parroute/internal/geom"
@@ -79,20 +81,39 @@ func samplePayloads() []struct {
 // up here (and in mp_protocol.json) as an explicit diff.
 func TestWireSizeDifferential(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100} {
-		if got, want := make(FakePinBatch, n).WireSize(), n*25; got != want {
+		if got, want := make(FakePinBatch, n).WireSize(), n*13; got != want {
 			t.Errorf("FakePinBatch(len %d).WireSize() = %d, want %d", n, got, want)
 		}
-		if got, want := make(CrossingBatch, n).WireSize(), n*24; got != want {
+		if got, want := make(CrossingBatch, n).WireSize(), n*12; got != want {
 			t.Errorf("CrossingBatch(len %d).WireSize() = %d, want %d", n, got, want)
 		}
-		if got, want := make(NodeBatch, n).WireSize(), n*25; got != want {
+		if got, want := make(NodeBatch, n).WireSize(), n*13; got != want {
 			t.Errorf("NodeBatch(len %d).WireSize() = %d, want %d", n, got, want)
 		}
-		if got, want := (WireBatch{Wires: make([]metrics.Wire, n)}).WireSize(), n*73; got != want {
+		if got, want := (WireBatch{Wires: make([]metrics.Wire, n)}).WireSize(), n*37; got != want {
 			t.Errorf("WireBatch(%d wires).WireSize() = %d, want %d", n, got, want)
 		}
 		if got, want := (Summary{Phases: make([]metrics.Phase, n)}).WireSize(), 7*8+n*24; got != want {
 			t.Errorf("Summary(%d phases).WireSize() = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// TestMessagesStaySmall pins the in-memory size of the step-3 and step-4
+// records a rank batches per peer: 16 bytes for a node and a fake-pin spec
+// (three int32 fields and the side), 12 for a crossing (32, 32 and 24 with
+// int fields).
+func TestMessagesStaySmall(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"NodeMsg", unsafe.Sizeof(NodeMsg{}), 16},
+		{"FakePinSpec", unsafe.Sizeof(FakePinSpec{}), 16},
+		{"CrossingMsg", unsafe.Sizeof(CrossingMsg{}), 12},
+	} {
+		if tc.size > tc.max {
+			t.Errorf("%s is %d bytes, at most %d expected", tc.name, tc.size, tc.max)
 		}
 	}
 }
@@ -205,13 +226,30 @@ func TestWireGolden(t *testing.T) {
 // decoders accept must re-encode to exactly the bytes consumed
 // (decode→encode identity), and the sample encodings must round-trip
 // (encode→decode→re-encode identity, seeded from the golden corpus).
+// Further seeds put every int32 field of a WireBatch and a NodeBatch at the
+// type's two ends.
 func FuzzCodec(f *testing.F) {
+	sel := map[string]uint8{}
 	for i, tc := range samplePayloads() {
 		enc, err := tc.value.AppendWire(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(uint8(i), enc)
+		sel[tc.name] = uint8(i)
+	}
+	for _, v := range []int32{math.MinInt32, math.MaxInt32} {
+		wires, err := WireBatch{Wires: []metrics.Wire{{Net: v, Channel: v, Span: geom.Interval{Lo: v, Hi: v},
+			Switchable: true, Row: v, AX: v, ARow: v, BX: v, BRow: v}}}.AppendWire(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		nodes, err := NodeBatch{{Net: v, X: v, Row: v, Side: circuit.Both}}.AppendWire(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(sel["WireBatch"], wires)
+		f.Add(sel["NodeBatch"], nodes)
 	}
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
 		decoders := samplePayloads()

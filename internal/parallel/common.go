@@ -78,10 +78,10 @@ func computeCrossings(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 					x = runs.VCol
 				}
 				specs[j] = append(specs[j], FakePinSpec{
-					Net: n, X: x, Row: s - 1, Side: circuit.Top,
+					Net: int32(n), X: int32(x), Row: int32(s - 1), Side: circuit.Top,
 				})
 				specs[j+1] = append(specs[j+1], FakePinSpec{
-					Net: n, X: x, Row: s, Side: circuit.Bottom,
+					Net: int32(n), X: int32(x), Row: int32(s), Side: circuit.Bottom,
 				})
 			}
 		}
@@ -92,7 +92,7 @@ func computeCrossings(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 // badIndex attributes an out-of-range index inside a received batch to its
 // source: indices that crossed the mesh are data, so a drifted or corrupt
 // peer fails the run instead of panicking the rank.
-func badIndex(tag, src, elem int, field string, v, lo, hi int) error {
+func badIndex[T int | int32](tag, src, elem int, field string, v T, lo, hi int) error {
 	return fmt.Errorf("parallel: tag %d batch from rank %d: element %d has %s %d outside [%d, %d]",
 		tag, src, elem, field, v, lo, hi)
 }
@@ -109,8 +109,8 @@ func sizedBatches[B ~[]E, E any](counts []int) []B {
 
 // exchangeFakePins all-to-alls the fake-pin specs and returns this rank's,
 // concatenated in source-rank order (deterministic). Every received spec
-// must name a net of the circuit, a row of this rank's block and an x an
-// int32 pin field holds.
+// must name a net of the circuit, a row of this rank's block and a
+// non-negative x.
 func exchangeFakePins(comm mp.Comm, specs []FakePinBatch, numNets int, block partition.RowBlock) ([]FakePinSpec, error) {
 	in, err := mp.Alltoall(comm, tagFakePins, specs)
 	if err != nil {
@@ -118,13 +118,13 @@ func exchangeFakePins(comm mp.Comm, specs []FakePinBatch, numNets int, block par
 	}
 	for r, batch := range in {
 		for i, sp := range batch {
-			if sp.Net < 0 || sp.Net >= numNets {
+			if sp.Net < 0 || int(sp.Net) >= numNets {
 				return nil, badIndex(tagFakePins, r, i, "net", sp.Net, 0, numNets-1)
 			}
-			if !block.Contains(sp.Row) {
+			if !block.Contains(int(sp.Row)) {
 				return nil, badIndex(tagFakePins, r, i, "row", sp.Row, block.Lo, block.Hi)
 			}
-			if sp.X < 0 || sp.X > circuit.MaxCoord {
+			if sp.X < 0 {
 				return nil, badIndex(tagFakePins, r, i, "x", sp.X, 0, circuit.MaxCoord)
 			}
 		}
@@ -215,7 +215,7 @@ func buildBlockCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []
 		sub.Nets[n] = circuit.Net{ID: n, Pins: backing[lo:hi:len(backing)]}
 	}
 	for _, spec := range fakes {
-		sub.AddFakePin(spec.Net, spec.X, spec.Row, spec.Side)
+		sub.AddFakePin(int(spec.Net), int(spec.X), int(spec.Row), spec.Side)
 	}
 	return sub
 }
@@ -363,7 +363,8 @@ func mergePhases(summaries []Summary) []metrics.Phase {
 
 // concatWires copies the WireBatches that arrived on tag, in rank order, into
 // one exactly-sized slice, checking each wire as it copies it: it must lie in
-// a channel, span only x the density sweep accepts and, if switchable, name a row.
+// a channel and span no negative x; a switchable one must name a row and lie
+// in one of that row's two channels.
 func concatWires(in []WireBatch, tag, numChannels int) ([]metrics.Wire, error) {
 	total := 0
 	for _, wb := range in {
@@ -373,19 +374,17 @@ func concatWires(in []WireBatch, tag, numChannels int) ([]metrics.Wire, error) {
 	for r, wb := range in {
 		for i := range wb.Wires {
 			w := &wb.Wires[i]
-			if w.Channel < 0 || w.Channel >= numChannels {
+			if w.Channel < 0 || int(w.Channel) >= numChannels {
 				return nil, badIndex(tag, r, i, "channel", w.Channel, 0, numChannels-1)
 			}
-			if s := w.Span; !s.Empty() {
-				if s.Lo < 0 {
-					return nil, badIndex(tag, r, i, "span lo", s.Lo, 0, metrics.MaxWireX)
-				}
-				if s.Hi > metrics.MaxWireX {
-					return nil, badIndex(tag, r, i, "span hi", s.Hi, 0, metrics.MaxWireX)
-				}
+			if !w.Span.Empty() && w.Span.Lo < 0 {
+				return nil, badIndex(tag, r, i, "span lo", w.Span.Lo, 0, circuit.MaxCoord)
 			}
-			if w.Switchable && (w.Row < 0 || w.Row >= numChannels-1) {
+			if w.Switchable && (w.Row < 0 || int(w.Row) >= numChannels-1) {
 				return nil, badIndex(tag, r, i, "row", w.Row, 0, numChannels-2)
+			}
+			if w.Switchable && w.Channel != w.Row && w.Channel != w.Row+1 {
+				return nil, badIndex(tag, r, i, "channel", w.Channel, int(w.Row), int(w.Row)+1)
 			}
 			wires = append(wires, *w)
 		}
@@ -406,7 +405,7 @@ func ownPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, se
 			}
 			for _, pid := range sub.Nets[n].Pins {
 				if p := &sub.Pins[pid]; !p.Fake && block.Contains(int(p.Row)) {
-					emit(NodeMsg{Net: n, X: int(p.X), Row: int(p.Row), Side: p.Side})
+					emit(NodeMsg{Net: int32(n), X: p.X, Row: p.Row, Side: p.Side})
 				}
 			}
 		}
@@ -459,13 +458,13 @@ func collectNodes(numNets, numRows, me int, sets ...nodeSet) (netNodes, error) {
 				continue
 			}
 			for i, nm := range batch {
-				if nm.Net < 0 || nm.Net >= numNets {
+				if nm.Net < 0 || int(nm.Net) >= numNets {
 					return netNodes{}, badIndex(set.tag, r, i, "net", nm.Net, 0, numNets-1)
 				}
-				if nm.Row < 0 || nm.Row >= numRows {
+				if nm.Row < 0 || int(nm.Row) >= numRows {
 					return netNodes{}, badIndex(set.tag, r, i, "row", nm.Row, 0, numRows-1)
 				}
-				if nm.X < 0 || nm.X > circuit.MaxCoord {
+				if nm.X < 0 {
 					return netNodes{}, badIndex(set.tag, r, i, "x", nm.X, 0, circuit.MaxCoord)
 				}
 				off[nm.Net+1]++

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -31,7 +32,7 @@ func refCollectNodes(in []NodeBatch) map[int][]route.Node {
 	byNet := make(map[int][]route.Node)
 	for _, batch := range in {
 		for _, nm := range batch {
-			byNet[nm.Net] = append(byNet[nm.Net], route.Node{X: nm.X, Row: nm.Row, Side: nm.Side})
+			byNet[int(nm.Net)] = append(byNet[int(nm.Net)], route.Node{X: nm.X, Row: nm.Row, Side: nm.Side})
 		}
 	}
 	return byNet
@@ -53,7 +54,7 @@ func refPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, si
 		dest := owner[n]
 		for _, pid := range sub.Nets[n].Pins {
 			if p := &sub.Pins[pid]; !p.Fake && block.Contains(int(p.Row)) {
-				out[dest] = append(out[dest], NodeMsg{Net: n, X: int(p.X), Row: int(p.Row), Side: p.Side})
+				out[dest] = append(out[dest], NodeMsg{Net: int32(n), X: p.X, Row: p.Row, Side: p.Side})
 			}
 		}
 	}
@@ -67,9 +68,9 @@ func (r *rank) refRedistribute(wires []metrics.Wire) ([]metrics.Wire, error) {
 	numRows := len(r.base.Rows)
 	destOf := func(w *metrics.Wire) int {
 		if w.Switchable {
-			return partition.BlockOf(r.blocks, w.Row)
+			return partition.BlockOf(r.blocks, int(w.Row))
 		}
-		return partition.BlockOf(r.blocks, geom.Min(w.Channel, numRows-1))
+		return partition.BlockOf(r.blocks, geom.Min(int(w.Channel), numRows-1))
 	}
 	out := make([]WireBatch, r.comm.Size())
 	for i := range wires {
@@ -90,19 +91,17 @@ func refConcatWires(in []WireBatch, tag, numChannels int) ([]metrics.Wire, error
 	for r, wb := range in {
 		for i := range wb.Wires {
 			w := &wb.Wires[i]
-			if w.Channel < 0 || w.Channel >= numChannels {
+			if w.Channel < 0 || int(w.Channel) >= numChannels {
 				return nil, badIndex(tag, r, i, "channel", w.Channel, 0, numChannels-1)
 			}
-			if s := w.Span; !s.Empty() {
-				if s.Lo < 0 {
-					return nil, badIndex(tag, r, i, "span lo", s.Lo, 0, metrics.MaxWireX)
-				}
-				if s.Hi > metrics.MaxWireX {
-					return nil, badIndex(tag, r, i, "span hi", s.Hi, 0, metrics.MaxWireX)
-				}
+			if !w.Span.Empty() && w.Span.Lo < 0 {
+				return nil, badIndex(tag, r, i, "span lo", w.Span.Lo, 0, circuit.MaxCoord)
 			}
-			if w.Switchable && (w.Row < 0 || w.Row >= numChannels-1) {
+			if w.Switchable && (w.Row < 0 || int(w.Row) >= numChannels-1) {
 				return nil, badIndex(tag, r, i, "row", w.Row, 0, numChannels-2)
+			}
+			if w.Switchable && w.Channel != w.Row && w.Channel != w.Row+1 {
+				return nil, badIndex(tag, r, i, "channel", w.Channel, int(w.Row), int(w.Row)+1)
 			}
 		}
 		total += len(wb.Wires)
@@ -164,7 +163,7 @@ func refBuildSubCircuit(base *circuit.Circuit, block partition.RowBlock, fakes [
 		net.Pins = kept
 	}
 	for _, spec := range fakes {
-		sub.AddFakePin(spec.Net, spec.X, spec.Row, spec.Side)
+		sub.AddFakePin(int(spec.Net), int(spec.X), int(spec.Row), spec.Side)
 	}
 	return sub
 }
@@ -214,7 +213,7 @@ func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 		if owner[n] != me {
 			if !stray {
 				k := partition.BlockOf(blocks, int(first.Row))
-				ftIn[k] = append(ftIn[k], NodeMsg{Net: n, X: int(first.X), Row: int(first.Row), Side: circuit.Both})
+				ftIn[k] = append(ftIn[k], NodeMsg{Net: int32(n), X: first.X, Row: first.Row, Side: circuit.Both})
 				stray = true
 			}
 			continue
@@ -225,7 +224,7 @@ func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 		}
 		for row := lo + 1; row < hi; row++ {
 			k := partition.BlockOf(blocks, row)
-			ftIn[k] = append(ftIn[k], NodeMsg{Net: n, X: int(first.X) + row, Row: row, Side: circuit.Both})
+			ftIn[k] = append(ftIn[k], NodeMsg{Net: int32(n), X: first.X + int32(row), Row: int32(row), Side: circuit.Both})
 		}
 	}
 	for r := range blocks {
@@ -394,7 +393,7 @@ func TestCrossingSortMatchesStableSort(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		batch := make(CrossingBatch, 1+r.Intn(200))
 		for i := range batch {
-			batch[i] = CrossingMsg{Net: r.Intn(6), X: r.Intn(8), Row: 3}
+			batch[i] = CrossingMsg{Net: int32(r.Intn(6)), X: int32(r.Intn(8)), Row: 3}
 		}
 		want := slices.Clone(batch)
 		sort.SliceStable(want, func(i, j int) bool {
@@ -418,8 +417,8 @@ func blockFakeVariants(c *circuit.Circuit, block partition.RowBlock, crossings [
 	for n := range c.Nets {
 		if len(c.Nets[n].Pins) > 0 {
 			twice = append(twice,
-				FakePinSpec{Net: n, X: 3, Row: block.Lo, Side: circuit.Bottom},
-				FakePinSpec{Net: n, X: 9, Row: block.Hi, Side: circuit.Top})
+				FakePinSpec{Net: int32(n), X: 3, Row: int32(block.Lo), Side: circuit.Bottom},
+				FakePinSpec{Net: int32(n), X: 9, Row: int32(block.Hi), Side: circuit.Top})
 			break
 		}
 	}
@@ -725,11 +724,12 @@ func TestConcatWiresMatchesTwoPass(t *testing.T) {
 				field string
 				edit  func(w *metrics.Wire)
 			}{
-				{"channel", func(w *metrics.Wire) { w.Channel = nc }},
+				{"channel", func(w *metrics.Wire) { w.Channel = int32(nc) }},
 				{"channel", func(w *metrics.Wire) { w.Channel = -1 }},
 				{"span lo", func(w *metrics.Wire) { w.Span = geom.NewInterval(-2, 3) }},
-				{"span hi", func(w *metrics.Wire) { w.Span = geom.NewInterval(0, metrics.MaxWireX+1) }},
-				{"row", func(w *metrics.Wire) { w.Switchable, w.Row = true, nc-1 }},
+				{"span lo", func(w *metrics.Wire) { w.Span = geom.NewInterval(math.MinInt32, 0) }},
+				{"row", func(w *metrics.Wire) { w.Switchable, w.Row = true, int32(nc-1) }},
+				{"channel", func(w *metrics.Wire) { w.Switchable, w.Row, w.Channel = true, 0, 2 }},
 			} {
 				forged := slices.Clone(in)
 				wires := slices.Clone(second)

@@ -46,9 +46,9 @@ func (r *rank) redistribute() error {
 	numRows, self := len(r.base.Rows), r.comm.Rank()
 	destOf := func(w *metrics.Wire) int {
 		if w.Switchable {
-			return partition.BlockOf(r.blocks, w.Row)
+			return partition.BlockOf(r.blocks, int(w.Row))
 		}
-		return partition.BlockOf(r.blocks, geom.Min(w.Channel, numRows-1))
+		return partition.BlockOf(r.blocks, geom.Min(int(w.Channel), numRows-1))
 	}
 	counts := make([]int, r.comm.Size())
 	for i := range r.wires {

@@ -34,11 +34,11 @@ const (
 
 // FakePinSpec asks a block worker to add a fake pin for a net at a
 // partition boundary: the crossing point of a Steiner segment (paper §4,
-// Figure 2).
+// Figure 2). Its fields are int32 like the pin it becomes (16 B).
 type FakePinSpec struct {
-	Net  int
-	X    int
-	Row  int
+	Net  int32
+	X    int32
+	Row  int32
 	Side circuit.Side
 }
 
@@ -52,9 +52,9 @@ type FakePinBatch []FakePinSpec
 // CrossingMsg tells a row owner that a segment of Net crosses Row at
 // column X and needs a feedthrough there (net-wise algorithm, step 3).
 type CrossingMsg struct {
-	Net int
-	X   int
-	Row int
+	Net int32
+	X   int32
+	Row int32
 }
 
 // CrossingBatch is the slice form CrossingMsgs travel in; see FakePinBatch.
@@ -66,9 +66,9 @@ type CrossingBatch []CrossingMsg
 // feedthrough, with authoritative post-insertion coordinates) of Net to
 // the net's owner for whole-net connection.
 type NodeMsg struct {
-	Net  int
-	X    int
-	Row  int
+	Net  int32
+	X    int32
+	Row  int32
 	Side circuit.Side
 }
 

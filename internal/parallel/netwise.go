@@ -175,7 +175,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 				}
 				for row := runs.VLo; row <= runs.VHi; row++ {
 					dest := partition.BlockOf(blocks, row)
-					cross[dest] = append(cross[dest], CrossingMsg{Net: int(segs[i].Net), X: runs.VCol, Row: row})
+					cross[dest] = append(cross[dest], CrossingMsg{Net: segs[i].Net, X: int32(runs.VCol), Row: int32(row)})
 				}
 			}
 			in, err := mp.Alltoall(comm, tagCrossings, cross)
@@ -189,13 +189,13 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			clear(counts)
 			for r, batch := range in {
 				for i, cr := range batch {
-					if cr.Net < 0 || cr.Net >= len(sub.Nets) {
+					if cr.Net < 0 || int(cr.Net) >= len(sub.Nets) {
 						return badIndex(tagCrossings, r, i, "net", cr.Net, 0, len(sub.Nets)-1)
 					}
-					if !block.Contains(cr.Row) {
+					if !block.Contains(int(cr.Row)) {
 						return badIndex(tagCrossings, r, i, "row", cr.Row, block.Lo, block.Hi)
 					}
-					if cr.X < 0 || cr.X > circuit.MaxCoord {
+					if cr.X < 0 {
 						return badIndex(tagCrossings, r, i, "x", cr.X, 0, circuit.MaxCoord)
 					}
 					byRow[cr.Row] = append(byRow[cr.Row], cr)
@@ -217,12 +217,12 @@ func netWiseStages(r *rank) []pipeline.Stage {
 					if i < len(fts) {
 						pinID = fts[i]
 					} else {
-						pinID = sub.InsertFeedthrough(row, cr.X, circuit.NoNet) //lint:allow forbidden-call step-3 overflow: one feedthrough the demand estimate missed
+						pinID = sub.InsertFeedthrough(row, int(cr.X), circuit.NoNet) //lint:allow forbidden-call step-3 overflow: one feedthrough the demand estimate missed
 						r.sum.InsertedFts++
 					}
 					dest := owner[cr.Net]
 					ftNodes[dest] = append(ftNodes[dest], NodeMsg{
-						Net: cr.Net, X: int(sub.Pins[pinID].X), Row: row, Side: circuit.Both,
+						Net: cr.Net, X: sub.Pins[pinID].X, Row: int32(row), Side: circuit.Both,
 					})
 				}
 			}

@@ -78,7 +78,7 @@ func TestWireConservation(t *testing.T) {
 	base := baseline(t, c)
 	baseNets := map[int]int{}
 	for i := range base.Wires {
-		baseNets[base.Wires[i].Net]++
+		baseNets[int(base.Wires[i].Net)]++
 	}
 	for _, algo := range Algorithms() {
 		res, err := Run(context.Background(), c, Options{Algo: algo, Procs: 4, Route: route.Options{Seed: 1}})
@@ -87,7 +87,7 @@ func TestWireConservation(t *testing.T) {
 		}
 		gotNets := map[int]int{}
 		for i := range res.Wires {
-			gotNets[res.Wires[i].Net]++
+			gotNets[int(res.Wires[i].Net)]++
 		}
 		for n := range baseNets {
 			if gotNets[n] == 0 {
@@ -188,7 +188,7 @@ func TestComputeCrossings(t *testing.T) {
 		t.Fatalf("spec counts: %d, %d (want 1, 1)", len(specs[0]), len(specs[1]))
 	}
 	lo, hi := specs[0][0], specs[1][0]
-	if lo.Net != cross || hi.Net != cross {
+	if int(lo.Net) != cross || int(hi.Net) != cross {
 		t.Fatal("specs attached to the wrong net")
 	}
 	if lo.Row != 1 || lo.Side != circuit.Top {
@@ -210,7 +210,7 @@ func TestComputeCrossings(t *testing.T) {
 func TestBuildSubCircuit(t *testing.T) {
 	c := testCircuit(t)
 	blocks, _ := partition.RowBlocks(c, 2)
-	fakes := []FakePinSpec{{Net: 0, X: 10, Row: blocks[0].Hi, Side: circuit.Top}}
+	fakes := []FakePinSpec{{Net: 0, X: 10, Row: int32(blocks[0].Hi), Side: circuit.Top}}
 	sub := buildBlockCircuit(c, blocks[0], fakes)
 	if err := sub.Validate(); err != nil {
 		t.Fatalf("sub-circuit invalid: %v", err)
@@ -384,8 +384,8 @@ func TestSummariesMergeCounts(t *testing.T) {
 	}
 	maxX := 0
 	for i := range res.Wires {
-		if !res.Wires[i].Span.Empty() && res.Wires[i].Span.Hi > maxX {
-			maxX = res.Wires[i].Span.Hi
+		if !res.Wires[i].Span.Empty() && int(res.Wires[i].Span.Hi) > maxX {
+			maxX = int(res.Wires[i].Span.Hi)
 		}
 	}
 	if res.CoreWidth < maxX-1 {

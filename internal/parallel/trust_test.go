@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -73,20 +74,21 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 	mistyped := forgery{"not-a-batch", "arrived as int", func(any) any { return 7 }}
 	// A row of rank 0's block keeps the net-only and x-only forgeries' row
 	// valid everywhere (fake pins and crossings must land inside the block).
-	// An x must fit an int32 pin field: one past MaxCoord would wrap.
-	indexed := func(mk func(net, row, x int) func(any) any) []forgery {
+	// The fields are int32, so the most negative value is the far end.
+	lo := int32(blocks[0].Lo)
+	indexed := func(mk func(net, row, x int32) func(any) any) []forgery {
 		var out []forgery
 		for _, bad := range []struct {
 			field       string
-			net, row, x int
+			net, row, x int32
 		}{
-			{"net", len(c.Nets), blocks[0].Lo, 1},
-			{"net", -1, blocks[0].Lo, 1},
-			{"row", 0, len(c.Rows), 1},
+			{"net", int32(len(c.Nets)), lo, 1},
+			{"net", -1, lo, 1},
+			{"net", math.MinInt32, lo, 1},
+			{"row", 0, int32(len(c.Rows)), 1},
 			{"row", 0, -1, 1},
-			{"x", 0, blocks[0].Lo, -1},
-			{"x", 0, blocks[0].Lo, circuit.MaxCoord + 1},
-			{"x", 0, blocks[0].Lo, 1 << 40},
+			{"x", 0, lo, -1},
+			{"x", 0, lo, math.MinInt32},
 		} {
 			name := fmt.Sprintf("bad-%s/net%d,row%d", bad.field, bad.net, bad.row)
 			if bad.field == "x" {
@@ -96,10 +98,10 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 		}
 		return append(out, mistyped)
 	}
-	nodes := indexed(func(net, row, x int) func(any) any {
+	nodes := indexed(func(net, row, x int32) func(any) any {
 		return appendTo[NodeBatch](NodeMsg{Net: net, X: x, Row: row, Side: circuit.Both})
 	})
-	fakePins := indexed(func(net, row, x int) func(any) any {
+	fakePins := indexed(func(net, row, x int32) func(any) any {
 		return appendTo[FakePinBatch](FakePinSpec{Net: net, X: x, Row: row, Side: circuit.Top})
 	})
 	wires := []forgery{mistyped}
@@ -108,11 +110,12 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 		w           metrics.Wire
 	}{
 		{"channel-1", "channel", metrics.Wire{Channel: -1, Span: geom.NewInterval(0, 4)}},
-		{"channel-past-end", "channel", metrics.Wire{Channel: c.NumChannels(), Span: geom.NewInterval(0, 4)}},
+		{"channel-past-end", "channel", metrics.Wire{Channel: int32(c.NumChannels()), Span: geom.NewInterval(0, 4)}},
 		{"span-negative", "span lo", metrics.Wire{Span: geom.NewInterval(-1, 4)}},
-		{"span-unpackable", "span hi", metrics.Wire{Span: geom.NewInterval(0, 1<<39)}},
+		{"span-min-int32", "span lo", metrics.Wire{Span: geom.NewInterval(math.MinInt32, 4)}},
 		{"row-1", "row", metrics.Wire{Span: geom.NewInterval(0, 4), Switchable: true, Row: -1}},
-		{"row-past-end", "row", metrics.Wire{Span: geom.NewInterval(0, 4), Switchable: true, Row: len(c.Rows)}},
+		{"row-past-end", "row", metrics.Wire{Span: geom.NewInterval(0, 4), Switchable: true, Row: int32(len(c.Rows))}},
+		{"switchable-off-row", "channel", metrics.Wire{Channel: 2, Span: geom.NewInterval(0, 4), Switchable: true, Row: 0}},
 	} {
 		wires = append(wires, forgery{"bad-" + bad.name, bad.field, func(v any) any {
 			wb := v.(WireBatch)
@@ -170,7 +173,7 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 		{"rowwise/fake-pins", rowWiseStages, tagFakePins, 1, fakePins},
 		{"hybrid/fake-pins", hybridStages, tagFakePins, 1, fakePins},
 		{"hybrid/net-nodes", hybridStages, tagNetNodes, 1, nodes},
-		{"netwise/crossings", netWiseStages, tagCrossings, 1, indexed(func(net, row, x int) func(any) any {
+		{"netwise/crossings", netWiseStages, tagCrossings, 1, indexed(func(net, row, x int32) func(any) any {
 			return appendTo[CrossingBatch](CrossingMsg{Net: net, X: x, Row: row})
 		})},
 		{"netwise/grid-delta", netWiseStages, tagGridSync, 1, deltas(tagGridSync)},

@@ -50,7 +50,7 @@ func BenchmarkConnectNodes(b *testing.B) {
 	r := rng.New(3)
 	nodes := make([]Node, 3000)
 	for i := range nodes {
-		nodes[i] = Node{X: r.Intn(3000), Row: r.Intn(80), Side: 2 /* Both */}
+		nodes[i] = Node{X: int32(r.Intn(3000)), Row: int32(r.Intn(80)), Side: 2 /* Both */}
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -15,23 +15,17 @@ import (
 // Node is a connection point of a net during step 4: a regular pin, an
 // assigned feedthrough pin, or (in the parallel algorithms) a fake
 // boundary pin. Nodes are self-contained so they can be shipped between
-// workers without the circuit.
+// workers without the circuit. X and Row are int32, like a pin's (12 B).
 type Node struct {
-	X    int
-	Row  int
+	X    int32
+	Row  int32
 	Side circuit.Side
 }
 
-// Channels returns the routing channels the node touches.
+// Channels returns the routing channels the node touches: a pin's at its
+// row and side.
 func (n Node) Channels() (lo, hi int, both bool) {
-	switch n.Side {
-	case circuit.Bottom:
-		return n.Row, n.Row, false
-	case circuit.Top:
-		return n.Row + 1, n.Row + 1, false
-	default:
-		return n.Row, n.Row + 1, true
-	}
+	return (&circuit.Pin{Row: n.Row, Side: n.Side}).Channels()
 }
 
 // adjacent reports whether two nodes share a channel, and returns the
@@ -56,8 +50,8 @@ func adjacent(a, b Node) (ch int, both bool, ok bool) {
 // needs.
 func edgeWire(net int, u, v Node, ch int) metrics.Wire {
 	return metrics.Wire{
-		Net:     net,
-		Channel: ch,
+		Net:     int32(net),
+		Channel: int32(ch),
 		Span:    connSpan(u.X, v.X),
 		AX:      u.X, ARow: u.Row,
 		BX: v.X, BRow: v.Row,
@@ -66,11 +60,11 @@ func edgeWire(net int, u, v Node, ch int) metrics.Wire {
 
 // connSpan is the track-occupying extent between two x positions; a
 // zero-length connection occupies no track.
-func connSpan(a, b int) geom.Interval {
+func connSpan(a, b int32) geom.Interval {
 	if a == b {
 		return geom.Interval{Lo: 1, Hi: 0}
 	}
-	return geom.NewInterval(a, b)
+	return geom.Interval{Lo: min(a, b), Hi: max(a, b)}
 }
 
 // ConnectNodes performs TWGR step 4 for one net: a minimum spanning tree
@@ -126,9 +120,10 @@ type connCand struct {
 }
 
 // Bit budget of the packed int64 sort keys: node index in the low bits,
-// then x (or edge weight), then channel. Inputs beyond these bounds — a
-// million pins on one net, 2^31 x units, 4095 channels, 2^23-unit edge
-// weights — take the comparator-based fallback sort instead.
+// then x (or edge weight), then channel. An x is a non-negative int32, so
+// it always fits; inputs beyond the other bounds — a million pins on one
+// net, 4095 channels, 2^23-unit edge weights — take the comparator-based
+// fallback sort instead.
 const (
 	packIdxBits = 20
 	packXBits   = 31
@@ -168,7 +163,7 @@ func (cn *Connector) Tree(netID int, nodes []Node, wires []metrics.Wire) (forced
 		w := edgeWire(netID, nodes[e.u], nodes[e.v], ch)
 		if both {
 			w.Switchable = true
-			w.Row = ch // candidate channels ch and ch+1
+			w.Row = int32(ch) // candidate channels ch and ch+1
 		}
 		wires[k] = w
 		k++
@@ -185,7 +180,7 @@ func (cn *Connector) Tree(netID int, nodes []Node, wires []metrics.Wire) (forced
 		}
 		if prev >= 0 {
 			uf.union(prev, i)
-			wires[k] = edgeWire(netID, nodes[prev], nodes[i], geom.Min(nodes[prev].Row, nodes[i].Row)+1)
+			wires[k] = edgeWire(netID, nodes[prev], nodes[i], int(min(nodes[prev].Row, nodes[i].Row))+1)
 			k++
 			forced++
 		}
@@ -259,19 +254,19 @@ func (o *Occupancy) PlaceWires(ctx context.Context, workers int, wires []metrics
 	sw, err := workpool.NewSweep(ctx, workers, len(wires), o.Channels, func(i int) workpool.Hull {
 		w := &wires[i]
 		if w.Switchable {
-			return workpool.Hull{Lo: int32(w.Row), Hi: int32(w.Row + 1)}
+			return workpool.Hull{Lo: w.Row, Hi: w.Row + 1}
 		}
-		return workpool.Hull{Lo: int32(w.Channel), Hi: int32(w.Channel)}
+		return workpool.Hull{Lo: w.Channel, Hi: w.Channel}
 	}, o.counts.Reserve)
 	if err != nil {
 		return err
 	}
 	return sw.Run(ctx, nil, func(_, i int) error {
 		w := &wires[i]
-		if w.Switchable && o.AddCost(w.Row+1, w.Span) < o.AddCost(w.Row, w.Span) {
+		if w.Switchable && o.AddCost(int(w.Row)+1, w.Span) < o.AddCost(int(w.Row), w.Span) {
 			w.Channel = w.Row + 1
 		}
-		o.Add(w.Channel, w.Span, 1)
+		o.Add(int(w.Channel), w.Span, 1)
 		return nil
 	})
 }
@@ -291,12 +286,13 @@ func (cn *Connector) candidates(nodes []Node) []connCand {
 	pack := len(nodes) <= 1<<packIdxBits
 	for i := range nodes {
 		lo, hi, _ := nodes[i].Channels()
-		if nodes[i].X < 0 || nodes[i].X >= 1<<packXBits || hi >= 1<<(63-packIdxBits-packXBits) {
+		if hi >= 1<<(63-packIdxBits-packXBits) {
 			pack = false
 		}
-		entries = append(entries, chEntry{ch: lo, x: nodes[i].X, idx: i})
+		x := int(nodes[i].X)
+		entries = append(entries, chEntry{ch: lo, x: x, idx: i})
 		if hi != lo {
-			entries = append(entries, chEntry{ch: hi, x: nodes[i].X, idx: i})
+			entries = append(entries, chEntry{ch: hi, x: x, idx: i})
 		}
 	}
 	if pack {

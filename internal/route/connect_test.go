@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"parroute/internal/circuit"
 	"parroute/internal/geom"
@@ -12,8 +13,16 @@ import (
 	"parroute/internal/rng"
 )
 
+// TestNodeStaysSmall pins the size of step 4's node arena entry: 12 bytes,
+// two int32 fields and the side (24 with int fields).
+func TestNodeStaysSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Node{}); size > 12 {
+		t.Fatalf("Node is %d bytes, at most 12 expected", size)
+	}
+}
+
 func TestAdjacent(t *testing.T) {
-	n := func(row int, side circuit.Side) Node { return Node{Row: row, Side: side} }
+	n := func(row int32, side circuit.Side) Node { return Node{Row: row, Side: side} }
 	cases := []struct {
 		a, b     Node
 		wantOK   bool
@@ -70,7 +79,7 @@ func TestConnectNodesChain(t *testing.T) {
 		if w.Net != 7 {
 			t.Fatalf("net = %d", w.Net)
 		}
-		total += int64(geom.Abs(w.AX - w.BX))
+		total += int64(geom.Abs(int(w.AX - w.BX)))
 	}
 	if total != 30 {
 		t.Fatalf("total span = %d, want 30", total)
@@ -181,11 +190,11 @@ func TestConnectNodesMatchesPrimCost(t *testing.T) {
 		n := 2 + r.Intn(30)
 		nodes := make([]Node, n)
 		for i := range nodes {
-			nodes[i] = Node{X: r.Intn(500), Row: r.Intn(6), Side: sides[r.Intn(3)]}
+			nodes[i] = Node{X: int32(r.Intn(500)), Row: int32(r.Intn(6)), Side: sides[r.Intn(3)]}
 		}
 		cost := func(i, j int) int64 {
 			if _, _, ok := adjacent(nodes[i], nodes[j]); ok {
-				return int64(geom.Abs(nodes[i].X - nodes[j].X))
+				return int64(geom.Abs(int(nodes[i].X - nodes[j].X)))
 			}
 			return mst.Infinite
 		}
@@ -203,7 +212,7 @@ func TestConnectNodesMatchesPrimCost(t *testing.T) {
 			primCost += cost(e.U, e.V)
 		}
 		for _, w := range wires {
-			kruskalCost += int64(geom.Abs(w.AX - w.BX))
+			kruskalCost += int64(geom.Abs(int(w.AX - w.BX)))
 		}
 		if primCost != kruskalCost {
 			t.Fatalf("trial %d: kruskal cost %d != prim cost %d", trial, kruskalCost, primCost)
@@ -218,10 +227,10 @@ func TestConnectNodesSpansEverything(t *testing.T) {
 		n := 2 + r.Intn(50)
 		// Distinct x per node, so a wire's anchors name its two nodes.
 		nodes := make([]Node, n)
-		byX := map[int]int{}
+		byX := map[int32]int{}
 		for i, x := range r.Perm(500)[:n] {
-			nodes[i] = Node{X: x, Row: r.Intn(8), Side: sides[r.Intn(3)]}
-			byX[x] = i
+			nodes[i] = Node{X: int32(x), Row: int32(r.Intn(8)), Side: sides[r.Intn(3)]}
+			byX[int32(x)] = i
 		}
 		wires, _ := ConnectNodes(0, nodes, nil)
 		if len(wires) != n-1 {
@@ -282,7 +291,7 @@ func refConnectStreamed(cn *Connector, netID int, nodes []Node, occ *Occupancy) 
 		return nil, 0
 	}
 	wire := func(u, v Node, ch int) metrics.Wire {
-		return metrics.Wire{Net: netID, Channel: ch, Span: connSpan(u.X, v.X), AX: u.X, ARow: u.Row, BX: v.X, BRow: v.Row}
+		return metrics.Wire{Net: int32(netID), Channel: int32(ch), Span: connSpan(u.X, v.X), AX: u.X, ARow: u.Row, BX: v.X, BRow: v.Row}
 	}
 	uf := newUnionFind(len(nodes))
 	for _, e := range cn.candidates(nodes) {
@@ -293,12 +302,12 @@ func refConnectStreamed(cn *Connector, netID int, nodes []Node, occ *Occupancy) 
 		ch, both, _ := adjacent(u, v)
 		w := wire(u, v, ch)
 		if both {
-			w.Switchable, w.Row = true, ch
+			w.Switchable, w.Row = true, int32(ch)
 			if occ.AddCost(ch+1, w.Span) < occ.AddCost(ch, w.Span) {
-				w.Channel = ch + 1
+				w.Channel = int32(ch + 1)
 			}
 		}
-		occ.Add(w.Channel, w.Span, 1)
+		occ.Add(int(w.Channel), w.Span, 1)
 		wires = append(wires, w)
 	}
 	if len(wires) < len(nodes)-1 {
@@ -309,8 +318,8 @@ func refConnectStreamed(cn *Connector, netID int, nodes []Node, occ *Occupancy) 
 			}
 			if prev >= 0 {
 				uf.union(prev, i)
-				w := wire(nodes[prev], nodes[i], geom.Min(nodes[prev].Row, nodes[i].Row)+1)
-				occ.Add(w.Channel, w.Span, 1)
+				w := wire(nodes[prev], nodes[i], int(min(nodes[prev].Row, nodes[i].Row))+1)
+				occ.Add(int(w.Channel), w.Span, 1)
 				wires = append(wires, w)
 				forced++
 			}
@@ -338,7 +347,7 @@ func TestTreeThenPlaceMatchesStreamedKruskal(t *testing.T) {
 		}
 		nodes := make([]Node, k)
 		for i := range nodes {
-			nodes[i] = Node{X: r.Intn(width), Row: r.Intn(rows), Side: sides[r.Intn(4)]}
+			nodes[i] = Node{X: int32(r.Intn(width)), Row: int32(r.Intn(rows)), Side: sides[r.Intn(4)]}
 			if i > 0 && r.Intn(6) == 0 {
 				nodes[i].X = nodes[i-1].X // zero-length edges
 			}

@@ -572,7 +572,7 @@ func (rt *Router) ConnectNets(ctx context.Context) error {
 		func(n int, nodes []Node) []Node {
 			for i, pid := range nets[n].Pins {
 				p := &pins[pid]
-				nodes[i] = Node{X: int(p.X), Row: int(p.Row), Side: p.Side}
+				nodes[i] = Node{X: p.X, Row: p.Row, Side: p.Side}
 			}
 			return nodes
 		}, occ)

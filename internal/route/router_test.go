@@ -125,10 +125,10 @@ func TestFeedthroughBookkeepingExact(t *testing.T) {
 }
 
 // pinsAt returns the pins of net at (x, row) in the routed circuit.
-func pinsAt(rt *Router, net, x, row int) []*circuit.Pin {
+func pinsAt(rt *Router, net, x, row int32) []*circuit.Pin {
 	var out []*circuit.Pin
 	for _, pid := range rt.C.Nets[net].Pins {
-		if p := &rt.C.Pins[pid]; int(p.X) == x && int(p.Row) == row {
+		if p := &rt.C.Pins[pid]; p.X == x && p.Row == row {
 			out = append(out, p)
 		}
 	}
@@ -143,7 +143,7 @@ func TestEveryMultiPinNetFullyConnected(t *testing.T) {
 	// Per net: k-1 wires, and they join every pin position of the net.
 	wires := map[int][]metrics.Wire{}
 	for _, w := range rt.Wires {
-		wires[w.Net] = append(wires[w.Net], w)
+		wires[int(w.Net)] = append(wires[int(w.Net)], w)
 	}
 	for n := range rt.C.Nets {
 		pins := rt.C.Nets[n].Pins
@@ -156,18 +156,18 @@ func TestEveryMultiPinNetFullyConnected(t *testing.T) {
 		if len(wires[n]) != len(pins)-1 {
 			t.Fatalf("net %d: %d wires for %d pins", n, len(wires[n]), len(pins))
 		}
-		at := map[[2]int]int{} // position -> its index among the net's positions
+		at := map[[2]int32]int{} // position -> its index among the net's positions
 		for _, pid := range pins {
 			p := &rt.C.Pins[pid]
-			k := [2]int{int(p.X), int(p.Row)}
+			k := [2]int32{p.X, p.Row}
 			if _, ok := at[k]; !ok {
 				at[k] = len(at)
 			}
 		}
 		uf := newUnionFind(len(at))
 		for _, w := range wires[n] {
-			a, aOK := at[[2]int{w.AX, w.ARow}]
-			b, bOK := at[[2]int{w.BX, w.BRow}]
+			a, aOK := at[[2]int32{w.AX, w.ARow}]
+			b, bOK := at[[2]int32{w.BX, w.BRow}]
 			if !aOK || !bOK {
 				t.Fatalf("net %d: wire %+v ends off the net's pins", n, w)
 			}
@@ -227,11 +227,11 @@ func TestWireChannelsConsistentWithEndpoints(t *testing.T) {
 		t.Fatalf("%d forced edges", res.ForcedEdges)
 	}
 	for i, w := range rt.Wires {
-		for _, end := range [][2]int{{w.AX, w.ARow}, {w.BX, w.BRow}} {
+		for _, end := range [][2]int32{{w.AX, w.ARow}, {w.BX, w.BRow}} {
 			reached := false
 			for _, p := range pinsAt(rt, w.Net, end[0], end[1]) {
 				lo, hi, _ := p.Channels()
-				reached = reached || w.Channel >= lo && w.Channel <= hi
+				reached = reached || int(w.Channel) >= lo && int(w.Channel) <= hi
 			}
 			if !reached {
 				t.Fatalf("wire %d in channel %d unreachable from its endpoint at (%d, row %d)",
@@ -291,7 +291,7 @@ func TestSwitchableWiresOnlyFromEquivalentEndpoints(t *testing.T) {
 		if w.ARow != w.Row || w.BRow != w.Row {
 			t.Fatalf("switchable wire %d of row %d between rows %d and %d", i, w.Row, w.ARow, w.BRow)
 		}
-		for _, x := range []int{w.AX, w.BX} {
+		for _, x := range []int32{w.AX, w.BX} {
 			if !slices.ContainsFunc(pinsAt(rt, w.Net, x, w.Row), func(p *circuit.Pin) bool { return p.Side == circuit.Both }) {
 				t.Fatalf("switchable wire %d ends at (%d, row %d), where net %d has no Both-sided pin", i, x, w.Row, w.Net)
 			}

@@ -78,7 +78,7 @@ func (o *Occupancy) channelMax(ch int) int32 {
 	return o.chMax[ch]
 }
 
-func (o *Occupancy) colOf(x int) int { return geom.Clamp(x/o.ColWidth, 0, o.Cols-1) }
+func (o *Occupancy) colOf(x int32) int { return geom.Clamp(int(x)/o.ColWidth, 0, o.Cols-1) }
 
 // Add adjusts channel ch's occupation over span by delta.
 func (o *Occupancy) Add(ch int, span geom.Interval, delta int32) {
@@ -113,7 +113,7 @@ func (o *Occupancy) Add(ch int, span geom.Interval, delta int32) {
 // AddWires loads a set of wires into the table.
 func (o *Occupancy) AddWires(wires []metrics.Wire) {
 	for i := range wires {
-		o.Add(wires[i].Channel, wires[i].Span, 1)
+		o.Add(int(wires[i].Channel), wires[i].Span, 1)
 	}
 }
 
@@ -277,18 +277,18 @@ func SwitchFlips(ctx context.Context, workers int, occ *Occupancy, wires []metri
 		return wires[i].Switchable && !wires[i].Span.Empty()
 	})
 	hull = func(i int) workpool.Hull {
-		row := int32(wires[switchable[i]].Row)
+		row := wires[switchable[i]].Row
 		return workpool.Hull{Lo: row, Hi: row + 1}
 	}
 	flip = func(i int) bool {
 		w := &wires[switchable[i]]
 		other := w.OtherChannel()
-		if occ.MoveCost(w.Channel, other, w.Span) >= 0 {
+		if occ.MoveCost(int(w.Channel), other, w.Span) >= 0 {
 			return false
 		}
-		occ.Add(w.Channel, w.Span, -1)
+		occ.Add(int(w.Channel), w.Span, -1)
 		occ.Add(other, w.Span, 1)
-		w.Channel = other
+		w.Channel = int32(other)
 		return true
 	}
 	return len(switchable), hull, flip, err

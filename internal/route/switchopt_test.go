@@ -208,7 +208,7 @@ func TestOptimizeSwitchableBalances(t *testing.T) {
 	var wires []metrics.Wire
 	for i := 0; i < 10; i++ {
 		wires = append(wires, metrics.Wire{
-			Net: i, Channel: 2, Switchable: true, Row: 2,
+			Net: int32(i), Channel: 2, Switchable: true, Row: 2,
 			Span: geom.NewInterval(0, 100),
 		})
 	}
@@ -273,7 +273,7 @@ func TestOptimizeSwitchableNeverWorsensCost(t *testing.T) {
 				ch = row + 1
 			}
 			wires = append(wires, metrics.Wire{
-				Net: i, Channel: ch, Switchable: true, Row: row,
+				Net: int32(i), Channel: int32(ch), Switchable: true, Row: int32(row),
 				Span: geom.NewInterval(r.Intn(300), r.Intn(300)),
 			})
 		}

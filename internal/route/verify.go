@@ -43,10 +43,10 @@ func (rt *Router) Verify() error {
 	off := make([]int, len(c.Nets)+1)
 	for i := range rt.Wires {
 		w := &rt.Wires[i]
-		if w.Net < 0 || w.Net >= len(c.Nets) {
+		if w.Net < 0 || int(w.Net) >= len(c.Nets) {
 			return fmt.Errorf("route: wire %d belongs to net %d of %d", i, w.Net, len(c.Nets))
 		}
-		if w.Channel < 0 || w.Channel >= c.NumChannels() {
+		if w.Channel < 0 || int(w.Channel) >= c.NumChannels() {
 			return fmt.Errorf("route: wire %d of net %d in channel %d of %d", i, w.Net, w.Channel, c.NumChannels())
 		}
 		off[w.Net+1]++
@@ -66,14 +66,14 @@ func (rt *Router) Verify() error {
 	// The net in hand: its pins sorted by position, and the sets the wires
 	// seen so far join them into, by index into at.
 	type pinAt struct {
-		row, x, id int
+		row, x, id int32
 		side       circuit.Side
 	}
 	var at []pinAt
 	var uf unionFind
 	// contact joins the pins at (x, row) that reach wire w — all of them when
 	// none does — and returns one of them and whether any reached.
-	contact := func(w *metrics.Wire, x, row int) (pin int, reaches, ok bool) {
+	contact := func(w *metrics.Wire, x, row int32) (pin int, reaches, ok bool) {
 		pin, ok = slices.BinarySearchFunc(at, pinAt{row: row, x: x}, func(a, b pinAt) int {
 			return cmp.Or(cmp.Compare(a.row, b.row), cmp.Compare(a.x, b.x))
 		})
@@ -82,7 +82,7 @@ func (rt *Router) Verify() error {
 		}
 		reach := func(p pinAt) bool {
 			lo, hi, both := Node{Row: p.row, Side: p.side}.Channels()
-			return (both || !w.Switchable) && lo <= w.Channel && w.Channel <= hi
+			return (both || !w.Switchable) && lo <= int(w.Channel) && int(w.Channel) <= hi
 		}
 		end := pin
 		for end < len(at) && at[end].row == row && at[end].x == x {
@@ -106,7 +106,7 @@ func (rt *Router) Verify() error {
 		at = at[:0]
 		for _, pid := range c.Nets[n].Pins {
 			p := &c.Pins[pid]
-			at = append(at, pinAt{row: int(p.Row), x: int(p.X), id: pid, side: p.Side})
+			at = append(at, pinAt{row: p.Row, x: p.X, id: int32(pid), side: p.Side})
 		}
 		slices.SortFunc(at, func(a, b pinAt) int {
 			return cmp.Or(cmp.Compare(a.row, b.row), cmp.Compare(a.x, b.x), cmp.Compare(a.id, b.id))

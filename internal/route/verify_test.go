@@ -37,11 +37,11 @@ func TestVerifyMutations(t *testing.T) {
 		t.Fatal("primary2 has no wire to mutate this way")
 		return -1
 	}
-	hasBoth := func(rt *Router, net, x, row int) bool {
+	hasBoth := func(rt *Router, net, x, row int32) bool {
 		return slices.ContainsFunc(pinsAt(rt, net, x, row), func(p *circuit.Pin) bool { return p.Side == circuit.Both })
 	}
 	wire := func(i int) string { return fmt.Sprintf("wire %d ", i) }
-	net := func(n int) string { return fmt.Sprintf("net %d ", n) }
+	net := func(n int32) string { return fmt.Sprintf("net %d ", n) }
 	for _, tc := range []struct {
 		name   string
 		mutate func(rt *Router) (want string)

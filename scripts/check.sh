@@ -113,7 +113,9 @@ step "workers determinism on one P" one_p
 # the envelope encoding/json would write, and Decode must refuse or read
 # any input without a panic. FuzzReadJSON guards the circuit file: pins
 # hold int32 fields, so whatever ReadJSON accepts must validate, fit them
-# with the room a route inserts, and round-trip.
+# with the room a route inserts, and round-trip. FuzzChannelDensities
+# holds the density sweep to its global-sort reference on wire spans up to
+# the largest int32 x, where the close event Hi+1 only fits once widened.
 fuzz_smoke() {
   go test -race -run '^$' -fuzz '^FuzzCodec$' -fuzztime 3s ./internal/parallel &&
     go test -race -run '^$' -fuzz '^FuzzAnyCodec$' -fuzztime 3s ./internal/mp &&
@@ -121,7 +123,8 @@ fuzz_smoke() {
     go test -race -run '^$' -fuzz '^FuzzGridDelta$' -fuzztime 3s ./internal/route &&
     go test -race -run '^$' -fuzz '^FuzzAppendJSON$' -fuzztime 3s ./internal/metrics &&
     go test -race -run '^$' -fuzz '^FuzzEnvelope$' -fuzztime 3s ./internal/service &&
-    go test -race -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 3s ./internal/circuit
+    go test -race -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 3s ./internal/circuit &&
+    go test -race -run '^$' -fuzz '^FuzzChannelDensities$' -fuzztime 3s ./internal/metrics
 }
 step "codec fuzz smoke" fuzz_smoke
 
