@@ -27,17 +27,18 @@ import (
 // slack stated in bytes:
 //
 //	row                     mallocs plain / race   bytes      budget     slack
-//	hybrid P=2              780 / 798              4 868 048  4 970 000  101 952
-//	net-wise P=2            955 / 975              4 061 904  4 160 000   98 096
-//	route.Route workers=1   239 / 244              2 206 808  2 310 000  103 192
-//	route.Route workers=2   446 / 456              2 337 408  2 440 000  102 592
+//	hybrid P=2              780 / 795              4 358 976  4 420 000  61 024
+//	net-wise P=2            956 / 977              3 679 248  3 740 000  60 752
+//	route.Route workers=1   239 / 244              1 927 192  1 990 000  62 808
+//	route.Route workers=2   444 / 450              2 053 456  2 115 000  61 544
 //
-// Every slack is below the smallest of the savings the int32 fields make
-// on primary2: a metrics.Wire back at 80 bytes adds 387–393 KB to the two
-// serial rows, 787 KB to net-wise and 1.38 MB to hybrid; a PlacedSeg back
-// at 72 bytes adds 288–304 KB to each row, a Pin back at 56 bytes
-// 401–802 KB; any one of them fails all four rows. The history of these
-// figures is in CHANGES.md.
+// Every slack is below the smallest of the savings the int32 records make
+// on primary2: a circuit.Cell padded back to 64 bytes adds 196 544 /
+// 180 320 / 122 896 / 122 240 bytes to the four rows; a metrics.Wire back
+// at 80 bytes adds 387–393 KB to the two serial rows and more to the
+// drivers, a PlacedSeg back at 72 bytes 288–304 KB to each row, a Pin back
+// at 56 bytes 401–802 KB; any one of them fails all four rows. The history
+// of these figures is in CHANGES.md.
 func TestParallelDriverAllocBudget(t *testing.T) {
 	c, err := gen.Benchmark("primary2", 7)
 	if err != nil {
@@ -58,10 +59,10 @@ func TestParallelDriverAllocBudget(t *testing.T) {
 		race  uint64 // mallocs, -race build
 		bytes uint64 // TotalAlloc, plain build
 	}{
-		{"hybrid P=2 inproc", par(parallel.Hybrid), 1000, 1020, 4_970_000},
-		{"net-wise P=2 inproc", par(parallel.NetWise), 1220, 1240, 4_160_000},
-		{"route.Route workers=1", serial(1), 315, 325, 2_310_000},
-		{"route.Route workers=2", serial(2), 560, 575, 2_440_000},
+		{"hybrid P=2 inproc", par(parallel.Hybrid), 1000, 1020, 4_420_000},
+		{"net-wise P=2 inproc", par(parallel.NetWise), 1220, 1240, 3_740_000},
+		{"route.Route workers=1", serial(1), 315, 325, 1_990_000},
+		{"route.Route workers=2", serial(2), 560, 575, 2_115_000},
 	} {
 		budget := tc.plain
 		if raceBuild {

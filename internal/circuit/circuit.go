@@ -53,19 +53,19 @@ const NoCell = -1
 // NoNet is the Net value of a pin not connected to any net.
 const NoNet = -1
 
-// MaxCoord is the largest value a Pin field holds: IDs, offsets and
-// coordinates are int32. Validate admits a circuit only if its routes stay
-// at or below it (checkRoom); a peer's coordinates are checked against it
-// where they are received.
+// MaxCoord is the largest value a circuit record field holds: ids, offsets,
+// widths and coordinates are int32. Validate admits a circuit only if its
+// routes stay at or below it (checkRoom); a peer's coordinates are checked
+// against it where they are received.
 const MaxCoord = math.MaxInt32
 
-// Pin is a connection point. X and Row are absolute coordinates, kept in
-// sync with the owning cell (if any) when cells shift. Every route copies
-// and streams the pin table, so its fields are int32: Validate admits only
-// circuits whose routes keep them in range (MaxCoord), and the int-typed
-// constructors narrow with a plain conversion on that promise.
+// Pin is a connection point; its ID is its index in Circuit.Pins. X and Row
+// are absolute coordinates, kept in sync with the owning cell (if any) when
+// cells shift. Every route copies and streams the pin table, so its fields
+// are int32, like the other records': Validate admits only circuits whose
+// routes keep them in range (MaxCoord), and the int-typed constructors
+// narrow with a plain conversion on that promise.
 type Pin struct {
-	ID     int32
 	Net    int32 // net index, or NoNet
 	Cell   int32 // cell index, or NoCell for fake pins
 	Offset int32 // x offset from the owning cell's left edge (0 if no cell)
@@ -95,25 +95,22 @@ func (p *Pin) Point() geom.Point { return geom.Point{X: int(p.X), Y: int(p.Row)}
 
 // Cell is a placed standard cell (or an inserted feedthrough cell).
 type Cell struct {
-	ID    int
-	Row   int
-	X     int // left edge
-	Width int
-	Pins  []int // pin IDs on this cell
-	Feed  bool  // true for feedthrough cells inserted by the router
+	Row   int32
+	X     int32 // left edge
+	Width int32
+	Feed  bool    // true for feedthrough cells inserted by the router
+	Pins  []int32 // pin IDs on this cell
 }
 
 // Net is a set of electrically connected pins.
 type Net struct {
-	ID   int
 	Name string
-	Pins []int // pin IDs
+	Pins []int32 // pin IDs
 }
 
 // Row is an ordered strip of cells.
 type Row struct {
-	ID    int
-	Cells []int // cell IDs, left to right
+	Cells []int32 // cell IDs, left to right
 }
 
 // Circuit is a complete standard-cell design plus everything the router
@@ -121,8 +118,9 @@ type Row struct {
 type Circuit struct {
 	Name string
 	Rows []Row
-	// Cells, Pins and Nets are indexed by their IDs; entries are appended,
-	// never removed, so IDs stay stable across feedthrough insertion.
+	// A row's, cell's, pin's or net's ID is its index here; entries are
+	// appended, never removed, so IDs stay stable across feedthrough
+	// insertion.
 	Cells []Cell
 	Pins  []Pin
 	Nets  []Net
@@ -151,7 +149,7 @@ func (c *Circuit) RowWidth(r int) int {
 		return 0
 	}
 	last := &c.Cells[row.Cells[len(row.Cells)-1]]
-	return last.X + last.Width
+	return int(last.X) + int(last.Width)
 }
 
 // CoreWidth returns the widest row's width: the horizontal extent of the
@@ -166,9 +164,8 @@ func (c *Circuit) CoreWidth() int {
 
 // AddRow appends an empty row and returns its index.
 func (c *Circuit) AddRow() int {
-	id := len(c.Rows)
-	c.Rows = append(c.Rows, Row{ID: id})
-	return id
+	c.Rows = append(c.Rows, Row{})
+	return len(c.Rows) - 1
 }
 
 // AddCell appends a cell at the right end of row r and returns its ID.
@@ -176,17 +173,15 @@ func (c *Circuit) AddRow() int {
 // It is construction-time only, like AddPin.
 func (c *Circuit) AddCell(r, width int) int {
 	id := len(c.Cells)
-	x := c.RowWidth(r)
-	c.Cells = append(c.Cells, Cell{ID: id, Row: r, X: x, Width: width})
-	c.Rows[r].Cells = append(c.Rows[r].Cells, id)
+	c.Cells = append(c.Cells, Cell{Row: int32(r), X: int32(c.RowWidth(r)), Width: int32(width)})
+	c.Rows[r].Cells = append(c.Rows[r].Cells, int32(id))
 	return id
 }
 
 // AddNet appends an empty net and returns its ID.
 func (c *Circuit) AddNet(name string) int {
-	id := len(c.Nets)
-	c.Nets = append(c.Nets, Net{ID: id, Name: name})
-	return id
+	c.Nets = append(c.Nets, Net{Name: name})
+	return len(c.Nets) - 1
 }
 
 // AddPin creates a pin on cell cellID at the given offset and side and
@@ -196,12 +191,12 @@ func (c *Circuit) AddPin(cellID, netID, offset int, side Side) int {
 	cell := &c.Cells[cellID]
 	id := len(c.Pins)
 	c.Pins = append(c.Pins, Pin{
-		ID: int32(id), Net: int32(netID), Cell: int32(cellID), Offset: int32(offset),
-		X: int32(cell.X + offset), Row: int32(cell.Row), Side: side,
+		Net: int32(netID), Cell: int32(cellID), Offset: int32(offset),
+		X: cell.X + int32(offset), Row: cell.Row, Side: side,
 	})
-	cell.Pins = append(cell.Pins, id)
+	cell.Pins = append(cell.Pins, int32(id))
 	if netID != NoNet {
-		c.Nets[netID].Pins = append(c.Nets[netID].Pins, id)
+		c.Nets[netID].Pins = append(c.Nets[netID].Pins, int32(id))
 	}
 	return id
 }
@@ -212,11 +207,11 @@ func (c *Circuit) AddPin(cellID, netID, offset int, side Side) int {
 func (c *Circuit) AddFakePin(netID, x, row int, side Side) int {
 	id := len(c.Pins)
 	c.Pins = append(c.Pins, Pin{
-		ID: int32(id), Net: int32(netID), Cell: NoCell,
+		Net: int32(netID), Cell: NoCell,
 		X: int32(x), Row: int32(row), Side: side, Fake: true,
 	})
 	if netID != NoNet {
-		c.Nets[netID].Pins = append(c.Nets[netID].Pins, id)
+		c.Nets[netID].Pins = append(c.Nets[netID].Pins, int32(id))
 	}
 	for len(c.fakeByRow) <= row {
 		c.fakeByRow = append(c.fakeByRow, nil)
@@ -237,31 +232,31 @@ func (c *Circuit) InsertFeedthrough(r, x, netID int) int {
 	row := &c.Rows[r]
 	// Find the first cell whose left edge is >= x; insert before it.
 	idx := sort.Search(len(row.Cells), func(i int) bool {
-		return c.Cells[row.Cells[i]].X >= x
+		return int(c.Cells[row.Cells[i]].X) >= x
 	})
 	var at int
 	if idx == 0 {
 		at = 0
 		if len(row.Cells) > 0 {
-			at = geom.Min(x, c.Cells[row.Cells[0]].X)
+			at = geom.Min(x, int(c.Cells[row.Cells[0]].X))
 		}
 		if at < 0 {
 			at = 0
 		}
 	} else {
 		prev := &c.Cells[row.Cells[idx-1]]
-		at = prev.X + prev.Width
+		at = int(prev.X + prev.Width)
 	}
 
 	cellID := len(c.Cells)
 	c.Cells = append(c.Cells, Cell{
-		ID: cellID, Row: r, X: at, Width: c.FeedWidth, Feed: true,
+		Row: int32(r), X: int32(at), Width: int32(c.FeedWidth), Feed: true,
 	})
 	// Before the shifts: on a Fork, this append moves Pins out of the parent.
 	pinID := c.AddPin(cellID, netID, c.FeedWidth/2, Both)
 	row.Cells = append(row.Cells, 0)
 	copy(row.Cells[idx+1:], row.Cells[idx:])
-	row.Cells[idx] = cellID
+	row.Cells[idx] = int32(cellID)
 
 	// Shift everything to the right of the insertion point — cells, the
 	// pins on them, and the fake pins registered on this row, so boundary
@@ -269,9 +264,9 @@ func (c *Circuit) InsertFeedthrough(r, x, netID int) int {
 	// stretching every boundary wire by the accumulated insertion width.
 	for _, cid := range row.Cells[idx+1:] {
 		cell := &c.Cells[cid]
-		cell.X += c.FeedWidth
+		cell.X += int32(c.FeedWidth)
 		for _, pid := range cell.Pins {
-			c.Pins[pid].X = int32(cell.X) + c.Pins[pid].Offset
+			c.Pins[pid].X = cell.X + c.Pins[pid].Offset
 		}
 	}
 	if r < len(c.fakeByRow) {
@@ -336,10 +331,10 @@ func (c *Circuit) InsertFeedthroughRows(off, xs []int, forRows func(rows int, wa
 	// zeroing the pointer-free pins that the copy overwrites.
 	c.Cells = slices.Grow(c.Cells[:firstCell:firstCell], len(xs))[:firstCell+len(xs)]
 	c.Pins = slices.Grow(c.Pins[:firstPin:firstPin], len(xs))[:firstPin+len(xs)]
-	lists := make([]int, listOff[rows])
+	lists := make([]int32, listOff[rows])
 	// Per request: the feedthrough's one-pin list, and the walk's two
 	// scratch slots.
-	perFeed := make([]int, 3*len(xs))
+	perFeed := make([]int32, 3*len(xs))
 	cellPins, scratch := perFeed[:len(xs)], perFeed[len(xs):]
 	forRows(rows, func(r int) {
 		lo, hi := off[r], off[r+1]
@@ -356,7 +351,7 @@ func (c *Circuit) InsertFeedthroughRows(off, xs []int, forRows func(rows int, wa
 // walkRow is the one-row walk of InsertFeedthroughRows: the row's cells and
 // the new feedthroughs (cell IDs cell0.., pin IDs pin0..) are written to out
 // left to right with their final positions. scratch has two slots per x.
-func (c *Circuit) walkRow(r int, xs []int, cell0, pin0 int, out, cellPins, scratch []int) {
+func (c *Circuit) walkRow(r int, xs []int, cell0, pin0 int, out, cellPins, scratch []int32) {
 	old := c.Rows[r].Cells
 	fw := c.FeedWidth
 	// pending holds the feedthroughs of the current gap that a later one may
@@ -375,7 +370,7 @@ func (c *Circuit) walkRow(r int, xs []int, cell0, pin0 int, out, cellPins, scrat
 		for ; len(pending) > 0 && base+placed*fw < x; placed++ {
 			cid := pending[len(pending)-1]
 			pending = pending[:len(pending)-1]
-			c.Cells[cid].X = base + placed*fw
+			c.Cells[cid].X = int32(base + placed*fw)
 			out[n] = cid
 			n++
 		}
@@ -383,38 +378,38 @@ func (c *Circuit) walkRow(r int, xs []int, cell0, pin0 int, out, cellPins, scrat
 	firstMoved := -1 // index in out of the first cell whose position changed
 	for j, x := range xs {
 		shift := j * fw // every earlier feedthrough is left of old[p]
-		if p < len(old) && c.Cells[old[p]].X+shift < x {
+		if p < len(old) && int(c.Cells[old[p]].X)+shift < x {
 			// The cursor leaves its gap: whatever is pending there is final.
 			settle(math.MaxInt)
-			for ; p < len(old) && c.Cells[old[p]].X+shift < x; p++ {
-				c.Cells[old[p]].X += shift
+			for ; p < len(old) && int(c.Cells[old[p]].X)+shift < x; p++ {
+				c.Cells[old[p]].X += int32(shift)
 				out[n] = old[p]
 				n++
 			}
 			prev := &c.Cells[old[p-1]]
-			base, placed = prev.X+prev.Width, 0
+			base, placed = int(prev.X+prev.Width), 0
 		} else if j == 0 && len(old) > 0 {
 			// In front of the first cell: at x itself, within [0, its edge].
-			base = geom.Max(0, geom.Min(x, c.Cells[old[0]].X))
+			base = geom.Max(0, geom.Min(x, int(c.Cells[old[0]].X)))
 		}
 		settle(x)
 		if firstMoved < 0 {
 			firstMoved = n
 		}
 		cid, pid := cell0+j, pin0+j
-		cellPins[j] = pid
-		c.Cells[cid] = Cell{ID: cid, Row: r, Width: fw, Pins: cellPins[j : j+1 : j+1], Feed: true}
-		c.Pins[pid] = Pin{ID: int32(pid), Net: NoNet, Cell: int32(cid), Offset: int32(fw / 2), Row: int32(r), Side: Both}
-		pending = append(pending, cid)
+		cellPins[j] = int32(pid)
+		c.Cells[cid] = Cell{Row: int32(r), Width: int32(fw), Pins: cellPins[j : j+1 : j+1], Feed: true}
+		c.Pins[pid] = Pin{Net: NoNet, Cell: int32(cid), Offset: int32(fw / 2), Row: int32(r), Side: Both}
+		pending = append(pending, int32(cid))
 		far := base + placed*fw - shift // where this one goes in, less the shifts so far
 		if j > 0 {
-			far = max(far, reach[j-1])
+			far = max(far, int(reach[j-1]))
 		}
-		reach = append(reach, far)
+		reach = append(reach, int32(far))
 	}
 	settle(math.MaxInt)
 	for ; p < len(old); p++ {
-		c.Cells[old[p]].X += len(xs) * fw
+		c.Cells[old[p]].X += int32(len(xs) * fw)
 		out[n] = old[p]
 		n++
 	}
@@ -422,14 +417,14 @@ func (c *Circuit) walkRow(r int, xs []int, cell0, pin0 int, out, cellPins, scrat
 	for _, cid := range out[firstMoved:] {
 		cell := &c.Cells[cid]
 		for _, pid := range cell.Pins {
-			c.Pins[pid].X = int32(cell.X) + c.Pins[pid].Offset
+			c.Pins[pid].X = cell.X + c.Pins[pid].Offset
 		}
 	}
 	// Fake pins have no cell; each moves once per insertion it was at or
 	// right of, and those are always a prefix of the row's insertions.
 	if r < len(c.fakeByRow) {
 		for _, pid := range c.fakeByRow[r] {
-			x0 := int(c.Pins[pid].X)
+			x0 := c.Pins[pid].X
 			c.Pins[pid].X += int32(fw * sort.Search(len(reach), func(j int) bool { return reach[j] > x0 }))
 		}
 	}
@@ -546,72 +541,62 @@ func (c *Circuit) Clone() *Circuit {
 	// Full slice expressions cap every sub-slice at its own length so a
 	// later append (feedthrough insertion grows row and net lists) copies
 	// out instead of clobbering the neighbor's region.
-	backing := make([]int, 0, total)
-	take := func(src []int) []int {
+	backing := make([]int32, 0, total)
+	take := func(src []int32) []int32 {
 		lo := len(backing)
 		backing = append(backing, src...)
 		return backing[lo:len(backing):len(backing)]
 	}
 	for i := range c.Rows {
-		out.Rows[i] = Row{ID: c.Rows[i].ID, Cells: take(c.Rows[i].Cells)}
+		out.Rows[i] = Row{Cells: take(c.Rows[i].Cells)}
 	}
 	for i := range c.Cells {
 		out.Cells[i].Pins = take(c.Cells[i].Pins)
 	}
 	for i := range c.Nets {
-		out.Nets[i] = Net{ID: c.Nets[i].ID, Name: c.Nets[i].Name, Pins: take(c.Nets[i].Pins)}
+		out.Nets[i] = Net{Name: c.Nets[i].Name, Pins: take(c.Nets[i].Pins)}
 	}
 	return out
 }
 
 // Validate checks internal consistency: row/cell/pin/net cross-references,
 // cell ordering and non-overlap within rows, and pin position coherence.
-// It returns the first problem found, or nil.
+// It returns the first problem found, or nil. It is linear: the walk of
+// each row marks the cells it lists, and a walk of the nets marks the pins
+// they list, so no membership check scans a list.
 func (c *Circuit) Validate() error {
+	listed := make([]bool, max(len(c.Cells), len(c.Pins)))
 	for r := range c.Rows {
-		row := &c.Rows[r]
-		if row.ID != r {
-			return fmt.Errorf("row %d has ID %d", r, row.ID)
-		}
 		x := -1 << 60
-		for _, cid := range row.Cells {
-			if cid < 0 || cid >= len(c.Cells) {
+		for _, cid := range c.Rows[r].Cells {
+			if cid < 0 || int(cid) >= len(c.Cells) {
 				return fmt.Errorf("row %d references cell %d out of range", r, cid)
 			}
 			cell := &c.Cells[cid]
-			if cell.Row != r {
+			if int(cell.Row) != r {
 				return fmt.Errorf("cell %d in row %d claims row %d", cid, r, cell.Row)
 			}
-			if cell.X < x {
+			if int(cell.X) < x {
 				return fmt.Errorf("cell %d at x=%d overlaps previous cell ending at %d in row %d",
 					cid, cell.X, x, r)
 			}
 			if cell.Width <= 0 {
 				return fmt.Errorf("cell %d has non-positive width %d", cid, cell.Width)
 			}
-			x = cell.X + cell.Width
+			x = int(cell.X) + int(cell.Width)
+			listed[cid] = true // in the row it claims, checked above
 		}
 	}
 	for i := range c.Cells {
 		cell := &c.Cells[i]
-		if cell.ID != i {
-			return fmt.Errorf("cell %d has ID %d", i, cell.ID)
-		}
-		if cell.Row < 0 || cell.Row >= len(c.Rows) {
+		if cell.Row < 0 || int(cell.Row) >= len(c.Rows) {
 			return fmt.Errorf("cell %d has row %d out of range", i, cell.Row)
 		}
-		found := false
-		for _, cid := range c.Rows[cell.Row].Cells {
-			if cid == i {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !listed[i] {
 			return fmt.Errorf("cell %d missing from its row %d", i, cell.Row)
 		}
 		for _, pid := range cell.Pins {
-			if pid < 0 || pid >= len(c.Pins) {
+			if pid < 0 || int(pid) >= len(c.Pins) {
 				return fmt.Errorf("cell %d references pin %d out of range", i, pid)
 			}
 			if int(c.Pins[pid].Cell) != i {
@@ -619,21 +604,26 @@ func (c *Circuit) Validate() error {
 			}
 		}
 	}
+	clear(listed)
+	for n := range c.Nets {
+		for _, pid := range c.Nets[n].Pins {
+			if pid >= 0 && int(pid) < len(c.Pins) && int(c.Pins[pid].Net) == n {
+				listed[pid] = true
+			}
+		}
+	}
 	for i := range c.Pins {
 		p := &c.Pins[i]
-		if int(p.ID) != i {
-			return fmt.Errorf("pin %d has ID %d", i, p.ID)
-		}
 		if p.Row < 0 || int(p.Row) >= len(c.Rows) {
 			return fmt.Errorf("pin %d has row %d out of range", i, p.Row)
 		}
 		if p.Cell != NoCell {
 			cell := &c.Cells[p.Cell]
-			if int(p.X) != cell.X+int(p.Offset) {
+			if int(p.X) != int(cell.X)+int(p.Offset) {
 				return fmt.Errorf("pin %d at x=%d but cell %d at x=%d with offset %d",
 					i, p.X, p.Cell, cell.X, p.Offset)
 			}
-			if int(p.Row) != cell.Row {
+			if p.Row != cell.Row {
 				return fmt.Errorf("pin %d row %d disagrees with cell %d row %d",
 					i, p.Row, p.Cell, cell.Row)
 			}
@@ -642,25 +632,14 @@ func (c *Circuit) Validate() error {
 			if p.Net < 0 || int(p.Net) >= len(c.Nets) {
 				return fmt.Errorf("pin %d has net %d out of range", i, p.Net)
 			}
-			found := false
-			for _, pid := range c.Nets[p.Net].Pins {
-				if pid == i {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !listed[i] {
 				return fmt.Errorf("pin %d missing from its net %d", i, p.Net)
 			}
 		}
 	}
 	for i := range c.Nets {
-		net := &c.Nets[i]
-		if net.ID != i {
-			return fmt.Errorf("net %d has ID %d", i, net.ID)
-		}
-		for _, pid := range net.Pins {
-			if pid < 0 || pid >= len(c.Pins) {
+		for _, pid := range c.Nets[i].Pins {
+			if pid < 0 || int(pid) >= len(c.Pins) {
 				return fmt.Errorf("net %d references pin %d out of range", i, pid)
 			}
 			if int(c.Pins[pid].Net) != i {
@@ -712,7 +691,7 @@ func (c *Circuit) checkRoom() error {
 	}
 	limit := MaxCoord - c.FeedWidth*room // the largest x a pin or cell edge may have
 	for i := range c.Cells {
-		if cell := &c.Cells[i]; cell.X < 0 || cell.X > limit-cell.Width {
+		if cell := &c.Cells[i]; cell.X < 0 || int(cell.X) > limit-int(cell.Width) {
 			return fmt.Errorf("cell %d spans x %d to %d outside [0, %d], the room for %d feedthroughs of width %d",
 				i, cell.X, cell.X+cell.Width, limit, room, c.FeedWidth)
 		}

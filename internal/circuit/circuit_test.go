@@ -99,7 +99,7 @@ func TestInsertFeedthroughShiftsCellsAndPins(t *testing.T) {
 	// The net gained the feedthrough pin.
 	found := false
 	for _, pid := range c.Nets[0].Pins {
-		if pid == pinID {
+		if int(pid) == pinID {
 			found = true
 		}
 	}
@@ -151,7 +151,7 @@ func TestFakePin(t *testing.T) {
 	}
 	found := false
 	for _, pid := range c.Nets[1].Pins {
-		if pid == id {
+		if int(pid) == id {
 			found = true
 		}
 	}
@@ -192,7 +192,7 @@ func TestCloneSharedBackingSafety(t *testing.T) {
 	// next net's list (the clone uses one backing array with capped caps).
 	c := buildTiny(t)
 	cl := c.Clone()
-	before := append([]int(nil), cl.Nets[1].Pins...)
+	before := append([]int32(nil), cl.Nets[1].Pins...)
 	cl.Nets[0].Pins = append(cl.Nets[0].Pins, 99)
 	for i, pid := range cl.Nets[1].Pins {
 		if pid != before[i] {
@@ -200,7 +200,7 @@ func TestCloneSharedBackingSafety(t *testing.T) {
 		}
 	}
 	// Same for rows.
-	r0 := append([]int(nil), cl.Rows[1].Cells...)
+	r0 := append([]int32(nil), cl.Rows[1].Cells...)
 	cl.Rows[0].Cells = append(cl.Rows[0].Cells, 98)
 	for i, cid := range cl.Rows[1].Cells {
 		if cid != r0[i] {
@@ -276,10 +276,36 @@ func TestSideString(t *testing.T) {
 }
 
 // TestPinStaysSmall pins the size of the pin table every route copies once
-// (Fork's copy-out at the first insertion) and every stage reads: 28 bytes a
-// pin, six int32 fields, the side and the fake flag (56 with int fields).
+// (Fork's copy-out at the first insertion) and every stage reads: 24 bytes a
+// pin, five int32 fields, the side and the fake flag (28 with an ID, 56 with
+// int fields).
 func TestPinStaysSmall(t *testing.T) {
-	if size := unsafe.Sizeof(Pin{}); size > 28 {
-		t.Fatalf("Pin is %d bytes, at most 28 expected", size)
+	if size := unsafe.Sizeof(Pin{}); size > 24 {
+		t.Fatalf("Pin is %d bytes, at most 24 expected", size)
+	}
+}
+
+// TestCellStaysSmall pins the size of the cell table every route regrows at
+// feedthrough insertion: 40 bytes a cell, three int32 fields, the feed flag
+// and the pin list's header (64 with an ID and int fields).
+func TestCellStaysSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Cell{}); size > 40 {
+		t.Fatalf("Cell is %d bytes, at most 40 expected", size)
+	}
+}
+
+// TestNetStaysSmall pins the size of the net table every Fork copies: the
+// name and the pin list's headers, 40 bytes (48 with an ID).
+func TestNetStaysSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Net{}); size > 40 {
+		t.Fatalf("Net is %d bytes, at most 40 expected", size)
+	}
+}
+
+// TestRowStaysSmall pins the size of a row: its cell list's header, 24
+// bytes (32 with an ID).
+func TestRowStaysSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Row{}); size > 24 {
+		t.Fatalf("Row is %d bytes, at most 24 expected", size)
 	}
 }

@@ -35,6 +35,9 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(limitJSON(2, 8, 4, limit-7))
 	f.Add(limitJSON(2, 8, 4, 1<<40))
 	f.Add(limitJSON((MaxCoord-9)/3, 8, 4, 1))
+	f.Add(widthJSON(MaxCoord))
+	f.Add(widthJSON(MaxCoord + 1))
+	f.Add(widthJSON(1<<32 + 5))
 
 	f.Fuzz(func(t *testing.T, input string) {
 		got, err := ReadJSON(strings.NewReader(input))

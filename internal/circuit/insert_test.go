@@ -28,8 +28,8 @@ func randomRows(r *rng.RNG) *Circuit {
 				w = 0
 			}
 			id := len(c.Cells)
-			c.Cells = append(c.Cells, Cell{ID: id, Row: row, X: x, Width: w})
-			c.Rows[row].Cells = append(c.Rows[row].Cells, id)
+			c.Cells = append(c.Cells, Cell{Row: int32(row), X: int32(x), Width: int32(w)})
+			c.Rows[row].Cells = append(c.Rows[row].Cells, int32(id))
 			for k := r.Intn(3); k > 0; k-- {
 				c.AddPin(id, n, r.Intn(w+1), Side(r.Intn(3)))
 			}

@@ -53,14 +53,16 @@ func (c *Circuit) WriteJSON(w io.Writer) error {
 		}
 	}
 	for i := range c.Rows {
-		jc.Rows[i] = append([]int(nil), c.Rows[i].Cells...)
+		for _, cid := range c.Rows[i].Cells {
+			jc.Rows[i] = append(jc.Rows[i], int(cid))
+		}
 	}
 	for i := range c.Cells {
 		cell := &c.Cells[i]
 		if cell.Feed {
 			return fmt.Errorf("circuit: cannot serialize circuit with feedthrough cell %d", i)
 		}
-		jcell := jsonCell{Row: cell.Row, X: cell.X, Width: cell.Width}
+		jcell := jsonCell{Row: int(cell.Row), X: int(cell.X), Width: int(cell.Width)}
 		for _, pid := range cell.Pins {
 			p := &c.Pins[pid]
 			jcell.Pins = append(jcell.Pins, jsonPin{Net: int(p.Net), Offset: int(p.Offset), Side: p.Side})
@@ -102,15 +104,18 @@ func ReadJSON(r io.Reader) (*Circuit, error) {
 		if jcell.X < 0 || jcell.X > MaxCoord {
 			return nil, fmt.Errorf("circuit: cell %d has x %d outside [0, %d]", i, jcell.X, MaxCoord)
 		}
-		c.Cells[i] = Cell{ID: i, Row: jcell.Row, X: jcell.X, Width: jcell.Width}
+		if jcell.Width < 1 || jcell.Width > MaxCoord {
+			return nil, fmt.Errorf("circuit: cell %d has width %d outside [1, %d]", i, jcell.Width, MaxCoord)
+		}
+		c.Cells[i] = Cell{Row: int32(jcell.Row), X: int32(jcell.X), Width: int32(jcell.Width)}
 	}
 	for r, ids := range jc.Rows {
 		for _, cid := range ids {
 			if cid < 0 || cid >= len(c.Cells) {
 				return nil, fmt.Errorf("circuit: row %d references cell %d out of range", r, cid)
 			}
+			c.Rows[r].Cells = append(c.Rows[r].Cells, int32(cid))
 		}
-		c.Rows[r].Cells = append([]int(nil), ids...)
 	}
 	for i, jcell := range jc.Cells {
 		for _, jp := range jcell.Pins {

@@ -88,10 +88,19 @@ func limitJSON(feedWidth, x, w, off int) string {
 		feedWidth, x, w, off)
 }
 
+// widthJSON is limitJSON's circuit with no feedthrough width and cell 1
+// alone in a second row at x 0, so its width w alone reaches the limit.
+func widthJSON(w int) string {
+	return fmt.Sprintf(`{"name":"width","cellHeight":10,"feedWidth":0,"rows":[[0],[1]],"cells":[`+
+		`{"row":0,"x":0,"width":4,"pins":[{"net":0,"offset":1,"side":0}]},`+
+		`{"row":1,"x":0,"width":%d,"pins":[{"net":0,"offset":1,"side":1}]}],"nets":[{"name":"n"}]}`, w)
+}
+
 // TestReadJSONInt32Limits: a cell's right edge, its width or its pin's offset
 // exactly at the limit is accepted, one past it is rejected naming the cell,
 // and so is a feedthrough width whose insertions would carry a cell past
-// MaxCoord.
+// MaxCoord. A width is refused before it is narrowed: 2^32+5 would
+// otherwise arrive as a valid-looking 5.
 func TestReadJSONInt32Limits(t *testing.T) {
 	const limit = MaxCoord - 3*2
 	cases := []struct {
@@ -108,6 +117,9 @@ func TestReadJSONInt32Limits(t *testing.T) {
 		{"offset-past-int32", limitJSON(2, 8, 4, 1<<40), false},
 		{"x-past-int32", limitJSON(2, 1<<40, 4, 1), false},
 		{"x-negative", limitJSON(2, -8, 4, 1), false},
+		{"width-max-coord", widthJSON(MaxCoord), true},
+		{"width-past-max-coord", widthJSON(MaxCoord + 1), false},
+		{"width-past-int32", widthJSON(1<<32 + 5), false},
 		// Cell 1 ends at 12; three insertions of this width leave room to x 10.
 		{"insertion-past-limit", limitJSON((MaxCoord-9)/3, 8, 4, 1), false},
 	}

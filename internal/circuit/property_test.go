@@ -31,7 +31,7 @@ func TestRandomConstructionStaysValid(t *testing.T) {
 			cell := &c.Cells[cellID]
 			offset := 0
 			if cell.Width > 1 {
-				offset = r.Intn(cell.Width)
+				offset = r.Intn(int(cell.Width))
 			}
 			c.AddPin(cellID, r.Intn(nets), offset, Side(r.Intn(3)))
 		}

@@ -178,7 +178,7 @@ func Generate(cfg Config) (*circuit.Circuit, error) {
 			cell := &c.Cells[cellID]
 			offset := 0
 			if cell.Width > 1 {
-				offset = r.Intn(cell.Width)
+				offset = r.Intn(int(cell.Width))
 			}
 			side := circuit.Bottom
 			switch f := r.Float64(); {
@@ -201,12 +201,12 @@ func Generate(cfg Config) (*circuit.Circuit, error) {
 func cellNear(c *circuit.Circuit, row, x int) int {
 	cells := c.Rows[row].Cells
 	idx := sort.Search(len(cells), func(i int) bool {
-		return c.Cells[cells[i]].X > x
+		return int(c.Cells[cells[i]].X) > x
 	})
 	if idx > 0 {
 		idx--
 	}
-	return cells[idx]
+	return int(cells[idx])
 }
 
 func hashName(s string) uint64 {

@@ -165,38 +165,35 @@ func buildBlockCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []
 		Pins:       make([]circuit.Pin, 0, numPins+len(fakes)),
 		Nets:       make([]circuit.Net, len(base.Nets)),
 	}
-	backing := make([]int, 0, numCells+2*numPins+len(fakes)) // row, cell and net lists (≤ numPins+fakes)
+	backing := make([]int32, 0, numCells+2*numPins+len(fakes)) // row, cell and net lists (≤ numPins+fakes)
 	// newPin[old] is the re-issued pin ID plus one; zero marks a pin
 	// outside the block.
 	newPin := make([]int32, len(base.Pins))
 	for pid := range base.Pins {
 		if p := &base.Pins[pid]; p.Cell != circuit.NoCell && block.Contains(int(p.Row)) { // a pin's row is its cell's
-			sub.Pins = append(sub.Pins, *p) // ID and Cell are set with the cell's list
+			sub.Pins = append(sub.Pins, *p) // Cell is set with the cell's list
 			newPin[pid] = int32(len(sub.Pins))
 		}
-	}
-	for r := range sub.Rows {
-		sub.Rows[r].ID = r
 	}
 	for r := block.Lo; r <= block.Hi; r++ {
 		cells := base.Rows[r].Cells
 		lo := len(backing)
 		for _, cid := range cells {
 			cell := base.Cells[cid]
-			cell.ID, cell.Pins = len(sub.Cells), nil
-			backing = append(backing, cell.ID)
+			cell.Pins = nil
+			backing = append(backing, int32(len(sub.Cells)))
 			sub.Cells = append(sub.Cells, cell)
 		}
 		sub.Rows[r].Cells = backing[lo:len(backing):len(backing)]
 		for i, cid := range cells {
-			cell := &sub.Cells[sub.Rows[r].Cells[i]]
+			newCell := sub.Rows[r].Cells[i]
 			lo := len(backing)
 			for _, pid := range base.Cells[cid].Pins {
-				id := int(newPin[pid]) - 1
-				sub.Pins[id].ID, sub.Pins[id].Cell = int32(id), int32(cell.ID)
+				id := newPin[pid] - 1
+				sub.Pins[id].Cell = newCell
 				backing = append(backing, id)
 			}
-			cell.Pins = backing[lo:len(backing):len(backing)]
+			sub.Cells[newCell].Pins = backing[lo:len(backing):len(backing)]
 		}
 	}
 	fakesOf := make([]int32, len(base.Nets))
@@ -207,12 +204,12 @@ func buildBlockCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []
 		lo := len(backing)
 		for _, pid := range base.Nets[n].Pins {
 			if id := newPin[pid]; id != 0 {
-				backing = append(backing, int(id)-1)
+				backing = append(backing, id-1)
 			}
 		}
 		hi := len(backing)
 		backing = backing[:hi+int(fakesOf[n])]
-		sub.Nets[n] = circuit.Net{ID: n, Pins: backing[lo:hi:len(backing)]}
+		sub.Nets[n] = circuit.Net{Pins: backing[lo:hi:len(backing)]}
 	}
 	for _, spec := range fakes {
 		sub.AddFakePin(int(spec.Net), int(spec.X), int(spec.Row), spec.Side)

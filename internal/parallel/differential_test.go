@@ -495,7 +495,7 @@ func TestBlockCircuitMatchesFullClone(t *testing.T) {
 					t.Fatalf("%s: row %d cell %d is %+v, full clone %+v", name, r, i, sc, fc)
 				}
 				for j, fp := range fc.Pins {
-					toSub[fp] = sc.Pins[j]
+					toSub[int(fp)] = int(sc.Pins[j])
 				}
 				cells++
 				pins += len(fc.Pins)
@@ -526,9 +526,9 @@ func TestBlockCircuitMatchesFullClone(t *testing.T) {
 			}
 		}
 		for n := range full.Nets {
-			want := make([]int, len(full.Nets[n].Pins))
+			want := make([]int32, len(full.Nets[n].Pins))
 			for i, fid := range full.Nets[n].Pins {
-				want[i] = toSub[fid]
+				want[i] = int32(toSub[int(fid)])
 			}
 			if !slices.Equal(sub.Nets[n].Pins, want) {
 				t.Fatalf("%s: net %d pins %v, full clone's through the ID map %v", name, n, sub.Nets[n].Pins, want)

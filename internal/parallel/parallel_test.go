@@ -175,11 +175,11 @@ func TestComputeCrossings(t *testing.T) {
 		c.AddCell(r, 100)
 	}
 	cross := c.AddNet("cross")
-	c.AddPin(c.Rows[0].Cells[0], cross, 10, circuit.Bottom)
-	c.AddPin(c.Rows[3].Cells[0], cross, 50, circuit.Top)
+	c.AddPin(int(c.Rows[0].Cells[0]), cross, 10, circuit.Bottom)
+	c.AddPin(int(c.Rows[3].Cells[0]), cross, 50, circuit.Top)
 	local := c.AddNet("local")
-	c.AddPin(c.Rows[0].Cells[0], local, 20, circuit.Bottom)
-	c.AddPin(c.Rows[1].Cells[0], local, 30, circuit.Top)
+	c.AddPin(int(c.Rows[0].Cells[0]), local, 20, circuit.Bottom)
+	c.AddPin(int(c.Rows[1].Cells[0]), local, 30, circuit.Top)
 
 	blocks := []partition.RowBlock{{Lo: 0, Hi: 1}, {Lo: 2, Hi: 3}}
 	owner := []int{0, 0}

@@ -171,15 +171,15 @@ func TestPinWeightBalancesSteinerCost(t *testing.T) {
 		n := c.AddNet("")
 		for i := 0; i < 120; i++ {
 			r := i % rows
-			c.AddPin(c.Rows[r].Cells[(g*13+i)%64], n, 1, circuit.Bottom)
+			c.AddPin(int(c.Rows[r].Cells[(g*13+i)%64]), n, 1, circuit.Bottom)
 		}
 	}
 	// Plus small filler nets.
 	for i := 0; i < 200; i++ {
 		n := c.AddNet("")
 		r := i % (rows - 1)
-		c.AddPin(c.Rows[r].Cells[i%64], n, 2, circuit.Bottom)
-		c.AddPin(c.Rows[r+1].Cells[(i+7)%64], n, 3, circuit.Top)
+		c.AddPin(int(c.Rows[r].Cells[i%64]), n, 2, circuit.Bottom)
+		c.AddPin(int(c.Rows[r+1].Cells[(i+7)%64]), n, 3, circuit.Top)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
@@ -222,8 +222,8 @@ func TestDensityMethodPrefersMajorityBlock(t *testing.T) {
 		if i >= 8 {
 			base = 2
 		}
-		c.AddPin(c.Rows[base].Cells[i%4], n, 1, circuit.Bottom)
-		c.AddPin(c.Rows[base+1].Cells[i%4], n, 2, circuit.Top)
+		c.AddPin(int(c.Rows[base].Cells[i%4]), n, 1, circuit.Bottom)
+		c.AddPin(int(c.Rows[base+1].Cells[i%4]), n, 2, circuit.Top)
 	}
 	blocks := []RowBlock{{0, 1}, {2, 3}}
 	owner, err := Nets(c, blocks, 2, Config{Method: Density})

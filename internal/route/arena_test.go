@@ -87,12 +87,12 @@ func TestCrossingArenaMatchesSerialFill(t *testing.T) {
 					t.Fatalf("%s: net %d gains %d pins, its list has room for %d", name, n, gain[n], cap(pins)-len(pins))
 				}
 				for k := 0; k < gain[n]; k++ {
-					got.C.Nets[n].Pins = append(got.C.Nets[n].Pins, -1-n)
+					got.C.Nets[n].Pins = append(got.C.Nets[n].Pins, int32(-1-n))
 				}
 			}
 			for n := range got.C.Nets {
 				pins, old := got.C.Nets[n].Pins, ref.C.Nets[n].Pins
-				if !slices.Equal(pins[:len(old)], old) || slices.IndexFunc(pins[len(old):], func(p int) bool { return p != -1-n }) >= 0 {
+				if !slices.Equal(pins[:len(old)], old) || slices.IndexFunc(pins[len(old):], func(p int32) bool { return int(p) != -1-n }) >= 0 {
 					t.Fatalf("%s: filling the lists to capacity overwrote net %d's", name, n)
 				}
 			}

@@ -518,7 +518,7 @@ func (rt *Router) crossingArena(ctx context.Context) (arena []crossing, rowOff [
 		}
 		gain[n]++
 	}
-	backing := make([]int, 0, total+len(arena))
+	backing := make([]int32, 0, total+len(arena))
 	for n, extra := range gain {
 		if extra > 0 {
 			lo, hi := len(backing), len(backing)+len(nets[n].Pins)
@@ -532,8 +532,8 @@ func (rt *Router) crossingArena(ctx context.Context) (arena []crossing, rowOff [
 // SortFts orders one row's unbound feedthrough pins of c by (x, pin ID).
 // Same-x feedthrough pins are interchangeable for routing, but the pin ID
 // breaks the tie so the binding permutation is deterministic rather than
-// sort-internal. A pin's x and ID are int32 and the ID is non-negative, so
-// x<<32 | ID is an int64 key in that order, and the sort is comparator-free.
+// sort-internal. A pin's x is int32 and its ID, its index, is in [0,
+// MaxCoord], so x<<32 | ID is an int64 key in that order, comparator-free.
 func SortFts(c *circuit.Circuit, fts []int) {
 	for i, pid := range fts {
 		fts[i] = int(c.Pins[pid].X)<<32 | pid
@@ -548,7 +548,7 @@ func SortFts(c *circuit.Circuit, fts []int) {
 func (rt *Router) bindFt(pinID, netID int) {
 	pin := &rt.C.Pins[pinID]
 	pin.Net = int32(netID)
-	rt.C.Nets[netID].Pins = append(rt.C.Nets[netID].Pins, pinID)
+	rt.C.Nets[netID].Pins = append(rt.C.Nets[netID].Pins, int32(pinID))
 }
 
 // ConnectNets is step 4: per net, the adjacency-restricted MST over its

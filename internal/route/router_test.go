@@ -110,9 +110,10 @@ func TestFeedthroughBookkeepingExact(t *testing.T) {
 		if len(rt.C.Cells[i].Pins) != 1 {
 			t.Fatalf("feedthrough cell %d has %d pins", i, len(rt.C.Cells[i].Pins))
 		}
-		pin := &rt.C.Pins[rt.C.Cells[i].Pins[0]]
+		pid := rt.C.Cells[i].Pins[0]
+		pin := &rt.C.Pins[pid]
 		if pin.Net == circuit.NoNet {
-			t.Fatalf("feedthrough pin %d unbound", pin.ID)
+			t.Fatalf("feedthrough pin %d unbound", pid)
 		}
 		if pin.Side != circuit.Both {
 			t.Fatalf("feedthrough pin side = %v", pin.Side)
@@ -435,7 +436,7 @@ func TestQualityIndependentOfNetOrder(t *testing.T) {
 	}
 	for r := range base.Rows {
 		for _, cid := range base.Rows[r].Cells {
-			shuffled.AddCell(r, base.Cells[cid].Width)
+			shuffled.AddCell(r, int(base.Cells[cid].Width))
 		}
 	}
 	for range base.Nets {

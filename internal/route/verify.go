@@ -106,7 +106,7 @@ func (rt *Router) Verify() error {
 		at = at[:0]
 		for _, pid := range c.Nets[n].Pins {
 			p := &c.Pins[pid]
-			at = append(at, pinAt{row: p.Row, x: p.X, id: int32(pid), side: p.Side})
+			at = append(at, pinAt{row: p.Row, x: p.X, id: pid, side: p.Side})
 		}
 		slices.SortFunc(at, func(a, b pinAt) int {
 			return cmp.Or(cmp.Compare(a.row, b.row), cmp.Compare(a.x, b.x), cmp.Compare(a.id, b.id))
@@ -158,10 +158,10 @@ func (rt *Router) Verify() error {
 		}
 		pin := &rt.C.Pins[cell.Pins[0]]
 		if pin.Side != circuit.Both {
-			return fmt.Errorf("route: feedthrough pin %d has side %v", pin.ID, pin.Side)
+			return fmt.Errorf("route: feedthrough pin %d has side %v", cell.Pins[0], pin.Side)
 		}
 		if pin.Net == circuit.NoNet {
-			return fmt.Errorf("route: feedthrough pin %d unbound", pin.ID)
+			return fmt.Errorf("route: feedthrough pin %d unbound", cell.Pins[0])
 		}
 	}
 	if ftCells != rt.InsertedFts {

@@ -116,7 +116,7 @@ func (b *Builder) AppendNet(dst []Segment, c *circuit.Circuit, netID int) []Segm
 				VerticalCost*int64(geom.Abs(pts[i].Y-pts[j].Y))
 		})
 		for _, e := range edges {
-			dst = append(dst, NewSegment(netID, pinIDs[e.U], pts[e.U], pinIDs[e.V], pts[e.V]))
+			dst = append(dst, NewSegment(netID, int(pinIDs[e.U]), pts[e.U], int(pinIDs[e.V]), pts[e.V]))
 		}
 	}
 	// A fake pin marks where the whole net's route crossed the partition
@@ -143,7 +143,7 @@ func (b *Builder) AppendNet(dst []Segment, c *circuit.Circuit, netID int) []Segm
 // nearest pin of the previous populated row. With VerticalCost dominating,
 // the exact MST converges to almost exactly this shape anyway, and this
 // construction is O(n log n) instead of O(n^2).
-func (b *Builder) appendLargeNet(dst []Segment, netID int, pinIDs []int, pts []geom.Point) []Segment {
+func (b *Builder) appendLargeNet(dst []Segment, netID int, pinIDs []int32, pts []geom.Point) []Segment {
 	if cap(b.order) < len(pts) {
 		b.order = make([]int, len(pts))
 	}
@@ -195,11 +195,11 @@ func (b *Builder) appendLargeNet(dst []Segment, netID int, pinIDs []int, pts []g
 		row := order[lo:hi]
 		for i := lo + 1; i < hi; i++ {
 			u, v := order[i-1], order[i]
-			dst = append(dst, NewSegment(netID, pinIDs[u], pts[u], pinIDs[v], pts[v]))
+			dst = append(dst, NewSegment(netID, int(pinIDs[u]), pts[u], int(pinIDs[v]), pts[v]))
 		}
 		if prevRow != nil {
 			u, v := closestPair(pts, prevRow, row)
-			dst = append(dst, NewSegment(netID, pinIDs[u], pts[u], pinIDs[v], pts[v]))
+			dst = append(dst, NewSegment(netID, int(pinIDs[u]), pts[u], int(pinIDs[v]), pts[v]))
 		}
 		prevRow = row
 		lo = hi

@@ -25,7 +25,7 @@ func chainCircuit(t *testing.T, pts []geom.Point) (*circuit.Circuit, int) {
 	}
 	n := c.AddNet("n")
 	for _, p := range pts {
-		cellID := c.Rows[p.Y].Cells[0]
+		cellID := int(c.Rows[p.Y].Cells[0])
 		c.AddPin(cellID, n, p.X, circuit.Bottom)
 	}
 	if err := c.Validate(); err != nil {
@@ -110,9 +110,9 @@ func TestSegmentsSpanAllPins(t *testing.T) {
 		for _, s := range segs {
 			union(s.PinP, s.PinQ)
 		}
-		root := find(pins[0])
+		root := find(int(pins[0]))
 		for _, pid := range pins[1:] {
-			if find(pid) != root {
+			if find(int(pid)) != root {
 				t.Fatalf("net %d not spanned by its segments", n)
 			}
 		}
@@ -147,9 +147,9 @@ func TestLargeNetFastPath(t *testing.T) {
 	for _, s := range segs {
 		parent[find(s.PinP)] = find(s.PinQ) + 1
 	}
-	root := find(c.Nets[n].Pins[0])
+	root := find(int(c.Nets[n].Pins[0]))
 	for _, pid := range c.Nets[n].Pins {
-		if find(pid) != root {
+		if find(int(pid)) != root {
 			t.Fatal("large net not spanned")
 		}
 	}

@@ -190,13 +190,15 @@ alloc_budget() {
 step "allocation budget (parallel drivers + serial route)" alloc_budget
 
 # Bench smoke: the serial hot path and the hybrid and net-wise (TCP) P=2
-# runs still run end to end under the benchmark harness (the perf ledger
-# itself is `go run ./benchmark`; see DESIGN.md §9).
+# runs still run end to end under the benchmark harness, and so does
+# circuit.Validate on synth.100k and on one row and one net of 2^16 cells
+# (the perf ledger itself is `go run ./benchmark`; see DESIGN.md §9).
 bench_smoke() {
   go test -run '^$' -bench 'BenchmarkSerialRoute/primary2' -benchtime 1x . &&
-    go test -run '^$' -bench 'BenchmarkHybridP2|BenchmarkNetwiseP2' -benchtime 1x ./internal/parallel
+    go test -run '^$' -bench 'BenchmarkHybridP2|BenchmarkNetwiseP2' -benchtime 1x ./internal/parallel &&
+    go test -run '^$' -bench 'BenchmarkValidate' -benchtime 1x ./internal/circuit
 }
-step "bench smoke (serial route, hybrid and net-wise P=2)" bench_smoke
+step "bench smoke (serial route, hybrid and net-wise P=2, Validate)" bench_smoke
 
 # Trace smoke: `twgr -trace` emits a timeline that `-checktrace` accepts.
 # Both paths write the run's Result.Phases (merged across ranks on the
