@@ -37,12 +37,14 @@ func TestServerBoundsSlowClients(t *testing.T) {
 		<-served
 	}()
 
+	// The server's header timer starts at accept, which can precede Dial's
+	// return: the clock starts before Dial so it never starts late.
+	start := time.Now()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	if _, err := conn.Write([]byte("POST /v1/jo")); err != nil {
 		t.Fatal(err)
 	}

@@ -218,23 +218,22 @@ type Result struct {
 	// Degraded marks a run that lost a rank mid-phase and fell back to
 	// the serial algorithm; the wires are the serial result.
 	Degraded bool
-	// Faults tallies injected chaos faults and the recovery work they
-	// caused. Deliberately excluded from the JSON form: a chaos run that
-	// loses no rank must serialize byte-identically to its fault-free
-	// twin, which is the soak tier's core assertion.
+	// Faults tallies injected chaos faults and real deadline misses.
+	// Deliberately excluded from the JSON form: a chaos run that loses no
+	// rank must serialize byte-identically to its fault-free twin, which
+	// is the soak tier's core assertion.
 	Faults *FaultReport
 }
 
 // FaultReport summarizes transport faults observed during a run (chaos
 // injection plus real deadline misses): a plain copy of mp.FaultCounters.
 type FaultReport struct {
-	Sends, Drops, Delays, Dups, Reorders     int64
-	Retries, Dedups, DeadlineMisses, Crashes int64
+	Sends, Delays, DeadlineMisses, Crashes int64
 }
 
 func (f FaultReport) String() string {
-	return fmt.Sprintf("sends=%d drops=%d delays=%d dups=%d reorders=%d retries=%d dedups=%d deadline-misses=%d crashes=%d",
-		f.Sends, f.Drops, f.Delays, f.Dups, f.Reorders, f.Retries, f.Dedups, f.DeadlineMisses, f.Crashes)
+	return fmt.Sprintf("sends=%d delays=%d deadline-misses=%d crashes=%d",
+		f.Sends, f.Delays, f.DeadlineMisses, f.Crashes)
 }
 
 // Phase is the one per-stage record: the wall time of one named pipeline

@@ -1,8 +1,8 @@
 package mp
 
-// Unit tests for the chaos fault-injection engine: plan parsing, backoff
-// shaping, transparent delivery under every fault class on every engine,
-// deterministic event logs, and retry-budget exhaustion. Crash plans and
+// Unit tests for the chaos fault-injection engine: plan parsing,
+// transparent delivery under delays on every engine, deterministic event
+// logs, and a delay that outlasts a real receive deadline. Crash plans and
 // deadline behavior are exercised in crash_test.go.
 
 import (
@@ -14,34 +14,16 @@ import (
 	"time"
 
 	"parroute/internal/metrics"
-	"parroute/internal/rng"
 )
 
-// fastPlan keeps injected waiting times tiny so heavy-fault tests stay
-// fast under -race.
-func fastPlan(p Plan) Plan {
-	p.DelayBy = time.Microsecond
-	p.RetryBase = time.Microsecond
-	p.RetryCap = 10 * time.Microsecond
-	return p
-}
-
 func TestParsePlan(t *testing.T) {
-	p, err := ParsePlan("drop=0.05,delay=0.10,dup=0.02,reorder=0.01,delayby=50us,retries=3,backoff=10us,cap=1ms,crash=1@25,crash=3@7")
+	p, err := ParsePlan("delay=0.10,delayby=50us,crash=1@25,crash=3@7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Plan{
-		Drop: 0.05, Delay: 0.10, Dup: 0.02, Reorder: 0.01,
-		DelayBy: 50 * time.Microsecond, MaxRetries: 3,
-		RetryBase: 10 * time.Microsecond, RetryCap: time.Millisecond,
-		Crash: map[int]int{1: 25, 3: 7},
-	}
-	if p.Drop != want.Drop || p.Delay != want.Delay || p.Dup != want.Dup || p.Reorder != want.Reorder ||
-		p.DelayBy != want.DelayBy || p.MaxRetries != want.MaxRetries ||
-		p.RetryBase != want.RetryBase || p.RetryCap != want.RetryCap ||
+	if p.Delay != 0.10 || p.DelayBy != 50*time.Microsecond ||
 		len(p.Crash) != 2 || p.Crash[1] != 25 || p.Crash[3] != 7 {
-		t.Fatalf("parsed %+v, want %+v", p, want)
+		t.Fatalf("parsed %+v", p)
 	}
 	// String renders ParsePlan syntax; round-trip must reproduce the plan.
 	back, err := ParsePlan(p.String())
@@ -56,8 +38,11 @@ func TestParsePlan(t *testing.T) {
 		t.Fatalf("blank plan: got %+v, %v", p, err)
 	}
 	for _, bad := range []string{
-		"drop", "drop=x", "bogus=1", "drop=1.5", "drop=0.7,delay=0.7",
-		"crash=1", "crash=a@2", "crash=1@0", "crash=-1@5", "retries=-2",
+		"delay", "delay=x", "bogus=1", "delay=1.5", "delay=-0.1", "delayby=-1ms",
+		"crash=1", "crash=a@2", "crash=1@0", "crash=-1@5",
+		// Loss, duplication and reordering are not plan faults: every
+		// engine delivers reliably and in order.
+		"drop=0.1", "dup=0.1", "reorder=0.1", "retries=3",
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
@@ -65,31 +50,9 @@ func TestParsePlan(t *testing.T) {
 	}
 }
 
-func TestBackoffBoundedAndDeterministic(t *testing.T) {
-	base, cap := 10*time.Microsecond, 80*time.Microsecond
-	a, b := rng.New(9), rng.New(9)
-	for attempt := 0; attempt < 8; attempt++ {
-		d := backoff(a, base, cap, attempt)
-		// Exponential with equal jitter: [ceil/2, ceil] where ceil caps out.
-		ceil := base << attempt
-		if ceil > cap {
-			ceil = cap
-		}
-		if d < ceil/2 || d > ceil {
-			t.Errorf("attempt %d: backoff %v outside [%v, %v]", attempt, d, ceil/2, ceil)
-		}
-		if d2 := backoff(b, base, cap, attempt); d2 != d {
-			t.Errorf("attempt %d: same rng state gave %v then %v", attempt, d, d2)
-		}
-	}
-	if d := backoff(rng.New(1), 0, cap, 3); d != 0 {
-		t.Errorf("zero base: got %v, want 0", d)
-	}
-}
-
 // tortureBody exchanges rounds numbered messages between every rank pair
 // on two tags and fails if any stream arrives out of order or corrupted —
-// the effectively-once delivery guarantee, checked from inside the run.
+// the engines' reliable in-order delivery, checked from inside the run.
 func tortureBody(rounds int) func(Comm) error {
 	return func(c Comm) error {
 		const tagA, tagB = 5, 6
@@ -132,7 +95,7 @@ func tortureBody(rounds int) func(Comm) error {
 }
 
 func TestChaosTransparentDelivery(t *testing.T) {
-	plan := fastPlan(Plan{Seed: 11, Drop: 0.15, Delay: 0.10, Dup: 0.15, Reorder: 0.15})
+	plan := Plan{Seed: 11, Delay: 0.3, DelayBy: time.Microsecond}
 	allModes(t, "torture", func(t *testing.T, cfg Config) {
 		cfg.Procs = 3
 		cfg.Chaos = &plan
@@ -144,15 +107,10 @@ func TestChaosTransparentDelivery(t *testing.T) {
 		if _, err := ce.Run(context.Background(), cfg.Procs, tortureBody(20)); err != nil {
 			t.Fatal(err)
 		}
-		s := ce.Snapshot()
-		// 240 sends at these rates make a zero count in any class
-		// statistically impossible; all fault paths must have fired.
-		if s.Sends == 0 || s.Drops == 0 || s.Delays == 0 || s.Dups == 0 ||
-			s.Reorders == 0 || s.Retries == 0 || s.Dedups == 0 {
-			t.Errorf("fault classes missing from run: %v", s)
-		}
-		if s.Crashes != 0 || s.DeadlineMisses != 0 {
-			t.Errorf("unplanned faults: %v", s)
+		// 240 sends at this rate make a zero delay count statistically
+		// impossible.
+		if s := ce.Snapshot(); s.Sends != 240 || s.Delays == 0 || s.Crashes != 0 || s.DeadlineMisses != 0 {
+			t.Errorf("fault tally %v, want 240 sends, some delayed, nothing else", s)
 		}
 	})
 }
@@ -182,7 +140,7 @@ func TestChaosZeroPlanIsTransparent(t *testing.T) {
 // order — never on scheduling.
 func TestChaosEventLogReproducible(t *testing.T) {
 	run := func(t *testing.T, cfg Config, seed uint64) string {
-		plan := fastPlan(Plan{Seed: seed, Drop: 0.15, Delay: 0.05, Dup: 0.15, Reorder: 0.15})
+		plan := Plan{Seed: seed, Delay: 0.3, DelayBy: time.Microsecond}
 		cfg.Chaos = &plan
 		eng, err := cfg.Engine()
 		if err != nil {
@@ -216,10 +174,13 @@ func TestChaosEventLogReproducible(t *testing.T) {
 	}
 }
 
-func TestChaosRetryBudgetExhausted(t *testing.T) {
-	plan := fastPlan(Plan{Seed: 3, Drop: 1.0})
-	plan.MaxRetries = 4
-	cfg := Config{Procs: 2, Mode: Virtual, Chaos: &plan}
+// TestChaosDelayPastRecvDeadline is the one bounded failure a plan can
+// cause: a send stalled longer than the receiver's Limits.RecvTimeout
+// fails the run with ErrDeadline, and the transport counts the miss in
+// the chaos tally.
+func TestChaosDelayPastRecvDeadline(t *testing.T) {
+	plan := Plan{Seed: 3, Delay: 1, DelayBy: 100 * time.Millisecond}
+	cfg := Config{Procs: 2, Mode: Inproc, Limits: Limits{RecvTimeout: 10 * time.Millisecond}, Chaos: &plan}
 	eng, err := cfg.Engine()
 	if err != nil {
 		t.Fatal(err)
@@ -233,11 +194,10 @@ func TestChaosRetryBudgetExhausted(t *testing.T) {
 		return err
 	})
 	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("drop=1: want ErrDeadline, got %v", err)
+		t.Fatalf("delay past the recv deadline: want ErrDeadline, got %v", err)
 	}
-	s := ce.Snapshot()
-	if want := int64(plan.MaxRetries + 1); s.Drops != want || s.Retries != int64(plan.MaxRetries) {
-		t.Errorf("drops=%d retries=%d, want %d and %d", s.Drops, s.Retries, want, plan.MaxRetries)
+	if s := ce.Snapshot(); s.Delays != 1 || s.DeadlineMisses != 1 {
+		t.Errorf("fault tally %v, want one delay and one deadline miss", s)
 	}
 }
 
@@ -256,9 +216,9 @@ func TestChaosReservedTagRejected(t *testing.T) {
 }
 
 // TestChaosCollectivesSurviveFaults runs the collective suite the routing
-// algorithms actually use through a faulty wrapper.
+// algorithms actually use through a delaying wrapper.
 func TestChaosCollectivesSurviveFaults(t *testing.T) {
-	plan := fastPlan(Plan{Seed: 77, Drop: 0.10, Delay: 0.05, Dup: 0.10, Reorder: 0.10})
+	plan := Plan{Seed: 77, Delay: 0.3, DelayBy: time.Microsecond}
 	allModes(t, "collectives", func(t *testing.T, cfg Config) {
 		cfg.Procs = 4
 		cfg.Chaos = &plan

@@ -61,8 +61,8 @@ func DMP() CostModel {
 const frameOverhead = 16
 
 // elemHeader is the flat codec's u32 type id plus u32 length prefix of an
-// interface value. Inside a message only an interface field pays it
-// (anyWireSize): the flat batch encodings price their elements with none.
+// interface value: a frame's payload carries one, and the flat batch
+// encodings price their elements with none.
 const elemHeader = 8
 
 // unpricedSize is what a message whose payload has no flat price costs.

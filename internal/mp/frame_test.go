@@ -12,7 +12,7 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	msg := chaosMsg{Seq: 42, V: []int32{2}}
+	msg := u32Run{42, 2}
 	stream, err := appendFrame(nil, 3, 17, msg)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if src != 3 || tag != 17 {
 		t.Fatalf("frame 1 header = src %d tag %d", src, tag)
 	}
-	if got, ok := v.(chaosMsg); !ok || got.Seq != 42 || !reflect.DeepEqual(got.V, msg.V) {
+	if !reflect.DeepEqual(v, msg) {
 		t.Fatalf("frame 1 payload = %#v", v)
 	}
 	// The second read reuses the first body as scratch.
@@ -86,9 +86,12 @@ type cheapRun struct{ u32Run }
 
 func (cheapRun) WireSize() int { return 0 }
 
+// u32RunWireID is u32Run's test-only wire id, far above the manifest's.
+const u32RunWireID = 1 << 20
+
 func init() {
-	Register[u32Run](1 << 20)
-	Register[cheapRun](1<<20 + 1)
+	Register[u32Run](u32RunWireID)
+	Register[cheapRun](u32RunWireID + 1)
 }
 
 // TestFrameReserveIsAHint: appendFrame reserves the payload's price before
@@ -131,9 +134,9 @@ func TestFrameReserveIsAHint(t *testing.T) {
 }
 
 func TestFrameCanonicalReencode(t *testing.T) {
-	// A decoded frame must re-encode byte-identically: the outer chaosMsg
-	// takes its generated codec and the nested builtins their flat ones.
-	frame, err := appendFrame(nil, 0, 5, chaosMsg{Seq: 7, V: []int32{2, 3}})
+	// A decoded frame must re-encode byte-identically: the registered
+	// payload takes its codec again.
+	frame, err := appendFrame(nil, 0, 5, u32Run{7, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,9 +286,9 @@ func FuzzFrame(f *testing.F) {
 		f.Add(seed)
 		f.Add(seed[:5])
 	}
-	past := AppendInt(AppendInt(nil, 3), 7)
-	past = append(past, rawChaosNest(2)...)
-	f.Add(append(AppendUint32(nil, uint32(len(past))), past...))
+	body := AppendInt(AppendInt(nil, 3), 7)
+	body = append(body, wireAnyBody(u32RunWireID, AppendUint32(nil, 1<<30))...)
+	f.Add(append(AppendUint32(nil, uint32(len(body))), body...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, err := readFrame(bytes.NewReader(data), nil)
 		if err != nil {

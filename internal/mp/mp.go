@@ -144,7 +144,7 @@ const handshakeTimeout = 10 * time.Second
 var ErrDeadlock = errors.New("mp: deadlock: all workers blocked")
 
 // ErrDeadline is wrapped by errors from sends and receives that exceeded
-// their configured deadline or exhausted their retry budget.
+// their configured deadline (Limits).
 var ErrDeadline = errors.New("mp: deadline exceeded")
 
 // ErrRankLost is wrapped by errors caused by a rank dying mid-run: its

@@ -7,43 +7,8 @@
 
 package mp
 
-// WireSize prices chaosMsg at its flat per-field width (see mp.Payload and
-// mp_protocol.json); derived from the struct layout by mpgen.
-func (b chaosMsg) WireSize() int { return 8 + anyWireSize(b.V) }
-
-// AppendWire appends b's parroute-mpwire/1 body to buf.
-func (b chaosMsg) AppendWire(buf []byte) ([]byte, error) {
-	var err error
-	buf = AppendUint64(buf, uint64(b.Seq))
-	buf, err = appendAnyField(buf, b.V)
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// DecodeWire decodes a parroute-mpwire/1 body from data into b, returning
-// the unconsumed remainder.
-func (b *chaosMsg) DecodeWire(data []byte) ([]byte, error) {
-	var err error
-	var v1 uint64
-	v1, data, err = WireUint64(data)
-	if err != nil {
-		return nil, err
-	}
-	b.Seq = uint64(v1)
-	var v2 any
-	v2, data, err = wireAnyField(data)
-	if err != nil {
-		return nil, err
-	}
-	b.V = v2
-	return data, nil
-}
-
 func init() {
 	// The protocol fingerprint the TCP rendezvous hello verifies:
 	// the FNV-1a/64 hash of the generated mp_protocol.json bytes.
-	WireProtocolChecksum = 0x6ab76f8913e1113a
-	Register[chaosMsg](5)
+	WireProtocolChecksum = 0x31139bd921c55d0d
 }

@@ -234,7 +234,7 @@ func dialRetry(ctx context.Context, addr string, deadline time.Time) (net.Conn, 
 		if !time.Now().Before(deadline) { //lint:allow nondeterminism transport deadline, never a routing decision
 			return nil, fmt.Errorf("mp: rendezvous: dial %s: gave up after the rendezvous window: %w (%w)", addr, err, ErrDeadline)
 		}
-		idle(wait)
+		time.Sleep(wait)
 		if wait < 500*time.Millisecond {
 			wait *= 2
 		}

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"sync"
 )
 
@@ -171,12 +170,10 @@ const (
 )
 
 // wireCodec is one registered payload type's entry in the id registry.
-// nests marks a type with an interface field, which appendAnyField refuses.
 type wireCodec struct {
-	id    uint32
-	typ   reflect.Type
-	nests bool
-	dec   func(data []byte) (any, []byte, error)
+	id  uint32
+	typ reflect.Type
+	dec func(data []byte) (any, []byte, error)
 }
 
 var wireRegistry = struct {
@@ -204,26 +201,13 @@ func Register[T Payload, P interface {
 	if prev, ok := wireRegistry.byID[id]; ok && prev.typ != typ {
 		panic(fmt.Sprintf("mp: Register[%v]: id %d already registered for %v", typ, id, prev.typ)) //lint:allow panic-in-library registration-time programming error
 	}
-	c := &wireCodec{id: id, typ: typ, nests: hasInterfaceField(typ), dec: func(data []byte) (any, []byte, error) {
+	c := &wireCodec{id: id, typ: typ, dec: func(data []byte) (any, []byte, error) {
 		var x T
 		rest, err := P(&x).DecodeWire(data)
 		return x, rest, err
 	}}
 	wireRegistry.byID[id] = c
 	wireRegistry.byType[typ] = c
-}
-
-// hasInterfaceField reports whether t holds an interface value anywhere.
-func hasInterfaceField(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Interface:
-		return true
-	case reflect.Slice, reflect.Array:
-		return hasInterfaceField(t.Elem())
-	case reflect.Struct:
-		return slices.ContainsFunc(reflect.VisibleFields(t), func(f reflect.StructField) bool { return hasInterfaceField(f.Type) })
-	}
-	return false
 }
 
 func codecByType(v any) *wireCodec {
@@ -317,26 +301,6 @@ func WireAny(data []byte) (any, []byte, error) {
 	return v, tail, nil
 }
 
-// appendAnyField and wireAnyField, which mpgen's codecs call for an
-// interface field, are AppendAny and WireAny for a value with no interface
-// field of its own: values nest one level, and a deeper one is refused by
-// its wire id before its body is read, however deep the input goes.
-func appendAnyField(buf []byte, v any) ([]byte, error) {
-	if c := codecByType(v); c != nil && c.nests {
-		return nil, wireErr("interface field holds %v, which has an interface field itself", c.typ)
-	}
-	return AppendAny(buf, v)
-}
-
-func wireAnyField(data []byte) (any, []byte, error) {
-	if id, _, err := WireUint32(data); err == nil {
-		if c := codecByID(id); c != nil && c.nests {
-			return nil, nil, wireErr("interface field holds %v, which has an interface field itself", c.typ)
-		}
-	}
-	return WireAny(data)
-}
-
 // wireInt32s consumes a []int32 body: u32 count, then 4-byte elements.
 // The count is checked against the remaining bytes before allocating.
 func wireInt32s(data []byte) ([]int32, []byte, error) {
@@ -349,11 +313,4 @@ func wireInt32s(data []byte) ([]int32, []byte, error) {
 		out[i] = int32(binary.LittleEndian.Uint32(rest[4*i:]))
 	}
 	return out, rest[4*n:], nil
-}
-
-// anyWireSize prices an interface field the way the flat codec frames
-// it: the per-element header (type id + length) plus the payload's own
-// flat price. Used by generated WireSize methods (chaosMsg).
-func anyWireSize(v any) int {
-	return elemHeader + elemSize(v)
 }

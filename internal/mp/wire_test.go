@@ -69,7 +69,7 @@ func TestWireDecodeErrors(t *testing.T) {
 		{"[]int32 count overrun", wireAnyErr(wireIDInt32s, AppendUint32(nil, 1<<30))},
 		{"[]int32 with trailing bytes", wireAnyErr(wireIDInt32s, append(AppendUint32(nil, 1), 1, 2, 3, 4, 5))},
 		{"retired wire id 1", wireAnyErr(1, AppendUint32(nil, 0))},
-		{"chaosMsg in a chaosMsg", func() error { _, _, err := WireAny(rawChaosNest(2)); return err }()},
+		{"payload count overrun", wireAnyErr(u32RunWireID, AppendUint32(nil, 1<<30))},
 	}
 	for _, tc := range cases {
 		if !errors.Is(tc.err, ErrWire) {
@@ -78,9 +78,14 @@ func TestWireDecodeErrors(t *testing.T) {
 	}
 }
 
+// wireAnyBody frames body as an interface value with the given id.
+func wireAnyBody(id uint32, body []byte) []byte {
+	return append(AppendUint32(AppendUint32(nil, id), uint32(len(body))), body...)
+}
+
 // wireAnyErr decodes an interface value with the given id and body.
 func wireAnyErr(id uint32, body []byte) error {
-	_, _, err := WireAny(append(AppendUint32(AppendUint32(nil, id), uint32(len(body))), body...))
+	_, _, err := WireAny(wireAnyBody(id, body))
 	return err
 }
 
@@ -138,44 +143,6 @@ func TestAppendAnyUnencodable(t *testing.T) {
 	}
 }
 
-// rawChaosNest hand-encodes n chaosMsgs, each in the V of the one before,
-// around the int 7, outermost Seq n: what AppendAny would write if it did
-// not refuse a chaosMsg in an interface field. It writes front to back, so
-// a deep nest costs its bytes and no more.
-func rawChaosNest(n int) []byte {
-	leaf, _ := AppendAny(nil, 7)
-	buf := make([]byte, 0, 16*n+len(leaf))
-	for i := n; i > 0; i-- {
-		buf = AppendUint32(buf, firstPayloadWireID)
-		buf = AppendUint32(buf, uint32(16*i-8+len(leaf))) // Seq, then i-1 levels and the leaf
-		buf = AppendUint64(buf, uint64(i))
-	}
-	return append(buf, leaf...)
-}
-
-// TestNestedChaosMsgRefused: an interface field holds no payload with an
-// interface field of its own, so a chaosMsg nests one level deep. One level
-// round-trips; 2^22 levels — 64 MB, a frame body under maxFrameLen — are an
-// ErrWire at the second level instead of a recursion as deep as the input,
-// which would overflow the goroutine stack and kill the rank; and AppendAny
-// refuses the two-level value, so the sender gets the error, not the peer.
-func TestNestedChaosMsgRefused(t *testing.T) {
-	v, rest, err := WireAny(rawChaosNest(1))
-	if err != nil || len(rest) != 0 || v != (chaosMsg{Seq: 1, V: 7}) {
-		t.Fatalf("one level = %#v, %d byte(s) left, %v", v, len(rest), err)
-	}
-	deep := rawChaosNest(1 << 22)
-	if len(deep) > maxFrameLen {
-		t.Fatalf("nest of %d bytes does not fit a frame", len(deep))
-	}
-	if _, _, err := WireAny(deep); !errors.Is(err, ErrWire) || !strings.Contains(err.Error(), "interface field") {
-		t.Fatalf("decoding 2^22 nested chaosMsgs = %v, want ErrWire at the second level", err)
-	}
-	if _, err := AppendAny(nil, chaosMsg{Seq: 1, V: chaosMsg{Seq: 2, V: 7}}); !errors.Is(err, ErrWire) {
-		t.Fatalf("encoding a chaosMsg in a chaosMsg = %v, want ErrWire", err)
-	}
-}
-
 func TestBuiltinCodecs(t *testing.T) {
 	// The three builtin shapes encode under the ids mp_protocol.json
 	// reserves for them (round trip and canonical re-encode ride the fuzz
@@ -203,61 +170,16 @@ func TestBuiltinCodecs(t *testing.T) {
 	}
 }
 
-func TestChaosMsgCodecRoundTrip(t *testing.T) {
-	// chaosMsg is the one generated codec in this package: it must encode
-	// under its manifest id, round-trip, and re-encode byte-identically.
-	msg := chaosMsg{Seq: 99, V: []int32{2, 3}}
-	enc, err := AppendAny(nil, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _, err := WireUint32(enc)
-	if err != nil || id != firstPayloadWireID {
-		t.Fatalf("wire id = %d, err %v; want chaosMsg (%d)", id, err, firstPayloadWireID)
-	}
-	v, rest, err := WireAny(enc)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("decode: %v, %d byte(s) left", err, len(rest))
-	}
-	got, ok := v.(chaosMsg)
-	if !ok || got.Seq != 99 || !reflect.DeepEqual(got.V, msg.V) {
-		t.Fatalf("round trip = %#v", v)
-	}
-	re, err := AppendAny(nil, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, re) {
-		t.Fatalf("re-encode differs:\n got %x\nwant %x", re, enc)
-	}
-}
-
-func TestChaosMsgWireSizeFlat(t *testing.T) {
-	// The chaos wrapper must price flat — 8 bytes of sequence number plus
-	// the wrapped payload's own flat body behind one element header — so a
-	// chaos run costs what the application message costs.
-	inner := sizedBatch(7)
-	msg := chaosMsg{Seq: 4, V: inner}
-	if got, want := msg.WireSize(), 8+elemHeader+inner.WireSize(); got != want {
-		t.Fatalf("chaosMsg.WireSize() = %d, want %d", got, want)
-	}
-	// End to end through payloadSize: one frame for the chaos message, not
-	// a second one for the wrapped payload.
-	if got, want := payloadSize(msg), frameOverhead+8+elemHeader+inner.WireSize(); got != want {
-		t.Fatalf("payloadSize(chaosMsg) = %d, want %d", got, want)
-	}
-}
-
 // wireSeeds are the fuzz seeds FuzzAnyCodec and FuzzFrame share: each
-// builtin and the chaos wrapper around builtins. A chaosMsg in a chaosMsg
-// (rawChaosNest(2)) is seeded raw because AppendAny refuses to produce it.
+// builtin and a registered payload, u32Run, whose codec has the shape
+// mpgen emits for a batch (a u32 count, then fixed-width elements).
 func wireSeeds() []any {
 	return []any{
-		chaosMsg{Seq: 12, V: []int32{6}},
+		u32Run{12, 6},
 		true,
 		-3,
 		[]int32{1, 2, 3},
-		chaosMsg{Seq: 1, V: false},
+		u32Run{},
 		[]int32(nil),
 	}
 }
@@ -273,8 +195,8 @@ func FuzzAnyCodec(f *testing.F) {
 		}
 		f.Add(seed)
 	}
-	f.Add(rawChaosNest(2))
-	f.Add(AppendUint32(AppendUint32(nil, firstPayloadWireID), 0))
+	f.Add(wireAnyBody(u32RunWireID, AppendUint32(nil, 1<<30)))
+	f.Add(wireAnyBody(u32RunWireID, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, rest, err := WireAny(data)
 		if err != nil {

@@ -87,21 +87,11 @@ func (e *emitter) next(prefix string) string {
 }
 
 func (m *Model) genPackage(gp *GenPackage, checksum uint64) ([]byte, error) {
-	var pkgTypes *types.Package
-	for i := range gp.Types {
-		if named, ok := gp.Types[i].Type.(*types.Named); ok {
-			pkgTypes = named.Obj().Pkg()
-			break
-		}
-	}
-	if pkgTypes == nil {
-		return nil, fmt.Errorf("mpgen: %s: no named payload types", gp.Path)
-	}
 	mpPath := mpproto.MPPath(m.Module)
-	e := &emitter{pkg: pkgTypes, mpPath: mpPath, imports: map[string]string{}}
+	e := &emitter{pkg: gp.Pkg, mpPath: mpPath, imports: map[string]string{}}
 
 	var body bytes.Buffer
-	bodyE := &emitter{pkg: pkgTypes, mpPath: mpPath, imports: e.imports}
+	bodyE := &emitter{pkg: gp.Pkg, mpPath: mpPath, imports: e.imports}
 	for i := range gp.Types {
 		if err := bodyE.emitType(&gp.Types[i]); err != nil {
 			return nil, fmt.Errorf("mpgen: %s.%s: %w", gp.Path, gp.Types[i].Name, err)
@@ -116,7 +106,7 @@ func (m *Model) genPackage(gp *GenPackage, checksum uint64) ([]byte, error) {
 	e.pf("// message set, kept in lockstep with mp_protocol.json. Regenerate with\n")
 	e.pf("// `go generate ./...` (or `go run %s/cmd/mpgen`); `mpgen -check`\n", m.Module)
 	e.pf("// gates CI against stale output.\n\n")
-	e.pf("package %s\n\n", gp.PkgName)
+	e.pf("package %s\n\n", gp.Pkg.Name())
 	if len(e.imports) > 0 {
 		paths := make([]string, 0, len(e.imports))
 		for p := range e.imports {
@@ -172,8 +162,6 @@ func (e *emitter) emitWireSize(pt *PayloadType) error {
 					return err
 				}
 				terms = append(terms, fmt.Sprintf("len(%s)*%d", path, w))
-			case *types.Interface:
-				terms = append(terms, fmt.Sprintf("anyWireSize(%s)", path))
 			default:
 				w, err := mpproto.FlatWidth(f.Type())
 				if err != nil {
@@ -200,10 +188,6 @@ func (e *emitter) emitAppend(pt *PayloadType) error {
 	e.pf("// AppendWire appends b's %s body to buf.\n", "parroute-mpwire/1")
 	e.pf("func (b %s) AppendWire(buf []byte) ([]byte, error) {\n", pt.Name)
 	e.tmp = 0
-	needsErr := typeNeedsErr(pt.Type)
-	if needsErr {
-		e.pf("\tvar err error\n")
-	}
 	var err error
 	switch u := pt.Type.Underlying().(type) {
 	case *types.Slice:
@@ -263,12 +247,6 @@ func (e *emitter) emitAppendValue(path string, t types.Type, depth int) error {
 		return e.emitAppendStruct(path, u, depth)
 	case *types.Slice:
 		return e.emitAppendSlice(path, u, depth)
-	case *types.Interface:
-		if e.pkg.Path() != e.mpPath {
-			return fmt.Errorf("interface fields are only supported for payloads in %s", e.mpPath)
-		}
-		e.pf("%sbuf, err = appendAnyField(buf, %s)\n", ind(depth), path)
-		e.pf("%sif err != nil {\n%s\treturn nil, err\n%s}\n", ind(depth), ind(depth), ind(depth))
 	default:
 		return fmt.Errorf("unsupported type %s", t)
 	}
@@ -355,7 +333,7 @@ func (e *emitter) emitDecodeAt(path string, t types.Type, off, depth int) (int, 
 	u, ok := t.Underlying().(*types.Basic)
 	switch {
 	case !ok || u.Kind() == types.String:
-		return 0, false // strings, slices and interfaces are length-prefixed
+		return 0, false // strings and slices are length-prefixed
 	case u.Kind() == types.Bool:
 		e.pf("%sif err = %sCheckBool(at[%d]); err != nil {\n%s\treturn nil, err\n%s}\n%s%s = at[%d] == 1\n",
 			ind(depth), e.mpq(), off, ind(depth), ind(depth), ind(depth), path, off)
@@ -401,15 +379,6 @@ func (e *emitter) emitDecodeValue(path string, t types.Type, depth int) error {
 		return e.emitDecodeStruct(path, u, depth)
 	case *types.Slice:
 		return e.emitDecodeSlice(path, e.qual(t), u, depth)
-	case *types.Interface:
-		if !u.Empty() {
-			return fmt.Errorf("only empty interface (any) fields are supported, got %s", t)
-		}
-		v := e.next("v")
-		e.pf("%svar %s any\n", ind(depth), v)
-		e.pf("%s%s, data, err = wireAnyField(data)\n", ind(depth), v)
-		e.checkErr(depth)
-		e.pf("%s%s = %s\n", ind(depth), path, v)
 	default:
 		return fmt.Errorf("unsupported type %s", t)
 	}
@@ -459,31 +428,4 @@ func (e *emitter) emitRegistration(gp *GenPackage, checksum uint64) {
 		e.pf("\t%sRegister[%s](%d)\n", e.mpq(), gp.Types[i].Name, gp.Types[i].WireID)
 	}
 	e.pf("}\n")
-}
-
-// typeNeedsErr reports whether encoding t can fail (it contains an
-// interface field somewhere).
-func typeNeedsErr(t types.Type) bool {
-	seen := map[types.Type]bool{}
-	var walk func(types.Type) bool
-	walk = func(t types.Type) bool {
-		if seen[t] {
-			return false
-		}
-		seen[t] = true
-		switch u := t.Underlying().(type) {
-		case *types.Interface:
-			return true
-		case *types.Slice:
-			return walk(u.Elem())
-		case *types.Struct:
-			for i := 0; i < u.NumFields(); i++ {
-				if walk(u.Field(i).Type()) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return walk(t)
 }

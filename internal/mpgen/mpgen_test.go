@@ -113,8 +113,8 @@ func TestScanManifestShape(t *testing.T) {
 			t.Errorf("%s: flatWidth %d kind %s wire id %d, want %d slice with an id", name, e.FlatWidth, e.Kind, e.WireID, want)
 		}
 	}
-	if e := typeOf("parroute/internal/mp", "chaosMsg"); e.WireID == 0 {
-		t.Errorf("chaosMsg unregistered: %+v", e)
+	if i := slices.IndexFunc(man.Types, func(e mpproto.TypeEntry) bool { return e.Package == "parroute/internal/mp" }); i >= 0 {
+		t.Errorf("internal/mp declares payload %s: the engines relay only the builtins and the drivers' types", man.Types[i].Name)
 	}
 	if tag := tagOf("parroute/internal/mp", "tagBarrier"); !tag.Reserved || tag.Value != -2 {
 		t.Errorf("tagBarrier: %+v", tag)
@@ -144,17 +144,7 @@ func TestScanManifestShape(t *testing.T) {
 // differing line named, and a type sent without its //mp:payload marker —
 // by Send or one per rank by Alltoall — as an error naming the send site.
 func TestCheckReportsDrift(t *testing.T) {
-	root := t.TempDir()
-	write := func(rel, src string) {
-		t.Helper()
-		p := filepath.Join(root, filepath.FromSlash(rel))
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	root, write := scratchTree(t)
 	// msgs renders the scratch protocol file: PingMsg's fields, tagPing's
 	// value, and whatever else the case declares.
 	msgs := func(fields, tagValue, extra string) string {
@@ -162,8 +152,6 @@ func TestCheckReportsDrift(t *testing.T) {
 			"}\n\nconst tagPing = " + tagValue + "\n\nfunc ping(c Comm) error { return c.Send(1, tagPing, PingMsg{}) }\n\n" + extra
 	}
 	const baseFields = "\tSeq int\n\tHop int\n"
-	write("go.mod", "module scratch\n\ngo 1.22\n")
-	write("internal/mp/mp.go", scratchMP)
 	write("internal/mp/msgs.go", msgs(baseFields, "7", ""))
 
 	stale, err := Check(root)
@@ -235,6 +223,79 @@ func TestCheckReportsDrift(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestChecksumWithoutMPPayloads: internal/mp's generated file carries
+// WireProtocolChecksum, so mpgen emits it even when internal/mp declares
+// no payload type, and a protocol edit that moves the checksum leaves that
+// file stale for Check to report.
+func TestChecksumWithoutMPPayloads(t *testing.T) {
+	root, write := scratchTree(t)
+	tags := func(value string) string {
+		return "package mp\n\nconst tagPing = " + value + "\n\nfunc ping(c Comm) error { return c.Send(1, tagPing, 3) }\n"
+	}
+	write("internal/mp/tags.go", tags("7"))
+	if _, err := Write(root); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := os.ReadFile(filepath.Join(root, "internal", "mp", GeneratedFileName))
+	if err != nil {
+		t.Fatalf("no generated file for an internal/mp without payloads: %v", err)
+	}
+	if !strings.Contains(string(gen), "WireProtocolChecksum = 0x") || strings.Contains(string(gen), "Register[") {
+		t.Fatalf("generated file for an internal/mp without payloads:\n%s", gen)
+	}
+	write("internal/mp/tags.go", tags("8"))
+	stale, err := Check(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stale) != 2 || !strings.HasPrefix(stale[0], "internal/mp/"+GeneratedFileName+":") ||
+		!strings.Contains(stale[0], "WireProtocolChecksum") || !strings.HasPrefix(stale[1], "mp_protocol.json:") {
+		t.Fatalf("stale = %q, want the checksum line and the manifest", stale)
+	}
+}
+
+// TestScanRefusesInterfaceField: a payload crosses the wire as concrete
+// values, so a field of interface type — on the payload itself or on a
+// batch element — is an error naming the type and the field.
+func TestScanRefusesInterfaceField(t *testing.T) {
+	for name, decl := range map[string]string{
+		"Envelope": "type Envelope struct {\n\tSeq uint64\n\tV   any\n}\n",
+		"Batch":    "type Batch []struct {\n\tN int\n\tV any\n}\n",
+	} {
+		root, write := scratchTree(t)
+		write("internal/mp/msgs.go", "package mp\n\n// "+name+" is a scratch payload.\n//\n//mp:payload\n"+decl)
+		_, err := Check(root)
+		if err == nil {
+			t.Fatalf("%s: Check accepted a payload with an interface field", name)
+		}
+		for _, want := range []string{name + ":", "field V:", "any"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", name, err, want)
+			}
+		}
+	}
+}
+
+// scratchTree makes a scratch module holding scratchMP as its internal/mp
+// and returns its root with a writer of module-relative files.
+func scratchTree(t *testing.T) (string, func(rel, src string)) {
+	t.Helper()
+	root := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		p := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module scratch\n\ngo 1.22\n")
+	write("internal/mp/mp.go", scratchMP)
+	return root, write
 }
 
 // scratchMP is the minimal surface the scratch module needs from its own

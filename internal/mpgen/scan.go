@@ -31,12 +31,14 @@ type PayloadType struct {
 	Entry  mpproto.TypeEntry
 }
 
-// GenPackage is one package that receives a generated file.
+// GenPackage is one package that receives a generated file: every
+// package that declares a payload type, and internal/mp, whose file
+// carries WireProtocolChecksum whether it declares payloads or not.
 type GenPackage struct {
-	Path    string
-	Dir     string
-	PkgName string
-	Types   []PayloadType
+	Path  string
+	Dir   string
+	Pkg   *types.Package
+	Types []PayloadType
 }
 
 // Model is everything the generator needs: the packages to write and the
@@ -70,7 +72,19 @@ func scanModule(mod *lint.Module) (*Model, error) {
 
 	// Pass 1: marked payload types, per package.
 	byPath := map[string]*GenPackage{}
+	genPkg := func(pkg *lint.Package) *GenPackage {
+		gp := byPath[pkg.Path]
+		if gp == nil {
+			gp = &GenPackage{Path: pkg.Path, Dir: pkg.Dir, Pkg: pkg.Types}
+			byPath[pkg.Path] = gp
+			m.Pkgs = append(m.Pkgs, gp)
+		}
+		return gp
+	}
 	for _, pkg := range mod.Pkgs {
+		if pkg.Path == mpproto.MPPath(mod.Path) {
+			genPkg(pkg)
+		}
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				gd, ok := decl.(*ast.GenDecl)
@@ -93,12 +107,7 @@ func scanModule(mod *lint.Module) (*Model, error) {
 					if err != nil {
 						return nil, fmt.Errorf("mpgen: %s: %w", pkg.Path, err)
 					}
-					gp := byPath[pkg.Path]
-					if gp == nil {
-						gp = &GenPackage{Path: pkg.Path, Dir: pkg.Dir, PkgName: pkg.Types.Name()}
-						byPath[pkg.Path] = gp
-						m.Pkgs = append(m.Pkgs, gp)
-					}
+					gp := genPkg(pkg)
 					gp.Types = append(gp.Types, PayloadType{Name: ts.Name.Name, Type: obj.Type(), Entry: entry})
 				}
 			}

@@ -11,19 +11,18 @@ import (
 // pricing byte for byte (FakePinBatch 25/element, WireBatch 73/element,
 // Summary 6*8 + 16/row + 24/phase, …): fixed-width scalars price at
 // their encoded width, nested structs flatten recursively, and
-// variable-length fields (strings, slices nested inside a priced
-// element, interfaces) price at the FlatEstimate placeholder — the size
-// of the length-prefixed codec's per-element header (a u32 type id plus
-// a u32 length, or a u32 count plus a u32 length hint).
+// variable-length fields (strings, slices nested inside a priced element)
+// price at the FlatEstimate placeholder — the size of the length-prefixed
+// codec's per-element header (a u32 count plus a u32 length hint).
+// Interface fields have no wire form: a payload holds concrete values.
 const FlatEstimate = 8
 
 // Field kinds.
 const (
-	KindFixed     = "fixed"
-	KindString    = "string"
-	KindSlice     = "slice"
-	KindStruct    = "struct"
-	KindInterface = "interface"
+	KindFixed  = "fixed"
+	KindString = "string"
+	KindSlice  = "slice"
+	KindStruct = "struct"
 )
 
 // Type kinds.
@@ -87,7 +86,7 @@ func BasicWidth(b *types.Basic) int {
 }
 
 // FlatWidth prices t fully flattened: scalars at their width, structs
-// recursively, strings/slices/interfaces at FlatEstimate.
+// recursively, strings/slices at FlatEstimate.
 func FlatWidth(t types.Type) (int, error) {
 	switch u := t.Underlying().(type) {
 	case *types.Basic:
@@ -100,20 +99,18 @@ func FlatWidth(t types.Type) (int, error) {
 		return 0, fmt.Errorf("mpproto: unsupported basic type %s", qualify(t))
 	case *types.Slice:
 		return FlatEstimate, nil
-	case *types.Interface:
-		return FlatEstimate, nil
 	case *types.Struct:
 		n := 0
 		for i := 0; i < u.NumFields(); i++ {
 			w, err := FlatWidth(u.Field(i).Type())
 			if err != nil {
-				return 0, err
+				return 0, fmt.Errorf("field %s: %w", u.Field(i).Name(), err)
 			}
 			n += w
 		}
 		return n, nil
 	}
-	return 0, fmt.Errorf("mpproto: unsupported type %s (maps, pointers, chans and funcs cannot cross the wire)", qualify(t))
+	return 0, fmt.Errorf("mpproto: unsupported type %s (interfaces, maps, pointers, chans and funcs cannot cross the wire)", qualify(t))
 }
 
 // FieldsOf derives the wire layout of a struct type.
@@ -143,9 +140,6 @@ func fieldOf(name string, t types.Type) (FieldEntry, error) {
 			return fe, nil
 		}
 		return fe, fmt.Errorf("mpproto: unsupported basic type %s", qualify(t))
-	case *types.Interface:
-		fe.Kind, fe.Width = KindInterface, FlatEstimate
-		return fe, nil
 	case *types.Slice:
 		fe.Kind, fe.Width = KindSlice, FlatEstimate
 		fe.Elem = qualify(u.Elem())

@@ -65,7 +65,7 @@ type FieldEntry struct {
 	Name string `json:"name"`
 	// Type is the field's Go type, fully qualified.
 	Type string `json:"type"`
-	// Kind is "fixed", "string", "slice", "struct", or "interface".
+	// Kind is "fixed", "string", "slice", or "struct".
 	Kind string `json:"kind"`
 	// Width is the field's flat price in bytes: the scalar width for
 	// fixed kinds, the recursive flat width for structs, and the

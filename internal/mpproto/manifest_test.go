@@ -65,11 +65,6 @@ type Summary struct {
 	Phases []Phase
 }
 
-type Env struct {
-	Seq uint64
-	V   any
-}
-
 type Bad struct {
 	M map[int]int
 }
@@ -97,7 +92,6 @@ func TestFlatWidthRules(t *testing.T) {
 		{"Counter", 16}, // string(8) + int64(8)
 		{"Phase", 24},   // string(8) + duration(8) + slice(8)
 		{"Summary", 16}, // int(8) + slice(8)
-		{"Env", 16},     // uint64(8) + interface(8)
 	}
 	for _, tc := range cases {
 		got, err := FlatWidth(lookup(t, pkg, tc.typ))

@@ -58,8 +58,7 @@ func TestChaosEventLogReproducibleEndToEnd(t *testing.T) {
 		plan mp.Plan
 		note string // the crash record the log must carry, if the plan crashes a rank
 	}{
-		{"drop5-delay10", mp.Plan{Drop: 0.05, Delay: 0.10, DelayBy: 5 * time.Microsecond,
-			RetryBase: 2 * time.Microsecond, RetryCap: 50 * time.Microsecond}, ""},
+		{"delay10", mp.Plan{Delay: 0.10, DelayBy: 5 * time.Microsecond}, ""},
 		{"crash", mp.Plan{Crash: map[int]int{2: 9}}, "crash rank=2 at-send=9"},
 	} {
 		first := runLog(tc.plan)

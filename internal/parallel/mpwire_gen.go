@@ -302,9 +302,9 @@ func (b *WireBatch) DecodeWire(data []byte) ([]byte, error) {
 }
 
 func init() {
-	mp.Register[CrossingBatch](6)
-	mp.Register[FakePinBatch](7)
-	mp.Register[NodeBatch](8)
-	mp.Register[Summary](9)
-	mp.Register[WireBatch](10)
+	mp.Register[CrossingBatch](5)
+	mp.Register[FakePinBatch](6)
+	mp.Register[NodeBatch](7)
+	mp.Register[Summary](8)
+	mp.Register[WireBatch](9)
 }

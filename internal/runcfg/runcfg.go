@@ -39,7 +39,7 @@ type Run struct {
 	NetPart  string        // net partition: center | locus | density | pinweight
 	Timeout  time.Duration // abort the run after this long (0 = no limit)
 
-	ChaosPlan string // fault-injection plan, e.g. drop=0.05,crash=1@25
+	ChaosPlan string // fault-injection plan, e.g. delay=0.1,crash=1@25
 	ChaosSeed uint64 // seed of the deterministic fault schedule
 }
 
@@ -73,7 +73,7 @@ func AddFlags(fs *flag.FlagSet, r *Run) {
 	fs.Uint64Var(&r.Seed, "seed", r.Seed, "routing seed")
 	fs.StringVar(&r.NetPart, "netpart", r.NetPart, "net partition: center | locus | density | pinweight")
 	fs.DurationVar(&r.Timeout, "timeout", r.Timeout, "abort the run after this long, e.g. 30s (0 = no limit)")
-	fs.StringVar(&r.ChaosPlan, "chaos-plan", r.ChaosPlan, "fault-injection plan for the parallel algorithms, e.g. drop=0.05,delay=0.1,crash=1@25 (see mp.ParsePlan)")
+	fs.StringVar(&r.ChaosPlan, "chaos-plan", r.ChaosPlan, "fault-injection plan for the parallel algorithms: delay=P,delayby=D,crash=RANK@N, e.g. delay=0.1,crash=1@25 (see mp.ParsePlan)")
 	fs.Uint64Var(&r.ChaosSeed, "chaos-seed", r.ChaosSeed, "seed of the deterministic fault schedule")
 }
 

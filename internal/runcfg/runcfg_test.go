@@ -36,7 +36,7 @@ func TestFlagTable(t *testing.T) {
 
 	want := []flagRow{
 		{"algo", "serial", "serial | rowwise | netwise | hybrid"},
-		{"chaos-plan", "", "fault-injection plan for the parallel algorithms, e.g. drop=0.05,delay=0.1,crash=1@25 (see mp.ParsePlan)"},
+		{"chaos-plan", "", "fault-injection plan for the parallel algorithms: delay=P,delayby=D,crash=RANK@N, e.g. delay=0.1,crash=1@25 (see mp.ParsePlan)"},
 		{"chaos-seed", "1", "seed of the deterministic fault schedule"},
 		{"engine", "virtual", "virtual | inproc | tcp"},
 		{"gen-seed", "7", "preset generation seed"},
@@ -210,7 +210,7 @@ func TestOptionsResolution(t *testing.T) {
 
 	r := Default()
 	r.Algo = "rowwise"
-	r.ChaosPlan = "drop=0.5"
+	r.ChaosPlan = "delay=0.5"
 	r.ChaosSeed = 9
 	r.Seed = 42
 	r.Procs = 4
@@ -218,7 +218,7 @@ func TestOptionsResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Chaos == nil || opts.Chaos.Drop != 0.5 || opts.Chaos.Seed != 9 {
+	if opts.Chaos == nil || opts.Chaos.Delay != 0.5 || opts.Chaos.Seed != 9 {
 		t.Errorf("chaos plan not resolved: %+v", opts.Chaos)
 	}
 	if opts.Route.Seed != 42 || opts.Procs != 4 {
@@ -240,14 +240,25 @@ func TestOptionsResolution(t *testing.T) {
 		func() Run { r := Default(); r.Engine = "udp"; return r }(),
 		func() Run { r := Default(); r.Platform = "numa"; return r }(),
 		func() Run { r := Default(); r.NetPart = "random"; return r }(),
-		func() Run { r := Default(); r.ChaosPlan = "drop=eleven"; return r }(),
-		func() Run { r := Default(); r.ChaosPlan = "drop=0.1"; return r }(), // chaos on serial
+		func() Run { r := Default(); r.ChaosPlan = "delay=eleven"; return r }(),
+		func() Run { r := Default(); r.ChaosPlan = "delay=0.1"; return r }(), // chaos on serial
 		func() Run { r := Default(); r.Procs = 0; return r }(),
 		func() Run { r := Default(); r.Workers = -1; return r }(),
 	}
 	for i, r := range rejects {
 		if err := r.Validate(); err == nil {
 			t.Errorf("reject case %d accepted: %+v", i, r)
+		}
+	}
+
+	// Drop, dup and reorder are not faults a plan can name: every engine
+	// delivers reliably and in order, so the keys are refused at flag time.
+	for _, plan := range []string{"drop=0.1", "dup=0.1", "reorder=0.1", "retries=3"} {
+		r := Default()
+		r.Algo = "rowwise"
+		r.ChaosPlan = plan
+		if err := r.Validate(); err == nil || !strings.Contains(err.Error(), "unknown key") {
+			t.Errorf("-chaos-plan %s: err = %v, want the unknown-key refusal", plan, err)
 		}
 	}
 }

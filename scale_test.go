@@ -65,17 +65,24 @@ func routeScalePreset(t *testing.T, name string, workers int) (time.Duration, ui
 
 // TestScaleSmoke100k routes synth.100k (100k cells, ~333k pins) within a
 // wall-clock budget (SCALE_100K_WALL_S, default 120s), a memory budget
-// (SCALE_100K_RSS_MB, default 2048) and a malloc ceiling of 5 000, which
-// needs no override: the count does not depend on the machine, and one
-// figure holds at any worker count (a few hundred measured at one worker and
-// at two; ≈ 37 000 while step 3 grew one pin list per net, which wall and
-// RSS both sailed under). Skipped under -short.
+// (SCALE_100K_RSS_MB, default measured + slack, below) and a malloc
+// ceiling of 5 000, which needs no override: the count does not depend on
+// the machine, and one figure holds at any worker count (a few hundred
+// measured at one worker and at two; ≈ 37 000 while step 3 grew one pin
+// list per net, which wall and RSS both sailed under). Skipped under
+// -short.
 func TestScaleSmoke100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping scale smoke in -short mode")
 	}
+	// Peak sys is the process's, so it counts what the root package's
+	// other tests left behind. Measured on a 2-core x86-64 host at workers
+	// 2: 84–88 MiB run alone, 110 MiB after the rest of the package, and
+	// 138 MiB after it under -race. The budget is the largest of these
+	// plus a stated slack in MiB.
+	const scaleRSSMeasured, scaleRSSSlack = 138, 64
 	wallBudget := time.Duration(scaleBudget("SCALE_100K_WALL_S", 120)) * time.Second
-	rssBudget := uint64(scaleBudget("SCALE_100K_RSS_MB", 2048)) << 20
+	rssBudget := uint64(scaleBudget("SCALE_100K_RSS_MB", scaleRSSMeasured+scaleRSSSlack)) << 20
 
 	elapsed, sys, mallocs := routeScalePreset(t, "synth.100k", runtime.GOMAXPROCS(0))
 	if mallocs > 5000 {

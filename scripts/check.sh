@@ -99,11 +99,9 @@ step "workers determinism on one P" one_p
 # Codec fuzz smoke: the generated wire codecs must decode whatever they
 # encode and re-encode it byte-identically (the canonical-encoding
 # invariant the manifest prices depend on), under the race detector.
-# FuzzAnyCodec and FuzzFrame are seeded with a chaosMsg nested in a
-# chaosMsg: an interface field refuses a payload with an interface field
-# of its own, decoding as AppendAny does, so values nest one level deep
-# and no frame recurses further. FuzzFrame drives the socket framing the multi-process TCP engine puts
-# those codecs on: arbitrary byte streams must decode-or-reject, never
+# FuzzAnyCodec and FuzzFrame are seeded with each builtin and a registered
+# payload, whole and with a count its body cannot hold. FuzzFrame drives
+# the socket framing the multi-process TCP engine puts those codecs on: arbitrary byte streams must decode-or-reject, never
 # panic, and accepted frames must re-encode canonically. FuzzGridDelta is
 # the same bargain one layer up, for the (index, change) pairs a net-wise
 # sync takes off the mesh: applied or refused whole, never a panic.
@@ -128,8 +126,8 @@ fuzz_smoke() {
 }
 step "codec fuzz smoke" fuzz_smoke
 
-# Chaos tier: the fault-injection soak (drop/delay/dup/reorder plans must
-# leave routing output byte-identical; crashes must degrade, not hang)
+# Chaos tier: the fault-injection soak (delay plans must leave routing
+# output byte-identical; crashes must degrade, not hang)
 # under the race detector, twice, with two fixed fault-schedule seeds: the
 # conformance matrix's fault-plan rows on gen.Small, every engine including
 # the multi-process TCP mesh, plus the Chaos|Crash tests of mp and parallel
