@@ -27,18 +27,18 @@ import (
 // slack stated in bytes:
 //
 //	row                     mallocs plain / race   bytes      budget     slack
-//	hybrid P=2              780 / 795              4 358 976  4 420 000  61 024
-//	net-wise P=2            956 / 977              3 679 248  3 740 000  60 752
-//	route.Route workers=1   239 / 244              1 927 192  1 990 000  62 808
-//	route.Route workers=2   444 / 450              2 053 456  2 115 000  61 544
+//	hybrid P=2              798 / 809              4 233 136  4 282 000  48 864
+//	net-wise P=2            962 / 975              3 407 760  3 456 000  48 240
+//	route.Route workers=1   243 / 248              1 824 936  1 873 000  48 064
+//	route.Route workers=2   450 / 455              1 954 752  2 003 000  48 248
 //
-// Every slack is below the smallest of the savings the int32 records make
-// on primary2: a circuit.Cell padded back to 64 bytes adds 196 544 /
-// 180 320 / 122 896 / 122 240 bytes to the four rows; a metrics.Wire back
-// at 80 bytes adds 387–393 KB to the two serial rows and more to the
-// drivers, a PlacedSeg back at 72 bytes 288–304 KB to each row, a Pin back
-// at 56 bytes 401–802 KB; any one of them fails all four rows. The history
-// of these figures is in CHANGES.md.
+// Every slack is below what the flat circuit lists saved on its row (131 /
+// 273 / 102 / 96 KB: Fork no longer copies the row and net headers, a
+// regrown Cell is 16 bytes, not 40), so a record that holds a slice again
+// fails all four rows; so does a circuit.Cell padded to 64 bytes, a
+// metrics.Wire back at 80 bytes (387–393 KB on the serial rows, more on
+// the drivers), a PlacedSeg back at 72 bytes (288–304 KB) or a Pin back at
+// 56 bytes (401–802 KB). The history of these figures is in CHANGES.md.
 func TestParallelDriverAllocBudget(t *testing.T) {
 	c, err := gen.Benchmark("primary2", 7)
 	if err != nil {
@@ -59,10 +59,10 @@ func TestParallelDriverAllocBudget(t *testing.T) {
 		race  uint64 // mallocs, -race build
 		bytes uint64 // TotalAlloc, plain build
 	}{
-		{"hybrid P=2 inproc", par(parallel.Hybrid), 1000, 1020, 4_420_000},
-		{"net-wise P=2 inproc", par(parallel.NetWise), 1220, 1240, 3_740_000},
-		{"route.Route workers=1", serial(1), 315, 325, 1_990_000},
-		{"route.Route workers=2", serial(2), 560, 575, 2_115_000},
+		{"hybrid P=2 inproc", par(parallel.Hybrid), 1000, 1020, 4_282_000},
+		{"net-wise P=2 inproc", par(parallel.NetWise), 1220, 1240, 3_456_000},
+		{"route.Route workers=1", serial(1), 315, 325, 1_873_000},
+		{"route.Route workers=2", serial(2), 560, 575, 2_003_000},
 	} {
 		budget := tc.plain
 		if raceBuild {

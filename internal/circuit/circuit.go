@@ -93,25 +93,23 @@ func (p *Pin) Channels() (lo, hi int, both bool) {
 // Point returns the pin position with the row index as y.
 func (p *Pin) Point() geom.Point { return geom.Point{X: int(p.X), Y: int(p.Row)} }
 
-// Cell is a placed standard cell (or an inserted feedthrough cell).
+// Cell is a placed standard cell (or an inserted feedthrough cell). Its
+// pins are Circuit.CellPins(id).
 type Cell struct {
 	Row   int32
 	X     int32 // left edge
 	Width int32
-	Feed  bool    // true for feedthrough cells inserted by the router
-	Pins  []int32 // pin IDs on this cell
+	Feed  bool // true for feedthrough cells inserted by the router
 }
 
-// Net is a set of electrically connected pins.
-type Net struct {
-	Name string
-	Pins []int32 // pin IDs
-}
+// Net is a set of electrically connected pins, Circuit.NetPins(n), named
+// Circuit.NetName(n). The record holds nothing: the lists live in the
+// Circuit's flat arrays, so a table of nets holds no pointer.
+type Net struct{}
 
-// Row is an ordered strip of cells.
-type Row struct {
-	Cells []int32 // cell IDs, left to right
-}
+// Row is an ordered strip of cells, Circuit.RowCells(r), left to right.
+// Like Net, it holds nothing of its own.
+type Row struct{}
 
 // Circuit is a complete standard-cell design plus everything the router
 // adds to it (feedthrough cells, fake pins).
@@ -130,12 +128,110 @@ type Circuit struct {
 	CellHeight int
 	FeedWidth  int
 
-	// fakeByRow indexes fake pins by row so feedthrough insertion can
-	// shift them along with the row's cells. (The paper keeps fake pins
-	// frozen; see DESIGN.md for why this reproduction tracks the shift.)
-	// Indexed by row, grown on first fake pin; most circuits (and every
-	// serial run) never allocate it.
-	fakeByRow [][]int
+	// The id lists (csr) and the net names, end to end in names with net
+	// n's at names[nameOff[n]:nameOff[n+1]]. No record holds a slice, so a
+	// collection marks a handful of headers per circuit copy rather than
+	// one per row, cell and net. rowFakes lists each row's fake pins, so
+	// feedthrough insertion can shift them along with the row's cells. (The
+	// paper keeps fake pins frozen; see DESIGN.md for why this reproduction
+	// tracks the shift.)
+	rowCells, cellPins, netPins, rowFakes csr
+	names                                 []byte
+	nameOff                               []int32
+}
+
+// csr holds one id list per record in compressed sparse row form: record
+// i's list is v[off[i]:off[i+1]]. Records past the end of off have empty
+// lists, so a table can grow before its lists do. Only construction
+// (AddCell, AddPin; AddNet for the names) writes in place; every other
+// writer builds fresh arrays, so a Fork shares them all.
+type csr struct {
+	off []int32
+	v   []int32
+}
+
+// end is where the lists of records before i end in v.
+func (l csr) end(i int) int32 {
+	if i < len(l.off) {
+		return l.off[i]
+	}
+	return int32(len(l.v))
+}
+
+// at returns record i's list, capped at its length.
+func (l csr) at(i int) []int32 {
+	if i+1 >= len(l.off) {
+		return nil
+	}
+	lo, hi := l.off[i], l.off[i+1]
+	return l.v[lo:hi:hi]
+}
+
+// add appends id to record i's list in place (construction only).
+func (l *csr) add(i int, id int32) {
+	for len(l.off) < i+2 {
+		l.off = append(l.off, l.end(len(l.off)))
+	}
+	l.v = slices.Insert(l.v, int(l.off[i+1]), id)
+	for j := i + 1; j < len(l.off); j++ {
+		l.off[j]++
+	}
+}
+
+// appended returns l over n records with m ids added, in fresh arrays: for
+// k in order, add(k) names a list (none when negative) and the id to put at
+// its end. It calls add twice per k, and returns l itself if no id lands.
+// The old lists move in runs, one copy between two lists that gain.
+func (l csr) appended(n, m int, add func(k int) (list int, id int32)) csr {
+	gain, listed := make([]int32, n), 0
+	for k := 0; k < m; k++ {
+		if i, _ := add(k); i >= 0 {
+			gain[i]++
+			listed++
+		}
+	}
+	if listed == 0 {
+		return l
+	}
+	out := csr{off: make([]int32, n+1), v: make([]int32, int(l.end(n))+listed)}
+	src, dst := int32(0), int32(0) // old lists up to src are at out.v[:dst]
+	for i, g := range gain {
+		if g > 0 {
+			e := l.end(i + 1)
+			dst += int32(copy(out.v[dst:], l.v[src:e]))
+			src, gain[i], dst = e, dst, dst+g // gain[i] is now list i's cursor
+		}
+		out.off[i+1] = l.end(i+1) + dst - src
+	}
+	copy(out.v[dst:], l.v[src:l.end(n)])
+	for k := 0; k < m; k++ {
+		if i, id := add(k); i >= 0 {
+			out.v[gain[i]] = id
+			gain[i]++
+		}
+	}
+	return out
+}
+
+func (l csr) clone() csr { return csr{off: slices.Clone(l.off), v: slices.Clone(l.v)} }
+
+// RowCells returns row r's cell IDs, left to right.
+func (c *Circuit) RowCells(r int) []int32 { return c.rowCells.at(r) }
+
+// CellPins returns the IDs of the pins on cell id, in ID order.
+func (c *Circuit) CellPins(id int) []int32 { return c.cellPins.at(id) }
+
+// NetPins returns net n's pin IDs: its construction pins in ID order, then
+// the pins bound or added to it since, in the order they came. The slice is
+// the circuit's own, for reading only.
+func (c *Circuit) NetPins(n int) []int32 { return c.netPins.at(n) }
+
+// NetName returns net n's name.
+func (c *Circuit) NetName(n int) string {
+	if n+1 >= len(c.nameOff) {
+		return ""
+	}
+	return string(c.names[c.nameOff[n]:c.nameOff[n+1]])
 }
 
 // NumChannels returns the number of routing channels (rows + 1).
@@ -144,11 +240,11 @@ func (c *Circuit) NumChannels() int { return len(c.Rows) + 1 }
 // RowWidth returns the occupied width of row r (right edge of its last
 // cell), or 0 for an empty row.
 func (c *Circuit) RowWidth(r int) int {
-	row := &c.Rows[r]
-	if len(row.Cells) == 0 {
+	cells := c.RowCells(r)
+	if len(cells) == 0 {
 		return 0
 	}
-	last := &c.Cells[row.Cells[len(row.Cells)-1]]
+	last := &c.Cells[cells[len(cells)-1]]
 	return int(last.X) + int(last.Width)
 }
 
@@ -170,23 +266,29 @@ func (c *Circuit) AddRow() int {
 
 // AddCell appends a cell at the right end of row r and returns its ID.
 // The caller provides the width; the x position follows the previous cell.
-// It is construction-time only, like AddPin.
+// Like AddNet and AddPin, it is construction-time only: it writes the
+// circuit's arrays in place, which a Fork shares.
 func (c *Circuit) AddCell(r, width int) int {
 	id := len(c.Cells)
 	c.Cells = append(c.Cells, Cell{Row: int32(r), X: int32(c.RowWidth(r)), Width: int32(width)})
-	c.Rows[r].Cells = append(c.Rows[r].Cells, int32(id))
+	c.rowCells.add(r, int32(id))
 	return id
 }
 
 // AddNet appends an empty net and returns its ID.
 func (c *Circuit) AddNet(name string) int {
-	c.Nets = append(c.Nets, Net{Name: name})
+	for len(c.nameOff) <= len(c.Nets) {
+		c.nameOff = append(c.nameOff, int32(len(c.names)))
+	}
+	c.Nets = append(c.Nets, Net{})
+	c.names = append(c.names, name...)
+	c.nameOff = append(c.nameOff, int32(len(c.names)))
 	return len(c.Nets) - 1
 }
 
 // AddPin creates a pin on cell cellID at the given offset and side and
 // attaches it to net netID (which may be NoNet). It returns the pin ID.
-// Construction-time only: it writes the cell in place, which a Fork shares.
+// Construction-time only; AddPins is the bulk and fork-safe form.
 func (c *Circuit) AddPin(cellID, netID, offset int, side Side) int {
 	cell := &c.Cells[cellID]
 	id := len(c.Pins)
@@ -194,9 +296,9 @@ func (c *Circuit) AddPin(cellID, netID, offset int, side Side) int {
 		Net: int32(netID), Cell: int32(cellID), Offset: int32(offset),
 		X: cell.X + int32(offset), Row: cell.Row, Side: side,
 	})
-	cell.Pins = append(cell.Pins, int32(id))
+	c.cellPins.add(cellID, int32(id))
 	if netID != NoNet {
-		c.Nets[netID].Pins = append(c.Nets[netID].Pins, int32(id))
+		c.netPins.add(netID, int32(id))
 	}
 	return id
 }
@@ -205,76 +307,75 @@ func (c *Circuit) AddPin(cellID, netID, offset int, side Side) int {
 // to net netID. Fake pins represent a net's crossing point on a partition
 // boundary; they are reachable from the side's channel only.
 func (c *Circuit) AddFakePin(netID, x, row int, side Side) int {
-	id := len(c.Pins)
-	c.Pins = append(c.Pins, Pin{
-		Net: int32(netID), Cell: NoCell,
-		X: int32(x), Row: int32(row), Side: side, Fake: true,
+	return c.AddPins([]Pin{{Net: int32(netID), Cell: NoCell, X: int32(x), Row: int32(row), Side: side}})
+}
+
+// AddPins appends pins, each at the end of its cell's and net's list in
+// order, and returns the first one's ID. A pin on a cell takes its X and
+// Row from the cell and its Offset; one with Cell NoCell is a fake pin at
+// its own X and Row. All is written to fresh arrays, so AddPins on a Fork
+// leaves the parent as it was.
+func (c *Circuit) AddPins(pins []Pin) int {
+	first := len(c.Pins)
+	c.Pins = append(c.Pins[:first:first], pins...)
+	c.listPins(first)
+	return first
+}
+
+// listPins completes the pins c.Pins[first:], which are fresh in c's table,
+// and lists them under their cells, nets and (fake pins) rows.
+func (c *Circuit) listPins(first int) {
+	added := c.Pins[first:]
+	for i := range added {
+		if p := &added[i]; p.Cell != NoCell {
+			cell := &c.Cells[p.Cell]
+			p.X, p.Row, p.Fake = cell.X+p.Offset, cell.Row, false
+		} else {
+			p.Fake = true
+		}
+	}
+	c.cellPins = c.cellPins.appended(len(c.Cells), len(added), func(k int) (int, int32) { return int(added[k].Cell), int32(first + k) })
+	c.netPins = c.netPins.appended(len(c.Nets), len(added), func(k int) (int, int32) { return int(added[k].Net), int32(first + k) })
+	c.rowFakes = c.rowFakes.appended(len(c.Rows), len(added), func(k int) (int, int32) {
+		if added[k].Fake {
+			return int(added[k].Row), int32(first + k)
+		}
+		return -1, 0
 	})
-	if netID != NoNet {
-		c.Nets[netID].Pins = append(c.Nets[netID].Pins, int32(id))
+}
+
+// BindPins attaches pins[k] to net nets[k], each at the end of its net's
+// list, in order. The net lists go to fresh arrays, but the pins' Net is
+// written in place: the pins must be ones this circuit inserted, whose
+// insertion copied the pin table out of any parent.
+func (c *Circuit) BindPins(pins, nets []int32) {
+	for k, pid := range pins {
+		c.Pins[pid].Net = nets[k]
 	}
-	for len(c.fakeByRow) <= row {
-		c.fakeByRow = append(c.fakeByRow, nil)
-	}
-	c.fakeByRow[row] = append(c.fakeByRow[row], id)
-	return id
+	c.netPins = c.netPins.appended(len(c.Nets), len(pins), func(k int) (int, int32) { return int(nets[k]), pins[k] })
 }
 
 // InsertFeedthrough inserts a feedthrough cell into row r as close as
 // possible to x, shifting every cell at or right of the insertion point
-// (and the pins on them) by the feedthrough width. It returns the ID of the
-// feedthrough's pin, which is attached to net netID.
-//
-// This is the one-at-a-time form (O(row length) per call) for the rare
-// late insertion; bulk insertion goes through InsertFeedthroughRows, whose
-// result is defined as what a sequence of these calls produces.
+// (and the pins on them, and the row's fake pins) by the feedthrough width.
+// It returns the ID of the feedthrough's pin, which is attached to net
+// netID. It is InsertFeedthroughRows with one request, for the rare late
+// insertion: each call rebuilds every table and list it writes.
 func (c *Circuit) InsertFeedthrough(r, x, netID int) int {
-	row := &c.Rows[r]
-	// Find the first cell whose left edge is >= x; insert before it.
-	idx := sort.Search(len(row.Cells), func(i int) bool {
-		return int(c.Cells[row.Cells[i]].X) >= x
-	})
-	var at int
-	if idx == 0 {
-		at = 0
-		if len(row.Cells) > 0 {
-			at = geom.Min(x, int(c.Cells[row.Cells[0]].X))
-		}
-		if at < 0 {
-			at = 0
-		}
-	} else {
-		prev := &c.Cells[row.Cells[idx-1]]
-		at = int(prev.X + prev.Width)
+	off := make([]int, len(c.Rows)+1)
+	for i := r + 1; i < len(off); i++ {
+		off[i] = 1
 	}
-
-	cellID := len(c.Cells)
-	c.Cells = append(c.Cells, Cell{
-		Row: int32(r), X: int32(at), Width: int32(c.FeedWidth), Feed: true,
+	pinID, err := c.InsertFeedthroughRows(off, []int{x}, func(rows int, walk func(r int)) {
+		for i := 0; i < rows; i++ {
+			walk(i)
+		}
 	})
-	// Before the shifts: on a Fork, this append moves Pins out of the parent.
-	pinID := c.AddPin(cellID, netID, c.FeedWidth/2, Both)
-	row.Cells = append(row.Cells, 0)
-	copy(row.Cells[idx+1:], row.Cells[idx:])
-	row.Cells[idx] = int32(cellID)
-
-	// Shift everything to the right of the insertion point — cells, the
-	// pins on them, and the fake pins registered on this row, so boundary
-	// hand-off points drift with the layout around them instead of
-	// stretching every boundary wire by the accumulated insertion width.
-	for _, cid := range row.Cells[idx+1:] {
-		cell := &c.Cells[cid]
-		cell.X += int32(c.FeedWidth)
-		for _, pid := range cell.Pins {
-			c.Pins[pid].X = cell.X + c.Pins[pid].Offset
-		}
+	if err != nil {
+		panic(err) //lint:allow panic-in-library documented contract: a row out of range is a caller bug
 	}
-	if r < len(c.fakeByRow) {
-		for _, pid := range c.fakeByRow[r] {
-			if int(c.Pins[pid].X) >= at {
-				c.Pins[pid].X += int32(c.FeedWidth)
-			}
-		}
+	if netID != NoNet {
+		c.BindPins([]int32{int32(pinID)}, []int32{int32(netID)})
 	}
 	return pinID
 }
@@ -282,9 +383,9 @@ func (c *Circuit) InsertFeedthrough(r, x, netID int) int {
 // InsertFeedthroughRows inserts len(xs) net-less feedthrough cells at once:
 // row r receives one at each x of xs[off[r]:off[r+1]] (off is a prefix sum
 // over the rows), and the result — row order, every cell, every pin — is
-// exactly what calling InsertFeedthrough(r, x, NoNet) for each entry in
-// order would leave. The feedthrough for xs[i] gets cell ID first cell + i
-// and pin ID firstPin + i, so callers address the new pins by position.
+// exactly what inserting the entries one at a time, in order, would leave.
+// The feedthrough for xs[i] gets cell ID first cell + i and pin ID
+// firstPin + i, so callers address the new pins by position.
 //
 // Within a row the xs must be non-decreasing. That is what makes one walk
 // per row enough: an insertion only shifts cells that are not left of it,
@@ -297,16 +398,13 @@ func (c *Circuit) InsertFeedthrough(r, x, netID int) int {
 // every row r when it returns, on as many goroutines as it likes.
 //
 // The arguments are checked before anything is written: an error leaves c
-// untouched. Cells, Pins and the touched rows' lists are regrown into fresh
+// untouched. Cells, Pins and the row and cell lists are rebuilt into fresh
 // arrays: on a Fork, this is the copy at the first write.
 func (c *Circuit) InsertFeedthroughRows(off, xs []int, forRows func(rows int, walk func(r int))) (firstPin int, err error) {
 	rows := len(c.Rows)
 	if len(off) != rows+1 || off[0] != 0 || off[rows] != len(xs) {
 		return 0, fmt.Errorf("circuit: feedthrough offsets do not cover %d rows and %d positions", rows, len(xs))
 	}
-	// listOff[r] is where row r's regrown cell list starts in one shared
-	// backing array; rows that receive nothing keep their list.
-	listOff := make([]int, rows+1)
 	for r := 0; r < rows; r++ {
 		lo, hi := off[r], off[r+1]
 		if hi < lo || hi > len(xs) {
@@ -317,10 +415,6 @@ func (c *Circuit) InsertFeedthroughRows(off, xs []int, forRows func(rows int, wa
 				return 0, fmt.Errorf("circuit: feedthrough positions of row %d not sorted: %d after %d", r, xs[i], xs[i-1])
 			}
 		}
-		listOff[r+1] = listOff[r]
-		if hi > lo {
-			listOff[r+1] += len(c.Rows[r].Cells) + hi - lo
-		}
 	}
 	firstCell, firstPin := len(c.Cells), len(c.Pins)
 	if len(xs) == 0 {
@@ -328,31 +422,34 @@ func (c *Circuit) InsertFeedthroughRows(off, xs []int, forRows func(rows int, wa
 	}
 	// Grown from length-capped slices: always into fresh arrays (a circuit
 	// value copied before this call keeps its own), and without first
-	// zeroing the pointer-free pins that the copy overwrites.
+	// zeroing the pointer-free records that the copy overwrites.
 	c.Cells = slices.Grow(c.Cells[:firstCell:firstCell], len(xs))[:firstCell+len(xs)]
 	c.Pins = slices.Grow(c.Pins[:firstPin:firstPin], len(xs))[:firstPin+len(xs)]
-	lists := make([]int32, listOff[rows])
-	// Per request: the feedthrough's one-pin list, and the walk's two
-	// scratch slots.
-	perFeed := make([]int32, 3*len(xs))
-	cellPins, scratch := perFeed[:len(xs)], perFeed[len(xs):]
+	// Feedthrough i is cell firstCell+i, whose one pin is firstPin+i; a row
+	// list grows by its row's requests.
+	c.cellPins = c.cellPins.appended(firstCell+len(xs), len(xs), func(i int) (int, int32) { return firstCell + i, int32(firstPin + i) })
+	old := c.rowCells
+	c.rowCells = csr{off: make([]int32, rows+1), v: make([]int32, int(old.end(rows))+len(xs))}
+	for r := 0; r < rows; r++ {
+		c.rowCells.off[r+1] = c.rowCells.off[r] + int32(len(old.at(r))+off[r+1]-off[r])
+	}
+	scratch := make([]int32, 2*len(xs)) // two slots per request
 	forRows(rows, func(r int) {
-		lo, hi := off[r], off[r+1]
-		if hi > lo {
-			// Capped at its own end, so a later append copies out instead
-			// of running into the next row's list.
-			out := lists[listOff[r]:listOff[r+1]:listOff[r+1]]
-			c.walkRow(r, xs[lo:hi], firstCell+lo, firstPin+lo, out, cellPins[lo:hi], scratch[2*lo:2*hi])
+		if lo, hi := off[r], off[r+1]; hi > lo {
+			c.walkRow(r, old.at(r), xs[lo:hi], firstCell+lo, firstPin+lo, scratch[2*lo:2*hi])
+		} else {
+			copy(c.RowCells(r), old.at(r))
 		}
 	})
 	return firstPin, nil
 }
 
-// walkRow is the one-row walk of InsertFeedthroughRows: the row's cells and
-// the new feedthroughs (cell IDs cell0.., pin IDs pin0..) are written to out
-// left to right with their final positions. scratch has two slots per x.
-func (c *Circuit) walkRow(r int, xs []int, cell0, pin0 int, out, cellPins, scratch []int32) {
-	old := c.Rows[r].Cells
+// walkRow is the one-row walk of InsertFeedthroughRows: row r's cells, old,
+// and the new feedthroughs (cell IDs cell0.., pin IDs pin0..) are written
+// to the row's new list left to right with their final positions. scratch
+// has two slots per x.
+func (c *Circuit) walkRow(r int, old []int32, xs []int, cell0, pin0 int, scratch []int32) {
+	out := c.RowCells(r)
 	fw := c.FeedWidth
 	// pending holds the feedthroughs of the current gap that a later one may
 	// still land in front of, rightmost first — the top is the leftmost.
@@ -397,8 +494,7 @@ func (c *Circuit) walkRow(r int, xs []int, cell0, pin0 int, out, cellPins, scrat
 			firstMoved = n
 		}
 		cid, pid := cell0+j, pin0+j
-		cellPins[j] = int32(pid)
-		c.Cells[cid] = Cell{Row: int32(r), Width: int32(fw), Pins: cellPins[j : j+1 : j+1], Feed: true}
+		c.Cells[cid] = Cell{Row: int32(r), Width: int32(fw), Feed: true}
 		c.Pins[pid] = Pin{Net: NoNet, Cell: int32(cid), Offset: int32(fw / 2), Row: int32(r), Side: Both}
 		pending = append(pending, int32(cid))
 		far := base + placed*fw - shift // where this one goes in, less the shifts so far
@@ -413,27 +509,24 @@ func (c *Circuit) walkRow(r int, xs []int, cell0, pin0 int, out, cellPins, scrat
 		out[n] = old[p]
 		n++
 	}
-	c.Rows[r].Cells = out
 	for _, cid := range out[firstMoved:] {
 		cell := &c.Cells[cid]
-		for _, pid := range cell.Pins {
+		for _, pid := range c.CellPins(int(cid)) {
 			c.Pins[pid].X = cell.X + c.Pins[pid].Offset
 		}
 	}
 	// Fake pins have no cell; each moves once per insertion it was at or
 	// right of, and those are always a prefix of the row's insertions.
-	if r < len(c.fakeByRow) {
-		for _, pid := range c.fakeByRow[r] {
-			x0 := c.Pins[pid].X
-			c.Pins[pid].X += int32(fw * sort.Search(len(reach), func(j int) bool { return reach[j] > x0 }))
-		}
+	for _, pid := range c.rowFakes.at(r) {
+		x0 := c.Pins[pid].X
+		c.Pins[pid].X += int32(fw * sort.Search(len(reach), func(j int) bool { return reach[j] > x0 }))
 	}
 }
 
 // NetBBox returns the bounding box of net n's pins (x by row index). It
 // panics for a pinless net.
 func (c *Circuit) NetBBox(n int) geom.Rect {
-	pins := c.Nets[n].Pins
+	pins := c.NetPins(n)
 	if len(pins) == 0 {
 		panic(fmt.Sprintf("circuit: net %d has no pins", n)) //lint:allow panic-in-library documented contract: NetBBox of a pinless net is a caller bug
 	}
@@ -477,7 +570,7 @@ func (c *Circuit) ComputeStats() Stats {
 	}
 	deg := 0
 	for i := range c.Nets {
-		d := len(c.Nets[i].Pins)
+		d := len(c.NetPins(i))
 		deg += d
 		if d > s.MaxDeg {
 			s.MaxDeg = d
@@ -489,24 +582,60 @@ func (c *Circuit) ComputeStats() Stats {
 	return s
 }
 
-// Fork returns a circuit that shares c's Cells, Pins and id lists and copies
-// only the Rows and Nets headers (and the fake-pin index's outer slice).
-// Every slice it hands out is capped at its length, so the first append
-// copies out: InsertFeedthroughRows, InsertFeedthrough, AddFakePin and
-// appending to a net's pin list are fork-safe and leave c as it was.
+// Block returns rows lo..hi of c as a circuit of their own, the one a rank
+// of the row partition routes, with the fake pins fakes (Cell NoCell) after
+// the block's own. The other rows stay, empty, so row and channel indices
+// and net IDs stay global; cells are re-issued in row order and pins in c's
+// order, and each net lists its pins in c's order, then its fakes. It
+// shares c's net names and nothing else.
+func (c *Circuit) Block(lo, hi int, fakes []Pin) *Circuit {
+	first, end := c.rowCells.end(lo), c.rowCells.end(hi+1)
+	cells := c.rowCells.v[first:end] // the block's cells, row by row
+	sub := &Circuit{
+		Name: c.Name, CellHeight: c.CellHeight, FeedWidth: c.FeedWidth,
+		Rows: make([]Row, len(c.Rows)), Nets: make([]Net, len(c.Nets)), Cells: make([]Cell, len(cells)),
+		rowCells: csr{off: make([]int32, len(c.Rows)+1), v: make([]int32, len(cells))},
+		names:    c.names, nameOff: c.nameOff,
+	}
+	for r := range c.Rows {
+		sub.rowCells.off[r+1] = min(max(c.rowCells.end(r+1), first), end) - first
+	}
+	newCell, pins := make([]int32, len(c.Cells)), 0
+	for j, cid := range cells {
+		sub.rowCells.v[j], sub.Cells[j], newCell[cid] = int32(j), c.Cells[cid], int32(j)
+		pins += len(c.CellPins(int(cid)))
+	}
+	// newPin[old] is the re-issued pin ID plus one; zero marks a pin
+	// outside the block. A pin's row is its cell's.
+	newPin := make([]int32, len(c.Pins))
+	sub.Pins = make([]Pin, 0, pins+len(fakes))
+	for pid, p := range c.Pins {
+		if p.Cell != NoCell && lo <= int(p.Row) && int(p.Row) <= hi {
+			p.Cell = newCell[p.Cell]
+			sub.Pins = append(sub.Pins, p)
+			newPin[pid] = int32(len(sub.Pins))
+		}
+	}
+	sub.cellPins = csr{}.appended(len(cells), pins, func(k int) (int, int32) { return int(sub.Pins[k].Cell), int32(k) })
+	// c's lists lie net after net in netPins.v: walked in order, they keep it.
+	sub.netPins = csr{}.appended(len(c.Nets), len(c.netPins.v), func(k int) (int, int32) {
+		if id := newPin[c.netPins.v[k]]; id != 0 {
+			return int(sub.Pins[id-1].Net), id - 1
+		}
+		return -1, 0
+	})
+	sub.Pins = append(sub.Pins, fakes...)
+	sub.listPins(pins)
+	return sub
+}
+
+// Fork returns a circuit that shares every table and array of c. Every
+// writer but construction builds fresh arrays (InsertFeedthroughRows,
+// InsertFeedthrough, AddPins, AddFakePin, BindPins) or writes only the
+// records of pins and cells it inserted itself, so a fork's writes leave c
+// as it was.
 func (c *Circuit) Fork() *Circuit {
 	out := *c
-	out.Cells, out.Pins = slices.Clip(c.Cells), slices.Clip(c.Pins)
-	out.Rows, out.Nets, out.fakeByRow = slices.Clone(c.Rows), slices.Clone(c.Nets), slices.Clone(c.fakeByRow)
-	for i := range out.Rows {
-		out.Rows[i].Cells = slices.Clip(out.Rows[i].Cells)
-	}
-	for i := range out.Nets {
-		out.Nets[i].Pins = slices.Clip(out.Nets[i].Pins)
-	}
-	for r := range out.fakeByRow {
-		out.fakeByRow[r] = slices.Clip(out.fakeByRow[r])
-	}
 	return &out
 }
 
@@ -514,49 +643,12 @@ func (c *Circuit) Fork() *Circuit {
 // It runs on the calling goroutine: the copies are bound by memory bandwidth
 // and page faults, and a pool measured no faster (DESIGN §9).
 func (c *Circuit) Clone() *Circuit {
-	out := &Circuit{
-		Name:       c.Name,
-		CellHeight: c.CellHeight,
-		FeedWidth:  c.FeedWidth,
-		Rows:       make([]Row, len(c.Rows)),
-		Cells:      slices.Clone(c.Cells),
-		Pins:       slices.Clone(c.Pins), // pointer-free: copied into unzeroed memory
-		Nets:       make([]Net, len(c.Nets)),
-	}
-	out.fakeByRow = slices.Clone(c.fakeByRow)
-	for row, ids := range out.fakeByRow {
-		out.fakeByRow[row] = slices.Clone(ids)
-	}
-	// Shared backing arrays keep the clone at a handful of allocations.
-	total := 0
-	for i := range c.Rows {
-		total += len(c.Rows[i].Cells)
-	}
-	for i := range c.Cells {
-		total += len(c.Cells[i].Pins)
-	}
-	for i := range c.Nets {
-		total += len(c.Nets[i].Pins)
-	}
-	// Full slice expressions cap every sub-slice at its own length so a
-	// later append (feedthrough insertion grows row and net lists) copies
-	// out instead of clobbering the neighbor's region.
-	backing := make([]int32, 0, total)
-	take := func(src []int32) []int32 {
-		lo := len(backing)
-		backing = append(backing, src...)
-		return backing[lo:len(backing):len(backing)]
-	}
-	for i := range c.Rows {
-		out.Rows[i] = Row{Cells: take(c.Rows[i].Cells)}
-	}
-	for i := range c.Cells {
-		out.Cells[i].Pins = take(c.Cells[i].Pins)
-	}
-	for i := range c.Nets {
-		out.Nets[i] = Net{Name: c.Nets[i].Name, Pins: take(c.Nets[i].Pins)}
-	}
-	return out
+	out := *c
+	out.Rows, out.Nets = slices.Clone(c.Rows), slices.Clone(c.Nets)
+	out.Cells, out.Pins = slices.Clone(c.Cells), slices.Clone(c.Pins) // pointer-free: copied into unzeroed memory
+	out.rowCells, out.cellPins, out.netPins, out.rowFakes = c.rowCells.clone(), c.cellPins.clone(), c.netPins.clone(), c.rowFakes.clone()
+	out.names, out.nameOff = slices.Clone(c.names), slices.Clone(c.nameOff)
+	return &out
 }
 
 // Validate checks internal consistency: row/cell/pin/net cross-references,
@@ -568,7 +660,7 @@ func (c *Circuit) Validate() error {
 	listed := make([]bool, max(len(c.Cells), len(c.Pins)))
 	for r := range c.Rows {
 		x := -1 << 60
-		for _, cid := range c.Rows[r].Cells {
+		for _, cid := range c.RowCells(r) {
 			if cid < 0 || int(cid) >= len(c.Cells) {
 				return fmt.Errorf("row %d references cell %d out of range", r, cid)
 			}
@@ -595,7 +687,7 @@ func (c *Circuit) Validate() error {
 		if !listed[i] {
 			return fmt.Errorf("cell %d missing from its row %d", i, cell.Row)
 		}
-		for _, pid := range cell.Pins {
+		for _, pid := range c.CellPins(i) {
 			if pid < 0 || int(pid) >= len(c.Pins) {
 				return fmt.Errorf("cell %d references pin %d out of range", i, pid)
 			}
@@ -606,7 +698,7 @@ func (c *Circuit) Validate() error {
 	}
 	clear(listed)
 	for n := range c.Nets {
-		for _, pid := range c.Nets[n].Pins {
+		for _, pid := range c.NetPins(n) {
 			if pid >= 0 && int(pid) < len(c.Pins) && int(c.Pins[pid].Net) == n {
 				listed[pid] = true
 			}
@@ -638,7 +730,7 @@ func (c *Circuit) Validate() error {
 		}
 	}
 	for i := range c.Nets {
-		for _, pid := range c.Nets[i].Pins {
+		for _, pid := range c.NetPins(i) {
 			if pid < 0 || int(pid) >= len(c.Pins) {
 				return fmt.Errorf("net %d references pin %d out of range", i, pid)
 			}
@@ -660,7 +752,7 @@ func (c *Circuit) Validate() error {
 func (c *Circuit) feedRoom() int {
 	room := 0
 	for n := range c.Nets {
-		if pins := c.Nets[n].Pins; len(pins) >= 2 {
+		if pins := c.NetPins(n); len(pins) >= 2 {
 			lo, hi := c.Pins[pins[0]].Row, c.Pins[pins[0]].Row
 			for _, pid := range pins[1:] {
 				lo, hi = min(lo, c.Pins[pid].Row), max(hi, c.Pins[pid].Row)

@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -98,7 +100,7 @@ func TestInsertFeedthroughShiftsCellsAndPins(t *testing.T) {
 	}
 	// The net gained the feedthrough pin.
 	found := false
-	for _, pid := range c.Nets[0].Pins {
+	for _, pid := range c.NetPins(0) {
 		if int(pid) == pinID {
 			found = true
 		}
@@ -120,7 +122,7 @@ func TestInsertFeedthroughAtRowEnds(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("insert at end: %v", err)
 	}
-	last := c.Rows[0].Cells[len(c.Rows[0].Cells)-1]
+	last := c.RowCells(0)[len(c.RowCells(0))-1]
 	if !c.Cells[last].Feed {
 		t.Fatal("append-insert should land at the row end")
 	}
@@ -150,7 +152,7 @@ func TestFakePin(t *testing.T) {
 		t.Fatalf("circuit with fake pin invalid: %v", err)
 	}
 	found := false
-	for _, pid := range c.Nets[1].Pins {
+	for _, pid := range c.NetPins(1) {
 		if int(pid) == id {
 			found = true
 		}
@@ -169,15 +171,15 @@ func TestCloneIsDeepAndIndependent(t *testing.T) {
 	// Mutating the clone must not touch the original.
 	cl.InsertFeedthrough(0, 8, 0)
 	cl.AddFakePin(1, 3, 0, Top)
-	cl.Nets[1].Pins = append(cl.Nets[1].Pins, 0)
+	SetNetPins(cl, 1, append(cl.NetPins(1), 0))
 	if len(c.Cells) != 4 {
 		t.Fatalf("original gained cells: %d", len(c.Cells))
 	}
 	if len(c.Pins) != 4 {
 		t.Fatalf("original gained pins: %d", len(c.Pins))
 	}
-	if len(c.Nets[1].Pins) != 2 {
-		t.Fatalf("original net 1 has %d pins", len(c.Nets[1].Pins))
+	if len(c.NetPins(1)) != 2 {
+		t.Fatalf("original net 1 has %d pins", len(c.NetPins(1)))
 	}
 	if c.Cells[1].X != 8 {
 		t.Fatal("original cell positions changed")
@@ -187,25 +189,42 @@ func TestCloneIsDeepAndIndependent(t *testing.T) {
 	}
 }
 
+// TestCloneSharedBackingSafety: the lists share one array per kind, so
+// appending to one list a circuit hands out must copy out, not clobber the
+// next list (every list comes capped at its length).
 func TestCloneSharedBackingSafety(t *testing.T) {
-	// Appending to one net's pin list in a clone must not clobber the
-	// next net's list (the clone uses one backing array with capped caps).
 	c := buildTiny(t)
 	cl := c.Clone()
-	before := append([]int32(nil), cl.Nets[1].Pins...)
-	cl.Nets[0].Pins = append(cl.Nets[0].Pins, 99)
-	for i, pid := range cl.Nets[1].Pins {
+	before := append([]int32(nil), cl.NetPins(1)...)
+	_ = append(cl.NetPins(0), 99)
+	for i, pid := range cl.NetPins(1) {
 		if pid != before[i] {
-			t.Fatalf("net 1 pins corrupted by append to net 0: %v vs %v", cl.Nets[1].Pins, before)
+			t.Fatalf("net 1 pins corrupted by append to net 0: %v vs %v", cl.NetPins(1), before)
 		}
 	}
-	// Same for rows.
-	r0 := append([]int32(nil), cl.Rows[1].Cells...)
-	cl.Rows[0].Cells = append(cl.Rows[0].Cells, 98)
-	for i, cid := range cl.Rows[1].Cells {
-		if cid != r0[i] {
-			t.Fatal("row 1 cells corrupted by append to row 0")
-		}
+	// Same for rows and cells.
+	r1, p1 := append([]int32(nil), cl.RowCells(1)...), append([]int32(nil), cl.CellPins(1)...)
+	_, _ = append(cl.RowCells(0), 98), append(cl.CellPins(0), 97)
+	if !slices.Equal(cl.RowCells(1), r1) || !slices.Equal(cl.CellPins(1), p1) {
+		t.Fatal("row 1 cells or cell 1 pins corrupted by an append to row 0 or cell 0")
+	}
+}
+
+// TestCloneTakesConstructionWrites: the construction-time writers write
+// the arrays in place, which a Fork would share; on a Clone they leave the
+// original as it was.
+func TestCloneTakesConstructionWrites(t *testing.T) {
+	c := buildTiny(t)
+	before := c.Clone()
+	cl := c.Clone()
+	cl.AddRow()
+	cl.AddPin(cl.AddCell(0, 3), cl.AddNet("more"), 1, Top)
+	cl.AddPin(1, 0, 2, Bottom)
+	if !reflect.DeepEqual(c, before) {
+		t.Fatal("construction writes on a clone reached the original")
+	}
+	if err := cl.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -248,7 +267,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	check("pin-row-desync", func(c *Circuit) { c.Pins[0].Row = 1 })
 	check("cell-overlap", func(c *Circuit) { c.Cells[1].X = 3 })
 	check("cell-zero-width", func(c *Circuit) { c.Cells[0].Width = 0 })
-	check("net-dangling-pin", func(c *Circuit) { c.Nets[0].Pins = append(c.Nets[0].Pins, 999) })
+	check("net-dangling-pin", func(c *Circuit) { SetNetPins(c, 0, append(c.NetPins(0), 999)) })
 	check("pin-wrong-net", func(c *Circuit) { c.Pins[0].Net = 1 })
 	check("cell-wrong-row", func(c *Circuit) { c.Cells[0].Row = 1 })
 	check("pin-bad-row", func(c *Circuit) { c.Pins[0].Row = 7; c.Cells[0].Row = 7 })
@@ -286,26 +305,28 @@ func TestPinStaysSmall(t *testing.T) {
 }
 
 // TestCellStaysSmall pins the size of the cell table every route regrows at
-// feedthrough insertion: 40 bytes a cell, three int32 fields, the feed flag
-// and the pin list's header (64 with an ID and int fields).
+// feedthrough insertion: 16 bytes a cell, three int32 fields and the feed
+// flag (40 with the pin list's header, 64 with an ID and int fields).
 func TestCellStaysSmall(t *testing.T) {
-	if size := unsafe.Sizeof(Cell{}); size > 40 {
-		t.Fatalf("Cell is %d bytes, at most 40 expected", size)
+	if size := unsafe.Sizeof(Cell{}); size > 16 {
+		t.Fatalf("Cell is %d bytes, at most 16 expected", size)
 	}
 }
 
-// TestNetStaysSmall pins the size of the net table every Fork copies: the
-// name and the pin list's headers, 40 bytes (48 with an ID).
+// TestNetStaysSmall pins the size of a net: nothing, since its pins and its
+// name live in the circuit's flat arrays (40 bytes with the name and the pin
+// list's headers, 48 with an ID).
 func TestNetStaysSmall(t *testing.T) {
-	if size := unsafe.Sizeof(Net{}); size > 40 {
-		t.Fatalf("Net is %d bytes, at most 40 expected", size)
+	if size := unsafe.Sizeof(Net{}); size > 0 {
+		t.Fatalf("Net is %d bytes, at most 0 expected", size)
 	}
 }
 
-// TestRowStaysSmall pins the size of a row: its cell list's header, 24
-// bytes (32 with an ID).
+// TestRowStaysSmall pins the size of a row: nothing, since its cell list
+// lives in the circuit's flat arrays (24 bytes with the list's header, 32
+// with an ID).
 func TestRowStaysSmall(t *testing.T) {
-	if size := unsafe.Sizeof(Row{}); size > 24 {
-		t.Fatalf("Row is %d bytes, at most 24 expected", size)
+	if size := unsafe.Sizeof(Row{}); size > 0 {
+		t.Fatalf("Row is %d bytes, at most 0 expected", size)
 	}
 }

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,18 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(widthJSON(MaxCoord))
 	f.Add(widthJSON(MaxCoord + 1))
 	f.Add(widthJSON(1<<32 + 5))
+	// The flat lists: a net whose pins sit on many cells, interleaved with
+	// another's (one counting pass sorts them out), and a row that lists
+	// its cells out of ID order.
+	f.Add(`{"name":"fan","cellHeight":10,"feedWidth":2,"rows":[[0,1,2,3]],"cells":[` +
+		`{"row":0,"x":0,"width":2,"pins":[{"net":0,"offset":0,"side":0},{"net":1,"offset":1,"side":1}]},` +
+		`{"row":0,"x":2,"width":2,"pins":[{"net":1,"offset":0,"side":2},{"net":0,"offset":1,"side":0}]},` +
+		`{"row":0,"x":4,"width":2,"pins":[{"net":0,"offset":1,"side":1},{"net":-1,"offset":0,"side":0}]},` +
+		`{"row":0,"x":6,"width":2,"pins":[{"net":0,"offset":0,"side":2}]}],"nets":[{"name":"a"},{"name":"b"}]}`)
+	f.Add(`{"name":"shuffled","cellHeight":10,"feedWidth":2,"rows":[[2,0,1],[]],"cells":[` +
+		`{"row":0,"x":3,"width":3,"pins":[{"net":0,"offset":1,"side":0}]},` +
+		`{"row":0,"x":6,"width":2,"pins":[]},` +
+		`{"row":0,"x":0,"width":3,"pins":[{"net":0,"offset":2,"side":1}]}],"nets":[{"name":"n"}]}`)
 
 	f.Fuzz(func(t *testing.T, input string) {
 		got, err := ReadJSON(strings.NewReader(input))
@@ -58,6 +71,21 @@ func FuzzReadJSON(f *testing.F) {
 		}
 		if len(again.Cells) != len(got.Cells) || len(again.Pins) != len(got.Pins) {
 			t.Fatal("round-trip changed the circuit size")
+		}
+		for r := range got.Rows {
+			if !slices.Equal(again.RowCells(r), got.RowCells(r)) {
+				t.Fatalf("round-trip changed row %d: %v, was %v", r, again.RowCells(r), got.RowCells(r))
+			}
+		}
+		for id := range got.Cells {
+			if !slices.Equal(again.CellPins(id), got.CellPins(id)) {
+				t.Fatalf("round-trip changed cell %d's pins: %v, was %v", id, again.CellPins(id), got.CellPins(id))
+			}
+		}
+		for n := range got.Nets {
+			if !slices.Equal(again.NetPins(n), got.NetPins(n)) || again.NetName(n) != got.NetName(n) {
+				t.Fatalf("round-trip changed net %d: %q %v, was %q %v", n, again.NetName(n), again.NetPins(n), got.NetName(n), got.NetPins(n))
+			}
 		}
 	})
 }

@@ -53,7 +53,7 @@ func (c *Circuit) WriteJSON(w io.Writer) error {
 		}
 	}
 	for i := range c.Rows {
-		for _, cid := range c.Rows[i].Cells {
+		for _, cid := range c.RowCells(i) {
 			jc.Rows[i] = append(jc.Rows[i], int(cid))
 		}
 	}
@@ -63,14 +63,14 @@ func (c *Circuit) WriteJSON(w io.Writer) error {
 			return fmt.Errorf("circuit: cannot serialize circuit with feedthrough cell %d", i)
 		}
 		jcell := jsonCell{Row: int(cell.Row), X: int(cell.X), Width: int(cell.Width)}
-		for _, pid := range cell.Pins {
+		for _, pid := range c.CellPins(i) {
 			p := &c.Pins[pid]
 			jcell.Pins = append(jcell.Pins, jsonPin{Net: int(p.Net), Offset: int(p.Offset), Side: p.Side})
 		}
 		jc.Cells[i] = jcell
 	}
 	for i := range c.Nets {
-		jc.Nets[i] = jsonNet{Name: c.Nets[i].Name}
+		jc.Nets[i] = jsonNet{Name: c.NetName(i)}
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&jc)
@@ -114,7 +114,7 @@ func ReadJSON(r io.Reader) (*Circuit, error) {
 			if cid < 0 || cid >= len(c.Cells) {
 				return nil, fmt.Errorf("circuit: row %d references cell %d out of range", r, cid)
 			}
-			c.Rows[r].Cells = append(c.Rows[r].Cells, int32(cid))
+			c.rowCells.add(r, int32(cid)) // row r's list is the last: an append
 		}
 	}
 	for i, jcell := range jc.Cells {
@@ -122,14 +122,15 @@ func ReadJSON(r io.Reader) (*Circuit, error) {
 			if jp.Net != NoNet && (jp.Net < 0 || jp.Net >= len(c.Nets)) {
 				return nil, fmt.Errorf("circuit: cell %d pin has net %d out of range", i, jp.Net)
 			}
-			// AddPin narrows to the int32 pin fields: Validate can only
-			// check the room a route needs on values that arrived whole.
+			// The pins' fields are int32: Validate can only check the room
+			// a route needs on values that arrived whole.
 			if jp.Offset < -jcell.X || jp.Offset > MaxCoord-jcell.X {
 				return nil, fmt.Errorf("circuit: cell %d pin has offset %d outside [%d, %d]", i, jp.Offset, -jcell.X, MaxCoord-jcell.X)
 			}
-			c.AddPin(i, jp.Net, jp.Offset, jp.Side)
+			c.Pins = append(c.Pins, Pin{Net: int32(jp.Net), Cell: int32(i), Offset: int32(jp.Offset), Side: jp.Side})
 		}
 	}
+	c.listPins(0) // one pass lists them all, in ID order
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("circuit: invalid circuit in file: %w", err)
 	}

@@ -32,8 +32,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	// Pin IDs are renumbered cell-by-cell on load; compare per cell.
 	for i := range c.Cells {
-		wantPins := c.Cells[i].Pins
-		gotPins := got.Cells[i].Pins
+		wantPins := c.CellPins(i)
+		gotPins := got.CellPins(i)
 		if len(wantPins) != len(gotPins) {
 			t.Fatalf("cell %d pin count %d vs %d", i, len(gotPins), len(wantPins))
 		}

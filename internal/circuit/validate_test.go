@@ -19,7 +19,7 @@ import (
 func refValidate(c *circuit.Circuit) error {
 	for r := range c.Rows {
 		x := -1 << 60
-		for _, cid := range c.Rows[r].Cells {
+		for _, cid := range c.RowCells(r) {
 			if cid < 0 || int(cid) >= len(c.Cells) {
 				return fmt.Errorf("row %d references cell %d out of range", r, cid)
 			}
@@ -42,10 +42,10 @@ func refValidate(c *circuit.Circuit) error {
 		if cell.Row < 0 || int(cell.Row) >= len(c.Rows) {
 			return fmt.Errorf("cell %d has row %d out of range", i, cell.Row)
 		}
-		if !slices.Contains(c.Rows[cell.Row].Cells, int32(i)) {
+		if !slices.Contains(c.RowCells(int(cell.Row)), int32(i)) {
 			return fmt.Errorf("cell %d missing from its row %d", i, cell.Row)
 		}
-		for _, pid := range cell.Pins {
+		for _, pid := range c.CellPins(i) {
 			if pid < 0 || int(pid) >= len(c.Pins) {
 				return fmt.Errorf("cell %d references pin %d out of range", i, pid)
 			}
@@ -74,13 +74,13 @@ func refValidate(c *circuit.Circuit) error {
 			if p.Net < 0 || int(p.Net) >= len(c.Nets) {
 				return fmt.Errorf("pin %d has net %d out of range", i, p.Net)
 			}
-			if !slices.Contains(c.Nets[p.Net].Pins, int32(i)) {
+			if !slices.Contains(c.NetPins(int(p.Net)), int32(i)) {
 				return fmt.Errorf("pin %d missing from its net %d", i, p.Net)
 			}
 		}
 	}
 	for i := range c.Nets {
-		for _, pid := range c.Nets[i].Pins {
+		for _, pid := range c.NetPins(i) {
 			if pid < 0 || int(pid) >= len(c.Pins) {
 				return fmt.Errorf("net %d references pin %d out of range", i, pid)
 			}
@@ -103,19 +103,19 @@ var corruptions = []struct {
 }{
 	{"none", func(*circuit.Circuit, *rng.RNG) {}},
 	{"cell-in-no-row", func(c *circuit.Circuit, r *rng.RNG) {
-		if row := &c.Rows[r.Intn(len(c.Rows))]; len(row.Cells) > 0 {
-			i := r.Intn(len(row.Cells))
-			row.Cells = slices.Delete(row.Cells, i, i+1)
+		if row := r.Intn(len(c.Rows)); len(c.RowCells(row)) > 0 {
+			i := r.Intn(len(c.RowCells(row)))
+			circuit.SetRowCells(c, row, slices.Delete(slices.Clone(c.RowCells(row)), i, i+1))
 		}
 	}},
 	{"cell-in-two-rows", func(c *circuit.Circuit, r *rng.RNG) {
-		row := &c.Rows[r.Intn(len(c.Rows))]
-		row.Cells = append(row.Cells, int32(r.Intn(len(c.Cells))))
+		row := r.Intn(len(c.Rows))
+		circuit.SetRowCells(c, row, append(c.RowCells(row), int32(r.Intn(len(c.Cells)))))
 	}},
 	{"cell-twice-in-row", func(c *circuit.Circuit, r *rng.RNG) {
-		if row := &c.Rows[r.Intn(len(c.Rows))]; len(row.Cells) > 0 {
-			i := r.Intn(len(row.Cells))
-			row.Cells = slices.Insert(row.Cells, i, row.Cells[i])
+		if row := r.Intn(len(c.Rows)); len(c.RowCells(row)) > 0 {
+			i := r.Intn(len(c.RowCells(row)))
+			circuit.SetRowCells(c, row, slices.Insert(c.RowCells(row), i, c.RowCells(row)[i]))
 		}
 	}},
 	{"cell-claims-other-row", func(c *circuit.Circuit, r *rng.RNG) {
@@ -125,39 +125,39 @@ var corruptions = []struct {
 		c.Cells[r.Intn(len(c.Cells))].Row = int32(len(c.Rows) * (1 - 2*r.Intn(2)))
 	}},
 	{"row-cell-out-of-range", func(c *circuit.Circuit, r *rng.RNG) {
-		row := &c.Rows[r.Intn(len(c.Rows))]
-		row.Cells = slices.Insert(row.Cells, r.Intn(len(row.Cells)+1), int32(len(c.Cells)*(1-2*r.Intn(2))))
+		row := r.Intn(len(c.Rows))
+		circuit.SetRowCells(c, row, slices.Insert(c.RowCells(row), r.Intn(len(c.RowCells(row))+1), int32(len(c.Cells)*(1-2*r.Intn(2)))))
 	}},
 	{"cell-pin-out-of-range", func(c *circuit.Circuit, r *rng.RNG) {
-		cell := &c.Cells[r.Intn(len(c.Cells))]
-		cell.Pins = append(cell.Pins, int32(len(c.Pins)*(1-2*r.Intn(2))))
+		cell := r.Intn(len(c.Cells))
+		circuit.SetCellPins(c, cell, append(c.CellPins(cell), int32(len(c.Pins)*(1-2*r.Intn(2)))))
 	}},
 	{"cell-lists-other-pin", func(c *circuit.Circuit, r *rng.RNG) {
-		cell := &c.Cells[r.Intn(len(c.Cells))]
-		cell.Pins = append(cell.Pins, int32(r.Intn(len(c.Pins))))
+		cell := r.Intn(len(c.Cells))
+		circuit.SetCellPins(c, cell, append(c.CellPins(cell), int32(r.Intn(len(c.Pins)))))
 	}},
 	{"pin-absent-from-net", func(c *circuit.Circuit, r *rng.RNG) {
-		if net := &c.Nets[r.Intn(len(c.Nets))]; len(net.Pins) > 0 {
-			i := r.Intn(len(net.Pins))
-			net.Pins = slices.Delete(net.Pins, i, i+1)
+		if net := r.Intn(len(c.Nets)); len(c.NetPins(net)) > 0 {
+			i := r.Intn(len(c.NetPins(net)))
+			circuit.SetNetPins(c, net, slices.Delete(slices.Clone(c.NetPins(net)), i, i+1))
 		}
 	}},
 	{"pin-under-other-net", func(c *circuit.Circuit, r *rng.RNG) {
-		net := &c.Nets[r.Intn(len(c.Nets))]
-		net.Pins = slices.Insert(net.Pins, r.Intn(len(net.Pins)+1), int32(r.Intn(len(c.Pins))))
+		net := r.Intn(len(c.Nets))
+		circuit.SetNetPins(c, net, slices.Insert(c.NetPins(net), r.Intn(len(c.NetPins(net))+1), int32(r.Intn(len(c.Pins)))))
 	}},
 	{"pin-moved-to-other-net", func(c *circuit.Circuit, r *rng.RNG) {
 		pid := int32(r.Intn(len(c.Pins)))
 		for n := range c.Nets {
-			c.Nets[n].Pins = slices.DeleteFunc(c.Nets[n].Pins, func(p int32) bool { return p == pid })
+			circuit.SetNetPins(c, n, slices.DeleteFunc(slices.Clone(c.NetPins(n)), func(p int32) bool { return p == pid }))
 		}
-		net := &c.Nets[r.Intn(len(c.Nets))]
-		net.Pins = append(net.Pins, pid)
+		net := r.Intn(len(c.Nets))
+		circuit.SetNetPins(c, net, append(c.NetPins(net), pid))
 	}},
 	{"pin-twice-in-net", func(c *circuit.Circuit, r *rng.RNG) { // accepted, by both
-		if net := &c.Nets[r.Intn(len(c.Nets))]; len(net.Pins) > 0 {
-			i := r.Intn(len(net.Pins))
-			net.Pins = slices.Insert(net.Pins, i, net.Pins[i])
+		if net := r.Intn(len(c.Nets)); len(c.NetPins(net)) > 0 {
+			i := r.Intn(len(c.NetPins(net)))
+			circuit.SetNetPins(c, net, slices.Insert(c.NetPins(net), i, c.NetPins(net)[i]))
 		}
 	}},
 	{"pin-claims-other-net", func(c *circuit.Circuit, r *rng.RNG) {
@@ -167,8 +167,8 @@ var corruptions = []struct {
 		c.Pins[r.Intn(len(c.Pins))].Net = int32(len(c.Nets)*(1-2*r.Intn(2)) - r.Intn(2))
 	}},
 	{"net-pin-out-of-range", func(c *circuit.Circuit, r *rng.RNG) {
-		net := &c.Nets[r.Intn(len(c.Nets))]
-		net.Pins = slices.Insert(net.Pins, r.Intn(len(net.Pins)+1), int32(len(c.Pins)*(1-2*r.Intn(2))))
+		net := r.Intn(len(c.Nets))
+		circuit.SetNetPins(c, net, slices.Insert(c.NetPins(net), r.Intn(len(c.NetPins(net))+1), int32(len(c.Pins)*(1-2*r.Intn(2)))))
 	}},
 	{"pin-row-out-of-range", func(c *circuit.Circuit, r *rng.RNG) {
 		c.Pins[r.Intn(len(c.Pins))].Row = int32(len(c.Rows) * (1 - 2*r.Intn(2)))

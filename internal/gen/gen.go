@@ -153,6 +153,8 @@ func Generate(cfg Config) (*circuit.Circuit, error) {
 
 	// Pins: each net picks a center and clusters pins around it. Giant
 	// nets use the whole core as their spread (clock trees go everywhere).
+	// They are listed under their cells and nets in one pass at the end.
+	pins := make([]circuit.Pin, 0, cfg.TargetPins)
 	for i, deg := range degrees {
 		name := fmt.Sprintf("n%d", i)
 		giant := i < len(cfg.GiantNets)
@@ -187,9 +189,10 @@ func Generate(cfg Config) (*circuit.Circuit, error) {
 			case f < cfg.EquivFrac+(1-cfg.EquivFrac)/2:
 				side = circuit.Top
 			}
-			c.AddPin(cellID, netID, offset, side)
+			pins = append(pins, circuit.Pin{Net: int32(netID), Cell: int32(cellID), Offset: int32(offset), Side: side})
 		}
 	}
+	c.AddPins(pins)
 
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("gen: generated invalid circuit: %w", err)
@@ -199,7 +202,7 @@ func Generate(cfg Config) (*circuit.Circuit, error) {
 
 // cellNear returns the cell in the given row closest to x.
 func cellNear(c *circuit.Circuit, row, x int) int {
-	cells := c.Rows[row].Cells
+	cells := c.RowCells(row)
 	idx := sort.Search(len(cells), func(i int) bool {
 		return int(c.Cells[cells[i]].X) > x
 	})

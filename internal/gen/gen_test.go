@@ -84,14 +84,14 @@ func TestGiantNets(t *testing.T) {
 	}
 	cfg, _ := Preset("avq.large")
 	for i, want := range cfg.GiantNets {
-		if got := len(c.Nets[i].Pins); got != want {
+		if got := len(c.NetPins(i)); got != want {
 			t.Fatalf("giant net %d has %d pins, want %d", i, got, want)
 		}
 	}
 	// The paper: 99% of nets are small.
 	small := 0
 	for i := range c.Nets {
-		if len(c.Nets[i].Pins) < 10 {
+		if len(c.NetPins(i)) < 10 {
 			small++
 		}
 	}
@@ -113,7 +113,7 @@ func TestLocality(t *testing.T) {
 	// Regular nets must be geometrically local: median bbox height small.
 	var heights []int
 	for i := range c.Nets {
-		if len(c.Nets[i].Pins) < 2 {
+		if len(c.NetPins(i)) < 2 {
 			continue
 		}
 		heights = append(heights, c.NetBBox(i).Height())

@@ -27,14 +27,14 @@ var forbiddenCalls = []struct {
 	// for tests and diagnostics.
 	{"parroute/internal/route.ConnectNodes", nil, "build all nets with route.ConnectNets"},
 	{"parroute/internal/steiner.BuildNet", nil, "drive a steiner.Builder"},
-	// The routers write their circuit only through circuit.Fork's fork-safe
-	// mutators, so a whole-circuit Clone is a copy of what steps 1–2 only
-	// read.
+	// The routers route a circuit.Fork, which shares every array: each
+	// writer after construction builds fresh ones, so a whole-circuit Clone
+	// is a copy of what steps 1–2 only read.
 	{"(*parroute/internal/circuit.Circuit).Clone",
 		[]string{"internal/route/", "internal/parallel/", "internal/service/"},
 		"fork it"},
-	// One-at-a-time insertion is O(row length) per feedthrough; the routers
-	// insert through circuit.InsertFeedthroughRows. The step-3 overflow
+	// One-at-a-time insertion rebuilds every table per feedthrough; the
+	// routers insert through circuit.InsertFeedthroughRows. The step-3 overflow
 	// paths (serial and net-wise), which place a feedthrough the demand
 	// estimate missed, carry the two //lint:allow.
 	{"(*parroute/internal/circuit.Circuit).InsertFeedthrough",

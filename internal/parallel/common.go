@@ -30,7 +30,7 @@ func computeCrossings(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 		if owner[n] != rank {
 			continue
 		}
-		pins := c.Nets[n].Pins
+		pins := c.NetPins(n)
 		if len(pins) < 2 {
 			continue
 		}
@@ -133,88 +133,16 @@ func exchangeFakePins(comm mp.Comm, specs []FakePinBatch, numNets int, block par
 }
 
 // buildBlockCircuit constructs this block's row-wise sub-circuit from base,
-// which it only reads: the block's cells (row by row) and their pins (in the
-// base's order, which gen and ReadJSON lay out net by net, so per-net walks
-// read the pin table in order) under re-issued IDs, every net restricted to
-// its pins inside the block and nameless, plus the fake pins assigned to
-// this block. Foreign rows stay as empty placeholders, so row and channel
-// indices remain global while per-rank memory scales with the block — the
-// paper's motivation for the row partition. Net IDs are the only
-// identifiers that cross ranks and are preserved; a net's pins keep the
-// base's per-net order with the fake pins after them, so routing output
-// does not depend on the re-issued cell and pin IDs.
-//
-// Tables are sized by a count pass (the pin table with the fake pins'
-// slots), and every row, cell and net list is carved from one backing
-// array, capped at its own length — a net's at its length plus its fake
-// pins — so a later append copies out instead of writing into a neighbor.
+// which it only reads, with the fake pins assigned to the block
+// (circuit.Block). Per-rank memory scales with the block — the paper's
+// motivation for the row partition — while row, channel and net IDs stay
+// global, and each net keeps the base's pin order with its fakes after.
 func buildBlockCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []FakePinSpec) *circuit.Circuit {
-	numCells, numPins := 0, 0
-	for r := block.Lo; r <= block.Hi; r++ {
-		numCells += len(base.Rows[r].Cells)
-		for _, cid := range base.Rows[r].Cells {
-			numPins += len(base.Cells[cid].Pins)
-		}
+	pins := make([]circuit.Pin, len(fakes))
+	for i, f := range fakes {
+		pins[i] = circuit.Pin{Net: f.Net, Cell: circuit.NoCell, X: f.X, Row: f.Row, Side: f.Side}
 	}
-	sub := &circuit.Circuit{
-		Name:       base.Name,
-		CellHeight: base.CellHeight,
-		FeedWidth:  base.FeedWidth,
-		Rows:       make([]circuit.Row, len(base.Rows)),
-		Cells:      make([]circuit.Cell, 0, numCells),
-		Pins:       make([]circuit.Pin, 0, numPins+len(fakes)),
-		Nets:       make([]circuit.Net, len(base.Nets)),
-	}
-	backing := make([]int32, 0, numCells+2*numPins+len(fakes)) // row, cell and net lists (≤ numPins+fakes)
-	// newPin[old] is the re-issued pin ID plus one; zero marks a pin
-	// outside the block.
-	newPin := make([]int32, len(base.Pins))
-	for pid := range base.Pins {
-		if p := &base.Pins[pid]; p.Cell != circuit.NoCell && block.Contains(int(p.Row)) { // a pin's row is its cell's
-			sub.Pins = append(sub.Pins, *p) // Cell is set with the cell's list
-			newPin[pid] = int32(len(sub.Pins))
-		}
-	}
-	for r := block.Lo; r <= block.Hi; r++ {
-		cells := base.Rows[r].Cells
-		lo := len(backing)
-		for _, cid := range cells {
-			cell := base.Cells[cid]
-			cell.Pins = nil
-			backing = append(backing, int32(len(sub.Cells)))
-			sub.Cells = append(sub.Cells, cell)
-		}
-		sub.Rows[r].Cells = backing[lo:len(backing):len(backing)]
-		for i, cid := range cells {
-			newCell := sub.Rows[r].Cells[i]
-			lo := len(backing)
-			for _, pid := range base.Cells[cid].Pins {
-				id := newPin[pid] - 1
-				sub.Pins[id].Cell = newCell
-				backing = append(backing, id)
-			}
-			sub.Cells[newCell].Pins = backing[lo:len(backing):len(backing)]
-		}
-	}
-	fakesOf := make([]int32, len(base.Nets))
-	for _, spec := range fakes {
-		fakesOf[spec.Net]++
-	}
-	for n := range base.Nets {
-		lo := len(backing)
-		for _, pid := range base.Nets[n].Pins {
-			if id := newPin[pid]; id != 0 {
-				backing = append(backing, id-1)
-			}
-		}
-		hi := len(backing)
-		backing = backing[:hi+int(fakesOf[n])]
-		sub.Nets[n] = circuit.Net{Pins: backing[lo:hi:len(backing)]}
-	}
-	for _, spec := range fakes {
-		sub.AddFakePin(int(spec.Net), int(spec.X), int(spec.Row), spec.Side)
-	}
-	return sub
+	return base.Block(block.Lo, block.Hi, pins)
 }
 
 // syncBoundaryOccupancy exchanges the column counts of each shared
@@ -400,7 +328,7 @@ func ownPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, se
 			if (owner[n] == self) != own {
 				continue
 			}
-			for _, pid := range sub.Nets[n].Pins {
+			for _, pid := range sub.NetPins(n) {
 				if p := &sub.Pins[pid]; !p.Fake && block.Contains(int(p.Row)) {
 					emit(NodeMsg{Net: int32(n), X: p.X, Row: p.Row, Side: p.Side})
 				}

@@ -43,7 +43,7 @@ func refCollectNodes(in []NodeBatch) map[int][]route.Node {
 func refPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, size int) []NodeBatch {
 	counts := make([]int, size)
 	for n := range sub.Nets {
-		for _, pid := range sub.Nets[n].Pins {
+		for _, pid := range sub.NetPins(n) {
 			if p := &sub.Pins[pid]; !p.Fake && block.Contains(int(p.Row)) {
 				counts[owner[n]]++
 			}
@@ -52,7 +52,7 @@ func refPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, si
 	out := sizedBatches[NodeBatch](counts)
 	for n := range sub.Nets {
 		dest := owner[n]
-		for _, pid := range sub.Nets[n].Pins {
+		for _, pid := range sub.NetPins(n) {
 			if p := &sub.Pins[pid]; !p.Fake && block.Contains(int(p.Row)) {
 				out[dest] = append(out[dest], NodeMsg{Net: int32(n), X: p.X, Row: p.Row, Side: p.Side})
 			}
@@ -147,21 +147,27 @@ func refInsertBlockFeedthroughs(sub *circuit.Circuit, g *grid.Grid, block partit
 
 // refBuildSubCircuit is the full-clone sub-circuit builder the drivers
 // used: every cell and pin of the design under its base ID, nets filtered
-// to the block, foreign pins detached.
+// to the block, foreign pins detached. gen lists each row's cells and each
+// net's pins in ID order, so construction in ID order rebuilds them.
 func refBuildSubCircuit(base *circuit.Circuit, block partition.RowBlock, fakes []FakePinSpec) *circuit.Circuit {
-	sub := base.Clone()
-	for n := range sub.Nets {
-		net := &sub.Nets[n]
-		kept := net.Pins[:0]
-		for _, pid := range net.Pins {
-			if block.Contains(int(sub.Pins[pid].Row)) {
-				kept = append(kept, pid)
-			} else {
-				sub.Pins[pid].Net = circuit.NoNet
-			}
-		}
-		net.Pins = kept
+	sub := &circuit.Circuit{Name: base.Name, CellHeight: base.CellHeight, FeedWidth: base.FeedWidth}
+	for range base.Rows {
+		sub.AddRow()
 	}
+	for range base.Nets {
+		sub.AddNet("")
+	}
+	for id, cell := range base.Cells {
+		sub.AddCell(int(cell.Row), int(cell.Width))
+		sub.Cells[id].X = cell.X
+	}
+	pins := slices.Clone(base.Pins)
+	for pid := range pins {
+		if !block.Contains(int(pins[pid].Row)) {
+			pins[pid].Net = circuit.NoNet
+		}
+	}
+	sub.AddPins(pins)
 	for _, spec := range fakes {
 		sub.AddFakePin(int(spec.Net), int(spec.X), int(spec.Row), spec.Side)
 	}
@@ -205,7 +211,7 @@ func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 	pinIn, selfIn, ftIn = make([]NodeBatch, p), make([]NodeBatch, p), make([]NodeBatch, p)
 	stray := false
 	for n := range c.Nets {
-		pins := c.Nets[n].Pins
+		pins := c.NetPins(n)
 		if len(pins) == 0 {
 			continue
 		}
@@ -371,8 +377,10 @@ func TestDeferredBlockInsertionMatchesEager(t *testing.T) {
 				if !reflect.DeepEqual(deferred.Cells, eager.Cells) {
 					t.Fatalf("%s: cells differ from eager insertion", name)
 				}
-				if !reflect.DeepEqual(deferred.Rows, eager.Rows) {
-					t.Fatalf("%s: row orders differ from eager insertion", name)
+				for r := range eager.Rows {
+					if !slices.Equal(deferred.RowCells(r), eager.RowCells(r)) {
+						t.Fatalf("%s: row %d's order differs from eager insertion", name, r)
+					}
 				}
 				if !slices.Equal(deferred.Pins, eager.Pins) {
 					t.Fatalf("%s: pins differ from eager insertion", name)
@@ -415,7 +423,7 @@ func TestCrossingSortMatchesStableSort(t *testing.T) {
 func blockFakeVariants(c *circuit.Circuit, block partition.RowBlock, crossings []FakePinSpec) [][]FakePinSpec {
 	twice := slices.Clone(crossings)
 	for n := range c.Nets {
-		if len(c.Nets[n].Pins) > 0 {
+		if len(c.NetPins(n)) > 0 {
 			twice = append(twice,
 				FakePinSpec{Net: int32(n), X: 3, Row: int32(block.Lo), Side: circuit.Bottom},
 				FakePinSpec{Net: int32(n), X: 9, Row: int32(block.Hi), Side: circuit.Top})
@@ -463,8 +471,7 @@ func forEachBlockBuild(t *testing.T, fn func(name string, c *circuit.Circuit, bl
 // TestBlockCircuitMatchesFullClone: the block-sized sub-circuit is the
 // full-clone one with the foreign rows' cells and pins left out and IDs
 // re-issued — same cells per row, same pins per cell, same per-net pin
-// order, every kept pin equal through the ID map — and its shared backing
-// array gives each list exactly the room it needs: a fake pin or a
+// order, every kept pin equal through the ID map — and a fake pin or a
 // feedthrough added afterwards never writes into another list.
 func TestBlockCircuitMatchesFullClone(t *testing.T) {
 	forEachBlockBuild(t, func(name string, c *circuit.Circuit, block partition.RowBlock, fakes []FakePinSpec) {
@@ -481,24 +488,25 @@ func TestBlockCircuitMatchesFullClone(t *testing.T) {
 		cells, pins := 0, 0
 		for r := range full.Rows {
 			if !block.Contains(r) {
-				if len(sub.Rows[r].Cells) != 0 {
-					t.Fatalf("%s: foreign row %d holds %d cells", name, r, len(sub.Rows[r].Cells))
+				if len(sub.RowCells(r)) != 0 {
+					t.Fatalf("%s: foreign row %d holds %d cells", name, r, len(sub.RowCells(r)))
 				}
 				continue
 			}
-			if len(sub.Rows[r].Cells) != len(full.Rows[r].Cells) {
-				t.Fatalf("%s: row %d has %d cells, full clone %d", name, r, len(sub.Rows[r].Cells), len(full.Rows[r].Cells))
+			if len(sub.RowCells(r)) != len(full.RowCells(r)) {
+				t.Fatalf("%s: row %d has %d cells, full clone %d", name, r, len(sub.RowCells(r)), len(full.RowCells(r)))
 			}
-			for i, fid := range full.Rows[r].Cells {
-				fc, sc := full.Cells[fid], sub.Cells[sub.Rows[r].Cells[i]]
-				if sc.Row != fc.Row || sc.X != fc.X || sc.Width != fc.Width || sc.Feed != fc.Feed || len(sc.Pins) != len(fc.Pins) {
-					t.Fatalf("%s: row %d cell %d is %+v, full clone %+v", name, r, i, sc, fc)
+			for i, fid := range full.RowCells(r) {
+				sid := sub.RowCells(r)[i]
+				fp, sp := full.CellPins(int(fid)), sub.CellPins(int(sid))
+				if sub.Cells[sid] != full.Cells[fid] || len(sp) != len(fp) {
+					t.Fatalf("%s: row %d cell %d is %+v with %d pins, full clone %+v with %d", name, r, i, sub.Cells[sid], len(sp), full.Cells[fid], len(fp))
 				}
-				for j, fp := range fc.Pins {
-					toSub[int(fp)] = int(sc.Pins[j])
+				for j, pid := range fp {
+					toSub[int(pid)] = int(sp[j])
 				}
 				cells++
-				pins += len(fc.Pins)
+				pins += len(fp)
 			}
 		}
 		if len(sub.Cells) != cells || len(sub.Pins) != pins+len(fakes) {
@@ -526,34 +534,34 @@ func TestBlockCircuitMatchesFullClone(t *testing.T) {
 			}
 		}
 		for n := range full.Nets {
-			want := make([]int32, len(full.Nets[n].Pins))
-			for i, fid := range full.Nets[n].Pins {
+			want := make([]int32, len(full.NetPins(n)))
+			for i, fid := range full.NetPins(n) {
 				want[i] = int32(toSub[int(fid)])
 			}
-			if !slices.Equal(sub.Nets[n].Pins, want) {
-				t.Fatalf("%s: net %d pins %v, full clone's through the ID map %v", name, n, sub.Nets[n].Pins, want)
+			if !slices.Equal(sub.NetPins(n), want) {
+				t.Fatalf("%s: net %d pins %v, full clone's through the ID map %v", name, n, sub.NetPins(n), want)
 			}
 		}
 		// Every list is capped at its own end, so growing one copies out.
 		for r := range sub.Rows {
-			if l := sub.Rows[r].Cells; cap(l) != len(l) {
+			if l := sub.RowCells(r); cap(l) != len(l) {
 				t.Fatalf("%s: row %d cell list has cap %d over len %d", name, r, cap(l), len(l))
 			}
 		}
 		for i := range sub.Cells {
-			if l := sub.Cells[i].Pins; cap(l) != len(l) {
+			if l := sub.CellPins(i); cap(l) != len(l) {
 				t.Fatalf("%s: cell %d pin list has cap %d over len %d", name, i, cap(l), len(l))
 			}
 		}
 		for n := range sub.Nets {
-			if l := sub.Nets[n].Pins; cap(l) != len(l) {
+			if l := sub.NetPins(n); cap(l) != len(l) {
 				t.Fatalf("%s: net %d pin list has cap %d over len %d", name, n, cap(l), len(l))
 			}
 		}
 		before := buildBlockCircuit(c, block, fakes)
 		grown := -1
 		for n := range sub.Nets {
-			if len(sub.Nets[n].Pins) > 0 {
+			if len(sub.NetPins(n)) > 0 {
 				grown = n
 				break
 			}
@@ -561,17 +569,17 @@ func TestBlockCircuitMatchesFullClone(t *testing.T) {
 		sub.AddFakePin(grown, 5, block.Lo, circuit.Bottom)
 		sub.InsertFeedthrough(block.Hi, 40, grown)
 		for n := range sub.Nets {
-			if n != grown && !slices.Equal(sub.Nets[n].Pins, before.Nets[n].Pins) {
+			if n != grown && !slices.Equal(sub.NetPins(n), before.NetPins(n)) {
 				t.Fatalf("%s: growing net %d rewrote net %d", name, grown, n)
 			}
 		}
 		for r := range sub.Rows {
-			if r != block.Hi && !slices.Equal(sub.Rows[r].Cells, before.Rows[r].Cells) {
+			if r != block.Hi && !slices.Equal(sub.RowCells(r), before.RowCells(r)) {
 				t.Fatalf("%s: inserting into row %d rewrote row %d", name, block.Hi, r)
 			}
 		}
 		for i := range before.Cells {
-			if !slices.Equal(sub.Cells[i].Pins, before.Cells[i].Pins) {
+			if !slices.Equal(sub.CellPins(i), before.CellPins(i)) {
 				t.Fatalf("%s: growing the tables rewrote cell %d's pins", name, i)
 			}
 		}

@@ -60,7 +60,7 @@ func TestRunUsesTheConfiguredNetPartition(t *testing.T) {
 		owners[m] = owner
 		want := make([]int, procs)
 		for n, r := range owner {
-			want[r] += max(len(c.Nets[n].Pins)-1, 0)
+			want[r] += max(len(c.NetPins(n))-1, 0)
 		}
 		var obs segmentCounts
 		_, err = Run(context.Background(), c, Options{

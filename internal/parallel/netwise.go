@@ -86,7 +86,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			// net yields exactly k-1 segments, so segs is sized up front.
 			total := 0
 			for n := range sub.Nets {
-				if k := len(sub.Nets[n].Pins); owner[n] == rank && k >= 2 {
+				if k := len(sub.NetPins(n)); owner[n] == rank && k >= 2 {
 					total += k - 1
 				}
 			}

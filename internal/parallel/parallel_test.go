@@ -175,11 +175,11 @@ func TestComputeCrossings(t *testing.T) {
 		c.AddCell(r, 100)
 	}
 	cross := c.AddNet("cross")
-	c.AddPin(int(c.Rows[0].Cells[0]), cross, 10, circuit.Bottom)
-	c.AddPin(int(c.Rows[3].Cells[0]), cross, 50, circuit.Top)
+	c.AddPin(int(c.RowCells(0)[0]), cross, 10, circuit.Bottom)
+	c.AddPin(int(c.RowCells(3)[0]), cross, 50, circuit.Top)
 	local := c.AddNet("local")
-	c.AddPin(int(c.Rows[0].Cells[0]), local, 20, circuit.Bottom)
-	c.AddPin(int(c.Rows[1].Cells[0]), local, 30, circuit.Top)
+	c.AddPin(int(c.RowCells(0)[0]), local, 20, circuit.Bottom)
+	c.AddPin(int(c.RowCells(1)[0]), local, 30, circuit.Top)
 
 	blocks := []partition.RowBlock{{Lo: 0, Hi: 1}, {Lo: 2, Hi: 3}}
 	owner := []int{0, 0}
@@ -217,7 +217,7 @@ func TestBuildSubCircuit(t *testing.T) {
 	}
 	// Every net pin inside the sub-circuit lies in the block or is fake.
 	for n := range sub.Nets {
-		for _, pid := range sub.Nets[n].Pins {
+		for _, pid := range sub.NetPins(n) {
 			p := &sub.Pins[pid]
 			if !p.Fake && !blocks[0].Contains(int(p.Row)) {
 				t.Fatalf("net %d keeps foreign pin in row %d", n, p.Row)
@@ -226,8 +226,8 @@ func TestBuildSubCircuit(t *testing.T) {
 	}
 	// Foreign rows are empty placeholders.
 	for r := blocks[1].Lo; r <= blocks[1].Hi; r++ {
-		if len(sub.Rows[r].Cells) != 0 {
-			t.Fatalf("foreign row %d holds %d cells", r, len(sub.Rows[r].Cells))
+		if len(sub.RowCells(r)) != 0 {
+			t.Fatalf("foreign row %d holds %d cells", r, len(sub.RowCells(r)))
 		}
 	}
 	// The fake pin exists and is attached.

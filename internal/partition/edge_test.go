@@ -90,12 +90,12 @@ func degenerateNets(t *testing.T) *circuit.Circuit {
 	c.AddNet("floating") // zero pins: weight must default, owner in range
 	for i := 0; i < 6; i++ {
 		n := c.AddNet("")
-		c.AddPin(int(c.Rows[i%4].Cells[i]), n, 1, circuit.Bottom) // single pin
+		c.AddPin(int(c.RowCells(i % 4)[i]), n, 1, circuit.Bottom) // single pin
 	}
 	for i := 0; i < 8; i++ {
 		n := c.AddNet("")
-		c.AddPin(int(c.Rows[i%4].Cells[i%6]), n, 2, circuit.Bottom)
-		c.AddPin(int(c.Rows[(i+1)%4].Cells[(i+3)%6]), n, 3, circuit.Top)
+		c.AddPin(int(c.RowCells(i % 4)[i%6]), n, 2, circuit.Bottom)
+		c.AddPin(int(c.RowCells((i + 1) % 4)[(i+3)%6]), n, 3, circuit.Top)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
@@ -141,8 +141,8 @@ func TestNetsAllPinsInOneRow(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		n := c.AddNet("")
-		c.AddPin(int(c.Rows[0].Cells[i]), n, 1, circuit.Bottom)
-		c.AddPin(int(c.Rows[0].Cells[(i+11)%40]), n, 2, circuit.Top)
+		c.AddPin(int(c.RowCells(0)[i]), n, 1, circuit.Bottom)
+		c.AddPin(int(c.RowCells(0)[(i+11)%40]), n, 2, circuit.Top)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)

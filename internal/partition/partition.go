@@ -40,7 +40,7 @@ func RowBlocks(c *circuit.Circuit, p int) ([]RowBlock, error) {
 	total := 0
 	perRow := make([]int, n)
 	for r := 0; r < n; r++ {
-		perRow[r] = len(c.Rows[r].Cells)
+		perRow[r] = len(c.RowCells(r))
 		total += perRow[r]
 	}
 	blocks := make([]RowBlock, 0, p)
@@ -153,8 +153,8 @@ func Nets(c *circuit.Circuit, blocks []RowBlock, p int, cfg Config) ([]int, erro
 	} else {
 		entries = make([]entry, n)
 		for i := range entries {
-			totalPins += len(c.Nets[i].Pins)
-			entries[i] = entry{key: sortKey(weight(c, i, blocks, cfg.Method)), net: int32(i), pins: int32(len(c.Nets[i].Pins))}
+			totalPins += len(c.NetPins(i))
+			entries[i] = entry{key: sortKey(weight(c, i, blocks, cfg.Method)), net: int32(i), pins: int32(len(c.NetPins(i)))}
 		}
 		entries = sortByKey(entries)
 	}
@@ -202,19 +202,19 @@ type entry struct {
 func byDegree(c *circuit.Circuit) ([]entry, int) {
 	maxDeg, total := 0, 0
 	for i := range c.Nets {
-		maxDeg, total = max(maxDeg, len(c.Nets[i].Pins)), total+len(c.Nets[i].Pins)
+		maxDeg, total = max(maxDeg, len(c.NetPins(i))), total+len(c.NetPins(i))
 	}
 	next := make([]int32, maxDeg+2) // next[maxDeg-d]: the next free slot of degree d
 	for i := range c.Nets {
-		next[maxDeg-len(c.Nets[i].Pins)+1]++
+		next[maxDeg-len(c.NetPins(i))+1]++
 	}
 	for d := 1; d < len(next); d++ {
 		next[d] += next[d-1]
 	}
 	out := make([]entry, len(c.Nets))
 	for i := range c.Nets {
-		k := maxDeg - len(c.Nets[i].Pins)
-		out[next[k]] = entry{net: int32(i), pins: int32(len(c.Nets[i].Pins))}
+		k := maxDeg - len(c.NetPins(i))
+		out[next[k]] = entry{net: int32(i), pins: int32(len(c.NetPins(i)))}
 		next[k]++
 	}
 	return out, total
@@ -273,7 +273,7 @@ func sortByKey(entries []entry) []entry {
 }
 
 func weight(c *circuit.Circuit, net int, blocks []RowBlock, m Method) float64 {
-	pins := c.Nets[net].Pins
+	pins := c.NetPins(net)
 	if len(pins) == 0 {
 		return 0
 	}
@@ -314,7 +314,7 @@ type LoadStats struct {
 
 // Load computes LoadStats for an owner assignment.
 func Load(c *circuit.Circuit, owner []int, p int) LoadStats {
-	return loadBy(owner, p, func(net int) int { return len(c.Nets[net].Pins) })
+	return loadBy(owner, p, func(net int) int { return len(c.NetPins(net)) })
 }
 
 // SteinerLoad computes the balance of the Steiner-tree construction cost,
@@ -323,7 +323,7 @@ func Load(c *circuit.Circuit, owner []int, p int) LoadStats {
 // steiner.LargeNetThreshold (the row-chain fast path).
 func SteinerLoad(c *circuit.Circuit, owner []int, p int) LoadStats {
 	return loadBy(owner, p, func(net int) int {
-		d := len(c.Nets[net].Pins)
+		d := len(c.NetPins(net))
 		if d > steiner.LargeNetThreshold {
 			return d * bits.Len(uint(d))
 		}

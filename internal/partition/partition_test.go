@@ -40,7 +40,7 @@ func TestRowBlocksCoverAndBalance(t *testing.T) {
 			for k, b := range blocks {
 				cells := 0
 				for r := b.Lo; r <= b.Hi; r++ {
-					cells += len(c.Rows[r].Cells)
+					cells += len(c.RowCells(r))
 				}
 				if cells > 3*ideal {
 					t.Fatalf("p=%d block %d holds %d cells (ideal %d)", p, k, cells, ideal)
@@ -171,15 +171,15 @@ func TestPinWeightBalancesSteinerCost(t *testing.T) {
 		n := c.AddNet("")
 		for i := 0; i < 120; i++ {
 			r := i % rows
-			c.AddPin(int(c.Rows[r].Cells[(g*13+i)%64]), n, 1, circuit.Bottom)
+			c.AddPin(int(c.RowCells(r)[(g*13+i)%64]), n, 1, circuit.Bottom)
 		}
 	}
 	// Plus small filler nets.
 	for i := 0; i < 200; i++ {
 		n := c.AddNet("")
 		r := i % (rows - 1)
-		c.AddPin(int(c.Rows[r].Cells[i%64]), n, 2, circuit.Bottom)
-		c.AddPin(int(c.Rows[r+1].Cells[(i+7)%64]), n, 3, circuit.Top)
+		c.AddPin(int(c.RowCells(r)[i%64]), n, 2, circuit.Bottom)
+		c.AddPin(int(c.RowCells(r + 1)[(i+7)%64]), n, 3, circuit.Top)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
@@ -222,8 +222,8 @@ func TestDensityMethodPrefersMajorityBlock(t *testing.T) {
 		if i >= 8 {
 			base = 2
 		}
-		c.AddPin(int(c.Rows[base].Cells[i%4]), n, 1, circuit.Bottom)
-		c.AddPin(int(c.Rows[base+1].Cells[i%4]), n, 2, circuit.Top)
+		c.AddPin(int(c.RowCells(base)[i%4]), n, 1, circuit.Bottom)
+		c.AddPin(int(c.RowCells(base + 1)[i%4]), n, 2, circuit.Top)
 	}
 	blocks := []RowBlock{{0, 1}, {2, 3}}
 	owner, err := Nets(c, blocks, 2, Config{Method: Density})
@@ -258,7 +258,7 @@ func TestCenterKeepsVerticallyCloseNetsTogether(t *testing.T) {
 	sums := make([]float64, p)
 	counts := make([]float64, p)
 	for n := range c.Nets {
-		pins := c.Nets[n].Pins
+		pins := c.NetPins(n)
 		if len(pins) == 0 {
 			continue
 		}

@@ -21,7 +21,7 @@ func pinCircuit(t *testing.T, rows int) (*circuit.Circuit, func(x, row int, side
 		c.AddCell(r, 2000)
 	}
 	return c, func(x, row int, side circuit.Side) int {
-		return c.AddPin(int(c.Rows[row].Cells[0]), circuit.NoNet, x, side)
+		return c.AddPin(int(c.RowCells(row)[0]), circuit.NoNet, x, side)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 )
 
 // Router carries the state of one TWGR run. The phases mutate the attached
-// circuit (feedthrough cells are physically inserted) through Fork's
-// fork-safe mutators only: pass a Fork to keep the original, as Route does.
+// circuit (feedthrough cells are physically inserted) only through writers
+// that build fresh arrays: pass a Fork to keep the original, as Route does.
 type Router struct {
 	C    *circuit.Circuit
 	Opt  Options
@@ -138,7 +138,7 @@ func (rt *Router) BuildTrees(ctx context.Context) error {
 	off := make([]int, len(nets)+1)
 	for n := range nets {
 		off[n+1] = off[n]
-		if k := len(nets[n].Pins); k >= 2 {
+		if k := len(rt.C.NetPins(n)); k >= 2 {
 			off[n+1] += k - 1
 		}
 	}
@@ -436,6 +436,9 @@ func (rt *Router) AssignFeedthroughs(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("route: ft-assign: %w", err)
 	}
+	// Every crossing binds one feedthrough pin to its net, in this order:
+	// each net lists its own pins first, then its binds in binding order.
+	pins, nets := make([]int32, len(arena)), make([]int32, len(arena))
 	for row := range rt.C.Rows {
 		crossings := arena[rowOff[row]:rowOff[row+1]]
 		fts := rt.FtPinsByRow[row]
@@ -450,13 +453,15 @@ func (rt *Router) AssignFeedthroughs(ctx context.Context) error {
 				rt.ExtraFts++
 				rt.InsertedFts++
 			}
-			rt.bindFt(pinID, int(cr.net))
+			k := rowOff[row] + i
+			pins[k], nets[k] = int32(pinID), cr.net
 		}
 		if len(fts) > len(crossings) {
 			rt.UnboundFts += len(fts) - len(crossings)
 		}
 		rt.FtPinsByRow[row] = nil
 	}
+	rt.C.BindPins(pins, nets)
 	if rt.ExtraFts > 0 {
 		RefreshSegs(rt.C, rt.Segs, rt.Opt.Workers)
 	}
@@ -464,8 +469,7 @@ func (rt *Router) AssignFeedthroughs(ctx context.Context) error {
 }
 
 // crossingArena lists every (segment, row) crossing, row r's at
-// arena[rowOff[r]:rowOff[r+1]] in segment order, and makes room in the nets'
-// pin lists for the feedthrough pins the crossings will bind.
+// arena[rowOff[r]:rowOff[r+1]] in segment order.
 //
 // The segments are cut into one contiguous chunk per worker: the chunks
 // count their crossings per row side by side, a prefix sum over (row, chunk)
@@ -473,7 +477,7 @@ func (rt *Router) AssignFeedthroughs(ctx context.Context) error {
 // then fills. Chunks are ascending segment ranges, so row by row the arena
 // is what one serial fill leaves, at every worker count.
 func (rt *Router) crossingArena(ctx context.Context) (arena []crossing, rowOff []int, err error) {
-	segs, nets, rows := rt.Segs, rt.C.Nets, len(rt.C.Rows)
+	segs, rows := rt.Segs, len(rt.C.Rows)
 	per := geom.Max(1, (len(segs)+rt.Opt.Workers-1)/rt.Opt.Workers)
 	chunks := (len(segs) + per - 1) / per
 	cur := make([]int, chunks*rows) // chunk c's row r: count, then cursor
@@ -505,27 +509,6 @@ func (rt *Router) crossingArena(ctx context.Context) (arena []crossing, rowOff [
 	if err := workpool.DoChunks(ctx, rt.Opt.Workers, len(segs), per, pass); err != nil {
 		return nil, nil, err
 	}
-	// Every crossing binds one feedthrough pin to its net. The lists of the
-	// nets that gain pins move into one backing array, each with room for
-	// exactly its gain and capped there: the binding loop appends in place,
-	// and any later append copies out instead of running into the next list.
-	gain := make([]int32, len(nets))
-	total := 0
-	for i := range arena {
-		n := arena[i].net
-		if gain[n] == 0 {
-			total += len(nets[n].Pins)
-		}
-		gain[n]++
-	}
-	backing := make([]int32, 0, total+len(arena))
-	for n, extra := range gain {
-		if extra > 0 {
-			lo, hi := len(backing), len(backing)+len(nets[n].Pins)
-			backing = append(backing, nets[n].Pins...)[:hi+int(extra)]
-			nets[n].Pins = backing[lo : hi : hi+int(extra)]
-		}
-	}
 	return arena, rowOff, nil
 }
 
@@ -544,13 +527,6 @@ func SortFts(c *circuit.Circuit, fts []int) {
 	}
 }
 
-// bindFt attaches an unbound feedthrough pin to a net.
-func (rt *Router) bindFt(pinID, netID int) {
-	pin := &rt.C.Pins[pinID]
-	pin.Net = int32(netID)
-	rt.C.Nets[netID].Pins = append(rt.C.Nets[netID].Pins, int32(pinID))
-}
-
 // ConnectNets is step 4: per net, the adjacency-restricted MST over its
 // pins and bound feedthroughs produces the final channel wires, each
 // switchable wire starting in the channel that is cheaper at the moment it
@@ -563,14 +539,14 @@ func (rt *Router) bindFt(pinID, netID int) {
 // OptimizeSwitchable: it is, cell for cell, the table step 5 starts from.
 func (rt *Router) ConnectNets(ctx context.Context) error {
 	rt.occ = nil
-	nets, pins := rt.C.Nets, rt.C.Pins
+	c, pins := rt.C, rt.C.Pins
 	// Never narrower than the fixed grid extent: a block-sized sub-circuit
 	// has no foreign rows to widen it, and its fake pins sit at full-design x.
 	occ := NewOccupancy(rt.C.NumChannels(), geom.Max(rt.C.CoreWidth(), rt.Opt.GridWidth), grid.ColWidth)
-	wires, forced, err := ConnectNets(ctx, rt.Opt.Workers, len(nets),
-		func(n int) int { return len(nets[n].Pins) },
+	wires, forced, err := ConnectNets(ctx, rt.Opt.Workers, len(c.Nets),
+		func(n int) int { return len(c.NetPins(n)) },
 		func(n int, nodes []Node) []Node {
-			for i, pid := range nets[n].Pins {
+			for i, pid := range c.NetPins(n) {
 				p := &pins[pid]
 				nodes[i] = Node{X: p.X, Row: p.Row, Side: p.Side}
 			}

@@ -107,10 +107,10 @@ func TestFeedthroughBookkeepingExact(t *testing.T) {
 			continue
 		}
 		ftCells++
-		if len(rt.C.Cells[i].Pins) != 1 {
-			t.Fatalf("feedthrough cell %d has %d pins", i, len(rt.C.Cells[i].Pins))
+		if len(rt.C.CellPins(i)) != 1 {
+			t.Fatalf("feedthrough cell %d has %d pins", i, len(rt.C.CellPins(i)))
 		}
-		pid := rt.C.Cells[i].Pins[0]
+		pid := rt.C.CellPins(i)[0]
 		pin := &rt.C.Pins[pid]
 		if pin.Net == circuit.NoNet {
 			t.Fatalf("feedthrough pin %d unbound", pid)
@@ -128,7 +128,7 @@ func TestFeedthroughBookkeepingExact(t *testing.T) {
 // pinsAt returns the pins of net at (x, row) in the routed circuit.
 func pinsAt(rt *Router, net, x, row int32) []*circuit.Pin {
 	var out []*circuit.Pin
-	for _, pid := range rt.C.Nets[net].Pins {
+	for _, pid := range rt.C.NetPins(int(net)) {
 		if p := &rt.C.Pins[pid]; p.X == x && p.Row == row {
 			out = append(out, p)
 		}
@@ -147,7 +147,7 @@ func TestEveryMultiPinNetFullyConnected(t *testing.T) {
 		wires[int(w.Net)] = append(wires[int(w.Net)], w)
 	}
 	for n := range rt.C.Nets {
-		pins := rt.C.Nets[n].Pins
+		pins := rt.C.NetPins(n)
 		if len(pins) < 2 {
 			if len(wires[n]) != 0 {
 				t.Fatalf("net %d: %d wires for %d pins", n, len(wires[n]), len(pins))
@@ -306,7 +306,7 @@ func TestFeedthroughsBoundToCrossingNets(t *testing.T) {
 	base, rt, _ := routeSmall(t, 37)
 	_ = base
 	for n := range rt.C.Nets {
-		pins := rt.C.Nets[n].Pins
+		pins := rt.C.NetPins(n)
 		minRow, maxRow := int32(1<<30), int32(-1)
 		for _, pid := range pins {
 			p := &rt.C.Pins[pid]
@@ -435,7 +435,7 @@ func TestQualityIndependentOfNetOrder(t *testing.T) {
 		shuffled.AddRow()
 	}
 	for r := range base.Rows {
-		for _, cid := range base.Rows[r].Cells {
+		for _, cid := range base.RowCells(r) {
 			shuffled.AddCell(r, int(base.Cells[cid].Width))
 		}
 	}

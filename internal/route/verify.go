@@ -52,7 +52,7 @@ func (rt *Router) Verify() error {
 		off[w.Net+1]++
 	}
 	for n := range c.Nets {
-		if k := len(c.Nets[n].Pins); off[n+1] != geom.Max(k-1, 0) {
+		if k := len(c.NetPins(n)); off[n+1] != geom.Max(k-1, 0) {
 			return fmt.Errorf("route: net %d has %d wires for %d pins", n, off[n+1], k)
 		}
 		off[n+1] += off[n]
@@ -104,7 +104,7 @@ func (rt *Router) Verify() error {
 			continue
 		}
 		at = at[:0]
-		for _, pid := range c.Nets[n].Pins {
+		for _, pid := range c.NetPins(n) {
 			p := &c.Pins[pid]
 			at = append(at, pinAt{row: p.Row, x: p.X, id: pid, side: p.Side})
 		}
@@ -148,20 +148,20 @@ func (rt *Router) Verify() error {
 	// Feedthrough cells: one Both-sided pin each, bound to a net.
 	ftCells := 0
 	for i := range rt.C.Cells {
-		cell := &rt.C.Cells[i]
-		if !cell.Feed {
+		if !rt.C.Cells[i].Feed {
 			continue
 		}
 		ftCells++
-		if len(cell.Pins) != 1 {
-			return fmt.Errorf("route: feedthrough cell %d has %d pins", i, len(cell.Pins))
+		pins := rt.C.CellPins(i)
+		if len(pins) != 1 {
+			return fmt.Errorf("route: feedthrough cell %d has %d pins", i, len(pins))
 		}
-		pin := &rt.C.Pins[cell.Pins[0]]
+		pin := &rt.C.Pins[pins[0]]
 		if pin.Side != circuit.Both {
-			return fmt.Errorf("route: feedthrough pin %d has side %v", cell.Pins[0], pin.Side)
+			return fmt.Errorf("route: feedthrough pin %d has side %v", pins[0], pin.Side)
 		}
 		if pin.Net == circuit.NoNet {
-			return fmt.Errorf("route: feedthrough pin %d unbound", cell.Pins[0])
+			return fmt.Errorf("route: feedthrough pin %d unbound", pins[0])
 		}
 	}
 	if ftCells != rt.InsertedFts {

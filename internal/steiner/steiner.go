@@ -96,7 +96,7 @@ type Builder struct {
 
 // AppendNet appends net netID's Steiner segments to dst and returns it.
 func (b *Builder) AppendNet(dst []Segment, c *circuit.Circuit, netID int) []Segment {
-	pinIDs := c.Nets[netID].Pins
+	pinIDs := c.NetPins(netID)
 	if len(pinIDs) < 2 {
 		return dst
 	}

@@ -25,7 +25,7 @@ func chainCircuit(t *testing.T, pts []geom.Point) (*circuit.Circuit, int) {
 	}
 	n := c.AddNet("n")
 	for _, p := range pts {
-		cellID := int(c.Rows[p.Y].Cells[0])
+		cellID := int(c.RowCells(p.Y)[0])
 		c.AddPin(cellID, n, p.X, circuit.Bottom)
 	}
 	if err := c.Validate(); err != nil {
@@ -87,7 +87,7 @@ func TestSegmentsSpanAllPins(t *testing.T) {
 	c := gen.Small(2)
 	for n := range c.Nets {
 		segs := BuildNet(c, n)
-		pins := c.Nets[n].Pins
+		pins := c.NetPins(n)
 		if len(pins) < 2 {
 			continue
 		}
@@ -147,8 +147,8 @@ func TestLargeNetFastPath(t *testing.T) {
 	for _, s := range segs {
 		parent[find(s.PinP)] = find(s.PinQ) + 1
 	}
-	root := find(int(c.Nets[n].Pins[0]))
-	for _, pid := range c.Nets[n].Pins {
+	root := find(int(c.NetPins(n)[0]))
+	for _, pid := range c.NetPins(n) {
 		if find(int(pid)) != root {
 			t.Fatal("large net not spanned")
 		}
@@ -212,7 +212,7 @@ func TestBuildAllNets(t *testing.T) {
 		total += len(segs)
 	}
 	for n := range c.Nets {
-		if d := len(c.Nets[n].Pins); d >= 2 {
+		if d := len(c.NetPins(n)); d >= 2 {
 			want += d - 1
 		}
 	}

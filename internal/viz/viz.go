@@ -76,7 +76,7 @@ func WriteSVG(w io.Writer, c *circuit.Circuit, wires []metrics.Wire, opt Options
 
 	// Cell rows.
 	for r := range c.Rows {
-		for _, cid := range c.Rows[r].Cells {
+		for _, cid := range c.RowCells(r) {
 			cell := &c.Cells[cid]
 			fill := "#d9e2ec"
 			if cell.Feed {
