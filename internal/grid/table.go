@@ -138,19 +138,21 @@ func (t *Table) CheckDelta(pairs []int32, base int) error {
 }
 
 // ApplyDelta adds pairs that passed CheckDelta with the same base into the
-// table, creating only the slabs of rows that take a change; touched, when
-// not nil, is told each such row once.
-func (t *Table) ApplyDelta(pairs []int32, base int, touched func(row int)) {
-	end, cur := 0, []int32(nil)
+// table, creating only the slabs of rows that take a change; changed, when
+// not nil, is told each counter it changes, with its values before and after.
+func (t *Table) ApplyDelta(pairs []int32, base int, changed func(row, col int, from, to int32)) {
+	r, end, cur := 0, 0, []int32(nil)
 	for i := 0; i < len(pairs); i += 2 {
 		idx := int(pairs[i]) - base
 		if idx >= end {
-			r := idx / t.cols
+			r = idx / t.cols
 			cur, end = t.RowMut(r), (r+1)*t.cols
-			if touched != nil {
-				touched(r)
-			}
 		}
-		cur[idx-(end-t.cols)] += pairs[i+1]
+		col := idx - (end - t.cols)
+		from := cur[col]
+		cur[col] += pairs[i+1]
+		if changed != nil {
+			changed(r, col, from, cur[col])
+		}
 	}
 }

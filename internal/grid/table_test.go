@@ -87,7 +87,8 @@ func TestTableMatchesDenseArray(t *testing.T) {
 // TestTableDeltaRoundTripWithBase: the pairs AppendDelta derives against a
 // snapshot carry base on every index, pass CheckDelta with that base and no
 // other, and applied to a table that equals the snapshot reproduce the
-// source — creating only the slabs of touched rows and naming each once.
+// source — creating only the slabs of touched rows and naming each changed
+// counter once, with its values before and after.
 func TestTableDeltaRoundTripWithBase(t *testing.T) {
 	const rows, cols, base = 2*BandRows + 3, 5, 1000
 	r := rng.New(4)
@@ -119,13 +120,20 @@ func TestTableDeltaRoundTripWithBase(t *testing.T) {
 	if err := dst.CheckDelta(pairs, base); err != nil {
 		t.Fatal(err)
 	}
-	var touched []int
-	dst.ApplyDelta(pairs, base, func(row int) { touched = append(touched, row) })
+	before := flat(&dst)
+	var changed, want [][4]int
+	dst.ApplyDelta(pairs, base, func(row, col int, from, to int32) {
+		changed = append(changed, [4]int{row, col, int(from), int(to)})
+	})
 	if !slices.Equal(flat(&dst), flat(&src)) {
 		t.Fatal("applied delta does not reproduce the source")
 	}
-	if !slices.Equal(touched, []int{1, 2*BandRows + 2}) {
-		t.Fatalf("touched rows %v", touched)
+	for i := 0; i < len(pairs); i += 2 {
+		idx := int(pairs[i]) - base
+		want = append(want, [4]int{idx / cols, idx % cols, int(before[idx]), int(before[idx] + pairs[i+1])})
+	}
+	if !slices.Equal(changed, want) {
+		t.Fatalf("changed counters %v, want %v", changed, want)
 	}
 	if dst.HasSlab(BandRows) {
 		t.Fatal("a delta created a slab it does not touch")

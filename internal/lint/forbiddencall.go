@@ -23,9 +23,8 @@ var forbiddenCalls = []struct {
 	in  []string
 	why string
 }{
-	// The per-call wrappers allocate fresh scratch on every net; they exist
+	// The per-call wrapper allocates fresh scratch on every net; it exists
 	// for tests and diagnostics.
-	{"parroute/internal/route.ConnectNodes", nil, "build all nets with route.ConnectNets"},
 	{"parroute/internal/steiner.BuildNet", nil, "drive a steiner.Builder"},
 	// The routers route a circuit.Fork, which shares every array: each
 	// writer after construction builds fresh ones, so a whole-circuit Clone

@@ -44,7 +44,7 @@ func TestFixtureFiresEachRuleExactlyOnce(t *testing.T) {
 			want = 2 // non-first ctx parameter + ctx stored in a struct field
 		}
 		if a.Name == "forbidden-call" {
-			want = 4 // one per row of the analyzer's table
+			want = 3 // one per row of the analyzer's table
 		}
 		total += want
 		if counts[a.Name] != want {

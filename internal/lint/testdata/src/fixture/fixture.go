@@ -14,7 +14,6 @@ import (
 	"parroute/internal/circuit"
 	"parroute/internal/mp"
 	"parroute/internal/rng"
-	"parroute/internal/route"
 	"parroute/internal/steiner"
 )
 
@@ -38,10 +37,9 @@ func Share(ctx context.Context, r *rng.RNG, out chan<- uint64) {
 }
 
 // Rebuild violates forbidden-call once per row of the analyzer's table: the
-// two per-call wrappers, a whole-circuit Clone and a one-at-a-time
+// per-call wrapper, a whole-circuit Clone and a one-at-a-time
 // InsertFeedthrough (fixture files count as inside every row's scope).
 func Rebuild(c *circuit.Circuit) int {
-	route.ConnectNodes(0, nil, nil)
 	steiner.BuildNet(c, 0)
 	return c.Clone().InsertFeedthrough(0, 0, circuit.NoNet)
 }

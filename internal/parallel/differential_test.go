@@ -114,7 +114,7 @@ func refConcatWires(in []WireBatch, tag, numChannels int) ([]metrics.Wire, error
 }
 
 // refConnectOwnedNets is the map-based step 4: sorted net IDs, fresh
-// scratch per net through route.ConnectNodes, append-grown wires.
+// scratch per net, append-grown wires.
 func refConnectOwnedNets(byNet map[int][]route.Node, occ *route.Occupancy) (wires []metrics.Wire, forced int) {
 	nets := make([]int, 0, len(byNet))
 	for n := range byNet {
@@ -122,8 +122,13 @@ func refConnectOwnedNets(byNet map[int][]route.Node, occ *route.Occupancy) (wire
 	}
 	sort.Ints(nets)
 	for _, n := range nets {
-		ws, f := route.ConnectNodes(n, byNet[n], occ)
-		forced += f
+		if len(byNet[n]) < 2 {
+			continue
+		}
+		var cn route.Connector
+		ws := make([]metrics.Wire, len(byNet[n])-1)
+		forced += cn.Tree(n, byNet[n], ws)
+		_ = occ.PlaceWires(context.Background(), 1, ws) // the background context never ends
 		wires = append(wires, ws...)
 	}
 	return wires, forced

@@ -67,35 +67,6 @@ func connSpan(a, b int32) geom.Interval {
 	return geom.Interval{Lo: min(a, b), Hi: max(a, b)}
 }
 
-// ConnectNodes performs TWGR step 4 for one net: a minimum spanning tree
-// over the complete graph of the net's nodes, where only nodes in adjacent
-// rows (sharing a channel) are connectable at cost |dx|. It returns the
-// tree edges as wires — an edge's endpoints are its wire's anchors — and the
-// number of forced (non-adjacent) edges, which is zero whenever feedthrough
-// assignment covered every row gap.
-//
-// occ, when non-nil, is the live channel occupancy the caller streams its
-// nets through: switchable wires pick the cheaper of their two candidate
-// channels against it, and every produced wire is added to it. A nil occ
-// leaves switchable wires in their lower channel.
-//
-// Test/diagnostic convenience; drivers run ConnectNets over all their nets
-// at once. This wrapper allocates per call, and the forbidden-call lint
-// rule rejects calls to it from outside _test.go files.
-func ConnectNodes(netID int, nodes []Node, occ *Occupancy) (wires []metrics.Wire, forced int) {
-	if len(nodes) < 2 {
-		return nil, 0
-	}
-	var cn Connector
-	wires = make([]metrics.Wire, len(nodes)-1)
-	forced = cn.Tree(netID, nodes, wires)
-	if occ != nil {
-		// The background context never ends, so placement cannot fail.
-		_ = occ.PlaceWires(context.Background(), 1, wires)
-	}
-	return wires, forced
-}
-
 // Connector carries the reusable scratch of the step-4 tree build so it
 // runs allocation-free per net. The zero value is ready to use; a
 // Connector is not safe for concurrent use.
@@ -129,11 +100,14 @@ const (
 	packXBits   = 31
 )
 
-// Tree computes the step-4 tree of one net (see ConnectNodes) and writes
-// its len(nodes)-1 edges into wires, which must have exactly that length —
-// callers carve it out of an array sized by a prefix sum over net degrees.
-// It returns the number of forced edges. A net of fewer than two nodes has
-// no tree.
+// Tree computes TWGR step 4 for one net: a minimum spanning tree over the
+// complete graph of its nodes, where only nodes in adjacent rows (sharing a
+// channel) are connectable at cost |dx|. It writes the len(nodes)-1 edges
+// into wires, which must have exactly that length — callers carve it out of
+// an array sized by a prefix sum over net degrees — an edge's endpoints its
+// wire's anchors, and returns the number of forced (non-adjacent) edges,
+// zero whenever feedthrough assignment covered every row gap. A net of
+// fewer than two nodes has no tree.
 //
 // The tree depends on nothing but nodes — never on the channel occupancy —
 // so calls for different nets are independent and safe to fan out, each

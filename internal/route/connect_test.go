@@ -13,6 +13,24 @@ import (
 	"parroute/internal/rng"
 )
 
+// ConnectNodes is step 4 for one net with fresh scratch, the tests' per-net
+// form of ConnectNets: Tree, then, when occ is not nil, PlaceWires into the
+// live occupancy the caller streams its nets through. A nil occ leaves
+// switchable wires in their lower channel.
+func ConnectNodes(netID int, nodes []Node, occ *Occupancy) (wires []metrics.Wire, forced int) {
+	if len(nodes) < 2 {
+		return nil, 0
+	}
+	var cn Connector
+	wires = make([]metrics.Wire, len(nodes)-1)
+	forced = cn.Tree(netID, nodes, wires)
+	if occ != nil {
+		// The background context never ends, so placement cannot fail.
+		_ = occ.PlaceWires(context.Background(), 1, wires)
+	}
+	return wires, forced
+}
+
 // TestNodeStaysSmall pins the size of step 4's node arena entry: 12 bytes,
 // two int32 fields and the side (24 with int fields).
 func TestNodeStaysSmall(t *testing.T) {

@@ -2,6 +2,7 @@ package route
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -9,6 +10,30 @@ import (
 	"parroute/internal/grid"
 	"parroute/internal/rng"
 )
+
+// requireExactCaches checks every valid peak cache of occ against a full walk
+// of its channel, reading the cache fields directly: channelMax would
+// recompute an entry instead of checking it.
+func requireExactCaches(t testing.TB, occ *Occupancy, when string) {
+	t.Helper()
+	for ch := 0; ch < occ.Channels; ch++ {
+		if !occ.chMaxOK[ch] {
+			continue
+		}
+		var m, cnt int32
+		for _, v := range occ.counts.Row(ch) {
+			switch {
+			case v > m:
+				m, cnt = v, 1
+			case v == m:
+				cnt++
+			}
+		}
+		if occ.chMax[ch] != m || occ.chPeakCnt[ch] != cnt {
+			t.Fatalf("%s: channel %d caches peak %d on %d columns, full walk %d on %d", when, ch, occ.chMax[ch], occ.chPeakCnt[ch], m, cnt)
+		}
+	}
+}
 
 // requireFreshPeaks checks every cached peak of occ, and AddCost and MoveCost
 // on random spans, against a table rebuilt from the dense counts with every
@@ -40,9 +65,8 @@ func requireFreshPeaks(t *testing.T, occ *Occupancy, r *rng.RNG, when string) {
 // two ranks: each adds wires to, and flips wires between channels of, its own
 // table and its replica of the sum, and at every sync ships only its
 // AppendDelta pairs. After every sync both replicas hold own0+own1 cell for
-// cell, with peaks and costs equal to a full-walk recompute although only
-// the touched channels' caches were invalidated; a snapshot equal to the
-// table yields no pair.
+// cell, with every cache the delta kept exact and peaks and costs equal to a
+// full-walk recompute; a snapshot equal to the table yields no pair.
 func TestOccupancyDeltaSyncReproducesSum(t *testing.T) {
 	const channels, width, colW = 19, 480, 16
 	r := rng.New(9)
@@ -99,6 +123,7 @@ func TestOccupancyDeltaSyncReproducesSum(t *testing.T) {
 			if !slices.Equal(shared[k].Counts(), sum) {
 				t.Fatalf("step %d: rank %d: replica differs from own0+own1", step, k)
 			}
+			requireExactCaches(t, shared[k], "after a sync")
 			requireFreshPeaks(t, shared[k], r, "after a sync")
 		}
 	}
@@ -107,7 +132,8 @@ func TestOccupancyDeltaSyncReproducesSum(t *testing.T) {
 // TestOccupancyDeltaBandsStayLazy: what a delta owes the occupancy beyond
 // grid.Table's own laziness. A clone keeps counts and caches apart from its
 // source, and applying a delta that names one band's channels creates that
-// band only and drops the peak caches of the channels it touched, no other.
+// band only and keeps every peak cache valid: channel 19 goes from peak 0 on
+// all 20 columns to peak 1 on the 7 the delta raised.
 func TestOccupancyDeltaBandsStayLazy(t *testing.T) {
 	src := NewOccupancy(64, 320, 16)
 	src.Add(19, geom.NewInterval(0, 100), 1) // band 2 only
@@ -122,11 +148,14 @@ func TestOccupancyDeltaBandsStayLazy(t *testing.T) {
 		if b := ch / grid.BandRows; dst.counts.HasSlab(ch) != (b == 0 || b == 2) {
 			t.Fatalf("band %d allocated: %v", b, dst.counts.HasSlab(ch))
 		}
-		if dst.chMaxOK[ch] != (ch != 19) {
-			t.Fatalf("channel %d peak cache valid: %v", ch, dst.chMaxOK[ch])
+		if !dst.chMaxOK[ch] {
+			t.Fatalf("channel %d lost its peak cache", ch)
 		}
 	}
-	if dst.At(19, 2) != 1 || dst.At(3, 1) != 1 || dst.channelMax(19) != 1 {
+	if dst.chMax[19] != 1 || dst.chPeakCnt[19] != 7 {
+		t.Fatalf("channel 19 caches peak %d on %d columns, want 1 on 7", dst.chMax[19], dst.chPeakCnt[19])
+	}
+	if dst.At(19, 2) != 1 || dst.At(3, 1) != 1 {
 		t.Fatal("applied delta or cloned counts read wrong")
 	}
 	dst.Add(3, geom.NewInterval(0, 50), 1)
@@ -192,5 +221,65 @@ func FuzzGridDelta(f *testing.F) {
 			t.Fatalf("occupancy: accepted %v, the tables differ by %v", pairs, back)
 		}
 		requireFreshPeaks(t, occ, rng.New(1), "after the fuzzed delta")
+	})
+}
+
+// FuzzOccupancyPeaks decodes bytes, four per step, into writes on a small
+// occupancy: a wire added (+1) or one it added removed (−1), a sync delta,
+// or a neighbour's channel counts. Deltas lower only what deltas and counts
+// added, so every write is one a route can make; a spare bit of the opcode
+// revalidates a cache, as a cost query would. After each step every
+// valid peak cache must equal a full walk of its channel.
+func FuzzOccupancyPeaks(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 60, 0, 1, 16, 40, 1, 0, 0, 0})
+	f.Add([]byte{3, 2, 0xff, 2, 2, 12, 3, 1, 2, 12, 1, 0, 0, 2, 0, 95})
+	f.Add([]byte{0, 4, 30, 90, 2, 0, 5, 4, 1, 0, 0, 0, 3, 4, 0x0f, 1, 2, 1, 2, 0})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		const channels, width, colW = 6, 96, 16
+		occ := NewOccupancy(channels, width, colW)
+		type wire struct {
+			ch   int
+			span geom.Interval
+		}
+		var wires []wire
+		bg := make([]int32, occ.TableLen())
+		for s := 0; s+4 <= len(raw); s += 4 {
+			op, a, b, c := raw[s]%4, int(raw[s+1]), int(raw[s+2]), int(raw[s+3])
+			switch {
+			case op == 0:
+				w := wire{a % channels, geom.NewInterval(b%width, c%width)}
+				occ.Add(w.ch, w.span, 1)
+				wires = append(wires, w)
+			case op == 1 && len(wires) > 0:
+				i := a % len(wires)
+				occ.Add(wires[i].ch, wires[i].span, -1)
+				wires = slices.Delete(wires, i, i+1)
+			case op == 2:
+				var pairs []int32
+				for i := a % len(bg); i < len(bg); i += 1 + b%7 {
+					if d := int32(c%5) - 2; d != 0 && bg[i]+d >= 0 {
+						pairs = append(pairs, int32(i), d)
+						bg[i] += d
+					}
+					c = c/5 + i
+				}
+				if err := occ.ApplyDelta(pairs); err != nil {
+					t.Fatalf("step %d: %v", s/4, err)
+				}
+			case op == 3:
+				ch, counts := a%channels, make([]int32, occ.Cols)
+				for col := range counts {
+					counts[col] = int32(b>>col&1) + int32(c>>col&1)
+					bg[ch*occ.Cols+col] += counts[col]
+				}
+				if err := occ.AddChannelCounts(ch, counts); err != nil {
+					t.Fatalf("step %d: %v", s/4, err)
+				}
+			}
+			requireExactCaches(t, occ, fmt.Sprintf("step %d", s/4))
+			if raw[s]&4 != 0 {
+				occ.channelMax(a % channels) // revalidate a cache, as a cost query would
+			}
+		}
 	})
 }

@@ -30,9 +30,9 @@ type Occupancy struct {
 	counts   grid.Table // channel-major column counts
 	// chMax caches each channel's peak column count, and chPeakCnt how many
 	// columns attain it, so AddCost and MoveCost only walk the affected
-	// span. A cache entry is maintained through non-negative Adds (the peak
-	// can only grow toward the span's new values) and invalidated by
-	// anything that can lower counts; channelMax recomputes lazily.
+	// span. Every write keeps a valid entry exact column by column
+	// (notePeak); only a write that takes the last column off the peak
+	// drops it, and channelMax then recomputes lazily.
 	chMax     []int32
 	chPeakCnt []int32
 	chMaxOK   []bool
@@ -80,6 +80,26 @@ func (o *Occupancy) channelMax(ch int) int32 {
 
 func (o *Occupancy) colOf(x int32) int { return geom.Clamp(int(x)/o.ColWidth, 0, o.Cols-1) }
 
+// notePeak keeps channel ch's peak cache exact as one of its columns goes
+// from v to w. Counts are never negative, so a valid cache holds the true
+// peak and the exact number of columns at it; a channel whose last peak
+// column drops loses its cache, since the next peak is unknown without a
+// walk.
+func (o *Occupancy) notePeak(ch int, v, w int32) {
+	if !o.chMaxOK[ch] {
+		return
+	}
+	switch p := o.chMax[ch]; {
+	case w > p:
+		o.chMax[ch], o.chPeakCnt[ch] = w, 1
+	case w == p && v != p:
+		o.chPeakCnt[ch]++
+	case v == p && w < p:
+		o.chPeakCnt[ch]--
+		o.chMaxOK[ch] = o.chPeakCnt[ch] > 0
+	}
+}
+
 // Add adjusts channel ch's occupation over span by delta.
 func (o *Occupancy) Add(ch int, span geom.Interval, delta int32) {
 	if span.Empty() {
@@ -87,26 +107,10 @@ func (o *Occupancy) Add(ch int, span geom.Interval, delta int32) {
 	}
 	lo, hi := o.colOf(span.Lo), o.colOf(span.Hi)
 	row := o.counts.RowMut(ch)
-	if delta < 0 {
-		o.chMaxOK[ch] = false // the peak may shrink; recompute on demand
-		for col := lo; col <= hi; col++ {
-			row[col] += delta
-		}
-		return
-	}
 	for col := lo; col <= hi; col++ {
-		row[col] += delta
-		if o.chMaxOK[ch] {
-			switch v := row[col]; {
-			case v > o.chMax[ch]:
-				o.chMax[ch] = v
-				o.chPeakCnt[ch] = 1
-			case v == o.chMax[ch] && delta > 0:
-				// The column just climbed to the existing peak (delta > 0
-				// rules out the no-op case where it was already there).
-				o.chPeakCnt[ch]++
-			}
-		}
+		v := row[col]
+		row[col] = v + delta
+		o.notePeak(ch, v, v+delta)
 	}
 }
 
@@ -141,10 +145,11 @@ func (o *Occupancy) AddChannelCounts(ch int, counts []int32) error {
 			return fmt.Errorf("route: channel count %d at column %d on a counter at %d", v, col, cur[col])
 		}
 	}
-	o.chMaxOK[ch] = false // the peak moved; recompute on demand
 	row := o.counts.RowMut(ch)
 	for col, v := range counts {
+		old := row[col]
 		row[col] += v
+		o.notePeak(ch, old, row[col])
 	}
 	return nil
 }
@@ -162,8 +167,8 @@ func (o *Occupancy) Clone() *Occupancy {
 // TableLen, AppendDelta and ApplyDelta keep an occupancy replicated across
 // the net-wise ranks in sync by (index, change) pairs over the channel-major
 // counts; see grid.Table. A delta crossed the transport: it is checked whole
-// before the first write, and applying it invalidates the peak cache of the
-// channels it touches only.
+// before the first write, and each counter it changes updates its channel's
+// peak cache as an Add would.
 func (o *Occupancy) TableLen() int { return o.counts.Len() }
 
 func (o *Occupancy) AppendDelta(dst, snap []int32) []int32 {
@@ -174,7 +179,7 @@ func (o *Occupancy) ApplyDelta(pairs []int32) error {
 	if err := o.counts.CheckDelta(pairs, 0); err != nil {
 		return err
 	}
-	o.counts.ApplyDelta(pairs, 0, func(ch int) { o.chMaxOK[ch] = false })
+	o.counts.ApplyDelta(pairs, 0, func(ch, _ int, v, w int32) { o.notePeak(ch, v, w) })
 	return nil
 }
 

@@ -119,8 +119,10 @@ func TestAddCostReflectsPeaks(t *testing.T) {
 
 // TestCostsMatchNaiveReference differentially checks the peak-cache fast
 // paths of AddCost and MoveCost against a full-walk reference over random
-// add/remove histories — removals invalidate the cache, so both the lazy
-// recompute and the maintained-peak paths get exercised.
+// histories of wire adds and removals, sync deltas and boundary channel
+// counts. After every write each valid cache must hold its channel's
+// full-walk peak and count; a write that takes a channel's last peak column
+// drops its cache, so the lazy recompute gets exercised too.
 func TestCostsMatchNaiveReference(t *testing.T) {
 	const channels, coreWidth, colWidth = 4, 320, 16
 	refPeak := func(occ *Occupancy, ch int) int64 {
@@ -170,20 +172,46 @@ func TestCostsMatchNaiveReference(t *testing.T) {
 		span geom.Interval
 	}
 	var wires []placed
-	for step := 0; step < 400; step++ {
-		if len(wires) > 0 && r.Intn(4) == 0 {
-			// Remove a random wire: drives counts down and invalidates
-			// the peak cache.
+	// bg is what deltas and channel counts added, counter by counter: a
+	// delta lowers no counter below it, so every placed wire stays counted.
+	bg := make([]int32, occ.TableLen())
+	for step := 0; step < 600; step++ {
+		switch op := r.Intn(8); {
+		case op == 0 && len(wires) > 0:
+			// Remove a random wire: drives counts down.
 			i := r.Intn(len(wires))
 			occ.Add(wires[i].ch, wires[i].span, -1)
 			wires[i] = wires[len(wires)-1]
 			wires = wires[:len(wires)-1]
-		} else {
+		case op == 1:
+			// A sync delta: counters up, or background down.
+			var pairs []int32
+			for i := r.Intn(8); i < len(bg); i += 1 + r.Intn(16) {
+				if d := int32(r.Intn(4)) - min(bg[i], 2); d != 0 {
+					pairs = append(pairs, int32(i), d)
+					bg[i] += d
+				}
+			}
+			if err := occ.ApplyDelta(pairs); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		case op == 2:
+			// A neighbour's boundary channel.
+			ch, counts := r.Intn(channels), make([]int32, occ.Cols)
+			for col := range counts {
+				counts[col] = int32(r.Intn(3))
+				bg[ch*occ.Cols+col] += counts[col]
+			}
+			if err := occ.AddChannelCounts(ch, counts); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		default:
 			w := placed{ch: r.Intn(channels),
 				span: geom.NewInterval(r.Intn(coreWidth), r.Intn(coreWidth))}
 			occ.Add(w.ch, w.span, 1)
 			wires = append(wires, w)
 		}
+		requireExactCaches(t, occ, fmt.Sprintf("step %d", step))
 		// Probe a random query against the naive reference.
 		span := geom.NewInterval(r.Intn(coreWidth), r.Intn(coreWidth))
 		ch := r.Intn(channels)
@@ -198,6 +226,41 @@ func TestCostsMatchNaiveReference(t *testing.T) {
 			if got, want := occ.MoveCost(w.ch, to, w.span), refMoveCost(occ, w.ch, to, w.span); got != want {
 				t.Fatalf("step %d: MoveCost(%d->%d, %v) = %d, reference %d", step, w.ch, to, w.span, got, want)
 			}
+		}
+	}
+}
+
+// TestRemovalKeepsPeakCacheExact guards the one case that drops a cache: a
+// removal, by Add or by a sync delta, that leaves a column at the peak keeps
+// the cache with one column fewer, and the removal that takes the last peak
+// column drops it, so the next read walks the channel.
+func TestRemovalKeepsPeakCacheExact(t *testing.T) {
+	for _, via := range []string{"Add", "ApplyDelta"} {
+		occ := NewOccupancy(2, 160, 16)
+		occ.Add(1, geom.NewInterval(0, 159), 1)
+		occ.Add(1, geom.NewInterval(0, 15), 1)  // column 0 at 2
+		occ.Add(1, geom.NewInterval(32, 47), 1) // column 2 at 2
+		remove := func(col int) {
+			if via == "Add" {
+				occ.Add(1, geom.NewInterval(16*col, 16*col+15), -1)
+			} else if err := occ.ApplyDelta([]int32{int32(occ.Cols + col), -1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !occ.chMaxOK[1] || occ.chMax[1] != 2 || occ.chPeakCnt[1] != 2 {
+			t.Fatalf("%s: set-up caches %v, peak %d on %d columns", via, occ.chMaxOK[1], occ.chMax[1], occ.chPeakCnt[1])
+		}
+		remove(0)
+		if !occ.chMaxOK[1] || occ.chMax[1] != 2 || occ.chPeakCnt[1] != 1 {
+			t.Fatalf("%s: a removal that leaves a peak column: cache %v, peak %d on %d columns, want peak 2 on 1",
+				via, occ.chMaxOK[1], occ.chMax[1], occ.chPeakCnt[1])
+		}
+		remove(2)
+		if occ.chMaxOK[1] {
+			t.Fatalf("%s: the removal of the last peak column kept the cache at peak %d on %d columns", via, occ.chMax[1], occ.chPeakCnt[1])
+		}
+		if occ.channelMax(1) != 1 || occ.chPeakCnt[1] != int32(occ.Cols) {
+			t.Fatalf("%s: recomputed peak %d on %d columns, want 1 on %d", via, occ.chMax[1], occ.chPeakCnt[1], occ.Cols)
 		}
 	}
 }

@@ -105,6 +105,8 @@ step "workers determinism on one P" one_p
 # panic, and accepted frames must re-encode canonically. FuzzGridDelta is
 # the same bargain one layer up, for the (index, change) pairs a net-wise
 # sync takes off the mesh: applied or refused whole, never a panic.
+# FuzzOccupancyPeaks holds step 5's peak caches exact through any mix of
+# wire adds and removals, sync deltas and boundary channel counts.
 # FuzzAppendJSON and FuzzEnvelope guard the daemon's wire: twgrd frames
 # AppendJSON's bytes into a job.result envelope by hand, unvalidated, so
 # those bytes must equal the reflective encoder's, the frame must equal
@@ -119,6 +121,7 @@ fuzz_smoke() {
     go test -race -run '^$' -fuzz '^FuzzAnyCodec$' -fuzztime 3s ./internal/mp &&
     go test -race -run '^$' -fuzz '^FuzzFrame$' -fuzztime 3s ./internal/mp &&
     go test -race -run '^$' -fuzz '^FuzzGridDelta$' -fuzztime 3s ./internal/route &&
+    go test -race -run '^$' -fuzz '^FuzzOccupancyPeaks$' -fuzztime 3s ./internal/route &&
     go test -race -run '^$' -fuzz '^FuzzAppendJSON$' -fuzztime 3s ./internal/metrics &&
     go test -race -run '^$' -fuzz '^FuzzEnvelope$' -fuzztime 3s ./internal/service &&
     go test -race -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 3s ./internal/circuit &&
