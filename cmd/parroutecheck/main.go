@@ -1,5 +1,5 @@
 // Command parroutecheck runs this repository's static-analysis suite: the
-// determinism, concurrency-hygiene, and message-passing protocol rules in
+// determinism, error-handling, and message-passing protocol rules in
 // internal/lint that the parallel routing algorithms depend on.
 //
 // Usage:
@@ -10,6 +10,10 @@
 // containing the working directory. Explicit package directories (for
 // example ./internal/lint/testdata/src/fixture) are checked even when they
 // live under testdata, which the module walk skips.
+//
+// It needs `go` on PATH: the module is checked from source, but the
+// standard library is read from the export data `go list -export std`
+// locates.
 //
 // -list prints the registered rules with their one-line docs and exits.
 // The driver-level rules lint-directive and stale-allow are not listed:
@@ -32,7 +36,7 @@ func main() {
 	listRules := flag.Bool("list", false, "print the registered rules and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: parroutecheck [-list] [packages]\n\n")
-		fmt.Fprintf(os.Stderr, "Checks the module (./...) or explicit package directories.\nRules:\n")
+		fmt.Fprintf(os.Stderr, "Checks the module (./...) or explicit package directories.\nNeeds go on PATH (standard-library export data comes from go list -export std).\nRules:\n")
 		list(os.Stderr, "  ")
 	}
 	flag.Parse()

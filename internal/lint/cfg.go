@@ -39,17 +39,6 @@ type Block struct {
 	Preds []*Block
 	// IsLoopHead marks loop header blocks (the target of a back edge).
 	IsLoopHead bool
-	// Select is set on the dispatch block of a select statement: each
-	// communication clause is one successor, a default clause (if any) is
-	// a further successor, and a clause-less `select {}` has no
-	// successors at all. Whether the dispatch can block is a property of
-	// this block (no default clause), not of the clause blocks.
-	Select *ast.SelectStmt
-	// IsSelectClause marks a clause body block whose first statement is
-	// the clause's communication operation. That statement is the chosen
-	// (already unblocked) case, so clients deciding blockingness must
-	// look at the dispatch block's Select, not at the comm statement.
-	IsSelectClause bool
 }
 
 // CFG is the control-flow graph of one function body. Entry is the first
@@ -247,7 +236,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 		return b.switchStmt(cur, s.Init, tag, s.Body, label)
 
 	case *ast.SelectStmt:
-		cur.Select = s
+		// cur dispatches: one successor per comm clause (its block starts
+		// with the comm statement), one more for a default clause.
 		if len(s.Body.List) == 0 {
 			// `select {}` blocks forever: a terminator with no successors.
 			return nil
@@ -257,7 +247,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 		for _, clause := range s.Body.List {
 			cc := clause.(*ast.CommClause)
 			caseB := b.newBlock()
-			caseB.IsSelectClause = cc.Comm != nil
 			b.edge(cur, caseB)
 			if cc.Comm != nil {
 				caseB.Stmts = append(caseB.Stmts, cc.Comm)

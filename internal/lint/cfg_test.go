@@ -249,7 +249,7 @@ func TestBuildCFGInfiniteLoopNoBreak(t *testing.T) {
 }
 
 func TestBuildCFGSelectDispatch(t *testing.T) {
-	g := BuildCFG(parseBody(t, `func f(a, b chan int) int {
+	body := parseBody(t, `func f(a, b chan int) int {
 	x := 0
 	select {
 	case v := <-a:
@@ -260,32 +260,29 @@ func TestBuildCFGSelectDispatch(t *testing.T) {
 		x = 3
 	}
 	return x
-}`))
+}`)
+	g := BuildCFG(body)
 	assertForwardAcyclic(t, g)
-	var dispatch *Block
-	for _, blk := range g.Blocks {
-		if blk.Select != nil {
-			dispatch = blk
-		}
-	}
-	if dispatch == nil {
-		t.Fatal("no block carries the SelectStmt")
-	}
+	// The select adds no block of its own: the block it ends dispatches.
+	dispatch := g.Entry
 	// One successor per clause, including the default clause.
 	if len(dispatch.Succs) != 3 {
 		t.Fatalf("select dispatch has %d succs, want 3", len(dispatch.Succs))
 	}
+	comms := map[ast.Stmt]bool{}
+	for _, clause := range body.List[1].(*ast.SelectStmt).Body.List {
+		if cc := clause.(*ast.CommClause); cc.Comm != nil {
+			comms[cc.Comm] = true
+		}
+	}
 	comm := 0
 	for _, s := range dispatch.Succs {
-		if s.IsSelectClause {
+		if len(s.Stmts) > 0 && comms[s.Stmts[0]] {
 			comm++
-			if len(s.Stmts) == 0 {
-				t.Error("comm clause block does not start with its comm statement")
-			}
 		}
 	}
 	if comm != 2 {
-		t.Fatalf("%d comm clause successors, want 2 (default is not a comm clause)", comm)
+		t.Fatalf("%d clause blocks start with their comm statement, want 2 (default has none)", comm)
 	}
 	if !forwardReaches(dispatch, g.Exit) {
 		t.Error("select with default must reach Exit")
@@ -297,18 +294,9 @@ func TestBuildCFGEmptySelectTerminates(t *testing.T) {
 	select {}
 }`))
 	assertForwardAcyclic(t, g)
-	var dispatch *Block
-	for _, blk := range g.Blocks {
-		if blk.Select != nil {
-			dispatch = blk
-		}
-	}
-	if dispatch == nil {
-		t.Fatal("no block carries the SelectStmt")
-	}
 	// `select {}` blocks forever: no successors, Exit unreachable.
-	if len(dispatch.Succs) != 0 {
-		t.Fatalf("select{} dispatch has %d succs, want 0", len(dispatch.Succs))
+	if len(g.Entry.Succs) != 0 {
+		t.Fatalf("select{} dispatch has %d succs, want 0", len(g.Entry.Succs))
 	}
 	if len(g.Exit.Preds) != 0 {
 		t.Errorf("select{}: Exit has %d preds, want 0", len(g.Exit.Preds))

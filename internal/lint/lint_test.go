@@ -113,9 +113,8 @@ func TestStaleAllowAudit(t *testing.T) {
 // here means either a real determinism/concurrency hazard or a missing
 // //lint:allow annotation; see DESIGN.md's "Static analysis" section for
 // the policy. scripts/check.sh skips it in its -race step: the
-// parroutecheck step before it has run the same suite, and most of the
-// test's time is the module load, which -race slows sixfold and makes no
-// more telling.
+// parroutecheck step before it has run the same suite, and -race makes
+// static analysis no more telling.
 func TestModuleIsClean(t *testing.T) {
 	mod, err := lint.LoadModule(".")
 	if err != nil {

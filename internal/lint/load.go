@@ -1,13 +1,16 @@
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -16,9 +19,10 @@ import (
 // Module is a loaded, type-checked view of this Go module, built with only
 // the standard library: packages are discovered by walking the tree from
 // go.mod, parsed with go/parser, and checked with go/types. Imports inside
-// the module resolve recursively through the same loader; standard-library
-// imports go through the source importer, so no compiled export data is
-// needed.
+// the module resolve recursively through the same loader, so analyzers and
+// mpgen see the same ASTs; standard-library imports are read from the
+// compiler's export data, which `go list -export std` locates (so loading
+// needs `go` on PATH).
 type Module struct {
 	Root string // absolute directory containing go.mod
 	Path string // module path from the go.mod "module" directive
@@ -30,10 +34,6 @@ type Module struct {
 	// proto is the lazily built module-wide protocol index shared by the
 	// mpproto analyzers; see protocolIndex in mpproto.go.
 	proto *protoIndex
-	// life is the lazily built module-wide concurrency-lifecycle index
-	// shared by the goroutine/lock/spawn analyzers; see lifecycleIndex in
-	// callgraph.go.
-	life *lifeIndex
 }
 
 // Package is one type-checked package of the module.
@@ -46,14 +46,17 @@ type Package struct {
 }
 
 // loader resolves imports for the type-checker: module-local paths are
-// parsed and checked from source on demand; everything else is delegated
-// to the standard library's source importer.
+// parsed and checked from source on demand; everything else is read from
+// export data.
 type loader struct {
 	root string
 	path string
 	fset *token.FileSet
 	std  types.Importer
-	pkgs map[string]*Package
+	// exports maps each standard-library import path to its export data
+	// file; filled by the first standard-library import.
+	exports map[string]string
+	pkgs    map[string]*Package
 	// skip lists file base names excluded from every package. mpgen scans
 	// with its own generated output excluded, so a stale (even no longer
 	// type-checking) mpwire_gen.go never blocks regeneration.
@@ -64,16 +67,42 @@ type loader struct {
 }
 
 func newLoader(root, path string) *loader {
-	fset := token.NewFileSet()
-	return &loader{
+	l := &loader{
 		root:    root,
 		path:    path,
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
+		fset:    token.NewFileSet(),
 		pkgs:    map[string]*Package{},
 		skip:    map[string]bool{},
 		loading: map[string]bool{},
 	}
+	l.std = importer.ForCompiler(l.fset, "gc", l.openExport)
+	return l
+}
+
+// openExport opens the export data of a standard-library package. The
+// file list comes from one `go list -export std`, run on first use; on a
+// cold build cache that compiles the standard library once.
+func (l *loader) openExport(path string) (io.ReadCloser, error) {
+	if l.exports == nil {
+		var stderr bytes.Buffer
+		cmd := exec.Command("go", "list", "-export", "-f", "{{.ImportPath}} {{.Export}}", "std")
+		cmd.Dir, cmd.Stderr = l.root, &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("lint: locating standard-library export data needs `go` on PATH: go list -export std: %w: %s", err, bytes.TrimSpace(stderr.Bytes()))
+		}
+		l.exports = map[string]string{}
+		for _, line := range strings.Split(string(out), "\n") {
+			if pkg, file, ok := strings.Cut(line, " "); ok && file != "" {
+				l.exports[pkg] = file
+			}
+		}
+	}
+	file, ok := l.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("lint: no export data for %q", path)
+	}
+	return os.Open(file)
 }
 
 // Import implements types.Importer.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	_ "math/rand" //lint:allow nondeterminism fixture: suppressed forbidden import
@@ -93,31 +92,3 @@ type sessionAllowed struct {
 
 // RankAllowedSession keeps sessionAllowed used.
 func (s *sessionAllowed) RankAllowedSession() int { return s.rank }
-
-func SpinAllowed() {
-	go func() { //lint:allow goroutine-lifecycle fixture: suppressed leaked spinner
-		n := 0
-		for {
-			n++
-		}
-	}()
-}
-
-type valveAllowed struct {
-	mu sync.Mutex
-	ch chan int
-}
-
-func (v *valveAllowed) TakeAllowed() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return <-v.ch //lint:allow lock-across-blocking fixture: suppressed receive under lock
-}
-
-func FloodAllowed(jobs <-chan func()) {
-	for job := range jobs {
-		go func() { //lint:allow unbounded-spawn fixture: suppressed unbounded fan-out
-			job()
-		}()
-	}
-}

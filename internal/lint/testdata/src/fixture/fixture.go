@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"parroute/internal/circuit"
@@ -24,9 +23,7 @@ func Stamp() int64 {
 }
 
 // Share violates rng-sharing: the goroutine captures the parent's stream
-// instead of receiving a Split() child. The ctx select is the goroutine's
-// termination signal, so goroutine-lifecycle stays quiet and only the
-// stream sharing fires.
+// instead of receiving a Split() child.
 func Share(ctx context.Context, r *rng.RNG, out chan<- uint64) {
 	go func() {
 		select {
@@ -148,56 +145,3 @@ type session struct {
 
 // Rank returns the stored rank (keeps session used).
 func (s *session) Rank() int { return s.rank }
-
-// Spin violates goroutine-lifecycle: the spawned body loops forever and
-// observes no ctx, receives from no closable channel, and joins no
-// WaitGroup — nothing can ever terminate it.
-func Spin() {
-	go func() {
-		n := 0
-		for {
-			n++
-		}
-	}()
-}
-
-// valve's Take violates lock-across-blocking below.
-type valve struct {
-	mu sync.Mutex
-	ch chan int
-}
-
-// Take violates lock-across-blocking: the mutex is held (by defer) across
-// the blocking receive, so every other Take deadlocks behind a receiver
-// that may never be fed.
-func (v *valve) Take() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return <-v.ch
-}
-
-// Flood violates unbounded-spawn: one goroutine per job from an unbounded
-// channel, with no admission bound. The spawned body itself is bounded
-// (no loop, nothing blocking), so goroutine-lifecycle stays quiet and
-// only the missing spawn bound fires.
-func Flood(jobs <-chan func()) {
-	for job := range jobs {
-		go func() {
-			job()
-		}()
-	}
-}
-
-// FloodBounded keeps unbounded-spawn quiet: a semaphore slot is taken
-// before each spawn and released by the spawned goroutine, so at most
-// cap(sem) workers ever run.
-func FloodBounded(jobs <-chan func()) {
-	sem := make(chan struct{}, 4)
-	for job := range jobs {
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem }()
-			job()
-		}()
-	}
-}

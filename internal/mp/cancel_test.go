@@ -119,20 +119,26 @@ func TestRunContextPreCancelled(t *testing.T) {
 
 // TestRunBackgroundContextCompletesNormally: Config.Run (Background
 // context) is unaffected by the cancellation machinery — the deterministic
-// schedule of the virtual engine in particular must not change.
+// schedule of the virtual engine in particular must not change — and a
+// run that is never cancelled leaves nothing behind: eight runs per engine
+// put even one leaked goroutine a run (a ctx watcher that only a
+// cancellation would end) past requireGoroutinesSettle's allowance.
 func TestRunBackgroundContextCompletesNormally(t *testing.T) {
-	allModes(t, "background", func(t *testing.T, cfg Config) {
-		cfg.Procs = 3
-		_, err := cfg.Run(func(c Comm) error {
-			for i := 0; i < 5; i++ {
-				if err := c.Barrier(); err != nil {
-					return err
+	allEngines(t, "background", func(t *testing.T, run runner) {
+		baseline := runtime.NumGoroutine()
+		for range 8 {
+			err := run(2, func(c Comm) error {
+				for i := 0; i < 5; i++ {
+					if err := c.Barrier(); err != nil {
+						return err
+					}
 				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("plain run failed: %v", err)
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("plain run failed: %v", err)
 		}
+		requireGoroutinesSettle(t, baseline)
 	})
 }

@@ -41,9 +41,11 @@ type mailbox struct {
 }
 
 // link is one directed view of a connection: the socket plus a reusable
-// frame-encoding buffer, guarded by a mutex. dead marks a stream that
-// failed mid-write — a partial frame may be on the wire, so the connection
-// must never carry another send.
+// frame-encoding buffer, guarded by a mutex that Send holds across the
+// socket write, so frames never interleave (Limits.SendTimeout bounds
+// that stall). dead marks a stream that failed mid-write — a partial
+// frame may be on the wire, so the connection must never carry another
+// send.
 type link struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -355,7 +357,7 @@ func (c *comm) Send(to, tag int, v any) error {
 		}
 		defer l.conn.SetWriteDeadline(time.Time{})
 	}
-	if _, err := l.conn.Write(frame); err != nil { //lint:allow lock-across-blocking per-peer write serialization is the framing invariant; the write deadline set above bounds the stall when SendTimeout is configured
+	if _, err := l.conn.Write(frame); err != nil {
 		// Any failed write may have left a partial frame on the wire, so
 		// the connection is dead from here on — never reused.
 		l.dead = true

@@ -88,7 +88,7 @@ func runVirtual(ctx context.Context, n int, model CostModel, fn func(Comm) error
 		defer m.mu.Unlock()
 		if m.err == nil && m.done < m.n {
 			m.err = cancelCause(ctx)
-			m.wakeAllLocked() //lint:allow lock-across-blocking grant has capacity 1 and the scheduler keeps at most one token outstanding per worker, so this send cannot block
+			m.wakeAllLocked()
 		}
 	})
 	defer stop()
@@ -109,7 +109,7 @@ func runVirtual(ctx context.Context, n int, model CostModel, fn func(Comm) error
 		}()
 	}
 	m.mu.Lock()
-	m.scheduleLocked() //lint:allow lock-across-blocking grant has capacity 1 and the scheduler keeps at most one token outstanding per worker, so this send cannot block
+	m.scheduleLocked()
 	m.mu.Unlock()
 	wg.Wait()
 
@@ -154,6 +154,9 @@ func (m *vMachine) scheduleLocked() {
 		}
 	}
 	if next != nil {
+		// The hand-off sends under m.mu but cannot block: grant has
+		// capacity 1, and the scheduler (here and in wakeAllLocked) keeps
+		// at most one token outstanding per worker.
 		next.state = vRunning
 		next.grant <- struct{}{}
 		return
@@ -196,7 +199,7 @@ func (m *vMachine) finish(w *vWorker, err error) {
 	if err != nil && m.failed == nil {
 		m.failed = fmt.Errorf("mp: rank %d failed: %w", w.rank, err)
 	}
-	m.scheduleLocked() //lint:allow lock-across-blocking grant has capacity 1 and the scheduler keeps at most one token outstanding per worker, so this send cannot block
+	m.scheduleLocked()
 }
 
 func (c *vComm) Rank() int { return c.w.rank }
@@ -247,7 +250,7 @@ func (c *vComm) Recv(from, tag int) (any, error) {
 		}
 		w.state = vBlockedRecv
 		w.wantSrc, w.wantTag = from, tag
-		m.scheduleLocked() //lint:allow lock-across-blocking grant has capacity 1 and the scheduler keeps at most one token outstanding per worker, so this send cannot block
+		m.scheduleLocked()
 		m.mu.Unlock()
 		<-w.grant
 		m.mu.Lock()
@@ -287,11 +290,11 @@ func (c *vComm) Barrier() error {
 		m.err = m.stuckErrLocked(fmt.Errorf("mp: rank %d waits at a barrier %d ranks already exited: %w",
 			w.rank, m.done, ErrDeadlock))
 		m.inBarrier--
-		m.wakeAllLocked() //lint:allow lock-across-blocking grant has capacity 1 and the scheduler keeps at most one token outstanding per worker, so this send cannot block
+		m.wakeAllLocked()
 		return m.err
 	}
 	w.state = vBlockedBarrier
-	m.scheduleLocked() //lint:allow lock-across-blocking grant has capacity 1 and the scheduler keeps at most one token outstanding per worker, so this send cannot block
+	m.scheduleLocked()
 	m.mu.Unlock()
 	<-w.grant
 	m.mu.Lock()

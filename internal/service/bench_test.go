@@ -71,8 +71,7 @@ func BenchmarkComputeMiss(b *testing.B) {
 	srv := New(Config{Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	srv.Start(ctx)
-	defer srv.Wait()
-	defer cancel()
+	defer StopPool(b, srv, cancel)
 	seed := uint64(0)
 	b.ReportAllocs()
 	for b.Loop() {

@@ -85,8 +85,7 @@ func TestSingleflightCollapse(t *testing.T) {
 
 	poolCtx, cancel := context.WithCancel(context.Background())
 	srv.Start(poolCtx)
-	defer srv.Wait() // after cancel: defers run LIFO
-	defer cancel()
+	defer StopPool(t, srv, cancel)
 
 	var first []byte
 	for i, ticket := range tickets {

@@ -57,8 +57,7 @@ func TestWaiterDisconnectAbandonsQueuedJob(t *testing.T) {
 
 	poolCtx, cancel := context.WithCancel(context.Background())
 	srv.Start(poolCtx)
-	defer srv.Wait() // after cancel: defers run LIFO
-	defer cancel()
+	defer StopPool(t, srv, cancel)
 
 	select {
 	case <-ticket.Done():
@@ -75,8 +74,7 @@ func TestWaiterDisconnectAbandonsQueuedJob(t *testing.T) {
 	if _, hit := srv.cache.get(ticket.job.res.key); hit {
 		t.Fatal("abandoned job left a cache entry")
 	}
-	cancel()
-	srv.Wait()
+	StopPool(t, srv, cancel)
 	requireSettledGoroutines(t, baseline)
 }
 
@@ -87,8 +85,7 @@ func TestLastWaiterCancelsRunningJob(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: 4})
 	poolCtx, cancel := context.WithCancel(context.Background())
 	srv.Start(poolCtx)
-	defer srv.Wait() // after cancel: defers run LIFO
-	defer cancel()
+	defer StopPool(t, srv, cancel)
 
 	// A heavyweight job so it is still routing when the waiter leaves.
 	ticket, err := srv.Submit(context.Background(), JobSpec{Preset: "avq.large", Algo: "hybrid", Procs: 4})
@@ -127,8 +124,7 @@ func TestLastWaiterCancelsRunningJob(t *testing.T) {
 	if st.Cancelled != 1 {
 		t.Fatalf("cancelled = %d, want 1", st.Cancelled)
 	}
-	cancel()
-	srv.Wait()
+	StopPool(t, srv, cancel)
 	requireSettledGoroutines(t, baseline)
 }
 
@@ -153,8 +149,7 @@ func TestCoalescedWaiterSurvivesRelease(t *testing.T) {
 
 	poolCtx, cancel := context.WithCancel(context.Background())
 	srv.Start(poolCtx)
-	defer srv.Wait() // after cancel: defers run LIFO
-	defer cancel()
+	defer StopPool(t, srv, cancel)
 
 	res, err := waitTicket(t, t2)
 	if err != nil {
@@ -186,7 +181,7 @@ func TestHardStopFailsQueuedJobs(t *testing.T) {
 	poolCtx, cancel := context.WithCancel(context.Background())
 	cancel()
 	srv.Start(poolCtx)
-	srv.Wait()
+	StopPool(t, srv, cancel)
 
 	for i, ticket := range tickets {
 		res, err := waitTicket(t, ticket)
@@ -295,8 +290,7 @@ func TestClientDisconnectOverHTTP(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	cancel()
-	srv.Wait()
+	StopPool(t, srv, cancel)
 	ts.Close()
 	requireSettledGoroutines(t, baseline)
 }

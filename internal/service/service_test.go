@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -25,11 +26,29 @@ func startServer(t *testing.T, cfg Config) *Server {
 	srv := New(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	srv.Start(ctx)
-	t.Cleanup(func() {
-		cancel()
-		srv.Wait()
-	})
+	t.Cleanup(func() { StopPool(t, srv, cancel) })
 	return srv
+}
+
+// StopPool cancels the pool and waits for its workers. A pool still
+// running cancelWatchdog (10 s) later fails the test with a goroutine
+// dump, so a worker that stops hearing its context fails a named test
+// instead of hanging the package until go test's timeout. It is exported
+// for the external soak tests, which stop their pools through it too.
+func StopPool(t testing.TB, srv *Server, cancel context.CancelFunc) {
+	t.Helper()
+	cancel()
+	stopped := make(chan struct{})
+	go func() {
+		srv.Wait()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(cancelWatchdog):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("pool still running %v after cancel:\n%s", cancelWatchdog, buf[:runtime.Stack(buf, true)])
+	}
 }
 
 // waitTicket waits for a ticket with a test-local deadline.
@@ -130,8 +149,7 @@ func TestOverloadBackpressure(t *testing.T) {
 	// not wedge the daemon.
 	poolCtx, cancel := context.WithCancel(context.Background())
 	srv.Start(poolCtx)
-	defer srv.Wait() // after cancel: defers run LIFO
-	defer cancel()
+	defer StopPool(t, srv, cancel)
 	for _, ticket := range []*Ticket{t1, t2, t4} {
 		if _, err := waitTicket(t, ticket); err != nil {
 			t.Fatalf("Wait after overload: %v", err)
@@ -146,8 +164,7 @@ func TestDrain(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 8, CacheEntries: 16})
 	poolCtx, cancel := context.WithCancel(context.Background())
 	srv.Start(poolCtx)
-	defer srv.Wait() // after cancel: defers run LIFO
-	defer cancel()
+	defer StopPool(t, srv, cancel)
 	ctx := context.Background()
 
 	// One job runs, one queues behind it on the single worker.
@@ -168,13 +185,19 @@ func TestDrain(t *testing.T) {
 		t.Fatalf("err = %v, want ErrDraining", err)
 	}
 
-	// Both admitted jobs complete despite the drain.
+	// Both admitted jobs complete despite the drain, in turn: the one
+	// worker starts the queued job only once the running one is done.
+	if _, err := waitTicket(t, t2); err != nil {
+		t.Fatalf("Wait 2: %v", err)
+	}
+	select {
+	case <-t1.Done():
+	default:
+		t.Fatal("the queued job finished before the running one: more jobs ran than the pool has workers")
+	}
 	res1, err := waitTicket(t, t1)
 	if err != nil {
 		t.Fatalf("Wait 1: %v", err)
-	}
-	if _, err := waitTicket(t, t2); err != nil {
-		t.Fatalf("Wait 2: %v", err)
 	}
 	select {
 	case <-drained:
@@ -454,8 +477,7 @@ func TestSSEStream(t *testing.T) {
 	waitForSubscriber(t, srv, "preset:small@7|hybrid|p2|s1|pinweight")
 	poolCtx, cancel := context.WithCancel(context.Background())
 	srv.Start(poolCtx)
-	defer srv.Wait() // after cancel: defers run LIFO
-	defer cancel()
+	defer StopPool(t, srv, cancel)
 
 	var got streamOutcome
 	select {
@@ -543,5 +565,40 @@ func TestSSECacheHitStream(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), "event: "+KindResult) {
 		t.Fatalf("cache-hit stream carried no result event:\n%s", raw)
+	}
+}
+
+// TestStalledSubscriberDoesNotBlockJob: progress is advisory. A
+// subscriber that never reads loses the events past its buffer, and the
+// job still finishes: publishing must never wait on a reader while it
+// holds the job's lock.
+func TestStalledSubscriberDoesNotBlockJob(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: 4})
+	ticket, err := srv.Submit(context.Background(), JobSpec{Preset: "small", Algo: "hybrid", Procs: 4})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	// Subscribed before the run and never read. Completion detaches the
+	// subscriber, so the test does not unsubscribe: behind a publish that
+	// blocks on this reader, that call would hang on the job's lock
+	// instead of failing.
+	ticket.Subscribe()
+
+	poolCtx, cancel := context.WithCancel(context.Background())
+	srv.Start(poolCtx)
+	defer StopPool(t, srv, cancel)
+
+	select {
+	case <-ticket.Done():
+	case <-time.After(cancelWatchdog):
+		t.Fatal("job with a stalled subscriber never finished")
+	}
+	if _, err := waitTicket(t, ticket); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	st := srv.Stats()
+	if st.ProgressDelivered != progressBuffer || st.ProgressDropped == 0 {
+		t.Fatalf("progress delivered %d, dropped %d: want the %d-event buffer filled and the rest dropped",
+			st.ProgressDelivered, st.ProgressDropped, progressBuffer)
 	}
 }

@@ -192,8 +192,7 @@ func TestServiceSoak(t *testing.T) {
 		}
 	}
 
-	cancelPool()
-	srv.Wait()
+	service.StopPool(t, srv, cancelPool)
 	ts.Close()
 	settleGoroutines(t, baseline)
 }
@@ -256,8 +255,7 @@ func TestOverloadBurstHTTP(t *testing.T) {
 
 	poolCtx, cancel := context.WithCancel(context.Background())
 	srv.Start(poolCtx)
-	defer srv.Wait() // after cancel: defers run LIFO
-	defer cancel()
+	defer service.StopPool(t, srv, cancel)
 
 	for admitted := 0; admitted < depth; admitted++ {
 		select {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The full CI gate: build, vet, the project's own static-analysis suite
-# (determinism + concurrency hygiene + mpproto protocol rules; see
-# DESIGN.md §6–§7), and the tests under the race detector. Tier-1
-# (`go build ./... && go test ./...`) is a subset; run this before merging
-# anything that touches routing or transport code.
+# (determinism + mpproto protocol rules; see DESIGN.md §6–§7), and the
+# tests under the race detector. Tier-1 (`go build ./... && go test ./...`)
+# is a subset; run this before merging anything that touches routing or
+# transport code.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,7 +75,7 @@ step "parroutecheck ./..." go run ./cmd/parroutecheck ./...
 # leaked goroutine — run here, under this -race, once. internal/lint's
 # TestModuleIsClean (the suite the parroutecheck step just ran) is skipped
 # too: it is static analysis over a type-checked load of the module, which
-# a -race build makes 12 s of and makes no more telling. This step is also
+# a -race build makes no more telling. This step is also
 # where internal/service's TestSharedCircuitConcurrentJobs runs under
 # -race: concurrent jobs of every algorithm sharing one cached circuit
 # must only read it (DESIGN.md §13).
