@@ -12,7 +12,7 @@ import (
 	"parroute/internal/route"
 )
 
-// TestParallelDriverAllocBudget holds the two whole-net drivers and the
+// TestParallelDriverAllocBudget holds the three parallel drivers and the
 // serial router to committed heap-allocation figures: one parallel.Run at
 // P=2 on mp.Inproc, or one route.Route at one and two workers, over
 // primary2, Mallocs and TotalAlloc read around the call. Neither depends on
@@ -27,18 +27,25 @@ import (
 // slack stated in bytes:
 //
 //	row                     mallocs plain / race   bytes      budget     slack
-//	hybrid P=2              798 / 809              4 233 136  4 282 000  48 864
-//	net-wise P=2            962 / 975              3 407 760  3 456 000  48 240
+//	hybrid P=2              749 / 767              3 660 448  3 709 000  48 552
+//	row-wise P=2            709 / 725              3 067 200  3 116 000  48 800
+//	net-wise P=2            943 / 963              3 201 120  3 250 000  48 880
 //	route.Route workers=1   243 / 248              1 824 936  1 873 000  48 064
 //	route.Route workers=2   450 / 455              1 954 752  2 003 000  48 248
 //
 // Every slack is below what the flat circuit lists saved on its row (131 /
 // 273 / 102 / 96 KB: Fork no longer copies the row and net headers, a
 // regrown Cell is 16 bytes, not 40), so a record that holds a slice again
-// fails all four rows; so does a circuit.Cell padded to 64 bytes, a
-// metrics.Wire back at 80 bytes (387–393 KB on the serial rows, more on
-// the drivers), a PlacedSeg back at 72 bytes (288–304 KB) or a Pin back at
-// 56 bytes (401–802 KB). The history of these figures is in CHANGES.md.
+// fails the hybrid, net-wise and serial rows; so does a circuit.Cell padded
+// to 64 bytes, a metrics.Wire back at 80 bytes (387–393 KB on the serial
+// rows, more on the drivers), a PlacedSeg back at 72 bytes (288–304 KB) or
+// a Pin back at 56 bytes (401–802 KB). The driver rows' slacks are also
+// below what ranks reading their own data in place saved (hybrid 577 KB,
+// net-wise 206 KB): with the copying wire concatenation put back the hybrid
+// row reads 3 848 416 bytes, and with the two-pass circuit.Block, which
+// walked every base pin list twice through closures, 3 824 656 on the
+// hybrid row and 3 238 032 on the row-wise one. The history of these
+// figures is in CHANGES.md.
 func TestParallelDriverAllocBudget(t *testing.T) {
 	c, err := gen.Benchmark("primary2", 7)
 	if err != nil {
@@ -59,8 +66,9 @@ func TestParallelDriverAllocBudget(t *testing.T) {
 		race  uint64 // mallocs, -race build
 		bytes uint64 // TotalAlloc, plain build
 	}{
-		{"hybrid P=2 inproc", par(parallel.Hybrid), 1000, 1020, 4_282_000},
-		{"net-wise P=2 inproc", par(parallel.NetWise), 1220, 1240, 3_456_000},
+		{"hybrid P=2 inproc", par(parallel.Hybrid), 940, 960, 3_709_000},
+		{"row-wise P=2 inproc", par(parallel.RowWise), 890, 910, 3_116_000},
+		{"net-wise P=2 inproc", par(parallel.NetWise), 1180, 1205, 3_250_000},
 		{"route.Route workers=1", serial(1), 315, 325, 1_873_000},
 		{"route.Route workers=2", serial(2), 560, 575, 2_003_000},
 	} {

@@ -11,6 +11,7 @@
 package circuit
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -34,13 +35,8 @@ const (
 )
 
 func (s Side) String() string {
-	switch s {
-	case Bottom:
-		return "bottom"
-	case Top:
-		return "top"
-	case Both:
-		return "both"
+	if s <= Both {
+		return [...]string{"bottom", "top", "both"}[s]
 	}
 	return fmt.Sprintf("Side(%d)", uint8(s))
 }
@@ -587,7 +583,8 @@ func (c *Circuit) ComputeStats() Stats {
 // the block's own. The other rows stay, empty, so row and channel indices
 // and net IDs stay global; cells are re-issued in row order and pins in c's
 // order, and each net lists its pins in c's order, then its fakes. It
-// shares c's net names and nothing else.
+// shares c's net names and nothing else. Each list is written once, at its
+// place: the cells' from the block's rows, the nets' in one walk of c's.
 func (c *Circuit) Block(lo, hi int, fakes []Pin) *Circuit {
 	first, end := c.rowCells.end(lo), c.rowCells.end(hi+1)
 	cells := c.rowCells.v[first:end] // the block's cells, row by row
@@ -595,37 +592,61 @@ func (c *Circuit) Block(lo, hi int, fakes []Pin) *Circuit {
 		Name: c.Name, CellHeight: c.CellHeight, FeedWidth: c.FeedWidth,
 		Rows: make([]Row, len(c.Rows)), Nets: make([]Net, len(c.Nets)), Cells: make([]Cell, len(cells)),
 		rowCells: csr{off: make([]int32, len(c.Rows)+1), v: make([]int32, len(cells))},
+		cellPins: csr{off: make([]int32, len(cells)+1)},
+		netPins:  csr{off: make([]int32, len(c.Nets)+1)},
 		names:    c.names, nameOff: c.nameOff,
 	}
 	for r := range c.Rows {
 		sub.rowCells.off[r+1] = min(max(c.rowCells.end(r+1), first), end) - first
 	}
-	newCell, pins := make([]int32, len(c.Cells)), 0
+	// at[pid] is zero for a pin off the block; for one on it, its new cell's
+	// ID plus one, then, from the walk of c's pins on, its own new ID plus one.
+	at := make([]int32, len(c.Pins))
 	for j, cid := range cells {
-		sub.rowCells.v[j], sub.Cells[j], newCell[cid] = int32(j), c.Cells[cid], int32(j)
-		pins += len(c.CellPins(int(cid)))
+		sub.rowCells.v[j], sub.Cells[j] = int32(j), c.Cells[cid]
+		for _, pid := range c.CellPins(int(cid)) {
+			at[pid] = int32(j + 1)
+		}
+		sub.cellPins.off[j+1] = sub.cellPins.off[j] + int32(len(c.CellPins(int(cid))))
 	}
-	// newPin[old] is the re-issued pin ID plus one; zero marks a pin
-	// outside the block. A pin's row is its cell's.
-	newPin := make([]int32, len(c.Pins))
+	pins := int(sub.cellPins.off[len(cells)])
 	sub.Pins = make([]Pin, 0, pins+len(fakes))
-	for pid, p := range c.Pins {
-		if p.Cell != NoCell && lo <= int(p.Row) && int(p.Row) <= hi {
-			p.Cell = newCell[p.Cell]
-			sub.Pins = append(sub.Pins, p)
-			newPin[pid] = int32(len(sub.Pins))
+	for pid, id := range at {
+		if id != 0 {
+			sub.Pins = append(sub.Pins, c.Pins[pid])
+			sub.Pins[len(sub.Pins)-1].Cell, at[pid] = id-1, int32(len(sub.Pins))
 		}
 	}
-	sub.cellPins = csr{}.appended(len(cells), pins, func(k int) (int, int32) { return int(sub.Pins[k].Cell), int32(k) })
-	// c's lists lie net after net in netPins.v: walked in order, they keep it.
-	sub.netPins = csr{}.appended(len(c.Nets), len(c.netPins.v), func(k int) (int, int32) {
-		if id := newPin[c.netPins.v[k]]; id != 0 {
-			return int(sub.Pins[id-1].Net), id - 1
+	sub.cellPins.v = make([]int32, pins)
+	for j, cid := range cells {
+		for i, pid := range c.CellPins(int(cid)) { // at grows with the ID: the list stays in order
+			sub.cellPins.v[int(sub.cellPins.off[j])+i] = at[pid] - 1
 		}
-		return -1, 0
-	})
+	}
+	// The fakes are few: a counting pass over the rows lists them by row,
+	// and byNet, their IDs sorted stably by net, after each net's pins.
 	sub.Pins = append(sub.Pins, fakes...)
-	sub.listPins(pins)
+	sub.rowFakes = csr{}.appended(len(c.Rows), len(fakes), func(k int) (int, int32) { return int(fakes[k].Row), int32(pins + k) })
+	byNet, f := make([]int32, len(fakes)), 0
+	for k := range byNet {
+		byNet[k], sub.Pins[pins+k].Fake = int32(pins+k), true
+	}
+	slices.SortStableFunc(byNet, func(a, b int32) int { return cmp.Compare(sub.Pins[a].Net, sub.Pins[b].Net) })
+	for f < len(byNet) && sub.Pins[byNet[f]].Net == NoNet {
+		f++
+	}
+	sub.netPins.v = make([]int32, 0, len(sub.Pins))
+	for n := range c.Nets {
+		for _, pid := range c.NetPins(n) {
+			if id := at[pid]; id != 0 {
+				sub.netPins.v = append(sub.netPins.v, id-1)
+			}
+		}
+		for ; f < len(byNet) && int(sub.Pins[byNet[f]].Net) == n; f++ {
+			sub.netPins.v = append(sub.netPins.v, byNet[f])
+		}
+		sub.netPins.off[n+1] = int32(len(sub.netPins.v))
+	}
 	return sub
 }
 
@@ -652,7 +673,8 @@ func (c *Circuit) Clone() *Circuit {
 }
 
 // Validate checks internal consistency: row/cell/pin/net cross-references,
-// cell ordering and non-overlap within rows, and pin position coherence.
+// cell ordering and non-overlap within rows, pin sides, and pin position
+// coherence.
 // It returns the first problem found, or nil. It is linear: the walk of
 // each row marks the cells it lists, and a walk of the nets marks the pins
 // they list, so no membership check scans a list.
@@ -708,6 +730,9 @@ func (c *Circuit) Validate() error {
 		p := &c.Pins[i]
 		if p.Row < 0 || int(p.Row) >= len(c.Rows) {
 			return fmt.Errorf("pin %d has row %d out of range", i, p.Row)
+		}
+		if p.Side > Both {
+			return fmt.Errorf("pin %d has side %d outside {bottom, top, both}", i, p.Side)
 		}
 		if p.Cell != NoCell {
 			cell := &c.Cells[p.Cell]

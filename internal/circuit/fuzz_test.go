@@ -51,6 +51,8 @@ func FuzzReadJSON(f *testing.F) {
 		`{"row":0,"x":3,"width":3,"pins":[{"net":0,"offset":1,"side":0}]},` +
 		`{"row":0,"x":6,"width":2,"pins":[]},` +
 		`{"row":0,"x":0,"width":3,"pins":[{"net":0,"offset":2,"side":1}]}],"nets":[{"name":"n"}]}`)
+	// A side past Both, which ReadJSON refuses.
+	f.Add(sideJSON(3))
 
 	f.Fuzz(func(t *testing.T, input string) {
 		got, err := ReadJSON(strings.NewReader(input))

@@ -118,9 +118,12 @@ func ReadJSON(r io.Reader) (*Circuit, error) {
 		}
 	}
 	for i, jcell := range jc.Cells {
-		for _, jp := range jcell.Pins {
+		for j, jp := range jcell.Pins {
 			if jp.Net != NoNet && (jp.Net < 0 || jp.Net >= len(c.Nets)) {
 				return nil, fmt.Errorf("circuit: cell %d pin has net %d out of range", i, jp.Net)
+			}
+			if jp.Side > Both {
+				return nil, fmt.Errorf("circuit: cell %d pin %d has side %d outside {bottom, top, both}", i, j, jp.Side)
 			}
 			// The pins' fields are int32: Validate can only check the room
 			// a route needs on values that arrived whole.

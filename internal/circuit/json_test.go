@@ -138,3 +138,37 @@ func TestReadJSONInt32Limits(t *testing.T) {
 		}
 	}
 }
+
+// sideJSON is limitJSON's circuit with cell 1's pin, its second, on side s;
+// its first is a net-less bottom pin.
+func sideJSON(s int) string {
+	return fmt.Sprintf(`{"name":"side","cellHeight":10,"feedWidth":2,"rows":[[0,1]],"cells":[`+
+		`{"row":0,"x":0,"width":4,"pins":[{"net":0,"offset":1,"side":0}]},`+
+		`{"row":0,"x":8,"width":4,"pins":[{"net":-1,"offset":0,"side":0},{"net":0,"offset":1,"side":%d}]}],"nets":[{"name":"n"}]}`, s)
+}
+
+// TestPinSideOutsideTheThreeIsRefused: a pin side past Both, which Channels
+// would route as Both, is refused by ReadJSON naming the cell, the pin and
+// the side, and by Validate naming the pin; the three sides pass both.
+func TestPinSideOutsideTheThreeIsRefused(t *testing.T) {
+	for _, side := range []int{0, 1, 2, 3, 7, 255} {
+		c, err := ReadJSON(strings.NewReader(sideJSON(side)))
+		if side <= int(Both) {
+			if err != nil {
+				t.Errorf("side %d: rejected: %v", side, err)
+			}
+			continue
+		}
+		if want := fmt.Sprintf("cell 1 pin 1 has side %d outside {bottom, top, both}", side); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("side %d: ReadJSON error %v, want one naming %q", side, err, want)
+		}
+		if c, err = ReadJSON(strings.NewReader(sideJSON(int(Both)))); err != nil {
+			t.Fatal(err)
+		}
+		c.Pins[2].Side = Side(side)
+		want := fmt.Sprintf("pin 2 has side %d outside", side)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("side %d: Validate error %v, want one naming %q", side, err, want)
+		}
+	}
+}

@@ -59,6 +59,9 @@ func refValidate(c *circuit.Circuit) error {
 		if p.Row < 0 || int(p.Row) >= len(c.Rows) {
 			return fmt.Errorf("pin %d has row %d out of range", i, p.Row)
 		}
+		if p.Side > circuit.Both {
+			return fmt.Errorf("pin %d has side %d outside {bottom, top, both}", i, p.Side)
+		}
 		if p.Cell != circuit.NoCell {
 			cell := &c.Cells[p.Cell]
 			if int(p.X) != int(cell.X)+int(p.Offset) {
@@ -96,7 +99,7 @@ func refValidate(c *circuit.Circuit) error {
 // drawn from r: list membership (a cell in no row, in two rows or twice in
 // its own; a pin absent from its net, listed under another or twice),
 // claims that disagree with the lists, out-of-range ids on both sides of
-// every reference, and positions and widths.
+// every reference, positions and widths, and a side past Both.
 var corruptions = []struct {
 	name string
 	edit func(c *circuit.Circuit, r *rng.RNG)
@@ -176,6 +179,7 @@ var corruptions = []struct {
 	{"pin-x", func(c *circuit.Circuit, r *rng.RNG) { c.Pins[r.Intn(len(c.Pins))].X += int32(1 - 2*r.Intn(2)) }},
 	{"cell-x", func(c *circuit.Circuit, r *rng.RNG) { c.Cells[r.Intn(len(c.Cells))].X += int32(1 - 2*r.Intn(2)) }},
 	{"cell-width", func(c *circuit.Circuit, r *rng.RNG) { c.Cells[r.Intn(len(c.Cells))].Width = int32(r.Intn(3) - 1) }},
+	{"pin-side", func(c *circuit.Circuit, r *rng.RNG) { c.Pins[r.Intn(len(c.Pins))].Side = circuit.Side(3 + r.Intn(253)) }},
 }
 
 // TestValidateMatchesReference: on random gen circuits, unchanged and with

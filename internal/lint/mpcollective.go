@@ -140,7 +140,7 @@ func blockEvents(p *Pass, idx *protoIndex, b *Block) []string {
 // down (mp.Run aborts on the first worker error), so they are exempt from
 // sequence congruence. A `return nil`, a returned mp operation
 // (`return c.Barrier()`), or a returned module helper that performs
-// collectives (`return gatherResults(…)`) all count as normal protocol
+// collectives (`return r.boundaryStitch()`) all count as normal protocol
 // paths, not aborts.
 func endsInErrorAbort(p *Pass, idx *protoIndex, b *Block) bool {
 	info := p.Pkg.Info

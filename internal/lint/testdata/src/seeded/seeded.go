@@ -21,9 +21,9 @@ func Worker(c mp.Comm) error {
 	return nil
 }
 
-// gatherHalf mirrors the gatherResults helper of internal/parallel: its
-// one-level collective summary is [Gather], which the congruence rule
-// expands at each call site.
+// gatherHalf mirrors a one-collective helper like internal/parallel's
+// exchangeFakePins: its one-level collective summary is [Gather], which the
+// congruence rule expands at each call site.
 func gatherHalf(c mp.Comm, v any) error {
 	_, err := mp.Gather(c, 0, tagSeed, v)
 	return err

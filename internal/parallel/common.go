@@ -1,9 +1,9 @@
 package parallel
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"time"
 
 	"parroute/internal/circuit"
 	"parroute/internal/geom"
@@ -91,8 +91,12 @@ func computeCrossings(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 
 // badIndex attributes an out-of-range index inside a received batch to its
 // source: indices that crossed the mesh are data, so a drifted or corrupt
-// peer fails the run instead of panicking the rank.
+// peer fails the run instead of panicking the rank. A v in [lo, hi] is no
+// error, so that cmp.Or over an element's checks reports its first bad one.
 func badIndex[T int | int32](tag, src, elem int, field string, v T, lo, hi int) error {
+	if lo <= int(v) && int(v) <= hi {
+		return nil
+	}
 	return fmt.Errorf("parallel: tag %d batch from rank %d: element %d has %s %d outside [%d, %d]",
 		tag, src, elem, field, v, lo, hi)
 }
@@ -109,8 +113,8 @@ func sizedBatches[B ~[]E, E any](counts []int) []B {
 
 // exchangeFakePins all-to-alls the fake-pin specs and returns this rank's,
 // concatenated in source-rank order (deterministic). Every received spec
-// must name a net of the circuit, a row of this rank's block and a
-// non-negative x.
+// must name a net of the circuit, a row of this rank's block, a
+// non-negative x and the bottom or top side.
 func exchangeFakePins(comm mp.Comm, specs []FakePinBatch, numNets int, block partition.RowBlock) ([]FakePinSpec, error) {
 	in, err := mp.Alltoall(comm, tagFakePins, specs)
 	if err != nil {
@@ -118,14 +122,9 @@ func exchangeFakePins(comm mp.Comm, specs []FakePinBatch, numNets int, block par
 	}
 	for r, batch := range in {
 		for i, sp := range batch {
-			if sp.Net < 0 || int(sp.Net) >= numNets {
-				return nil, badIndex(tagFakePins, r, i, "net", sp.Net, 0, numNets-1)
-			}
-			if !block.Contains(int(sp.Row)) {
-				return nil, badIndex(tagFakePins, r, i, "row", sp.Row, block.Lo, block.Hi)
-			}
-			if sp.X < 0 {
-				return nil, badIndex(tagFakePins, r, i, "x", sp.X, 0, circuit.MaxCoord)
+			if err := cmp.Or(badIndex(tagFakePins, r, i, "net", sp.Net, 0, numNets-1), badIndex(tagFakePins, r, i, "row", sp.Row, block.Lo, block.Hi),
+				badIndex(tagFakePins, r, i, "x", sp.X, 0, circuit.MaxCoord), badIndex(tagFakePins, r, i, "side", int(sp.Side), 0, int(circuit.Top))); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -210,28 +209,11 @@ type runOutput struct {
 	summaries   []Summary
 }
 
-// gatherResults collects every worker's wires and counters at rank 0 and
-// stores the batches in out; other ranks just send.
-func gatherResults(comm mp.Comm, wires []metrics.Wire, sum Summary, out *runOutput) error {
-	wbs, err := mp.Gather(comm, 0, tagWires, WireBatch{Wires: wires})
-	if err != nil {
-		return err
-	}
-	sums, err := mp.Gather(comm, 0, tagSummary, sum)
-	if err != nil {
-		return err
-	}
-	if comm.Rank() == 0 {
-		out.wireBatches, out.summaries = wbs, sums
-	}
-	return nil
-}
-
 // merge assembles the gathered batches into the final result.
 func (out *runOutput) merge(base *circuit.Circuit, opt Options) (*metrics.Result, error) {
 	res := &metrics.Result{Circuit: base.Name}
 	var err error
-	if res.Wires, err = concatWires(out.wireBatches, tagWires, base.NumChannels()); err != nil {
+	if res.Wires, err = assembleWires(out.wireBatches, 0, tagWires, base.NumChannels()); err != nil {
 		return nil, err
 	}
 	for _, s := range out.summaries {
@@ -254,49 +236,53 @@ func (out *runOutput) merge(base *circuit.Circuit, opt Options) (*metrics.Result
 // elapsed across ranks per phase (a critical-path approximation), and the
 // sum of each stage-scoped counter across ranks.
 func mergePhases(summaries []Summary) []metrics.Phase {
-	var order []string
-	elapsed := map[string]time.Duration{}
-	counters := map[string]map[string]int64{}
-	counterOrder := map[string][]string{}
+	out := []metrics.Phase{}
 	for _, s := range summaries {
 		for _, ph := range s.Phases {
-			if _, seen := elapsed[ph.Name]; !seen {
-				order = append(order, ph.Name)
-				counters[ph.Name] = map[string]int64{}
+			i := slices.IndexFunc(out, func(m metrics.Phase) bool { return m.Name == ph.Name })
+			if i < 0 {
+				i, out = len(out), append(out, metrics.Phase{Name: ph.Name})
 			}
-			if ph.Elapsed > elapsed[ph.Name] {
-				elapsed[ph.Name] = ph.Elapsed
-			}
+			m := &out[i]
+			m.Elapsed = max(m.Elapsed, ph.Elapsed)
 			for _, c := range ph.Counters {
-				if _, seen := counters[ph.Name][c.Name]; !seen {
-					counterOrder[ph.Name] = append(counterOrder[ph.Name], c.Name)
+				j := slices.IndexFunc(m.Counters, func(mc metrics.Counter) bool { return mc.Name == c.Name })
+				if j < 0 {
+					j, m.Counters = len(m.Counters), append(m.Counters, metrics.Counter{Name: c.Name})
 				}
-				counters[ph.Name][c.Name] += c.Value
+				m.Counters[j].Value += c.Value
 			}
 		}
-	}
-	out := make([]metrics.Phase, 0, len(order))
-	for _, name := range order {
-		ph := metrics.Phase{Name: name, Elapsed: elapsed[name]}
-		for _, cn := range counterOrder[name] {
-			ph.Counters = append(ph.Counters, metrics.Counter{Name: cn, Value: counters[name][cn]})
-		}
-		out = append(out, ph)
 	}
 	return out
 }
 
-// concatWires copies the WireBatches that arrived on tag, in rank order, into
-// one exactly-sized slice, checking each wire as it copies it: it must lie in
-// a channel and span no negative x; a switchable one must name a row and lie
-// in one of that row's two channels.
-func concatWires(in []WireBatch, tag, numChannels int) ([]metrics.Wire, error) {
-	total := 0
-	for _, wb := range in {
+// assembleWires joins the WireBatches that arrived on tag in rank order,
+// in[self] being the rank's own, in the own array when its capacity holds
+// them all, else in a fresh, exactly sized one. A peer's batch (under
+// mp.Inproc the peer's memory) is only read, each wire checked as it is
+// copied: in a channel, no negative x, and a switchable one in one of its
+// row's two channels.
+func assembleWires(in []WireBatch, self, tag, numChannels int) ([]metrics.Wire, error) {
+	own, total, at := in[self].Wires, 0, 0
+	for r, wb := range in {
+		if r == self {
+			at = total
+		}
 		total += len(wb.Wires)
 	}
-	wires := make([]metrics.Wire, 0, total)
+	wires := own[:0]
+	if own == nil || cap(own) < total {
+		wires = make([]metrics.Wire, 0, total)
+	}
+	wires = wires[:total]
+	copy(wires[at:], own)
+	k := 0
 	for r, wb := range in {
+		if r == self {
+			k += len(own)
+			continue
+		}
 		for i := range wb.Wires {
 			w := &wb.Wires[i]
 			if w.Channel < 0 || int(w.Channel) >= numChannels {
@@ -311,110 +297,118 @@ func concatWires(in []WireBatch, tag, numChannels int) ([]metrics.Wire, error) {
 			if w.Switchable && w.Channel != w.Row && w.Channel != w.Row+1 {
 				return nil, badIndex(tag, r, i, "channel", w.Channel, int(w.Row), int(w.Row)+1)
 			}
-			wires = append(wires, *w)
+			wires[k] = *w
+			k++
 		}
 	}
 	return wires, nil
 }
 
-// ownPinNodes builds this rank's step-4 contributions: for every net, the
-// real pins in the rank's block (authoritative post-insertion coordinates;
-// fake pins are splitting artifacts and stay home), batched per net owner
-// and sized exactly by a counting pass — but for the rank's own nets, which
-// the returned selfNodes write straight into collectNodes' arena.
-func ownPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, self, size int) ([]NodeBatch, selfNodes) {
-	pins := func(own bool, emit func(NodeMsg)) {
-		for n := range sub.Nets {
-			if (owner[n] == self) != own {
-				continue
-			}
-			for _, pid := range sub.NetPins(n) {
-				if p := &sub.Pins[pid]; !p.Fake && block.Contains(int(p.Row)) {
-					emit(NodeMsg{Net: int32(n), X: p.X, Row: p.Row, Side: p.Side})
-				}
-			}
-		}
-	}
+// blockPin reports whether p is one of step 4's nodes from a rank's block:
+// a real pin there, at its post-insertion position (fake pins stay home).
+func blockPin(p *circuit.Pin, block partition.RowBlock) bool {
+	return !p.Fake && block.Contains(int(p.Row))
+}
+
+// ownPinNodes builds this rank's step-4 contributions: the block pins of
+// every net another rank owns, batched per owner and sized exactly by a
+// counting pass. The batch to itself stays empty (see indexNodes).
+func ownPinNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, self, size int) []NodeBatch {
 	counts := make([]int, size)
-	pins(false, func(nm NodeMsg) { counts[owner[nm.Net]]++ })
+	for n := range sub.Nets {
+		if k := owner[n]; k != self {
+			for _, pid := range sub.NetPins(n) {
+				if blockPin(&sub.Pins[pid], block) {
+					counts[k]++
+				}
+			}
+		}
+	}
 	out := sizedBatches[NodeBatch](counts)
-	pins(false, func(nm NodeMsg) { out[owner[nm.Net]] = append(out[owner[nm.Net]], nm) })
-	return out, func(emit func(NodeMsg)) { pins(true, emit) }
-}
-
-// selfNodes is a nodeSet's self: it emits, in batch order, the nodes a
-// rank's NodeBatch to itself would hold.
-type selfNodes func(emit func(NodeMsg))
-
-// nodeSet is one Alltoall round of NodeBatches (one per source rank) and
-// the tag it arrived on. self, when set, stands in for the receiving
-// rank's batch to itself.
-type nodeSet struct {
-	tag  int
-	in   []NodeBatch
-	self selfNodes
-}
-
-// netNodes is step 4's node arena in CSR form: net n's nodes are
-// nodes[off[n]:off[n+1]].
-type netNodes struct {
-	off   []int
-	nodes []route.Node
-}
-
-// degree and of are what route.ConnectNets asks of a net: how many nodes, and
-// which — the arena holds them, so the worker's scratch stays unused.
-func (nn netNodes) degree(n int) int { return nn.off[n+1] - nn.off[n] }
-
-func (nn netNodes) of(n int, _ []route.Node) []route.Node { return nn.nodes[nn.off[n]:nn.off[n+1]] }
-
-// collectNodes groups NodeMsg contributions (already filtered to nets this
-// rank owns) into one per-net arena: a count pass, a prefix sum, and a fill
-// pass in set, rank, batch order — so every net's nodes sit in arrival
-// order, a set's self at position me, the receiving rank's. The count pass
-// is also the trust boundary: a net, row or x of a batch outside the circuit
-// is an error naming the source rank and tag.
-func collectNodes(numNets, numRows, me int, sets ...nodeSet) (netNodes, error) {
-	off := make([]int, numNets+1)
-	for _, set := range sets {
-		for r, batch := range set.in {
-			if r == me && set.self != nil {
-				set.self(func(nm NodeMsg) { off[nm.Net+1]++ })
-				continue
+	for n := range sub.Nets {
+		if k := owner[n]; k != self {
+			for _, pid := range sub.NetPins(n) {
+				if p := &sub.Pins[pid]; blockPin(p, block) {
+					out[k] = append(out[k], NodeMsg{Net: int32(n), X: p.X, Row: p.Row, Side: p.Side})
+				}
 			}
+		}
+	}
+	return out
+}
+
+// indexNodes gives route.ConnectNets step 4's nodes by net where they lie,
+// the batches of pinIn (tagNetNodes) then ftIn (tagFtNodes) indexed in place
+// by net in arrival order (count pass, prefix sum, fill pass); a net rank me
+// owns adds its block pins, read off sub, where its pin batch to itself
+// would be. The count pass is the trust boundary: a net, row, x or side
+// outside the circuit is an error naming rank and tag.
+func indexNodes(sub *circuit.Circuit, block partition.RowBlock, owner []int, me int, pinIn, ftIn []NodeBatch) (
+	degree func(n int) int, of func(n int, buf []route.Node) []route.Node, err error) {
+
+	batches, start := []NodeBatch(nil), []int32{0} // start[i]: batch i's first position
+	// off[n+2] counts net n's nodes, and the prefix sum turns off[n+1] into
+	// net n's first slot: the fill's cursor, which it leaves at net n+1's.
+	off := make([]int32, len(sub.Nets)+2)
+	for k, set := range [][]NodeBatch{pinIn, ftIn} {
+		tag := [...]int{tagNetNodes, tagFtNodes}[k]
+		for r, batch := range set {
 			for i, nm := range batch {
-				if nm.Net < 0 || int(nm.Net) >= numNets {
-					return netNodes{}, badIndex(set.tag, r, i, "net", nm.Net, 0, numNets-1)
+				if int(nm.Net) >= len(sub.Nets) || int(nm.Row) >= len(sub.Rows) || min(nm.Net, nm.Row, nm.X) < 0 || nm.Side > circuit.Both {
+					return nil, nil, cmp.Or(badIndex(tag, r, i, "net", nm.Net, 0, len(sub.Nets)-1), badIndex(tag, r, i, "row", nm.Row, 0, len(sub.Rows)-1),
+						badIndex(tag, r, i, "x", nm.X, 0, circuit.MaxCoord), badIndex(tag, r, i, "side", int(nm.Side), 0, int(circuit.Both)))
 				}
-				if nm.Row < 0 || int(nm.Row) >= numRows {
-					return netNodes{}, badIndex(set.tag, r, i, "row", nm.Row, 0, numRows-1)
-				}
-				if nm.X < 0 {
-					return netNodes{}, badIndex(set.tag, r, i, "x", nm.X, 0, circuit.MaxCoord)
-				}
-				off[nm.Net+1]++
+				off[nm.Net+2]++
 			}
+			batches, start = append(batches, batch), append(start, start[len(start)-1]+int32(len(batch)))
 		}
 	}
-	for n := 0; n < numNets; n++ {
-		off[n+1] += off[n]
+	for n := 2; n < len(off); n++ {
+		off[n] += off[n-1]
 	}
-	nodes := make([]route.Node, off[numNets])
-	cursor := slices.Clone(off[:numNets])
-	put := func(nm NodeMsg) {
-		nodes[cursor[nm.Net]] = route.Node{X: nm.X, Row: nm.Row, Side: nm.Side}
-		cursor[nm.Net]++
-	}
-	for _, set := range sets {
-		for r, batch := range set.in {
-			if r == me && set.self != nil {
-				set.self(put)
-				continue
-			}
-			for _, nm := range batch {
-				put(nm)
-			}
+	at := make([]int32, off[len(off)-1])
+	for i, batch := range batches {
+		for j, nm := range batch {
+			at[off[nm.Net+1]] = start[i] + int32(j)
+			off[nm.Net+1]++
 		}
 	}
-	return netNodes{off: off, nodes: nodes}, nil
+	degree = func(n int) int {
+		k := int(off[n+1] - off[n])
+		if owner[n] == me {
+			for _, pid := range sub.NetPins(n) {
+				if blockPin(&sub.Pins[pid], block) {
+					k++
+				}
+			}
+		}
+		return k
+	}
+	of = func(n int, buf []route.Node) []route.Node {
+		ks, b := at[off[n]:off[n+1]], 0
+		mine := -1 // where own pins go: ahead of all that came from rank me+1 on
+		if owner[n] == me {
+			for mine = 0; mine < len(ks) && ks[mine] < start[me+1]; mine++ {
+			}
+		}
+		buf = buf[:0]
+		for i := 0; i <= len(ks); i++ {
+			if i == mine {
+				for _, pid := range sub.NetPins(n) {
+					if p := &sub.Pins[pid]; blockPin(p, block) {
+						buf = append(buf, route.Node{X: p.X, Row: p.Row, Side: p.Side})
+					}
+				}
+			}
+			if i < len(ks) {
+				for ks[i] >= start[b+1] {
+					b++
+				}
+				nm := &batches[b][ks[i]-start[b]]
+				buf = append(buf, route.Node{X: nm.X, Row: nm.Row, Side: nm.Side})
+			}
+		}
+		return buf
+	}
+	return degree, of, nil
 }

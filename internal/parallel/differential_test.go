@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -203,15 +204,14 @@ func randomCircuit(t *testing.T, i int) *circuit.Circuit {
 }
 
 // stepFourArrivals synthesizes what rank me receives in step 4: the pin
-// nodes of its nets from every row owner (the hybrid shape) — as the
+// nodes of its nets from every row owner's circuit subs[r] — as the
 // reference's full batches (pinIn), and as connectWhole has them, the
-// rank's batch to itself empty (selfIn) and its own contribution as
-// selfNodes (own) — and a second
-// round of feedthrough nodes — one side-Both node per row strictly inside
-// each net's row span, from that row's owner — as in the net-wise shape.
-// The feedthrough round also carries a lone node of a net me does not own,
-// so the arena sees nets with zero, one and many nodes.
-func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []int, me int) (pinIn, selfIn []NodeBatch, own selfNodes, ftIn []NodeBatch) {
+// rank's batch to itself empty (selfIn), its own pins left in subs[me] —
+// and a second round of feedthrough nodes — one side-Both node per row
+// strictly inside each net's row span, from that row's owner — as in the
+// net-wise shape. The feedthrough round also carries a lone node of a net me
+// does not own, so the index sees nets with zero, one and many nodes.
+func stepFourArrivals(c *circuit.Circuit, subs []*circuit.Circuit, blocks []partition.RowBlock, owner []int, me int) (pinIn, selfIn, ftIn []NodeBatch) {
 	p := len(blocks)
 	pinIn, selfIn, ftIn = make([]NodeBatch, p), make([]NodeBatch, p), make([]NodeBatch, p)
 	stray := false
@@ -239,26 +239,41 @@ func stepFourArrivals(c *circuit.Circuit, blocks []partition.RowBlock, owner []i
 		}
 	}
 	for r := range blocks {
-		pinIn[r] = refPinNodes(c, blocks[r], owner, p)[me]
-		batches, self := ownPinNodes(c, blocks[r], owner, r, p)
-		if selfIn[r] = batches[me]; r == me {
-			own = self
-		}
+		pinIn[r] = refPinNodes(subs[r], blocks[r], owner, p)[me]
+		selfIn[r] = ownPinNodes(subs[r], blocks[r], owner, r, p)[me]
 	}
-	return pinIn, selfIn, own, ftIn
+	return pinIn, selfIn, ftIn
 }
 
-// TestArenaStepFourMatchesMapForm: the CSR collectNodes + slot-addressed
-// route.ConnectNets (at more than one worker count) produce the map form's
-// wires in the map form's order, the same forced count and the same final
-// occupancy, for both arrival shapes (hybrid's pin set, net-wise's pin and
-// feedthrough sets) at P in {2,3,4,8} and every rank — the arena fed each
-// rank's own pin nodes through selfNodes, the map form fed full batches.
+// TestArenaStepFourMatchesMapForm: step 4's nodes read where they lie — the
+// received batches indexed by net, a rank's own pins read off its circuit —
+// give every net the node list of the map form, refCollectNodes over full
+// batches, and the slot-addressed route.ConnectNets (at more than one worker
+// count) produces the map form's wires in its order, the same forced count
+// and the same final occupancy. Both arrival shapes run on gen-random
+// circuits at P in {2,3,4,8} and on the six presets at P=2, every rank:
+// hybrid's, one pin set from block circuits with their fake pins, and
+// net-wise's, a pin set from the whole circuit and a feedthrough set.
 func TestArenaStepFourMatchesMapForm(t *testing.T) {
-	ran := map[int]int{}
+	type circuitCase struct {
+		c     *circuit.Circuit
+		procs []int
+	}
+	var cases []circuitCase
 	for i := 0; i < 6; i++ {
-		c := randomCircuit(t, i)
-		for _, p := range []int{2, 3, 4, 8} {
+		cases = append(cases, circuitCase{randomCircuit(t, i), []int{2, 3, 4, 8}})
+	}
+	for _, name := range gen.CircuitNames() {
+		c, err := gen.Benchmark(name, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, circuitCase{c, []int{2}})
+	}
+	ran := map[int]int{}
+	for _, cc := range cases {
+		c := cc.c
+		for _, p := range cc.procs {
 			if len(c.Rows) < p {
 				continue
 			}
@@ -271,42 +286,53 @@ func TestArenaStepFourMatchesMapForm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			specs := computeCrossings(c, blocks, make([]int, len(c.Nets)), 0)
+			blockSubs, wholeSubs := make([]*circuit.Circuit, p), make([]*circuit.Circuit, p)
+			for k := range blocks {
+				blockSubs[k], wholeSubs[k] = buildBlockCircuit(c, blocks[k], specs[k]), c
+			}
 			// At P=8 a rank can own no multi-pin net: the ranks together must wire.
 			wired := 0
 			for me := 0; me < p; me++ {
-				pinIn, selfIn, own, ftIn := stepFourArrivals(c, blocks, owner, me)
-				for _, twoSets := range []bool{false, true} {
-					name := fmt.Sprintf("%s/p%d/rank%d/twoSets=%v", c.Name, p, me, twoSets)
-					sets := []nodeSet{{tag: tagNetNodes, in: selfIn, self: own}}
-					want := refCollectNodes(pinIn)
-					if twoSets {
-						sets = append(sets, nodeSet{tag: tagFtNodes, in: ftIn})
+				for _, netwise := range []bool{false, true} {
+					name := fmt.Sprintf("%s/p%d/rank%d/netwise=%v", c.Name, p, me, netwise)
+					subs := blockSubs
+					if netwise {
+						subs = wholeSubs
+					}
+					pinIn, selfIn, ftIn := stepFourArrivals(c, subs, blocks, owner, me)
+					if len(selfIn[me]) != 0 {
+						t.Fatalf("%s: the rank's pin batch to itself holds %d nodes", name, len(selfIn[me]))
+					}
+					want, ft := refCollectNodes(pinIn), []NodeBatch(nil)
+					if netwise {
+						ft = ftIn
 						for n, nodes := range refCollectNodes(ftIn) {
 							want[n] = append(want[n], nodes...)
 						}
 					}
-					nn, err := collectNodes(len(c.Nets), len(c.Rows), me, sets...)
+					degree, of, err := indexNodes(subs[me], blocks[me], owner, me, selfIn, ft)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					singles := 0
 					for n := range c.Nets {
-						got := nn.nodes[nn.off[n]:nn.off[n+1]]
-						if !slices.Equal(got, want[n]) {
-							t.Fatalf("%s: net %d has %d nodes, map form %d, or their order differs", name, n, len(got), len(want[n]))
+						got := of(n, make([]route.Node, degree(n)))
+						if !slices.Equal(got, want[n]) || len(got) != degree(n) {
+							t.Fatalf("%s: net %d has %d nodes (degree %d), map form %d, or their order differs", name, n, len(got), degree(n), len(want[n]))
 						}
 						if len(got) == 1 {
 							singles++
 						}
 					}
-					if twoSets && singles == 0 {
+					if netwise && singles == 0 {
 						t.Fatalf("%s: no one-node net in the arrivals", name)
 					}
 					newOcc := func() *route.Occupancy {
 						return route.NewOccupancy(c.NumChannels(), c.CoreWidth()*2, 16)
 					}
 					gotOcc, wantOcc := newOcc(), newOcc()
-					gotWires, gotForced, err := route.ConnectNets(context.Background(), 1+me, len(c.Nets), nn.degree, nn.of, gotOcc)
+					gotWires, gotForced, err := route.ConnectNets(context.Background(), 1+me, len(c.Nets), degree, of, gotOcc)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -697,11 +723,14 @@ func TestRedistributeMatchesTwoCopy(t *testing.T) {
 	}
 }
 
-// TestConcatWiresMatchesTwoPass: the one-pass concatWires returns the
-// wires the two-pass form does, in an exactly sized slice, on routed gen
-// circuits cut into 1–4 rank batches, empty batches included. When one
-// wire of the second batch has a bad channel, span or row, both forms fail
-// with the same error, and it names rank 1, the tag and the wire's index.
+// TestConcatWiresMatchesTwoPass: assembleWires returns the wires the
+// copying two-pass form does, on routed gen circuits cut into 1–4 rank
+// batches, empty batches included, with the own batch first, in the middle
+// and last, and with room in its array for them all or too little. With
+// room the result is the own array; without, a fresh, exactly sized one;
+// either way no peer batch is written. When one wire of the second batch has
+// a bad channel, span or row, both forms fail with the same error, and it
+// names rank 1, the tag and the wire's index.
 func TestConcatWiresMatchesTwoPass(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c := randomCircuit(t, i)
@@ -716,17 +745,36 @@ func TestConcatWiresMatchesTwoPass(t *testing.T) {
 				in[r] = WireBatch{Wires: slices.Clone(res.Wires[len(res.Wires)*r/p : len(res.Wires)*(r+1)/p])}
 			}
 			if p == 4 {
-				in[0] = WireBatch{} // a rank with no wires
+				in[0] = WireBatch{Wires: []metrics.Wire{}} // a rank with no wires
 			}
-			name := fmt.Sprintf("%s/p%d", c.Name, p)
-			got, err := concatWires(in, tagWires, nc)
-			want, werr := refConcatWires(in, tagWires, nc)
-			if err != nil || werr != nil {
-				t.Fatalf("%s: %v / %v", name, err, werr)
-			}
-			if !slices.Equal(got, want) || cap(got) != len(got) {
-				t.Fatalf("%s: %d wires (cap %d), two-pass form %d, or their order differs",
-					name, len(got), cap(got), len(want))
+			for self := range p {
+				for _, room := range []bool{false, true} {
+					name := fmt.Sprintf("%s/p%d/self%d/room=%v", c.Name, p, self, room)
+					batches := slices.Clone(in)
+					own := slices.Clip(batches[self].Wires)
+					if room {
+						own = append(make([]metrics.Wire, 0, len(res.Wires)), own...)
+					}
+					batches[self].Wires = own
+					want, werr := refConcatWires(batches, tagWires, nc)
+					got, err := assembleWires(batches, self, tagWires, nc)
+					if err != nil || werr != nil {
+						t.Fatalf("%s: %v / %v", name, err, werr)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: %d wires, two-pass form %d, or their order differs", name, len(got), len(want))
+					}
+					fits := cap(own) >= len(want) // no peer wires: exact is room
+					inPlace := len(got) > 0 && cap(own) > 0 && &got[:1][0] == &own[:1][0]
+					if fits != inPlace || !fits && cap(got) != len(got) {
+						t.Fatalf("%s: result in the own array %v (cap %d for %d wires)", name, inPlace, cap(got), len(got))
+					}
+					for r := range in {
+						if r != self && !slices.Equal(batches[r].Wires, in[r].Wires) {
+							t.Fatalf("%s: rank %d's batch was written", name, r)
+						}
+					}
+				}
 			}
 			if p < 2 || len(in[1].Wires) == 0 {
 				continue
@@ -748,16 +796,99 @@ func TestConcatWiresMatchesTwoPass(t *testing.T) {
 				wires := slices.Clone(second)
 				bad.edit(&wires[at])
 				forged[1] = WireBatch{Wires: wires}
-				_, err := concatWires(forged, tagWires, nc)
 				_, werr := refConcatWires(forged, tagWires, nc)
+				_, err := assembleWires(forged, 0, tagWires, nc)
 				if err == nil || werr == nil || err.Error() != werr.Error() {
-					t.Fatalf("%s/%s: error %v, two-pass form %v", name, bad.field, err, werr)
+					t.Fatalf("%s/p%d/%s: error %v, two-pass form %v", c.Name, p, bad.field, err, werr)
 				}
 				msg := fmt.Sprintf("tag %d batch from rank 1: element %d has %s ", tagWires, at, bad.field)
 				if !strings.Contains(err.Error(), msg) {
-					t.Fatalf("%s/%s: error %q does not name %q", name, bad.field, err, msg)
+					t.Fatalf("%s/p%d/%s: error %q does not name %q", c.Name, p, bad.field, err, msg)
 				}
 			}
 		}
 	}
+}
+
+// fuzzWireBatches reads data as 2–4 ranks' WireBatches for assembleWires:
+// three header bytes (the rank count, the own rank, and the channel count
+// with whether the own array has room for every wire), then six bytes a
+// wire — its rank, channel, span ends, switchable flag and row, small
+// values with -128 and 127 standing for the int32 extremes. The own batch
+// takes only wires the copying form accepts: its wires are the rank's own,
+// never received.
+func fuzzWireBatches(data []byte) (in []WireBatch, self int, room bool, numChannels int) {
+	if len(data) < 3 {
+		return nil, 0, false, 0
+	}
+	p := 2 + int(data[0])%3
+	self, room, numChannels = int(data[1])%p, data[2]&1 == 1, 2+int(data[2]>>1)%8
+	wide := func(b byte) int32 {
+		switch v := int8(b); v {
+		case math.MinInt8:
+			return math.MinInt32
+		case math.MaxInt8:
+			return math.MaxInt32
+		default:
+			return int32(v)
+		}
+	}
+	in = make([]WireBatch, p)
+	total := 0
+	for rest := data[3:]; len(rest) >= 6; rest = rest[6:] {
+		w := metrics.Wire{Channel: wide(rest[1]), Span: geom.Interval{Lo: wide(rest[2]), Hi: wide(rest[3])},
+			Switchable: rest[4]&1 == 1, Row: wide(rest[5])}
+		r := int(rest[0]) % p
+		if _, err := refConcatWires([]WireBatch{{Wires: []metrics.Wire{w}}}, tagWires, numChannels); r == self && err != nil {
+			continue
+		}
+		in[r].Wires = append(in[r].Wires, w)
+		total++
+	}
+	if in[self].Wires = slices.Clip(in[self].Wires); room {
+		in[self].Wires = append(make([]metrics.Wire, 0, total), in[self].Wires...)
+	}
+	return in, self, room, numChannels
+}
+
+// FuzzWireBatches: whatever batches arrive, assembleWires never panics and
+// agrees with the copying form — an accepted result equal to its wires, a
+// refused one with its error, which names the tag, the rank, the element and
+// the field — and it writes no peer's batch.
+func FuzzWireBatches(f *testing.F) {
+	f.Add([]byte{1, 1, 9, 0, 2, 0, 5, 0, 0, 1, 3, 1, 4, 1, 2, 2, 0, 3, 6, 0, 0})
+	f.Add([]byte{2, 0, 8, 1, 2, 0, 5, 0, 0, 2, 1, 3, 3, 1, 1})
+	f.Add([]byte{0, 1, 4, 1, 9, 0, 5, 0, 0})
+	f.Add([]byte{0, 0, 5, 1, 0x80, 0, 5, 0, 0})
+	f.Add([]byte{0, 0, 5, 1, 1, 0x80, 0x7f, 0, 0, 1, 1, 0, 4, 1, 0x7f})
+	pattern := regexp.MustCompile(fmt.Sprintf(`^parallel: tag %d batch from rank \d+: element \d+ has (channel|span lo|row) `, tagWires))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, self, room, nc := fuzzWireBatches(data)
+		if in == nil {
+			return
+		}
+		peers := make([][]metrics.Wire, len(in))
+		for r := range in {
+			peers[r] = slices.Clone(in[r].Wires)
+		}
+		want, werr := refConcatWires(in, tagWires, nc)
+		got, err := assembleWires(in, self, tagWires, nc)
+		for r := range in {
+			if r != self && !slices.Equal(in[r].Wires, peers[r]) {
+				t.Fatalf("rank %d's batch was written", r)
+			}
+		}
+		switch {
+		case werr != nil:
+			if err == nil || err.Error() != werr.Error() || !pattern.MatchString(err.Error()) {
+				t.Fatalf("error %v, copying form %v", err, werr)
+			}
+		case err != nil:
+			t.Fatalf("refused what the copying form accepts: %v", err)
+		case !slices.Equal(got, want):
+			t.Fatalf("%d wires, copying form %d, or their order differs", len(got), len(want))
+		case room && len(got) > 0 && &got[:1][0] != &in[self].Wires[:1][0]:
+			t.Fatal("assembled outside the own array, which has room")
+		}
+	})
 }

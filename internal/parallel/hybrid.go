@@ -25,7 +25,7 @@ func hybridStages(r *rank) []pipeline.Stage {
 		pipeline.Func("connect", func(ctx context.Context, s *pipeline.Session) error {
 			// Steps 1–3's state is read no more: drop it before connect and stitch.
 			r.rt.Segs, r.rt.Grid, r.rt.FtPinsByRow = nil, nil, nil
-			return r.connectWhole(ctx, s)
+			return r.connectWhole(ctx, s, nil)
 		}),
 		stage("stitch", func(*pipeline.Session) error {
 			if err := r.redistribute(); err != nil {
@@ -41,7 +41,8 @@ func hybridStages(r *rank) []pipeline.Stage {
 // their channels; switchable wires go to the owner of their row, whose two
 // candidate channels they alternate between. The wires a rank keeps are its
 // batch to itself, compacted in place (the k-th is read from index k or
-// later), so only the others are copied before concatWires assembles r.wires.
+// later), and assembleWires joins the received ones to them in the same
+// array when it has room: only the wires that move are copied.
 func (r *rank) redistribute() error {
 	numRows, self := len(r.base.Rows), r.comm.Rank()
 	destOf := func(w *metrics.Wire) int {
@@ -68,6 +69,6 @@ func (r *rank) redistribute() error {
 	if err != nil {
 		return fmt.Errorf("hybrid: wire redistribution: %w", err)
 	}
-	r.wires, err = concatWires(in, tagWiresRedist, r.sub.NumChannels())
+	r.wires, err = assembleWires(in, self, tagWiresRedist, r.sub.NumChannels())
 	return err
 }

@@ -207,7 +207,8 @@ func checkLists(t *testing.T, name string, c *circuit.Circuit, ref refCircuit) {
 // after construction, after a round trip through the circuit file (cells
 // renumbered too, so rows list them out of ID order), after feedthrough
 // insertion on a fork, after a whole serial route of a fork, and in every
-// row block of a P=2 partition. The forks and blocks leave the base's
+// row block of a P=2 and a P=3 partition, whose middle block has fake pins
+// on both boundaries. The forks and blocks leave the base's
 // arrays as they were.
 func TestListsMatchSliceOfSlices(t *testing.T) {
 	var circuits []*circuit.Circuit
@@ -259,14 +260,16 @@ func TestListsMatchSliceOfSlices(t *testing.T) {
 		}
 		checkLists(t, c.Name+" route", rt.C, refRouted(rt.C, base))
 
-		blocks, err := partition.RowBlocks(c, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs := computeCrossings(c, blocks, make([]int, len(c.Nets)), 0)
-		for k, block := range blocks {
-			sub := buildBlockCircuit(c, block, specs[k])
-			checkLists(t, fmt.Sprintf("%s block %d", c.Name, k), sub, refBlock(c, base, block, specs[k]))
+		for _, p := range []int{2, 3} {
+			blocks, err := partition.RowBlocks(c, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs := computeCrossings(c, blocks, make([]int, len(c.Nets)), 0)
+			for k, block := range blocks {
+				sub := buildBlockCircuit(c, block, specs[k])
+				checkLists(t, fmt.Sprintf("%s P=%d block %d", c.Name, p, k), sub, refBlock(c, base, block, specs[k]))
+			}
 		}
 		if !reflect.DeepEqual(c, before) {
 			t.Fatalf("%s: routing forks or building blocks changed the base's arrays", c.Name)

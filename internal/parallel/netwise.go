@@ -189,14 +189,9 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			clear(counts)
 			for r, batch := range in {
 				for i, cr := range batch {
-					if cr.Net < 0 || int(cr.Net) >= len(sub.Nets) {
-						return badIndex(tagCrossings, r, i, "net", cr.Net, 0, len(sub.Nets)-1)
-					}
-					if !block.Contains(int(cr.Row)) {
-						return badIndex(tagCrossings, r, i, "row", cr.Row, block.Lo, block.Hi)
-					}
-					if cr.X < 0 {
-						return badIndex(tagCrossings, r, i, "x", cr.X, 0, circuit.MaxCoord)
+					if int(cr.Net) >= len(sub.Nets) || !block.Contains(int(cr.Row)) || min(cr.Net, cr.X) < 0 {
+						return cmp.Or(badIndex(tagCrossings, r, i, "net", cr.Net, 0, len(sub.Nets)-1),
+							badIndex(tagCrossings, r, i, "row", cr.Row, block.Lo, block.Hi), badIndex(tagCrossings, r, i, "x", cr.X, 0, circuit.MaxCoord))
 					}
 					byRow[cr.Row] = append(byRow[cr.Row], cr)
 					counts[owner[cr.Net]]++
@@ -235,7 +230,7 @@ func netWiseStages(r *rank) []pipeline.Stage {
 			if err != nil {
 				return fmt.Errorf("netwise: feedthrough-node exchange: %w", err)
 			}
-			return r.connectWhole(ctx, s, nodeSet{tag: tagFtNodes, in: ftIn})
+			return r.connectWhole(ctx, s, ftIn)
 		}),
 		stage("stitch", func(*pipeline.Session) error {
 			// Replicate the channel occupancy for step 5.
@@ -274,33 +269,19 @@ func netWiseStages(r *rank) []pipeline.Stage {
 // compareCrossings orders a row's crossings by (x, net). Crossings equal in
 // both are identical values, so the order is total without a stable sort.
 func compareCrossings(a, b CrossingMsg) int {
-	if a.X != b.X {
-		return cmp.Compare(a.X, b.X)
-	}
-	return cmp.Compare(a.Net, b.Net)
+	return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Net, b.Net))
 }
 
 // forEachChunk splits [0, n) into `chunks` contiguous pieces (at least
 // one; empty pieces still invoke f so every rank performs the same number
 // of synchronization points regardless of its local work count).
 func forEachChunk(n, chunks int, f func(lo, hi int) error) error {
-	if chunks < 1 {
-		chunks = 1
-	}
-	per := (n + chunks - 1) / chunks
-	if per < 1 {
-		per = 1
-	}
-	lo := 0
+	chunks = max(chunks, 1)
+	per := max((n+chunks-1)/chunks, 1)
 	for i := 0; i < chunks; i++ {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		if err := f(lo, hi); err != nil {
+		if err := f(min(i*per, n), min((i+1)*per, n)); err != nil {
 			return err
 		}
-		lo = hi
 	}
 	return nil
 }

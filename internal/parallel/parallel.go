@@ -44,13 +44,8 @@ const (
 )
 
 func (a Algorithm) String() string {
-	switch a {
-	case RowWise:
-		return "rowwise"
-	case NetWise:
-		return "netwise"
-	case Hybrid:
-		return "hybrid"
+	if names := [...]string{"rowwise", "netwise", "hybrid"}; a >= 0 && int(a) < len(names) {
+		return names[a]
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
@@ -152,17 +147,11 @@ func Run(ctx context.Context, c *circuit.Circuit, opt Options) (*metrics.Result,
 	}
 	out := &runOutput{}
 	cfg := mp.Config{Procs: opt.Procs, Mode: opt.Mode, Model: opt.Model, Limits: opt.Limits, Chaos: opt.Chaos, Net: opt.Dist}
-	var stages func(*rank) []pipeline.Stage
-	switch opt.Algo {
-	case RowWise:
-		stages = rowWiseStages
-	case NetWise:
-		stages = netWiseStages
-	case Hybrid:
-		stages = hybridStages
-	default:
+	drivers := [...]func(*rank) []pipeline.Stage{RowWise: rowWiseStages, NetWise: netWiseStages, Hybrid: hybridStages}
+	if opt.Algo < 0 || int(opt.Algo) >= len(drivers) {
 		return nil, fmt.Errorf("parallel: unknown algorithm %v", opt.Algo)
 	}
+	stages := drivers[opt.Algo]
 	worker := func(comm mp.Comm) error { return runRank(ctx, comm, c, blocks, owner, opt, out, stages) }
 	eng, err := cfg.Engine()
 	if err != nil {

@@ -523,3 +523,28 @@ func TestDriverStageLists(t *testing.T) {
 		}
 	}
 }
+
+// TestPeerBatchesOnlyRead: hybrid and row-wise at P=3 on mp.Inproc, where a
+// received batch is the sender's memory, route exactly as on mp.Virtual,
+// which runs one rank at a time. The middle rank assembles its redistributed
+// wires between two peers' batches, and rank 0 the merge. scripts/check.sh
+// runs this 20 times under -race, where a write to memory a peer still
+// reads is a reported race.
+func TestPeerBatchesOnlyRead(t *testing.T) {
+	c := testCircuit(t)
+	for _, algo := range []Algorithm{RowWise, Hybrid} {
+		var want *metrics.Result
+		for _, mode := range []mp.Mode{mp.Virtual, mp.Inproc} {
+			res, err := Run(context.Background(), c, Options{Algo: algo, Procs: 3, Mode: mode, Route: route.Options{Seed: 4}})
+			if err != nil {
+				t.Fatalf("%v on %v: %v", algo, mode, err)
+			}
+			if want == nil {
+				want = res
+			} else if !slices.Equal(res.Wires, want.Wires) || res.TotalTracks != want.TotalTracks {
+				t.Fatalf("%v: %d wires and %d tracks on %v, %d and %d on mp.Virtual",
+					algo, len(res.Wires), res.TotalTracks, mode, len(want.Wires), want.TotalTracks)
+			}
+		}
+	}
+}

@@ -119,24 +119,22 @@ func (r *rank) subcircuit(*pipeline.Session) error {
 // owners ship every net's pin nodes in their block (authoritative
 // post-insertion coordinates, so all of a net's geometry lives in one
 // coherent frame at its owner) to the net's owner, which connects the net
-// from those plus any extra node sets the driver already received — per
-// net, nodes sit in set order; a rank's nodes to itself skip the batch. The
-// wires become r.wires.
-func (r *rank) connectWhole(ctx context.Context, s *pipeline.Session, extra ...nodeSet) error {
-	pins, own := ownPinNodes(r.sub, r.block, r.owner, r.comm.Rank(), r.comm.Size())
-	pinIn, err := mp.Alltoall(r.comm, tagNetNodes, pins)
+// from those, its own block's pins and the feedthrough nodes net-wise's
+// step 3 sent it (ftIn; nil under hybrid), each read where it lies
+// (indexNodes). The wires become r.wires.
+func (r *rank) connectWhole(ctx context.Context, s *pipeline.Session, ftIn []NodeBatch) error {
+	pinIn, err := mp.Alltoall(r.comm, tagNetNodes, ownPinNodes(r.sub, r.block, r.owner, r.comm.Rank(), r.comm.Size()))
 	if err != nil {
 		return fmt.Errorf("%v: pin-node exchange: %w", r.opt.Algo, err)
 	}
-	sets := append([]nodeSet{{tag: tagNetNodes, in: pinIn, self: own}}, extra...)
-	byNet, err := collectNodes(len(r.sub.Nets), len(r.sub.Rows), r.comm.Rank(), sets...)
+	degree, of, err := indexNodes(r.sub, r.block, r.owner, r.comm.Rank(), pinIn, ftIn)
 	if err != nil {
 		return err
 	}
 	// The owner's occupancy is necessarily partial — it sees only this rank's
 	// nets — which is the interference the paper's §5 describes.
 	connOcc := route.NewOccupancy(r.sub.NumChannels(), r.base.CoreWidth()*2, grid.ColWidth)
-	r.wires, r.sum.ForcedEdges, err = route.ConnectNets(ctx, r.ropt.Workers, len(r.sub.Nets), byNet.degree, byNet.of, connOcc)
+	r.wires, r.sum.ForcedEdges, err = route.ConnectNets(ctx, r.ropt.Workers, len(r.sub.Nets), degree, of, connOcc)
 	if err != nil {
 		return err
 	}
@@ -184,15 +182,24 @@ func (r *rank) switchOpt(ctx context.Context, s *pipeline.Session) (err error) {
 }
 
 // gather sends the rank's wires and counters — its own bodies' plus those
-// the serial router's stages kept — to rank 0.
+// the serial router's stages kept — to rank 0, which keeps every rank's in
+// r.out.
 func (r *rank) gather(*pipeline.Session) error {
 	sum := r.sum
 	sum.InsertedFts += r.rt.InsertedFts
 	sum.ForcedEdges += r.rt.ForcedEdges
 	sum.CoarseFlips += r.rt.CoarseFlips
 	sum.Phases = r.rec.Phases()
-	if err := gatherResults(r.comm, r.wires, sum, r.out); err != nil {
+	wbs, err := mp.Gather(r.comm, 0, tagWires, WireBatch{Wires: r.wires})
+	if err != nil {
 		return fmt.Errorf("%v: result gather: %w", r.opt.Algo, err)
+	}
+	sums, err := mp.Gather(r.comm, 0, tagSummary, sum)
+	if err != nil {
+		return fmt.Errorf("%v: result gather: %w", r.opt.Algo, err)
+	}
+	if r.comm.Rank() == 0 {
+		r.out.wireBatches, r.out.summaries = wbs, sums
 	}
 	return nil
 }

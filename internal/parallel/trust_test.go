@@ -50,7 +50,8 @@ type forgery struct {
 
 // TestForgedBatchIndexIsAttributed: every index a rank takes off the mesh
 // and uses as a subscript or an int32 pin field — the net, row and x of a
-// fake-pin spec, a crossing and a step-4 node, the channel, span and row of
+// fake-pin spec, a crossing and a step-4 node, the side of a fake-pin spec
+// and a step-4 node, the channel, span and row of
 // a redistributed or gathered wire, and the counter indices and changes of a
 // net-wise grid or occupancy delta — is validated once per received batch,
 // and so are the boundary-channel counts a row block adds into its
@@ -98,12 +99,24 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 		}
 		return append(out, mistyped)
 	}
-	nodes := indexed(func(net, row, x int32) func(any) any {
+	// A side past the ones the receiver routes: Both is a fake pin's too.
+	sided := func(mk func(side circuit.Side) func(any) any, sides ...circuit.Side) []forgery {
+		var out []forgery
+		for _, side := range sides {
+			out = append(out, forgery{fmt.Sprintf("bad-side/%d", side), "side", mk(side)})
+		}
+		return out
+	}
+	nodes := append(indexed(func(net, row, x int32) func(any) any {
 		return appendTo[NodeBatch](NodeMsg{Net: net, X: x, Row: row, Side: circuit.Both})
-	})
-	fakePins := indexed(func(net, row, x int32) func(any) any {
+	}), sided(func(side circuit.Side) func(any) any {
+		return appendTo[NodeBatch](NodeMsg{Net: 0, X: 1, Row: lo, Side: side})
+	}, 3, 255)...)
+	fakePins := append(indexed(func(net, row, x int32) func(any) any {
 		return appendTo[FakePinBatch](FakePinSpec{Net: net, X: x, Row: row, Side: circuit.Top})
-	})
+	}), sided(func(side circuit.Side) func(any) any {
+		return appendTo[FakePinBatch](FakePinSpec{Net: 0, X: 1, Row: lo, Side: side})
+	}, circuit.Both, 7)...)
 	wires := []forgery{mistyped}
 	for _, bad := range []struct {
 		name, field string

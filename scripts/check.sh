@@ -96,6 +96,16 @@ one_p() {
 }
 step "workers determinism on one P" one_p
 
+# Peer batches are only read: on the in-process engine a received batch is
+# the sender's memory, and a rank assembles its wires in its own array
+# around its peers' (hybrid's redistribute, rank 0's merge). Hybrid and
+# row-wise at P=3, where the middle rank has a peer on each side, run
+# twenty times under the race detector.
+peer_batches() {
+  go test -race -count=20 -run '^TestPeerBatchesOnlyRead$' ./internal/parallel
+}
+step "peer batches only read (P=3 inproc, -race x20)" peer_batches
+
 # Codec fuzz smoke: the generated wire codecs must decode whatever they
 # encode and re-encode it byte-identically (the canonical-encoding
 # invariant the manifest prices depend on), under the race detector.
@@ -105,6 +115,10 @@ step "workers determinism on one P" one_p
 # panic, and accepted frames must re-encode canonically. FuzzGridDelta is
 # the same bargain one layer up, for the (index, change) pairs a net-wise
 # sync takes off the mesh: applied or refused whole, never a panic.
+# FuzzWireBatches feeds arbitrary received wire batches through the
+# assembly a rank's redistribute and rank 0's merge run: an accepted result
+# equals the copying concatenation, a refused one names the tag, rank,
+# element and field, and no peer's batch is written.
 # FuzzOccupancyPeaks holds step 5's peak caches exact through any mix of
 # wire adds and removals, sync deltas and boundary channel counts.
 # FuzzAppendJSON and FuzzEnvelope guard the daemon's wire: twgrd frames
@@ -118,6 +132,7 @@ step "workers determinism on one P" one_p
 # the largest int32 x, where the close event Hi+1 only fits once widened.
 fuzz_smoke() {
   go test -race -run '^$' -fuzz '^FuzzCodec$' -fuzztime 3s ./internal/parallel &&
+    go test -race -run '^$' -fuzz '^FuzzWireBatches$' -fuzztime 3s ./internal/parallel &&
     go test -race -run '^$' -fuzz '^FuzzAnyCodec$' -fuzztime 3s ./internal/mp &&
     go test -race -run '^$' -fuzz '^FuzzFrame$' -fuzztime 3s ./internal/mp &&
     go test -race -run '^$' -fuzz '^FuzzGridDelta$' -fuzztime 3s ./internal/route &&
@@ -175,12 +190,12 @@ scale_tier() {
 }
 step "scale smoke (synth.100k and synth.1m budgets)" scale_tier
 
-# Allocation budget: one hybrid and one net-wise parallel.Run at P=2 on the
-# in-process engine, and one serial route.Route at one and at two workers,
-# must stay under a committed malloc count, and the hybrid run under a
-# committed byte count (DESIGN.md §9) — an append-in-a-loop regression, a
-# per-feedthrough allocation coming back, or a rank cloning the whole
-# circuit again, fails here, with no wall clock involved. A primary2
+# Allocation budget: one hybrid, one row-wise and one net-wise parallel.Run
+# at P=2 on the in-process engine, and one serial route.Route at one and at
+# two workers, must stay under a committed malloc and byte count (DESIGN.md
+# §9) — an append-in-a-loop regression, a per-feedthrough allocation coming
+# back, a rank cloning the whole circuit again or copying data it already
+# holds, fails here, with no wall clock involved. A primary2
 # cache hit through the twgrd handler must stay under a committed byte
 # count too: a copy of its 716 KB metrics or a re-marshal fails it. Run
 # without -race: the byte budgets only discriminate in a plain build.
