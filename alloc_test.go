@@ -14,11 +14,11 @@ import (
 
 // TestParallelDriverAllocBudget holds the three parallel drivers and the
 // serial router to committed heap-allocation figures: one parallel.Run at
-// P=2 on mp.Inproc, or one route.Route at one and two workers, over
-// primary2, Mallocs and TotalAlloc read around the call. Neither depends on
-// the clock or on GC timing (the counts move by a handful with goroutine
-// scheduling), so an append-in-a-loop or a copy put back fails here without
-// a wall-clock measurement.
+// P=2 on mp.Inproc (net-wise over mp.TCP too), or one route.Route at one
+// and two workers, over primary2, Mallocs and TotalAlloc read around the
+// call. Neither depends on the clock or on GC timing (the counts move by a
+// handful with goroutine scheduling), so an append-in-a-loop or a copy put
+// back fails here without a wall-clock measurement.
 //
 // Malloc budgets are the measured counts + 25 %, one for plain builds and
 // one for -race builds, which is how the full gate runs every test. Byte
@@ -30,6 +30,7 @@ import (
 //	hybrid P=2              749 / 767              3 660 448  3 709 000  48 552
 //	row-wise P=2            709 / 725              3 067 200  3 116 000  48 800
 //	net-wise P=2            943 / 963              3 201 120  3 250 000  48 880
+//	net-wise P=2 tcp        1 268 / 1 397          3 993 208  4 041 000  47 792
 //	route.Route workers=1   243 / 248              1 824 936  1 873 000  48 064
 //	route.Route workers=2   450 / 455              1 954 752  2 003 000  48 248
 //
@@ -44,15 +45,18 @@ import (
 // net-wise 206 KB): with the copying wire concatenation put back the hybrid
 // row reads 3 848 416 bytes, and with the two-pass circuit.Block, which
 // walked every base pin list twice through closures, 3 824 656 on the
-// hybrid row and 3 238 032 on the row-wise one. The history of these
-// figures is in CHANGES.md.
+// hybrid row and 3 238 032 on the row-wise one. The tcp row's slack is
+// below what streaming frames through bounded link buffers saved: with the
+// whole-frame buffers put back (each link's send buffer and read scratch
+// grown to its largest frame) it reads 4 182 584–4 187 176 bytes. The
+// history of these figures is in CHANGES.md.
 func TestParallelDriverAllocBudget(t *testing.T) {
 	c, err := gen.Benchmark("primary2", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := func(algo parallel.Algorithm) func() (*metrics.Result, error) {
-		opt := parallel.Options{Algo: algo, Procs: 2, Mode: mp.Inproc, Route: route.Options{Seed: 7}}
+	par := func(algo parallel.Algorithm, mode mp.Mode) func() (*metrics.Result, error) {
+		opt := parallel.Options{Algo: algo, Procs: 2, Mode: mode, Route: route.Options{Seed: 7}}
 		return func() (*metrics.Result, error) { return parallel.Run(context.Background(), c, opt) }
 	}
 	serial := func(workers int) func() (*metrics.Result, error) {
@@ -66,9 +70,10 @@ func TestParallelDriverAllocBudget(t *testing.T) {
 		race  uint64 // mallocs, -race build
 		bytes uint64 // TotalAlloc, plain build
 	}{
-		{"hybrid P=2 inproc", par(parallel.Hybrid), 940, 960, 3_709_000},
-		{"row-wise P=2 inproc", par(parallel.RowWise), 890, 910, 3_116_000},
-		{"net-wise P=2 inproc", par(parallel.NetWise), 1180, 1205, 3_250_000},
+		{"hybrid P=2 inproc", par(parallel.Hybrid, mp.Inproc), 940, 960, 3_709_000},
+		{"row-wise P=2 inproc", par(parallel.RowWise, mp.Inproc), 890, 910, 3_116_000},
+		{"net-wise P=2 inproc", par(parallel.NetWise, mp.Inproc), 1180, 1205, 3_250_000},
+		{"net-wise P=2 tcp", par(parallel.NetWise, mp.TCP), 1585, 1750, 4_041_000},
 		{"route.Route workers=1", serial(1), 315, 325, 1_873_000},
 		{"route.Route workers=2", serial(2), 560, 575, 2_003_000},
 	} {

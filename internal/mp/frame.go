@@ -1,11 +1,11 @@
 package mp
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"time"
 )
 
@@ -20,8 +20,14 @@ import (
 // so every payload crosses the socket through its parroute-mpwire/1
 // codec; a type without one fails the Send before a byte is written. The
 // connection-setup hello and the rendezvous address table reuse the same
-// length-prefixed outer frame with their own magic strings, so one
-// bounded reader serves both setup and steady state.
+// length-prefixed outer frame with their own magic strings.
+//
+// No side holds a frame whole. A flat payload — a record count, then
+// fixed-width records: the []int32 builtin and every mpgen batch — is
+// encoded a record range at a time into its link's buffer, which is
+// written each time it holds frameChunk bytes, and is read back a chunk at
+// a time and decoded straight into the payload's typed slice. Every other
+// payload is small and travels as a single chunk.
 
 const (
 	// frameHeaderLen is the length prefix: a little-endian u32.
@@ -30,77 +36,192 @@ const (
 	// is treated as stream corruption rather than an allocation request;
 	// the largest real payloads (full-circuit net batches) stay far under.
 	maxFrameLen = 1 << 28
+	// envelopeLen is an envelope body's fixed head: src, tag, and the
+	// payload's wire id and length.
+	envelopeLen = 8 + 8 + elemHeader
+	// frameChunk bounds the bytes of one frame a link buffers on either
+	// side of the socket.
+	frameChunk = 64 << 10
+	// maxReserve bounds, in encoded bytes, the typed slice a reader sizes
+	// from a record count before the records arrive.
+	maxReserve = 4 << 20
 )
 
-// appendFrame appends one framed envelope to buf. Every payload prices its
-// body (elemSize), so room for the frame is reserved once up front instead
-// of by append-doubling under the codec; the price is a hint, not a bound —
-// a payload that under-prices itself still encodes, it only grows buf again.
-func appendFrame(buf []byte, src, tag int, v any) ([]byte, error) {
-	// Length prefix, src and tag, the payload's id and length, and the
-	// element count the flat batch prices leave out.
-	buf = slices.Grow(buf, frameHeaderLen+8+8+elemHeader+4+elemSize(v))
-	lenAt := len(buf)
-	buf = AppendUint32(buf, 0) // length, patched below
-	buf = AppendInt(buf, src)
-	buf = AppendInt(buf, tag)
-	buf, err := AppendAny(buf, v)
-	if err != nil {
-		return nil, err
-	}
-	body := len(buf) - lenAt - frameHeaderLen
-	if body > maxFrameLen {
-		return nil, wireErr("frame body %d exceeds %d byte(s)", body, maxFrameLen)
-	}
-	binary.LittleEndian.PutUint32(buf[lenAt:], uint32(body))
-	return buf, nil
+// records is a flat payload: WireRecords is its record count and the
+// encoded width of one record, and AppendWireRecords appends the records
+// [lo, hi) without the count. mpgen emits the pair, and DecodeWireRecords
+// on the pointer type, for every batch.
+type records interface {
+	WireRecords() (n, width int)
+	AppendWireRecords(buf []byte, lo, hi int) []byte
 }
 
-// decodeFrameBody decodes an envelope body written by appendFrame. The
-// body must be consumed exactly; trailing bytes mean a framing bug.
-func decodeFrameBody(body []byte) (src, tag int, v any, err error) {
-	src, rest, err := WireInt(body)
+// writeFrame writes one envelope to w as a frame, encoded into buf: a flat
+// payload's records a range at a time, buf written whenever the next
+// record would not fit a chunk, and any other payload whole. It returns
+// buf emptied for the link to keep (nil if a whole payload grew it past a
+// chunk) and whether w was written to; until it was, an error is the
+// payload's and the stream is clean.
+func writeFrame(w io.Writer, buf []byte, src, tag int, v any) (kept []byte, wrote bool, err error) {
+	var rec records
+	var id uint32
+	switch p := v.(type) {
+	case []int32:
+		rec, id = int32s(p), wireIDInt32s
+	case records:
+		if c := codecByType(v); c != nil && c.width > 0 {
+			rec, id = p, c.id
+		}
+	}
+	n, width, body := 0, 0, envelopeLen+4+elemSize(v) // a price; exact for a flat payload
+	if rec != nil {
+		n, width = rec.WireRecords()
+		body = envelopeLen + 4 + n*width
+	}
+	if need := min(frameHeaderLen+body, frameChunk); cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
+	buf = AppendInt(AppendInt(AppendUint32(buf, uint32(body)), src), tag)
+	if rec != nil {
+		buf = AppendUint32(AppendUint32(AppendUint32(buf, id), uint32(body-envelopeLen)), uint32(n))
+	} else if buf, err = AppendAny(buf, v); err != nil {
+		return nil, false, err
+	} else {
+		body = len(buf) - frameHeaderLen
+		binary.LittleEndian.PutUint32(buf, uint32(body))
+	}
+	if body > maxFrameLen {
+		return nil, false, wireErr("frame body %d exceeds %d byte(s)", body, maxFrameLen)
+	}
+	for lo := 0; lo < n; {
+		if len(buf)+width > frameChunk {
+			if _, err := w.Write(buf); err != nil {
+				return buf[:0], true, err
+			}
+			buf = buf[:0]
+		}
+		hi := min(n, lo+max(1, (frameChunk-len(buf))/width))
+		buf, lo = rec.AppendWireRecords(buf, lo, hi), hi
+	}
+	_, err = w.Write(buf)
+	if cap(buf) > frameChunk {
+		return nil, true, err
+	}
+	return buf[:0], true, err
+}
+
+// readFrameLen reads a frame's length prefix into hdr. io.EOF before the
+// first byte is a clean close; a prefix cut short, or one past
+// maxFrameLen, is an ErrWire.
+func readFrameLen(r io.Reader, hdr *[frameHeaderLen]byte) (int, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return 0, wireErr("truncated frame header")
+		}
+		return 0, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n > maxFrameLen {
+		return 0, wireErr("frame length %d exceeds %d byte(s)", n, maxFrameLen)
+	}
+	return int(n), nil
+}
+
+// frameReader reads envelopes off one connection through a bufio reader
+// of the default size and buf, which grows to at most frameChunk bytes.
+// failed reports whether the last error came from the stream itself (a
+// peer gone mid-frame) rather than from what the stream carried.
+type frameReader struct {
+	r      *bufio.Reader
+	buf    []byte
+	hdr    [frameHeaderLen]byte
+	left   int // body bytes of the current frame not yet read
+	failed bool
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReader(r)}
+}
+
+// take reads the next n bytes of the frame body into buf; a whole
+// payload past a chunk gets a buffer of its own. A body too short for
+// them is malformed; a stream that ends first has failed.
+func (fr *frameReader) take(n int) ([]byte, error) {
+	if n > fr.left {
+		return nil, wireErr("frame body ends %d byte(s) short", n-fr.left)
+	}
+	fr.left -= n
+	b := fr.buf
+	if cap(b) < n {
+		if b = make([]byte, n); n <= frameChunk {
+			fr.buf = b
+		}
+	}
+	if _, err := io.ReadFull(fr.r, b[:n]); err != nil {
+		fr.failed = true
+		return nil, wireErr("truncated frame: %v", err)
+	}
+	return b[:n], nil
+}
+
+// next reads one envelope: a flat payload a chunk of records at a time,
+// any other one whole, decoded as WireAny would.
+func (fr *frameReader) next() (src, tag int, v any, err error) {
+	fr.failed = true
+	if fr.left, err = readFrameLen(fr.r, &fr.hdr); err != nil {
+		return 0, 0, nil, err
+	}
+	fr.failed = false
+	head, err := fr.take(envelopeLen)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	tag, rest, err = WireInt(rest)
+	src, tag = int(int64(binary.LittleEndian.Uint64(head))), int(int64(binary.LittleEndian.Uint64(head[8:])))
+	id, n := binary.LittleEndian.Uint32(head[16:]), binary.LittleEndian.Uint32(head[20:])
+	switch c := codecByID(id); {
+	case int64(n) != int64(fr.left):
+		err = wireErr("any body length %d, frame holds %d byte(s)", n, fr.left)
+	case id == wireIDInt32s:
+		var x int32s
+		err = fr.records(4, x.DecodeWireRecords)
+		v = []int32(x)
+	case c != nil && c.width > 0:
+		v, err = c.stream(fr)
+	default:
+		var body []byte
+		if body, err = fr.take(fr.left); err == nil {
+			v, err = decodeAnyBody(id, body)
+		}
+	}
 	if err != nil {
 		return 0, 0, nil, err
-	}
-	v, rest, err = WireAny(rest)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if len(rest) != 0 {
-		return 0, 0, nil, wireErr("frame left %d undecoded byte(s)", len(rest))
 	}
 	return src, tag, v, nil
 }
 
-// readFrame reads one length-prefixed frame body from r, reusing scratch
-// when it is large enough. io.EOF before the first header byte is a clean
-// close; a header cut short surfaces as io.ErrUnexpectedEOF.
-func readFrame(r io.Reader, scratch []byte) ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, wireErr("truncated frame header")
+// records decodes a flat payload of width-byte records with decode, a
+// chunk at a time, into a slice with room for at most maxReserve bytes'
+// worth before they arrive. decode is called at least once, so an empty
+// batch decodes to an empty slice, as WireAny gives.
+func (fr *frameReader) records(width int, decode func(data []byte, reserve int) error) error {
+	cnt, err := fr.take(4)
+	if err != nil {
+		return err
+	}
+	n := int(binary.LittleEndian.Uint32(cnt))
+	if int64(n)*int64(width) != int64(fr.left) {
+		return wireErr("count %d of %d-byte elements, frame holds %d byte(s)", n, width, fr.left)
+	}
+	for reserve := min(n, maxReserve/width); ; {
+		k := min(n, frameChunk/width)
+		data, err := fr.take(k * width)
+		if err == nil {
+			err = decode(data, reserve)
 		}
-		return nil, err
+		if n -= k; err != nil || n == 0 {
+			return err
+		}
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrameLen {
-		return nil, wireErr("frame length %d exceeds %d byte(s)", n, maxFrameLen)
-	}
-	body := scratch
-	if uint32(cap(body)) < n {
-		body = make([]byte, n)
-	}
-	body = body[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, wireErr("truncated frame: %v", err)
-	}
-	return body, nil
 }
 
 // ---- connection-setup frames ----
@@ -256,7 +377,16 @@ func readConnFrame(conn net.Conn, timeout time.Duration) ([]byte, error) {
 		}
 		defer conn.SetReadDeadline(time.Time{})
 	}
-	return readFrame(conn, nil)
+	var hdr [frameHeaderLen]byte
+	n, err := readFrameLen(conn, &hdr)
+	if err != nil {
+		return nil, err
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(conn, body); err != nil {
+		return nil, wireErr("truncated frame: %v", err)
+	}
+	return body, nil
 }
 
 // sendHello introduces rank on a fresh connection, bounded by timeout.

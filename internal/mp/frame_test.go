@@ -2,6 +2,7 @@ package mp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -86,51 +87,111 @@ type cheapRun struct{ u32Run }
 
 func (cheapRun) WireSize() int { return 0 }
 
+// flagRun is a flat test payload, coded by record range as mpgen codes
+// its batches: 5-byte records whose bool byte must be 0 or 1.
+type flagRun []flagRec
+
+type flagRec struct {
+	N  uint32
+	On bool
+}
+
+func (p flagRun) WireSize() int           { return 5 * len(p) }
+func (p flagRun) WireRecords() (int, int) { return len(p), 5 }
+
+func (p flagRun) AppendWireRecords(buf []byte, lo, hi int) []byte {
+	for _, r := range p[lo:hi] {
+		buf = AppendBool(AppendUint32(buf, r.N), r.On)
+	}
+	return buf
+}
+
+func (p *flagRun) DecodeWireRecords(data []byte, reserve int) error {
+	if *p == nil {
+		*p = make(flagRun, 0, reserve)
+	}
+	for ; len(data) >= 5; data = data[5:] {
+		on, _, err := WireBool(data[4:])
+		if err != nil {
+			return err
+		}
+		*p = append(*p, flagRec{N: binary.LittleEndian.Uint32(data), On: on})
+	}
+	return nil
+}
+
+func (p flagRun) AppendWire(buf []byte) ([]byte, error) {
+	return p.AppendWireRecords(AppendUint32(buf, uint32(len(p))), 0, len(p)), nil
+}
+
+func (p *flagRun) DecodeWire(data []byte) ([]byte, error) {
+	n, rest, err := WireCount(data, 5)
+	if err != nil {
+		return nil, err
+	}
+	*p = nil
+	return rest[5*n:], p.DecodeWireRecords(rest[:5*n], n)
+}
+
 // u32RunWireID is u32Run's test-only wire id, far above the manifest's.
 const u32RunWireID = 1 << 20
 
 func init() {
 	Register[u32Run](u32RunWireID)
 	Register[cheapRun](u32RunWireID + 1)
+	Register[flagRun](u32RunWireID + 2)
 }
 
-// TestFrameReserveIsAHint: appendFrame reserves the payload's price before
-// encoding. A payload that prices itself exactly costs one allocation however
-// many appends its codec makes (three under the race detector, as for a
-// one-int frame; growing by doubling, this one would take more than a
-// dozen); one that under-prices encodes to the same bytes as into a buffer
-// with room to spare.
-func TestFrameReserveIsAHint(t *testing.T) {
-	run := make(u32Run, 5000)
-	for i := range run {
-		run[i] = uint32(i)
+// TestLinkBuffersStayBounded: a link buffers at most one chunk of a frame
+// on either side. Streaming a frame many chunks long leaves the writer's
+// kept buffer at one chunk and costs it no allocation once the buffer
+// exists; a small frame sizes a fresh link's buffer to itself, not to a
+// chunk; and a payload that under-prices itself still streams to the
+// reference bytes.
+func TestLinkBuffersStayBounded(t *testing.T) {
+	big := make([]int32, 5*frameChunk/4)
+	for i := range big {
+		big[i] = int32(i)
 	}
-	var boxed any = run // boxing allocates: keep it out of the count
+	var boxed any = big // boxing allocates: keep it out of the count
+	buf, _, err := writeFrame(io.Discard, nil, 0, 1, boxed)
+	if err != nil || cap(buf) != frameChunk {
+		t.Fatalf("a %d-byte frame left a %d-byte link buffer (err %v), want one chunk", 4*len(big), cap(buf), err)
+	}
 	if n := testing.AllocsPerRun(10, func() {
-		if _, err := appendFrame(nil, 0, 1, boxed); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 3 {
-		t.Fatalf("framing %d elements took %v allocations, want one", len(run), n)
+		buf, _, _ = writeFrame(io.Discard, buf, 0, 1, boxed)
+	}); n > 1 {
+		t.Fatalf("streaming %d int32s through a link's buffer took %v allocations", len(big), n)
 	}
-	cheap := cheapRun{run[:300]}
+	small, _, err := writeFrame(io.Discard, nil, 0, tagBarrier, true)
+	if err != nil || cap(small) > 64 {
+		t.Fatalf("a barrier token left a %d-byte buffer (err %v)", cap(small), err)
+	}
+	stream := append(appendFrameT(t, 2, 9, big), appendFrameT(t, 2, 9, true)...)
+	fr := newFrameReader(bytes.NewReader(stream))
+	for range 2 {
+		if _, _, _, err := fr.next(); err != nil || cap(fr.buf) > frameChunk {
+			t.Fatalf("reader chunk buffer %d bytes (err %v), want at most %d", cap(fr.buf), err, frameChunk)
+		}
+	}
+	cheap := cheapRun{make(u32Run, 300)}
 	if priced := elemSize(cheap); priced >= 4*300 {
 		t.Fatalf("cheap payload priced at %d: not an under-priced input", priced)
 	}
-	got, err := appendFrame(nil, 2, 9, cheap)
+	var got bytes.Buffer
+	if _, _, err := writeFrame(&got, nil, 2, 9, cheap); err != nil || !bytes.Equal(got.Bytes(), appendFrameT(t, 2, 9, cheap)) {
+		t.Fatalf("an under-priced payload streams differently from the reference (err %v)", err)
+	}
+}
+
+// appendFrameT is appendFrame for values that must encode.
+func appendFrameT(t testing.TB, src, tag int, v any) []byte {
+	t.Helper()
+	frame, err := appendFrame(nil, src, tag, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := appendFrame(make([]byte, 0, 1<<16), 2, 9, cheap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("an under-priced payload encodes differently into a tight buffer")
-	}
-	if _, _, v, err := decodeFrameBody(got[frameHeaderLen:]); err != nil || !reflect.DeepEqual(v, cheap) {
-		t.Fatalf("under-priced frame decodes to %v, %v", v, err)
-	}
+	return frame
 }
 
 func TestFrameCanonicalReencode(t *testing.T) {
@@ -313,6 +374,120 @@ func FuzzFrame(f *testing.F) {
 		if err != nil || src2 != src || tag2 != tag || !reflect.DeepEqual(v, v2) {
 			t.Fatalf("re-encoded frame did not round-trip: %v / src %d tag %d %#v vs src %d tag %d %#v",
 				err, src, tag, v, src2, tag2, v2)
+		}
+	})
+}
+
+// FuzzStreamedFrame drives a link's streaming reader with arbitrary bytes
+// through arbitrary read splits: it must decode exactly what the
+// whole-frame reference decodes, or fail as the reference does (a clean
+// io.EOF, or an ErrWire), never panic; and what it accepts must stream
+// back to the bytes it consumed.
+func FuzzStreamedFrame(f *testing.F) {
+	for i, v := range append(wireSeeds(), flagRun{{1, true}, {2, false}}, flagRun{}) {
+		seed := appendFrameT(f, 3, 7, v)
+		f.Add(seed, uint64(i+1), uint16(3))
+		f.Add(seed[:len(seed)-1], uint64(i+1), uint16(1))
+	}
+	f.Add(append(AppendUint32(nil, envelopeLen+5), wireAnyBody(u32RunWireID+2, AppendUint32(nil, 1<<30))...), uint64(1), uint16(7))
+	f.Add(appendFrameT(f, 0, 0, flagRun{{7, true}})[:frameHeaderLen+envelopeLen+4+4], uint64(2), uint16(2))
+	f.Fuzz(func(t *testing.T, data []byte, state uint64, most uint16) {
+		_, _, want, wantErr := readWhole(data)
+		split := &splitReader{r: bytes.NewReader(data), state: state | 1, max: int(most) + 1}
+		src, tag, got, err := newFrameReader(split).next()
+		switch {
+		case wantErr == io.EOF || err == io.EOF:
+			if err != wantErr {
+				t.Fatalf("stream err %v, reference err %v", err, wantErr)
+			}
+		case wantErr != nil:
+			if !errors.Is(err, ErrWire) {
+				t.Fatalf("reference refused (%v) but the stream gave %v, %#v", wantErr, err, got)
+			}
+		case err != nil || !reflect.DeepEqual(got, want):
+			t.Fatalf("stream err %v, value %#v; reference value %#v", err, got, want)
+		default:
+			var re bytes.Buffer
+			if _, _, err := writeFrame(&re, nil, src, tag, got); err != nil {
+				t.Fatalf("decoded frame failed to stream: %v", err)
+			}
+			if !bytes.Equal(re.Bytes(), data[:re.Len()]) {
+				t.Fatalf("streamed re-encoding differs from the bytes read:\n got %x\nread %x", re.Bytes(), data[:re.Len()])
+			}
+		}
+	})
+}
+
+// readWhole reads and decodes one frame the reference way.
+func readWhole(data []byte) (src, tag int, v any, err error) {
+	body, err := readFrame(bytes.NewReader(data), nil)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	return decodeFrameBody(body)
+}
+
+// splitReader hands out r's bytes in reads of 1..max bytes, sized by an
+// xorshift sequence.
+type splitReader struct {
+	r     io.Reader
+	state uint64
+	max   int
+}
+
+func (s *splitReader) Read(p []byte) (int, error) {
+	s.state ^= s.state << 13
+	s.state ^= s.state >> 7
+	s.state ^= s.state << 17
+	return s.r.Read(p[:min(len(p), 1+int(s.state%uint64(s.max)))])
+}
+
+// FuzzHello drives the handshake with an arbitrary setup body: decodeHello
+// and decodeTable must accept only what re-encodes to the same bytes, and
+// admitHello must install the connection exactly when the hello decodes,
+// carries this build's checksum and names a rank the listener expects in a
+// free slot — never panic, and on refusal leave the table untouched.
+func FuzzHello(f *testing.F) {
+	for _, h := range []hello{
+		{Checksum: WireProtocolChecksum, Rank: 2},
+		{Checksum: WireProtocolChecksum, Rank: 1, Addr: "127.0.0.1:9"},
+		{Checksum: WireProtocolChecksum, Rank: 7},
+		{Checksum: WireProtocolChecksum ^ 1, Rank: 3},
+	} {
+		f.Add(appendHello(nil, h))
+	}
+	f.Add(appendTable(nil, addrTable{Checksum: WireProtocolChecksum, Addrs: []string{"", "a:1"}}))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		h, err := decodeHello(body)
+		if err == nil && !bytes.Equal(appendHello(nil, h), body) {
+			t.Fatalf("hello %+v decoded from bytes it does not re-encode to", h)
+		}
+		if tbl, err := decodeTable(body); err == nil && !bytes.Equal(appendTable(nil, tbl), body) {
+			t.Fatalf("table %+v decoded from bytes it does not re-encode to", tbl)
+		}
+		a, b := net.Pipe()
+		defer a.Close()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_ = writeConnFrame(b, body, time.Second) // a refused hello is closed under the writer
+			b.Close()
+		}()
+		conns := make([]net.Conn, 4)
+		conns[3] = b // a rank already admitted
+		got, aerr := admitHello(a, time.Second, conns, 1, 4)
+		<-done
+		want := err == nil && h.Checksum == WireProtocolChecksum && h.Rank >= 1 && h.Rank < 3
+		if (aerr == nil) != want {
+			t.Fatalf("admitHello(%+v) = %v, want admitted %v", h, aerr, want)
+		}
+		for rank, c := range conns {
+			if wantConn := map[bool]net.Conn{true: a, false: nil}[want && rank == h.Rank]; rank != 3 && c != wantConn {
+				t.Fatalf("hello %+v (admitted %v): slot %d holds %v", h, want, rank, c)
+			}
+		}
+		if want && got != h {
+			t.Fatalf("admitted hello %+v, decoded %+v", got, h)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package mp
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -41,11 +40,11 @@ type mailbox struct {
 }
 
 // link is one directed view of a connection: the socket plus a reusable
-// frame-encoding buffer, guarded by a mutex that Send holds across the
-// socket write, so frames never interleave (Limits.SendTimeout bounds
-// that stall). dead marks a stream that failed mid-write — a partial
-// frame may be on the wire, so the connection must never carry another
-// send.
+// frame-encoding buffer of at most frameChunk bytes, guarded by a mutex
+// that Send holds across a frame's chunk writes, so frames never
+// interleave (Limits.SendTimeout bounds each frame's stall). dead marks a
+// stream that failed mid-write — a partial frame may be on the wire, so
+// the connection must never carry another send.
 type link struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -260,16 +259,13 @@ func (m *machine) put(rank int, env envelope) {
 // nothing will ever drain the mailbox again, so appending would only grow
 // the queue unboundedly while the run unwinds.
 func (m *machine) readLoop(rank, peer int, conn net.Conn) {
-	r := bufio.NewReader(conn)
-	var scratch []byte
+	fr := newFrameReader(conn)
 	for {
-		body, err := readFrame(r, scratch)
-		if err != nil {
+		src, tag, v, err := fr.next()
+		if err != nil && fr.failed {
 			m.peerFailed(peer, fmt.Errorf("mp: rank %d lost its connection to rank %d (%w): %w", rank, peer, err, ErrRankLost))
 			return
 		}
-		scratch = body
-		src, tag, v, err := decodeFrameBody(body)
 		if err == nil && src != peer {
 			err = wireErr("frame claims source rank %d", src)
 		}
@@ -339,13 +335,6 @@ func (c *comm) Send(to, tag int, v any) error {
 		// garbage it misattributes. The peer was marked lost then.
 		return fmt.Errorf("mp: send %d->%d: connection already failed: %w", c.rank, to, ErrRankLost)
 	}
-	frame, err := appendFrame(l.buf[:0], c.rank, tag, v)
-	if err != nil {
-		// Encoding failed before any byte reached the socket; the stream
-		// is still clean and the connection stays usable.
-		return fmt.Errorf("mp: send %d->%d: %w", c.rank, to, err)
-	}
-	l.buf = frame
 	if d := m.lim.SendTimeout; d > 0 {
 		deadline := time.Now().Add(d) //lint:allow nondeterminism transport deadline, never a routing decision
 		if err := l.conn.SetWriteDeadline(deadline); err != nil {
@@ -357,7 +346,14 @@ func (c *comm) Send(to, tag int, v any) error {
 		}
 		defer l.conn.SetWriteDeadline(time.Time{})
 	}
-	if _, err := l.conn.Write(frame); err != nil {
+	buf, wrote, err := writeFrame(l.conn, l.buf[:0], c.rank, tag, v)
+	l.buf = buf
+	switch {
+	case err != nil && !wrote:
+		// Encoding failed before any byte reached the socket; the stream
+		// is still clean and the connection stays usable.
+		return fmt.Errorf("mp: send %d->%d: %w", c.rank, to, err)
+	case err != nil:
 		// Any failed write may have left a partial frame on the wire, so
 		// the connection is dead from here on — never reused.
 		l.dead = true

@@ -1,11 +1,13 @@
 package mp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -177,6 +179,81 @@ func TestReadLoopCorruptFrameMarksPeerLost(t *testing.T) {
 	}
 	if err := m.abortErr(); !errors.Is(err, ErrRankLost) {
 		t.Fatalf("abort error = %v, want ErrRankLost", err)
+	}
+}
+
+// chunkCutter passes its first k writes to the connection, then closes it:
+// a sending rank killed after k chunks of a frame.
+type chunkCutter struct {
+	net.Conn
+	k int
+}
+
+func (c *chunkCutter) Write(p []byte) (int, error) {
+	if c.k == 0 {
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	c.k--
+	return c.Conn.Write(p)
+}
+
+// TestReadLoopWriterDiesMidFrame: a peer that dies partway through a
+// streamed frame — after the header, or k whole chunks in — is a lost
+// connection, not a corrupt frame; the records already decoded do not
+// make the reader blame what the stream carried.
+func TestReadLoopWriterDiesMidFrame(t *testing.T) {
+	big := make([]int32, 3*frameChunk/4+7) // four chunks
+	for k := range 4 {
+		a, b := net.Pipe()
+		m, _ := pipeMachine(t, Limits{}, a)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			m.readLoop(0, 1, a)
+		}()
+		if _, _, err := writeFrame(&chunkCutter{Conn: b, k: k}, nil, 1, 1, big); !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("k=%d: cut writer returned %v", k, err)
+		}
+		<-done
+		a.Close()
+		err := m.abortErr()
+		if !errors.Is(err, ErrRankLost) || !strings.Contains(err.Error(), "lost its connection to rank 1") {
+			t.Fatalf("writer killed after %d chunk(s): abort error %v, want a lost connection", k, err)
+		}
+	}
+}
+
+// TestFrameClaimAllocatesOnlyWhatArrives: a length prefix is a claim, not
+// an allocation request. The whole-frame reader made a buffer of the
+// claimed size before reading it (256 MiB for a prefix of maxFrameLen); a
+// link reads the claim into a buffer of at most one chunk and sizes a
+// flat payload's slice from its count only once its first records have
+// arrived, at most maxReserve bytes' worth.
+func TestFrameClaimAllocatesOnlyWhatArrives(t *testing.T) {
+	n := (maxFrameLen - envelopeLen - 4) / 4
+	head := AppendUint32(AppendInt(AppendInt(AppendUint32(nil, maxFrameLen), 1), 1), wireIDInt32s)
+	head = AppendUint32(AppendUint32(head, uint32(4+4*n)), uint32(n))
+	oneChunk := append(append([]byte(nil), head...), make([]byte, frameChunk)...)
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		most   uint64
+	}{
+		{"length prefix alone", AppendUint32(nil, maxFrameLen), 16 << 10},
+		{"envelope head and count", head, frameChunk + 16<<10},
+		{"one chunk of records", oneChunk, 2*frameChunk + maxReserve},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := newFrameReader(bytes.NewReader(tc.stream)).next()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrWire) {
+			t.Fatalf("%s: err %v, want a truncated frame", tc.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.most {
+			t.Errorf("%s: reading the claim allocated %d bytes, want at most %d", tc.name, got, tc.most)
+		}
 	}
 }
 

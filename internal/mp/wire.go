@@ -170,10 +170,14 @@ const (
 )
 
 // wireCodec is one registered payload type's entry in the id registry.
+// A flat payload (see records) also has its record width and stream, its
+// decoder straight off a frameReader.
 type wireCodec struct {
-	id  uint32
-	typ reflect.Type
-	dec func(data []byte) (any, []byte, error)
+	id     uint32
+	typ    reflect.Type
+	dec    func(data []byte) (any, []byte, error)
+	width  int
+	stream func(fr *frameReader) (any, error)
 }
 
 var wireRegistry = struct {
@@ -206,6 +210,16 @@ func Register[T Payload, P interface {
 		rest, err := P(&x).DecodeWire(data)
 		return x, rest, err
 	}}
+	var zero T
+	if rec, ok := any(zero).(records); ok {
+		_, c.width = rec.WireRecords()
+		c.stream = func(fr *frameReader) (any, error) {
+			var x T
+			dec := any(P(&x)).(interface{ DecodeWireRecords([]byte, int) error })
+			err := fr.records(c.width, dec.DecodeWireRecords)
+			return x, err
+		}
+	}
 	wireRegistry.byID[id] = c
 	wireRegistry.byType[typ] = c
 }
@@ -233,12 +247,7 @@ func AppendAny(buf []byte, v any) ([]byte, error) {
 	switch p := v.(type) {
 	case []int32:
 		id = wireIDInt32s
-		buf = AppendUint32(buf, uint32(len(p)))
-		at := len(buf)
-		buf = append(buf, make([]byte, 4*len(p))...)
-		for i, x := range p {
-			binary.LittleEndian.PutUint32(buf[at+4*i:], uint32(x))
-		}
+		buf = int32s(p).AppendWireRecords(AppendUint32(buf, uint32(len(p))), 0, len(p))
 	case int:
 		id = wireIDInt
 		buf = AppendInt(buf, p)
@@ -275,9 +284,20 @@ func WireAny(data []byte) (any, []byte, error) {
 	if uint64(n) > uint64(len(rest)) {
 		return nil, nil, wireErr("any body length %d exceeds %d remaining byte(s)", n, len(rest))
 	}
-	body, tail := rest[:n], rest[n:]
+	v, err := decodeAnyBody(id, rest[:n])
+	if err != nil {
+		return nil, nil, err
+	}
+	return v, rest[n:], nil
+}
+
+// decodeAnyBody decodes the body of an interface value whose wire id is
+// id. The body must be consumed exactly; an unknown id (0 included) is an
+// ErrWire.
+func decodeAnyBody(id uint32, body []byte) (any, error) {
 	var v any
 	var after []byte
+	var err error
 	switch id {
 	case wireIDInt32s:
 		v, after, err = wireInt32s(body)
@@ -288,17 +308,40 @@ func WireAny(data []byte) (any, []byte, error) {
 	default:
 		c := codecByID(id)
 		if c == nil {
-			return nil, nil, wireErr("unknown wire type id %d", id)
+			return nil, wireErr("unknown wire type id %d", id)
 		}
 		v, after, err = c.dec(body)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(after) != 0 {
-		return nil, nil, wireErr("wire type id %d left %d undecoded byte(s)", id, len(after))
+		return nil, wireErr("wire type id %d left %d undecoded byte(s)", id, len(after))
 	}
-	return v, tail, nil
+	return v, nil
+}
+
+// int32s is the []int32 builtin as a flat payload: 4-byte records, so it
+// takes the same range codecs and chunked frames as every mpgen batch.
+type int32s []int32
+
+func (p int32s) WireRecords() (int, int) { return len(p), 4 }
+
+func (p int32s) AppendWireRecords(buf []byte, lo, hi int) []byte {
+	for _, x := range p[lo:hi] {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
+	}
+	return buf
+}
+
+func (p *int32s) DecodeWireRecords(data []byte, reserve int) error {
+	if *p == nil {
+		*p = make(int32s, 0, reserve)
+	}
+	for ; len(data) >= 4; data = data[4:] {
+		*p = append(*p, int32(binary.LittleEndian.Uint32(data)))
+	}
+	return nil
 }
 
 // wireInt32s consumes a []int32 body: u32 count, then 4-byte elements.
@@ -308,9 +351,7 @@ func wireInt32s(data []byte) ([]int32, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(rest[4*i:]))
-	}
-	return out, rest[4*n:], nil
+	var out int32s
+	err = out.DecodeWireRecords(rest[:4*n], n)
+	return out, rest[4*n:], err
 }

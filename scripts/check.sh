@@ -112,7 +112,13 @@ step "peer batches only read (P=3 inproc, -race x20)" peer_batches
 # FuzzAnyCodec and FuzzFrame are seeded with each builtin and a registered
 # payload, whole and with a count its body cannot hold. FuzzFrame drives
 # the socket framing the multi-process TCP engine puts those codecs on: arbitrary byte streams must decode-or-reject, never
-# panic, and accepted frames must re-encode canonically. FuzzGridDelta is
+# panic, and accepted frames must re-encode canonically. FuzzStreamedFrame
+# reads the same streams the way a link does, a chunk at a time through
+# arbitrary read splits: it must decode what the whole-frame reference
+# decodes or fail with ErrWire, and stream back the bytes it read.
+# FuzzHello feeds arbitrary hello bodies to the handshake: admitHello
+# installs a connection exactly when the hello decodes, carries this
+# build's checksum and names an expected, free rank. FuzzGridDelta is
 # the same bargain one layer up, for the (index, change) pairs a net-wise
 # sync takes off the mesh: applied or refused whole, never a panic.
 # FuzzWireBatches feeds arbitrary received wire batches through the
@@ -135,6 +141,8 @@ fuzz_smoke() {
     go test -race -run '^$' -fuzz '^FuzzWireBatches$' -fuzztime 3s ./internal/parallel &&
     go test -race -run '^$' -fuzz '^FuzzAnyCodec$' -fuzztime 3s ./internal/mp &&
     go test -race -run '^$' -fuzz '^FuzzFrame$' -fuzztime 3s ./internal/mp &&
+    go test -race -run '^$' -fuzz '^FuzzStreamedFrame$' -fuzztime 3s ./internal/mp &&
+    go test -race -run '^$' -fuzz '^FuzzHello$' -fuzztime 3s ./internal/mp &&
     go test -race -run '^$' -fuzz '^FuzzGridDelta$' -fuzztime 3s ./internal/route &&
     go test -race -run '^$' -fuzz '^FuzzOccupancyPeaks$' -fuzztime 3s ./internal/route &&
     go test -race -run '^$' -fuzz '^FuzzAppendJSON$' -fuzztime 3s ./internal/metrics &&
