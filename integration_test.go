@@ -42,9 +42,9 @@ func checkResult(t *testing.T, name string, numChannels int, res *metrics.Result
 		if w.Channel < 0 || int(w.Channel) >= numChannels {
 			t.Errorf("%s: wire %d in channel %d", name, i, w.Channel)
 		}
-		if !w.Span.Empty() && (w.Span.Lo < 0 || int(w.Span.Hi) > res.CoreWidth) {
+		if !w.Span().Empty() && (w.Span().Lo < 0 || int(w.Span().Hi) > res.CoreWidth) {
 			t.Errorf("%s: wire %d span %v outside core width %d",
-				name, i, w.Span, res.CoreWidth)
+				name, i, w.Span(), res.CoreWidth)
 		}
 	}
 	// The detailed channel router can realize the result with a bounded

@@ -18,7 +18,7 @@ func FromWires(numChannels int, wires []metrics.Wire) [][]Wire {
 		if ch < 0 || ch >= numChannels {
 			continue
 		}
-		cw := Wire{Net: int(mw.Net), Span: mw.Span}
+		cw := Wire{Net: int(mw.Net), Span: mw.Span()}
 		for _, end := range [][2]int32{{mw.AX, mw.ARow}, {mw.BX, mw.BRow}} {
 			x, row := int(end[0]), int(end[1])
 			switch row {

@@ -2,6 +2,8 @@ package channel
 
 import (
 	"context"
+	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -202,7 +204,7 @@ func TestFromWiresContactDerivation(t *testing.T) {
 	// Wire in channel 3 with endpoint anchors in rows 3 (above -> top
 	// contact) and 2 (below -> bottom contact).
 	ws := []metrics.Wire{{
-		Net: 7, Channel: 3, Span: iv(10, 50),
+		Net: 7, Channel: 3,
 		AX: 10, ARow: 3, BX: 50, BRow: 2,
 	}}
 	byCh := FromWires(5, ws)
@@ -252,4 +254,45 @@ func TestRouteAllOnRealCircuit(t *testing.T) {
 			t.Fatalf("channel %d: %v", ch, err)
 		}
 	}
+}
+
+// Validate checks an assignment: wires on the same track never overlap,
+// every non-empty wire has a track, and the track count is consistent.
+// It returns the first violation found.
+func Validate(wires []Wire, asg Assignment) error {
+	if len(asg.Track) != len(wires) {
+		return fmt.Errorf("channel: %d track entries for %d wires", len(asg.Track), len(wires))
+	}
+	byTrack := make(map[int][]int)
+	for i := range wires {
+		tr := asg.Track[i]
+		if wires[i].Span.Empty() {
+			if tr != -1 {
+				return fmt.Errorf("channel: empty wire %d assigned track %d", i, tr)
+			}
+			continue
+		}
+		if tr < 0 || tr >= asg.Tracks {
+			return fmt.Errorf("channel: wire %d on track %d of %d", i, tr, asg.Tracks)
+		}
+		byTrack[tr] = append(byTrack[tr], i)
+	}
+	for tr, idxs := range byTrack {
+		sort.Slice(idxs, func(a, b int) bool {
+			if la, lb := wires[idxs[a]].Span.Lo, wires[idxs[b]].Span.Lo; la != lb {
+				return la < lb
+			}
+			// Same-Lo wires on one track necessarily overlap; the index
+			// tiebreak just pins which pair the error message names.
+			return idxs[a] < idxs[b]
+		})
+		for k := 1; k < len(idxs); k++ {
+			prev, cur := &wires[idxs[k-1]], &wires[idxs[k]]
+			if prev.Span.Overlaps(cur.Span) {
+				return fmt.Errorf("channel: track %d: wires %d and %d overlap (%v, %v)",
+					tr, idxs[k-1], idxs[k], prev.Span, cur.Span)
+			}
+		}
+	}
+	return nil
 }

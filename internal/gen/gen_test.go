@@ -100,8 +100,8 @@ func TestGiantNets(t *testing.T) {
 	}
 	// Giant nets must spread across most rows (clock-tree shape).
 	bb := c.NetBBox(0)
-	if bb.Height() < len(c.Rows)/2 {
-		t.Fatalf("giant net spans only %d rows of %d", bb.Height(), len(c.Rows))
+	if h := bb.MaxY - bb.MinY; h < len(c.Rows)/2 {
+		t.Fatalf("giant net spans only %d rows of %d", h, len(c.Rows))
 	}
 }
 
@@ -116,7 +116,8 @@ func TestLocality(t *testing.T) {
 		if len(c.NetPins(i)) < 2 {
 			continue
 		}
-		heights = append(heights, c.NetBBox(i).Height())
+		bb := c.NetBBox(i)
+		heights = append(heights, bb.MaxY-bb.MinY)
 	}
 	tall := 0
 	for _, h := range heights {

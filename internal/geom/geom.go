@@ -131,17 +131,6 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
 }
 
-// Width returns the horizontal extent (inclusive point count minus one).
-func (r Rect) Width() int { return r.MaxX - r.MinX }
-
-// Height returns the vertical extent (inclusive point count minus one).
-func (r Rect) Height() int { return r.MaxY - r.MinY }
-
-// Center returns the midpoint of the rectangle, rounded toward MinX/MinY.
-func (r Rect) Center() Point {
-	return Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
-}
-
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d]x[%d,%d]", r.MinX, r.MaxX, r.MinY, r.MaxY)
 }

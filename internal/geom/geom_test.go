@@ -101,12 +101,6 @@ func TestRect(t *testing.T) {
 			t.Fatalf("bbox must contain its defining point %v", p)
 		}
 	}
-	if r.Width() != 7 || r.Height() != 4 {
-		t.Fatalf("width/height = %d/%d", r.Width(), r.Height())
-	}
-	if c := r.Center(); c.X != 3 || c.Y != 3 {
-		t.Fatalf("center = %v", c)
-	}
 	r2 := r.Expand(Point{-1, 9})
 	if r2.MinX != -1 || r2.MaxY != 9 {
 		t.Fatalf("expand = %v", r2)

@@ -6,8 +6,6 @@ import (
 	"io"
 	"strconv"
 	"time"
-
-	"parroute/internal/geom"
 )
 
 // jsonResult is the stable on-disk form of a Result, as ReadResultJSON reads
@@ -71,13 +69,14 @@ func (r *Result) AppendJSON(dst []byte) []byte {
 		}
 		dst = appendInt(dst, `{"net":`, w.Net)
 		dst = appendInt(dst, `,"ch":`, w.Channel)
-		dst = appendInt(dst, `,"lo":`, w.Span.Lo)
-		dst = appendInt(dst, `,"hi":`, w.Span.Hi)
+		span := w.Span()
+		dst = appendInt(dst, `,"lo":`, span.Lo)
+		dst = appendInt(dst, `,"hi":`, span.Hi)
 		if w.Switchable {
 			dst = append(dst, `,"sw":true`...)
 		}
-		if w.Row != 0 {
-			dst = appendInt(dst, `,"row":`, w.Row)
+		if row := w.Row(); row != 0 {
+			dst = appendInt(dst, `,"row":`, row)
 		}
 		dst = appendInt(dst, `,"ax":`, w.AX)
 		dst = appendInt(dst, `,"ar":`, w.ARow)
@@ -116,7 +115,10 @@ func appendMarshal(dst []byte, key string, v any) []byte {
 	return append(append(dst, key...), b...)
 }
 
-// ReadResultJSON parses a result written by WriteJSON.
+// ReadResultJSON parses a result written by WriteJSON. A wire's "lo", "hi"
+// and "row" are what its anchors give (Wire.Span, Wire.Row), and a
+// switchable wire's anchors share a row whose channels hold it; a wire
+// that says otherwise is refused, since Wire keeps only the anchors.
 func ReadResultJSON(rd io.Reader) (*Result, error) {
 	var jr jsonResult
 	if err := json.NewDecoder(rd).Decode(&jr); err != nil {
@@ -133,12 +135,23 @@ func ReadResultJSON(rd io.Reader) (*Result, error) {
 	}
 	r.Wires = make([]Wire, len(jr.Wires))
 	for i, jw := range jr.Wires {
-		r.Wires[i] = Wire{
-			Net: jw.Net, Channel: jw.Channel,
-			Span:       geom.Interval{Lo: jw.Lo, Hi: jw.Hi},
-			Switchable: jw.Switchable, Row: jw.Row,
+		w := Wire{
+			Net: jw.Net, Channel: jw.Channel, Switchable: jw.Switchable,
 			AX: jw.AX, ARow: jw.ARow, BX: jw.BX, BRow: jw.BRow,
 		}
+		if span := w.Span(); jw.Lo != span.Lo || jw.Hi != span.Hi {
+			return nil, fmt.Errorf("metrics: wire %d: lo/hi [%d,%d] differ from its anchors' %v", i, jw.Lo, jw.Hi, span)
+		}
+		if jw.Row != w.Row() {
+			return nil, fmt.Errorf("metrics: wire %d: row %d differs from its anchors' %d", i, jw.Row, w.Row())
+		}
+		if w.Switchable && w.ARow != w.BRow {
+			return nil, fmt.Errorf("metrics: switchable wire %d: anchor rows %d and %d differ", i, w.ARow, w.BRow)
+		}
+		if w.Switchable && w.Channel != w.ARow && int64(w.Channel) != int64(w.ARow)+1 {
+			return nil, fmt.Errorf("metrics: switchable wire %d: channel %d is off its row %d", i, w.Channel, w.ARow)
+		}
+		r.Wires[i] = w
 	}
 	return r, nil
 }

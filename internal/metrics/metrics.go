@@ -16,23 +16,41 @@ import (
 
 // Wire is one horizontal run placed in a routing channel. Switchable wires
 // (both endpoints electrically equivalent on the opposite cell edge, or
-// feedthrough pins) may sit in either channel adjacent to Row; Channel
-// records the current choice. Every field is int32 (40 B): its values fit
-// circuit.MaxCoord, which is checked where they enter the process.
+// feedthrough pins) may sit in either channel adjacent to their row;
+// Channel records the current choice. Every number is int32 (28 B): its
+// values fit circuit.MaxCoord, which is checked where they enter the
+// process. A wire holds only what its anchors do not say: its extent is
+// Span and its row Row, both derived from them.
 type Wire struct {
 	Net     int32
 	Channel int32
-	Span    geom.Interval
-	// Switchable marks step-5 candidates; Row is the cell row whose two
-	// adjacent channels (Row and Row+1) the wire may occupy.
-	Switchable bool
-	Row        int32
 	// Endpoint anchors: the (x, row) of the two connection points the
 	// wire joins. The detailed channel router derives its vertical
 	// constraints from them: an endpoint in the row above the channel is
 	// a top-edge contact, one in the row below a bottom-edge contact.
 	AX, ARow int32
 	BX, BRow int32
+	// Switchable marks step-5 candidates: both anchors in one cell row,
+	// whose two adjacent channels (Row and Row+1) the wire may occupy.
+	Switchable bool
+}
+
+// Span is the track-occupying extent between the anchors; a zero-length
+// connection occupies no track.
+func (w *Wire) Span() geom.Interval {
+	if w.AX == w.BX {
+		return geom.Interval{Lo: 1, Hi: 0}
+	}
+	return geom.Interval{Lo: min(w.AX, w.BX), Hi: max(w.AX, w.BX)}
+}
+
+// Row is a switchable wire's cell row, the lower of the two channels it
+// may occupy: its anchors' row. It is 0 for every other wire.
+func (w *Wire) Row() int32 {
+	if !w.Switchable {
+		return 0
+	}
+	return w.ARow
 }
 
 // OtherChannel returns the alternative channel of a switchable wire.
@@ -41,10 +59,10 @@ func (w *Wire) OtherChannel() int {
 	if !w.Switchable {
 		panic("metrics: OtherChannel on non-switchable wire") //lint:allow panic-in-library documented contract: callers filter on Switchable
 	}
-	if w.Channel == w.Row {
-		return int(w.Row) + 1
+	if w.Channel == w.ARow {
+		return int(w.ARow) + 1
 	}
-	return int(w.Row)
+	return int(w.ARow)
 }
 
 // ChannelDensities returns, per channel, the maximum number of wires
@@ -65,7 +83,8 @@ func ChannelDensities(numChannels int, wires []Wire, workers int) []int {
 	var maxEv int64
 	for i := range wires {
 		w := &wires[i]
-		if w.Span.Empty() {
+		span := w.Span()
+		if span.Empty() {
 			continue
 		}
 		if w.Channel < 0 || int(w.Channel) >= numChannels {
@@ -74,11 +93,11 @@ func ChannelDensities(numChannels int, wires []Wire, workers int) []int {
 			// channels.
 			panic(fmt.Sprintf("metrics: wire in channel %d of %d", w.Channel, numChannels)) //lint:allow panic-in-library router invariant: wires are produced in range
 		}
-		if w.Span.Lo < 0 {
+		if span.Lo < 0 {
 			// Same class of invariant as the channel check: wire spans live
 			// inside the non-negative core extent, which the event keys
 			// (x shifted over the open/close bit) rely on.
-			panic(fmt.Sprintf("metrics: wire span [%d,%d] outside packable range", w.Span.Lo, w.Span.Hi)) //lint:allow panic-in-library router invariant: spans are in-core
+			panic(fmt.Sprintf("metrics: wire span [%d,%d] outside packable range", span.Lo, span.Hi)) //lint:allow panic-in-library router invariant: spans are in-core
 		}
 		off[w.Channel+1] += 2
 	}
@@ -92,11 +111,12 @@ func ChannelDensities(numChannels int, wires []Wire, workers int) []int {
 	cursor := slices.Clone(off[:numChannels])
 	for i := range wires {
 		w := &wires[i]
-		if w.Span.Empty() {
+		span := w.Span()
+		if span.Empty() {
 			continue
 		}
 		k := cursor[w.Channel]
-		evs[k], evs[k+1] = int64(w.Span.Lo)<<1|1, (int64(w.Span.Hi)+1)<<1
+		evs[k], evs[k+1] = int64(span.Lo)<<1|1, (int64(span.Hi)+1)<<1
 		cursor[w.Channel] = k + 2
 		maxEv = max(maxEv, evs[k+1])
 	}
@@ -173,7 +193,7 @@ func TotalTracks(densities []int) int {
 func Wirelength(wires []Wire) int64 {
 	var wl int64
 	for i := range wires {
-		wl += int64(wires[i].Span.Len())
+		wl += int64(wires[i].Span().Len())
 	}
 	return wl
 }

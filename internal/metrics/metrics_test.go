@@ -14,8 +14,10 @@ import (
 	"parroute/internal/rng"
 )
 
-func wire(ch, lo, hi int) Wire {
-	return Wire{Channel: int32(ch), Span: geom.NewInterval(lo, hi)}
+// wire is a non-switchable wire in channel ch between anchors at x = a and
+// x = b: its span covers both, or nothing when a == b.
+func wire(ch, a, b int) Wire {
+	return Wire{Channel: int32(ch), AX: int32(a), BX: int32(b)}
 }
 
 func TestChannelDensitiesBasic(t *testing.T) {
@@ -48,7 +50,7 @@ func TestChannelDensitiesTouchingSpans(t *testing.T) {
 }
 
 func TestChannelDensitiesIgnoresEmpty(t *testing.T) {
-	empty := Wire{Channel: 0, Span: geom.Interval{Lo: 1, Hi: 0}}
+	empty := wire(0, 7, 7)
 	d := ChannelDensities(1, []Wire{empty}, 1)
 	if d[0] != 0 {
 		t.Fatalf("empty wire counted: %v", d)
@@ -78,7 +80,7 @@ func TestDensityMatchesBruteForce(t *testing.T) {
 			for x := 0; x < 50; x++ {
 				cnt := 0
 				for _, w := range wires {
-					if int(w.Channel) == ch && w.Span.Contains(x) {
+					if int(w.Channel) == ch && w.Span().Contains(x) {
 						cnt++
 					}
 				}
@@ -103,12 +105,12 @@ func TestDensityMatchesBruteForce(t *testing.T) {
 func refChannelDensities(numChannels int, wires []Wire) []int {
 	evs := make([]int64, 0, 2*len(wires))
 	for i := range wires {
-		w := &wires[i]
-		if w.Span.Empty() {
+		span := wires[i].Span()
+		if span.Empty() {
 			continue
 		}
-		ch := int64(w.Channel) << 41
-		evs = append(evs, ch|int64(w.Span.Lo)<<1|1, ch|(int64(w.Span.Hi)+1)<<1)
+		ch := int64(wires[i].Channel) << 41
+		evs = append(evs, ch|int64(span.Lo)<<1|1, ch|(int64(span.Hi)+1)<<1)
 	}
 	slices.Sort(evs)
 	dens := make([]int, numChannels)
@@ -151,10 +153,9 @@ func TestChannelDensitiesMatchesGlobalSort(t *testing.T) {
 			lo := r.Intn(xs)
 			switch r.Intn(4) {
 			case 0:
-				wires[i] = wire(ch, lo, lo)
-				wires[i].Span.Lo++ // empty
+				wires[i] = wire(ch, lo, lo) // empty
 			case 1:
-				wires[i] = wire(ch, lo, lo) // single point: opens where others close
+				wires[i] = wire(ch, lo, lo+1) // shortest extent: opens where others close
 			default:
 				wires[i] = wire(ch, lo, lo+r.Intn(xs))
 			}
@@ -174,7 +175,7 @@ func TestChannelDensitiesMatchesGlobalSort(t *testing.T) {
 func TestChannelDensitiesPanicsOnBadWire(t *testing.T) {
 	for _, bad := range []Wire{wire(-1, 0, 1), wire(3, 0, 1), wire(0, -1, 1), wire(0, math.MinInt32, 1)} {
 		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("ch%d/%v/w%d", bad.Channel, bad.Span, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("ch%d/%v/w%d", bad.Channel, bad.Span(), workers), func(t *testing.T) {
 				defer func() {
 					if recover() == nil {
 						t.Fatal("out-of-range wire should panic")
@@ -192,7 +193,7 @@ func TestChannelDensitiesPanicsOnBadWire(t *testing.T) {
 // as one.
 func TestChannelDensitiesAtMaxInt32(t *testing.T) {
 	const top = math.MaxInt32
-	wires := []Wire{wire(0, top-5, top), wire(0, top-3, top), wire(1, top, top), wire(1, 0, 1)}
+	wires := []Wire{wire(0, top-5, top), wire(0, top-3, top), wire(1, top-1, top), wire(1, 0, 1)}
 	for _, workers := range []int{1, 2} {
 		if got := ChannelDensities(2, wires, workers); !slices.Equal(got, []int{2, 1}) {
 			t.Fatalf("workers %d: densities %v, want [2 1]", workers, got)
@@ -204,19 +205,20 @@ func TestChannelDensitiesAtMaxInt32(t *testing.T) {
 }
 
 // TestWireStaysSmall pins the size of the record step 4 writes once per tree
-// edge, step 5 streams and the drivers ship between ranks: 40 bytes a wire,
-// seven int32 fields, the interval's two and the switchable flag (80 with
-// int fields).
+// edge, step 5 streams and the drivers ship between ranks: 28 bytes a wire,
+// six int32 fields and the switchable flag (40 with the span and row
+// stored, 80 with int fields).
 func TestWireStaysSmall(t *testing.T) {
-	if size := unsafe.Sizeof(Wire{}); size > 40 {
-		t.Fatalf("Wire is %d bytes, at most 40 expected", size)
+	if size := unsafe.Sizeof(Wire{}); size > 28 {
+		t.Fatalf("Wire is %d bytes, at most 28 expected", size)
 	}
 }
 
 func TestWirelength(t *testing.T) {
-	wires := []Wire{wire(0, 0, 9), wire(1, 5, 5)}
-	// Closed intervals: [0,9] has 10 points, [5,5] has 1.
-	if wl := Wirelength(wires); wl != 11 {
+	wires := []Wire{wire(0, 0, 9), wire(1, 5, 6), wire(2, 5, 5)}
+	// Closed intervals: [0,9] has 10 points, [5,6] has 2, and a zero-length
+	// connection none.
+	if wl := Wirelength(wires); wl != 12 {
 		t.Fatalf("wirelength = %d", wl)
 	}
 }
@@ -230,7 +232,7 @@ func TestArea(t *testing.T) {
 }
 
 func TestOtherChannel(t *testing.T) {
-	w := Wire{Channel: 4, Switchable: true, Row: 4}
+	w := Wire{Channel: 4, Switchable: true, ARow: 4, BRow: 4}
 	if w.OtherChannel() != 5 {
 		t.Fatalf("other = %d", w.OtherChannel())
 	}
@@ -287,9 +289,8 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	r := &Result{
 		Circuit: "x", Algo: "hybrid", Procs: 4,
 		Wires: []Wire{
-			{Net: 1, Channel: 2, Span: geom.NewInterval(3, 9), Switchable: true, Row: 2,
-				AX: 3, ARow: 2, BX: 9, BRow: 1},
-			{Net: 2, Channel: 0, Span: geom.Interval{Lo: 1, Hi: 0}},
+			{Net: 1, Channel: 2, Switchable: true, AX: 9, ARow: 2, BX: 3, BRow: 2},
+			{Net: 2, Channel: 0, AX: 4, ARow: 0, BX: 4, BRow: 1},
 		},
 		ChannelDensity: []int{1, 0, 1}, TotalTracks: 2, Area: 500, Wirelength: 7,
 		Feedthroughs: 3, ForcedEdges: 0, CoreWidth: 100,
@@ -362,8 +363,8 @@ func TestReadResultJSONRejectsOutOfRangeWire(t *testing.T) {
 			}
 		}
 	}
-	doc := `{"wires":[{"lo":2147483647,"hi":2147483647,"ax":-2147483648}]}`
-	if r, err := ReadResultJSON(bytes.NewBufferString(doc)); err != nil || r.Wires[0].Span.Hi != math.MaxInt32 {
+	doc := `{"wires":[{"lo":-2147483648,"hi":2147483647,"ax":2147483647,"bx":-2147483648}]}`
+	if r, err := ReadResultJSON(bytes.NewBufferString(doc)); err != nil || r.Wires[0].Span() != (geom.Interval{Lo: math.MinInt32, Hi: math.MaxInt32}) {
 		t.Fatalf("%s: %v", doc, err)
 	}
 }
@@ -450,7 +451,7 @@ func FuzzChannelDensities(f *testing.F) {
 			lo = min(lo, math.MaxInt32)
 			w := wire(int(data[0])%numChannels, lo, min(lo+length, math.MaxInt32))
 			if data[11]%4 == 3 {
-				w.Span.Hi = w.Span.Lo - 1 // empty
+				w.BX = w.AX // empty
 			}
 			wires = append(wires, w)
 		}

@@ -63,26 +63,31 @@ type records interface {
 // chunk) and whether w was written to; until it was, an error is the
 // payload's and the stream is clean.
 func writeFrame(w io.Writer, buf []byte, src, tag int, v any) (kept []byte, wrote bool, err error) {
+	// The []int32 builtin stays in ints: boxed into rec it would cost a
+	// heap object per grid or occupancy sync message.
 	var rec records
+	var ints int32s
 	var id uint32
+	n, width := 0, 0
 	switch p := v.(type) {
 	case []int32:
-		rec, id = int32s(p), wireIDInt32s
+		ints, id = p, wireIDInt32s
+		n, width = ints.WireRecords()
 	case records:
 		if c := codecByType(v); c != nil && c.width > 0 {
 			rec, id = p, c.id
+			n, width = p.WireRecords()
 		}
 	}
-	n, width, body := 0, 0, envelopeLen+4+elemSize(v) // a price; exact for a flat payload
-	if rec != nil {
-		n, width = rec.WireRecords()
-		body = envelopeLen + 4 + n*width
+	flat, body := id != 0, envelopeLen+4+n*width
+	if !flat {
+		body = envelopeLen + 4 + elemSize(v) // a price; the encoding sets it
 	}
 	if need := min(frameHeaderLen+body, frameChunk); cap(buf) < need {
 		buf = make([]byte, 0, need)
 	}
 	buf = AppendInt(AppendInt(AppendUint32(buf, uint32(body)), src), tag)
-	if rec != nil {
+	if flat {
 		buf = AppendUint32(AppendUint32(AppendUint32(buf, id), uint32(body-envelopeLen)), uint32(n))
 	} else if buf, err = AppendAny(buf, v); err != nil {
 		return nil, false, err
@@ -101,7 +106,12 @@ func writeFrame(w io.Writer, buf []byte, src, tag int, v any) (kept []byte, wrot
 			buf = buf[:0]
 		}
 		hi := min(n, lo+max(1, (frameChunk-len(buf))/width))
-		buf, lo = rec.AppendWireRecords(buf, lo, hi), hi
+		if rec != nil {
+			buf = rec.AppendWireRecords(buf, lo, hi)
+		} else {
+			buf = ints.AppendWireRecords(buf, lo, hi)
+		}
+		lo = hi
 	}
 	_, err = w.Write(buf)
 	if cap(buf) > frameChunk {

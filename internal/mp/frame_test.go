@@ -145,7 +145,7 @@ func init() {
 // TestLinkBuffersStayBounded: a link buffers at most one chunk of a frame
 // on either side. Streaming a frame many chunks long leaves the writer's
 // kept buffer at one chunk and costs it no allocation once the buffer
-// exists; a small frame sizes a fresh link's buffer to itself, not to a
+// exists, not even a box for the []int32; a small frame sizes a fresh link's buffer to itself, not to a
 // chunk; and a payload that under-prices itself still streams to the
 // reference bytes.
 func TestLinkBuffersStayBounded(t *testing.T) {
@@ -160,7 +160,7 @@ func TestLinkBuffersStayBounded(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, func() {
 		buf, _, _ = writeFrame(io.Discard, buf, 0, 1, boxed)
-	}); n > 1 {
+	}); n != 0 {
 		t.Fatalf("streaming %d int32s through a link's buffer took %v allocations", len(big), n)
 	}
 	small, _, err := writeFrame(io.Discard, nil, 0, tagBarrier, true)
@@ -192,6 +192,47 @@ func appendFrameT(t testing.TB, src, tag int, v any) []byte {
 		t.Fatal(err)
 	}
 	return frame
+}
+
+// TestWarmLinkSendsInt32sWithoutAllocating: a net-wise grid or occupancy
+// sync is a []int32 sent over a TCP link that already carried one. Once
+// the caller has boxed it for Send, the send allocates nothing: no box of
+// the slice as a flat payload, no buffer, no deadline state.
+func TestWarmLinkSendsInt32sWithoutAllocating(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		if peer, err := ln.Accept(); err == nil {
+			_, _ = io.Copy(io.Discard, peer)
+			peer.Close()
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMachine(2, Limits{SendTimeout: time.Minute}, func(rank int) bool { return rank == 0 })
+	m.connect(0, []net.Conn{nil, conn})
+	c := &comm{m: m, rank: 0}
+	deltas := make([]int32, 2*frameChunk/4+17) // three chunks
+	var boxed any = deltas
+	if err := c.Send(1, 5, boxed); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := c.Send(1, 5, boxed); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a warm link's send of %d int32s took %v allocations, want 0", len(deltas), n)
+	}
+	conn.Close()
+	<-drained
 }
 
 func TestFrameCanonicalReencode(t *testing.T) {

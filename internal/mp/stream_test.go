@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"parroute/internal/circuit"
-	"parroute/internal/geom"
 	"parroute/internal/metrics"
 	"parroute/internal/mp"
 	"parroute/internal/parallel"
@@ -56,8 +55,7 @@ func samples() []func(n int) any {
 			w := make([]metrics.Wire, n)
 			for i := range w {
 				v := int32(i*7919) - 40000
-				w[i] = metrics.Wire{Net: int32(i), Channel: v, Span: geom.Interval{Lo: v, Hi: v + 9},
-					Switchable: i%2 == 0, Row: 1, AX: 2, ARow: 3, BX: v, BRow: -4}
+				w[i] = metrics.Wire{Net: int32(i), Channel: v, Switchable: i%2 == 0, AX: 2, ARow: 3, BX: v, BRow: -4}
 			}
 			return parallel.WireBatch{Wires: w}
 		},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -147,7 +148,11 @@ func TestBuiltinCodecs(t *testing.T) {
 	// The three builtin shapes encode under the ids mp_protocol.json
 	// reserves for them (round trip and canonical re-encode ride the fuzz
 	// seeds below; malformed bodies are in TestWireDecodeErrors).
-	man, err := mpproto.Load("../../" + mpproto.ManifestName)
+	data, err := os.ReadFile("../../" + mpproto.ManifestName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := mpproto.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}

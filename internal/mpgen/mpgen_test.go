@@ -76,8 +76,8 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 // TestScanManifestShape asserts the protocol facts the rest of the module
-// depends on: the payload set, the PR-4 flat prices now derived from
-// layout, the reserved engine tag, and the tag→payload associations.
+// depends on: the payload set, the flat prices derived from layout (the
+// batches' and a wire's), the reserved engine tag, and the tag→payload associations.
 func TestScanManifestShape(t *testing.T) {
 	man := scanRepo(t).Manifest
 	if man.Schema != mpproto.SchemaVersion {
@@ -112,6 +112,10 @@ func TestScanManifestShape(t *testing.T) {
 		if e.FlatWidth != want || e.Kind != mpproto.TypeSlice || e.WireID == 0 {
 			t.Errorf("%s: flatWidth %d kind %s wire id %d, want %d slice with an id", name, e.FlatWidth, e.Kind, e.WireID, want)
 		}
+	}
+	// A wire keeps its anchors, channel, net and flag: six int32s and a bool.
+	if wb := typeOf("parroute/internal/parallel", "WireBatch"); len(wb.Fields) != 1 || wb.Fields[0].ElemWidth != 25 {
+		t.Errorf("WireBatch fields %+v, want one slice of 25-byte wires", wb.Fields)
 	}
 	if i := slices.IndexFunc(man.Types, func(e mpproto.TypeEntry) bool { return e.Package == "parroute/internal/mp" }); i >= 0 {
 		t.Errorf("internal/mp declares payload %s: the engines relay only the builtins and the drivers' types", man.Types[i].Name)

@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 )
 
 // SchemaVersion identifies the manifest format. Bump only with a
@@ -122,13 +121,4 @@ func Decode(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("mpproto: manifest schema %q, want %q", m.Schema, SchemaVersion)
 	}
 	return &m, nil
-}
-
-// Load reads and decodes the manifest at path.
-func Load(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("mpproto: %w", err)
-	}
-	return Decode(data)
 }

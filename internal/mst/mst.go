@@ -115,12 +115,3 @@ func (s *Scratch) Prim(n int, cost func(i, j int) int64) (edges []Edge, forced i
 	s.edges = edges
 	return edges, forced
 }
-
-// TotalCost sums the cost of the given edges under the cost function.
-func TotalCost(edges []Edge, cost func(i, j int) int64) int64 {
-	var total int64
-	for _, e := range edges {
-		total += cost(e.U, e.V)
-	}
-	return total
-}

@@ -200,3 +200,12 @@ func TestPrimPropertyRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TotalCost sums the cost of the given edges under the cost function.
+func TotalCost(edges []Edge, cost func(i, j int) int64) int64 {
+	var total int64
+	for _, e := range edges {
+		total += cost(e.U, e.V)
+	}
+	return total
+}

@@ -159,49 +159,31 @@ func refDecodeWireBatch(b *WireBatch, data []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		el4.Span.Lo = int32(v7)
+		el4.AX = int32(v7)
 		var v8 uint32
 		v8, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.Span.Hi = int32(v8)
-		var v9 bool
-		v9, data, err = mp.WireBool(data)
+		el4.ARow = int32(v8)
+		var v9 uint32
+		v9, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.Switchable = v9
+		el4.BX = int32(v9)
 		var v10 uint32
 		v10, data, err = mp.WireUint32(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.Row = int32(v10)
-		var v11 uint32
-		v11, data, err = mp.WireUint32(data)
+		el4.BRow = int32(v10)
+		var v11 bool
+		v11, data, err = mp.WireBool(data)
 		if err != nil {
 			return nil, err
 		}
-		el4.AX = int32(v11)
-		var v12 uint32
-		v12, data, err = mp.WireUint32(data)
-		if err != nil {
-			return nil, err
-		}
-		el4.ARow = int32(v12)
-		var v13 uint32
-		v13, data, err = mp.WireUint32(data)
-		if err != nil {
-			return nil, err
-		}
-		el4.BX = int32(v13)
-		var v14 uint32
-		v14, data, err = mp.WireUint32(data)
-		if err != nil {
-			return nil, err
-		}
-		el4.BRow = int32(v14)
+		el4.Switchable = v11
 		sl2 = append(sl2, el4)
 	}
 	b.Wires = sl2
@@ -269,8 +251,7 @@ func flatCases() []flatCase {
 			b := WireBatch{Wires: make([]metrics.Wire, n)}
 			for i := range b.Wires {
 				w := &b.Wires[i]
-				w.Net, w.Channel, w.Span.Lo, w.Span.Hi = anyInt(r), anyInt(r), anyInt(r), anyInt(r)
-				w.Switchable, w.Row = r.Bool(), anyInt(r)
+				w.Net, w.Channel, w.Switchable = anyInt(r), anyInt(r), r.Bool()
 				w.AX, w.ARow, w.BX, w.BRow = anyInt(r), anyInt(r), anyInt(r), anyInt(r)
 			}
 			return b
@@ -342,7 +323,7 @@ func TestFlatDecodeMatchesPerField(t *testing.T) {
 			}
 			for e := 0; e < n; e++ {
 				bad := bytes.Clone(enc)
-				bad[4+37*e+16] = 2 // Switchable: Net, Channel and Span precede it
+				bad[4+25*e+24] = 2 // Switchable: the six int32 fields precede it
 				if sameDecode(t, fmt.Sprintf("%s/bool%d", name, e), tc, bad) {
 					t.Fatalf("%s: bool byte 2 in element %d decoded", name, e)
 				}

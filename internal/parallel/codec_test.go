@@ -13,7 +13,6 @@ import (
 	"unsafe"
 
 	"parroute/internal/circuit"
-	"parroute/internal/geom"
 	"parroute/internal/metrics"
 	"parroute/internal/mp"
 )
@@ -58,10 +57,8 @@ func samplePayloads() []struct {
 			{Net: 42, X: 17, Row: 8, Side: circuit.Bottom},
 		}, dec(new(NodeBatch))},
 		{"WireBatch", WireBatch{Wires: []metrics.Wire{
-			{Net: 5, Channel: 2, Span: geom.Interval{Lo: 10, Hi: 90},
-				Switchable: true, Row: 2, AX: 10, ARow: 1, BX: 90, BRow: 3},
-			{Net: 6, Channel: 0, Span: geom.Interval{Lo: -3, Hi: 4},
-				Switchable: false, Row: 0, AX: -3, ARow: 0, BX: 4, BRow: 0},
+			{Net: 5, Channel: 2, Switchable: true, AX: 10, ARow: 1, BX: 90, BRow: 3},
+			{Net: 6, Channel: 0, Switchable: false, AX: -3, ARow: 0, BX: 4, BRow: 0},
 		}}, dec(new(WireBatch))},
 		{"Summary", Summary{
 			Rank: 3, InsertedFts: 14, ForcedEdges: 2, SwitchableWs: 9,
@@ -90,7 +87,7 @@ func TestWireSizeDifferential(t *testing.T) {
 		if got, want := make(NodeBatch, n).WireSize(), n*13; got != want {
 			t.Errorf("NodeBatch(len %d).WireSize() = %d, want %d", n, got, want)
 		}
-		if got, want := (WireBatch{Wires: make([]metrics.Wire, n)}).WireSize(), n*37; got != want {
+		if got, want := (WireBatch{Wires: make([]metrics.Wire, n)}).WireSize(), n*25; got != want {
 			t.Errorf("WireBatch(%d wires).WireSize() = %d, want %d", n, got, want)
 		}
 		if got, want := (Summary{Phases: make([]metrics.Phase, n)}).WireSize(), 7*8+n*24; got != want {
@@ -239,8 +236,8 @@ func FuzzCodec(f *testing.F) {
 		sel[tc.name] = uint8(i)
 	}
 	for _, v := range []int32{math.MinInt32, math.MaxInt32} {
-		wires, err := WireBatch{Wires: []metrics.Wire{{Net: v, Channel: v, Span: geom.Interval{Lo: v, Hi: v},
-			Switchable: true, Row: v, AX: v, ARow: v, BX: v, BRow: v}}}.AppendWire(nil)
+		wires, err := WireBatch{Wires: []metrics.Wire{{Net: v, Channel: v,
+			Switchable: true, AX: v, ARow: v, BX: v, BRow: v}}}.AppendWire(nil)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -261,8 +261,9 @@ func mergePhases(summaries []Summary) []metrics.Phase {
 // in[self] being the rank's own, in the own array when its capacity holds
 // them all, else in a fresh, exactly sized one. A peer's batch (under
 // mp.Inproc the peer's memory) is only read, each wire checked as it is
-// copied: in a channel, no negative x, and a switchable one in one of its
-// row's two channels.
+// copied for what its derived Span and Row rely on: in a channel, no
+// negative anchor x, and a switchable one with both anchors in one row and
+// in one of that row's two channels.
 func assembleWires(in []WireBatch, self, tag, numChannels int) ([]metrics.Wire, error) {
 	own, total, at := in[self].Wires, 0, 0
 	for r, wb := range in {
@@ -288,14 +289,19 @@ func assembleWires(in []WireBatch, self, tag, numChannels int) ([]metrics.Wire, 
 			if w.Channel < 0 || int(w.Channel) >= numChannels {
 				return nil, badIndex(tag, r, i, "channel", w.Channel, 0, numChannels-1)
 			}
-			if !w.Span.Empty() && w.Span.Lo < 0 {
-				return nil, badIndex(tag, r, i, "span lo", w.Span.Lo, 0, circuit.MaxCoord)
+			if min(w.AX, w.BX) < 0 {
+				return nil, cmp.Or(badIndex(tag, r, i, "ax", w.AX, 0, circuit.MaxCoord), badIndex(tag, r, i, "bx", w.BX, 0, circuit.MaxCoord))
 			}
-			if w.Switchable && (w.Row < 0 || int(w.Row) >= numChannels-1) {
-				return nil, badIndex(tag, r, i, "row", w.Row, 0, numChannels-2)
-			}
-			if w.Switchable && w.Channel != w.Row && w.Channel != w.Row+1 {
-				return nil, badIndex(tag, r, i, "channel", w.Channel, int(w.Row), int(w.Row)+1)
+			if w.Switchable {
+				if w.ARow < 0 || int(w.ARow) >= numChannels-1 {
+					return nil, badIndex(tag, r, i, "row", w.ARow, 0, numChannels-2)
+				}
+				if w.BRow != w.ARow {
+					return nil, badIndex(tag, r, i, "brow", w.BRow, int(w.ARow), int(w.ARow))
+				}
+				if w.Channel != w.ARow && w.Channel != w.ARow+1 {
+					return nil, badIndex(tag, r, i, "channel", w.Channel, int(w.ARow), int(w.ARow)+1)
+				}
 			}
 			wires[k] = *w
 			k++

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -69,7 +70,7 @@ func (r *rank) refRedistribute(wires []metrics.Wire) ([]metrics.Wire, error) {
 	numRows := len(r.base.Rows)
 	destOf := func(w *metrics.Wire) int {
 		if w.Switchable {
-			return partition.BlockOf(r.blocks, int(w.Row))
+			return partition.BlockOf(r.blocks, int(w.Row()))
 		}
 		return partition.BlockOf(r.blocks, geom.Min(int(w.Channel), numRows-1))
 	}
@@ -95,14 +96,16 @@ func refConcatWires(in []WireBatch, tag, numChannels int) ([]metrics.Wire, error
 			if w.Channel < 0 || int(w.Channel) >= numChannels {
 				return nil, badIndex(tag, r, i, "channel", w.Channel, 0, numChannels-1)
 			}
-			if !w.Span.Empty() && w.Span.Lo < 0 {
-				return nil, badIndex(tag, r, i, "span lo", w.Span.Lo, 0, circuit.MaxCoord)
+			if err := cmp.Or(badIndex(tag, r, i, "ax", w.AX, 0, circuit.MaxCoord), badIndex(tag, r, i, "bx", w.BX, 0, circuit.MaxCoord)); err != nil {
+				return nil, err
 			}
-			if w.Switchable && (w.Row < 0 || int(w.Row) >= numChannels-1) {
-				return nil, badIndex(tag, r, i, "row", w.Row, 0, numChannels-2)
+			if !w.Switchable {
+				continue
 			}
-			if w.Switchable && w.Channel != w.Row && w.Channel != w.Row+1 {
-				return nil, badIndex(tag, r, i, "channel", w.Channel, int(w.Row), int(w.Row)+1)
+			if err := cmp.Or(badIndex(tag, r, i, "row", w.Row(), 0, numChannels-2),
+				badIndex(tag, r, i, "brow", w.BRow, int(w.Row()), int(w.Row())),
+				badIndex(tag, r, i, "channel", w.Channel, int(w.Row()), int(w.Row())+1)); err != nil {
+				return nil, err
 			}
 		}
 		total += len(wb.Wires)
@@ -376,8 +379,9 @@ func TestDeferredBlockInsertionMatchesEager(t *testing.T) {
 			specs := computeCrossings(c, blocks, owner, 0)
 			// Demand: every segment's initial vertical run.
 			g := grid.New(len(c.Rows), c.CoreWidth(), 16)
-			for _, segs := range steiner.Build(c) {
-				for _, seg := range segs {
+			var sb steiner.Builder
+			for n := range c.Nets {
+				for _, seg := range sb.AppendNet(nil, c, n) {
 					ps := route.Place(c, seg)
 					route.ApplyRuns(g, ps.CurrentRuns(), 1)
 				}
@@ -787,10 +791,12 @@ func TestConcatWiresMatchesTwoPass(t *testing.T) {
 			}{
 				{"channel", func(w *metrics.Wire) { w.Channel = int32(nc) }},
 				{"channel", func(w *metrics.Wire) { w.Channel = -1 }},
-				{"span lo", func(w *metrics.Wire) { w.Span = geom.NewInterval(-2, 3) }},
-				{"span lo", func(w *metrics.Wire) { w.Span = geom.NewInterval(math.MinInt32, 0) }},
-				{"row", func(w *metrics.Wire) { w.Switchable, w.Row = true, int32(nc-1) }},
-				{"channel", func(w *metrics.Wire) { w.Switchable, w.Row, w.Channel = true, 0, 2 }},
+				{"ax", func(w *metrics.Wire) { w.AX, w.BX = -2, 3 }},
+				{"bx", func(w *metrics.Wire) { w.AX, w.BX = 0, math.MinInt32 }},
+				{"ax", func(w *metrics.Wire) { w.AX, w.BX = -1, -1 }},
+				{"row", func(w *metrics.Wire) { w.Switchable, w.ARow, w.BRow = true, int32(nc-1), int32(nc-1) }},
+				{"brow", func(w *metrics.Wire) { w.Switchable, w.Channel, w.ARow, w.BRow = true, 0, 0, 1 }},
+				{"channel", func(w *metrics.Wire) { w.Switchable, w.ARow, w.BRow, w.Channel = true, 0, 0, 2 }},
 			} {
 				forged := slices.Clone(in)
 				wires := slices.Clone(second)
@@ -813,8 +819,9 @@ func TestConcatWiresMatchesTwoPass(t *testing.T) {
 // fuzzWireBatches reads data as 2–4 ranks' WireBatches for assembleWires:
 // three header bytes (the rank count, the own rank, and the channel count
 // with whether the own array has room for every wire), then six bytes a
-// wire — its rank, channel, span ends, switchable flag and row, small
-// values with -128 and 127 standing for the int32 extremes. The own batch
+// wire — its rank, channel, anchor xs, flags and anchor row, small values
+// with -128 and 127 standing for the int32 extremes. Flag bit 0 makes the
+// wire switchable, bit 1 puts its second anchor a row above the first. The own batch
 // takes only wires the copying form accepts: its wires are the rank's own,
 // never received.
 func fuzzWireBatches(data []byte) (in []WireBatch, self int, room bool, numChannels int) {
@@ -836,8 +843,11 @@ func fuzzWireBatches(data []byte) (in []WireBatch, self int, room bool, numChann
 	in = make([]WireBatch, p)
 	total := 0
 	for rest := data[3:]; len(rest) >= 6; rest = rest[6:] {
-		w := metrics.Wire{Channel: wide(rest[1]), Span: geom.Interval{Lo: wide(rest[2]), Hi: wide(rest[3])},
-			Switchable: rest[4]&1 == 1, Row: wide(rest[5])}
+		w := metrics.Wire{Channel: wide(rest[1]), AX: wide(rest[2]), BX: wide(rest[3]),
+			Switchable: rest[4]&1 == 1, ARow: wide(rest[5]), BRow: wide(rest[5])}
+		if rest[4]&2 != 0 {
+			w.BRow++
+		}
 		r := int(rest[0]) % p
 		if _, err := refConcatWires([]WireBatch{{Wires: []metrics.Wire{w}}}, tagWires, numChannels); r == self && err != nil {
 			continue
@@ -861,7 +871,7 @@ func FuzzWireBatches(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 1, 9, 0, 5, 0, 0})
 	f.Add([]byte{0, 0, 5, 1, 0x80, 0, 5, 0, 0})
 	f.Add([]byte{0, 0, 5, 1, 1, 0x80, 0x7f, 0, 0, 1, 1, 0, 4, 1, 0x7f})
-	pattern := regexp.MustCompile(fmt.Sprintf(`^parallel: tag %d batch from rank \d+: element \d+ has (channel|span lo|row) `, tagWires))
+	pattern := regexp.MustCompile(fmt.Sprintf(`^parallel: tag %d batch from rank \d+: element \d+ has (channel|ax|bx|row|brow) `, tagWires))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, self, room, nc := fuzzWireBatches(data)
 		if in == nil {

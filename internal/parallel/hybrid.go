@@ -47,7 +47,7 @@ func (r *rank) redistribute() error {
 	numRows, self := len(r.base.Rows), r.comm.Rank()
 	destOf := func(w *metrics.Wire) int {
 		if w.Switchable {
-			return partition.BlockOf(r.blocks, int(w.Row))
+			return partition.BlockOf(r.blocks, int(w.ARow))
 		}
 		return partition.BlockOf(r.blocks, geom.Min(int(w.Channel), numRows-1))
 	}

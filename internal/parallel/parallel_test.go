@@ -384,8 +384,8 @@ func TestSummariesMergeCounts(t *testing.T) {
 	}
 	maxX := 0
 	for i := range res.Wires {
-		if !res.Wires[i].Span.Empty() && int(res.Wires[i].Span.Hi) > maxX {
-			maxX = int(res.Wires[i].Span.Hi)
+		if span := res.Wires[i].Span(); !span.Empty() && int(span.Hi) > maxX {
+			maxX = int(span.Hi)
 		}
 	}
 	if res.CoreWidth < maxX-1 {

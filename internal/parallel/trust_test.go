@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"parroute/internal/circuit"
-	"parroute/internal/geom"
 	"parroute/internal/metrics"
 	"parroute/internal/mp"
 	"parroute/internal/partition"
@@ -51,7 +50,7 @@ type forgery struct {
 // TestForgedBatchIndexIsAttributed: every index a rank takes off the mesh
 // and uses as a subscript or an int32 pin field — the net, row and x of a
 // fake-pin spec, a crossing and a step-4 node, the side of a fake-pin spec
-// and a step-4 node, the channel, span and row of
+// and a step-4 node, the channel, anchor xs and a switchable one's rows of
 // a redistributed or gathered wire, and the counter indices and changes of a
 // net-wise grid or occupancy delta — is validated once per received batch,
 // and so are the boundary-channel counts a row block adds into its
@@ -122,13 +121,16 @@ func TestForgedBatchIndexIsAttributed(t *testing.T) {
 		name, field string
 		w           metrics.Wire
 	}{
-		{"channel-1", "channel", metrics.Wire{Channel: -1, Span: geom.NewInterval(0, 4)}},
-		{"channel-past-end", "channel", metrics.Wire{Channel: int32(c.NumChannels()), Span: geom.NewInterval(0, 4)}},
-		{"span-negative", "span lo", metrics.Wire{Span: geom.NewInterval(-1, 4)}},
-		{"span-min-int32", "span lo", metrics.Wire{Span: geom.NewInterval(math.MinInt32, 4)}},
-		{"row-1", "row", metrics.Wire{Span: geom.NewInterval(0, 4), Switchable: true, Row: -1}},
-		{"row-past-end", "row", metrics.Wire{Span: geom.NewInterval(0, 4), Switchable: true, Row: int32(len(c.Rows))}},
-		{"switchable-off-row", "channel", metrics.Wire{Channel: 2, Span: geom.NewInterval(0, 4), Switchable: true, Row: 0}},
+		{"channel-1", "channel", metrics.Wire{Channel: -1, BX: 4}},
+		{"channel-past-end", "channel", metrics.Wire{Channel: int32(c.NumChannels()), BX: 4}},
+		{"span-negative", "ax", metrics.Wire{AX: -1, BX: 4}},
+		{"span-min-int32", "ax", metrics.Wire{AX: math.MinInt32, BX: 4}},
+		{"anchor-negative", "ax", metrics.Wire{AX: -1, BX: -1}}, // zero-length: it has no span
+		{"bx-negative", "bx", metrics.Wire{AX: 4, BX: -1}},
+		{"row-1", "row", metrics.Wire{BX: 4, Switchable: true, ARow: -1, BRow: -1}},
+		{"row-past-end", "row", metrics.Wire{BX: 4, Switchable: true, ARow: int32(len(c.Rows)), BRow: int32(len(c.Rows))}},
+		{"switchable-off-row", "channel", metrics.Wire{Channel: 2, BX: 4, Switchable: true}},
+		{"switchable-rows-differ", "brow", metrics.Wire{Channel: 1, BX: 4, Switchable: true, ARow: 1, BRow: 2}},
 	} {
 		wires = append(wires, forgery{"bad-" + bad.name, bad.field, func(v any) any {
 			wb := v.(WireBatch)

@@ -88,7 +88,7 @@ func TestSwitchableCensusIsNotATally(t *testing.T) {
 	}
 	want := 0
 	for _, w := range rt.Wires {
-		if w.Switchable && !w.Span.Empty() {
+		if w.Switchable && !w.Span().Empty() {
 			want++
 		}
 	}

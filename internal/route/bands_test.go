@@ -71,17 +71,17 @@ func refImproveBends(g *grid.Grid, segs []PlacedSeg, r *rng.RNG, passes int) int
 func refPlaceWires(o *Occupancy, wires []metrics.Wire) {
 	for i := range wires {
 		w := &wires[i]
-		if w.Switchable && o.AddCost(int(w.Row)+1, w.Span) < o.AddCost(int(w.Row), w.Span) {
-			w.Channel = w.Row + 1
+		if w.Switchable && o.AddCost(int(w.Row())+1, w.Span()) < o.AddCost(int(w.Row()), w.Span()) {
+			w.Channel = w.Row() + 1
 		}
-		o.Add(int(w.Channel), w.Span, 1)
+		o.Add(int(w.Channel), w.Span(), 1)
 	}
 }
 
 func refOptimizeSwitchable(wires []metrics.Wire, occ *Occupancy, r *rng.RNG, passes int) int {
 	var switchable []int
 	for i := range wires {
-		if wires[i].Switchable && !wires[i].Span.Empty() {
+		if wires[i].Switchable && !wires[i].Span().Empty() {
 			switchable = append(switchable, i)
 		}
 	}
@@ -93,9 +93,9 @@ func refOptimizeSwitchable(wires []metrics.Wire, occ *Occupancy, r *rng.RNG, pas
 		for _, pi := range perm {
 			w := &wires[switchable[pi]]
 			other := w.OtherChannel()
-			if occ.MoveCost(int(w.Channel), other, w.Span) < 0 {
-				occ.Add(int(w.Channel), w.Span, -1)
-				occ.Add(other, w.Span, 1)
+			if occ.MoveCost(int(w.Channel), other, w.Span()) < 0 {
+				occ.Add(int(w.Channel), w.Span(), -1)
+				occ.Add(other, w.Span(), 1)
 				w.Channel = int32(other)
 				flips++
 				improved = true
@@ -183,7 +183,7 @@ func TestBandSweepsMatchSerialForms(t *testing.T) {
 			refWires := slices.Clone(rt.Wires)
 			for i := range refWires {
 				if refWires[i].Switchable {
-					refWires[i].Channel = refWires[i].Row
+					refWires[i].Channel = refWires[i].Row()
 				}
 			}
 			refOcc := NewOccupancy(rt.occ.Channels, rt.C.CoreWidth(), grid.ColWidth)
@@ -223,7 +223,7 @@ func TestBandsWriteOneSlab(t *testing.T) {
 	var wires []metrics.Wire
 	for i := 0; i < 200; i++ {
 		x := 16 * (i % 20)
-		wires = append(wires, metrics.Wire{Net: int32(i), Channel: int32(2 + 3*(i%2)), Span: geom.NewInterval(x, x+40)})
+		wires = append(wires, metrics.Wire{Net: int32(i), Channel: int32(2 + 3*(i%2)), AX: int32(x), BX: int32(x + 40)})
 	}
 	occ := NewOccupancy(16, 400, 16)
 	if err := occ.PlaceWires(context.Background(), 2, wires); err != nil {

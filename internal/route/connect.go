@@ -52,19 +52,9 @@ func edgeWire(net int, u, v Node, ch int) metrics.Wire {
 	return metrics.Wire{
 		Net:     int32(net),
 		Channel: int32(ch),
-		Span:    connSpan(u.X, v.X),
 		AX:      u.X, ARow: u.Row,
 		BX: v.X, BRow: v.Row,
 	}
-}
-
-// connSpan is the track-occupying extent between two x positions; a
-// zero-length connection occupies no track.
-func connSpan(a, b int32) geom.Interval {
-	if a == b {
-		return geom.Interval{Lo: 1, Hi: 0}
-	}
-	return geom.Interval{Lo: min(a, b), Hi: max(a, b)}
 }
 
 // Connector carries the reusable scratch of the step-4 tree build so it
@@ -135,10 +125,9 @@ func (cn *Connector) Tree(netID int, nodes []Node, wires []metrics.Wire) (forced
 		}
 		ch, both, _ := adjacent(nodes[e.u], nodes[e.v])
 		w := edgeWire(netID, nodes[e.u], nodes[e.v], ch)
-		if both {
-			w.Switchable = true
-			w.Row = int32(ch) // candidate channels ch and ch+1
-		}
+		// A switchable edge joins two Both-sided nodes of row ch: its
+		// candidate channels are ch and ch+1.
+		w.Switchable = both
 		wires[k] = w
 		k++
 		if k == len(wires) {
@@ -228,7 +217,7 @@ func (o *Occupancy) PlaceWires(ctx context.Context, workers int, wires []metrics
 	sw, err := workpool.NewSweep(ctx, workers, len(wires), o.Channels, func(i int) workpool.Hull {
 		w := &wires[i]
 		if w.Switchable {
-			return workpool.Hull{Lo: w.Row, Hi: w.Row + 1}
+			return workpool.Hull{Lo: w.ARow, Hi: w.ARow + 1}
 		}
 		return workpool.Hull{Lo: w.Channel, Hi: w.Channel}
 	}, o.counts.Reserve)
@@ -237,10 +226,11 @@ func (o *Occupancy) PlaceWires(ctx context.Context, workers int, wires []metrics
 	}
 	return sw.Run(ctx, nil, func(_, i int) error {
 		w := &wires[i]
-		if w.Switchable && o.AddCost(int(w.Row)+1, w.Span) < o.AddCost(int(w.Row), w.Span) {
-			w.Channel = w.Row + 1
+		span := w.Span()
+		if w.Switchable && o.AddCost(int(w.ARow)+1, span) < o.AddCost(int(w.ARow), span) {
+			w.Channel = w.ARow + 1
 		}
-		o.Add(int(w.Channel), w.Span, 1)
+		o.Add(int(w.Channel), span, 1)
 		return nil
 	})
 }

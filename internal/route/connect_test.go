@@ -124,10 +124,10 @@ func TestConnectNodesFeedthroughChain(t *testing.T) {
 	// Exactly one wire should have nonzero extent (the 150-unit hop).
 	long := 0
 	for _, w := range wires {
-		if w.Span.Len() > 1 {
+		if w.Span().Len() > 1 {
 			long++
-			if w.Span != geom.NewInterval(100, 250) {
-				t.Fatalf("long wire span %v", w.Span)
+			if w.Span() != geom.NewInterval(100, 250) {
+				t.Fatalf("long wire span %v", w.Span())
 			}
 		}
 	}
@@ -162,8 +162,8 @@ func TestConnectNodesSwitchableDetection(t *testing.T) {
 	for _, w := range wires {
 		if w.Switchable {
 			sw++
-			if w.Row != 2 {
-				t.Fatalf("switchable row = %d", w.Row)
+			if w.Row() != 2 {
+				t.Fatalf("switchable row = %d", w.Row())
 			}
 		} else {
 			fixed++
@@ -309,7 +309,7 @@ func refConnectStreamed(cn *Connector, netID int, nodes []Node, occ *Occupancy) 
 		return nil, 0
 	}
 	wire := func(u, v Node, ch int) metrics.Wire {
-		return metrics.Wire{Net: int32(netID), Channel: int32(ch), Span: connSpan(u.X, v.X), AX: u.X, ARow: u.Row, BX: v.X, BRow: v.Row}
+		return metrics.Wire{Net: int32(netID), Channel: int32(ch), AX: u.X, ARow: u.Row, BX: v.X, BRow: v.Row}
 	}
 	uf := newUnionFind(len(nodes))
 	for _, e := range cn.candidates(nodes) {
@@ -320,12 +320,12 @@ func refConnectStreamed(cn *Connector, netID int, nodes []Node, occ *Occupancy) 
 		ch, both, _ := adjacent(u, v)
 		w := wire(u, v, ch)
 		if both {
-			w.Switchable, w.Row = true, int32(ch)
-			if occ.AddCost(ch+1, w.Span) < occ.AddCost(ch, w.Span) {
+			w.Switchable = true
+			if occ.AddCost(ch+1, w.Span()) < occ.AddCost(ch, w.Span()) {
 				w.Channel = int32(ch + 1)
 			}
 		}
-		occ.Add(int(w.Channel), w.Span, 1)
+		occ.Add(int(w.Channel), w.Span(), 1)
 		wires = append(wires, w)
 	}
 	if len(wires) < len(nodes)-1 {
@@ -337,7 +337,7 @@ func refConnectStreamed(cn *Connector, netID int, nodes []Node, occ *Occupancy) 
 			if prev >= 0 {
 				uf.union(prev, i)
 				w := wire(nodes[prev], nodes[i], int(min(nodes[prev].Row, nodes[i].Row))+1)
-				occ.Add(int(w.Channel), w.Span, 1)
+				occ.Add(int(w.Channel), w.Span(), 1)
 				wires = append(wires, w)
 				forced++
 			}
@@ -395,7 +395,7 @@ func TestTreeThenPlaceMatchesStreamedKruskal(t *testing.T) {
 	if wantForced == 0 {
 		t.Fatal("no forced edge in the reference")
 	}
-	if !slices.ContainsFunc(wantWires, func(w metrics.Wire) bool { return w.Switchable && w.Channel == w.Row+1 }) {
+	if !slices.ContainsFunc(wantWires, func(w metrics.Wire) bool { return w.Switchable && w.Channel == w.ARow+1 }) {
 		t.Fatal("no switchable wire chose its upper channel in the reference")
 	}
 

@@ -85,10 +85,6 @@ func (ps *PlacedSeg) CurrentRuns() Runs { return ps.RunsFor(ps.BendAtP) }
 // ApplyRuns applies a segment geometry to the grid with the given sign.
 func ApplyRuns(g *grid.Grid, r Runs, delta int32) { addRuns(g, r, delta, 0, g.Channels) }
 
-// RunsCost evaluates the congestion cost of adding a segment geometry to
-// the grid (the segment must not currently be counted in it).
-func RunsCost(g *grid.Grid, r Runs, ftBase int64) int64 { return runsCost(g, r, ftBase) }
-
 // addRuns applies the part of a segment geometry that lands in channels
 // and rows [lo, hi) to the grid with the given sign.
 func addRuns(g *grid.Grid, r Runs, delta int32, lo, hi int) {

@@ -204,12 +204,9 @@ func TestPlaceViaExportedHelpers(t *testing.T) {
 			if c.Pins[ps.PinAtP].X != ps.XP || c.Pins[ps.PinAtQ].X != ps.XQ {
 				t.Fatalf("net %d: pin back-references broken: %+v", n, ps)
 			}
-			// RunsCost and ApplyRuns exported forms agree with internals.
+			// The exported ApplyRuns undoes itself.
 			g := grid.New(len(c.Rows), c.CoreWidth(), 16)
 			runs := ps.CurrentRuns()
-			if RunsCost(g, runs, 5) != runsCost(g, runs, 5) {
-				t.Fatal("exported RunsCost disagrees")
-			}
 			ApplyRuns(g, runs, 1)
 			ApplyRuns(g, runs, -1)
 			for _, v := range g.DensCounts() {

@@ -289,12 +289,12 @@ func TestSwitchableWiresOnlyFromEquivalentEndpoints(t *testing.T) {
 		if !w.Switchable {
 			continue
 		}
-		if w.ARow != w.Row || w.BRow != w.Row {
-			t.Fatalf("switchable wire %d of row %d between rows %d and %d", i, w.Row, w.ARow, w.BRow)
+		if w.BRow != w.ARow {
+			t.Fatalf("switchable wire %d between rows %d and %d", i, w.ARow, w.BRow)
 		}
 		for _, x := range []int32{w.AX, w.BX} {
-			if !slices.ContainsFunc(pinsAt(rt, w.Net, x, w.Row), func(p *circuit.Pin) bool { return p.Side == circuit.Both }) {
-				t.Fatalf("switchable wire %d ends at (%d, row %d), where net %d has no Both-sided pin", i, x, w.Row, w.Net)
+			if !slices.ContainsFunc(pinsAt(rt, w.Net, x, w.ARow), func(p *circuit.Pin) bool { return p.Side == circuit.Both }) {
+				t.Fatalf("switchable wire %d ends at (%d, row %d), where net %d has no Both-sided pin", i, x, w.ARow, w.Net)
 			}
 		}
 	}

@@ -117,7 +117,7 @@ func (o *Occupancy) Add(ch int, span geom.Interval, delta int32) {
 // AddWires loads a set of wires into the table.
 func (o *Occupancy) AddWires(wires []metrics.Wire) {
 	for i := range wires {
-		o.Add(int(wires[i].Channel), wires[i].Span, 1)
+		o.Add(int(wires[i].Channel), wires[i].Span(), 1)
 	}
 }
 
@@ -279,20 +279,20 @@ func (o *Occupancy) MoveCost(from, to int, span geom.Interval) int64 {
 // (workpool.Collect); the only error is ctx's.
 func SwitchFlips(ctx context.Context, workers int, occ *Occupancy, wires []metrics.Wire) (n int, hull func(i int) workpool.Hull, flip func(i int) bool, err error) {
 	switchable, err := workpool.Collect(ctx, workers, len(wires), func(i int) bool {
-		return wires[i].Switchable && !wires[i].Span.Empty()
+		return wires[i].Switchable && !wires[i].Span().Empty()
 	})
 	hull = func(i int) workpool.Hull {
-		row := wires[switchable[i]].Row
+		row := wires[switchable[i]].ARow
 		return workpool.Hull{Lo: row, Hi: row + 1}
 	}
 	flip = func(i int) bool {
 		w := &wires[switchable[i]]
-		other := w.OtherChannel()
-		if occ.MoveCost(int(w.Channel), other, w.Span) >= 0 {
+		other, span := w.OtherChannel(), w.Span()
+		if occ.MoveCost(int(w.Channel), other, span) >= 0 {
 			return false
 		}
-		occ.Add(int(w.Channel), w.Span, -1)
-		occ.Add(other, w.Span, 1)
+		occ.Add(int(w.Channel), span, -1)
+		occ.Add(other, span, 1)
 		w.Channel = int32(other)
 		return true
 	}

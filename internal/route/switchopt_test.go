@@ -271,8 +271,8 @@ func TestOptimizeSwitchableBalances(t *testing.T) {
 	var wires []metrics.Wire
 	for i := 0; i < 10; i++ {
 		wires = append(wires, metrics.Wire{
-			Net: int32(i), Channel: 2, Switchable: true, Row: 2,
-			Span: geom.NewInterval(0, 100),
+			Net: int32(i), Channel: 2, Switchable: true,
+			AX: 0, ARow: 2, BX: 100, BRow: 2,
 		})
 	}
 	occ := NewOccupancy(4, 200, 16)
@@ -306,8 +306,8 @@ func TestOptimizeSwitchableBalances(t *testing.T) {
 
 func TestOptimizeSwitchableRespectsFixedWires(t *testing.T) {
 	wires := []metrics.Wire{
-		{Net: 0, Channel: 1, Span: geom.NewInterval(0, 50)}, // fixed
-		{Net: 1, Channel: 1, Switchable: true, Row: 1, Span: geom.NewInterval(0, 50)},
+		{Net: 0, Channel: 1, AX: 0, BX: 50}, // fixed
+		{Net: 1, Channel: 1, Switchable: true, AX: 0, ARow: 1, BX: 50, BRow: 1},
 	}
 	occ := NewOccupancy(3, 100, 16)
 	occ.AddWires(wires)
@@ -336,8 +336,8 @@ func TestOptimizeSwitchableNeverWorsensCost(t *testing.T) {
 				ch = row + 1
 			}
 			wires = append(wires, metrics.Wire{
-				Net: int32(i), Channel: int32(ch), Switchable: true, Row: int32(row),
-				Span: geom.NewInterval(r.Intn(300), r.Intn(300)),
+				Net: int32(i), Channel: int32(ch), Switchable: true,
+				AX: int32(r.Intn(300)), ARow: int32(row), BX: int32(r.Intn(300)), BRow: int32(row),
 			})
 		}
 		before := metrics.TotalTracks(metrics.ChannelDensities(nch, wires, 1))

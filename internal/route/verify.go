@@ -18,9 +18,9 @@ import (
 //     pins of the net share a position, an endpoint there contacts those
 //     whose side reaches the wire's channel;
 //   - every wire lies in a channel of the circuit: a switchable one in
-//     channel Row or Row+1, between Both-sided pins of row Row; any other in
-//     a channel both endpoints reach, or it counts as forced, and exactly
-//     ForcedEdges do;
+//     channel Row or Row+1, both anchors Both-sided pins of row Row; any
+//     other in a channel both endpoints reach, or it counts as forced, and
+//     exactly ForcedEdges do;
 //   - feedthrough bookkeeping closed exactly (no uncovered crossings, no
 //     orphaned feedthrough cells), and the circuit is still consistent.
 //
@@ -114,9 +114,9 @@ func (rt *Router) Verify() error {
 		uf.reset(len(at))
 		for _, i := range byNet[off[n]:off[n+1]] {
 			w := &rt.Wires[i]
-			if w.Switchable && (w.Channel != w.Row && w.Channel != w.Row+1 || w.ARow != w.Row || w.BRow != w.Row) {
+			if w.Switchable && (w.Channel != w.ARow && w.Channel != w.ARow+1 || w.BRow != w.ARow) {
 				return fmt.Errorf("route: switchable wire %d of net %d in channel %d between rows %d and %d, candidates %d/%d",
-					i, n, w.Channel, w.ARow, w.BRow, w.Row, w.Row+1)
+					i, n, w.Channel, w.ARow, w.BRow, w.ARow, w.ARow+1)
 			}
 			a, aReaches, aOK := contact(w, w.AX, w.ARow)
 			b, bReaches, bOK := contact(w, w.BX, w.BRow)

@@ -74,14 +74,14 @@ func TestVerifyMutations(t *testing.T) {
 		}},
 		{"switchable wire outside Row and Row+1", func(rt *Router) string {
 			i := find(rt, func(_ int, w *metrics.Wire) bool { return w.Switchable })
-			rt.Wires[i].Channel = rt.Wires[i].Row + 2
+			rt.Wires[i].Channel = rt.Wires[i].Row() + 2
 			return wire(i)
 		}},
 		{"Switchable on a wire between non-Both pins", func(rt *Router) string {
 			i := find(rt, func(_ int, w *metrics.Wire) bool {
 				return !w.Switchable && w.ARow == w.BRow && !hasBoth(rt, w.Net, w.AX, w.ARow)
 			})
-			rt.Wires[i].Switchable, rt.Wires[i].Row = true, rt.Wires[i].ARow
+			rt.Wires[i].Switchable = true
 			return wire(i)
 		}},
 		{"bump ForcedEdges", func(rt *Router) string {

@@ -266,7 +266,7 @@ func FuzzEnvelope(f *testing.F) {
 			_ = env.DecodeBody(env.Kind, &res)
 		}
 		r := &metrics.Result{Circuit: name, Algo: key, Procs: int(n), TotalTracks: int(n >> 3), Area: n,
-			Wires: []metrics.Wire{{Net: int32(n), Row: int32(n % 5), Switchable: hit}}, ChannelDensity: []int{int(n), 0},
+			Wires: []metrics.Wire{{Net: int32(n), Channel: int32(n % 5), ARow: int32(n % 5), BRow: int32(n % 5), Switchable: hit}}, ChannelDensity: []int{int(n), 0},
 			Phases: []metrics.Phase{{Name: name, Counters: []metrics.Counter{{Name: key, Value: n}}}}}
 		in := &JobResult{Key: key, CacheHit: hit, Metrics: r.AppendJSON(nil)}
 		checkResultFrame(t, in)

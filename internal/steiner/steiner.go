@@ -51,24 +51,6 @@ type Segment struct {
 // Flat reports whether the segment stays within one row (no vertical run).
 func (s *Segment) Flat() bool { return s.P.Y == s.Q.Y }
 
-// Build computes the Steiner segments of every net in the circuit. Segments
-// are grouped per net: Build returns a slice indexed by net ID. Single-pin
-// and empty nets yield no segments.
-//
-// The MST metric is |dx| + VerticalCost*|drow|; the initial bend of each
-// cross-row segment is the column of its lower endpoint (vertical-first),
-// a deterministic choice step 2 immediately begins improving.
-func Build(c *circuit.Circuit) [][]Segment {
-	out := make([][]Segment, len(c.Nets))
-	var b Builder
-	for n := range c.Nets {
-		if segs := b.AppendNet(nil, c, n); len(segs) > 0 {
-			out[n] = segs
-		}
-	}
-	return out
-}
-
 // LargeNetThreshold is the pin count above which BuildNet switches from
 // the exact O(n^2) Prim MST to the O(n log n) row-chain construction.
 // Only clock-class nets exceed it.
@@ -95,6 +77,10 @@ type Builder struct {
 }
 
 // AppendNet appends net netID's Steiner segments to dst and returns it.
+//
+// The MST metric is |dx| + VerticalCost*|drow|; the initial bend of each
+// cross-row segment is the column of its lower endpoint (vertical-first),
+// a deterministic choice step 2 immediately begins improving.
 func (b *Builder) AppendNet(dst []Segment, c *circuit.Circuit, netID int) []Segment {
 	pinIDs := c.NetPins(netID)
 	if len(pinIDs) < 2 {

@@ -220,3 +220,16 @@ func TestBuildAllNets(t *testing.T) {
 		t.Fatalf("segment count %d, want %d", total, want)
 	}
 }
+
+// Build computes the Steiner segments of every net in the circuit, indexed
+// by net ID; single-pin and empty nets yield none.
+func Build(c *circuit.Circuit) [][]Segment {
+	out := make([][]Segment, len(c.Nets))
+	var b Builder
+	for n := range c.Nets {
+		if segs := b.AppendNet(nil, c, n); len(segs) > 0 {
+			out[n] = segs
+		}
+	}
+	return out
+}
