@@ -1,6 +1,6 @@
 // Command parroutecheck runs this repository's static-analysis suite: the
-// determinism, error-handling, and message-passing protocol rules in
-// internal/lint that the parallel routing algorithms depend on.
+// determinism, error-handling, and message-tag rules in internal/lint that
+// the parallel routing algorithms depend on.
 //
 // Usage:
 //

@@ -86,18 +86,6 @@ func (iv Interval) Overlaps(other Interval) bool {
 	return iv.Lo <= other.Hi && other.Lo <= iv.Hi
 }
 
-// Union returns the smallest interval covering both iv and other. Either
-// operand may be empty, in which case the other is returned.
-func (iv Interval) Union(other Interval) Interval {
-	if iv.Empty() {
-		return other
-	}
-	if other.Empty() {
-		return iv
-	}
-	return Interval{Lo: min(iv.Lo, other.Lo), Hi: max(iv.Hi, other.Hi)}
-}
-
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d]", iv.Lo, iv.Hi) }
 
 // Rect is an axis-aligned rectangle with inclusive integer bounds.

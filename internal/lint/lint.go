@@ -112,9 +112,7 @@ func Analyzers() []*Analyzer {
 		analyzerUncheckedError,
 		analyzerErrorWrap,
 		analyzerPanicInLibrary,
-		analyzerCollectiveCongruence,
 		analyzerTagDiscipline,
-		analyzerSendRecvPairing,
 		analyzerForbiddenCall,
 		analyzerSortOrder,
 		analyzerCtxRule,

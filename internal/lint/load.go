@@ -31,8 +31,8 @@ type Module struct {
 	// import path. Dependencies loaded only to satisfy type-checking are
 	// not listed.
 	Pkgs []*Package
-	// proto is the lazily built module-wide protocol index shared by the
-	// mpproto analyzers; see protocolIndex in mpproto.go.
+	// proto is the lazily built module-wide protocol index tag-discipline
+	// reads; see protocolIndex in mpproto.go.
 	proto *protoIndex
 }
 

@@ -16,27 +16,6 @@ func ruleCounts(diags []lint.Diagnostic) map[string]int {
 	return counts
 }
 
-// TestSeededRankGatedBarrierCaught is the static half of the seeded
-// regression from the issue: a Barrier moved inside a c.Rank()==0 branch
-// (and the same bug hidden behind a collective helper) must be flagged by
-// collective-congruence. TestVirtualRankGatedBarrierDeadlocks in
-// internal/mp is the dynamic half.
-func TestSeededRankGatedBarrierCaught(t *testing.T) {
-	diags := loadFixture(t, "testdata/src/seeded")
-	counts := ruleCounts(diags)
-	if counts["collective-congruence"] != 2 {
-		t.Errorf("collective-congruence fired %d times, want 2 (direct barrier + helper gather)", counts["collective-congruence"])
-	}
-	if len(diags) != 2 {
-		t.Errorf("got %d diagnostics, want 2: %v", len(diags), diags)
-	}
-	for _, d := range diags {
-		if !strings.Contains(d.Msg, "rank-derived condition") {
-			t.Errorf("unexpected message: %s", d)
-		}
-	}
-}
-
 // TestOrphanTagsReported covers the module-wide half of tag-discipline:
 // sent-never-received, received-never-sent, and declared-never-used tags
 // each produce exactly one diagnostic at the constant's declaration.
@@ -61,20 +40,5 @@ func TestOrphanTagsReported(t *testing.T) {
 		if !found {
 			t.Errorf("no diagnostic for %s containing %q in %v", tag, substr, diags)
 		}
-	}
-}
-
-// TestSelfSendPairing covers the self-peer half of send-recv-pairing: a
-// self-send with a matching self-Recv on the same tag (Echo) passes, an
-// unmatched one (Lost) is flagged.
-func TestSelfSendPairing(t *testing.T) {
-	diags := loadFixture(t, "testdata/src/selfsend")
-	if got := ruleCounts(diags)["send-recv-pairing"]; got != 1 || len(diags) != 1 {
-		t.Fatalf("got %d diagnostics (%d send-recv-pairing), want exactly 1: %v",
-			len(diags), got, diags)
-	}
-	d := diags[0]
-	if !strings.Contains(d.Msg, "own rank") || !strings.Contains(d.Msg, "tagLoop") {
-		t.Errorf("unexpected message: %s", d)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"parroute/internal/mpproto"
 )
 
-// analyzerTagDiscipline enforces the second mpproto rule, in three parts:
+// analyzerTagDiscipline enforces the message-tag rule, in three parts:
 //
 //   - Site discipline: every tag argument of Send/Recv/collective calls
 //     must be a named constant (the tagFakePins… family in

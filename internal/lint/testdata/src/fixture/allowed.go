@@ -56,28 +56,12 @@ func MustAllowed(n int) int {
 	return n
 }
 
-func GateAllowed(c mp.Comm) error {
-	if c.Rank() == 0 { //lint:allow collective-congruence fixture: suppressed rank-gated barrier
-		return c.Barrier()
-	}
-	return nil
-}
-
 func MintAllowed(c mp.Comm, v any) error {
 	return c.Send(1, 99, v) //lint:allow tag-discipline fixture: suppressed raw tag
 }
 
 func RankAllowed(ws []weighted) {
 	sort.Slice(ws, func(i, j int) bool { return ws[i].W < ws[j].W }) //lint:allow sort-order fixture: suppressed single-key comparator
-}
-
-func DrainAllowed(c mp.Comm) error {
-	for r := 0; r < c.Size(); r++ {
-		if _, err := c.Recv(r, tagFixture); err != nil { //lint:allow send-recv-pairing fixture: suppressed self-recv loop
-			return err
-		}
-	}
-	return nil
 }
 
 func RefreshAllowed(c mp.Comm, ctx context.Context) error { //lint:allow ctxrule fixture: suppressed trailing ctx

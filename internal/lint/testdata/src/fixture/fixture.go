@@ -83,30 +83,15 @@ func RankValues(vs []int) {
 // and Drain receives it, so the orphan-tag check stays quiet.
 const tagFixture = 7
 
-// Gate violates collective-congruence: only rank 0 reaches the barrier,
-// so every other rank deadlocks waiting for it.
-func Gate(c mp.Comm) error {
-	if c.Rank() == 0 {
-		return c.Barrier()
-	}
-	return nil
-}
-
 // Mint violates tag-discipline: the raw literal mints an unregistered
 // protocol stream instead of naming a tag constant.
 func Mint(c mp.Comm, v any) error {
 	return c.Send(1, 99, v)
 }
 
-// Drain violates send-recv-pairing: the Recv loop never skips the
-// caller's own rank, so the rank blocks waiting on itself.
-func Drain(c mp.Comm) error {
-	for r := 0; r < c.Size(); r++ {
-		if _, err := c.Recv(r, tagFixture); err != nil {
-			return err
-		}
-	}
-	return nil
+// Drain receives tagFixture from the given rank.
+func Drain(c mp.Comm, from int) (any, error) {
+	return c.Recv(from, tagFixture)
 }
 
 // Feed is Drain's sending half; it keeps tagFixture paired module-wide.

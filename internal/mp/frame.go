@@ -392,8 +392,13 @@ func readConnFrame(conn net.Conn, timeout time.Duration) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(conn, body); err != nil {
+	// The length is the peer's claim, made before it has said who it is:
+	// the buffer grows with the bytes that arrive, not with the claim.
+	body, err := io.ReadAll(io.LimitReader(conn, int64(n)))
+	if err == nil && len(body) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, wireErr("truncated frame: %v", err)
 	}
 	return body, nil

@@ -1,13 +1,17 @@
 package mp
 
-// Dynamic confirmation for the parroutecheck mpproto rules: each pattern
-// the static analyzer forbids (collective-congruence, tag-discipline,
-// send-recv-pairing) is executed here on the virtual engine and shown to
-// actually deadlock. Test files are outside the linter's loading scope,
-// so the deliberate violations below need no //lint:allow annotations.
+// The protocol check: every rank must run the same synchronisations and
+// receive every message it is sent. The virtual engine enforces both at
+// run time — a run where every rank blocks fails with ErrDeadlock, and a
+// run that returns with mail still queued fails naming the rank, the tag
+// and the sender — and every parallel driver's tests run on it. Each test
+// below runs one broken protocol and shows which of the two refuses it.
+// Test files are outside the linter's loading scope, so the deliberate
+// violations below need no //lint:allow annotations.
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -36,10 +40,9 @@ func runWithWatchdog(t *testing.T, cfg Config, body func(Comm) error) error {
 	}
 }
 
-// TestVirtualRankGatedBarrierDeadlocks is the dynamic half of the seeded
-// regression (testdata/src/seeded.Worker): a Barrier moved inside a
+// TestVirtualRankGatedBarrierDeadlocks: a Barrier moved inside a
 // c.Rank()==0 branch leaves rank 0 waiting for peers that already
-// exited. collective-congruence catches this same shape statically.
+// exited.
 func TestVirtualRankGatedBarrierDeadlocks(t *testing.T) {
 	err := runWithWatchdog(t, Config{Procs: 4, Mode: Virtual}, func(c Comm) error {
 		if c.Rank() == 0 {
@@ -52,9 +55,8 @@ func TestVirtualRankGatedBarrierDeadlocks(t *testing.T) {
 	}
 }
 
-// TestVirtualOrphanTagRecvDeadlocks shows why tag-discipline reports a
-// tag with recv sites but no send sites: the Recv waits on a protocol
-// stream nobody ever writes, even while traffic flows on other tags.
+// TestVirtualOrphanTagRecvDeadlocks: a Recv on a tag nobody sends waits
+// forever, even while traffic flows on other tags.
 func TestVirtualOrphanTagRecvDeadlocks(t *testing.T) {
 	const (
 		tagUsed   = 7
@@ -75,10 +77,9 @@ func TestVirtualOrphanTagRecvDeadlocks(t *testing.T) {
 	}
 }
 
-// TestVirtualUnskippedSelfRecvLoopDeadlocks shows why send-recv-pairing
-// demands the `if r == c.Rank() { continue }` guard in Size() loops: the
-// send loop skips self, so the unguarded receive loop's self-Recv waits
-// on a message that was never sent.
+// TestVirtualUnskippedSelfRecvLoopDeadlocks: the send loop skips self, so
+// a receive loop over c.Size() without the `if r == c.Rank() { continue }`
+// guard waits on a self-message that was never sent.
 func TestVirtualUnskippedSelfRecvLoopDeadlocks(t *testing.T) {
 	const tagRing = 9
 	err := runWithWatchdog(t, Config{Procs: 3, Mode: Virtual}, func(c Comm) error {
@@ -100,5 +101,49 @@ func TestVirtualUnskippedSelfRecvLoopDeadlocks(t *testing.T) {
 	})
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("unskipped self-recv loop: expected ErrDeadlock, got %v", err)
+	}
+}
+
+// TestVirtualUndeliveredMailFails: a run whose ranks all return nil is
+// still refused when a message was never received — a self-Send with no
+// self-Recv, or a peer Send on a tag the receiver never reads. The error
+// names the rank holding the mail, the tag and the sender.
+func TestVirtualUndeliveredMailFails(t *testing.T) {
+	const (
+		tagRead   = 10
+		tagUnread = 11
+	)
+	cases := []struct {
+		name string
+		body func(Comm) error
+		want string
+	}{
+		{"self-send", func(c Comm) error {
+			if c.Rank() == 1 {
+				return c.Send(1, tagRead, 0) // nobody receives from self
+			}
+			return nil
+		}, "rank 1 finished with 1 undelivered messages (tag 10 from rank 1 first)"},
+		{"unread-tag", func(c Comm) error {
+			if c.Rank() == 0 {
+				if err := c.Send(1, tagUnread, 0); err != nil {
+					return err
+				}
+				return c.Send(1, tagRead, 0)
+			}
+			if c.Rank() == 1 {
+				_, err := c.Recv(0, tagRead) // tagUnread is never read
+				return err
+			}
+			return nil
+		}, "rank 1 finished with 1 undelivered messages (tag 11 from rank 0 first)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := runWithWatchdog(t, Config{Procs: 3, Mode: Virtual}, tc.body)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

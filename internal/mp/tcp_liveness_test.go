@@ -229,7 +229,9 @@ func TestReadLoopWriterDiesMidFrame(t *testing.T) {
 // claimed size before reading it (256 MiB for a prefix of maxFrameLen); a
 // link reads the claim into a buffer of at most one chunk and sizes a
 // flat payload's slice from its count only once its first records have
-// arrived, at most maxReserve bytes' worth.
+// arrived, at most maxReserve bytes' worth. The handshake's hello, read
+// from a connection that has not yet said who it is, grows its buffer
+// with the bytes that arrive too.
 func TestFrameClaimAllocatesOnlyWhatArrives(t *testing.T) {
 	n := (maxFrameLen - envelopeLen - 4) / 4
 	head := AppendUint32(AppendInt(AppendInt(AppendUint32(nil, maxFrameLen), 1), 1), wireIDInt32s)
@@ -254,6 +256,23 @@ func TestFrameClaimAllocatesOnlyWhatArrives(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > tc.most {
 			t.Errorf("%s: reading the claim allocated %d bytes, want at most %d", tc.name, got, tc.most)
 		}
+	}
+
+	a, b := net.Pipe()
+	defer a.Close()
+	go func() {
+		b.Write(AppendUint32(nil, maxFrameLen))
+		b.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := recvHello(a, 0)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrWire) {
+		t.Fatalf("hello length prefix alone: err %v, want a truncated frame", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<10 {
+		t.Errorf("hello length prefix alone: reading the claim allocated %d bytes, want at most %d", got, 16<<10)
 	}
 }
 

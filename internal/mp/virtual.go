@@ -32,6 +32,10 @@ import (
 // depends on the measured clocks, but where each survivor ends up blocked
 // does not — every Recv names its sender and Send never blocks — so what a
 // run did before it failed is the same on every run.
+//
+// A run whose ranks all return nil still fails if a message was never
+// received, so a protocol that sends more than it receives (a self-send,
+// a tag the peer never reads) is refused, not ignored.
 
 type vState uint8
 
@@ -122,7 +126,25 @@ func runVirtual(ctx context.Context, n int, model CostModel, fn func(Comm) error
 	if err := firstErr(errs); err != nil {
 		return elapsed, err
 	}
-	return elapsed, m.err
+	if m.err != nil {
+		return elapsed, m.err
+	}
+	return elapsed, undelivered(m.workers)
+}
+
+// undelivered fails a run whose ranks all returned nil but left mail in a
+// mailbox: a message nobody received is a protocol error, just as a Recv
+// nobody sends to is. Only Virtual checks it, because only here do the
+// mailboxes stay still once every rank has returned.
+func undelivered(workers []*vWorker) error {
+	for _, w := range workers {
+		if len(w.queue) > 0 {
+			e := w.queue[0]
+			return fmt.Errorf("mp: rank %d finished with %d undelivered messages (tag %d from rank %d first)",
+				w.rank, len(w.queue), e.tag, e.src)
+		}
+	}
+	return nil
 }
 
 // accrueLocked charges the real time since the worker got the token to its

@@ -8,7 +8,7 @@ import (
 )
 
 // The one reading of internal/mp's surface from type-checked source: what
-// is a protocol operation, where its tag, peer and payload sit, what is a
+// is a protocol operation, where its tag and payload sit, what is a
 // tag constant. mpgen's scanner and the lint analyzers both call this, so
 // the manifest and the rules cannot disagree about what a call is.
 
@@ -40,15 +40,14 @@ type Op struct {
 	// value per rank: what crosses the wire under its tag is the element.
 	PerRank bool
 	Sides   Side
-	// Argument indices, -1 when the operation has no tag (Barrier), no peer
-	// (the collectives) or sends no payload (Recv, Barrier).
-	tag, peer, payload int
+	// Argument indices, -1 when the operation has no tag (Barrier) or sends
+	// no payload (Recv, Barrier).
+	tag, payload int
 }
 
-// Tag, Peer and Payload return call's argument in that role, or nil when
-// the operation has none.
+// Tag and Payload return call's argument in that role, or nil when the
+// operation has none.
 func (op *Op) Tag(call *ast.CallExpr) ast.Expr     { return arg(call, op.tag) }
-func (op *Op) Peer(call *ast.CallExpr) ast.Expr    { return arg(call, op.peer) }
 func (op *Op) Payload(call *ast.CallExpr) ast.Expr { return arg(call, op.payload) }
 
 func arg(call *ast.CallExpr, i int) ast.Expr {
@@ -86,13 +85,6 @@ func mpCallee(info *types.Info, call *ast.CallExpr) (*types.Func, *types.Signatu
 	return fn, fn.Type().(*types.Signature)
 }
 
-// IsMethodCall reports whether call invokes the internal/mp method of that
-// name — on Comm or on any engine's implementation of it.
-func IsMethodCall(info *types.Info, call *ast.CallExpr, name string) bool {
-	fn, sig := mpCallee(info, call)
-	return fn != nil && sig.Recv() != nil && fn.Name() == name
-}
-
 // Classify resolves call to a protocol operation of internal/mp: a Comm
 // method (Send, Recv, Barrier) or a package-level collective. It returns
 // nil for everything else.
@@ -111,11 +103,11 @@ func Classify(info *types.Info, call *ast.CallExpr) *Op {
 	if sig.Recv() != nil {
 		switch fn.Name() {
 		case "Send":
-			return &Op{Name: "Send", Sides: SideSend, peer: 0, tag: 1, payload: 2}
+			return &Op{Name: "Send", Sides: SideSend, tag: 1, payload: 2}
 		case "Recv":
-			return &Op{Name: "Recv", Sides: SideRecv, peer: 0, tag: 1, payload: -1}
+			return &Op{Name: "Recv", Sides: SideRecv, tag: 1, payload: -1}
 		case "Barrier":
-			return &Op{Name: "Barrier", Collective: true, peer: -1, tag: -1, payload: -1}
+			return &Op{Name: "Barrier", Collective: true, tag: -1, payload: -1}
 		}
 		return nil
 	}
@@ -125,7 +117,7 @@ func Classify(info *types.Info, call *ast.CallExpr) *Op {
 	}
 	for i := 1; i < params.Len(); i++ {
 		if p := params.At(i); p.Name() == "tag" && types.Identical(p.Type(), types.Typ[types.Int]) {
-			op := &Op{Name: fn.Name(), Collective: true, Sides: SideSend | SideRecv, peer: -1, tag: i, payload: -1}
+			op := &Op{Name: fn.Name(), Collective: true, Sides: SideSend | SideRecv, tag: i, payload: -1}
 			if i+1 < params.Len() {
 				op.payload = i + 1
 				if s, ok := params.At(i + 1).Type().(*types.Slice); ok {
