@@ -2,12 +2,9 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strconv"
 	"strings"
-
-	"go/types"
-
-	"parroute/internal/mpproto"
 )
 
 // analyzerErrorWrap requires fmt.Errorf to wrap error operands with %w.
@@ -28,7 +25,7 @@ func runErrorWrap(p *Pass) {
 			if !ok {
 				return true
 			}
-			fn := mpproto.Callee(info, call)
+			fn := callee(info, call)
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" {
 				return true
 			}

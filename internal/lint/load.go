@@ -19,8 +19,8 @@ import (
 // Module is a loaded, type-checked view of this Go module, built with only
 // the standard library: packages are discovered by walking the tree from
 // go.mod, parsed with go/parser, and checked with go/types. Imports inside
-// the module resolve recursively through the same loader, so analyzers and
-// mpgen see the same ASTs; standard-library imports are read from the
+// the module resolve recursively through the same loader, so every
+// analyzer sees the same ASTs; standard-library imports are read from the
 // compiler's export data, which `go list -export std` locates (so loading
 // needs `go` on PATH).
 type Module struct {
@@ -57,10 +57,6 @@ type loader struct {
 	// file; filled by the first standard-library import.
 	exports map[string]string
 	pkgs    map[string]*Package
-	// skip lists file base names excluded from every package. mpgen scans
-	// with its own generated output excluded, so a stale (even no longer
-	// type-checking) mpwire_gen.go never blocks regeneration.
-	skip map[string]bool
 	// loading guards against import cycles, which the go toolchain rejects
 	// anyway but would otherwise recurse forever here.
 	loading map[string]bool
@@ -72,7 +68,6 @@ func newLoader(root, path string) *loader {
 		path:    path,
 		fset:    token.NewFileSet(),
 		pkgs:    map[string]*Package{},
-		skip:    map[string]bool{},
 		loading: map[string]bool{},
 	}
 	l.std = importer.ForCompiler(l.fset, "gc", l.openExport)
@@ -162,7 +157,7 @@ func (l *loader) parseDir(dir string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || l.skip[name] {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -215,21 +210,11 @@ func findModule(dir string) (root, path string, err error) {
 // LoadModule loads every package of the module containing dir, skipping
 // testdata and hidden directories (the same set `go build ./...` sees).
 func LoadModule(dir string) (*Module, error) {
-	return LoadModuleSkipping(dir)
-}
-
-// LoadModuleSkipping is LoadModule with files whose base name appears in
-// skipBase excluded from every package. mpgen scans with its own output
-// file excluded so stale generated code cannot block regeneration.
-func LoadModuleSkipping(dir string, skipBase ...string) (*Module, error) {
 	root, path, err := findModule(dir)
 	if err != nil {
 		return nil, err
 	}
 	l := newLoader(root, path)
-	for _, name := range skipBase {
-		l.skip[name] = true
-	}
 	var pkgDirs []string
 	err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -242,7 +227,7 @@ func LoadModuleSkipping(dir string, skipBase ...string) (*Module, error) {
 			}
 			return nil
 		}
-		if strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") && !l.skip[d.Name()] {
+		if strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") {
 			dir := filepath.Dir(p)
 			if len(pkgDirs) == 0 || pkgDirs[len(pkgDirs)-1] != dir {
 				pkgDirs = append(pkgDirs, dir)

@@ -3,14 +3,12 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"parroute/internal/mpproto"
 )
 
 // The module-wide protocol index tag-discipline reads: per-tag send and
 // receive site sets, with call edges followed one level deep through
 // helpers that forward a parameter into a tag position. What counts as an
-// internal/mp operation is mpproto.Classify's to say.
+// internal/mp operation is classify's to say.
 
 // tagSites counts the static send-side and recv-side call sites of one
 // named tag constant across the loaded module.
@@ -31,7 +29,7 @@ func (m *Module) protocolIndex() *protoIndex {
 	}
 	idx := &protoIndex{tags: map[*types.Const]*tagSites{}}
 	// Pass 1: the tag parameters of every module function.
-	forwards := map[*types.Func]map[int]mpproto.Side{}
+	forwards := map[*types.Func]map[int]tagSide{}
 	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -57,11 +55,11 @@ func (m *Module) protocolIndex() *protoIndex {
 				if !ok {
 					return true
 				}
-				if op := mpproto.Classify(pkg.Info, call); op != nil {
+				if op := classify(pkg.Info, call); op != nil {
 					idx.recordTag(pkg.Info, op.Tag(call), op.Sides)
 					return true
 				}
-				fn := mpproto.Callee(pkg.Info, call)
+				fn := callee(pkg.Info, call)
 				if fn == nil {
 					return true
 				}
@@ -80,8 +78,8 @@ func (m *Module) protocolIndex() *protoIndex {
 
 // recordTag attributes a tag argument site to its named constant, if the
 // expression is one.
-func (idx *protoIndex) recordTag(info *types.Info, e ast.Expr, s mpproto.Side) {
-	obj := mpproto.NamedConst(info, e)
+func (idx *protoIndex) recordTag(info *types.Info, e ast.Expr, s tagSide) {
+	obj := namedConst(info, e)
 	if obj == nil {
 		return
 	}
@@ -90,10 +88,10 @@ func (idx *protoIndex) recordTag(info *types.Info, e ast.Expr, s mpproto.Side) {
 		ts = &tagSites{}
 		idx.tags[obj] = ts
 	}
-	if s&mpproto.SideSend != 0 {
+	if s&sideSend != 0 {
 		ts.sends++
 	}
-	if s&mpproto.SideRecv != 0 {
+	if s&sideRecv != 0 {
 		ts.recvs++
 	}
 }
@@ -101,15 +99,15 @@ func (idx *protoIndex) recordTag(info *types.Info, e ast.Expr, s mpproto.Side) {
 // tagParams returns the parameters fd forwards into the tag position of a
 // direct protocol call (function literals excluded), with the direction of
 // each.
-func tagParams(info *types.Info, fd *ast.FuncDecl) map[int]mpproto.Side {
-	out := map[int]mpproto.Side{}
+func tagParams(info *types.Info, fd *ast.FuncDecl) map[int]tagSide {
+	out := map[int]tagSide{}
 	params := paramObjects(info, fd)
 	inspectSkippingFuncLits(fd.Body, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
 		}
-		op := mpproto.Classify(info, call)
+		op := classify(info, call)
 		if op == nil {
 			return
 		}

@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"parroute/internal/mpproto"
 )
 
 // analyzerTagDiscipline enforces the message-tag rule, in three parts:
@@ -52,12 +50,12 @@ func checkTagSites(p *Pass, f *ast.File) {
 		if !ok {
 			return true
 		}
-		op := mpproto.Classify(info, call)
+		op := classify(info, call)
 		if op == nil {
 			return true
 		}
 		arg := op.Tag(call)
-		if arg == nil || mpproto.NamedConst(info, arg) != nil {
+		if arg == nil || namedConst(info, arg) != nil {
 			return true // no tag, or a declared tag constant
 		}
 		if tv, ok := info.Types[arg]; ok && tv.Value != nil {
@@ -88,8 +86,8 @@ func checkOrphanTags(p *Pass, idx *protoIndex, f *ast.File) {
 				if !ok {
 					continue
 				}
-				v, isTag := mpproto.TagValue(obj)
-				if isTag && v < 0 && !mpproto.IsMP(p.Pkg.Path) {
+				v, isTag := tagValue(obj)
+				if isTag && v < 0 && !isMP(p.Pkg.Path) {
 					p.Reportf(name.Pos(),
 						"tag %s = %d collides with the engine-reserved negative tag range: user tags must be >= 0",
 						name.Name, v)

@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
-
-	"parroute/internal/mpproto"
 )
 
 // analyzerUncheckedError flags transport and serialization calls whose
@@ -45,7 +43,7 @@ func runUncheckedError(p *Pass) {
 			if !ok {
 				return true
 			}
-			fn := mpproto.Callee(p.Pkg.Info, call)
+			fn := callee(p.Pkg.Info, call)
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
@@ -54,7 +52,7 @@ func runUncheckedError(p *Pass) {
 				return true
 			}
 			path := fn.Pkg().Path()
-			inScope := mpproto.IsMP(path) || uncheckedErrorPkgs[path] ||
+			inScope := isMP(path) || uncheckedErrorPkgs[path] ||
 				(strings.HasPrefix(path, "parroute") && uncheckedErrorNames[fn.Name()])
 			if !inScope {
 				return true

@@ -2,8 +2,10 @@ package mp
 
 import (
 	"bufio"
+	_ "embed"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net"
 	"time"
@@ -23,7 +25,7 @@ import (
 // length-prefixed outer frame with their own magic strings.
 //
 // No side holds a frame whole. A flat payload — a record count, then
-// fixed-width records: the []int32 builtin and every mpgen batch — is
+// fixed-width records: the []int32 builtin and every payload batch — is
 // encoded a record range at a time into its link's buffer, which is
 // written each time it holds frameChunk bytes, and is read back a chunk at
 // a time and decoded straight into the payload's typed slice. Every other
@@ -49,8 +51,8 @@ const (
 
 // records is a flat payload: WireRecords is its record count and the
 // encoded width of one record, and AppendWireRecords appends the records
-// [lo, hi) without the count. mpgen emits the pair, and DecodeWireRecords
-// on the pointer type, for every batch.
+// [lo, hi) without the count. Every batch has the pair, and
+// DecodeWireRecords on the pointer type.
 type records interface {
 	WireRecords() (n, width int)
 	AppendWireRecords(buf []byte, lo, hi int) []byte
@@ -236,15 +238,32 @@ func (fr *frameReader) records(width int, decode func(data []byte, reserve int) 
 
 // ---- connection-setup frames ----
 
-// WireProtocolChecksum is the FNV-1a/64 hash of the generated
-// mp_protocol.json bytes — the build's protocol fingerprint. The TCP
-// rendezvous hello carries it so processes built against different
+// WireProtocolChecksum is the build's protocol fingerprint: FNV-1a/64
+// over the protocol's own source, this package's wire.go (the builtin ids
+// and the wire primitives) followed by what each payload package hands
+// AddProtocolSource from its init (its tags, payload types and codecs).
+// The TCP rendezvous hello carries it, so processes built from different
 // protocol revisions refuse to form a mesh instead of misdecoding each
-// other's frames. Assigned by the generated init in mpwire_gen.go; it
-// cannot live there as a constant because mpgen rescans the module with
-// generated files excluded, so hand-written code may not reference
-// generated symbols.
+// other's frames. It is complete once package initialization is.
 var WireProtocolChecksum uint64
+
+//go:embed wire.go
+var wireSource []byte
+
+// protocolHash is the FNV-1a state WireProtocolChecksum is read from.
+var protocolHash = fnv.New64a()
+
+func init() { AddProtocolSource(wireSource) }
+
+// AddProtocolSource folds a payload package's protocol source into
+// WireProtocolChecksum. Call it from the init that registers the
+// package's payloads, with the source files that define them.
+func AddProtocolSource(src ...[]byte) {
+	for _, s := range src {
+		_, _ = protocolHash.Write(s) // a hash.Hash never returns an error
+	}
+	WireProtocolChecksum = protocolHash.Sum64()
+}
 
 const (
 	// helloMagic opens the hello a connecting endpoint sends first.
@@ -411,9 +430,9 @@ func sendHello(conn net.Conn, rank int, addr string, timeout time.Duration) erro
 }
 
 // recvHello reads and verifies a peer's hello, bounded by timeout. A
-// checksum mismatch means the peer was built against a different
-// mp_protocol.json revision; forming a mesh with it would misdecode every
-// frame, so the handshake refuses it up front.
+// checksum mismatch means the peer was built from a different protocol
+// revision; forming a mesh with it would misdecode every frame, so the
+// handshake refuses it up front.
 func recvHello(conn net.Conn, timeout time.Duration) (hello, error) {
 	body, err := readConnFrame(conn, timeout)
 	if err != nil {
@@ -424,7 +443,7 @@ func recvHello(conn net.Conn, timeout time.Duration) (hello, error) {
 		return hello{}, err
 	}
 	if h.Checksum != WireProtocolChecksum {
-		return hello{}, fmt.Errorf("mp: protocol checksum mismatch: peer rank %d built against %#016x, this build has %#016x (regenerate with mpgen and rebuild every rank)",
+		return hello{}, fmt.Errorf("mp: protocol checksum mismatch: peer rank %d built against %#016x, this build has %#016x (rebuild every rank from one source tree)",
 			h.Rank, h.Checksum, WireProtocolChecksum)
 	}
 	return h, nil

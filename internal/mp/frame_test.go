@@ -87,8 +87,8 @@ type cheapRun struct{ u32Run }
 
 func (cheapRun) WireSize() int { return 0 }
 
-// flagRun is a flat test payload, coded by record range as mpgen codes
-// its batches: 5-byte records whose bool byte must be 0 or 1.
+// flagRun is a flat test payload, coded by record range as the payload
+// batches are: 5-byte records whose bool byte must be 0 or 1.
 type flagRun []flagRec
 
 type flagRec struct {
@@ -133,7 +133,7 @@ func (p *flagRun) DecodeWire(data []byte) ([]byte, error) {
 	return rest[5*n:], p.DecodeWireRecords(rest[:5*n], n)
 }
 
-// u32RunWireID is u32Run's test-only wire id, far above the manifest's.
+// u32RunWireID is u32Run's test-only wire id, far above the payloads'.
 const u32RunWireID = 1 << 20
 
 func init() {
@@ -333,10 +333,12 @@ func TestTableRoundTrip(t *testing.T) {
 }
 
 func TestProtocolChecksumAssigned(t *testing.T) {
-	// The generated init must have stamped the build's protocol
+	// Package initialization must have stamped the build's protocol
 	// fingerprint; a zero checksum would let mismatched builds mesh.
+	// internal/parallel's TestProtocolChecksumCoversSource pins what it
+	// hashes.
 	if WireProtocolChecksum == 0 {
-		t.Fatal("WireProtocolChecksum is zero: mpwire_gen.go did not assign it")
+		t.Fatal("WireProtocolChecksum is zero: no protocol source was hashed")
 	}
 }
 

@@ -8,12 +8,19 @@ import (
 	"time"
 )
 
+// testRecvTimeout bounds every Recv of an allModes run on the real-time
+// engines: far longer than any healthy wait, it turns a protocol fault
+// (a rank skipping a collective, a receive nobody sends to) into that
+// subtest's ErrDeadline instead of a hang to go test's package timeout
+// that leaves every later test unrun.
+const testRecvTimeout = 30 * time.Second
+
 // allModes runs a subtest under each engine a single Config selects.
 func allModes(t *testing.T, name string, f func(t *testing.T, cfg Config)) {
 	t.Helper()
 	for _, mode := range []Mode{Virtual, Inproc, TCP} {
 		t.Run(name+"/"+mode.String(), func(t *testing.T) {
-			f(t, Config{Mode: mode})
+			f(t, Config{Mode: mode, Limits: Limits{RecvTimeout: testRecvTimeout}})
 		})
 	}
 }

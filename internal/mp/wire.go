@@ -1,7 +1,5 @@
 package mp
 
-//go:generate go run parroute/cmd/mpgen
-
 import (
 	"encoding/binary"
 	"errors"
@@ -14,22 +12,15 @@ import (
 // travel as fixed-width little-endian (8 bytes for int/int64/uint64, 1
 // byte for bool and byte-sized types), strings and slices carry a u32
 // length/count prefix, and interface values carry a u32 wire type id plus
-// a u32 body length. Every id is recorded in mp_protocol.json; id 0 and
-// any id or type without a codec is an ErrWire, never a fallback. The
-// encoding is canonical — one byte sequence per value — which is what
-// lets the fuzz targets assert encode→decode→re-encode byte-identity for
-// every accepted input.
+// a u32 body length. Id 0 and any id or type without a codec is an
+// ErrWire, never a fallback. The encoding is canonical — one byte
+// sequence per value — which is what lets the fuzz targets assert
+// encode→decode→re-encode byte-identity for every accepted input.
 //
-// This file is the hand-written substrate: append/consume primitives,
-// the codecs of the three builtin payload shapes the collectives relay,
-// and the wire-id registry generated init functions populate. The
-// per-type codecs live in the mpwire_gen.go files (`go generate ./...`
-// or `go run parroute/cmd/mpgen` regenerates them; `mpgen -check` is the
-// CI drift gate).
-
-// WireSchemaVersion names the codec format carried in the protocol
-// manifest (mp_protocol.json).
-const WireSchemaVersion = "parroute-mpwire/1"
+// This file holds the append/consume primitives, the codecs of the three
+// builtin payload shapes the collectives relay, and the wire-id registry
+// that payload packages fill from their init functions. It is part of the
+// protocol fingerprint (WireProtocolChecksum).
 
 // ErrWire is wrapped by every decode error: truncated input, oversized
 // counts, or malformed values.
@@ -133,8 +124,8 @@ func WireString(data []byte) (string, []byte, error) {
 
 // WireCount consumes a u32 element count, bounding count×width by the
 // remaining input: width is the element's encoded width, or 1 for elements
-// of variable length (every generated element encoding consumes at least
-// one byte), so a count the input cannot hold never forces an allocation.
+// of variable length (every such element encoding consumes at least one
+// byte), so a count the input cannot hold never forces an allocation.
 func WireCount(data []byte, width int) (int, []byte, error) {
 	n, rest, err := WireUint32(data)
 	if err != nil {
@@ -153,15 +144,14 @@ func WireCount(data []byte, width int) (int, []byte, error) {
 // the message framing — the size only feeds transfer time, never program
 // behaviour) and its parroute-mpwire/1 body. The decoding half,
 // DecodeWire on the pointer type, is what Register's constraint adds.
-// mpgen derives all three from the //mp:payload struct layouts.
 type Payload interface {
 	WireSize() int
 	AppendWire(buf []byte) ([]byte, error)
 }
 
 // Reserved wire ids of the three builtin payload shapes the collectives
-// relay, as recorded in mp_protocol.json (mpproto.BuiltinTypes); id 1
-// is retired, and registered payload types start at firstPayloadWireID.
+// relay; id 1 is retired, and registered payload types start at
+// firstPayloadWireID.
 const (
 	wireIDInt32s       = 2 // []int32
 	wireIDBool         = 3
@@ -190,8 +180,8 @@ var wireRegistry = struct {
 }
 
 // Register makes values of T cross AppendAny/WireAny under the
-// manifest's wire id: mp.Register[T](id), called from generated init
-// functions. A reserved id or a conflicting re-registration panics.
+// wire id id: mp.Register[T](id), called from the payload package's init
+// function. A reserved id or a conflicting re-registration panics.
 func Register[T Payload, P interface {
 	*T
 	DecodeWire(data []byte) ([]byte, error)
@@ -322,7 +312,7 @@ func decodeAnyBody(id uint32, body []byte) (any, error) {
 }
 
 // int32s is the []int32 builtin as a flat payload: 4-byte records, so it
-// takes the same range codecs and chunked frames as every mpgen batch.
+// takes the same range codecs and chunked frames as every payload batch.
 type int32s []int32
 
 func (p int32s) WireRecords() (int, int) { return len(p), 4 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -17,15 +18,16 @@ import (
 	"parroute/internal/mp"
 )
 
-// wirePayload is the common surface of every generated codec, used to
+// wirePayload is the common surface of every payload codec, used to
 // drive the round-trip and golden tests generically.
 type wirePayload = mp.Payload
 
-// samplePayloads returns one representative value per generated codec,
-// paired with a fresh decoder target. The values exercise every field
-// kind the codecs emit: fixed ints, the Side byte, bools, strings,
-// nested structs (geom.Interval), and doubly nested slices
-// (Summary.Phases[].Counters).
+// samplePayloads returns representative values of every payload codec,
+// each paired with a fresh decoder target. The values exercise every field
+// kind the codecs emit: fixed ints, the Side byte, bools, strings, and
+// doubly nested slices (Summary.Phases[].Counters). Every field of every
+// payload type is non-zero in some sample (TestSamplesSetEveryField), so a
+// field the codec skips fails TestCodecRoundTrip.
 func samplePayloads() []struct {
 	name   string
 	value  wirePayload
@@ -56,6 +58,9 @@ func samplePayloads() []struct {
 		{"NodeBatch", NodeBatch{
 			{Net: 42, X: 17, Row: 8, Side: circuit.Bottom},
 		}, dec(new(NodeBatch))},
+		{"NodeBatchTop", NodeBatch{
+			{Net: 43, X: -17, Row: 9, Side: circuit.Top},
+		}, dec(new(NodeBatch))},
 		{"WireBatch", WireBatch{Wires: []metrics.Wire{
 			{Net: 5, Channel: 2, Switchable: true, AX: 10, ARow: 1, BX: 90, BRow: 3},
 			{Net: 6, Channel: 0, Switchable: false, AX: -3, ARow: 0, BX: 4, BRow: 0},
@@ -72,10 +77,9 @@ func samplePayloads() []struct {
 	}
 }
 
-// TestWireSizeDifferential pins the generated WireSize methods
-// byte-for-byte to the hand-written flat pricing they replaced, across a
-// range of batch lengths. A layout change that alters pricing must show
-// up here (and in mp_protocol.json) as an explicit diff.
+// TestWireSizeDifferential pins the WireSize methods byte-for-byte to the
+// flat pricing of their encodings, across a range of batch lengths. A
+// layout change that alters pricing must show up here as an explicit diff.
 func TestWireSizeDifferential(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100} {
 		if got, want := make(FakePinBatch, n).WireSize(), n*13; got != want {
@@ -117,7 +121,7 @@ func TestMessagesStaySmall(t *testing.T) {
 
 // TestCodecRoundTrip checks encode→decode value equality and
 // decode→re-encode byte identity (the codec is canonical) for every
-// generated codec.
+// payload codec.
 func TestCodecRoundTrip(t *testing.T) {
 	for _, tc := range samplePayloads() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,6 +153,63 @@ func TestCodecRoundTrip(t *testing.T) {
 				t.Fatalf("tail not preserved: rest=%x err=%v", rest, err)
 			}
 		})
+	}
+}
+
+// TestSamplesSetEveryField holds samplePayloads to what TestCodecRoundTrip
+// needs from them: every field of every payload type, records' fields
+// included, is non-zero in at least one sample of that type. A field added
+// to a record must be set in a sample, and the round trip then fails if
+// the codec neither encodes nor decodes it.
+func TestSamplesSetEveryField(t *testing.T) {
+	set := map[reflect.Type]map[string]bool{} // payload type → field path → non-zero somewhere
+	var walk func(typ reflect.Type, path string, v reflect.Value)
+	walk = func(typ reflect.Type, path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Slice:
+			walk(typ, path+"[]", reflect.Zero(v.Type().Elem())) // an empty slice still lists its fields
+			for i := 0; i < v.Len(); i++ {
+				walk(typ, path+"[]", v.Index(i))
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(typ, path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		default:
+			set[typ][path] = set[typ][path] || !v.IsZero()
+		}
+	}
+	for _, tc := range samplePayloads() {
+		typ := reflect.TypeOf(tc.value)
+		if set[typ] == nil {
+			set[typ] = map[string]bool{}
+		}
+		walk(typ, typ.Name(), reflect.ValueOf(tc.value))
+	}
+	for typ, fields := range set {
+		for path, nonZero := range fields {
+			if !nonZero {
+				t.Errorf("%v: %s is zero in every sample: set it in samplePayloads", typ, path)
+			}
+		}
+	}
+}
+
+// TestProtocolChecksumCoversSource: the build's protocol fingerprint is
+// FNV-1a/64 over internal/mp's wire.go, then this package's messages.go and
+// codec.go, so a tag renumbering or a payload or codec edit changes what the
+// TCP hello compares.
+func TestProtocolChecksumCoversSource(t *testing.T) {
+	h := fnv.New64a()
+	for _, name := range []string{"../mp/wire.go", "messages.go", "codec.go"} {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(src)
+	}
+	if mp.WireProtocolChecksum != h.Sum64() {
+		t.Fatalf("mp.WireProtocolChecksum = %#016x, FNV-1a/64 of the protocol source is %#016x", mp.WireProtocolChecksum, h.Sum64())
 	}
 }
 

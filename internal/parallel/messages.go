@@ -1,7 +1,5 @@
 package parallel
 
-//go:generate go run parroute/cmd/mpgen
-
 import (
 	"parroute/internal/circuit"
 	"parroute/internal/metrics"
@@ -26,11 +24,9 @@ const (
 	tagSwitchVote
 )
 
-// The payload types below carry the //mp:payload directive: cmd/mpgen
-// derives their flat codecs, WireSize pricing and registration (see
-// mp.Payload) into mpwire_gen.go, and records their field layout
-// in mp_protocol.json for the `mpgen -check` drift gate. After changing
-// any of them, run `go generate ./...` and commit the regenerated files.
+// The payload types below cross the mesh through the codecs, WireSize
+// prices and wire ids in codec.go (see mp.Payload). A field edited here
+// is a codec and a testdata/wire golden edited there.
 
 // FakePinSpec asks a block worker to add a fake pin for a net at a
 // partition boundary: the crossing point of a Steiner segment (paper §4,
@@ -43,10 +39,8 @@ type FakePinSpec struct {
 }
 
 // FakePinBatch is the slice form FakePinSpecs travel in. The named type
-// carries the generated WireSize fast path (see mp.Payload) so the Virtual
-// engine prices sync rounds without encoding each batch.
-//
-//mp:payload
+// carries the WireSize fast path (see mp.Payload) so the Virtual engine
+// prices sync rounds without encoding each batch.
 type FakePinBatch []FakePinSpec
 
 // CrossingMsg tells a row owner that a segment of Net crosses Row at
@@ -58,8 +52,6 @@ type CrossingMsg struct {
 }
 
 // CrossingBatch is the slice form CrossingMsgs travel in; see FakePinBatch.
-//
-//mp:payload
 type CrossingBatch []CrossingMsg
 
 // NodeMsg contributes a connection node (a real pin or an assigned
@@ -73,21 +65,15 @@ type NodeMsg struct {
 }
 
 // NodeBatch is the slice form NodeMsgs travel in; see FakePinBatch.
-//
-//mp:payload
 type NodeBatch []NodeMsg
 
 // WireBatch carries final wires from a worker to rank 0 (or between
 // workers when redistributing by channel owner).
-//
-//mp:payload
 type WireBatch struct {
 	Wires []metrics.Wire
 }
 
 // Summary carries a worker's counters to rank 0 for the merged result.
-//
-//mp:payload
 type Summary struct {
 	Rank         int
 	InsertedFts  int

@@ -61,8 +61,8 @@ func netWiseStages(r *rank) []pipeline.Stage {
 		ftByRow     [][]int
 		ftNodes     []NodeBatch
 	)
-	// The collectives are spelled out per table so that each tag keeps its
-	// static payload type in mp_protocol.json.
+	// The collectives are spelled out per table so that tag-discipline,
+	// which reads tags at call sites, sees each one.
 	syncGrid := func() error {
 		pairs = r.rt.Grid.AppendDelta(pairs[:0], snap)
 		in, err := mp.Allgather(comm, tagGridSync, slices.Clone(pairs))

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"parroute/internal/circuit"
 	"parroute/internal/gen"
@@ -507,8 +508,11 @@ func TestDriverStageLists(t *testing.T) {
 	c := testCircuit(t)
 	for _, algo := range Algorithms() {
 		log := &stageLog{counters: map[string][]string{}}
+		// The receive bound turns a protocol fault into this test's error,
+		// not a hang to the package timeout.
 		_, err := Run(context.Background(), c, Options{
 			Algo: algo, Procs: 2, Mode: mp.Inproc, Route: route.Options{Seed: 1},
+			Limits:    mp.Limits{RecvTimeout: 30 * time.Second},
 			Observers: []pipeline.Observer{log},
 		})
 		if err != nil {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The full CI gate: build, vet, the project's own static-analysis suite
-# (determinism + mpproto protocol rules; see DESIGN.md §6–§7), and the
+# (determinism + the tag-discipline protocol rule; see DESIGN.md §6–§7), and the
 # tests under the race detector. Tier-1 (`go build ./... && go test ./...`)
 # is a subset; run this before merging anything that touches routing or
 # transport code.
@@ -27,7 +27,7 @@ step() {
 step "go build ./..." go build ./...
 step "go vet ./..." go vet ./...
 
-# Line budget: non-test, non-generated Go lines outside benchmark/ (the last
+# Line budget: non-test Go lines outside benchmark/ (the last
 # line of scripts/loc.sh) must not exceed the figure committed in
 # scripts/loc.budget, so a PR that grows the module says so in its diff —
 # by raising the budget — instead of in a missed criterion. A PR that
@@ -45,13 +45,6 @@ line_budget() {
   fi
 }
 step "line budget (scripts/loc.sh vs scripts/loc.budget)" line_budget
-
-# Protocol drift gate: the committed mpwire_gen.go codecs and the
-# mp_protocol.json manifest must match what mpgen would emit from the
-# current //mp:payload types (see DESIGN.md §11) — the one drift gate. A
-# failure names the first stale line of each file and means a payload
-# struct, tag constant or send site changed without `go generate ./...`.
-step "mpgen -check (generated protocol current)" go run ./cmd/mpgen -check
 
 # One wire format: parroute-mpwire/1 is the only encoding on the mesh
 # (DESIGN.md §11), so encoding/gob must not come back as a dependency.
@@ -106,9 +99,10 @@ peer_batches() {
 }
 step "peer batches only read (P=3 inproc, -race x20)" peer_batches
 
-# Codec fuzz smoke: the generated wire codecs must decode whatever they
-# encode and re-encode it byte-identically (the canonical-encoding
-# invariant the manifest prices depend on), under the race detector.
+# Codec fuzz smoke: the hand-written payload codecs (internal/parallel's
+# codec.go) must decode whatever they encode and re-encode it
+# byte-identically (the canonical-encoding invariant the WireSize prices
+# depend on), under the race detector.
 # FuzzAnyCodec and FuzzFrame are seeded with each builtin and a registered
 # payload, whole and with a count its body cannot hold. FuzzFrame drives
 # the socket framing the multi-process TCP engine puts those codecs on: arbitrary byte streams must decode-or-reject, never
