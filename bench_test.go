@@ -1,183 +1,21 @@
-// One benchmark per table and figure of the paper's evaluation, plus the
-// two ablations. Each benchmark drives the same harness as cmd/benchtab on
-// the two smallest circuits (primary2, biomed) so the full suite stays
-// fast; run `go run ./cmd/benchtab -all` for the complete six-circuit
-// reproduction. Key quality/speedup numbers are attached as custom
-// benchmark metrics.
+// Root benchmarks: the serial router per circuit, the baseline every
+// speedup of the paper is computed against, and the L-flip pass count
+// knob. The paper's tables are TestPaperTables (paper_test.go); the perf
+// ledger is `go run ./benchmark`.
 package parroute_test
 
 import (
 	"context"
-	"io"
 	"testing"
 
-	"parroute/internal/bench"
 	"parroute/internal/gen"
-	"parroute/internal/mp"
-	"parroute/internal/parallel"
-	"parroute/internal/partition"
 	"parroute/internal/route"
 )
-
-// benchCircuits keeps the per-iteration cost of the table benchmarks
-// manageable; cmd/benchtab runs all six.
-var benchCircuits = []string{"primary2", "biomed"}
-
-func newSuite() *bench.Suite {
-	return bench.NewSuite(bench.Config{Circuits: benchCircuits, Seed: 7})
-}
-
-// reportScaledAndSpeedup attaches the 8-worker average scaled tracks and
-// speedup of an algorithm as custom metrics.
-func reportScaledAndSpeedup(b *testing.B, s *bench.Suite, algo parallel.Algorithm) {
-	b.Helper()
-	var scaled, speedup float64
-	for _, name := range benchCircuits {
-		base, err := s.Baseline(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := s.Run(name, algo, 8, mp.SMP(), 0, partition.PinWeight)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scaled += r.ScaledTracks(base)
-		speedup += r.Speedup(base)
-	}
-	n := float64(len(benchCircuits))
-	b.ReportMetric(scaled/n, "scaled-tracks-8p")
-	b.ReportMetric(speedup/n, "speedup-8p")
-}
-
-func BenchmarkTable1Characteristics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newSuite()
-		if err := s.Table1(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable2RowWiseTracks(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newSuite()
-		if err := s.ScaledTracks(io.Discard, 2); err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportScaledAndSpeedup(b, s, parallel.RowWise)
-		}
-	}
-}
-
-func BenchmarkFigure4RowWiseSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newSuite()
-		if err := s.Speedups(io.Discard, 4); err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportScaledAndSpeedup(b, s, parallel.RowWise)
-		}
-	}
-}
-
-func BenchmarkTable3NetWiseTracks(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newSuite()
-		if err := s.ScaledTracks(io.Discard, 3); err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportScaledAndSpeedup(b, s, parallel.NetWise)
-		}
-	}
-}
-
-func BenchmarkFigure5NetWiseSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newSuite()
-		if err := s.Speedups(io.Discard, 5); err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportScaledAndSpeedup(b, s, parallel.NetWise)
-		}
-	}
-}
-
-func BenchmarkTable4HybridTracks(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newSuite()
-		if err := s.ScaledTracks(io.Discard, 4); err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportScaledAndSpeedup(b, s, parallel.Hybrid)
-		}
-	}
-}
-
-func BenchmarkFigure6HybridSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newSuite()
-		if err := s.Speedups(io.Discard, 6); err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportScaledAndSpeedup(b, s, parallel.Hybrid)
-		}
-	}
-}
-
-func BenchmarkTable5HybridPlatforms(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newSuite()
-		if err := s.Table5(io.Discard, 8, 16); err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			// DMP-vs-SMP runtime ratio on biomed at matching procs.
-			base, err := s.Baseline("biomed")
-			if err != nil {
-				b.Fatal(err)
-			}
-			smp, err := s.Run("biomed", parallel.Hybrid, 8, mp.SMP(), 0, partition.PinWeight)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dmp, err := s.Run("biomed", parallel.Hybrid, 8, mp.DMP(), 0, partition.PinWeight)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(smp.Speedup(base), "smp-speedup-8p")
-			b.ReportMetric(dmp.Speedup(base), "dmp-speedup-8p")
-		}
-	}
-}
-
-func BenchmarkAblationNetPartition(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newSuite()
-		if err := s.AblationPartition(io.Discard, "biomed", 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSyncPeriod(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newSuite()
-		if err := s.AblationSync(io.Discard, "biomed", 8, []int{-1, 1, 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkSerialRoute measures the plain serial router per circuit — the
 // baseline every speedup in the paper is computed against.
 func BenchmarkSerialRoute(b *testing.B) {
-	for _, name := range benchCircuits {
+	for _, name := range []string{"primary2", "biomed"} {
 		b.Run(name, func(b *testing.B) {
 			c, err := gen.Benchmark(name, 7)
 			if err != nil {

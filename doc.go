@@ -3,10 +3,10 @@
 // TimberWolfSC-style global router for row-based standard cells plus the
 // paper's three parallel algorithms (row-wise, net-wise and hybrid pin
 // partition) on a message-passing substrate with simulated SMP/DMP
-// machines, synthetic MCNC-like benchmark circuits, and a harness that
-// regenerates every table and figure of the paper's evaluation.
+// machines and synthetic MCNC-like benchmark circuits.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for measured-vs-paper results. The root-level benchmarks
-// in bench_test.go drive the same experiment harness as cmd/benchtab.
+// EXPERIMENTS.md for measured-vs-paper results. TestPaperTables
+// (paper_test.go) regenerates every table and figure of the paper's
+// evaluation and holds EXPERIMENTS.md to it.
 package parroute

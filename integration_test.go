@@ -1,6 +1,8 @@
-// Repository-level integration tests: route the full benchmark circuits
-// end to end and check the invariants that hold for a correct global
-// route. The heavyweight cases are skipped under -short.
+// Repository-level integration tests: the invariants that hold for a
+// correct global route (checkResult, which TestAllPresetsSerial,
+// TestAllPresetsParallel and TestPaperTables apply to every result of the
+// paper's evaluation), seed stability and the
+// partition heuristics end to end.
 package parroute_test
 
 import (
@@ -58,61 +60,6 @@ func checkResult(t *testing.T, name string, numChannels int, res *metrics.Result
 		float64(sum.AssignedTracks) > 1.2*float64(sum.DensityTracks) {
 		t.Errorf("%s: assigned %d tracks for density %d",
 			name, sum.AssignedTracks, sum.DensityTracks)
-	}
-}
-
-func TestAllPresetsSerial(t *testing.T) {
-	names := gen.CircuitNames()
-	if testing.Short() {
-		names = names[:2]
-	}
-	for _, name := range names {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			c, err := gen.Benchmark(name, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := route.Route(context.Background(), c, route.Options{Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkResult(t, name, c.NumChannels(), res)
-		})
-	}
-}
-
-func TestAllPresetsParallel(t *testing.T) {
-	names := []string{"primary2", "biomed"}
-	if !testing.Short() {
-		names = append(names, "industry3")
-	}
-	for _, name := range names {
-		c, err := gen.Benchmark(name, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := parallel.RunBaseline(context.Background(), c, parallel.Options{Procs: 1, Route: route.Options{Seed: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, algo := range parallel.Algorithms() {
-			res, err := parallel.Run(context.Background(), c, parallel.Options{
-				Algo: algo, Procs: 8, Route: route.Options{Seed: 1},
-			})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, algo, err)
-			}
-			label := name + "/" + algo.String()
-			checkResult(t, label, c.NumChannels(), res)
-			// The paper's quality band: parallel routing costs at most a
-			// modest premium over serial, and never "improves" it by more
-			// than noise (a big improvement would mean lost wires).
-			scaled := res.ScaledTracks(base)
-			if scaled < 0.97 || scaled > 1.25 {
-				t.Errorf("%s: scaled tracks %.3f outside the credible band", label, scaled)
-			}
-		}
 	}
 }
 

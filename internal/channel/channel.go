@@ -17,7 +17,8 @@
 package channel
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"parroute/internal/geom"
 )
@@ -68,18 +69,18 @@ func Route(wires []Wire) Assignment {
 	// Constrained left-edge: fill tracks top-down. A wire is eligible for
 	// the current track when every wire constrained to lie above it has
 	// been placed on an earlier (higher) track. Within a track, pack
-	// non-overlapping wires left to right.
-	pending := make(map[int]bool, len(real))
-	for _, i := range real {
-		pending[i] = true
+	// non-overlapping wires left to right. pending stays sorted by left
+	// edge (ties by index, for determinism), so every track is one pass.
+	pending := slices.Clone(real)
+	slices.SortFunc(pending, func(a, b int) int {
+		return cmp.Or(cmp.Compare(wires[a].Span.Lo, wires[b].Span.Lo), cmp.Compare(a, b))
+	})
+	for _, i := range pending {
+		asg.Track[i] = -1
 	}
 	// predCount[i] = how many unplaced wires must lie above wire i.
-	predCount := make(map[int]int, len(real))
-	for _, i := range real {
-		predCount[i] = 0
-	}
-	for u, vs := range above {
-		_ = u
+	predCount := make([]int, n)
+	for _, vs := range above {
 		for _, v := range vs {
 			predCount[v]++
 		}
@@ -87,51 +88,33 @@ func Route(wires []Wire) Assignment {
 
 	track := 0
 	for len(pending) > 0 {
-		// Eligible wires, sorted by left edge (ties by net then index for
-		// determinism).
-		var elig []int
-		for i := range pending {
-			if predCount[i] == 0 {
-				elig = append(elig, i)
-			}
-		}
-		if len(elig) == 0 {
+		if !slices.ContainsFunc(pending, func(i int) bool { return predCount[i] == 0 }) {
 			// Should be impossible: buildVCG breaks all cycles. Guard
 			// against a logic error by force-releasing the wire with the
 			// fewest predecessors.
-			best, bestCount := -1, 1<<30
-			for i := range pending {
-				if predCount[i] < bestCount || (predCount[i] == bestCount && i < best) {
-					best, bestCount = i, predCount[i]
+			best := -1
+			for _, i := range pending {
+				if best < 0 || predCount[i] < predCount[best] || (predCount[i] == predCount[best] && i < best) {
+					best = i
 				}
 			}
 			predCount[best] = 0
-			elig = append(elig, best)
 			asg.BrokenConstraints++
 		}
-		sort.Slice(elig, func(a, b int) bool {
-			wa, wb := &wires[elig[a]], &wires[elig[b]]
-			if wa.Span.Lo != wb.Span.Lo {
-				return wa.Span.Lo < wb.Span.Lo
-			}
-			return elig[a] < elig[b]
-		})
-		// Left-edge pack this track.
+		// Left-edge pack this track from the wires eligible at its start.
 		lastHi := -1 << 60
-		placed := make([]int, 0, len(elig))
-		for _, i := range elig {
-			if int(wires[i].Span.Lo) > lastHi {
+		var placed []int
+		for _, i := range pending {
+			if predCount[i] == 0 && int(wires[i].Span.Lo) > lastHi {
 				asg.Track[i] = track
 				lastHi = int(wires[i].Span.Hi)
 				placed = append(placed, i)
 			}
 		}
+		pending = slices.DeleteFunc(pending, func(i int) bool { return asg.Track[i] == track })
 		for _, i := range placed {
-			delete(pending, i)
 			for _, v := range above[i] {
-				if pending[v] {
-					predCount[v]--
-				}
+				predCount[v]--
 			}
 		}
 		track++
@@ -147,59 +130,60 @@ func Route(wires []Wire) Assignment {
 // which make a channel unroutable without doglegs — are broken by
 // dropping back edges found during a DFS, and the number of dropped
 // edges is returned.
-func buildVCG(wires []Wire, real []int) (above map[int][]int, broken int) {
+func buildVCG(wires []Wire, real []int) (above [][]int, broken int) {
 	type contact struct {
-		wire int
-		top  bool
+		x, wire int
+		top     bool
 	}
-	byCol := make(map[int][]contact)
-	inSpan := func(w *Wire, x int) bool { return w.Span.Contains(x) }
+	var contacts []contact
 	for _, i := range real {
 		w := &wires[i]
 		for _, x := range w.Top {
-			if inSpan(w, x) {
-				byCol[x] = append(byCol[x], contact{wire: i, top: true})
+			if w.Span.Contains(x) {
+				contacts = append(contacts, contact{x: x, wire: i, top: true})
 			}
 		}
 		for _, x := range w.Bottom {
-			if inSpan(w, x) {
-				byCol[x] = append(byCol[x], contact{wire: i, top: false})
+			if w.Span.Contains(x) {
+				contacts = append(contacts, contact{x: x, wire: i})
 			}
 		}
 	}
-	edges := make(map[[2]int]bool)
-	cols := make([]int, 0, len(byCol))
-	for x := range byCol {
-		cols = append(cols, x)
+	// By column, each column's contacts in the order they were listed:
+	// sort x<<32 | listing index, which orders negative x right too.
+	keys := make([]int64, len(contacts))
+	for i, c := range contacts {
+		keys[i] = int64(c.x)<<32 | int64(i)
 	}
-	sort.Ints(cols)
-	above = make(map[int][]int)
-	for _, x := range cols {
-		cs := byCol[x]
-		for _, a := range cs {
+	slices.Sort(keys)
+	above = make([][]int, len(wires))
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi]>>32 == keys[lo]>>32 {
+			hi++
+		}
+		for _, ka := range keys[lo:hi] {
+			a := contacts[uint32(ka)]
 			if !a.top {
 				continue
 			}
-			for _, b := range cs {
-				if b.top || a.wire == b.wire {
-					continue
-				}
-				key := [2]int{a.wire, b.wire}
-				if !edges[key] {
-					edges[key] = true
+			for _, kb := range keys[lo:hi] {
+				b := contacts[uint32(kb)]
+				if !b.top && a.wire != b.wire && !slices.Contains(above[a.wire], b.wire) {
 					above[a.wire] = append(above[a.wire], b.wire)
 				}
 			}
 		}
+		lo = hi
 	}
-	// Cycle breaking: iterative DFS over the constraint graph; back edges
-	// are removed.
+	// Cycle breaking: DFS over the constraint graph; back edges are
+	// removed.
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make(map[int]int, len(real))
+	color := make([]uint8, len(wires))
 	var dfs func(u int)
 	dfs = func(u int) {
 		color[u] = gray
@@ -229,27 +213,23 @@ func buildVCG(wires []Wire, real []int) (above map[int][]int, broken int) {
 // Density returns the channel's density — the maximum number of wires
 // overlapping any column — which lower-bounds the achievable track count.
 func Density(wires []Wire) int {
-	type event struct {
-		x, d int
-	}
-	var evs []event
+	// An event is 2x+1 where a span opens at x and 2x where one closes
+	// (Hi+1), so at equal x a close sorts before an open.
+	evs := make([]int64, 0, 2*len(wires))
 	for i := range wires {
 		if wires[i].Span.Empty() {
 			continue
 		}
-		evs = append(evs, event{int(wires[i].Span.Lo), +1}, event{int(wires[i].Span.Hi) + 1, -1})
+		evs = append(evs, 2*int64(wires[i].Span.Lo)+1, 2*(int64(wires[i].Span.Hi)+1))
 	}
-	sort.Slice(evs, func(a, b int) bool {
-		if evs[a].x != evs[b].x {
-			return evs[a].x < evs[b].x
-		}
-		return evs[a].d < evs[b].d
-	})
+	slices.Sort(evs)
 	cur, max := 0, 0
 	for _, e := range evs {
-		cur += e.d
-		if cur > max {
-			max = cur
+		if e&1 == 1 {
+			cur++
+			max = geom.Max(max, cur)
+		} else {
+			cur--
 		}
 	}
 	return max

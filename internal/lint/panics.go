@@ -7,8 +7,8 @@ import (
 )
 
 // analyzerPanicInLibrary forbids panic in the internal/... library
-// packages: callers of the routing pipeline (cmd binaries, the bench
-// harness, future services) must get errors they can handle, not crashes.
+// packages: callers of the routing pipeline (cmd binaries, tests, the
+// twgrd service) must get errors they can handle, not crashes.
 // Documented invariant guards — cases the type system cannot express and
 // that indicate a bug in this repository rather than bad input — stay
 // allowed via an explicit //lint:allow panic-in-library annotation.

@@ -156,6 +156,27 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPayloadsCrossAny sends every sample through mp.AppendAny and
+// mp.WireAny, the path a message takes over TCP, so a payload type whose
+// mp.Register line is missing fails beside its codec.
+func TestPayloadsCrossAny(t *testing.T) {
+	for _, tc := range samplePayloads() {
+		enc, err := mp.AppendAny(nil, tc.value)
+		if err != nil {
+			t.Errorf("%s: AppendAny: %v", tc.name, err)
+			continue
+		}
+		got, rest, err := mp.WireAny(enc)
+		if err != nil || len(rest) != 0 {
+			t.Errorf("%s: WireAny: %v, %d byte(s) left", tc.name, err, len(rest))
+			continue
+		}
+		if !reflect.DeepEqual(got, normalize(tc.value)) {
+			t.Errorf("%s: came back as %#v", tc.name, got)
+		}
+	}
+}
+
 // TestSamplesSetEveryField holds samplePayloads to what TestCodecRoundTrip
 // needs from them: every field of every payload type, records' fields
 // included, is non-zero in at least one sample of that type. A field added

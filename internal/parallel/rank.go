@@ -144,11 +144,18 @@ func (r *rank) connectWhole(ctx context.Context, s *pipeline.Session, ftIn []Nod
 }
 
 // coreWidth agrees on the post-insertion core width: the maximum over every
-// rank's owned rows.
+// rank's owned rows and wires. A boundary fake pin past its row's last cell
+// shifts with every feedthrough inserted left of it, so a wire to it can end
+// beyond the widest row.
 func (r *rank) coreWidth() (int, error) {
 	w := 1
 	for row := r.block.Lo; row <= r.block.Hi; row++ {
 		w = geom.Max(w, r.sub.RowWidth(row))
+	}
+	for i := range r.wires {
+		if span := r.wires[i].Span(); !span.Empty() {
+			w = geom.Max(w, int(span.Hi)+1)
+		}
 	}
 	w, err := mp.AllreduceInt(r.comm, tagWidths, w, mp.MaxInt)
 	if err != nil {
