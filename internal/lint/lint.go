@@ -1,6 +1,6 @@
-// Package lint is the static-analysis driver behind cmd/parroutecheck. It
-// enforces the determinism and message-passing rules the parallel routing
-// algorithms depend on: every worker draws randomness from its own
+// Package lint is the static-analysis suite its TestModuleIsClean runs
+// over the module: the determinism and message-passing rules the parallel
+// routing algorithms depend on. Every worker draws randomness from its own
 // rng.RNG stream, wall-clock time never feeds a routing decision, state
 // crosses goroutines through the mp transports (whose errors must be
 // checked), and map iteration order never leaks into routing output.

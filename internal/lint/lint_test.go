@@ -108,13 +108,12 @@ func TestStaleAllowAudit(t *testing.T) {
 	}
 }
 
-// TestModuleIsClean is the tier-1 lint gate: every package of the module
-// must pass the suite `go run ./cmd/parroutecheck ./...` runs. A failure
-// here means either a real determinism/concurrency hazard or a missing
-// //lint:allow annotation; see DESIGN.md's "Static analysis" section for
-// the policy. scripts/check.sh skips it in its -race step: the
-// parroutecheck step before it has run the same suite, and -race makes
-// static analysis no more telling.
+// TestModuleIsClean is the lint gate: every package of the module must
+// pass the whole suite. A failure here means either a real
+// determinism/concurrency hazard or a missing //lint:allow annotation; see
+// DESIGN.md's "Static analysis" section for the policy. scripts/check.sh
+// runs it alone as its lint step and skips it in its -race step, where
+// -race makes static analysis no more telling.
 func TestModuleIsClean(t *testing.T) {
 	mod, err := lint.LoadModule(".")
 	if err != nil {

@@ -1,5 +1,5 @@
 // Package fixture contains exactly one intentional violation per
-// parroutecheck analyzer. The golden test in internal/lint asserts each
+// internal/lint analyzer. The golden test in internal/lint asserts each
 // rule fires exactly once here; allowed.go holds the same patterns
 // suppressed with //lint:allow.
 package fixture

@@ -74,13 +74,16 @@ func payloadSize(v any) int {
 	return frameOverhead + elemSize(v)
 }
 
-// elemSize prices a payload's body flat: Payload implementations by
-// their WireSize, the builtin shapes the collectives send at fixed
-// widths. Any other payload (which would fail to encode on the TCP
-// engine) is priced at a fixed small size rather than failing — the
-// Virtual engine should never alter program behaviour.
+// elemSize prices a payload's body: a flat payload at count × width, a
+// Payload by its WireSize, the builtin shapes at fixed widths. Any other
+// payload (which would fail to encode on the TCP engine) costs a fixed
+// small size rather than failing — the Virtual engine should never alter
+// program behaviour.
 func elemSize(v any) int {
 	switch p := v.(type) {
+	case records:
+		n, width := p.WireRecords()
+		return n * width
 	case Payload:
 		return p.WireSize()
 	case []int32:

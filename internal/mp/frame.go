@@ -49,15 +49,6 @@ const (
 	maxReserve = 4 << 20
 )
 
-// records is a flat payload: WireRecords is its record count and the
-// encoded width of one record, and AppendWireRecords appends the records
-// [lo, hi) without the count. Every batch has the pair, and
-// DecodeWireRecords on the pointer type.
-type records interface {
-	WireRecords() (n, width int)
-	AppendWireRecords(buf []byte, lo, hi int) []byte
-}
-
 // writeFrame writes one envelope to w as a frame, encoded into buf: a flat
 // payload's records a range at a time, buf written whenever the next
 // record would not fit a chunk, and any other payload whole. It returns

@@ -87,8 +87,8 @@ type cheapRun struct{ u32Run }
 
 func (cheapRun) WireSize() int { return 0 }
 
-// flagRun is a flat test payload, coded by record range as the payload
-// batches are: 5-byte records whose bool byte must be 0 or 1.
+// flagRun is a flat test payload: it has only the record trio, as the
+// payload batches do, with 5-byte records whose bool byte must be 0 or 1.
 type flagRun []flagRec
 
 type flagRec struct {
@@ -96,7 +96,6 @@ type flagRec struct {
 	On bool
 }
 
-func (p flagRun) WireSize() int           { return 5 * len(p) }
 func (p flagRun) WireRecords() (int, int) { return len(p), 5 }
 
 func (p flagRun) AppendWireRecords(buf []byte, lo, hi int) []byte {
@@ -120,19 +119,6 @@ func (p *flagRun) DecodeWireRecords(data []byte, reserve int) error {
 	return nil
 }
 
-func (p flagRun) AppendWire(buf []byte) ([]byte, error) {
-	return p.AppendWireRecords(AppendUint32(buf, uint32(len(p))), 0, len(p)), nil
-}
-
-func (p *flagRun) DecodeWire(data []byte) ([]byte, error) {
-	n, rest, err := WireCount(data, 5)
-	if err != nil {
-		return nil, err
-	}
-	*p = nil
-	return rest[5*n:], p.DecodeWireRecords(rest[:5*n], n)
-}
-
 // u32RunWireID is u32Run's test-only wire id, far above the payloads'.
 const u32RunWireID = 1 << 20
 
@@ -140,6 +126,50 @@ func init() {
 	Register[u32Run](u32RunWireID)
 	Register[cheapRun](u32RunWireID + 1)
 	Register[flagRun](u32RunWireID + 2)
+}
+
+// TestFlatPayloadIsItsRecords: a type with only the record trio crosses
+// AppendAny/WireAny as a u32 count and then its records, a streamed frame
+// carries the same body, DecodeBody hands back what follows it, and the
+// Virtual engine prices it at n × width.
+func TestFlatPayloadIsItsRecords(t *testing.T) {
+	for _, p := range []flagRun{{}, {{7, true}}, {{1, false}, {2, true}, {1 << 31, true}}} {
+		body := AppendUint32(nil, uint32(len(p)))
+		for _, r := range p {
+			body = AppendBool(AppendUint32(body, r.N), r.On)
+		}
+		enc, err := AppendAny(nil, p)
+		if err != nil || !bytes.Equal(enc[elemHeader:], body) {
+			t.Fatalf("AppendAny(%v) = %x (err %v), want body %x", p, enc, err, body)
+		}
+		if got, rest, err := WireAny(enc); err != nil || len(rest) != 0 || !reflect.DeepEqual(got, p) {
+			t.Fatalf("WireAny(%x) = %#v, %d byte(s) left (err %v), want %#v", enc, got, len(rest), err, p)
+		}
+		var frame bytes.Buffer
+		if _, _, err := writeFrame(&frame, nil, 1, 2, p); err != nil || !bytes.Equal(frame.Bytes()[frameHeaderLen+16:], enc) {
+			t.Fatalf("streamed frame of %v = %x (err %v), want payload %x", p, frame.Bytes(), err, enc)
+		}
+		if got, rest, err := DecodeBody[flagRun](append(body, 0xAA)); err != nil || !reflect.DeepEqual(got, p) || !bytes.Equal(rest, []byte{0xAA}) {
+			t.Fatalf("DecodeBody = %#v rest %x (err %v), want %#v rest aa", got, rest, err, p)
+		}
+		if got, want := payloadSize(p), frameOverhead+5*len(p); got != want {
+			t.Fatalf("%d records priced at %d, want %d", len(p), got, want)
+		}
+	}
+	if _, _, err := DecodeBody[flagRun](AppendUint32(nil, 1<<30)); !errors.Is(err, ErrWire) {
+		t.Fatalf("a count past the input decoded: %v", err)
+	}
+}
+
+// TestRegisterRefusesUncodedType: a type that is neither a flat payload
+// nor a Payload panics at registration, naming the type.
+func TestRegisterRefusesUncodedType(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "mp.uncodedPayload") || !strings.Contains(msg, "neither") {
+			t.Fatalf("Register[uncodedPayload] panicked with %q, want the type named", msg)
+		}
+	}()
+	Register[uncodedPayload](u32RunWireID + 3)
 }
 
 // TestLinkBuffersStayBounded: a link buffers at most one chunk of a frame

@@ -139,14 +139,34 @@ func WireCount(data []byte, width int) (int, []byte, error) {
 
 // ---- payloads and the interface (any) encoding ----
 
-// Payload is what a type implements to cross a Comm: its flat price for
-// the Virtual engine's cost model (approximate encoded bytes, excluding
-// the message framing — the size only feeds transfer time, never program
-// behaviour) and its parroute-mpwire/1 body. The decoding half,
-// DecodeWire on the pointer type, is what Register's constraint adds.
+// A registered type is one of two kinds of payload. A flat payload has
+// the record trio — records on the value (WireRecords: the count and the
+// width of one record, fixed for the type; AppendWireRecords: records
+// [lo, hi)), recordDecoder on the pointer — and mp derives the rest: the
+// body is a u32 count, then the records; the decoder checks the count
+// against the input before any allocation; a TCP link streams it a record
+// range at a time; the Virtual engine prices it at count × width.
+type records interface {
+	WireRecords() (n, width int)
+	AppendWireRecords(buf []byte, lo, hi int) []byte
+}
+
+// recordDecoder appends the whole records in data, first giving a payload
+// that holds none room for reserve records.
+type recordDecoder interface {
+	DecodeWireRecords(data []byte, reserve int) error
+}
+
+// Payload is the other kind: it states its price (approximate encoded
+// bytes without the framing: it only feeds transfer time, never program
+// behaviour), its body and, as bodyDecoder, its decoder.
 type Payload interface {
 	WireSize() int
 	AppendWire(buf []byte) ([]byte, error)
+}
+
+type bodyDecoder interface {
+	DecodeWire(data []byte) ([]byte, error)
 }
 
 // Reserved wire ids of the three builtin payload shapes the collectives
@@ -159,9 +179,8 @@ const (
 	firstPayloadWireID = 5
 )
 
-// wireCodec is one registered payload type's entry in the id registry.
-// A flat payload (see records) also has its record width and stream, its
-// decoder straight off a frameReader.
+// wireCodec is one registered payload type's entry in the id registry; a
+// flat payload's also holds its record width and its frameReader decoder.
 type wireCodec struct {
 	id     uint32
 	typ    reflect.Type
@@ -179,39 +198,76 @@ var wireRegistry = struct {
 	byType: map[reflect.Type]*wireCodec{},
 }
 
-// Register makes values of T cross AppendAny/WireAny under the
-// wire id id: mp.Register[T](id), called from the payload package's init
-// function. A reserved id or a conflicting re-registration panics.
-func Register[T Payload, P interface {
-	*T
-	DecodeWire(data []byte) ([]byte, error)
-}](id uint32) {
+// Register makes values of T, a flat payload or a Payload, cross
+// AppendAny/WireAny under the wire id id: mp.Register[T](id), called from
+// the payload package's init function. A reserved id, a conflicting
+// re-registration or a T of neither kind panics.
+func Register[T any](id uint32) {
 	typ := reflect.TypeFor[T]()
 	if id < firstPayloadWireID {
 		panic(fmt.Sprintf("mp: Register[%v]: id %d is reserved", typ, id)) //lint:allow panic-in-library registration-time programming error
+	}
+	c := &wireCodec{id: id, typ: typ}
+	var zero T
+	rec, flat := any(zero).(records)
+	_, flatDec := any(&zero).(recordDecoder)
+	_, whole := any(zero).(Payload)
+	_, wholeDec := any(&zero).(bodyDecoder)
+	switch {
+	case flat && flatDec:
+		_, c.width = rec.WireRecords()
+		c.dec = func(data []byte) (any, []byte, error) {
+			var x T
+			rest, err := decodeRecords(data, c.width, any(&x).(recordDecoder))
+			return x, rest, err
+		}
+		c.stream = func(fr *frameReader) (any, error) {
+			var x T
+			err := fr.records(c.width, any(&x).(recordDecoder).DecodeWireRecords)
+			return x, err
+		}
+	case whole && wholeDec:
+		c.dec = func(data []byte) (any, []byte, error) {
+			var x T
+			rest, err := any(&x).(bodyDecoder).DecodeWire(data)
+			return x, rest, err
+		}
+	default:
+		panic(fmt.Sprintf("mp: Register[%v]: neither a flat payload (WireRecords, AppendWireRecords, DecodeWireRecords) nor a Payload (WireSize, AppendWire, DecodeWire)", typ)) //lint:allow panic-in-library registration-time programming error
 	}
 	wireRegistry.Lock()
 	defer wireRegistry.Unlock()
 	if prev, ok := wireRegistry.byID[id]; ok && prev.typ != typ {
 		panic(fmt.Sprintf("mp: Register[%v]: id %d already registered for %v", typ, id, prev.typ)) //lint:allow panic-in-library registration-time programming error
 	}
-	c := &wireCodec{id: id, typ: typ, dec: func(data []byte) (any, []byte, error) {
-		var x T
-		rest, err := P(&x).DecodeWire(data)
-		return x, rest, err
-	}}
-	var zero T
-	if rec, ok := any(zero).(records); ok {
-		_, c.width = rec.WireRecords()
-		c.stream = func(fr *frameReader) (any, error) {
-			var x T
-			dec := any(P(&x)).(interface{ DecodeWireRecords([]byte, int) error })
-			err := fr.records(c.width, dec.DecodeWireRecords)
-			return x, err
-		}
-	}
 	wireRegistry.byID[id] = c
 	wireRegistry.byType[typ] = c
+}
+
+// decodeRecords decodes a flat body off data into an emptied p: the record
+// count, checked against data once, then the records. It returns the
+// unconsumed remainder.
+func decodeRecords(data []byte, width int, p recordDecoder) ([]byte, error) {
+	n, rest, err := WireCount(data, width)
+	if err == nil {
+		err = p.DecodeWireRecords(rest[:width*n], n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rest[width*n:], nil
+}
+
+// DecodeBody decodes a body of the registered payload type T off the
+// front of data, as WireAny does behind T's wire id and length, and
+// returns the remainder.
+func DecodeBody[T any](data []byte) (T, []byte, error) {
+	c := codecByType(*new(T))
+	if c == nil {
+		return *new(T), nil, wireErr("no wire codec registered for payload type %v", reflect.TypeFor[T]())
+	}
+	v, rest, err := c.dec(data)
+	return v.(T), rest, err
 }
 
 func codecByType(v any) *wireCodec {
@@ -227,7 +283,7 @@ func codecByID(id uint32) *wireCodec {
 }
 
 // AppendAny appends an interface value: u32 wire id, u32 body length,
-// body. The value must be a builtin shape or a registered Payload; any
+// body. The value must be a builtin shape or a registered payload; any
 // other type is an error wrapping ErrWire that names it.
 func AppendAny(buf []byte, v any) ([]byte, error) {
 	idAt := len(buf)
@@ -250,9 +306,15 @@ func AppendAny(buf []byte, v any) ([]byte, error) {
 			return nil, wireErr("no wire codec registered for payload type %T", v)
 		}
 		id = c.id
-		var err error
-		if buf, err = v.(Payload).AppendWire(buf); err != nil {
-			return nil, err
+		if c.width > 0 {
+			rec := v.(records)
+			n, _ := rec.WireRecords()
+			buf = rec.AppendWireRecords(AppendUint32(buf, uint32(n)), 0, n)
+		} else {
+			var err error
+			if buf, err = v.(Payload).AppendWire(buf); err != nil {
+				return nil, err
+			}
 		}
 	}
 	binary.LittleEndian.PutUint32(buf[idAt:], id)
@@ -334,14 +396,9 @@ func (p *int32s) DecodeWireRecords(data []byte, reserve int) error {
 	return nil
 }
 
-// wireInt32s consumes a []int32 body: u32 count, then 4-byte elements.
-// The count is checked against the remaining bytes before allocating.
+// wireInt32s consumes a []int32 body through the flat decoder.
 func wireInt32s(data []byte) ([]int32, []byte, error) {
-	n, rest, err := WireCount(data, 4)
-	if err != nil {
-		return nil, nil, err
-	}
 	var out int32s
-	err = out.DecodeWireRecords(rest[:4*n], n)
-	return out, rest[4*n:], err
+	rest, err := decodeRecords(data, 4, &out)
+	return out, rest, err
 }

@@ -12,11 +12,11 @@ import (
 
 // The parroute-mpwire/1 codecs of the payload types in messages.go
 // (DESIGN.md §11). A flat batch — CrossingBatch, FakePinBatch, NodeBatch,
-// WireBatch — is a u32 record count, then fixed-width records, each field
-// little-endian at a fixed offset in its record; the TCP links stream it a
-// record range at a time (mp's records interface). Summary encodes field by
-// field through the mp.Wire* helpers. testdata/wire/*.hex pins every
-// byte (TestWireGolden): a codec changes together with its golden.
+// WireBatch — states only its fixed-width records, each field little-endian
+// at a fixed offset, and mp derives its body, decoder, stream and price.
+// Summary codes its own body field by field through the mp.Wire* helpers.
+// testdata/wire/*.hex pins every byte (TestWireGolden): a codec changes
+// together with its golden.
 
 // Encoded record widths. A FakePinSpec and a NodeMsg share one layout: Net,
 // X and Row as u32, then the Side byte. A wire ends in its Switchable byte.
@@ -44,25 +44,6 @@ func init() {
 	mp.Register[Summary](8)
 	mp.Register[WireBatch](9)
 	mp.AddProtocolSource(messagesSource, codecSource)
-}
-
-// batch is the pointer half of a flat batch, as decodeBatch reads it.
-type batch interface {
-	DecodeWireRecords(data []byte, reserve int) error
-}
-
-// decodeBatch decodes a flat batch's body into an emptied b: the record
-// count, checked against data once, then the records. It returns the
-// unconsumed remainder.
-func decodeBatch(data []byte, width int, b batch) ([]byte, error) {
-	n, data, err := mp.WireCount(data, width)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.DecodeWireRecords(data[:width*n], n); err != nil {
-		return nil, err
-	}
-	return data[width*n:], nil
 }
 
 // pinRecord is the underlying type of FakePinSpec and NodeMsg.
@@ -107,9 +88,6 @@ func decodePins[T ~pinRecord](b *[]T, data []byte, reserve int) {
 	}
 }
 
-// WireSize prices b at its encoded width (mp.Payload).
-func (b CrossingBatch) WireSize() int { return len(b) * crossingWidth }
-
 // WireRecords returns b's record count and encoded record width.
 func (b CrossingBatch) WireRecords() (int, int) { return len(b), crossingWidth }
 
@@ -144,20 +122,6 @@ func (b *CrossingBatch) DecodeWireRecords(data []byte, reserve int) error {
 	return nil
 }
 
-// AppendWire appends b's body to buf: the record count, then every record.
-func (b CrossingBatch) AppendWire(buf []byte) ([]byte, error) {
-	return b.AppendWireRecords(mp.AppendUint32(buf, uint32(len(b))), 0, len(b)), nil
-}
-
-// DecodeWire decodes a body from data into b, returning the remainder.
-func (b *CrossingBatch) DecodeWire(data []byte) ([]byte, error) {
-	*b = nil
-	return decodeBatch(data, crossingWidth, b)
-}
-
-// WireSize prices b at its encoded width (mp.Payload).
-func (b FakePinBatch) WireSize() int { return len(b) * pinWidth }
-
 // WireRecords returns b's record count and encoded record width.
 func (b FakePinBatch) WireRecords() (int, int) { return len(b), pinWidth }
 
@@ -173,20 +137,6 @@ func (b *FakePinBatch) DecodeWireRecords(data []byte, reserve int) error {
 	return nil
 }
 
-// AppendWire appends b's body to buf: the record count, then every record.
-func (b FakePinBatch) AppendWire(buf []byte) ([]byte, error) {
-	return appendPins(mp.AppendUint32(buf, uint32(len(b))), b), nil
-}
-
-// DecodeWire decodes a body from data into b, returning the remainder.
-func (b *FakePinBatch) DecodeWire(data []byte) ([]byte, error) {
-	*b = nil
-	return decodeBatch(data, pinWidth, b)
-}
-
-// WireSize prices b at its encoded width (mp.Payload).
-func (b NodeBatch) WireSize() int { return len(b) * pinWidth }
-
 // WireRecords returns b's record count and encoded record width.
 func (b NodeBatch) WireRecords() (int, int) { return len(b), pinWidth }
 
@@ -201,20 +151,6 @@ func (b *NodeBatch) DecodeWireRecords(data []byte, reserve int) error {
 	decodePins((*[]NodeMsg)(b), data, reserve)
 	return nil
 }
-
-// AppendWire appends b's body to buf: the record count, then every record.
-func (b NodeBatch) AppendWire(buf []byte) ([]byte, error) {
-	return appendPins(mp.AppendUint32(buf, uint32(len(b))), b), nil
-}
-
-// DecodeWire decodes a body from data into b, returning the remainder.
-func (b *NodeBatch) DecodeWire(data []byte) ([]byte, error) {
-	*b = nil
-	return decodeBatch(data, pinWidth, b)
-}
-
-// WireSize prices b at its encoded width (mp.Payload).
-func (b WireBatch) WireSize() int { return len(b.Wires) * wireWidth }
 
 // WireRecords returns b's record count and encoded record width.
 func (b WireBatch) WireRecords() (int, int) { return len(b.Wires), wireWidth }
@@ -261,17 +197,6 @@ func (b *WireBatch) DecodeWireRecords(data []byte, reserve int) error {
 		sl[i].Switchable = at[24] == 1
 	}
 	return nil
-}
-
-// AppendWire appends b's body to buf: the record count, then every record.
-func (b WireBatch) AppendWire(buf []byte) ([]byte, error) {
-	return b.AppendWireRecords(mp.AppendUint32(buf, uint32(len(b.Wires))), 0, len(b.Wires)), nil
-}
-
-// DecodeWire decodes a body from data into b, returning the remainder.
-func (b *WireBatch) DecodeWire(data []byte) ([]byte, error) {
-	b.Wires = nil
-	return decodeBatch(data, wireWidth, b)
 }
 
 // WireSize prices b for the Virtual engine: its seven counters, and a

@@ -12,11 +12,10 @@ import (
 	"parroute/internal/rng"
 )
 
-// The per-field decoders below are the generated DecodeWire methods of the
-// four fixed-width batches as they stood before mpgen decoded them at fixed
-// offsets: one mp.Wire* call per field, each returning (value, rest, err),
-// and an append per element. They are the oracle the fixed-offset decoders
-// are held to.
+// The per-field decoders below decode the four fixed-width batches one
+// mp.Wire* call per field, each returning (value, rest, err), and an append
+// per element. They are the oracle mp's derived decoder — the record count,
+// then the batch's fixed-offset DecodeWireRecords — is held to.
 
 func refDecodeCrossingBatch(b *CrossingBatch, data []byte) ([]byte, error) {
 	var err error
@@ -195,59 +194,47 @@ func refDecodeWireBatch(b *WireBatch, data []byte) ([]byte, error) {
 // decoded value and the remainder.
 type flatCase struct {
 	name        string
-	random      func(r *rng.RNG, n int) mp.Payload
+	random      func(r *rng.RNG, n int) any
 	decode, ref func(data []byte) (any, []byte, error)
 }
 
 func flatCases() []flatCase {
 	anyInt := func(r *rng.RNG) int32 { return int32(r.Uint64()) >> r.Intn(32) }
 	return []flatCase{
-		{"CrossingBatch", func(r *rng.RNG, n int) mp.Payload {
+		{"CrossingBatch", func(r *rng.RNG, n int) any {
 			b := make(CrossingBatch, n)
 			for i := range b {
 				b[i] = CrossingMsg{Net: anyInt(r), X: anyInt(r), Row: anyInt(r)}
 			}
 			return b
-		}, func(data []byte) (any, []byte, error) {
-			var b CrossingBatch
-			rest, err := b.DecodeWire(data)
-			return b, rest, err
-		}, func(data []byte) (any, []byte, error) {
+		}, decodeAs[CrossingBatch], func(data []byte) (any, []byte, error) {
 			var b CrossingBatch
 			rest, err := refDecodeCrossingBatch(&b, data)
 			return b, rest, err
 		}},
-		{"FakePinBatch", func(r *rng.RNG, n int) mp.Payload {
+		{"FakePinBatch", func(r *rng.RNG, n int) any {
 			b := make(FakePinBatch, n)
 			for i := range b {
 				b[i] = FakePinSpec{Net: anyInt(r), X: anyInt(r), Row: anyInt(r), Side: circuit.Side(r.Intn(256))}
 			}
 			return b
-		}, func(data []byte) (any, []byte, error) {
-			var b FakePinBatch
-			rest, err := b.DecodeWire(data)
-			return b, rest, err
-		}, func(data []byte) (any, []byte, error) {
+		}, decodeAs[FakePinBatch], func(data []byte) (any, []byte, error) {
 			var b FakePinBatch
 			rest, err := refDecodeFakePinBatch(&b, data)
 			return b, rest, err
 		}},
-		{"NodeBatch", func(r *rng.RNG, n int) mp.Payload {
+		{"NodeBatch", func(r *rng.RNG, n int) any {
 			b := make(NodeBatch, n)
 			for i := range b {
 				b[i] = NodeMsg{Net: anyInt(r), X: anyInt(r), Row: anyInt(r), Side: circuit.Side(r.Intn(256))}
 			}
 			return b
-		}, func(data []byte) (any, []byte, error) {
-			var b NodeBatch
-			rest, err := b.DecodeWire(data)
-			return b, rest, err
-		}, func(data []byte) (any, []byte, error) {
+		}, decodeAs[NodeBatch], func(data []byte) (any, []byte, error) {
 			var b NodeBatch
 			rest, err := refDecodeNodeBatch(&b, data)
 			return b, rest, err
 		}},
-		{"WireBatch", func(r *rng.RNG, n int) mp.Payload {
+		{"WireBatch", func(r *rng.RNG, n int) any {
 			b := WireBatch{Wires: make([]metrics.Wire, n)}
 			for i := range b.Wires {
 				w := &b.Wires[i]
@@ -255,11 +242,7 @@ func flatCases() []flatCase {
 				w.AX, w.ARow, w.BX, w.BRow = anyInt(r), anyInt(r), anyInt(r), anyInt(r)
 			}
 			return b
-		}, func(data []byte) (any, []byte, error) {
-			var b WireBatch
-			rest, err := b.DecodeWire(data)
-			return b, rest, err
-		}, func(data []byte) (any, []byte, error) {
+		}, decodeAs[WireBatch], func(data []byte) (any, []byte, error) {
 			var b WireBatch
 			rest, err := refDecodeWireBatch(&b, data)
 			return b, rest, err
@@ -295,7 +278,7 @@ func TestFlatDecodeMatchesPerField(t *testing.T) {
 	r := rng.New(31)
 	for _, tc := range flatCases() {
 		for _, n := range []int{0, 1, 2, 3, 17, 300} {
-			enc, err := tc.random(r, n).AppendWire(nil)
+			enc, err := body(tc.random(r, n))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,53 +18,58 @@ import (
 	"parroute/internal/mp"
 )
 
-// wirePayload is the common surface of every payload codec, used to
-// drive the round-trip and golden tests generically.
-type wirePayload = mp.Payload
+// body is v's parroute-mpwire/1 body: what mp.AppendAny writes behind the
+// u32 wire id and u32 length, derived from the record codec for a batch.
+func body(v any) ([]byte, error) {
+	enc, err := mp.AppendAny(nil, v)
+	if err != nil {
+		return nil, err
+	}
+	return enc[8:], nil
+}
+
+// decodeAs decodes a body of T off data through mp.DecodeBody, the
+// decoder mp derives for a batch, returning the remainder.
+func decodeAs[T any](data []byte) (any, []byte, error) {
+	v, rest, err := mp.DecodeBody[T](data)
+	return v, rest, err
+}
 
 // samplePayloads returns representative values of every payload codec,
-// each paired with a fresh decoder target. The values exercise every field
+// each paired with its decoder. The values exercise every field
 // kind the codecs emit: fixed ints, the Side byte, bools, strings, and
 // doubly nested slices (Summary.Phases[].Counters). Every field of every
 // payload type is non-zero in some sample (TestSamplesSetEveryField), so a
 // field the codec skips fails TestCodecRoundTrip.
 func samplePayloads() []struct {
 	name   string
-	value  wirePayload
+	value  any
 	decode func(data []byte) (any, []byte, error)
 } {
-	dec := func(p interface {
-		DecodeWire(data []byte) ([]byte, error)
-	}) func(data []byte) (any, []byte, error) {
-		return func(data []byte) (any, []byte, error) {
-			rest, err := p.DecodeWire(data)
-			return reflect.ValueOf(p).Elem().Interface(), rest, err
-		}
-	}
 	return []struct {
 		name   string
-		value  wirePayload
+		value  any
 		decode func(data []byte) (any, []byte, error)
 	}{
 		{"FakePinBatch", FakePinBatch{
 			{Net: 7, X: 120, Row: 3, Side: circuit.Bottom},
 			{Net: 9, X: -4, Row: 0, Side: circuit.Side(1)},
-		}, dec(new(FakePinBatch))},
+		}, decodeAs[FakePinBatch]},
 		{"CrossingBatch", CrossingBatch{
 			{Net: 1, X: 55, Row: 2},
 			{Net: 2, X: 0, Row: 11},
 			{Net: 3, X: -1, Row: 5},
-		}, dec(new(CrossingBatch))},
+		}, decodeAs[CrossingBatch]},
 		{"NodeBatch", NodeBatch{
 			{Net: 42, X: 17, Row: 8, Side: circuit.Bottom},
-		}, dec(new(NodeBatch))},
+		}, decodeAs[NodeBatch]},
 		{"NodeBatchTop", NodeBatch{
 			{Net: 43, X: -17, Row: 9, Side: circuit.Top},
-		}, dec(new(NodeBatch))},
+		}, decodeAs[NodeBatch]},
 		{"WireBatch", WireBatch{Wires: []metrics.Wire{
 			{Net: 5, Channel: 2, Switchable: true, AX: 10, ARow: 1, BX: 90, BRow: 3},
 			{Net: 6, Channel: 0, Switchable: false, AX: -3, ARow: 0, BX: 4, BRow: 0},
-		}}, dec(new(WireBatch))},
+		}}, decodeAs[WireBatch]},
 		{"Summary", Summary{
 			Rank: 3, InsertedFts: 14, ForcedEdges: 2, SwitchableWs: 9,
 			SwitchFlips: 1, CoarseFlips: 4, CoreWidth: 512,
@@ -73,26 +78,29 @@ func samplePayloads() []struct {
 					Counters: []metrics.Counter{{Name: "specs", Value: 12}}},
 				{Name: "connect", Elapsed: time.Millisecond, Counters: nil},
 			},
-		}, dec(new(Summary))},
+		}, decodeAs[Summary]},
 	}
 }
 
-// TestWireSizeDifferential pins the WireSize methods byte-for-byte to the
-// flat pricing of their encodings, across a range of batch lengths. A
-// layout change that alters pricing must show up here as an explicit diff.
+// TestWireSizeDifferential pins each batch's record count and width, which
+// mp prices a batch by (count × width), and Summary's own price, across a
+// range of lengths. A layout change that alters pricing must show up here
+// as an explicit diff.
 func TestWireSizeDifferential(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100} {
-		if got, want := make(FakePinBatch, n).WireSize(), n*13; got != want {
-			t.Errorf("FakePinBatch(len %d).WireSize() = %d, want %d", n, got, want)
-		}
-		if got, want := make(CrossingBatch, n).WireSize(), n*12; got != want {
-			t.Errorf("CrossingBatch(len %d).WireSize() = %d, want %d", n, got, want)
-		}
-		if got, want := make(NodeBatch, n).WireSize(), n*13; got != want {
-			t.Errorf("NodeBatch(len %d).WireSize() = %d, want %d", n, got, want)
-		}
-		if got, want := (WireBatch{Wires: make([]metrics.Wire, n)}).WireSize(), n*25; got != want {
-			t.Errorf("WireBatch(%d wires).WireSize() = %d, want %d", n, got, want)
+		for _, tc := range []struct {
+			name  string
+			b     interface{ WireRecords() (int, int) }
+			width int
+		}{
+			{"FakePinBatch", make(FakePinBatch, n), 13},
+			{"CrossingBatch", make(CrossingBatch, n), 12},
+			{"NodeBatch", make(NodeBatch, n), 13},
+			{"WireBatch", WireBatch{Wires: make([]metrics.Wire, n)}, 25},
+		} {
+			if gotN, gotW := tc.b.WireRecords(); gotN != n || gotW != tc.width {
+				t.Errorf("%s(len %d).WireRecords() = %d, %d, want %d, %d", tc.name, n, gotN, gotW, n, tc.width)
+			}
 		}
 		if got, want := (Summary{Phases: make([]metrics.Phase, n)}).WireSize(), 7*8+n*24; got != want {
 			t.Errorf("Summary(%d phases).WireSize() = %d, want %d", n, got, want)
@@ -125,21 +133,21 @@ func TestMessagesStaySmall(t *testing.T) {
 func TestCodecRoundTrip(t *testing.T) {
 	for _, tc := range samplePayloads() {
 		t.Run(tc.name, func(t *testing.T) {
-			enc, err := tc.value.AppendWire(nil)
+			enc, err := body(tc.value)
 			if err != nil {
-				t.Fatalf("AppendWire: %v", err)
+				t.Fatalf("encode: %v", err)
 			}
 			got, rest, err := tc.decode(enc)
 			if err != nil {
-				t.Fatalf("DecodeWire: %v", err)
+				t.Fatalf("decode: %v", err)
 			}
 			if len(rest) != 0 {
-				t.Fatalf("DecodeWire left %d byte(s)", len(rest))
+				t.Fatalf("decode left %d byte(s)", len(rest))
 			}
 			if !reflect.DeepEqual(got, normalize(tc.value)) {
 				t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, tc.value)
 			}
-			re, err := got.(wirePayload).AppendWire(nil)
+			re, err := body(got)
 			if err != nil {
 				t.Fatalf("re-encode: %v", err)
 			}
@@ -236,7 +244,7 @@ func TestProtocolChecksumCoversSource(t *testing.T) {
 
 // normalize maps nil slices to the empty slices decode produces, so
 // DeepEqual compares shape rather than nil-ness.
-func normalize(v wirePayload) any {
+func normalize(v any) any {
 	switch p := v.(type) {
 	case Summary:
 		if p.Phases == nil {
@@ -256,7 +264,7 @@ func normalize(v wirePayload) any {
 // decoder: all must fail with mp.ErrWire, none may panic.
 func TestCodecTruncation(t *testing.T) {
 	for _, tc := range samplePayloads() {
-		enc, err := tc.value.AppendWire(nil)
+		enc, err := body(tc.value)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +283,7 @@ func TestCodecTruncation(t *testing.T) {
 func TestWireGolden(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
 	for i, tc := range samplePayloads() {
-		enc, err := tc.value.AppendWire(nil)
+		enc, err := body(tc.value)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +318,7 @@ func TestWireGolden(t *testing.T) {
 func FuzzCodec(f *testing.F) {
 	sel := map[string]uint8{}
 	for i, tc := range samplePayloads() {
-		enc, err := tc.value.AppendWire(nil)
+		enc, err := body(tc.value)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -318,12 +326,12 @@ func FuzzCodec(f *testing.F) {
 		sel[tc.name] = uint8(i)
 	}
 	for _, v := range []int32{math.MinInt32, math.MaxInt32} {
-		wires, err := WireBatch{Wires: []metrics.Wire{{Net: v, Channel: v,
-			Switchable: true, AX: v, ARow: v, BX: v, BRow: v}}}.AppendWire(nil)
+		wires, err := body(WireBatch{Wires: []metrics.Wire{{Net: v, Channel: v,
+			Switchable: true, AX: v, ARow: v, BX: v, BRow: v}}})
 		if err != nil {
 			f.Fatal(err)
 		}
-		nodes, err := NodeBatch{{Net: v, X: v, Row: v, Side: circuit.Both}}.AppendWire(nil)
+		nodes, err := body(NodeBatch{{Net: v, X: v, Row: v, Side: circuit.Both}})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -338,7 +346,7 @@ func FuzzCodec(f *testing.F) {
 			return // malformed input is fine; panics and false accepts are not
 		}
 		consumed := data[:len(data)-len(rest)]
-		re, err := v.(wirePayload).AppendWire(nil)
+		re, err := body(v)
 		if err != nil {
 			t.Fatalf("%s: decoded value failed to re-encode: %v", tc.name, err)
 		}

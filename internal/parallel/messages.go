@@ -24,9 +24,9 @@ const (
 	tagSwitchVote
 )
 
-// The payload types below cross the mesh through the codecs, WireSize
-// prices and wire ids in codec.go (see mp.Payload). A field edited here
-// is a codec and a testdata/wire golden edited there.
+// The payload types below cross the mesh through the codecs and wire ids
+// in codec.go. A field edited here is a codec and a testdata/wire golden
+// edited there.
 
 // FakePinSpec asks a block worker to add a fake pin for a net at a
 // partition boundary: the crossing point of a Steiner segment (paper §4,
@@ -38,9 +38,8 @@ type FakePinSpec struct {
 	Side circuit.Side
 }
 
-// FakePinBatch is the slice form FakePinSpecs travel in. The named type
-// carries the WireSize fast path (see mp.Payload) so the Virtual engine
-// prices sync rounds without encoding each batch.
+// FakePinBatch is the slice form FakePinSpecs travel in: the named type
+// carries their record codec.
 type FakePinBatch []FakePinSpec
 
 // CrossingMsg tells a row owner that a segment of Net crosses Row at

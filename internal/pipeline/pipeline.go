@@ -13,7 +13,7 @@
 //
 // Wall-clock reads are confined to this package (the "observer clock"):
 // routing code asks the Session for measurements instead of calling
-// time.Now itself, which is what lets the parroutecheck nondeterminism
+// time.Now itself, which is what lets internal/lint's nondeterminism
 // rule keep its timing allowlist down to measurement infrastructure.
 package pipeline
 

@@ -7,8 +7,12 @@
 package service_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,14 +20,15 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"parroute/internal/metrics"
 	"parroute/internal/parallel"
+	"parroute/internal/rng"
 	"parroute/internal/runcfg"
 	"parroute/internal/service"
-	"parroute/internal/service/loadgen"
 )
 
 // soakJobs is the soak volume: 1000 by default (the acceptance floor),
@@ -124,44 +129,37 @@ func TestServiceSoak(t *testing.T) {
 	srv.Start(poolCtx)
 	ts := httptest.NewServer(srv.Handler())
 
-	profile := loadgen.Profile{
-		Jobs:        soakJobs(t),
-		Concurrency: 32,
-		Presets:     []string{"tiny", "small", "primary2"},
-		Algos:       []string{"serial", "rowwise", "netwise", "hybrid"},
-		Procs:       []int{1, 2, 4},
-		Seeds:       []uint64{1, 2}, // a small pool: most jobs collide into cache hits
-		Priorities:  []int{0, 1, 5},
-		CancelEvery: 7,
-		StreamEvery: 5,
-		Seed:        42,
-	}
 	ctx, cancelLoad := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancelLoad()
-	rep, err := loadgen.Run(ctx, ts.URL, profile)
-	if err != nil {
-		t.Fatalf("loadgen: %v", err)
-	}
+	load := &soakClient{url: ts.URL, byKey: map[string][]byte{}}
+	outcomes := load.run(ctx, t, soakJobs(t))
 
-	// No dropped jobs: every submission has exactly one recorded outcome
-	// and nothing landed in the unexpected-error bucket.
-	if err := rep.Check(); err != nil {
-		t.Fatal(err)
+	// No dropped jobs: every submission has exactly one recorded outcome,
+	// and none landed among the unexpected errors.
+	var count [soakErrored + 1]int
+	for n, o := range outcomes {
+		if o == 0 {
+			t.Fatalf("job %d has no outcome (load run cut short: %v)", n, ctx.Err())
+		}
+		count[o]++
 	}
 	t.Logf("soak: %d submitted, %d completed (%d cache hits), %d cancelled, %d overload, %d draining, %d progress events",
-		rep.Submitted.Load(), rep.Completed.Load(), rep.CacheHits.Load(), rep.Cancelled.Load(),
-		rep.RejectedOverload.Load(), rep.RejectedDraining.Load(), rep.ProgressEvents.Load())
-	if rep.Completed.Load() == 0 {
+		len(outcomes), count[soakCompleted]+count[soakCacheHit], count[soakCacheHit], count[soakCancelled],
+		count[soakOverload], count[soakDraining], load.progress.Load())
+	if count[soakErrored] != 0 {
+		t.Fatalf("%d jobs failed unexpectedly", count[soakErrored])
+	}
+	if count[soakCompleted]+count[soakCacheHit] == 0 {
 		t.Fatal("soak completed no jobs")
 	}
-	if rep.CacheHits.Load() == 0 {
+	if count[soakCacheHit] == 0 {
 		t.Fatal("soak produced no cache hits despite the colliding seed pool")
 	}
-	if rep.Cancelled.Load() == 0 {
-		t.Fatal("soak recorded no cancellations despite CancelEvery")
+	if count[soakCancelled] == 0 {
+		t.Fatal("soak recorded no cancellations despite cancelEvery")
 	}
-	if rep.ProgressEvents.Load() == 0 {
-		t.Fatal("soak consumed no SSE progress events despite StreamEvery")
+	if load.progress.Load() == 0 {
+		t.Fatal("soak consumed no SSE progress events despite streamEvery")
 	}
 
 	// Graceful drain: whatever is still in flight server-side (abandoned
@@ -181,12 +179,11 @@ func TestServiceSoak(t *testing.T) {
 
 	// Byte parity: every key the soak observed must match a fresh
 	// one-shot computation, byte for byte.
-	results := rep.Results()
-	if len(results) == 0 {
+	if len(load.byKey) == 0 {
 		t.Fatal("soak observed no per-key results")
 	}
-	t.Logf("soak: verifying one-shot parity for %d unique keys", len(results))
-	for key, got := range results {
+	t.Logf("soak: verifying one-shot parity for %d unique keys", len(load.byKey))
+	for key, got := range load.byKey {
 		if want := oneShotBytes(t, key); !bytes.Equal(got, want) {
 			t.Errorf("key %s: daemon bytes differ from one-shot bytes\n daemon:  %s\n oneshot: %s", key, got, want)
 		}
@@ -195,6 +192,193 @@ func TestServiceSoak(t *testing.T) {
 	service.StopPool(t, srv, cancelPool)
 	ts.Close()
 	settleGoroutines(t, baseline)
+}
+
+// The soak mix. Job n's spec is drawn from rng.New(42 + n·φ64) in
+// the order preset, algo, procs, seed, priority, so every run submits the
+// same jobs: scheduling only decides which client carries which.
+var (
+	soakPresets    = []string{"tiny", "small", "primary2"}
+	soakAlgos      = []string{"serial", "rowwise", "netwise", "hybrid"}
+	soakProcs      = []int{1, 2, 4}
+	soakSeeds      = []uint64{1, 2} // a small pool: most jobs collide into cache hits
+	soakPriorities = []int{0, 1, 5}
+)
+
+const (
+	soakClients = 32
+	cancelEvery = 7 // job n disconnects mid-flight when n%7 == 1
+	streamEvery = 5 // job n consumes SSE progress when n%5 == 0
+)
+
+func soakSpec(n int) service.JobSpec {
+	r := rng.New(42 + uint64(n)*0x9e3779b97f4a7c15)
+	return service.JobSpec{
+		Preset:   soakPresets[r.Intn(len(soakPresets))],
+		Algo:     soakAlgos[r.Intn(len(soakAlgos))],
+		Procs:    soakProcs[r.Intn(len(soakProcs))],
+		Seed:     soakSeeds[r.Intn(len(soakSeeds))],
+		Priority: soakPriorities[r.Intn(len(soakPriorities))],
+	}
+}
+
+// soakOutcome is how one job ended; 0 is none yet. A cancelled job may
+// still complete server-side: other waiters, or the cache, keep its bytes.
+type soakOutcome int
+
+const (
+	soakCompleted soakOutcome = iota + 1
+	soakCacheHit              // completed, flagged cacheHit
+	soakCancelled             // client disconnect or server-reported cancellation
+	soakOverload              // 429
+	soakDraining              // 503 draining
+	soakErrored               // anything else
+)
+
+// soakClient drives the daemon at url and keeps the first result bytes
+// seen per cache key, which every later response for the key must equal.
+type soakClient struct {
+	url      string
+	client   http.Client
+	progress atomic.Int64 // SSE progress events consumed
+
+	mu    sync.Mutex
+	byKey map[string][]byte
+}
+
+// run submits jobs 0..jobs-1 from soakClients goroutines and returns each
+// job's outcome, reporting unexpected failures on t.
+func (s *soakClient) run(ctx context.Context, t *testing.T, jobs int) []soakOutcome {
+	outcomes := make([]soakOutcome, jobs)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range soakClients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := int(next.Add(1)) - 1; n < jobs && ctx.Err() == nil; n = int(next.Add(1)) - 1 {
+				o, err := s.job(ctx, n)
+				if err != nil {
+					t.Errorf("job %d (%+v): %v", n, soakSpec(n), err)
+					o = soakErrored
+				}
+				outcomes[n] = o
+			}
+		}()
+	}
+	wg.Wait()
+	return outcomes
+}
+
+// job submits job n and reads how it ended.
+func (s *soakClient) job(ctx context.Context, n int) (soakOutcome, error) {
+	stream, cancelled := n%streamEvery == 0, n%cancelEvery == 1
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	body, err := service.Encode(service.KindJob, soakSpec(n))
+	if err != nil {
+		return 0, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.url+"/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	if stream {
+		req.Header.Set("Accept", "text/event-stream")
+	} else if cancelled {
+		// Cancelled before the request is sent: Do returns at once, and
+		// the daemon never sees the job.
+		cancel()
+	}
+	resp, err := s.client.Do(req)
+	if errors.Is(err, context.Canceled) {
+		return soakCancelled, nil
+	} else if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if stream {
+		return s.stream(resp, cancelled, cancel)
+	}
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, err
+	}
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return s.envelope(data)
+	case http.StatusTooManyRequests:
+		return soakOverload, nil
+	case http.StatusServiceUnavailable:
+		// A drain that cancels an in-flight job answers 503 too.
+		if o, _ := s.envelope(data); o == soakCancelled {
+			return o, nil
+		}
+		return soakDraining, nil
+	}
+	return 0, fmt.Errorf("status %d: %s", resp.StatusCode, data)
+}
+
+// stream reads an SSE response: progress events count, and the result or
+// error event decides the outcome. A cancelling client disconnects after
+// the first progress event, with its job provably started.
+func (s *soakClient) stream(resp *http.Response, cancelled bool, cancel context.CancelFunc) (soakOutcome, error) {
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 64<<20)
+	var kind string
+	for sc.Scan() {
+		if k, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
+			kind = k
+			continue
+		}
+		switch data, ok := strings.CutPrefix(sc.Text(), "data: "); {
+		case ok && kind == service.KindProgress:
+			s.progress.Add(1)
+			if cancelled {
+				cancel()
+				return soakCancelled, nil
+			}
+		case ok && (kind == service.KindResult || kind == service.KindError):
+			return s.envelope([]byte(data))
+		}
+	}
+	// Ended with no terminal event: a disconnect raced the result.
+	if cancelled || errors.Is(sc.Err(), context.Canceled) {
+		return soakCancelled, nil
+	}
+	return 0, errors.New("sse stream ended without a result or error event")
+}
+
+// envelope reads a job.result, checking its bytes against every other
+// response for its key, or a job's error, which is a cancellation or
+// unexpected.
+func (s *soakClient) envelope(data []byte) (soakOutcome, error) {
+	env, err := service.Decode(bytes.TrimSpace(data))
+	if err != nil {
+		return 0, err
+	}
+	var werr service.WireError
+	if env.DecodeBody(service.KindError, &werr) == nil {
+		if werr.Code == service.CodeCancelled {
+			return soakCancelled, nil
+		}
+		return 0, fmt.Errorf("error %s: %s", werr.Code, werr.Message)
+	}
+	var res service.JobResult
+	if err := env.DecodeBody(service.KindResult, &res); err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev, ok := s.byKey[res.Key]; !ok {
+		s.byKey[res.Key] = res.Metrics
+	} else if !bytes.Equal(prev, res.Metrics) {
+		return 0, fmt.Errorf("key %s returned different bytes across responses (%d vs %d)", res.Key, len(prev), len(res.Metrics))
+	}
+	if res.CacheHit {
+		return soakCacheHit, nil
+	}
+	return soakCompleted, nil
 }
 
 // TestOverloadBurstHTTP: a burst of distinct jobs against a 2-deep queue

@@ -58,9 +58,9 @@ no_gob() {
 }
 step "no encoding/gob dependency" no_gob
 
-# Lint gate: the whole suite over the whole module, once. internal/lint's
-# TestModuleIsClean is the same run for tier-1.
-step "parroutecheck ./..." go run ./cmd/parroutecheck ./...
+# Lint gate: internal/lint's TestModuleIsClean, the whole suite over the
+# whole module, once.
+step "lint (TestModuleIsClean)" go test -count=1 -run '^TestModuleIsClean$' ./internal/lint
 
 # The service soak is excluded here and run as its own step below, so it
 # executes exactly once per gate with an explicit, tunable volume. This
@@ -69,9 +69,9 @@ step "parroutecheck ./..." go run ./cmd/parroutecheck ./...
 # parallel, route and workpool — cancelling mid-stage unwinds every
 # algorithm on every engine with an error wrapping context.Canceled and no
 # leaked goroutine — run here, under this -race, once. internal/lint's
-# TestModuleIsClean (the suite the parroutecheck step just ran) is skipped
-# too: it is static analysis over a type-checked load of the module, which
-# a -race build makes no more telling. This step is also
+# TestModuleIsClean is skipped too: the lint step just ran it, and it is
+# static analysis over a type-checked load of the module, which a -race
+# build makes no more telling. This step is also
 # where internal/service's TestSharedCircuitConcurrentJobs runs under
 # -race: concurrent jobs of every algorithm sharing one cached circuit
 # must only read it (DESIGN.md §13).
@@ -107,10 +107,10 @@ peer_batches() {
 }
 step "peer batches only read (P=3 inproc, -race x20)" peer_batches
 
-# Codec fuzz smoke: the hand-written payload codecs (internal/parallel's
-# codec.go) must decode whatever they encode and re-encode it
-# byte-identically (the canonical-encoding invariant the WireSize prices
-# depend on), under the race detector.
+# Codec fuzz smoke: the payload codecs (internal/parallel's codec.go, each
+# batch through the body mp derives from its record codec) must decode
+# whatever they encode and re-encode it byte-identically (the encoding is
+# canonical), under the race detector.
 # FuzzAnyCodec and FuzzFrame are seeded with each builtin and a registered
 # payload, whole and with a count its body cannot hold. FuzzFrame drives
 # the socket framing the multi-process TCP engine puts those codecs on: arbitrary byte streams must decode-or-reject, never
