@@ -2,8 +2,11 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"testing"
@@ -60,5 +63,46 @@ func TestHitAllocBudget(t *testing.T) {
 	t.Logf("primary2 cache hit: %d bytes allocated (budget %d)", least, budget)
 	if least > budget {
 		t.Errorf("primary2 cache hit allocates %d bytes, budget %d", least, budget)
+	}
+}
+
+// TestDecodeAllocBudget holds reading one primary2 result, Decode and
+// DecodeBody into a JobResult as a client does, to a committed byte count:
+// the measured figure + 25 %. It allocated 448 B when it was set; the
+// body is 716 KB, so a copy of it coming back (json.Unmarshal's path
+// made two, 1.48 MB a read) fails here. Plain builds only.
+func TestDecodeAllocBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("the byte budget is checked in plain builds")
+	}
+	const budget = 560
+	metrics, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "primary2-serial.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics = bytes.TrimSuffix(metrics, []byte("\n"))
+	for _, hit := range []bool{false, true} {
+		wire, err := Encode(KindResult, JobResult{Key: "preset:primary2@7|serial|p1|s1|pinweight", CacheHit: hit, Metrics: json.RawMessage(metrics)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		least := uint64(1 << 62)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := decodeResult(wire)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CacheHit != hit || !bytes.Equal(res.Metrics, metrics) {
+				t.Fatalf("hit %v: read back hit %v and %d metrics bytes", hit, res.CacheHit, len(res.Metrics))
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("primary2 result (hit %v): %d bytes allocated (budget %d)", hit, least, budget)
+		if least > budget {
+			t.Errorf("reading a primary2 result (hit %v) allocates %d bytes, budget %d", hit, least, budget)
+		}
 	}
 }

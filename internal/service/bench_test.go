@@ -46,6 +46,44 @@ func BenchmarkWriteResult(b *testing.B) {
 	}
 }
 
+// BenchmarkReadResult: reading one primary2 job.result response, a miss
+// and a hit, as a client does: Decode, which verifies the checksum, then
+// DecodeBody into a JobResult.
+func BenchmarkReadResult(b *testing.B) {
+	canon, err := CanonicalResult(primary2Route(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		hit  bool
+	}{{"miss", false}, {"hit", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			wire, err := Encode(KindResult, JobResult{Key: "preset:primary2@7|serial|p1|s1|pinweight", CacheHit: tc.hit, Metrics: canon})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(canon)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := decodeResult(wire); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// decodeResult reads a job.result envelope the way a client does.
+func decodeResult(data []byte) (*JobResult, error) {
+	env, err := Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	var res JobResult
+	return &res, env.DecodeBody(KindResult, &res)
+}
+
 // primary2Route is one serial route of primary2 at the default options.
 func primary2Route(b *testing.B) *metrics.Result {
 	c, err := runcfg.LoadPreset("primary2", 7)

@@ -15,10 +15,12 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"strings"
 )
 
 // Proto is the wire-format version every envelope carries. A reader
@@ -42,7 +44,15 @@ type Envelope struct {
 	Kind  string          `json:"kind"`
 	Body  json.RawMessage `json:"body"`
 	Sum   string          `json:"sum"`
+
+	// result is the job.result body Decode read by position from read,
+	// which DecodeBody uses while Body is still that slice.
+	result *JobResult
+	read   []byte
 }
+
+// kinds are the envelope kinds a reader accepts.
+var kinds = []string{KindJob, KindResult, KindProgress, KindStats, KindError}
 
 // checksum is the envelope integrity hash: FNV-1a over proto, kind and the
 // body's pieces, with NUL separators (so "a"+"bc" and "ab"+"c" differ).
@@ -102,24 +112,115 @@ func Encode(kind string, body any) ([]byte, error) {
 // Decode parses and verifies an envelope. It rejects malformed JSON,
 // version skew (a proto other than Proto), unknown kinds, and checksum
 // mismatches — each with a distinct error so clients can tell a stale
-// peer from a corrupt payload.
+// peer from a corrupt payload. An envelope in the form frame writes is
+// read by readFrame, and its Body is a subslice of data, not a copy: data
+// must not change while the envelope is in use.
 func Decode(data []byte) (*Envelope, error) {
-	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("service: malformed envelope: %w", err)
-	}
-	if env.Proto != Proto {
-		return nil, fmt.Errorf("service: version skew: envelope speaks %q, this daemon speaks %q", env.Proto, Proto)
-	}
-	switch env.Kind {
-	case KindJob, KindResult, KindProgress, KindStats, KindError:
-	default:
-		return nil, fmt.Errorf("service: unknown envelope kind %q", env.Kind)
+	env := readFrame(data)
+	if env == nil {
+		env = new(Envelope)
+		if err := json.Unmarshal(data, env); err != nil {
+			return nil, fmt.Errorf("service: malformed envelope: %w", err)
+		}
+		if env.Proto != Proto {
+			return nil, fmt.Errorf("service: version skew: envelope speaks %q, this daemon speaks %q", env.Proto, Proto)
+		}
+		if !slices.Contains(kinds, env.Kind) {
+			return nil, fmt.Errorf("service: unknown envelope kind %q", env.Kind)
+		}
 	}
 	if err := env.Verify(); err != nil {
 		return nil, err
 	}
-	return &env, nil
+	return env, nil
+}
+
+// readFrame reads data in the form frame writes, then only whitespace:
+// {"proto":"twgrd/1","kind":"<known kind>","body":<value>,"sum":"<16 hex>"}.
+// One json.Valid pass checks the body, or a job.result's metrics alone.
+// Any other form, or a body that is not one JSON value json.Unmarshal
+// would read there, returns nil: json.Unmarshal reads it instead.
+func readFrame(data []byte) *Envelope {
+	rest, ok := bytes.CutPrefix(bytes.TrimRight(data, " \t\r\n"), []byte(`{"proto":"`+Proto+`","kind":"`))
+	if !ok {
+		return nil
+	}
+	kind, rest, _ := bytes.Cut(rest, []byte(`","body":`))
+	i := slices.IndexFunc(kinds, func(k string) bool { return string(kind) == k })
+	n := len(rest) - len(`,"sum":"0123456789abcdef"}`)
+	if i < 0 || n < 0 || !bytes.HasPrefix(rest[n:], []byte(`,"sum":"`)) || !bytes.HasSuffix(rest, []byte(`"}`)) {
+		return nil
+	}
+	env := &Envelope{Proto: Proto, Kind: kinds[i], Body: rest[:n], Sum: string(rest[len(rest)-18 : len(rest)-2])}
+	if strings.Trim(env.Sum, "0123456789abcdef") != "" || deeper(env.Body, maxDepth-1) {
+		return nil
+	}
+	if env.Kind == KindResult {
+		if env.result = readResult(env.Body); env.result != nil {
+			env.read = env.Body
+			return env
+		}
+	}
+	if !oneValue(env.Body) {
+		return nil
+	}
+	return env
+}
+
+// readResult reads a job.result body in the form pieces writes,
+// {"key":<string>,"metrics":<value>} with ,"cacheHit":true after the key
+// on a hit. The key token, up to the first `","` (a key it cuts short is
+// not a valid token), is decoded on its own. Any other form returns nil.
+func readResult(body []byte) *JobResult {
+	rest, ok := bytes.CutPrefix(body, []byte(`{"key":"`))
+	i := bytes.Index(rest, []byte(`","`))
+	res := new(JobResult)
+	if !ok || i < 0 || json.Unmarshal(body[len(`{"key":`):len(`{"key":"`)+i+1], &res.Key) != nil {
+		return nil
+	}
+	rest, res.CacheHit = bytes.CutPrefix(rest[i+1:], []byte(`,"cacheHit":true`))
+	m, ok := bytes.CutPrefix(rest, []byte(`,"metrics":`))
+	m, closed := bytes.CutSuffix(m, []byte("}"))
+	if !ok || !closed || !oneValue(m) {
+		return nil
+	}
+	res.Metrics = m
+	return res
+}
+
+// maxDepth is how deep json.Unmarshal reads arrays and objects, counted
+// from the envelope: a body json.Valid accepts can be a level too deep.
+const maxDepth = 10000
+
+// deeper reports whether the JSON value b nests more than max arrays and
+// objects.
+func deeper(b []byte, max int) bool {
+	if bytes.Count(b, []byte("{"))+bytes.Count(b, []byte("[")) <= max {
+		return false // too few to nest that deep: skip the byte-by-byte scan
+	}
+	depth, quoted := 0, false
+	for i := 0; i < len(b); i++ {
+		switch c := b[i]; {
+		case quoted && c == '\\':
+			i++
+		case c == '"':
+			quoted = !quoted
+		case quoted:
+		case c == '{' || c == '[':
+			if depth++; depth > max {
+				return true
+			}
+		case c == '}' || c == ']':
+			depth--
+		}
+	}
+	return false
+}
+
+// oneValue reports whether b is one JSON value with no whitespace around
+// it, which a json.RawMessage field would drop.
+func oneValue(b []byte) bool {
+	return len(b) > 0 && len(bytes.TrimSpace(b)) == len(b) && json.Valid(b)
 }
 
 // Verify recomputes the checksum over the envelope's fields.
@@ -131,10 +232,17 @@ func (e *Envelope) Verify() error {
 }
 
 // DecodeBody unmarshals the envelope body into a typed value, checking
-// the kind first so a job.result body never decodes into a JobSpec.
+// the kind first so a job.result body never decodes into a JobSpec. A
+// *JobResult whose body Decode read by position takes what Decode read:
+// its Metrics is a subslice of Decode's input, not a copy.
 func (e *Envelope) DecodeBody(kind string, v any) error {
 	if e.Kind != kind {
 		return fmt.Errorf("service: envelope is %q, want %q", e.Kind, kind)
+	}
+	if r, ok := v.(*JobResult); ok && r != nil && e.result != nil && len(e.Body) == len(e.read) && &e.Body[0] == &e.read[0] {
+		r.Key, r.Metrics = e.result.Key, e.result.Metrics
+		r.CacheHit = r.CacheHit || e.result.CacheHit
+		return nil
 	}
 	if err := json.Unmarshal(e.Body, v); err != nil {
 		return fmt.Errorf("service: decoding %s body: %w", kind, err)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -248,10 +249,113 @@ func TestResultFrameMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzEnvelope fuzzes the wire's trust boundary both ways: arbitrary bytes
-// into Decode must be refused or read, never panic; and a result framed
-// around AppendJSON's bytes, under a fuzzed key and hit flag, must equal
-// the reference encoder and read back to the same key, flag and metrics.
+// referenceDecode is Decode as it read every envelope before readFrame:
+// json.Unmarshal of the whole input, then the proto, kind and checksum
+// checks.
+func referenceDecode(data []byte) (*Envelope, error) {
+	var env Envelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return nil, fmt.Errorf("service: malformed envelope: %w", err)
+	}
+	if env.Proto != Proto {
+		return nil, fmt.Errorf("service: version skew: envelope speaks %q, this daemon speaks %q", env.Proto, Proto)
+	}
+	switch env.Kind {
+	case KindJob, KindResult, KindProgress, KindStats, KindError:
+	default:
+		return nil, fmt.Errorf("service: unknown envelope kind %q", env.Kind)
+	}
+	if err := env.Verify(); err != nil {
+		return nil, err
+	}
+	return &env, nil
+}
+
+// referenceDecodeBody is DecodeBody as it read every body before
+// readResult: json.Unmarshal.
+func referenceDecodeBody(e *Envelope, kind string, v any) error {
+	if e.Kind != kind {
+		return fmt.Errorf("service: envelope is %q, want %q", e.Kind, kind)
+	}
+	if err := json.Unmarshal(e.Body, v); err != nil {
+		return fmt.Errorf("service: decoding %s body: %w", kind, err)
+	}
+	return nil
+}
+
+// checkDecode holds Decode to the reference on data: the same error
+// text, or the same Proto, Kind, Sum and Body bytes; and then DecodeBody,
+// into a zero and into a pre-filled JobResult, to the same error or the
+// same Key, CacheHit and Metrics bytes.
+func checkDecode(t *testing.T, data []byte) {
+	t.Helper()
+	env, err := Decode(data)
+	ref, refErr := referenceDecode(data)
+	if fmt.Sprint(err) != fmt.Sprint(refErr) {
+		t.Fatalf("Decode(%.300q):\n error %v\n reference %v", data, err, refErr)
+	}
+	if err != nil {
+		return
+	}
+	if env.Proto != ref.Proto || env.Kind != ref.Kind || env.Sum != ref.Sum || !bytes.Equal(env.Body, ref.Body) {
+		t.Fatalf("Decode(%.300q) = %q %q %q %.200q, reference %q %q %q %.200q", data,
+			env.Proto, env.Kind, env.Sum, env.Body, ref.Proto, ref.Kind, ref.Sum, ref.Body)
+	}
+	for _, filled := range []bool{false, true} {
+		var got, want JobResult
+		if filled {
+			got = JobResult{Key: "old", CacheHit: true, Metrics: json.RawMessage("[0]")}
+			want = JobResult{Key: "old", CacheHit: true, Metrics: json.RawMessage("[0]")}
+		}
+		err, refErr := env.DecodeBody(env.Kind, &got), referenceDecodeBody(ref, env.Kind, &want)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) || err == nil &&
+			(got.Key != want.Key || got.CacheHit != want.CacheHit || !bytes.Equal(got.Metrics, want.Metrics)) {
+			t.Fatalf("DecodeBody of %.300q (pre-filled %v): %q %v %.200q, error %v; reference %q %v %.200q, error %v", data, filled,
+				got.Key, got.CacheHit, got.Metrics, err, want.Key, want.CacheHit, want.Metrics, refErr)
+		}
+	}
+}
+
+// TestDecodeBodyReadsBody: a Body replaced after Decode is the body
+// DecodeBody reads, not the one Decode read by position.
+func TestDecodeBodyReadsBody(t *testing.T) {
+	data, err := Encode(KindResult, JobResult{Key: "a", Metrics: json.RawMessage(`{"n":1}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Body = json.RawMessage(`{"key":"b","metrics":[2]}`)
+	var res JobResult
+	if err := env.DecodeBody(KindResult, &res); err != nil || res.Key != "b" || string(res.Metrics) != "[2]" {
+		t.Fatalf("DecodeBody = %q %s, error %v; want the replaced body", res.Key, res.Metrics, err)
+	}
+}
+
+// TestDecodeDepthLimit: metrics nested one level within and one beyond
+// what json.Unmarshal reads inside an envelope, both of which json.Valid
+// accepts on their own. (As fuzz seeds, inputs this long keep the
+// fuzzer's minimizer busy for most of a run.)
+func TestDecodeDepthLimit(t *testing.T) {
+	for _, depth := range []int{maxDepth - 2, maxDepth - 1} {
+		body := []byte(`{"key":"k","metrics":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + `}`)
+		head, tail := frame(KindResult, body)
+		data := slices.Concat(head, body, tail)
+		checkDecode(t, data)
+		if _, err := Decode(data); (err == nil) != (depth == maxDepth-2) {
+			t.Fatalf("metrics %d deep: Decode error %v", depth, err)
+		}
+	}
+}
+
+// FuzzEnvelope fuzzes the wire's trust boundary both ways. Arbitrary
+// bytes into Decode, as they are and framed as a job.result body with a
+// correct sum, must be refused or read exactly as the reference reads
+// them (checkDecode), never panic. And a result framed around AppendJSON's
+// bytes, under a fuzzed key and hit flag, must equal the reference
+// encoder and read back to the same key, flag and metrics.
 func FuzzEnvelope(f *testing.F) {
 	good, err := Encode(KindResult, JobResult{Key: "k", CacheHit: true, Metrics: json.RawMessage(`{"a":1}`)})
 	if err != nil {
@@ -260,11 +364,30 @@ func FuzzEnvelope(f *testing.F) {
 	f.Add(good, "preset:primary2@7|serial|p1|s1|pinweight", false, "primary2", int64(12))
 	f.Add([]byte(`{"proto":"twgrd/1","kind":"job.result","body":null,"sum":""}`), "inline:<a>&b", true, "a\u2028b\"", int64(-1))
 	f.Add([]byte("\xff{"), "bad\xff\xfe", true, "c<&>\\\x01", int64(1<<40))
+	// Bodies where a reading by position could differ from
+	// json.Unmarshal's: whitespace around the value (the sum is over the
+	// value without it), a second "body" key, a false flag, a member after
+	// the metrics, no closing brace, escapes in the key; and a trailing
+	// newline after an envelope.
+	res := `{"key":"k","metrics":{"a":[1]}}`
+	envelope := func(body string) []byte {
+		return []byte(`{"proto":"twgrd/1","kind":"job.result","body":` + body + `,"sum":"` + checksum(Proto, KindResult, []byte(res)) + `"}`)
+	}
+	for _, seed := range [][]byte{
+		envelope(" " + res), envelope(res + "\t"), []byte(" " + res), []byte(res + "\n"),
+		envelope(`{"key":"x","metrics":2},"body":` + res), []byte(`1,"body":` + res),
+		[]byte(`{"key":"k","cacheHit":false,"metrics":1}`),
+		[]byte(`{"key":"k","metrics":{"a":1},"x":2}`),
+		[]byte(`{"key":"","metrics":""`),
+		[]byte(`{"key":"a\"b\u2028c\\","cacheHit":true,"metrics":"\""}`),
+		append(envelope(res), '\n'),
+	} {
+		f.Add(seed, "k", false, "n", int64(0))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, key string, hit bool, name string, n int64) {
-		if env, err := Decode(data); err == nil {
-			var res JobResult
-			_ = env.DecodeBody(env.Kind, &res)
-		}
+		checkDecode(t, data)
+		head, tail := frame(KindResult, data)
+		checkDecode(t, slices.Concat(head, data, tail))
 		r := &metrics.Result{Circuit: name, Algo: key, Procs: int(n), TotalTracks: int(n >> 3), Area: n,
 			Wires: []metrics.Wire{{Net: int32(n), Channel: int32(n % 5), ARow: int32(n % 5), BRow: int32(n % 5), Switchable: hit}}, ChannelDensity: []int{int(n), 0},
 			Phases: []metrics.Phase{{Name: name, Counters: []metrics.Counter{{Name: key, Value: n}}}}}

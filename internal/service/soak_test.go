@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"os"
 	"runtime"
 	"strconv"
@@ -176,6 +177,10 @@ func TestServiceSoak(t *testing.T) {
 	if st.QueueDepth != 0 || st.Running != 0 {
 		t.Fatalf("post-drain stats = %+v, want an idle pool", st)
 	}
+	t.Logf("daemon: %d submitted, %d completed, %d cancelled", st.Submitted, st.Completed, st.Cancelled)
+	if st.Cancelled == 0 {
+		t.Fatal("the daemon cancelled no job despite cancelEvery's disconnects")
+	}
 
 	// Byte parity: every key the soak observed must match a fresh
 	// one-shot computation, byte for byte.
@@ -275,6 +280,11 @@ func (s *soakClient) job(ctx context.Context, n int) (soakOutcome, error) {
 	stream, cancelled := n%streamEvery == 0, n%cancelEvery == 1
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	if cancelled && !stream {
+		// Cancelled once the request is on the wire: the daemon holds the
+		// job when its client leaves.
+		ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{WroteRequest: func(httptrace.WroteRequestInfo) { cancel() }})
+	}
 	body, err := service.Encode(service.KindJob, soakSpec(n))
 	if err != nil {
 		return 0, err
@@ -285,10 +295,6 @@ func (s *soakClient) job(ctx context.Context, n int) (soakOutcome, error) {
 	}
 	if stream {
 		req.Header.Set("Accept", "text/event-stream")
-	} else if cancelled {
-		// Cancelled before the request is sent: Do returns at once, and
-		// the daemon never sees the job.
-		cancel()
 	}
 	resp, err := s.client.Do(req)
 	if errors.Is(err, context.Canceled) {
@@ -301,7 +307,9 @@ func (s *soakClient) job(ctx context.Context, n int) (soakOutcome, error) {
 		return s.stream(resp, cancelled, cancel)
 	}
 	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if errors.Is(err, context.Canceled) {
+		return soakCancelled, nil
+	} else if err != nil {
 		return 0, err
 	}
 	switch resp.StatusCode {

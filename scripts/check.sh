@@ -207,24 +207,28 @@ step "scale smoke (synth.100k and synth.1m budgets)" scale_tier
 # back, a rank cloning the whole circuit again or copying data it already
 # holds, fails here, with no wall clock involved. A primary2
 # cache hit through the twgrd handler must stay under a committed byte
-# count too: a copy of its 716 KB metrics or a re-marshal fails it. Run
-# without -race: the byte budgets only discriminate in a plain build.
+# count too: a copy of its 716 KB metrics or a re-marshal fails it; so
+# must a client's read of one, Decode and DecodeBody, where a copy of the
+# body fails it. Run without -race: the byte budgets only discriminate in
+# a plain build.
 alloc_budget() {
   go test -count=1 -run 'TestParallelDriverAllocBudget' . &&
-    go test -count=1 -run 'TestHitAllocBudget' ./internal/service
+    go test -count=1 -run 'TestHitAllocBudget|TestDecodeAllocBudget' ./internal/service
 }
 step "allocation budget (parallel drivers + serial route)" alloc_budget
 
 # Bench smoke: the serial hot path and the hybrid and net-wise (TCP) P=2
-# runs still run end to end under the benchmark harness, and so does
-# circuit.Validate on synth.100k and on one row and one net of 2^16 cells
-# (the perf ledger itself is `go run ./benchmark`; see DESIGN.md §9).
+# runs still run end to end under the benchmark harness, and so do
+# circuit.Validate on synth.100k and on one row and one net of 2^16 cells,
+# and writing and reading one primary2 job.result envelope (the perf
+# ledger itself is `go run ./benchmark`; see DESIGN.md §9).
 bench_smoke() {
   go test -run '^$' -bench 'BenchmarkSerialRoute/primary2' -benchtime 1x . &&
     go test -run '^$' -bench 'BenchmarkHybridP2|BenchmarkNetwiseP2' -benchtime 1x ./internal/parallel &&
-    go test -run '^$' -bench 'BenchmarkValidate' -benchtime 1x ./internal/circuit
+    go test -run '^$' -bench 'BenchmarkValidate' -benchtime 1x ./internal/circuit &&
+    go test -run '^$' -bench 'BenchmarkReadResult|BenchmarkWriteResult' -benchtime 1x ./internal/service
 }
-step "bench smoke (serial route, hybrid and net-wise P=2, Validate)" bench_smoke
+step "bench smoke (serial route, hybrid and net-wise P=2, Validate, envelope write and read)" bench_smoke
 
 # Trace smoke: `twgr -trace` emits a timeline that `-checktrace` accepts.
 # Both paths write the run's Result.Phases (merged across ranks on the
